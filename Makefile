@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fmt-check lint-logs bench bench-json bench-store bench-check bench-serve bench-serve-check critpath-smoke ledger-smoke fuzz cover ci
+.PHONY: build vet test race fmt-check lint-logs bench bench-json bench-store bench-check bench-serve bench-serve-check bench-e2e bench-e2e-selfcheck critpath-smoke ledger-smoke fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,18 @@ bench-serve-check:
 	@$(GO) run ./cmd/benchcheck -serve-new BENCH_serve_check.json BENCH_serve.json; \
 		status=$$?; rm -f BENCH_serve_check.json; exit $$status
 
+# bench-e2e is the end-to-end + per-layer ruler (bench/README.md): all five
+# workloads through real Client.Run over loopback HTTP against a spawned
+# collabd, untraced then traced, merged into bench/out/results.json.
+bench-e2e:
+	bench/run.sh
+
+# bench-e2e-selfcheck runs two sets of the same code and fails when a pair of
+# medians or a gated spread is outside its bound — the ruler measuring
+# itself, to be run before trusting a comparison on a new host.
+bench-e2e-selfcheck:
+	bench/run.sh -selfcheck
+
 # critpath-smoke checks the critical-path analyzer end-to-end through the
 # CLI: record a Chrome trace from a small local workload, analyze it twice,
 # and require a non-empty, byte-stable report — the determinism contract
@@ -120,10 +132,13 @@ ledger-smoke:
 	fi; \
 	rm -rf $$tmp; exit $$status
 
-# fuzz replays the committed seed corpus and explores the on-disk column
-# codec for a short budget (corruption must never decode successfully).
+# fuzz replays the seed corpora and explores, for a short budget each, the
+# on-disk column codec (corruption must never decode successfully) and the
+# artifact upload body (hostile bytes must never panic the handler or tear a
+# store entry).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzColumnCodec -fuzztime=10s ./internal/tier/
+	$(GO) test -run=NONE -fuzz=FuzzUploadDecode -fuzztime=10s ./internal/remote/
 
 # lint-logs forbids unstructured logging in server-path packages: server
 # logging goes through log/slog so every line can carry the propagated

@@ -886,12 +886,27 @@ func (s *Server) PutArtifact(id string, a graph.Artifact) error {
 // the lock wait of an upload is attributed to the request that suffered it
 // (see OptimizeReq).
 func (s *Server) PutArtifactReq(id string, a graph.Artifact, requestID string) error {
+	return s.materializeReq(id, requestID, func() error { return s.Store.PutReq(id, a, requestID) })
+}
+
+// PutFrameRefReq is PutArtifactReq for a dataset uploaded by reference: its
+// manifest plus the columns the store does not hold (store.PutFrameRef,
+// whose ErrColumnAbsent and ErrBadManifest pass through unwrapped).
+func (s *Server) PutFrameRefReq(id string, colIDs, names []string, cols []*data.Column, requestID string) error {
+	return s.materializeReq(id, requestID, func() error {
+		return s.Store.PutFrameRef(id, colIDs, names, cols, requestID)
+	})
+}
+
+// materializeReq runs one store admission inside the "materialize" lock
+// section and marks the vertex materialized when it succeeds.
+func (s *Server) materializeReq(id, requestID string, put func() error) error {
 	release, lockWait := s.lockSection("materialize", requestID)
 	defer release()
 	if s.flight != nil && requestID != "" {
 		s.flight.Annotate(requestID, obs.RequestAnnotation{LockWaitNanos: lockWait.Nanoseconds()})
 	}
-	if err := s.Store.PutReq(id, a, requestID); err != nil {
+	if err := put(); err != nil {
 		return err
 	}
 	s.EG.SetMaterialized(id, true)

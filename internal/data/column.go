@@ -3,6 +3,7 @@ package data
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"strconv"
 )
@@ -236,4 +237,35 @@ func (c *Column) WithID(id string) *Column {
 	out := *c
 	out.ID = id
 	return &out
+}
+
+// Validate checks a column that arrived from outside the process (a decoded
+// upload): the type is known, no representation other than the one Type
+// selects is populated, and every dictionary code indexes the dictionary.
+// Columns built by this package always pass; so does an empty column, which
+// decodes with every slice nil.
+func (c *Column) Validate() error {
+	populated := [...]bool{
+		Float64: c.Floats != nil,
+		Int64:   c.Ints != nil,
+		String:  c.Strings != nil || c.Dict != nil || c.Codes != nil,
+		Bool:    c.Bools != nil,
+	}
+	if int(c.Type) >= len(populated) {
+		return fmt.Errorf("data: column %q has unknown type %d", c.Name, uint8(c.Type))
+	}
+	for t, set := range populated {
+		if set && DType(t) != c.Type {
+			return fmt.Errorf("data: column %q of type %s carries %s values", c.Name, c.Type, DType(t))
+		}
+	}
+	if c.Strings != nil && (c.Dict != nil || c.Codes != nil) {
+		return fmt.Errorf("data: column %q is both plain and dictionary-encoded", c.Name)
+	}
+	for _, code := range c.Codes {
+		if int(code) >= len(c.Dict) {
+			return fmt.Errorf("data: column %q: code %d outside %d-entry dictionary", c.Name, code, len(c.Dict))
+		}
+	}
+	return nil
 }

@@ -343,3 +343,31 @@ func TestSourceIDStability(t *testing.T) {
 		t.Error("distinct inputs must derive distinct IDs")
 	}
 }
+
+func TestColumnValidate(t *testing.T) {
+	good := []*Column{
+		NewFloatColumn("f", []float64{1}),
+		NewIntColumn("i", []int64{1}),
+		NewStringColumn("s", []string{"x"}),
+		NewStringColumn("s", []string{"x", "y", "x"}).DictEncoded(),
+		NewBoolColumn("b", []bool{true}),
+		{Name: "empty", Type: Int64}, // how a zero-row column decodes from gob
+	}
+	for _, c := range good {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s column %q: %v", c.Type, c.Name, err)
+		}
+	}
+	bad := map[string]*Column{
+		"unknown type":           {Name: "x", Type: DType(9), Floats: []float64{1}},
+		"values of another type": {Name: "x", Type: Float64, Ints: []int64{1}},
+		"two representations":    {Name: "x", Type: Float64, Floats: []float64{1}, Bools: []bool{true}},
+		"plain and dictionary":   {Name: "x", Type: String, Strings: []string{"a"}, Dict: []string{"a"}, Codes: []uint32{0}},
+		"code out of bounds":     {Name: "x", Type: String, Dict: []string{"a"}, Codes: []uint32{0, 1}},
+	}
+	for name, c := range bad {
+		if c.Validate() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

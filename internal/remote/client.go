@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reuse"
@@ -185,12 +187,20 @@ func (c *Client) UpdateE(executed *graph.DAG) error {
 	if err := c.postGob("/v1/update", req, &resp); err != nil {
 		return err
 	}
-	for _, id := range resp.WantContent {
+	// held collects the column lineage IDs the server holds as far as this
+	// update knows: those it reported in Have and those uploaded since, so a
+	// column shared by several wanted vertices travels once.
+	held := make(map[string]bool)
+	for i, id := range resp.WantContent {
 		n := executed.Node(id)
 		if n == nil || n.Content == nil {
 			continue
 		}
-		if err := c.uploadArtifact(id, n.Content); err != nil {
+		var have []int
+		if i < len(resp.Have) {
+			have = resp.Have[i]
+		}
+		if err := c.uploadArtifact(id, n.Content, have, held); err != nil {
 			return err
 		}
 	}
@@ -244,6 +254,10 @@ func (c *Client) fetchTagged(id string) (graph.Artifact, string) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		// 404 is the protocol's "not stored"; anything else is a failure.
+		if resp.StatusCode != http.StatusNotFound {
+			c.fail(fmt.Errorf("remote: GET /v1/artifact %s: HTTP %d", id, resp.StatusCode))
+		}
 		return nil, ""
 	}
 	var env artifactEnvelope
@@ -298,6 +312,9 @@ func (c *Client) StatsE() (*Stats, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("remote: /v1/stats: HTTP %d", resp.StatusCode)
+	}
 	var st Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return nil, err
@@ -305,9 +322,60 @@ func (c *Client) StatsE() (*Stats, error) {
 	return &st, nil
 }
 
-func (c *Client) uploadArtifact(id string, content graph.Artifact) error {
+// uploadArtifact POSTs the content of one wanted vertex. A dataset travels
+// as its manifest plus the columns the server does not hold: have are the
+// indices into the frame's columns that the update response reported held,
+// held is UpdateE's running set, which this call extends. If the server has
+// lost a column in between (409), the vertex is sent once more with every
+// column. Everything else travels whole.
+func (c *Client) uploadArtifact(id string, content graph.Artifact, have []int, held map[string]bool) error {
+	ds, ok := content.(*graph.DatasetArtifact)
+	if !ok || ds.Frame == nil || ds.Frame.NumCols() == 0 {
+		return c.postUpload(id, &artifactUpload{Blob: artifactEnvelope{Content: content}})
+	}
+	cols := ds.Frame.Columns()
+	for _, i := range have {
+		if i >= 0 && i < len(cols) {
+			held[cols[i].ID] = true
+		}
+	}
+	up := artifactUpload{ColIDs: ds.Frame.ColumnIDs(), Names: ds.Frame.ColumnNames()}
+	up.Columns = distinctColumns(cols, held)
+	err := c.postUpload(id, &up)
+	if errors.Is(err, errColumnAbsent) {
+		up.Columns = distinctColumns(cols, nil)
+		err = c.postUpload(id, &up)
+	}
+	if err != nil {
+		return err
+	}
+	for _, col := range cols {
+		held[col.ID] = true
+	}
+	return nil
+}
+
+// distinctColumns returns the columns whose lineage ID is not in skip, one
+// per ID.
+func distinctColumns(cols []*data.Column, skip map[string]bool) []*data.Column {
+	var out []*data.Column
+	taken := make(map[string]bool, len(cols))
+	for _, col := range cols {
+		if !skip[col.ID] && !taken[col.ID] {
+			taken[col.ID] = true
+			out = append(out, col)
+		}
+	}
+	return out
+}
+
+// errColumnAbsent is the client's view of a 409 on an upload: the manifest
+// relied on a column the server no longer holds.
+var errColumnAbsent = errors.New("remote: server no longer holds a referenced column")
+
+func (c *Client) postUpload(id string, up *artifactUpload) error {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&artifactEnvelope{Content: content}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(up); err != nil {
 		return fmt.Errorf("remote: encode artifact %s: %w", id, err)
 	}
 	resp, err := c.post(c.base+"/v1/artifact?id="+url.QueryEscape(id), &buf)
@@ -315,7 +383,10 @@ func (c *Client) uploadArtifact(id string, content graph.Artifact) error {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
+	switch {
+	case resp.StatusCode == http.StatusConflict:
+		return fmt.Errorf("remote: upload %s: %w", id, errColumnAbsent)
+	case resp.StatusCode >= 300:
 		return fmt.Errorf("remote: upload %s: HTTP %d", id, resp.StatusCode)
 	}
 	return nil

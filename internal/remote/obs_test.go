@@ -59,7 +59,7 @@ func TestArtifactMissingIDAndMissingContent(t *testing.T) {
 
 	// PUT without an id: 400, nothing stored.
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&artifactEnvelope{}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&artifactUpload{}); err != nil {
 		t.Fatal(err)
 	}
 	resp = postRaw(t, rc.base, "/v1/artifact", buf.Bytes())
@@ -68,14 +68,14 @@ func TestArtifactMissingIDAndMissingContent(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// PUT with an id but an empty envelope: 400.
+	// PUT with an id but neither blob nor manifest: 400.
 	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&artifactEnvelope{}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&artifactUpload{}); err != nil {
 		t.Fatal(err)
 	}
 	resp = postRaw(t, rc.base, "/v1/artifact?id=v1", buf.Bytes())
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("PUT empty envelope: status %d, want 400", resp.StatusCode)
+		t.Errorf("PUT empty upload: status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 	if srv.Store.Len() != 0 {

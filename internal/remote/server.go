@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/store"
 )
 
 // Handler wraps a core.Server with the HTTP protocol. Mount it on any mux.
@@ -153,8 +155,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
+	if !decodeBody(w, r, maxMetaBody, &req) {
 		return
 	}
 	dag := FromWire(req.Nodes)
@@ -176,8 +177,7 @@ func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
+	if !decodeBody(w, r, maxMetaBody, &req) {
 		return
 	}
 	dag := FromWire(req.Nodes)
@@ -186,18 +186,33 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	if req.Run != nil {
 		h.srv.ReportRun(*req.Run, requestID(r))
 	}
-	want := h.srv.UpdateMetaReq(dag, requestID(r))
-	// Record column lineage (dedup accounting) and model kinds (warmstart
-	// donor matching), which travel outside the artifact content.
+	resp := UpdateResponse{WantContent: h.srv.UpdateMetaReq(dag, requestID(r))}
+	wanted := make(map[string]int, len(resp.WantContent))
+	for i, id := range resp.WantContent {
+		wanted[id] = i
+	}
 	for _, wn := range req.Nodes {
+		// Record column lineage (dedup accounting) and model kinds (warmstart
+		// donor matching), which travel outside the artifact content.
 		if len(wn.Columns) > 0 {
 			h.srv.EG.RecordColumns(wn.ID, wn.Columns, wn.ColSizes)
 		}
 		if wn.TrainedKind != "" {
 			h.srv.EG.RecordMeta(wn.ID, "model", wn.TrainedKind)
 		}
+		// Tell the client which columns of a wanted dataset to leave out.
+		// The answer may be stale by the time the upload arrives; the upload
+		// handler checks again.
+		if i, ok := wanted[wn.ID]; ok && len(wn.Columns) > 0 {
+			if held := h.srv.Store.HeldColumns(wn.Columns); len(held) > 0 {
+				if resp.Have == nil {
+					resp.Have = make([][]int, len(resp.WantContent))
+				}
+				resp.Have[i] = held
+			}
+		}
 	}
-	writeGob(w, &UpdateResponse{WantContent: want})
+	writeGob(w, &resp)
 }
 
 func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
@@ -221,20 +236,39 @@ func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing id", http.StatusBadRequest)
 		return
 	}
-	var env artifactEnvelope
-	if err := gob.NewDecoder(r.Body).Decode(&env); err != nil {
-		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
+	var up artifactUpload
+	if !decodeBody(w, r, maxArtifactBody, &up) {
 		return
 	}
-	if env.Content == nil {
-		http.Error(w, "empty artifact", http.StatusBadRequest)
+	var err error
+	manifest := len(up.ColIDs)+len(up.Names)+len(up.Columns) > 0
+	switch {
+	case up.Blob.Content != nil && !manifest:
+		// Datasets have one upload shape, the manifest; only a frame without
+		// columns has nothing to put in one.
+		if ds, ok := up.Blob.Content.(*graph.DatasetArtifact); ok && ds.Frame != nil && ds.Frame.NumCols() > 0 {
+			http.Error(w, "dataset content must be uploaded as a manifest", http.StatusBadRequest)
+			return
+		}
+		err = h.srv.PutArtifactReq(id, up.Blob.Content, requestID(r))
+	case up.Blob.Content == nil && manifest:
+		err = h.srv.PutFrameRefReq(id, up.ColIDs, up.Names, up.Columns, requestID(r))
+	default:
+		http.Error(w, "upload must carry either a blob or a dataset manifest", http.StatusBadRequest)
 		return
 	}
-	if err := h.srv.PutArtifactReq(id, env.Content, requestID(r)); err != nil {
+	switch {
+	case err == nil:
+		w.WriteHeader(http.StatusNoContent)
+	case errors.Is(err, store.ErrColumnAbsent):
+		// The client left out a column the store has since lost (evicted by
+		// another client's update); it retries with every column.
+		http.Error(w, err.Error(), http.StatusConflict)
+	case errors.Is(err, store.ErrBadManifest):
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
 	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
@@ -482,9 +516,21 @@ func (h *Handler) critpath(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// artifactEnvelope wraps the Artifact interface for gob transport.
-type artifactEnvelope struct {
-	Content graph.Artifact
+// decodeBody gob-decodes a request body of at most limit bytes into v. It
+// answers 413 for a larger body and 400 for one that does not decode, and
+// reports whether the handler may go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
+	}
+	return false
 }
 
 func writeGob(w http.ResponseWriter, v any) {

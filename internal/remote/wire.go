@@ -4,11 +4,11 @@
 // downloaded when a plan reuses it, uploaded when the server's
 // materializer selects it.
 //
-// Wire format: gob. All artifact and model types are registered here.
+// Wire format: gob; graph.RegisterGobTypes lists the artifact and model
+// types that travel inside Artifact values.
 package remote
 
 import (
-	"encoding/gob"
 	"time"
 
 	"repro/internal/calib"
@@ -19,26 +19,7 @@ import (
 	"repro/internal/reuse"
 )
 
-func init() {
-	gob.Register(&graph.DatasetArtifact{})
-	gob.Register(&graph.AggregateArtifact{})
-	gob.Register(&graph.ModelArtifact{})
-	gob.Register(&graph.TransformerArtifact{})
-	gob.Register(&data.Frame{})
-	gob.Register(&ml.LogisticRegression{})
-	gob.Register(&ml.LinearRegression{})
-	gob.Register(&ml.DecisionTree{})
-	gob.Register(&ml.GradientBoostedTrees{})
-	gob.Register(&ml.RandomForest{})
-	gob.Register(&ml.KNN{})
-	gob.Register(&ml.GaussianNB{})
-	gob.Register(&ml.LinearSVM{})
-	gob.Register(&ml.KMeans{})
-	gob.Register(&ml.StandardScaler{})
-	gob.Register(&ml.MinMaxScaler{})
-	gob.Register(&ml.SelectKBest{})
-	gob.Register(&ml.PCA{})
-}
+func init() { graph.RegisterGobTypes() }
 
 // WireNode is one workload vertex as shipped to the server: identity,
 // structure, and measurements — never content.
@@ -98,10 +79,47 @@ type UpdateRequest struct {
 }
 
 // UpdateResponse lists the vertex IDs whose content the server asks the
-// client to upload.
+// client to upload, and what the server already holds of each.
 type UpdateResponse struct {
 	WantContent []string
+	// Have is aligned index-for-index with WantContent: Have[i] lists the
+	// indices into vertex WantContent[i]'s WireNode.Columns (as sent on this
+	// update) of the columns the server's store already holds, which the
+	// client leaves out of the upload. Indices, not lineage IDs, so the
+	// response grows by a byte per held column. A missing or empty entry
+	// means "holds none" — gob cannot tell nil from empty, so the list names
+	// what is held, not what is needed: the safe reading of silence is a
+	// full upload.
+	Have [][]int
 }
+
+// artifactUpload is the body of POST /v1/artifact. Exactly one half is set.
+// Models, aggregates and transformers travel whole in Blob. A dataset
+// travels as its manifest (ordered column lineage IDs and names) plus the
+// columns the server does not hold yet; the server assembles the frame from
+// those and the columns its store has under the same IDs. A full upload is
+// the case where Columns carries every manifest column.
+type artifactUpload struct {
+	Blob    artifactEnvelope
+	ColIDs  []string
+	Names   []string
+	Columns []*data.Column
+}
+
+// artifactEnvelope wraps the Artifact interface for gob transport: blob
+// uploads and every download.
+type artifactEnvelope struct {
+	Content graph.Artifact
+}
+
+// Request bodies are bounded: a meta-data request (optimize, update) carries
+// a few hundred bytes per workload vertex, an artifact upload at most one
+// artifact, which the default materialization budget (1 GiB) caps anyway.
+// Larger bodies are answered 413.
+const (
+	maxMetaBody     = 64 << 20
+	maxArtifactBody = 1 << 30
+)
 
 // TierHeader is the response header on artifact downloads naming the
 // storage tier that served the content ("memory", "disk").

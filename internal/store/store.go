@@ -14,6 +14,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -313,6 +314,13 @@ func (m *Manager) PutReq(vertexID string, a graph.Artifact, requestID string) er
 	if m.hasLocked(vertexID) {
 		return nil
 	}
+	m.putLocked(vertexID, a, requestID)
+	return nil
+}
+
+// putLocked admits a vertex that no tier holds yet: counters, memory-tier
+// maps, LRU stamp, ledger event, then budget enforcement.
+func (m *Manager) putLocked(vertexID string, a graph.Artifact, requestID string) {
 	m.met.Puts.Inc()
 	m.admitLocked(vertexID, a)
 	m.touchLocked(vertexID)
@@ -320,7 +328,111 @@ func (m *Manager) PutReq(vertexID string, a graph.Artifact, requestID string) er
 		led.Event(vertexID, obs.ArtifactMaterialized, TierMemory.String(), m.logical[vertexID], requestID)
 	}
 	m.enforceBudgetsLocked()
+}
+
+// ErrColumnAbsent is returned by PutFrameRef when the manifest names a
+// column that is neither among the supplied columns nor held by any tier:
+// the caller believed the store had it and it has since been evicted.
+var ErrColumnAbsent = errors.New("store: manifest column neither supplied nor held")
+
+// ErrBadManifest is returned by PutFrameRef for input that can never be
+// admitted, however many columns are supplied.
+var ErrBadManifest = errors.New("store: inconsistent frame manifest")
+
+// HeldColumns returns the indices into colIDs of the column lineage IDs the
+// store holds in some tier — the memory tier's column map or a column file
+// of the disk tier. PutFrameRef can assemble a frame from exactly these.
+func (m *Manager) HeldColumns(colIDs []string) []int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var held []int
+	for i, id := range colIDs {
+		if _, ok := m.cols[id]; ok || (m.disk != nil && m.disk.HasColumn(id)) {
+			held = append(held, i)
+		}
+	}
+	return held
+}
+
+// PutFrameRef is PutReq for a dataset given by reference: the manifest
+// (ordered column lineage IDs and the names they carry in this frame) plus
+// only the columns the caller chose to supply. Every other manifest column
+// is taken from the store under its lineage ID, from the memory tier or, for
+// columns that only demoted frames still reference, from the disk tier. The
+// outcome is that of PutReq with the whole frame: same column ref-counts,
+// physical and logical bytes, ledger event and budget enforcement.
+//
+// Nothing is admitted unless the whole frame can be: ErrColumnAbsent (retry
+// with every column) when a manifest column is in neither place,
+// ErrBadManifest when the input contradicts itself or the store — a supplied
+// column the manifest does not name, two supplied columns under one ID, a
+// malformed column, a supplied column whose type or length differs from the
+// held column of the same ID, or columns that do not form a frame.
+func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied []*data.Column, requestID string) error {
+	if len(colIDs) == 0 || len(colIDs) != len(names) {
+		return fmt.Errorf("%w: %d column ids, %d names", ErrBadManifest, len(colIDs), len(names))
+	}
+	named := make(map[string]bool, len(colIDs))
+	for _, id := range colIDs {
+		named[id] = true
+	}
+	byID := make(map[string]*data.Column, len(supplied))
+	for _, c := range supplied {
+		if c == nil || !named[c.ID] {
+			return fmt.Errorf("%w: supplied column not named by the manifest", ErrBadManifest)
+		}
+		if _, dup := byID[c.ID]; dup {
+			return fmt.Errorf("%w: column %s supplied twice", ErrBadManifest, c.ID)
+		}
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadManifest, err)
+		}
+		byID[c.ID] = c
+	}
+
+	m.lockWrite()
+	defer m.mu.Unlock()
+	if m.hasLocked(vertexID) {
+		return nil
+	}
+	cols := make([]*data.Column, len(colIDs))
+	for i, id := range colIDs {
+		c := byID[id]
+		if e, held := m.cols[id]; held {
+			// As in admitLocked, the held column wins; a supplied one must
+			// at least be the same shape.
+			if c != nil && (c.Type != e.col.Type || c.Len() != e.col.Len()) {
+				return fmt.Errorf("%w: column %s is %s×%d here, %s×%d in the store",
+					ErrBadManifest, id, c.Type, c.Len(), e.col.Type, e.col.Len())
+			}
+			c = e.col
+		} else if c == nil && m.disk != nil {
+			var err error
+			if c, err = m.disk.Column(id); err != nil {
+				m.met.ChecksumFailures.Inc()
+			}
+		}
+		if c == nil {
+			return fmt.Errorf("%w: %s", ErrColumnAbsent, id)
+		}
+		cols[i] = withName(c, names[i])
+	}
+	f, err := data.NewFrame(cols...)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadManifest, err)
+	}
+	m.putLocked(vertexID, &graph.DatasetArtifact{Frame: f}, requestID)
 	return nil
+}
+
+// withName returns the column under the name a manifest gives it, sharing the
+// values; columns are stored once per lineage ID whatever they are called.
+func withName(c *data.Column, name string) *data.Column {
+	if c.Name != name {
+		c = c.WithID(c.ID)
+		c.Name = name
+	}
+	return c
 }
 
 // admitLocked inserts content into the memory-tier maps (no budget check,
@@ -358,12 +470,7 @@ func (m *Manager) getMemoryLocked(vertexID string) graph.Artifact {
 			if !exists {
 				return nil // torn entry; treat as absent
 			}
-			c := e.col
-			if c.Name != man.names[i] {
-				c = c.WithID(c.ID)
-				c.Name = man.names[i]
-			}
-			cols = append(cols, c)
+			cols = append(cols, withName(e.col, man.names[i]))
 		}
 		f, err := data.NewFrame(cols...)
 		if err != nil {
@@ -559,12 +666,7 @@ func (m *Manager) demoteLocked(vertexID string) error {
 				if e == nil {
 					return fmt.Errorf("store: torn entry %s, cannot demote %s", id, vertexID)
 				}
-				c := e.col
-				if c.Name != man.names[i] {
-					c = c.WithID(c.ID)
-					c.Name = man.names[i]
-				}
-				cols[i] = c
+				cols[i] = withName(e.col, man.names[i])
 			}
 			if err := m.disk.PutFrame(vertexID, cols); err != nil {
 				return err

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -15,31 +16,11 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/graph"
-	"repro/internal/ml"
 )
 
-// The disk tier registers the artifact and model types it gob-encodes as
-// blobs. Registration is idempotent with internal/remote's identical set.
-func init() {
-	gob.Register(&graph.DatasetArtifact{})
-	gob.Register(&graph.AggregateArtifact{})
-	gob.Register(&graph.ModelArtifact{})
-	gob.Register(&graph.TransformerArtifact{})
-	gob.Register(&data.Frame{})
-	gob.Register(&ml.LogisticRegression{})
-	gob.Register(&ml.LinearRegression{})
-	gob.Register(&ml.DecisionTree{})
-	gob.Register(&ml.GradientBoostedTrees{})
-	gob.Register(&ml.RandomForest{})
-	gob.Register(&ml.KNN{})
-	gob.Register(&ml.GaussianNB{})
-	gob.Register(&ml.LinearSVM{})
-	gob.Register(&ml.KMeans{})
-	gob.Register(&ml.StandardScaler{})
-	gob.Register(&ml.MinMaxScaler{})
-	gob.Register(&ml.SelectKBest{})
-	gob.Register(&ml.PCA{})
-}
+// The disk tier gob-encodes whole-blob artifacts, so the concrete artifact
+// and model types must be registered.
+func init() { graph.RegisterGobTypes() }
 
 // Directory layout under the tier root:
 //
@@ -519,19 +500,13 @@ func (d *Disk) Get(vid string) (graph.Artifact, error) {
 	if man, ok := d.frames[vid]; ok {
 		cols := make([]*data.Column, len(man.colIDs))
 		for i, cid := range man.colIDs {
-			b, err := os.ReadFile(d.colPath(cid))
+			c, err := d.readColumnLocked(cid)
 			if err != nil {
-				d.dropFrameLocked(vid)
-				return nil, fmt.Errorf("tier: reading column %s of %s: %w", cid, vid, err)
-			}
-			c, err := DecodeColumn(b)
-			if err != nil || c.ID != cid {
-				d.quarantine(d.colPath(cid))
-				d.dropFrameLocked(vid)
-				if err == nil {
-					err = fmt.Errorf("%w: column identity mismatch", ErrCorrupt)
+				if errors.Is(err, ErrCorrupt) {
+					d.quarantine(d.colPath(cid))
 				}
-				return nil, fmt.Errorf("tier: column %s of %s: %w", cid, vid, err)
+				d.dropFrameLocked(vid)
+				return nil, fmt.Errorf("tier: %s: %w", vid, err)
 			}
 			if c.Name != man.names[i] {
 				c = c.WithID(c.ID)
@@ -565,6 +540,50 @@ func (d *Disk) Get(vid string) (graph.Artifact, error) {
 		return content, nil
 	}
 	return nil, nil
+}
+
+// HasColumn reports whether a verified file for the column lineage ID is on
+// disk, i.e. some spilled frame references it.
+func (d *Disk) HasColumn(colID string) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, ok := d.cols[colID]
+	return ok
+}
+
+// Column reads and verifies one column file by lineage ID, so a frame can be
+// assembled from columns that earlier frames spilled. It returns (nil, nil)
+// when the tier holds no such column, and an error wrapping ErrCorrupt when
+// the file fails verification; the file is left for Get, which quarantines it
+// together with the frame it tears.
+func (d *Disk) Column(colID string) (*data.Column, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.cols[colID]; !ok {
+		return nil, nil
+	}
+	c, err := d.readColumnLocked(colID)
+	if err != nil {
+		return nil, fmt.Errorf("tier: %w", err)
+	}
+	return c, nil
+}
+
+// readColumnLocked reads one column file and checks that it decodes to the
+// column it is filed under.
+func (d *Disk) readColumnLocked(colID string) (*data.Column, error) {
+	b, err := os.ReadFile(d.colPath(colID))
+	if err != nil {
+		return nil, fmt.Errorf("reading column %s: %w", colID, err)
+	}
+	c, err := DecodeColumn(b)
+	if err == nil && c.ID != colID {
+		err = fmt.Errorf("%w: column identity mismatch", ErrCorrupt)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("column %s: %w", colID, err)
+	}
+	return c, nil
 }
 
 // dropFrameLocked removes a frame from the index (not its column files,
