@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fmt-check lint-logs bench bench-json bench-store bench-check bench-serve bench-serve-check bench-e2e bench-e2e-selfcheck critpath-smoke ledger-smoke fuzz cover ci
+.PHONY: build vet test race fmt-check lint-logs bench bench-json bench-store bench-check bench-serve bench-serve-check bench-e2e bench-e2e-selfcheck bench-pairs critpath-smoke ledger-smoke fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,15 @@ bench-e2e:
 # itself, to be run before trusting a comparison on a new host.
 bench-e2e-selfcheck:
 	bench/run.sh -selfcheck
+
+# bench-pairs runs PAIRS alternating pairs of `go run ./bench` on one
+# workload, PARENT (a commit, checked out into a temporary git worktree)
+# against the working tree, and judges every end-to-end metric by the rules
+# at the end of bench/README.md; CLAIM=<metric> marks the claimed gain. See
+# scripts/benchpairs.sh.
+PAIRS ?= 10
+bench-pairs:
+	@scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)"
 
 # critpath-smoke checks the critical-path analyzer end-to-end through the
 # CLI: record a Chrome trace from a small local workload, analyze it twice,

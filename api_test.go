@@ -83,12 +83,12 @@ func TestPublicAPIRemote(t *testing.T) {
 	srv := NewMemoryServer(WithBudget(64 << 20))
 	ts := httptest.NewServer(NewHTTPHandler(srv))
 	defer ts.Close()
-	client := NewClient(NewRemoteOptimizer(ts.URL))
 	frame := apiFrame(t, 200)
-	if _, err := client.Run(apiWorkload(frame).DAG); err != nil {
+	if _, err := NewClient(NewRemoteOptimizer(ts.URL)).Run(apiWorkload(frame).DAG); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := client.Run(apiWorkload(frame).DAG)
+	// A second collaborator: what it reuses it gets from the server.
+	r2, err := NewClient(NewRemoteOptimizer(ts.URL)).Run(apiWorkload(frame).DAG)
 	if err != nil {
 		t.Fatal(err)
 	}

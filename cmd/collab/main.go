@@ -149,6 +149,19 @@ func (t *target) err() error {
 	return nil
 }
 
+// printSession ends a remote run summary with what the client's session
+// store did: artifacts it satisfied from its own memory, artifacts it had to
+// download, and what its budget pushed out. Downloads and evictions that
+// keep growing together from run to run mean the budget is thrashing.
+func (t *target) printSession() {
+	if t.rc == nil {
+		return
+	}
+	s := t.rc.SessionStats()
+	fmt.Printf("session store: %d hits, %d downloads, %d evictions; holds %d artifacts, %.1f MB\n",
+		s.Hits, s.Misses, s.Evictions, s.Held, float64(s.Bytes)/1e6)
+}
+
 // close persists local-mode state: the memory tier drains into the durable
 // disk tier and the EG snapshot is saved beside it.
 func (t *target) close() error {
@@ -677,6 +690,7 @@ func runKaggle(args []string) error {
 				res.Executed, res.Reused, res.OptimizeOverhead)
 		}
 	}
+	tg.printSession()
 	return nil
 }
 
@@ -730,6 +744,7 @@ func runSpec(args []string) error {
 	fmt.Printf("ran %s: %.3fs wall %.3fs (executed %d, reused %d, warmstarted %d)\n",
 		*specPath, res.RunTime.Seconds(), res.WallTime.Seconds(),
 		res.Executed, res.Reused, res.Warmstarted)
+	tg.printSession()
 	for _, step := range wl.Steps {
 		n := nodes[step.ID]
 		if agg, ok := n.Content.(*graph.AggregateArtifact); ok {
@@ -794,5 +809,6 @@ func runOpenML(args []string) error {
 			i, p, res.RunTime.Seconds(), res.WallTime.Seconds(),
 			openml.ModelQuality(w), res.Executed, res.Reused, res.Warmstarted)
 	}
+	tg.printSession()
 	return nil
 }

@@ -28,6 +28,12 @@ type TieredFetcher interface {
 	FetchTiered(id string) (graph.Artifact, string, time.Duration)
 }
 
+// SessionTier labels content that came from the client's own memory of
+// earlier runs (the remote client's session store) instead of a fetch. A
+// vertex carrying it was obtained without being computed, so it counts as
+// reuse, but nothing was transferred: there is no load to calibrate.
+const SessionTier = "session"
+
 // RequestTieredFetcher is implemented by tiered sources that can attribute
 // a fetch to the request whose plan triggered it: a disk hit promotes the
 // artifact into memory, and the artifact ledger's promote event then names

@@ -804,7 +804,7 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, requestID string) *
 				cr = s.EG.RecreationCosts()
 			}
 			recreation += cr[n.ID]
-			if n.FetchTime > 0 && n.FetchTier != "" {
+			if n.FetchTime > 0 && n.FetchTier != "" && n.FetchTier != SessionTier {
 				s.calib.ObserveLoad(n.FetchTier, n.SizeBytes, n.PredictedLoad, n.FetchTime)
 				fetchTotal += n.FetchTime
 				measured = true
@@ -815,10 +815,12 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, requestID string) *
 				// recomputing would have been.
 				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes,
 					(cr[n.ID] - n.FetchTime).Seconds(), requestID)
-			} else {
-				// Unmeasured reuse (calibration off): counted, no
-				// attributable saving.
-				s.ledger.ObserveReuse(n.ID, "", n.SizeBytes, 0, requestID)
+			} else if n.FetchTier != SessionTier || s.Store.Has(n.ID) {
+				// Unmeasured reuse (calibration off, or satisfied from the
+				// client's session store): counted, no attributable saving.
+				// What a client holds of its own work and the store never
+				// kept is not an artifact the ledger tracks.
+				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes, 0, requestID)
 			}
 			continue
 		}

@@ -4,7 +4,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/materialize"
+	"repro/internal/ml"
 	"repro/internal/reuse"
 	"repro/internal/store"
 	"repro/internal/workloads/openml"
@@ -18,6 +20,10 @@ type Fig10Result struct {
 	Accuracy   []float64
 	// Warmstarted counts training operations that adopted a donor.
 	Warmstarted int
+	// Epochs sums the gradient epochs of the models the system trained:
+	// the training cost of Figure 10(a) counted in work, not in time, so it
+	// is the same on every host and under any scheduling.
+	Epochs int
 }
 
 // Fig10 reproduces the warmstarting experiment: the OpenML pipelines
@@ -52,11 +58,12 @@ func (s *Suite) Fig10() ([]Fig10Result, error) {
 			}
 			cum += r.RunTime
 			res.Warmstarted += r.Warmstarted
+			res.Epochs += trainedEpochs(w)
 			res.Cumulative = append(res.Cumulative, cum)
 			res.Accuracy = append(res.Accuracy, openml.EvalScore(w))
 		}
 		out = append(out, res)
-		s.printf("  %-5s total=%8.2fs warmstarted=%d\n", sys.name, seconds(cum), res.Warmstarted)
+		s.printf("  %-5s total=%8.2fs warmstarted=%d epochs=%d\n", sys.name, seconds(cum), res.Warmstarted, res.Epochs)
 	}
 	// Cumulative Δ accuracy between CO+W and OML (Figure 10b).
 	var oml, cow *Fig10Result
@@ -77,6 +84,21 @@ func (s *Suite) Fig10() ([]Fig10Result, error) {
 			delta, delta/float64(len(oml.Accuracy)))
 	}
 	return out, nil
+}
+
+// trainedEpochs sums the epochs of the logistic regressions (the one
+// iteratively trained learner the OpenML sampler draws) that the run of w
+// fitted itself; a model loaded from EG cost no epochs.
+func trainedEpochs(w *graph.DAG) int {
+	total := 0
+	for _, n := range w.Nodes() {
+		if ma, ok := n.Content.(*graph.ModelArtifact); ok && !n.LoadedFromEG {
+			if m, ok := ma.Model.(*ml.LogisticRegression); ok {
+				total += m.EpochsRun
+			}
+		}
+	}
+	return total
 }
 
 // newWarmstartServer builds the CO system with warmstart donor search on.

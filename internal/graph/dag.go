@@ -212,13 +212,12 @@ func (g *DAG) Terminals() []*Node {
 
 // MarkComputed runs the local pruner (§3.1): every vertex whose content is
 // already present is marked Computed so the optimizer assigns it Ci=0.
-// Returns the number of vertices marked.
+// Returns the number of Computed vertices, each counted once.
 func (g *DAG) MarkComputed() int {
 	count := 0
 	for _, n := range g.order {
-		if n.Content != nil && !n.Computed {
+		if n.Content != nil {
 			n.Computed = true
-			count++
 		}
 		if n.Computed {
 			count++

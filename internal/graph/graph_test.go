@@ -118,7 +118,13 @@ func TestMarkComputed(t *testing.T) {
 	src := g.AddSource("s", &AggregateArtifact{Value: 1})
 	a := g.Apply(src, stubOp{"a", DatasetKind})
 	a.Content = &AggregateArtifact{Value: 2} // as if a prior cell ran it
-	g.MarkComputed()
+	g.Apply(a, stubOp{"b", DatasetKind})     // no content: not counted
+	// Two content-bearing vertices, each counted once, on every call.
+	for call := 1; call <= 2; call++ {
+		if got := g.MarkComputed(); got != 2 {
+			t.Errorf("call %d: MarkComputed() = %d, want 2", call, got)
+		}
+	}
 	if !a.Computed {
 		t.Error("node with content must be marked computed")
 	}

@@ -249,8 +249,10 @@ func seed(serverURL string, rows int, seedVal int64) (*payloads, error) {
 	p.updateBody = append([]byte(nil), buf.Bytes()...)
 
 	// A second optimize of the identical pipeline reveals which artifact
-	// IDs the server can serve — the artifact-fetch op's targets.
-	opt, err := rc.OptimizeE(seedPipeline(frame))
+	// IDs the server can serve — the artifact-fetch op's targets. It is
+	// asked as another collaborator: rc's session store holds the whole
+	// pipeline by now, and its plan would load nothing.
+	opt, err := remote.NewClient(serverURL, cost.Remote()).OptimizeE(seedPipeline(frame))
 	if err != nil {
 		return nil, fmt.Errorf("seed optimize: %w", err)
 	}

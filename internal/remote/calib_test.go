@@ -111,21 +111,20 @@ func TestCalibrationEndpointFormats(t *testing.T) {
 	}
 }
 
-// TestRemoteCalibrationEndToEnd drives two runs over HTTP and asserts the
-// client's fetch measurements and run summary arrive at the server's
+// TestRemoteCalibrationEndToEnd drives one run each of two clients over HTTP
+// and asserts the second client's fetch measurements and run summary arrive at the server's
 // collector: load observations in the remote tier family, a recorded
 // scorecard, and the new stats fields populated.
 func TestRemoteCalibrationEndToEnd(t *testing.T) {
 	srv, rc, closeFn := newRemotePair(t)
 	defer closeFn()
-	client := core.NewClient(rc)
 	frame := testFrame(200, 3)
 
-	for i := 0; i < 2; i++ {
-		if _, err := client.Run(buildPipeline(frame)); err != nil {
+	for i, c := range []*Client{rc, anotherClient(rc)} {
+		if _, err := core.NewClient(c).Run(buildPipeline(frame)); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if err := rc.Err(); err != nil {
+		if err := c.Err(); err != nil {
 			t.Fatalf("transport error on run %d: %v", i, err)
 		}
 	}

@@ -18,11 +18,18 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reuse"
+	"repro/internal/store"
 )
+
+// DefaultSessionBudget is the session store's budget on a new client, in
+// deduplicated bytes.
+const DefaultSessionBudget = 256 << 20
 
 // Client speaks the HTTP protocol to a remote collaborative-optimizer
 // server and implements core.Optimizer, so core.Client drives remote
-// workloads exactly like local ones.
+// workloads exactly like local ones. It stands for one collaborator: what
+// its runs fetch or compute stays in its session store (SetSessionBudget), so
+// a later run of the same client neither downloads nor recomputes it.
 //
 // core.Optimizer's methods cannot return errors; transport failures are
 // therefore absorbed conservatively (Optimize degrades to compute-
@@ -47,17 +54,27 @@ type Client struct {
 	// pendingRun is the client-side run summary reported by core.Client
 	// after execution, shipped piggybacked on the next update request.
 	pendingRun *calib.ClientRun
+	// session holds the artifacts this client has fetched or computed, by
+	// vertex ID, across runs: the local pruner's memory (DESIGN.md "Session
+	// store"). A memory-only store.Manager is the whole mechanism — column
+	// dedup, byte budget, LRU hard eviction. nil when switched off.
+	// sessionMet are the counters it is instrumented with, kept for
+	// SessionStats.
+	session    *store.Manager
+	sessionMet store.Metrics
 }
 
 // NewClient builds a client for the server at baseURL (e.g.
 // "http://localhost:7171"). The profile models artifact transfer costs; it
 // should match the deployment (cost.Remote() for a networked server).
 func NewClient(baseURL string, profile cost.Profile) *Client {
-	return &Client{
+	c := &Client{
 		base:    baseURL,
 		http:    &http.Client{Timeout: 120 * time.Second},
 		profile: profile,
 	}
+	c.SetSessionBudget(DefaultSessionBudget)
+	return c
 }
 
 // BaseURL reports the server address this client targets.
@@ -123,8 +140,10 @@ func (c *Client) OptimizeReq(w *graph.DAG, requestID string) *core.Optimization 
 	return opt
 }
 
-// OptimizeE is Optimize with error reporting.
+// OptimizeE is Optimize with error reporting. Vertices the session store
+// holds are installed into w first, so the server plans around them.
 func (c *Client) OptimizeE(w *graph.DAG) (*core.Optimization, error) {
+	c.installHeld(w)
 	var resp OptimizeResponse
 	if err := c.postGob("/v1/optimize", &OptimizeRequest{Nodes: ToWire(w)}, &resp); err != nil {
 		return nil, err
@@ -180,8 +199,10 @@ func (c *Client) UpdateReq(executed *graph.DAG, requestID string) {
 	c.setRID("")
 }
 
-// UpdateE is Update with error reporting.
+// UpdateE is Update with error reporting. What the run computed or loaded
+// goes into the session store whether or not the server can be reached.
 func (c *Client) UpdateE(executed *graph.DAG) error {
+	c.holdContent(executed)
 	var resp UpdateResponse
 	req := &UpdateRequest{Nodes: ToWire(executed), Run: c.takePendingRun()}
 	if err := c.postGob("/v1/update", req, &resp); err != nil {
@@ -244,9 +265,27 @@ func (c *Client) Fetch(id string) graph.Artifact {
 	return content
 }
 
-// fetchTagged downloads an artifact and returns the server-side tier label
-// from the X-Collab-Tier response header ("" for older servers).
+// fetchTagged reads an artifact through the session store: a held ID comes
+// back labelled core.SessionTier, anything else is downloaded, held, and
+// labelled with the server-side tier from the X-Collab-Tier response header
+// ("" for older servers). So an ID is downloaded once for as long as the
+// session's budget keeps it.
 func (c *Client) fetchTagged(id string) (graph.Artifact, string) {
+	held := c.sessionStore()
+	if held != nil {
+		if a := held.Get(id); a != nil {
+			return a, core.SessionTier
+		}
+	}
+	content, srvTier := c.download(id)
+	if content != nil && held != nil {
+		_ = held.Put(id, content) // fails on nil content only
+	}
+	return content, srvTier
+}
+
+// download GETs an artifact from the server.
+func (c *Client) download(id string) (graph.Artifact, string) {
 	resp, err := c.get(c.base + "/v1/artifact?id=" + url.QueryEscape(id))
 	if err != nil {
 		c.fail(err)
@@ -270,11 +309,15 @@ func (c *Client) fetchTagged(id string) (graph.Artifact, string) {
 
 // FetchTiered implements core.TieredFetcher: transfers always cost the
 // client's (remote) profile, but the span label records which server tier
-// the bytes actually came from, e.g. "remote:disk".
+// the bytes actually came from, e.g. "remote:disk". Content the session
+// store holds costs nothing.
 func (c *Client) FetchTiered(id string) (graph.Artifact, string, time.Duration) {
 	content, srvTier := c.fetchTagged(id)
 	if content == nil {
 		return nil, "", 0
+	}
+	if srvTier == core.SessionTier {
+		return content, srvTier, 0
 	}
 	label := "remote"
 	if srvTier != "" {

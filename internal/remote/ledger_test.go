@@ -165,19 +165,18 @@ func TestArtifactsEndpointDisabled(t *testing.T) {
 	}
 }
 
-// TestArtifactsEndToEnd runs a real pipeline twice through the remote
-// client and checks the default-enabled ledger observed the uploads on run
+// TestArtifactsEndToEnd runs a real pipeline through two remote clients,
+// one after the other, and checks the default-enabled ledger observed the uploads on run
 // one and the reuses on run two, that /v1/stats carries the tier counts
 // and economics summary, and that the metric families are exported.
 func TestArtifactsEndToEnd(t *testing.T) {
 	srv, rc, closeFn := newRemotePair(t)
 	defer closeFn()
-	client := core.NewClient(rc)
 	frame := testFrame(150, 1)
-	if _, err := client.Run(buildPipeline(frame)); err != nil {
+	if _, err := core.NewClient(rc).Run(buildPipeline(frame)); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := client.Run(buildPipeline(frame))
+	r2, err := core.NewClient(anotherClient(rc)).Run(buildPipeline(frame))
 	if err != nil {
 		t.Fatal(err)
 	}

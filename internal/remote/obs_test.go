@@ -211,9 +211,11 @@ func TestTraceEndpoint(t *testing.T) {
 func TestStatsCarriesTelemetry(t *testing.T) {
 	_, rc, closeFn := newRemotePair(t)
 	defer closeFn()
-	client := core.NewClient(rc)
 	frame := testFrame(200, 9)
+	// Two collaborators, one run each: the second plans loads of what the
+	// first left on the server.
 	for i := 0; i < 2; i++ {
+		client := core.NewClient(anotherClient(rc))
 		if _, err := client.Run(buildPipeline(frame)); err != nil {
 			t.Fatal(err)
 		}

@@ -53,6 +53,10 @@ func newRemotePair(t *testing.T) (*core.Server, *Client, func()) {
 	return srv, client, ts.Close
 }
 
+// anotherClient returns a further collaborator on rc's server: a client of
+// its own, whose session store holds nothing yet.
+func anotherClient(rc *Client) *Client { return NewClient(rc.base, rc.profile) }
+
 func TestRemoteEndToEnd(t *testing.T) {
 	srv, rc, closeFn := newRemotePair(t)
 	defer closeFn()
@@ -76,11 +80,14 @@ func TestRemoteEndToEnd(t *testing.T) {
 		t.Fatal("server stored no uploaded artifacts")
 	}
 
-	r2, err := client.Run(buildPipeline(frame))
+	// A second collaborator: it holds nothing yet, so what it reuses it
+	// fetches from the server.
+	rc2 := anotherClient(rc)
+	r2, err := core.NewClient(rc2).Run(buildPipeline(frame))
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
-	if err := rc.Err(); err != nil {
+	if err := rc2.Err(); err != nil {
 		t.Fatalf("transport error on run 2: %v", err)
 	}
 	if r2.Reused == 0 {

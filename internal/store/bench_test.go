@@ -147,3 +147,32 @@ func BenchmarkDiskFetchVsRecompute(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEvictUnderBudget measures one admission into a full memory-only
+// manager holding 10 k entries: every Put pushes the coldest entry out, so
+// the cost of picking the victim is on the path of every operation (the
+// remote client's session store under a tight budget).
+func BenchmarkEvictUnderBudget(b *testing.B) {
+	const entries = 10000
+	agg := &graph.AggregateArtifact{Value: 1}
+	m := NewTiered(cost.Memory(), Options{MemoryBudget: entries * agg.SizeBytes()})
+	for i := 0; i < entries; i++ {
+		if err := m.Put(fmt.Sprintf("warm-%d", i), agg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ids := make([]string, b.N)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("v-%d", i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Put(ids[i], agg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if mem, _ := m.TierCounts(); mem != entries {
+		b.Fatalf("memory tier holds %d entries, want %d", mem, entries)
+	}
+}

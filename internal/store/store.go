@@ -14,6 +14,7 @@
 package store
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"sort"
@@ -143,6 +144,12 @@ type Manager struct {
 	lastUse   map[string]uint64
 	lastTouch map[string]time.Time
 	clock     uint64
+	// memLRU lists the memory-resident vertex IDs by ascending lastUse stamp
+	// (front = coldest), memElem finds an ID's element: every stamp is a new
+	// clock maximum, so a touch is a move to the back and picking a victim is
+	// reading the front.
+	memLRU  *list.List
+	memElem map[string]*list.Element
 
 	met Metrics
 
@@ -269,6 +276,8 @@ func NewTiered(profile cost.Profile, opts Options) *Manager {
 		logical:     make(map[string]int64),
 		lastUse:     make(map[string]uint64),
 		lastTouch:   make(map[string]time.Time),
+		memLRU:      list.New(),
+		memElem:     make(map[string]*list.Element),
 	}
 }
 
@@ -286,11 +295,16 @@ func (m *Manager) TierProfile(t Tier) cost.Profile {
 // Disk returns the attached disk tier, or nil for a memory-only manager.
 func (m *Manager) Disk() *tier.Disk { return m.disk }
 
-// touchLocked stamps an artifact's LRU position.
+// touchLocked stamps a memory-resident artifact's LRU position.
 func (m *Manager) touchLocked(vertexID string) {
 	m.clock++
 	m.lastUse[vertexID] = m.clock
 	m.lastTouch[vertexID] = obs.Timestamp()
+	if e, ok := m.memElem[vertexID]; ok {
+		m.memLRU.MoveToBack(e)
+	} else {
+		m.memElem[vertexID] = m.memLRU.PushBack(vertexID)
+	}
 }
 
 // Put stores the artifact content for a vertex in the memory tier. Dataset
@@ -595,6 +609,10 @@ func (m *Manager) hasLocked(vertexID string) bool {
 // dropMemoryLocked removes a vertex from the memory-tier maps, releasing
 // column references. Reports whether anything was removed.
 func (m *Manager) dropMemoryLocked(vertexID string) bool {
+	if e, ok := m.memElem[vertexID]; ok {
+		m.memLRU.Remove(e)
+		delete(m.memElem, vertexID)
+	}
 	if man, ok := m.frames[vertexID]; ok {
 		for _, id := range man.colIDs {
 			e := m.cols[id]
@@ -706,20 +724,10 @@ func (m *Manager) Demote(vertexID string) error {
 // coldestLocked returns the memory-resident vertex with the oldest LRU
 // stamp, or "" when the memory tier is empty.
 func (m *Manager) coldestLocked() string {
-	victim, best := "", uint64(0)
-	pick := func(id string) {
-		u := m.lastUse[id]
-		if victim == "" || u < best {
-			victim, best = id, u
-		}
+	if e := m.memLRU.Front(); e != nil {
+		return e.Value.(string)
 	}
-	for id := range m.frames {
-		pick(id)
-	}
-	for id := range m.blobs {
-		pick(id)
-	}
-	return victim
+	return ""
 }
 
 // enforceBudgetsLocked demotes the coldest memory artifacts until the
