@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fmt-check lint-logs bench bench-json bench-store bench-check bench-serve bench-serve-check bench-e2e bench-e2e-selfcheck bench-pairs critpath-smoke ledger-smoke fuzz cover ci
+.PHONY: build vet test race fmt-check lint-logs bench bench-json bench-store bench-check bench-serve bench-serve-check bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -96,51 +96,6 @@ PAIRS ?= 10
 bench-pairs:
 	@scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)"
 
-# critpath-smoke checks the critical-path analyzer end-to-end through the
-# CLI: record a Chrome trace from a small local workload, analyze it twice,
-# and require a non-empty, byte-stable report — the determinism contract
-# the golden tests pin, exercised on a fresh trace.
-critpath-smoke:
-	@tmp=$$(mktemp -d); status=1; \
-	if ! $(GO) run ./cmd/collab kaggle -workload 1 \
-		-store-dir $$tmp/store -trace $$tmp/trace.json >/dev/null 2>&1; then \
-		echo "critpath-smoke: traced workload failed"; \
-	elif ! $(GO) run ./cmd/collab critpath -trace $$tmp/trace.json -json > $$tmp/a.json; then \
-		echo "critpath-smoke: analyzer failed"; \
-	elif ! test -s $$tmp/a.json; then \
-		echo "critpath-smoke: empty report"; \
-	elif ! { $(GO) run ./cmd/collab critpath -trace $$tmp/trace.json -json > $$tmp/b.json \
-		&& cmp -s $$tmp/a.json $$tmp/b.json; }; then \
-		echo "critpath-smoke: report not byte-stable across identical runs"; \
-	else \
-		echo "critpath-smoke: OK ($$(wc -c < $$tmp/a.json) bytes, byte-stable)"; status=0; \
-	fi; \
-	rm -rf $$tmp; exit $$status
-
-# ledger-smoke checks the artifact ledger end-to-end through the CLI: the
-# canonical self-check lifecycle must render byte-identically to the
-# committed goldens (internal/obs/testdata/artifacts.{json,txt}) in both
-# formats, and twice in a row — the same byte-stability contract the golden
-# tests pin, exercised through the real `collab artifacts` binary path.
-ledger-smoke:
-	@tmp=$$(mktemp -d); status=1; \
-	if ! $(GO) run ./cmd/collab artifacts -selfcheck -json > $$tmp/a.json \
-		|| ! $(GO) run ./cmd/collab artifacts -selfcheck > $$tmp/a.txt; then \
-		echo "ledger-smoke: self-check failed"; \
-	elif ! test -s $$tmp/a.json || ! test -s $$tmp/a.txt; then \
-		echo "ledger-smoke: empty report"; \
-	elif ! cmp -s $$tmp/a.json internal/obs/testdata/artifacts.json; then \
-		echo "ledger-smoke: JSON drifted from internal/obs/testdata/artifacts.json"; \
-	elif ! cmp -s $$tmp/a.txt internal/obs/testdata/artifacts.txt; then \
-		echo "ledger-smoke: text drifted from internal/obs/testdata/artifacts.txt"; \
-	elif ! { $(GO) run ./cmd/collab artifacts -selfcheck -json > $$tmp/b.json \
-		&& cmp -s $$tmp/a.json $$tmp/b.json; }; then \
-		echo "ledger-smoke: report not byte-stable across identical runs"; \
-	else \
-		echo "ledger-smoke: OK ($$(wc -c < $$tmp/a.json) bytes, matches goldens)"; status=0; \
-	fi; \
-	rm -rf $$tmp; exit $$status
-
 # fuzz replays the seed corpora and explores, for a short budget each, the
 # on-disk column codec (corruption must never decode successfully) and the
 # artifact upload body (hostile bytes must never panic the handler or tear a
@@ -176,8 +131,9 @@ cover:
 	$(GO) test -cover ./...
 
 # ci is the tier-1 gate: build, vet, formatting, log hygiene, tests with
-# coverage (cover subsumes plain `test`), race tests, the critical-path
-# analyzer and artifact-ledger smokes, and benchmark comparisons — kernel
-# benchmarks plus a short serve-latency smoke run — against the committed
-# baselines (warn-only unless BENCH_STRICT=1).
-ci: build vet fmt-check lint-logs cover race critpath-smoke ledger-smoke bench-check bench-serve-check
+# coverage (cover subsumes plain `test`; the cmd/collab and cmd/collabd
+# tests exercise the CLI surface the former smoke targets did), race tests,
+# and benchmark comparisons — kernel benchmarks plus a short serve-latency
+# smoke run — against the committed baselines (warn-only unless
+# BENCH_STRICT=1).
+ci: build vet fmt-check lint-logs cover race bench-check bench-serve-check

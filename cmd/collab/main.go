@@ -46,28 +46,11 @@ func main() {
 	}
 	cmd, args := os.Args[1], os.Args[2:]
 	var err error
-	switch cmd {
-	case "stats":
-		err = runStats(args)
-	case "explain":
-		err = runExplain(args)
-	case "calibration":
-		err = runCalibration(args)
-	case "kaggle":
-		err = runKaggle(args)
-	case "openml":
-		err = runOpenML(args)
-	case "run":
-		err = runSpec(args)
-	case "requests":
-		err = runRequests(args)
-	case "critpath":
-		err = runCritpath(args)
-	case "artifacts":
-		err = runArtifacts(args)
-	case "bench-serve":
-		err = runBenchServe(args)
-	default:
+	if view, ok := views[cmd]; ok {
+		err = view(args, os.Stdout)
+	} else if workload, ok := workloads[cmd]; ok {
+		err = workload(args)
+	} else {
 		usage()
 	}
 	if err != nil {
@@ -75,6 +58,26 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// views are the subcommands that print one of the server's report
+// endpoints; each turns its flags into a query and hands it to
+// fetchAndPrint. workloads are the ones that run something.
+var (
+	views = map[string]func(args []string, out io.Writer) error{
+		"stats":       runStats,
+		"explain":     runExplain,
+		"calibration": runCalibration,
+		"requests":    runRequests,
+		"critpath":    runCritpath,
+		"artifacts":   runArtifacts,
+	}
+	workloads = map[string]func(args []string) error{
+		"kaggle":      runKaggle,
+		"openml":      runOpenML,
+		"run":         runSpec,
+		"bench-serve": runBenchServe,
+	}
+)
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: collab <stats|explain|calibration|requests|critpath|artifacts|bench-serve|kaggle|openml|run> [flags]
@@ -85,9 +88,8 @@ func usage() {
           [-json] | -trace FILE                    server trace (or a saved
                                                    Chrome trace file)
   artifacts -server URL [-sort KEY] [-top N]       per-artifact lifecycle &
-          [-id VERTEX] [-json] | -selfcheck        storage economics (savings
-                                                   vs rent); -selfcheck prints
-                                                   the canonical offline demo
+          [-id VERTEX] [-json]                     storage economics (savings
+                                                   vs rent)
   explain -server URL [-format json|text|dot]      show the optimizer's last
           [-kind optimize|update] [-target plan|eg] decision trail
   calibration -server URL [-json]                  show predicted-vs-measured
@@ -258,9 +260,49 @@ func (f *obsFlags) flush() {
 	fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", f.trace.Len(), f.tracePath)
 }
 
-func runStats(args []string) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	server := fs.String("server", "http://localhost:7171", "collabd URL")
+// newFlags starts a subcommand's flag set with the -server flag every
+// subcommand has.
+func newFlags(name string) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	return fs, fs.String("server", "http://localhost:7171", "collabd URL")
+}
+
+// fetchAndPrint is the one path behind the view subcommands: GET
+// /v1/<view>?<query> from the server and copy the body to out. A non-200
+// answer becomes the error, carrying the server's reason (e.g. the surface
+// is disabled on that server).
+func fetchAndPrint(out io.Writer, server, view string, q url.Values) error {
+	u := server + "/v1/" + view
+	if len(q) > 0 {
+		u += "?" + q.Encode()
+	}
+	resp, err := http.Get(u)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: HTTP %d: %s", view, resp.StatusCode, strings.TrimSpace(string(body)))
+	}
+	_, err = out.Write(body)
+	return err
+}
+
+// textUnlessJSON is the query of a view whose -json flag picks the raw
+// JSON over the server-rendered table.
+func textUnlessJSON(asJSON bool) url.Values {
+	if asJSON {
+		return url.Values{}
+	}
+	return url.Values{"format": {"text"}}
+}
+
+func runStats(args []string, out io.Writer) error {
+	fs, server := newFlags("stats")
 	clients := fs.Bool("clients", false, "also print the per-client attribution table")
 	_ = fs.Parse(args)
 	st, err := newRemote(*server).StatsE()
@@ -268,49 +310,36 @@ func runStats(args []string) error {
 		return err
 	}
 	if st.Version != "" {
-		fmt.Printf("server: %s (%s), up %.0fs\n", st.Version, st.GoVersion, st.UptimeSeconds)
+		fmt.Fprintf(out, "server: %s (%s), up %.0fs\n", st.Version, st.GoVersion, st.UptimeSeconds)
 	}
-	fmt.Printf("experiment graph: %d vertices, %d materialized\n", st.Vertices, st.Materialized)
-	fmt.Printf("store: %.2f MB physical (%.2f MB logical)\n",
+	fmt.Fprintf(out, "experiment graph: %d vertices, %d materialized\n", st.Vertices, st.Materialized)
+	fmt.Fprintf(out, "store: %.2f MB physical (%.2f MB logical)\n",
 		float64(st.PhysicalBytes)/(1<<20), float64(st.LogicalBytes)/(1<<20))
-	fmt.Printf("tiers: %d artifacts / %.2f MB memory, %d artifacts / %.2f MB disk\n",
+	fmt.Fprintf(out, "tiers: %d artifacts / %.2f MB memory, %d artifacts / %.2f MB disk\n",
 		st.MemoryArtifacts, float64(st.MemoryBytes)/(1<<20),
 		st.DiskArtifacts, float64(st.DiskBytes)/(1<<20))
 	if st.ArtifactsTracked > 0 {
-		fmt.Printf("artifact economics: %d tracked, saved %.3fs, rent %.3fs, net %+.3fs\n",
+		fmt.Fprintf(out, "artifact economics: %d tracked, saved %.3fs, rent %.3fs, net %+.3fs\n",
 			st.ArtifactsTracked, st.ArtifactSavedSec, st.ArtifactRentSec, st.ArtifactNetSec)
 	}
 	if st.Runs > 0 {
-		fmt.Printf("calibration: %d measured run(s), %.3fs wall total (last %.3fs), est saved %.3fs, last speedup %.2fx\n",
+		fmt.Fprintf(out, "calibration: %d measured run(s), %.3fs wall total (last %.3fs), est saved %.3fs, last speedup %.2fx\n",
 			st.Runs, st.RunWallTime.Seconds(), st.LastRunWallTime.Seconds(),
 			st.EstimatedSavedSec, st.LastSpeedup)
 		if st.MaxDriftFamily != "" {
-			fmt.Printf("calibration drift: worst %s at %.3f\n", st.MaxDriftFamily, st.MaxDrift)
+			fmt.Fprintf(out, "calibration drift: worst %s at %.3f\n", st.MaxDriftFamily, st.MaxDrift)
 		}
 	}
-	fmt.Printf("contention: lock wait %.3fs, lock hold %.3fs, store lock wait %.3fs\n",
+	fmt.Fprintf(out, "contention: lock wait %.3fs, lock hold %.3fs, store lock wait %.3fs\n",
 		st.LockWaitSec, st.LockHoldSec, st.StoreLockWaitSec)
 	if st.Pool.Workers > 0 {
-		fmt.Printf("pool: %d workers, %d calls, %d helpers, %d rejected inline, queue wait %.3fs, utilization %.2f\n",
+		fmt.Fprintf(out, "pool: %d workers, %d calls, %d helpers, %d rejected inline, queue wait %.3fs, utilization %.2f\n",
 			st.Pool.Workers, st.Pool.Calls, st.Pool.Helpers, st.Pool.RejectedInline,
 			st.Pool.QueueWaitSec, st.Pool.Utilization)
 	}
 	if *clients {
-		resp, err := http.Get(*server + "/v1/clients?format=text")
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("clients: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		}
-		fmt.Println()
-		_, err = os.Stdout.Write(body)
-		return err
+		fmt.Fprintln(out)
+		return fetchAndPrint(out, *server, "clients", url.Values{"format": {"text"}})
 	}
 	return nil
 }
@@ -318,9 +347,8 @@ func runStats(args []string) error {
 // runCritpath prints the critical-path analysis of the server's trace
 // buffer (GET /v1/critpath), or — with -trace — of a saved Chrome trace
 // file, fully offline.
-func runCritpath(args []string) error {
-	fs := flag.NewFlagSet("critpath", flag.ExitOnError)
-	server := fs.String("server", "http://localhost:7171", "collabd URL")
+func runCritpath(args []string, out io.Writer) error {
+	fs, server := newFlags("critpath")
 	tracePath := fs.String("trace", "", "analyze this Chrome trace file instead of asking the server")
 	request := fs.String("request", "", "restrict to spans tagged with this request ID")
 	top := fs.Int("top", obs.DefaultCritPathTopK, "how many top contributors to list")
@@ -341,64 +369,30 @@ func runCritpath(args []string) error {
 			return fmt.Errorf("critpath: no matching spans in %s", *tracePath)
 		}
 		if *asJSON {
-			return rep.WriteJSON(os.Stdout)
+			return rep.WriteJSON(out)
 		}
-		rep.WriteText(os.Stdout)
-		return nil
+		return rep.WriteText(out)
 	}
 
-	q := url.Values{}
+	q := textUnlessJSON(*asJSON)
 	if *request != "" {
 		q.Set("request", *request)
 	}
 	q.Set("top", fmt.Sprint(*top))
-	if !*asJSON {
-		q.Set("format", "text")
-	}
-	resp, err := http.Get(*server + "/v1/critpath?" + q.Encode())
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("critpath: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	_, err = os.Stdout.Write(body)
-	return err
+	return fetchAndPrint(out, *server, "critpath", q)
 }
 
-// runArtifacts fetches the server's artifact lifecycle ledger
-// (GET /v1/artifacts) and prints the per-artifact economics report. With
-// -selfcheck it instead renders the canonical scripted lifecycle offline —
-// the byte-stable output `make ledger-smoke` pins in CI.
-func runArtifacts(args []string) error {
-	fs := flag.NewFlagSet("artifacts", flag.ExitOnError)
-	server := fs.String("server", "http://localhost:7171", "collabd URL")
+// runArtifacts prints the server's artifact lifecycle ledger
+// (GET /v1/artifacts): the per-artifact economics report.
+func runArtifacts(args []string, out io.Writer) error {
+	fs, server := newFlags("artifacts")
 	sortBy := fs.String("sort", "net", "ordering: net|saved|rent|reuse|bytes|id")
 	top := fs.Int("top", 0, "only the first N artifacts after sorting (0 = all)")
 	id := fs.String("id", "", "only the artifact with this vertex ID")
 	asJSON := fs.Bool("json", false, "print the raw JSON instead of the table")
-	selfcheck := fs.Bool("selfcheck", false, "render the canonical scripted lifecycle offline (no server)")
 	_ = fs.Parse(args)
 
-	if *selfcheck {
-		led := obs.SelfCheckLedger()
-		q := obs.ArtifactQuery{SortBy: *sortBy, Top: *top, ID: *id}
-		if !obs.ValidArtifactSort(q.SortBy) {
-			return fmt.Errorf("artifacts: unknown sort %q", q.SortBy)
-		}
-		if *asJSON {
-			return led.WriteJSON(os.Stdout, q)
-		}
-		led.WriteText(os.Stdout, q)
-		return nil
-	}
-
-	q := url.Values{}
+	q := textUnlessJSON(*asJSON)
 	q.Set("sort", *sortBy)
 	if *top > 0 {
 		q.Set("top", fmt.Sprint(*top))
@@ -406,138 +400,89 @@ func runArtifacts(args []string) error {
 	if *id != "" {
 		q.Set("id", *id)
 	}
-	if !*asJSON {
-		q.Set("format", "text")
-	}
-	resp, err := http.Get(*server + "/v1/artifacts?" + q.Encode())
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("artifacts: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	_, err = os.Stdout.Write(body)
-	return err
+	return fetchAndPrint(out, *server, "artifacts", q)
 }
 
-// runExplain fetches the server's most recent optimizer decision record
-// (GET /v1/explain) and prints it. With -target eg and -format dot it
-// instead renders the whole Experiment Graph annotated with costs and
-// materialization flags.
-func runExplain(args []string) error {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	server := fs.String("server", "http://localhost:7171", "collabd URL")
+// runExplain prints the server's most recent optimizer decision record
+// (GET /v1/explain). With -target eg and -format dot it instead renders
+// the whole Experiment Graph annotated with costs and materialization
+// flags.
+func runExplain(args []string, out io.Writer) error {
+	fs, server := newFlags("explain")
 	format := fs.String("format", "text", "output format: json|text|dot")
 	kind := fs.String("kind", "optimize", "record kind: optimize|update")
 	target := fs.String("target", "plan", "plan: the last decision record; eg: the whole Experiment Graph (requires -format dot)")
 	_ = fs.Parse(args)
 
-	u := *server + "/v1/explain?format=" + *format + "&kind=" + *kind
+	q := url.Values{"format": {*format}}
 	if *target == "eg" {
-		u = *server + "/v1/explain?format=" + *format + "&target=eg"
+		q.Set("target", "eg")
+	} else {
+		q.Set("kind", *kind)
 	}
-	resp, err := http.Get(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("explain: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	_, err = os.Stdout.Write(body)
-	return err
+	return fetchAndPrint(out, *server, "explain", q)
 }
 
 // runCalibration prints the server's predicted-vs-measured cost report
 // (GET /v1/calibration). With -fit it instead extracts the least-squares
 // refitted profile for one load tier and writes it as cost profile JSON,
 // ready for collabd's -profile-file flag.
-func runCalibration(args []string) error {
-	fs := flag.NewFlagSet("calibration", flag.ExitOnError)
-	server := fs.String("server", "http://localhost:7171", "collabd URL")
+func runCalibration(args []string, out io.Writer) error {
+	fs, server := newFlags("calibration")
 	asJSON := fs.Bool("json", false, "print the raw JSON report instead of the table")
 	fitTier := fs.String("fit", "", "write the refitted profile for this load tier (memory|disk|remote)")
-	out := fs.String("o", "", "with -fit, write the profile JSON to this file instead of stdout")
+	outPath := fs.String("o", "", "with -fit, write the profile JSON to this file instead of stdout")
 	_ = fs.Parse(args)
 
-	rc := newRemote(*server)
-	if *fitTier != "" {
-		report, err := rc.CalibrationE()
+	if *fitTier == "" {
+		return fetchAndPrint(out, *server, "calibration", textUnlessJSON(*asJSON))
+	}
+	report, err := newRemote(*server).CalibrationE()
+	if err != nil {
+		return err
+	}
+	for _, fit := range report.Fits {
+		if fit.Tier != *fitTier {
+			continue
+		}
+		latency, err := time.ParseDuration(fit.Latency)
+		if err != nil {
+			return fmt.Errorf("calibration: bad fitted latency %q: %w", fit.Latency, err)
+		}
+		blob, err := cost.EncodeProfileJSON(cost.Profile{
+			Name:           "fitted:" + fit.Tier,
+			Latency:        latency,
+			BytesPerSecond: fit.BytesPerSecond,
+		})
 		if err != nil {
 			return err
 		}
-		for _, fit := range report.Fits {
-			if fit.Tier != *fitTier {
-				continue
-			}
-			latency, err := time.ParseDuration(fit.Latency)
-			if err != nil {
-				return fmt.Errorf("calibration: bad fitted latency %q: %w", fit.Latency, err)
-			}
-			blob, err := cost.EncodeProfileJSON(cost.Profile{
-				Name:           "fitted:" + fit.Tier,
-				Latency:        latency,
-				BytesPerSecond: fit.BytesPerSecond,
-			})
-			if err != nil {
-				return err
-			}
-			if *out == "" {
-				_, err = os.Stdout.Write(blob)
-				return err
-			}
-			if err := os.WriteFile(*out, blob, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote fitted %s profile (%d samples) to %s\n",
-				fit.Tier, fit.Samples, *out)
-			return nil
+		if *outPath == "" {
+			_, err = out.Write(blob)
+			return err
 		}
-		return fmt.Errorf("calibration: no fit for tier %q (needs >= %d observed fetches)",
-			*fitTier, calib.MinFitSamples)
+		if err := os.WriteFile(*outPath, blob, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote fitted %s profile (%d samples) to %s\n",
+			fit.Tier, fit.Samples, *outPath)
+		return nil
 	}
-
-	format := "text"
-	if *asJSON {
-		format = "json"
-	}
-	resp, err := http.Get(*server + "/v1/calibration?format=" + format)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("calibration: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	_, err = os.Stdout.Write(body)
-	return err
+	return fmt.Errorf("calibration: no fit for tier %q (needs >= %d observed fetches)",
+		*fitTier, calib.MinFitSamples)
 }
 
-// runRequests fetches the server's request flight log (GET /v1/requests)
-// and prints one line per recent request, or the raw JSON with -json.
-func runRequests(args []string) error {
-	fs := flag.NewFlagSet("requests", flag.ExitOnError)
-	server := fs.String("server", "http://localhost:7171", "collabd URL")
+// runRequests prints the server's flight log of finished requests
+// (GET /v1/requests), one line per request, or the raw JSON with -json.
+func runRequests(args []string, out io.Writer) error {
+	fs, server := newFlags("requests")
 	route := fs.String("route", "", "only requests to this route (e.g. /v1/optimize)")
 	min := fs.String("min", "", "only requests at least this slow (e.g. 50ms)")
 	limit := fs.Int("limit", 0, "only the most recent N matches (0 = all)")
 	asJSON := fs.Bool("json", false, "print the raw JSON instead of the table")
 	_ = fs.Parse(args)
 
-	q := url.Values{}
+	q := textUnlessJSON(*asJSON)
 	if *route != "" {
 		q.Set("route", *route)
 	}
@@ -547,46 +492,7 @@ func runRequests(args []string) error {
 	if *limit > 0 {
 		q.Set("limit", fmt.Sprint(*limit))
 	}
-	u := *server + "/v1/requests"
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	resp, err := http.Get(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("requests: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	if *asJSON {
-		_, err = os.Stdout.Write(body)
-		return err
-	}
-	var export struct {
-		Count    int                  `json:"count"`
-		Requests []obs.RequestSummary `json:"requests"`
-	}
-	if err := json.Unmarshal(body, &export); err != nil {
-		return err
-	}
-	fmt.Printf("%d request(s)\n", export.Count)
-	for _, s := range export.Requests {
-		line := fmt.Sprintf("#%-5d %s %-6s %-15s %3d %8.2fms in=%-6d out=%-6d",
-			s.Seq, s.RequestID, s.Method, s.Route, s.Status,
-			float64(s.WallNanos)/float64(time.Millisecond), s.BytesIn, s.BytesOut)
-		if s.Vertices > 0 {
-			line += fmt.Sprintf("  vertices=%d reuse=%d computes=%d warmstarts=%d plan=%.2fms",
-				s.Vertices, s.Reused, s.Computes, s.Warmstarts,
-				float64(s.PlanNanos)/float64(time.Millisecond))
-		}
-		fmt.Println(line)
-	}
-	return nil
+	return fetchAndPrint(out, *server, "requests", q)
 }
 
 // runBenchServe is the open-loop load harness (same engine as cmd/loadgen):

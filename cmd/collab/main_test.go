@@ -1,0 +1,177 @@
+package main
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/explain"
+	"repro/internal/obs"
+	"repro/internal/remote"
+	"repro/internal/store"
+	"repro/internal/workloads/synth"
+)
+
+// lastRequest remembers the path and query of the newest request a server
+// got, so a test can check what a subcommand asked for.
+type lastRequest struct {
+	next http.Handler
+	mu   sync.Mutex
+	path string
+	raw  string
+}
+
+func (l *lastRequest) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	l.mu.Lock()
+	l.path, l.raw = r.URL.Path, r.URL.RawQuery
+	l.mu.Unlock()
+	l.next.ServeHTTP(w, r)
+}
+
+// serve starts a collabd-equivalent (remote.NewHandler over srv) that has
+// already served two runs of one workload by a named client.
+func serve(t *testing.T, opts ...core.ServerOption) (*lastRequest, string) {
+	t.Helper()
+	srv := core.NewServer(store.New(cost.Memory()), opts...)
+	lr := &lastRequest{next: remote.NewHandler(srv)}
+	ts := httptest.NewServer(lr)
+	t.Cleanup(ts.Close)
+	wp := synth.WideProfile{Branches: 2, Depth: 2, SpinIters: 2000}
+	for i := 0; i < 2; i++ {
+		rc := remote.NewClient(ts.URL, cost.Memory()) // a new collaborator each run: the second one fetches
+		rc.SetName("analyst-1")
+		if _, err := core.NewClient(rc).Run(synth.Wide(wp, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return lr, ts.URL
+}
+
+// TestViewSubcommands drives every view subcommand against a server with
+// every surface on, then against one with every surface off: the route and
+// query each flag set turns into, a recognizable piece of the output, and
+// the server's own reason in the error when the surface is disabled.
+func TestViewSubcommands(t *testing.T) {
+	on, onURL := serve(t,
+		core.WithTracing(obs.NewTraceCapped(4096)),
+		core.WithExplain(explain.NewRecorder(8)))
+	_, offURL := serve(t,
+		core.WithExplain(nil), core.WithFlightRecorder(nil),
+		core.WithClientTable(nil), core.WithArtifactLedger(nil))
+
+	for _, tc := range []struct {
+		cmd      string
+		args     []string
+		path     string
+		query    string // url.Values.Encode order: sorted by key
+		contains string
+		disabled string // error against the all-off server; "" = still served
+	}{
+		{"stats", nil, "/v1/stats", "", "experiment graph:", ""},
+		{"stats", []string{"-clients"}, "/v1/clients", "format=text", "analyst-1",
+			"clients: HTTP 404: client attribution disabled on this server"},
+		{"explain", nil, "/v1/explain", "format=text&kind=optimize", "explain optimize",
+			"explain: HTTP 404: explain disabled on this server"},
+		{"explain", []string{"-kind", "update", "-format", "json"}, "/v1/explain", "format=json&kind=update", `"kind": "update"`,
+			"explain: HTTP 404: explain disabled on this server"},
+		{"explain", []string{"-target", "eg", "-format", "dot"}, "/v1/explain", "format=dot&target=eg", `digraph "experiment-graph"`,
+			"explain: HTTP 404: explain disabled on this server"},
+		{"calibration", nil, "/v1/calibration", "format=text", "calibration:", ""},
+		{"calibration", []string{"-json"}, "/v1/calibration", "", `"families"`, ""},
+		{"requests", nil, "/v1/requests", "format=text", "request(s)",
+			"requests: HTTP 404: flight recorder disabled on this server"},
+		{"requests", []string{"-route", "/v1/optimize", "-min", "1ns", "-limit", "1", "-json"}, "/v1/requests",
+			"limit=1&min=1ns&route=%2Fv1%2Foptimize", `"count": 1`,
+			"requests: HTTP 404: flight recorder disabled on this server"},
+		{"critpath", nil, "/v1/critpath", "format=text&top=5", "critical path: (all spans)",
+			"critpath: HTTP 404: tracing disabled on this server"},
+		{"critpath", []string{"-top", "2", "-json"}, "/v1/critpath", "top=2", `"path_ns"`,
+			"critpath: HTTP 404: tracing disabled on this server"},
+		{"artifacts", nil, "/v1/artifacts", "format=text&sort=net", "economics: saved",
+			"artifacts: HTTP 404: artifact ledger disabled on this server"},
+		{"artifacts", []string{"-sort", "bytes", "-top", "1", "-json"}, "/v1/artifacts", "sort=bytes&top=1", `"count": 1`,
+			"artifacts: HTTP 404: artifact ledger disabled on this server"},
+	} {
+		name := tc.cmd + " " + strings.Join(tc.args, " ")
+		var out bytes.Buffer
+		if err := views[tc.cmd](append([]string{"-server", onURL}, tc.args...), &out); err != nil {
+			t.Errorf("collab %s: %v", name, err)
+			continue
+		}
+		if on.path != tc.path || on.raw != tc.query {
+			t.Errorf("collab %s asked for %s?%s, want %s?%s", name, on.path, on.raw, tc.path, tc.query)
+		}
+		if !strings.Contains(out.String(), tc.contains) {
+			t.Errorf("collab %s output lacks %q:\n%s", name, tc.contains, out.String())
+		}
+
+		err := views[tc.cmd](append([]string{"-server", offURL}, tc.args...), &out)
+		switch {
+		case tc.disabled == "" && err != nil:
+			t.Errorf("collab %s against the all-off server: %v", name, err)
+		case tc.disabled != "" && (err == nil || err.Error() != tc.disabled):
+			t.Errorf("collab %s against the all-off server: error %v, want %q", name, err, tc.disabled)
+		}
+	}
+
+	// A request filter nobody matches is the server's 404, passed through.
+	err := runCritpath([]string{"-server", onURL, "-request", "no-such-request"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 404: no trace spans for request no-such-request") {
+		t.Errorf("critpath for an unknown request: %v", err)
+	}
+	// Every name main dispatches on is one of the two tables, none in both.
+	for name := range views {
+		if _, both := workloads[name]; both {
+			t.Errorf("%s is both a view and a workload subcommand", name)
+		}
+	}
+}
+
+// TestCritpathOfflineIsByteStable records a small client-side trace the way
+// `collab kaggle -trace FILE` does and analyzes the file twice in each
+// format: non-empty, identical bytes.
+func TestCritpathOfflineIsByteStable(t *testing.T) {
+	tr := obs.NewTrace()
+	srv := core.NewServer(store.New(cost.Memory()))
+	client := core.NewClient(srv, core.WithTrace(tr), core.WithParallelism(2))
+	for i := 0; i < 2; i++ {
+		if _, err := client.Run(synth.Wide(synth.WideProfile{Branches: 3, Depth: 2, SpinIters: 2000}, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteChrome(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range [][]string{{"-json"}, nil} {
+		var a, b bytes.Buffer
+		for _, out := range []*bytes.Buffer{&a, &b} {
+			if err := runCritpath(append([]string{"-trace", path}, format...), out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("critpath -trace %v: %d and %d bytes, want non-empty and identical", format, a.Len(), b.Len())
+		}
+	}
+	if err := runCritpath([]string{"-trace", path, "-request", "no-such-request"}, &bytes.Buffer{}); err == nil {
+		t.Error("a request filter matching no span of the file should be an error")
+	}
+}

@@ -16,17 +16,13 @@
 //
 // Prometheus-style metrics are always served at /metrics (including
 // per-route request histograms, counters, and inflight gauges), liveness at
-// /healthz, and readiness at /readyz; -trace N keeps a rolling buffer of
-// server spans exported at /v1/trace as Chrome trace JSON; -explain N keeps
-// the last N optimizer decision records exported at /v1/explain;
-// -requests N keeps a flight recorder of the last N request summaries
-// exported at /v1/requests (`collab requests`); -clients N attributes
-// requests, wall time, bytes, and lock wait to up to N distinct callers
-// (keyed by X-Collab-Client, else remote address) at /v1/clients;
-// -artifacts N tracks the lifecycle and storage economics of up to N
-// distinct artifacts (events, reuse savings vs storage rent) at
-// /v1/artifacts (`collab artifacts`); -slow-request D warns on requests
-// slower than D; -pprof mounts net/http/pprof under /debug/pprof/.
+// /healthz, and readiness at /readyz. Five flags each size one debugging
+// surface served at /v1/<flag>, 0 switching it off: -trace (rolling buffer
+// of server spans, Chrome trace JSON), -explain (optimizer decision
+// records), -requests (finished requests), -clients (per-caller
+// attribution, keyed by X-Collab-Client, else remote address), -artifacts
+// (artifact lifecycle and storage economics). -slow-request D warns on
+// requests slower than D; -pprof mounts net/http/pprof under /debug/pprof/.
 //
 // -profile-file loads the cost profile from a JSON file — typically one
 // refitted from measurements by `collab calibration -fit TIER` — instead
@@ -37,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -59,155 +56,194 @@ import (
 	"repro/internal/tier"
 )
 
-func main() {
-	var (
-		addr       = flag.String("addr", ":7171", "listen address")
-		budget     = flag.Int64("budget", 1<<30, "materialization budget in bytes")
-		strategy   = flag.String("strategy", "sa", "materialization strategy: sa|hm|hl|all")
-		planner    = flag.String("planner", "ln", "reuse planner: ln|hl|allm|allc")
-		alpha      = flag.Float64("alpha", 0.5, "utility weight of model quality (0..1)")
-		profile    = flag.String("profile", "memory", "storage profile: memory|disk|remote")
-		profFile   = flag.String("profile-file", "", "load the cost profile from a JSON file (e.g. collab calibration -fit output); overrides -profile")
-		warmstart  = flag.Bool("warmstart", true, "enable warmstart donor search")
-		dataDir    = flag.String("data-dir", "", "directory for persistent state (empty: -store-dir, else in-memory only)")
-		storeDir   = flag.String("store-dir", "", "directory for the durable artifact tier (empty: memory-only store)")
-		memBudget  = flag.Int64("mem-budget", 0, "memory-tier byte budget; cold artifacts demote to -store-dir (0: unbounded)")
-		diskBudget = flag.Int64("disk-budget", 0, "disk-tier byte budget; coldest artifacts evict for real (0: unbounded)")
-		demoteIdle = flag.Duration("demote-idle", 0, "demote artifacts idle this long to the disk tier (0: only on budget pressure)")
-		pruneIdle  = flag.Int("prune-idle", 0, "drop unmaterialized vertices idle for N workloads (0: never)")
-		pruneFreq  = flag.Int("prune-min-freq", 0, "always keep vertices seen in at least N workloads")
-		checkpoint = flag.Duration("checkpoint", 5*time.Minute, "periodic save interval when -data-dir is set")
-		traceCap   = flag.Int("trace", 0, "buffer up to N server trace events for GET /v1/trace (0: tracing off)")
-		explainCap = flag.Int("explain", 16, "keep the last N optimizer decision records for GET /v1/explain (0: explain off)")
-		requestCap = flag.Int("requests", obs.DefaultFlightCap, "keep the last N request summaries for GET /v1/requests (0: flight recorder off)")
-		clientCap  = flag.Int("clients", obs.DefaultClientCap, "attribute resource usage to up to N distinct clients for GET /v1/clients (0: attribution off)")
-		ledgerCap  = flag.Int("artifacts", obs.DefaultLedgerCap, "track lifecycle and storage economics of up to N distinct artifacts for GET /v1/artifacts (0: ledger off)")
-		slowWarn   = flag.Duration("slow-request", time.Second, "log a warning for requests slower than this (0: off)")
-		pprofOn    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		logLevel   = flag.String("log-level", "info", "log level: debug|info|warn|error")
-	)
-	flag.Parse()
+// config is collabd's parsed command line.
+type config struct {
+	addr, strategy, planner, profile, profFile, dataDir, storeDir, logLevel string
 
-	level, err := logLevelByName(*logLevel)
+	budget, memBudget, diskBudget    int64
+	alpha                            float64
+	warmstart, pprofOn               bool
+	demoteIdle, checkpoint, slowWarn time.Duration
+	pruneIdle, pruneFreq             int
+	// Capacities of the debugging surfaces, 0 = off.
+	traceCap, explainCap, requestCap, clientCap, ledgerCap int
+}
+
+// parseFlags parses collabd's arguments (without the program name).
+func parseFlags(args []string) (*config, error) {
+	c := &config{}
+	fs := flag.NewFlagSet("collabd", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":7171", "listen address")
+	fs.Int64Var(&c.budget, "budget", 1<<30, "materialization budget in bytes")
+	fs.StringVar(&c.strategy, "strategy", "sa", "materialization strategy: sa|hm|hl|all")
+	fs.StringVar(&c.planner, "planner", "ln", "reuse planner: ln|hl|allm|allc")
+	fs.Float64Var(&c.alpha, "alpha", 0.5, "utility weight of model quality (0..1)")
+	fs.StringVar(&c.profile, "profile", "memory", "storage profile: memory|disk|remote")
+	fs.StringVar(&c.profFile, "profile-file", "", "load the cost profile from a JSON file (e.g. collab calibration -fit output); overrides -profile")
+	fs.BoolVar(&c.warmstart, "warmstart", true, "enable warmstart donor search")
+	fs.StringVar(&c.dataDir, "data-dir", "", "directory for persistent state (empty: -store-dir, else in-memory only)")
+	fs.StringVar(&c.storeDir, "store-dir", "", "directory for the durable artifact tier (empty: memory-only store)")
+	fs.Int64Var(&c.memBudget, "mem-budget", 0, "memory-tier byte budget; cold artifacts demote to -store-dir (0: unbounded)")
+	fs.Int64Var(&c.diskBudget, "disk-budget", 0, "disk-tier byte budget; coldest artifacts evict for real (0: unbounded)")
+	fs.DurationVar(&c.demoteIdle, "demote-idle", 0, "demote artifacts idle this long to the disk tier (0: only on budget pressure)")
+	fs.IntVar(&c.pruneIdle, "prune-idle", 0, "drop unmaterialized vertices idle for N workloads (0: never)")
+	fs.IntVar(&c.pruneFreq, "prune-min-freq", 0, "always keep vertices seen in at least N workloads")
+	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "periodic save interval when -data-dir is set")
+	fs.IntVar(&c.traceCap, "trace", 0, "keep the newest N server trace events for GET /v1/trace (0: tracing off)")
+	fs.IntVar(&c.explainCap, "explain", explain.DefaultCapacity, "keep the last N optimizer decision records for GET /v1/explain (0: explain off)")
+	fs.IntVar(&c.requestCap, "requests", obs.DefaultFlightCap, "keep the last N finished requests for GET /v1/requests (0: flight log off)")
+	fs.IntVar(&c.clientCap, "clients", obs.DefaultClientCap, "attribute resource usage to up to N distinct clients for GET /v1/clients (0: attribution off)")
+	fs.IntVar(&c.ledgerCap, "artifacts", obs.DefaultLedgerCap, "track lifecycle and storage economics of up to N distinct artifacts for GET /v1/artifacts (0: ledger off)")
+	fs.DurationVar(&c.slowWarn, "slow-request", time.Second, "log a warning for requests slower than this (0: off)")
+	fs.BoolVar(&c.pprofOn, "pprof", false, "serve net/http/pprof under /debug/pprof/")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug|info|warn|error")
+	return c, fs.Parse(args)
+}
+
+// capped builds a debugging surface of capacity n, or nil — the surface
+// switched off — for n <= 0.
+func capped[T any](n int, mk func(int) *T) *T {
+	if n <= 0 {
+		return nil
+	}
+	return mk(n)
+}
+
+// newServer builds the server the configuration describes: cost profile,
+// strategy and planner by name, the debugging surfaces (logged as they are
+// switched on or off), and the artifact store — tiered over -store-dir when
+// one is given.
+func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
+	prof, err := profileByName(c.profile)
+	if err != nil {
+		return nil, err
+	}
+	if c.profFile != "" {
+		blob, err := os.ReadFile(c.profFile)
+		if err != nil {
+			return nil, fmt.Errorf("collabd: -profile-file: %w", err)
+		}
+		prof, err = cost.ParseProfileJSON(blob)
+		if err != nil {
+			return nil, fmt.Errorf("collabd: -profile-file: %w", err)
+		}
+		logger.Info("cost profile loaded", "file", c.profFile, "name", prof.Name,
+			"latency", prof.Latency, "bytes_per_second", prof.BytesPerSecond)
+	}
+	strat, err := strategyByName(c.strategy, materialize.Config{Alpha: c.alpha, Profile: prof})
+	if err != nil {
+		return nil, err
+	}
+	plan, err := plannerByName(c.planner)
+	if err != nil {
+		return nil, err
+	}
+
+	srvOpts := []core.ServerOption{
+		core.WithBudget(c.budget),
+		core.WithStrategy(strat),
+		core.WithPlanner(plan),
+		core.WithWarmstart(c.warmstart),
+		core.WithLogger(logger),
+		core.WithPrunePolicy(eg.PrunePolicy{
+			MaxIdleWorkloads: c.pruneIdle,
+			MinFrequency:     c.pruneFreq,
+		}),
+	}
+	// The capped debugging surfaces: the flag that sizes one (0 = off)
+	// doubles as its /v1/<flag> route.
+	surfaces := []any{"metrics", "/metrics"}
+	for _, s := range []struct {
+		flag string
+		cap  int
+		opt  core.ServerOption
+	}{
+		{"trace", c.traceCap, core.WithTracing(capped(c.traceCap, obs.NewTraceCapped))},
+		{"explain", c.explainCap, core.WithExplain(capped(c.explainCap, explain.NewRecorder))},
+		{"requests", c.requestCap, core.WithFlightRecorder(capped(c.requestCap, obs.NewRing[obs.Request]))},
+		{"clients", c.clientCap, core.WithClientTable(capped(c.clientCap, obs.NewClientTable))},
+		{"artifacts", c.ledgerCap, core.WithArtifactLedger(capped(c.ledgerCap, obs.NewArtifactLedger))},
+	} {
+		srvOpts = append(srvOpts, s.opt)
+		state := fmt.Sprintf("off (-%s N to enable)", s.flag)
+		if s.cap > 0 {
+			state = fmt.Sprintf("on (cap %d, GET /v1/%s)", s.cap, s.flag)
+		}
+		surfaces = append(surfaces, s.flag, state)
+	}
+	logger.Info("debug surfaces", append(surfaces, "pprof", c.pprofOn)...)
+	stOpts := store.Options{MemoryBudget: c.memBudget, DiskBudget: c.diskBudget}
+	if c.storeDir != "" {
+		disk, report, err := tier.Open(c.storeDir)
+		if err != nil {
+			return nil, fmt.Errorf("opening store dir %s: %w", c.storeDir, err)
+		}
+		stOpts.Disk = disk
+		logger.Info("store recovered", "dir", c.storeDir,
+			"frames", report.Frames, "blobs", report.Blobs, "columns", report.Columns,
+			"bytes_verified", report.BytesVerified,
+			"quarantined", report.Quarantined, "orphans", report.OrphanColumns)
+	} else if c.memBudget > 0 {
+		logger.Warn("-mem-budget without -store-dir hard-evicts cold artifacts (no disk tier to demote to)")
+	}
+	return core.NewServer(store.NewTiered(prof, stOpts), srvOpts...), nil
+}
+
+func main() {
+	c, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		// The flag package has already printed the error and the usage.
+		os.Exit(2)
+	}
+	level, err := logLevelByName(c.logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	logger := obs.NewLogger(os.Stderr, level)
-
-	prof, err := profileByName(*profile)
+	srv, err := c.newServer(logger)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *profFile != "" {
-		blob, err := os.ReadFile(*profFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "collabd: -profile-file:", err)
-			os.Exit(2)
-		}
-		prof, err = cost.ParseProfileJSON(blob)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "collabd: -profile-file:", err)
-			os.Exit(2)
-		}
-		logger.Info("cost profile loaded", "file", *profFile, "name", prof.Name,
-			"latency", prof.Latency, "bytes_per_second", prof.BytesPerSecond)
+	dataDir := c.dataDir
+	if dataDir == "" {
+		// Keep the EG snapshot next to the artifacts it indexes.
+		dataDir = c.storeDir
 	}
-	cfg := materialize.Config{Alpha: *alpha, Profile: prof}
-	strat, err := strategyByName(*strategy, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	plan, err := plannerByName(*planner)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	srvOpts := []core.ServerOption{
-		core.WithBudget(*budget),
-		core.WithStrategy(strat),
-		core.WithPlanner(plan),
-		core.WithWarmstart(*warmstart),
-		core.WithLogger(logger),
-		core.WithPrunePolicy(eg.PrunePolicy{
-			MaxIdleWorkloads: *pruneIdle,
-			MinFrequency:     *pruneFreq,
-		}),
-	}
-	if *traceCap > 0 {
-		srvOpts = append(srvOpts, core.WithTracing(obs.NewTraceCapped(*traceCap)))
-	}
-	if *explainCap > 0 {
-		srvOpts = append(srvOpts, core.WithExplain(explain.NewRecorder(*explainCap)))
-	}
-	if *requestCap > 0 {
-		srvOpts = append(srvOpts, core.WithFlightRecorder(obs.NewFlightRecorder(*requestCap)))
-	} else {
-		srvOpts = append(srvOpts, core.WithFlightRecorder(nil))
-	}
-	if *clientCap > 0 {
-		srvOpts = append(srvOpts, core.WithClientTable(obs.NewClientTable(*clientCap)))
-	} else {
-		srvOpts = append(srvOpts, core.WithClientTable(nil))
-	}
-	if *ledgerCap > 0 {
-		srvOpts = append(srvOpts, core.WithArtifactLedger(obs.NewArtifactLedger(*ledgerCap)))
-	} else {
-		srvOpts = append(srvOpts, core.WithArtifactLedger(nil))
-	}
-	stOpts := store.Options{MemoryBudget: *memBudget, DiskBudget: *diskBudget}
-	if *storeDir != "" {
-		disk, report, err := tier.Open(*storeDir)
-		if err != nil {
-			logger.Error("opening store dir", "dir", *storeDir, "err", err)
-			os.Exit(1)
-		}
-		stOpts.Disk = disk
-		logger.Info("store recovered", "dir", *storeDir,
-			"frames", report.Frames, "blobs", report.Blobs, "columns", report.Columns,
-			"bytes_verified", report.BytesVerified,
-			"quarantined", report.Quarantined, "orphans", report.OrphanColumns)
-		if *dataDir == "" {
-			// Keep the EG snapshot next to the artifacts it indexes.
-			*dataDir = *storeDir
-		}
-	} else if *memBudget > 0 {
-		logger.Warn("-mem-budget without -store-dir hard-evicts cold artifacts (no disk tier to demote to)")
-	}
-	srv := core.NewServer(store.NewTiered(prof, stOpts), srvOpts...)
-	if *storeDir != "" && *demoteIdle > 0 {
+	if c.storeDir != "" && c.demoteIdle > 0 {
 		go func() {
-			ticker := time.NewTicker(*demoteIdle)
+			ticker := time.NewTicker(c.demoteIdle)
 			defer ticker.Stop()
 			for range ticker.C {
-				if n := srv.Store.DemoteIdle(*demoteIdle); n > 0 {
+				if n := srv.Store.DemoteIdle(c.demoteIdle); n > 0 {
 					logger.Info("idle artifacts demoted to disk", "count", n)
 				}
 			}
 		}()
 	}
-	if *dataDir != "" {
-		restored, err := persist.Load(srv, *dataDir)
+	if dataDir != "" {
+		restored, err := persist.Load(srv, dataDir)
 		if err != nil {
-			logger.Error("restoring state", "dir", *dataDir, "err", err)
+			logger.Error("restoring state", "dir", dataDir, "err", err)
 			os.Exit(1)
 		}
 		if restored {
-			logger.Info("state restored", "dir", *dataDir,
+			logger.Info("state restored", "dir", dataDir,
 				"vertices", srv.EG.Len(), "materialized", srv.Store.Len())
 		}
 		save := func(reason string) {
-			if err := persist.Save(srv, *dataDir); err != nil {
+			if err := persist.Save(srv, dataDir); err != nil {
 				logger.Error("state save failed", "reason", reason, "err", err)
 			} else {
 				logger.Info("state saved", "reason", reason)
 			}
 		}
 		go func() {
-			ticker := time.NewTicker(*checkpoint)
+			ticker := time.NewTicker(c.checkpoint)
 			defer ticker.Stop()
 			for range ticker.C {
 				save("checkpoint")
@@ -217,7 +253,7 @@ func main() {
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		go func() {
 			<-sig
-			if *storeDir != "" {
+			if c.storeDir != "" {
 				// Drain the memory tier so every artifact is durable in the
 				// checksummed tier files, not just in the gob snapshot.
 				if err := srv.Store.FlushToDisk(); err != nil {
@@ -228,56 +264,17 @@ func main() {
 			os.Exit(0)
 		}()
 	}
-	logger.Info("listening", "addr", *addr, "strategy", strat.Name(),
-		"planner", plan.Name(), "budget", *budget, "alpha", *alpha,
-		"profile", prof.Name)
-	logger.Info("debug surfaces", "metrics", "/metrics",
-		"trace", traceState(*traceCap), "explain", explainState(*explainCap),
-		"requests", requestState(*requestCap), "clients", clientsState(*clientCap),
-		"artifacts", ledgerState(*ledgerCap), "pprof", *pprofOn)
+	logger.Info("listening", "addr", c.addr, "strategy", srv.Strategy().Name(),
+		"planner", srv.Planner().Name(), "budget", c.budget, "alpha", c.alpha,
+		"profile", srv.Store.Profile().Name)
 	handler := remote.NewHandler(srv,
 		remote.WithHandlerLogger(logger),
-		remote.WithSlowRequestWarn(*slowWarn),
-		remote.WithPprof(*pprofOn))
-	if err := http.ListenAndServe(*addr, handler); err != nil {
+		remote.WithSlowRequestWarn(c.slowWarn),
+		remote.WithPprof(c.pprofOn))
+	if err := http.ListenAndServe(c.addr, handler); err != nil {
 		logger.Error("server exited", "err", err)
 		os.Exit(1)
 	}
-}
-
-func traceState(cap int) string {
-	if cap > 0 {
-		return fmt.Sprintf("on (%d-event buffer, GET /v1/trace)", cap)
-	}
-	return "off (-trace N to enable)"
-}
-
-func explainState(cap int) string {
-	if cap > 0 {
-		return fmt.Sprintf("on (last %d records, GET /v1/explain)", cap)
-	}
-	return "off (-explain N to enable)"
-}
-
-func requestState(cap int) string {
-	if cap > 0 {
-		return fmt.Sprintf("on (last %d summaries, GET /v1/requests)", cap)
-	}
-	return "off (-requests N to enable)"
-}
-
-func clientsState(cap int) string {
-	if cap > 0 {
-		return fmt.Sprintf("on (up to %d clients, GET /v1/clients)", cap)
-	}
-	return "off (-clients N to enable)"
-}
-
-func ledgerState(cap int) string {
-	if cap > 0 {
-		return fmt.Sprintf("on (up to %d artifacts, GET /v1/artifacts)", cap)
-	}
-	return "off (-artifacts N to enable)"
 }
 
 func logLevelByName(name string) (slog.Level, error) {

@@ -1,11 +1,12 @@
 package calib
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // FamilyReport is the rendered aggregate for one cost family.
@@ -123,15 +124,7 @@ func (c *Collector) Snapshot() *Report {
 
 // WriteJSON renders the report as indented JSON ending in a newline. The
 // rendering is byte-stable for a given report.
-func (r *Report) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+func (r *Report) WriteJSON(w io.Writer) error { return obs.WriteJSON(w, r) }
 
 // WriteText renders the report for terminals.
 func (r *Report) WriteText(w io.Writer) error {

@@ -93,7 +93,7 @@ func BenchmarkExecuteCalibOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			w := synth.Wide(prof, 1)
 			w.MarkComputed()
-			opt := srv.Optimize(w)
+			opt := srv.Optimize(w, nil)
 			if _, err := Execute(w, opt.Plan, srv, mkOpts()...); err != nil {
 				b.Fatal(err)
 			}
@@ -132,7 +132,7 @@ func BenchmarkOptimizeExplainOverhead(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			srv.Optimize(w)
+			srv.Optimize(w, nil)
 		}
 	}
 	b.Run("absent", func(b *testing.B) { run(b) })

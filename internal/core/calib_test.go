@@ -9,6 +9,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/reuse"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
@@ -181,7 +182,7 @@ func TestObserveExecutionPreMergePredictions(t *testing.T) {
 
 	run1 := synth.Wide(synth.WideProfile{Branches: 1, Depth: 1}, 7)
 	run1.MarkComputed()
-	opt := srv.Optimize(run1)
+	opt := srv.Optimize(run1, nil)
 	if _, err := Execute(run1, opt.Plan, srv, WithCalibration(true)); err != nil {
 		t.Fatal(err)
 	}
@@ -197,18 +198,19 @@ func TestObserveExecutionPreMergePredictions(t *testing.T) {
 	if target == nil {
 		t.Fatal("no executed vertex in run 1")
 	}
-	srv.UpdateReq(run1, "run-1")
+	srv.Update(run1, &obs.Request{RequestID: "run-1"}, nil)
 	srv.EG.Vertex(target.ID).ComputeTime = time.Minute
 
 	run2 := synth.Wide(synth.WideProfile{Branches: 1, Depth: 1}, 7)
 	run2.MarkComputed()
-	opt2 := srv.OptimizeReq(run2, "run-2")
+	req2 := &obs.Request{RequestID: "run-2"}
+	opt2 := srv.Optimize(run2, req2)
 	// Force recompute so the compute path is observed.
 	opt2.Plan = &reuse.Plan{Reuse: map[string]bool{}}
 	if _, err := Execute(run2, opt2.Plan, srv, WithCalibration(true)); err != nil {
 		t.Fatal(err)
 	}
-	srv.UpdateReq(run2, "run-2")
+	srv.Update(run2, req2, nil)
 
 	c := srv.Calibration()
 	if got := c.ComputeObservations(); got == 0 {

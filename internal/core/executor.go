@@ -53,10 +53,13 @@ type trainOpReporter interface{ LastWarmstarted() bool }
 type ExecOption func(*execConfig)
 
 type execConfig struct {
-	workers   int
-	trace     *obs.Trace
-	requestID string
-	measure   bool
+	workers int
+	trace   *obs.Trace
+	measure bool
+	// req is the record of the run this execution belongs to, set by
+	// Client.Run: its ID tags the top-level trace span and travels with
+	// every fetch. nil for a bare Execute call.
+	req *obs.Request
 }
 
 // WithParallelism bounds the number of vertices executed concurrently.
@@ -75,13 +78,6 @@ func WithTrace(t *obs.Trace) ExecOption {
 	return func(c *execConfig) { c.trace = t }
 }
 
-// WithRequestID tags the execution's top-level trace span with the run's
-// correlation ID (see obs.RequestIDKey). It only takes effect when a trace
-// recorder is attached; the untraced path is unaffected.
-func WithRequestID(id string) ExecOption {
-	return func(c *execConfig) { c.requestID = id }
-}
-
 // WithCalibration toggles calibration measurement: when on, every EG
 // fetch is timed and the vertex is annotated with the measured duration,
 // the serving tier, and the planner's predicted Cl, which the server's
@@ -92,26 +88,6 @@ func WithRequestID(id string) ExecOption {
 // client to opt out.
 func WithCalibration(on bool) ExecOption {
 	return func(c *execConfig) { c.measure = on }
-}
-
-// traceOf extracts the recorder an option list carries, for callers (the
-// client) that want to annotate the same timeline.
-func traceOf(opts []ExecOption) *obs.Trace {
-	cfg := execConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg.trace
-}
-
-// measureOf resolves the calibration flag an option list would produce,
-// so the client can match its run reporting to the executor's behavior.
-func measureOf(opts []ExecOption) bool {
-	cfg := execConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return cfg.measure
 }
 
 // vexec is the per-vertex scheduling state of one Execute call. Each vertex
@@ -132,13 +108,9 @@ type vexec struct {
 	// schedule sources: they never wait on parents.
 	stop bool
 
-	// measure mirrors execConfig.measure for the owning worker; predLoad
-	// is the planner's Cl prediction for stop vertices (calibration);
-	// requestID mirrors execConfig.requestID so a fetch can attribute
-	// store-side promotions to this run.
-	measure   bool
-	predLoad  time.Duration
-	requestID string
+	// predLoad is the planner's Cl prediction for stop vertices
+	// (calibration measurement only).
+	predLoad time.Duration
 
 	// Completion record, written by the owning worker, read after join.
 	reused    bool
@@ -186,6 +158,12 @@ func Execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, opts ...ExecOpt
 	for _, o := range opts {
 		o(&cfg)
 	}
+	return execute(w, plan, src, cfg)
+}
+
+// execute is Execute with its options resolved; Client.Run enters here
+// with the run's request record attached.
+func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig) (*ExecResult, error) {
 	workers := cfg.workers
 	if workers < 1 {
 		workers = parallel.Workers()
@@ -219,7 +197,7 @@ func Execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, opts ...ExecOpt
 		if !active[n.ID] {
 			continue
 		}
-		s := &vexec{node: n, topo: i, measure: cfg.measure, requestID: cfg.requestID}
+		s := &vexec{node: n, topo: i}
 		s.stop = plan.Reuse[n.ID] || (n.Computed && n.Content != nil)
 		if cfg.measure && plan.Reuse[n.ID] {
 			if sec, ok := plan.PredictedLoad[n.ID]; ok {
@@ -289,7 +267,7 @@ func Execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, opts ...ExecOpt
 			if tr != nil {
 				tr.Instant(s.node.Name, "sched", wid, map[string]any{"vertex": s.node.ID})
 			}
-			err := runVertex(s, src, tr, wid)
+			err := runVertex(s, src, cfg, wid)
 
 			mu.Lock()
 			inflight--
@@ -354,8 +332,8 @@ func Execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, opts ...ExecOpt
 			"skipped": res.Skipped, "warmstarted": res.Warmstarted,
 			"workers": workers,
 		}
-		if cfg.requestID != "" {
-			args[obs.RequestIDKey] = cfg.requestID
+		if id := cfg.req.ID(); id != "" {
+			args[obs.RequestIDKey] = id
 		}
 		tr.Span("execute", "execute", 0, sw.StartedAt(), res.WallTime, args)
 	}
@@ -365,33 +343,23 @@ func Execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, opts ...ExecOpt
 // runVertex performs the work of one active vertex. It is called by
 // exactly one worker per vertex; the node and the vexec completion fields
 // are owned by that worker until it publishes under the scheduler lock.
-// tr may be nil (tracing disabled); every tracing statement is guarded so
-// the disabled path takes no timestamps and allocates nothing.
-func runVertex(s *vexec, src ArtifactSource, tr *obs.Trace, wid int) error {
-	n := s.node
+// cfg.trace may be nil (tracing disabled); every tracing statement is
+// guarded so the disabled path takes no timestamps and allocates nothing.
+func runVertex(s *vexec, src ArtifactSource, cfg execConfig, wid int) error {
+	n, tr := s.node, cfg.trace
 	switch {
 	case n.Computed && n.Content != nil:
 		// already on the client (source or prior cell)
 	case s.stop:
 		// plan-reuse vertex: fetch from the store
 		var fetchSW obs.Stopwatch
-		timed := tr != nil || s.measure
+		timed := tr != nil || cfg.measure
 		if timed {
 			fetchSW = obs.StartTimer()
 		}
-		var content graph.Artifact
-		var tierLabel string
-		if rf, ok := src.(RequestTieredFetcher); ok && s.requestID != "" {
-			// Request-aware tiered source: a promotion caused by this
-			// fetch is attributed to the run on the artifact ledger.
-			content, tierLabel, s.loadCost = rf.FetchTieredReq(n.ID, s.requestID)
-		} else if tf, ok := src.(TieredFetcher); ok {
-			// Tier-aware source: the load cost is priced for the tier that
-			// actually served the bytes (memory, disk, remote).
-			content, tierLabel, s.loadCost = tf.FetchTiered(n.ID)
-		} else {
-			content = src.Fetch(n.ID)
-		}
+		// The load cost is priced for the tier that actually served the
+		// bytes (memory, disk, remote).
+		content, tierLabel, loadCost := src.FetchTiered(n.ID, cfg.req)
 		if content == nil {
 			if tr != nil {
 				tr.Instant(n.Name, "error", wid, map[string]any{"vertex": n.ID, "missing": true})
@@ -404,15 +372,13 @@ func runVertex(s *vexec, src ArtifactSource, tr *obs.Trace, wid int) error {
 		if ma, ok := content.(*graph.ModelArtifact); ok {
 			n.Quality = ma.Quality
 		}
-		if tierLabel == "" {
-			s.loadCost = src.LoadCostOf(n.SizeBytes)
-		}
+		s.loadCost = loadCost
 		s.reused = true
 		var fetchElapsed time.Duration
 		if timed {
 			fetchElapsed = fetchSW.Elapsed()
 		}
-		if s.measure {
+		if cfg.measure {
 			// Annotate the node with measured-vs-predicted so the server's
 			// calibration collector can compare them on update. The
 			// planner's own Cl (predLoad) is preferred; the tier-priced

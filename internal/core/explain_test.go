@@ -76,7 +76,7 @@ func TestServerExplainCapturesRun(t *testing.T) {
 // and no capture work.
 func TestServerExplainDisabledByDefault(t *testing.T) {
 	srv := NewServer(store.New(cost.Memory()))
-	if srv.Explain().Enabled() {
+	if srv.Explain() != nil {
 		t.Fatal("explain enabled without WithExplain")
 	}
 	if _, err := NewClient(srv).Run(synth.Wide(*wideWorkload(), 7)); err != nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/tier"
 	"repro/internal/workloads/synth"
 )
 
@@ -24,7 +25,7 @@ func TestLedgerObservesReuseSavings(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := srv.ArtifactLedger()
-	if !led.Enabled() {
+	if led == nil {
 		t.Fatal("default server should enable the ledger")
 	}
 	if led.EventCount(obs.ArtifactMaterialized) == 0 {
@@ -67,11 +68,59 @@ func TestLedgerObservesReuseSavings(t *testing.T) {
 	}
 }
 
+// TestLedgerAttributesPromotionUntraced: an in-process run with no trace
+// recorder attached still carries its request record into every fetch, so
+// when a planned reuse is served by the disk tier the promotion it causes
+// names the run on the artifact ledger.
+func TestLedgerAttributesPromotionUntraced(t *testing.T) {
+	disk, _, err := tier.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store.NewTiered(cost.Memory(), store.Options{Disk: disk}))
+	client := NewClient(srv, WithParallelism(1)) // no WithTrace
+	wp := synth.WideProfile{Branches: 2, Depth: 2, Sleep: 4 * time.Millisecond}
+	if _, err := client.Run(synth.Wide(wp, 1)); err != nil {
+		t.Fatal(err)
+	}
+	// Push everything the first run materialized down to the disk tier.
+	if err := srv.Store.FlushToDisk(); err != nil {
+		t.Fatal(err)
+	}
+	if mem, _ := srv.Store.TierCounts(); mem != 0 {
+		t.Fatalf("%d artifacts still in memory after the flush", mem)
+	}
+
+	res, err := client.Run(synth.Wide(wp, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reused == 0 {
+		t.Fatal("second run reused nothing; no disk fetch to attribute")
+	}
+	promoted := 0
+	for _, rec := range srv.ArtifactLedger().Snapshot(obs.ArtifactQuery{}) {
+		for _, ev := range rec.Events {
+			if ev.Kind != obs.ArtifactPromoted {
+				continue
+			}
+			promoted++
+			if ev.RequestID != res.RequestID {
+				t.Errorf("promote of %s attributed to %q, want the run's ID %q",
+					rec.ID, ev.RequestID, res.RequestID)
+			}
+		}
+	}
+	if promoted == 0 {
+		t.Fatal("no promote event despite reuse served from the disk tier")
+	}
+}
+
 // TestLedgerDisabledServer: WithArtifactLedger(nil) turns the whole
 // subsystem off — runs proceed normally and nothing is tracked.
 func TestLedgerDisabledServer(t *testing.T) {
 	srv := NewServer(store.New(cost.Memory()), WithArtifactLedger(nil))
-	if srv.ArtifactLedger().Enabled() {
+	if srv.ArtifactLedger() != nil {
 		t.Fatal("ledger should be disabled")
 	}
 	client := NewClient(srv, WithParallelism(1))

@@ -10,7 +10,7 @@ import (
 // TestLockSectionAccounting verifies the server-mutex instrumentation:
 // a request queued behind a held lock lands one observation in the
 // section's wait and hold histograms, emits a lock-wait trace span tagged
-// with its request ID, and reports the wait on its flight-recorder entry.
+// with its request ID, and reports the wait on its request record.
 func TestLockSectionAccounting(t *testing.T) {
 	tr := obs.NewTrace()
 	srv := newTestServer(WithTracing(tr))
@@ -19,10 +19,11 @@ func TestLockSectionAccounting(t *testing.T) {
 	// Hold the server mutex so the optimize request must queue well past
 	// lockWaitSpanThreshold.
 	srv.mu.Lock()
+	req := &obs.Request{RequestID: "req-lock"}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.OptimizeReq(w, "req-lock")
+		srv.Optimize(w, req)
 	}()
 	time.Sleep(5 * time.Millisecond)
 	srv.mu.Unlock()
@@ -57,11 +58,10 @@ func TestLockSectionAccounting(t *testing.T) {
 		t.Fatalf("lock-wait span malformed: %+v", span)
 	}
 
-	// The wait must surface on the request's flight summary via the
-	// pending annotation the middleware would merge at record time.
-	rec := srv.Flight().Record(obs.RequestSummary{RequestID: "req-lock", Status: 200})
-	if rec.LockWaitNanos < time.Millisecond.Nanoseconds() {
-		t.Fatalf("flight summary lock wait = %d ns, want >= 1ms", rec.LockWaitNanos)
+	// The wait was written into the record the request carried, which is
+	// what the edge emits to the flight log and the client table.
+	if req.LockWaitNanos < time.Millisecond.Nanoseconds() {
+		t.Fatalf("request record lock wait = %d ns, want >= 1ms", req.LockWaitNanos)
 	}
 }
 
@@ -70,11 +70,12 @@ func TestLockSectionAccounting(t *testing.T) {
 func TestLockSectionsCoverHandlers(t *testing.T) {
 	srv := newTestServer()
 	w, _ := buildWorkload(syntheticTrain(50, 2), 3)
-	srv.OptimizeReq(w, "r1")
+	req := &obs.Request{RequestID: "r1"}
+	srv.Optimize(w, req)
 	if _, err := Execute(w, nil, srv); err != nil {
 		t.Fatal(err)
 	}
-	srv.UpdateReq(w, "r1")
+	srv.Update(w, req, nil)
 	m := srv.metrics
 	if m.lockWait["optimize"].Count() != 1 {
 		t.Errorf("optimize section saw %d waits, want 1", m.lockWait["optimize"].Count())

@@ -155,10 +155,17 @@ func TestTraceBufferGauges(t *testing.T) {
 	for _, want := range []string{
 		"collab_trace_buffered_events 4", // capped buffer is full after a run
 		"collab_trace_buffer_capacity 4",
-		"collab_trace_dropped_events",
+		"collab_trace_dropped_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	// One name per signal: the pre-convention alias of the drop counter and
+	// the lock section of the removed run-report call are gone.
+	for _, gone := range []string{"collab_trace_dropped_events", `section="report"`} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries %q", gone)
 		}
 	}
 	if tr.Dropped() == 0 {

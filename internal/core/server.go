@@ -62,40 +62,27 @@ type Server struct {
 	// used. Cheap when clients don't measure — without annotations there
 	// is nothing to observe.
 	calib *calib.Collector
-	// pendingRuns holds client-reported run summaries keyed by request ID
-	// until the matching update arrives and folds them into the scorecard.
-	// Bounded: an update never arriving must not leak memory.
-	pendingRuns map[string]calib.ClientRun
 
-	// flight is the request flight recorder: optimize/update annotate the
-	// in-flight request here and the HTTP middleware records the finished
-	// summary, served at /v1/requests. Default-on with a small ring;
-	// WithFlightRecorder(nil) disables it (nil is a zero-cost no-op).
-	flight    *obs.FlightRecorder
-	flightSet bool
-	// clients is the per-client attribution table fed by the HTTP layer
-	// (requests, wall time, bytes, lock wait per caller), served at
-	// /v1/clients. Default-on with a small cap; WithClientTable(nil)
-	// disables it (nil is a zero-cost no-op).
-	clients    *obs.ClientTable
-	clientsSet bool
+	// flight and clients are the two folds over finished request records
+	// (ObserveRequest): the ring of recent requests served at /v1/requests
+	// and the per-client attribution table (requests, wall time, bytes,
+	// lock wait, plan time per caller) served at /v1/clients. Both default
+	// on with a small cap; WithFlightRecorder(nil) / WithClientTable(nil)
+	// disable them (nil is a zero-cost no-op).
+	flight  *obs.Ring[obs.Request]
+	clients *obs.ClientTable
 	// ledger is the artifact lifecycle ledger: the store feeds it residency
 	// transitions, the updater feeds it per-reuse realized savings, and it
 	// is served at /v1/artifacts. Default-on with a small cap;
 	// WithArtifactLedger(nil) disables it (the store's detached fast path
 	// is one atomic pointer load).
-	ledger    *obs.ArtifactLedger
-	ledgerSet bool
+	ledger *obs.ArtifactLedger
 	// started anchors collab_uptime_seconds; version/goVersion back the
 	// collab_build_info metric and /v1/stats.
 	started   obs.Stopwatch
 	version   string
 	goVersion string
 }
-
-// maxPendingRuns bounds the run-summary buffer; beyond it the oldest
-// entries are dropped wholesale (an abandoned run's summary is worthless).
-const maxPendingRuns = 128
 
 // serverMetrics bundles the server's instruments; see DESIGN.md
 // "Observability" for the metric inventory.
@@ -130,7 +117,7 @@ type serverMetrics struct {
 // lockSections is the fixed vocabulary of server-mutex sections; each gets
 // a wait and a hold histogram, so label cardinality is bounded by
 // construction.
-var lockSections = []string{"optimize", "update", "materialize", "report"}
+var lockSections = []string{"optimize", "update", "materialize"}
 
 // serverLockBuckets spans uncontended sub-microsecond acquisitions through
 // pathological multi-second queueing.
@@ -184,33 +171,46 @@ func newServerMetrics() *serverMetrics {
 const lockWaitSpanThreshold = 100 * time.Microsecond
 
 // lockSection acquires the server mutex on behalf of the named section,
-// accounting the queue wait and — above lockWaitSpanThreshold — emitting a
+// accounting the queue wait on the section's histogram and on the request
+// record, and — above lockWaitSpanThreshold — emitting a
 // "lock-wait:<section>" trace span (cat "lock") so the critical-path
 // analyzer can attribute contention to the request that suffered it. The
 // returned release observes the hold time and unlocks; callers defer it
 // exactly where they previously deferred s.mu.Unlock().
-func (s *Server) lockSection(section, requestID string) (release func(), wait time.Duration) {
+func (s *Server) lockSection(section string, req *obs.Request) (release func()) {
 	sw := obs.StartTimer()
 	s.mu.Lock()
-	wait = sw.Elapsed()
+	wait := sw.Elapsed()
+	req.LockWaitNanos += wait.Nanoseconds()
 	m := s.metrics
-	if h := m.lockWait[section]; h != nil {
-		h.Observe(wait.Seconds())
-	}
+	m.lockWait[section].Observe(wait.Seconds())
 	if s.trace != nil && wait >= lockWaitSpanThreshold {
-		args := map[string]any{"section": section}
-		if requestID != "" {
-			args[obs.RequestIDKey] = requestID
-		}
-		s.trace.Span("lock-wait:"+section, "lock", 0, sw.StartedAt(), wait, args)
+		s.trace.Span("lock-wait:"+section, "lock", 0, sw.StartedAt(), wait,
+			tagged(req, map[string]any{"section": section}))
 	}
 	hold := obs.StartTimer()
 	return func() {
-		if h := m.lockHold[section]; h != nil {
-			h.Observe(hold.Elapsed().Seconds())
-		}
+		m.lockHold[section].Observe(hold.Elapsed().Seconds())
 		s.mu.Unlock()
-	}, wait
+	}
+}
+
+// tagged adds the request's ID, when it has one, to a trace span's args.
+func tagged(req *obs.Request, args map[string]any) map[string]any {
+	if req.RequestID != "" {
+		args[obs.RequestIDKey] = req.RequestID
+	}
+	return args
+}
+
+// untagged stands in for the record of a caller that passed none
+// (benchmarks, experiments, tests): the server's facts land on a record
+// nobody reads.
+func untagged(req *obs.Request) *obs.Request {
+	if req == nil {
+		return &obs.Request{}
+	}
+	return req
 }
 
 // ServerOption configures a Server.
@@ -266,36 +266,38 @@ func WithLogger(l *slog.Logger) ServerOption {
 	return func(srv *Server) { srv.log = l }
 }
 
-// WithFlightRecorder replaces the default request flight recorder (a
-// DefaultFlightCap-entry ring). Pass a larger ring to keep more history,
-// or nil to disable recording entirely.
-func WithFlightRecorder(f *obs.FlightRecorder) ServerOption {
-	return func(srv *Server) { srv.flight = f; srv.flightSet = true }
+// WithFlightRecorder replaces the default request flight ring (the last
+// obs.DefaultFlightCap finished requests). Pass a larger ring to keep more
+// history, or nil to disable recording entirely.
+func WithFlightRecorder(f *obs.Ring[obs.Request]) ServerOption {
+	return func(srv *Server) { srv.flight = f }
 }
 
 // WithClientTable replaces the default per-client attribution table (a
 // DefaultClientCap-entry table). Pass a larger table to track more
 // distinct clients, or nil to disable attribution entirely.
 func WithClientTable(t *obs.ClientTable) ServerOption {
-	return func(srv *Server) { srv.clients = t; srv.clientsSet = true }
+	return func(srv *Server) { srv.clients = t }
 }
 
 // WithArtifactLedger replaces the default artifact lifecycle ledger (a
 // DefaultLedgerCap-entry table). Pass a larger ledger to track more
 // distinct artifacts, or nil to disable lifecycle accounting entirely.
 func WithArtifactLedger(l *obs.ArtifactLedger) ServerOption {
-	return func(srv *Server) { srv.ledger = l; srv.ledgerSet = true }
+	return func(srv *Server) { srv.ledger = l }
 }
 
 // NewServer builds a server around the given store.
 func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 	srv := &Server{
-		EG:          eg.New(),
-		Store:       st,
-		budget:      1 << 30,
-		calib:       calib.NewCollector(),
-		pendingRuns: make(map[string]calib.ClientRun),
-		started:     obs.StartTimer(),
+		EG:      eg.New(),
+		Store:   st,
+		budget:  1 << 30,
+		calib:   calib.NewCollector(),
+		flight:  obs.NewRing[obs.Request](obs.DefaultFlightCap),
+		clients: obs.NewClientTable(0),
+		ledger:  obs.NewArtifactLedger(0),
+		started: obs.StartTimer(),
 	}
 	srv.version, srv.goVersion = obs.BuildInfo()
 	cfg := materialize.Config{Alpha: 0.5, Profile: st.Profile()}
@@ -303,15 +305,6 @@ func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 	srv.planner = reuse.Linear{}
 	for _, o := range opts {
 		o(srv)
-	}
-	if !srv.flightSet {
-		srv.flight = obs.NewFlightRecorder(0)
-	}
-	if !srv.clientsSet {
-		srv.clients = obs.NewClientTable(0)
-	}
-	if !srv.ledgerSet {
-		srv.ledger = obs.NewArtifactLedger(0)
 	}
 	srv.initMetrics()
 	return srv
@@ -384,15 +377,12 @@ func (s *Server) initMetrics() {
 		"build identity of this server (constant 1; facts travel in the labels)").Set(1)
 	reg.GaugeFunc("collab_uptime_seconds", "seconds since this server was constructed",
 		func() float64 { return s.UptimeSeconds() })
-	// Flight-recorder health: ring occupancy and capacity.
+	// Flight-ring health: occupancy and capacity.
 	if s.flight != nil {
-		reg.GaugeFunc("collab_flight_requests", "request summaries retained by the flight recorder",
+		reg.GaugeFunc("collab_flight_requests", "finished requests retained by the flight ring",
 			func() float64 { return float64(s.flight.Len()) })
-		reg.GaugeFunc("collab_flight_capacity", "flight recorder ring capacity",
+		reg.GaugeFunc("collab_flight_capacity", "flight ring capacity",
 			func() float64 { return float64(s.flight.Cap()) })
-		reg.GaugeFunc("collab_flight_pending_evicted_total",
-			"in-flight request annotations discarded by the pending-map bound",
-			func() float64 { return float64(s.flight.PendingEvicted()) })
 	}
 	// Artifact lifecycle ledger: attach to the store (deriving rent rates
 	// from the tier profiles and seeding entries for recovered artifacts)
@@ -434,10 +424,7 @@ func (s *Server) initMetrics() {
 	if s.trace != nil {
 		reg.GaugeFunc("collab_trace_buffered_events", "events currently in the trace buffer",
 			func() float64 { return float64(s.trace.Len()) })
-		reg.GaugeFunc("collab_trace_dropped_events", "events dropped by the trace buffer cap",
-			func() float64 { return float64(s.trace.Dropped()) })
-		reg.GaugeFunc("collab_trace_dropped_total",
-			"events dropped by the trace buffer cap (conventionally-named alias)",
+		reg.GaugeFunc("collab_trace_dropped_total", "events overwritten by the trace buffer cap",
 			func() float64 { return float64(s.trace.Dropped()) })
 		reg.GaugeFunc("collab_trace_buffer_capacity", "trace buffer capacity (0 = unbounded)",
 			func() float64 { return float64(s.trace.Cap()) })
@@ -460,9 +447,9 @@ func (s *Server) Explain() *explain.Recorder { return s.explain }
 // non-nil), backing /v1/calibration and the collab_calib_* metrics.
 func (s *Server) Calibration() *calib.Collector { return s.calib }
 
-// Flight returns the request flight recorder backing /v1/requests, or nil
-// when recording is disabled.
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
+// Flight returns the ring of finished requests backing /v1/requests, or
+// nil when recording is disabled.
+func (s *Server) Flight() *obs.Ring[obs.Request] { return s.flight }
 
 // Clients returns the per-client attribution table backing /v1/clients, or
 // nil when attribution is disabled.
@@ -518,18 +505,15 @@ func (s *Server) Ready() error {
 	return nil
 }
 
-// ReportRun implements RunReporter: it buffers the client's run summary
-// until the matching UpdateReq folds it into that request's scorecard.
-func (s *Server) ReportRun(run calib.ClientRun, requestID string) {
-	if requestID == "" {
-		return
-	}
-	release, _ := s.lockSection("report", requestID)
-	defer release()
-	if len(s.pendingRuns) >= maxPendingRuns {
-		clear(s.pendingRuns)
-	}
-	s.pendingRuns[requestID] = run
+// ObserveRequest emits one finished request record, once, from the edge
+// that created it: the flight ring retains a sequence-stamped copy and the
+// per-client table folds it into its caller's row.
+func (s *Server) ObserveRequest(req *obs.Request) {
+	s.flight.AddSeq(func(seq int64) obs.Request {
+		req.Seq = seq
+		return *req
+	})
+	s.clients.Observe(req)
 }
 
 // Timings returns the accumulated reuse-planning and materialization
@@ -566,27 +550,13 @@ func (s *Server) UpdateCount() int64 { return s.metrics.updateTotal.Value() }
 // Budget returns the materialization budget in bytes.
 func (s *Server) Budget() int64 { return s.budget }
 
-// Fetch implements ArtifactSource against the server's local store.
-func (s *Server) Fetch(id string) graph.Artifact { return s.Store.Get(id) }
-
-// LoadCostOf implements ArtifactSource using the store's cost profile.
-func (s *Server) LoadCostOf(sizeBytes int64) time.Duration {
-	return s.Store.Profile().LoadCost(sizeBytes)
-}
-
-// FetchTiered implements TieredFetcher: the returned load cost is priced
-// with the profile of the tier that actually served the artifact (a disk
-// hit costs disk speed even though the access also promotes the artifact
-// into memory).
-func (s *Server) FetchTiered(id string) (graph.Artifact, string, time.Duration) {
-	return s.FetchTieredReq(id, "")
-}
-
-// FetchTieredReq implements RequestTieredFetcher: the fetch (and any
-// promotion it causes) is attributed to the given request ID on the
-// artifact ledger.
-func (s *Server) FetchTieredReq(id, requestID string) (graph.Artifact, string, time.Duration) {
-	a, tr := s.Store.GetTieredReq(id, requestID)
+// FetchTiered implements ArtifactSource against the server's local store:
+// the returned load cost is priced with the profile of the tier that
+// actually served the artifact (a disk hit costs disk speed even though the
+// access also promotes the artifact into memory), and that promotion is
+// attributed to the request on the artifact ledger.
+func (s *Server) FetchTiered(id string, req *obs.Request) (graph.Artifact, string, time.Duration) {
+	a, tr := s.Store.GetTieredReq(id, req.ID())
 	if a == nil {
 		return nil, "", 0
 	}
@@ -616,15 +586,12 @@ type Optimization struct {
 
 // Optimize runs the reuse planner on a pruned workload DAG (Figure 2,
 // step 3) and searches warmstart donors for eligible training operations.
-func (s *Server) Optimize(w *graph.DAG) *Optimization { return s.OptimizeReq(w, "") }
-
-// OptimizeReq is Optimize carrying a client-generated request ID, attached
-// to the trace span, the log line, and the explain record so one grep
-// correlates the request end-to-end. An empty ID leaves the records
-// untagged.
-func (s *Server) OptimizeReq(w *graph.DAG, requestID string) *Optimization {
-	release, lockWait := s.lockSection("optimize", requestID)
-	defer release()
+// The request's ID is attached to the trace span, the log line, and the
+// explain record so one grep correlates the request end-to-end; its plan
+// facts and lock wait are written into req (nil: an untagged caller).
+func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
+	req = untagged(req)
+	defer s.lockSection("optimize", req)()
 	sw := obs.StartTimer()
 	costs := reuse.GatherCosts(w, s.EG, s.Store)
 	plan := s.planner.Plan(w, costs)
@@ -644,31 +611,21 @@ func (s *Server) OptimizeReq(w *graph.DAG, requestID string) *Optimization {
 	m.planPrunedCost.Add(int64(plan.Stats.PrunedByCost))
 	m.planPrunedNoMat.Add(int64(plan.Stats.PrunedNotMaterialized))
 	m.warmstartsFound.Add(int64(len(ws)))
-	if s.flight != nil && requestID != "" {
-		s.flight.Annotate(requestID, obs.RequestAnnotation{
-			Vertices:      w.Len(),
-			Reused:        len(plan.Reuse),
-			Computes:      plan.Stats.Computes,
-			Warmstarts:    len(ws),
-			PlanNanos:     overhead.Nanoseconds(),
-			LockWaitNanos: lockWait.Nanoseconds(),
-		})
-	}
+	req.Vertices = w.Len()
+	req.Reused = len(plan.Reuse)
+	req.Computes = plan.Stats.Computes
+	req.Warmstarts = len(ws)
+	req.PlanNanos += overhead.Nanoseconds()
 	if s.explain != nil {
-		s.explain.Add(explain.BuildOptimize(w, costs, plan, s.planner.Name(), requestID, ws))
+		s.explain.Add(explain.BuildOptimize(w, costs, plan, s.planner.Name(), req.RequestID, ws))
 	}
 	if s.trace != nil {
-		args := map[string]any{
-			"vertices": w.Len(), "reuse": len(plan.Reuse), "warmstarts": len(ws),
-		}
-		if requestID != "" {
-			args[obs.RequestIDKey] = requestID
-		}
-		s.trace.Span("optimize", "server", 0, sw.StartedAt(), overhead, args)
+		s.trace.Span("optimize", "server", 0, sw.StartedAt(), overhead,
+			tagged(req, map[string]any{"vertices": w.Len(), "reuse": len(plan.Reuse), "warmstarts": len(ws)}))
 	}
 	if s.log != nil {
 		s.log.Info("optimize",
-			slog.String(obs.RequestIDKey, requestID),
+			slog.String(obs.RequestIDKey, req.RequestID),
 			slog.String("planner", s.planner.Name()),
 			slog.Int("vertices", w.Len()),
 			slog.Int("reuse", len(plan.Reuse)),
@@ -682,21 +639,23 @@ func (s *Server) OptimizeReq(w *graph.DAG, requestID string) *Optimization {
 // Update is the server's updater (Figure 2, step 5): it merges the
 // executed DAG into EG, stores missing source artifacts unconditionally,
 // re-runs the materialization strategy under the budget, and applies the
-// selection to the store (storing newly selected artifacts whose content
-// is at hand and evicting deselected ones).
-func (s *Server) Update(executed *graph.DAG) { s.UpdateReq(executed, "") }
-
-// UpdateReq is Update carrying a client-generated request ID for
-// correlation (see OptimizeReq).
-func (s *Server) UpdateReq(executed *graph.DAG, requestID string) {
-	release, lockWait := s.lockSection("update", requestID)
-	defer release()
+// selection to the store — storing newly selected artifacts whose content
+// the DAG carries and evicting deselected ones. It returns the vertex IDs
+// whose content it wants and does not have (the newly selected artifacts
+// plus any missing raw sources): always empty for an in-process run, the
+// upload list of the remote protocol when the DAG arrived as meta-data.
+//
+// run, when non-nil, is the client's post-execution summary, folded into
+// the request's calibration scorecard. The executed DAG's shape and the
+// lock wait are written into req (nil: an untagged caller).
+func (s *Server) Update(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) (want []string) {
+	req = untagged(req)
+	defer s.lockSection("update", req)()
 	sw := obs.StartTimer()
 
 	// Calibration reads EG predictions, so it must run before Merge
 	// refreshes them with this run's measurements.
-	sc := s.observeExecutionLocked(executed, requestID)
-	s.annotateUpdateLocked(executed, requestID, lockWait)
+	sc := s.observeExecutionLocked(executed, req, run)
 
 	s.EG.Merge(executed)
 
@@ -708,20 +667,18 @@ func (s *Server) UpdateReq(executed *graph.DAG, requestID string) {
 			available[n.ID] = n.Content
 		}
 	}
-	s.applySelectionLocked(available, touched, requestID, sc)
+	want = s.applySelectionLocked(available, touched, req, sc)
 	s.EG.Prune(s.prune)
 	s.metrics.updateTotal.Inc()
 	if s.trace != nil {
-		args := map[string]any{"vertices": executed.Len()}
-		if requestID != "" {
-			args[obs.RequestIDKey] = requestID
-		}
-		s.trace.Span("update", "server", 0, sw.StartedAt(), sw.Elapsed(), args)
+		s.trace.Span("update", "server", 0, sw.StartedAt(), sw.Elapsed(),
+			tagged(req, map[string]any{"vertices": executed.Len(), "want": len(want)}))
 	}
 	if s.log != nil {
 		attrs := []any{
-			slog.String(obs.RequestIDKey, requestID),
+			slog.String(obs.RequestIDKey, req.RequestID),
 			slog.Int("vertices", executed.Len()),
+			slog.Int("want", len(want)),
 			slog.Duration("elapsed", sw.Elapsed()),
 		}
 		if sc != nil {
@@ -730,51 +687,6 @@ func (s *Server) UpdateReq(executed *graph.DAG, requestID string) {
 				slog.Float64("est_saved_sec", sc.EstimatedSavedSec))
 		}
 		s.log.Info("update", attrs...)
-	}
-}
-
-// UpdateMeta is the remote (two-phase) variant of Update: the DAG carries
-// only meta-data, no content. It merges and runs the materializer, then
-// returns the vertex IDs whose content the server wants the client to
-// upload via PutArtifact — the newly selected artifacts plus any missing
-// raw sources.
-func (s *Server) UpdateMeta(executed *graph.DAG) (want []string) {
-	return s.UpdateMetaReq(executed, "")
-}
-
-// UpdateMetaReq is UpdateMeta carrying a client-generated request ID for
-// correlation (see OptimizeReq).
-func (s *Server) UpdateMetaReq(executed *graph.DAG, requestID string) (want []string) {
-	release, lockWait := s.lockSection("update", requestID)
-	defer release()
-	sw := obs.StartTimer()
-
-	// Calibration reads EG predictions, so it must run before Merge
-	// refreshes them with this run's measurements.
-	sc := s.observeExecutionLocked(executed, requestID)
-	s.annotateUpdateLocked(executed, requestID, lockWait)
-
-	s.EG.Merge(executed)
-	touched := make([]string, 0, executed.Len())
-	for _, n := range executed.Nodes() {
-		touched = append(touched, n.ID)
-	}
-	want = s.applySelectionLocked(nil, touched, requestID, sc)
-	s.EG.Prune(s.prune)
-	s.metrics.updateTotal.Inc()
-	if s.trace != nil {
-		args := map[string]any{"vertices": executed.Len(), "want": len(want)}
-		if requestID != "" {
-			args[obs.RequestIDKey] = requestID
-		}
-		s.trace.Span("update-meta", "server", 0, sw.StartedAt(), sw.Elapsed(), args)
-	}
-	if s.log != nil {
-		s.log.Info("update-meta",
-			slog.String(obs.RequestIDKey, requestID),
-			slog.Int("vertices", executed.Len()),
-			slog.Int("want", len(want)),
-			slog.Duration("elapsed", sw.Elapsed()))
 	}
 	return want
 }
@@ -785,10 +697,14 @@ func (s *Server) UpdateMetaReq(executed *graph.DAG, requestID string) (want []st
 // predictions the planner used; after Merge they are this run's
 // measurements and the comparison would be vacuous.
 //
+// It also writes what the update knows of the run into the request record:
+// how many vertices merged and how many the client loaded from EG.
+//
 // Returns nil when the run carried no measurements at all (clients
 // running WithCalibration(false), or pre-measurement clients) so callers
 // can skip scorecard plumbing.
-func (s *Server) observeExecutionLocked(executed *graph.DAG, requestID string) *calib.Scorecard {
+func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) *calib.Scorecard {
+	requestID := req.RequestID
 	var (
 		reused, execCount int
 		fetchTotal        time.Duration
@@ -839,75 +755,38 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, requestID string) *
 			s.calib.ObserveCompute(op, v.ComputeTime, n.ComputeTime)
 		}
 	}
-	run, hasRun := calib.ClientRun{}, false
-	if requestID != "" {
-		if run, hasRun = s.pendingRuns[requestID]; hasRun {
-			delete(s.pendingRuns, requestID)
-		}
-	}
-	if !measured && !hasRun {
+	req.Vertices, req.Reused = executed.Len(), reused
+	if !measured && run == nil {
 		return nil
 	}
 	sc := calib.NewScorecard(requestID, reused, execCount, recreation, fetchTotal, computeTotal)
-	if hasRun {
+	if run != nil {
 		sc.WallSec = run.WallTime.Seconds()
 	}
 	s.calib.RecordScorecard(sc)
 	return &sc
 }
 
-// annotateUpdateLocked contributes the executed DAG's shape to the flight
-// recorder entry of the in-flight update request. The optimize phase of
-// the same run recorded its own summary already (separate HTTP request),
-// so this annotation only carries what the update knows: how many
-// vertices merged and how many the client actually loaded from EG.
-func (s *Server) annotateUpdateLocked(executed *graph.DAG, requestID string, lockWait time.Duration) {
-	if s.flight == nil || requestID == "" {
-		return
-	}
-	reused := 0
-	for _, n := range executed.Nodes() {
-		if n.LoadedFromEG {
-			reused++
-		}
-	}
-	s.flight.Annotate(requestID, obs.RequestAnnotation{
-		Vertices:      executed.Len(),
-		Reused:        reused,
-		LockWaitNanos: lockWait.Nanoseconds(),
-	})
-}
-
 // PutArtifact stores uploaded content for a vertex and marks it
-// materialized. It is the upload half of the remote update protocol.
-func (s *Server) PutArtifact(id string, a graph.Artifact) error {
-	return s.PutArtifactReq(id, a, "")
+// materialized. It is the upload half of the remote update protocol; the
+// lock wait of the upload lands on the request that suffered it.
+func (s *Server) PutArtifact(id string, a graph.Artifact, req *obs.Request) error {
+	return s.materialize(id, req, func() error { return s.Store.PutReq(id, a, req.ID()) })
 }
 
-// PutArtifactReq is PutArtifact carrying a client-generated request ID so
-// the lock wait of an upload is attributed to the request that suffered it
-// (see OptimizeReq).
-func (s *Server) PutArtifactReq(id string, a graph.Artifact, requestID string) error {
-	return s.materializeReq(id, requestID, func() error { return s.Store.PutReq(id, a, requestID) })
-}
-
-// PutFrameRefReq is PutArtifactReq for a dataset uploaded by reference: its
+// PutFrameRef is PutArtifact for a dataset uploaded by reference: its
 // manifest plus the columns the store does not hold (store.PutFrameRef,
 // whose ErrColumnAbsent and ErrBadManifest pass through unwrapped).
-func (s *Server) PutFrameRefReq(id string, colIDs, names []string, cols []*data.Column, requestID string) error {
-	return s.materializeReq(id, requestID, func() error {
-		return s.Store.PutFrameRef(id, colIDs, names, cols, requestID)
+func (s *Server) PutFrameRef(id string, colIDs, names []string, cols []*data.Column, req *obs.Request) error {
+	return s.materialize(id, req, func() error {
+		return s.Store.PutFrameRef(id, colIDs, names, cols, req.ID())
 	})
 }
 
-// materializeReq runs one store admission inside the "materialize" lock
+// materialize runs one store admission inside the "materialize" lock
 // section and marks the vertex materialized when it succeeds.
-func (s *Server) materializeReq(id, requestID string, put func() error) error {
-	release, lockWait := s.lockSection("materialize", requestID)
-	defer release()
-	if s.flight != nil && requestID != "" {
-		s.flight.Annotate(requestID, obs.RequestAnnotation{LockWaitNanos: lockWait.Nanoseconds()})
-	}
+func (s *Server) materialize(id string, req *obs.Request, put func() error) error {
+	defer s.lockSection("materialize", untagged(req))()
 	if err := put(); err != nil {
 		return err
 	}
@@ -919,7 +798,8 @@ func (s *Server) materializeReq(id, requestID string, put func() error) error {
 // applies it to the store using the contents in available, and returns the
 // desired-but-missing vertex IDs. Strategies supporting the §5.2
 // incremental fast path receive the touched vertex IDs.
-func (s *Server) applySelectionLocked(available map[string]graph.Artifact, touched []string, requestID string, sc *calib.Scorecard) (want []string) {
+func (s *Server) applySelectionLocked(available map[string]graph.Artifact, touched []string, req *obs.Request, sc *calib.Scorecard) (want []string) {
+	requestID := req.RequestID
 	// Task one: every raw source artifact is stored, outside the budget.
 	sources := make(map[string]bool)
 	for _, id := range s.EG.Sources() {
@@ -957,11 +837,8 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, touch
 		s.explain.Add(rec)
 	}
 	if s.trace != nil {
-		args := map[string]any{"selected": len(desired)}
-		if requestID != "" {
-			args[obs.RequestIDKey] = requestID
-		}
-		s.trace.Span("materialize", "server", 0, matSW.StartedAt(), matElapsed, args)
+		s.trace.Span("materialize", "server", 0, matSW.StartedAt(), matElapsed,
+			tagged(req, map[string]any{"selected": len(desired)}))
 	}
 
 	desiredSet := make(map[string]bool, len(desired))

@@ -71,7 +71,7 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 		lat := make([]time.Duration, 5)
 		for k := range lat {
 			start := time.Now()
-			srv.Optimize(probe.DAG)
+			srv.Optimize(probe.DAG, nil)
 			lat[k] = time.Since(start)
 		}
 		opt := median(lat)

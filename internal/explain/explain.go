@@ -14,12 +14,12 @@ package explain
 import (
 	"math"
 	"strconv"
-	"sync"
 
 	"repro/internal/calib"
 	"repro/internal/cost"
 	"repro/internal/eg"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/reuse"
 )
 
@@ -327,10 +327,7 @@ func vertexSize(g *eg.Graph, id string) int64 {
 // which is the disabled fast path — callers guard record construction
 // behind a nil check so disabled explain costs zero allocations.
 type Recorder struct {
-	mu   sync.Mutex
-	capN int
-	seq  int64
-	recs []*Record
+	recs *obs.Ring[*Record]
 }
 
 // DefaultCapacity bounds a NewRecorder(0) ring.
@@ -342,11 +339,8 @@ func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultCapacity
 	}
-	return &Recorder{capN: n}
+	return &Recorder{recs: obs.NewRing[*Record](n)}
 }
-
-// Enabled reports whether the recorder is non-nil.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Add stamps the record's sequence number and appends it, evicting the
 // oldest record beyond capacity.
@@ -354,28 +348,19 @@ func (r *Recorder) Add(rec *Record) {
 	if r == nil || rec == nil {
 		return
 	}
-	r.mu.Lock()
-	r.seq++
-	rec.Seq = r.seq
-	r.recs = append(r.recs, rec)
-	if len(r.recs) > r.capN {
-		over := len(r.recs) - r.capN
-		r.recs = append(r.recs[:0], r.recs[over:]...)
-	}
-	r.mu.Unlock()
+	r.recs.AddSeq(func(seq int64) *Record {
+		rec.Seq = seq
+		return rec
+	})
 }
 
 // Last returns the most recent record of the given kind ("optimize" or
 // "update"; "" matches any), or nil.
 func (r *Recorder) Last(kind string) *Record {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.recs) - 1; i >= 0; i-- {
-		if kind == "" || r.recs[i].Kind == kind {
-			return r.recs[i]
+	recs := r.Records()
+	for i := len(recs) - 1; i >= 0; i-- {
+		if kind == "" || recs[i].Kind == kind {
+			return recs[i]
 		}
 	}
 	return nil
@@ -386,23 +371,17 @@ func (r *Recorder) Records() []*Record {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Record, len(r.recs))
-	copy(out, r.recs)
-	return out
+	return r.recs.Snapshot()
 }
 
 // ByRequest returns all retained records carrying the given request ID,
 // oldest first — the correlated trail of one workload run.
 func (r *Recorder) ByRequest(id string) []*Record {
-	if r == nil || id == "" {
+	if id == "" {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []*Record
-	for _, rec := range r.recs {
+	for _, rec := range r.Records() {
 		if rec.RequestID == id {
 			out = append(out, rec)
 		}

@@ -1,26 +1,18 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 
 	"repro/internal/eg"
+	"repro/internal/obs"
 )
 
 // WriteJSON renders the record as indented, byte-stable JSON: struct field
 // order is fixed, vertex slices are pre-sorted at build time, and Cost
 // formatting is deterministic.
-func (r *Record) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
+func (r *Record) WriteJSON(w io.Writer) error { return obs.WriteJSON(w, r) }
 
 // WriteText renders the record as a fixed-width human-readable report.
 func (r *Record) WriteText(w io.Writer) error {

@@ -252,7 +252,7 @@ func seed(serverURL string, rows int, seedVal int64) (*payloads, error) {
 	// IDs the server can serve — the artifact-fetch op's targets. It is
 	// asked as another collaborator: rc's session store holds the whole
 	// pipeline by now, and its plan would load nothing.
-	opt, err := remote.NewClient(serverURL, cost.Remote()).OptimizeE(seedPipeline(frame))
+	opt, err := remote.NewClient(serverURL, cost.Remote()).OptimizeE(seedPipeline(frame), nil)
 	if err != nil {
 		return nil, fmt.Errorf("seed optimize: %w", err)
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -89,9 +88,6 @@ func NewClientTable(n int) *ClientTable {
 	return &ClientTable{capN: n, m: make(map[string]*ClientStats)}
 }
 
-// Enabled reports whether the table is non-nil.
-func (t *ClientTable) Enabled() bool { return t != nil }
-
 // Cap returns the distinct-client capacity.
 func (t *ClientTable) Cap() int {
 	if t == nil {
@@ -111,13 +107,14 @@ func (t *ClientTable) Len() int {
 	return len(t.m)
 }
 
-// Observe folds one finished request into the client's row. Unknown
+// Observe folds one finished request into its client's row. Unknown
 // clients beyond the capacity land in the overflow bucket; an empty
 // client label is recorded as "unknown".
-func (t *ClientTable) Observe(client string, s RequestSummary) {
+func (t *ClientTable) Observe(s *Request) {
 	if t == nil {
 		return
 	}
+	client := s.Client
 	if client == "" {
 		client = "unknown"
 	}
@@ -174,22 +171,18 @@ func (t *ClientTable) WriteJSON(w io.Writer) error {
 	if rows == nil {
 		rows = []ClientStats{}
 	}
-	blob, err := json.MarshalIndent(clientsExport{Count: len(rows), Clients: rows}, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	_, err = w.Write(blob)
-	return err
+	return WriteJSON(w, clientsExport{Count: len(rows), Clients: rows})
 }
 
 // WriteText renders the table as a fixed-width text report.
-func (t *ClientTable) WriteText(w io.Writer) {
-	rows := t.Snapshot()
-	fmt.Fprintf(w, "%-24s %8s %6s %14s %12s %12s %14s %12s\n",
+func (t *ClientTable) WriteText(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-24s %8s %6s %14s %12s %12s %14s %12s\n",
 		"CLIENT", "REQS", "ERRS", "WALL_NS", "BYTES_IN", "BYTES_OUT", "LOCKWAIT_NS", "PLAN_NS")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-24s %8d %6d %14d %12d %12d %14d %12d\n",
+	for _, r := range t.Snapshot() {
+		fmt.Fprintf(&b, "%-24s %8d %6d %14d %12d %12d %14d %12d\n",
 			r.Client, r.Requests, r.Errors, r.WallNS, r.BytesIn, r.BytesOut, r.LockWaitNS, r.PlanNS)
 	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }

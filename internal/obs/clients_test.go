@@ -12,9 +12,9 @@ import (
 
 func TestClientTableAccumulates(t *testing.T) {
 	ct := NewClientTable(8)
-	ct.Observe("alice", RequestSummary{Status: 200, WallNanos: 100, BytesIn: 10, BytesOut: 20, LockWaitNanos: 5, PlanNanos: 7})
-	ct.Observe("alice", RequestSummary{Status: 500, WallNanos: 50})
-	ct.Observe("bob", RequestSummary{Status: 200, WallNanos: 30})
+	ct.Observe(&Request{Client: "alice", Status: 200, WallNanos: 100, BytesIn: 10, BytesOut: 20, LockWaitNanos: 5, PlanNanos: 7})
+	ct.Observe(&Request{Client: "alice", Status: 500, WallNanos: 50})
+	ct.Observe(&Request{Client: "bob", Status: 200, WallNanos: 30})
 	rows := ct.Snapshot()
 	if len(rows) != 2 {
 		t.Fatalf("snapshot has %d rows, want 2", len(rows))
@@ -32,7 +32,7 @@ func TestClientTableAccumulates(t *testing.T) {
 func TestClientTableBounded(t *testing.T) {
 	ct := NewClientTable(3)
 	for i := 0; i < 10; i++ {
-		ct.Observe(fmt.Sprintf("client-%d", i), RequestSummary{Status: 200, WallNanos: 1})
+		ct.Observe(&Request{Client: fmt.Sprintf("client-%d", i), Status: 200, WallNanos: 1})
 	}
 	if ct.Len() != 4 { // 3 tracked + overflow bucket
 		t.Fatalf("table has %d rows, want 4 (cap 3 + overflow)", ct.Len())
@@ -51,15 +51,15 @@ func TestClientTableBounded(t *testing.T) {
 
 func TestClientTableNilAndEmpty(t *testing.T) {
 	var ct *ClientTable
-	ct.Observe("x", RequestSummary{}) // must not panic
-	if ct.Enabled() || ct.Len() != 0 || ct.Snapshot() != nil {
+	ct.Observe(&Request{Client: "x"}) // must not panic
+	if ct.Len() != 0 || ct.Snapshot() != nil {
 		t.Fatal("nil table must be inert")
 	}
 	ct = NewClientTable(0)
 	if ct.Cap() != DefaultClientCap {
 		t.Fatalf("default cap = %d, want %d", ct.Cap(), DefaultClientCap)
 	}
-	ct.Observe("", RequestSummary{Status: 200})
+	ct.Observe(&Request{Status: 200})
 	if rows := ct.Snapshot(); len(rows) != 1 || rows[0].Client != "unknown" {
 		t.Fatalf("empty client label rows = %+v, want one 'unknown' row", rows)
 	}
@@ -73,7 +73,7 @@ func TestClientTableConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				ct.Observe(fmt.Sprintf("client-%d", g%6), RequestSummary{Status: 200, WallNanos: 1})
+				ct.Observe(&Request{Client: fmt.Sprintf("client-%d", g%6), Status: 200, WallNanos: 1})
 			}
 		}(g)
 	}
@@ -106,9 +106,9 @@ func TestSanitizeClientID(t *testing.T) {
 // TestClientsGolden pins the /v1/clients JSON contract byte-for-byte.
 func TestClientsGolden(t *testing.T) {
 	ct := NewClientTable(8)
-	ct.Observe("alice", RequestSummary{Status: 200, WallNanos: 1200000, BytesIn: 512, BytesOut: 2048, LockWaitNanos: 40000, PlanNanos: 300000})
-	ct.Observe("alice", RequestSummary{Status: 200, WallNanos: 800000, BytesIn: 256, BytesOut: 1024})
-	ct.Observe("10.0.0.7", RequestSummary{Status: 404, WallNanos: 90000, BytesOut: 19})
+	ct.Observe(&Request{Client: "alice", Status: 200, WallNanos: 1200000, BytesIn: 512, BytesOut: 2048, LockWaitNanos: 40000, PlanNanos: 300000})
+	ct.Observe(&Request{Client: "alice", Status: 200, WallNanos: 800000, BytesIn: 256, BytesOut: 1024})
+	ct.Observe(&Request{Client: "10.0.0.7", Status: 404, WallNanos: 90000, BytesOut: 19})
 	var buf bytes.Buffer
 	if err := ct.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strings"
 )
 
 // This file is the critical-path analyzer: given the recorded trace of a
@@ -232,19 +232,12 @@ func AnalyzeCritPath(events []TraceEvent, requestID string, topK int) CritPathRe
 }
 
 // WriteJSON renders the report as byte-stable indented JSON.
-func (r CritPathReport) WriteJSON(w io.Writer) error {
-	blob, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	_, err = w.Write(blob)
-	return err
-}
+func (r CritPathReport) WriteJSON(w io.Writer) error { return WriteJSON(w, r) }
 
 // WriteText renders the report as a fixed-width text breakdown. All
 // figures are integer nanoseconds, so output is byte-stable.
-func (r CritPathReport) WriteText(w io.Writer) {
+func (r CritPathReport) WriteText(out io.Writer) error {
+	w := &strings.Builder{}
 	target := r.RequestID
 	if target == "" {
 		target = "(all spans)"
@@ -271,4 +264,6 @@ func (r CritPathReport) WriteText(w io.Writer) {
 			fmt.Fprintf(w, "  +%-12d %-28s %-10s %12d ns\n", v.StartNS, v.Name, v.Cat, v.PathNS)
 		}
 	}
+	_, err := io.WriteString(out, w.String())
+	return err
 }

@@ -2,30 +2,38 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
-	"sync"
+	"strings"
 	"time"
 )
 
-// RequestSummary is one completed request as retained by the flight
-// recorder: transport facts filled by the HTTP middleware plus optimizer
-// enrichment contributed by the optimize/update paths. Field order is the
-// JSON contract — WriteJSON output is byte-stable for a fixed ring state,
-// and a golden test pins it.
-type RequestSummary struct {
+// Request is the one record of a request. The edge that receives the
+// request creates it (the HTTP middleware, or core.Client.Run in process),
+// it travels as an argument through the server's optimize, update, fetch
+// and upload methods, which fill the optimizer facts in place, and the edge
+// emits it once when the request finishes: the flight log (/v1/requests),
+// the per-client table (/v1/clients) and the access log are folds over that
+// one emission. Field order is the JSON contract — the /v1/requests
+// rendering is byte-stable for a fixed ring state, and a golden test pins
+// it.
+type Request struct {
 	Seq       int64  `json:"seq"`
 	RequestID string `json:"request_id"`
-	Method    string `json:"method"`
-	Route     string `json:"route"`
-	Status    int    `json:"status"`
+	// Client is the caller's attribution label (X-Collab-Client, else the
+	// remote address); it keys the per-client table and stays off the wire.
+	Client string `json:"-"`
+	Method string `json:"method"`
+	Route  string `json:"route"`
+	Status int    `json:"status"`
 	// StartUnixNano is the arrival wall-clock time; WallNanos the
 	// end-to-end handling time (integer nanoseconds keep the JSON exact).
 	StartUnixNano int64 `json:"start_unix_nano"`
 	WallNanos     int64 `json:"wall_ns"`
 	BytesIn       int64 `json:"bytes_in"`
 	BytesOut      int64 `json:"bytes_out"`
-	// Optimizer enrichment, populated via Annotate by the optimize and
-	// update paths; all zero for plain transport requests.
+	// Optimizer facts, written by core.Server; all zero for plain
+	// transport requests.
 	Vertices   int   `json:"vertices,omitempty"`
 	Reused     int   `json:"reuse,omitempty"`
 	Computes   int   `json:"computes,omitempty"`
@@ -36,175 +44,42 @@ type RequestSummary struct {
 	LockWaitNanos int64 `json:"lock_wait_ns,omitempty"`
 }
 
-// RequestAnnotation is the optimizer's contribution to a request summary,
-// keyed by request ID until the middleware records the finished request.
-type RequestAnnotation struct {
-	Vertices      int
-	Reused        int
-	Computes      int
-	Warmstarts    int
-	PlanNanos     int64
-	LockWaitNanos int64
+// ID returns the request's correlation ID; a nil record — a caller that
+// tagged nothing — has none.
+func (r *Request) ID() string {
+	if r == nil {
+		return ""
+	}
+	return r.RequestID
 }
 
-// RequestFilter selects summaries from the flight recorder. The zero
-// value selects everything.
+// DefaultFlightCap is how many finished requests a server's flight ring
+// retains unless told otherwise.
+const DefaultFlightCap = 256
+
+// RequestFilter selects records from the flight log. The zero value
+// selects everything.
 type RequestFilter struct {
-	// Route keeps only summaries with this exact route ("" keeps all).
+	// Route keeps only records with this exact route ("" keeps all).
 	Route string
-	// MinWall keeps only summaries at least this slow.
+	// MinWall keeps only requests at least this slow.
 	MinWall time.Duration
 	// Limit keeps only the most recent N matches (0 keeps all). Output
 	// order stays oldest-first regardless.
 	Limit int
 }
 
-// FlightRecorder is a bounded, race-safe ring of recent request
-// summaries — the serving tier's black box. The middleware records one
-// summary per finished request; the optimize/update paths enrich the
-// in-flight request via Annotate. A nil recorder records nothing and
-// serves empty snapshots, so callers hold it without guards.
-type FlightRecorder struct {
-	mu   sync.Mutex
-	capN int
-	seq  int64
-	buf  []RequestSummary // ring storage, len == capN once full
-	next int              // slot the next summary lands in
-	full bool
-	// pending holds annotations for requests still in flight, popped by
-	// Record. Bounded: an annotation whose request never finishes (client
-	// gone mid-handler) must not leak. pendingEvicted counts annotations
-	// discarded by that bound (exported as a /metrics gauge).
-	pending        map[string]RequestAnnotation
-	pendingEvicted int64
+// FlightReport is the /v1/requests view: the retained requests matching a
+// filter, oldest first.
+type FlightReport struct {
+	Count    int       `json:"count"`
+	Requests []Request `json:"requests"`
 }
 
-// DefaultFlightCap bounds a NewFlightRecorder(0) ring.
-const DefaultFlightCap = 256
-
-// maxPendingAnnotations bounds the in-flight annotation buffer; beyond it
-// the buffer is dropped wholesale (annotations for abandoned requests are
-// worthless, and inflight requests re-annotate on their next phase).
-const maxPendingAnnotations = 512
-
-// NewFlightRecorder returns a recorder retaining the last n summaries
-// (n <= 0 selects DefaultFlightCap).
-func NewFlightRecorder(n int) *FlightRecorder {
-	if n <= 0 {
-		n = DefaultFlightCap
-	}
-	return &FlightRecorder{capN: n, pending: make(map[string]RequestAnnotation)}
-}
-
-// Enabled reports whether the recorder is non-nil.
-func (f *FlightRecorder) Enabled() bool { return f != nil }
-
-// Cap returns the ring capacity.
-func (f *FlightRecorder) Cap() int {
-	if f == nil {
-		return 0
-	}
-	return f.capN
-}
-
-// Len returns the number of retained summaries.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.full {
-		return f.capN
-	}
-	return f.next
-}
-
-// Annotate attaches optimizer facts to the in-flight request with the
-// given ID; Record merges and clears them when the request finishes.
-// Empty IDs are ignored (nothing to correlate against).
-func (f *FlightRecorder) Annotate(requestID string, ann RequestAnnotation) {
-	if f == nil || requestID == "" {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.pending) >= maxPendingAnnotations {
-		f.pendingEvicted += int64(len(f.pending))
-		clear(f.pending)
-	}
-	f.pending[requestID] = ann
-}
-
-// PendingEvicted returns how many in-flight annotations the pending-map
-// bound has discarded over the recorder's lifetime.
-func (f *FlightRecorder) PendingEvicted() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pendingEvicted
-}
-
-// Record stamps the summary's sequence number, merges any pending
-// annotation for its request ID, and appends it to the ring (evicting the
-// oldest entry once full). It returns the merged summary so the caller
-// can feed downstream accounting (the per-client table) with the
-// annotation-enriched view.
-func (f *FlightRecorder) Record(s RequestSummary) RequestSummary {
-	if f == nil {
-		return s
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ann, ok := f.pending[s.RequestID]; ok {
-		delete(f.pending, s.RequestID)
-		s.Vertices = ann.Vertices
-		s.Reused = ann.Reused
-		s.Computes = ann.Computes
-		s.Warmstarts = ann.Warmstarts
-		s.PlanNanos = ann.PlanNanos
-		s.LockWaitNanos = ann.LockWaitNanos
-	}
-	f.seq++
-	s.Seq = f.seq
-	if f.buf == nil {
-		f.buf = make([]RequestSummary, 0, f.capN)
-	}
-	if !f.full {
-		f.buf = append(f.buf, s)
-		f.next++
-		if f.next == f.capN {
-			f.full, f.next = true, 0
-		}
-		return s
-	}
-	f.buf[f.next] = s
-	f.next++
-	if f.next == f.capN {
-		f.next = 0
-	}
-	return s
-}
-
-// Snapshot returns the retained summaries matching the filter, oldest
-// first. The result is a copy — safe to hold across further recording.
-func (f *FlightRecorder) Snapshot(filter RequestFilter) []RequestSummary {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ordered := make([]RequestSummary, 0, len(f.buf))
-	if f.full {
-		ordered = append(ordered, f.buf[f.next:]...)
-		ordered = append(ordered, f.buf[:f.next]...)
-	} else {
-		ordered = append(ordered, f.buf[:f.next]...)
-	}
-	matched := ordered[:0]
-	for _, s := range ordered {
+// NewFlightReport filters a flight-ring snapshot (oldest first) in place.
+func NewFlightReport(reqs []Request, filter RequestFilter) FlightReport {
+	matched := reqs[:0]
+	for _, s := range reqs {
 		if filter.Route != "" && s.Route != filter.Route {
 			continue
 		}
@@ -216,27 +91,43 @@ func (f *FlightRecorder) Snapshot(filter RequestFilter) []RequestSummary {
 	if filter.Limit > 0 && len(matched) > filter.Limit {
 		matched = matched[len(matched)-filter.Limit:]
 	}
-	return matched
-}
-
-// flightExport is the JSON envelope of WriteJSON / GET /v1/requests.
-type flightExport struct {
-	Count    int              `json:"count"`
-	Requests []RequestSummary `json:"requests"`
-}
-
-// WriteJSON renders the filtered snapshot as byte-stable JSON: an object
-// with the match count and the summaries oldest-first.
-func (f *FlightRecorder) WriteJSON(w io.Writer, filter RequestFilter) error {
-	reqs := f.Snapshot(filter)
-	if reqs == nil {
-		reqs = []RequestSummary{}
+	if matched == nil {
+		matched = []Request{}
 	}
-	blob, err := json.MarshalIndent(flightExport{Count: len(reqs), Requests: reqs}, "", "  ")
+	return FlightReport{Count: len(matched), Requests: matched}
+}
+
+// WriteJSON renders the report as byte-stable JSON.
+func (r FlightReport) WriteJSON(w io.Writer) error { return WriteJSON(w, r) }
+
+// WriteText renders one line per request, with the optimizer facts
+// appended where the request carried any.
+func (r FlightReport) WriteText(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d request(s)\n", r.Count)
+	for _, s := range r.Requests {
+		fmt.Fprintf(&b, "#%-5d %s %-6s %-15s %3d %8.2fms in=%-6d out=%-6d",
+			s.Seq, s.RequestID, s.Method, s.Route, s.Status,
+			float64(s.WallNanos)/float64(time.Millisecond), s.BytesIn, s.BytesOut)
+		if s.Vertices > 0 {
+			fmt.Fprintf(&b, "  vertices=%d reuse=%d computes=%d warmstarts=%d plan=%.2fms",
+				s.Vertices, s.Reused, s.Computes, s.Warmstarts,
+				float64(s.PlanNanos)/float64(time.Millisecond))
+		}
+		b.WriteByte('\n')
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// WriteJSON renders v as indented JSON ending in a newline — the one
+// rendering every report shares, byte-stable for a value whose field and
+// slice order are fixed.
+func WriteJSON(w io.Writer, v any) error {
+	blob, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	blob = append(blob, '\n')
-	_, err = w.Write(blob)
+	_, err = w.Write(append(blob, '\n'))
 	return err
 }

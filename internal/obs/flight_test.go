@@ -4,133 +4,91 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func TestFlightRecorderNilSafe(t *testing.T) {
-	var f *FlightRecorder
-	f.Record(RequestSummary{Route: "/v1/optimize"})
-	f.Annotate("abc", RequestAnnotation{Vertices: 3})
-	if f.Enabled() || f.Len() != 0 || f.Cap() != 0 {
-		t.Fatal("nil recorder should be disabled and empty")
+// emit retains a finished request the way core.Server.ObserveRequest does.
+func emit(ring *Ring[Request], req Request) {
+	ring.AddSeq(func(seq int64) Request {
+		req.Seq = seq
+		return req
+	})
+}
+
+func TestRequestIDNilSafe(t *testing.T) {
+	var req *Request
+	if req.ID() != "" {
+		t.Fatal("a nil record has no ID")
 	}
-	if got := f.Snapshot(RequestFilter{}); got != nil {
-		t.Fatalf("nil recorder snapshot = %v, want nil", got)
+	if (&Request{RequestID: "abc"}).ID() != "abc" {
+		t.Fatal("ID() should return the record's request ID")
 	}
+}
+
+// TestFlightReportDisabledRing: a nil ring (the surface switched off)
+// snapshots to nothing, and the report still renders an empty list.
+func TestFlightReportDisabledRing(t *testing.T) {
+	var ring *Ring[Request]
+	emit(ring, Request{Route: "/v1/optimize"})
 	var buf bytes.Buffer
-	if err := f.WriteJSON(&buf, RequestFilter{}); err != nil {
+	if err := NewFlightReport(ring.Snapshot(), RequestFilter{}).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFlightRecorderWraparound(t *testing.T) {
-	f := NewFlightRecorder(4)
-	for i := 1; i <= 10; i++ {
-		f.Record(RequestSummary{RequestID: fmt.Sprintf("r%02d", i), Route: "/v1/optimize"})
-	}
-	if f.Len() != 4 {
-		t.Fatalf("Len = %d, want 4 (capacity)", f.Len())
-	}
-	got := f.Snapshot(RequestFilter{})
-	if len(got) != 4 {
-		t.Fatalf("snapshot has %d entries, want 4", len(got))
-	}
-	for i, s := range got {
-		wantSeq := int64(7 + i)
-		wantID := fmt.Sprintf("r%02d", 7+i)
-		if s.Seq != wantSeq || s.RequestID != wantID {
-			t.Errorf("entry %d = seq %d id %s, want seq %d id %s",
-				i, s.Seq, s.RequestID, wantSeq, wantID)
-		}
+	if !strings.Contains(buf.String(), `"requests": []`) {
+		t.Fatalf("empty report should render an empty array, got:\n%s", buf.String())
 	}
 }
 
-func TestFlightRecorderAnnotationMerge(t *testing.T) {
-	f := NewFlightRecorder(8)
-	f.Annotate("req-1", RequestAnnotation{
-		Vertices: 5, Reused: 2, Computes: 3, Warmstarts: 1, PlanNanos: 42,
-	})
-	// A summary for a different request must not consume the annotation.
-	f.Record(RequestSummary{RequestID: "req-other", Route: "/v1/stats"})
-	f.Record(RequestSummary{RequestID: "req-1", Route: "/v1/optimize", Status: 200})
-	got := f.Snapshot(RequestFilter{Route: "/v1/optimize"})
-	if len(got) != 1 {
-		t.Fatalf("want 1 optimize summary, got %d", len(got))
-	}
-	s := got[0]
-	if s.Vertices != 5 || s.Reused != 2 || s.Computes != 3 || s.Warmstarts != 1 || s.PlanNanos != 42 {
-		t.Errorf("annotation not merged: %+v", s)
-	}
-	// The annotation is popped: a second request with the same ID stays bare.
-	f.Record(RequestSummary{RequestID: "req-1", Route: "/v1/update"})
-	upd := f.Snapshot(RequestFilter{Route: "/v1/update"})
-	if len(upd) != 1 || upd[0].Vertices != 0 {
-		t.Errorf("annotation should be consumed by the first Record: %+v", upd)
-	}
-}
-
-func TestFlightRecorderPendingBounded(t *testing.T) {
-	f := NewFlightRecorder(4)
-	for i := 0; i < maxPendingAnnotations+10; i++ {
-		f.Annotate(fmt.Sprintf("r%d", i), RequestAnnotation{Vertices: i})
-	}
-	f.mu.Lock()
-	n := len(f.pending)
-	f.mu.Unlock()
-	if n > maxPendingAnnotations {
-		t.Fatalf("pending annotations grew to %d, cap is %d", n, maxPendingAnnotations)
-	}
-}
-
-// TestFlightRecorderFilterDeterminism pins filter semantics: route match,
+// TestFlightReportFilterDeterminism pins filter semantics: route match,
 // min-latency cutoff, and limit keeping the most recent matches while
 // preserving oldest-first order.
-func TestFlightRecorderFilterDeterminism(t *testing.T) {
-	f := NewFlightRecorder(16)
+func TestFlightReportFilterDeterminism(t *testing.T) {
+	ring := NewRing[Request](16)
 	for i := 1; i <= 8; i++ {
 		route := "/v1/optimize"
 		if i%2 == 0 {
 			route = "/v1/update"
 		}
-		f.Record(RequestSummary{
+		emit(ring, Request{
 			RequestID: fmt.Sprintf("r%d", i),
 			Route:     route,
 			WallNanos: int64(i) * int64(time.Millisecond),
 		})
 	}
-	got := f.Snapshot(RequestFilter{Route: "/v1/optimize", MinWall: 3 * time.Millisecond, Limit: 2})
-	if len(got) != 2 {
-		t.Fatalf("filtered snapshot has %d entries, want 2", len(got))
+	filter := RequestFilter{Route: "/v1/optimize", MinWall: 3 * time.Millisecond, Limit: 2}
+	got := NewFlightReport(ring.Snapshot(), filter)
+	if got.Count != 2 || len(got.Requests) != 2 {
+		t.Fatalf("filtered report has %d entries, want 2", len(got.Requests))
 	}
-	if got[0].RequestID != "r5" || got[1].RequestID != "r7" {
-		t.Errorf("filtered = [%s %s], want [r5 r7]", got[0].RequestID, got[1].RequestID)
+	if got.Requests[0].RequestID != "r5" || got.Requests[1].RequestID != "r7" {
+		t.Errorf("filtered = [%s %s], want [r5 r7]", got.Requests[0].RequestID, got.Requests[1].RequestID)
+	}
+	if got.Requests[0].Seq != 5 || got.Requests[1].Seq != 7 {
+		t.Errorf("sequence numbers %d,%d; want 5,7", got.Requests[0].Seq, got.Requests[1].Seq)
 	}
 	// Same filter, same state → identical result (determinism).
-	again := f.Snapshot(RequestFilter{Route: "/v1/optimize", MinWall: 3 * time.Millisecond, Limit: 2})
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("snapshot not deterministic at %d: %+v vs %+v", i, got[i], again[i])
+	again := NewFlightReport(ring.Snapshot(), filter)
+	for i := range got.Requests {
+		if got.Requests[i] != again.Requests[i] {
+			t.Fatalf("report not deterministic at %d: %+v vs %+v", i, got.Requests[i], again.Requests[i])
 		}
 	}
 }
 
-// TestFlightRecorderJSONGolden pins the byte-exact /v1/requests JSON for a
+// TestFlightReportJSONGolden pins the byte-exact /v1/requests JSON for a
 // fixed ring state. Regenerate with -update when the contract changes
 // deliberately.
-func TestFlightRecorderJSONGolden(t *testing.T) {
-	f := NewFlightRecorder(8)
-	f.Annotate("aaaa000011112222", RequestAnnotation{
-		Vertices: 9, Reused: 4, Computes: 5, Warmstarts: 1, PlanNanos: 1500000,
-	})
-	f.Record(RequestSummary{
+func TestFlightReportJSONGolden(t *testing.T) {
+	ring := NewRing[Request](8)
+	emit(ring, Request{
 		RequestID:     "aaaa000011112222",
+		Client:        "analyst-1", // attribution label: never rendered
 		Method:        "POST",
 		Route:         "/v1/optimize",
 		Status:        200,
@@ -138,8 +96,9 @@ func TestFlightRecorderJSONGolden(t *testing.T) {
 		WallNanos:     2500000,
 		BytesIn:       512,
 		BytesOut:      128,
+		Vertices:      9, Reused: 4, Computes: 5, Warmstarts: 1, PlanNanos: 1500000,
 	})
-	f.Record(RequestSummary{
+	emit(ring, Request{
 		RequestID:     "bbbb000011112222",
 		Method:        "GET",
 		Route:         "/v1/stats",
@@ -148,8 +107,9 @@ func TestFlightRecorderJSONGolden(t *testing.T) {
 		WallNanos:     90000,
 		BytesOut:      640,
 	})
+	rep := NewFlightReport(ring.Snapshot(), RequestFilter{})
 	var buf bytes.Buffer
-	if err := f.WriteJSON(&buf, RequestFilter{}); err != nil {
+	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "flight_requests.json")
@@ -165,42 +125,16 @@ func TestFlightRecorderJSONGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("flight JSON drifted from golden file.\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
-}
 
-// TestFlightRecorderConcurrent hammers Record/Annotate/Snapshot/WriteJSON
-// from many goroutines; the -race run is the assertion.
-func TestFlightRecorderConcurrent(t *testing.T) {
-	f := NewFlightRecorder(32)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := fmt.Sprintf("g%d-%d", g, i)
-				f.Annotate(id, RequestAnnotation{Vertices: i})
-				f.Record(RequestSummary{RequestID: id, Route: "/v1/optimize", WallNanos: int64(i)})
-			}
-		}(g)
+	// The text rendering carries the optimizer facts only where there are any.
+	var text bytes.Buffer
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
 	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				_ = f.Snapshot(RequestFilter{Route: "/v1/optimize", Limit: 10})
-				_ = f.WriteJSON(io.Discard, RequestFilter{MinWall: time.Microsecond})
-			}
-		}()
-	}
-	wg.Wait()
-	if f.Len() != 32 {
-		t.Fatalf("Len = %d, want full ring (32)", f.Len())
-	}
-	snap := f.Snapshot(RequestFilter{})
-	for i := 1; i < len(snap); i++ {
-		if snap[i].Seq <= snap[i-1].Seq {
-			t.Fatalf("snapshot seq not strictly increasing: %d then %d", snap[i-1].Seq, snap[i].Seq)
-		}
+	lines := strings.Split(strings.TrimSpace(text.String()), "\n")
+	if len(lines) != 3 || lines[0] != "2 request(s)" ||
+		!strings.Contains(lines[1], "vertices=9 reuse=4 computes=5 warmstarts=1 plan=1.50ms") ||
+		strings.Contains(lines[2], "vertices=") {
+		t.Errorf("text rendering:\n%s", text.String())
 	}
 }

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -114,7 +114,7 @@ type ArtifactRecord struct {
 	NetSec      float64 `json:"net_sec"`
 	Quarantined bool    `json:"quarantined,omitempty"`
 	// Events is the recent event window, oldest first (bounded ring;
-	// Dropped counts what scrolled out).
+	// EventsDropped counts what scrolled out).
 	EventsDropped int64           `json:"events_dropped,omitempty"`
 	Events        []ArtifactEvent `json:"events"`
 }
@@ -183,10 +183,7 @@ type ledgerEntry struct {
 	savedSec                 float64
 	hold                     [2]tierHold // memory, disk
 
-	events        []ArtifactEvent // ring, len <= ledgerEventCap
-	next          int
-	full          bool
-	eventsDropped int64
+	events *Ring[ArtifactEvent] // the newest ledgerEventCap transitions
 }
 
 // ArtifactLedger is a bounded, race-safe per-artifact lifecycle and
@@ -224,9 +221,6 @@ func NewArtifactLedger(n int) *ArtifactLedger {
 	}
 }
 
-// Enabled reports whether the ledger is non-nil.
-func (l *ArtifactLedger) Enabled() bool { return l != nil }
-
 // Cap returns the distinct-artifact capacity.
 func (l *ArtifactLedger) Cap() int {
 	if l == nil {
@@ -235,9 +229,8 @@ func (l *ArtifactLedger) Cap() int {
 	return l.capN
 }
 
-// SetClock overrides the ledger's wall clock — deterministic tests and
-// the self-check scenario inject a scripted clock. Call before concurrent
-// use.
+// SetClock overrides the ledger's wall clock — deterministic tests inject
+// a scripted clock. Call before concurrent use.
 func (l *ArtifactLedger) SetClock(now func() time.Time) {
 	if l == nil || now == nil {
 		return
@@ -270,38 +263,24 @@ func (l *ArtifactLedger) entryLocked(id string) *ledgerEntry {
 			l.dropped++
 			return nil
 		}
-		e = &ledgerEntry{id: id}
+		e = &ledgerEntry{id: id, events: NewRing[ArtifactEvent](ledgerEventCap)}
 		l.m[id] = e
 	}
 	return e
 }
 
-// appendLocked stamps and appends one event to the entry's ring.
+// appendLocked stamps and appends one event to the entry's window.
 func (l *ArtifactLedger) appendLocked(e *ledgerEntry, kind, tier string, bytes int64, requestID string, now time.Time) {
 	l.seq++
 	l.eventCounts[kind]++
-	ev := ArtifactEvent{
+	e.events.Add(ArtifactEvent{
 		Seq:       l.seq,
 		Kind:      kind,
 		Tier:      tier,
 		Bytes:     bytes,
 		RequestID: requestID,
 		UnixNano:  now.UnixNano(),
-	}
-	if len(e.events) < ledgerEventCap {
-		e.events = append(e.events, ev)
-		e.next++
-		if e.next == ledgerEventCap {
-			e.full, e.next = true, 0
-		}
-		return
-	}
-	e.events[e.next] = ev
-	e.eventsDropped++
-	e.next++
-	if e.next == ledgerEventCap {
-		e.next = 0
-	}
+	})
 }
 
 // Event records one residency transition. kind is one of the Artifact*
@@ -466,14 +445,8 @@ func (l *ArtifactLedger) recordLocked(e *ledgerEntry, now time.Time) ArtifactRec
 		RentSec:       round9(rent),
 		NetSec:        round9(e.savedSec - rent),
 		Quarantined:   e.quarantined,
-		EventsDropped: e.eventsDropped,
-	}
-	rec.Events = make([]ArtifactEvent, 0, len(e.events))
-	if e.full {
-		rec.Events = append(rec.Events, e.events[e.next:]...)
-		rec.Events = append(rec.Events, e.events[:e.next]...)
-	} else {
-		rec.Events = append(rec.Events, e.events[:e.next]...)
+		EventsDropped: e.events.Dropped(),
+		Events:        e.events.Snapshot(),
 	}
 	return rec
 }
@@ -572,10 +545,22 @@ func (l *ArtifactLedger) Totals() (tracked int, saved, rent, net float64) {
 	return tracked, saved, rent, round9(saved - rent)
 }
 
-// ledgerExport is the JSON envelope of WriteJSON / GET /v1/artifacts.
-// count is the exported record count; tracked/saved_sec/rent_sec/net_sec
-// summarize the whole table (quarantined artifacts excluded from the
-// economics, see Totals).
+// ArtifactReport is the /v1/artifacts view: the ledger's records selected
+// and ordered by one query, rendered on demand.
+type ArtifactReport struct {
+	led *ArtifactLedger
+	q   ArtifactQuery
+}
+
+// Report binds a query to the ledger for rendering.
+func (l *ArtifactLedger) Report(q ArtifactQuery) ArtifactReport {
+	return ArtifactReport{led: l, q: q}
+}
+
+// ledgerExport is the JSON envelope of GET /v1/artifacts. count is the
+// exported record count; tracked/saved_sec/rent_sec/net_sec summarize the
+// whole table (quarantined artifacts excluded from the economics, see
+// Totals).
 type ledgerExport struct {
 	Count     int              `json:"count"`
 	Tracked   int              `json:"tracked"`
@@ -587,13 +572,14 @@ type ledgerExport struct {
 }
 
 // WriteJSON renders the selected records as byte-stable JSON.
-func (l *ArtifactLedger) WriteJSON(w io.Writer, q ArtifactQuery) error {
-	recs := l.Snapshot(q)
+func (rep ArtifactReport) WriteJSON(w io.Writer) error {
+	l := rep.led
+	recs := l.Snapshot(rep.q)
 	if recs == nil {
 		recs = []ArtifactRecord{}
 	}
 	_, saved, rent, net := l.Totals()
-	exp := ledgerExport{
+	return WriteJSON(w, ledgerExport{
 		Count:     len(recs),
 		Tracked:   l.Len(),
 		Dropped:   l.Dropped(),
@@ -601,14 +587,7 @@ func (l *ArtifactLedger) WriteJSON(w io.Writer, q ArtifactQuery) error {
 		RentSec:   rent,
 		NetSec:    net,
 		Artifacts: recs,
-	}
-	blob, err := json.MarshalIndent(exp, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	_, err = w.Write(blob)
-	return err
+	})
 }
 
 // topListTextK bounds the "top savers" / "top wasters" lists in the text
@@ -618,7 +597,9 @@ const topListTextK = 5
 // WriteText renders the selected records as a fixed-width report: the
 // aggregate economics, the per-artifact table, and top-saver/top-waster
 // lists by net benefit.
-func (l *ArtifactLedger) WriteText(w io.Writer, q ArtifactQuery) {
+func (rep ArtifactReport) WriteText(out io.Writer) error {
+	l, q := rep.led, rep.q
+	w := &strings.Builder{}
 	recs := l.Snapshot(q)
 	tracked, saved, rent, net := l.Totals()
 	quarantined := l.Len() - tracked
@@ -664,47 +645,6 @@ func (l *ArtifactLedger) WriteText(w io.Writer, q ArtifactQuery) {
 				i+1, r.ID, r.NetSec, r.SavedSec, r.RentSec, r.Reuse)
 		}
 	}
-}
-
-// SelfCheckLedger replays the canonical scripted artifact lifecycle —
-// materialize → three reuses → demote → disk hit with promotion → evict,
-// plus a quarantined artifact and an unmeasured reuse — against a fixed
-// clock and fixed rent rates. Its output is byte-stable by construction:
-// `collab artifacts -selfcheck` prints it, `make ledger-smoke` checks it
-// end to end through the CLI, and the golden tests pin the exact bytes.
-func SelfCheckLedger() *ArtifactLedger {
-	l := NewArtifactLedger(0)
-	now := time.Unix(1700000000, 0).UTC()
-	l.SetClock(func() time.Time { return now })
-	// A 100 MB/s tier with a 60 s horizon: 1 byte-second costs
-	// 1/(100e6*60) seconds of rent; memory is 10x cheaper.
-	l.SetRentRate("memory", 1.0/(1000e6*60))
-	l.SetRentRate("disk", 1.0/(100e6*60))
-
-	const mb = 1 << 20
-	l.Event("ds-features", ArtifactMaterialized, "memory", 4*mb, "req-001")
-	now = now.Add(10 * time.Second)
-	l.ObserveReuse("ds-features", "memory", 4*mb, 0.095, "req-002")
-	now = now.Add(5 * time.Second)
-	l.ObserveReuse("ds-features", "memory", 4*mb, 0.097, "req-003")
-	now = now.Add(5 * time.Second)
-	l.ObserveReuse("ds-features", "memory", 4*mb, 0.094, "req-004")
-	now = now.Add(10 * time.Second)
-	l.Event("ds-features", ArtifactDemoted, "disk", 4*mb, "")
-	now = now.Add(30 * time.Second)
-	l.ObserveReuse("ds-features", "disk", 4*mb, 0.061, "req-005")
-	l.Event("ds-features", ArtifactPromoted, "memory", 4*mb, "req-005")
-	now = now.Add(10 * time.Second)
-	l.Event("ds-features", ArtifactEvicted, "", 0, "")
-
-	l.Event("model-gbt", ArtifactMaterialized, "memory", 12*mb, "req-001")
-	now = now.Add(20 * time.Second)
-	l.ObserveReuse("model-gbt", "", 12*mb, 0, "req-006")
-	now = now.Add(10 * time.Second)
-	l.Event("model-gbt", ArtifactDemoted, "disk", 12*mb, "")
-
-	l.Event("ds-stale", ArtifactRecovered, "disk", 2*mb, "")
-	now = now.Add(30 * time.Second)
-	l.Event("ds-stale", ArtifactQuarantined, "disk", 0, "")
-	return l
+	_, err := io.WriteString(out, w.String())
+	return err
 }

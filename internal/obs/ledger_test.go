@@ -193,7 +193,7 @@ func TestLedgerNilAndDefaults(t *testing.T) {
 	l.ObserveReuse("x", "memory", 1, 1, "")
 	l.SetClock(time.Now)
 	l.SetRentRate("memory", 1)
-	if l.Enabled() || l.Len() != 0 || l.Cap() != 0 || l.Dropped() != 0 ||
+	if l.Len() != 0 || l.Cap() != 0 || l.Dropped() != 0 ||
 		l.Snapshot(ArtifactQuery{}) != nil || l.ReuseTotal() != 0 {
 		t.Fatal("nil ledger must be inert")
 	}
@@ -201,10 +201,12 @@ func TestLedgerNilAndDefaults(t *testing.T) {
 		t.Fatal("nil totals must be zero")
 	}
 	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf, ArtifactQuery{}); err != nil {
+	if err := l.Report(ArtifactQuery{}).WriteJSON(&buf); err != nil {
 		t.Fatalf("nil WriteJSON: %v", err)
 	}
-	l.WriteText(&buf, ArtifactQuery{})
+	if err := l.Report(ArtifactQuery{}).WriteText(&buf); err != nil {
+		t.Fatalf("nil WriteText: %v", err)
+	}
 
 	l = NewArtifactLedger(0)
 	if l.Cap() != DefaultLedgerCap {
@@ -250,7 +252,7 @@ func TestLedgerConcurrent(t *testing.T) {
 		t.Fatalf("tracked %d artifacts, want 4", l.Len())
 	}
 	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf, ArtifactQuery{}); err != nil {
+	if err := l.Report(ArtifactQuery{}).WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON after concurrency: %v", err)
 	}
 }
@@ -274,33 +276,70 @@ func TestLedgerReuseTotalAndEventCounts(t *testing.T) {
 	}
 }
 
-// TestSelfCheckLedgerGolden pins the byte-stable JSON and text renderings
-// of the canonical scripted lifecycle — the same output `collab artifacts
-// -selfcheck` prints and `make ledger-smoke` checks in CI.
-func TestSelfCheckLedgerGolden(t *testing.T) {
+// canonicalLedger replays the canonical scripted artifact lifecycle —
+// materialize → three reuses → demote → disk hit with promotion → evict,
+// plus a quarantined artifact and an unmeasured reuse — against a fixed
+// clock and fixed rent rates, so its renderings are byte-stable by
+// construction.
+func canonicalLedger() *ArtifactLedger {
+	l := NewArtifactLedger(0)
+	now := time.Unix(1700000000, 0).UTC()
+	l.SetClock(func() time.Time { return now })
+	// A 100 MB/s tier with a 60 s horizon: 1 byte-second costs
+	// 1/(100e6*60) seconds of rent; memory is 10x cheaper.
+	l.SetRentRate("memory", 1.0/(1000e6*60))
+	l.SetRentRate("disk", 1.0/(100e6*60))
+
+	const mb = 1 << 20
+	l.Event("ds-features", ArtifactMaterialized, "memory", 4*mb, "req-001")
+	now = now.Add(10 * time.Second)
+	l.ObserveReuse("ds-features", "memory", 4*mb, 0.095, "req-002")
+	now = now.Add(5 * time.Second)
+	l.ObserveReuse("ds-features", "memory", 4*mb, 0.097, "req-003")
+	now = now.Add(5 * time.Second)
+	l.ObserveReuse("ds-features", "memory", 4*mb, 0.094, "req-004")
+	now = now.Add(10 * time.Second)
+	l.Event("ds-features", ArtifactDemoted, "disk", 4*mb, "")
+	now = now.Add(30 * time.Second)
+	l.ObserveReuse("ds-features", "disk", 4*mb, 0.061, "req-005")
+	l.Event("ds-features", ArtifactPromoted, "memory", 4*mb, "req-005")
+	now = now.Add(10 * time.Second)
+	l.Event("ds-features", ArtifactEvicted, "", 0, "")
+
+	l.Event("model-gbt", ArtifactMaterialized, "memory", 12*mb, "req-001")
+	now = now.Add(20 * time.Second)
+	l.ObserveReuse("model-gbt", "", 12*mb, 0, "req-006")
+	now = now.Add(10 * time.Second)
+	l.Event("model-gbt", ArtifactDemoted, "disk", 12*mb, "")
+
+	l.Event("ds-stale", ArtifactRecovered, "disk", 2*mb, "")
+	now = now.Add(30 * time.Second)
+	l.Event("ds-stale", ArtifactQuarantined, "disk", 0, "")
+	return l
+}
+
+// TestCanonicalLedgerGolden pins the byte-stable JSON and text renderings
+// of the canonical scripted lifecycle.
+func TestCanonicalLedgerGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		golden string
-		render func(l *ArtifactLedger, buf *bytes.Buffer)
+		render func(rep ArtifactReport, buf *bytes.Buffer) error
 	}{
-		{"json", "artifacts.json", func(l *ArtifactLedger, buf *bytes.Buffer) {
-			if err := l.WriteJSON(buf, ArtifactQuery{}); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"text", "artifacts.txt", func(l *ArtifactLedger, buf *bytes.Buffer) {
-			l.WriteText(buf, ArtifactQuery{})
-		}},
+		{"json", "artifacts.json", func(rep ArtifactReport, buf *bytes.Buffer) error { return rep.WriteJSON(buf) }},
+		{"text", "artifacts.txt", func(rep ArtifactReport, buf *bytes.Buffer) error { return rep.WriteText(buf) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			tc.render(SelfCheckLedger(), &buf)
-			// Byte-stability: a second render of a fresh self-check ledger is
+			// Byte-stability: two renders of fresh canonical ledgers are
 			// identical.
-			var again bytes.Buffer
-			tc.render(SelfCheckLedger(), &again)
+			var buf, again bytes.Buffer
+			for _, b := range []*bytes.Buffer{&buf, &again} {
+				if err := tc.render(canonicalLedger().Report(ArtifactQuery{}), b); err != nil {
+					t.Fatal(err)
+				}
+			}
 			if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-				t.Fatal("self-check output is not byte-stable across renders")
+				t.Fatal("canonical ledger output is not byte-stable across renders")
 			}
 			golden := filepath.Join("testdata", tc.golden)
 			if *update {

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -38,37 +37,22 @@ type ChromeTrace struct {
 // guard argument construction behind a nil check to keep hot paths
 // allocation-free.
 type Trace struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	events  []TraceEvent
-	max     int // 0 = unbounded
-	dropped int64
+	epoch  time.Time
+	events *Ring[TraceEvent]
 }
 
 // NewTrace returns an unbounded recorder whose epoch is now.
-func NewTrace() *Trace { return &Trace{epoch: time.Now()} }
+func NewTrace() *Trace { return NewTraceCapped(0) }
 
-// NewTraceCapped returns a recorder that keeps at most max events; once
-// full, further events are counted as dropped. Use for long-running
-// servers where the trace is scraped periodically and Reset.
-func NewTraceCapped(max int) *Trace { return &Trace{epoch: time.Now(), max: max} }
-
-// Enabled reports whether the recorder is non-nil, for call sites that
-// want a readable guard.
-func (t *Trace) Enabled() bool { return t != nil }
+// NewTraceCapped returns a rolling recorder that keeps the newest max
+// events and counts the ones it overwrote as dropped — for long-running
+// servers, where the recent past is what a debugger asks about.
+func NewTraceCapped(max int) *Trace {
+	return &Trace{epoch: time.Now(), events: NewRing[TraceEvent](max)}
+}
 
 func (t *Trace) sinceEpochMicros(ts time.Time) float64 {
 	return float64(ts.Sub(t.epoch).Nanoseconds()) / 1e3
-}
-
-func (t *Trace) append(ev TraceEvent) {
-	t.mu.Lock()
-	if t.max > 0 && len(t.events) >= t.max {
-		t.dropped++
-	} else {
-		t.events = append(t.events, ev)
-	}
-	t.mu.Unlock()
 }
 
 // Span records a complete ("X") event covering [start, start+dur) on the
@@ -77,7 +61,7 @@ func (t *Trace) Span(name, cat string, tid int, start time.Time, dur time.Durati
 	if t == nil {
 		return
 	}
-	t.append(TraceEvent{
+	t.events.Add(TraceEvent{
 		Name: name, Cat: cat, Ph: "X",
 		TS: t.sinceEpochMicros(start), Dur: float64(dur.Nanoseconds()) / 1e3,
 		PID: 1, TID: tid, Args: args,
@@ -89,65 +73,33 @@ func (t *Trace) Instant(name, cat string, tid int, args map[string]any) {
 	if t == nil {
 		return
 	}
-	t.append(TraceEvent{
+	t.events.Add(TraceEvent{
 		Name: name, Cat: cat, Ph: "i", S: "t",
 		TS:  t.sinceEpochMicros(time.Now()),
 		PID: 1, TID: tid, Args: args,
 	})
 }
 
-// Len returns the number of recorded events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Cap returns the recorder's event capacity, 0 when unbounded. It feeds
-// the buffer-occupancy gauges alongside Len and Dropped.
-func (t *Trace) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return t.max
-}
-
-// Dropped returns how many events the cap discarded.
-func (t *Trace) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Events returns a copy of the recorded events in append order.
-func (t *Trace) Events() []TraceEvent {
+// ring returns the event buffer, nil for a nil trace (Ring is nil-safe).
+func (t *Trace) ring() *Ring[TraceEvent] {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, len(t.events))
-	copy(out, t.events)
-	return out
+	return t.events
 }
 
-// Reset discards all recorded events and the drop count; the epoch is
-// preserved so timestamps across resets stay on one timeline.
-func (t *Trace) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = nil
-	t.dropped = 0
-	t.mu.Unlock()
-}
+// Len returns the number of buffered events.
+func (t *Trace) Len() int { return t.ring().Len() }
+
+// Cap returns the recorder's event capacity, 0 when unbounded. It feeds
+// the buffer-occupancy gauges alongside Len and Dropped.
+func (t *Trace) Cap() int { return t.ring().Cap() }
+
+// Dropped returns how many events the cap has overwritten.
+func (t *Trace) Dropped() int64 { return t.ring().Dropped() }
+
+// Events returns a copy of the buffered events, oldest first.
+func (t *Trace) Events() []TraceEvent { return t.ring().Snapshot() }
 
 // WriteChrome exports the trace as a Chrome trace_event JSON object.
 // A nil trace writes an empty-but-valid trace.

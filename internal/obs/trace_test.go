@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -65,16 +66,36 @@ func TestNilTraceExportsValidJSON(t *testing.T) {
 	}
 }
 
-func TestTraceCapDropsAndCounts(t *testing.T) {
-	tr := NewTraceCapped(2)
-	for i := 0; i < 5; i++ {
-		tr.Instant("e", "c", 0, nil)
+// TestTraceCapKeepsNewest pins the rolling-buffer contract of a capped
+// (server) trace: after cap+k events the newest cap are served — so the
+// spans of a request that arrived long after start-up are there to analyze
+// — Dropped() counts the k overwritten ones, and the Chrome export reports
+// them as droppedEvents.
+func TestTraceCapKeepsNewest(t *testing.T) {
+	const capN, k = 4, 3
+	tr := NewTraceCapped(capN)
+	start := time.Now()
+	for i := 0; i < capN+k; i++ {
+		tr.Span(fmt.Sprintf("span-%d", i), "server", 0, start, time.Millisecond,
+			map[string]any{RequestIDKey: fmt.Sprintf("req-%d", i)})
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("capped trace holds %d events, want 2", tr.Len())
+	if tr.Len() != capN || tr.Cap() != capN {
+		t.Fatalf("capped trace holds %d of %d events, want it full", tr.Len(), tr.Cap())
 	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("dropped = %d, want 3", tr.Dropped())
+	if tr.Dropped() != k {
+		t.Fatalf("dropped = %d, want %d", tr.Dropped(), k)
+	}
+	for i, ev := range tr.Events() {
+		if want := fmt.Sprintf("span-%d", k+i); ev.Name != want {
+			t.Fatalf("event %d = %s, want %s (newest %d, oldest first)", i, ev.Name, want, capN)
+		}
+	}
+	// The latest request is analyzable; the overwritten first one is gone.
+	if rep := AnalyzeCritPath(tr.Events(), fmt.Sprintf("req-%d", capN+k-1), 0); rep.Spans != 1 {
+		t.Errorf("newest request has %d spans in the buffer, want 1", rep.Spans)
+	}
+	if rep := AnalyzeCritPath(tr.Events(), "req-0", 0); rep.Spans != 0 {
+		t.Errorf("overwritten request still has %d spans", rep.Spans)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -84,11 +105,8 @@ func TestTraceCapDropsAndCounts(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.OtherData["droppedEvents"] != float64(3) {
-		t.Errorf("otherData = %v, want droppedEvents 3", got.OtherData)
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Error("reset should clear events and drop count")
+	if got.OtherData["droppedEvents"] != float64(k) || len(got.TraceEvents) != capN {
+		t.Errorf("export has %d events, otherData %v; want %d events, droppedEvents %d",
+			len(got.TraceEvents), got.OtherData, capN, k)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sync"
@@ -35,6 +36,10 @@ const DefaultSessionBudget = 256 << 20
 // therefore absorbed conservatively (Optimize degrades to compute-
 // everything, Update becomes a no-op) and recorded — check Err after a
 // run, or use the *E variants directly.
+//
+// A Client is safe for concurrent runs: every call carries the record of
+// the run it belongs to, whose ID travels as the X-Collab-Request header on
+// that call's transfers and on nothing else.
 type Client struct {
 	base    string
 	http    *http.Client
@@ -46,14 +51,6 @@ type Client struct {
 	// request so the server's per-client attribution table keys on a
 	// stable collaborator identity instead of the remote address.
 	name string
-	// rid is the request ID of the run in flight (set by OptimizeReq,
-	// cleared by UpdateReq) so artifact fetches and uploads between the two
-	// carry the same X-Collab-Request header. One run at a time per client;
-	// concurrent runs should use separate clients.
-	rid string
-	// pendingRun is the client-side run summary reported by core.Client
-	// after execution, shipped piggybacked on the next update request.
-	pendingRun *calib.ClientRun
 	// session holds the artifacts this client has fetched or computed, by
 	// vertex ID, across runs: the local pruner's memory (DESIGN.md "Session
 	// store"). A memory-only store.Manager is the whole mechanism — column
@@ -110,29 +107,9 @@ func (c *Client) fail(err error) {
 	c.mu.Unlock()
 }
 
-func (c *Client) setRID(id string) {
-	c.mu.Lock()
-	c.rid = id
-	c.mu.Unlock()
-}
-
-func (c *Client) currentRID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rid
-}
-
 // Optimize implements core.Optimizer.
-func (c *Client) Optimize(w *graph.DAG) *core.Optimization {
-	return c.OptimizeReq(w, "")
-}
-
-// OptimizeReq implements core.RequestOptimizer: the request ID travels as
-// the X-Collab-Request header on this call and on every artifact transfer
-// until UpdateReq closes the run.
-func (c *Client) OptimizeReq(w *graph.DAG, requestID string) *core.Optimization {
-	c.setRID(requestID)
-	opt, err := c.OptimizeE(w)
+func (c *Client) Optimize(w *graph.DAG, req *obs.Request) *core.Optimization {
+	opt, err := c.OptimizeE(w, req)
 	if err != nil {
 		c.fail(err)
 		return &core.Optimization{Plan: &reuse.Plan{Reuse: map[string]bool{}}}
@@ -142,10 +119,10 @@ func (c *Client) OptimizeReq(w *graph.DAG, requestID string) *core.Optimization 
 
 // OptimizeE is Optimize with error reporting. Vertices the session store
 // holds are installed into w first, so the server plans around them.
-func (c *Client) OptimizeE(w *graph.DAG) (*core.Optimization, error) {
+func (c *Client) OptimizeE(w *graph.DAG, req *obs.Request) (*core.Optimization, error) {
 	c.installHeld(w)
 	var resp OptimizeResponse
-	if err := c.postGob("/v1/optimize", &OptimizeRequest{Nodes: ToWire(w)}, &resp); err != nil {
+	if err := c.postGob("/v1/optimize", req, &OptimizeRequest{Nodes: ToWire(w)}, &resp); err != nil {
 		return nil, err
 	}
 	plan := &reuse.Plan{Reuse: make(map[string]bool, len(resp.ReuseIDs))}
@@ -163,49 +140,23 @@ func (c *Client) OptimizeE(w *graph.DAG) (*core.Optimization, error) {
 	return &core.Optimization{Plan: plan, Warmstarts: resp.Warmstarts, Overhead: resp.Overhead}, nil
 }
 
-// ReportRun implements core.RunReporter: the summary is buffered and
-// piggybacked on the next update request, which is where the server
-// builds the run's calibration scorecard.
-func (c *Client) ReportRun(run calib.ClientRun, _ string) {
-	c.mu.Lock()
-	c.pendingRun = &run
-	c.mu.Unlock()
-}
-
-// takePendingRun pops the buffered run summary, if any.
-func (c *Client) takePendingRun() *calib.ClientRun {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	run := c.pendingRun
-	c.pendingRun = nil
-	return run
-}
-
-// Update implements core.Optimizer: ship metadata, then upload whatever
-// content the server requests.
-func (c *Client) Update(executed *graph.DAG) {
-	if err := c.UpdateE(executed); err != nil {
+// Update implements core.Optimizer: ship metadata (the run summary rides
+// on the same request, which is where the server builds the run's
+// calibration scorecard), then upload whatever content the server asks for
+// — so there is never anything left for the caller to supply.
+func (c *Client) Update(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) []string {
+	if err := c.UpdateE(executed, req, run); err != nil {
 		c.fail(err)
 	}
-}
-
-// UpdateReq implements core.RequestOptimizer; it closes the run opened by
-// OptimizeReq and clears the in-flight request ID.
-func (c *Client) UpdateReq(executed *graph.DAG, requestID string) {
-	c.setRID(requestID)
-	if err := c.UpdateE(executed); err != nil {
-		c.fail(err)
-	}
-	c.setRID("")
+	return nil
 }
 
 // UpdateE is Update with error reporting. What the run computed or loaded
 // goes into the session store whether or not the server can be reached.
-func (c *Client) UpdateE(executed *graph.DAG) error {
+func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) error {
 	c.holdContent(executed)
 	var resp UpdateResponse
-	req := &UpdateRequest{Nodes: ToWire(executed), Run: c.takePendingRun()}
-	if err := c.postGob("/v1/update", req, &resp); err != nil {
+	if err := c.postGob("/v1/update", req, &UpdateRequest{Nodes: ToWire(executed), Run: run}, &resp); err != nil {
 		return err
 	}
 	// held collects the column lineage IDs the server holds as far as this
@@ -221,47 +172,35 @@ func (c *Client) UpdateE(executed *graph.DAG) error {
 		if i < len(resp.Have) {
 			have = resp.Have[i]
 		}
-		if err := c.uploadArtifact(id, n.Content, have, held); err != nil {
+		if err := c.uploadArtifact(id, n.Content, have, held, req); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// get issues a GET with the in-flight request ID attached, if any.
-func (c *Client) get(url string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+// do sends one request to the server, tagged with the ID of the run it
+// belongs to (req nil: none) and the collaborator's name.
+func (c *Client) do(method, url string, body io.Reader, req *obs.Request) (*http.Response, error) {
+	hr, err := http.NewRequest(method, url, body)
 	if err != nil {
 		return nil, err
 	}
-	if rid := c.currentRID(); rid != "" {
-		req.Header.Set(obs.RequestIDHeader, rid)
+	if body != nil {
+		hr.Header.Set("Content-Type", "application/octet-stream")
+	}
+	if rid := req.ID(); rid != "" {
+		hr.Header.Set(obs.RequestIDHeader, rid)
 	}
 	if name := c.clientName(); name != "" {
-		req.Header.Set(obs.ClientIDHeader, name)
+		hr.Header.Set(obs.ClientIDHeader, name)
 	}
-	return c.http.Do(req)
+	return c.http.Do(hr)
 }
 
-// post issues a POST with the in-flight request ID attached, if any.
-func (c *Client) post(url string, body *bytes.Buffer) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodPost, url, body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if rid := c.currentRID(); rid != "" {
-		req.Header.Set(obs.RequestIDHeader, rid)
-	}
-	if name := c.clientName(); name != "" {
-		req.Header.Set(obs.ClientIDHeader, name)
-	}
-	return c.http.Do(req)
-}
-
-// Fetch implements core.Optimizer (ArtifactSource).
+// Fetch returns an artifact by vertex ID outside any run, or nil.
 func (c *Client) Fetch(id string) graph.Artifact {
-	content, _ := c.fetchTagged(id)
+	content, _ := c.fetchTagged(id, nil)
 	return content
 }
 
@@ -270,14 +209,14 @@ func (c *Client) Fetch(id string) graph.Artifact {
 // labelled with the server-side tier from the X-Collab-Tier response header
 // ("" for older servers). So an ID is downloaded once for as long as the
 // session's budget keeps it.
-func (c *Client) fetchTagged(id string) (graph.Artifact, string) {
+func (c *Client) fetchTagged(id string, req *obs.Request) (graph.Artifact, string) {
 	held := c.sessionStore()
 	if held != nil {
 		if a := held.Get(id); a != nil {
 			return a, core.SessionTier
 		}
 	}
-	content, srvTier := c.download(id)
+	content, srvTier := c.download(id, req)
 	if content != nil && held != nil {
 		_ = held.Put(id, content) // fails on nil content only
 	}
@@ -285,8 +224,8 @@ func (c *Client) fetchTagged(id string) (graph.Artifact, string) {
 }
 
 // download GETs an artifact from the server.
-func (c *Client) download(id string) (graph.Artifact, string) {
-	resp, err := c.get(c.base + "/v1/artifact?id=" + url.QueryEscape(id))
+func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) {
+	resp, err := c.do(http.MethodGet, c.base+"/v1/artifact?id="+url.QueryEscape(id), nil, req)
 	if err != nil {
 		c.fail(err)
 		return nil, ""
@@ -307,12 +246,12 @@ func (c *Client) download(id string) (graph.Artifact, string) {
 	return env.Content, resp.Header.Get(TierHeader)
 }
 
-// FetchTiered implements core.TieredFetcher: transfers always cost the
+// FetchTiered implements core.ArtifactSource: transfers always cost the
 // client's (remote) profile, but the span label records which server tier
 // the bytes actually came from, e.g. "remote:disk". Content the session
 // store holds costs nothing.
-func (c *Client) FetchTiered(id string) (graph.Artifact, string, time.Duration) {
-	content, srvTier := c.fetchTagged(id)
+func (c *Client) FetchTiered(id string, req *obs.Request) (graph.Artifact, string, time.Duration) {
+	content, srvTier := c.fetchTagged(id, req)
 	if content == nil {
 		return nil, "", 0
 	}
@@ -326,43 +265,29 @@ func (c *Client) FetchTiered(id string) (graph.Artifact, string, time.Duration) 
 	return content, label, c.profile.LoadCost(content.SizeBytes())
 }
 
-// LoadCostOf implements core.Optimizer (ArtifactSource).
-func (c *Client) LoadCostOf(sizeBytes int64) time.Duration {
-	return c.profile.LoadCost(sizeBytes)
-}
-
 // CalibrationE fetches the server's calibration report.
 func (c *Client) CalibrationE() (*calib.Report, error) {
-	resp, err := c.http.Get(c.base + "/v1/calibration")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("remote: /v1/calibration: HTTP %d", resp.StatusCode)
-	}
 	var report calib.Report
-	if err := json.NewDecoder(resp.Body).Decode(&report); err != nil {
-		return nil, err
-	}
-	return &report, nil
+	return &report, c.getJSON("/v1/calibration", &report)
 }
 
 // StatsE fetches server statistics.
 func (c *Client) StatsE() (*Stats, error) {
-	resp, err := c.http.Get(c.base + "/v1/stats")
+	var st Stats
+	return &st, c.getJSON("/v1/stats", &st)
+}
+
+// getJSON GETs one of the server's JSON endpoints into v.
+func (c *Client) getJSON(path string, v any) error {
+	resp, err := c.http.Get(c.base + path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("remote: /v1/stats: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("remote: %s: HTTP %d", path, resp.StatusCode)
 	}
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // uploadArtifact POSTs the content of one wanted vertex. A dataset travels
@@ -371,10 +296,10 @@ func (c *Client) StatsE() (*Stats, error) {
 // held is UpdateE's running set, which this call extends. If the server has
 // lost a column in between (409), the vertex is sent once more with every
 // column. Everything else travels whole.
-func (c *Client) uploadArtifact(id string, content graph.Artifact, have []int, held map[string]bool) error {
+func (c *Client) uploadArtifact(id string, content graph.Artifact, have []int, held map[string]bool, req *obs.Request) error {
 	ds, ok := content.(*graph.DatasetArtifact)
 	if !ok || ds.Frame == nil || ds.Frame.NumCols() == 0 {
-		return c.postUpload(id, &artifactUpload{Blob: artifactEnvelope{Content: content}})
+		return c.postUpload(id, &artifactUpload{Blob: artifactEnvelope{Content: content}}, req)
 	}
 	cols := ds.Frame.Columns()
 	for _, i := range have {
@@ -384,10 +309,10 @@ func (c *Client) uploadArtifact(id string, content graph.Artifact, have []int, h
 	}
 	up := artifactUpload{ColIDs: ds.Frame.ColumnIDs(), Names: ds.Frame.ColumnNames()}
 	up.Columns = distinctColumns(cols, held)
-	err := c.postUpload(id, &up)
+	err := c.postUpload(id, &up, req)
 	if errors.Is(err, errColumnAbsent) {
 		up.Columns = distinctColumns(cols, nil)
-		err = c.postUpload(id, &up)
+		err = c.postUpload(id, &up, req)
 	}
 	if err != nil {
 		return err
@@ -416,12 +341,12 @@ func distinctColumns(cols []*data.Column, skip map[string]bool) []*data.Column {
 // relied on a column the server no longer holds.
 var errColumnAbsent = errors.New("remote: server no longer holds a referenced column")
 
-func (c *Client) postUpload(id string, up *artifactUpload) error {
+func (c *Client) postUpload(id string, up *artifactUpload, req *obs.Request) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(up); err != nil {
 		return fmt.Errorf("remote: encode artifact %s: %w", id, err)
 	}
-	resp, err := c.post(c.base+"/v1/artifact?id="+url.QueryEscape(id), &buf)
+	resp, err := c.do(http.MethodPost, c.base+"/v1/artifact?id="+url.QueryEscape(id), &buf, req)
 	if err != nil {
 		return err
 	}
@@ -435,12 +360,12 @@ func (c *Client) postUpload(id string, up *artifactUpload) error {
 	return nil
 }
 
-func (c *Client) postGob(path string, req, resp any) error {
+func (c *Client) postGob(path string, req *obs.Request, body, resp any) error {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(body); err != nil {
 		return fmt.Errorf("remote: encode request: %w", err)
 	}
-	r, err := c.post(c.base+path, &buf)
+	r, err := c.do(http.MethodPost, c.base+path, &buf, req)
 	if err != nil {
 		return err
 	}

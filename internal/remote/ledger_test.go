@@ -185,7 +185,7 @@ func TestArtifactsEndToEnd(t *testing.T) {
 	}
 
 	led := srv.ArtifactLedger()
-	if !led.Enabled() || led.Len() == 0 {
+	if led == nil || led.Len() == 0 {
 		t.Fatal("default server ledger should be enabled and populated")
 	}
 	if led.ReuseTotal() == 0 {

@@ -1,24 +1,26 @@
 package remote
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// This file is the serving-telemetry middleware: every request through
-// Handler.ServeHTTP is measured into per-route metric families on the
-// server's obs.Registry and summarized into the flight recorder
-// (GET /v1/requests). Instrumentation is on by default and switchable off
-// with WithInstrumentation(false); the disabled path is the bare mux
-// dispatch plus request-ID plumbing, pinned ≈ free by
-// BenchmarkHandlerInstrumentationOverhead.
+// This file is the serving-telemetry middleware: Handler.ServeHTTP creates
+// the request's obs.Request record, measures the request into per-route
+// metric families on the server's obs.Registry, and emits the finished
+// record once (core.Server.ObserveRequest feeds GET /v1/requests and
+// GET /v1/clients; the access and slow-request log lines read the same
+// record). Instrumentation is on by default and switchable off with
+// WithInstrumentation(false); the disabled path is the bare mux dispatch
+// plus the record that carries the request ID, pinned ≈ free by
+// BenchmarkHandlerOverhead.
 
 // routeLabels is the fixed route vocabulary for metric labels and flight
 // summaries. Unknown paths collapse into "other" so scraping an arbitrary
@@ -140,8 +142,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 func (c *countingReader) Close() error { return c.rc.Close() }
 
-// WithInstrumentation toggles the serving-telemetry middleware (metrics,
-// flight recording, slow-request warnings). On by default; off reduces
+// WithInstrumentation toggles the serving-telemetry middleware (per-route
+// metrics, the flight log, client attribution). On by default; off reduces
 // ServeHTTP to request-ID plumbing plus access logging.
 func WithInstrumentation(enabled bool) HandlerOption {
 	return func(h *Handler) { h.instrument = enabled }
@@ -149,7 +151,7 @@ func WithInstrumentation(enabled bool) HandlerOption {
 
 // WithSlowRequestWarn logs a slog warning for any request slower than
 // threshold (0, the default, disables the warning). Requires a handler
-// logger and instrumentation to be active.
+// logger.
 func WithSlowRequestWarn(threshold time.Duration) HandlerOption {
 	return func(h *Handler) { h.slowWarn = threshold }
 }
@@ -186,91 +188,84 @@ func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// requests serves the flight recorder as byte-stable JSON. Query
-// parameters:
-//
-//	route=/v1/optimize  keep only this route
-//	min=50ms            keep only requests at least this slow
-//	limit=20            keep only the most recent N matches
-//
-// 404 when the server runs with the flight recorder disabled.
-func (h *Handler) requests(w http.ResponseWriter, r *http.Request) {
-	fr := h.srv.Flight()
-	if !fr.Enabled() {
-		http.Error(w, "flight recorder disabled on this server", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	var filter obs.RequestFilter
-	filter.Route = q.Get("route")
-	if min := q.Get("min"); min != "" {
-		d, err := time.ParseDuration(min)
-		if err != nil {
-			http.Error(w, "bad min duration: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		filter.MinWall = d
-	}
-	if limit := q.Get("limit"); limit != "" {
-		n, err := strconv.Atoi(limit)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit "+limit, http.StatusBadRequest)
-			return
-		}
-		filter.Limit = n
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = fr.WriteJSON(w, filter)
+// statusWriter captures the response status and body size for the request
+// record.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+	bytes  int64
 }
 
-// serveInstrumented is the measured request path: inflight gauge up,
-// counting body reader in, dispatch, then histogram/counter updates, the
-// flight-recorder summary, the access log line, and the slow-request
-// warning.
-func (h *Handler) serveInstrumented(w http.ResponseWriter, r *http.Request, rid string) {
-	route := routeLabel(r.URL.Path)
-	ri := h.metrics.routes[route]
-	cr := &countingReader{rc: r.Body}
-	r.Body = cr
+func (w *statusWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.bytes += int64(n)
+	return n, err
+}
+
+// ServeHTTP implements http.Handler. It is the edge where the request's
+// record is created — ID resolved and echoed on the response, route and
+// caller labelled — and, once the mux has dispatched it to the handler that
+// passes it on to the server, finished (status, wall time, bytes) and
+// emitted: into the per-route metrics and the server's flight ring and
+// client table unless instrumentation is off, and onto the access log.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	req := &obs.Request{
+		RequestID: r.Header.Get(obs.RequestIDHeader),
+		Method:    r.Method,
+		Route:     routeLabel(r.URL.Path),
+	}
+	if req.RequestID == "" {
+		req.RequestID = obs.NewRequestID()
+	}
+	w.Header().Set(obs.RequestIDHeader, req.RequestID)
+	r = r.WithContext(context.WithValue(r.Context(), reqKey{}, req))
+	if !h.instrument && h.log == nil {
+		h.mux.ServeHTTP(w, r)
+		return
+	}
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	ri.inflight.Add(1)
+	var ri *routeInstruments
+	var body *countingReader
+	if h.instrument {
+		req.Client = clientLabel(r)
+		ri = h.metrics.routes[req.Route]
+		body = &countingReader{rc: r.Body}
+		r.Body = body
+		ri.inflight.Add(1)
+	}
 	timer := obs.StartTimer()
 	h.mux.ServeHTTP(sw, r)
 	elapsed := timer.Elapsed()
-	ri.inflight.Add(-1)
-	ri.seconds.Observe(elapsed.Seconds())
-	ri.byClass[statusClass(sw.status)].Inc()
-	ri.reqBytes.Add(cr.n)
-	ri.respBytes.Add(sw.bytes)
-	// Record returns the summary merged with the optimizer's in-flight
-	// annotation (plan time, lock wait), so the per-client table sees the
-	// enriched view, not just the transport facts.
-	merged := h.srv.Flight().Record(obs.RequestSummary{
-		RequestID:     rid,
-		Method:        r.Method,
-		Route:         route,
-		Status:        sw.status,
-		StartUnixNano: timer.StartedAt().UnixNano(),
-		WallNanos:     elapsed.Nanoseconds(),
-		BytesIn:       cr.n,
-		BytesOut:      sw.bytes,
-	})
-	h.srv.Clients().Observe(clientLabel(r), merged)
-	if h.log != nil {
-		h.log.Info("http",
-			slog.String(obs.RequestIDKey, rid),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Duration("elapsed", elapsed))
-		if h.slowWarn > 0 && elapsed > h.slowWarn {
-			h.log.Warn("slow request",
-				slog.String(obs.RequestIDKey, rid),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", sw.status),
-				slog.Duration("elapsed", elapsed),
-				slog.Duration("threshold", h.slowWarn))
-		}
+	req.Status = sw.status
+	req.StartUnixNano = timer.StartedAt().UnixNano()
+	req.WallNanos = elapsed.Nanoseconds()
+	req.BytesOut = sw.bytes
+	if h.instrument {
+		req.BytesIn = body.n
+		ri.inflight.Add(-1)
+		ri.seconds.Observe(elapsed.Seconds())
+		ri.byClass[statusClass(req.Status)].Inc()
+		ri.reqBytes.Add(req.BytesIn)
+		ri.respBytes.Add(req.BytesOut)
+		h.srv.ObserveRequest(req)
+	}
+	if h.log == nil {
+		return
+	}
+	attrs := []any{
+		slog.String(obs.RequestIDKey, req.RequestID),
+		slog.String("method", req.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", req.Status),
+		slog.Duration("elapsed", elapsed),
+	}
+	h.log.Info("http", attrs...)
+	if h.slowWarn > 0 && elapsed > h.slowWarn {
+		h.log.Warn("slow request", append(attrs, slog.Duration("threshold", h.slowWarn))...)
 	}
 }

@@ -157,8 +157,8 @@ func TestRequestsEndpoint(t *testing.T) {
 		t.Errorf("Content-Type = %q, want application/json", ct)
 	}
 	var export struct {
-		Count    int                  `json:"count"`
-		Requests []obs.RequestSummary `json:"requests"`
+		Count    int           `json:"count"`
+		Requests []obs.Request `json:"requests"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&export); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestRequestsEndpoint(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	var filtered struct {
-		Requests []obs.RequestSummary `json:"requests"`
+		Requests []obs.Request `json:"requests"`
 	}
 	if err := json.NewDecoder(resp2.Body).Decode(&filtered); err != nil {
 		t.Fatal(err)

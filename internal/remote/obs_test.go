@@ -201,7 +201,7 @@ func TestTraceEndpoint(t *testing.T) {
 	for _, ev := range ct.TraceEvents {
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"optimize", "update-meta", "materialize"} {
+	for _, want := range []string{"optimize", "update", "materialize"} {
 		if !names[want] {
 			t.Errorf("server trace missing %q span", want)
 		}

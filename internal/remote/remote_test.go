@@ -102,7 +102,7 @@ func TestRemoteArtifactRoundTrip(t *testing.T) {
 	srv, rc, closeFn := newRemotePair(t)
 	defer closeFn()
 	frame := testFrame(50, 2)
-	if err := srv.PutArtifact("v-test", &graph.DatasetArtifact{Frame: frame}); err != nil {
+	if err := srv.PutArtifact("v-test", &graph.DatasetArtifact{Frame: frame}, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := rc.Fetch("v-test").(*graph.DatasetArtifact)

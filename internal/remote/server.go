@@ -1,19 +1,21 @@
 package remote
 
 import (
-	"context"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/eg"
 	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -23,18 +25,19 @@ import (
 
 // Handler wraps a core.Server with the HTTP protocol. Mount it on any mux.
 //
-// Every request is tagged with a request ID — the client-sent
-// X-Collab-Request header when present, a freshly minted ID otherwise —
-// which is echoed on the response header, passed to the server's
-// correlated Optimize/Update variants, and attached to the per-request
-// access log line (when a logger is configured).
+// Every request gets one obs.Request record, created in ServeHTTP and
+// tagged with a request ID — the client-sent X-Collab-Request header when
+// present, a freshly minted ID otherwise — which is echoed on the response
+// header. The record is handed to the server method the route calls, which
+// fills in the optimizer facts, and is emitted once when the request
+// finishes (middleware.go).
 type Handler struct {
 	srv *core.Server
 	mux *http.ServeMux
 	log *slog.Logger
-	// Serving telemetry (middleware.go): per-route metric families, the
-	// flight-recorder feed, and the slow-request warning. instrument
-	// defaults to on; metrics stays nil when it is switched off.
+	// Serving telemetry (middleware.go): per-route metric families and the
+	// emission of finished request records. instrument defaults to on;
+	// metrics stays nil when it is switched off.
 	instrument bool
 	metrics    *httpMetrics
 	slowWarn   time.Duration
@@ -76,14 +79,14 @@ func NewHandler(srv *core.Server, opts ...HandlerOption) *Handler {
 	h.mux.HandleFunc("GET /v1/artifact", h.getArtifact)
 	h.mux.HandleFunc("POST /v1/artifact", h.putArtifact)
 	h.mux.HandleFunc("GET /v1/stats", h.stats)
-	h.mux.HandleFunc("GET /v1/calibration", h.calibration)
 	h.mux.Handle("GET /metrics", srv.Metrics().Handler())
 	h.mux.HandleFunc("GET /v1/trace", h.trace)
-	h.mux.HandleFunc("GET /v1/explain", h.explain)
-	h.mux.HandleFunc("GET /v1/requests", h.requests)
-	h.mux.HandleFunc("GET /v1/clients", h.clients)
-	h.mux.HandleFunc("GET /v1/critpath", h.critpath)
-	h.mux.HandleFunc("GET /v1/artifacts", h.artifacts)
+	h.mux.HandleFunc("GET /v1/calibration", report(h.calibration))
+	h.mux.HandleFunc("GET /v1/explain", report(h.explain))
+	h.mux.HandleFunc("GET /v1/requests", report(h.requests))
+	h.mux.HandleFunc("GET /v1/clients", report(h.clients))
+	h.mux.HandleFunc("GET /v1/critpath", report(h.critpath))
+	h.mux.HandleFunc("GET /v1/artifacts", report(h.artifacts))
 	h.mux.HandleFunc("GET /healthz", h.healthz)
 	h.mux.HandleFunc("GET /readyz", h.readyz)
 	for _, o := range opts {
@@ -95,62 +98,13 @@ func NewHandler(srv *core.Server, opts ...HandlerOption) *Handler {
 	return h
 }
 
-// ridKey carries the request ID through the request context.
-type ridKey struct{}
+// reqKey carries the request's record through the request context.
+type reqKey struct{}
 
-// requestID extracts the correlation ID the middleware stored.
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(ridKey{}).(string)
-	return id
-}
-
-// statusWriter captures the response status and body size for the access
-// log, the serving metrics, and the flight recorder.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	n, err := w.ResponseWriter.Write(p)
-	w.bytes += int64(n)
-	return n, err
-}
-
-// ServeHTTP implements http.Handler: it resolves the request ID, echoes it
-// on the response, and — unless instrumentation is disabled — measures the
-// request into the serving metrics and the flight recorder
-// (serveInstrumented in middleware.go).
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get(obs.RequestIDHeader)
-	if rid == "" {
-		rid = obs.NewRequestID()
-	}
-	w.Header().Set(obs.RequestIDHeader, rid)
-	r = r.WithContext(context.WithValue(r.Context(), ridKey{}, rid))
-	if h.instrument {
-		h.serveInstrumented(w, r, rid)
-		return
-	}
-	if h.log == nil {
-		h.mux.ServeHTTP(w, r)
-		return
-	}
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	timer := obs.StartTimer()
-	h.mux.ServeHTTP(sw, r)
-	h.log.Info("http",
-		slog.String(obs.RequestIDKey, rid),
-		slog.String("method", r.Method),
-		slog.String("path", r.URL.Path),
-		slog.Int("status", sw.status),
-		slog.Duration("elapsed", timer.Elapsed()))
+// request returns the record ServeHTTP created for r.
+func request(r *http.Request) *obs.Request {
+	req, _ := r.Context().Value(reqKey{}).(*obs.Request)
+	return req
 }
 
 func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
@@ -159,7 +113,7 @@ func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dag := FromWire(req.Nodes)
-	opt := h.srv.OptimizeReq(dag, requestID(r))
+	opt := h.srv.Optimize(dag, request(r))
 	resp := OptimizeResponse{Warmstarts: opt.Warmstarts, Overhead: opt.Overhead}
 	for id := range opt.Plan.Reuse {
 		resp.ReuseIDs = append(resp.ReuseIDs, id)
@@ -181,12 +135,9 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dag := FromWire(req.Nodes)
-	// The run summary must land before the update: the server folds it into
-	// the scorecard it builds while folding the executed DAG into the EG.
-	if req.Run != nil {
-		h.srv.ReportRun(*req.Run, requestID(r))
-	}
-	resp := UpdateResponse{WantContent: h.srv.UpdateMetaReq(dag, requestID(r))}
+	// The DAG carries meta-data only, so what the materializer selected
+	// comes back as the list of content to upload.
+	resp := UpdateResponse{WantContent: h.srv.Update(dag, request(r), req.Run)}
 	wanted := make(map[string]int, len(resp.WantContent))
 	for i, id := range resp.WantContent {
 		wanted[id] = i
@@ -250,9 +201,9 @@ func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "dataset content must be uploaded as a manifest", http.StatusBadRequest)
 			return
 		}
-		err = h.srv.PutArtifactReq(id, up.Blob.Content, requestID(r))
+		err = h.srv.PutArtifact(id, up.Blob.Content, request(r))
 	case up.Blob.Content == nil && manifest:
-		err = h.srv.PutFrameRefReq(id, up.ColIDs, up.Names, up.Columns, requestID(r))
+		err = h.srv.PutFrameRef(id, up.ColIDs, up.Names, up.Columns, request(r))
 	default:
 		http.Error(w, "upload must carry either a blob or a dataset manifest", http.StatusBadRequest)
 		return
@@ -295,7 +246,7 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	st.MemoryArtifacts, st.DiskArtifacts = h.srv.Store.TierCounts()
 	st.Version, st.GoVersion = h.srv.BuildInfo()
 	st.PlanPrunedOffPath, st.PlanPrunedByCost, st.PlanPrunedNotMaterialized = h.srv.PlanPruned()
-	if led := h.srv.ArtifactLedger(); led.Enabled() {
+	if led := h.srv.ArtifactLedger(); led != nil {
 		st.ArtifactsTracked, st.ArtifactSavedSec, st.ArtifactRentSec, st.ArtifactNetSec = led.Totals()
 	}
 	if c := h.srv.Calibration(); c != nil {
@@ -320,77 +271,6 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// calibration serves the calibration report. Query parameters:
-//
-//	format=json|text  rendering (default json, byte-stable for a given
-//	                  collector state)
-func (h *Handler) calibration(w http.ResponseWriter, r *http.Request) {
-	report := h.srv.Calibration().Snapshot()
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = report.WriteJSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = report.WriteText(w)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
-}
-
-// explain serves the most recent decision record. Query parameters:
-//
-//	kind=optimize|update  which record (default optimize)
-//	format=json|text|dot  rendering (default json)
-//	target=eg             with format=dot, render the whole Experiment
-//	                      Graph annotated with costs instead of a record
-//
-// 404 unless the server was started with explain capture enabled
-// (core.WithExplain) and at least one matching record exists.
-func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
-	rec := h.srv.Explain()
-	if !rec.Enabled() {
-		http.Error(w, "explain disabled on this server", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	format := q.Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if q.Get("target") == "eg" {
-		if format != "dot" {
-			http.Error(w, "target=eg requires format=dot", http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		explain.WriteEGDOT(h.srv.EG, w)
-		return
-	}
-	kind := q.Get("kind")
-	if kind == "" {
-		kind = explain.KindOptimize
-	}
-	record := rec.Last(kind)
-	if record == nil {
-		http.Error(w, "no explain record of kind "+kind, http.StatusNotFound)
-		return
-	}
-	switch format {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = record.WriteJSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		record.WriteText(w)
-	case "dot":
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		record.WriteDOT(w)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
-}
-
 // trace serves the server-side timeline as Chrome trace_event JSON, ready
 // for chrome://tracing or Perfetto. 404 unless the server was started
 // with tracing enabled (core.WithTracing).
@@ -404,116 +284,205 @@ func (h *Handler) trace(w http.ResponseWriter, _ *http.Request) {
 	_ = tr.WriteChrome(w)
 }
 
-// clients serves the per-client attribution table. Query parameters:
-//
-//	format=json|text  rendering (default json, byte-stable for a given
-//	                  table state)
-//
-// 404 when the server runs with client attribution disabled.
-func (h *Handler) clients(w http.ResponseWriter, r *http.Request) {
-	ct := h.srv.Clients()
-	if !ct.Enabled() {
-		http.Error(w, "client attribution disabled on this server", http.StatusNotFound)
-		return
-	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = ct.WriteJSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		ct.WriteText(w)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
+// The report views. Each debugging surface is a function from the query to
+// a value that renders itself — or to the status and message that say why
+// it cannot — and report serves them all the same way. A view implements
+// the writers of the formats it has: WriteJSON (format=json, the default,
+// byte-stable for a given server state), WriteText (format=text) and
+// WriteDOT (format=dot).
+type (
+	jsonReport interface{ WriteJSON(io.Writer) error }
+	textReport interface{ WriteText(io.Writer) error }
+	dotReport  interface{ WriteDOT(io.Writer) error }
+)
+
+// httpError is a response that is only a status and a plain-text reason.
+type httpError struct {
+	code int
+	msg  string
+}
+
+func notFound(msg string) *httpError   { return &httpError{http.StatusNotFound, msg} }
+func badRequest(msg string) *httpError { return &httpError{http.StatusBadRequest, msg} }
+
+// report is the one handler of the report views: build the view for the
+// query, pick the writer the format parameter names, declare its content
+// type, render.
+func report(view func(q url.Values) (any, *httpError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		rep, herr := view(q)
+		if herr != nil {
+			http.Error(w, herr.msg, herr.code)
+			return
+		}
+		var write func(io.Writer) error
+		var contentType string
+		switch format := q.Get("format"); format {
+		case "", "json":
+			if v, ok := rep.(jsonReport); ok {
+				write, contentType = v.WriteJSON, "application/json"
+			}
+		case "text":
+			if v, ok := rep.(textReport); ok {
+				write, contentType = v.WriteText, "text/plain; charset=utf-8"
+			}
+		case "dot":
+			if v, ok := rep.(dotReport); ok {
+				write, contentType = v.WriteDOT, "text/vnd.graphviz"
+			}
+		}
+		if write == nil {
+			http.Error(w, "unknown format "+q.Get("format"), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		_ = write(w)
 	}
 }
 
-// artifacts serves the artifact lifecycle ledger: per-artifact event
-// history plus storage economics (reuse counts, realized savings, rent,
-// net benefit). Query parameters:
+// countParam parses a non-negative integer query parameter ("" = def).
+func countParam(q url.Values, key string, def int) (int, *httpError) {
+	v := q.Get(key)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, badRequest("bad " + key + " " + v)
+	}
+	return n, nil
+}
+
+// calibration is the predicted-vs-measured cost report (json|text).
+func (h *Handler) calibration(url.Values) (any, *httpError) {
+	return h.srv.Calibration().Snapshot(), nil
+}
+
+// explain is the most recent decision record (json|text|dot). Query
+// parameters:
+//
+//	kind=optimize|update  which record (default optimize)
+//	target=eg             with format=dot, render the whole Experiment
+//	                      Graph annotated with costs instead of a record
+//
+// 404 unless the server was started with explain capture enabled
+// (core.WithExplain) and at least one matching record exists.
+func (h *Handler) explain(q url.Values) (any, *httpError) {
+	rec := h.srv.Explain()
+	if rec == nil {
+		return nil, notFound("explain disabled on this server")
+	}
+	if q.Get("target") == "eg" {
+		if q.Get("format") != "dot" {
+			return nil, badRequest("target=eg requires format=dot")
+		}
+		return egGraph{h.srv.EG}, nil
+	}
+	kind := q.Get("kind")
+	if kind == "" {
+		kind = explain.KindOptimize
+	}
+	record := rec.Last(kind)
+	if record == nil {
+		return nil, notFound("no explain record of kind " + kind)
+	}
+	return record, nil
+}
+
+// egGraph is the explain view of the whole Experiment Graph (dot only).
+type egGraph struct{ g *eg.Graph }
+
+func (e egGraph) WriteDOT(w io.Writer) error { return explain.WriteEGDOT(e.g, w) }
+
+// requests is the flight log of finished requests (json|text). Query
+// parameters:
+//
+//	route=/v1/optimize  keep only this route
+//	min=50ms            keep only requests at least this slow
+//	limit=20            keep only the most recent N matches
+//
+// 404 when the server runs with the flight ring disabled.
+func (h *Handler) requests(q url.Values) (any, *httpError) {
+	fr := h.srv.Flight()
+	if fr == nil {
+		return nil, notFound("flight recorder disabled on this server")
+	}
+	filter := obs.RequestFilter{Route: q.Get("route")}
+	if min := q.Get("min"); min != "" {
+		d, err := time.ParseDuration(min)
+		if err != nil {
+			return nil, badRequest("bad min duration: " + err.Error())
+		}
+		filter.MinWall = d
+	}
+	var herr *httpError
+	if filter.Limit, herr = countParam(q, "limit", 0); herr != nil {
+		return nil, herr
+	}
+	return obs.NewFlightReport(fr.Snapshot(), filter), nil
+}
+
+// clients is the per-client attribution table (json|text). 404 when the
+// server runs with client attribution disabled.
+func (h *Handler) clients(url.Values) (any, *httpError) {
+	ct := h.srv.Clients()
+	if ct == nil {
+		return nil, notFound("client attribution disabled on this server")
+	}
+	return ct, nil
+}
+
+// artifacts is the artifact lifecycle ledger: per-artifact event history
+// plus storage economics — reuse counts, realized savings, rent, net
+// benefit (json|text; text adds top-saver/top-waster lists). Query
+// parameters:
 //
 //	sort=net|saved|rent|reuse|bytes|id  ordering (default net benefit,
 //	                                    descending; id ascending)
 //	top=10            keep only the first N artifacts after sorting
 //	id=<vertex id>    keep only this artifact
-//	format=json|text  rendering (default json, byte-stable for a given
-//	                  ledger state; text adds top-saver/top-waster lists)
 //
 // 404 when the server runs with the artifact ledger disabled.
-func (h *Handler) artifacts(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) artifacts(q url.Values) (any, *httpError) {
 	led := h.srv.ArtifactLedger()
-	if !led.Enabled() {
-		http.Error(w, "artifact ledger disabled on this server", http.StatusNotFound)
-		return
+	if led == nil {
+		return nil, notFound("artifact ledger disabled on this server")
 	}
-	q := r.URL.Query()
 	query := obs.ArtifactQuery{SortBy: q.Get("sort"), ID: q.Get("id")}
 	if !obs.ValidArtifactSort(query.SortBy) {
-		http.Error(w, "unknown sort "+query.SortBy, http.StatusBadRequest)
-		return
+		return nil, badRequest("unknown sort " + query.SortBy)
 	}
-	if top := q.Get("top"); top != "" {
-		n, err := strconv.Atoi(top)
-		if err != nil || n < 0 {
-			http.Error(w, "bad top "+top, http.StatusBadRequest)
-			return
-		}
-		query.Top = n
+	var herr *httpError
+	if query.Top, herr = countParam(q, "top", 0); herr != nil {
+		return nil, herr
 	}
-	switch format := q.Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = led.WriteJSON(w, query)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		led.WriteText(w, query)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
+	return led.Report(query), nil
 }
 
-// critpath analyzes the server-side trace buffer's critical path. Query
-// parameters:
+// critpath is the critical path through the server-side trace buffer
+// (json|text). Query parameters:
 //
-//	request=<id>      restrict to spans tagged with this request ID
-//	format=json|text  rendering (default json, byte-stable for a given
-//	                  trace state)
-//	top=5             how many top contributors to list
+//	request=<id>  restrict to spans tagged with this request ID
+//	top=5         how many top contributors to list
 //
 // 404 unless tracing is enabled; also 404 when a request filter matches no
 // spans (the request was never traced, or its spans were dropped).
-func (h *Handler) critpath(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) critpath(q url.Values) (any, *httpError) {
 	tr := h.srv.Trace()
 	if tr == nil {
-		http.Error(w, "tracing disabled on this server", http.StatusNotFound)
-		return
+		return nil, notFound("tracing disabled on this server")
 	}
-	q := r.URL.Query()
-	topK := obs.DefaultCritPathTopK
-	if top := q.Get("top"); top != "" {
-		n, err := strconv.Atoi(top)
-		if err != nil || n < 0 {
-			http.Error(w, "bad top "+top, http.StatusBadRequest)
-			return
-		}
-		topK = n
+	topK, herr := countParam(q, "top", obs.DefaultCritPathTopK)
+	if herr != nil {
+		return nil, herr
 	}
 	request := q.Get("request")
 	rep := obs.AnalyzeCritPath(tr.Events(), request, topK)
 	if request != "" && rep.Spans == 0 {
-		http.Error(w, "no trace spans for request "+request, http.StatusNotFound)
-		return
+		return nil, notFound("no trace spans for request " + request)
 	}
-	switch format := q.Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = rep.WriteJSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		rep.WriteText(w)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
+	return rep, nil
 }
 
 // decodeBody gob-decodes a request body of at most limit bytes into v. It

@@ -452,7 +452,7 @@ func TestSessionVertexServerAccounting(t *testing.T) {
 	if got := calib.ComputeObservations(); got != computeObs {
 		t.Errorf("compute observations went %d → %d on a run that computed nothing", computeObs, got)
 	}
-	updates := srv.Flight().Snapshot(obs.RequestFilter{Route: "/v1/update"})
+	updates := obs.NewFlightReport(srv.Flight().Snapshot(), obs.RequestFilter{Route: "/v1/update"}).Requests
 	if len(updates) != 2 || updates[1].Reused != held {
 		t.Errorf("flight records of /v1/update: %+v, want the second to carry reuse=%d", updates, held)
 	}

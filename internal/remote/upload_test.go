@@ -257,7 +257,7 @@ func TestHaveIndexOutOfRangeIsIgnored(t *testing.T) {
 	defer closeFn()
 	frame := testFrame(10, 3)
 	held := make(map[string]bool)
-	err := rc.uploadArtifact("v", &graph.DatasetArtifact{Frame: frame}, []int{-1, 3, 1 << 20}, held)
+	err := rc.uploadArtifact("v", &graph.DatasetArtifact{Frame: frame}, []int{-1, 3, 1 << 20}, held, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
