@@ -97,12 +97,17 @@ bench-pairs:
 	@scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)"
 
 # fuzz replays the seed corpora and explores, for a short budget each, the
-# on-disk column codec (corruption must never decode successfully) and the
+# on-disk column codec (corruption must never decode successfully), the
 # artifact upload body (hostile bytes must never panic the handler or tear a
-# store entry).
+# store entry) and the node list of a meta-data request (FromWire accepts
+# exactly the DAGs in topological order, and what it accepts merges into the
+# Experiment Graph whole). -fuzzminimizetime bounds the minimizer, which
+# otherwise spends its default minute on the first gob-encoded request that
+# widens coverage and explores nothing in a 10 s budget.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzColumnCodec -fuzztime=10s ./internal/tier/
 	$(GO) test -run=NONE -fuzz=FuzzUploadDecode -fuzztime=10s ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzFromWire -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 
 # lint-logs forbids unstructured logging in server-path packages: server
 # logging goes through log/slog so every line can carry the propagated

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/explain"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
@@ -138,4 +140,66 @@ func BenchmarkOptimizeExplainOverhead(b *testing.B) {
 	b.Run("absent", func(b *testing.B) { run(b) })
 	b.Run("disabled", func(b *testing.B) { run(b, WithExplain(nil)) })
 	b.Run("enabled", func(b *testing.B) { run(b, WithExplain(explain.NewRecorder(8))) })
+}
+
+// scaleServer returns a server whose Experiment Graph holds a synthetic
+// universe of n vertices (merged and materialized through one Update), and a
+// generator of the 5-vertex workloads the scale benchmark and the
+// allocation-flatness test submit: the source and a fresh four-operation
+// chain, as executed.
+func scaleServer(tb testing.TB, n int, opts ...ServerOption) (*Server, func(i int) *graph.DAG) {
+	tb.Helper()
+	srv := NewServer(store.New(cost.Memory()), opts...)
+	u := synth.NewUniverse(int64(n), n)
+	srv.Update(u.Workload(rand.New(rand.NewSource(1))), nil, nil)
+	if srv.EG.Len() < n {
+		tb.Fatalf("EG holds %d vertices, want at least %d", srv.EG.Len(), n)
+	}
+	next := func(i int) *graph.DAG {
+		w := graph.NewDAG()
+		cur := w.AddSource(fmt.Sprintf("u%d-src0", n), &graph.AggregateArtifact{})
+		for d := 0; d < 4; d++ {
+			cur = w.Apply(cur, scaleOp(fmt.Sprintf("scale-%d-%d", i, d)))
+			cur.ComputeTime = time.Duration(d+1) * 100 * time.Millisecond
+			cur.SizeBytes = 4 << 10
+			cur.Content = &graph.AggregateArtifact{Value: float64(i)}
+		}
+		return w
+	}
+	return srv, next
+}
+
+type scaleOp string
+
+func (o scaleOp) Name() string        { return string(o) }
+func (o scaleOp) Hash() string        { return graph.OpHash(string(o), "") }
+func (o scaleOp) OutKind() graph.Kind { return graph.AggregateKind }
+func (o scaleOp) Run([]graph.Artifact) (graph.Artifact, error) {
+	return &graph.AggregateArtifact{}, nil
+}
+
+// BenchmarkServerUpdateAtScale shows the curve of the updater (Figure 2,
+// step 5) against the size of the Experiment Graph: one 5-vertex update per
+// iteration on a graph of 1 k, 10 k and 100 k vertices, with the default
+// strategy (storage-aware) and explain capture on (collabd's default) and
+// off. What grows with the graph is the candidate scoring pass and, with
+// explain on, the per-vertex decision rows; the derivation of Cr and p does
+// not (the graph maintains them).
+func BenchmarkServerUpdateAtScale(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		for _, explainOn := range []bool{true, false} {
+			b.Run(fmt.Sprintf("vertices=%d/explain=%t", n, explainOn), func(b *testing.B) {
+				var opts []ServerOption
+				if explainOn {
+					opts = append(opts, WithExplain(explain.NewRecorder(explain.DefaultCapacity)))
+				}
+				srv, next := scaleServer(b, n, opts...)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					srv.Update(next(i), nil, nil)
+				}
+			})
+		}
+	}
 }

@@ -323,3 +323,31 @@ func TestMaterializeStrategySwap(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateAllocationsDoNotGrowWithTheGraph gates what the scale benchmark
+// shows, with a count instead of a timing: the updater allocates per
+// workload vertex and per selected artifact, not per Experiment Graph
+// vertex. While every update derived Cr and p anew (two |V|-entry maps, an
+// in-degree map and two sorted ID lists, five times over) the count grew
+// with the graph; a slice that doubles as it fills still adds an allocation
+// per doubling, hence a ratio and not equality.
+func TestUpdateAllocationsDoNotGrowWithTheGraph(t *testing.T) {
+	allocs := func(vertices int) float64 {
+		srv, next := scaleServer(t, vertices)
+		const runs = 20
+		workloads := make([]*graph.DAG, runs+1) // AllocsPerRun warms up once
+		for i := range workloads {
+			workloads[i] = next(i)
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			srv.Update(workloads[i], nil, nil)
+			i++
+		})
+	}
+	small, large := allocs(500), allocs(5000)
+	t.Logf("allocations per 5-vertex update: %.0f on 500 vertices, %.0f on 5000", small, large)
+	if large >= 1.5*small {
+		t.Errorf("Update allocates %.0f times on a 5000-vertex graph, %.0f on a 500-vertex one: it grows with the graph", large, small)
+	}
+}

@@ -320,7 +320,7 @@ func (s *Server) initMetrics() {
 	reg.GaugeFunc("collab_eg_vertices", "Experiment Graph vertex count",
 		func() float64 { return float64(s.EG.Len()) })
 	reg.GaugeFunc("collab_eg_materialized", "EG vertices with stored content",
-		func() float64 { return float64(len(s.EG.MaterializedIDs())) })
+		func() float64 { return float64(s.EG.MaterializedCount()) })
 	reg.GaugeFunc("collab_store_artifacts", "artifacts in the store",
 		func() float64 { return float64(s.Store.Len()) })
 	reg.GaugeFunc("collab_store_physical_bytes", "deduplicated bytes stored",
@@ -711,15 +711,17 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, r
 		computeTotal      time.Duration
 		recreation        time.Duration
 		measured          bool
-		cr                map[string]time.Duration
 	)
 	for _, n := range executed.Nodes() {
 		if n.LoadedFromEG {
 			reused++
-			if cr == nil {
-				cr = s.EG.RecreationCosts()
+			// The recreation cost the load avoided, as the graph held it when
+			// the planner priced this run; zero for a vertex it does not know.
+			var cr time.Duration
+			if v := s.EG.Vertex(n.ID); v != nil {
+				cr = v.RecreationCost()
 			}
-			recreation += cr[n.ID]
+			recreation += cr
 			if n.FetchTime > 0 && n.FetchTier != "" && n.FetchTier != SessionTier {
 				s.calib.ObserveLoad(n.FetchTier, n.SizeBytes, n.PredictedLoad, n.FetchTime)
 				fetchTotal += n.FetchTime
@@ -730,7 +732,7 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, r
 				// measured outcome. Negative when fetching was slower than
 				// recomputing would have been.
 				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes,
-					(cr[n.ID] - n.FetchTime).Seconds(), requestID)
+					(cr - n.FetchTime).Seconds(), requestID)
 			} else if n.FetchTier != SessionTier || s.Store.Has(n.ID) {
 				// Unmeasured reuse (calibration off, or satisfied from the
 				// client's session store): counted, no attributable saving.

@@ -8,6 +8,7 @@ package eg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -56,16 +57,49 @@ type Vertex struct {
 	// LastSeen is the graph's merge counter when this vertex last
 	// appeared in a workload (the idle clock of PrunePolicy).
 	LastSeen int
+
+	// Derived state, maintained by the graph (derived.go). Unexported, so
+	// it never enters a gob snapshot; FromSnapshot rebuilds it.
+	pos   int           // index in Graph.order
+	cr    time.Duration // Cr(v)
+	pot   float64       // p(v)
+	dirty uint8         // costDirty | potDirty, pending in refreshLocked
 }
+
+// RecreationCost returns Cr(v) = t(v) + Σ over parents Cr(p): the cost of
+// recomputing the artifact from the sources, summed over paths (a diamond
+// counts its shared ancestor once per path, as Algorithm 2's forward pass
+// does). The graph maintains it exactly across Merge and Prune.
+func (v *Vertex) RecreationCost() time.Duration { return v.cr }
+
+// Potential returns p(v): the quality of the best model reachable from v
+// (§5.1), 0 when none is. The graph maintains it exactly across Merge and
+// Prune.
+func (v *Vertex) Potential() float64 { return v.pot }
 
 // IsSource reports whether the vertex is a raw dataset.
 func (v *Vertex) IsSource() bool { return len(v.Parents) == 0 && v.Kind != graph.SupernodeKind }
 
 // Graph is the Experiment Graph. It is safe for concurrent use.
+//
+// Invariant: every parent of a vertex is in the graph. Merge and
+// FromSnapshot refuse vertices that would break it, and Prune removes whole
+// subtrees only. The maintained topological order (derived.go) rests on it.
 type Graph struct {
 	mu       sync.RWMutex
 	vertices map[string]*Vertex
-	sources  []string
+	// order holds every vertex parents-first: insertion order, which is
+	// topological because a vertex is inserted after its parents. byID holds
+	// every vertex sorted by ID. materialized counts the vertices whose mat
+	// flag is set.
+	order        []*Vertex
+	byID         []*Vertex
+	materialized int
+	// costFrom/potFrom and the pending counts bound the sweep of
+	// refreshLocked over order.
+	costFrom, costPending int
+	potFrom, potPending   int
+	sources               []string
 	// colSizes maps lineage column ID → content bytes, populated by the
 	// updater so dedup sizing works without loading content.
 	colSizes map[string]int64
@@ -78,6 +112,7 @@ func New() *Graph {
 	return &Graph{
 		vertices: make(map[string]*Vertex),
 		colSizes: make(map[string]int64),
+		potFrom:  -1,
 	}
 }
 
@@ -119,60 +154,87 @@ type externalOp interface{ External() bool }
 
 // Merge unions an executed workload DAG into the Experiment Graph (§3.2,
 // updater task two): it inserts missing vertices and edges, increments the
-// frequency of every vertex the workload touched, and refreshes measured
-// compute times, sizes, and model qualities. It returns the IDs of vertices
-// that were newly inserted.
+// frequency of every vertex the workload touched, refreshes measured compute
+// times, sizes, and model qualities, and brings Cr(v) and p(v) up to date
+// for exactly the vertices those changes reach. It returns the IDs of
+// vertices that were newly inserted.
+//
+// Nodes must arrive parents-first, as graph.DAG and remote.FromWire produce
+// them. A node naming a parent the graph does not hold — unknown, or later
+// in the DAG — is skipped, and so, in turn, is every node that descends
+// from it: the graph never holds a vertex without its parents.
 func (g *Graph) Merge(w *graph.DAG) []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.mergeCount++
 	var inserted []string
+	known := len(g.byID)
 	for _, n := range w.Nodes() {
 		v, ok := g.vertices[n.ID]
 		if !ok {
-			v = &Vertex{
-				ID:   n.ID,
-				Kind: n.Kind,
-				Name: n.Name,
-			}
-			for _, p := range n.Parents {
-				v.Parents = append(v.Parents, p.ID)
-			}
-			if n.Op != nil {
-				v.OpHash = n.Op.Hash()
-				v.Op = n.Op
-				if ext, isExt := n.Op.(externalOp); isExt && ext.External() {
-					v.External = true
-				}
-			}
-			g.vertices[n.ID] = v
-			for _, p := range n.Parents {
-				if pv := g.vertices[p.ID]; pv != nil {
-					pv.Children = append(pv.Children, n.ID)
-				}
-			}
-			if v.IsSource() {
-				g.sources = append(g.sources, v.ID)
+			if v = g.insertLocked(n); v == nil {
+				continue
 			}
 			inserted = append(inserted, v.ID)
 		}
 		v.Frequency++
 		v.LastSeen = g.mergeCount
-		// Refresh measurements from this execution when available.
-		if n.ComputeTime > 0 {
+		// Refresh measurements from this execution when available. A changed
+		// compute time reaches the Cr of the descendants, a changed model
+		// quality the p of the ancestors.
+		if n.ComputeTime > 0 && n.ComputeTime != v.ComputeTime {
 			v.ComputeTime = n.ComputeTime
+			g.markCost(v)
 		}
 		if n.SizeBytes > 0 {
 			v.SizeBytes = n.SizeBytes
 		}
-		if n.Quality > 0 {
+		if n.Quality > 0 && n.Quality != v.Quality {
 			v.Quality = n.Quality
+			g.markPot(v)
 		}
 		if n.Content != nil {
 			g.annotateContentLocked(v, n.Content)
+		} else {
+			g.annotateMetaLocked(v, n)
 		}
 	}
+	g.sortInsertedLocked(known)
+	g.refreshLocked()
 	return inserted
+}
+
+// insertLocked adds the vertex of a workload node and links it under its
+// parents. It returns nil, inserting nothing, when the graph does not hold
+// every parent.
+func (g *Graph) insertLocked(n *graph.Node) *Vertex {
+	for _, p := range n.Parents {
+		if g.vertices[p.ID] == nil {
+			return nil
+		}
+	}
+	v := &Vertex{ID: n.ID, Kind: n.Kind, Name: n.Name, pos: len(g.order)}
+	for _, p := range n.Parents {
+		v.Parents = append(v.Parents, p.ID)
+		pv := g.vertices[p.ID]
+		pv.Children = append(pv.Children, n.ID)
+	}
+	if n.Op != nil {
+		v.OpHash = n.Op.Hash()
+		v.Op = n.Op
+		if ext, isExt := n.Op.(externalOp); isExt && ext.External() {
+			v.External = true
+		}
+	}
+	g.vertices[v.ID] = v
+	g.order = append(g.order, v)
+	g.byID = append(g.byID, v) // put in its place by sortInsertedLocked
+	if v.IsSource() {
+		g.sources = append(g.sources, v.ID)
+	}
+	g.markCost(v)
+	g.markPot(v)
+	return v
 }
 
 // annotateContentLocked records meta-data and column lineage from content.
@@ -183,109 +245,71 @@ func (g *Graph) annotateContentLocked(v *Vertex, content graph.Artifact) {
 			return
 		}
 		v.Columns = v.Columns[:0]
-		if v.Meta == nil {
-			v.Meta = make(map[string]string)
-		}
-		v.Meta["rows"] = fmt.Sprintf("%d", a.Frame.NumRows())
-		v.Meta["cols"] = fmt.Sprintf("%d", a.Frame.NumCols())
+		g.setMetaLocked(v, "rows", fmt.Sprintf("%d", a.Frame.NumRows()))
+		g.setMetaLocked(v, "cols", fmt.Sprintf("%d", a.Frame.NumCols()))
 		for _, c := range a.Frame.Columns() {
 			v.Columns = append(v.Columns, c.ID)
 			g.colSizes[c.ID] = c.SizeBytes()
 		}
 	case *graph.ModelArtifact:
-		if v.Meta == nil {
-			v.Meta = make(map[string]string)
-		}
 		if a.Model != nil {
-			v.Meta["model"] = a.Model.Kind()
+			g.setMetaLocked(v, "model", a.Model.Kind())
 		}
-		v.Meta["quality"] = fmt.Sprintf("%.4f", a.Quality)
+		g.setMetaLocked(v, "quality", fmt.Sprintf("%.4f", a.Quality))
 	}
 }
 
-// RecordColumns registers a vertex's column lineage and per-column sizes
-// without content — the remote-update path, where clients ship meta-data
-// only (the in-process path records this from artifact content in Merge).
-func (g *Graph) RecordColumns(id string, colIDs []string, sizes []int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	v, ok := g.vertices[id]
-	if !ok || len(colIDs) != len(sizes) {
-		return
+// annotateMetaLocked records what a node that travels without content says
+// of it (the remote-update path, where clients ship meta-data only): column
+// lineage with per-column sizes, and the learner kind of a trained model.
+func (g *Graph) annotateMetaLocked(v *Vertex, n *graph.Node) {
+	if len(n.Columns) > 0 && len(n.Columns) == len(n.ColSizes) {
+		v.Columns = append(v.Columns[:0], n.Columns...)
+		for i, c := range n.Columns {
+			g.colSizes[c] = n.ColSizes[i]
+		}
 	}
-	v.Columns = append(v.Columns[:0], colIDs...)
-	for i, c := range colIDs {
-		g.colSizes[c] = sizes[i]
+	if n.ModelKind != "" {
+		g.setMetaLocked(v, "model", n.ModelKind)
 	}
 }
 
-// RecordMeta sets one meta-data entry on a vertex (remote-update path).
-func (g *Graph) RecordMeta(id, key, value string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if v, ok := g.vertices[id]; ok {
-		if v.Meta == nil {
-			v.Meta = make(map[string]string)
-		}
-		v.Meta[key] = value
+func (g *Graph) setMetaLocked(v *Vertex, key, value string) {
+	if v.Meta == nil {
+		v.Meta = make(map[string]string)
 	}
+	v.Meta[key] = value
 }
 
 // SetMaterialized flips the mat attribute of a vertex.
 func (g *Graph) SetMaterialized(id string, mat bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if v, ok := g.vertices[id]; ok {
+	if v, ok := g.vertices[id]; ok && v.Materialized != mat {
 		v.Materialized = mat
+		if mat {
+			g.materialized++
+		} else {
+			g.materialized--
+		}
 	}
+}
+
+// MaterializedCount returns the number of materialized vertices.
+func (g *Graph) MaterializedCount() int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.materialized
 }
 
 // MaterializedIDs returns the IDs of all materialized vertices, sorted.
 func (g *Graph) MaterializedIDs() []string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var out []string
-	for id, v := range g.vertices {
+	out := make([]string, 0, g.materialized)
+	for _, v := range g.byID {
 		if v.Materialized {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TopoOrder returns all vertex IDs in a topological order (parents before
-// children), deterministic for a given graph.
-func (g *Graph) TopoOrder() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.topoOrderLocked()
-}
-
-func (g *Graph) topoOrderLocked() []string {
-	indeg := make(map[string]int, len(g.vertices))
-	ids := make([]string, 0, len(g.vertices))
-	for id, v := range g.vertices {
-		ids = append(ids, id)
-		indeg[id] = len(v.Parents)
-	}
-	sort.Strings(ids)
-	var queue []string
-	for _, id := range ids {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	out := make([]string, 0, len(ids))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		out = append(out, id)
-		for _, c := range g.vertices[id].Children {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
+			out = append(out, v.ID)
 		}
 	}
 	return out
@@ -337,60 +361,12 @@ func (g *Graph) TopoOrderOf(ids []string) []string {
 	return out
 }
 
-// RecreationCosts computes Cr(v) for every vertex in one pass over the
-// graph in topological order: Cr(v) = t(v) + Σ over parents Cr(p). This is
-// the paper's incremental one-pass computation (§5.2 "Run-time and
-// Complexity") and deliberately shares the cost semantics of Algorithm 2's
-// forward pass.
-func (g *Graph) RecreationCosts() map[string]time.Duration {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make(map[string]time.Duration, len(g.vertices))
-	for _, id := range g.topoOrderLocked() {
-		v := g.vertices[id]
-		cr := v.ComputeTime
-		for _, p := range v.Parents {
-			cr += out[p]
-		}
-		out[id] = cr
-	}
-	return out
-}
-
-// Potentials computes p(v) for every vertex in one reverse-topological
-// pass: the quality of the best model reachable from v (§5.1), 0 when no
-// model is reachable.
-func (g *Graph) Potentials() map[string]float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	order := g.topoOrderLocked()
-	out := make(map[string]float64, len(g.vertices))
-	for i := len(order) - 1; i >= 0; i-- {
-		v := g.vertices[order[i]]
-		p := 0.0
-		if v.Kind == graph.ModelKind {
-			p = v.Quality
-		}
-		for _, c := range v.Children {
-			if out[c] > p {
-				p = out[c]
-			}
-		}
-		out[v.ID] = p
-	}
-	return out
-}
-
-// Vertices returns all vertices (read-only view), sorted by ID.
+// Vertices returns all vertices (read-only view), sorted by ID. The slice
+// is the caller's own; the vertices are the graph's.
 func (g *Graph) Vertices() []*Vertex {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]*Vertex, 0, len(g.vertices))
-	for _, v := range g.vertices {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
+	return slices.Clone(g.byID)
 }
 
 // TotalLogicalSize sums SizeBytes over the given vertex IDs (no dedup).

@@ -75,15 +75,15 @@ func TestRecreationCostsOnePassDP(t *testing.T) {
 	g := New()
 	w, src, a, b := buildChain()
 	g.Merge(w)
-	cr := g.RecreationCosts()
-	if cr[src.ID] != 0 {
-		t.Errorf("source Cr=%v, want 0", cr[src.ID])
+	cr := func(id string) time.Duration { return g.Vertex(id).RecreationCost() }
+	if cr(src.ID) != 0 {
+		t.Errorf("source Cr=%v, want 0", cr(src.ID))
 	}
-	if cr[a.ID] != 2*time.Second {
-		t.Errorf("Cr(a)=%v, want 2s", cr[a.ID])
+	if cr(a.ID) != 2*time.Second {
+		t.Errorf("Cr(a)=%v, want 2s", cr(a.ID))
 	}
-	if cr[b.ID] != 5*time.Second {
-		t.Errorf("Cr(b)=%v, want 5s", cr[b.ID])
+	if cr(b.ID) != 5*time.Second {
+		t.Errorf("Cr(b)=%v, want 5s", cr(b.ID))
 	}
 }
 
@@ -91,19 +91,19 @@ func TestPotentialsPropagateUpstream(t *testing.T) {
 	g := New()
 	w, src, a, b := buildChain()
 	g.Merge(w)
-	p := g.Potentials()
-	if p[b.ID] != 0.8 {
-		t.Errorf("p(model)=%v, want 0.8", p[b.ID])
+	p := func(id string) float64 { return g.Vertex(id).Potential() }
+	if p(b.ID) != 0.8 {
+		t.Errorf("p(model)=%v, want 0.8", p(b.ID))
 	}
-	if p[a.ID] != 0.8 || p[src.ID] != 0.8 {
-		t.Errorf("upstream potentials %v / %v, want 0.8", p[a.ID], p[src.ID])
+	if p(a.ID) != 0.8 || p(src.ID) != 0.8 {
+		t.Errorf("upstream potentials %v / %v, want 0.8", p(a.ID), p(src.ID))
 	}
 	// A vertex with no reachable model has potential 0.
 	w2 := graph.NewDAG()
 	s2 := w2.AddSource("other", &graph.AggregateArtifact{})
 	c := w2.Apply(s2, stubOp{name: "c", kind: graph.DatasetKind})
 	g.Merge(w2)
-	if got := g.Potentials()[c.ID]; got != 0 {
+	if got := p(c.ID); got != 0 {
 		t.Errorf("p(no-model path)=%v, want 0", got)
 	}
 }
@@ -117,7 +117,7 @@ func TestPotentialTakesMaxOverModels(t *testing.T) {
 	m1.Quality = 0.6
 	m2.Quality = 0.9
 	g.Merge(w)
-	if got := g.Potentials()[src.ID]; got != 0.9 {
+	if got := g.Vertex(src.ID).Potential(); got != 0.9 {
 		t.Errorf("p(src)=%v, want max quality 0.9", got)
 	}
 }

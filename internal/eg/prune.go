@@ -32,12 +32,13 @@ func (g *Graph) Prune(p PrunePolicy) []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	order := g.topoOrderLocked()
 	remove := make(map[string]bool)
+	var removed []string
 	// Reverse topological order: decide children before parents, so "all
-	// children removed" is known when a parent is considered.
-	for i := len(order) - 1; i >= 0; i-- {
-		v := g.vertices[order[i]]
+	// children removed" is known when a parent is considered. Any valid
+	// order gives the same set, so the maintained one serves.
+	for i := len(g.order) - 1; i >= 0; i-- {
+		v := g.order[i]
 		if v.IsSource() || v.Materialized {
 			continue
 		}
@@ -56,29 +57,16 @@ func (g *Graph) Prune(p PrunePolicy) []string {
 		}
 		if allChildrenGone {
 			remove[v.ID] = true
+			removed = append(removed, v.ID)
 		}
 	}
-	if len(remove) == 0 {
+	if len(removed) == 0 {
 		return nil
 	}
-	removed := make([]string, 0, len(remove))
-	for id := range remove {
-		delete(g.vertices, id)
-		removed = append(removed, id)
-	}
-	// Drop dangling child references on survivors.
-	for _, v := range g.vertices {
-		kept := v.Children[:0]
-		for _, c := range v.Children {
-			if !remove[c] {
-				kept = append(kept, c)
-			}
-		}
-		v.Children = kept
-	}
+	g.dropLocked(func(v *Vertex) bool { return remove[v.ID] })
 	// Garbage-collect column sizes no longer referenced.
 	live := make(map[string]bool)
-	for _, v := range g.vertices {
+	for _, v := range g.order {
 		for _, c := range v.Columns {
 			live[c] = true
 		}
@@ -88,6 +76,9 @@ func (g *Graph) Prune(p PrunePolicy) []string {
 			delete(g.colSizes, c)
 		}
 	}
+	// Survivors keep their Cr (it depends on ancestors, and a removed vertex
+	// takes its descendants with it); p can fall where a model went.
+	g.rederiveLocked()
 	return removed
 }
 

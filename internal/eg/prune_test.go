@@ -108,8 +108,8 @@ func TestPruneGarbageCollectsColumnSizes(t *testing.T) {
 	w := graph.NewDAG()
 	src := w.AddSource("s2", &graph.AggregateArtifact{})
 	n := w.Apply(src, stubOp{name: "cols", kind: graph.DatasetKind})
+	n.Columns, n.ColSizes = []string{"col-1"}, []int64{64}
 	g.Merge(w)
-	g.RecordColumns(n.ID, []string{"col-1"}, []int64{64})
 	if g.ColumnSize("col-1") != 64 {
 		t.Fatal("column size not recorded")
 	}

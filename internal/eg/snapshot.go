@@ -7,8 +7,8 @@ type Snapshot struct {
 	ColSizes map[string]int64
 }
 
-// Snapshot copies the graph state. Vertices are deep-copied so the
-// snapshot is stable while the server keeps running.
+// Snapshot copies the graph state. Vertices are deep-copied, in ID order,
+// so the snapshot is stable while the server keeps running.
 func (g *Graph) Snapshot() *Snapshot {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -16,7 +16,7 @@ func (g *Graph) Snapshot() *Snapshot {
 	for id, sz := range g.colSizes {
 		s.ColSizes[id] = sz
 	}
-	for _, v := range g.vertices {
+	for _, v := range g.byID {
 		cp := *v
 		cp.Op = nil // operations are process-local; see Vertex.Op
 		cp.Parents = append([]string(nil), v.Parents...)
@@ -33,7 +33,9 @@ func (g *Graph) Snapshot() *Snapshot {
 	return s
 }
 
-// FromSnapshot reconstructs a graph from a snapshot.
+// FromSnapshot reconstructs a graph from a snapshot. Only the persisted
+// attributes are read: the orders, Cr and p are rebuilt, and a vertex whose
+// parents the snapshot does not hold is dropped with its descendants.
 func FromSnapshot(s *Snapshot) *Graph {
 	g := New()
 	if s == nil {
@@ -45,9 +47,7 @@ func FromSnapshot(s *Snapshot) *Graph {
 	for _, v := range s.Vertices {
 		cp := *v
 		g.vertices[cp.ID] = &cp
-		if cp.IsSource() {
-			g.sources = append(g.sources, cp.ID)
-		}
 	}
+	g.rebuildLocked()
 	return g
 }

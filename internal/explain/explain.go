@@ -273,30 +273,31 @@ func BuildUpdate(g *eg.Graph, profile cost.Profile, strategy string, budget int6
 	sel := make(map[string]bool, len(selected))
 	for _, id := range selected {
 		sel[id] = true
-		rec.Mat.SelectedBytes += vertexSize(g, id)
 	}
-	cr := g.RecreationCosts()
-	pot := g.Potentials()
 	for _, v := range g.Vertices() { // sorted by ID
+		if sel[v.ID] {
+			rec.Mat.SelectedBytes += v.SizeBytes
+		}
 		if !Eligible(v) {
 			continue
 		}
 		rec.Mat.Eligible++
 		cl := profile.LoadCost(v.SizeBytes)
+		cr := v.RecreationCost()
 		md := MatDecision{
 			ID:             v.ID,
 			Name:           v.Name,
 			SizeBytes:      v.SizeBytes,
 			Frequency:      v.Frequency,
-			RecreationCost: Cost(cr[v.ID].Seconds()),
+			RecreationCost: Cost(cr.Seconds()),
 			LoadCost:       Cost(cl.Seconds()),
-			Potential:      pot[v.ID],
+			Potential:      v.Potential(),
 			Materialized:   v.Materialized,
 		}
 		switch {
 		case sel[v.ID]:
 			md.Decision = MatSelected
-		case cl >= cr[v.ID]:
+		case cl >= cr:
 			md.Decision = MatVetoedLoadCost
 			rec.Mat.VetoedLoadCost++
 		default:
@@ -313,13 +314,6 @@ func BuildUpdate(g *eg.Graph, profile cost.Profile, strategy string, budget int6
 // stored unconditionally outside the budget.
 func Eligible(v *eg.Vertex) bool {
 	return v.Kind != graph.SupernodeKind && !v.External && !v.IsSource()
-}
-
-func vertexSize(g *eg.Graph, id string) int64 {
-	if v := g.Vertex(id); v != nil {
-		return v.SizeBytes
-	}
-	return 0
 }
 
 // Recorder keeps the most recent decision records in a bounded ring. All

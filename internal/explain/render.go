@@ -148,12 +148,12 @@ func vertexShape(kind string) string {
 // with recreation costs, frequencies, sizes, and materialization flags.
 // Vertices are emitted sorted by ID and edges in stored parent order, so
 // output is byte-stable for a given graph (map iteration never reaches the
-// writer).
+// writer). It renders a snapshot — one consistent copy taken under the
+// graph's lock — so it may run beside the updater.
 func WriteEGDOT(g *eg.Graph, w io.Writer) error {
-	cr := g.RecreationCosts()
 	var b strings.Builder
 	b.WriteString("digraph \"experiment-graph\" {\n  rankdir=TB;\n  node [fontsize=10];\n")
-	vertices := g.Vertices() // sorted by ID
+	vertices := g.Snapshot().Vertices // sorted by ID
 	for _, v := range vertices {
 		var shape string
 		switch {
@@ -167,7 +167,7 @@ func WriteEGDOT(g *eg.Graph, w io.Writer) error {
 			shape = "box"
 		}
 		label := fmt.Sprintf("%s\\nf=%d Cr=%s s=%dB", v.Name, v.Frequency,
-			Cost(cr[v.ID].Seconds()), v.SizeBytes)
+			Cost(v.RecreationCost().Seconds()), v.SizeBytes)
 		if v.Kind.String() == "supernode" {
 			label = ""
 		}

@@ -88,6 +88,14 @@ type Node struct {
 	FetchTime     time.Duration
 	FetchTier     string
 	PredictedLoad time.Duration
+
+	// Columns, ColSizes and ModelKind describe the content of a node that
+	// travels without it (a DAG rebuilt from wire meta-data): the lineage IDs
+	// and byte sizes of a dataset's columns, index for index, and the learner
+	// kind of a trained model. The updater reads them where Content is nil.
+	Columns   []string
+	ColSizes  []int64
+	ModelKind string
 }
 
 // SourceID returns the vertex ID of a raw source dataset by name.

@@ -2,7 +2,6 @@ package materialize
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/eg"
 )
@@ -12,9 +11,9 @@ import (
 // the vertices belonging to the new workload ... and the materialized
 // vertices", giving per-update complexity O(|W| + |M|) instead of O(|V|).
 //
-// Per-vertex recreation costs and potentials are cached; an update
-// refreshes them only for the touched (workload) vertices — exactly, via
-// their parents' cached recreation costs and children's cached potentials
+// Per-vertex cost-size ratios and potentials are cached; an update
+// refreshes them only for the touched (workload) vertices — from the
+// recreation cost the graph maintains and the children's cached potentials
 // — and for the currently materialized set. Statistics of untouched,
 // unmaterialized vertices may go stale, which is the approximation the
 // paper accepts in exchange for constant-time updates.
@@ -32,10 +31,13 @@ type Incremental struct {
 	selection []string
 }
 
+// rawStat is what a vertex contributed to the cached normalisation sums
+// when it was last in the pool. p is not the graph's p(v): it is masked by
+// the veto (a vetoed vertex holds 0 and lifts no ancestor) and propagates
+// within the pool only, so it stays here beside the sum it is part of.
 type rawStat struct {
-	p      float64       // potential
-	rcs    float64       // weighted cost-size ratio
-	cr     time.Duration // recreation cost
+	p      float64 // potential
+	rcs    float64 // weighted cost-size ratio
 	size   int64
 	vetoed bool // Cl >= Cr
 }
@@ -69,20 +71,13 @@ func (m *Incremental) SelectIncremental(g *eg.Graph, budget int64, touched []str
 	for _, id := range m.selection {
 		pool[id] = true
 	}
-	// Refresh stats for the pool in (EG-global) topological order
-	// restricted to pool members, so parents refresh before children
-	// within a new workload. Touched sets come from a workload DAG,
-	// which is merged in topological order, so iterating topologically
-	// over the pool is equivalent to iterating the workload in order.
-	ordered := make([]string, 0, len(pool))
-	for _, id := range g.TopoOrderOf(poolKeys(pool)) {
-		ordered = append(ordered, id)
-	}
+	ordered := g.TopoOrderOf(poolKeys(pool))
 	for _, id := range ordered {
 		m.refresh(g, id)
 	}
-	// Potentials flow upstream: refresh again in reverse order so a new
-	// high-quality model lifts its in-pool ancestors.
+	// Potentials flow upstream: refresh again in reverse topological order
+	// (restricted to pool members) so a new high-quality model lifts its
+	// in-pool ancestors.
 	for i := len(ordered) - 1; i >= 0; i-- {
 		m.refreshPotential(g, ordered[i])
 	}
@@ -131,8 +126,8 @@ func (m *Incremental) SelectIncremental(g *eg.Graph, budget int64, touched []str
 	return out
 }
 
-// refresh recomputes a vertex's recreation cost, cost-size ratio, and veto
-// from its parents' cached recreation costs.
+// refresh recomputes a vertex's cost-size ratio and veto from the
+// recreation cost the graph maintains.
 func (m *Incremental) refresh(g *eg.Graph, id string) {
 	v := g.Vertex(id)
 	if v == nil {
@@ -147,13 +142,7 @@ func (m *Incremental) refresh(g *eg.Graph, id string) {
 		m.sumP -= st.p
 		m.sumR -= st.rcs
 	}
-	cr := v.ComputeTime
-	for _, p := range v.Parents {
-		if ps, ok := m.stats[p]; ok {
-			cr += ps.cr
-		}
-	}
-	st.cr = cr
+	cr := v.RecreationCost()
 	st.size = v.SizeBytes
 	if !eligible(v) {
 		st.vetoed = true

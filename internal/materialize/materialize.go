@@ -10,7 +10,9 @@
 package materialize
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/cost"
 	"repro/internal/eg"
@@ -102,23 +104,20 @@ type candidate struct {
 
 // candidates computes Equation 2 utilities for every non-materialized-
 // eligible vertex: U(v) = 0 if Cl(v) ≥ Cr(v), else α·p'(v) + (1−α)·r'cs(v)
-// with sum-normalized p and rcs.
+// with sum-normalized p and rcs. Cr and p are read off the vertices, where
+// the graph maintains them; the normalisation sums move with every update,
+// so the pass over the vertices (in ID order, which fixes the order of the
+// floating-point sums) and the ranking stay per call.
 func (c Config) candidates(g *eg.Graph) []candidate {
-	cr := g.RecreationCosts()
-	pot := g.Potentials()
-	var cands []candidate
+	vertices := g.Vertices()
+	cands := make([]candidate, 0, len(vertices))
 	var sumP, sumR float64
-	type raw struct {
-		v    *eg.Vertex
-		p, r float64
-	}
-	var raws []raw
-	for _, v := range g.Vertices() {
+	for _, v := range vertices {
 		if !eligible(v) {
 			continue
 		}
 		c.Metrics.considered().Inc()
-		crv := cr[v.ID]
+		crv := v.RecreationCost()
 		cl := c.Profile.LoadCost(v.SizeBytes)
 		if !c.DisableLoadCostVeto && cl >= crv {
 			c.Metrics.vetoed().Inc()
@@ -129,34 +128,35 @@ func (c Config) candidates(g *eg.Graph) []candidate {
 			sz = 1
 		}
 		rcs := float64(v.Frequency) * crv.Seconds() / (float64(sz) / (1 << 20)) // s/MB
-		p := pot[v.ID]
-		raws = append(raws, raw{v, p, rcs})
+		p := v.Potential()
+		cands = append(cands, candidate{v, p, rcs}) // utility holds p until the sums are known
 		sumP += p
 		sumR += rcs
 	}
 	a := c.alpha()
-	for _, r := range raws {
+	for i := range cands {
+		p, r := cands[i].utility, cands[i].rcs
 		var u float64
 		if sumP > 0 {
-			u += a * r.p / sumP
+			u += a * p / sumP
 		}
 		if sumR > 0 {
-			u += (1 - a) * r.r / sumR
+			u += (1 - a) * r / sumR
 		}
-		cands = append(cands, candidate{r.v, u, r.r})
+		cands[i].utility = u
 	}
 	// Highest utility first. Ties (common at α=1, where every ancestor of
 	// the best model shares its potential) fall back to the cost-size
 	// ratio, which favours the model artifact itself, then to ID for
 	// determinism.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].utility != cands[j].utility {
-			return cands[i].utility > cands[j].utility
+	slices.SortFunc(cands, func(x, y candidate) int {
+		if x.utility != y.utility {
+			return cmp.Compare(y.utility, x.utility)
 		}
-		if cands[i].rcs != cands[j].rcs {
-			return cands[i].rcs > cands[j].rcs
+		if x.rcs != y.rcs {
+			return cmp.Compare(y.rcs, x.rcs)
 		}
-		return cands[i].v.ID < cands[j].v.ID
+		return strings.Compare(x.v.ID, y.v.ID)
 	})
 	return cands
 }
@@ -209,9 +209,9 @@ func (m *StorageAware) Name() string { return "SA" }
 
 // Select implements Strategy.
 func (m *StorageAware) Select(g *eg.Graph, budget int64) []string {
-	selected := make(map[string]bool)
-	var order []string
 	cands := m.cfg.candidates(g)
+	selected := make([]bool, len(cands))
+	var order []string
 	for {
 		remaining := budget - g.DedupedSize(order)
 		if remaining <= 0 {
@@ -219,12 +219,12 @@ func (m *StorageAware) Select(g *eg.Graph, budget int64) []string {
 		}
 		added := 0
 		var used int64
-		for _, c := range cands {
-			if selected[c.v.ID] {
+		for i, c := range cands {
+			if selected[i] {
 				continue
 			}
 			if used+c.v.SizeBytes <= remaining {
-				selected[c.v.ID] = true
+				selected[i] = true
 				order = append(order, c.v.ID)
 				used += c.v.SizeBytes
 				added++
@@ -253,9 +253,11 @@ func (m *Helix) Name() string { return "HL" }
 
 // Select implements Strategy.
 func (m *Helix) Select(g *eg.Graph, budget int64) []string {
-	cr := g.RecreationCosts()
 	var out []string
 	var used int64
+	// The scan stops at the first vertex that overflows the budget, so the
+	// result depends on which topological order it walks: TopoOrder's, a
+	// function of the graph alone, not the graph's merge-history order.
 	for _, id := range g.TopoOrder() {
 		v := g.Vertex(id)
 		if v == nil || !eligible(v) {
@@ -263,7 +265,7 @@ func (m *Helix) Select(g *eg.Graph, budget int64) []string {
 		}
 		m.cfg.Metrics.considered().Inc()
 		cl := m.cfg.Profile.LoadCost(v.SizeBytes)
-		if cr[id] <= 2*cl {
+		if v.RecreationCost() <= 2*cl {
 			m.cfg.Metrics.vetoed().Inc()
 			continue
 		}
@@ -301,11 +303,7 @@ func (m *All) Select(g *eg.Graph, _ int64) []string {
 // vertex because Cl(v) ≥ Cr(v). Exposed for tests and diagnostics.
 func LoadCostVetoed(cfg Config, g *eg.Graph, id string) bool {
 	v := g.Vertex(id)
-	if v == nil {
-		return false
-	}
-	cr := g.RecreationCosts()
-	return cfg.Profile.LoadCost(v.SizeBytes) >= cr[id]
+	return v != nil && cfg.Profile.LoadCost(v.SizeBytes) >= v.RecreationCost()
 }
 
 // LimitCount decorates a strategy so it materializes at most k artifacts —

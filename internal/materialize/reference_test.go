@@ -1,0 +1,199 @@
+package materialize
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/cost"
+	"repro/internal/eg"
+	"repro/internal/eg/egtest"
+	"repro/internal/workloads/synth"
+)
+
+// The reference strategies: the selection code as it was while every call
+// derived Cr and p for the whole graph, reading egtest's from-scratch
+// derivation. The strategies must select the same IDs in the same order.
+
+func refCandidates(c Config, g *eg.Graph) []candidate {
+	cr := egtest.RecreationCosts(g)
+	pot := egtest.Potentials(g)
+	var cands []candidate
+	var sumP, sumR float64
+	type raw struct {
+		v    *eg.Vertex
+		p, r float64
+	}
+	var raws []raw
+	for _, v := range g.Vertices() {
+		if !eligible(v) {
+			continue
+		}
+		crv := cr[v.ID]
+		cl := c.Profile.LoadCost(v.SizeBytes)
+		if !c.DisableLoadCostVeto && cl >= crv {
+			continue
+		}
+		sz := v.SizeBytes
+		if sz <= 0 {
+			sz = 1
+		}
+		rcs := float64(v.Frequency) * crv.Seconds() / (float64(sz) / (1 << 20))
+		p := pot[v.ID]
+		raws = append(raws, raw{v, p, rcs})
+		sumP += p
+		sumR += rcs
+	}
+	a := c.alpha()
+	for _, r := range raws {
+		var u float64
+		if sumP > 0 {
+			u += a * r.p / sumP
+		}
+		if sumR > 0 {
+			u += (1 - a) * r.r / sumR
+		}
+		cands = append(cands, candidate{r.v, u, r.r})
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].utility != cands[j].utility {
+			return cands[i].utility > cands[j].utility
+		}
+		if cands[i].rcs != cands[j].rcs {
+			return cands[i].rcs > cands[j].rcs
+		}
+		return cands[i].v.ID < cands[j].v.ID
+	})
+	return cands
+}
+
+func refGreedy(c Config, g *eg.Graph, budget int64) []string {
+	var out []string
+	var used int64
+	for _, cand := range refCandidates(c, g) {
+		if used+cand.v.SizeBytes <= budget {
+			out = append(out, cand.v.ID)
+			used += cand.v.SizeBytes
+		}
+	}
+	return out
+}
+
+func refStorageAware(c Config, g *eg.Graph, budget int64) []string {
+	selected := make(map[string]bool)
+	var order []string
+	cands := refCandidates(c, g)
+	for {
+		remaining := budget - g.DedupedSize(order)
+		if remaining <= 0 {
+			break
+		}
+		added := 0
+		var used int64
+		for _, cand := range cands {
+			if selected[cand.v.ID] {
+				continue
+			}
+			if used+cand.v.SizeBytes <= remaining {
+				selected[cand.v.ID] = true
+				order = append(order, cand.v.ID)
+				used += cand.v.SizeBytes
+				added++
+			}
+		}
+		if added == 0 {
+			break
+		}
+	}
+	return order
+}
+
+func refHelix(c Config, g *eg.Graph, budget int64) []string {
+	cr := egtest.RecreationCosts(g)
+	var out []string
+	var used int64
+	for _, id := range g.TopoOrder() {
+		v := g.Vertex(id)
+		if v == nil || !eligible(v) {
+			continue
+		}
+		if cr[id] <= 2*c.Profile.LoadCost(v.SizeBytes) {
+			continue
+		}
+		if used+v.SizeBytes > budget {
+			break
+		}
+		out = append(out, id)
+		used += v.SizeBytes
+	}
+	return out
+}
+
+func refAll(g *eg.Graph) []string {
+	var out []string
+	for _, id := range g.TopoOrder() {
+		if eligible(g.Vertex(id)) {
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestStrategiesSelectAsFromScratch drives every strategy over the
+// sequences of the graph's own exactness test (overlapping workloads,
+// re-executed vertices, prunes, snapshot round trips) and demands, after
+// every step, the selection the reference code makes from the from-scratch
+// derivation: same IDs, same order. HL is also run on a graph restored
+// from a snapshot, whose maintained order differs from the live one's: its
+// root-first scan must not see the difference. The two Incremental
+// instances (one on the live graph, one on the restored copy) must agree
+// with each other.
+func TestStrategiesSelectAsFromScratch(t *testing.T) {
+	profiles := []cost.Profile{cost.Memory(), cost.Disk(), cost.Remote()}
+	property := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		u := synth.NewUniverse(seed, 30+rng.Intn(220))
+		c := Config{Alpha: []float64{0.5, 0.001, 1}[rng.Intn(3)], Profile: profiles[rng.Intn(3)]}
+		g := eg.New()
+		incLive, incCopy := NewIncremental(c), NewIncremental(c)
+		for step := 0; step < 40; step++ {
+			var touched []string
+			switch r := rng.Intn(10); {
+			case r == 0:
+				g.Prune(eg.PrunePolicy{MaxIdleWorkloads: 1 + rng.Intn(4), MinFrequency: rng.Intn(3)})
+			case r == 1:
+				g = eg.FromSnapshot(g.Snapshot())
+			default:
+				w := u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len()))
+				g.Merge(w)
+				touched = w.IDs()
+			}
+			budget := int64(rng.Intn(24 << 20))
+			restored := eg.FromSnapshot(g.Snapshot())
+			for _, check := range []struct {
+				name      string
+				got, want []string
+			}{
+				{"HM", NewGreedy(c).Select(g, budget), refGreedy(c, g, budget)},
+				{"SA", NewStorageAware(c).Select(g, budget), refStorageAware(c, g, budget)},
+				{"HL", NewHelix(c).Select(g, budget), refHelix(c, g, budget)},
+				{"ALL", NewAll().Select(g, budget), refAll(g)},
+				{"HL restored", NewHelix(c).Select(restored, budget), refHelix(c, g, budget)},
+				{"HM-inc", incLive.SelectIncremental(g, budget, touched), incCopy.SelectIncremental(restored, budget, touched)},
+			} {
+				if !reflect.DeepEqual(check.got, check.want) {
+					t.Errorf("seed %d, step %d, %s (α=%v, budget %d): selected %d, reference %d\n got %v\nwant %v",
+						seed, step, check.name, c.Alpha, budget, len(check.got), len(check.want), check.got, check.want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}

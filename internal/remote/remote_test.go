@@ -141,7 +141,10 @@ func TestWireRoundTripPreservesStructure(t *testing.T) {
 	if len(nodes) != w.Len() {
 		t.Fatalf("wire has %d nodes, DAG has %d", len(nodes), w.Len())
 	}
-	back := FromWire(nodes)
+	back, err := FromWire(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if back.Len() != w.Len() {
 		t.Fatalf("reconstructed %d nodes, want %d", back.Len(), w.Len())
 	}

@@ -112,7 +112,10 @@ func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxMetaBody, &req) {
 		return
 	}
-	dag := FromWire(req.Nodes)
+	dag := wireDAG(w, req.Nodes)
+	if dag == nil {
+		return
+	}
 	opt := h.srv.Optimize(dag, request(r))
 	resp := OptimizeResponse{Warmstarts: opt.Warmstarts, Overhead: opt.Overhead}
 	for id := range opt.Plan.Reuse {
@@ -134,23 +137,20 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxMetaBody, &req) {
 		return
 	}
-	dag := FromWire(req.Nodes)
-	// The DAG carries meta-data only, so what the materializer selected
-	// comes back as the list of content to upload.
+	dag := wireDAG(w, req.Nodes)
+	if dag == nil {
+		return
+	}
+	// The DAG carries meta-data only — column lineage (dedup accounting) and
+	// model kinds (warmstart donor matching) included, which the updater
+	// merges before it selects — so what the materializer selected comes
+	// back as the list of content to upload.
 	resp := UpdateResponse{WantContent: h.srv.Update(dag, request(r), req.Run)}
 	wanted := make(map[string]int, len(resp.WantContent))
 	for i, id := range resp.WantContent {
 		wanted[id] = i
 	}
 	for _, wn := range req.Nodes {
-		// Record column lineage (dedup accounting) and model kinds (warmstart
-		// donor matching), which travel outside the artifact content.
-		if len(wn.Columns) > 0 {
-			h.srv.EG.RecordColumns(wn.ID, wn.Columns, wn.ColSizes)
-		}
-		if wn.TrainedKind != "" {
-			h.srv.EG.RecordMeta(wn.ID, "model", wn.TrainedKind)
-		}
 		// Tell the client which columns of a wanted dataset to leave out.
 		// The answer may be stale by the time the upload arrives; the upload
 		// handler checks again.
@@ -226,7 +226,7 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	plan, mat := h.srv.Timings()
 	st := Stats{
 		Vertices:           h.srv.EG.Len(),
-		Materialized:       len(h.srv.EG.MaterializedIDs()),
+		Materialized:       h.srv.EG.MaterializedCount(),
 		PhysicalBytes:      h.srv.Store.PhysicalBytes(),
 		LogicalBytes:       h.srv.Store.LogicalBytes(),
 		MemoryBytes:        h.srv.Store.MemoryBytes(),
@@ -500,6 +500,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
 	}
 	return false
+}
+
+// wireDAG rebuilds the workload DAG a meta-data request carries. It answers
+// 400 and returns nil for a node list that is not one (FromWire).
+func wireDAG(w http.ResponseWriter, nodes []WireNode) *graph.DAG {
+	dag, err := FromWire(nodes)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil
+	}
+	return dag
 }
 
 func writeGob(w http.ResponseWriter, v any) {

@@ -9,6 +9,7 @@
 package remote
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/calib"
@@ -271,11 +272,18 @@ func (o wireWarmstartOp) SetDonor(ml.Model)  {}
 
 // FromWire reconstructs a meta-only workload DAG on the server. Node
 // identity is preserved verbatim (the server trusts client-computed IDs,
-// as both sides share the hashing scheme).
-func FromWire(nodes []WireNode) *graph.DAG {
+// as both sides share the hashing scheme), structure is not: the list must
+// be a DAG in topological order, as ToWire produces it. A node that repeats
+// an ID, or names a parent that does not precede it, is an error — dropping
+// the edge instead would turn an operation's output into a "source", which
+// the updater stores outside the budget.
+func FromWire(nodes []WireNode) (*graph.DAG, error) {
 	w := graph.NewDAG()
 	byID := make(map[string]*graph.Node, len(nodes))
-	for _, wn := range nodes {
+	for i, wn := range nodes {
+		if byID[wn.ID] != nil {
+			return nil, fmt.Errorf("wire node %d repeats ID %q", i, wn.ID)
+		}
 		n := &graph.Node{
 			ID:            wn.ID,
 			Kind:          wn.Kind,
@@ -288,11 +296,16 @@ func FromWire(nodes []WireNode) *graph.DAG {
 			FetchTime:     wn.FetchTime,
 			FetchTier:     wn.FetchTier,
 			PredictedLoad: wn.PredictedLoad,
+			Columns:       wn.Columns,
+			ColSizes:      wn.ColSizes,
+			ModelKind:     wn.TrainedKind,
 		}
 		for _, pid := range wn.Parents {
-			if p := byID[pid]; p != nil {
-				n.Parents = append(n.Parents, p)
+			p := byID[pid]
+			if p == nil {
+				return nil, fmt.Errorf("wire node %d (%q): parent %q does not precede it", i, wn.ID, pid)
 			}
+			n.Parents = append(n.Parents, p)
 		}
 		if wn.OpHash != "" {
 			op := wireOp{
@@ -311,5 +324,5 @@ func FromWire(nodes []WireNode) *graph.DAG {
 		byID[wn.ID] = n
 		w.Adopt(n)
 	}
-	return w
+	return w, nil
 }
