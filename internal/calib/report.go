@@ -147,6 +147,28 @@ func (r *Report) WriteText(w io.Writer) error {
 			f.Name, f.Count, f.PredictedMeanSec, f.ActualMeanSec,
 			f.MeanAbsRelErr, f.Drift, flag)
 	}
+	// Where the measured compute time went, largest family first: the
+	// kernel to look inside before any other.
+	type opTime struct {
+		name string
+		sec  float64
+	}
+	var ops []opTime
+	var computeSec float64
+	for _, f := range r.Families {
+		if strings.HasPrefix(f.Name, "compute:") && f.Count > 0 {
+			sec := f.ActualMeanSec * float64(f.Count)
+			ops = append(ops, opTime{f.Name, sec})
+			computeSec += sec
+		}
+	}
+	if computeSec > 0 {
+		sort.SliceStable(ops, func(i, j int) bool { return ops[i].sec > ops[j].sec })
+		bw.printf("measured compute: %.3fs\n", computeSec)
+		for _, o := range ops {
+			bw.printf("  %-22s %13.6fs %6.1f%%\n", o.name, o.sec, 100*o.sec/computeSec)
+		}
+	}
 	for _, fit := range r.Fits {
 		bw.printf("fit %-20s latency=%s bandwidth=%.0f B/s (%d samples)\n",
 			fit.Tier, fit.Latency, fit.BytesPerSecond, fit.Samples)

@@ -35,6 +35,10 @@ type Column struct {
 	// unique and sorted ascending.
 	Dict  []string
 	Codes []uint32
+
+	// quant memoises the column's quantile view (quantile.go). It is not
+	// content: unexported, so no codec carries it, and outside SizeBytes.
+	quant *quantileMemo
 }
 
 // DeriveID computes the lineage ID of a column produced by the operation
@@ -226,14 +230,15 @@ func (c *Column) Gather(idx []int, id string) *Column {
 // Rename returns a column sharing c's data but carrying a new name and a
 // lineage ID derived from the renaming operation.
 func (c *Column) Rename(name, opHash string) *Column {
-	out := *c
+	out := c.WithID(DeriveID(opHash, c.ID))
 	out.Name = name
-	out.ID = DeriveID(opHash, c.ID)
-	return &out
+	return out
 }
 
-// WithID returns a shallow copy of c carrying the given lineage ID.
+// WithID returns a shallow copy of c carrying the given lineage ID. The copy
+// shares c's values and with them its quantile view, built or not.
 func (c *Column) WithID(id string) *Column {
+	c.memo() // installed before the copy reads it, so both point at one memo
 	out := *c
 	out.ID = id
 	return &out

@@ -189,45 +189,53 @@ func (f *Frame) Head(n int, opHash string) *Frame {
 	return f.Gather(idx, opHash)
 }
 
-// NumericMatrix converts the named columns (all columns when names is empty)
-// to a dense row-major matrix of float64, substituting 0 for missing values
-// and non-numeric cells. It returns the matrix and the column names used.
+// NumericMatrix converts the named columns (all numeric columns when names is
+// empty) to a dense row-major matrix of float64, substituting 0 for missing
+// values and non-numeric cells. Names the frame lacks are skipped. It returns
+// the matrix and the column names used.
 func (f *Frame) NumericMatrix(names ...string) ([][]float64, []string) {
-	cols := f.cols
+	var used []string
 	if len(names) > 0 {
-		cols = make([]*Column, 0, len(names))
 		for _, n := range names {
-			if c := f.Column(n); c != nil {
-				cols = append(cols, c)
+			if f.HasColumn(n) {
+				used = append(used, n)
 			}
 		}
 	} else {
-		numeric := make([]*Column, 0, len(cols))
-		for _, c := range cols {
+		for _, c := range f.cols {
 			if c.Type.IsNumeric() {
-				numeric = append(numeric, c)
-			}
-		}
-		cols = numeric
-	}
-	rows := f.NumRows()
-	m := make([][]float64, rows)
-	flat := make([]float64, rows*len(cols))
-	used := make([]string, len(cols))
-	for j, c := range cols {
-		used[j] = c.Name
-	}
-	for i := 0; i < rows; i++ {
-		m[i], flat = flat[:len(cols)], flat[len(cols):]
-		for j, c := range cols {
-			if c.IsMissing(i) {
-				m[i][j] = 0
-			} else {
-				m[i][j] = c.Float(i)
+				used = append(used, c.Name)
 			}
 		}
 	}
-	return m, used
+	return f.NumericRows(used, nil), used
+}
+
+// NumericRows is NumericMatrix restricted to the given rows, in their order
+// (all rows when rows is nil), with exactly one matrix column per name: a
+// name the frame lacks yields zeros, which keeps a model's feature
+// dimensionality whatever the frame holds (e.g. one-hot categories absent
+// from a test split). The matrix is filled column by column, one type switch
+// per column.
+func (f *Frame) NumericRows(names []string, rows []int) [][]float64 {
+	n, d := len(rows), len(names)
+	if rows == nil {
+		n = f.NumRows()
+	}
+	m := make([][]float64, n)
+	flat := make([]float64, n*d)
+	for i := range m {
+		m[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	if n == 0 {
+		return m
+	}
+	for j, name := range names {
+		if c := f.Column(name); c != nil {
+			c.FillNumeric(flat[j:], d, rows)
+		}
+	}
+	return m
 }
 
 // String renders a compact, deterministic description of the frame: its

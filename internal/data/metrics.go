@@ -25,6 +25,10 @@ var (
 	// (never rendered or string-hashed).
 	metKeyRows     *obs.Counter
 	metDictKeyRows *obs.Counter
+	// metQuantileBuilds counts quantile views built: one per numeric
+	// column that was ever trained on. Growing with the number of fits, it
+	// says that training inputs do not survive from one run to the next.
+	metQuantileBuilds *obs.Counter
 )
 
 // RegisterMetrics wires the package's kernel counters into reg and
@@ -43,6 +47,8 @@ func RegisterMetrics(reg *obs.Registry) {
 		"Key cells tokenized by the join/group-by kernels.")
 	metDictKeyRows = reg.Counter("collab_data_op_dict_key_rows_total",
 		"Key cells served from dictionary codes (no string render or hash).")
+	metQuantileBuilds = reg.Counter("collab_data_op_quantile_builds_total",
+		"Column quantile views built for tree training (memoised per column object).")
 	reg.GaugeFunc("collab_data_op_dict_hit_ratio",
 		"Fraction of kernel key cells served from dictionary codes.",
 		func() float64 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 	"testing"
-	"time"
 )
 
 // quick returns a small suite for fast experiment smoke tests; heavier
@@ -71,26 +70,37 @@ func TestFig4RepeatedExecutionShape(t *testing.T) {
 	}
 }
 
+// TestFig5SequenceShape asserts Figure 5's shape on work, not on the clock:
+// the three cumulative totals are a few tenths of a second at this scale and
+// their ratio moves with every kernel that gets cheaper on all sides, while
+// the operations each system runs over the sequence repeat. KG runs every
+// operation of every workload; CO, reusing what earlier workloads stored,
+// runs substantially fewer (the paper's 50 % cut is in time; in operations
+// it is more); HL's reuse lands in between.
 func TestFig5SequenceShape(t *testing.T) {
 	res, err := quick(t).Fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals := map[string]float64{}
+	by := map[string]Fig5Result{}
 	for _, r := range res {
 		if len(r.Cumulative) != 8 {
 			t.Fatalf("%s: %d points, want 8", r.System, len(r.Cumulative))
 		}
-		totals[r.System] = seconds(r.Cumulative[7])
+		by[r.System] = r
 	}
-	if totals["CO"] >= totals["KG"] {
-		t.Errorf("CO total (%.2f) should beat KG (%.2f)", totals["CO"], totals["KG"])
+	co, hl, kg := by["CO"], by["HL"], by["KG"]
+	if kg.Reused != 0 {
+		t.Errorf("KG reused %d artifacts, it must compute everything", kg.Reused)
 	}
-	// The paper reports a 50% cumulative cut; at our synthetic scale the
-	// reusable fraction is smaller (see EXPERIMENTS.md), so we assert a
-	// substantial-but-looser bound.
-	if totals["CO"] > 0.87*totals["KG"] {
-		t.Errorf("CO should cut the sequence time substantially: CO=%.2f KG=%.2f", totals["CO"], totals["KG"])
+	if co.Reused == 0 || hl.Reused == 0 {
+		t.Errorf("CO reused %d artifacts and HL %d over the sequence, want both > 0", co.Reused, hl.Reused)
+	}
+	if float64(co.Executed) > 0.87*float64(kg.Executed) {
+		t.Errorf("CO should cut the sequence's work substantially: CO executed %d operations, KG %d", co.Executed, kg.Executed)
+	}
+	if hl.Executed < co.Executed || hl.Executed > kg.Executed {
+		t.Errorf("HL executed %d operations, want between CO's %d and KG's %d", hl.Executed, co.Executed, kg.Executed)
 	}
 }
 
@@ -178,6 +188,11 @@ func TestFig10WarmstartShape(t *testing.T) {
 	}
 }
 
+// TestScalabilityShape asserts the extension figure's two flat curves on
+// work, not on latencies of a few hundred microseconds each: a probe
+// Optimize allocates per workload vertex, not per Experiment Graph vertex,
+// and the incremental materializer scores the workload's vertices plus the
+// materialized ones while a full pass scores the whole graph.
 func TestScalabilityShape(t *testing.T) {
 	s := quick(t)
 	s.SynthWorkloads = 120
@@ -189,18 +204,18 @@ func TestScalabilityShape(t *testing.T) {
 		t.Fatalf("only %d checkpoints", len(res))
 	}
 	first, last := res[0], res[len(res)-1]
-	if last.EGVertices <= first.EGVertices {
-		t.Fatal("EG did not grow")
+	if last.EGVertices <= 10*first.EGVertices {
+		t.Fatalf("EG grew from %d to %d vertices, want more than tenfold", first.EGVertices, last.EGVertices)
 	}
-	// Reuse planning must not degrade with EG size (allow 5x noise).
-	if last.OptimizeLatency > 5*first.OptimizeLatency+time.Millisecond {
-		t.Errorf("optimize latency grew with EG: %v -> %v", first.OptimizeLatency, last.OptimizeLatency)
+	// The counts are equal today; the ratio leaves room for a plan that
+	// finds more to load in a larger graph.
+	if float64(last.OptimizeAllocs) > 1.5*float64(first.OptimizeAllocs) {
+		t.Errorf("optimizing the probe allocates %d times on %d vertices, %d on %d: planning grows with the EG",
+			last.OptimizeAllocs, last.EGVertices, first.OptimizeAllocs, first.EGVertices)
 	}
-	// The full materializer pays for EG growth; the §5.2 incremental
-	// variant must stay well below it at the final checkpoint.
-	if last.IncrementalLatency*5 > last.MaterializeLatency {
-		t.Errorf("incremental (%v) not clearly cheaper than full (%v)",
-			last.IncrementalLatency, last.MaterializeLatency)
+	if last.IncrementalPool*5 > last.EGVertices {
+		t.Errorf("the incremental pass scored %d vertices of %d: not clearly fewer than a full pass",
+			last.IncrementalPool, last.EGVertices)
 	}
 }
 

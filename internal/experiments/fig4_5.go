@@ -62,6 +62,10 @@ func maxSec(d time.Duration) float64 {
 type Fig5Result struct {
 	System     string
 	Cumulative []time.Duration // indexed by workload position (0..7)
+	// Executed and Reused count, over the sequence, the operations the
+	// system ran and the artifacts it loaded from the Experiment Graph
+	// instead: the figure's saving counted in work, not in time.
+	Executed, Reused int
 }
 
 // Fig5 reproduces "Execution of Kaggle workloads in sequence": all eight
@@ -85,13 +89,16 @@ func (s *Suite) Fig5() ([]Fig5Result, error) {
 			}
 			cum += r.RunTime
 			res.Cumulative = append(res.Cumulative, cum)
+			res.Executed += r.Executed
+			res.Reused += r.Reused
 		}
 		out = append(out, res)
 		s.printf("  %-3s", res.System)
 		for _, c := range res.Cumulative {
 			s.printf(" %7.2f", seconds(c))
 		}
-		s.printf("  (total %.2fs)\n", seconds(res.Cumulative[len(res.Cumulative)-1]))
+		s.printf("  (total %.2fs; %d operations executed, %d artifacts reused)\n",
+			seconds(res.Cumulative[len(res.Cumulative)-1]), res.Executed, res.Reused)
 	}
 	return out, nil
 }

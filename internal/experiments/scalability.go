@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/materialize"
@@ -26,6 +27,14 @@ type ScalabilityResult struct {
 	// (expected ~flat, O(|W|+|M|)): the median over the last updates up to
 	// the checkpoint, since the pass is stateful and cannot be repeated.
 	IncrementalLatency time.Duration
+	// OptimizeAllocs is the number of heap allocations of one probe
+	// Optimize call and IncrementalPool the number of vertices the last
+	// incremental pass scored (the workload's plus the materialized ones):
+	// the two flat curves counted in work, which repeats on every host and
+	// under any scheduling, beside EGVertices, which is what a full
+	// materializer pass scores.
+	OptimizeAllocs  uint64
+	IncrementalPool int
 }
 
 // FigScalability is an extension beyond the paper's figures: it merges a
@@ -54,6 +63,7 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 	}
 	var out []ScalabilityResult
 	var recentInc []time.Duration // the last (up to 5) incremental passes
+	var selection []string        // what the last incremental pass chose
 	s.printf("Scalability (extension): server latencies vs Experiment Graph size\n")
 	for wi := 1; wi <= n; wi++ {
 		w := synth.Generate(profile, int64(wi))
@@ -63,8 +73,9 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 		for _, node := range w.DAG.Nodes() {
 			touched = append(touched, node.ID)
 		}
+		scored := selection // the pass scores these and the touched vertices
 		startInc := time.Now()
-		inc.SelectIncremental(srv.EG, srv.Budget(), touched)
+		selection = inc.SelectIncremental(srv.EG, srv.Budget(), touched)
 		if recentInc = append(recentInc, time.Since(startInc)); len(recentInc) > 5 {
 			recentInc = recentInc[1:]
 		}
@@ -72,6 +83,10 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 			continue
 		}
 		incLat := median(append([]time.Duration(nil), recentInc...))
+		pool := make(map[string]bool, len(touched)+len(scored))
+		for _, id := range append(touched, scored...) {
+			pool[id] = true
+		}
 		// Probe optimize latency (median of 5 to damp noise).
 		lat := make([]time.Duration, 5)
 		for k := range lat {
@@ -80,6 +95,10 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 			lat[k] = time.Since(start)
 		}
 		opt := median(lat)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.Optimize(probe.DAG, nil)
+		runtime.ReadMemStats(&after)
 		for k := range lat[:3] {
 			start := time.Now()
 			srv.Strategy().Select(srv.EG, srv.Budget())
@@ -92,6 +111,8 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 			OptimizeLatency:    opt,
 			MaterializeLatency: mat,
 			IncrementalLatency: incLat,
+			OptimizeAllocs:     after.Mallocs - before.Mallocs,
+			IncrementalPool:    len(pool),
 		})
 		s.printf("  workloads=%-5d EG=%-8d optimize=%-12s materialize=%-14s incremental=%s\n",
 			wi, srv.EG.Len(), opt, mat, incLat)

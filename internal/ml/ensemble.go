@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/data"
 	"repro/internal/parallel"
 )
 
@@ -55,9 +56,12 @@ func (g *GradientBoostedTrees) WarmstartFrom(donor Model) bool {
 }
 
 // Fit implements Model.
-func (g *GradientBoostedTrees) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("ml: gbt: empty or mismatched training data")
+func (g *GradientBoostedTrees) Fit(x [][]float64, y []float64) error { return fitMatrix(g, x, y) }
+
+// FitColumns implements ColumnFitter.
+func (g *GradientBoostedTrees) FitColumns(cols []*data.Column, rows []int, y []float64) error {
+	if err := checkColumns(g.Kind(), cols, rows, y); err != nil {
+		return err
 	}
 	if g.NTrees == 0 {
 		g.NTrees = 50
@@ -72,73 +76,65 @@ func (g *GradientBoostedTrees) Fit(x [][]float64, y []float64) error {
 		g.Subsample = 1
 	}
 	rng := rand.New(rand.NewSource(g.Seed))
-	n := len(x)
-	score := make([]float64, n)
 	if len(g.Trees) == 0 {
 		// prior log-odds
 		var pos float64
-		for _, v := range y {
-			pos += v
+		for _, i := range rows {
+			pos += y[i]
 		}
-		p := math.Min(math.Max(pos/float64(n), 1e-6), 1-1e-6)
+		p := math.Min(math.Max(pos/float64(len(rows)), 1e-6), 1-1e-6)
 		g.Base = math.Log(p / (1 - p))
 	}
-	// Score rows in parallel; each row accumulates tree contributions in
-	// tree order, so the floating-point result matches a sequential pass.
-	parallel.ForSite(parallel.SiteML, n, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := g.Base
-			for _, tr := range g.Trees {
-				s += g.LearningRate * tr.predict(x[i])
-			}
-			score[i] = s
-		}
-	})
-	grad := make([]float64, n)
-	g.TreesGrown = 0
-	bins := newBinner(x) // shared (read-only) across all boosting rounds
-	for len(g.Trees) < g.NTrees {
-		parallel.ForSite(parallel.SiteML, n, 1024, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				grad[i] = y[i] - sigmoid(score[i]) // negative gradient
+	// score and grad are indexed like y, by frame row; only the training
+	// rows' entries are used. Rows are scored in parallel; each accumulates
+	// tree contributions in tree order, so the floating-point result matches
+	// a sequential pass and Predict.
+	score := make([]float64, len(y))
+	overRows := func(grain int, fn func(i int)) {
+		parallel.ForSite(parallel.SiteML, len(rows), grain, func(lo, hi int) {
+			for _, i := range rows[lo:hi] {
+				fn(i)
 			}
 		})
-		idx := g.sampleRows(rng, n)
-		t := &DecisionTree{
-			MaxDepth:       g.MaxDepth,
-			MinSamplesLeaf: 4,
-			Classification: false,
-			Seed:           rng.Int63(),
-			bins:           bins,
+	}
+	overRows(256, func(i int) {
+		s := g.Base
+		for _, tr := range g.Trees { // a warmstart donor's
+			s += g.LearningRate * tr.predictAt(cols, i)
 		}
-		t.rng = rand.New(rand.NewSource(t.Seed))
-		root := t.build(grad, idx, 0)
-		g.Trees = append(g.Trees, root)
+		score[i] = s
+	})
+	grad := make([]float64, len(y))
+	g.TreesGrown = 0
+	gr := &grower{b: binColumns(cols), maxDepth: g.MaxDepth, minLeaf: 4}
+	idx := make([]int, len(rows))
+	for len(g.Trees) < g.NTrees {
+		overRows(1024, func(i int) {
+			grad[i] = y[i] - sigmoid(score[i]) // negative gradient
+		})
+		g.Trees = append(g.Trees, gr.grow(grad, g.sampleRows(rng, rows, idx)))
 		g.TreesGrown++
-		parallel.ForSite(parallel.SiteML, n, 256, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				score[i] += g.LearningRate * root.predict(x[i])
-			}
+		overRows(1024, func(i int) {
+			score[i] += g.LearningRate * gr.predict(i)
 		})
 	}
 	return nil
 }
 
-func (g *GradientBoostedTrees) sampleRows(rng *rand.Rand, n int) []int {
+// sampleRows fills idx with this round's training rows: all of rows, or a
+// Subsample fraction of them drawn with replacement.
+func (g *GradientBoostedTrees) sampleRows(rng *rand.Rand, rows, idx []int) []int {
 	if g.Subsample >= 1 {
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = i
-		}
+		copy(idx, rows)
 		return idx
 	}
-	k := int(g.Subsample * float64(n))
+	k := int(g.Subsample * float64(len(rows)))
 	if k < 1 {
 		k = 1
 	}
-	idx := make([]int, k)
+	idx = idx[:k]
 	for i := range idx {
-		idx[i] = rng.Intn(n)
+		idx[i] = rows[rng.Intn(len(rows))]
 	}
 	return idx
 }
@@ -195,9 +191,12 @@ func NewRandomForest(seed int64) *RandomForest {
 func (r *RandomForest) Kind() string { return "rf" }
 
 // Fit implements Model.
-func (r *RandomForest) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("ml: rf: empty or mismatched training data")
+func (r *RandomForest) Fit(x [][]float64, y []float64) error { return fitMatrix(r, x, y) }
+
+// FitColumns implements ColumnFitter.
+func (r *RandomForest) FitColumns(cols []*data.Column, rows []int, y []float64) error {
+	if err := checkColumns(r.Kind(), cols, rows, y); err != nil {
+		return err
 	}
 	if r.NTrees == 0 {
 		r.NTrees = 20
@@ -207,13 +206,13 @@ func (r *RandomForest) Fit(x [][]float64, y []float64) error {
 	}
 	mf := r.MaxFeatures
 	if mf == 0 {
-		mf = int(math.Sqrt(float64(len(x[0]))))
+		mf = int(math.Sqrt(float64(len(cols))))
 		if mf < 1 {
 			mf = 1
 		}
 	}
 	rng := rand.New(rand.NewSource(r.Seed))
-	n := len(x)
+	n := len(rows)
 	// Draw every bootstrap sample and tree seed up front, consuming the
 	// rng stream in the exact per-tree order of a sequential fit; the
 	// trees then fit independently on the shared pool, and the forest is
@@ -223,18 +222,14 @@ func (r *RandomForest) Fit(x [][]float64, y []float64) error {
 	for k := range boots {
 		bi := make([]int, n)
 		for i := range bi {
-			bi[i] = rng.Intn(n)
+			bi[i] = rows[rng.Intn(n)]
 		}
 		boots[k] = bi
 		seeds[k] = rng.Int63()
 	}
-	// One read-only binner over the full matrix, shared by every tree.
-	// Fitting each tree on its materialized bootstrap sample rebuilt the
-	// quantile binner NTrees times — an O(rows·features) serial cost per
-	// tree that flattened across-tree scaling. A bootstrap sample is just a
-	// row multiset, so each tree builds directly from its index multiset
-	// against the shared y and shared bins instead.
-	bins := newBinner(x)
+	// A bootstrap sample is just a row multiset, so each tree grows from its
+	// index multiset against the shared y and the shared read-only bins.
+	b := binColumns(cols)
 	trees := make([]*DecisionTree, r.NTrees)
 	parallel.ForSite(parallel.SiteML, r.NTrees, 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
@@ -244,11 +239,8 @@ func (r *RandomForest) Fit(x [][]float64, y []float64) error {
 				MaxFeatures:    mf,
 				Classification: true,
 				Seed:           seeds[k],
-				bins:           bins,
 			}
-			t.rng = rand.New(rand.NewSource(t.Seed))
-			t.Root = t.build(y, boots[k], 0)
-			t.rng, t.bins, t.hist = nil, nil, nil // release fit-time scratch
+			t.Root = t.grower(b).grow(y, boots[k])
 			trees[k] = t
 		}
 	})

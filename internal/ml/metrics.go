@@ -87,10 +87,9 @@ func RMSE(y, pred []float64) float64 {
 	return math.Sqrt(s / float64(len(y)))
 }
 
-// TrainTestSplit shuffles row indices with the given seed and splits X,y
-// into train and test portions with testFrac in (0,1).
-func TrainTestSplit(x [][]float64, y []float64, testFrac float64, seed int64) (xtr [][]float64, ytr []float64, xte [][]float64, yte []float64) {
-	n := len(x)
+// TrainTestSplit shuffles the row indices 0..n-1 with the given seed and
+// splits them into train and test portions with testFrac in (0,1).
+func TrainTestSplit(n int, testFrac float64, seed int64) (train, test []int) {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -104,13 +103,5 @@ func TrainTestSplit(x [][]float64, y []float64, testFrac float64, seed int64) (x
 	if nTest >= n {
 		nTest = n - 1
 	}
-	for _, i := range idx[:nTest] {
-		xte = append(xte, x[i])
-		yte = append(yte, y[i])
-	}
-	for _, i := range idx[nTest:] {
-		xtr = append(xtr, x[i])
-		ytr = append(ytr, y[i])
-	}
-	return xtr, ytr, xte, yte
+	return idx[nTest:], idx[:nTest]
 }

@@ -318,19 +318,20 @@ func TestMetricsBasics(t *testing.T) {
 }
 
 func TestTrainTestSplit(t *testing.T) {
-	x, y := synthLinear(100, 2, 11)
-	xtr, ytr, xte, yte := TrainTestSplit(x, y, 0.2, 42)
-	if len(xte) != 20 || len(xtr) != 80 || len(ytr) != 80 || len(yte) != 20 {
-		t.Fatalf("split sizes %d/%d", len(xtr), len(xte))
+	train, test := TrainTestSplit(100, 0.2, 42)
+	if len(test) != 20 || len(train) != 80 {
+		t.Fatalf("split sizes %d/%d", len(train), len(test))
 	}
-	// determinism
-	xtr2, _, _, _ := TrainTestSplit(x, y, 0.2, 42)
-	if &xtr2[0][0] == &xtr[0][0] {
-		// rows are shared pointers; compare content of first row
-		t.Log("rows shared as expected")
+	seen := make(map[int]bool)
+	for _, i := range append(append([]int(nil), train...), test...) {
+		if i < 0 || i >= 100 || seen[i] {
+			t.Fatalf("row %d out of range or in both portions", i)
+		}
+		seen[i] = true
 	}
-	for j := range xtr[0] {
-		if xtr[0][j] != xtr2[0][j] {
+	train2, _ := TrainTestSplit(100, 0.2, 42)
+	for j := range train {
+		if train[j] != train2[j] {
 			t.Fatal("split not deterministic for equal seeds")
 		}
 	}

@@ -1,5 +1,7 @@
 package ml
 
+import "repro/internal/data"
+
 // Model is the common interface of every trainable learner in the package.
 // Fit trains on a dense feature matrix X and target vector y; Predict
 // returns one prediction per row (a probability of the positive class for
@@ -16,6 +18,18 @@ type Model interface {
 	Predict(x [][]float64) []float64
 	// SizeBytes reports the storage footprint of the fitted parameters.
 	SizeBytes() int64
+}
+
+// ColumnFitter is implemented by the tree learners, which train on the
+// quantile views of a frame's columns (data.Column.Quantiles) instead of on a
+// float matrix: cols are the feature columns, rows the frame rows to train
+// on, and y the target of every row of the frame, indexed like the columns.
+// A column's view is built once and kept with the column, so every fit after
+// the first on the same columns starts from bins that already exist. Fit on
+// such a model bins the matrix's columns and calls FitColumns on all rows.
+type ColumnFitter interface {
+	Model
+	FitColumns(cols []*data.Column, rows []int, y []float64) error
 }
 
 // Warmstarter is implemented by models whose training can be initialized

@@ -19,9 +19,31 @@ func fitPredictAt(t *testing.T, workers int, mk func() Model, x [][]float64, y [
 	return m.Predict(x)
 }
 
+// fitColumnsPredictAt is fitPredictAt on the column path: the model trains on
+// the odd rows of fresh columns over x, so the columns are binned at this
+// pool width too, and predicts every row.
+func fitColumnsPredictAt(t *testing.T, workers int, mk func() Model, x [][]float64, y []float64) []float64 {
+	t.Helper()
+	cf, ok := mk().(ColumnFitter)
+	if !ok {
+		return nil
+	}
+	prev := parallel.SetWorkers(workers)
+	defer parallel.SetWorkers(prev)
+	var rows []int
+	for i := 1; i < len(x); i += 2 {
+		rows = append(rows, i)
+	}
+	if err := cf.FitColumns(columnsOf(x), rows, y); err != nil {
+		t.Fatal(err)
+	}
+	return cf.Predict(x)
+}
+
 // TestEnsemblesDeterministicAcrossPoolWidths requires that the parallelized
 // tree/forest/GBT/k-NN kernels produce bit-identical models and predictions
-// at pool width 1 and 8 for a fixed seed.
+// at pool widths 1, 2 and 8 for a fixed seed, through Fit and, for the tree
+// learners, through FitColumns.
 func TestEnsemblesDeterministicAcrossPoolWidths(t *testing.T) {
 	x, y := synthLinear(1500, 25, 11)
 	cases := []struct {
@@ -43,11 +65,15 @@ func TestEnsemblesDeterministicAcrossPoolWidths(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := fitPredictAt(t, 1, tc.mk, x, y)
-			par := fitPredictAt(t, 8, tc.mk, x, y)
-			for i := range seq {
-				if seq[i] != par[i] {
-					t.Fatalf("prediction %d differs across pool widths: %v vs %v", i, seq[i], par[i])
+			for _, fit := range []func(*testing.T, int, func() Model, [][]float64, []float64) []float64{fitPredictAt, fitColumnsPredictAt} {
+				seq := fit(t, 1, tc.mk, x, y)
+				for _, width := range []int{2, 8} {
+					par := fit(t, width, tc.mk, x, y)
+					for i := range seq {
+						if seq[i] != par[i] {
+							t.Fatalf("prediction %d differs between pool widths 1 and %d: %v vs %v", i, width, seq[i], par[i])
+						}
+					}
 				}
 			}
 		})

@@ -1,11 +1,11 @@
 package ml
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
+	"repro/internal/data"
 	"repro/internal/parallel"
 )
 
@@ -37,83 +37,79 @@ func (n *TreeNode) count() int64 {
 	return 1 + n.Left.count() + n.Right.count()
 }
 
-// maxBins is the histogram resolution of the split finder. 32 quantile
-// bins match LightGBM-style engines closely enough for these data sizes.
-const maxBins = 32
-
-// binner pre-bins a feature matrix into quantile histograms so split
-// finding costs one O(rows) pass per (node, feature) instead of a sort.
-// A binner is built once per matrix and shared across the trees of an
-// ensemble.
-type binner struct {
-	// edges[f] holds ascending inclusive upper bin edges for feature f;
-	// a row falls in the first bin whose edge is >= its value.
-	edges [][]float64
-	// idx[i][f] is the bin of row i, feature f.
-	idx [][]uint8
+// predictAt is predict on row i of cols, reading floats. Trees grown in the
+// current fit are scored through bins (grower.predict); this serves a
+// warmstart donor's trees, whose thresholds need not be bin edges of cols.
+func (n *TreeNode) predictAt(cols []*data.Column, i int) float64 {
+	for n.Feature >= 0 {
+		v := cols[n.Feature].Float(i)
+		if v != v { // missing counts as 0, as in the columns' quantile views
+			v = 0
+		}
+		if v <= n.Threshold {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n.Value
 }
 
-func newBinner(x [][]float64) *binner {
-	n := len(x)
-	d := len(x[0])
-	b := &binner{edges: make([][]float64, d)}
-	// Quantile edges are estimated on a bounded row sample (evenly
-	// strided), which keeps binner construction O(d·sample·log sample)
-	// regardless of the row count.
-	const sampleCap = 2048
-	stride := 1
-	if n > sampleCap {
-		stride = n / sampleCap
-	}
-	// Per-feature quantile edges are independent; each chunk carries its
-	// own sample buffer.
-	parallel.ForSite(parallel.SiteML, d, 8, func(lo, hi int) {
-		vals := make([]float64, 0, sampleCap+1)
+// binned is the training set of the tree learners, column-major: per feature
+// the ascending inclusive upper bin edges and the bin of every row of the
+// frame, one contiguous byte array per feature. It is read-only and shared
+// by all trees of an ensemble — and, through data.Column.Quantiles, by every
+// fit on the same columns.
+type binned struct {
+	edges [][]float64
+	bins  [][]uint8
+}
+
+func binColumns(cols []*data.Column) *binned {
+	b := &binned{edges: make([][]float64, len(cols)), bins: make([][]uint8, len(cols))}
+	// Columns are binned independently; a column binned before costs a lookup.
+	parallel.ForSite(parallel.SiteML, len(cols), 8, func(lo, hi int) {
 		for f := lo; f < hi; f++ {
-			vals = vals[:0]
-			for i := 0; i < n; i += stride {
-				vals = append(vals, x[i][f])
-			}
-			sort.Float64s(vals)
-			var edges []float64
-			for k := 1; k < maxBins; k++ {
-				e := vals[k*len(vals)/maxBins]
-				if len(edges) == 0 || e > edges[len(edges)-1] {
-					edges = append(edges, e)
-				}
-			}
-			b.edges[f] = edges
-		}
-	})
-	// Row binning writes disjoint rows of one flat backing array.
-	flat := make([]uint8, n*d)
-	b.idx = make([][]uint8, n)
-	parallel.ForSite(parallel.SiteML, n, 1024, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bi := flat[i*d : (i+1)*d : (i+1)*d]
-			row := x[i]
-			for f := 0; f < d; f++ {
-				bi[f] = binOf(b.edges[f], row[f])
-			}
-			b.idx[i] = bi
+			q := cols[f].Quantiles()
+			b.edges[f], b.bins[f] = q.Edges, q.Bins
 		}
 	})
 	return b
 }
 
-// binOf returns the first bin whose edge is >= v (the last bin when v
-// exceeds every edge).
-func binOf(edges []float64, v float64) uint8 {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= edges[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+// fitMatrix is Fit for the tree learners: x's columns are binned as they
+// would be in a frame and the model trains on every row.
+func fitMatrix(m ColumnFitter, x [][]float64, y []float64) error {
+	if len(x) == 0 || len(x) != len(y) {
+		return fmt.Errorf("ml: %s: empty or mismatched training data", m.Kind())
 	}
-	return uint8(lo)
+	rows := make([]int, len(x))
+	for i := range rows {
+		rows[i] = i
+	}
+	return m.FitColumns(columnsOf(x), rows, y)
+}
+
+// columnsOf transposes a non-empty row-major matrix into one float column
+// per feature.
+func columnsOf(x [][]float64) []*data.Column {
+	cols := make([]*data.Column, len(x[0]))
+	for f := range cols {
+		vals := make([]float64, len(x))
+		for i, row := range x {
+			vals[i] = row[f]
+		}
+		cols[f] = &data.Column{Type: data.Float64, Floats: vals}
+	}
+	return cols
+}
+
+// checkColumns validates the arguments of FitColumns.
+func checkColumns(kind string, cols []*data.Column, rows []int, y []float64) error {
+	if len(cols) == 0 || len(rows) == 0 || cols[0].Len() != len(y) {
+		return fmt.Errorf("ml: %s: empty or mismatched training data", kind)
+	}
+	return nil
 }
 
 // DecisionTree is a CART-style tree using histogram split finding. With
@@ -135,16 +131,6 @@ type DecisionTree struct {
 
 	// Root is the fitted tree (exported for serialization).
 	Root *TreeNode
-
-	rng  *rand.Rand
-	bins *binner
-	hist []binStats
-}
-
-type binStats struct {
-	cnt  float64
-	sum  float64
-	sum2 float64
 }
 
 // NewDecisionTree returns a classification tree with package defaults.
@@ -156,9 +142,12 @@ func NewDecisionTree(seed int64) *DecisionTree {
 func (t *DecisionTree) Kind() string { return "tree" }
 
 // Fit implements Model.
-func (t *DecisionTree) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("ml: tree: empty or mismatched training data")
+func (t *DecisionTree) Fit(x [][]float64, y []float64) error { return fitMatrix(t, x, y) }
+
+// FitColumns implements ColumnFitter.
+func (t *DecisionTree) FitColumns(cols []*data.Column, rows []int, y []float64) error {
+	if err := checkColumns(t.Kind(), cols, rows, y); err != nil {
+		return err
 	}
 	if t.MaxDepth == 0 {
 		t.MaxDepth = 4
@@ -166,51 +155,124 @@ func (t *DecisionTree) Fit(x [][]float64, y []float64) error {
 	if t.MinSamplesLeaf == 0 {
 		t.MinSamplesLeaf = 2
 	}
-	t.rng = rand.New(rand.NewSource(t.Seed))
-	t.bins = newBinner(x)
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.Root = t.build(y, idx, 0)
-	t.bins = nil // release fit-time scratch
-	t.hist = nil
+	t.Root = t.grower(binColumns(cols)).grow(y, append([]int(nil), rows...))
 	return nil
 }
 
-func leafValue(y []float64, idx []int) float64 {
-	var s float64
-	for _, i := range idx {
-		s += y[i]
+// grower returns the grower the tree's parameters describe.
+func (t *DecisionTree) grower(b *binned) *grower {
+	g := &grower{b: b, maxDepth: t.MaxDepth, minLeaf: t.MinSamplesLeaf, classification: t.Classification}
+	if t.MaxFeatures > 0 && t.MaxFeatures < len(b.edges) {
+		g.maxFeatures = t.MaxFeatures
+		g.rng = rand.New(rand.NewSource(t.Seed))
 	}
-	return s / float64(len(idx))
+	return g
 }
 
-func (t *DecisionTree) build(y []float64, idx []int, depth int) *TreeNode {
-	node := &TreeNode{Feature: -1, Value: leafValue(y, idx)}
-	if depth >= t.MaxDepth || len(idx) < 2*t.MinSamplesLeaf {
-		return node
-	}
-	feat, bin, thr, ok := t.bestSplit(y, idx)
-	if !ok {
-		return node
-	}
-	var li, ri []int
+// binNode is a tree node as it is grown: a split sends a row left when its
+// bin of feature is <= bin. Leaves have feature == -1.
+type binNode struct {
+	feature     int
+	bin         uint8
+	left, right int
+	value       float64
+}
+
+// grower grows one tree over a binned training set. The tree lives in bins
+// (nodes) until export gives every split the float threshold its bin stands
+// for; predict scores training rows without touching floats.
+type grower struct {
+	b              *binned
+	maxDepth       int
+	minLeaf        int
+	maxFeatures    int // candidate features per split; 0 means all
+	classification bool
+	rng            *rand.Rand // set when maxFeatures is
+
+	nodes []binNode
+	// Scratch reused by every node of the tree.
+	right   []int
+	feats   []int
+	results []featSplit
+	hist    []binStats
+}
+
+type binStats struct {
+	cnt  float64
+	sum  float64
+	sum2 float64
+}
+
+// grow grows the tree on the rows idx, which it reorders, against the target
+// y (indexed by row) and returns it in its exported form.
+func (g *grower) grow(y []float64, idx []int) *TreeNode {
+	g.nodes = g.nodes[:0]
+	g.build(y, idx, 0)
+	return g.export(0)
+}
+
+func (g *grower) build(y []float64, idx []int, depth int) int {
+	var sum float64
 	for _, i := range idx {
-		if t.bins.idx[i][feat] <= bin {
-			li = append(li, i)
+		sum += y[i]
+	}
+	k := len(g.nodes)
+	g.nodes = append(g.nodes, binNode{feature: -1, value: sum / float64(len(idx))})
+	if depth >= g.maxDepth || len(idx) < 2*g.minLeaf {
+		return k
+	}
+	feat, bin, ok := g.bestSplit(y, idx)
+	if !ok {
+		return k
+	}
+	// Stable partition in place: left rows move to the front, right rows wait
+	// in scratch that is free again before either child is grown.
+	bins := g.b.bins[feat]
+	nl := 0
+	g.right = g.right[:0]
+	for _, i := range idx {
+		if bins[i] <= bin {
+			idx[nl] = i
+			nl++
 		} else {
-			ri = append(ri, i)
+			g.right = append(g.right, i)
 		}
 	}
-	if len(li) < t.MinSamplesLeaf || len(ri) < t.MinSamplesLeaf {
-		return node
+	copy(idx[nl:], g.right)
+	if nl < g.minLeaf || len(idx)-nl < g.minLeaf {
+		return k
 	}
-	node.Feature = feat
-	node.Threshold = thr
-	node.Left = t.build(y, li, depth+1)
-	node.Right = t.build(y, ri, depth+1)
-	return node
+	left := g.build(y, idx[:nl], depth+1)
+	right := g.build(y, idx[nl:], depth+1)
+	g.nodes[k].feature, g.nodes[k].bin = feat, bin
+	g.nodes[k].left, g.nodes[k].right = left, right
+	return k
+}
+
+// predict scores row i of the training columns with the tree last grown.
+func (g *grower) predict(i int) float64 {
+	n := &g.nodes[0]
+	for n.feature >= 0 {
+		if g.b.bins[n.feature][i] <= n.bin {
+			n = &g.nodes[n.left]
+		} else {
+			n = &g.nodes[n.right]
+		}
+	}
+	return n.value
+}
+
+// export renders the subtree at node k with float thresholds: a row's bin is
+// <= bin exactly when its value is <= edges[bin], so the exported tree
+// routes every row as the binned one does.
+func (g *grower) export(k int) *TreeNode {
+	n := g.nodes[k]
+	out := &TreeNode{Feature: n.feature, Value: n.value}
+	if n.feature >= 0 {
+		out.Threshold = g.b.edges[n.feature][n.bin]
+		out.Left, out.Right = g.export(n.left), g.export(n.right)
+	}
+	return out
 }
 
 // parallelSplitWork is the minimum rows×features product at which a split
@@ -222,32 +284,31 @@ const parallelSplitWork = 1 << 15
 type featSplit struct {
 	score float64
 	bin   uint8
-	thr   float64
 	ok    bool
 }
 
-// scanFeature accumulates per-bin label statistics for feature f in one
-// pass and scans bin boundaries for the impurity-minimizing split. hist is
-// caller-provided scratch of length >= maxBins.
-func scanFeature(bins *binner, f int, y []float64, idx []int, ts, ts2, n float64, classification bool, hist []binStats) featSplit {
-	edges := bins.edges[f]
-	if len(edges) == 0 {
+// scanFeature accumulates per-bin label statistics for one feature — bins is
+// its byte per row, nEdges its number of bin edges — in one pass and scans
+// bin boundaries for the impurity-minimizing split. hist is caller-provided
+// scratch of length >= data.MaxBins.
+func scanFeature(bins []uint8, nEdges int, y []float64, idx []int, ts, ts2, n float64, classification bool, hist []binStats) featSplit {
+	if nEdges == 0 {
 		return featSplit{} // constant feature
 	}
-	h := hist[:len(edges)+1]
+	h := hist[:nEdges+1]
 	for k := range h {
 		h[k] = binStats{}
 	}
 	for _, i := range idx {
-		b := bins.idx[i][f]
+		s := &h[bins[i]]
 		yi := y[i]
-		h[b].cnt++
-		h[b].sum += yi
-		h[b].sum2 += yi * yi
+		s.cnt++
+		s.sum += yi
+		s.sum2 += yi * yi
 	}
 	best := featSplit{score: math.Inf(1)}
 	var ln, ls, ls2 float64
-	for b := 0; b < len(edges); b++ {
+	for b := 0; b < nEdges; b++ {
 		ln += h[b].cnt
 		ls += h[b].sum
 		ls2 += h[b].sum2
@@ -264,7 +325,7 @@ func scanFeature(bins *binner, f int, y []float64, idx []int, ts, ts2, n float64
 			score = (ls2 - ls*ls/ln) + (rs2 - rs*rs/rn)
 		}
 		if score < best.score {
-			best = featSplit{score: score, bin: uint8(b), thr: edges[b], ok: true}
+			best = featSplit{score: score, bin: uint8(b), ok: true}
 		}
 	}
 	return best
@@ -275,15 +336,24 @@ func scanFeature(bins *binner, f int, y []float64, idx []int, ts, ts2, n float64
 // the node is large enough — and reduced in feats order with strict
 // comparison, so the winner (including tie-breaks) is identical to a
 // sequential scan.
-func (t *DecisionTree) bestSplit(y []float64, idx []int) (feat int, bin uint8, thr float64, ok bool) {
-	d := len(t.bins.edges)
-	feats := make([]int, d)
-	for j := range feats {
-		feats[j] = j
+func (g *grower) bestSplit(y []float64, idx []int) (feat int, bin uint8, ok bool) {
+	d := len(g.b.edges)
+	if g.feats == nil {
+		g.feats = make([]int, d)
+		for j := range g.feats {
+			g.feats[j] = j
+		}
+		g.results = make([]featSplit, d)
+		g.hist = make([]binStats, data.MaxBins)
 	}
-	if t.MaxFeatures > 0 && t.MaxFeatures < d {
-		t.rng.Shuffle(d, func(a, b int) { feats[a], feats[b] = feats[b], feats[a] })
-		feats = feats[:t.MaxFeatures]
+	feats := g.feats
+	if g.maxFeatures > 0 {
+		// Every split shuffles the identity order, as a fresh list would be.
+		for j := range feats {
+			feats[j] = j
+		}
+		g.rng.Shuffle(d, func(a, b int) { feats[a], feats[b] = feats[b], feats[a] })
+		feats = feats[:g.maxFeatures]
 	}
 	var ts, ts2 float64
 	for _, i := range idx {
@@ -292,20 +362,18 @@ func (t *DecisionTree) bestSplit(y []float64, idx []int) (feat int, bin uint8, t
 	}
 	n := float64(len(idx))
 
-	results := make([]featSplit, len(feats))
+	results := g.results[:len(feats)]
 	if len(idx)*len(feats) >= parallelSplitWork && parallel.Workers() > 1 {
 		parallel.ForSite(parallel.SiteML, len(feats), 4, func(lo, hi int) {
-			hist := make([]binStats, maxBins)
+			hist := make([]binStats, data.MaxBins)
 			for k := lo; k < hi; k++ {
-				results[k] = scanFeature(t.bins, feats[k], y, idx, ts, ts2, n, t.Classification, hist)
+				f := feats[k]
+				results[k] = scanFeature(g.b.bins[f], len(g.b.edges[f]), y, idx, ts, ts2, n, g.classification, hist)
 			}
 		})
 	} else {
-		if t.hist == nil {
-			t.hist = make([]binStats, maxBins)
-		}
 		for k, f := range feats {
-			results[k] = scanFeature(t.bins, f, y, idx, ts, ts2, n, t.Classification, t.hist)
+			results[k] = scanFeature(g.b.bins[f], len(g.b.edges[f]), y, idx, ts, ts2, n, g.classification, g.hist)
 		}
 	}
 	bestScore := math.Inf(1)
@@ -315,10 +383,9 @@ func (t *DecisionTree) bestSplit(y []float64, idx []int) (feat int, bin uint8, t
 			bestScore = r.score
 			feat = feats[k]
 			bin = r.bin
-			thr = r.thr
 		}
 	}
-	return feat, bin, thr, feat >= 0
+	return feat, bin, feat >= 0
 }
 
 // Predict implements Model.

@@ -158,7 +158,6 @@ func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 		return nil, fmt.Errorf("ops: train: no label column %q", o.Label)
 	}
 	features := numericFeatureNames(f, o.Label)
-	x, _ := f.NumericMatrix(features...)
 	y := make([]float64, label.Len())
 	for i := range y {
 		y[i] = label.Float(i)
@@ -167,7 +166,7 @@ func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if tf == 0 {
 		tf = 0.25
 	}
-	xtr, ytr, xte, yte := ml.TrainTestSplit(x, y, tf, o.Spec.Seed)
+	train, test := ml.TrainTestSplit(len(y), tf, o.Spec.Seed)
 	model, err := o.Spec.Build()
 	if err != nil {
 		return nil, err
@@ -178,12 +177,39 @@ func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 			warmstarted = w.WarmstartFrom(o.donor)
 		}
 	}
-	if err := model.Fit(xtr, ytr); err != nil {
-		return nil, err
+	var xte [][]float64
+	if cf, ok := model.(ml.ColumnFitter); ok {
+		// The tree learners train on the columns' quantile views, which
+		// outlive this run with the columns; only held-out scoring reads
+		// floats.
+		cols := make([]*data.Column, len(features))
+		for j, name := range features {
+			cols[j] = f.Column(name)
+		}
+		if err := cf.FitColumns(cols, train, y); err != nil {
+			return nil, err
+		}
+		xte = f.NumericRows(features, test)
+	} else {
+		x, _ := f.NumericMatrix(features...)
+		if err := model.Fit(gather(x, train), gather(y, train)); err != nil {
+			return nil, err
+		}
+		xte = gather(x, test)
 	}
+	yte := gather(y, test)
 	quality := modelQuality(model, xte, yte)
 	o.lastWarmstarted = warmstarted
 	return &graph.ModelArtifact{Model: model, Quality: quality, Features: features}, nil
+}
+
+// gather returns the elements of s at idx, in idx order.
+func gather[T any](s []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = s[i]
+	}
+	return out
 }
 
 // modelQuality scores classifiers by AUC-ROC and regressors by 1/(1+RMSE),
@@ -194,31 +220,6 @@ func modelQuality(m ml.Model, x [][]float64, y []float64) float64 {
 		return 1 / (1 + ml.RMSE(y, pred))
 	}
 	return ml.AUCROC(y, pred)
-}
-
-// featureMatrix builds a dense matrix with exactly the model's feature
-// columns, zero-filling features the frame lacks (e.g. one-hot categories
-// absent from a test split). This keeps Predict/Evaluate dimensionality
-// consistent with training.
-func featureMatrix(f *data.Frame, features []string) [][]float64 {
-	rows := f.NumRows()
-	out := make([][]float64, rows)
-	flat := make([]float64, rows*len(features))
-	for i := range out {
-		out[i], flat = flat[:len(features)], flat[len(features):]
-	}
-	for j, name := range features {
-		c := f.Column(name)
-		if c == nil || !c.Type.IsNumeric() {
-			continue // leave zeros
-		}
-		for i := 0; i < rows; i++ {
-			if !c.IsMissing(i) {
-				out[i][j] = c.Float(i)
-			}
-		}
-	}
-	return out
 }
 
 // Predict appends a "prediction" column scoring each row of the dataset
@@ -247,7 +248,7 @@ func (o Predict) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := featureMatrix(f, ma.Features)
+	x := f.NumericRows(ma.Features, nil)
 	pred := ma.Model.Predict(x)
 	var lineage strings.Builder
 	for _, c := range f.Columns() {
@@ -312,7 +313,7 @@ func (o Evaluate) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if label == nil {
 		return nil, fmt.Errorf("ops: evaluate: no label column %q", o.Label)
 	}
-	x := featureMatrix(f, ma.Features)
+	x := f.NumericRows(ma.Features, nil)
 	y := make([]float64, label.Len())
 	for i := range y {
 		y[i] = label.Float(i)

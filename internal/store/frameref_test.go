@@ -57,7 +57,22 @@ func sameArtifact(a, b graph.Artifact) bool {
 	if !oka || !okb {
 		return a == nil && b == nil
 	}
-	return reflect.DeepEqual(da.Frame.Columns(), db.Frame.Columns())
+	ca, cb := da.Frame.Columns(), db.Frame.Columns()
+	if len(ca) != len(cb) {
+		return false
+	}
+	for i := range ca {
+		// Content is the exported fields. The memoised quantile view is
+		// not: a copy made by withName carries a memo, an original none.
+		x, y := ca[i], cb[i]
+		if x.ID != y.ID || x.Name != y.Name || x.Type != y.Type ||
+			!reflect.DeepEqual(x.Floats, y.Floats) || !reflect.DeepEqual(x.Ints, y.Ints) ||
+			!reflect.DeepEqual(x.Strings, y.Strings) || !reflect.DeepEqual(x.Bools, y.Bools) ||
+			!reflect.DeepEqual(x.Dict, y.Dict) || !reflect.DeepEqual(x.Codes, y.Codes) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameState compares everything PutFrameRef promises to leave as Put does.
