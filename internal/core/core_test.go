@@ -334,15 +334,11 @@ func TestMaterializeStrategySwap(t *testing.T) {
 func TestUpdateAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 	allocs := func(vertices int) float64 {
 		srv, next := scaleServer(t, vertices)
-		const runs = 20
-		workloads := make([]*graph.DAG, runs+1) // AllocsPerRun warms up once
-		for i := range workloads {
-			workloads[i] = next(i)
-		}
 		i := 0
-		return testing.AllocsPerRun(runs, func() {
-			srv.Update(workloads[i], nil, nil)
+		return stagedAllocsPerCall(func() func() {
+			w := next(i)
 			i++
+			return func() { srv.Update(w, nil, nil) }
 		})
 	}
 	small, large := allocs(500), allocs(5000)

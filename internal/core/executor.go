@@ -83,7 +83,7 @@ func WithTrace(t *obs.Trace) ExecOption {
 // the serving tier, and the planner's predicted Cl, which the server's
 // calibration collector compares on update. When off (the default for
 // plain Execute calls), the fetch path takes no extra timestamps and
-// allocates nothing — pinned by BenchmarkExecuteCalibOverhead.
+// allocates nothing (TestDisabledInstrumentsAllocateAsAbsent).
 // core.Client.Run enables it by default; pass WithCalibration(false) to a
 // client to opt out.
 func WithCalibration(on bool) ExecOption {

@@ -135,6 +135,73 @@ func TestServerMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestDisabledInstrumentsAllocateAsAbsent gates what the *Overhead benchmarks
+// show, with a count instead of a timing: switching tracing, calibration
+// measurement or explain capture off costs exactly what never asking for it
+// costs, and switching it on costs no less; for explain, whose record can be
+// built alone, switching it on costs exactly the record. Width 1 keeps the
+// count free of goroutine start-up.
+func TestDisabledInstrumentsAllocateAsAbsent(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		arms []overheadArm
+	}{
+		{"trace", traceArms(t, 1)},
+		{"calibration", calibArms(t, 1)},
+		{"explain", explainArms(t)},
+	} {
+		allocs := map[string]float64{}
+		for _, arm := range c.arms {
+			allocs[arm.name] = stagedAllocsPerCall(arm.stage)
+		}
+		t.Logf("%s: allocations per call %v", c.name, allocs)
+		if allocs["disabled"] != allocs["absent"] {
+			t.Errorf("%s disabled allocates %.0f times per call, absent %.0f: the off path does work",
+				c.name, allocs["disabled"], allocs["absent"])
+		}
+		if allocs["enabled"] < allocs["disabled"] {
+			t.Errorf("%s enabled allocates %.0f times per call, fewer than disabled (%.0f): the arms are mislabelled",
+				c.name, allocs["enabled"], allocs["disabled"])
+		}
+		// Where the instrument's own work can be run alone, enabled is
+		// disabled plus exactly that: no part of it is done on the off path.
+		if alone, ok := allocs["record-alone"]; ok && allocs["enabled"] != allocs["disabled"]+alone {
+			t.Errorf("%s enabled allocates %.0f times per call, disabled %.0f, the record alone %.0f: part of the record is built on the off path",
+				c.name, allocs["enabled"], allocs["disabled"], alone)
+		}
+	}
+}
+
+// TestTimingsDoesNotQueueBehindAnUpdate: the totals /v1/stats serves are read
+// while another request holds the update section, so a scrape during a long
+// update neither waits for it nor shows up as lock wait.
+func TestTimingsDoesNotQueueBehindAnUpdate(t *testing.T) {
+	srv := NewServer(store.New(cost.Memory()))
+	if _, err := NewClient(srv).Run(synth.Wide(*wideWorkload(), 11)); err != nil {
+		t.Fatal(err)
+	}
+	release := srv.lockSection("update", &obs.Request{})
+	defer release()
+	waited := srv.LockWaitSeconds()
+
+	done := make(chan [2]time.Duration, 1)
+	go func() {
+		plan, mat := srv.Timings()
+		done <- [2]time.Duration{plan, mat}
+	}()
+	select {
+	case got := <-done:
+		if got[0] <= 0 || got[1] <= 0 {
+			t.Errorf("timings plan=%v mat=%v after one run, want positive", got[0], got[1])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Timings() is waiting for the server mutex")
+	}
+	if srv.LockWaitSeconds() != waited {
+		t.Error("reading the timings was accounted as lock wait")
+	}
+}
+
 // TestTraceBufferGauges: a tracing-enabled server exposes the recorder's
 // occupancy, drop count, and capacity as gauges on /metrics.
 func TestTraceBufferGauges(t *testing.T) {

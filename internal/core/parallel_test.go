@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
 )
@@ -259,5 +260,34 @@ func TestExecuteWideSynthDAG(t *testing.T) {
 	}
 	if res.WallTime > res.ComputeTime {
 		t.Errorf("WallTime %v exceeds ComputeTime %v on a 6-branch latency-bound DAG", res.WallTime, res.ComputeTime)
+	}
+}
+
+// TestExecuteRunsBranchesOnSeveralWorkers replaces a speed-up ratio between
+// two timings with the count that causes it: at width 8 the compute spans of
+// a latency-bound 8-branch DAG land on more than one worker lane of the trace
+// (an executor that fell back to one sequential pass would still compute
+// every vertex, on lane 0); at width 1 there is only lane 0.
+func TestExecuteRunsBranchesOnSeveralWorkers(t *testing.T) {
+	prof := synth.WideProfile{Branches: 8, Depth: 3, Sleep: 2 * time.Millisecond}
+	for _, width := range []int{1, 8} {
+		tr := obs.NewTrace()
+		srv := NewServer(store.New(cost.Memory()))
+		res, err := Execute(synth.Wide(prof, 1), nil, srv, WithParallelism(width), WithTrace(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes := map[int]bool{}
+		for _, ev := range tr.Events() {
+			if ev.Cat == "compute" {
+				lanes[ev.TID] = true
+			}
+		}
+		if res.Executed != 8*3+1 {
+			t.Errorf("width %d executed %d operations, want %d", width, res.Executed, 8*3+1)
+		}
+		if (len(lanes) > 1) != (width > 1) {
+			t.Errorf("width %d computed on %d worker lane(s)", width, len(lanes))
+		}
 	}
 }

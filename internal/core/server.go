@@ -7,7 +7,6 @@ package core
 
 import (
 	"errors"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -40,11 +39,10 @@ type Server struct {
 	warmstart bool
 	// prune bounds EG meta-data growth; zero-value disables pruning.
 	prune eg.PrunePolicy
-
-	// PlanTime accumulates reuse-planning overhead (Figure 9d).
-	PlanTime time.Duration
-	// MatTime accumulates materialization-algorithm overhead.
-	MatTime time.Duration
+	// asked holds the vertices an update has asked its caller to upload
+	// and whose content has not arrived yet (see askOnceLocked). Guarded
+	// by mu.
+	asked map[string]bool
 
 	// metrics is the server's observability registry (always on — updates
 	// are atomic counters, far below planning cost). trace is the opt-in
@@ -52,10 +50,8 @@ type Server struct {
 	metrics *serverMetrics
 	trace   *obs.Trace
 	// explain is the opt-in decision-introspection recorder (nil: the
-	// disabled fast path — no record is built, nothing allocates). log is
-	// the structured logger; nil disables server logging.
+	// disabled fast path — no record is built, nothing allocates).
 	explain *explain.Recorder
-	log     *slog.Logger
 
 	// calib is the always-on calibration collector: updates feed it the
 	// measured fetch/compute durations next to the predictions the planner
@@ -259,13 +255,6 @@ func WithExplain(r *explain.Recorder) ServerOption {
 	return func(srv *Server) { srv.explain = r }
 }
 
-// WithLogger attaches a structured logger: optimize and update emit one
-// slog line each, tagged with the propagated request ID. Nil (the
-// default) disables server logging.
-func WithLogger(l *slog.Logger) ServerOption {
-	return func(srv *Server) { srv.log = l }
-}
-
 // WithFlightRecorder replaces the default request flight ring (the last
 // obs.DefaultFlightCap finished requests). Pass a larger ring to keep more
 // history, or nil to disable recording entirely.
@@ -297,6 +286,7 @@ func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 		flight:  obs.NewRing[obs.Request](obs.DefaultFlightCap),
 		clients: obs.NewClientTable(0),
 		ledger:  obs.NewArtifactLedger(0),
+		asked:   make(map[string]bool),
 		started: obs.StartTimer(),
 	}
 	srv.version, srv.goVersion = obs.BuildInfo()
@@ -516,13 +506,13 @@ func (s *Server) ObserveRequest(req *obs.Request) {
 	s.clients.Observe(req)
 }
 
-// Timings returns the accumulated reuse-planning and materialization
-// overheads under the server lock (safe concurrent read of PlanTime and
-// MatTime).
+// Timings returns the accumulated reuse-planning (Figure 9d) and
+// materialization-algorithm overheads: the sums of collab_optimize_seconds
+// and collab_materialize_seconds. It takes no lock, so a stats scrape never
+// queues behind the update it is measuring.
 func (s *Server) Timings() (plan, mat time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.PlanTime, s.MatTime
+	seconds := func(h *obs.Histogram) time.Duration { return time.Duration(h.Sum() * float64(time.Second)) }
+	return seconds(s.metrics.optimizeSec), seconds(s.metrics.matSec)
 }
 
 // ReusePlanned returns the cumulative count of vertices reuse plans chose
@@ -556,7 +546,7 @@ func (s *Server) Budget() int64 { return s.budget }
 // access also promotes the artifact into memory), and that promotion is
 // attributed to the request on the artifact ledger.
 func (s *Server) FetchTiered(id string, req *obs.Request) (graph.Artifact, string, time.Duration) {
-	a, tr := s.Store.GetTieredReq(id, req.ID())
+	a, tr := s.Store.Get(id, req.ID())
 	if a == nil {
 		return nil, "", 0
 	}
@@ -586,8 +576,9 @@ type Optimization struct {
 
 // Optimize runs the reuse planner on a pruned workload DAG (Figure 2,
 // step 3) and searches warmstart donors for eligible training operations.
-// The request's ID is attached to the trace span, the log line, and the
-// explain record so one grep correlates the request end-to-end; its plan
+// The request's ID is attached to the trace span and the explain record, and
+// the edge's access-log line carries it with the plan facts below, so one
+// grep correlates the request end-to-end; its plan
 // facts and lock wait are written into req (nil: an untagged caller).
 func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 	req = untagged(req)
@@ -596,7 +587,6 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 	costs := reuse.GatherCosts(w, s.EG, s.Store)
 	plan := s.planner.Plan(w, costs)
 	overhead := sw.Elapsed()
-	s.PlanTime += overhead
 	var ws []reuse.WarmstartCandidate
 	if s.warmstart {
 		ws = reuse.FindWarmstarts(w, s.EG, s.Store, plan)
@@ -623,16 +613,6 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 		s.trace.Span("optimize", "server", 0, sw.StartedAt(), overhead,
 			tagged(req, map[string]any{"vertices": w.Len(), "reuse": len(plan.Reuse), "warmstarts": len(ws)}))
 	}
-	if s.log != nil {
-		s.log.Info("optimize",
-			slog.String(obs.RequestIDKey, req.RequestID),
-			slog.String("planner", s.planner.Name()),
-			slog.Int("vertices", w.Len()),
-			slog.Int("reuse", len(plan.Reuse)),
-			slog.Int("computes", plan.Stats.Computes),
-			slog.Int("warmstarts", len(ws)),
-			slog.Duration("overhead", overhead))
-	}
 	return &Optimization{Plan: plan, Warmstarts: ws, Overhead: overhead}
 }
 
@@ -643,7 +623,8 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 // the DAG carries and evicting deselected ones. It returns the vertex IDs
 // whose content it wants and does not have (the newly selected artifacts
 // plus any missing raw sources): always empty for an in-process run, the
-// upload list of the remote protocol when the DAG arrived as meta-data.
+// upload list of the remote protocol when the DAG arrived as meta-data,
+// less what another caller is already sending (askOnceLocked).
 //
 // run, when non-nil, is the client's post-execution summary, folded into
 // the request's calibration scorecard. The executed DAG's shape and the
@@ -667,26 +648,12 @@ func (s *Server) Update(executed *graph.DAG, req *obs.Request, run *calib.Client
 			available[n.ID] = n.Content
 		}
 	}
-	want = s.applySelectionLocked(available, touched, req, sc)
+	want = s.askOnceLocked(executed, s.applySelectionLocked(available, touched, req, sc))
 	s.EG.Prune(s.prune)
 	s.metrics.updateTotal.Inc()
 	if s.trace != nil {
 		s.trace.Span("update", "server", 0, sw.StartedAt(), sw.Elapsed(),
 			tagged(req, map[string]any{"vertices": executed.Len(), "want": len(want)}))
-	}
-	if s.log != nil {
-		attrs := []any{
-			slog.String(obs.RequestIDKey, req.RequestID),
-			slog.Int("vertices", executed.Len()),
-			slog.Int("want", len(want)),
-			slog.Duration("elapsed", sw.Elapsed()),
-		}
-		if sc != nil {
-			attrs = append(attrs,
-				slog.Float64("speedup", sc.Speedup),
-				slog.Float64("est_saved_sec", sc.EstimatedSavedSec))
-		}
-		s.log.Info("update", attrs...)
 	}
 	return want
 }
@@ -773,7 +740,7 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, r
 // materialized. It is the upload half of the remote update protocol; the
 // lock wait of the upload lands on the request that suffered it.
 func (s *Server) PutArtifact(id string, a graph.Artifact, req *obs.Request) error {
-	return s.materialize(id, req, func() error { return s.Store.PutReq(id, a, req.ID()) })
+	return s.materialize(id, req, func() error { return s.Store.Put(id, a, req.ID()) })
 }
 
 // PutFrameRef is PutArtifact for a dataset uploaded by reference: its
@@ -793,7 +760,33 @@ func (s *Server) materialize(id string, req *obs.Request, put func() error) erro
 		return err
 	}
 	s.EG.SetMaterialized(id, true)
+	delete(s.asked, id)
 	return nil
+}
+
+// askOnceLocked takes out of an update's upload list the vertices another
+// caller has just been asked for. Two collaborators who computed the same
+// vertex in concurrent runs both update before either upload lands; asking
+// both would move the artifact twice, and how often is a matter of timing.
+// The first caller that holds a wanted vertex (its executed DAG
+// carries the content's size) is asked for it; the next one that holds it
+// is passed over, once — a caller that was asked and never uploaded delays
+// the artifact by one update and does not lose it — and the arrival of the
+// content (materialize) ends the claim. Vertices the caller does not hold
+// stay on the list, as they always did; a remote client skips them.
+func (s *Server) askOnceLocked(executed *graph.DAG, want []string) []string {
+	kept := want[:0]
+	for _, id := range want {
+		if n := executed.Node(id); n != nil && n.SizeBytes > 0 {
+			if s.asked[id] {
+				delete(s.asked, id)
+				continue
+			}
+			s.asked[id] = true
+		}
+		kept = append(kept, id)
+	}
+	return kept
 }
 
 // applySelectionLocked stores sources, runs the materialization strategy,
@@ -811,7 +804,7 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, touch
 			continue
 		}
 		if content, ok := available[id]; ok {
-			if err := s.Store.PutReq(id, content, requestID); err == nil {
+			if err := s.Store.Put(id, content, requestID); err == nil {
 				s.EG.SetMaterialized(id, true)
 			}
 		} else {
@@ -828,7 +821,6 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, touch
 		desired = s.strategy.Select(s.EG, s.budget)
 	}
 	matElapsed := matSW.Elapsed()
-	s.MatTime += matElapsed
 	s.metrics.matRuns.Inc()
 	s.metrics.matSec.Observe(matElapsed.Seconds())
 	s.metrics.matSelected.Set(float64(len(desired)))
@@ -864,7 +856,7 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, touch
 			continue
 		}
 		if content, ok := available[id]; ok {
-			if err := s.Store.PutReq(id, content, requestID); err == nil {
+			if err := s.Store.Put(id, content, requestID); err == nil {
 				s.EG.SetMaterialized(id, true)
 			}
 		} else {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -122,6 +123,49 @@ func TestKernelsDeterministicAcrossPoolWidths(t *testing.T) {
 			return out
 		})
 	})
+}
+
+// TestKernelsSpawnHelpersAtWidth replaces the speed-up ratio of the *Parallel
+// benchmarks with the count behind it. A kernel that fell back to sequential
+// passes still returns the right frame at every width, and only its timing
+// would tell; what it cannot do is show helpers in the pool's accounting.
+// Every pool call of the join and of the group-by splits into at least four
+// chunks on these frames, so at width 4 each call runs on the caller plus
+// three helpers, and at width 1 on the caller alone — the same calls and the
+// same chunks either way.
+func TestKernelsSpawnHelpersAtWidth(t *testing.T) {
+	parallel.RegisterMetrics(obs.NewRegistry())
+	defer parallel.Instrument(nil)
+	left, right := benchFrame(9000, 21), benchFrame(9000, 22)
+	for _, k := range []struct {
+		name string
+		run  func() (*Frame, error)
+	}{
+		{"join", func() (*Frame, error) { return left.Join(right, "id", Left, "op") }},
+		{"group-by", func() (*Frame, error) { return left.GroupBy("id", []Agg{{Col: "v", Kind: AggMean}}, "op") }},
+	} {
+		var chunks [2]int64
+		for i, width := range []int{1, 4} {
+			before := parallel.ReadStats()
+			atWidth(width, func() *Frame {
+				out, err := k.run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			})
+			after := parallel.ReadStats()
+			calls, helpers := after.Calls-before.Calls, after.Helpers-before.Helpers
+			chunks[i] = after.Tasks - before.Tasks
+			if calls == 0 || helpers != int64(width-1)*calls || after.RejectedInline != before.RejectedInline {
+				t.Errorf("%s at width %d: %d pool calls spawned %d helpers (%d slots denied), want %d per call",
+					k.name, width, calls, helpers, after.RejectedInline-before.RejectedInline, width-1)
+			}
+		}
+		if chunks[0] != chunks[1] {
+			t.Errorf("%s splits into %d chunks at width 1 and %d at width 4: chunking depends on the width", k.name, chunks[0], chunks[1])
+		}
+	}
 }
 
 // dictKeyed replaces the named column of f with its dictionary-encoded form.

@@ -89,8 +89,8 @@ func TestSketchConcurrent(t *testing.T) {
 }
 
 // TestSketchConcurrentReaders interleaves Observe with Quantile/Count
-// reads — the load harness reads quantiles while request goroutines are
-// still observing, and the -race run is the assertion here.
+// reads — a calibration report reads quantiles while updates are still
+// observing, and the -race run is the assertion here.
 func TestSketchConcurrentReaders(t *testing.T) {
 	s := NewSketch(128)
 	var wg sync.WaitGroup

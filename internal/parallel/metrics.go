@@ -11,7 +11,8 @@ import (
 // counters, and a utilization gauge — the contention signal the upcoming
 // multi-tenant refactor needs (ROADMAP item 1). Accounting is opt-in:
 // Instrument(nil), the default, reduces every entry point to one atomic
-// pointer load (pinned ≈ absent by BenchmarkPoolAccountingOverhead).
+// pointer load (at width 1, the body run inline:
+// TestPoolAtWidthOneAllocatesAsTheBody).
 
 // Site classifies a For/Do call site for accounting. The vocabulary is
 // fixed and small so the labeled metric families stay bounded: the columnar
@@ -134,8 +135,9 @@ func utilization() float64 {
 }
 
 // Stats is a point-in-time snapshot of the pool accounting, summed across
-// call-site classes. It backs /v1/stats and the load-harness before/after
-// delta; all fields are zero while accounting is uninstalled.
+// call-site classes. It backs /v1/stats, and its deltas around one kernel
+// call are how tests check the kernel still runs wide; all fields are zero
+// while accounting is uninstalled.
 type Stats struct {
 	// Calls counts For/Do invocations; Tasks the work chunks they split into.
 	Calls int64 `json:"calls"`

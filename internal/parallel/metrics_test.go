@@ -171,31 +171,89 @@ func TestPoolMetricsRender(t *testing.T) {
 	}
 }
 
-// BenchmarkPoolAccountingOverhead pins the accounting cost: the
+// poolBody is the loop the accounting arms run over 1024 indices.
+func poolBody(lo, hi int) {
+	s := 0
+	for i := lo; i < hi; i++ {
+		s += i
+	}
+	_ = s
+}
+
+// poolArm is one arm of the accounting's cost. setup installs the arm's
+// accounting state; Instrument(nil) afterwards restores the default.
+type poolArm struct {
+	name  string
+	setup func()
+	call  func()
+}
+
+// poolArms are the loop with no pool in the way (a direct call of the body),
+// through the pool with accounting off, and with accounting on.
+func poolArms() []poolArm {
+	through := func() { For(1024, 64, poolBody) }
+	return []poolArm{
+		{"absent", func() {}, func() { poolBody(0, 1024) }},
+		{"accounting=off", func() { Instrument(nil) }, through},
+		{"accounting=on", func() { RegisterMetrics(obs.NewRegistry()) }, through},
+	}
+}
+
+// BenchmarkPoolAccountingOverhead times poolArms at the configured width: the
 // accounting=off path must stay ≈ the bare pool (one atomic pointer load),
 // and accounting=on shows the full instrumented price.
 func BenchmarkPoolAccountingOverhead(b *testing.B) {
-	body := func(lo, hi int) {
-		s := 0
-		for i := lo; i < hi; i++ {
-			s += i
-		}
-		_ = s
+	defer Instrument(nil)
+	for _, arm := range poolArms() {
+		b.Run(arm.name, func(b *testing.B) {
+			arm.setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arm.call()
+			}
+		})
 	}
-	b.Run("accounting=off", func(b *testing.B) {
-		Instrument(nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			For(1024, 64, body)
+}
+
+// TestPoolAtWidthOneAllocatesAsTheBody gates BenchmarkPoolAccountingOverhead
+// with a count instead of a timing: at width 1 the pool with accounting off
+// is the body run inline — no chunk counter, closure or wait group — and
+// accounting on costs no less.
+func TestPoolAtWidthOneAllocatesAsTheBody(t *testing.T) {
+	defer SetWorkers(SetWorkers(1))
+	defer Instrument(nil)
+	allocs := map[string]float64{}
+	for _, arm := range poolArms() {
+		arm.setup()
+		allocs[arm.name] = testing.AllocsPerRun(100, arm.call)
+	}
+	t.Logf("allocations per call: %v", allocs)
+	if allocs["accounting=off"] != allocs["absent"] {
+		t.Errorf("For with accounting off costs %.0f allocations at width 1, the body alone %.0f", allocs["accounting=off"], allocs["absent"])
+	}
+	if allocs["accounting=on"] < allocs["accounting=off"] {
+		t.Errorf("For with accounting on costs %.0f allocations, fewer than with it off (%.0f): the arms are mislabelled",
+			allocs["accounting=on"], allocs["accounting=off"])
+	}
+}
+
+// TestForSpawnsHelpersAtWidth replaces a speed-up ratio between two timings
+// with the count that causes it: at width N a call with at least N chunks
+// runs on the caller plus N-1 helpers, and at width 1 on the caller alone.
+func TestForSpawnsHelpersAtWidth(t *testing.T) {
+	install(t)
+	for _, width := range []int{1, 4} {
+		prev := SetWorkers(width)
+		before := ReadStats()
+		For(1024, 64, poolBody)
+		after := ReadStats()
+		SetWorkers(prev)
+		if got := after.Helpers - before.Helpers; got != int64(width-1) {
+			t.Errorf("width %d: one For over 16 chunks spawned %d helpers, want %d", width, got, width-1)
 		}
-	})
-	b.Run("accounting=on", func(b *testing.B) {
-		reg := obs.NewRegistry()
-		RegisterMetrics(reg)
-		defer Instrument(nil)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			For(1024, 64, body)
+		if got := after.RejectedInline - before.RejectedInline; got != 0 {
+			t.Errorf("width %d: %d helper slots denied on an idle pool", width, got)
 		}
-	})
+	}
 }

@@ -19,8 +19,8 @@ import (
 // GET /v1/clients; the access and slow-request log lines read the same
 // record). Instrumentation is on by default and switchable off with
 // WithInstrumentation(false); the disabled path is the bare mux dispatch
-// plus the record that carries the request ID, pinned ≈ free by
-// BenchmarkHandlerOverhead.
+// plus the record that carries the request ID, allocation for allocation
+// (TestUninstrumentedHandlerAllocatesAsBareMux).
 
 // routeLabels is the fixed route vocabulary for metric labels and flight
 // summaries. Unknown paths collapse into "other" so scraping an arbitrary
@@ -263,6 +263,15 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		slog.String("path", r.URL.Path),
 		slog.Int("status", req.Status),
 		slog.Duration("elapsed", elapsed),
+	}
+	if req.Vertices > 0 { // an optimize or update: the facts core wrote into the record
+		attrs = append(attrs,
+			slog.Int("vertices", req.Vertices),
+			slog.Int("reused", req.Reused),
+			slog.Int("computes", req.Computes),
+			slog.Int("warmstarts", req.Warmstarts),
+			slog.Int64("plan_ns", req.PlanNanos),
+			slog.Int64("lock_wait_ns", req.LockWaitNanos))
 	}
 	h.log.Info("http", attrs...)
 	if h.slowWarn > 0 && elapsed > h.slowWarn {

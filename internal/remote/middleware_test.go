@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -303,6 +304,47 @@ func TestSlowRequestWarning(t *testing.T) {
 	}
 }
 
+// TestAccessLogCarriesThePlanFacts: a request is logged once, by the edge,
+// and the optimize and update lines carry what the request record holds of the
+// plan; a plain transport request carries none of it.
+func TestAccessLogCarriesThePlanFacts(t *testing.T) {
+	srv := core.NewServer(store.New(cost.Memory()))
+	var buf bytes.Buffer
+	h := NewHandler(srv, WithHandlerLogger(slog.New(slog.NewTextHandler(&buf, nil))))
+	ts := httptest.NewServer(h)
+	rc := NewClient(ts.URL, cost.Memory())
+	if _, err := core.NewClient(rc).Run(buildPipeline(testFrame(120, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close() // every handler has returned: the buffer is complete
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+
+	facts := []string{" vertices=", " reused=", " computes=", " warmstarts=", " plan_ns=", " lock_wait_ns="}
+	lines := map[string]int{} // per path
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if !strings.Contains(line, "level=INFO msg=http "+obs.RequestIDKey+"=") {
+			t.Errorf("not an access-log line: %s", line)
+			continue
+		}
+		_, path, _ := strings.Cut(line, " path=")
+		path, _, _ = strings.Cut(path, " ")
+		lines[path]++
+		planned := path == "/v1/optimize" || path == "/v1/update"
+		for _, f := range facts {
+			if strings.Contains(line, f) != planned {
+				t.Errorf("field%s present=%v, want %v: %s", f, !planned, planned, line)
+			}
+		}
+	}
+	// One run is one optimize and one update, each logged once.
+	if lines["/v1/optimize"] != 1 || lines["/v1/update"] != 1 || lines["/healthz"] != 1 || lines["/v1/artifact"] == 0 {
+		t.Errorf("lines per path = %v, want one optimize, one update, one healthz and the uploads:\n%s", lines, buf.String())
+	}
+}
+
 // TestInstrumentationDisabled checks WithInstrumentation(false) leaves no
 // serving metrics behind and keeps the flight recorder quiet.
 func TestInstrumentationDisabled(t *testing.T) {
@@ -325,28 +367,64 @@ func TestInstrumentationDisabled(t *testing.T) {
 	}
 }
 
-// BenchmarkHandlerOverhead pins the middleware cost: the disabled path is
-// the baseline and the instrumented path must stay within the same order of
-// magnitude (the acceptance bar is "absent ≈ present within noise"; compare
-// the two sub-benchmark numbers).
+// handlerArm is one arm of the middleware's cost: serve answers one
+// GET /healthz that carries its own request ID.
+type handlerArm struct {
+	name  string
+	serve func()
+}
+
+// handlerArms are the edge with the serving telemetry absent, disabled and
+// enabled. Absent is a reference written out here: what ServeHTTP does for
+// every request whatever is switched on — the record, its ID echoed on the
+// response, the context that carries it to the route — and then the mux.
+// Disabled is WithInstrumentation(false) with no access logger, which claims
+// to be exactly that.
+func handlerArms() []handlerArm {
+	r := httptest.NewRequest("GET", "/healthz", nil)
+	r.Header.Set(obs.RequestIDHeader, "bench")
+	off := NewHandler(core.NewServer(store.New(cost.Memory())), WithInstrumentation(false))
+	on := NewHandler(core.NewServer(store.New(cost.Memory())))
+	return []handlerArm{
+		{"absent", func() {
+			w := httptest.NewRecorder()
+			req := &obs.Request{RequestID: r.Header.Get(obs.RequestIDHeader), Method: r.Method, Route: routeLabel(r.URL.Path)}
+			w.Header().Set(obs.RequestIDHeader, req.RequestID)
+			off.mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), reqKey{}, req)))
+		}},
+		{"disabled", func() { off.ServeHTTP(httptest.NewRecorder(), r) }},
+		{"enabled", func() { on.ServeHTTP(httptest.NewRecorder(), r) }},
+	}
+}
+
+// BenchmarkHandlerOverhead times handlerArms: disabled must stay ≈ absent,
+// and enabled within the same order of magnitude.
 func BenchmarkHandlerOverhead(b *testing.B) {
-	for _, bc := range []struct {
-		name       string
-		instrument bool
-	}{
-		{"instrumented=off", false},
-		{"instrumented=on", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			srv := core.NewServer(store.New(cost.Memory()))
-			h := NewHandler(srv, WithInstrumentation(bc.instrument))
-			req := httptest.NewRequest("GET", "/healthz", nil)
+	for _, arm := range handlerArms() {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w := httptest.NewRecorder()
-				h.ServeHTTP(w, req)
+				arm.serve()
 			}
 		})
+	}
+}
+
+// TestUninstrumentedHandlerAllocatesAsBareMux gates BenchmarkHandlerOverhead
+// with a count instead of a timing: with the telemetry off a request costs
+// the allocations of the request-ID plumbing and the mux, no status writer,
+// body counter or flight record on top; with it on, it costs more.
+func TestUninstrumentedHandlerAllocatesAsBareMux(t *testing.T) {
+	allocs := map[string]float64{}
+	for _, arm := range handlerArms() {
+		allocs[arm.name] = testing.AllocsPerRun(100, arm.serve)
+	}
+	t.Logf("allocations per GET /healthz: %v", allocs)
+	if allocs["disabled"] != allocs["absent"] {
+		t.Errorf("WithInstrumentation(false) costs %.0f allocations per request, the bare plumbing %.0f", allocs["disabled"], allocs["absent"])
+	}
+	if allocs["enabled"] <= allocs["disabled"] {
+		t.Errorf("the instrumented edge costs %.0f allocations per request, the uninstrumented one %.0f: the comparison is vacuous",
+			allocs["enabled"], allocs["disabled"])
 	}
 }

@@ -328,7 +328,7 @@ func TestSessionFetchesOnceWhileHeld(t *testing.T) {
 			t.Errorf("vertex %s downloaded %d times while the session could hold it", id, n)
 		}
 	}
-	held := rc.session.Get(feat)
+	held, _ := rc.session.Get(feat, "")
 	if held == nil {
 		t.Fatal("session does not hold the features")
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/materialize"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/workloads/kaggle"
 )
@@ -247,6 +248,113 @@ func TestUploadRetriesOnceWhenServerLostAColumn(t *testing.T) {
 	}
 	if conflicts != 1 {
 		t.Fatalf("saw %d conflicts, want exactly 1 (statuses %v)", conflicts, meter.statuses)
+	}
+}
+
+// TestConcurrentCollaboratorsUploadAVertexOnce forces the other race of the
+// upload protocol: two collaborators compute the same vertices in concurrent
+// runs, and the second one's update arrives while the first one's uploads
+// are still on their way. The server asks the first and passes the second
+// over (core.Server's askOnceLocked), so every wanted vertex travels once —
+// which client's bytes they are may depend on timing, how many bytes must not.
+func TestConcurrentCollaboratorsUploadAVertexOnce(t *testing.T) {
+	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30),
+		core.WithStrategy(materialize.NewAll()))
+	h := NewHandler(srv)
+	firstHeld := make(chan struct{}) // closed when the first client's first upload has arrived
+	secondDone := make(chan struct{})
+	var once sync.Once
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/artifact" && r.Header.Get(obs.ClientIDHeader) == "first" {
+			once.Do(func() { close(firstHeld) })
+			<-secondDone
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	run := func(name string) (*Client, *uploadMeter, *graph.DAG, error) {
+		rc, meter := meteredClient(ts.URL)
+		rc.SetName(name)
+		dag := buildPipeline(testFrame(200, 1))
+		_, err := core.NewClient(rc).Run(dag)
+		return rc, meter, dag, err
+	}
+	type outcome struct {
+		rc    *Client
+		meter *uploadMeter
+		dag   *graph.DAG
+		err   error
+	}
+	first := make(chan outcome, 1)
+	go func() {
+		rc, meter, dag, err := run("first")
+		first <- outcome{rc, meter, dag, err}
+	}()
+	<-firstHeld
+	rc2, meter2, _, err := run("second")
+	close(secondDone)
+	one := <-first
+	for _, e := range []error{err, rc2.Err(), one.err, one.rc.Err()} {
+		if e != nil {
+			t.Fatal(e)
+		}
+	}
+
+	if len(meter2.ids) != 0 {
+		t.Errorf("the second collaborator uploaded %v while the first one's uploads of the same vertices were under way", meter2.ids)
+	}
+	if len(one.meter.ids) == 0 {
+		t.Fatal("the first collaborator uploaded nothing: the run did not exercise the protocol")
+	}
+	seen := make(map[string]bool)
+	for _, id := range one.meter.ids {
+		if seen[id] {
+			t.Errorf("vertex %s uploaded twice", id)
+		}
+		seen[id] = true
+		if got, _ := srv.PeekArtifact(id); got == nil || !sameBits(got, one.dag.Node(id).Content) {
+			t.Errorf("uploaded vertex %s is not stored as the clients hold it", id)
+		}
+	}
+}
+
+// TestAskedAndNeverUploadedIsAskedAgain: being passed over is for one update.
+// A caller that was asked for a vertex and never sent it costs the next
+// holder one update's delay; the one after that is asked.
+func TestAskedAndNeverUploadedIsAskedAgain(t *testing.T) {
+	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30),
+		core.WithStrategy(materialize.NewAll()))
+	dag := buildPipeline(testFrame(200, 1))
+	if _, err := core.Execute(dag, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	update := func() []string {
+		meta, err := FromWire(ToWire(dag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.Update(meta, nil, nil)
+	}
+	asked := update()
+	if len(asked) == 0 {
+		t.Fatal("first update asked for nothing")
+	}
+	if over := update(); len(over) != 0 {
+		t.Errorf("second update was asked for %v, want nothing: the first caller's uploads are under way", over)
+	}
+	if again := update(); !reflect.DeepEqual(again, asked) {
+		t.Errorf("third update was asked for %v, want %v again", again, asked)
+	}
+	// What arrives is no longer anybody's to send.
+	src := dag.Nodes()[0]
+	if err := srv.PutArtifact(src.ID, src.Content, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range update() {
+		if id == src.ID {
+			t.Errorf("update asked for %s, which the store holds", id)
+		}
 	}
 }
 

@@ -84,7 +84,7 @@ func ApplyWarmstarts(w *graph.DAG, st *store.Manager, cands []WarmstartCandidate
 		if !ok {
 			continue
 		}
-		content := st.Get(c.DonorID)
+		content, _ := st.Get(c.DonorID, "")
 		ma, ok := content.(*graph.ModelArtifact)
 		if !ok || ma.Model == nil {
 			continue

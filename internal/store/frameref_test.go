@@ -139,7 +139,7 @@ func TestQuickPutFrameRefMatchesPut(t *testing.T) {
 				cols = append(cols, c)
 			}
 			frame := data.MustNewFrame(cols...)
-			if err := whole.Put(id, &graph.DatasetArtifact{Frame: frame}); err != nil {
+			if err := whole.Put(id, &graph.DatasetArtifact{Frame: frame}, ""); err != nil {
 				t.Log(err)
 				return false
 			}
@@ -170,8 +170,8 @@ func TestQuickPutFrameRefMatchesPut(t *testing.T) {
 			}
 			// Reads promote from disk; both sides must move alike.
 			probe := ids[rng.Intn(len(ids))]
-			a, at := whole.GetTiered(probe)
-			b, bt := byRef.GetTiered(probe)
+			a, at := whole.Get(probe, "")
+			b, bt := byRef.Get(probe, "")
 			if at != bt || !sameArtifact(a, b) {
 				t.Logf("seed %d step %d: Get(%s) differs (%v vs %v)", seed, step, probe, at, bt)
 				return false
@@ -215,7 +215,7 @@ func TestPutFrameRefRejectsWithoutAdmitting(t *testing.T) {
 	b := data.NewFloatColumn("b", make([]float64, rows))
 	short := data.NewFloatColumn("short", make([]float64, rows-1))
 	m := New(cost.Memory())
-	if err := m.Put("base", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}); err != nil {
+	if err := m.Put("base", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}, ""); err != nil {
 		t.Fatal(err)
 	}
 	stranger := data.NewFloatColumn("stranger", make([]float64, rows))
@@ -267,7 +267,7 @@ func TestPutFrameRefTakesDemotedColumnsFromDisk(t *testing.T) {
 	a := data.NewFloatColumn("a", []float64{1, 2, 3})
 	b := data.NewFloatColumn("b", []float64{4, 5, 6})
 	m := NewTiered(cost.Memory(), Options{Disk: newDisk(t)})
-	if err := m.Put("old", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}); err != nil {
+	if err := m.Put("old", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Demote("old"); err != nil {

@@ -42,15 +42,15 @@ func TestLedgerTracksStoreLifecycle(t *testing.T) {
 	m := NewTiered(cost.Memory(), Options{Disk: d})
 	led := attachTestLedger(t, m)
 
-	if err := m.PutReq("v1", floatArtifact("v1", 10), "req-put"); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10), "req-put"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Demote("v1"); err != nil {
 		t.Fatal(err)
 	}
 	// Disk hit promotes back to memory; the promoted event names the run.
-	if a, tr := m.GetTieredReq("v1", "req-get"); a == nil || tr != TierDisk {
-		t.Fatalf("GetTieredReq = %v, %v; want disk hit", a, tr)
+	if a, tr := m.Get("v1", "req-get"); a == nil || tr != TierDisk {
+		t.Fatalf("Get = %v, %v; want disk hit", a, tr)
 	}
 	m.Evict("v1")
 
@@ -82,7 +82,7 @@ func TestLedgerSeesBudgetPressure(t *testing.T) {
 	m := NewTiered(cost.Memory(), Options{MemoryBudget: 160, Disk: d})
 	led := attachTestLedger(t, m)
 	for _, id := range []string{"v1", "v2", "v3"} {
-		if err := m.Put(id, floatArtifact(id, 10)); err != nil {
+		if err := m.Put(id, floatArtifact(id, 10), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,7 +99,7 @@ func TestLedgerSeesBudgetPressure(t *testing.T) {
 	m2 := NewTiered(cost.Memory(), Options{MemoryBudget: 160})
 	led2 := attachTestLedger(t, m2)
 	for _, id := range []string{"v1", "v2", "v3"} {
-		if err := m2.Put(id, floatArtifact(id, 10)); err != nil {
+		if err := m2.Put(id, floatArtifact(id, 10), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestLedgerSeesIdleDemotion(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
 	led := attachTestLedger(t, m)
-	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10), ""); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.DemoteIdle(0); n != 1 {
@@ -136,7 +136,7 @@ func TestLedgerRecoverySeeding(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FlushToDisk(); err != nil {
@@ -163,7 +163,7 @@ func TestLedgerRecoverySeeding(t *testing.T) {
 	}
 	// Memory-resident content at attach time seeds as materialized.
 	m3 := New(cost.Memory())
-	if err := m3.Put("v2", floatArtifact("v2", 10)); err != nil {
+	if err := m3.Put("v2", floatArtifact("v2", 10), ""); err != nil {
 		t.Fatal(err)
 	}
 	led3 := attachTestLedger(t, m3)
@@ -184,7 +184,7 @@ func TestLedgerQuarantineOnRuntimeCorruption(t *testing.T) {
 	}
 	m := NewTiered(cost.Memory(), Options{Disk: d})
 	led := attachTestLedger(t, m)
-	if err := m.Put("m1", &graph.AggregateArtifact{Value: 7}); err != nil {
+	if err := m.Put("m1", &graph.AggregateArtifact{Value: 7}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Demote("m1"); err != nil {
@@ -204,8 +204,8 @@ func TestLedgerQuarantineOnRuntimeCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if a, tr := m.GetTiered("m1"); a != nil || tr != TierNone {
-		t.Fatalf("GetTiered on corrupt artifact = %v, %v; want miss", a, tr)
+	if a, tr := m.Get("m1", ""); a != nil || tr != TierNone {
+		t.Fatalf("Get on corrupt artifact = %v, %v; want miss", a, tr)
 	}
 	want := fmt.Sprint([]string{
 		obs.ArtifactMaterialized, obs.ArtifactDemoted, obs.ArtifactQuarantined,
@@ -227,7 +227,7 @@ func TestTierCountsInclusive(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
 	for _, id := range []string{"v1", "v2", "v3"} {
-		if err := m.Put(id, floatArtifact(id, 10)); err != nil {
+		if err := m.Put(id, floatArtifact(id, 10), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestTierCountsInclusive(t *testing.T) {
 	}
 	// Promote v1 back: inclusive tiers keep the disk copy, so it counts in
 	// both tiers.
-	if a, _ := m.GetTiered("v1"); a == nil {
+	if a, _ := m.Get("v1", ""); a == nil {
 		t.Fatal("v1 lost")
 	}
 	mem, disk := m.TierCounts()
@@ -269,7 +269,7 @@ func TestLedgerDetached(t *testing.T) {
 	if m.Ledger() != nil {
 		t.Fatal("fresh manager should have no ledger")
 	}
-	if err := m.PutReq("v1", floatArtifact("v1", 10), "r"); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10), "r"); err != nil {
 		t.Fatal(err)
 	}
 	led := attachTestLedger(t, m)
@@ -283,31 +283,85 @@ func TestLedgerDetached(t *testing.T) {
 	}
 }
 
-// BenchmarkLedgerOverhead pins the ledger's cost on the store's hot write
-// path. The "disabled" arm (no ledger attached) is the default
-// configuration and must stay ≈ the pre-ledger baseline: its only cost is
-// one atomic pointer load per transition. The "enabled" arm bounds the
-// instrumented cost.
-func BenchmarkLedgerOverhead(b *testing.B) {
-	run := func(b *testing.B, m *Manager) {
-		a := benchFrame("v", 1<<10)
-		b.SetBytes(a.SizeBytes())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := m.PutReq("v", a, "req"); err != nil {
-				b.Fatal(err)
-			}
-			if got, tr := m.GetTiered("v"); got == nil || tr != TierMemory {
-				b.Fatalf("want memory hit, got %v", tr)
-			}
-		}
-	}
-	b.Run("disabled", func(b *testing.B) {
-		run(b, NewTiered(cost.Memory(), Options{}))
-	})
-	b.Run("enabled", func(b *testing.B) {
+// ledgerArm is one arm of the ledger's cost on the store's write path; a call
+// takes the named artifact through a full residency cycle — admitted, read,
+// evicted — which an attached ledger records as two events.
+type ledgerArm struct {
+	name  string
+	cycle func(id string) error
+}
+
+// ledgerArms are a manager that never had a ledger, one whose ledger was
+// detached again (the state WithArtifactLedger(nil) leaves a server's store
+// in) and one with a ledger attached.
+func ledgerArms() []ledgerArm {
+	a := benchFrame("v", 1<<10)
+	arm := func(name string, attach ...*obs.ArtifactLedger) ledgerArm {
 		m := NewTiered(cost.Memory(), Options{})
-		m.AttachLedger(obs.NewArtifactLedger(32))
-		run(b, m)
-	})
+		for _, led := range attach {
+			m.AttachLedger(led)
+		}
+		return ledgerArm{name, func(id string) error {
+			if err := m.Put(id, a, "req"); err != nil {
+				return err
+			}
+			if got, tr := m.Get(id, "req"); got == nil || tr != TierMemory {
+				return fmt.Errorf("want memory hit, got %v", tr)
+			}
+			m.Evict(id)
+			return nil
+		}}
+	}
+	return []ledgerArm{
+		arm("absent"),
+		arm("disabled", obs.NewArtifactLedger(64), nil),
+		arm("enabled", obs.NewArtifactLedger(64)),
+	}
+}
+
+// BenchmarkLedgerOverhead times ledgerArms on one artifact. The disabled arm
+// must stay ≈ the absent one: its only cost is one atomic pointer load per
+// transition. The enabled arm bounds the instrumented cost.
+func BenchmarkLedgerOverhead(b *testing.B) {
+	for _, arm := range ledgerArms() {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := arm.cycle("v"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestDetachedLedgerAllocatesAsAbsent gates BenchmarkLedgerOverhead with a
+// count instead of a timing: a store whose ledger was detached allocates per
+// residency cycle exactly what a store that never had one does. Every cycle
+// is a new artifact, so an attached ledger pays for an entry each time — a
+// detach that left anything attached would show as that cost.
+func TestDetachedLedgerAllocatesAsAbsent(t *testing.T) {
+	const runs = 50
+	ids := make([]string, runs+1) // AllocsPerRun warms up once
+	for i := range ids {
+		ids[i] = fmt.Sprintf("v%d", i)
+	}
+	allocs := map[string]float64{}
+	for _, arm := range ledgerArms() {
+		i := 0
+		allocs[arm.name] = testing.AllocsPerRun(runs, func() {
+			if err := arm.cycle(ids[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	t.Logf("allocations per put/get/evict cycle: %v", allocs)
+	if allocs["disabled"] != allocs["absent"] {
+		t.Errorf("a detached ledger costs %.0f allocations per cycle, no ledger %.0f", allocs["disabled"], allocs["absent"])
+	}
+	if allocs["enabled"] <= allocs["disabled"] {
+		t.Errorf("an attached ledger costs %.0f allocations per new artifact, a detached one %.0f: the comparison is vacuous",
+			allocs["enabled"], allocs["disabled"])
+	}
 }

@@ -80,7 +80,7 @@ type Metrics struct {
 	// BytesFetched accumulates the logical size of artifacts served by Get.
 	BytesFetched *obs.Counter
 	// LockWait accounts time callers queued on the manager's write lock
-	// (Put, GetTiered, Evict, Demote, DemoteIdle, FlushToDisk) — the
+	// (Put, Get, Evict, Demote, DemoteIdle, FlushToDisk) — the
 	// eviction/admission serialization point under concurrent clients.
 	LockWait *obs.Histogram
 	// Trace, when non-nil, receives a "lock-wait:store" span (cat "lock")
@@ -157,7 +157,7 @@ type Manager struct {
 	// promoted, demoted, evicted, quarantined, recovered) when attached.
 	// An atomic pointer, not a Metrics field: transitions fire inside
 	// locked sections on the hot path, and the detached state must cost
-	// exactly one pointer load (pinned by BenchmarkLedgerOverhead).
+	// exactly one pointer load (TestDetachedLedgerAllocatesAsAbsent).
 	ledger atomic.Pointer[obs.ArtifactLedger]
 }
 
@@ -311,15 +311,11 @@ func (m *Manager) touchLocked(vertexID string) {
 // artifacts are decomposed into deduplicated columns; other artifacts are
 // stored whole. Putting an already-present vertex (either tier) is a no-op.
 // If the memory budget is exceeded, the coldest artifacts are demoted to
-// the disk tier before Put returns.
-func (m *Manager) Put(vertexID string, a graph.Artifact) error {
-	return m.PutReq(vertexID, a, "")
-}
-
-// PutReq is Put carrying the request ID that caused the materialization,
-// recorded on the ledger's materialized event so an artifact's lifecycle
-// can be traced back to the run that created it.
-func (m *Manager) PutReq(vertexID string, a graph.Artifact, requestID string) error {
+// the disk tier before Put returns. requestID names the request that caused
+// the materialization ("" = untagged); it is recorded on the ledger's
+// materialized event so an artifact's lifecycle can be traced back to the
+// run that created it.
+func (m *Manager) Put(vertexID string, a graph.Artifact, requestID string) error {
 	if a == nil {
 		return fmt.Errorf("store: nil artifact for %s", vertexID)
 	}
@@ -368,12 +364,12 @@ func (m *Manager) HeldColumns(colIDs []string) []int {
 	return held
 }
 
-// PutFrameRef is PutReq for a dataset given by reference: the manifest
+// PutFrameRef is Put for a dataset given by reference: the manifest
 // (ordered column lineage IDs and the names they carry in this frame) plus
 // only the columns the caller chose to supply. Every other manifest column
 // is taken from the store under its lineage ID, from the memory tier or, for
 // columns that only demoted frames still reference, from the disk tier. The
-// outcome is that of PutReq with the whole frame: same column ref-counts,
+// outcome is that of Put with the whole frame: same column ref-counts,
 // physical and logical bytes, ledger event and budget enforcement.
 //
 // Nothing is admitted unless the whole frame can be: ErrColumnAbsent (retry
@@ -512,26 +508,16 @@ func (m *Manager) getDiskLocked(vertexID string) graph.Artifact {
 	return a
 }
 
-// Get retrieves the artifact content for a vertex, or nil if absent.
-// Dataset artifacts are reassembled from the column store; the returned
-// frame shares the stored column arrays (in-memory EG semantics). A
-// disk-tier hit promotes the artifact back into the memory tier.
-func (m *Manager) Get(vertexID string) graph.Artifact {
-	a, _ := m.GetTiered(vertexID)
-	return a
-}
-
-// GetTiered is Get reporting which tier served the artifact, so callers
-// (the executor's fetch path, the reuse planner's cost model) can price and
-// tag the access with the artifact's actual location.
-func (m *Manager) GetTiered(vertexID string) (graph.Artifact, Tier) {
-	return m.GetTieredReq(vertexID, "")
-}
-
-// GetTieredReq is GetTiered carrying the request ID whose plan triggered
-// the fetch, so a promote event on the ledger names the run that pulled
-// the artifact back into memory.
-func (m *Manager) GetTieredReq(vertexID, requestID string) (graph.Artifact, Tier) {
+// Get retrieves the artifact content for a vertex, or nil if absent, and
+// reports which tier served it, so callers (the executor's fetch path, the
+// reuse planner's cost model) can price and tag the access with the
+// artifact's actual location. Dataset artifacts are reassembled from the
+// column store; the returned frame shares the stored column arrays
+// (in-memory EG semantics). A disk-tier hit promotes the artifact back into
+// the memory tier; requestID names the request whose plan triggered the
+// fetch ("" = untagged), so the ledger's promote event names the run that
+// pulled the artifact back.
+func (m *Manager) Get(vertexID, requestID string) (graph.Artifact, Tier) {
 	m.lockWrite()
 	defer m.mu.Unlock()
 	if a := m.getMemoryLocked(vertexID); a != nil {

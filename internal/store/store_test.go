@@ -12,6 +12,12 @@ import (
 
 func newTestManager() *Manager { return New(cost.Memory()) }
 
+// get is an untagged Get for tests that do not care which tier answered.
+func get(m *Manager, id string) graph.Artifact {
+	a, _ := m.Get(id, "")
+	return a
+}
+
 func frames() (*graph.DatasetArtifact, *graph.DatasetArtifact) {
 	shared := data.NewFloatColumn("x", []float64{1, 2, 3, 4}) // 32 bytes
 	own := data.NewFloatColumn("y", []float64{5, 6, 7, 8})    // 32 bytes
@@ -23,12 +29,12 @@ func frames() (*graph.DatasetArtifact, *graph.DatasetArtifact) {
 func TestPutGetDataset(t *testing.T) {
 	m := newTestManager()
 	a, _ := frames()
-	if err := m.Put("v1", a); err != nil {
+	if err := m.Put("v1", a, ""); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	got, ok := m.Get("v1").(*graph.DatasetArtifact)
+	got, ok := get(m, "v1").(*graph.DatasetArtifact)
 	if !ok {
-		t.Fatalf("Get returned %T", m.Get("v1"))
+		t.Fatalf("Get returned %T", get(m, "v1"))
 	}
 	if got.Frame.NumCols() != 2 || got.Frame.Column("x").Floats[2] != 3 {
 		t.Errorf("roundtrip wrong: %v", got.Frame)
@@ -41,10 +47,10 @@ func TestPutGetDataset(t *testing.T) {
 func TestColumnDeduplication(t *testing.T) {
 	m := newTestManager()
 	a, b := frames()
-	if err := m.Put("v1", a); err != nil {
+	if err := m.Put("v1", a, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("v2", b); err != nil {
+	if err := m.Put("v2", b, ""); err != nil {
 		t.Fatal(err)
 	}
 	if m.PhysicalBytes() != 64 { // x + y once
@@ -58,10 +64,10 @@ func TestColumnDeduplication(t *testing.T) {
 func TestEvictReleasesOnlyUnreferencedColumns(t *testing.T) {
 	m := newTestManager()
 	a, b := frames()
-	if err := m.Put("v1", a); err != nil {
+	if err := m.Put("v1", a, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("v2", b); err != nil {
+	if err := m.Put("v2", b, ""); err != nil {
 		t.Fatal(err)
 	}
 	m.Evict("v1")
@@ -74,7 +80,7 @@ func TestEvictReleasesOnlyUnreferencedColumns(t *testing.T) {
 	if m.PhysicalBytes() != 32 { // only shared x remains
 		t.Errorf("physical=%d, want 32", m.PhysicalBytes())
 	}
-	got := m.Get("v2").(*graph.DatasetArtifact)
+	got := get(m, "v2").(*graph.DatasetArtifact)
 	if got.Frame.Column("x").Floats[0] != 1 {
 		t.Error("shared column content corrupted by eviction")
 	}
@@ -87,11 +93,11 @@ func TestEvictReleasesOnlyUnreferencedColumns(t *testing.T) {
 func TestPutIdempotent(t *testing.T) {
 	m := newTestManager()
 	a, _ := frames()
-	if err := m.Put("v1", a); err != nil {
+	if err := m.Put("v1", a, ""); err != nil {
 		t.Fatal(err)
 	}
 	before := m.PhysicalBytes()
-	if err := m.Put("v1", a); err != nil {
+	if err := m.Put("v1", a, ""); err != nil {
 		t.Fatal(err)
 	}
 	if m.PhysicalBytes() != before {
@@ -106,12 +112,12 @@ func TestModelBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	ma := &graph.ModelArtifact{Model: lr, Quality: 0.9, Features: []string{"x"}}
-	if err := m.Put("m1", ma); err != nil {
+	if err := m.Put("m1", ma, ""); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := m.Get("m1").(*graph.ModelArtifact)
+	got, ok := get(m, "m1").(*graph.ModelArtifact)
 	if !ok || got.Quality != 0.9 {
-		t.Fatalf("model roundtrip wrong: %T", m.Get("m1"))
+		t.Fatalf("model roundtrip wrong: %T", get(m, "m1"))
 	}
 	if m.PhysicalBytes() != ma.SizeBytes() {
 		t.Errorf("physical=%d, want %d", m.PhysicalBytes(), ma.SizeBytes())
@@ -124,7 +130,7 @@ func TestModelBlob(t *testing.T) {
 
 func TestGetAbsent(t *testing.T) {
 	m := newTestManager()
-	if m.Get("nope") != nil {
+	if get(m, "nope") != nil {
 		t.Error("absent Get should be nil")
 	}
 	if m.Has("nope") {
@@ -135,7 +141,7 @@ func TestGetAbsent(t *testing.T) {
 
 func TestPutNil(t *testing.T) {
 	m := newTestManager()
-	if err := m.Put("v", nil); err == nil {
+	if err := m.Put("v", nil, ""); err == nil {
 		t.Error("Put(nil) should error")
 	}
 }
@@ -158,16 +164,16 @@ func TestRenamedSharedColumn(t *testing.T) {
 	renamed.Name = "z"
 	f1 := data.MustNewFrame(col)
 	f2 := data.MustNewFrame(renamed)
-	if err := m.Put("v1", &graph.DatasetArtifact{Frame: f1}); err != nil {
+	if err := m.Put("v1", &graph.DatasetArtifact{Frame: f1}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("v2", &graph.DatasetArtifact{Frame: f2}); err != nil {
+	if err := m.Put("v2", &graph.DatasetArtifact{Frame: f2}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if m.PhysicalBytes() != 16 {
 		t.Errorf("physical=%d, want 16 (shared)", m.PhysicalBytes())
 	}
-	g2 := m.Get("v2").(*graph.DatasetArtifact)
+	g2 := get(m, "v2").(*graph.DatasetArtifact)
 	if !g2.Frame.HasColumn("z") {
 		t.Errorf("renamed column lost: %v", g2.Frame.ColumnNames())
 	}
@@ -186,19 +192,19 @@ func TestStoreMetricsCounters(t *testing.T) {
 	m.Instrument(met)
 
 	blob := &graph.ModelArtifact{Model: nil, Quality: 0.5}
-	if err := m.Put("v1", blob); err != nil {
+	if err := m.Put("v1", blob, ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("v1", blob); err != nil { // no-op re-put: not counted
+	if err := m.Put("v1", blob, ""); err != nil { // no-op re-put: not counted
 		t.Fatal(err)
 	}
 	if met.Puts.Value() != 1 {
 		t.Errorf("puts = %d, want 1 (re-put is a no-op)", met.Puts.Value())
 	}
-	if m.Get("v1") == nil {
+	if get(m, "v1") == nil {
 		t.Fatal("stored blob should be retrievable")
 	}
-	if m.Get("absent") != nil {
+	if get(m, "absent") != nil {
 		t.Fatal("unexpected artifact")
 	}
 	if met.GetHits.Value() != 1 || met.GetMisses.Value() != 1 {
