@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fmt-check lint-logs bench bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
+.PHONY: build vet test race fmt-check lint-logs loc bench bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# loc prints the figure every PR quotes for "what did this let us delete":
+# lines of non-test Go outside bench/, per package directory and in total.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # bench runs every Go micro-benchmark once, with allocation counts: these are
 # for reading curves while working on one layer (EXPERIMENTS.md cites the

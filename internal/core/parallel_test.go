@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -243,6 +244,42 @@ func TestConcurrentClientsSharedServer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("client %d: %v", c, err)
 		}
+	}
+}
+
+// TestServerBuiltBesideRunningKernels builds servers while a join runs in
+// another goroutine, as a process that hosts a server beside a client does
+// (examples/remoteserver, the bench's in-process references): every NewServer
+// re-registers the kernel counters the join is updating. Under -race this
+// fails unless the counters are published atomically.
+func TestServerBuiltBesideRunningKernels(t *testing.T) {
+	key := make([]float64, 512)
+	for i := range key {
+		key[i] = float64(i % 64)
+	}
+	frame := data.MustNewFrame(data.NewFloatColumn("k", key), data.NewFloatColumn("v", key))
+	other := data.MustNewFrame(data.NewFloatColumn("k", key[:64]), data.NewFloatColumn("w", key[:64]))
+	stop, joined := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				joined <- nil
+				return
+			default:
+			}
+			if _, err := frame.Join(other, "k", data.Inner, "join"); err != nil {
+				joined <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 8; i++ {
+		NewServer(store.New(cost.Memory()))
+	}
+	close(stop)
+	if err := <-joined; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -91,6 +91,8 @@ type serverMetrics struct {
 	matSec          *obs.Histogram
 	matRuns         *obs.Counter
 	matSelected     *obs.Gauge
+	matConsidered   *obs.Counter
+	matVetoed       *obs.Counter
 	matEvicted      *obs.Counter
 	planLoads       *obs.Counter
 	planComputes    *obs.Counter
@@ -133,7 +135,11 @@ func newServerMetrics() *serverMetrics {
 			"materialization-algorithm latency per update", nil),
 		matRuns:     reg.Counter("collab_materialize_runs_total", "materialization algorithm runs"),
 		matSelected: reg.Gauge("collab_materialize_selected", "size of the last materialization selection"),
-		matEvicted:  reg.Counter("collab_materialize_evictions_total", "artifacts evicted by reselection"),
+		matConsidered: reg.Counter("collab_materialize_considered_total",
+			"eligible candidates scored by the materializer"),
+		matVetoed: reg.Counter("collab_materialize_vetoed_total",
+			"candidates rejected by the load-cost veto (Cl >= Cr)"),
+		matEvicted: reg.Counter("collab_materialize_evictions_total", "artifacts evicted by reselection"),
 		planLoads: reg.Counter("collab_plan_reuse_vertices_total",
 			"vertices the reuse planner decided to load (post backward prune)"),
 		planComputes: reg.Counter("collab_plan_compute_vertices_total",
@@ -301,8 +307,8 @@ func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 }
 
 // initMetrics wires the registry: server counters, scrape-time gauges over
-// the EG and the store (both internally locked), store operation counters,
-// and — when the strategy supports it — materializer decision counters.
+// the EG and the store (both internally locked) and store operation
+// counters.
 func (s *Server) initMetrics() {
 	m := newServerMetrics()
 	s.metrics = m
@@ -341,14 +347,6 @@ func (s *Server) initMetrics() {
 		LockWait:     m.storeLockWait,
 		Trace:        s.trace,
 	})
-	if ins, ok := s.strategy.(materialize.Instrumentable); ok {
-		ins.Instrument(&materialize.Metrics{
-			Considered: reg.Counter("collab_materialize_considered_total",
-				"eligible candidates scored by the materializer"),
-			Vetoed: reg.Counter("collab_materialize_vetoed_total",
-				"candidates rejected by the load-cost veto (Cl >= Cr)"),
-		})
-	}
 	// Columnar-kernel counters (join/group-by/one-hot row throughput,
 	// partition counts, dictionary hit ratio).
 	data.RegisterMetrics(reg)
@@ -641,14 +639,12 @@ func (s *Server) Update(executed *graph.DAG, req *obs.Request, run *calib.Client
 	s.EG.Merge(executed)
 
 	available := make(map[string]graph.Artifact)
-	touched := make([]string, 0, executed.Len())
 	for _, n := range executed.Nodes() {
-		touched = append(touched, n.ID)
 		if n.Content != nil {
 			available[n.ID] = n.Content
 		}
 	}
-	want = s.askOnceLocked(executed, s.applySelectionLocked(available, touched, req, sc))
+	want = s.askOnceLocked(executed, s.applySelectionLocked(available, req, sc))
 	s.EG.Prune(s.prune)
 	s.metrics.updateTotal.Inc()
 	if s.trace != nil {
@@ -791,9 +787,10 @@ func (s *Server) askOnceLocked(executed *graph.DAG, want []string) []string {
 
 // applySelectionLocked stores sources, runs the materialization strategy,
 // applies it to the store using the contents in available, and returns the
-// desired-but-missing vertex IDs. Strategies supporting the §5.2
-// incremental fast path receive the touched vertex IDs.
-func (s *Server) applySelectionLocked(available map[string]graph.Artifact, touched []string, req *obs.Request, sc *calib.Scorecard) (want []string) {
+// desired-but-missing vertex IDs. The strategy's record of the run is the
+// one account of what it decided: the counters read its counts and, when
+// explain is on, the recorder renders its trail.
+func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *obs.Request, sc *calib.Scorecard) (want []string) {
 	requestID := req.RequestID
 	// Task one: every raw source artifact is stored, outside the budget.
 	sources := make(map[string]bool)
@@ -814,19 +811,16 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, touch
 
 	// Task three: run the materialization algorithm and apply it.
 	matSW := obs.StartTimer()
-	var desired []string
-	if inc, ok := s.strategy.(materialize.IncrementalStrategy); ok && touched != nil {
-		desired = inc.SelectIncremental(s.EG, s.budget, touched)
-	} else {
-		desired = s.strategy.Select(s.EG, s.budget)
-	}
+	run := s.strategy.Select(s.EG, s.budget, s.explain != nil)
+	desired := run.Selected
 	matElapsed := matSW.Elapsed()
 	s.metrics.matRuns.Inc()
 	s.metrics.matSec.Observe(matElapsed.Seconds())
 	s.metrics.matSelected.Set(float64(len(desired)))
+	s.metrics.matConsidered.Add(int64(run.Eligible))
+	s.metrics.matVetoed.Add(int64(run.Vetoed))
 	if s.explain != nil {
-		rec := explain.BuildUpdate(s.EG, s.Store.Profile(), s.strategy.Name(),
-			s.budget, desired, requestID)
+		rec := explain.BuildUpdate(run, s.Store.Profile(), s.strategy.Name(), s.budget, requestID)
 		rec.Calibration = sc
 		s.explain.Add(rec)
 	}

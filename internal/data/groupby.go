@@ -102,10 +102,11 @@ func newGBGroup(firstRow int32, ncols int) *gbGroup {
 // groupTokens reduces the key column to tokens plus their hash function,
 // mirroring the join's representation choice.
 func groupByTokens(kc *Column, aggCols []*Column) []*gbGroup {
-	metKeyRows.Add(int64(kc.Len()))
-	metPartitionsUsed.Add(kernelParts)
+	m := met()
+	m.keyRows.Add(int64(kc.Len()))
+	m.partitionsUsed.Add(kernelParts)
 	if kc.IsDict() {
-		metDictKeyRows.Add(int64(kc.Len()))
+		m.dictKeyRows.Add(int64(kc.Len()))
 		return aggregateTokens(dictTokens(kc), hashUint64, aggCols)
 	}
 	if kc.Type.IsNumeric() {

@@ -165,11 +165,12 @@ func probeJoin[K comparable](idx *joinIndex[K], ltoks []K, lparts []uint8, kind 
 // share a primitive numeric type, rendered strings otherwise (the exact
 // semantics of the sequential kernel in every case).
 func joinRowIndices(lk, rk *Column, kind JoinKind) (lidx, ridx []int) {
-	metKeyRows.Add(int64(lk.Len() + rk.Len()))
-	metPartitionsUsed.Add(kernelParts)
+	m := met()
+	m.keyRows.Add(int64(lk.Len() + rk.Len()))
+	m.partitionsUsed.Add(kernelParts)
 	switch {
 	case lk.IsDict() && rk.IsDict():
-		metDictKeyRows.Add(int64(lk.Len() + rk.Len()))
+		m.dictKeyRows.Add(int64(lk.Len() + rk.Len()))
 		ltoks := dictTokens(lk)
 		rtoks := remappedDictTokens(lk, rk)
 		return joinOnTokens(ltoks, rtoks, hashUint64, kind)

@@ -167,7 +167,7 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 	if c.Type != String {
 		return nil, fmt.Errorf("data: onehot: column %q is %s, want string", col, c.Type)
 	}
-	metOneHotRows.Add(int64(c.Len()))
+	met().oneHotRows.Add(int64(c.Len()))
 	var sorted []string
 	if c.IsDict() {
 		// Categories are the dictionary entries actually present in the
@@ -275,7 +275,7 @@ func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*F
 		return nil, fmt.Errorf("data: join: key %q missing (left=%v right=%v)", key, lk != nil, rk != nil)
 	}
 	lidx, ridx := joinRowIndices(lk, rk, kind)
-	metJoinRows.Add(int64(lk.Len() + rk.Len() + len(lidx)))
+	met().joinRows.Add(int64(lk.Len() + rk.Len() + len(lidx)))
 	// Materialize the output columns in parallel (each gather is an
 	// independent O(rows) copy), then attach sequentially so collision
 	// renaming stays order-dependent and deterministic.
@@ -424,7 +424,7 @@ func (f *Frame) GroupBy(key string, aggs []Agg, opHash string) (*Frame, error) {
 		}
 		slots[ai] = slot
 	}
-	metGroupByRows.Add(int64(kc.Len()))
+	met().groupByRows.Add(int64(kc.Len()))
 
 	groups := groupByTokens(kc, aggCols)
 	sortGroupsByRenderedKey(kc, groups)

@@ -9,7 +9,6 @@ package eg
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -315,71 +314,12 @@ func (g *Graph) MaterializedIDs() []string {
 	return out
 }
 
-// TopoOrderOf returns the given vertex IDs ordered topologically with
-// respect to the edges among them (the induced subgraph), in O(|ids| +
-// edges-within) — the restricted ordering the §5.2 incremental
-// materializer needs. Unknown IDs are dropped.
-func (g *Graph) TopoOrderOf(ids []string) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	member := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		if _, ok := g.vertices[id]; ok {
-			member[id] = true
-		}
-	}
-	indeg := make(map[string]int, len(member))
-	for id := range member {
-		for _, p := range g.vertices[id].Parents {
-			if member[p] {
-				indeg[id]++
-			}
-		}
-	}
-	queue := make([]string, 0, len(member))
-	for id := range member {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	sort.Strings(queue) // deterministic seed order
-	out := make([]string, 0, len(member))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		out = append(out, id)
-		for _, c := range g.vertices[id].Children {
-			if !member[c] {
-				continue
-			}
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	return out
-}
-
 // Vertices returns all vertices (read-only view), sorted by ID. The slice
 // is the caller's own; the vertices are the graph's.
 func (g *Graph) Vertices() []*Vertex {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return slices.Clone(g.byID)
-}
-
-// TotalLogicalSize sums SizeBytes over the given vertex IDs (no dedup).
-func (g *Graph) TotalLogicalSize(ids []string) int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var n int64
-	for _, id := range ids {
-		if v, ok := g.vertices[id]; ok {
-			n += v.SizeBytes
-		}
-	}
-	return n
 }
 
 // DedupedSize computes the physical bytes needed to store the given vertex

@@ -145,7 +145,7 @@ func TestDedupedSizeCountsSharedColumnsOnce(t *testing.T) {
 	sel.SizeBytes = f2.SizeBytes()
 	src.SizeBytes = f1.SizeBytes()
 	g.Merge(w)
-	logical := g.TotalLogicalSize([]string{src.ID, sel.ID})
+	logical := g.Vertex(src.ID).SizeBytes + g.Vertex(sel.ID).SizeBytes
 	deduped := g.DedupedSize([]string{src.ID, sel.ID})
 	if logical != 96 { // 64 + 32
 		t.Errorf("logical=%d, want 96", logical)

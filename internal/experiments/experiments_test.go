@@ -188,11 +188,9 @@ func TestFig10WarmstartShape(t *testing.T) {
 	}
 }
 
-// TestScalabilityShape asserts the extension figure's two flat curves on
-// work, not on latencies of a few hundred microseconds each: a probe
-// Optimize allocates per workload vertex, not per Experiment Graph vertex,
-// and the incremental materializer scores the workload's vertices plus the
-// materialized ones while a full pass scores the whole graph.
+// TestScalabilityShape asserts the extension figure's flat curve on work,
+// not on latencies of a few hundred microseconds each: a probe Optimize
+// allocates per workload vertex, not per Experiment Graph vertex.
 func TestScalabilityShape(t *testing.T) {
 	s := quick(t)
 	s.SynthWorkloads = 120
@@ -212,10 +210,6 @@ func TestScalabilityShape(t *testing.T) {
 	if float64(last.OptimizeAllocs) > 1.5*float64(first.OptimizeAllocs) {
 		t.Errorf("optimizing the probe allocates %d times on %d vertices, %d on %d: planning grows with the EG",
 			last.OptimizeAllocs, last.EGVertices, first.OptimizeAllocs, first.EGVertices)
-	}
-	if last.IncrementalPool*5 > last.EGVertices {
-		t.Errorf("the incremental pass scored %d vertices of %d: not clearly fewer than a full pass",
-			last.IncrementalPool, last.EGVertices)
 	}
 }
 

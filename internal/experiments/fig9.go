@@ -37,7 +37,7 @@ func (s *Suite) Fig9ab() ([]Fig9Result, error) {
 	s.printf("Figure 9(a,b): cumulative run time by reuse planner\n")
 	for _, strat := range []materialize.Strategy{materialize.NewGreedy(cfg), materialize.NewStorageAware(cfg)} {
 		for _, planner := range reusePlanners() {
-			srv := s.newServer(freshStrategy(strat, cfg), planner, budget)
+			srv := s.newServer(strat, planner, budget)
 			res := Fig9Result{Strategy: strat.Name(), Planner: planner.Name()}
 			var cum time.Duration
 			for _, wl := range kaggle.AllWorkloads() {
@@ -53,22 +53,6 @@ func (s *Suite) Fig9ab() ([]Fig9Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// freshStrategy returns a new instance of the same strategy kind so state
-// is never shared between servers (strategies are stateless today, but
-// this keeps the experiment hermetic).
-func freshStrategy(s materialize.Strategy, cfg materialize.Config) materialize.Strategy {
-	switch s.Name() {
-	case "SA":
-		return materialize.NewStorageAware(cfg)
-	case "HM":
-		return materialize.NewGreedy(cfg)
-	case "HL":
-		return materialize.NewHelix(cfg)
-	default:
-		return materialize.NewAll()
-	}
 }
 
 // Fig9cResult is one speedup curve of Figure 9(c).

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/materialize"
 	"repro/internal/workloads/synth"
 )
 
@@ -23,18 +22,11 @@ type ScalabilityResult struct {
 	// MaterializeLatency is one full materializer Select pass (expected
 	// to grow with EG), median of 3.
 	MaterializeLatency time.Duration
-	// IncrementalLatency is one §5.2 incremental SelectIncremental pass
-	// (expected ~flat, O(|W|+|M|)): the median over the last updates up to
-	// the checkpoint, since the pass is stateful and cannot be repeated.
-	IncrementalLatency time.Duration
 	// OptimizeAllocs is the number of heap allocations of one probe
-	// Optimize call and IncrementalPool the number of vertices the last
-	// incremental pass scored (the workload's plus the materialized ones):
-	// the two flat curves counted in work, which repeats on every host and
-	// under any scheduling, beside EGVertices, which is what a full
+	// Optimize call: the flat curve counted in work, which repeats on every
+	// host and under any scheduling, beside EGVertices, which is what a
 	// materializer pass scores.
-	OptimizeAllocs  uint64
-	IncrementalPool int
+	OptimizeAllocs uint64
 }
 
 // FigScalability is an extension beyond the paper's figures: it merges a
@@ -47,10 +39,7 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 	profile := synth.DefaultProfile()
 	profile.MinNodes, profile.MaxNodes = 200, 400
 
-	// A bounded budget keeps |M| (the materialized set) constant-sized,
-	// the precondition of the §5.2 O(|W|+|M|) bound.
 	srv := s.newSystem(sysCO, 1<<33)
-	inc := materialize.NewIncremental(materialize.Config{Alpha: 0.5, Profile: s.Profile})
 	probe := synth.Generate(profile, 424242)
 
 	n := s.SynthWorkloads
@@ -62,30 +51,13 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 		checkpoints[c] = true
 	}
 	var out []ScalabilityResult
-	var recentInc []time.Duration // the last (up to 5) incremental passes
-	var selection []string        // what the last incremental pass chose
 	s.printf("Scalability (extension): server latencies vs Experiment Graph size\n")
 	for wi := 1; wi <= n; wi++ {
 		w := synth.Generate(profile, int64(wi))
 		annotateFromCosts(w)
 		srv.EG.Merge(w.DAG)
-		touched := make([]string, 0, w.DAG.Len())
-		for _, node := range w.DAG.Nodes() {
-			touched = append(touched, node.ID)
-		}
-		scored := selection // the pass scores these and the touched vertices
-		startInc := time.Now()
-		selection = inc.SelectIncremental(srv.EG, srv.Budget(), touched)
-		if recentInc = append(recentInc, time.Since(startInc)); len(recentInc) > 5 {
-			recentInc = recentInc[1:]
-		}
 		if !checkpoints[wi] {
 			continue
-		}
-		incLat := median(append([]time.Duration(nil), recentInc...))
-		pool := make(map[string]bool, len(touched)+len(scored))
-		for _, id := range append(touched, scored...) {
-			pool[id] = true
 		}
 		// Probe optimize latency (median of 5 to damp noise).
 		lat := make([]time.Duration, 5)
@@ -101,7 +73,7 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 		runtime.ReadMemStats(&after)
 		for k := range lat[:3] {
 			start := time.Now()
-			srv.Strategy().Select(srv.EG, srv.Budget())
+			srv.Strategy().Select(srv.EG, srv.Budget(), false)
 			lat[k] = time.Since(start)
 		}
 		mat := median(lat[:3])
@@ -110,12 +82,10 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 			EGVertices:         srv.EG.Len(),
 			OptimizeLatency:    opt,
 			MaterializeLatency: mat,
-			IncrementalLatency: incLat,
 			OptimizeAllocs:     after.Mallocs - before.Mallocs,
-			IncrementalPool:    len(pool),
 		})
-		s.printf("  workloads=%-5d EG=%-8d optimize=%-12s materialize=%-14s incremental=%s\n",
-			wi, srv.EG.Len(), opt, mat, incLat)
+		s.printf("  workloads=%-5d EG=%-8d optimize=%-12s materialize=%s\n",
+			wi, srv.EG.Len(), opt, mat)
 	}
 	return out, nil
 }

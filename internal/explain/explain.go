@@ -17,8 +17,8 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/cost"
-	"repro/internal/eg"
 	"repro/internal/graph"
+	"repro/internal/materialize"
 	"repro/internal/obs"
 	"repro/internal/reuse"
 )
@@ -57,16 +57,12 @@ const (
 )
 
 // Materializer reason codes: one per eligible EG vertex in an update
-// record.
+// record. They are the strategy's own outcomes (materialize.Outcome), which
+// says what each means under which strategy.
 const (
-	// MatSelected: the strategy materializes this artifact.
-	MatSelected = "selected"
-	// MatVetoedLoadCost: rejected by the load-cost veto — loading would
-	// be no cheaper than recomputing (Cl >= Cr, Algorithm 1's U(v)=0 rule).
-	MatVetoedLoadCost = "vetoed-load-cost"
-	// MatBudgetExhausted: utility-positive but did not fit the remaining
-	// byte budget.
-	MatBudgetExhausted = "budget-exhausted"
+	MatSelected        = string(materialize.Selected)
+	MatVetoedLoadCost  = string(materialize.Vetoed)
+	MatBudgetExhausted = string(materialize.OverBudget)
 )
 
 // Cost is a cost input in seconds with deterministic rendering: finite
@@ -253,67 +249,43 @@ func decideVertex(n *graph.Node, costs reuse.Costs, plan *reuse.Plan) string {
 	}
 }
 
-// BuildUpdate assembles the decision trail of one materialization run:
-// every eligible EG vertex with its Equation-2 inputs and whether it was
-// selected, vetoed by the load-cost rule, or dropped by budget exhaustion.
-// Vertices appear sorted by ID. The veto classification applies Algorithm
-// 1's Cl >= Cr rule (materialize.LoadCostVetoed); strategies with a
-// different veto (Helix's Cr <= 2·Cl) still get a faithful selected set,
-// with near-veto candidates classified against the Algorithm-1 rule.
-func BuildUpdate(g *eg.Graph, profile cost.Profile, strategy string, budget int64, selected []string, requestID string) *Record {
+// BuildUpdate renders the record of one materialization run, as the
+// strategy produced it (run.Trail: every eligible EG vertex, sorted by ID,
+// with the outcome under that strategy's own rules), beside the Equation-2
+// inputs of each vertex. Cl(v) is priced with profile, the store's. It
+// derives nothing: eligibility, the veto and the counts are the run's.
+func BuildUpdate(run materialize.Run, profile cost.Profile, strategy string, budget int64, requestID string) *Record {
 	rec := &Record{
 		Kind:      KindUpdate,
 		RequestID: requestID,
 		Mat: &MatSummary{
-			Strategy:    strategy,
-			BudgetBytes: budget,
-			Selected:    len(selected),
+			Strategy:        strategy,
+			BudgetBytes:     budget,
+			Eligible:        run.Eligible,
+			Selected:        len(run.Selected),
+			VetoedLoadCost:  run.Vetoed,
+			BudgetExhausted: run.OverBudget(),
 		},
+		Materialize: make([]MatDecision, 0, len(run.Trail)),
 	}
-	sel := make(map[string]bool, len(selected))
-	for _, id := range selected {
-		sel[id] = true
-	}
-	for _, v := range g.Vertices() { // sorted by ID
-		if sel[v.ID] {
+	for _, d := range run.Trail {
+		v := d.Vertex
+		if d.Outcome == materialize.Selected {
 			rec.Mat.SelectedBytes += v.SizeBytes
 		}
-		if !Eligible(v) {
-			continue
-		}
-		rec.Mat.Eligible++
-		cl := profile.LoadCost(v.SizeBytes)
-		cr := v.RecreationCost()
-		md := MatDecision{
+		rec.Materialize = append(rec.Materialize, MatDecision{
 			ID:             v.ID,
 			Name:           v.Name,
 			SizeBytes:      v.SizeBytes,
 			Frequency:      v.Frequency,
-			RecreationCost: Cost(cr.Seconds()),
-			LoadCost:       Cost(cl.Seconds()),
+			RecreationCost: Cost(v.RecreationCost().Seconds()),
+			LoadCost:       Cost(profile.LoadCost(v.SizeBytes).Seconds()),
 			Potential:      v.Potential(),
 			Materialized:   v.Materialized,
-		}
-		switch {
-		case sel[v.ID]:
-			md.Decision = MatSelected
-		case cl >= cr:
-			md.Decision = MatVetoedLoadCost
-			rec.Mat.VetoedLoadCost++
-		default:
-			md.Decision = MatBudgetExhausted
-			rec.Mat.BudgetExhausted++
-		}
-		rec.Materialize = append(rec.Materialize, md)
+			Decision:       string(d.Outcome),
+		})
 	}
 	return rec
-}
-
-// Eligible mirrors the materializer's candidate filter: supernodes carry
-// no data, external artifacts may never be stored (§4.2), and sources are
-// stored unconditionally outside the budget.
-func Eligible(v *eg.Vertex) bool {
-	return v.Kind != graph.SupernodeKind && !v.External && !v.IsSource()
 }
 
 // Recorder keeps the most recent decision records in a bounded ring. All

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/eg"
 	"repro/internal/graph"
+	"repro/internal/materialize"
 	"repro/internal/reuse"
 )
 
@@ -105,16 +106,24 @@ func egFixture() *eg.Graph {
 	return g
 }
 
-// updateRecord builds the canonical update fixture.
+// updateRecord builds the canonical update fixture: a run, written out as a
+// strategy would report it, that keeps what is stored and finds no room for
+// the rest.
 func updateRecord() *Record {
-	g := egFixture()
-	var selected []string
-	for _, v := range g.Vertices() {
-		if v.Materialized && Eligible(v) {
-			selected = append(selected, v.ID)
+	var run materialize.Run
+	for _, v := range egFixture().Vertices() {
+		if v.IsSource() {
+			continue
 		}
+		run.Eligible++
+		d := materialize.Decision{Vertex: v, Outcome: materialize.OverBudget}
+		if v.Materialized {
+			d.Outcome = materialize.Selected
+			run.Selected = append(run.Selected, v.ID)
+		}
+		run.Trail = append(run.Trail, d)
 	}
-	rec := BuildUpdate(g, cost.Remote(), "sa", 2048, selected, "req-fixture-02")
+	rec := BuildUpdate(run, cost.Remote(), "sa", 2048, "req-fixture-02")
 	r := NewRecorder(4)
 	r.Add(&Record{Kind: KindOptimize}) // bump seq so update goldens pin Seq=2
 	r.Add(rec)

@@ -39,25 +39,8 @@ func BenchmarkStrategySelect(b *testing.B) {
 	for _, s := range []Strategy{NewGreedy(c), NewStorageAware(c), NewHelix(c), NewAll()} {
 		b.Run(s.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s.Select(g, budget)
+				s.Select(g, budget, false)
 			}
-		})
-	}
-}
-
-// BenchmarkGreedyAblationLoadCostVeto measures the Cl≥Cr veto's effect on
-// selection time and size (the DESIGN.md ablation hook).
-func BenchmarkGreedyAblationLoadCostVeto(b *testing.B) {
-	g := largeEG(2000)
-	budget := int64(8 << 20)
-	for _, veto := range []bool{true, false} {
-		c := Config{Alpha: 0.5, Profile: cost.Memory(), DisableLoadCostVeto: !veto}
-		b.Run(fmt.Sprintf("veto=%t", veto), func(b *testing.B) {
-			var selected int
-			for i := 0; i < b.N; i++ {
-				selected = len(NewGreedy(c).Select(g, budget))
-			}
-			b.ReportMetric(float64(selected), "selected")
 		})
 	}
 }
@@ -71,7 +54,7 @@ func BenchmarkGreedyAlphaSweep(b *testing.B) {
 		c := Config{Alpha: alpha, Profile: cost.Memory()}
 		b.Run(fmt.Sprintf("alpha=%v", alpha), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				NewGreedy(c).Select(g, budget)
+				NewGreedy(c).Select(g, budget, false)
 			}
 		})
 	}

@@ -3,10 +3,10 @@
 // meta-algorithm of §5.3, plus the Helix baseline and an ALL strategy used
 // in the evaluation.
 //
-// A Strategy inspects the Experiment Graph and returns the set of vertex
-// IDs whose content should be stored under a byte budget. Raw source
-// artifacts are always stored by the updater (§3.2) and are not part of
-// the budgeted selection.
+// A Strategy inspects the Experiment Graph and returns the record of one
+// run (Run): the vertex IDs whose content should be stored under a byte
+// budget, and what it decided for the rest. Raw source artifacts are always
+// stored by the updater (§3.2) and are not part of the budgeted selection.
 package materialize
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/eg"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // Strategy selects which artifacts to materialize.
@@ -25,11 +24,54 @@ type Strategy interface {
 	// Name labels the strategy in experiment output ("HM", "SA", "HL",
 	// "ALL").
 	Name() string
-	// Select returns the vertex IDs to materialize under the budget (in
-	// bytes). Budget accounting is strategy-specific: HM and HL count
-	// logical artifact sizes, SA counts deduplicated physical bytes.
-	Select(g *eg.Graph, budget int64) []string
+	// Select decides which vertices to materialize under the budget (in
+	// bytes) and returns the record of that run. Budget accounting is
+	// strategy-specific: HM and HL count logical artifact sizes, SA counts
+	// deduplicated physical bytes. With trail set the record also carries the
+	// outcome of every eligible vertex; without it Select builds none.
+	Select(g *eg.Graph, budget int64, trail bool) Run
 }
+
+// Outcome is what a run decided for one eligible vertex. The values are the
+// reason codes explain prints.
+type Outcome string
+
+const (
+	// Selected: the strategy materializes the artifact.
+	Selected Outcome = "selected"
+	// Vetoed: rejected by the strategy's own load-cost rule — Cl(v) ≥ Cr(v)
+	// for Algorithm 1 (Equation 2's U(v) = 0), Cr(v) ≤ 2·Cl(v) for Helix.
+	Vetoed Outcome = "vetoed-load-cost"
+	// OverBudget: passed the veto and did not fit — for Helix, also every
+	// vertex after the one that stopped its root-first scan.
+	OverBudget Outcome = "budget-exhausted"
+)
+
+// Decision is one eligible vertex's line of a run's trail.
+type Decision struct {
+	Vertex  *eg.Vertex
+	Outcome Outcome
+}
+
+// Run is the record of one materialization run, produced by the strategy in
+// the pass that decides: the server applies Selected and counts from it,
+// explain renders Trail. Every eligible vertex is selected, vetoed or over
+// budget.
+type Run struct {
+	// Selected holds the vertex IDs to materialize, in the order the
+	// strategy admitted them.
+	Selected []string
+	// Eligible counts the vertices that took part (see eligible), Vetoed
+	// those of them the strategy's load-cost rule rejected.
+	Eligible, Vetoed int
+	// Trail has one Decision per eligible vertex, sorted by ID; nil unless
+	// Select was asked for it.
+	Trail []Decision
+}
+
+// OverBudget counts the eligible vertices that passed the veto and were not
+// selected.
+func (r Run) OverBudget() int { return r.Eligible - r.Vetoed - len(r.Selected) }
 
 // Config carries the knobs shared by the paper's strategies.
 type Config struct {
@@ -38,54 +80,7 @@ type Config struct {
 	Alpha float64
 	// Profile models the load cost Cl used by the Cl ≥ Cr veto.
 	Profile cost.Profile
-	// DisableLoadCostVeto turns off the "never materialize when loading
-	// is no cheaper than recomputing" rule, for ablation studies.
-	DisableLoadCostVeto bool
-	// Metrics holds optional decision counters (nil disables counting;
-	// all instruments are nil-safe, see internal/obs).
-	Metrics *Metrics
 }
-
-// Metrics counts materialization decisions for observability.
-type Metrics struct {
-	// Considered counts eligible candidates scored by utility.
-	Considered *obs.Counter
-	// Vetoed counts candidates rejected by the Cl >= Cr load-cost veto
-	// (for Helix, its Cr <= 2*Cl analogue).
-	Vetoed *obs.Counter
-}
-
-func (m *Metrics) considered() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Considered
-}
-
-func (m *Metrics) vetoed() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Vetoed
-}
-
-// Instrumentable is implemented by strategies that accept decision
-// counters after construction; the server wires its registry through it.
-type Instrumentable interface {
-	Instrument(*Metrics)
-}
-
-// Instrument implements Instrumentable.
-func (m *Greedy) Instrument(met *Metrics) { m.cfg.Metrics = met }
-
-// Instrument implements Instrumentable.
-func (m *StorageAware) Instrument(met *Metrics) { m.cfg.Metrics = met }
-
-// Instrument implements Instrumentable.
-func (m *Helix) Instrument(met *Metrics) { m.cfg.Metrics = met }
-
-// Instrument implements Instrumentable.
-func (m *Incremental) Instrument(met *Metrics) { m.cfg.Metrics = met }
 
 func (c Config) alpha() float64 {
 	if c.Alpha == 0 {
@@ -104,23 +99,37 @@ type candidate struct {
 
 // candidates computes Equation 2 utilities for every non-materialized-
 // eligible vertex: U(v) = 0 if Cl(v) ≥ Cr(v), else α·p'(v) + (1−α)·r'cs(v)
-// with sum-normalized p and rcs. Cr and p are read off the vertices, where
-// the graph maintains them; the normalisation sums move with every update,
-// so the pass over the vertices (in ID order, which fixes the order of the
-// floating-point sums) and the ranking stay per call.
-func (c Config) candidates(g *eg.Graph) []candidate {
+// with sum-normalized p and rcs, and opens the run's record with what the
+// pass saw: the eligible and vetoed counts and, when asked, a trail that
+// holds every candidate as over budget until admit selects it. Cr and p are
+// read off the vertices, where the graph maintains them; the normalisation
+// sums move with every update, so the pass over the vertices (in ID order,
+// which fixes the order of the floating-point sums and of the trail) and the
+// ranking stay per call.
+func (c Config) candidates(g *eg.Graph, trail bool) ([]candidate, Run) {
 	vertices := g.Vertices()
 	cands := make([]candidate, 0, len(vertices))
+	var run Run
+	if trail {
+		run.Trail = make([]Decision, 0, len(vertices))
+	}
 	var sumP, sumR float64
 	for _, v := range vertices {
 		if !eligible(v) {
 			continue
 		}
-		c.Metrics.considered().Inc()
+		run.Eligible++
 		crv := v.RecreationCost()
-		cl := c.Profile.LoadCost(v.SizeBytes)
-		if !c.DisableLoadCostVeto && cl >= crv {
-			c.Metrics.vetoed().Inc()
+		vetoed := c.Profile.LoadCost(v.SizeBytes) >= crv
+		if trail {
+			d := Decision{v, OverBudget}
+			if vetoed {
+				d.Outcome = Vetoed
+			}
+			run.Trail = append(run.Trail, d)
+		}
+		if vetoed {
+			run.Vetoed++
 			continue // U(v) = 0: loading is no cheaper than recomputing
 		}
 		sz := v.SizeBytes
@@ -158,7 +167,17 @@ func (c Config) candidates(g *eg.Graph) []candidate {
 		}
 		return strings.Compare(x.v.ID, y.v.ID)
 	})
-	return cands
+	return cands, run
+}
+
+// admit selects a candidate of the run, finding its line of the trail (when
+// there is one) by ID.
+func (r *Run) admit(c candidate) {
+	r.Selected = append(r.Selected, c.v.ID)
+	if r.Trail != nil {
+		i, _ := slices.BinarySearchFunc(r.Trail, c.v.ID, func(d Decision, id string) int { return strings.Compare(d.Vertex.ID, id) })
+		r.Trail[i].Outcome = Selected
+	}
 }
 
 // eligible reports whether a vertex participates in budgeted
@@ -182,16 +201,16 @@ func NewGreedy(cfg Config) *Greedy { return &Greedy{cfg: cfg} }
 func (m *Greedy) Name() string { return "HM" }
 
 // Select implements Strategy.
-func (m *Greedy) Select(g *eg.Graph, budget int64) []string {
-	var out []string
+func (m *Greedy) Select(g *eg.Graph, budget int64, trail bool) Run {
+	cands, run := m.cfg.candidates(g, trail)
 	var used int64
-	for _, c := range m.cfg.candidates(g) {
+	for _, c := range cands {
 		if used+c.v.SizeBytes <= budget {
-			out = append(out, c.v.ID)
+			run.admit(c)
 			used += c.v.SizeBytes
 		}
 	}
-	return out
+	return run
 }
 
 // StorageAware is the §5.3 meta-algorithm: repeatedly run Algorithm 1 with
@@ -208,12 +227,11 @@ func NewStorageAware(cfg Config) *StorageAware { return &StorageAware{cfg: cfg} 
 func (m *StorageAware) Name() string { return "SA" }
 
 // Select implements Strategy.
-func (m *StorageAware) Select(g *eg.Graph, budget int64) []string {
-	cands := m.cfg.candidates(g)
+func (m *StorageAware) Select(g *eg.Graph, budget int64, trail bool) Run {
+	cands, run := m.cfg.candidates(g, trail)
 	selected := make([]bool, len(cands))
-	var order []string
 	for {
-		remaining := budget - g.DedupedSize(order)
+		remaining := budget - g.DedupedSize(run.Selected)
 		if remaining <= 0 {
 			break
 		}
@@ -225,7 +243,7 @@ func (m *StorageAware) Select(g *eg.Graph, budget int64) []string {
 			}
 			if used+c.v.SizeBytes <= remaining {
 				selected[i] = true
-				order = append(order, c.v.ID)
+				run.admit(c)
 				used += c.v.SizeBytes
 				added++
 			}
@@ -234,7 +252,7 @@ func (m *StorageAware) Select(g *eg.Graph, budget int64) []string {
 			break
 		}
 	}
-	return order
+	return run
 }
 
 // Helix is the baseline materializer of the Helix system as described in
@@ -252,30 +270,39 @@ func NewHelix(cfg Config) *Helix { return &Helix{cfg: cfg} }
 func (m *Helix) Name() string { return "HL" }
 
 // Select implements Strategy.
-func (m *Helix) Select(g *eg.Graph, budget int64) []string {
-	var out []string
+func (m *Helix) Select(g *eg.Graph, budget int64, trail bool) Run {
+	var run Run
 	var used int64
 	// The scan stops at the first vertex that overflows the budget, so the
 	// result depends on which topological order it walks: TopoOrder's, a
-	// function of the graph alone, not the graph's merge-history order.
+	// function of the graph alone, not the graph's merge-history order. Past
+	// that vertex the walk only counts: what it never weighed is over budget.
+	stopped := false
 	for _, id := range g.TopoOrder() {
 		v := g.Vertex(id)
 		if v == nil || !eligible(v) {
 			continue
 		}
-		m.cfg.Metrics.considered().Inc()
-		cl := m.cfg.Profile.LoadCost(v.SizeBytes)
-		if v.RecreationCost() <= 2*cl {
-			m.cfg.Metrics.vetoed().Inc()
-			continue
+		run.Eligible++
+		outcome := OverBudget
+		switch {
+		case stopped:
+		case v.RecreationCost() <= 2*m.cfg.Profile.LoadCost(v.SizeBytes):
+			outcome = Vetoed
+			run.Vetoed++
+		case used+v.SizeBytes > budget:
+			stopped = true // root-first scan stops when the budget is exhausted
+		default:
+			outcome = Selected
+			run.Selected = append(run.Selected, id)
+			used += v.SizeBytes
 		}
-		if used+v.SizeBytes > budget {
-			break // root-first scan stops when the budget is exhausted
+		if trail {
+			run.Trail = append(run.Trail, Decision{v, outcome})
 		}
-		out = append(out, id)
-		used += v.SizeBytes
 	}
-	return out
+	slices.SortFunc(run.Trail, func(x, y Decision) int { return strings.Compare(x.Vertex.ID, y.Vertex.ID) })
+	return run
 }
 
 // All materializes every eligible artifact regardless of budget (the ALL
@@ -289,21 +316,19 @@ func NewAll() *All { return &All{} }
 func (m *All) Name() string { return "ALL" }
 
 // Select implements Strategy.
-func (m *All) Select(g *eg.Graph, _ int64) []string {
-	var out []string
+func (m *All) Select(g *eg.Graph, _ int64, trail bool) Run {
+	var run Run
 	for _, v := range g.Vertices() {
-		if eligible(v) {
-			out = append(out, v.ID)
+		if !eligible(v) {
+			continue
+		}
+		run.Eligible++
+		run.Selected = append(run.Selected, v.ID)
+		if trail {
+			run.Trail = append(run.Trail, Decision{v, Selected})
 		}
 	}
-	return out
-}
-
-// LoadCostVetoed reports whether Algorithm 1 would veto materializing the
-// vertex because Cl(v) ≥ Cr(v). Exposed for tests and diagnostics.
-func LoadCostVetoed(cfg Config, g *eg.Graph, id string) bool {
-	v := g.Vertex(id)
-	return v != nil && cfg.Profile.LoadCost(v.SizeBytes) >= v.RecreationCost()
+	return run
 }
 
 // LimitCount decorates a strategy so it materializes at most k artifacts —
@@ -316,25 +341,19 @@ type LimitCount struct {
 // Name implements Strategy.
 func (m LimitCount) Name() string { return m.Inner.Name() }
 
-// Select implements Strategy.
-func (m LimitCount) Select(g *eg.Graph, budget int64) []string {
-	sel := m.Inner.Select(g, budget)
-	if len(sel) > m.K {
-		sel = sel[:m.K]
+// Select implements Strategy: what the inner strategy selected past the
+// first K is over budget.
+func (m LimitCount) Select(g *eg.Graph, budget int64, trail bool) Run {
+	run := m.Inner.Select(g, budget, trail)
+	if len(run.Selected) <= m.K {
+		return run
 	}
-	return sel
-}
-
-// BudgetFromArtifactCount is a helper for the Figure 8(b) ablation where
-// the budget is "one artifact" (§7.3): it returns the largest eligible
-// artifact size times count, so with count=1 the materializer can admit
-// exactly one artifact at a time.
-func BudgetFromArtifactCount(g *eg.Graph, count int) int64 {
-	var max int64
-	for _, v := range g.Vertices() {
-		if eligible(v) && v.SizeBytes > max {
-			max = v.SizeBytes
+	dropped := run.Selected[m.K:]
+	run.Selected = run.Selected[:m.K]
+	for i, d := range run.Trail {
+		if slices.Contains(dropped, d.Vertex.ID) {
+			run.Trail[i].Outcome = OverBudget
 		}
 	}
-	return max * int64(count)
+	return run
 }

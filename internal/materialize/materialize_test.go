@@ -2,6 +2,8 @@ package materialize
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/eg"
 	"repro/internal/graph"
+	"repro/internal/workloads/synth"
 )
 
 type stubOp struct {
@@ -56,7 +59,7 @@ func buildEG() (*eg.Graph, []*graph.Node) {
 func TestGreedyRespectsBudget(t *testing.T) {
 	g, nodes := buildEG()
 	hm := NewGreedy(cfg())
-	sel := hm.Select(g, 2<<20) // 2 MiB: fits a (1 MiB) and m (1 KiB), not b
+	sel := hm.Select(g, 2<<20, false).Selected // 2 MiB: fits a (1 MiB) and m (1 KiB), not b
 	selSet := map[string]bool{}
 	var total int64
 	for _, id := range sel {
@@ -79,7 +82,7 @@ func TestGreedyPrefersModelQualityWithHighAlpha(t *testing.T) {
 	c := cfg()
 	c.Alpha = 1 // only quality matters
 	hm := NewGreedy(c)
-	sel := hm.Select(g, g.Vertex(nodes[3].ID).SizeBytes) // room for exactly the model
+	sel := hm.Select(g, g.Vertex(nodes[3].ID).SizeBytes, false).Selected // room for exactly the model
 	if len(sel) == 0 || sel[0] != nodes[3].ID {
 		t.Errorf("α=1 budget-of-one should pick the model, got %v", sel)
 	}
@@ -94,16 +97,13 @@ func TestLoadCostVetoExcludesCheapRecomputes(t *testing.T) {
 	annotate(fast, time.Nanosecond, 1<<30, 0) // 1 GiB that recomputes in 1ns
 	g := eg.New()
 	g.Merge(w)
-	c := Config{Alpha: 0.5, Profile: cost.Disk()}
-	if !LoadCostVetoed(c, g, fast.ID) {
-		t.Fatal("expected load-cost veto")
+	run := NewGreedy(Config{Alpha: 0.5, Profile: cost.Disk()}).Select(g, 1<<40, false)
+	if len(run.Selected) != 0 {
+		t.Errorf("vetoed artifact selected: %v", run.Selected)
 	}
-	if sel := NewGreedy(c).Select(g, 1<<40); len(sel) != 0 {
-		t.Errorf("vetoed artifact selected: %v", sel)
-	}
-	c.DisableLoadCostVeto = true
-	if sel := NewGreedy(c).Select(g, 1<<40); len(sel) != 1 {
-		t.Errorf("ablation should select it: %v", sel)
+	if run.Eligible != 1 || run.Vetoed != 1 || run.OverBudget() != 0 {
+		t.Errorf("run counts eligible %d, vetoed %d, over budget %d; want 1, 1, 0",
+			run.Eligible, run.Vetoed, run.OverBudget())
 	}
 }
 
@@ -115,7 +115,7 @@ func TestExternalArtifactsNeverMaterialized(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 	for _, s := range []Strategy{NewGreedy(cfg()), NewStorageAware(cfg()), NewHelix(cfg()), NewAll()} {
-		for _, id := range s.Select(g, 1<<40) {
+		for _, id := range s.Select(g, 1<<40, false).Selected {
 			if id == kde.ID {
 				t.Errorf("%s materialized an external artifact", s.Name())
 			}
@@ -154,8 +154,8 @@ func overlappingEG() (*eg.Graph, []string) {
 func TestStorageAwareStoresMoreThanGreedy(t *testing.T) {
 	g, _ := overlappingEG()
 	budget := int64(14*8) << 10 // 112 KiB: ~2.3 artifacts logically
-	hm := NewGreedy(cfg()).Select(g, budget)
-	sa := NewStorageAware(cfg()).Select(g, budget)
+	hm := NewGreedy(cfg()).Select(g, budget, false).Selected
+	sa := NewStorageAware(cfg()).Select(g, budget, false).Selected
 	if len(sa) <= len(hm) {
 		t.Errorf("SA should materialize more under overlap: SA=%d HM=%d", len(sa), len(hm))
 	}
@@ -163,7 +163,11 @@ func TestStorageAwareStoresMoreThanGreedy(t *testing.T) {
 		t.Errorf("SA deduped size %d exceeds budget %d", got, budget)
 	}
 	// The logical ("real") size SA admits exceeds the budget (Figure 6).
-	if logical := g.TotalLogicalSize(sa); logical <= budget {
+	var logical int64
+	for _, id := range sa {
+		logical += g.Vertex(id).SizeBytes
+	}
+	if logical <= budget {
 		t.Errorf("logical=%d should exceed budget=%d under heavy overlap", logical, budget)
 	}
 }
@@ -182,7 +186,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 
-	hl := NewHelix(cfg()).Select(g, 16<<20) // room for two artifacts
+	hl := NewHelix(cfg()).Select(g, 16<<20, false).Selected // room for two artifacts
 	if len(hl) != 2 {
 		t.Fatalf("HL selected %d, want 2", len(hl))
 	}
@@ -190,7 +194,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 	if !sel[a.ID] || !sel[b.ID] {
 		t.Errorf("HL should take root-first {a,b}, got %v", hl)
 	}
-	hm := NewGreedy(cfg()).Select(g, 16<<20)
+	hm := NewGreedy(cfg()).Select(g, 16<<20, false).Selected
 	hmSet := map[string]bool{}
 	for _, id := range hm {
 		hmSet[id] = true
@@ -202,7 +206,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 
 func TestAllSelectsEverythingEligible(t *testing.T) {
 	g, nodes := buildEG()
-	sel := NewAll().Select(g, 0)
+	sel := NewAll().Select(g, 0, false).Selected
 	if len(sel) != 3 { // a, b, m — not the source
 		t.Errorf("ALL selected %d, want 3: %v", len(sel), sel)
 	}
@@ -213,21 +217,10 @@ func TestAllSelectsEverythingEligible(t *testing.T) {
 	}
 }
 
-func TestBudgetFromArtifactCount(t *testing.T) {
-	g, _ := buildEG()
-	one := BudgetFromArtifactCount(g, 1)
-	if one != 64<<20 { // largest eligible artifact (b)
-		t.Errorf("budget=%d, want %d", one, 64<<20)
-	}
-	if BudgetFromArtifactCount(g, 2) != 2*one {
-		t.Error("count scaling wrong")
-	}
-}
-
 func TestDeterministicSelection(t *testing.T) {
 	g, _ := buildEG()
-	a := NewStorageAware(cfg()).Select(g, 4<<20)
-	b := NewStorageAware(cfg()).Select(g, 4<<20)
+	a := NewStorageAware(cfg()).Select(g, 4<<20, false).Selected
+	b := NewStorageAware(cfg()).Select(g, 4<<20, false).Selected
 	if len(a) != len(b) {
 		t.Fatalf("nondeterministic selection size: %d vs %d", len(a), len(b))
 	}
@@ -235,5 +228,113 @@ func TestDeterministicSelection(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("nondeterministic selection order")
 		}
+	}
+}
+
+// TestRunAccountsForEveryEligibleVertex pins the one-record contract for the
+// strategies the daemon accepts, on a graph of overlapping synthetic
+// workloads under a budget that binds: asked for a trail, a run decides as it
+// does without one, and the trail holds every eligible vertex once, by ID,
+// under the outcome the strategy's own rule gives it — so that selected +
+// vetoed + over budget = eligible, in the trail and in the counts alike.
+func TestRunAccountsForEveryEligibleVertex(t *testing.T) {
+	// A link slow enough (Cl of 1 to 1.25 s beside compute times of up to
+	// 2 s) that both vetoes fire, and fire differently.
+	profile := cost.Profile{Name: "slow", Latency: time.Second, BytesPerSecond: 4 << 20}
+	c := Config{Alpha: 0.5, Profile: profile}
+	u := synth.NewUniverse(7, 200)
+	rng := rand.New(rand.NewSource(7))
+	g := eg.New()
+	for i := 0; i < 12; i++ {
+		g.Merge(u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len())))
+	}
+	const budget = 6 << 20
+	algorithm1 := func(cl, cr time.Duration) bool { return cl >= cr }
+	helix := func(cl, cr time.Duration) bool { return cr <= 2*cl }
+	for _, tc := range []struct {
+		strategy Strategy
+		veto     func(cl, cr time.Duration) bool
+	}{
+		{NewStorageAware(c), algorithm1},
+		{NewGreedy(c), algorithm1},
+		{NewHelix(c), helix},
+		{NewAll(), func(_, _ time.Duration) bool { return false }},
+		{LimitCount{Inner: NewGreedy(c), K: 3}, algorithm1}, // not the daemon's: Fig 8b's
+	} {
+		t.Run(tc.strategy.Name(), func(t *testing.T) {
+			run := tc.strategy.Select(g, budget, true)
+			bare := tc.strategy.Select(g, budget, false)
+			if bare.Trail != nil {
+				t.Errorf("a run that was not asked built a trail of %d", len(bare.Trail))
+			}
+			if !slices.Equal(run.Selected, bare.Selected) || run.Eligible != bare.Eligible || run.Vetoed != bare.Vetoed {
+				t.Errorf("the trail changed the run: %d/%d/%d selected/eligible/vetoed with, %d/%d/%d without",
+					len(run.Selected), run.Eligible, run.Vetoed, len(bare.Selected), bare.Eligible, bare.Vetoed)
+			}
+			var eligibleIDs []string
+			for _, v := range g.Vertices() {
+				if v.Kind != graph.SupernodeKind && !v.External && !v.IsSource() {
+					eligibleIDs = append(eligibleIDs, v.ID)
+				}
+			}
+			outcome := make(map[string]Outcome, len(run.Trail))
+			tally := map[Outcome]int{}
+			var trailIDs []string
+			for _, d := range run.Trail {
+				trailIDs = append(trailIDs, d.Vertex.ID)
+				outcome[d.Vertex.ID] = d.Outcome
+				tally[d.Outcome]++
+				cl, cr := profile.LoadCost(d.Vertex.SizeBytes), d.Vertex.RecreationCost()
+				if vetoed := tc.veto(cl, cr); d.Outcome == Vetoed && !vetoed || d.Outcome == Selected && vetoed {
+					t.Errorf("%s is %s with Cl %v and Cr %v", d.Vertex.Name, d.Outcome, cl, cr)
+				}
+			}
+			if !slices.Equal(trailIDs, eligibleIDs) {
+				t.Fatalf("the trail holds %d vertices, the graph %d eligible ones (or in another order)", len(trailIDs), len(eligibleIDs))
+			}
+			if tally[Selected] != len(run.Selected) || tally[Vetoed] != run.Vetoed || tally[OverBudget] != run.OverBudget() ||
+				len(run.Selected)+run.Vetoed+run.OverBudget() != run.Eligible || run.Eligible != len(eligibleIDs) {
+				t.Errorf("trail %v, counts: %d selected, %d vetoed, %d over budget of %d eligible",
+					tally, len(run.Selected), run.Vetoed, run.OverBudget(), run.Eligible)
+			}
+			if tc.strategy.Name() != "ALL" && (len(run.Selected) == 0 || run.Vetoed == 0 || run.OverBudget() == 0) {
+				t.Fatalf("fixture leaves an outcome unused: %v", tally)
+			}
+			for _, id := range run.Selected {
+				if outcome[id] != Selected {
+					t.Errorf("selected %s is %q in the trail", id, outcome[id])
+				}
+			}
+			if tc.strategy.Name() != "HL" {
+				return
+			}
+			// Helix's own veto and its early stop: a vertex that Algorithm 1
+			// would keep (Cl < Cr) and Helix does not (Cr ≤ 2·Cl) is vetoed,
+			// and past the vertex that overflowed the budget nothing is
+			// weighed — it is over budget, whatever the veto would have said.
+			var nearVetoes, unweighed int
+			stopped := false
+			for _, id := range g.TopoOrder() {
+				o, ok := outcome[id]
+				if !ok {
+					continue
+				}
+				v := g.Vertex(id)
+				cl, cr := profile.LoadCost(v.SizeBytes), v.RecreationCost()
+				switch {
+				case stopped && o != OverBudget:
+					t.Errorf("%s is %s after the scan stopped", v.Name, o)
+				case stopped && helix(cl, cr):
+					unweighed++
+				case o == OverBudget:
+					stopped = true
+				case o == Vetoed && !algorithm1(cl, cr):
+					nearVetoes++
+				}
+			}
+			if nearVetoes == 0 || unweighed == 0 {
+				t.Fatalf("fixture exercises %d vetoes with Cl < Cr ≤ 2·Cl and %d vetoable vertices past the stop; want both", nearVetoes, unweighed)
+			}
+		})
 	}
 }

@@ -33,7 +33,7 @@ func refCandidates(c Config, g *eg.Graph) []candidate {
 		}
 		crv := cr[v.ID]
 		cl := c.Profile.LoadCost(v.SizeBytes)
-		if !c.DisableLoadCostVeto && cl >= crv {
+		if cl >= crv {
 			continue
 		}
 		sz := v.SizeBytes
@@ -148,9 +148,7 @@ func refAll(g *eg.Graph) []string {
 // every step, the selection the reference code makes from the from-scratch
 // derivation: same IDs, same order. HL is also run on a graph restored
 // from a snapshot, whose maintained order differs from the live one's: its
-// root-first scan must not see the difference. The two Incremental
-// instances (one on the live graph, one on the restored copy) must agree
-// with each other.
+// root-first scan must not see the difference.
 func TestStrategiesSelectAsFromScratch(t *testing.T) {
 	profiles := []cost.Profile{cost.Memory(), cost.Disk(), cost.Remote()}
 	property := func(seed int64) bool {
@@ -158,18 +156,14 @@ func TestStrategiesSelectAsFromScratch(t *testing.T) {
 		u := synth.NewUniverse(seed, 30+rng.Intn(220))
 		c := Config{Alpha: []float64{0.5, 0.001, 1}[rng.Intn(3)], Profile: profiles[rng.Intn(3)]}
 		g := eg.New()
-		incLive, incCopy := NewIncremental(c), NewIncremental(c)
 		for step := 0; step < 40; step++ {
-			var touched []string
 			switch r := rng.Intn(10); {
 			case r == 0:
 				g.Prune(eg.PrunePolicy{MaxIdleWorkloads: 1 + rng.Intn(4), MinFrequency: rng.Intn(3)})
 			case r == 1:
 				g = eg.FromSnapshot(g.Snapshot())
 			default:
-				w := u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len()))
-				g.Merge(w)
-				touched = w.IDs()
+				g.Merge(u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len())))
 			}
 			budget := int64(rng.Intn(24 << 20))
 			restored := eg.FromSnapshot(g.Snapshot())
@@ -177,12 +171,11 @@ func TestStrategiesSelectAsFromScratch(t *testing.T) {
 				name      string
 				got, want []string
 			}{
-				{"HM", NewGreedy(c).Select(g, budget), refGreedy(c, g, budget)},
-				{"SA", NewStorageAware(c).Select(g, budget), refStorageAware(c, g, budget)},
-				{"HL", NewHelix(c).Select(g, budget), refHelix(c, g, budget)},
-				{"ALL", NewAll().Select(g, budget), refAll(g)},
-				{"HL restored", NewHelix(c).Select(restored, budget), refHelix(c, g, budget)},
-				{"HM-inc", incLive.SelectIncremental(g, budget, touched), incCopy.SelectIncremental(restored, budget, touched)},
+				{"HM", NewGreedy(c).Select(g, budget, false).Selected, refGreedy(c, g, budget)},
+				{"SA", NewStorageAware(c).Select(g, budget, false).Selected, refStorageAware(c, g, budget)},
+				{"HL", NewHelix(c).Select(g, budget, false).Selected, refHelix(c, g, budget)},
+				{"ALL", NewAll().Select(g, budget, false).Selected, refAll(g)},
+				{"HL restored", NewHelix(c).Select(restored, budget, false).Selected, refHelix(c, g, budget)},
 			} {
 				if !reflect.DeepEqual(check.got, check.want) {
 					t.Errorf("seed %d, step %d, %s (α=%v, budget %d): selected %d, reference %d\n got %v\nwant %v",

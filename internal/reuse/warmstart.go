@@ -69,29 +69,3 @@ func FindWarmstarts(w *graph.DAG, g *eg.Graph, st *store.Manager, plan *Plan) []
 	}
 	return out
 }
-
-// ApplyWarmstarts fetches each donor's model from the store and installs it
-// on the workload vertex's training operation. It returns how many donors
-// were installed.
-func ApplyWarmstarts(w *graph.DAG, st *store.Manager, cands []WarmstartCandidate) int {
-	applied := 0
-	for _, c := range cands {
-		n := w.Node(c.VertexID)
-		if n == nil || n.Op == nil {
-			continue
-		}
-		wop, ok := n.Op.(graph.WarmstartableOp)
-		if !ok {
-			continue
-		}
-		content, _ := st.Get(c.DonorID, "")
-		ma, ok := content.(*graph.ModelArtifact)
-		if !ok || ma.Model == nil {
-			continue
-		}
-		wop.SetDonor(ma.Model)
-		n.Warmstarted = true
-		applied++
-	}
-	return applied
-}

@@ -903,13 +903,6 @@ func (m *Manager) StoredIDs() []string {
 	return out
 }
 
-// LoadCost returns the modeled retrieval cost Cl for an artifact of the
-// given size under the memory-tier profile (location-blind; prefer
-// LoadCostFor when the artifact's vertex ID is known).
-func (m *Manager) LoadCost(sizeBytes int64) float64 {
-	return m.profile.LoadCost(sizeBytes).Seconds()
-}
-
 // LoadCostFor returns the modeled retrieval cost Cl in seconds for the
 // vertex's artifact, priced with the profile of the tier that actually
 // holds it — the paper's Cl(v) adapted per artifact location rather than

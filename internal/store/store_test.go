@@ -146,15 +146,6 @@ func TestPutNil(t *testing.T) {
 	}
 }
 
-func TestLoadCostScalesWithSize(t *testing.T) {
-	m := New(cost.Disk())
-	small := m.LoadCost(1 << 10)
-	big := m.LoadCost(1 << 30)
-	if big <= small {
-		t.Errorf("load cost should grow with size: small=%v big=%v", small, big)
-	}
-}
-
 func TestRenamedSharedColumn(t *testing.T) {
 	// Two artifacts share a column ID but use different display names;
 	// the store must return each with its own name.
