@@ -60,12 +60,15 @@ func BenchmarkKNNPredictParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkLogisticRegressionFit has the shape of the OpenML pipelines on the
+// end-to-end ruler (openml_stream, shared_2c): the 750 training rows of a
+// 1000 × 20 frame, the median max_iter of 300, the pipelines' tolerance.
 func BenchmarkLogisticRegressionFit(b *testing.B) {
-	x, y := synthLinear(2000, 20, 1)
+	x, y := synthLinear(750, 20, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := NewLogisticRegression(1)
-		m.MaxIter = 50
+		m.MaxIter, m.Tol = 300, 1e-5
 		if err := m.Fit(x, y); err != nil {
 			b.Fatal(err)
 		}

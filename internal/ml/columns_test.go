@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -117,6 +118,64 @@ func TestQuickTreesPredictAlikeThroughBinsAndFloats(t *testing.T) {
 		for i := range x {
 			if gbt.Trees[0].predictAt(cols, i) != gbt.Trees[0].predict(x[i]) {
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickPredictColumnsIsPredictOfNumericRows: scoring a frame's rows
+// through the columns gives, bit for bit, what Predict gives on the float
+// matrix of the same columns and rows — with missing cells, an int and a
+// bool column, a row subset and every row, and a feature the frame lacks,
+// which both read as zeros.
+func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 100 + rng.Intn(300)
+		cols, y := mixedColumns(rng, n, 6+rng.Intn(6))
+		ints, bools := make([]int64, n), make([]bool, n)
+		for i := range ints {
+			ints[i], bools[i] = int64(rng.Intn(9)-4), rng.Intn(2) == 0
+		}
+		cols[4] = &data.Column{Type: data.Int64, Ints: ints}
+		cols[5] = &data.Column{Type: data.Bool, Bools: bools}
+		names := make([]string, len(cols))
+		for f, c := range cols {
+			names[f] = fmt.Sprint("f", f)
+			c.Name = names[f]
+		}
+		train, test := TrainTestSplit(n, 0.25, seed)
+
+		tree := NewDecisionTree(seed)
+		gbt := NewGBT(seed)
+		gbt.NTrees = 6
+		rf := NewRandomForest(seed)
+		rf.NTrees = 4
+		for _, m := range []ColumnFitter{tree, gbt, rf} {
+			if err := m.FitColumns(cols, train, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The scored frame lacks the feature the fit saw second.
+		scored := append([]*data.Column(nil), cols...)
+		scored[1] = nil
+		frame := data.MustNewFrame(append(scored[:1:1], scored[2:]...)...)
+		unfitted := []ColumnFitter{&DecisionTree{}, &RandomForest{}} // score zeros either way
+		for _, m := range append(unfitted, tree, gbt, rf) {
+			for _, rows := range [][]int{nil, test, {}} {
+				got, want := m.PredictColumns(scored, rows), m.Predict(frame.NumericRows(names, rows))
+				if len(got) != len(want) {
+					return false
+				}
+				for j := range got {
+					if got[j] != want[j] {
+						return false
+					}
+				}
 			}
 		}
 		return true

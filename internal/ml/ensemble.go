@@ -88,8 +88,10 @@ func (g *GradientBoostedTrees) FitColumns(cols []*data.Column, rows []int, y []f
 	// score and grad are indexed like y, by frame row; only the training
 	// rows' entries are used. Rows are scored in parallel; each accumulates
 	// tree contributions in tree order, so the floating-point result matches
-	// a sequential pass and Predict.
+	// a sequential pass and Predict. One pass per round adds the tree just
+	// grown to the scores and takes the negative gradient the next tree fits.
 	score := make([]float64, len(y))
+	grad := make([]float64, len(y))
 	overRows := func(grain int, fn func(i int)) {
 		parallel.ForSite(parallel.SiteML, len(rows), grain, func(lo, hi int) {
 			for _, i := range rows[lo:hi] {
@@ -103,19 +105,20 @@ func (g *GradientBoostedTrees) FitColumns(cols []*data.Column, rows []int, y []f
 			s += g.LearningRate * tr.predictAt(cols, i)
 		}
 		score[i] = s
+		grad[i] = y[i] - sigmoid(s)
 	})
-	grad := make([]float64, len(y))
 	g.TreesGrown = 0
-	gr := &grower{b: binColumns(cols), maxDepth: g.MaxDepth, minLeaf: 4}
+	gr := newGrower(binColumns(cols), g.MaxDepth, 4)
 	idx := make([]int, len(rows))
 	for len(g.Trees) < g.NTrees {
-		overRows(1024, func(i int) {
-			grad[i] = y[i] - sigmoid(score[i]) // negative gradient
-		})
 		g.Trees = append(g.Trees, gr.grow(grad, g.sampleRows(rng, rows, idx)))
 		g.TreesGrown++
+		if len(g.Trees) == g.NTrees {
+			break // nothing reads the scores the last tree leaves
+		}
 		overRows(1024, func(i int) {
 			score[i] += g.LearningRate * gr.predict(i)
+			grad[i] = y[i] - sigmoid(score[i])
 		})
 	}
 	return nil
@@ -154,6 +157,17 @@ func (g *GradientBoostedTrees) Predict(x [][]float64) []float64 {
 	return out
 }
 
+// PredictColumns implements ColumnFitter.
+func (g *GradientBoostedTrees) PredictColumns(cols []*data.Column, rows []int) []float64 {
+	return scoreColumns(cols, rows, func(i int) float64 {
+		s := g.Base
+		for _, tr := range g.Trees {
+			s += g.LearningRate * tr.predictAt(cols, i)
+		}
+		return sigmoid(s)
+	})
+}
+
 // NumTrees returns the current ensemble size.
 func (g *GradientBoostedTrees) NumTrees() int { return len(g.Trees) }
 
@@ -166,7 +180,7 @@ func (g *GradientBoostedTrees) SizeBytes() int64 {
 	return n
 }
 
-// RandomForest bags classification trees over bootstrap samples with
+// RandomForest bags trees over bootstrap samples with
 // feature sub-sampling.
 type RandomForest struct {
 	// NTrees is the forest size. Default 20.
@@ -237,7 +251,6 @@ func (r *RandomForest) FitColumns(cols []*data.Column, rows []int, y []float64) 
 				MaxDepth:       r.MaxDepth,
 				MinSamplesLeaf: 2,
 				MaxFeatures:    mf,
-				Classification: true,
 				Seed:           seeds[k],
 			}
 			t.Root = t.grower(b).grow(y, boots[k])
@@ -268,6 +281,22 @@ func (r *RandomForest) Predict(x [][]float64) []float64 {
 		}
 	})
 	return out
+}
+
+// PredictColumns implements ColumnFitter; the vote is taken as in Predict.
+func (r *RandomForest) PredictColumns(cols []*data.Column, rows []int) []float64 {
+	return scoreColumns(cols, rows, func(i int) float64 {
+		if len(r.Trees) == 0 {
+			return 0
+		}
+		var s float64
+		for _, t := range r.Trees {
+			if t.Root != nil {
+				s += t.Root.predictAt(cols, i)
+			}
+		}
+		return s / float64(len(r.Trees))
+	})
 }
 
 // SizeBytes implements Model.

@@ -30,8 +30,6 @@ type LogisticRegression struct {
 	// EpochsRun records how many epochs the last Fit call performed;
 	// exposed so experiments can demonstrate the warmstart saving.
 	EpochsRun int
-
-	warmstarted bool
 }
 
 // NewLogisticRegression returns a logistic regression with the package
@@ -53,7 +51,6 @@ func (m *LogisticRegression) WarmstartFrom(donor Model) bool {
 	}
 	m.Weights = append([]float64(nil), d.Weights...)
 	m.Bias = d.Bias
-	m.warmstarted = true
 	return true
 }
 
@@ -79,7 +76,6 @@ func (m *LogisticRegression) Fit(x [][]float64, y []float64) error {
 			m.Weights[j] = rng.NormFloat64() * 0.01
 		}
 		m.Bias = 0
-		m.warmstarted = false
 	}
 	n := float64(len(x))
 	grad := make([]float64, d)
@@ -97,9 +93,7 @@ func (m *LogisticRegression) Fit(x [][]float64, y []float64) error {
 				grad[j] += e * v
 			}
 			gradB += e
-			// clamp to avoid log(0)
-			pc := math.Min(math.Max(p, 1e-12), 1-1e-12)
-			loss -= y[i]*math.Log(pc) + (1-y[i])*math.Log(1-pc)
+			loss += crossEntropy(y[i], p)
 		}
 		loss /= n
 		for j := range m.Weights {

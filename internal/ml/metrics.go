@@ -1,9 +1,10 @@
 package ml
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // AUCROC computes the area under the ROC curve of scores against binary
@@ -15,7 +16,9 @@ func AUCROC(y, scores []float64) float64 {
 	for i := range y {
 		ps[i] = pair{scores[i], y[i]}
 	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].s < ps[b].s })
+	// Tied scores share the average of their ranks, so the result does not
+	// depend on the order an unstable sort leaves them in.
+	slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(a.s, b.s) })
 	// average ranks over tie groups
 	ranks := make([]float64, len(ps))
 	for i := 0; i < len(ps); {
@@ -68,10 +71,24 @@ func LogLoss(y, p []float64) float64 {
 	}
 	var loss float64
 	for i := range y {
-		pc := math.Min(math.Max(p[i], 1e-12), 1-1e-12)
-		loss -= y[i]*math.Log(pc) + (1-y[i])*math.Log(1-pc)
+		loss += crossEntropy(y[i], p[i])
 	}
 	return loss / float64(len(y))
+}
+
+// crossEntropy is -(y·log p + (1-y)·log(1-p)), with p clamped away from 0 and
+// 1 so that neither log is infinite. A 0/1 label multiplies one of the two
+// logs by zero; adding that ±0 changes nothing, so only the other is taken,
+// and the value is bit for bit that of the general form.
+func crossEntropy(y, p float64) float64 {
+	pc := math.Min(math.Max(p, 1e-12), 1-1e-12)
+	switch y {
+	case 1:
+		return -math.Log(pc)
+	case 0:
+		return -math.Log(1 - pc)
+	}
+	return -(y*math.Log(pc) + (1-y)*math.Log(1-pc))
 }
 
 // RMSE computes root mean squared error.

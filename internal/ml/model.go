@@ -27,9 +27,17 @@ type Model interface {
 // A column's view is built once and kept with the column, so every fit after
 // the first on the same columns starts from bins that already exist. Fit on
 // such a model bins the matrix's columns and calls FitColumns on all rows.
+//
+// PredictColumns scores the given rows of cols, in their order (every row
+// when rows is nil), reading the columns where they lie: it returns what
+// Predict returns on data.Frame.NumericRows of the same columns and rows,
+// bit for bit, without that matrix. A nil column — a feature the frame lacks
+// — reads as zeros, as a missing value does; with rows nil at least one
+// column must be present to say how many rows there are.
 type ColumnFitter interface {
 	Model
 	FitColumns(cols []*data.Column, rows []int, y []float64) error
+	PredictColumns(cols []*data.Column, rows []int) []float64
 }
 
 // Warmstarter is implemented by models whose training can be initialized

@@ -37,14 +37,16 @@ func (n *TreeNode) count() int64 {
 	return 1 + n.Left.count() + n.Right.count()
 }
 
-// predictAt is predict on row i of cols, reading floats. Trees grown in the
-// current fit are scored through bins (grower.predict); this serves a
-// warmstart donor's trees, whose thresholds need not be bin edges of cols.
+// predictAt is predict on row i of cols, reading the cells where they lie: a
+// missing value, a non-numeric cell and a nil column count as 0, as in
+// data.Frame.NumericRows.
 func (n *TreeNode) predictAt(cols []*data.Column, i int) float64 {
 	for n.Feature >= 0 {
-		v := cols[n.Feature].Float(i)
-		if v != v { // missing counts as 0, as in the columns' quantile views
-			v = 0
+		var v float64
+		if c := cols[n.Feature]; c != nil {
+			if v = c.Float(i); v != v {
+				v = 0
+			}
 		}
 		if v <= n.Threshold {
 			n = n.Left
@@ -53,6 +55,32 @@ func (n *TreeNode) predictAt(cols []*data.Column, i int) float64 {
 		}
 	}
 	return n.Value
+}
+
+// scoreColumns is the loop of PredictColumns: score(i) for each of rows, or
+// for every row of the first column present when rows is nil, on the shared
+// pool.
+func scoreColumns(cols []*data.Column, rows []int, score func(i int) float64) []float64 {
+	n := len(rows)
+	if rows == nil {
+		for _, c := range cols {
+			if c != nil {
+				n = c.Len()
+				break
+			}
+		}
+	}
+	out := make([]float64, n)
+	parallel.ForSite(parallel.SiteML, n, 256, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			i := j
+			if rows != nil {
+				i = rows[j]
+			}
+			out[j] = score(i)
+		}
+	})
+	return out
 }
 
 // binned is the training set of the tree learners, column-major: per feature
@@ -112,10 +140,11 @@ func checkColumns(kind string, cols []*data.Column, rows []int, y []float64) err
 	return nil
 }
 
-// DecisionTree is a CART-style tree using histogram split finding. With
-// Classification=true it minimizes Gini impurity and predicts the
-// positive-class fraction of the leaf; otherwise it minimizes variance and
-// predicts the leaf mean.
+// DecisionTree is a CART-style tree using histogram split finding. A split
+// maximizes ls²/ln + rs²/rn over the label sums and row counts of its two
+// sides, which minimizes the children's variance and, on 0/1 labels, their
+// Gini impurity alike; a leaf predicts its mean label, the positive-class
+// fraction on 0/1 labels.
 type DecisionTree struct {
 	// MaxDepth limits tree depth. Default 4.
 	MaxDepth int
@@ -124,8 +153,6 @@ type DecisionTree struct {
 	// MaxFeatures, when positive, samples that many candidate features
 	// per split (used by RandomForest). 0 means all features.
 	MaxFeatures int
-	// Classification toggles Gini (true) vs variance (false) splitting.
-	Classification bool
 	// Seed drives feature sub-sampling.
 	Seed int64
 
@@ -133,9 +160,9 @@ type DecisionTree struct {
 	Root *TreeNode
 }
 
-// NewDecisionTree returns a classification tree with package defaults.
+// NewDecisionTree returns a tree with package defaults.
 func NewDecisionTree(seed int64) *DecisionTree {
-	return &DecisionTree{MaxDepth: 4, MinSamplesLeaf: 2, Classification: true, Seed: seed}
+	return &DecisionTree{MaxDepth: 4, MinSamplesLeaf: 2, Seed: seed}
 }
 
 // Kind implements Model.
@@ -161,7 +188,7 @@ func (t *DecisionTree) FitColumns(cols []*data.Column, rows []int, y []float64) 
 
 // grower returns the grower the tree's parameters describe.
 func (t *DecisionTree) grower(b *binned) *grower {
-	g := &grower{b: b, maxDepth: t.MaxDepth, minLeaf: t.MinSamplesLeaf, classification: t.Classification}
+	g := newGrower(b, t.MaxDepth, t.MinSamplesLeaf)
 	if t.MaxFeatures > 0 && t.MaxFeatures < len(b.edges) {
 		g.maxFeatures = t.MaxFeatures
 		g.rng = rand.New(rand.NewSource(t.Seed))
@@ -182,47 +209,81 @@ type binNode struct {
 // (nodes) until export gives every split the float threshold its bin stands
 // for; predict scores training rows without touching floats.
 type grower struct {
-	b              *binned
-	maxDepth       int
-	minLeaf        int
-	maxFeatures    int // candidate features per split; 0 means all
-	classification bool
-	rng            *rand.Rand // set when maxFeatures is
+	b           *binned
+	maxDepth    int
+	minLeaf     int
+	maxFeatures int        // candidate features per split; 0 means all
+	rng         *rand.Rand // set when maxFeatures is
 
 	nodes []binNode
-	// Scratch reused by every node of the tree.
+	// Scratch reused by every node of every tree grown.
 	right   []int
 	feats   []int
-	results []featSplit
-	hist    []binStats
+	targets []float64
+	// free holds the histograms no node is using. A node's histogram lives
+	// until its children have theirs, so at most maxDepth+1 exist.
+	free [][]binStats
 }
 
+func newGrower(b *binned, maxDepth, minLeaf int) *grower {
+	g := &grower{b: b, maxDepth: maxDepth, minLeaf: minLeaf, feats: make([]int, len(b.edges))}
+	for j := range g.feats {
+		g.feats[j] = j
+	}
+	return g
+}
+
+// binStats is what a split needs of the rows of one bin: how many they are
+// and the sum of their targets. The count is an integer held in a float64,
+// so counts add and subtract exactly.
 type binStats struct {
-	cnt  float64
-	sum  float64
-	sum2 float64
+	cnt float64
+	sum float64
 }
 
 // grow grows the tree on the rows idx, which it reorders, against the target
 // y (indexed by row) and returns it in its exported form.
 func (g *grower) grow(y []float64, idx []int) *TreeNode {
 	g.nodes = g.nodes[:0]
-	g.build(y, idx, 0)
+	g.build(y, idx, 0, nil)
 	return g.export(0)
 }
 
-func (g *grower) build(y []float64, idx []int, depth int) int {
+// splits reports whether a node of n rows at depth is searched for a split.
+func (g *grower) splits(n, depth int) bool {
+	return depth < g.maxDepth && n >= 2*g.minLeaf
+}
+
+// build grows the subtree over the rows idx and returns its root. hist is the
+// node's histogram when its parent derived it, nil when the node is to scan
+// its rows itself; build owns it either way and returns it to the free list.
+func (g *grower) build(y []float64, idx []int, depth int, hist []binStats) int {
 	var sum float64
 	for _, i := range idx {
 		sum += y[i]
 	}
+	n := float64(len(idx))
 	k := len(g.nodes)
-	g.nodes = append(g.nodes, binNode{feature: -1, value: sum / float64(len(idx))})
-	if depth >= g.maxDepth || len(idx) < 2*g.minLeaf {
+	g.nodes = append(g.nodes, binNode{feature: -1, value: sum / n})
+	if !g.splits(len(idx), depth) {
+		g.release(hist)
 		return k
 	}
-	feat, bin, ok := g.bestSplit(y, idx)
+	feats := g.feats
+	if g.maxFeatures > 0 {
+		// Every split shuffles the identity order, as a fresh list would be.
+		for j := range feats {
+			feats[j] = j
+		}
+		g.rng.Shuffle(len(feats), func(a, b int) { feats[a], feats[b] = feats[b], feats[a] })
+		feats = feats[:g.maxFeatures]
+	}
+	if hist == nil {
+		hist = g.histogram(feats, y, idx)
+	}
+	feat, bin, ok := g.bestSplit(hist, feats, sum, n)
 	if !ok {
+		g.release(hist)
 		return k
 	}
 	// Stable partition in place: left rows move to the front, right rows wait
@@ -240,10 +301,27 @@ func (g *grower) build(y []float64, idx []int, depth int) int {
 	}
 	copy(idx[nl:], g.right)
 	if nl < g.minLeaf || len(idx)-nl < g.minLeaf {
+		g.release(hist)
 		return k
 	}
-	left := g.build(y, idx[:nl], depth+1)
-	right := g.build(y, idx[nl:], depth+1)
+	// The children partition the node's rows, so bin by bin their histograms
+	// add up to the node's: only the smaller child is scanned and the larger
+	// is what is left. A forest's children draw candidate features of their
+	// own and scan for themselves.
+	nr := len(idx) - nl
+	var lh, rh []binStats
+	switch {
+	case g.maxFeatures > 0 || !g.splits(max(nl, nr), depth+1):
+		g.release(hist)
+	case nl <= nr:
+		lh = g.histogram(feats, y, idx[:nl])
+		rh = subtract(hist, lh)
+	default:
+		rh = g.histogram(feats, y, idx[nl:])
+		lh = subtract(hist, rh)
+	}
+	left := g.build(y, idx[:nl], depth+1, lh)
+	right := g.build(y, idx[nl:], depth+1, rh)
 	g.nodes[k].feature, g.nodes[k].bin = feat, bin
 	g.nodes[k].left, g.nodes[k].right = left, right
 	return k
@@ -275,117 +353,117 @@ func (g *grower) export(k int) *TreeNode {
 	return out
 }
 
-// parallelSplitWork is the minimum rows×features product at which a split
-// search fans out over the shared pool; smaller nodes keep the sequential
-// reusable-scratch path.
+// parallelSplitWork is the minimum rows×features product at which a
+// histogram is filled on the shared pool; smaller nodes stay on the caller.
 const parallelSplitWork = 1 << 15
 
-// featSplit is one feature's best split candidate.
-type featSplit struct {
-	score float64
-	bin   uint8
-	ok    bool
-}
-
-// scanFeature accumulates per-bin label statistics for one feature — bins is
-// its byte per row, nEdges its number of bin edges — in one pass and scans
-// bin boundaries for the impurity-minimizing split. hist is caller-provided
-// scratch of length >= data.MaxBins.
-func scanFeature(bins []uint8, nEdges int, y []float64, idx []int, ts, ts2, n float64, classification bool, hist []binStats) featSplit {
-	if nEdges == 0 {
-		return featSplit{} // constant feature
+// histogram counts the rows idx and sums their targets per bin of each of
+// feats, into a buffer off the free list: the statistics of feats[k] are the
+// data.MaxBins entries from k*data.MaxBins. Features fill disjoint ranges,
+// each in idx order, so the result is the same at any pool width.
+func (g *grower) histogram(feats []int, y []float64, idx []int) []binStats {
+	var hist []binStats
+	if n := len(g.free); n > 0 {
+		hist, g.free = g.free[n-1], g.free[:n-1]
+		clear(hist)
+	} else {
+		hist = make([]binStats, len(feats)*data.MaxBins)
 	}
-	h := hist[:nEdges+1]
-	for k := range h {
-		h[k] = binStats{}
+	// The targets are gathered once, so that of a row and a feature only the
+	// bin is fetched by row index.
+	if cap(g.targets) < len(idx) {
+		g.targets = make([]float64, len(idx))
 	}
-	for _, i := range idx {
-		s := &h[bins[i]]
-		yi := y[i]
-		s.cnt++
-		s.sum += yi
-		s.sum2 += yi * yi
+	targets := g.targets[:len(idx)]
+	for j, i := range idx {
+		targets[j] = y[i]
 	}
-	best := featSplit{score: math.Inf(1)}
-	var ln, ls, ls2 float64
-	for b := 0; b < nEdges; b++ {
-		ln += h[b].cnt
-		ls += h[b].sum
-		ls2 += h[b].sum2
-		rn := n - ln
-		if ln == 0 || rn == 0 {
-			continue
-		}
-		rs := ts - ls
-		var score float64
-		if classification {
-			score = 2*(ls-ls*ls/ln) + 2*(rs-rs*rs/rn)
-		} else {
-			rs2 := ts2 - ls2
-			score = (ls2 - ls*ls/ln) + (rs2 - rs*rs/rn)
-		}
-		if score < best.score {
-			best = featSplit{score: score, bin: uint8(b), ok: true}
-		}
-	}
-	return best
-}
-
-// bestSplit finds the impurity-minimizing (feature, bin) split. Candidate
-// features are scanned independently — in parallel on the shared pool when
-// the node is large enough — and reduced in feats order with strict
-// comparison, so the winner (including tie-breaks) is identical to a
-// sequential scan.
-func (g *grower) bestSplit(y []float64, idx []int) (feat int, bin uint8, ok bool) {
-	d := len(g.b.edges)
-	if g.feats == nil {
-		g.feats = make([]int, d)
-		for j := range g.feats {
-			g.feats[j] = j
-		}
-		g.results = make([]featSplit, d)
-		g.hist = make([]binStats, data.MaxBins)
-	}
-	feats := g.feats
-	if g.maxFeatures > 0 {
-		// Every split shuffles the identity order, as a fresh list would be.
-		for j := range feats {
-			feats[j] = j
-		}
-		g.rng.Shuffle(d, func(a, b int) { feats[a], feats[b] = feats[b], feats[a] })
-		feats = feats[:g.maxFeatures]
-	}
-	var ts, ts2 float64
-	for _, i := range idx {
-		ts += y[i]
-		ts2 += y[i] * y[i]
-	}
-	n := float64(len(idx))
-
-	results := g.results[:len(feats)]
 	if len(idx)*len(feats) >= parallelSplitWork && parallel.Workers() > 1 {
 		parallel.ForSite(parallel.SiteML, len(feats), 4, func(lo, hi int) {
-			hist := make([]binStats, data.MaxBins)
-			for k := lo; k < hi; k++ {
-				f := feats[k]
-				results[k] = scanFeature(g.b.bins[f], len(g.b.edges[f]), y, idx, ts, ts2, n, g.classification, hist)
-			}
+			g.fill(hist, feats[lo:hi], lo, idx, targets)
 		})
 	} else {
-		for k, f := range feats {
-			results[k] = scanFeature(g.b.bins[f], len(g.b.edges[f]), y, idx, ts, ts2, n, g.classification, g.hist)
+		g.fill(hist, feats, 0, idx, targets)
+	}
+	return hist
+}
+
+// fill is the loop of histogram over the features feats, the first of which
+// is the at-th of the histogram; targets[j] is the target of row idx[j].
+// Features are taken two at a time: a row's index and target are loaded once
+// for both, and while one feature's bin waits for its sum the other's is
+// added to. Each feature's sums still add up in idx order.
+func (g *grower) fill(hist []binStats, feats []int, at int, idx []int, targets []float64) {
+	targets = targets[:len(idx)]
+	for k := 0; k < len(feats); k += 2 {
+		b0 := g.b.bins[feats[k]]
+		h0 := (*[data.MaxBins]binStats)(hist[(at+k)*data.MaxBins:])
+		if k+1 == len(feats) {
+			for j, i := range idx {
+				s := &h0[b0[i]%data.MaxBins] // a bin is < MaxBins; this says so to the compiler
+				s.cnt++
+				s.sum += targets[j]
+			}
+			break
+		}
+		b1 := g.b.bins[feats[k+1]]
+		h1 := (*[data.MaxBins]binStats)(hist[(at+k+1)*data.MaxBins:])
+		for j, i := range idx {
+			yi := targets[j]
+			s0 := &h0[b0[i]%data.MaxBins]
+			s0.cnt++
+			s0.sum += yi
+			s1 := &h1[b1[i]%data.MaxBins]
+			s1.cnt++
+			s1.sum += yi
 		}
 	}
-	bestScore := math.Inf(1)
-	feat = -1
-	for k, r := range results {
-		if r.ok && r.score < bestScore {
-			bestScore = r.score
-			feat = feats[k]
-			bin = r.bin
+}
+
+// release returns a histogram no node needs any more to the free list.
+func (g *grower) release(hist []binStats) {
+	if hist != nil {
+		g.free = append(g.free, hist)
+	}
+}
+
+// subtract turns a node's histogram into its larger child's, given the
+// smaller child's, in place. Counts subtract exactly; sums only up to
+// rounding, so a bin the larger child has no row in gets the sum a scan
+// would have found there, zero.
+func subtract(hist, small []binStats) []binStats {
+	for b := range hist {
+		hist[b].cnt -= small[b].cnt
+		hist[b].sum -= small[b].sum
+		if hist[b].cnt == 0 {
+			hist[b].sum = 0
 		}
 	}
-	return feat, bin, feat >= 0
+	return hist
+}
+
+// bestSplit returns the (feature, bin) whose two sides maximize
+// ls²/ln + rs²/rn, given the node's histogram over feats, its target sum ts
+// and its row count n. Candidates are compared in feats order, bins
+// ascending, and only a strictly better one replaces the best so far.
+func (g *grower) bestSplit(hist []binStats, feats []int, ts, n float64) (feat int, bin uint8, ok bool) {
+	best := math.Inf(-1)
+	for k, f := range feats {
+		h := hist[k*data.MaxBins:]
+		var ln, ls float64
+		for b := range g.b.edges[f] { // the last bin has no edge to split at
+			ln += h[b].cnt
+			ls += h[b].sum
+			rn, rs := n-ln, ts-ls
+			if ln == 0 || rn == 0 {
+				continue
+			}
+			if gain := ls*ls/ln + rs*rs/rn; gain > best {
+				best, feat, bin, ok = gain, f, uint8(b), true
+			}
+		}
+	}
+	return feat, bin, ok
 }
 
 // Predict implements Model.
@@ -398,6 +476,16 @@ func (t *DecisionTree) Predict(x [][]float64) []float64 {
 		out[i] = t.Root.predict(row)
 	}
 	return out
+}
+
+// PredictColumns implements ColumnFitter.
+func (t *DecisionTree) PredictColumns(cols []*data.Column, rows []int) []float64 {
+	return scoreColumns(cols, rows, func(i int) float64 {
+		if t.Root == nil {
+			return 0
+		}
+		return t.Root.predictAt(cols, i)
+	})
 }
 
 // SizeBytes implements Model (32 bytes per node).

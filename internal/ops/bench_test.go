@@ -1,6 +1,10 @@
 package ops
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/graph"
+)
 
 // BenchmarkTrainVariants is the hyperparameter-variant loop of the Kaggle
 // workloads at the kernel: GBT specs that differ in seed, trained through
@@ -26,4 +30,18 @@ func BenchmarkTrainVariants(b *testing.B) {
 			trainOn(b, f, gbtSpec(int64(i+1)))
 		}
 	})
+}
+
+// BenchmarkEvaluateVariants is the other vertex every variant runs: the GBT a
+// variant trained, scored by AUC on every row of a 4000 × 40 frame.
+func BenchmarkEvaluateVariants(b *testing.B) {
+	f := trainingFrame(1, 4000, 40)
+	inputs := []graph.Artifact{trainOn(b, f, gbtSpec(0)), &graph.DatasetArtifact{Frame: f}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (Evaluate{Label: "TARGET", Metric: AUC}).Run(inputs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -177,30 +177,53 @@ func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 			warmstarted = w.WarmstartFrom(o.donor)
 		}
 	}
-	var xte [][]float64
+	var pred []float64
 	if cf, ok := model.(ml.ColumnFitter); ok {
 		// The tree learners train on the columns' quantile views, which
-		// outlive this run with the columns; only held-out scoring reads
-		// floats.
-		cols := make([]*data.Column, len(features))
-		for j, name := range features {
-			cols[j] = f.Column(name)
-		}
+		// outlive this run with the columns, and score the held-out rows
+		// where they lie: no float matrix is built.
+		cols := featureColumns(f, features)
 		if err := cf.FitColumns(cols, train, y); err != nil {
 			return nil, err
 		}
-		xte = f.NumericRows(features, test)
+		pred = cf.PredictColumns(cols, test)
 	} else {
 		x, _ := f.NumericMatrix(features...)
 		if err := model.Fit(gather(x, train), gather(y, train)); err != nil {
 			return nil, err
 		}
-		xte = gather(x, test)
+		pred = model.Predict(gather(x, test))
 	}
-	yte := gather(y, test)
-	quality := modelQuality(model, xte, yte)
+	quality := modelQuality(model.Kind(), gather(y, test), pred)
 	o.lastWarmstarted = warmstarted
 	return &graph.ModelArtifact{Model: model, Quality: quality, Features: features}, nil
+}
+
+// featureColumns returns f's column for each name, nil for a name it lacks.
+func featureColumns(f *data.Frame, names []string) []*data.Column {
+	cols := make([]*data.Column, len(names))
+	for j, name := range names {
+		cols[j] = f.Column(name)
+	}
+	return cols
+}
+
+// scoreFrame scores every row of f with the model. A column fitter reads the
+// feature columns where they lie; any other model reads a float matrix with
+// zeros for a feature the frame lacks (a one-hot category absent from a test
+// split). The columns are also what tells a column fitter how many rows
+// there are, so it comes back short only when f has none of them.
+func scoreFrame(ma *graph.ModelArtifact, f *data.Frame) ([]float64, error) {
+	cf, ok := ma.Model.(ml.ColumnFitter)
+	if !ok {
+		return ma.Model.Predict(f.NumericRows(ma.Features, nil)), nil
+	}
+	cols := featureColumns(f, ma.Features)
+	pred := cf.PredictColumns(cols, nil)
+	if len(pred) != f.NumRows() {
+		return nil, fmt.Errorf("ops: %s has none of the model's %d features", f, len(cols))
+	}
+	return pred, nil
 }
 
 // gather returns the elements of s at idx, in idx order.
@@ -214,9 +237,8 @@ func gather[T any](s []T, idx []int) []T {
 
 // modelQuality scores classifiers by AUC-ROC and regressors by 1/(1+RMSE),
 // both in [0,1].
-func modelQuality(m ml.Model, x [][]float64, y []float64) float64 {
-	pred := m.Predict(x)
-	if m.Kind() == "linreg" {
+func modelQuality(kind string, y, pred []float64) float64 {
+	if kind == "linreg" {
 		return 1 / (1 + ml.RMSE(y, pred))
 	}
 	return ml.AUCROC(y, pred)
@@ -248,8 +270,10 @@ func (o Predict) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := f.NumericRows(ma.Features, nil)
-	pred := ma.Model.Predict(x)
+	pred, err := scoreFrame(ma, f)
+	if err != nil {
+		return nil, err
+	}
 	var lineage strings.Builder
 	for _, c := range f.Columns() {
 		lineage.WriteString(c.ID)
@@ -313,12 +337,14 @@ func (o Evaluate) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if label == nil {
 		return nil, fmt.Errorf("ops: evaluate: no label column %q", o.Label)
 	}
-	x := f.NumericRows(ma.Features, nil)
+	pred, err := scoreFrame(ma, f)
+	if err != nil {
+		return nil, err
+	}
 	y := make([]float64, label.Len())
 	for i := range y {
 		y[i] = label.Float(i)
 	}
-	pred := ma.Model.Predict(x)
 	var v float64
 	switch o.Metric {
 	case Acc:

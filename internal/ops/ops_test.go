@@ -259,13 +259,29 @@ func TestTrainAllModelKinds(t *testing.T) {
 }
 
 func TestPredictZeroFillsMissingFeatures(t *testing.T) {
-	train := &Train{Spec: ModelSpec{Kind: "logreg", Seed: 1}, Label: "y"}
-	ma := runOp(t, train, dataset()).(*graph.ModelArtifact)
-	// Score a frame missing the "x" feature entirely.
-	small := data.MustNewFrame(data.NewIntColumn("id", []int64{9}))
-	out := frameOut(t, runOp(t, Predict{}, ma, &graph.DatasetArtifact{Frame: small}))
-	if out.NumRows() != 1 || !out.HasColumn("prediction") {
-		t.Fatal("predict on reduced frame failed")
+	for _, kind := range []string{"logreg", "gbt"} { // scored from a matrix, scored from the columns
+		train := &Train{Spec: ModelSpec{Kind: kind, Seed: 1}, Label: "y"}
+		ma := runOp(t, train, dataset()).(*graph.ModelArtifact)
+		// Score a frame missing the "x" feature entirely.
+		small := data.MustNewFrame(data.NewIntColumn("id", []int64{9}))
+		out := frameOut(t, runOp(t, Predict{}, ma, &graph.DatasetArtifact{Frame: small}))
+		if out.NumRows() != 1 || !out.HasColumn("prediction") {
+			t.Fatalf("%s: predict on reduced frame failed", kind)
+		}
+	}
+}
+
+// TestColumnScoringNeedsOneFeaturePresent: a model scored from the columns
+// learns the row count from them, so a dataset with none of its features is
+// refused, by Predict and by Evaluate, instead of scored as all zeros.
+func TestColumnScoringNeedsOneFeaturePresent(t *testing.T) {
+	ma := runOp(t, &Train{Spec: ModelSpec{Kind: "gbt", Seed: 1}, Label: "y"}, dataset())
+	other := &graph.DatasetArtifact{Frame: data.MustNewFrame(
+		data.NewFloatColumn("z", []float64{1, 2}), data.NewFloatColumn("y", []float64{0, 1}))}
+	for _, op := range []graph.Operation{Predict{}, Evaluate{Label: "y", Metric: Acc}} {
+		if _, err := op.Run([]graph.Artifact{ma, other}); err == nil || !strings.Contains(err.Error(), "none of the model's 2 features") {
+			t.Errorf("%s on a dataset without the model's features: error %v", op.Name(), err)
+		}
 	}
 }
 

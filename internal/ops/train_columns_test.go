@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ml"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // trainingFrame draws rows × features numeric columns — continuous, one-hot
@@ -157,6 +159,46 @@ func TestTrainTreeFamilyTrainsOnColumns(t *testing.T) {
 		}
 		if ma.Quality < 0.5 {
 			t.Errorf("%s: held-out quality %v on a learnable target", kind, ma.Quality)
+		}
+	}
+}
+
+// allocatedBytes is the heap fn allocates, averaged over a few calls.
+func allocatedBytes(fn func()) uint64 {
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestTreeModelsTrainAndScoreWithoutAMatrix is the count gate on scoring from
+// the columns: on a 4000 × 40 frame — the Kaggle variants' shape — neither
+// training a GBT with its held-out quality nor scoring it on the whole frame
+// allocates as much as one rows × features float matrix would take, let
+// alone builds one.
+func TestTreeModelsTrainAndScoreWithoutAMatrix(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	const rows, features = 4000, 40
+	const matrix = rows * features * 8
+	f := trainingFrame(3, rows, features)
+	in := &graph.DatasetArtifact{Frame: f}
+	ma := trainOn(t, f, gbtSpec(0)) // builds the quantile views
+	if got := allocatedBytes(func() { trainOn(t, f, gbtSpec(1)) }); got >= matrix {
+		t.Errorf("Train.Run allocates %d bytes, a %d × %d matrix is %d", got, rows, features, matrix)
+	}
+	for _, op := range []graph.Operation{Evaluate{Label: "TARGET", Metric: AUC}, Predict{}} {
+		got := allocatedBytes(func() {
+			if _, err := op.Run([]graph.Artifact{ma, in}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got >= matrix {
+			t.Errorf("%s allocates %d bytes, a %d × %d matrix is %d", op.Name(), got, rows, features, matrix)
 		}
 	}
 }
