@@ -13,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -76,7 +75,6 @@ var (
 		"explain":     runExplain,
 		"calibration": runCalibration,
 		"requests":    runRequests,
-		"critpath":    runCritpath,
 		"artifacts":   runArtifacts,
 	}
 	workloads = map[string]func(args []string) error{
@@ -86,14 +84,11 @@ var (
 	}
 )
 
-const usageText = `usage: collab <stats|explain|calibration|requests|critpath|artifacts|kaggle|openml|run> [flags]
+const usageText = `usage: collab <stats|explain|calibration|requests|artifacts|kaggle|openml|run> [flags]
   stats   -server URL [-clients]                   show server EG/store state;
                                                    -clients adds the per-client
                                                    attribution table
-  critpath -server URL [-request ID] [-top N]      critical path through the
-          [-json] | -trace FILE                    server trace (or a saved
-                                                   Chrome trace file)
-  artifacts -server URL [-sort KEY] [-top N]       per-artifact lifecycle &
+  artifacts -server URL [-sort KEY] [-top N]       per-artifact residency &
           [-id VERTEX] [-json]                     storage economics (savings
                                                    vs rent)
   explain -server URL [-format json|text|dot]      show the optimizer's last
@@ -346,46 +341,8 @@ func runStats(args []string, out io.Writer) error {
 	return nil
 }
 
-// runCritpath prints the critical-path analysis of the server's trace
-// buffer (GET /v1/critpath), or — with -trace — of a saved Chrome trace
-// file, fully offline.
-func runCritpath(args []string, out io.Writer) error {
-	fs, server := newFlags("critpath")
-	tracePath := fs.String("trace", "", "analyze this Chrome trace file instead of asking the server")
-	request := fs.String("request", "", "restrict to spans tagged with this request ID")
-	top := fs.Int("top", obs.DefaultCritPathTopK, "how many top contributors to list")
-	asJSON := fs.Bool("json", false, "print the JSON report instead of the table")
-	_ = fs.Parse(args)
-
-	if *tracePath != "" {
-		raw, err := os.ReadFile(*tracePath)
-		if err != nil {
-			return err
-		}
-		var ct obs.ChromeTrace
-		if err := json.Unmarshal(raw, &ct); err != nil {
-			return fmt.Errorf("critpath: parse %s: %w", *tracePath, err)
-		}
-		rep := obs.AnalyzeCritPath(ct.TraceEvents, *request, *top)
-		if rep.Spans == 0 {
-			return fmt.Errorf("critpath: no matching spans in %s", *tracePath)
-		}
-		if *asJSON {
-			return rep.WriteJSON(out)
-		}
-		return rep.WriteText(out)
-	}
-
-	q := textUnlessJSON(*asJSON)
-	if *request != "" {
-		q.Set("request", *request)
-	}
-	q.Set("top", fmt.Sprint(*top))
-	return fetchAndPrint(out, *server, "critpath", q)
-}
-
-// runArtifacts prints the server's artifact lifecycle ledger
-// (GET /v1/artifacts): the per-artifact economics report.
+// runArtifacts prints the server's artifact ledger (GET /v1/artifacts): the
+// per-artifact economics report.
 func runArtifacts(args []string, out io.Writer) error {
 	fs, server := newFlags("artifacts")
 	sortBy := fs.String("sort", "net", "ordering: net|saved|rent|reuse|bytes|id")

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -93,10 +91,6 @@ func TestViewSubcommands(t *testing.T) {
 		{"requests", []string{"-route", "/v1/optimize", "-min", "1ns", "-limit", "1", "-json"}, "/v1/requests",
 			"limit=1&min=1ns&route=%2Fv1%2Foptimize", `"count": 1`,
 			"requests: HTTP 404: flight recorder disabled on this server"},
-		{"critpath", nil, "/v1/critpath", "format=text&top=5", "critical path: (all spans)",
-			"critpath: HTTP 404: tracing disabled on this server"},
-		{"critpath", []string{"-top", "2", "-json"}, "/v1/critpath", "top=2", `"path_ns"`,
-			"critpath: HTTP 404: tracing disabled on this server"},
 		{"artifacts", nil, "/v1/artifacts", "format=text&sort=net", "economics: saved",
 			"artifacts: HTTP 404: artifact ledger disabled on this server"},
 		{"artifacts", []string{"-sort", "bytes", "-top", "1", "-json"}, "/v1/artifacts", "sort=bytes&top=1", `"count": 1`,
@@ -122,12 +116,6 @@ func TestViewSubcommands(t *testing.T) {
 		case tc.disabled != "" && (err == nil || err.Error() != tc.disabled):
 			t.Errorf("collab %s against the all-off server: error %v, want %q", name, err, tc.disabled)
 		}
-	}
-
-	// A request filter nobody matches is the server's 404, passed through.
-	err := runCritpath([]string{"-server", onURL, "-request", "no-such-request"}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "HTTP 404: no trace spans for request no-such-request") {
-		t.Errorf("critpath for an unknown request: %v", err)
 	}
 }
 
@@ -164,44 +152,5 @@ func TestUsageListsTheRegisteredSubcommands(t *testing.T) {
 	}
 	if len(listed) != len(views)+len(workloads) {
 		t.Errorf("usage lists %d subcommands, %d are registered", len(listed), len(views)+len(workloads))
-	}
-}
-
-// TestCritpathOfflineIsByteStable records a small client-side trace the way
-// `collab kaggle -trace FILE` does and analyzes the file twice in each
-// format: non-empty, identical bytes.
-func TestCritpathOfflineIsByteStable(t *testing.T) {
-	tr := obs.NewTrace()
-	srv := core.NewServer(store.New(cost.Memory()))
-	client := core.NewClient(srv, core.WithTrace(tr), core.WithParallelism(2))
-	for i := 0; i < 2; i++ {
-		if _, err := client.Run(synth.Wide(synth.WideProfile{Branches: 3, Depth: 2, SpinIters: 2000}, 5)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "trace.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, format := range [][]string{{"-json"}, nil} {
-		var a, b bytes.Buffer
-		for _, out := range []*bytes.Buffer{&a, &b} {
-			if err := runCritpath(append([]string{"-trace", path}, format...), out); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("critpath -trace %v: %d and %d bytes, want non-empty and identical", format, a.Len(), b.Len())
-		}
-	}
-	if err := runCritpath([]string{"-trace", path, "-request", "no-such-request"}, &bytes.Buffer{}); err == nil {
-		t.Error("a request filter matching no span of the file should be an error")
 	}
 }

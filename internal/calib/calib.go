@@ -33,9 +33,13 @@ const DriftThreshold = 0.5
 // roughly the last ~10 observations dominant.
 const driftAlpha = 0.2
 
-// maxFamilies bounds the collector's memory: beyond this, compute
-// observations fold into the "compute:other" family instead of growing
-// the map without bound (operation names are caller-controlled).
+// maxFamilies bounds the collector's memory per kind of family: beyond
+// this many load (or compute) families, a new one folds into "load:other"
+// (or "compute:other") instead of growing the map without bound. Both
+// kinds of name are caller-controlled — operation names carry parameters,
+// fetch tiers arrive from the wire — and the kinds are bounded apart so
+// that many of one can never push the other into a family of the wrong
+// kind.
 const maxFamilies = 64
 
 // fitSampleCap bounds the per-family (bytes, seconds) ring used by
@@ -113,20 +117,21 @@ func (f *family) observe(bytes, predictedSec, actualSec float64, keepSample bool
 type Collector struct {
 	mu       sync.Mutex
 	families map[string]*family
+	// perKind counts the families of each kind ("load", "compute").
+	perKind map[string]int
 
-	runs         int64
-	wallSum      float64
-	lastWall     float64
-	savedSum     float64
-	fetchSum     float64
-	lastSpeedup  float64
-	last         *Scorecard
-	clampedTiers int64
+	runs        int64
+	wallSum     float64
+	lastWall    float64
+	savedSum    float64
+	fetchSum    float64
+	lastSpeedup float64
+	last        *Scorecard
 }
 
 // NewCollector builds an empty collector.
 func NewCollector() *Collector {
-	return &Collector{families: make(map[string]*family)}
+	return &Collector{families: make(map[string]*family), perKind: make(map[string]int, 2)}
 }
 
 // TierFamily normalizes a fetch tier label into a load family name. Labels
@@ -172,19 +177,19 @@ func (c *Collector) ObserveCompute(op string, predicted, actual time.Duration) {
 func (c *Collector) observe(key string, bytes, predictedSec, actualSec float64, keepSample bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	f, ok := c.families[key]
-	if !ok {
-		if len(c.families) >= maxFamilies {
-			c.clampedTiers++
-			key = "compute:other"
-			if f, ok = c.families[key]; !ok {
-				// The cap counts "compute:other" itself; make room for it.
-				f = newFamily()
-				c.families[key] = f
-			}
-		} else {
+	f := c.families[key]
+	if f == nil {
+		kind, _, _ := strings.Cut(key, ":")
+		if c.perKind[kind] >= maxFamilies {
+			key = kind + ":other"
+			f = c.families[key]
+		}
+		if f == nil {
+			// A new family, or the kind's first overflow opening
+			// "<kind>:other" one past the cap.
 			f = newFamily()
 			c.families[key] = f
+			c.perKind[kind]++
 		}
 	}
 	f.observe(bytes, predictedSec, actualSec, keepSample)

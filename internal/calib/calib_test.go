@@ -3,6 +3,7 @@ package calib
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -105,6 +106,34 @@ func TestCollectorFamilyCap(t *testing.T) {
 	}
 	if overflow == nil || overflow.count == 0 {
 		t.Fatal("overflow observations should fold into compute:other")
+	}
+}
+
+// TestCollectorBoundsEachKindSeparately: a collector already holding more
+// compute families than the cap still files a first load observation under
+// its tier, fit sample included, and compute keeps every observation.
+func TestCollectorBoundsEachKindSeparately(t *testing.T) {
+	c := NewCollector()
+	for i := 0; i < 100; i++ {
+		c.ObserveCompute(fmt.Sprintf("derive:col%d", i), time.Millisecond, time.Millisecond)
+	}
+	c.ObserveLoad("memory", 1<<20, time.Millisecond, 2*time.Millisecond)
+	if got := c.LoadObservations("memory"); got != 1 {
+		t.Errorf("LoadObservations(memory) = %d, want 1", got)
+	}
+	if s := c.FitSamples("memory"); len(s) != 1 || s[0].Bytes != 1<<20 {
+		t.Errorf("FitSamples(memory) = %v, want the one sample", s)
+	}
+	if got := c.ComputeObservations(); got != 100 {
+		t.Errorf("ComputeObservations = %d, want 100", got)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f := c.families["compute:other"]; f == nil || f.count != 100-maxFamilies {
+		t.Errorf("compute:other = %+v, want the %d compute observations past the cap", f, 100-maxFamilies)
+	}
+	if len(c.families) != maxFamilies+2 {
+		t.Errorf("%d families, want %d compute (other included) and one load", len(c.families), maxFamilies+2)
 	}
 }
 

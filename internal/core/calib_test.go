@@ -117,11 +117,13 @@ func TestCalibrationEndToEnd(t *testing.T) {
 		"collab_calib_load_memory_observations",
 		"collab_calib_runs",
 		"collab_calib_last_speedup",
-		"go_goroutines",
 	} {
 		if !strings.Contains(out, fragment) {
 			t.Errorf("/metrics missing %q", fragment)
 		}
+	}
+	if strings.Contains(out, "# TYPE go_") {
+		t.Error("/metrics carries go_* runtime families; -pprof and /proc give those")
 	}
 	if strings.Contains(out, "collab_calib_runs 0\n") {
 		t.Error("collab_calib_runs still zero after measured runs")

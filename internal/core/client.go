@@ -14,8 +14,7 @@ import (
 // the modeled retrieval cost Cl priced for that tier, so fetch spans and
 // load costs reflect the artifact's actual location. req is the record of
 // the run whose plan triggered the fetch (nil: none): a remote source sends
-// its ID with the transfer, a local one attributes the promotion a disk hit
-// causes to it on the artifact ledger.
+// its ID with the transfer.
 type ArtifactSource interface {
 	FetchTiered(id string, req *obs.Request) (graph.Artifact, string, time.Duration)
 }

@@ -64,7 +64,7 @@ func TestExecuteSkipsBranchesOutsidePlan(t *testing.T) {
 	a := w.Apply(src, failingOp{"must-not-run"})
 	b := w.Apply(a, okOp{"b"})
 	srv := NewServer(store.New(cost.Memory()))
-	if err := srv.Store.Put(b.ID, &graph.AggregateArtifact{Value: 9}, ""); err != nil {
+	if err := srv.Store.Put(b.ID, &graph.AggregateArtifact{Value: 9}); err != nil {
 		t.Fatal(err)
 	}
 	plan := &reuse.Plan{Reuse: map[string]bool{b.ID: true}}

@@ -67,9 +67,9 @@ type Server struct {
 	// disable them (nil is a zero-cost no-op).
 	flight  *obs.Ring[obs.Request]
 	clients *obs.ClientTable
-	// ledger is the artifact lifecycle ledger: the store feeds it residency
-	// transitions, the updater feeds it per-reuse realized savings, and it
-	// is served at /v1/artifacts. Default-on with a small cap;
+	// ledger is the artifact ledger: the store reports where each artifact
+	// lives, the updater feeds it per-reuse realized savings, and it is
+	// served at /v1/artifacts. Default-on with a small cap;
 	// WithArtifactLedger(nil) disables it (the store's detached fast path
 	// is one atomic pointer load).
 	ledger *obs.ArtifactLedger
@@ -175,8 +175,8 @@ const lockWaitSpanThreshold = 100 * time.Microsecond
 // lockSection acquires the server mutex on behalf of the named section,
 // accounting the queue wait on the section's histogram and on the request
 // record, and — above lockWaitSpanThreshold — emitting a
-// "lock-wait:<section>" trace span (cat "lock") so the critical-path
-// analyzer can attribute contention to the request that suffered it. The
+// "lock-wait:<section>" trace span (cat "lock") tagged with the request
+// that suffered it, so contention shows on the timeline. The
 // returned release observes the hold time and unlocks; callers defer it
 // exactly where they previously deferred s.mu.Unlock().
 func (s *Server) lockSection(section string, req *obs.Request) (release func()) {
@@ -275,9 +275,9 @@ func WithClientTable(t *obs.ClientTable) ServerOption {
 	return func(srv *Server) { srv.clients = t }
 }
 
-// WithArtifactLedger replaces the default artifact lifecycle ledger (a
+// WithArtifactLedger replaces the default artifact ledger (a
 // DefaultLedgerCap-entry table). Pass a larger ledger to track more
-// distinct artifacts, or nil to disable lifecycle accounting entirely.
+// distinct artifacts, or nil to disable artifact accounting entirely.
 func WithArtifactLedger(l *obs.ArtifactLedger) ServerOption {
 	return func(srv *Server) { srv.ledger = l }
 }
@@ -355,10 +355,8 @@ func (s *Server) initMetrics() {
 	// the pool is shared, so the last-constructed server's registry owns
 	// the accounting sink.
 	parallel.RegisterMetrics(reg)
-	// Calibration families (predicted-vs-actual cost quality) and Go
-	// runtime health, both scrape-backed.
+	// Calibration families (predicted-vs-actual cost quality), scrape-backed.
 	calib.RegisterMetrics(reg, s.calib)
-	obs.NewRuntimeCollector().Register(reg)
 	// Build identity and uptime: an info-gauge (constant 1, facts in the
 	// labels, the Prometheus convention) plus a scrape-time uptime gauge.
 	reg.Gauge(obs.Labeled("collab_build_info", "version", s.version, "go_version", s.goVersion),
@@ -372,20 +370,16 @@ func (s *Server) initMetrics() {
 		reg.GaugeFunc("collab_flight_capacity", "flight ring capacity",
 			func() float64 { return float64(s.flight.Cap()) })
 	}
-	// Artifact lifecycle ledger: attach to the store (deriving rent rates
-	// from the tier profiles and seeding entries for recovered artifacts)
-	// and expose the aggregate economics. The per-kind event counters use
-	// the fixed ArtifactEventKinds vocabulary, so label cardinality is
-	// bounded by construction.
+	// Artifact ledger: attach to the store (deriving rent rates from the
+	// tier profiles and reporting what it already holds) and expose the
+	// aggregate economics.
 	s.Store.AttachLedger(s.ledger)
 	if s.ledger != nil {
-		reg.GaugeFunc("collab_artifact_tracked", "distinct artifacts in the lifecycle ledger",
+		reg.GaugeFunc("collab_artifact_tracked", "distinct artifacts in the artifact ledger",
 			func() float64 { return float64(s.ledger.Len()) })
 		reg.GaugeFunc("collab_artifact_dropped_total",
-			"artifacts never tracked because the ledger was full",
+			"ledger observations refused because the table was full",
 			func() float64 { return float64(s.ledger.Dropped()) })
-		reg.GaugeFunc("collab_artifact_reuse_total", "artifact reuses observed by the ledger",
-			func() float64 { return float64(s.ledger.ReuseTotal()) })
 		reg.GaugeFunc("collab_artifact_saved_seconds",
 			"realized load-time savings across tracked artifacts (Cr avoided minus measured fetch)",
 			func() float64 { _, saved, _, _ := s.ledger.Totals(); return saved })
@@ -395,11 +389,6 @@ func (s *Server) initMetrics() {
 		reg.GaugeFunc("collab_artifact_net_benefit_seconds",
 			"net benefit across tracked artifacts (savings minus rent)",
 			func() float64 { _, _, _, net := s.ledger.Totals(); return net })
-		for _, kind := range obs.ArtifactEventKinds {
-			reg.GaugeFunc(obs.Labeled("collab_artifact_events_total", "kind", kind),
-				"artifact lifecycle events by kind",
-				func() float64 { return float64(s.ledger.EventCount(kind)) })
-		}
 	}
 	// Per-client attribution health: distinct clients currently tracked
 	// (the cap plus one overflow bucket is the ceiling).
@@ -443,8 +432,8 @@ func (s *Server) Flight() *obs.Ring[obs.Request] { return s.flight }
 // nil when attribution is disabled.
 func (s *Server) Clients() *obs.ClientTable { return s.clients }
 
-// ArtifactLedger returns the artifact lifecycle ledger backing
-// /v1/artifacts, or nil when lifecycle accounting is disabled.
+// ArtifactLedger returns the artifact ledger backing /v1/artifacts, or nil
+// when artifact accounting is disabled.
 func (s *Server) ArtifactLedger() *obs.ArtifactLedger { return s.ledger }
 
 // LockWaitSeconds returns the cumulative time requests spent queued on the
@@ -541,10 +530,9 @@ func (s *Server) Budget() int64 { return s.budget }
 // FetchTiered implements ArtifactSource against the server's local store:
 // the returned load cost is priced with the profile of the tier that
 // actually served the artifact (a disk hit costs disk speed even though the
-// access also promotes the artifact into memory), and that promotion is
-// attributed to the request on the artifact ledger.
-func (s *Server) FetchTiered(id string, req *obs.Request) (graph.Artifact, string, time.Duration) {
-	a, tr := s.Store.Get(id, req.ID())
+// access also promotes the artifact into memory).
+func (s *Server) FetchTiered(id string, _ *obs.Request) (graph.Artifact, string, time.Duration) {
+	a, tr := s.Store.Get(id)
 	if a == nil {
 		return nil, "", 0
 	}
@@ -695,13 +683,13 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, r
 				// measured outcome. Negative when fetching was slower than
 				// recomputing would have been.
 				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes,
-					(cr - n.FetchTime).Seconds(), requestID)
+					(cr - n.FetchTime).Seconds())
 			} else if n.FetchTier != SessionTier || s.Store.Has(n.ID) {
 				// Unmeasured reuse (calibration off, or satisfied from the
 				// client's session store): counted, no attributable saving.
 				// What a client holds of its own work and the store never
 				// kept is not an artifact the ledger tracks.
-				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes, 0, requestID)
+				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes, 0)
 			}
 			continue
 		}
@@ -736,7 +724,7 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, r
 // materialized. It is the upload half of the remote update protocol; the
 // lock wait of the upload lands on the request that suffered it.
 func (s *Server) PutArtifact(id string, a graph.Artifact, req *obs.Request) error {
-	return s.materialize(id, req, func() error { return s.Store.Put(id, a, req.ID()) })
+	return s.materialize(id, req, func() error { return s.Store.Put(id, a) })
 }
 
 // PutFrameRef is PutArtifact for a dataset uploaded by reference: its
@@ -744,7 +732,7 @@ func (s *Server) PutArtifact(id string, a graph.Artifact, req *obs.Request) erro
 // whose ErrColumnAbsent and ErrBadManifest pass through unwrapped).
 func (s *Server) PutFrameRef(id string, colIDs, names []string, cols []*data.Column, req *obs.Request) error {
 	return s.materialize(id, req, func() error {
-		return s.Store.PutFrameRef(id, colIDs, names, cols, req.ID())
+		return s.Store.PutFrameRef(id, colIDs, names, cols)
 	})
 }
 
@@ -801,7 +789,7 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *
 			continue
 		}
 		if content, ok := available[id]; ok {
-			if err := s.Store.Put(id, content, requestID); err == nil {
+			if err := s.Store.Put(id, content); err == nil {
 				s.EG.SetMaterialized(id, true)
 			}
 		} else {
@@ -850,7 +838,7 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *
 			continue
 		}
 		if content, ok := available[id]; ok {
-			if err := s.Store.Put(id, content, requestID); err == nil {
+			if err := s.Store.Put(id, content); err == nil {
 				s.EG.SetMaterialized(id, true)
 			}
 		} else {

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/eg"
+	"repro/internal/graph"
 	"repro/internal/obs"
 )
 
@@ -45,11 +46,11 @@ func (r *Record) writeOptimizeText(b *strings.Builder) {
 			cr = v.RecreationCost.String()
 		}
 		fmt.Fprintf(b, "%-26s %10s %10s %10s  %s %s\n",
-			v.Decision, v.ComputeCost, v.LoadCost, cr, shortID(v.ID), v.Name)
+			v.Decision, v.ComputeCost, v.LoadCost, cr, graph.ShortID(v.ID), v.Name)
 	}
 	for _, ws := range r.Warmstarts {
 		fmt.Fprintf(b, "warmstart %s <- donor %s (quality %s)\n",
-			shortID(ws.VertexID), shortID(ws.DonorID), formatFloat(ws.Quality))
+			graph.ShortID(ws.VertexID), graph.ShortID(ws.DonorID), formatFloat(ws.Quality))
 	}
 }
 
@@ -64,7 +65,7 @@ func (r *Record) writeUpdateText(b *strings.Builder) {
 	for _, m := range r.Materialize {
 		fmt.Fprintf(b, "%-18s %10s %10s %8s %5d %12d  %s %s\n",
 			m.Decision, m.RecreationCost, m.LoadCost, formatFloat(m.Potential),
-			m.Frequency, m.SizeBytes, shortID(m.ID), m.Name)
+			m.Frequency, m.SizeBytes, graph.ShortID(m.ID), m.Name)
 	}
 	if sc := r.Calibration; sc != nil {
 		fmt.Fprintf(b, "scorecard: reused %d, executed %d, est-saved %ss, speedup %sx",
@@ -93,55 +94,40 @@ var decisionFill = map[string]string{
 // annotated with materialization decisions. Output is deterministic for a
 // given record.
 func (r *Record) WriteDOT(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [fontsize=10];\n", "explain-"+r.Kind)
+	d := graph.NewDOT("explain-" + r.Kind)
 	switch r.Kind {
 	case KindOptimize:
 		for _, v := range r.Vertices {
-			shape := vertexShape(v.Kind)
 			label := fmt.Sprintf("%s\\n%s\\nCi=%s Cl=%s", v.Name, v.Decision, v.ComputeCost, v.LoadCost)
 			if v.Kind == "supernode" {
 				label = ""
 			}
-			attrs := fmt.Sprintf("shape=%s, label=%s", shape, dotQuote(label))
-			if fill, ok := decisionFill[v.Decision]; ok {
-				attrs += fmt.Sprintf(", style=filled, fillcolor=%q", fill)
-			}
-			fmt.Fprintf(&b, "  %q [%s];\n", shortID(v.ID), attrs)
+			d.Node(v.ID, graph.DOTShape(v.Kind), label, fillAttrs(v.Decision))
 		}
 		for _, v := range r.Vertices {
 			for _, p := range v.Parents {
-				fmt.Fprintf(&b, "  %q -> %q;\n", shortID(p), shortID(v.ID))
+				d.Edge(p, v.ID)
 			}
 		}
 	case KindUpdate:
 		for _, m := range r.Materialize {
 			label := fmt.Sprintf("%s\\n%s\\nCr=%s Cl=%s f=%d", m.Name, m.Decision, m.RecreationCost, m.LoadCost, m.Frequency)
-			attrs := fmt.Sprintf("shape=box, label=%s", dotQuote(label))
-			if fill, ok := decisionFill[m.Decision]; ok {
-				attrs += fmt.Sprintf(", style=filled, fillcolor=%q", fill)
-			}
+			attrs := fillAttrs(m.Decision)
 			if m.Materialized {
 				attrs += ", penwidth=2"
 			}
-			fmt.Fprintf(&b, "  %q [%s];\n", shortID(m.ID), attrs)
+			d.Node(m.ID, "box", label, attrs)
 		}
 	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	return d.End(w)
 }
 
-func vertexShape(kind string) string {
-	switch kind {
-	case "model":
-		return "ellipse"
-	case "aggregate":
-		return "diamond"
-	case "supernode":
-		return "point"
+// fillAttrs are the DOT attributes that color a vertex by its decision.
+func fillAttrs(decision string) string {
+	if fill, ok := decisionFill[decision]; ok {
+		return fmt.Sprintf(", style=filled, fillcolor=%q", fill)
 	}
-	return "box"
+	return ""
 }
 
 // WriteEGDOT renders the whole Experiment Graph as Graphviz DOT annotated
@@ -151,57 +137,29 @@ func vertexShape(kind string) string {
 // writer). It renders a snapshot — one consistent copy taken under the
 // graph's lock — so it may run beside the updater.
 func WriteEGDOT(g *eg.Graph, w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("digraph \"experiment-graph\" {\n  rankdir=TB;\n  node [fontsize=10];\n")
+	d := graph.NewDOT("experiment-graph")
 	vertices := g.Snapshot().Vertices // sorted by ID
 	for _, v := range vertices {
-		var shape string
-		switch {
-		case v.Kind.String() == "model":
-			shape = "ellipse"
-		case v.Kind.String() == "aggregate":
-			shape = "diamond"
-		case v.Kind.String() == "supernode":
-			shape = "point"
-		default:
-			shape = "box"
-		}
 		label := fmt.Sprintf("%s\\nf=%d Cr=%s s=%dB", v.Name, v.Frequency,
 			Cost(v.RecreationCost().Seconds()), v.SizeBytes)
-		if v.Kind.String() == "supernode" {
+		if v.Kind == graph.SupernodeKind {
 			label = ""
 		}
-		attrs := fmt.Sprintf("shape=%s, label=%s", shape, dotQuote(label))
+		attrs := ""
 		if v.Materialized {
 			attrs += `, style=filled, fillcolor="#cce5ff", penwidth=2`
 		}
 		if v.External {
 			attrs += `, style=dashed`
 		}
-		fmt.Fprintf(&b, "  %q [%s];\n", shortID(v.ID), attrs)
+		d.Node(v.ID, graph.DOTShape(v.Kind.String()), label, attrs)
 	}
 	for _, v := range vertices {
 		for _, p := range v.Parents {
-			fmt.Fprintf(&b, "  %q -> %q;\n", shortID(p), shortID(v.ID))
+			d.Edge(p, v.ID)
 		}
 	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// dotQuote quotes a DOT string, escaping only double quotes: label escapes
-// like \n must survive verbatim (fmt's %q would double the backslash and
-// Graphviz would render a literal "\n").
-func dotQuote(s string) string {
-	return `"` + strings.ReplaceAll(s, `"`, `\"`) + `"`
-}
-
-func shortID(id string) string {
-	if len(id) > 8 {
-		return id[:8]
-	}
-	return id
+	return d.End(w)
 }
 
 func formatFloat(v float64) string { return Cost(v).String() }

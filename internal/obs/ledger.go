@@ -10,86 +10,22 @@ import (
 	"time"
 )
 
-// This file is the artifact lifecycle ledger: a bounded per-artifact
-// accounting table that records every storage transition an artifact goes
-// through (materialized, hit, promoted, demoted, evicted, quarantined,
-// recovered) together with the storage economics the paper's central bet
-// rests on — does the realized reuse saving of a materialized artifact
-// cover the storage rent of keeping it around? The store manager feeds
-// residency transitions, the server's update path feeds per-reuse savings
-// joined from planner predictions and client measurements, and the result
-// is served at GET /v1/artifacts (`collab artifacts`) and summarized on
-// /metrics and /v1/stats. ROADMAP item 4 (evict artifacts whose savings
-// fall below their rent) reads this ledger as its input signal.
-
-// Artifact event kinds — the fixed lifecycle vocabulary. Tier labels on
-// events are the store's ("memory", "disk"); an empty tier on an eviction
-// means "all tiers".
-const (
-	// ArtifactMaterialized: content admitted to the memory tier.
-	ArtifactMaterialized = "materialized"
-	// ArtifactMemoryHit / ArtifactDiskHit: a reuse fetch served by the
-	// named tier, recorded by the server's update join (carries the
-	// request ID and the realized saving).
-	ArtifactMemoryHit = "memory-hit"
-	ArtifactDiskHit   = "disk-hit"
-	// ArtifactReuse: a reuse the client did not measure (calibration off)
-	// — counted, but with unknown tier and zero attributed saving.
-	ArtifactReuse = "reuse"
-	// ArtifactPromoted: copied disk → memory on access (inclusive tiers:
-	// the disk copy remains).
-	ArtifactPromoted = "promoted"
-	// ArtifactDemoted: spilled memory → disk under budget pressure or an
-	// idle sweep.
-	ArtifactDemoted = "demoted"
-	// ArtifactEvicted: dropped from the tier named on the event (empty
-	// tier: dropped from every tier).
-	ArtifactEvicted = "evicted"
-	// ArtifactQuarantined: a disk read failed checksum or decode
-	// verification and the tier quarantined the file. The artifact drops
-	// out of the economics totals — unloadable bytes earn no savings.
-	ArtifactQuarantined = "quarantined"
-	// ArtifactRecovered: found in the durable tier at ledger attach time
-	// (crash recovery rebuilt the entry; its pre-crash history is gone).
-	ArtifactRecovered = "recovered"
-)
-
-// ArtifactEventKinds is the full event vocabulary in rendering order —
-// the bound on the collab_artifact_events_total{kind} label.
-var ArtifactEventKinds = []string{
-	ArtifactMaterialized,
-	ArtifactMemoryHit,
-	ArtifactDiskHit,
-	ArtifactReuse,
-	ArtifactPromoted,
-	ArtifactDemoted,
-	ArtifactEvicted,
-	ArtifactQuarantined,
-	ArtifactRecovered,
-}
+// This file is the artifact ledger: a bounded per-artifact table of the
+// storage economics the paper's central bet rests on — does the realized
+// reuse saving of a materialized artifact cover the storage rent of keeping
+// it around? The store manager reports where each artifact lives after
+// every change of residency (Hold, Quarantine), the server's update path
+// feeds per-reuse savings joined from planner predictions and client
+// measurements (ObserveReuse), and the result is served at GET
+// /v1/artifacts (`collab artifacts`) and summarized on /metrics and
+// /v1/stats. ROADMAP item 4 (evict artifacts whose savings fall below their
+// rent) reads this ledger as its input signal.
 
 // DefaultLedgerCap bounds a NewArtifactLedger(0) ledger.
 const DefaultLedgerCap = 512
 
-// ledgerEventCap is the per-artifact event ring size: enough to hold a
-// full materialize → reuse → demote → evict cycle with room for hits,
-// small enough that a thousand tracked artifacts stay cheap.
-const ledgerEventCap = 8
-
-// ArtifactEvent is one lifecycle transition. Field order is the JSON
-// contract (byte-stable WriteJSON, golden-tested).
-type ArtifactEvent struct {
-	Seq       int64  `json:"seq"`
-	Kind      string `json:"kind"`
-	Tier      string `json:"tier,omitempty"`
-	Bytes     int64  `json:"bytes,omitempty"`
-	RequestID string `json:"request_id,omitempty"`
-	UnixNano  int64  `json:"unix_nano"`
-}
-
 // ArtifactRecord is the exported per-artifact view: identity, current
-// residency, cumulative economics, and the recent event window. Field
-// order is the JSON contract.
+// residency and cumulative economics. Field order is the JSON contract.
 type ArtifactRecord struct {
 	ID string `json:"id"`
 	// Tier is the current residency ("memory" wins when both tiers hold a
@@ -113,10 +49,6 @@ type ArtifactRecord struct {
 	// NetSec = SavedSec − RentSec: the artifact's running profit-and-loss.
 	NetSec      float64 `json:"net_sec"`
 	Quarantined bool    `json:"quarantined,omitempty"`
-	// Events is the recent event window, oldest first (bounded ring;
-	// EventsDropped counts what scrolled out).
-	EventsDropped int64           `json:"events_dropped,omitempty"`
-	Events        []ArtifactEvent `json:"events"`
 }
 
 // tierHold tracks one tier's residency for byte-second accrual.
@@ -125,18 +57,6 @@ type tierHold struct {
 	bytes    int64
 	since    time.Time
 	byteSec  float64
-}
-
-// accrue folds residency up to now into the byte-second total and
-// restarts the residency window.
-func (h *tierHold) accrue(now time.Time) {
-	if !h.resident {
-		return
-	}
-	if d := now.Sub(h.since); d > 0 {
-		h.byteSec += d.Seconds() * float64(h.bytes)
-	}
-	h.since = now
 }
 
 // held returns the byte-seconds including the still-open residency window
@@ -151,22 +71,11 @@ func (h *tierHold) held(now time.Time) float64 {
 	return total
 }
 
-// clear ends residency after accruing up to now.
-func (h *tierHold) clear(now time.Time) {
-	h.accrue(now)
-	h.resident = false
-	h.bytes = 0
-}
-
-// set (re)starts residency with the given size after accruing the prior
-// window.
-func (h *tierHold) set(now time.Time, bytes int64) {
-	h.accrue(now)
-	h.resident = true
-	if bytes > 0 {
-		h.bytes = bytes
-	}
-	h.since = now
+// move closes the open residency window into the byte-second total and
+// opens the next: resident or not, holding bytes.
+func (h *tierHold) move(now time.Time, resident bool, bytes int64) {
+	h.byteSec = h.held(now)
+	h.resident, h.bytes, h.since = resident, bytes, now
 }
 
 const (
@@ -175,49 +84,45 @@ const (
 )
 
 type ledgerEntry struct {
-	id          string
-	bytes       int64 // last known logical size
+	bytes int64 // last known logical size
+	// quarantined: the store's last word on the artifact was that its
+	// stored content failed verification.
 	quarantined bool
 
 	reuse, memHits, diskHits int64
 	savedSec                 float64
 	hold                     [2]tierHold // memory, disk
-
-	events *Ring[ArtifactEvent] // the newest ledgerEventCap transitions
 }
 
-// ArtifactLedger is a bounded, race-safe per-artifact lifecycle and
-// storage-economics table. A nil ledger drops observations and serves
-// empty snapshots, so instrumentation sites hold it without guards.
+// ArtifactLedger is a bounded, race-safe per-artifact storage-economics
+// table. A nil ledger drops observations and serves empty snapshots, so
+// instrumentation sites hold it without guards.
 type ArtifactLedger struct {
 	mu   sync.Mutex
 	capN int
-	seq  int64
 	now  func() time.Time
 	// rent maps a tier label to its price in seconds of rent per
 	// byte-second of residency (see SetRentRate).
 	rent map[string]float64
 	m    map[string]*ledgerEntry
-	// dropped counts artifacts never tracked because the table was full.
+	// dropped counts observations (Hold, Quarantine, ObserveReuse) of
+	// artifacts the full table had no entry for — one per call, so an
+	// untracked artifact taken through three transitions counts three.
 	dropped int64
-	// eventCounts aggregates events by kind for the
-	// collab_artifact_events_total{kind} metric family.
-	eventCounts map[string]int64
 }
 
 // NewArtifactLedger returns a ledger tracking at most n distinct
-// artifacts (n <= 0 selects DefaultLedgerCap); artifacts beyond the cap
-// are dropped and counted, never partially tracked.
+// artifacts (n <= 0 selects DefaultLedgerCap); observations of artifacts
+// beyond the cap are dropped and counted, never partially tracked.
 func NewArtifactLedger(n int) *ArtifactLedger {
 	if n <= 0 {
 		n = DefaultLedgerCap
 	}
 	return &ArtifactLedger{
-		capN:        n,
-		now:         Timestamp,
-		rent:        make(map[string]float64, 2),
-		m:           make(map[string]*ledgerEntry),
-		eventCounts: make(map[string]int64, len(ArtifactEventKinds)),
+		capN: n,
+		now:  Timestamp,
+		rent: make(map[string]float64, 2),
+		m:    make(map[string]*ledgerEntry),
 	}
 }
 
@@ -255,7 +160,8 @@ func (l *ArtifactLedger) SetRentRate(tier string, rate float64) {
 }
 
 // entryLocked returns the artifact's entry, creating it if the table has
-// room. Returns nil (and counts the drop) when the table is full.
+// room. Returns nil (and counts the refused observation) when the table is
+// full.
 func (l *ArtifactLedger) entryLocked(id string) *ledgerEntry {
 	e := l.m[id]
 	if e == nil {
@@ -263,34 +169,30 @@ func (l *ArtifactLedger) entryLocked(id string) *ledgerEntry {
 			l.dropped++
 			return nil
 		}
-		e = &ledgerEntry{id: id, events: NewRing[ArtifactEvent](ledgerEventCap)}
+		e = &ledgerEntry{}
 		l.m[id] = e
 	}
 	return e
 }
 
-// appendLocked stamps and appends one event to the entry's window.
-func (l *ArtifactLedger) appendLocked(e *ledgerEntry, kind, tier string, bytes int64, requestID string, now time.Time) {
-	l.seq++
-	l.eventCounts[kind]++
-	e.events.Add(ArtifactEvent{
-		Seq:       l.seq,
-		Kind:      kind,
-		Tier:      tier,
-		Bytes:     bytes,
-		RequestID: requestID,
-		UnixNano:  now.UnixNano(),
-	})
+// Hold records where the artifact lives now: in the memory tier, in the
+// disk tier, in both (the tiers are inclusive), or — neither — nowhere.
+// bytes is its logical size when the caller knows it (0 keeps the last
+// known size). The store manager calls it after every change of residency;
+// between calls each tier accrues byte-seconds.
+func (l *ArtifactLedger) Hold(id string, inMemory, onDisk bool, bytes int64) {
+	l.record(id, inMemory, onDisk, false, bytes)
 }
 
-// Event records one residency transition. kind is one of the Artifact*
-// constants; tier names the tier the transition concerns (destination for
-// materialized/promoted/demoted/recovered, source for a single-tier
-// eviction, "" for an all-tier eviction); bytes is the artifact's logical
-// size when the caller knows it; requestID correlates the transition with
-// the request that caused it ("" when none did — background sweeps,
-// budget pressure).
-func (l *ArtifactLedger) Event(id, kind, tier string, bytes int64, requestID string) {
+// Quarantine records that the artifact's stored content failed checksum or
+// decode verification and was set aside: it is resident nowhere, and it
+// drops out of the economics totals — unloadable bytes earn no savings —
+// until the store holds it again.
+func (l *ArtifactLedger) Quarantine(id string) {
+	l.record(id, false, false, true, 0)
+}
+
+func (l *ArtifactLedger) record(id string, inMemory, onDisk, quarantined bool, bytes int64) {
 	if l == nil || id == "" {
 		return
 	}
@@ -300,37 +202,13 @@ func (l *ArtifactLedger) Event(id, kind, tier string, bytes int64, requestID str
 	if e == nil {
 		return
 	}
-	now := l.now()
 	if bytes > 0 {
 		e.bytes = bytes
 	}
-	switch kind {
-	case ArtifactMaterialized:
-		e.hold[tierMemoryIdx].set(now, e.bytes)
-		e.quarantined = false
-	case ArtifactPromoted:
-		e.hold[tierMemoryIdx].set(now, e.bytes)
-	case ArtifactRecovered:
-		e.hold[tierDiskIdx].set(now, e.bytes)
-	case ArtifactDemoted:
-		e.hold[tierMemoryIdx].clear(now)
-		e.hold[tierDiskIdx].set(now, e.bytes)
-	case ArtifactEvicted:
-		switch tier {
-		case "memory":
-			e.hold[tierMemoryIdx].clear(now)
-		case "disk":
-			e.hold[tierDiskIdx].clear(now)
-		default:
-			e.hold[tierMemoryIdx].clear(now)
-			e.hold[tierDiskIdx].clear(now)
-		}
-	case ArtifactQuarantined:
-		e.hold[tierMemoryIdx].clear(now)
-		e.hold[tierDiskIdx].clear(now)
-		e.quarantined = true
-	}
-	l.appendLocked(e, kind, tier, bytes, requestID, now)
+	now := l.now()
+	e.hold[tierMemoryIdx].move(now, inMemory, e.bytes)
+	e.hold[tierDiskIdx].move(now, onDisk, e.bytes)
+	e.quarantined = quarantined
 }
 
 // ObserveReuse records one reuse of the artifact: tier names the tier the
@@ -339,9 +217,8 @@ func (l *ArtifactLedger) Event(id, kind, tier string, bytes int64, requestID str
 // recreation cost Cr(v) the reuse avoided minus the measured fetch time,
 // in seconds (0 for unmeasured reuses; negative when the fetch cost more
 // than recomputation would have). The server's update path calls this
-// while joining planner predictions with client measurements, so the
-// event carries the request ID of the run that reused the artifact.
-func (l *ArtifactLedger) ObserveReuse(id, tier string, bytes int64, savedSec float64, requestID string) {
+// while joining planner predictions with client measurements.
+func (l *ArtifactLedger) ObserveReuse(id, tier string, bytes int64, savedSec float64) {
 	if l == nil || id == "" {
 		return
 	}
@@ -351,24 +228,19 @@ func (l *ArtifactLedger) ObserveReuse(id, tier string, bytes int64, savedSec flo
 	if e == nil {
 		return
 	}
-	now := l.now()
 	if bytes > 0 {
 		e.bytes = bytes
 	}
-	kind := ArtifactReuse
 	switch tier {
 	case "memory":
-		kind = ArtifactMemoryHit
 		e.memHits++
 	case "disk":
-		kind = ArtifactDiskHit
 		e.diskHits++
 	}
 	e.reuse++
 	if !math.IsNaN(savedSec) && !math.IsInf(savedSec, 0) {
 		e.savedSec += savedSec
 	}
-	l.appendLocked(e, kind, tier, bytes, requestID, now)
 }
 
 // Len returns the number of tracked artifacts.
@@ -381,8 +253,8 @@ func (l *ArtifactLedger) Len() int {
 	return len(l.m)
 }
 
-// Dropped returns how many artifacts were never tracked because the
-// table was full.
+// Dropped returns how many observations were refused because the table
+// was full and had no entry for their artifact.
 func (l *ArtifactLedger) Dropped() int64 {
 	if l == nil {
 		return 0
@@ -390,27 +262,6 @@ func (l *ArtifactLedger) Dropped() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dropped
-}
-
-// ReuseTotal returns the cumulative reuse count across tracked artifacts
-// (measured hits of either tier plus unmeasured reuses).
-func (l *ArtifactLedger) ReuseTotal() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eventCounts[ArtifactMemoryHit] + l.eventCounts[ArtifactDiskHit] + l.eventCounts[ArtifactReuse]
-}
-
-// EventCount returns the cumulative number of events of the given kind.
-func (l *ArtifactLedger) EventCount(kind string) int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.eventCounts[kind]
 }
 
 // round9 trims float accumulation noise to nanosecond-ish precision so
@@ -421,7 +272,7 @@ func round9(x float64) float64 {
 
 // recordLocked builds the export view of one entry, accruing open
 // residency windows up to now without mutating the entry.
-func (l *ArtifactLedger) recordLocked(e *ledgerEntry, now time.Time) ArtifactRecord {
+func (l *ArtifactLedger) recordLocked(id string, e *ledgerEntry, now time.Time) ArtifactRecord {
 	memBS := e.hold[tierMemoryIdx].held(now)
 	diskBS := e.hold[tierDiskIdx].held(now)
 	rent := memBS*l.rent["memory"] + diskBS*l.rent["disk"]
@@ -432,8 +283,8 @@ func (l *ArtifactLedger) recordLocked(e *ledgerEntry, now time.Time) ArtifactRec
 	case e.hold[tierDiskIdx].resident:
 		tier = "disk"
 	}
-	rec := ArtifactRecord{
-		ID:            e.id,
+	return ArtifactRecord{
+		ID:            id,
 		Tier:          tier,
 		Bytes:         e.bytes,
 		Reuse:         e.reuse,
@@ -445,10 +296,7 @@ func (l *ArtifactLedger) recordLocked(e *ledgerEntry, now time.Time) ArtifactRec
 		RentSec:       round9(rent),
 		NetSec:        round9(e.savedSec - rent),
 		Quarantined:   e.quarantined,
-		EventsDropped: e.events.Dropped(),
-		Events:        e.events.Snapshot(),
 	}
-	return rec
 }
 
 // ArtifactQuery selects and orders records for export. The zero value
@@ -483,11 +331,11 @@ func (l *ArtifactLedger) Snapshot(q ArtifactQuery) []ArtifactRecord {
 	l.mu.Lock()
 	now := l.now()
 	out := make([]ArtifactRecord, 0, len(l.m))
-	for _, e := range l.m {
-		if q.ID != "" && e.id != q.ID {
+	for id, e := range l.m {
+		if q.ID != "" && id != q.ID {
 			continue
 		}
-		out = append(out, l.recordLocked(e, now))
+		out = append(out, l.recordLocked(id, e, now))
 	}
 	l.mu.Unlock()
 	less := func(i, j int) bool { return out[i].ID < out[j].ID }
@@ -560,7 +408,7 @@ func (l *ArtifactLedger) Report(q ArtifactQuery) ArtifactReport {
 // ledgerExport is the JSON envelope of GET /v1/artifacts. count is the
 // exported record count; tracked/saved_sec/rent_sec/net_sec summarize the
 // whole table (quarantined artifacts excluded from the economics, see
-// Totals).
+// Totals); dropped counts observations the full table refused (Dropped).
 type ledgerExport struct {
 	Count     int              `json:"count"`
 	Tracked   int              `json:"tracked"`

@@ -28,21 +28,21 @@ func TestLedgerLifecycleEconomics(t *testing.T) {
 	l, now := fakeClockLedger(t, 8)
 
 	// Materialize 100 bytes, hold in memory for 10s.
-	l.Event("v1", ArtifactMaterialized, "memory", 100, "req-1")
+	l.Hold("v1", true, false, 100)
 	*now = now.Add(10 * time.Second)
 	// Three measured memory reuses, 0.5s saved each.
 	for i := 0; i < 3; i++ {
-		l.ObserveReuse("v1", "memory", 100, 0.5, fmt.Sprintf("req-%d", i+2))
+		l.ObserveReuse("v1", "memory", 100, 0.5)
 	}
 	// Demote: memory residency ends, disk starts. 20s on disk.
-	l.Event("v1", ArtifactDemoted, "disk", 100, "")
+	l.Hold("v1", false, true, 100)
 	*now = now.Add(20 * time.Second)
 	// Disk hit + promotion back to memory; 5s in both tiers (inclusive).
-	l.ObserveReuse("v1", "disk", 100, 0.2, "req-5")
-	l.Event("v1", ArtifactPromoted, "memory", 100, "req-5")
+	l.ObserveReuse("v1", "disk", 100, 0.2)
+	l.Hold("v1", true, true, 100)
 	*now = now.Add(5 * time.Second)
 	// Evicted from every tier.
-	l.Event("v1", ArtifactEvicted, "", 100, "")
+	l.Hold("v1", false, false, 100)
 	*now = now.Add(100 * time.Second) // post-eviction time accrues nothing
 
 	recs := l.Snapshot(ArtifactQuery{})
@@ -74,28 +74,15 @@ func TestLedgerLifecycleEconomics(t *testing.T) {
 	if math.Abs(r.NetSec-(1.7-wantRent)) > 1e-9 {
 		t.Fatalf("net = %v, want %v", r.NetSec, 1.7-wantRent)
 	}
-	// Event ring: 8-cap holds all 8 events of this lifecycle.
-	kinds := make([]string, 0, len(r.Events))
-	for _, ev := range r.Events {
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []string{"materialized", "memory-hit", "memory-hit", "memory-hit",
-		"demoted", "disk-hit", "promoted", "evicted"}
-	if fmt.Sprint(kinds) != fmt.Sprint(want) {
-		t.Fatalf("event kinds = %v, want %v", kinds, want)
-	}
-	if r.Events[0].RequestID != "req-1" || r.Events[5].RequestID != "req-5" {
-		t.Fatalf("request IDs not carried: %+v", r.Events)
-	}
 }
 
 func TestLedgerQuarantineExcludedFromTotals(t *testing.T) {
 	l, now := fakeClockLedger(t, 8)
-	l.Event("good", ArtifactMaterialized, "memory", 10, "")
-	l.ObserveReuse("good", "memory", 10, 2.0, "")
-	l.Event("bad", ArtifactRecovered, "disk", 10, "")
+	l.Hold("good", true, false, 10)
+	l.ObserveReuse("good", "memory", 10, 2.0)
+	l.Hold("bad", false, true, 10)
 	*now = now.Add(10 * time.Second)
-	l.Event("bad", ArtifactQuarantined, "disk", 0, "")
+	l.Quarantine("bad")
 
 	tracked, saved, rent, net := l.Totals()
 	if tracked != 1 {
@@ -106,56 +93,60 @@ func TestLedgerQuarantineExcludedFromTotals(t *testing.T) {
 		math.Abs(net-(2.0-wantRent)) > 1e-9 {
 		t.Fatalf("totals = %v/%v/%v", saved, rent, net)
 	}
-	// The quarantined artifact still appears in the snapshot, flagged.
+	// The quarantined artifact still appears in the snapshot, flagged, its
+	// disk residency ended by the quarantine.
 	recs := l.Snapshot(ArtifactQuery{ID: "bad"})
-	if len(recs) != 1 || !recs[0].Quarantined || recs[0].Tier != "none" {
+	if len(recs) != 1 || !recs[0].Quarantined || recs[0].Tier != "none" || recs[0].DiskByteSec != 100 {
 		t.Fatalf("quarantined record = %+v", recs)
 	}
-	if got := l.EventCount(ArtifactQuarantined); got != 1 {
-		t.Fatalf("quarantined event count = %d, want 1", got)
+	// Stored again, it is loadable again and counts again.
+	l.Hold("bad", true, false, 10)
+	if tracked, _, _, _ := l.Totals(); tracked != 2 {
+		t.Fatalf("tracked = %d after the artifact was stored again, want 2", tracked)
 	}
 }
 
-func TestLedgerBoundedAndRing(t *testing.T) {
+// TestLedgerBoundedCountsRefusedObservations: a full table tracks no new
+// artifact, and dropped counts every observation it refused — one per call,
+// so an untracked artifact taken through three transitions counts three.
+func TestLedgerBoundedCountsRefusedObservations(t *testing.T) {
 	l, _ := fakeClockLedger(t, 2)
-	l.Event("a", ArtifactMaterialized, "memory", 1, "")
-	l.Event("b", ArtifactMaterialized, "memory", 1, "")
-	l.Event("c", ArtifactMaterialized, "memory", 1, "") // over cap: dropped
-	if l.Len() != 2 || l.Dropped() != 1 {
-		t.Fatalf("len=%d dropped=%d, want 2/1", l.Len(), l.Dropped())
+	l.Hold("a", true, false, 1)
+	l.Hold("b", true, false, 1)
+	l.Hold("c", true, false, 1) // over cap: refused
+	l.Hold("c", false, true, 1)
+	l.Quarantine("c")
+	if l.Len() != 2 || l.Dropped() != 3 {
+		t.Fatalf("len=%d dropped=%d, want 2/3", l.Len(), l.Dropped())
 	}
-	// Overflow the per-artifact event ring: oldest events scroll out.
-	for i := 0; i < ledgerEventCap+3; i++ {
-		l.ObserveReuse("a", "memory", 1, 0.1, fmt.Sprintf("r%d", i))
+	l.ObserveReuse("c", "memory", 1, 0.1)
+	if l.Dropped() != 4 {
+		t.Fatalf("dropped=%d after a reuse of the untracked artifact, want 4", l.Dropped())
 	}
-	recs := l.Snapshot(ArtifactQuery{ID: "a"})
-	r := recs[0]
-	if len(r.Events) != ledgerEventCap {
-		t.Fatalf("ring holds %d events, want %d", len(r.Events), ledgerEventCap)
+	// Tracked artifacts keep accumulating.
+	for i := 0; i < 11; i++ {
+		l.ObserveReuse("a", "memory", 1, 0.1)
 	}
-	if r.EventsDropped != 4 { // materialized + 11 reuses - 8 kept
-		t.Fatalf("events dropped = %d, want 4", r.EventsDropped)
-	}
-	// Ring is oldest-first and sequential.
-	for i := 1; i < len(r.Events); i++ {
-		if r.Events[i].Seq <= r.Events[i-1].Seq {
-			t.Fatalf("events out of order: %+v", r.Events)
-		}
-	}
-	// Economics survive the ring overflow.
-	if r.Reuse != 11 || math.Abs(r.SavedSec-1.1) > 1e-9 {
+	if r := l.Snapshot(ArtifactQuery{ID: "a"})[0]; r.Reuse != 11 || math.Abs(r.SavedSec-1.1) > 1e-9 {
 		t.Fatalf("reuse=%d saved=%v, want 11/1.1", r.Reuse, r.SavedSec)
+	}
+	var buf bytes.Buffer
+	if err := l.Report(ArtifactQuery{}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"dropped": 4,`)) {
+		t.Fatalf("export does not carry the refused observations:\n%s", buf.Bytes())
 	}
 }
 
 func TestLedgerSortFilterTop(t *testing.T) {
 	l, _ := fakeClockLedger(t, 8)
-	l.Event("a", ArtifactMaterialized, "memory", 300, "")
-	l.ObserveReuse("a", "memory", 300, 1.0, "")
-	l.Event("b", ArtifactMaterialized, "memory", 100, "")
-	l.ObserveReuse("b", "memory", 100, 3.0, "")
-	l.ObserveReuse("b", "memory", 100, 0.0, "")
-	l.Event("c", ArtifactMaterialized, "memory", 200, "")
+	l.Hold("a", true, false, 300)
+	l.ObserveReuse("a", "memory", 300, 1.0)
+	l.Hold("b", true, false, 100)
+	l.ObserveReuse("b", "memory", 100, 3.0)
+	l.ObserveReuse("b", "memory", 100, 0.0)
+	l.Hold("c", true, false, 200)
 
 	ids := func(recs []ArtifactRecord) string {
 		s := ""
@@ -189,12 +180,12 @@ func TestLedgerSortFilterTop(t *testing.T) {
 
 func TestLedgerNilAndDefaults(t *testing.T) {
 	var l *ArtifactLedger
-	l.Event("x", ArtifactMaterialized, "memory", 1, "") // must not panic
-	l.ObserveReuse("x", "memory", 1, 1, "")
+	l.Hold("x", true, false, 1) // must not panic
+	l.Quarantine("x")
+	l.ObserveReuse("x", "memory", 1, 1)
 	l.SetClock(time.Now)
 	l.SetRentRate("memory", 1)
-	if l.Len() != 0 || l.Cap() != 0 || l.Dropped() != 0 ||
-		l.Snapshot(ArtifactQuery{}) != nil || l.ReuseTotal() != 0 {
+	if l.Len() != 0 || l.Cap() != 0 || l.Dropped() != 0 || l.Snapshot(ArtifactQuery{}) != nil {
 		t.Fatal("nil ledger must be inert")
 	}
 	if tr, s, r, n := l.Totals(); tr != 0 || s != 0 || r != 0 || n != 0 {
@@ -212,14 +203,14 @@ func TestLedgerNilAndDefaults(t *testing.T) {
 	if l.Cap() != DefaultLedgerCap {
 		t.Fatalf("default cap = %d, want %d", l.Cap(), DefaultLedgerCap)
 	}
-	l.Event("", ArtifactMaterialized, "memory", 1, "") // empty id ignored
+	l.Hold("", true, false, 1) // empty id ignored
 	if l.Len() != 0 {
 		t.Fatal("empty artifact ID must be ignored")
 	}
 	// NaN/Inf savings must not poison the accumulator.
-	l.ObserveReuse("v", "memory", 1, math.NaN(), "")
-	l.ObserveReuse("v", "memory", 1, math.Inf(1), "")
-	l.ObserveReuse("v", "memory", 1, 0.5, "")
+	l.ObserveReuse("v", "memory", 1, math.NaN())
+	l.ObserveReuse("v", "memory", 1, math.Inf(1))
+	l.ObserveReuse("v", "memory", 1, 0.5)
 	if recs := l.Snapshot(ArtifactQuery{}); math.Abs(recs[0].SavedSec-0.5) > 1e-9 {
 		t.Fatalf("saved = %v, want 0.5", recs[0].SavedSec)
 	}
@@ -236,13 +227,13 @@ func TestLedgerConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 4 {
 				case 0:
-					l.Event(id, ArtifactMaterialized, "memory", 64, "")
+					l.Hold(id, true, false, 64)
 				case 1:
-					l.ObserveReuse(id, "memory", 64, 0.001, "r")
+					l.ObserveReuse(id, "memory", 64, 0.001)
 				case 2:
-					l.Event(id, ArtifactDemoted, "disk", 64, "")
+					l.Hold(id, false, true, 64)
 				default:
-					l.Event(id, ArtifactEvicted, "", 64, "")
+					l.Hold(id, false, false, 64)
 				}
 			}
 		}(g)
@@ -254,25 +245,6 @@ func TestLedgerConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	if err := l.Report(ArtifactQuery{}).WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON after concurrency: %v", err)
-	}
-}
-
-func TestLedgerReuseTotalAndEventCounts(t *testing.T) {
-	l, _ := fakeClockLedger(t, 8)
-	l.Event("v", ArtifactMaterialized, "memory", 1, "")
-	l.ObserveReuse("v", "memory", 1, 0, "")
-	l.ObserveReuse("v", "disk", 1, 0, "")
-	l.ObserveReuse("v", "", 1, 0, "") // unmeasured
-	if got := l.ReuseTotal(); got != 3 {
-		t.Fatalf("reuse total = %d, want 3", got)
-	}
-	for kind, want := range map[string]int64{
-		ArtifactMaterialized: 1, ArtifactMemoryHit: 1,
-		ArtifactDiskHit: 1, ArtifactReuse: 1, ArtifactEvicted: 0,
-	} {
-		if got := l.EventCount(kind); got != want {
-			t.Fatalf("EventCount(%s) = %d, want %d", kind, got, want)
-		}
 	}
 }
 
@@ -291,30 +263,30 @@ func canonicalLedger() *ArtifactLedger {
 	l.SetRentRate("disk", 1.0/(100e6*60))
 
 	const mb = 1 << 20
-	l.Event("ds-features", ArtifactMaterialized, "memory", 4*mb, "req-001")
+	l.Hold("ds-features", true, false, 4*mb)
 	now = now.Add(10 * time.Second)
-	l.ObserveReuse("ds-features", "memory", 4*mb, 0.095, "req-002")
+	l.ObserveReuse("ds-features", "memory", 4*mb, 0.095)
 	now = now.Add(5 * time.Second)
-	l.ObserveReuse("ds-features", "memory", 4*mb, 0.097, "req-003")
+	l.ObserveReuse("ds-features", "memory", 4*mb, 0.097)
 	now = now.Add(5 * time.Second)
-	l.ObserveReuse("ds-features", "memory", 4*mb, 0.094, "req-004")
+	l.ObserveReuse("ds-features", "memory", 4*mb, 0.094)
 	now = now.Add(10 * time.Second)
-	l.Event("ds-features", ArtifactDemoted, "disk", 4*mb, "")
+	l.Hold("ds-features", false, true, 4*mb)
 	now = now.Add(30 * time.Second)
-	l.ObserveReuse("ds-features", "disk", 4*mb, 0.061, "req-005")
-	l.Event("ds-features", ArtifactPromoted, "memory", 4*mb, "req-005")
+	l.ObserveReuse("ds-features", "disk", 4*mb, 0.061)
+	l.Hold("ds-features", true, true, 4*mb)
 	now = now.Add(10 * time.Second)
-	l.Event("ds-features", ArtifactEvicted, "", 0, "")
+	l.Hold("ds-features", false, false, 0)
 
-	l.Event("model-gbt", ArtifactMaterialized, "memory", 12*mb, "req-001")
+	l.Hold("model-gbt", true, false, 12*mb)
 	now = now.Add(20 * time.Second)
-	l.ObserveReuse("model-gbt", "", 12*mb, 0, "req-006")
+	l.ObserveReuse("model-gbt", "", 12*mb, 0)
 	now = now.Add(10 * time.Second)
-	l.Event("model-gbt", ArtifactDemoted, "disk", 12*mb, "")
+	l.Hold("model-gbt", false, true, 12*mb)
 
-	l.Event("ds-stale", ArtifactRecovered, "disk", 2*mb, "")
+	l.Hold("ds-stale", false, true, 2*mb)
 	now = now.Add(30 * time.Second)
-	l.Event("ds-stale", ArtifactQuarantined, "disk", 0, "")
+	l.Quarantine("ds-stale")
 	return l
 }
 

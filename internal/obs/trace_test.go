@@ -68,7 +68,7 @@ func TestNilTraceExportsValidJSON(t *testing.T) {
 
 // TestTraceCapKeepsNewest pins the rolling-buffer contract of a capped
 // (server) trace: after cap+k events the newest cap are served — so the
-// spans of a request that arrived long after start-up are there to analyze
+// spans of a request that arrived long after start-up are in the export
 // — Dropped() counts the k overwritten ones, and the Chrome export reports
 // them as droppedEvents.
 func TestTraceCapKeepsNewest(t *testing.T) {
@@ -89,13 +89,9 @@ func TestTraceCapKeepsNewest(t *testing.T) {
 		if want := fmt.Sprintf("span-%d", k+i); ev.Name != want {
 			t.Fatalf("event %d = %s, want %s (newest %d, oldest first)", i, ev.Name, want, capN)
 		}
-	}
-	// The latest request is analyzable; the overwritten first one is gone.
-	if rep := AnalyzeCritPath(tr.Events(), fmt.Sprintf("req-%d", capN+k-1), 0); rep.Spans != 1 {
-		t.Errorf("newest request has %d spans in the buffer, want 1", rep.Spans)
-	}
-	if rep := AnalyzeCritPath(tr.Events(), "req-0", 0); rep.Spans != 0 {
-		t.Errorf("overwritten request still has %d spans", rep.Spans)
+		if want := fmt.Sprintf("req-%d", k+i); ev.Args[RequestIDKey] != want {
+			t.Fatalf("event %d carries request %v, want %s", i, ev.Args[RequestIDKey], want)
+		}
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {

@@ -112,7 +112,7 @@ func Load(srv *core.Server, dir string) (restored bool, err error) {
 		if rec.Content == nil {
 			continue
 		}
-		if err := srv.Store.Put(id, rec.Content, ""); err != nil {
+		if err := srv.Store.Put(id, rec.Content); err != nil {
 			return false, fmt.Errorf("persist: restoring %s: %w", id, err)
 		}
 		srv.EG.SetMaterialized(id, true)

@@ -212,13 +212,13 @@ func (c *Client) Fetch(id string) graph.Artifact {
 func (c *Client) fetchTagged(id string, req *obs.Request) (graph.Artifact, string) {
 	held := c.sessionStore()
 	if held != nil {
-		if a, _ := held.Get(id, ""); a != nil {
+		if a, _ := held.Get(id); a != nil {
 			return a, core.SessionTier
 		}
 	}
 	content, srvTier := c.download(id, req)
 	if content != nil && held != nil {
-		_ = held.Put(id, content, "") // fails on nil content only
+		_ = held.Put(id, content) // fails on nil content only
 	}
 	return content, srvTier
 }

@@ -97,92 +97,6 @@ func TestClientsEndpointDisabled(t *testing.T) {
 	}
 }
 
-// TestCritpathEndpoint runs a traced workload and asserts the analyzer
-// endpoint serves a non-empty deterministic report, filters by request ID,
-// and 404s on unknown requests or untraced servers.
-func TestCritpathEndpoint(t *testing.T) {
-	srv := core.NewServer(store.New(cost.Memory()), core.WithTracing(obs.NewTrace()))
-	ts := httptest.NewServer(NewHandler(srv))
-	defer ts.Close()
-	rc := NewClient(ts.URL, cost.Memory())
-	if _, err := core.NewClient(rc).Run(buildPipeline(testFrame(120, 1))); err != nil {
-		t.Fatal(err)
-	}
-
-	get := func(q string) (int, []byte) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/critpath" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, body
-	}
-
-	status, body := get("")
-	if status != http.StatusOK {
-		t.Fatalf("/v1/critpath = %d: %s", status, body)
-	}
-	var rep obs.CritPathReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Spans == 0 || rep.PathNS <= 0 || len(rep.Path) == 0 {
-		t.Fatalf("empty report from a traced workload: %+v", rep)
-	}
-
-	// Byte-stable: a second identical query returns identical bytes.
-	if _, body2 := get(""); string(body) != string(body2) {
-		t.Fatal("two identical critpath queries returned different bytes")
-	}
-
-	// Filtering by a request ID that was actually traced narrows the span
-	// set; an unknown ID is a 404.
-	var rid string
-	for _, ev := range srv.Trace().Events() {
-		if id, ok := ev.Args[obs.RequestIDKey].(string); ok && id != "" {
-			rid = id
-			break
-		}
-	}
-	if rid == "" {
-		t.Fatal("no traced request IDs to filter by")
-	}
-	status, body = get("?request=" + rid)
-	if status != http.StatusOK {
-		t.Fatalf("/v1/critpath?request=%s = %d", rid, status)
-	}
-	var filtered obs.CritPathReport
-	if err := json.Unmarshal(body, &filtered); err != nil {
-		t.Fatal(err)
-	}
-	if filtered.RequestID != rid || filtered.Spans == 0 || filtered.Spans > rep.Spans {
-		t.Fatalf("filtered report wrong: %+v (unfiltered spans %d)", filtered, rep.Spans)
-	}
-	if status, _ := get("?request=no-such-request"); status != http.StatusNotFound {
-		t.Fatalf("unknown request = %d, want 404", status)
-	}
-	if status, _ := get("?top=banana"); status != http.StatusBadRequest {
-		t.Fatalf("bad top = %d, want 400", status)
-	}
-
-	// Untraced servers 404.
-	plain := httptest.NewServer(NewHandler(core.NewServer(store.New(cost.Memory()))))
-	defer plain.Close()
-	resp, err := http.Get(plain.URL + "/v1/critpath")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("untraced /v1/critpath = %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestStatsCarriesSaturation asserts /v1/stats exposes the lock-wait and
 // pool accounting fields.
 func TestStatsCarriesSaturation(t *testing.T) {

@@ -17,38 +17,16 @@ import (
 // metric families on the server's obs.Registry, and emits the finished
 // record once (core.Server.ObserveRequest feeds GET /v1/requests and
 // GET /v1/clients; the access and slow-request log lines read the same
-// record). Instrumentation is on by default and switchable off with
-// WithInstrumentation(false); the disabled path is the bare mux dispatch
-// plus the record that carries the request ID, allocation for allocation
-// (TestUninstrumentedHandlerAllocatesAsBareMux).
+// record). What that costs over the bare mux dispatch is a gated count
+// (TestHandlerAllocatesAtMostKOverBareMux).
 
-// routeLabels is the fixed route vocabulary for metric labels and flight
-// summaries. Unknown paths collapse into "other" so scraping an arbitrary
-// URL cannot mint unbounded metric families.
-var routeLabels = []string{
-	"/v1/optimize",
-	"/v1/update",
-	"/v1/artifact",
-	"/v1/stats",
-	"/v1/calibration",
-	"/v1/trace",
-	"/v1/explain",
-	"/v1/requests",
-	"/v1/clients",
-	"/v1/critpath",
-	"/v1/artifacts",
-	"/metrics",
-	"/healthz",
-	"/readyz",
-	"other",
-}
-
-// routeLabel maps a request path onto the fixed vocabulary.
-func routeLabel(path string) string {
-	for _, r := range routeLabels {
-		if r != "other" && path == r {
-			return r
-		}
+// routeLabel maps a request path onto the route label vocabulary: the
+// paths of the mounted routes (Handler.routes) plus "other", which every
+// other path — pprof's included — collapses into, so scraping an arbitrary
+// URL cannot mint metric families.
+func (h *Handler) routeLabel(path string) string {
+	if _, ok := h.metrics.routes[path]; ok {
+		return path
 	}
 	return "other"
 }
@@ -86,9 +64,14 @@ type httpMetrics struct {
 	routes map[string]*routeInstruments
 }
 
-func newHTTPMetrics(reg *obs.Registry) *httpMetrics {
-	m := &httpMetrics{routes: make(map[string]*routeInstruments, len(routeLabels))}
-	for _, route := range routeLabels {
+// newHTTPMetrics registers the instruments of each distinct path and of
+// "other".
+func newHTTPMetrics(reg *obs.Registry, paths []string) *httpMetrics {
+	m := &httpMetrics{routes: make(map[string]*routeInstruments, len(paths)+1)}
+	for _, route := range append(paths, "other") {
+		if m.routes[route] != nil {
+			continue
+		}
 		ri := &routeInstruments{
 			seconds: reg.Histogram(obs.Labeled("collab_http_request_seconds", "route", route),
 				"end-to-end request handling latency by route", nil),
@@ -142,27 +125,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 func (c *countingReader) Close() error { return c.rc.Close() }
 
-// WithInstrumentation toggles the serving-telemetry middleware (per-route
-// metrics, the flight log, client attribution). On by default; off reduces
-// ServeHTTP to request-ID plumbing plus access logging.
-func WithInstrumentation(enabled bool) HandlerOption {
-	return func(h *Handler) { h.instrument = enabled }
-}
-
 // WithSlowRequestWarn logs a slog warning for any request slower than
 // threshold (0, the default, disables the warning). Requires a handler
 // logger.
 func WithSlowRequestWarn(threshold time.Duration) HandlerOption {
 	return func(h *Handler) { h.slowWarn = threshold }
-}
-
-// WithReadyCheck overrides the readiness probe behind GET /readyz. The
-// default asks the core server (store attached, cost profile loaded); a
-// deployment wanting stricter gating (warmed caches, restored snapshots)
-// installs its own check. The function must be safe for concurrent use;
-// nil restores the default.
-func WithReadyCheck(check func() error) HandlerOption {
-	return func(h *Handler) { h.readyCheck = check }
 }
 
 // healthz is the liveness probe: the process is up and the handler
@@ -173,14 +140,11 @@ func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyz is the readiness probe: 200 once the server can serve traffic
-// (store recovered, profile loaded), 503 with the reason otherwise.
+// (core.Server.Ready: store attached, profile loaded), 503 with the reason
+// otherwise.
 func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
-	check := h.readyCheck
-	if check == nil {
-		check = h.srv.Ready
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := check(); err != nil {
+	if err := h.srv.Ready(); err != nil {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "not ready: %v\n", err)
 		return
@@ -212,48 +176,38 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // caller labelled — and, once the mux has dispatched it to the handler that
 // passes it on to the server, finished (status, wall time, bytes) and
 // emitted: into the per-route metrics and the server's flight ring and
-// client table unless instrumentation is off, and onto the access log.
+// client table, and onto the access log.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req := &obs.Request{
 		RequestID: r.Header.Get(obs.RequestIDHeader),
+		Client:    clientLabel(r),
 		Method:    r.Method,
-		Route:     routeLabel(r.URL.Path),
+		Route:     h.routeLabel(r.URL.Path),
 	}
 	if req.RequestID == "" {
 		req.RequestID = obs.NewRequestID()
 	}
 	w.Header().Set(obs.RequestIDHeader, req.RequestID)
 	r = r.WithContext(context.WithValue(r.Context(), reqKey{}, req))
-	if !h.instrument && h.log == nil {
-		h.mux.ServeHTTP(w, r)
-		return
-	}
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	var ri *routeInstruments
-	var body *countingReader
-	if h.instrument {
-		req.Client = clientLabel(r)
-		ri = h.metrics.routes[req.Route]
-		body = &countingReader{rc: r.Body}
-		r.Body = body
-		ri.inflight.Add(1)
-	}
+	body := &countingReader{rc: r.Body}
+	r.Body = body
+	ri := h.metrics.routes[req.Route]
+	ri.inflight.Add(1)
 	timer := obs.StartTimer()
 	h.mux.ServeHTTP(sw, r)
 	elapsed := timer.Elapsed()
 	req.Status = sw.status
 	req.StartUnixNano = timer.StartedAt().UnixNano()
 	req.WallNanos = elapsed.Nanoseconds()
+	req.BytesIn = body.n
 	req.BytesOut = sw.bytes
-	if h.instrument {
-		req.BytesIn = body.n
-		ri.inflight.Add(-1)
-		ri.seconds.Observe(elapsed.Seconds())
-		ri.byClass[statusClass(req.Status)].Inc()
-		ri.reqBytes.Add(req.BytesIn)
-		ri.respBytes.Add(req.BytesOut)
-		h.srv.ObserveRequest(req)
-	}
+	ri.inflight.Add(-1)
+	ri.seconds.Observe(elapsed.Seconds())
+	ri.byClass[statusClass(req.Status)].Inc()
+	ri.reqBytes.Add(req.BytesIn)
+	ri.respBytes.Add(req.BytesOut)
+	h.srv.ObserveRequest(req)
 	if h.log == nil {
 		return
 	}

@@ -21,6 +21,7 @@ import (
 )
 
 func TestRouteLabelBoundsCardinality(t *testing.T) {
+	h := NewHandler(core.NewServer(store.New(cost.Memory())), WithPprof(true))
 	cases := map[string]string{
 		"/v1/optimize":       "/v1/optimize",
 		"/metrics":           "/metrics",
@@ -31,9 +32,35 @@ func TestRouteLabelBoundsCardinality(t *testing.T) {
 		"/v1/optimize/extra": "other",
 	}
 	for path, want := range cases {
-		if got := routeLabel(path); got != want {
+		if got := h.routeLabel(path); got != want {
 			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
 		}
+	}
+}
+
+// TestRouteTableLabelsEveryMountedPath: the mux serves every pattern of the
+// route table, every mounted path is its own label, and every label but
+// "other" is a mounted path — the two cannot drift apart.
+func TestRouteTableLabelsEveryMountedPath(t *testing.T) {
+	h := NewHandler(core.NewServer(store.New(cost.Memory())))
+	mounted := map[string]bool{}
+	for _, r := range h.routes() {
+		method, path, _ := strings.Cut(r.pattern, " ")
+		if _, pattern := h.mux.Handler(httptest.NewRequest(method, path, nil)); pattern != r.pattern {
+			t.Errorf("%s %s dispatches to pattern %q, want %q", method, path, pattern, r.pattern)
+		}
+		if got := h.routeLabel(path); got != path {
+			t.Errorf("mounted path %s is labelled %q", path, got)
+		}
+		mounted[path] = true
+	}
+	for label := range h.metrics.routes {
+		if label != "other" && !mounted[label] {
+			t.Errorf("label %s names no mounted route", label)
+		}
+	}
+	if h.metrics.routes["other"] == nil || len(h.metrics.routes) != len(mounted)+1 {
+		t.Errorf("%d labels for %d mounted paths, want one more for other", len(h.metrics.routes), len(mounted))
 	}
 }
 
@@ -113,25 +140,24 @@ func TestHealthzAlwaysOK(t *testing.T) {
 	}
 }
 
-func TestReadyzDefaultAndOverride(t *testing.T) {
-	srv := core.NewServer(store.New(cost.Memory()))
-	h := NewHandler(srv)
+// TestReadyzAsksTheServer: /readyz is core.Server.Ready over HTTP — 200 for
+// a server that can serve, 503 with Ready's reason for one whose store has
+// no cost profile loaded.
+func TestReadyzAsksTheServer(t *testing.T) {
+	h := NewHandler(core.NewServer(store.New(cost.Memory())))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/readyz", nil))
 	if w.Code != http.StatusOK || w.Body.String() != "ready\n" {
 		t.Fatalf("readyz = %d %q, want 200 ready", w.Code, w.Body.String())
 	}
 
-	// An installed check that fails flips the endpoint to 503 with the reason.
-	failing := NewHandler(srv, WithReadyCheck(func() error {
-		return fmt.Errorf("cache still cold")
-	}))
+	unpriced := NewHandler(core.NewServer(store.New(cost.Profile{Name: "unloaded"})))
 	w = httptest.NewRecorder()
-	failing.ServeHTTP(w, httptest.NewRequest("GET", "/readyz", nil))
+	unpriced.ServeHTTP(w, httptest.NewRequest("GET", "/readyz", nil))
 	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("failing readyz = %d, want 503", w.Code)
+		t.Fatalf("readyz of a zero-bandwidth store = %d, want 503", w.Code)
 	}
-	if !strings.Contains(w.Body.String(), "cache still cold") {
+	if !strings.Contains(w.Body.String(), "zero bandwidth") {
 		t.Errorf("503 body should carry the reason: %q", w.Body.String())
 	}
 }
@@ -258,8 +284,6 @@ func TestGETContentTypes(t *testing.T) {
 		{"/v1/artifact?id=" + artifactID, "application/octet-stream"},
 		{"/v1/clients", "application/json"},
 		{"/v1/clients?format=text", "text/plain; charset=utf-8"},
-		{"/v1/critpath", "application/json"},
-		{"/v1/critpath?format=text", "text/plain; charset=utf-8"},
 		{"/healthz", "text/plain; charset=utf-8"},
 		{"/readyz", "text/plain; charset=utf-8"},
 	}
@@ -345,28 +369,6 @@ func TestAccessLogCarriesThePlanFacts(t *testing.T) {
 	}
 }
 
-// TestInstrumentationDisabled checks WithInstrumentation(false) leaves no
-// serving metrics behind and keeps the flight recorder quiet.
-func TestInstrumentationDisabled(t *testing.T) {
-	srv := core.NewServer(store.New(cost.Memory()))
-	h := NewHandler(srv, WithInstrumentation(false))
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest("GET", "/healthz", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("healthz = %d", w.Code)
-	}
-	var b strings.Builder
-	if err := srv.Metrics().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "collab_http_requests_total") {
-		t.Error("serving metrics registered despite WithInstrumentation(false)")
-	}
-	if srv.Flight().Len() != 0 {
-		t.Errorf("flight recorder has %d entries despite disabled instrumentation", srv.Flight().Len())
-	}
-}
-
 // handlerArm is one arm of the middleware's cost: serve answers one
 // GET /healthz that carries its own request ID.
 type handlerArm struct {
@@ -374,31 +376,27 @@ type handlerArm struct {
 	serve func()
 }
 
-// handlerArms are the edge with the serving telemetry absent, disabled and
-// enabled. Absent is a reference written out here: what ServeHTTP does for
-// every request whatever is switched on — the record, its ID echoed on the
-// response, the context that carries it to the route — and then the mux.
-// Disabled is WithInstrumentation(false) with no access logger, which claims
-// to be exactly that.
+// handlerArms are the edge with the serving telemetry absent and present.
+// Absent is a reference written out here: what ServeHTTP does for every
+// request — the record, its ID echoed on the response, the context that
+// carries it to the route — and then the mux.
 func handlerArms() []handlerArm {
 	r := httptest.NewRequest("GET", "/healthz", nil)
 	r.Header.Set(obs.RequestIDHeader, "bench")
-	off := NewHandler(core.NewServer(store.New(cost.Memory())), WithInstrumentation(false))
-	on := NewHandler(core.NewServer(store.New(cost.Memory())))
+	h := NewHandler(core.NewServer(store.New(cost.Memory())))
 	return []handlerArm{
 		{"absent", func() {
 			w := httptest.NewRecorder()
-			req := &obs.Request{RequestID: r.Header.Get(obs.RequestIDHeader), Method: r.Method, Route: routeLabel(r.URL.Path)}
+			req := &obs.Request{RequestID: r.Header.Get(obs.RequestIDHeader), Method: r.Method, Route: h.routeLabel(r.URL.Path)}
 			w.Header().Set(obs.RequestIDHeader, req.RequestID)
-			off.mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), reqKey{}, req)))
+			h.mux.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), reqKey{}, req)))
 		}},
-		{"disabled", func() { off.ServeHTTP(httptest.NewRecorder(), r) }},
-		{"enabled", func() { on.ServeHTTP(httptest.NewRecorder(), r) }},
+		{"enabled", func() { h.ServeHTTP(httptest.NewRecorder(), r) }},
 	}
 }
 
-// BenchmarkHandlerOverhead times handlerArms: disabled must stay ≈ absent,
-// and enabled within the same order of magnitude.
+// BenchmarkHandlerOverhead times handlerArms: enabled must stay within the
+// same order of magnitude as absent.
 func BenchmarkHandlerOverhead(b *testing.B) {
 	for _, arm := range handlerArms() {
 		b.Run(arm.name, func(b *testing.B) {
@@ -410,21 +408,20 @@ func BenchmarkHandlerOverhead(b *testing.B) {
 	}
 }
 
-// TestUninstrumentedHandlerAllocatesAsBareMux gates BenchmarkHandlerOverhead
-// with a count instead of a timing: with the telemetry off a request costs
-// the allocations of the request-ID plumbing and the mux, no status writer,
-// body counter or flight record on top; with it on, it costs more.
-func TestUninstrumentedHandlerAllocatesAsBareMux(t *testing.T) {
+// TestHandlerAllocatesAtMostKOverBareMux gates BenchmarkHandlerOverhead with
+// a count instead of a timing: the serving telemetry — status writer, body
+// counter, client label, flight record — costs at most k allocations per
+// request on top of the request-ID plumbing and the mux. k is what it cost
+// when the option to switch the telemetry off was removed.
+func TestHandlerAllocatesAtMostKOverBareMux(t *testing.T) {
+	const k = 4
 	allocs := map[string]float64{}
 	for _, arm := range handlerArms() {
 		allocs[arm.name] = testing.AllocsPerRun(100, arm.serve)
 	}
 	t.Logf("allocations per GET /healthz: %v", allocs)
-	if allocs["disabled"] != allocs["absent"] {
-		t.Errorf("WithInstrumentation(false) costs %.0f allocations per request, the bare plumbing %.0f", allocs["disabled"], allocs["absent"])
-	}
-	if allocs["enabled"] <= allocs["disabled"] {
-		t.Errorf("the instrumented edge costs %.0f allocations per request, the uninstrumented one %.0f: the comparison is vacuous",
-			allocs["enabled"], allocs["disabled"])
+	if allocs["enabled"] > allocs["absent"]+k {
+		t.Errorf("the instrumented edge costs %.0f allocations per request, the bare plumbing %.0f: more than %d on top",
+			allocs["enabled"], allocs["absent"], k)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -35,13 +36,10 @@ type Handler struct {
 	srv *core.Server
 	mux *http.ServeMux
 	log *slog.Logger
-	// Serving telemetry (middleware.go): per-route metric families and the
-	// emission of finished request records. instrument defaults to on;
-	// metrics stays nil when it is switched off.
-	instrument bool
-	metrics    *httpMetrics
-	slowWarn   time.Duration
-	readyCheck func() error
+	// Serving telemetry (middleware.go): per-route metric families, keyed
+	// by the route labels the mounted routes define.
+	metrics  *httpMetrics
+	slowWarn time.Duration
 }
 
 // HandlerOption configures the HTTP façade.
@@ -71,29 +69,46 @@ func WithPprof(enabled bool) HandlerOption {
 	}
 }
 
-// NewHandler builds the HTTP façade over a server.
+// route is one mounted endpoint: pattern is the mux pattern, method and
+// path, and the path is the route's metric label.
+type route struct {
+	pattern string
+	handler http.Handler
+}
+
+// routes is the one table of what the handler serves.
+func (h *Handler) routes() []route {
+	return []route{
+		{"POST /v1/optimize", http.HandlerFunc(h.optimize)},
+		{"POST /v1/update", http.HandlerFunc(h.update)},
+		{"GET /v1/artifact", http.HandlerFunc(h.getArtifact)},
+		{"POST /v1/artifact", http.HandlerFunc(h.putArtifact)},
+		{"GET /v1/stats", http.HandlerFunc(h.stats)},
+		{"GET /metrics", h.srv.Metrics().Handler()},
+		{"GET /v1/trace", http.HandlerFunc(h.trace)},
+		{"GET /v1/calibration", report(h.calibration)},
+		{"GET /v1/explain", report(h.explain)},
+		{"GET /v1/requests", report(h.requests)},
+		{"GET /v1/clients", report(h.clients)},
+		{"GET /v1/artifacts", report(h.artifacts)},
+		{"GET /healthz", http.HandlerFunc(h.healthz)},
+		{"GET /readyz", http.HandlerFunc(h.readyz)},
+	}
+}
+
+// NewHandler builds the HTTP façade over a server: it mounts the route
+// table and pre-registers one set of serving metrics per route path.
 func NewHandler(srv *core.Server, opts ...HandlerOption) *Handler {
-	h := &Handler{srv: srv, mux: http.NewServeMux(), instrument: true}
-	h.mux.HandleFunc("POST /v1/optimize", h.optimize)
-	h.mux.HandleFunc("POST /v1/update", h.update)
-	h.mux.HandleFunc("GET /v1/artifact", h.getArtifact)
-	h.mux.HandleFunc("POST /v1/artifact", h.putArtifact)
-	h.mux.HandleFunc("GET /v1/stats", h.stats)
-	h.mux.Handle("GET /metrics", srv.Metrics().Handler())
-	h.mux.HandleFunc("GET /v1/trace", h.trace)
-	h.mux.HandleFunc("GET /v1/calibration", report(h.calibration))
-	h.mux.HandleFunc("GET /v1/explain", report(h.explain))
-	h.mux.HandleFunc("GET /v1/requests", report(h.requests))
-	h.mux.HandleFunc("GET /v1/clients", report(h.clients))
-	h.mux.HandleFunc("GET /v1/critpath", report(h.critpath))
-	h.mux.HandleFunc("GET /v1/artifacts", report(h.artifacts))
-	h.mux.HandleFunc("GET /healthz", h.healthz)
-	h.mux.HandleFunc("GET /readyz", h.readyz)
+	h := &Handler{srv: srv, mux: http.NewServeMux()}
+	var paths []string
+	for _, r := range h.routes() {
+		h.mux.Handle(r.pattern, r.handler)
+		_, path, _ := strings.Cut(r.pattern, " ")
+		paths = append(paths, path)
+	}
+	h.metrics = newHTTPMetrics(srv.Metrics(), paths)
 	for _, o := range opts {
 		o(h)
-	}
-	if h.instrument {
-		h.metrics = newHTTPMetrics(srv.Metrics())
 	}
 	return h
 }
@@ -433,9 +448,9 @@ func (h *Handler) clients(url.Values) (any, *httpError) {
 	return ct, nil
 }
 
-// artifacts is the artifact lifecycle ledger: per-artifact event history
-// plus storage economics — reuse counts, realized savings, rent, net
-// benefit (json|text; text adds top-saver/top-waster lists). Query
+// artifacts is the artifact ledger: per-artifact residency and storage
+// economics — reuse counts, realized savings, rent, net benefit
+// (json|text; text adds top-saver/top-waster lists). Query
 // parameters:
 //
 //	sort=net|saved|rent|reuse|bytes|id  ordering (default net benefit,
@@ -458,31 +473,6 @@ func (h *Handler) artifacts(q url.Values) (any, *httpError) {
 		return nil, herr
 	}
 	return led.Report(query), nil
-}
-
-// critpath is the critical path through the server-side trace buffer
-// (json|text). Query parameters:
-//
-//	request=<id>  restrict to spans tagged with this request ID
-//	top=5         how many top contributors to list
-//
-// 404 unless tracing is enabled; also 404 when a request filter matches no
-// spans (the request was never traced, or its spans were dropped).
-func (h *Handler) critpath(q url.Values) (any, *httpError) {
-	tr := h.srv.Trace()
-	if tr == nil {
-		return nil, notFound("tracing disabled on this server")
-	}
-	topK, herr := countParam(q, "top", obs.DefaultCritPathTopK)
-	if herr != nil {
-		return nil, herr
-	}
-	request := q.Get("request")
-	rep := obs.AnalyzeCritPath(tr.Events(), request, topK)
-	if request != "" && rep.Spans == 0 {
-		return nil, notFound("no trace spans for request " + request)
-	}
-	return rep, nil
 }
 
 // decodeBody gob-decodes a request body of at most limit bytes into v. It

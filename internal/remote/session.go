@@ -90,7 +90,7 @@ func (c *Client) installHeld(w *graph.DAG) {
 		// Has first: a vertex that was never held is not a miss.
 		var a graph.Artifact
 		if held.Has(n.ID) {
-			a, _ = held.Get(n.ID, "")
+			a, _ = held.Get(n.ID)
 		}
 		if a == nil {
 			stack = append(stack, n.Parents...)
@@ -117,7 +117,7 @@ func (c *Client) holdContent(executed *graph.DAG) {
 	}
 	for _, n := range executed.Nodes() {
 		if n.Content != nil && !n.IsSource() {
-			_ = held.Put(n.ID, n.Content, "") // fails on nil content only
+			_ = held.Put(n.ID, n.Content) // fails on nil content only
 		}
 	}
 }

@@ -328,7 +328,7 @@ func TestSessionFetchesOnceWhileHeld(t *testing.T) {
 			t.Errorf("vertex %s downloaded %d times while the session could hold it", id, n)
 		}
 	}
-	held, _ := rc.session.Get(feat, "")
+	held, _ := rc.session.Get(feat)
 	if held == nil {
 		t.Fatal("session does not hold the features")
 	}
@@ -426,7 +426,7 @@ func TestSessionVertexServerAccounting(t *testing.T) {
 	mustRun(t, rc, buildPipeline(frame))
 	calib := srv.Calibration()
 	computeObs := calib.ComputeObservations()
-	ledgerReuse := srv.ArtifactLedger().ReuseTotal()
+	reusedBefore := ledgerReuse(srv.ArtifactLedger())
 
 	dag := buildPipeline(frame)
 	res := mustRun(t, rc, dag)
@@ -463,7 +463,7 @@ func TestSessionVertexServerAccounting(t *testing.T) {
 			stored++
 		}
 	}
-	if got := srv.ArtifactLedger().ReuseTotal() - ledgerReuse; got != int64(stored) {
+	if got := ledgerReuse(srv.ArtifactLedger()) - reusedBefore; got != int64(stored) {
 		t.Errorf("ledger counted %d reuses, want %d (session vertices the store holds)", got, stored)
 	}
 	if srv.ArtifactLedger().Len() != srv.Store.Len() {

@@ -227,7 +227,7 @@ func TestGatherCosts(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 	st := store.New(cost.Memory())
-	if err := st.Put(a.ID, a.Content, ""); err != nil {
+	if err := st.Put(a.ID, a.Content); err != nil {
 		t.Fatal(err)
 	}
 	g.SetMaterialized(a.ID, true)

@@ -36,7 +36,7 @@ func TestPlannerPricesArtifactTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := store.NewTiered(cost.Memory(), store.Options{Disk: d})
-	if err := st.Put(a.ID, a.Content, ""); err != nil {
+	if err := st.Put(a.ID, a.Content); err != nil {
 		t.Fatal(err)
 	}
 	g.SetMaterialized(a.ID, true)

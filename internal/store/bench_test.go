@@ -38,7 +38,7 @@ func BenchmarkDemote(b *testing.B) {
 			b.SetBytes(a.SizeBytes())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := m.Put("v", a, ""); err != nil {
+				if err := m.Put("v", a); err != nil {
 					b.Fatal(err)
 				}
 				if err := m.Demote("v"); err != nil {
@@ -63,7 +63,7 @@ func BenchmarkPromote(b *testing.B) {
 			}
 			m := NewTiered(cost.Memory(), Options{Disk: d})
 			a := benchFrame("v", rows)
-			if err := m.Put("v", a, ""); err != nil {
+			if err := m.Put("v", a); err != nil {
 				b.Fatal(err)
 			}
 			if err := m.Demote("v"); err != nil {
@@ -72,7 +72,7 @@ func BenchmarkPromote(b *testing.B) {
 			b.SetBytes(a.SizeBytes())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, tr := m.Get("v", "")
+				got, tr := m.Get("v")
 				if got == nil || tr != TierDisk {
 					b.Fatalf("want disk hit, got %v", tr)
 				}
@@ -100,7 +100,7 @@ func BenchmarkDiskFetchVsRecompute(b *testing.B) {
 			b.Fatal(err)
 		}
 		m := NewTiered(cost.Memory(), Options{Disk: d})
-		if err := m.Put("v", benchFrame("v", rows), ""); err != nil {
+		if err := m.Put("v", benchFrame("v", rows)); err != nil {
 			b.Fatal(err)
 		}
 		if err := m.Demote("v"); err != nil {
@@ -108,7 +108,7 @@ func BenchmarkDiskFetchVsRecompute(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			got, tr := m.Get("v", "")
+			got, tr := m.Get("v")
 			if got == nil || tr != TierDisk {
 				b.Fatalf("want disk hit, got %v", tr)
 			}
@@ -157,7 +157,7 @@ func BenchmarkEvictUnderBudget(b *testing.B) {
 	agg := &graph.AggregateArtifact{Value: 1}
 	m := NewTiered(cost.Memory(), Options{MemoryBudget: entries * agg.SizeBytes()})
 	for i := 0; i < entries; i++ {
-		if err := m.Put(fmt.Sprintf("warm-%d", i), agg, ""); err != nil {
+		if err := m.Put(fmt.Sprintf("warm-%d", i), agg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func BenchmarkEvictUnderBudget(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Put(ids[i], agg, ""); err != nil {
+		if err := m.Put(ids[i], agg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,7 +139,7 @@ func TestQuickPutFrameRefMatchesPut(t *testing.T) {
 				cols = append(cols, c)
 			}
 			frame := data.MustNewFrame(cols...)
-			if err := whole.Put(id, &graph.DatasetArtifact{Frame: frame}, ""); err != nil {
+			if err := whole.Put(id, &graph.DatasetArtifact{Frame: frame}); err != nil {
 				t.Log(err)
 				return false
 			}
@@ -160,7 +160,7 @@ func TestQuickPutFrameRefMatchesPut(t *testing.T) {
 					supplied = append(supplied, c)
 				}
 			}
-			if err := byRef.PutFrameRef(id, frame.ColumnIDs(), frame.ColumnNames(), supplied, ""); err != nil {
+			if err := byRef.PutFrameRef(id, frame.ColumnIDs(), frame.ColumnNames(), supplied); err != nil {
 				t.Log(err)
 				return false
 			}
@@ -170,8 +170,8 @@ func TestQuickPutFrameRefMatchesPut(t *testing.T) {
 			}
 			// Reads promote from disk; both sides must move alike.
 			probe := ids[rng.Intn(len(ids))]
-			a, at := whole.Get(probe, "")
-			b, bt := byRef.Get(probe, "")
+			a, at := whole.Get(probe)
+			b, bt := byRef.Get(probe)
 			if at != bt || !sameArtifact(a, b) {
 				t.Logf("seed %d step %d: Get(%s) differs (%v vs %v)", seed, step, probe, at, bt)
 				return false
@@ -215,7 +215,7 @@ func TestPutFrameRefRejectsWithoutAdmitting(t *testing.T) {
 	b := data.NewFloatColumn("b", make([]float64, rows))
 	short := data.NewFloatColumn("short", make([]float64, rows-1))
 	m := New(cost.Memory())
-	if err := m.Put("base", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}, ""); err != nil {
+	if err := m.Put("base", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}); err != nil {
 		t.Fatal(err)
 	}
 	stranger := data.NewFloatColumn("stranger", make([]float64, rows))
@@ -241,7 +241,7 @@ func TestPutFrameRefRejectsWithoutAdmitting(t *testing.T) {
 		{"dictionary code out of bounds", []string{a.ID, badDict.ID}, []string{"a", "bad"}, []*data.Column{badDict}, ErrBadManifest},
 	}
 	for _, tc := range cases {
-		err := m.PutFrameRef("v", tc.ids, tc.names, tc.supplied, "")
+		err := m.PutFrameRef("v", tc.ids, tc.names, tc.supplied)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
@@ -252,7 +252,7 @@ func TestPutFrameRefRejectsWithoutAdmitting(t *testing.T) {
 	// The same vertex goes in once the absent column is supplied, and a
 	// second admission of it is a no-op.
 	for i := 0; i < 2; i++ {
-		if err := m.PutFrameRef("v", []string{a.ID, b.ID}, []string{"a", "b"}, []*data.Column{b}, ""); err != nil {
+		if err := m.PutFrameRef("v", []string{a.ID, b.ID}, []string{"a", "b"}, []*data.Column{b}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func TestPutFrameRefTakesDemotedColumnsFromDisk(t *testing.T) {
 	a := data.NewFloatColumn("a", []float64{1, 2, 3})
 	b := data.NewFloatColumn("b", []float64{4, 5, 6})
 	m := NewTiered(cost.Memory(), Options{Disk: newDisk(t)})
-	if err := m.Put("old", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}, ""); err != nil {
+	if err := m.Put("old", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Demote("old"); err != nil {
@@ -277,7 +277,7 @@ func TestPutFrameRefTakesDemotedColumnsFromDisk(t *testing.T) {
 	if held := m.HeldColumns(ids); !reflect.DeepEqual(held, []int{0}) {
 		t.Fatalf("HeldColumns = %v, want [0]", held)
 	}
-	if err := m.PutFrameRef("new", ids, []string{"a", "b"}, []*data.Column{b}, ""); err != nil {
+	if err := m.PutFrameRef("new", ids, []string{"a", "b"}, []*data.Column{b}); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.Peek("new")
@@ -291,7 +291,7 @@ func TestPutFrameRefTakesDemotedColumnsFromDisk(t *testing.T) {
 	if held := m.HeldColumns(ids); len(held) != 0 {
 		t.Fatalf("HeldColumns after eviction = %v, want none", held)
 	}
-	if err := m.PutFrameRef("again", ids, []string{"a", "b"}, []*data.Column{b}, ""); !errors.Is(err, ErrColumnAbsent) {
+	if err := m.PutFrameRef("again", ids, []string{"a", "b"}, []*data.Column{b}); !errors.Is(err, ErrColumnAbsent) {
 		t.Fatalf("err = %v, want ErrColumnAbsent", err)
 	}
 }

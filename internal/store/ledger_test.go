@@ -2,133 +2,131 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/tier"
 )
 
-func attachTestLedger(t *testing.T, m *Manager) *obs.ArtifactLedger {
+// attachTestLedger attaches a ledger on a scripted clock; advance moves it.
+func attachTestLedger(t *testing.T, m *Manager) (led *obs.ArtifactLedger, advance func(time.Duration)) {
 	t.Helper()
-	led := obs.NewArtifactLedger(32)
+	led = obs.NewArtifactLedger(32)
 	now := time.Unix(1700000000, 0).UTC()
 	led.SetClock(func() time.Time { return now })
 	m.AttachLedger(led)
-	return led
+	return led, func(d time.Duration) { now = now.Add(d) }
 }
 
-func eventKinds(led *obs.ArtifactLedger, id string) []string {
-	recs := led.Snapshot(obs.ArtifactQuery{ID: id})
-	if len(recs) != 1 {
-		return nil
+// record returns the ledger's record of one artifact (zero when untracked).
+func record(led *obs.ArtifactLedger, id string) obs.ArtifactRecord {
+	if recs := led.Snapshot(obs.ArtifactQuery{ID: id}); len(recs) == 1 {
+		return recs[0]
 	}
-	kinds := make([]string, 0, len(recs[0].Events))
-	for _, ev := range recs[0].Events {
-		kinds = append(kinds, ev.Kind)
-	}
-	return kinds
+	return obs.ArtifactRecord{}
 }
 
 // TestLedgerTracksStoreLifecycle walks one artifact through every store
-// transition and checks the ledger saw each as an event, with the request
-// ID carried on the transitions a request drives.
+// transition and checks the ledger held it where the store did, for as
+// long as the store did.
 func TestLedgerTracksStoreLifecycle(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	led := attachTestLedger(t, m)
+	led, advance := attachTestLedger(t, m)
 
-	if err := m.Put("v1", floatArtifact("v1", 10), "req-put"); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
 		t.Fatal(err)
 	}
+	if r := record(led, "v1"); r.Tier != "memory" || r.Bytes != 80 {
+		t.Fatalf("after Put: %+v, want memory, 80 bytes", r)
+	}
+	advance(10 * time.Second)
 	if err := m.Demote("v1"); err != nil {
 		t.Fatal(err)
 	}
-	// Disk hit promotes back to memory; the promoted event names the run.
-	if a, tr := m.Get("v1", "req-get"); a == nil || tr != TierDisk {
+	if r := record(led, "v1"); r.Tier != "disk" {
+		t.Fatalf("after Demote: tier %s, want disk", r.Tier)
+	}
+	advance(10 * time.Second)
+	// A disk hit promotes back to memory; the disk copy stays (inclusive).
+	if a, tr := m.Get("v1"); a == nil || tr != TierDisk {
 		t.Fatalf("Get = %v, %v; want disk hit", a, tr)
 	}
+	if r := record(led, "v1"); r.Tier != "memory" {
+		t.Fatalf("after the promotion: tier %s, want memory", r.Tier)
+	}
+	advance(5 * time.Second)
 	m.Evict("v1")
+	advance(time.Hour) // nothing accrues after the eviction
 
-	want := fmt.Sprint([]string{
-		obs.ArtifactMaterialized, obs.ArtifactDemoted,
-		obs.ArtifactPromoted, obs.ArtifactEvicted,
-	})
-	if got := fmt.Sprint(eventKinds(led, "v1")); got != want {
-		t.Fatalf("event kinds = %v, want %v", got, want)
+	r := record(led, "v1")
+	if r.Tier != "none" || r.Bytes != 80 {
+		t.Fatalf("post-eviction record = %+v, want tier none, 80 bytes", r)
 	}
-	recs := led.Snapshot(obs.ArtifactQuery{ID: "v1"})
-	evs := recs[0].Events
-	if evs[0].RequestID != "req-put" || evs[2].RequestID != "req-get" {
-		t.Fatalf("request IDs not threaded: %+v", evs)
-	}
-	if evs[0].Bytes != 80 || evs[1].Bytes != 80 {
-		t.Fatalf("event bytes = %d/%d, want 80", evs[0].Bytes, evs[1].Bytes)
-	}
-	if recs[0].Tier != "none" {
-		t.Fatalf("post-eviction tier = %q, want none", recs[0].Tier)
+	// Memory 10 s + 5 s, disk 10 s + 5 s (both tiers after the promotion).
+	if r.MemoryByteSec != 15*80 || r.DiskByteSec != 15*80 {
+		t.Fatalf("byte-seconds memory %v, disk %v; want %d each", r.MemoryByteSec, r.DiskByteSec, 15*80)
 	}
 }
 
 // TestLedgerSeesBudgetPressure: demotions and hard evictions forced by
-// budget enforcement show up as ledger events even though no caller asked
-// for them.
+// budget enforcement reach the ledger even though no caller asked for them.
 func TestLedgerSeesBudgetPressure(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{MemoryBudget: 160, Disk: d})
-	led := attachTestLedger(t, m)
+	led, _ := attachTestLedger(t, m)
 	for _, id := range []string{"v1", "v2", "v3"} {
-		if err := m.Put(id, floatArtifact(id, 10), ""); err != nil {
+		if err := m.Put(id, floatArtifact(id, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// v1 was coldest → demoted by the budget sweep.
-	want := fmt.Sprint([]string{obs.ArtifactMaterialized, obs.ArtifactDemoted})
-	if got := fmt.Sprint(eventKinds(led, "v1")); got != want {
-		t.Fatalf("v1 events = %v, want %v", got, want)
-	}
-	if led.EventCount(obs.ArtifactDemoted) != 1 {
-		t.Fatalf("demoted events = %d, want 1", led.EventCount(obs.ArtifactDemoted))
+	for id, want := range map[string]string{"v1": "disk", "v2": "memory", "v3": "memory"} {
+		if got := record(led, id).Tier; got != want {
+			t.Fatalf("%s tier = %s, want %s", id, got, want)
+		}
 	}
 
 	// Without a disk tier the same pressure hard-evicts instead.
 	m2 := NewTiered(cost.Memory(), Options{MemoryBudget: 160})
-	led2 := attachTestLedger(t, m2)
+	led2, _ := attachTestLedger(t, m2)
 	for _, id := range []string{"v1", "v2", "v3"} {
-		if err := m2.Put(id, floatArtifact(id, 10), ""); err != nil {
+		if err := m2.Put(id, floatArtifact(id, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want = fmt.Sprint([]string{obs.ArtifactMaterialized, obs.ArtifactEvicted})
-	if got := fmt.Sprint(eventKinds(led2, "v1")); got != want {
-		t.Fatalf("v1 events = %v, want %v", got, want)
+	if r := record(led2, "v1"); r.Tier != "none" || r.Bytes != 80 {
+		t.Fatalf("v1 = %+v, want tier none, 80 bytes", r)
 	}
 }
 
-// TestLedgerSeesIdleDemotion: DemoteIdle's spills are recorded too.
+// TestLedgerSeesIdleDemotion: DemoteIdle's spills reach the ledger too.
 func TestLedgerSeesIdleDemotion(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	led := attachTestLedger(t, m)
-	if err := m.Put("v1", floatArtifact("v1", 10), ""); err != nil {
+	led, _ := attachTestLedger(t, m)
+	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.DemoteIdle(0); n != 1 {
 		t.Fatalf("DemoteIdle = %d, want 1", n)
 	}
-	want := fmt.Sprint([]string{obs.ArtifactMaterialized, obs.ArtifactDemoted})
-	if got := fmt.Sprint(eventKinds(led, "v1")); got != want {
-		t.Fatalf("v1 events = %v, want %v", got, want)
+	if got := record(led, "v1").Tier; got != "disk" {
+		t.Fatalf("v1 tier = %s, want disk", got)
 	}
 }
 
 // TestLedgerRecoverySeeding: attaching a ledger to a store whose disk tier
-// recovered prior content rebuilds ledger entries for the survivors as
-// "recovered" events, so restart does not blind the economics.
+// recovered prior content rebuilds ledger entries for the survivors where
+// they live, so restart does not blind the economics.
 func TestLedgerRecoverySeeding(t *testing.T) {
 	dir := t.TempDir()
 	d, _, err := tier.Open(dir)
@@ -136,7 +134,7 @@ func TestLedgerRecoverySeeding(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if err := m.Put("v1", floatArtifact("v1", 10), ""); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FlushToDisk(); err != nil {
@@ -152,24 +150,18 @@ func TestLedgerRecoverySeeding(t *testing.T) {
 		t.Fatalf("recovery report = %+v, want 1 frame", rep)
 	}
 	m2 := NewTiered(cost.Memory(), Options{Disk: d2})
-	led := attachTestLedger(t, m2)
-	want := fmt.Sprint([]string{obs.ArtifactRecovered})
-	if got := fmt.Sprint(eventKinds(led, "v1")); got != want {
-		t.Fatalf("v1 events after restart = %v, want %v", got, want)
+	led, _ := attachTestLedger(t, m2)
+	if r := record(led, "v1"); r.Tier != "disk" || r.Bytes != d2.LogicalSize("v1") {
+		t.Fatalf("recovered record = %+v", r)
 	}
-	recs := led.Snapshot(obs.ArtifactQuery{ID: "v1"})
-	if recs[0].Tier != "disk" || recs[0].Bytes != d2.LogicalSize("v1") {
-		t.Fatalf("recovered record = %+v", recs[0])
-	}
-	// Memory-resident content at attach time seeds as materialized.
+	// Memory-resident content at attach time seeds in memory.
 	m3 := New(cost.Memory())
-	if err := m3.Put("v2", floatArtifact("v2", 10), ""); err != nil {
+	if err := m3.Put("v2", floatArtifact("v2", 10)); err != nil {
 		t.Fatal(err)
 	}
-	led3 := attachTestLedger(t, m3)
-	want = fmt.Sprint([]string{obs.ArtifactMaterialized})
-	if got := fmt.Sprint(eventKinds(led3, "v2")); got != want {
-		t.Fatalf("v2 events after attach = %v, want %v", got, want)
+	led3, _ := attachTestLedger(t, m3)
+	if r := record(led3, "v2"); r.Tier != "memory" || r.Bytes != 80 {
+		t.Fatalf("v2 after attach = %+v, want memory, 80 bytes", r)
 	}
 }
 
@@ -183,8 +175,8 @@ func TestLedgerQuarantineOnRuntimeCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	led := attachTestLedger(t, m)
-	if err := m.Put("m1", &graph.AggregateArtifact{Value: 7}, ""); err != nil {
+	led, _ := attachTestLedger(t, m)
+	if err := m.Put("m1", &graph.AggregateArtifact{Value: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Demote("m1"); err != nil {
@@ -204,18 +196,11 @@ func TestLedgerQuarantineOnRuntimeCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if a, tr := m.Get("m1", ""); a != nil || tr != TierNone {
+	if a, tr := m.Get("m1"); a != nil || tr != TierNone {
 		t.Fatalf("Get on corrupt artifact = %v, %v; want miss", a, tr)
 	}
-	want := fmt.Sprint([]string{
-		obs.ArtifactMaterialized, obs.ArtifactDemoted, obs.ArtifactQuarantined,
-	})
-	if got := fmt.Sprint(eventKinds(led, "m1")); got != want {
-		t.Fatalf("m1 events = %v, want %v", got, want)
-	}
-	recs := led.Snapshot(obs.ArtifactQuery{ID: "m1"})
-	if !recs[0].Quarantined {
-		t.Fatal("record not flagged quarantined")
+	if r := record(led, "m1"); !r.Quarantined || r.Tier != "none" {
+		t.Fatalf("record = %+v, want quarantined, tier none", r)
 	}
 	tracked, _, _, _ := led.Totals()
 	if tracked != 0 {
@@ -223,11 +208,108 @@ func TestLedgerQuarantineOnRuntimeCorruption(t *testing.T) {
 	}
 }
 
+// TestQuickLedgerResidencyIsTheStores drives a tiered store whose memory
+// budget demotes (and whose disk budget evicts) through random sequences of
+// Put, PutFrameRef, Get (which promotes), Evict, DemoteIdle and FlushToDisk,
+// one second of scripted ledger clock per step. After every step each
+// artifact's ledger tier is the store's — memory wins, "none" once evicted —
+// and its byte-seconds per tier are the sum, over the steps it was resident
+// there, of its bytes times the step.
+func TestQuickLedgerResidencyIsTheStores(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pool := make([]*data.Column, 6)
+		for j := range pool {
+			pool[j] = data.NewFloatColumn(fmt.Sprintf("c%d", j), make([]float64, 8))
+		}
+		colSize := pool[0].SizeBytes()
+		d, _, err := tier.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewTiered(cost.Memory(), Options{Disk: d, MemoryBudget: 3 * colSize, DiskBudget: 5 * colSize})
+		led, advance := attachTestLedger(t, m)
+		size := map[string]int64{}          // logical bytes of each artifact's last content
+		byteSec := map[string]*[2]float64{} // reference byte-seconds, memory and disk
+		for step := 0; step < 50; step++ {
+			id := fmt.Sprintf("v%d", rng.Intn(6))
+			var cols []*data.Column
+			for _, c := range pool {
+				if rng.Intn(2) == 0 {
+					cols = append(cols, c)
+				}
+			}
+			if len(cols) == 0 {
+				cols = pool[:1]
+			}
+			frame := data.MustNewFrame(cols...)
+			switch op := rng.Intn(7); {
+			case op <= 1 && !m.Has(id):
+				if err := m.Put(id, &graph.DatasetArtifact{Frame: frame}); err != nil {
+					t.Fatal(err)
+				}
+				size[id] = frame.SizeBytes()
+			case op == 2 && !m.Has(id):
+				ids := frame.ColumnIDs()
+				held := map[int]bool{}
+				for _, i := range m.HeldColumns(ids) {
+					held[i] = true
+				}
+				var supplied []*data.Column
+				for i, c := range frame.Columns() {
+					if !held[i] {
+						supplied = append(supplied, c)
+					}
+				}
+				if err := m.PutFrameRef(id, ids, frame.ColumnNames(), supplied); err != nil {
+					t.Fatal(err)
+				}
+				size[id] = frame.SizeBytes()
+			case op == 3:
+				m.Get(id)
+			case op == 4:
+				m.Evict(id)
+			case op == 5:
+				m.DemoteIdle(0)
+			case op == 6:
+				if err := m.FlushToDisk(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			advance(time.Second)
+			for id, sz := range size {
+				bs := byteSec[id]
+				if bs == nil {
+					bs = &[2]float64{}
+					byteSec[id] = bs
+				}
+				st := m.TierOf(id)
+				if st == TierMemory {
+					bs[0] += float64(sz)
+				}
+				if d.Has(id) {
+					bs[1] += float64(sz)
+				}
+				r := record(led, id)
+				if r.Tier != st.String() || r.MemoryByteSec != bs[0] || r.DiskByteSec != bs[1] {
+					t.Logf("seed %d step %d: %s is %s in the store, ledger %+v, want byte-seconds %v",
+						seed, step, id, st, r, *bs)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTierCountsInclusive(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
 	for _, id := range []string{"v1", "v2", "v3"} {
-		if err := m.Put(id, floatArtifact(id, 10), ""); err != nil {
+		if err := m.Put(id, floatArtifact(id, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +318,7 @@ func TestTierCountsInclusive(t *testing.T) {
 	}
 	// Promote v1 back: inclusive tiers keep the disk copy, so it counts in
 	// both tiers.
-	if a, _ := m.Get("v1", ""); a == nil {
+	if a, _ := m.Get("v1"); a == nil {
 		t.Fatal("v1 lost")
 	}
 	mem, disk := m.TierCounts()
@@ -269,23 +351,23 @@ func TestLedgerDetached(t *testing.T) {
 	if m.Ledger() != nil {
 		t.Fatal("fresh manager should have no ledger")
 	}
-	if err := m.Put("v1", floatArtifact("v1", 10), "r"); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
 		t.Fatal(err)
 	}
-	led := attachTestLedger(t, m)
+	led, _ := attachTestLedger(t, m)
 	m.AttachLedger(nil)
 	if m.Ledger() != nil {
 		t.Fatal("AttachLedger(nil) should detach")
 	}
 	m.Evict("v1")
-	if led.EventCount(obs.ArtifactEvicted) != 0 {
-		t.Fatal("detached ledger still receiving events")
+	if got := record(led, "v1").Tier; got != "memory" {
+		t.Fatalf("detached ledger moved v1 to %s: it is still being told", got)
 	}
 }
 
 // ledgerArm is one arm of the ledger's cost on the store's write path; a call
 // takes the named artifact through a full residency cycle — admitted, read,
-// evicted — which an attached ledger records as two events.
+// evicted — which an attached ledger is told about twice.
 type ledgerArm struct {
 	name  string
 	cycle func(id string) error
@@ -302,10 +384,10 @@ func ledgerArms() []ledgerArm {
 			m.AttachLedger(led)
 		}
 		return ledgerArm{name, func(id string) error {
-			if err := m.Put(id, a, "req"); err != nil {
+			if err := m.Put(id, a); err != nil {
 				return err
 			}
-			if got, tr := m.Get(id, "req"); got == nil || tr != TierMemory {
+			if got, tr := m.Get(id); got == nil || tr != TierMemory {
 				return fmt.Errorf("want memory hit, got %v", tr)
 			}
 			m.Evict(id)

@@ -20,7 +20,7 @@ func TestLockWriteAccounting(t *testing.T) {
 	hist := reg.Histogram("collab_store_lock_wait_seconds", "test", nil)
 	m.Instrument(Metrics{LockWait: hist, Trace: tr})
 
-	if err := m.Put("v1", &graph.ModelArtifact{Quality: 0.5}, ""); err != nil {
+	if err := m.Put("v1", &graph.ModelArtifact{Quality: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if hist.Count() != 1 {
@@ -35,7 +35,7 @@ func TestLockWriteAccounting(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_ = m.Put("v2", &graph.ModelArtifact{Quality: 0.7}, "")
+		_ = m.Put("v2", &graph.ModelArtifact{Quality: 0.7})
 	}()
 	time.Sleep(5 * time.Millisecond)
 	m.mu.Unlock()

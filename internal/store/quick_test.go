@@ -51,7 +51,7 @@ func TestQuickPhysicalBytesMatchReferenceModel(t *testing.T) {
 					cols = pool[:1]
 					ids = []string{pool[0].ID}
 				}
-				if err := m.Put(id, &graph.DatasetArtifact{Frame: data.MustNewFrame(cols...)}, ""); err != nil {
+				if err := m.Put(id, &graph.DatasetArtifact{Frame: data.MustNewFrame(cols...)}); err != nil {
 					return false
 				}
 				held[id] = ids
@@ -142,7 +142,7 @@ func TestQuickTieredBytesMatchReferenceModel(t *testing.T) {
 					return false // demoting a non-resident must fail
 				}
 			case 2: // get: promotes a disk resident, keeps the disk copy
-				a, tr := m.Get(id, "")
+				a, tr := m.Get(id)
 				if ids, onDisk := diskHeld[id]; onDisk {
 					if _, inMem := memHeld[id]; !inMem {
 						if a == nil || tr != TierDisk {
@@ -178,7 +178,7 @@ func TestQuickTieredBytesMatchReferenceModel(t *testing.T) {
 					cols = pool[:1]
 					ids = []string{pool[0].ID}
 				}
-				if err := m.Put(id, &graph.DatasetArtifact{Frame: data.MustNewFrame(cols...)}, ""); err != nil {
+				if err := m.Put(id, &graph.DatasetArtifact{Frame: data.MustNewFrame(cols...)}); err != nil {
 					return false
 				}
 				memHeld[id] = ids
@@ -235,7 +235,7 @@ func TestQuickGetReturnsWhatWasPut(t *testing.T) {
 			cols[j] = data.NewFloatColumn(fmt.Sprintf("c%d", j), vals)
 		}
 		f := data.MustNewFrame(cols...)
-		if err := m.Put("v", &graph.DatasetArtifact{Frame: f}, ""); err != nil {
+		if err := m.Put("v", &graph.DatasetArtifact{Frame: f}); err != nil {
 			return false
 		}
 		got, ok := get(m, "v").(*graph.DatasetArtifact)

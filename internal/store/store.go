@@ -84,8 +84,8 @@ type Metrics struct {
 	// eviction/admission serialization point under concurrent clients.
 	LockWait *obs.Histogram
 	// Trace, when non-nil, receives a "lock-wait:store" span (cat "lock")
-	// for each write-lock wait above lockWaitSpanThreshold, feeding the
-	// critical-path analyzer.
+	// for each write-lock wait above lockWaitSpanThreshold, so store
+	// contention shows on the timeline next to the request that waited.
 	Trace *obs.Trace
 }
 
@@ -153,11 +153,11 @@ type Manager struct {
 
 	met Metrics
 
-	// ledger receives one event per residency transition (materialized,
-	// promoted, demoted, evicted, quarantined, recovered) when attached.
-	// An atomic pointer, not a Metrics field: transitions fire inside
-	// locked sections on the hot path, and the detached state must cost
-	// exactly one pointer load (TestDetachedLedgerAllocatesAsAbsent).
+	// ledger, when attached, is told where an artifact lives after every
+	// change of residency (reportLocked). An atomic pointer, not a Metrics
+	// field: transitions happen inside locked sections on the hot path, and
+	// the detached state must cost exactly one pointer load
+	// (TestDetachedLedgerAllocatesAsAbsent).
 	ledger atomic.Pointer[obs.ArtifactLedger]
 }
 
@@ -188,51 +188,44 @@ func RentRate(p cost.Profile) float64 {
 	return 1 / (p.BytesPerSecond * RentHorizonSeconds)
 }
 
-// AttachLedger connects the artifact lifecycle ledger: rent rates are
-// derived from the manager's tier profiles, ledger entries are seeded for
-// already-stored artifacts (memory residents as materialized, disk-only
-// residents as recovered — after a crash the durable tier's survivors
-// rebuild their entries, with pre-crash history gone), and every
-// subsequent residency transition emits an event. nil detaches; the
-// detached fast path is a single atomic pointer load.
+// AttachLedger connects the artifact ledger: rent rates are derived from
+// the manager's tier profiles, every artifact already stored is reported
+// where it lives (after a crash, the durable tier's survivors rebuild their
+// entries, with pre-crash economics gone), and so is every later change of
+// residency. nil detaches; the detached fast path is a single atomic
+// pointer load.
 func (m *Manager) AttachLedger(led *obs.ArtifactLedger) {
 	if led != nil {
 		led.SetRentRate(TierMemory.String(), RentRate(m.profile))
 		led.SetRentRate(TierDisk.String(), RentRate(m.diskProfile))
-		m.mu.RLock()
-		mem := make([]string, 0, len(m.frames)+len(m.blobs))
-		for id := range m.frames {
-			mem = append(mem, id)
-		}
-		for id := range m.blobs {
-			mem = append(mem, id)
-		}
-		sort.Strings(mem)
-		var rec []string
-		if m.disk != nil {
-			for _, id := range m.disk.StoredIDs() {
-				if _, f := m.frames[id]; f {
-					continue
-				}
-				if _, b := m.blobs[id]; b {
-					continue
-				}
-				rec = append(rec, id)
-			}
-			sort.Strings(rec)
-		}
-		for _, id := range mem {
-			led.Event(id, obs.ArtifactMaterialized, TierMemory.String(), m.logical[id], "")
-		}
-		for _, id := range rec {
-			led.Event(id, obs.ArtifactRecovered, TierDisk.String(), m.disk.LogicalSize(id), "")
-		}
-		m.mu.RUnlock()
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.ledger.Store(led)
+	ids := m.storedIDsLocked()
+	sort.Strings(ids)
+	for _, id := range ids {
+		m.reportLocked(id)
+	}
 }
 
-// Ledger returns the attached artifact lifecycle ledger, or nil.
+// reportLocked tells the attached ledger where the vertex's content lives
+// now — memory, disk, both, or nowhere — and its logical size when some
+// tier holds it.
+func (m *Manager) reportLocked(vertexID string) {
+	led := m.ledger.Load()
+	if led == nil {
+		return
+	}
+	sz, inMemory := m.logical[vertexID]
+	onDisk := m.disk != nil && m.disk.Has(vertexID)
+	if !inMemory && onDisk {
+		sz = m.disk.LogicalSize(vertexID)
+	}
+	led.Hold(vertexID, inMemory, onDisk, sz)
+}
+
+// Ledger returns the attached artifact ledger, or nil.
 func (m *Manager) Ledger() *obs.ArtifactLedger { return m.ledger.Load() }
 
 // lockWrite acquires the manager's write lock, accounting the queue wait.
@@ -311,11 +304,8 @@ func (m *Manager) touchLocked(vertexID string) {
 // artifacts are decomposed into deduplicated columns; other artifacts are
 // stored whole. Putting an already-present vertex (either tier) is a no-op.
 // If the memory budget is exceeded, the coldest artifacts are demoted to
-// the disk tier before Put returns. requestID names the request that caused
-// the materialization ("" = untagged); it is recorded on the ledger's
-// materialized event so an artifact's lifecycle can be traced back to the
-// run that created it.
-func (m *Manager) Put(vertexID string, a graph.Artifact, requestID string) error {
+// the disk tier before Put returns.
+func (m *Manager) Put(vertexID string, a graph.Artifact) error {
 	if a == nil {
 		return fmt.Errorf("store: nil artifact for %s", vertexID)
 	}
@@ -324,19 +314,17 @@ func (m *Manager) Put(vertexID string, a graph.Artifact, requestID string) error
 	if m.hasLocked(vertexID) {
 		return nil
 	}
-	m.putLocked(vertexID, a, requestID)
+	m.putLocked(vertexID, a)
 	return nil
 }
 
 // putLocked admits a vertex that no tier holds yet: counters, memory-tier
-// maps, LRU stamp, ledger event, then budget enforcement.
-func (m *Manager) putLocked(vertexID string, a graph.Artifact, requestID string) {
+// maps, LRU stamp, ledger report, then budget enforcement.
+func (m *Manager) putLocked(vertexID string, a graph.Artifact) {
 	m.met.Puts.Inc()
 	m.admitLocked(vertexID, a)
 	m.touchLocked(vertexID)
-	if led := m.ledger.Load(); led != nil {
-		led.Event(vertexID, obs.ArtifactMaterialized, TierMemory.String(), m.logical[vertexID], requestID)
-	}
+	m.reportLocked(vertexID)
 	m.enforceBudgetsLocked()
 }
 
@@ -370,7 +358,7 @@ func (m *Manager) HeldColumns(colIDs []string) []int {
 // is taken from the store under its lineage ID, from the memory tier or, for
 // columns that only demoted frames still reference, from the disk tier. The
 // outcome is that of Put with the whole frame: same column ref-counts,
-// physical and logical bytes, ledger event and budget enforcement.
+// physical and logical bytes, ledger report and budget enforcement.
 //
 // Nothing is admitted unless the whole frame can be: ErrColumnAbsent (retry
 // with every column) when a manifest column is in neither place,
@@ -378,7 +366,7 @@ func (m *Manager) HeldColumns(colIDs []string) []int {
 // column the manifest does not name, two supplied columns under one ID, a
 // malformed column, a supplied column whose type or length differs from the
 // held column of the same ID, or columns that do not form a frame.
-func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied []*data.Column, requestID string) error {
+func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied []*data.Column) error {
 	if len(colIDs) == 0 || len(colIDs) != len(names) {
 		return fmt.Errorf("%w: %d column ids, %d names", ErrBadManifest, len(colIDs), len(names))
 	}
@@ -431,7 +419,7 @@ func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied 
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
-	m.putLocked(vertexID, &graph.DatasetArtifact{Frame: f}, requestID)
+	m.putLocked(vertexID, &graph.DatasetArtifact{Frame: f})
 	return nil
 }
 
@@ -501,7 +489,7 @@ func (m *Manager) getDiskLocked(vertexID string) graph.Artifact {
 	if err != nil {
 		m.met.ChecksumFailures.Inc()
 		if led := m.ledger.Load(); led != nil {
-			led.Event(vertexID, obs.ArtifactQuarantined, TierDisk.String(), 0, "")
+			led.Quarantine(vertexID)
 		}
 		return nil
 	}
@@ -514,10 +502,8 @@ func (m *Manager) getDiskLocked(vertexID string) graph.Artifact {
 // artifact's actual location. Dataset artifacts are reassembled from the
 // column store; the returned frame shares the stored column arrays
 // (in-memory EG semantics). A disk-tier hit promotes the artifact back into
-// the memory tier; requestID names the request whose plan triggered the
-// fetch ("" = untagged), so the ledger's promote event names the run that
-// pulled the artifact back.
-func (m *Manager) Get(vertexID, requestID string) (graph.Artifact, Tier) {
+// the memory tier.
+func (m *Manager) Get(vertexID string) (graph.Artifact, Tier) {
 	m.lockWrite()
 	defer m.mu.Unlock()
 	if a := m.getMemoryLocked(vertexID); a != nil {
@@ -533,9 +519,7 @@ func (m *Manager) Get(vertexID, requestID string) (graph.Artifact, Tier) {
 		// a later demotion is a metadata-only drop).
 		m.admitLocked(vertexID, a)
 		m.met.Promotions.Inc()
-		if led := m.ledger.Load(); led != nil {
-			led.Event(vertexID, obs.ArtifactPromoted, TierMemory.String(), m.logical[vertexID], requestID)
-		}
+		m.reportLocked(vertexID)
 		m.met.BytesFetched.Add(m.logical[vertexID])
 		m.touchLocked(vertexID)
 		m.enforceBudgetsLocked()
@@ -631,12 +615,8 @@ func (m *Manager) dropMemoryLocked(vertexID string) bool {
 func (m *Manager) Evict(vertexID string) {
 	m.lockWrite()
 	defer m.mu.Unlock()
-	sz := m.logical[vertexID]
 	dropped := m.dropMemoryLocked(vertexID)
 	if m.disk != nil && m.disk.Has(vertexID) {
-		if sz == 0 {
-			sz = m.disk.LogicalSize(vertexID)
-		}
 		m.disk.Evict(vertexID)
 		dropped = true
 	}
@@ -644,10 +624,7 @@ func (m *Manager) Evict(vertexID string) {
 		delete(m.lastUse, vertexID)
 		delete(m.lastTouch, vertexID)
 		m.met.Evictions.Inc()
-		if led := m.ledger.Load(); led != nil {
-			// Empty tier: the artifact left every tier it occupied.
-			led.Event(vertexID, obs.ArtifactEvicted, "", sz, "")
-		}
+		m.reportLocked(vertexID)
 	}
 }
 
@@ -659,9 +636,6 @@ func (m *Manager) demoteLocked(vertexID string) error {
 	if m.disk == nil {
 		return fmt.Errorf("store: no disk tier to demote %s to", vertexID)
 	}
-	// Captured before dropMemoryLocked deletes the logical entry; the
-	// ledger's demoted event needs the artifact size.
-	sz := m.logical[vertexID]
 	if man, ok := m.frames[vertexID]; ok {
 		if !m.disk.Has(vertexID) {
 			cols := make([]*data.Column, len(man.colIDs))
@@ -676,27 +650,19 @@ func (m *Manager) demoteLocked(vertexID string) error {
 				return err
 			}
 		}
-		m.dropMemoryLocked(vertexID)
-		m.met.Demotions.Inc()
-		if led := m.ledger.Load(); led != nil {
-			led.Event(vertexID, obs.ArtifactDemoted, TierDisk.String(), sz, "")
-		}
-		return nil
-	}
-	if b, ok := m.blobs[vertexID]; ok {
+	} else if b, ok := m.blobs[vertexID]; ok {
 		if !m.disk.Has(vertexID) {
 			if err := m.disk.PutBlob(vertexID, b); err != nil {
 				return err
 			}
 		}
-		m.dropMemoryLocked(vertexID)
-		m.met.Demotions.Inc()
-		if led := m.ledger.Load(); led != nil {
-			led.Event(vertexID, obs.ArtifactDemoted, TierDisk.String(), sz, "")
-		}
-		return nil
+	} else {
+		return fmt.Errorf("store: %s is not memory-resident", vertexID)
 	}
-	return fmt.Errorf("store: %s is not memory-resident", vertexID)
+	m.dropMemoryLocked(vertexID)
+	m.met.Demotions.Inc()
+	m.reportLocked(vertexID)
+	return nil
 }
 
 // Demote explicitly moves a vertex's content from the memory tier to the
@@ -730,14 +696,11 @@ func (m *Manager) enforceBudgetsLocked() {
 			if err := m.demoteLocked(victim); err != nil {
 				// No disk tier or spill failure: fall back to dropping the
 				// artifact so the budget still holds.
-				sz := m.logical[victim]
 				m.dropMemoryLocked(victim)
 				delete(m.lastUse, victim)
 				delete(m.lastTouch, victim)
 				m.met.Evictions.Inc()
-				if led := m.ledger.Load(); led != nil {
-					led.Event(victim, obs.ArtifactEvicted, TierMemory.String(), sz, "")
-				}
+				m.reportLocked(victim)
 			}
 		}
 	}
@@ -753,12 +716,9 @@ func (m *Manager) enforceBudgetsLocked() {
 			if victim == "" {
 				break
 			}
-			sz := m.disk.LogicalSize(victim)
 			m.disk.Evict(victim)
 			m.met.DiskEvictions.Inc()
-			if led := m.ledger.Load(); led != nil {
-				led.Event(victim, obs.ArtifactEvicted, TierDisk.String(), sz, "")
-			}
+			m.reportLocked(victim)
 			if m.tierOfLocked(victim) == TierNone {
 				delete(m.lastUse, victim)
 				delete(m.lastTouch, victim)
@@ -882,6 +842,10 @@ func (m *Manager) LogicalBytes() int64 {
 func (m *Manager) StoredIDs() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.storedIDsLocked()
+}
+
+func (m *Manager) storedIDsLocked() []string {
 	out := make([]string, 0, len(m.frames)+len(m.blobs))
 	for id := range m.frames {
 		out = append(out, id)

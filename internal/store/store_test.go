@@ -14,7 +14,7 @@ func newTestManager() *Manager { return New(cost.Memory()) }
 
 // get is an untagged Get for tests that do not care which tier answered.
 func get(m *Manager, id string) graph.Artifact {
-	a, _ := m.Get(id, "")
+	a, _ := m.Get(id)
 	return a
 }
 
@@ -29,7 +29,7 @@ func frames() (*graph.DatasetArtifact, *graph.DatasetArtifact) {
 func TestPutGetDataset(t *testing.T) {
 	m := newTestManager()
 	a, _ := frames()
-	if err := m.Put("v1", a, ""); err != nil {
+	if err := m.Put("v1", a); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	got, ok := get(m, "v1").(*graph.DatasetArtifact)
@@ -47,10 +47,10 @@ func TestPutGetDataset(t *testing.T) {
 func TestColumnDeduplication(t *testing.T) {
 	m := newTestManager()
 	a, b := frames()
-	if err := m.Put("v1", a, ""); err != nil {
+	if err := m.Put("v1", a); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("v2", b, ""); err != nil {
+	if err := m.Put("v2", b); err != nil {
 		t.Fatal(err)
 	}
 	if m.PhysicalBytes() != 64 { // x + y once
@@ -64,10 +64,10 @@ func TestColumnDeduplication(t *testing.T) {
 func TestEvictReleasesOnlyUnreferencedColumns(t *testing.T) {
 	m := newTestManager()
 	a, b := frames()
-	if err := m.Put("v1", a, ""); err != nil {
+	if err := m.Put("v1", a); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("v2", b, ""); err != nil {
+	if err := m.Put("v2", b); err != nil {
 		t.Fatal(err)
 	}
 	m.Evict("v1")
@@ -93,11 +93,11 @@ func TestEvictReleasesOnlyUnreferencedColumns(t *testing.T) {
 func TestPutIdempotent(t *testing.T) {
 	m := newTestManager()
 	a, _ := frames()
-	if err := m.Put("v1", a, ""); err != nil {
+	if err := m.Put("v1", a); err != nil {
 		t.Fatal(err)
 	}
 	before := m.PhysicalBytes()
-	if err := m.Put("v1", a, ""); err != nil {
+	if err := m.Put("v1", a); err != nil {
 		t.Fatal(err)
 	}
 	if m.PhysicalBytes() != before {
@@ -112,7 +112,7 @@ func TestModelBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	ma := &graph.ModelArtifact{Model: lr, Quality: 0.9, Features: []string{"x"}}
-	if err := m.Put("m1", ma, ""); err != nil {
+	if err := m.Put("m1", ma); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := get(m, "m1").(*graph.ModelArtifact)
@@ -141,7 +141,7 @@ func TestGetAbsent(t *testing.T) {
 
 func TestPutNil(t *testing.T) {
 	m := newTestManager()
-	if err := m.Put("v", nil, ""); err == nil {
+	if err := m.Put("v", nil); err == nil {
 		t.Error("Put(nil) should error")
 	}
 }
@@ -155,10 +155,10 @@ func TestRenamedSharedColumn(t *testing.T) {
 	renamed.Name = "z"
 	f1 := data.MustNewFrame(col)
 	f2 := data.MustNewFrame(renamed)
-	if err := m.Put("v1", &graph.DatasetArtifact{Frame: f1}, ""); err != nil {
+	if err := m.Put("v1", &graph.DatasetArtifact{Frame: f1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("v2", &graph.DatasetArtifact{Frame: f2}, ""); err != nil {
+	if err := m.Put("v2", &graph.DatasetArtifact{Frame: f2}); err != nil {
 		t.Fatal(err)
 	}
 	if m.PhysicalBytes() != 16 {
@@ -183,10 +183,10 @@ func TestStoreMetricsCounters(t *testing.T) {
 	m.Instrument(met)
 
 	blob := &graph.ModelArtifact{Model: nil, Quality: 0.5}
-	if err := m.Put("v1", blob, ""); err != nil {
+	if err := m.Put("v1", blob); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("v1", blob, ""); err != nil { // no-op re-put: not counted
+	if err := m.Put("v1", blob); err != nil { // no-op re-put: not counted
 		t.Fatal(err)
 	}
 	if met.Puts.Value() != 1 {

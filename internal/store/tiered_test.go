@@ -37,7 +37,7 @@ func TestBudgetDemotesColdestToDisk(t *testing.T) {
 	m.Instrument(Metrics{Demotions: &met.dem, Promotions: &met.pro})
 
 	for _, id := range []string{"v1", "v2", "v3"} {
-		if err := m.Put(id, floatArtifact(id, 10), ""); err != nil {
+		if err := m.Put(id, floatArtifact(id, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestBudgetDemotesColdestToDisk(t *testing.T) {
 
 	// Access v1: served from disk, promoted back; now v2 is coldest and
 	// gets demoted in turn.
-	a, tr := m.Get("v1", "")
+	a, tr := m.Get("v1")
 	if a == nil || tr != TierDisk {
 		t.Fatalf("Get(v1) = %v, %v; want disk hit", a, tr)
 	}
@@ -85,7 +85,7 @@ func TestBudgetDemotesColdestToDisk(t *testing.T) {
 func TestBudgetWithoutDiskHardEvicts(t *testing.T) {
 	m := NewTiered(cost.Memory(), Options{MemoryBudget: 160})
 	for _, id := range []string{"v1", "v2", "v3"} {
-		if err := m.Put(id, floatArtifact(id, 10), ""); err != nil {
+		if err := m.Put(id, floatArtifact(id, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestDiskBudgetEvictsForReal(t *testing.T) {
 	var evict obs.Counter
 	m.Instrument(Metrics{DiskEvictions: &evict})
 	for _, id := range []string{"v1", "v2", "v3", "v4"} {
-		if err := m.Put(id, floatArtifact(id, 10), ""); err != nil {
+		if err := m.Put(id, floatArtifact(id, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,13 +126,13 @@ func TestDiskBudgetEvictsForReal(t *testing.T) {
 func TestEvictRemovesAllTiers(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if err := m.Put("v1", floatArtifact("v1", 10), ""); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Demote("v1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, tr := m.Get("v1", ""); tr != TierDisk {
+	if _, tr := m.Get("v1"); tr != TierDisk {
 		t.Fatal("setup: v1 should be served from disk")
 	}
 	// Now in both tiers (inclusive). Evict must clear both.
@@ -147,7 +147,7 @@ func TestEvictRemovesAllTiers(t *testing.T) {
 func TestLoadCostForPricesActualTier(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d, DiskProfile: cost.Disk()})
-	if err := m.Put("v1", floatArtifact("v1", 1000), ""); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 1000)); err != nil {
 		t.Fatal(err)
 	}
 	sz := int64(8000)
@@ -172,7 +172,7 @@ func TestLoadCostForPricesActualTier(t *testing.T) {
 func TestPeekDoesNotPromote(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if err := m.Put("v1", floatArtifact("v1", 10), ""); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Demote("v1"); err != nil {
@@ -192,11 +192,11 @@ func TestPeekDoesNotPromote(t *testing.T) {
 func TestDemoteIdleSweep(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if err := m.Put("old", floatArtifact("old", 10), ""); err != nil {
+	if err := m.Put("old", floatArtifact("old", 10)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if err := m.Put("fresh", floatArtifact("fresh", 10), ""); err != nil {
+	if err := m.Put("fresh", floatArtifact("fresh", 10)); err != nil {
 		t.Fatal(err)
 	}
 	if n := m.DemoteIdle(15 * time.Millisecond); n != 1 {
@@ -217,10 +217,10 @@ func TestFlushToDiskSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if err := m.Put("v1", floatArtifact("v1", 10), ""); err != nil {
+	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("m1", &graph.AggregateArtifact{Value: 42}, ""); err != nil {
+	if err := m.Put("m1", &graph.AggregateArtifact{Value: 42}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FlushToDisk(); err != nil {
@@ -238,11 +238,11 @@ func TestFlushToDiskSurvivesRestart(t *testing.T) {
 		t.Fatalf("recovery report: %+v", rep)
 	}
 	m2 := NewTiered(cost.Memory(), Options{Disk: d2})
-	a, tr := m2.Get("m1", "")
+	a, tr := m2.Get("m1")
 	if tr != TierDisk || a.(*graph.AggregateArtifact).Value != 42 {
 		t.Fatalf("blob not recovered: %v %v", a, tr)
 	}
-	if a, tr := m2.Get("v1", ""); tr != TierDisk || a == nil {
+	if a, tr := m2.Get("v1"); tr != TierDisk || a == nil {
 		t.Fatal("frame not recovered")
 	}
 	if m2.Len() != 2 {
@@ -264,7 +264,7 @@ func TestDictColumnSurvivesTiers(t *testing.T) {
 		t.Fatal("setup: column should be dictionary-encoded")
 	}
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if err := m.Put("v1", &graph.DatasetArtifact{Frame: data.MustNewFrame(col)}, ""); err != nil {
+	if err := m.Put("v1", &graph.DatasetArtifact{Frame: data.MustNewFrame(col)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.FlushToDisk(); err != nil {
@@ -273,7 +273,7 @@ func TestDictColumnSurvivesTiers(t *testing.T) {
 
 	check := func(mgr *Manager, stage string) {
 		t.Helper()
-		a, tr := mgr.Get("v1", "")
+		a, tr := mgr.Get("v1")
 		if tr != TierDisk || a == nil {
 			t.Fatalf("%s: artifact not on disk: %v %v", stage, a, tr)
 		}
