@@ -88,7 +88,8 @@ fuzz:
 # logging goes through log/slog so every line can carry the propagated
 # request ID (X-Collab-Request). Tests are exempt.
 LOG_LINT_DIRS = internal/core internal/remote internal/obs internal/explain \
-	internal/reuse internal/materialize internal/eg internal/store
+	internal/reuse internal/materialize internal/eg internal/store \
+	internal/calib internal/tier internal/persist
 lint-logs:
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\b(log\.Printf|log\.Println|log\.Fatal|fmt\.Printf|fmt\.Println)\(' $(LOG_LINT_DIRS) || true)"; \
 	if [ -n "$$out" ]; then \
@@ -104,7 +105,8 @@ lint-logs:
 # durations feed calibration and tracing uniformly. internal/obs itself
 # hosts the helpers and is exempt.
 TIME_LINT_DIRS = internal/core internal/remote internal/explain \
-	internal/reuse internal/materialize internal/eg internal/store
+	internal/reuse internal/materialize internal/eg internal/store \
+	internal/calib internal/tier internal/persist
 
 # cover runs the full test suite with per-package coverage summaries.
 cover:

@@ -15,12 +15,10 @@
 package calib
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/obs"
 )
 
@@ -112,8 +110,9 @@ func (f *family) observe(bytes, predictedSec, actualSec float64, keepSample bool
 }
 
 // Collector aggregates calibration observations. The zero value is not
-// ready; use NewCollector. All methods are safe for concurrent use, and
-// every method is nil-safe so callers without calibration skip all work.
+// ready; use NewCollector. All methods are safe for concurrent use. It has
+// three writers (ObserveLoad, ObserveCompute, RecordScorecard) and one
+// reader, Snapshot.
 type Collector struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -122,7 +121,6 @@ type Collector struct {
 
 	runs        int64
 	wallSum     float64
-	lastWall    float64
 	savedSum    float64
 	fetchSum    float64
 	lastSpeedup float64
@@ -134,10 +132,10 @@ func NewCollector() *Collector {
 	return &Collector{families: make(map[string]*family), perKind: make(map[string]int, 2)}
 }
 
-// TierFamily normalizes a fetch tier label into a load family name. Labels
+// tierFamily normalizes a fetch tier label into a load family name. Labels
 // like "remote:disk" (client-side transfer from a server disk tier)
 // collapse to the transfer medium, which is what the cost profile priced.
-func TierFamily(tier string) string {
+func tierFamily(tier string) string {
 	if i := strings.IndexByte(tier, ':'); i >= 0 {
 		tier = tier[:i]
 	}
@@ -147,8 +145,8 @@ func TierFamily(tier string) string {
 	return "load:" + tier
 }
 
-// OpFamily normalizes an operation name into a compute family name.
-func OpFamily(op string) string {
+// opFamily normalizes an operation name into a compute family name.
+func opFamily(op string) string {
 	if op == "" {
 		op = "other"
 	}
@@ -159,19 +157,13 @@ func OpFamily(op string) string {
 // against the measured fetch duration, keyed by the tier the bytes came
 // from.
 func (c *Collector) ObserveLoad(tier string, sizeBytes int64, predicted, actual time.Duration) {
-	if c == nil {
-		return
-	}
-	c.observe(TierFamily(tier), float64(sizeBytes), predicted.Seconds(), actual.Seconds(), true)
+	c.observe(tierFamily(tier), float64(sizeBytes), predicted.Seconds(), actual.Seconds(), true)
 }
 
 // ObserveCompute records one vertex execution: the EG's predicted compute
 // time t(v) against the measured duration, keyed by operation family.
 func (c *Collector) ObserveCompute(op string, predicted, actual time.Duration) {
-	if c == nil {
-		return
-	}
-	c.observe(OpFamily(op), 0, predicted.Seconds(), actual.Seconds(), false)
+	c.observe(opFamily(op), 0, predicted.Seconds(), actual.Seconds(), false)
 }
 
 func (c *Collector) observe(key string, bytes, predictedSec, actualSec float64, keepSample bool) {
@@ -198,249 +190,14 @@ func (c *Collector) observe(key string, bytes, predictedSec, actualSec float64, 
 // RecordScorecard folds one request's scorecard into the running totals
 // and keeps it as the most recent card.
 func (c *Collector) RecordScorecard(sc Scorecard) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.runs++
 	c.savedSum += sc.EstimatedSavedSec
 	c.fetchSum += sc.FetchActualSec
 	c.wallSum += sc.WallSec
-	c.lastWall = sc.WallSec
 	if sc.Speedup > 0 {
 		c.lastSpeedup = sc.Speedup
 	}
-	copied := sc
-	c.last = &copied
-}
-
-// Runs returns the number of scorecards recorded.
-func (c *Collector) Runs() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
-}
-
-// WallSeconds returns cumulative and most-recent run wall-clock seconds.
-func (c *Collector) WallSeconds() (total, last float64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wallSum, c.lastWall
-}
-
-// EstimatedSavedSeconds returns the cumulative estimated reuse savings.
-func (c *Collector) EstimatedSavedSeconds() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.savedSum
-}
-
-// FetchActualSeconds returns cumulative measured fetch time across runs.
-func (c *Collector) FetchActualSeconds() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fetchSum
-}
-
-// LastSpeedup returns the most recent realized speedup (0 until a run
-// with reuse completes).
-func (c *Collector) LastSpeedup() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastSpeedup
-}
-
-// LastScorecard returns a copy of the most recent scorecard, or nil.
-func (c *Collector) LastScorecard() *Scorecard {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.last == nil {
-		return nil
-	}
-	copied := *c.last
-	return &copied
-}
-
-// LoadObservations returns the observation count for one load tier.
-func (c *Collector) LoadObservations(tier string) int64 {
-	return c.familyCount(TierFamily(tier))
-}
-
-// LoadMeanAbsRelErr returns the mean |predicted-actual|/actual for one
-// load tier (0 when unobserved).
-func (c *Collector) LoadMeanAbsRelErr(tier string) float64 {
-	return c.familyMeanRelErr(TierFamily(tier))
-}
-
-// LoadDrift returns the EWMA drift for one load tier.
-func (c *Collector) LoadDrift(tier string) float64 {
-	return c.familyDrift(TierFamily(tier))
-}
-
-// ComputeObservations returns the observation count across all compute
-// families.
-func (c *Collector) ComputeObservations() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for key, f := range c.families {
-		if strings.HasPrefix(key, "compute:") {
-			n += f.count
-		}
-	}
-	return n
-}
-
-// ComputeMeanAbsRelErr returns the observation-weighted mean relative
-// error across compute families.
-func (c *Collector) ComputeMeanAbsRelErr() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	var sum float64
-	for key, f := range c.families {
-		if strings.HasPrefix(key, "compute:") {
-			n += f.count
-			sum += f.relErrSum
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// ComputeMaxDrift returns the largest drift across compute families.
-func (c *Collector) ComputeMaxDrift() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var max float64
-	for key, f := range c.families {
-		if strings.HasPrefix(key, "compute:") && f.drift > max {
-			max = f.drift
-		}
-	}
-	return max
-}
-
-// MaxDrift returns the family with the largest drift signal and its value
-// ("" and 0 when nothing has been observed).
-func (c *Collector) MaxDrift() (string, float64) {
-	if c == nil {
-		return "", 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	name, max := "", 0.0
-	for key, f := range c.families {
-		// Ties break deterministically toward the lexically smaller name.
-		if f.drift > max || (f.drift == max && f.drift > 0 && (name == "" || key < name)) {
-			name, max = key, f.drift
-		}
-	}
-	return name, max
-}
-
-// FitSamples returns a copy of the retained (bytes, seconds) samples for
-// one load tier.
-func (c *Collector) FitSamples(tier string) []Sample {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	f, ok := c.families[TierFamily(tier)]
-	if !ok {
-		return nil
-	}
-	out := make([]Sample, len(f.samples))
-	copy(out, f.samples)
-	return out
-}
-
-// FitFor fits a cost.Profile from one load tier's observations; ok is
-// false when the tier has too few samples.
-func (c *Collector) FitFor(tier string) (cost.Profile, bool) {
-	return FitProfile(tier, c.FitSamples(tier))
-}
-
-// LoadTiers lists the load tiers observed so far, sorted.
-func (c *Collector) LoadTiers() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var tiers []string
-	for key := range c.families {
-		if t, ok := strings.CutPrefix(key, "load:"); ok {
-			tiers = append(tiers, t)
-		}
-	}
-	sort.Strings(tiers)
-	return tiers
-}
-
-func (c *Collector) familyCount(key string) int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.families[key]; ok {
-		return f.count
-	}
-	return 0
-}
-
-func (c *Collector) familyMeanRelErr(key string) float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.families[key]; ok && f.count > 0 {
-		return f.relErrSum / float64(f.count)
-	}
-	return 0
-}
-
-func (c *Collector) familyDrift(key string) float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.families[key]; ok {
-		return f.drift
-	}
-	return 0
+	c.last = &sc
 }

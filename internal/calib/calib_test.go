@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // -update rewrites the golden files from current output.
@@ -27,16 +25,26 @@ func TestTierAndOpFamilies(t *testing.T) {
 		"":            "load:unknown",
 	}
 	for in, want := range cases {
-		if got := TierFamily(in); got != want {
-			t.Errorf("TierFamily(%q) = %q, want %q", in, got, want)
+		if got := tierFamily(in); got != want {
+			t.Errorf("tierFamily(%q) = %q, want %q", in, got, want)
 		}
 	}
-	if got := OpFamily("train"); got != "compute:train" {
-		t.Errorf("OpFamily = %q", got)
+	if got := opFamily("train"); got != "compute:train" {
+		t.Errorf("opFamily = %q", got)
 	}
-	if got := OpFamily(""); got != "compute:other" {
-		t.Errorf("OpFamily(\"\") = %q", got)
+	if got := opFamily(""); got != "compute:other" {
+		t.Errorf("opFamily(\"\") = %q", got)
 	}
+}
+
+// familyOf returns the named family of a report (zero when absent).
+func familyOf(r *Report, name string) FamilyReport {
+	for _, f := range r.Families {
+		if f.Name == name {
+			return f
+		}
+	}
+	return FamilyReport{}
 }
 
 func TestCollectorAggregates(t *testing.T) {
@@ -45,50 +53,39 @@ func TestCollectorAggregates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.ObserveLoad("memory", 1000, 20*time.Millisecond, 10*time.Millisecond)
 	}
-	if got := c.LoadObservations("memory"); got != 10 {
-		t.Fatalf("LoadObservations = %d, want 10", got)
-	}
-	if got := c.LoadMeanAbsRelErr("memory"); math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("LoadMeanAbsRelErr = %v, want 1.0", got)
-	}
-	// Constant rel err: EWMA converges to the same value.
-	if got := c.LoadDrift("memory"); math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("LoadDrift = %v, want 1.0", got)
-	}
-	// Unobserved tiers report zeros.
-	if c.LoadObservations("disk") != 0 || c.LoadDrift("disk") != 0 {
-		t.Error("unobserved tier should report zeros")
-	}
-
 	c.ObserveCompute("train", 50*time.Millisecond, 100*time.Millisecond)
 	c.ObserveCompute("join", 10*time.Millisecond, 10*time.Millisecond)
-	if got := c.ComputeObservations(); got != 2 {
-		t.Fatalf("ComputeObservations = %d, want 2", got)
-	}
-	// train: |50-100|/100 = 0.5; join: 0. Weighted mean = 0.25.
-	if got := c.ComputeMeanAbsRelErr(); math.Abs(got-0.25) > 1e-9 {
-		t.Errorf("ComputeMeanAbsRelErr = %v, want 0.25", got)
-	}
-	if got := c.ComputeMaxDrift(); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("ComputeMaxDrift = %v, want 0.5", got)
-	}
-	name, drift := c.MaxDrift()
-	if name != "load:memory" || math.Abs(drift-1.0) > 1e-9 {
-		t.Errorf("MaxDrift = (%q, %v), want (load:memory, 1.0)", name, drift)
-	}
-}
-
-func TestCollectorNilSafe(t *testing.T) {
-	var c *Collector
-	c.ObserveLoad("memory", 1, time.Millisecond, time.Millisecond)
-	c.ObserveCompute("op", time.Millisecond, time.Millisecond)
-	c.RecordScorecard(Scorecard{})
-	if c.Runs() != 0 || c.LastScorecard() != nil || c.LoadTiers() != nil {
-		t.Fatal("nil collector should be inert")
-	}
 	r := c.Snapshot()
-	if r == nil || len(r.Families) != 0 {
-		t.Fatal("nil collector snapshot should be empty, not nil")
+	if len(r.Families) != 3 {
+		t.Fatalf("families = %+v, want compute:join, compute:train, load:memory", r.Families)
+	}
+	mem := familyOf(r, "load:memory")
+	if mem.Count != 10 {
+		t.Fatalf("load:memory count = %d, want 10", mem.Count)
+	}
+	if math.Abs(mem.MeanAbsRelErr-1.0) > 1e-9 {
+		t.Errorf("load:memory MeanAbsRelErr = %v, want 1.0", mem.MeanAbsRelErr)
+	}
+	// Constant rel err: EWMA converges to the same value.
+	if math.Abs(mem.Drift-1.0) > 1e-9 {
+		t.Errorf("load:memory Drift = %v, want 1.0", mem.Drift)
+	}
+	if mem.BytesMean != 1000 {
+		t.Errorf("load:memory BytesMean = %v, want 1000", mem.BytesMean)
+	}
+	// train: |50-100|/100 = 0.5; join: 0.
+	train, join := familyOf(r, "compute:train"), familyOf(r, "compute:join")
+	if train.Count != 1 || join.Count != 1 {
+		t.Fatalf("compute counts train=%d join=%d, want 1 each", train.Count, join.Count)
+	}
+	if math.Abs(train.MeanAbsRelErr-0.5) > 1e-9 || join.MeanAbsRelErr != 0 {
+		t.Errorf("compute MeanAbsRelErr train=%v join=%v, want 0.5 and 0", train.MeanAbsRelErr, join.MeanAbsRelErr)
+	}
+	if math.Abs(train.Drift-0.5) > 1e-9 || join.Drift != 0 {
+		t.Errorf("compute Drift train=%v join=%v, want 0.5 and 0", train.Drift, join.Drift)
+	}
+	if train.BytesMean != 0 {
+		t.Errorf("compute family carries BytesMean %v", train.BytesMean)
 	}
 }
 
@@ -118,17 +115,24 @@ func TestCollectorBoundsEachKindSeparately(t *testing.T) {
 		c.ObserveCompute(fmt.Sprintf("derive:col%d", i), time.Millisecond, time.Millisecond)
 	}
 	c.ObserveLoad("memory", 1<<20, time.Millisecond, 2*time.Millisecond)
-	if got := c.LoadObservations("memory"); got != 1 {
-		t.Errorf("LoadObservations(memory) = %d, want 1", got)
+	r := c.Snapshot()
+	if got := familyOf(r, "load:memory").Count; got != 1 {
+		t.Errorf("load:memory count = %d, want 1", got)
 	}
-	if s := c.FitSamples("memory"); len(s) != 1 || s[0].Bytes != 1<<20 {
-		t.Errorf("FitSamples(memory) = %v, want the one sample", s)
+	var computeObs int64
+	for _, f := range r.Families {
+		if strings.HasPrefix(f.Name, "compute:") {
+			computeObs += f.Count
+		}
 	}
-	if got := c.ComputeObservations(); got != 100 {
-		t.Errorf("ComputeObservations = %d, want 100", got)
+	if computeObs != 100 {
+		t.Errorf("compute observations = %d, want 100", computeObs)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if s := c.families["load:memory"].samples; len(s) != 1 || s[0].Bytes != 1<<20 {
+		t.Errorf("load:memory fit samples = %v, want the one sample", s)
+	}
 	if f := c.families["compute:other"]; f == nil || f.count != 100-maxFamilies {
 		t.Errorf("compute:other = %+v, want the %d compute observations past the cap", f, 100-maxFamilies)
 	}
@@ -170,27 +174,26 @@ func TestRecordScorecardTotals(t *testing.T) {
 	b.WallSec = 0.25
 	c.RecordScorecard(a)
 	c.RecordScorecard(b)
-	if c.Runs() != 2 {
-		t.Fatalf("Runs = %d, want 2", c.Runs())
+	r := c.Snapshot()
+	if r.Runs != 2 {
+		t.Fatalf("Runs = %d, want 2", r.Runs)
 	}
-	total, last := c.WallSeconds()
-	if math.Abs(total-1.0) > 1e-9 || math.Abs(last-0.25) > 1e-9 {
-		t.Errorf("WallSeconds = (%v, %v), want (1.0, 0.25)", total, last)
+	if math.Abs(r.WallSecTotal-1.0) > 1e-9 {
+		t.Errorf("WallSecTotal = %v, want 1.0", r.WallSecTotal)
 	}
-	if got := c.EstimatedSavedSeconds(); math.Abs(got-(0.9+1.8)) > 1e-9 {
-		t.Errorf("EstimatedSavedSeconds = %v, want 2.7", got)
+	if math.Abs(r.EstimatedSavedSecTotal-(0.9+1.8)) > 1e-9 {
+		t.Errorf("EstimatedSavedSecTotal = %v, want 2.7", r.EstimatedSavedSecTotal)
 	}
-	if got := c.FetchActualSeconds(); math.Abs(got-0.3) > 1e-9 {
-		t.Errorf("FetchActualSeconds = %v, want 0.3", got)
+	if math.Abs(r.FetchActualSecTotal-0.3) > 1e-9 {
+		t.Errorf("FetchActualSecTotal = %v, want 0.3", r.FetchActualSecTotal)
 	}
-	lastSC := c.LastScorecard()
-	if lastSC == nil || lastSC.RequestID != "b" {
-		t.Fatalf("LastScorecard = %+v, want request b", lastSC)
+	if r.LastRun == nil || r.LastRun.RequestID != "b" || math.Abs(r.LastRun.WallSec-0.25) > 1e-9 {
+		t.Fatalf("LastRun = %+v, want request b with wall 0.25", r.LastRun)
 	}
-	// The returned scorecard is a copy: mutating it must not leak back.
-	lastSC.RequestID = "mutated"
-	if got := c.LastScorecard(); got.RequestID != "b" {
-		t.Error("LastScorecard returned shared state")
+	// The report's scorecard is a copy: mutating it must not leak back.
+	r.LastRun.RequestID = "mutated"
+	if got := c.Snapshot().LastRun; got.RequestID != "b" {
+		t.Error("Snapshot returned shared state")
 	}
 }
 
@@ -249,7 +252,7 @@ func TestSnapshotConcurrentWithObserve(t *testing.T) {
 }
 
 // fixtureCollector builds a collector with fixed observations so report
-// and metrics renderings are deterministic.
+// renderings are deterministic.
 func fixtureCollector() *Collector {
 	c := NewCollector()
 	for i := 1; i <= 10; i++ {
@@ -306,26 +309,4 @@ func TestReportGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden(t, "report.text.golden", buf.Bytes())
-}
-
-func TestMetricsGolden(t *testing.T) {
-	reg := obs.NewRegistry()
-	RegisterMetrics(reg, fixtureCollector())
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "metrics.prom.golden", buf.Bytes())
-}
-
-func TestMetricsNilCollectorSafe(t *testing.T) {
-	reg := obs.NewRegistry()
-	RegisterMetrics(reg, nil)
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "collab_calib_runs 0") {
-		t.Errorf("nil collector should render zeros:\n%s", buf.String())
-	}
 }

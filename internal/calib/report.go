@@ -51,13 +51,11 @@ type Report struct {
 	LastRun                *Scorecard `json:"last_run,omitempty"`
 }
 
-// Snapshot renders the collector into a Report. Families and flags are
-// sorted by name so identical collector states render identical bytes.
+// Snapshot is the collector's one reader: /v1/calibration renders it and
+// /v1/stats sums it. Families and flags are sorted by name so identical
+// collector states render identical bytes.
 func (c *Collector) Snapshot() *Report {
 	r := &Report{Families: []FamilyReport{}}
-	if c == nil {
-		return r
-	}
 	type famSnap struct {
 		name    string
 		f       family // scalar fields copied under the lock
@@ -133,7 +131,7 @@ func (r *Report) WriteText(w io.Writer) error {
 	bw.printf("reuse: %.3fs estimated saved, %.3fs spent fetching, last speedup %.2fx\n",
 		r.EstimatedSavedSecTotal, r.FetchActualSecTotal, r.LastSpeedup)
 	if len(r.Families) == 0 {
-		bw.printf("no observations yet (run a workload with calibration enabled)\n")
+		bw.printf("no observations yet (run a workload first)\n")
 		return bw.err
 	}
 	bw.printf("%-24s %8s %14s %14s %10s %8s\n",

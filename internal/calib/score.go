@@ -2,27 +2,6 @@ package calib
 
 import "time"
 
-// ClientRun is the client-side summary of one executed workload, reported
-// to the server after Execute so operators see wall-clock (parallel)
-// time, not just summed per-vertex durations. It travels over the wire in
-// UpdateRequest, so fields are gob-friendly scalars only.
-type ClientRun struct {
-	// WallTime is the elapsed wall-clock time of the Execute call.
-	WallTime time.Duration
-	// RunTime is the summed per-vertex time (compute + load), the paper's
-	// sequential-equivalent execution time.
-	RunTime time.Duration
-	// ComputeTime and LoadTime split RunTime by cause.
-	ComputeTime time.Duration
-	LoadTime    time.Duration
-	// FetchTime is the measured (not modeled) total artifact fetch time.
-	FetchTime time.Duration
-	// Executed / Reused / Warmstarted count vertices by outcome.
-	Executed    int
-	Reused      int
-	Warmstarted int
-}
-
 // Scorecard grades one optimized request after execution: did reuse pay
 // off, and by how much?
 //

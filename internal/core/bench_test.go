@@ -86,49 +86,47 @@ func runArms(b *testing.B, arms []overheadArm) {
 // would show.
 var overheadProfile = synth.WideProfile{Branches: 8, Depth: 3, SpinIters: 50_000}
 
-// executeArms builds the arms of an Execute comparison over a server that
-// has run the workload once. Each call executes a freshly built copy of the
-// DAG — planned against the server when planned is set, so that it runs the
-// fetch path calibration instruments — with the absent options plus the
-// arm's own. Options are built once: constructing one allocates its closure,
-// which is not the cost being compared.
-func executeArms(tb testing.TB, workers int, planned bool, disabled, enabled ExecOption) []overheadArm {
+// primedServer returns a server that has run the overhead workload once.
+func primedServer(tb testing.TB) *Server {
 	tb.Helper()
 	srv := NewServer(store.New(cost.Memory()))
 	if _, err := NewClient(srv).Run(synth.Wide(overheadProfile, 1)); err != nil {
 		tb.Fatal(err)
 	}
-	arm := func(name string, opts ...ExecOption) overheadArm {
-		return overheadArm{name, func() func() {
-			w := synth.Wide(overheadProfile, 1)
-			var plan *reuse.Plan
-			if planned {
-				w.MarkComputed()
-				plan = srv.Optimize(w, nil).Plan
+	return srv
+}
+
+// stageExecute stages Execute calls against srv, each on a freshly built
+// copy of the DAG — planned against srv when planned is set, so that the
+// call runs the fetch path, which times and annotates every reused vertex —
+// with opts. Options are built once: constructing one allocates its
+// closure, which is not the cost being compared.
+func stageExecute(tb testing.TB, srv *Server, planned bool, opts ...ExecOption) func() func() {
+	return func() func() {
+		w := synth.Wide(overheadProfile, 1)
+		var plan *reuse.Plan
+		if planned {
+			w.MarkComputed()
+			plan = srv.Optimize(w, nil).Plan
+		}
+		return func() {
+			if _, err := Execute(w, plan, srv, opts...); err != nil {
+				tb.Fatal(err)
 			}
-			return func() {
-				if _, err := Execute(w, plan, srv, opts...); err != nil {
-					tb.Fatal(err)
-				}
-			}
-		}}
+		}
 	}
-	width := WithParallelism(workers)
-	return []overheadArm{arm("absent", width), arm("disabled", width, disabled), arm("enabled", width, enabled)}
 }
 
 // traceArms compares Execute with tracing absent, disabled (nil recorder —
-// the WithTrace fast path, which takes no timestamps and builds no span
-// arguments) and enabled (a capped recorder, as collabd -trace N runs it).
+// the WithTrace fast path, which builds no span arguments) and enabled (a
+// capped recorder, as collabd -trace N runs it).
 func traceArms(tb testing.TB, workers int) []overheadArm {
-	return executeArms(tb, workers, false, WithTrace(nil), WithTrace(obs.NewTraceCapped(4096)))
-}
-
-// calibArms compares Execute on a reuse-heavy plan with calibration
-// measurement absent, disabled (WithCalibration(false): no fetch timestamps,
-// no annotations) and enabled.
-func calibArms(tb testing.TB, workers int) []overheadArm {
-	return executeArms(tb, workers, true, WithCalibration(false), WithCalibration(true))
+	srv, width := primedServer(tb), WithParallelism(workers)
+	return []overheadArm{
+		{"absent", stageExecute(tb, srv, false, width)},
+		{"disabled", stageExecute(tb, srv, false, width, WithTrace(nil))},
+		{"enabled", stageExecute(tb, srv, false, width, WithTrace(obs.NewTraceCapped(4096)))},
+	}
 }
 
 // explainArms compares Server.Optimize with explain capture absent, disabled
@@ -146,7 +144,7 @@ func explainArms(tb testing.TB) []overheadArm {
 	w := synth.Wide(overheadProfile, 1)
 	seeded := func(opts ...ServerOption) *Server {
 		srv := NewServer(store.New(cost.Memory()), opts...)
-		srv.Update(executed, nil, nil)
+		srv.Update(executed, nil, 0)
 		return srv
 	}
 	arm := func(name string, call func()) overheadArm {
@@ -166,7 +164,6 @@ func explainArms(tb testing.TB) []overheadArm {
 }
 
 func BenchmarkExecuteTraceOverhead(b *testing.B)    { runArms(b, traceArms(b, 4)) }
-func BenchmarkExecuteCalibOverhead(b *testing.B)    { runArms(b, calibArms(b, 4)) }
 func BenchmarkOptimizeExplainOverhead(b *testing.B) { runArms(b, explainArms(b)) }
 
 // scaleServer returns a server whose Experiment Graph holds a synthetic
@@ -178,7 +175,7 @@ func scaleServer(tb testing.TB, n int, opts ...ServerOption) (*Server, func(i in
 	tb.Helper()
 	srv := NewServer(store.New(cost.Memory()), opts...)
 	u := synth.NewUniverse(int64(n), n)
-	srv.Update(u.Workload(rand.New(rand.NewSource(1))), nil, nil)
+	srv.Update(u.Workload(rand.New(rand.NewSource(1))), nil, 0)
 	if srv.EG.Len() < n {
 		tb.Fatalf("EG holds %d vertices, want at least %d", srv.EG.Len(), n)
 	}
@@ -224,7 +221,7 @@ func BenchmarkServerUpdateAtScale(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					srv.Update(next(i), nil, nil)
+					srv.Update(next(i), nil, 0)
 				}
 			})
 		}

@@ -8,12 +8,29 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/cost"
+	"repro/internal/eg/egtest"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reuse"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
 )
+
+// computeObs sums a report's compute families: their observation count and
+// the observation-weighted mean relative error.
+func computeObs(r *calib.Report) (n int64, meanRelErr float64) {
+	var sum float64
+	for _, f := range r.Families {
+		if strings.HasPrefix(f.Name, "compute:") {
+			n += f.Count
+			sum += f.MeanAbsRelErr * float64(f.Count)
+		}
+	}
+	if n > 0 {
+		meanRelErr = sum / float64(n)
+	}
+	return n, meanRelErr
+}
 
 // TestCalibrationEndToEnd runs the same workload repeatedly against a
 // deliberately mis-scaled cost.Profile — 2ms latency for in-memory
@@ -47,15 +64,10 @@ func TestCalibrationEndToEnd(t *testing.T) {
 		t.Fatal("no reuse in final run")
 	}
 
-	c := srv.Calibration()
-	if got := c.LoadObservations("memory"); got < calib.MinFitSamples {
-		t.Fatalf("load observations = %d, want >= %d", got, calib.MinFitSamples)
+	report := srv.Calibration().Snapshot()
+	if report.Runs < runs-1 {
+		t.Errorf("scorecard runs = %d, want >= %d", report.Runs, runs-1)
 	}
-	if c.Runs() < runs-1 {
-		t.Errorf("scorecard runs = %d, want >= %d", c.Runs(), runs-1)
-	}
-
-	report := c.Snapshot()
 	// The 2ms-latency profile overpredicts microsecond in-memory fetches
 	// by orders of magnitude: drift must be flagged.
 	flagged := false
@@ -76,6 +88,9 @@ func TestCalibrationEndToEnd(t *testing.T) {
 	if fam == nil {
 		t.Fatal("no load:memory family in report")
 	}
+	if fam.Count < calib.MinFitSamples {
+		t.Fatalf("load observations = %d, want >= %d", fam.Count, calib.MinFitSamples)
+	}
 	if fam.Drift <= calib.DriftThreshold {
 		t.Errorf("drift = %v, want > %v", fam.Drift, calib.DriftThreshold)
 	}
@@ -84,12 +99,22 @@ func TestCalibrationEndToEnd(t *testing.T) {
 			fam.PredictedMeanSec, fam.ActualMeanSec)
 	}
 
-	// FitProfile must recover the measured truth within 20%: predicting
-	// the mean observed artifact size must land within 20% of the mean
-	// measured fetch duration.
-	fit, ok := c.FitFor("memory")
-	if !ok {
-		t.Fatal("FitFor rejected despite enough samples")
+	// The refitted profile must recover the measured truth within 20%:
+	// predicting the mean observed artifact size must land within 20% of
+	// the mean measured fetch duration. It is read the way `collab
+	// calibration -fit` reads it, off the report.
+	var fit *cost.Profile
+	for _, f := range report.Fits {
+		if f.Tier == "memory" {
+			latency, err := time.ParseDuration(f.Latency)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fit = &cost.Profile{Latency: latency, BytesPerSecond: f.BytesPerSecond}
+		}
+	}
+	if fit == nil {
+		t.Fatalf("no memory fit despite enough samples: %+v", report.Fits)
 	}
 	got := fit.LoadCost(int64(fam.BytesMean)).Seconds()
 	if rel := math.Abs(got-fam.ActualMeanSec) / fam.ActualMeanSec; rel > 0.20 {
@@ -99,34 +124,19 @@ func TestCalibrationEndToEnd(t *testing.T) {
 
 	// The realized speedup of reuse runs must be positive — fetching at
 	// microseconds beats recomputing a ~36ms chain.
-	if sp := c.LastSpeedup(); sp <= 1 {
-		t.Errorf("LastSpeedup = %v, want > 1", sp)
+	if report.LastSpeedup <= 1 {
+		t.Errorf("LastSpeedup = %v, want > 1", report.LastSpeedup)
 	}
-	total, last := c.WallSeconds()
-	if total <= 0 || last <= 0 {
-		t.Errorf("WallSeconds = (%v, %v), want both > 0", total, last)
+	if report.WallSecTotal <= 0 || report.LastRun == nil || report.LastRun.WallSec <= 0 {
+		t.Errorf("wall total %v, last run %+v: want both wall times > 0", report.WallSecTotal, report.LastRun)
 	}
 
-	// The metrics endpoint renders the new families with live values.
 	var sb strings.Builder
 	if err := srv.Metrics().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, fragment := range []string{
-		"collab_calib_load_memory_observations",
-		"collab_calib_runs",
-		"collab_calib_last_speedup",
-	} {
-		if !strings.Contains(out, fragment) {
-			t.Errorf("/metrics missing %q", fragment)
-		}
-	}
-	if strings.Contains(out, "# TYPE go_") {
+	if strings.Contains(sb.String(), "# TYPE go_") {
 		t.Error("/metrics carries go_* runtime families; -pprof and /proc give those")
-	}
-	if strings.Contains(out, "collab_calib_runs 0\n") {
-		t.Error("collab_calib_runs still zero after measured runs")
 	}
 }
 
@@ -142,37 +152,14 @@ func TestCalibrationObservesCompute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := srv.Calibration()
-	if got := c.ComputeObservations(); got == 0 {
+	n, relErr := computeObs(srv.Calibration().Snapshot())
+	if n == 0 {
 		t.Fatal("second run should compare compute times against EG predictions")
 	}
 	// Sleep-dominated ops are stable across runs: predictions should be
 	// reasonably calibrated, certainly not orders of magnitude off.
-	if err := c.ComputeMeanAbsRelErr(); err > 5 {
-		t.Errorf("ComputeMeanAbsRelErr = %v, implausibly large for identical reruns", err)
-	}
-}
-
-// TestCalibrationDisabledTakesNoMeasurements pins the opt-out: with
-// WithCalibration(false) the executor annotates nothing and the server
-// records no scorecard.
-func TestCalibrationDisabledTakesNoMeasurements(t *testing.T) {
-	srv := NewServer(store.New(cost.Memory()))
-	client := NewClient(srv, WithParallelism(1), WithCalibration(false))
-	wp := synth.WideProfile{Branches: 2, Depth: 1}
-	for i := 0; i < 3; i++ {
-		res, err := client.Run(synth.Wide(wp, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.FetchTime != 0 {
-			t.Fatalf("FetchTime = %v with calibration disabled", res.FetchTime)
-		}
-	}
-	c := srv.Calibration()
-	if c.LoadObservations("memory") != 0 || c.Runs() != 0 {
-		t.Fatalf("disabled calibration still observed: loads=%d runs=%d",
-			c.LoadObservations("memory"), c.Runs())
+	if relErr > 5 {
+		t.Errorf("compute mean relative error = %v, implausibly large for identical reruns", relErr)
 	}
 }
 
@@ -185,11 +172,11 @@ func TestObserveExecutionPreMergePredictions(t *testing.T) {
 	run1 := synth.Wide(synth.WideProfile{Branches: 1, Depth: 1}, 7)
 	run1.MarkComputed()
 	opt := srv.Optimize(run1, nil)
-	if _, err := Execute(run1, opt.Plan, srv, WithCalibration(true)); err != nil {
+	if _, err := Execute(run1, opt.Plan, srv); err != nil {
 		t.Fatal(err)
 	}
-	// Inflate the EG's recorded compute time so run 2's prediction is
-	// visibly stale.
+	// Inflate one executed vertex's compute time the way a client would
+	// report it, so the EG's prediction for run 2 is visibly stale.
 	var target *graph.Node
 	for _, n := range run1.Nodes() {
 		if !n.IsSource() && n.ComputeTime > 0 {
@@ -200,8 +187,8 @@ func TestObserveExecutionPreMergePredictions(t *testing.T) {
 	if target == nil {
 		t.Fatal("no executed vertex in run 1")
 	}
-	srv.Update(run1, &obs.Request{RequestID: "run-1"}, nil)
-	srv.EG.Vertex(target.ID).ComputeTime = time.Minute
+	target.ComputeTime = time.Minute
+	srv.Update(run1, &obs.Request{RequestID: "run-1"}, 0)
 
 	run2 := synth.Wide(synth.WideProfile{Branches: 1, Depth: 1}, 7)
 	run2.MarkComputed()
@@ -209,18 +196,21 @@ func TestObserveExecutionPreMergePredictions(t *testing.T) {
 	opt2 := srv.Optimize(run2, req2)
 	// Force recompute so the compute path is observed.
 	opt2.Plan = &reuse.Plan{Reuse: map[string]bool{}}
-	if _, err := Execute(run2, opt2.Plan, srv, WithCalibration(true)); err != nil {
+	if _, err := Execute(run2, opt2.Plan, srv); err != nil {
 		t.Fatal(err)
 	}
-	srv.Update(run2, req2, nil)
+	srv.Update(run2, req2, 0)
 
-	c := srv.Calibration()
-	if got := c.ComputeObservations(); got == 0 {
+	n, relErr := computeObs(srv.Calibration().Snapshot())
+	if n == 0 {
 		t.Fatal("no compute observations")
 	}
 	// Prediction (1 minute) vs measured (~µs): relative error must be
 	// enormous, proving the pre-merge value was used.
-	if got := c.ComputeMeanAbsRelErr(); got < 100 {
-		t.Errorf("ComputeMeanAbsRelErr = %v; inflated pre-merge prediction not used", got)
+	if relErr < 100 {
+		t.Errorf("compute mean relative error = %v; inflated pre-merge prediction not used", relErr)
+	}
+	if err := egtest.Check(srv.EG); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/calib"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -34,12 +33,12 @@ const SessionTier = "session"
 type Optimizer interface {
 	ArtifactSource
 	Optimize(w *graph.DAG, req *obs.Request) *Optimization
-	// Update merges the executed DAG; run is the client's post-execution
-	// summary for the calibration scorecard (nil when it measured nothing).
-	// The returned IDs are content the server wants and was not given —
-	// empty whenever the DAG carried its content or the implementation
-	// uploads it itself.
-	Update(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) (want []string)
+	// Update merges the executed DAG; wall is the run's measured Execute
+	// wall-clock time for the calibration scorecard (0: not measured). The
+	// returned IDs are content the server wants and was not given — empty
+	// whenever the DAG carried its content or the implementation uploads it
+	// itself.
+	Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string)
 }
 
 // Client drives one workload through the full pipeline: local pruning,
@@ -85,10 +84,7 @@ func (c *Client) Run(w *graph.DAG) (*RunResult, error) {
 	// Step 3: server-side optimization.
 	opt := c.srv.Optimize(w, req)
 
-	// Calibration measurement defaults on for client-driven runs — the
-	// caller's own options come later, so an explicit
-	// WithCalibration(false) wins.
-	cfg := execConfig{measure: true, req: req}
+	cfg := execConfig{req: req}
 	for _, o := range c.execOpts {
 		o(&cfg)
 	}
@@ -120,23 +116,9 @@ func (c *Client) Run(w *graph.DAG) (*RunResult, error) {
 		return nil, err
 	}
 
-	// Step 5: updater. The run summary rides along so the server can fold
-	// wall-clock time into the request's scorecard — unless the caller
-	// opted out of calibration measurement.
-	var run *calib.ClientRun
-	if cfg.measure {
-		run = &calib.ClientRun{
-			WallTime:    res.WallTime,
-			RunTime:     res.RunTime,
-			ComputeTime: res.ComputeTime,
-			LoadTime:    res.LoadTime,
-			FetchTime:   res.FetchTime,
-			Executed:    res.Executed,
-			Reused:      res.Reused,
-			Warmstarted: res.Warmstarted,
-		}
-	}
-	c.srv.Update(w, req, run)
+	// Step 5: updater. The wall time rides along so the server can fold it
+	// into the request's scorecard.
+	c.srv.Update(w, req, res.WallTime)
 
 	return &RunResult{
 		ExecResult:          *res,

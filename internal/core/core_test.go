@@ -338,7 +338,7 @@ func TestUpdateAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 		return stagedAllocsPerCall(func() func() {
 			w := next(i)
 			i++
-			return func() { srv.Update(w, nil, nil) }
+			return func() { srv.Update(w, nil, 0) }
 		})
 	}
 	small, large := allocs(500), allocs(5000)

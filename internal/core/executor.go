@@ -26,8 +26,7 @@ type ExecResult struct {
 	// LoadTime is the modeled Cl total of artifacts loaded from EG.
 	LoadTime time.Duration
 	// FetchTime is the measured wall-clock total of EG artifact fetches,
-	// summed over reused vertices. Zero unless the execution ran with
-	// calibration measurement (WithCalibration) enabled.
+	// summed over reused vertices.
 	FetchTime time.Duration
 	// WallTime is the measured end-to-end duration of Execute. Under
 	// parallel execution WallTime < ComputeTime when independent
@@ -55,7 +54,6 @@ type ExecOption func(*execConfig)
 type execConfig struct {
 	workers int
 	trace   *obs.Trace
-	measure bool
 	// req is the record of the run this execution belongs to, set by
 	// Client.Run: its ID tags the top-level trace span and travels with
 	// every fetch. nil for a bare Execute call.
@@ -78,18 +76,6 @@ func WithTrace(t *obs.Trace) ExecOption {
 	return func(c *execConfig) { c.trace = t }
 }
 
-// WithCalibration toggles calibration measurement: when on, every EG
-// fetch is timed and the vertex is annotated with the measured duration,
-// the serving tier, and the planner's predicted Cl, which the server's
-// calibration collector compares on update. When off (the default for
-// plain Execute calls), the fetch path takes no extra timestamps and
-// allocates nothing (TestDisabledInstrumentsAllocateAsAbsent).
-// core.Client.Run enables it by default; pass WithCalibration(false) to a
-// client to opt out.
-func WithCalibration(on bool) ExecOption {
-	return func(c *execConfig) { c.measure = on }
-}
-
 // vexec is the per-vertex scheduling state of one Execute call. Each vertex
 // is run by exactly one worker, which is the only goroutine that mutates
 // the node or this record until completion is published under the
@@ -108,8 +94,7 @@ type vexec struct {
 	// schedule sources: they never wait on parents.
 	stop bool
 
-	// predLoad is the planner's Cl prediction for stop vertices
-	// (calibration measurement only).
+	// predLoad is the planner's Cl prediction for plan-reuse vertices.
 	predLoad time.Duration
 
 	// Completion record, written by the owning worker, read after join.
@@ -199,7 +184,7 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 		}
 		s := &vexec{node: n, topo: i}
 		s.stop = plan.Reuse[n.ID] || (n.Computed && n.Content != nil)
-		if cfg.measure && plan.Reuse[n.ID] {
+		if plan.Reuse[n.ID] {
 			if sec, ok := plan.PredictedLoad[n.ID]; ok {
 				s.predLoad = time.Duration(sec * float64(time.Second))
 			}
@@ -344,7 +329,8 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 // exactly one worker per vertex; the node and the vexec completion fields
 // are owned by that worker until it publishes under the scheduler lock.
 // cfg.trace may be nil (tracing disabled); every tracing statement is
-// guarded so the disabled path takes no timestamps and allocates nothing.
+// guarded so the disabled path builds no span arguments and allocates
+// nothing.
 func runVertex(s *vexec, src ArtifactSource, cfg execConfig, wid int) error {
 	n, tr := s.node, cfg.trace
 	switch {
@@ -352,11 +338,7 @@ func runVertex(s *vexec, src ArtifactSource, cfg execConfig, wid int) error {
 		// already on the client (source or prior cell)
 	case s.stop:
 		// plan-reuse vertex: fetch from the store
-		var fetchSW obs.Stopwatch
-		timed := tr != nil || cfg.measure
-		if timed {
-			fetchSW = obs.StartTimer()
-		}
+		fetchSW := obs.StartTimer()
 		// The load cost is priced for the tier that actually served the
 		// bytes (memory, disk, remote).
 		content, tierLabel, loadCost := src.FetchTiered(n.ID, cfg.req)
@@ -374,24 +356,18 @@ func runVertex(s *vexec, src ArtifactSource, cfg execConfig, wid int) error {
 		}
 		s.loadCost = loadCost
 		s.reused = true
-		var fetchElapsed time.Duration
-		if timed {
-			fetchElapsed = fetchSW.Elapsed()
-		}
-		if cfg.measure {
-			// Annotate the node with measured-vs-predicted so the server's
-			// calibration collector can compare them on update. The
-			// planner's own Cl (predLoad) is preferred; the tier-priced
-			// loadCost stands in when the plan carried no prediction
-			// (older remote servers).
-			s.fetchTime = fetchElapsed
-			n.FetchTime = fetchElapsed
-			n.FetchTier = tierLabel
-			if s.predLoad > 0 {
-				n.PredictedLoad = s.predLoad
-			} else {
-				n.PredictedLoad = s.loadCost
-			}
+		// Annotate the node with measured-vs-predicted so the server's
+		// calibration collector can compare them on update. The planner's
+		// own Cl (predLoad) is preferred; the tier-priced loadCost stands in
+		// when the plan carried no prediction (older remote servers).
+		fetchElapsed := fetchSW.Elapsed()
+		s.fetchTime = fetchElapsed
+		n.FetchTime = fetchElapsed
+		n.FetchTier = tierLabel
+		if s.predLoad > 0 {
+			n.PredictedLoad = s.predLoad
+		} else {
+			n.PredictedLoad = s.loadCost
 		}
 		if tr != nil {
 			args := map[string]any{

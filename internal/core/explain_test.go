@@ -148,7 +148,7 @@ func TestMaterializeCountersAndExplainReadTheRun(t *testing.T) {
 			u := synth.NewUniverse(11, 120)
 			rng := rand.New(rand.NewSource(11))
 			for i := 0; i < 12; i++ {
-				srv.Update(u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len())), nil, nil)
+				srv.Update(u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len())), nil, 0)
 			}
 			considered := srv.Metrics().Counter("collab_materialize_considered_total", "").Value()
 			vetoed := srv.Metrics().Counter("collab_materialize_vetoed_total", "").Value()

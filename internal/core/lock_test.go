@@ -80,7 +80,7 @@ func TestLockSectionsCoverHandlers(t *testing.T) {
 	if _, err := Execute(w, nil, srv); err != nil {
 		t.Fatal(err)
 	}
-	srv.Update(w, req, nil)
+	srv.Update(w, req, 0)
 	m := srv.metrics
 	if m.lockWait["optimize"].Count() != 1 {
 		t.Errorf("optimize section saw %d waits, want 1", m.lockWait["optimize"].Count())

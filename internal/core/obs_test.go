@@ -136,18 +136,19 @@ func TestServerMetricsExposition(t *testing.T) {
 }
 
 // TestDisabledInstrumentsAllocateAsAbsent gates what the *Overhead benchmarks
-// show, with a count instead of a timing: switching tracing, calibration
-// measurement or explain capture off costs exactly what never asking for it
-// costs, and switching it on costs no less; for explain, whose record can be
-// built alone, switching it on costs exactly the record. Width 1 keeps the
-// count free of goroutine start-up.
+// show, with a count instead of a timing: switching tracing or explain
+// capture off costs exactly what never asking for it costs, and switching it
+// on costs no less; for explain, whose record can be built alone, switching
+// it on costs exactly the record. Calibration measurement has no switch:
+// Execute on a reuse-heavy plan allocates what it did when measurement was
+// an option that was on. Width 1 keeps the counts free of goroutine
+// start-up.
 func TestDisabledInstrumentsAllocateAsAbsent(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		arms []overheadArm
 	}{
 		{"trace", traceArms(t, 1)},
-		{"calibration", calibArms(t, 1)},
 		{"explain", explainArms(t)},
 	} {
 		allocs := map[string]float64{}
@@ -169,6 +170,12 @@ func TestDisabledInstrumentsAllocateAsAbsent(t *testing.T) {
 			t.Errorf("%s enabled allocates %.0f times per call, disabled %.0f, the record alone %.0f: part of the record is built on the off path",
 				c.name, allocs["enabled"], allocs["disabled"], alone)
 		}
+	}
+	// 76 is what this plan's Execute allocated with calibration measurement
+	// switched on, when it could still be switched off (and off too).
+	const measuredAllocs = 76
+	if got := stagedAllocsPerCall(stageExecute(t, primedServer(t), true, WithParallelism(1))); got != measuredAllocs {
+		t.Errorf("Execute on a reuse plan allocates %.0f times per call, want %d", got, measuredAllocs)
 	}
 }
 

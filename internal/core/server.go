@@ -55,8 +55,7 @@ type Server struct {
 
 	// calib is the always-on calibration collector: updates feed it the
 	// measured fetch/compute durations next to the predictions the planner
-	// used. Cheap when clients don't measure — without annotations there
-	// is nothing to observe.
+	// used.
 	calib *calib.Collector
 
 	// flight and clients are the two folds over finished request records
@@ -355,8 +354,6 @@ func (s *Server) initMetrics() {
 	// the pool is shared, so the last-constructed server's registry owns
 	// the accounting sink.
 	parallel.RegisterMetrics(reg)
-	// Calibration families (predicted-vs-actual cost quality), scrape-backed.
-	calib.RegisterMetrics(reg, s.calib)
 	// Build identity and uptime: an info-gauge (constant 1, facts in the
 	// labels, the Prometheus convention) plus a scrape-time uptime gauge.
 	reg.Gauge(obs.Labeled("collab_build_info", "version", s.version, "go_version", s.goVersion),
@@ -421,7 +418,7 @@ func (s *Server) Trace() *obs.Trace { return s.trace }
 func (s *Server) Explain() *explain.Recorder { return s.explain }
 
 // Calibration returns the server's calibration collector (always
-// non-nil), backing /v1/calibration and the collab_calib_* metrics.
+// non-nil), whose Snapshot backs /v1/calibration and /v1/stats.
 func (s *Server) Calibration() *calib.Collector { return s.calib }
 
 // Flight returns the ring of finished requests backing /v1/requests, or
@@ -612,17 +609,17 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 // upload list of the remote protocol when the DAG arrived as meta-data,
 // less what another caller is already sending (askOnceLocked).
 //
-// run, when non-nil, is the client's post-execution summary, folded into
-// the request's calibration scorecard. The executed DAG's shape and the
-// lock wait are written into req (nil: an untagged caller).
-func (s *Server) Update(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) (want []string) {
+// wall, when positive, is the client's measured Execute wall-clock time,
+// folded into the request's calibration scorecard. The executed DAG's shape
+// and the lock wait are written into req (nil: an untagged caller).
+func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string) {
 	req = untagged(req)
 	defer s.lockSection("update", req)()
 	sw := obs.StartTimer()
 
 	// Calibration reads EG predictions, so it must run before Merge
 	// refreshes them with this run's measurements.
-	sc := s.observeExecutionLocked(executed, req, run)
+	sc := s.observeExecutionLocked(executed, req, wall)
 
 	s.EG.Merge(executed)
 
@@ -651,10 +648,10 @@ func (s *Server) Update(executed *graph.DAG, req *obs.Request, run *calib.Client
 // It also writes what the update knows of the run into the request record:
 // how many vertices merged and how many the client loaded from EG.
 //
-// Returns nil when the run carried no measurements at all (clients
-// running WithCalibration(false), or pre-measurement clients) so callers
+// Returns nil when the update carries no measurement at all — no timed
+// fetch and no wall time, as from an Update outside Client.Run — so callers
 // can skip scorecard plumbing.
-func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) *calib.Scorecard {
+func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, wall time.Duration) *calib.Scorecard {
 	requestID := req.RequestID
 	var (
 		reused, execCount int
@@ -685,8 +682,9 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, r
 				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes,
 					(cr - n.FetchTime).Seconds())
 			} else if n.FetchTier != SessionTier || s.Store.Has(n.ID) {
-				// Unmeasured reuse (calibration off, or satisfied from the
-				// client's session store): counted, no attributable saving.
+				// Unmeasured reuse (satisfied from the client's session
+				// store, or a caller that timed nothing): counted, no
+				// attributable saving.
 				// What a client holds of its own work and the store never
 				// kept is not an artifact the ledger tracks.
 				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes, 0)
@@ -709,13 +707,11 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, r
 		}
 	}
 	req.Vertices, req.Reused = executed.Len(), reused
-	if !measured && run == nil {
+	if !measured && wall <= 0 {
 		return nil
 	}
 	sc := calib.NewScorecard(requestID, reused, execCount, recreation, fetchTotal, computeTotal)
-	if run != nil {
-		sc.WallSec = run.WallTime.Seconds()
-	}
+	sc.WallSec = wall.Seconds()
 	s.calib.RecordScorecard(sc)
 	return &sc
 }

@@ -81,11 +81,3 @@ func (g *Graph) Prune(p PrunePolicy) []string {
 	g.rederiveLocked()
 	return removed
 }
-
-// MergeCount returns how many workloads have been merged, the clock the
-// idle criterion measures against.
-func (g *Graph) MergeCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.mergeCount
-}

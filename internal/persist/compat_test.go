@@ -122,7 +122,7 @@ func TestReadersRunBesideTheUpdater(t *testing.T) {
 
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for i := 0; i < 40 || time.Now().Before(deadline); i++ {
-		srv.Update(u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len())), nil, nil)
+		srv.Update(u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len())), nil, 0)
 	}
 	close(stop)
 	wg.Wait()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,11 +113,12 @@ func TestCalibrationEndpointFormats(t *testing.T) {
 }
 
 // TestRemoteCalibrationEndToEnd drives one run each of two clients over HTTP
-// and asserts the second client's fetch measurements and run summary arrive at the server's
-// collector: load observations in the remote tier family, a recorded
-// scorecard, and the new stats fields populated.
+// and asserts the second client's fetch measurements and wall time arrive at
+// the server's collector — load observations in the remote tier family and
+// a recorded scorecard — and that the ten calibration fields of /v1/stats
+// say what /v1/calibration says.
 func TestRemoteCalibrationEndToEnd(t *testing.T) {
-	srv, rc, closeFn := newRemotePair(t)
+	_, rc, closeFn := newRemotePair(t)
 	defer closeFn()
 	frame := testFrame(200, 3)
 
@@ -129,43 +131,61 @@ func TestRemoteCalibrationEndToEnd(t *testing.T) {
 		}
 	}
 
-	c := srv.Calibration()
-	if got := c.LoadObservations("remote"); got == 0 {
-		t.Error("no load observations for the remote tier after a reusing run")
-	}
-	if c.Runs() == 0 {
-		t.Error("no run scorecards despite piggybacked run summaries")
-	}
-	if _, last := c.WallSeconds(); last <= 0 {
-		t.Error("last run wall time not recorded")
-	}
-
-	st, err := rc.StatsE()
+	report, err := rc.CalibrationE()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Runs == 0 || st.LastRunWallTime <= 0 {
-		t.Errorf("stats missing scorecard fields: runs=%d lastWall=%v", st.Runs, st.LastRunWallTime)
-	}
-	if st.CalibLoadObs == 0 {
-		t.Errorf("stats CalibLoadObs = 0")
-	}
-	if st.LastRun == nil || st.LastRun.Reused == 0 {
-		t.Errorf("stats LastRun = %+v, want reused scorecard", st.LastRun)
-	}
-
-	report, err := rc.CalibrationE()
+	st, err := rc.StatsE()
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, f := range report.Families {
-		if f.Name == "load:remote" && f.Count > 0 {
-			found = true
-		}
+		found = found || f.Name == "load:remote" && f.Count > 0
 	}
 	if !found {
 		b, _ := json.Marshal(report.Families)
 		t.Errorf("report lacks load:remote family: %s", b)
+	}
+	if report.Runs == 0 || report.LastRun == nil || report.LastRun.WallSec <= 0 || report.LastRun.Reused == 0 {
+		t.Fatalf("report runs=%d last=%+v, want a reused scorecard with its wall time", report.Runs, report.LastRun)
+	}
+
+	if st.LastRun == nil {
+		t.Fatal("stats carries no LastRun")
+	}
+	// What /v1/stats derives, derived here independently from the report.
+	var loadObs, computeObs int64
+	var worst string
+	var worstDrift float64
+	for _, f := range report.Families {
+		if strings.HasPrefix(f.Name, "load:") {
+			loadObs += f.Count
+		} else {
+			computeObs += f.Count
+		}
+		if f.Drift > worstDrift || (f.Drift == worstDrift && f.Drift > 0 && f.Name < worst) {
+			worst, worstDrift = f.Name, f.Drift
+		}
+	}
+	asDuration := func(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
+	for _, c := range []struct {
+		field     string
+		got, want any
+	}{
+		{"Runs", st.Runs, report.Runs},
+		{"RunWallTime", st.RunWallTime, asDuration(report.WallSecTotal)},
+		{"LastRunWallTime", st.LastRunWallTime, asDuration(report.LastRun.WallSec)},
+		{"CalibLoadObs", st.CalibLoadObs, loadObs},
+		{"CalibComputeObs", st.CalibComputeObs, computeObs},
+		{"EstimatedSavedSec", st.EstimatedSavedSec, report.EstimatedSavedSecTotal},
+		{"LastSpeedup", st.LastSpeedup, report.LastSpeedup},
+		{"MaxDriftFamily", st.MaxDriftFamily, worst},
+		{"MaxDrift", st.MaxDrift, worstDrift},
+		{"LastRun", *st.LastRun, *report.LastRun},
+	} {
+		if c.got != c.want {
+			t.Errorf("stats %s = %v, calibration report says %v", c.field, c.got, c.want)
+		}
 	}
 }

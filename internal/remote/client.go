@@ -140,12 +140,12 @@ func (c *Client) OptimizeE(w *graph.DAG, req *obs.Request) (*core.Optimization, 
 	return &core.Optimization{Plan: plan, Warmstarts: resp.Warmstarts, Overhead: resp.Overhead}, nil
 }
 
-// Update implements core.Optimizer: ship metadata (the run summary rides
-// on the same request, which is where the server builds the run's
+// Update implements core.Optimizer: ship metadata (the run's wall time
+// rides on the same request, which is where the server builds the run's
 // calibration scorecard), then upload whatever content the server asks for
 // — so there is never anything left for the caller to supply.
-func (c *Client) Update(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) []string {
-	if err := c.UpdateE(executed, req, run); err != nil {
+func (c *Client) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) []string {
+	if err := c.UpdateE(executed, req, wall); err != nil {
 		c.fail(err)
 	}
 	return nil
@@ -153,10 +153,10 @@ func (c *Client) Update(executed *graph.DAG, req *obs.Request, run *calib.Client
 
 // UpdateE is Update with error reporting. What the run computed or loaded
 // goes into the session store whether or not the server can be reached.
-func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, run *calib.ClientRun) error {
+func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Duration) error {
 	c.holdContent(executed)
 	var resp UpdateResponse
-	if err := c.postGob("/v1/update", req, &UpdateRequest{Nodes: ToWire(executed), Run: run}, &resp); err != nil {
+	if err := c.postGob("/v1/update", req, &UpdateRequest{Nodes: ToWire(executed), WallTime: wall}, &resp); err != nil {
 		return err
 	}
 	// held collects the column lineage IDs the server holds as far as this
@@ -277,9 +277,10 @@ func (c *Client) StatsE() (*Stats, error) {
 	return &st, c.getJSON("/v1/stats", &st)
 }
 
-// getJSON GETs one of the server's JSON endpoints into v.
+// getJSON GETs one of the server's JSON endpoints into v, under the
+// collaborator's name like every other request of this client.
 func (c *Client) getJSON(path string, v any) error {
-	resp, err := c.http.Get(c.base + path)
+	resp, err := c.do(http.MethodGet, c.base+path, nil, nil)
 	if err != nil {
 		return err
 	}

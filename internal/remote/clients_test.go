@@ -73,6 +73,41 @@ func TestClientsEndpointAttributes(t *testing.T) {
 	}
 }
 
+// TestStatsReadsCarryTheClientName: a named collaborator's reads of
+// /v1/stats go through the same request path as its runs, so /v1/clients
+// files them on its row, not under its remote address.
+func TestStatsReadsCarryTheClientName(t *testing.T) {
+	_, rc, closeFn := newRemotePair(t)
+	defer closeFn()
+	rc.SetName("alice")
+	if _, err := rc.StatsE(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rc.CalibrationE(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(rc.BaseURL() + "/v1/clients")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var export struct {
+		Clients []obs.ClientStats `json:"clients"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&export); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range export.Clients {
+		if row.Client == "alice" {
+			if row.Requests != 2 {
+				t.Errorf("alice's row counts %d requests, want the stats and calibration reads", row.Requests)
+			}
+			return
+		}
+	}
+	t.Errorf("no alice row in /v1/clients: %+v", export.Clients)
+}
+
 // TestClientsEndpointFallsBackToRemoteAddr verifies unnamed callers are
 // attributed by their remote address host.
 func TestClientsEndpointFallsBackToRemoteAddr(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/eg"
 	"repro/internal/explain"
@@ -160,7 +161,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	// model kinds (warmstart donor matching) included, which the updater
 	// merges before it selects — so what the materializer selected comes
 	// back as the list of content to upload.
-	resp := UpdateResponse{WantContent: h.srv.Update(dag, request(r), req.Run)}
+	resp := UpdateResponse{WantContent: h.srv.Update(dag, request(r), req.WallTime)}
 	wanted := make(map[string]int, len(resp.WantContent))
 	for i, id := range resp.WantContent {
 		wanted[id] = i
@@ -264,22 +265,33 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	if led := h.srv.ArtifactLedger(); led != nil {
 		st.ArtifactsTracked, st.ArtifactSavedSec, st.ArtifactRentSec, st.ArtifactNetSec = led.Totals()
 	}
-	if c := h.srv.Calibration(); c != nil {
-		st.Runs = c.Runs()
-		total, last := c.WallSeconds()
-		st.RunWallTime = secondsToDuration(total)
-		st.LastRunWallTime = secondsToDuration(last)
-		for _, tier := range c.LoadTiers() {
-			st.CalibLoadObs += c.LoadObservations(tier)
-		}
-		st.CalibComputeObs = c.ComputeObservations()
-		st.EstimatedSavedSec = c.EstimatedSavedSeconds()
-		st.LastSpeedup = c.LastSpeedup()
-		st.MaxDriftFamily, st.MaxDrift = c.MaxDrift()
-		st.LastRun = c.LastScorecard()
-	}
+	st.calibration(h.srv.Calibration().Snapshot())
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(st)
+}
+
+// calibration fills the scorecard summary from the calibration report: run
+// totals, observation counts summed over each kind of family, and the worst
+// drift, ties going to the lexically smaller family (the report's order).
+func (st *Stats) calibration(r *calib.Report) {
+	st.Runs = r.Runs
+	st.RunWallTime = secondsToDuration(r.WallSecTotal)
+	st.EstimatedSavedSec = r.EstimatedSavedSecTotal
+	st.LastSpeedup = r.LastSpeedup
+	st.LastRun = r.LastRun
+	if r.LastRun != nil {
+		st.LastRunWallTime = secondsToDuration(r.LastRun.WallSec)
+	}
+	for _, f := range r.Families {
+		if strings.HasPrefix(f.Name, "load:") {
+			st.CalibLoadObs += f.Count
+		} else {
+			st.CalibComputeObs += f.Count
+		}
+		if f.Drift > st.MaxDrift {
+			st.MaxDriftFamily, st.MaxDrift = f.Name, f.Drift
+		}
+	}
 }
 
 func secondsToDuration(s float64) time.Duration {

@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -424,8 +426,7 @@ func TestSessionVertexServerAccounting(t *testing.T) {
 	defer closeFn()
 	frame := testFrame(200, 5)
 	mustRun(t, rc, buildPipeline(frame))
-	calib := srv.Calibration()
-	computeObs := calib.ComputeObservations()
+	before := srv.Calibration().Snapshot()
 	reusedBefore := ledgerReuse(srv.ArtifactLedger())
 
 	dag := buildPipeline(frame)
@@ -442,15 +443,20 @@ func TestSessionVertexServerAccounting(t *testing.T) {
 	if held == 0 {
 		t.Fatal("no vertex came from the session")
 	}
-	sc := calib.LastScorecard()
-	if sc == nil || sc.Reused != held || sc.Executed != 0 || sc.FetchActualSec != 0 {
+	report := srv.Calibration().Snapshot()
+	if sc := report.LastRun; sc == nil || sc.Reused != held || sc.Executed != 0 || sc.FetchActualSec != 0 {
 		t.Errorf("scorecard %+v, want %d reused and nothing executed or fetched", sc, held)
 	}
-	if tiers := calib.LoadTiers(); len(tiers) != 0 {
-		t.Errorf("load observations recorded for tiers %v", tiers)
+	// Neither a load nor a compute observation: every family is as it was,
+	// and none is a load family.
+	if !reflect.DeepEqual(report.Families, before.Families) {
+		t.Errorf("calibration families went %+v → %+v on a run that fetched and computed nothing",
+			before.Families, report.Families)
 	}
-	if got := calib.ComputeObservations(); got != computeObs {
-		t.Errorf("compute observations went %d → %d on a run that computed nothing", computeObs, got)
+	for _, f := range report.Families {
+		if strings.HasPrefix(f.Name, "load:") {
+			t.Errorf("load observations recorded: %+v", f)
+		}
 	}
 	updates := obs.NewFlightReport(srv.Flight().Snapshot(), obs.RequestFilter{Route: "/v1/update"}).Requests
 	if len(updates) != 2 || updates[1].Reused != held {

@@ -334,7 +334,7 @@ func TestAskedAndNeverUploadedIsAskedAgain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return srv.Update(meta, nil, nil)
+		return srv.Update(meta, nil, 0)
 	}
 	asked := update()
 	if len(asked) == 0 {

@@ -47,7 +47,7 @@ type WireNode struct {
 	// LoadedFromEG through PredictedLoad carry the client's calibration
 	// measurements back on update: whether the vertex was fetched instead
 	// of computed, how long the fetch took, which tier served it, and the
-	// Cl(v) the plan predicted. Zero values when calibration was off.
+	// Cl(v) the plan predicted.
 	LoadedFromEG  bool
 	FetchTime     time.Duration
 	FetchTier     string
@@ -74,9 +74,10 @@ type OptimizeResponse struct {
 // UpdateRequest carries an executed DAG's meta-data.
 type UpdateRequest struct {
 	Nodes []WireNode
-	// Run optionally carries the client's post-execution summary
-	// (wall-clock, measured fetch totals) for the calibration scorecard.
-	Run *calib.ClientRun
+	// WallTime is the client's measured Execute wall-clock time, for the
+	// calibration scorecard. A client that predates it sends an eight-field
+	// run summary instead, which gob drops: its wall time reads as 0.
+	WallTime time.Duration
 }
 
 // UpdateResponse lists the vertex IDs whose content the server asks the

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
@@ -91,6 +92,41 @@ func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 				t.Errorf("%s: test's own rule says well-formed=%v", tc.name, got)
 			}
 		}
+	}
+}
+
+// oldShapeUpdate is the gob encoding of an UpdateRequest written when it
+// still carried the client's eight-field run summary (a Run pointer, every
+// field set, wall time 1.5s) instead of WallTime: a source "s" and its
+// child "a". It is what a client of that version sends on /v1/update.
+const oldShapeUpdate = "Ln8DAQENVXBkYXRlUmVxdWVzdAH/gAABAgEFTm9kZXMB/4gAAQNSdW4B/4oAAAAg/4cCAQERW11yZW1vdGUuV2lyZU5vZGUB/4gAAf+CAAD+AQf/gQMBAQhXaXJlTm9kZQH/ggABEgECSUQBDAABBEtpbmQBBgABBE5hbWUBDAABBk9wSGFzaAEMAAEIRXh0ZXJuYWwBAgABDVdhcm1zdGFydEtpbmQBDAABB1BhcmVudHMB/4QAAQhDb21wdXRlZAECAAELQ29tcHV0ZVRpbWUBBAABCVNpemVCeXRlcwEEAAEHUXVhbGl0eQEIAAEHQ29sdW1ucwH/hAABCENvbFNpemVzAf+GAAELVHJhaW5lZEtpbmQBDAABDExvYWRlZEZyb21FRwECAAEJRmV0Y2hUaW1lAQQAAQlGZXRjaFRpZXIBDAABDVByZWRpY3RlZExvYWQBBAAAABb/gwIBAQhbXXN0cmluZwH/hAABDAAAFf+FAgEBB1tdaW50NjQB/4YAAQQAAP+D/4kDAQEJQ2xpZW50UnVuAf+KAAEIAQhXYWxsVGltZQEEAAEHUnVuVGltZQEEAAELQ29tcHV0ZVRpbWUBBAABCExvYWRUaW1lAQQAAQlGZXRjaFRpbWUBBAABCEV4ZWN1dGVkAQQAAQZSZXVzZWQBBAABC1dhcm1zdGFydGVkAQQAAABO/4ABAgEBcwIBcwUBAv/IAAEBYQIBYQECaGEDAQFzAvx3NZQAARQAAQH8stBeAAH8jw0YAAH8dzWUAAH8F9eEAAH8EeGjAAECAQQBBgAA"
+
+// TestUpdateOfTheOldShapeStillMerges: gob drops the run summary the new
+// UpdateRequest lacks, so an update from a client that predates WallTime
+// decodes with a wall time of 0 and merges whole.
+func TestUpdateOfTheOldShapeStillMerges(t *testing.T) {
+	raw, err := base64.StdEncoding.DecodeString(oldShapeUpdate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req UpdateRequest
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Nodes) != 2 || req.Nodes[1].ComputeTime != time.Second || req.WallTime != 0 {
+		t.Fatalf("decoded %d nodes %+v, wall time %v: want s and a, wall time 0", len(req.Nodes), req.Nodes, req.WallTime)
+	}
+	srv := core.NewServer(store.New(cost.Memory()))
+	rec := httptest.NewRecorder()
+	NewHandler(srv).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(raw)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/update of the old shape: status %d: %s", rec.Code, rec.Body)
+	}
+	if srv.EG.Len() != 2 || srv.EG.Vertex("a") == nil {
+		t.Fatalf("EG holds %d vertices after the update, want s and a", srv.EG.Len())
+	}
+	if err := egtest.Check(srv.EG); err != nil {
+		t.Fatal(err)
 	}
 }
 
