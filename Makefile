@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fmt-check lint-logs loc bench profile-train bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
+.PHONY: build vet test race fmt-check lint-logs lint-layers loc bench profile-train bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -108,13 +108,24 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 	internal/reuse internal/materialize internal/eg internal/store \
 	internal/calib internal/tier internal/persist
 
+# lint-layers keeps the kernels free of server wiring: the columnar and ML
+# kernels, the operators, the DAG and the worker pool run on the client, so
+# none of them may import the metrics registry's package.
+KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
+lint-layers:
+	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "kernel packages import repro/internal/obs:"; echo "$$out"; exit 1; \
+	fi
+
 # cover runs the full test suite with per-package coverage summaries.
 cover:
 	$(GO) test -cover ./...
 
-# ci is the tier-1 gate: build, vet, formatting, log hygiene, tests with
-# coverage (cover subsumes plain `test`; the cmd/collab and cmd/collabd
-# tests exercise the CLI surface) and race tests. No wall-clock comparison
-# gates: the overhead and scaling contracts are count assertions inside the
-# tests, and end-to-end performance is judged by bench-pairs.
-ci: build vet fmt-check lint-logs cover race
+# ci is the tier-1 gate: build, vet, formatting, log hygiene, kernel
+# layering, tests with coverage (cover subsumes plain `test`; the cmd/collab
+# and cmd/collabd tests exercise the CLI surface) and race tests. No
+# wall-clock comparison gates: the overhead and scaling contracts are count
+# assertions inside the tests, and end-to-end performance is judged by
+# bench-pairs.
+ci: build vet fmt-check lint-logs lint-layers cover race

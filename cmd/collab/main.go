@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -102,9 +100,8 @@ const usageText = `usage: collab <stats|explain|calibration|requests|artifacts|k
   openml  -server URL -n N [-warmstart]            run OpenML-style pipelines
   run     -server URL -spec wl.json [-dot out.dot] run a declarative workload
   workload subcommands also take -trace out.json (Chrome trace of the
-  executions), -metrics-addr :9090 (serve /metrics while running), and
-  -store-dir DIR (run locally against a persistent tiered store instead
-  of a server; artifacts survive across invocations)`
+  executions) and -store-dir DIR (run locally against a persistent tiered
+  store instead of a server; artifacts survive across invocations)`
 
 func newRemote(serverURL string) *remote.Client {
 	return remote.NewClient(serverURL, cost.Remote())
@@ -173,68 +170,27 @@ func (t *target) close() error {
 	return persist.Save(t.srv, t.dir)
 }
 
-// obsFlags bundles the client-side observability options shared by the
-// workload subcommands: -trace writes a Chrome trace_event timeline of the
-// executions and -metrics-addr serves a Prometheus-style /metrics endpoint
-// for the duration of the command.
+// obsFlags is the client-side observability option shared by the workload
+// subcommands: -trace writes a Chrome trace_event timeline of the
+// executions.
 type obsFlags struct {
-	tracePath   string
-	metricsAddr string
-
-	trace   *obs.Trace
-	runs    *obs.Counter
-	exec    *obs.Counter
-	reused  *obs.Counter
-	warm    *obs.Counter
-	seconds *obs.Histogram
+	tracePath string
+	trace     *obs.Trace
 }
 
 func registerObsFlags(fs *flag.FlagSet) *obsFlags {
 	f := &obsFlags{}
 	fs.StringVar(&f.tracePath, "trace", "", "write a Chrome trace_event JSON timeline to this file")
-	fs.StringVar(&f.metricsAddr, "metrics-addr", "", "serve /metrics on this address while the command runs")
 	return f
 }
 
-// start turns parsed flags into executor options and, if requested, brings
-// up the metrics listener.
-func (f *obsFlags) start() ([]core.ExecOption, error) {
-	var opts []core.ExecOption
-	if f.tracePath != "" {
-		f.trace = obs.NewTrace()
-		opts = append(opts, core.WithTrace(f.trace))
+// start turns parsed flags into executor options.
+func (f *obsFlags) start() []core.ExecOption {
+	if f.tracePath == "" {
+		return nil
 	}
-	if f.metricsAddr != "" {
-		reg := obs.NewRegistry()
-		f.runs = reg.Counter("collab_client_runs_total", "Workload executions completed by this CLI.")
-		f.exec = reg.Counter("collab_client_executed_vertices_total", "Vertices computed locally.")
-		f.reused = reg.Counter("collab_client_reused_vertices_total", "Vertices loaded from the server instead of recomputed.")
-		f.warm = reg.Counter("collab_client_warmstarted_total", "Trainings that started from a server-proposed donor model.")
-		f.seconds = reg.Histogram("collab_client_run_seconds", "Wall-clock time per workload run.", obs.DefBuckets)
-		data.RegisterMetrics(reg) // kernels run client-side; expose their op counters here
-
-		ln, err := net.Listen("tcp", f.metricsAddr)
-		if err != nil {
-			return nil, fmt.Errorf("metrics-addr: %w", err)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		go func() { _ = http.Serve(ln, mux) }()
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", ln.Addr())
-	}
-	return opts, nil
-}
-
-// record tallies one finished run into the client metrics.
-func (f *obsFlags) record(res *core.RunResult) {
-	if f.runs == nil {
-		return
-	}
-	f.runs.Inc()
-	f.exec.Add(int64(res.Executed))
-	f.reused.Add(int64(res.Reused))
-	f.warm.Add(int64(res.Warmstarted))
-	f.seconds.Observe(res.RunTime.Seconds())
+	f.trace = obs.NewTrace()
+	return []core.ExecOption{core.WithTrace(f.trace)}
 }
 
 // flush writes the Chrome trace file if one was requested. Called via
@@ -329,11 +285,6 @@ func runStats(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "contention: lock wait %.3fs, lock hold %.3fs, store lock wait %.3fs\n",
 		st.LockWaitSec, st.LockHoldSec, st.StoreLockWaitSec)
-	if st.Pool.Workers > 0 {
-		fmt.Fprintf(out, "pool: %d workers, %d calls, %d helpers, %d rejected inline, queue wait %.3fs, utilization %.2f\n",
-			st.Pool.Workers, st.Pool.Calls, st.Pool.Helpers, st.Pool.RejectedInline,
-			st.Pool.QueueWaitSec, st.Pool.Utilization)
-	}
 	if *clients {
 		fmt.Fprintln(out)
 		return fetchAndPrint(out, *server, "clients", url.Values{"format": {"text"}})
@@ -464,10 +415,7 @@ func runKaggle(args []string) error {
 	storeDir := fs.String("store-dir", "", "run against a local persistent store instead of -server")
 	of := registerObsFlags(fs)
 	_ = fs.Parse(args)
-	opts, err := of.start()
-	if err != nil {
-		return err
-	}
+	opts := of.start()
 	defer of.flush()
 
 	sources := kaggle.Generate(kaggle.Config{Scale: *scale, Seed: *seed})
@@ -493,7 +441,6 @@ func runKaggle(args []string) error {
 			if terr := tg.err(); terr != nil {
 				return fmt.Errorf("workload %d run %d transport: %w", wl.ID, r, terr)
 			}
-			of.record(res)
 			fmt.Printf("W%d run %d: %.3fs wall %.3fs (executed %d, reused %d, plan overhead %s)\n",
 				wl.ID, r, res.RunTime.Seconds(), res.WallTime.Seconds(),
 				res.Executed, res.Reused, res.OptimizeOverhead)
@@ -516,10 +463,7 @@ func runSpec(args []string) error {
 	if *specPath == "" {
 		return fmt.Errorf("run: -spec is required")
 	}
-	opts, err := of.start()
-	if err != nil {
-		return err
-	}
+	opts := of.start()
 	defer of.flush()
 	raw, err := os.ReadFile(*specPath)
 	if err != nil {
@@ -549,7 +493,6 @@ func runSpec(args []string) error {
 	if terr := tg.err(); terr != nil {
 		return fmt.Errorf("transport: %w", terr)
 	}
-	of.record(res)
 	fmt.Printf("ran %s: %.3fs wall %.3fs (executed %d, reused %d, warmstarted %d)\n",
 		*specPath, res.RunTime.Seconds(), res.WallTime.Seconds(),
 		res.Executed, res.Reused, res.Warmstarted)
@@ -585,10 +528,7 @@ func runOpenML(args []string) error {
 	storeDir := fs.String("store-dir", "", "run against a local persistent store instead of -server")
 	of := registerObsFlags(fs)
 	_ = fs.Parse(args)
-	opts, err := of.start()
-	if err != nil {
-		return err
-	}
+	opts := of.start()
 	defer of.flush()
 
 	cfg := openml.DefaultConfig()
@@ -613,7 +553,6 @@ func runOpenML(args []string) error {
 		if terr := tg.err(); terr != nil {
 			return fmt.Errorf("pipeline %d transport: %w", i, terr)
 		}
-		of.record(res)
 		fmt.Printf("pipeline %3d %-22s %.3fs wall %.3fs quality=%.3f (executed %d, reused %d, warmstarted %d)\n",
 			i, p, res.RunTime.Seconds(), res.WallTime.Seconds(),
 			openml.ModelQuality(w), res.Executed, res.Reused, res.Warmstarted)

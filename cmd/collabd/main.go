@@ -24,6 +24,10 @@
 // (artifact lifecycle and storage economics). -slow-request D warns on
 // requests slower than D; -pprof mounts net/http/pprof under /debug/pprof/.
 //
+// On SIGINT or SIGTERM collabd stops accepting connections, lets requests
+// in flight finish (for up to 30 s), and only then flushes the memory tier
+// and saves its state; periodic -checkpoint saves stop before that last one.
+//
 // -profile-file loads the cost profile from a JSON file — typically one
 // refitted from measurements by `collab calibration -fit TIER` — instead
 // of the named -profile preset.
@@ -33,13 +37,16 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -224,6 +231,9 @@ func main() {
 			}
 		}()
 	}
+	// checkpoint and final save the state under dataDir; without one there
+	// is nothing to save, and shutdown only drains the requests in flight.
+	var checkpoint, final func()
 	if dataDir != "" {
 		restored, err := persist.Load(srv, dataDir)
 		if err != nil {
@@ -241,17 +251,8 @@ func main() {
 				logger.Info("state saved", "reason", reason)
 			}
 		}
-		go func() {
-			ticker := time.NewTicker(c.checkpoint)
-			defer ticker.Stop()
-			for range ticker.C {
-				save("checkpoint")
-			}
-		}()
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
+		checkpoint = func() { save("checkpoint") }
+		final = func() {
 			if c.storeDir != "" {
 				// Drain the memory tier so every artifact is durable in the
 				// checksummed tier files, not just in the gob snapshot.
@@ -260,20 +261,91 @@ func main() {
 				}
 			}
 			save("shutdown")
-			os.Exit(0)
-		}()
+		}
 	}
-	logger.Info("listening", "addr", c.addr, "strategy", srv.Strategy().Name(),
+	ln, err := net.Listen("tcp", c.addr)
+	if err != nil {
+		logger.Error("listen failed", "addr", c.addr, "err", err)
+		os.Exit(1)
+	}
+	logger.Info("listening", "addr", ln.Addr().String(), "strategy", srv.Strategy().Name(),
 		"planner", srv.Planner().Name(), "budget", c.budget, "alpha", c.alpha,
 		"profile", srv.Store.Profile().Name)
-	handler := remote.NewHandler(srv,
-		remote.WithHandlerLogger(logger),
-		remote.WithSlowRequestWarn(c.slowWarn),
-		remote.WithPprof(c.pprofOn))
-	if err := http.ListenAndServe(c.addr, handler); err != nil {
+	hs := &http.Server{
+		Handler: remote.NewHandler(srv,
+			remote.WithHandlerLogger(logger),
+			remote.WithSlowRequestWarn(c.slowWarn),
+			remote.WithPprof(c.pprofOn)),
+		ReadHeaderTimeout: readHeaderTimeout,
+	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := serve(hs, ln, stop, c.checkpoint, checkpoint, final, logger); err != nil {
 		logger.Error("server exited", "err", err)
 		os.Exit(1)
 	}
+}
+
+const (
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+	// drainTimeout bounds how long shutdown waits for requests in flight:
+	// well inside the minute a supervisor commonly allows between SIGTERM
+	// and SIGKILL, so the final save still runs.
+	drainTimeout = 30 * time.Second
+)
+
+// serve runs hs on ln until a signal arrives on stop, calling checkpoint
+// every interval meanwhile (none when it is nil). It then drains in the
+// order that makes the last save the newest: the checkpoint loop stops,
+// after the checkpoint under way if there is one; the server stops accepting
+// and waits up to drainTimeout for requests in flight; final (when non-nil)
+// runs last. A Serve failure before any signal is returned with no final
+// save.
+func serve(hs *http.Server, ln net.Listener, stop <-chan os.Signal, interval time.Duration,
+	checkpoint, final func(), logger *slog.Logger) error {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	quit := make(chan struct{})
+	var saving sync.WaitGroup
+	if checkpoint != nil {
+		saving.Add(1)
+		go func() {
+			defer saving.Done()
+			ticker := time.NewTicker(interval)
+			defer ticker.Stop()
+			for {
+				select {
+				case <-ticker.C:
+					checkpoint()
+				case <-quit:
+					return
+				}
+			}
+		}()
+	}
+	var err error
+	select {
+	case err = <-served:
+	case sig := <-stop:
+		logger.Info("draining", "signal", sig.String())
+	}
+	close(quit)
+	saving.Wait()
+	if err != nil {
+		return err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		logger.Warn("drain cut short", "err", err)
+	}
+	<-served // http.ErrServerClosed: not a failure
+	if final != nil {
+		final()
+	}
+	return nil
 }
 
 func logLevelByName(name string) (slog.Level, error) {

@@ -3,7 +3,13 @@ package main
 import (
 	"io"
 	"log/slog"
+	"net"
+	"net/http"
+	"os"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func discardLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
@@ -97,4 +103,93 @@ func TestBenchArgumentLists(t *testing.T) {
 			t.Error("unknown flag parsed")
 		}
 	})
+}
+
+// TestShutdownDrainsBeforeTheLastSave: a request in flight when the signal
+// arrives finishes with 200 before the final save runs, and a checkpoint under
+// way at the signal finishes before it too — no two saves overlap.
+func TestShutdownDrainsBeforeTheLastSave(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var handled atomic.Bool
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(entered)
+		<-release
+		handled.Store(true)
+	})}
+
+	// Every save marks itself active; the first checkpoint is still running
+	// when the signal arrives and for a while after it.
+	var active, overlaps, checkpoints atomic.Int32
+	checkpointing, signalled := make(chan struct{}), make(chan struct{})
+	saving := func(body func()) {
+		if active.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		body()
+		active.Add(-1)
+	}
+	checkpoint := func() {
+		saving(func() {
+			if checkpoints.Add(1) == 1 {
+				close(checkpointing)
+				<-signalled
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
+	}
+	var finalSawRequestDone, finalRan atomic.Bool
+	final := func() {
+		saving(func() {
+			finalSawRequestDone.Store(handled.Load())
+			finalRan.Store(true)
+		})
+	}
+
+	stop := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	go func() { done <- serve(hs, ln, stop, time.Millisecond, checkpoint, final, discardLogger()) }()
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String())
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-entered
+	<-checkpointing
+	stop <- syscall.SIGTERM
+	close(signalled)
+	// The server stops accepting once the checkpoint under way is done.
+	for {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			break
+		}
+		c.Close()
+		time.Sleep(time.Millisecond)
+	}
+	if finalRan.Load() {
+		t.Fatal("the final save ran while a request was in flight")
+	}
+	close(release)
+	if code := <-status; code != http.StatusOK {
+		t.Errorf("the request in flight at the signal got status %d, want 200", code)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("serve returned %v after a drained shutdown", err)
+	}
+	if !finalRan.Load() || !finalSawRequestDone.Load() {
+		t.Errorf("final save ran %v, after the request finished %v; want both", finalRan.Load(), finalSawRequestDone.Load())
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d saves started while another was running", n)
+	}
 }

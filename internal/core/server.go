@@ -17,7 +17,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/materialize"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/reuse"
 	"repro/internal/store"
 )
@@ -346,14 +345,6 @@ func (s *Server) initMetrics() {
 		LockWait:     m.storeLockWait,
 		Trace:        s.trace,
 	})
-	// Columnar-kernel counters (join/group-by/one-hot row throughput,
-	// partition counts, dictionary hit ratio).
-	data.RegisterMetrics(reg)
-	// Parallel-pool saturation: per-site queue-wait/run histograms, helper
-	// and inflight counts, utilization (collab_pool_*). Process-global —
-	// the pool is shared, so the last-constructed server's registry owns
-	// the accounting sink.
-	parallel.RegisterMetrics(reg)
 	// Build identity and uptime: an info-gauge (constant 1, facts in the
 	// labels, the Prometheus convention) plus a scrape-time uptime gauge.
 	reg.Gauge(obs.Labeled("collab_build_info", "version", s.version, "go_version", s.goVersion),

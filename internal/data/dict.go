@@ -45,7 +45,7 @@ func buildDict(vals []string) (dict []string, codes []uint32) {
 	n := len(vals)
 	nparts := (n + rowGrain - 1) / rowGrain
 	partSets := make([]map[string]struct{}, nparts)
-	parallel.ForSite(parallel.SiteData, n, rowGrain, func(lo, hi int) {
+	parallel.For(n, rowGrain, func(lo, hi int) {
 		set := make(map[string]struct{})
 		for i := lo; i < hi; i++ {
 			set[vals[i]] = struct{}{}
@@ -67,7 +67,7 @@ func buildDict(vals []string) (dict []string, codes []uint32) {
 		merged[s] = uint32(i)
 	}
 	codes = make([]uint32, n)
-	parallel.ForSite(parallel.SiteData, n, rowGrain, func(lo, hi int) {
+	parallel.For(n, rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			codes[i] = merged[vals[i]]
 		}
@@ -113,7 +113,7 @@ func (c *Column) StringValues() []string {
 		return c.Strings
 	}
 	out := make([]string, len(c.Codes))
-	parallel.ForSite(parallel.SiteData, len(c.Codes), rowGrain, func(lo, hi int) {
+	parallel.For(len(c.Codes), rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = c.Dict[c.Codes[i]]
 		}

@@ -102,11 +102,7 @@ func newGBGroup(firstRow int32, ncols int) *gbGroup {
 // groupTokens reduces the key column to tokens plus their hash function,
 // mirroring the join's representation choice.
 func groupByTokens(kc *Column, aggCols []*Column) []*gbGroup {
-	m := met()
-	m.keyRows.Add(int64(kc.Len()))
-	m.partitionsUsed.Add(kernelParts)
 	if kc.IsDict() {
-		m.dictKeyRows.Add(int64(kc.Len()))
 		return aggregateTokens(dictTokens(kc), hashUint64, aggCols)
 	}
 	if kc.Type.IsNumeric() {
@@ -130,7 +126,7 @@ func aggregateTokens[K comparable](toks []K, hash func(K) uint64, aggCols []*Col
 	// state per fixed chunk — the floating-point accumulation tree is the
 	// same shape at every width.
 	locals := make([][]map[K]*gbGroup, nchunks)
-	parallel.ForSite(parallel.SiteData, n, rowGrain, func(lo, hi int) {
+	parallel.For(n, rowGrain, func(lo, hi int) {
 		for base := lo; base < hi; base += rowGrain {
 			end := min(base+rowGrain, hi)
 			local := make([]map[K]*gbGroup, kernelParts)
@@ -160,7 +156,7 @@ func aggregateTokens[K comparable](toks []K, hash func(K) uint64, aggCols []*Col
 	// Phase 2: merge partitions concurrently; chunks merge in chunk order
 	// within each partition, fixing the floating-point combination tree.
 	merged := make([]map[K]*gbGroup, kernelParts)
-	parallel.ForSite(parallel.SiteData, kernelParts, 1, func(lo, hi int) {
+	parallel.For(kernelParts, 1, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			var global map[K]*gbGroup
 			for c := 0; c < nchunks; c++ {
@@ -203,7 +199,7 @@ func aggregateTokens[K comparable](toks []K, hash func(K) uint64, aggCols []*Col
 // order is total.
 func sortGroupsByRenderedKey(kc *Column, groups []*gbGroup) []string {
 	keys := make([]string, len(groups))
-	parallel.ForSite(parallel.SiteData, len(groups), 256, func(lo, hi int) {
+	parallel.For(len(groups), 256, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
 			keys[gi] = kc.StringAt(int(groups[gi].firstRow))
 		}

@@ -55,7 +55,7 @@ func buildJoinIndex[K comparable](toks []K, parts []uint8) *joinIndex[K] {
 
 	// Histogram: per-chunk, per-partition row counts.
 	counts := make([][kernelParts]int32, nchunks)
-	parallel.ForSite(parallel.SiteData, n, rowGrain, func(lo, hi int) {
+	parallel.For(n, rowGrain, func(lo, hi int) {
 		c := &counts[lo/rowGrain]
 		for i := lo; i < hi; i++ {
 			c[parts[i]]++
@@ -85,7 +85,7 @@ func buildJoinIndex[K comparable](toks []K, parts []uint8) *joinIndex[K] {
 
 	// Scatter rows into partition-major order, chunk-parallel (each chunk
 	// writes disjoint ranges given its precomputed offsets).
-	parallel.ForSite(parallel.SiteData, n, rowGrain, func(lo, hi int) {
+	parallel.For(n, rowGrain, func(lo, hi int) {
 		off := offsets[lo/rowGrain]
 		for i := lo; i < hi; i++ {
 			p := parts[i]
@@ -97,7 +97,7 @@ func buildJoinIndex[K comparable](toks []K, parts []uint8) *joinIndex[K] {
 	// Build each partition's index concurrently. Chains link positions in
 	// ascending order, so walking a chain yields right rows in the same
 	// order the sequential map's append produced.
-	parallel.ForSite(parallel.SiteData, kernelParts, 1, func(lo, hi int) {
+	parallel.For(kernelParts, 1, func(lo, hi int) {
 		for p := lo; p < hi; p++ {
 			span := idx.rowOf[idx.start[p]:idx.start[p+1]]
 			m := make(map[K]chain, len(span))
@@ -128,7 +128,7 @@ func probeJoin[K comparable](idx *joinIndex[K], ltoks []K, lparts []uint8, kind 
 	nchunks := (nL + rowGrain - 1) / rowGrain
 	type matches struct{ l, r []int }
 	chunks := make([]matches, nchunks)
-	parallel.ForSite(parallel.SiteData, nL, rowGrain, func(lo, hi int) {
+	parallel.For(nL, rowGrain, func(lo, hi int) {
 		var m matches
 		for i := lo; i < hi; i++ {
 			ch, ok := idx.byKey[lparts[i]][ltoks[i]]
@@ -165,12 +165,8 @@ func probeJoin[K comparable](idx *joinIndex[K], ltoks []K, lparts []uint8, kind 
 // share a primitive numeric type, rendered strings otherwise (the exact
 // semantics of the sequential kernel in every case).
 func joinRowIndices(lk, rk *Column, kind JoinKind) (lidx, ridx []int) {
-	m := met()
-	m.keyRows.Add(int64(lk.Len() + rk.Len()))
-	m.partitionsUsed.Add(kernelParts)
 	switch {
 	case lk.IsDict() && rk.IsDict():
-		m.dictKeyRows.Add(int64(lk.Len() + rk.Len()))
 		ltoks := dictTokens(lk)
 		rtoks := remappedDictTokens(lk, rk)
 		return joinOnTokens(ltoks, rtoks, hashUint64, kind)

@@ -33,13 +33,13 @@ func numericTokens(c *Column) []uint64 {
 	toks := make([]uint64, n)
 	switch c.Type {
 	case Int64:
-		parallel.ForSite(parallel.SiteData, n, rowGrain, func(lo, hi int) {
+		parallel.For(n, rowGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				toks[i] = uint64(c.Ints[i])
 			}
 		})
 	case Float64:
-		parallel.ForSite(parallel.SiteData, n, rowGrain, func(lo, hi int) {
+		parallel.For(n, rowGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v := c.Floats[i]
 				if v != v {
@@ -50,7 +50,7 @@ func numericTokens(c *Column) []uint64 {
 			}
 		})
 	case Bool:
-		parallel.ForSite(parallel.SiteData, n, rowGrain, func(lo, hi int) {
+		parallel.For(n, rowGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if c.Bools[i] {
 					toks[i] = 1
@@ -66,7 +66,7 @@ func numericTokens(c *Column) []uint64 {
 // dictTokens returns the column's codes widened to uint64 tokens.
 func dictTokens(c *Column) []uint64 {
 	toks := make([]uint64, len(c.Codes))
-	parallel.ForSite(parallel.SiteData, len(c.Codes), rowGrain, func(lo, hi int) {
+	parallel.For(len(c.Codes), rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			toks[i] = uint64(c.Codes[i])
 		}
@@ -95,7 +95,7 @@ func remappedDictTokens(left, right *Column) []uint64 {
 		}
 	}
 	toks := make([]uint64, len(right.Codes))
-	parallel.ForSite(parallel.SiteData, len(right.Codes), rowGrain, func(lo, hi int) {
+	parallel.For(len(right.Codes), rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			toks[i] = remap[right.Codes[i]]
 		}
@@ -143,7 +143,7 @@ func fnv64a(s string) uint64 {
 // chunked on the shared pool.
 func partitionIDs[K comparable](toks []K, hash func(K) uint64) []uint8 {
 	parts := make([]uint8, len(toks))
-	parallel.ForSite(parallel.SiteData, len(toks), rowGrain, func(lo, hi int) {
+	parallel.For(len(toks), rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			parts[i] = uint8(hash(toks[i]) & (kernelParts - 1))
 		}

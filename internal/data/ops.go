@@ -167,7 +167,6 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 	if c.Type != String {
 		return nil, fmt.Errorf("data: onehot: column %q is %s, want string", col, c.Type)
 	}
-	met().oneHotRows.Add(int64(c.Len()))
 	var sorted []string
 	if c.IsDict() {
 		// Categories are the dictionary entries actually present in the
@@ -207,7 +206,7 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 	// shared pool, then append sequentially in sorted-category order.
 	// Dictionary-encoded columns compare 4-byte codes instead of strings.
 	indicators := make([]*Column, len(sorted))
-	parallel.ForSite(parallel.SiteData, len(sorted), 1, func(lo, hi int) {
+	parallel.For(len(sorted), 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			cat := sorted[k]
 			vals := make([]float64, c.Len())
@@ -275,7 +274,6 @@ func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*F
 		return nil, fmt.Errorf("data: join: key %q missing (left=%v right=%v)", key, lk != nil, rk != nil)
 	}
 	lidx, ridx := joinRowIndices(lk, rk, kind)
-	met().joinRows.Add(int64(lk.Len() + rk.Len() + len(lidx)))
 	// Materialize the output columns in parallel (each gather is an
 	// independent O(rows) copy), then attach sequentially so collision
 	// renaming stays order-dependent and deterministic.
@@ -296,7 +294,7 @@ func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*F
 		jobs = append(jobs, gatherJob{c, DeriveID(opHash+"\x01R", c.ID), ridx, true})
 	}
 	gathered := make([]*Column, len(jobs))
-	parallel.ForSite(parallel.SiteData, len(jobs), 1, func(lo, hi int) {
+	parallel.For(len(jobs), 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			gathered[k] = jobs[k].src.Gather(jobs[k].idx, jobs[k].id)
 		}
@@ -317,7 +315,7 @@ func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*F
 // over the shared pool.
 func renderKeys(c *Column) []string {
 	keys := make([]string, c.Len())
-	parallel.ForSite(parallel.SiteData, c.Len(), rowGrain, func(lo, hi int) {
+	parallel.For(c.Len(), rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keys[i] = c.StringAt(i)
 		}
@@ -424,7 +422,6 @@ func (f *Frame) GroupBy(key string, aggs []Agg, opHash string) (*Frame, error) {
 		}
 		slots[ai] = slot
 	}
-	met().groupByRows.Add(int64(kc.Len()))
 
 	groups := groupByTokens(kc, aggCols)
 	sortGroupsByRenderedKey(kc, groups)
@@ -442,7 +439,7 @@ func (f *Frame) GroupBy(key string, aggs []Agg, opHash string) (*Frame, error) {
 		c := aggCols[slots[ai]]
 		vals := make([]float64, len(groups))
 		slot := slots[ai]
-		parallel.ForSite(parallel.SiteData, len(groups), 256, func(lo, hi int) {
+		parallel.For(len(groups), 256, func(lo, hi int) {
 			for gi := lo; gi < hi; gi++ {
 				g := groups[gi]
 				vals[gi] = g.stats[slot].value(a.Kind, g.rows)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -128,14 +127,12 @@ func TestKernelsDeterministicAcrossPoolWidths(t *testing.T) {
 // TestKernelsSpawnHelpersAtWidth replaces the speed-up ratio of the *Parallel
 // benchmarks with the count behind it. A kernel that fell back to sequential
 // passes still returns the right frame at every width, and only its timing
-// would tell; what it cannot do is show helpers in the pool's accounting.
+// would tell; what it cannot do is show helpers in the pool's counts.
 // Every pool call of the join and of the group-by splits into at least four
 // chunks on these frames, so at width 4 each call runs on the caller plus
 // three helpers, and at width 1 on the caller alone — the same calls and the
 // same chunks either way.
 func TestKernelsSpawnHelpersAtWidth(t *testing.T) {
-	parallel.RegisterMetrics(obs.NewRegistry())
-	defer parallel.Instrument(nil)
 	left, right := benchFrame(9000, 21), benchFrame(9000, 22)
 	for _, k := range []struct {
 		name string
@@ -146,7 +143,7 @@ func TestKernelsSpawnHelpersAtWidth(t *testing.T) {
 	} {
 		var chunks [2]int64
 		for i, width := range []int{1, 4} {
-			before := parallel.ReadStats()
+			before := parallel.ReadCounts()
 			atWidth(width, func() *Frame {
 				out, err := k.run()
 				if err != nil {
@@ -154,12 +151,12 @@ func TestKernelsSpawnHelpersAtWidth(t *testing.T) {
 				}
 				return out
 			})
-			after := parallel.ReadStats()
+			after := parallel.ReadCounts()
 			calls, helpers := after.Calls-before.Calls, after.Helpers-before.Helpers
-			chunks[i] = after.Tasks - before.Tasks
-			if calls == 0 || helpers != int64(width-1)*calls || after.RejectedInline != before.RejectedInline {
+			chunks[i] = after.Chunks - before.Chunks
+			if calls == 0 || helpers != int64(width-1)*calls || after.Denied != before.Denied {
 				t.Errorf("%s at width %d: %d pool calls spawned %d helpers (%d slots denied), want %d per call",
-					k.name, width, calls, helpers, after.RejectedInline-before.RejectedInline, width-1)
+					k.name, width, calls, helpers, after.Denied-before.Denied, width-1)
 			}
 		}
 		if chunks[0] != chunks[1] {

@@ -53,7 +53,6 @@ func (c *Column) memo() *quantileMemo {
 func (c *Column) Quantiles() *Quantiles {
 	m := c.memo()
 	m.once.Do(func() {
-		met().quantileBuilds.Inc()
 		vals := make([]float64, c.Len())
 		c.FillNumeric(vals, 1, nil)
 		m.view = quantize(vals)

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/obs"
 )
 
 // TestQuickBinOfMatchesEdgeComparison is the equivalence the tree learners
@@ -174,18 +172,15 @@ func TestQuantileMemoIsNotContent(t *testing.T) {
 	}
 }
 
-// TestQuantilesBuiltOnceUnderConcurrency counts builds, under -race: many
-// goroutines asking one column (and a copy of it) for its view build it once.
+// TestQuantilesBuiltOnceUnderConcurrency, under -race: many goroutines asking
+// one column (and a copy of it) for its view all get the one view, and once
+// it is there asking again, on the column or on a copy, builds nothing.
 func TestQuantilesBuiltOnceUnderConcurrency(t *testing.T) {
-	reg := obs.NewRegistry()
-	RegisterMetrics(reg)
-	builds := reg.Counter("collab_data_op_quantile_builds_total", "")
 	vals := make([]float64, 5000)
 	for i := range vals {
 		vals[i] = float64((i * 7919) % 5000)
 	}
 	c := NewFloatColumn("x", vals)
-	before := builds.Value()
 	views := make([]*Quantiles, 16)
 	var wg sync.WaitGroup
 	for g := range views {
@@ -200,13 +195,17 @@ func TestQuantilesBuiltOnceUnderConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := builds.Value() - before; n != 1 {
-		t.Errorf("%d builds for one column, want 1", n)
-	}
 	for _, v := range views {
 		if v != views[0] {
 			t.Fatal("goroutines got different views")
 		}
+	}
+	cp := c.Rename("y", "op")
+	if allocs := testing.AllocsPerRun(10, func() { c.Quantiles(); cp.Quantiles() }); allocs != 0 {
+		t.Errorf("asking a column and its copy for a built view allocates %.0f times", allocs)
+	}
+	if cp.Quantiles() != views[0] {
+		t.Error("a later copy got a view of its own")
 	}
 }
 

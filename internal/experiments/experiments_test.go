@@ -38,6 +38,13 @@ func TestTable1(t *testing.T) {
 	}
 }
 
+// TestFig4RepeatedExecutionShape asserts Figure 4's shape on work, not on the
+// clock: run 2 of a workload is milliseconds at this scale, and comparing it
+// with run 1 fails whenever the host is busy. CO and HL reuse what run 1
+// stored, so run 2 executes fewer operations; KG stores nothing and runs
+// every operation twice. On workloads 2 and 3, where the paper's CO is an
+// order of magnitude faster the second time, CO's run 2 executes none of run
+// 1's 18 and 131 operations at quick scale; the test allows it a quarter.
 func TestFig4RepeatedExecutionShape(t *testing.T) {
 	res, err := quick(t).Fig4()
 	if err != nil {
@@ -49,23 +56,16 @@ func TestFig4RepeatedExecutionShape(t *testing.T) {
 	for _, r := range res {
 		switch r.System {
 		case "CO", "HL":
-			if r.Run2 >= r.Run1 {
-				t.Errorf("W%d %s: run2 (%v) not faster than run1 (%v)", r.Workload, r.System, r.Run2, r.Run1)
+			if r.Executed2 >= r.Executed1 {
+				t.Errorf("W%d %s: run 2 executed %d operations, run 1 %d; want fewer", r.Workload, r.System, r.Executed2, r.Executed1)
 			}
 		case "KG":
-			// KG must not improve by more than measurement noise.
-			if r.Run2 < r.Run1/3 {
-				t.Errorf("W%d KG: suspicious improvement %v -> %v", r.Workload, r.Run1, r.Run2)
+			if r.Executed2 != r.Executed1 {
+				t.Errorf("W%d KG: run 2 executed %d operations, run 1 %d; want the same", r.Workload, r.Executed2, r.Executed1)
 			}
 		}
-	}
-	// CO's second runs on workloads 2 and 3 should be dramatically
-	// faster (paper: an order of magnitude).
-	for _, r := range res {
-		if r.System == "CO" && (r.Workload == 2 || r.Workload == 3) {
-			if seconds(r.Run1)/maxSec(r.Run2) < 3 {
-				t.Errorf("W%d CO: speedup %.1fx < 3x", r.Workload, seconds(r.Run1)/maxSec(r.Run2))
-			}
+		if r.System == "CO" && (r.Workload == 2 || r.Workload == 3) && 4*r.Executed2 > r.Executed1 {
+			t.Errorf("W%d CO: run 2 executed %d of run 1's %d operations, want at most a quarter", r.Workload, r.Executed2, r.Executed1)
 		}
 	}
 }

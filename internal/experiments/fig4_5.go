@@ -13,6 +13,9 @@ type Fig4Result struct {
 	System   string
 	Run1     time.Duration
 	Run2     time.Duration
+	// Executed1 and Executed2 count the operations each run executed: the
+	// figure's saving counted in work, not in time.
+	Executed1, Executed2 int
 }
 
 // Fig4 reproduces "Repeated executions of Kaggle workloads": workloads
@@ -39,11 +42,12 @@ func (s *Suite) Fig4() ([]Fig4Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res := Fig4Result{Workload: wl.ID, System: string(kind), Run1: r1.RunTime, Run2: r2.RunTime}
+			res := Fig4Result{Workload: wl.ID, System: string(kind), Run1: r1.RunTime, Run2: r2.RunTime,
+				Executed1: r1.Executed, Executed2: r2.Executed}
 			out = append(out, res)
-			s.printf("  W%d %-3s run1=%7.3fs run2=%7.3fs (x%.1f)\n",
+			s.printf("  W%d %-3s run1=%7.3fs run2=%7.3fs (x%.1f; executed %d then %d)\n",
 				res.Workload, res.System, seconds(res.Run1), seconds(res.Run2),
-				seconds(res.Run1)/maxSec(res.Run2))
+				seconds(res.Run1)/maxSec(res.Run2), res.Executed1, res.Executed2)
 		}
 	}
 	return out, nil

@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/data"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -244,16 +243,22 @@ func TestGBTWarmstartOnColumns(t *testing.T) {
 	}
 }
 
-// TestSecondFitFindsItsBinsBuilt: on columns that were trained on before, a
-// fit builds no quantile view — so sorts nothing — and allocates neither per
-// row and feature nor anything near a rows × features buffer: its scratch is
-// a few vectors of one entry per row.
+// heapBytes is what one call of fn allocates on the heap.
+func heapBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSecondFitFindsItsBinsBuilt: a fit leaves every feature column with its
+// quantile view built, so a later fit on those columns builds none — so sorts
+// nothing — and allocates neither per row and feature nor anything near a
+// rows × features buffer: its scratch is a few vectors of one entry per row.
 func TestSecondFitFindsItsBinsBuilt(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	reg := obs.NewRegistry()
-	data.RegisterMetrics(reg)
-	builds := reg.Counter("collab_data_op_quantile_builds_total", "")
 
 	const rows, features = 4000, 100
 	cols, y := mixedColumns(rand.New(rand.NewSource(3)), rows, features)
@@ -268,19 +273,21 @@ func TestSecondFitFindsItsBinsBuilt(t *testing.T) {
 		}
 	}
 	fit()
-	if n := builds.Value(); n != features {
-		t.Fatalf("the first fit built %d views, want one per feature (%d)", n, features)
+	// Building a view takes a float per row; asking for a built one, nothing.
+	views := make([]*data.Quantiles, features)
+	for f, c := range cols {
+		if got := heapBytes(func() { views[f] = c.Quantiles() }); got >= rows {
+			t.Fatalf("feature %d: asking for its view after a fit allocated %d bytes: the fit did not build it", f, got)
+		}
 	}
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fit()
-	runtime.ReadMemStats(&after)
-	if n := builds.Value(); n != features {
-		t.Errorf("the second fit built %d views", n-features)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= rows*features {
+	if got := heapBytes(fit); got >= rows*features {
 		t.Errorf("the second fit allocated %d bytes, a rows × features byte buffer is %d", got, rows*features)
+	}
+	for f, c := range cols {
+		if c.Quantiles() != views[f] {
+			t.Errorf("feature %d: the second fit replaced its view", f)
+		}
 	}
 	// Per tree at most 15 nodes and three parallel loops, plus a fixed set
 	// of scratch vectors: nothing per feature (100 would show), nothing per

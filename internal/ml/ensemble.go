@@ -93,7 +93,7 @@ func (g *GradientBoostedTrees) FitColumns(cols []*data.Column, rows []int, y []f
 	score := make([]float64, len(y))
 	grad := make([]float64, len(y))
 	overRows := func(grain int, fn func(i int)) {
-		parallel.ForSite(parallel.SiteML, len(rows), grain, func(lo, hi int) {
+		parallel.For(len(rows), grain, func(lo, hi int) {
 			for _, i := range rows[lo:hi] {
 				fn(i)
 			}
@@ -145,7 +145,7 @@ func (g *GradientBoostedTrees) sampleRows(rng *rand.Rand, rows, idx []int) []int
 // Predict implements Model, returning P(y=1).
 func (g *GradientBoostedTrees) Predict(x [][]float64) []float64 {
 	out := make([]float64, len(x))
-	parallel.ForSite(parallel.SiteML, len(x), 256, func(lo, hi int) {
+	parallel.For(len(x), 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s := g.Base
 			for _, tr := range g.Trees {
@@ -245,7 +245,7 @@ func (r *RandomForest) FitColumns(cols []*data.Column, rows []int, y []float64) 
 	// index multiset against the shared y and the shared read-only bins.
 	b := binColumns(cols)
 	trees := make([]*DecisionTree, r.NTrees)
-	parallel.ForSite(parallel.SiteML, r.NTrees, 1, func(lo, hi int) {
+	parallel.For(r.NTrees, 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			t := &DecisionTree{
 				MaxDepth:       r.MaxDepth,
@@ -269,7 +269,7 @@ func (r *RandomForest) Predict(x [][]float64) []float64 {
 	}
 	// Per-row vote, accumulated in tree order so the floating-point sum
 	// matches the sequential tree-major loop exactly.
-	parallel.ForSite(parallel.SiteML, len(x), 256, func(lo, hi int) {
+	parallel.For(len(x), 256, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var s float64
 			for _, t := range r.Trees {
@@ -346,7 +346,7 @@ func (k *KNN) Predict(x [][]float64) []float64 {
 	type nb struct{ d, y float64 }
 	// The distance scan is the hot loop: queries are independent and the
 	// training set is read-only, so rows fan out over the shared pool.
-	parallel.ForSite(parallel.SiteML, len(x), 16, func(lo, hi int) {
+	parallel.For(len(x), 16, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			q := x[i]
 			best := make([]nb, 0, k.K+1)

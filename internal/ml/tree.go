@@ -71,7 +71,7 @@ func scoreColumns(cols []*data.Column, rows []int, score func(i int) float64) []
 		}
 	}
 	out := make([]float64, n)
-	parallel.ForSite(parallel.SiteML, n, 256, func(lo, hi int) {
+	parallel.For(n, 256, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			i := j
 			if rows != nil {
@@ -96,7 +96,7 @@ type binned struct {
 func binColumns(cols []*data.Column) *binned {
 	b := &binned{edges: make([][]float64, len(cols)), bins: make([][]uint8, len(cols))}
 	// Columns are binned independently; a column binned before costs a lookup.
-	parallel.ForSite(parallel.SiteML, len(cols), 8, func(lo, hi int) {
+	parallel.For(len(cols), 8, func(lo, hi int) {
 		for f := lo; f < hi; f++ {
 			q := cols[f].Quantiles()
 			b.edges[f], b.bins[f] = q.Edges, q.Bins
@@ -379,7 +379,7 @@ func (g *grower) histogram(feats []int, y []float64, idx []int) []binStats {
 		targets[j] = y[i]
 	}
 	if len(idx)*len(feats) >= parallelSplitWork && parallel.Workers() > 1 {
-		parallel.ForSite(parallel.SiteML, len(feats), 4, func(lo, hi int) {
+		parallel.For(len(feats), 4, func(lo, hi int) {
 			g.fill(hist, feats[lo:hi], lo, idx, targets)
 		})
 	} else {

@@ -23,8 +23,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 var (
@@ -33,7 +31,25 @@ var (
 	width atomic.Int64
 	// live counts helper goroutines currently running.
 	live atomic.Int64
+	// The cumulative counts ReadCounts reports.
+	calls, chunksRun, helpers, denied atomic.Int64
 )
+
+// Counts are the pool's cumulative totals since the process started. Their
+// deltas around a kernel call are how tests check that the kernel still
+// runs wide.
+type Counts struct {
+	// Calls counts For/Do invocations; Chunks the work chunks they split into.
+	Calls, Chunks int64
+	// Helpers counts helper goroutines spawned; Denied counts helper slots
+	// the global budget refused (that work ran inline on its caller).
+	Helpers, Denied int64
+}
+
+// ReadCounts returns the pool's cumulative counts.
+func ReadCounts() Counts {
+	return Counts{Calls: calls.Load(), Chunks: chunksRun.Load(), Helpers: helpers.Load(), Denied: denied.Load()}
+}
 
 // Workers returns the configured pool width: the maximum number of
 // goroutines (the caller plus helpers) a single For or Do call will use.
@@ -81,12 +97,7 @@ func release() { live.Add(-1) }
 // index-addressed locations disjoint across chunks; under that rule the
 // result is identical to calling fn(0, n) sequentially. For returns when
 // every chunk has completed.
-func For(n, grain int, fn func(lo, hi int)) { ForSite(SiteOther, n, grain, fn) }
-
-// ForSite is For tagged with an accounting call-site class; when pool
-// accounting is installed (Instrument), the call's chunk count, helper
-// queue waits, and wall time land in that class's collab_pool_* families.
-func ForSite(site Site, n, grain int, fn func(lo, hi int)) {
+func For(n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -94,41 +105,13 @@ func ForSite(site Site, n, grain int, fn func(lo, hi int)) {
 		grain = 1
 	}
 	chunks := (n + grain - 1) / grain
-	w := Workers()
-	if w > chunks {
-		w = chunks
-	}
-	m := acct.Load()
-	if m == nil {
-		// Disabled fast path: the bare pool, no timers, no counters.
-		if w <= 1 {
-			fn(0, n)
-			return
-		}
-		spawnAndRun(n, grain, chunks, w, fn, nil, nil)
-		return
-	}
-	if site < 0 || site >= numSites {
-		site = SiteOther
-	}
-	st := &m.sites[site]
-	st.calls.Inc()
-	st.tasks.Add(int64(chunks))
-	m.inflight.Add(1)
-	sw := obs.StartTimer()
+	calls.Add(1)
+	chunksRun.Add(int64(chunks))
+	w := min(Workers(), chunks)
 	if w <= 1 {
 		fn(0, n)
-	} else {
-		spawnAndRun(n, grain, chunks, w, fn, m, st)
+		return
 	}
-	m.inflight.Add(-1)
-	st.run.Observe(sw.Elapsed().Seconds())
-}
-
-// spawnAndRun is the multi-goroutine body shared by the accounted and
-// disabled paths: chunk-stealing helpers plus the caller. Accounting hooks
-// (m, st) are nil on the disabled path.
-func spawnAndRun(n, grain, chunks, w int, fn func(lo, hi int), m *Metrics, st *siteInstruments) {
 	var next atomic.Int64
 	work := func() {
 		for {
@@ -137,47 +120,27 @@ func spawnAndRun(n, grain, chunks, w int, fn func(lo, hi int), m *Metrics, st *s
 				return
 			}
 			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+			fn(lo, min(lo+grain, n))
 		}
 	}
 	var wg sync.WaitGroup
 	// The helper budget is global: width-1 helpers in total, so deeply
 	// nested For calls degrade to inline execution instead of piling up
-	// goroutines. A denied slot is the saturation signal the
-	// rejected-inline counter tracks.
+	// goroutines.
 	spawned := 0
-	for i := 0; i < w-1; i++ {
+	for ; spawned < w-1; spawned++ {
 		if !acquire(int64(Workers() - 1)) {
-			if m != nil {
-				m.rejectedInline.Add(int64(w - 1 - i))
-			}
+			denied.Add(int64(w - 1 - spawned))
 			break
 		}
-		spawned++
 		wg.Add(1)
-		if st != nil {
-			submitted := obs.StartTimer()
-			go func() {
-				defer wg.Done()
-				defer release()
-				st.queueWait.Observe(submitted.Elapsed().Seconds())
-				work()
-			}()
-		} else {
-			go func() {
-				defer wg.Done()
-				defer release()
-				work()
-			}()
-		}
+		go func() {
+			defer wg.Done()
+			defer release()
+			work()
+		}()
 	}
-	if m != nil {
-		m.helpers.Add(int64(spawned))
-	}
+	helpers.Add(int64(spawned))
 	work()
 	wg.Wait()
 }
@@ -185,11 +148,8 @@ func spawnAndRun(n, grain, chunks, w int, fn func(lo, hi int), m *Metrics, st *s
 // Do runs the given functions, using the calling goroutine plus pool
 // helpers, and returns when all have completed. Functions may run in any
 // order and concurrently; each runs exactly once.
-func Do(fns ...func()) { DoSite(SiteOther, fns...) }
-
-// DoSite is Do tagged with an accounting call-site class (see ForSite).
-func DoSite(site Site, fns ...func()) {
-	ForSite(site, len(fns), 1, func(lo, hi int) {
+func Do(fns ...func()) {
+	For(len(fns), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fns[i]()
 		}

