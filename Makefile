@@ -37,15 +37,18 @@ bench:
 # profile-train takes a CPU profile of the client kernels that are the wall of
 # the end-to-end ruler once reuse has removed the feature pipeline — Train and
 # Evaluate of a GBT variant (kaggle_variants, tiered_variants, kaggle_cold)
-# and the logistic-regression fit (openml_stream, shared_2c) — at the ruler's
-# shapes, and prints the top of each. Test binaries and profiles go to
-# PROFILE_DIR, outside the repository.
+# and the logistic regression's Train and bare fit (openml_stream, shared_2c)
+# — at the ruler's shapes, and prints the top of each. Test binaries and
+# profiles go to PROFILE_DIR, outside the repository.
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/collab-profile
 profile-train:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run=NONE -bench='TrainVariants/later|EvaluateVariants' -benchtime=200x \
 		-o $(PROFILE_DIR)/ops.test -cpuprofile $(PROFILE_DIR)/ops.prof ./internal/ops
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ops.test $(PROFILE_DIR)/ops.prof
+	$(GO) test -run=NONE -bench='TrainLogreg$$' -benchtime=100x \
+		-o $(PROFILE_DIR)/ops.test -cpuprofile $(PROFILE_DIR)/ops-logreg.prof ./internal/ops
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ops.test $(PROFILE_DIR)/ops-logreg.prof
 	$(GO) test -run=NONE -bench='LogisticRegressionFit$$' -benchtime=100x \
 		-o $(PROFILE_DIR)/ml.test -cpuprofile $(PROFILE_DIR)/ml.prof ./internal/ml
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ml.test $(PROFILE_DIR)/ml.prof

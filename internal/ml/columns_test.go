@@ -130,7 +130,8 @@ func TestQuickTreesPredictAlikeThroughBinsAndFloats(t *testing.T) {
 // through the columns gives, bit for bit, what Predict gives on the float
 // matrix of the same columns and rows — with missing cells, an int and a
 // bool column, a row subset and every row, and a feature the frame lacks,
-// which both read as zeros.
+// which both read as zeros. For logistic regression the same holds of the
+// fit: FitColumns on a row subset is Fit on those numeric rows.
 func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,7 +155,8 @@ func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 		gbt.NTrees = 6
 		rf := NewRandomForest(seed)
 		rf.NTrees = 4
-		for _, m := range []ColumnFitter{tree, gbt, rf} {
+		logreg := NewLogisticRegression(seed)
+		for _, m := range []ColumnFitter{tree, gbt, rf, logreg} {
 			if err := m.FitColumns(cols, train, y); err != nil {
 				t.Fatal(err)
 			}
@@ -163,8 +165,32 @@ func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 		scored := append([]*data.Column(nil), cols...)
 		scored[1] = nil
 		frame := data.MustNewFrame(append(scored[:1:1], scored[2:]...)...)
-		unfitted := []ColumnFitter{&DecisionTree{}, &RandomForest{}} // score zeros either way
-		for _, m := range append(unfitted, tree, gbt, rf) {
+
+		// Logistic regression trains on what it scores: the same fit on the
+		// frame without that feature is Fit on the frame's numeric rows.
+		viaColumns, viaRows := NewLogisticRegression(seed), NewLogisticRegression(seed)
+		if err := viaColumns.FitColumns(scored, train, y); err != nil {
+			t.Fatal(err)
+		}
+		yTrain := make([]float64, len(train))
+		for k, i := range train {
+			yTrain[k] = y[i]
+		}
+		if err := viaRows.Fit(frame.NumericRows(names, train), yTrain); err != nil {
+			t.Fatal(err)
+		}
+		if viaColumns.EpochsRun != viaRows.EpochsRun || viaColumns.Bias != viaRows.Bias {
+			return false
+		}
+		for j, w := range viaRows.Weights {
+			if viaColumns.Weights[j] != w {
+				return false
+			}
+		}
+
+		// score zeros, or 0.5 everywhere, either way
+		unfitted := []ColumnFitter{&DecisionTree{}, &RandomForest{}, &LogisticRegression{}}
+		for _, m := range append(unfitted, tree, gbt, rf, logreg) {
 			for _, rows := range [][]int{nil, test, {}} {
 				got, want := m.PredictColumns(scored, rows), m.Predict(frame.NumericRows(names, rows))
 				if len(got) != len(want) {
@@ -195,6 +221,7 @@ func TestFitIsFitColumnsOnTheMatrixColumns(t *testing.T) {
 		func() ColumnFitter { return NewDecisionTree(2) },
 		func() ColumnFitter { return NewGBT(2) },
 		func() ColumnFitter { return NewRandomForest(2) },
+		func() ColumnFitter { return NewLogisticRegression(2) },
 	} {
 		viaFit, viaColumns := mk(), mk()
 		if err := viaFit.Fit(x, y); err != nil {

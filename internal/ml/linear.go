@@ -4,12 +4,16 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+
+	"repro/internal/data"
 )
 
 // LogisticRegression is a binary classifier trained by full-batch gradient
 // descent on the regularized log-loss. It supports warmstarting: training
 // initialized from a previously fitted weight vector converges in fewer
-// epochs, which is the mechanism behind Figure 10 of the paper.
+// epochs, which is the mechanism behind Figure 10 of the paper. It is a
+// ColumnFitter: it trains and scores on a frame's columns, with no row-major
+// float matrix.
 type LogisticRegression struct {
 	// LearningRate is the gradient-descent step size. Default 0.1.
 	LearningRate float64
@@ -55,11 +59,43 @@ func (m *LogisticRegression) WarmstartFrom(donor Model) bool {
 }
 
 // Fit implements Model.
-func (m *LogisticRegression) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("ml: logreg: empty or mismatched training data")
+func (m *LogisticRegression) Fit(x [][]float64, y []float64) error { return fitMatrix(m, x, y) }
+
+// FitColumns implements ColumnFitter. The training rows are gathered once
+// into one column-major block, converted as data.Frame.NumericRows converts
+// them; a nil column trains as zeros.
+func (m *LogisticRegression) FitColumns(cols []*data.Column, rows []int, y []float64) error {
+	if len(rows) == 0 {
+		return errors.New("ml: logreg: no training rows")
 	}
-	d := len(x[0])
+	for _, c := range cols {
+		if c != nil && c.Len() != len(y) {
+			return errors.New("ml: logreg: a feature column and the target differ in length")
+		}
+	}
+	n := len(rows)
+	block := make([]float64, n*len(cols))
+	for j, c := range cols {
+		if c != nil {
+			c.FillNumeric(block[j*n:], 1, rows)
+		}
+	}
+	yt := make([]float64, n)
+	for k, i := range rows {
+		yt[k] = y[i]
+	}
+	m.fit(block, len(cols), yt)
+	return nil
+}
+
+// fit is the epoch loop of FitColumns on the len(y) training rows of d
+// features held column-major in x: feature j is x[j*n : (j+1)*n]. An epoch
+// is three passes over x — margins, residuals, gradient — and takes every sum
+// of the row-major loop it replaced in that loop's order, so weights, bias
+// and predictions are bit for bit that loop's whenever the fit stops at the
+// same epoch. Only the loss, which feeds nothing but the stopping test, is
+// taken differently (see residuals).
+func (m *LogisticRegression) fit(x []float64, d int, y []float64) {
 	if m.LearningRate == 0 {
 		m.LearningRate = 0.1
 	}
@@ -77,24 +113,15 @@ func (m *LogisticRegression) Fit(x [][]float64, y []float64) error {
 		}
 		m.Bias = 0
 	}
-	n := float64(len(x))
+	n := float64(len(y))
 	grad := make([]float64, d)
+	z := make([]float64, len(y)) // margins, then residuals
 	prevLoss := math.Inf(1)
 	m.EpochsRun = 0
 	for epoch := 0; epoch < m.MaxIter; epoch++ {
-		for j := range grad {
-			grad[j] = 0
-		}
-		var gradB, loss float64
-		for i, row := range x {
-			p := sigmoid(dot(m.Weights, row) + m.Bias)
-			e := p - y[i]
-			for j, v := range row {
-				grad[j] += e * v
-			}
-			gradB += e
-			loss += crossEntropy(y[i], p)
-		}
+		margins(z, x, m.Weights)
+		gradB, loss := residuals(z, y, m.Bias)
+		gradient(grad, x, z)
 		loss /= n
 		for j := range m.Weights {
 			loss += 0.5 * m.L2 * m.Weights[j] * m.Weights[j]
@@ -107,7 +134,87 @@ func (m *LogisticRegression) Fit(x [][]float64, y []float64) error {
 		}
 		prevLoss = loss
 	}
-	return nil
+}
+
+// margins sets z[i] to Σ_j w[j]·x_j[i], the features added in order as dot
+// adds them, four columns per pass over z.
+func margins(z, x, w []float64) {
+	n := len(z)
+	clear(z)
+	j := 0
+	for ; j+4 <= len(w); j += 4 {
+		c0, c1, c2, c3 := x[j*n:][:n], x[(j+1)*n:][:n], x[(j+2)*n:][:n], x[(j+3)*n:][:n]
+		w0, w1, w2, w3 := w[j], w[j+1], w[j+2], w[j+3]
+		for i := range z {
+			z[i] = z[i] + w0*c0[i] + w1*c1[i] + w2*c2[i] + w3*c3[i]
+		}
+	}
+	for ; j < len(w); j++ {
+		c, wj := x[j*n:][:n], w[j]
+		for i := range z {
+			z[i] += wj * c[i]
+		}
+	}
+}
+
+// residuals replaces each margin z[i] with the residual σ(z[i]+b) − y[i] and
+// returns the residuals' sum, in row order, and the rows' summed log-loss.
+// That loss takes one log per call, not one per row: the clamped likelihood
+// factors of 0/1 labels are multiplied together and the product is logged
+// once. Every 16 rows math.Frexp moves the product's exponent out; each
+// factor is at least 1e-12, so sixteen of them on a mantissa in [0.5, 1)
+// never reach a subnormal. Any other label adds its crossEntropy.
+func residuals(z, y []float64, b float64) (sum, loss float64) {
+	prod, exp := 1.0, 0
+	var soft float64
+	for lo := 0; lo < len(z); lo += 16 {
+		hi := min(lo+16, len(z))
+		zs, ys := z[lo:hi], y[lo:hi]
+		for i, yi := range ys {
+			p := sigmoid(zs[i] + b)
+			e := p - yi
+			zs[i] = e
+			sum += e
+			switch yi {
+			case 1:
+				prod *= clampProb(p)
+			case 0:
+				prod *= 1 - clampProb(p)
+			default:
+				soft += crossEntropy(yi, p)
+			}
+		}
+		var k int
+		prod, k = math.Frexp(prod)
+		exp += k
+	}
+	return sum, soft - (math.Log(prod) + float64(exp)*math.Ln2)
+}
+
+// gradient sets g[j] to Σ_i r[i]·x_j[i], the rows added in order, as four
+// interleaved column dot products per pass over r.
+func gradient(g, x, r []float64) {
+	n := len(r)
+	j := 0
+	for ; j+4 <= len(g); j += 4 {
+		c0, c1, c2, c3 := x[j*n:][:n], x[(j+1)*n:][:n], x[(j+2)*n:][:n], x[(j+3)*n:][:n]
+		var g0, g1, g2, g3 float64
+		for i, e := range r {
+			g0 += e * c0[i]
+			g1 += e * c1[i]
+			g2 += e * c2[i]
+			g3 += e * c3[i]
+		}
+		g[j], g[j+1], g[j+2], g[j+3] = g0, g1, g2, g3
+	}
+	for ; j < len(g); j++ {
+		c := x[j*n:][:n]
+		var s float64
+		for i, e := range r {
+			s += e * c[i]
+		}
+		g[j] = s
+	}
 }
 
 // Predict implements Model, returning P(y=1) per row.
@@ -117,6 +224,18 @@ func (m *LogisticRegression) Predict(x [][]float64) []float64 {
 		out[i] = sigmoid(dot(m.Weights, row) + m.Bias)
 	}
 	return out
+}
+
+// PredictColumns implements ColumnFitter: a row's margin adds its features in
+// order, as Predict's dot product does.
+func (m *LogisticRegression) PredictColumns(cols []*data.Column, rows []int) []float64 {
+	return scoreColumns(cols, rows, func(i int) float64 {
+		var s float64
+		for j, w := range m.Weights {
+			s += w * valueAt(cols, j, i)
+		}
+		return sigmoid(s + m.Bias)
+	})
 }
 
 // SizeBytes implements Model.

@@ -19,11 +19,12 @@ func AUCROC(y, scores []float64) float64 {
 	// Tied scores share the average of their ranks, so the result does not
 	// depend on the order an unstable sort leaves them in.
 	slices.SortFunc(ps, func(a, b pair) int { return cmp.Compare(a.s, b.s) })
-	// average ranks over tie groups
+	// average ranks over tie groups; compared as the sort compares them, NaN
+	// scores are one group, below every other.
 	ranks := make([]float64, len(ps))
 	for i := 0; i < len(ps); {
 		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
+		for j < len(ps) && cmp.Compare(ps[j].s, ps[i].s) == 0 {
 			j++
 		}
 		avg := float64(i+j+1) / 2 // ranks are 1-based
@@ -81,7 +82,7 @@ func LogLoss(y, p []float64) float64 {
 // logs by zero; adding that ±0 changes nothing, so only the other is taken,
 // and the value is bit for bit that of the general form.
 func crossEntropy(y, p float64) float64 {
-	pc := math.Min(math.Max(p, 1e-12), 1-1e-12)
+	pc := clampProb(p)
 	switch y {
 	case 1:
 		return -math.Log(pc)
@@ -90,6 +91,11 @@ func crossEntropy(y, p float64) float64 {
 	}
 	return -(y*math.Log(pc) + (1-y)*math.Log(1-pc))
 }
+
+// clampProb keeps a probability at least 1e-12 away from 0 and 1. The
+// built-in min and max treat NaN and signed zeros as math.Min and math.Max
+// do, and are inlined.
+func clampProb(p float64) float64 { return min(max(p, 1e-12), 1-1e-12) }
 
 // RMSE computes root mean squared error.
 func RMSE(y, pred []float64) float64 {

@@ -304,6 +304,33 @@ func TestAUCPerfectAndRandom(t *testing.T) {
 	}
 }
 
+// TestAUCROCRanksNaNScoresLowest: NaN scores — a model trained on an
+// infinite cell predicts them — are one tie group below every other score,
+// so with no −Inf present the AUC is that of the NaNs read as −Inf. (The
+// tie-group loop used to compare with ==, which never holds for a NaN, and
+// spun forever.)
+func TestAUCROCRanksNaNScoresLowest(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(200)
+		y, scores, asInf := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range y {
+			y[i] = float64(rng.Intn(2))
+			scores[i] = float64(rng.Intn(5))
+			if rng.Intn(3) == 0 {
+				scores[i] = math.NaN()
+			}
+			asInf[i] = scores[i]
+			if math.IsNaN(scores[i]) {
+				asInf[i] = math.Inf(-1)
+			}
+		}
+		if got, want := AUCROC(y, scores), AUCROC(y, asInf); got != want {
+			t.Errorf("seed %d: AUC %v with NaN scores, %v with them read as −Inf", seed, got, want)
+		}
+	}
+}
+
 func TestMetricsBasics(t *testing.T) {
 	y := []float64{0, 1, 1}
 	if acc := Accuracy(y, []float64{0.2, 0.7, 0.4}); math.Abs(acc-2.0/3) > 1e-12 {

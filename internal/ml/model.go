@@ -20,13 +20,15 @@ type Model interface {
 	SizeBytes() int64
 }
 
-// ColumnFitter is implemented by the tree learners, which train on the
-// quantile views of a frame's columns (data.Column.Quantiles) instead of on a
-// float matrix: cols are the feature columns, rows the frame rows to train
-// on, and y the target of every row of the frame, indexed like the columns.
-// A column's view is built once and kept with the column, so every fit after
-// the first on the same columns starts from bins that already exist. Fit on
-// such a model bins the matrix's columns and calls FitColumns on all rows.
+// ColumnFitter is implemented by the learners that train on a frame's columns
+// instead of on a row-major float matrix: cols are the feature columns, rows
+// the frame rows to train on, and y the target of every row of the frame,
+// indexed like the columns. The tree learners train on the columns' quantile
+// views (data.Column.Quantiles), built once and kept with the column, so
+// every fit after the first on the same columns starts from bins that
+// already exist; logistic regression gathers the training rows into one
+// column-major block per fit. Fit on such a model calls FitColumns on the
+// matrix's columns and all of its rows.
 //
 // PredictColumns scores the given rows of cols, in their order (every row
 // when rows is nil), reading the columns where they lie: it returns what

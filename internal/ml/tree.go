@@ -37,24 +37,29 @@ func (n *TreeNode) count() int64 {
 	return 1 + n.Left.count() + n.Right.count()
 }
 
-// predictAt is predict on row i of cols, reading the cells where they lie: a
-// missing value, a non-numeric cell and a nil column count as 0, as in
-// data.Frame.NumericRows.
+// predictAt is predict on row i of cols, reading the cells where they lie.
 func (n *TreeNode) predictAt(cols []*data.Column, i int) float64 {
 	for n.Feature >= 0 {
-		var v float64
-		if c := cols[n.Feature]; c != nil {
-			if v = c.Float(i); v != v {
-				v = 0
-			}
-		}
-		if v <= n.Threshold {
+		if valueAt(cols, n.Feature, i) <= n.Threshold {
 			n = n.Left
 		} else {
 			n = n.Right
 		}
 	}
 	return n.Value
+}
+
+// valueAt is row i of feature f of cols as data.Frame.NumericRows converts
+// it: a missing value, a non-numeric cell and a nil column read as 0.
+func valueAt(cols []*data.Column, f, i int) float64 {
+	c := cols[f]
+	if c == nil {
+		return 0
+	}
+	if v := c.Float(i); v == v {
+		return v
+	}
+	return 0
 }
 
 // scoreColumns is the loop of PredictColumns: score(i) for each of rows, or
@@ -105,8 +110,8 @@ func binColumns(cols []*data.Column) *binned {
 	return b
 }
 
-// fitMatrix is Fit for the tree learners: x's columns are binned as they
-// would be in a frame and the model trains on every row.
+// fitMatrix is Fit for the column fitters: x's columns are read as they
+// would be in a frame (a NaN is missing) and the model trains on every row.
 func fitMatrix(m ColumnFitter, x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return fmt.Errorf("ml: %s: empty or mismatched training data", m.Kind())

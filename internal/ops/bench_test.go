@@ -32,6 +32,20 @@ func BenchmarkTrainVariants(b *testing.B) {
 	})
 }
 
+// BenchmarkTrainLogreg is one OpenML pipeline's Train at the kernel
+// (openml_stream, shared_2c): a logistic regression with the pipelines'
+// median max_iter and their tolerance on a 1000 × 20 frame, so the gather of
+// the training rows and the held-out scoring are in the profile beside the fit.
+func BenchmarkTrainLogreg(b *testing.B) {
+	f := trainingFrame(1, 1000, 20)
+	spec := ModelSpec{Kind: "logreg", Params: map[string]float64{"max_iter": 300, "tol": 1e-5}, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trainOn(b, f, spec)
+	}
+}
+
 // BenchmarkEvaluateVariants is the other vertex every variant runs: the GBT a
 // variant trained, scored by AUC on every row of a 4000 × 40 frame.
 func BenchmarkEvaluateVariants(b *testing.B) {

@@ -157,6 +157,9 @@ func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if label == nil {
 		return nil, fmt.Errorf("ops: train: no label column %q", o.Label)
 	}
+	if f.NumRows() == 0 {
+		return nil, fmt.Errorf("ops: train: %s has no rows", f)
+	}
 	features := numericFeatureNames(f, o.Label)
 	y := make([]float64, label.Len())
 	for i := range y {
@@ -180,8 +183,9 @@ func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	var pred []float64
 	if cf, ok := model.(ml.ColumnFitter); ok {
 		// The tree learners train on the columns' quantile views, which
-		// outlive this run with the columns, and score the held-out rows
-		// where they lie: no float matrix is built.
+		// outlive this run with the columns; logistic regression gathers
+		// the training rows column-major. Both score the held-out rows
+		// where they lie: no row-major float matrix is built.
 		cols := featureColumns(f, features)
 		if err := cf.FitColumns(cols, train, y); err != nil {
 			return nil, err

@@ -259,7 +259,7 @@ func TestTrainAllModelKinds(t *testing.T) {
 }
 
 func TestPredictZeroFillsMissingFeatures(t *testing.T) {
-	for _, kind := range []string{"logreg", "gbt"} { // scored from a matrix, scored from the columns
+	for _, kind := range []string{"knn", "logreg", "gbt"} { // scored from a matrix, then from the columns
 		train := &Train{Spec: ModelSpec{Kind: kind, Seed: 1}, Label: "y"}
 		ma := runOp(t, train, dataset()).(*graph.ModelArtifact)
 		// Score a frame missing the "x" feature entirely.

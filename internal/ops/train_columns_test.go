@@ -2,10 +2,13 @@ package ops
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/graph"
@@ -145,10 +148,11 @@ func TestConcurrentTrainsBuildBinsOnce(t *testing.T) {
 }
 
 // TestTrainTreeFamilyTrainsOnColumns pins which learners take the column
-// path, and that the label never becomes a feature on it.
+// path — the tree learners and logistic regression — and that the label
+// never becomes a feature on it.
 func TestTrainTreeFamilyTrainsOnColumns(t *testing.T) {
 	f := trainingFrame(5, 400, 5)
-	for kind, want := range map[string]bool{"gbt": true, "rf": true, "tree": true, "logreg": false, "knn": false} {
+	for kind, want := range map[string]bool{"gbt": true, "rf": true, "tree": true, "logreg": true, "knn": false} {
 		m, err := ModelSpec{Kind: kind}.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -178,30 +182,77 @@ func allocatedBytes(fn func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
-// TestTreeModelsTrainAndScoreWithoutAMatrix is the count gate on scoring from
-// the columns: on a 4000 × 40 frame — the Kaggle variants' shape — neither
-// training a GBT with its held-out quality nor scoring it on the whole frame
-// allocates as much as one rows × features float matrix would take, let
-// alone builds one.
-func TestTreeModelsTrainAndScoreWithoutAMatrix(t *testing.T) {
+// TestColumnModelsTrainAndScoreWithoutAMatrix is the count gate on training
+// and scoring from the columns. Training a GBT on a 4000 × 40 frame — the
+// Kaggle variants' shape — with its held-out quality, or scoring it on the
+// whole frame, allocates less than one rows × features float matrix would
+// take. Training a logistic regression gathers its training rows, three
+// quarters of such a matrix, and nothing more of that size; scoring it
+// allocates less than a tenth of one. (The logistic frame is 64 features
+// wide because Evaluate's own vectors — labels, scores and AUC's rank pairs —
+// are five floats per row, more than a tenth of a 40-feature matrix.)
+func TestColumnModelsTrainAndScoreWithoutAMatrix(t *testing.T) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	const rows, features = 4000, 40
-	const matrix = rows * features * 8
-	f := trainingFrame(3, rows, features)
-	in := &graph.DatasetArtifact{Frame: f}
-	ma := trainOn(t, f, gbtSpec(0)) // builds the quantile views
-	if got := allocatedBytes(func() { trainOn(t, f, gbtSpec(1)) }); got >= matrix {
-		t.Errorf("Train.Run allocates %d bytes, a %d × %d matrix is %d", got, rows, features, matrix)
-	}
-	for _, op := range []graph.Operation{Evaluate{Label: "TARGET", Metric: AUC}, Predict{}} {
-		got := allocatedBytes(func() {
-			if _, err := op.Run([]graph.Artifact{ma, in}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got >= matrix {
-			t.Errorf("%s allocates %d bytes, a %d × %d matrix is %d", op.Name(), got, rows, features, matrix)
+	for _, tc := range []struct {
+		features  int
+		spec      func(seed int64) ModelSpec
+		scoreFrac float64
+	}{
+		{40, gbtSpec, 1},
+		{64, func(seed int64) ModelSpec { return ModelSpec{Kind: "logreg", Seed: seed} }, 0.1},
+	} {
+		const rows = 4000
+		matrix := uint64(rows * tc.features * 8)
+		f := trainingFrame(3, rows, tc.features)
+		in := &graph.DatasetArtifact{Frame: f}
+		ma := trainOn(t, f, tc.spec(0)) // builds the quantile views of a tree model
+		kind := tc.spec(0).Kind
+		if got := allocatedBytes(func() { trainOn(t, f, tc.spec(1)) }); got >= matrix {
+			t.Errorf("%s: Train.Run allocates %d bytes, a %d × %d matrix is %d", kind, got, rows, tc.features, matrix)
 		}
+		for _, op := range []graph.Operation{Evaluate{Label: "TARGET", Metric: AUC}, Predict{}} {
+			got := allocatedBytes(func() {
+				if _, err := op.Run([]graph.Artifact{ma, in}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if bound := uint64(tc.scoreFrac * float64(matrix)); got >= bound {
+				t.Errorf("%s: %s allocates %d bytes, %g of a %d × %d matrix is %d", kind, op.Name(), got, tc.scoreFrac, rows, tc.features, bound)
+			}
+		}
+	}
+}
+
+// TestTrainOnAnInfiniteCellReturns: a logistic model trained on a frame with
+// one +Inf cell has NaN weights and scores NaN everywhere; its held-out AUC
+// is still computed, and Train returns.
+func TestTrainOnAnInfiniteCellReturns(t *testing.T) {
+	f := trainingFrame(4, 40, 2)
+	train, _ := ml.TrainTestSplit(40, 0.25, 0)
+	f.Column("f0").Floats[train[0]] = math.Inf(1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := (&Train{Spec: ModelSpec{Kind: "logreg", Params: map[string]float64{"max_iter": 5}}, Label: "TARGET"}).
+			Run([]graph.Artifact{&graph.DatasetArtifact{Frame: f}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Train.Run on a frame with an infinite cell has not returned after a minute")
+	}
+}
+
+// TestTrainOnNoRowsIsAnError: a frame with no rows has no split to train and
+// score on; Train says so instead of panicking.
+func TestTrainOnNoRowsIsAnError(t *testing.T) {
+	f := trainingFrame(5, 0, 3)
+	_, err := (&Train{Spec: gbtSpec(1), Label: "TARGET"}).Run([]graph.Artifact{&graph.DatasetArtifact{Frame: f}})
+	if err == nil || !strings.Contains(err.Error(), "has no rows") {
+		t.Errorf("Train on a 0-row frame: error %v, want one saying it has no rows", err)
 	}
 }
