@@ -597,13 +597,30 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 // the DAG carries and evicting deselected ones. It returns the vertex IDs
 // whose content it wants and does not have (the newly selected artifacts
 // plus any missing raw sources): always empty for an in-process run, the
-// upload list of the remote protocol when the DAG arrived as meta-data,
-// less what another caller is already sending (askOnceLocked).
+// upload list of the remote protocol (UpdateContent) — datasets, and what
+// the client held rather than produced — less what another caller is
+// already sending (askOnceLocked).
 //
 // wall, when positive, is the client's measured Execute wall-clock time,
 // folded into the request's calibration scorecard. The executed DAG's shape
 // and the lock wait are written into req (nil: an untagged caller).
 func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string) {
+	content := make(map[string]graph.Artifact)
+	for _, n := range executed.Nodes() {
+		if n.Content != nil {
+			content[n.ID] = n.Content
+		}
+	}
+	return s.UpdateContent(executed, content, req, wall)
+}
+
+// UpdateContent is Update with the content that is available handed over
+// beside the DAG, by vertex ID, instead of read off its nodes: the remote
+// handler's entry point, whose DAG is meta-data only — so eg.Merge annotates
+// it from the wire meta-data — and whose content is what the client sent
+// inline with the update. What the materializer selects of that content is
+// stored during the update and never asked for.
+func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Artifact, req *obs.Request, wall time.Duration) (want []string) {
 	req = untagged(req)
 	defer s.lockSection("update", req)()
 	sw := obs.StartTimer()
@@ -614,13 +631,7 @@ func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duratio
 
 	s.EG.Merge(executed)
 
-	available := make(map[string]graph.Artifact)
-	for _, n := range executed.Nodes() {
-		if n.Content != nil {
-			available[n.ID] = n.Content
-		}
-	}
-	want = s.askOnceLocked(executed, s.applySelectionLocked(available, req, sc))
+	want = s.askOnceLocked(executed, s.applySelectionLocked(content, req, sc))
 	s.EG.Prune(s.prune)
 	s.metrics.updateTotal.Inc()
 	if s.trace != nil {

@@ -32,16 +32,23 @@ func largeEG(vertices int) *eg.Graph {
 	return g
 }
 
+// BenchmarkStrategySelect runs each strategy under a budget that binds and
+// under collabd's default (1 GiB), where nearly every candidate is
+// admitted, with and without the trail explain (on in collabd by default)
+// asks for.
 func BenchmarkStrategySelect(b *testing.B) {
 	g := largeEG(2000)
-	budget := int64(8 << 20)
 	c := Config{Alpha: 0.5, Profile: cost.Memory()}
 	for _, s := range []Strategy{NewGreedy(c), NewStorageAware(c), NewHelix(c), NewAll()} {
-		b.Run(s.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.Select(g, budget, false)
+		for _, budget := range []int64{8 << 20, 1 << 30} {
+			for _, trail := range []bool{false, true} {
+				b.Run(fmt.Sprintf("%s/budget=%dMiB/trail=%v", s.Name(), budget>>20, trail), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						s.Select(g, budget, trail)
+					}
+				})
 			}
-		})
+		}
 	}
 }
 

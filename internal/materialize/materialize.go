@@ -97,6 +97,14 @@ type candidate struct {
 	rcs     float64
 }
 
+// ranked is a candidate as a run holds it: with the index of its line in
+// the run's trail (meaningless without a trail), so admitting it marks the
+// line without a search.
+type ranked struct {
+	candidate
+	line int
+}
+
 // candidates computes Equation 2 utilities for every non-materialized-
 // eligible vertex: U(v) = 0 if Cl(v) ≥ Cr(v), else α·p'(v) + (1−α)·r'cs(v)
 // with sum-normalized p and rcs, and opens the run's record with what the
@@ -106,9 +114,9 @@ type candidate struct {
 // sums move with every update, so the pass over the vertices (in ID order,
 // which fixes the order of the floating-point sums and of the trail) and the
 // ranking stay per call.
-func (c Config) candidates(g *eg.Graph, trail bool) ([]candidate, Run) {
+func (c Config) candidates(g *eg.Graph, trail bool) ([]ranked, Run) {
 	vertices := g.Vertices()
-	cands := make([]candidate, 0, len(vertices))
+	cands := make([]ranked, 0, len(vertices))
 	var run Run
 	if trail {
 		run.Trail = make([]Decision, 0, len(vertices))
@@ -138,7 +146,8 @@ func (c Config) candidates(g *eg.Graph, trail bool) ([]candidate, Run) {
 		}
 		rcs := float64(v.Frequency) * crv.Seconds() / (float64(sz) / (1 << 20)) // s/MB
 		p := v.Potential()
-		cands = append(cands, candidate{v, p, rcs}) // utility holds p until the sums are known
+		// utility holds p until the sums are known
+		cands = append(cands, ranked{candidate{v, p, rcs}, len(run.Trail) - 1})
 		sumP += p
 		sumR += rcs
 	}
@@ -158,7 +167,7 @@ func (c Config) candidates(g *eg.Graph, trail bool) ([]candidate, Run) {
 	// the best model shares its potential) fall back to the cost-size
 	// ratio, which favours the model artifact itself, then to ID for
 	// determinism.
-	slices.SortFunc(cands, func(x, y candidate) int {
+	slices.SortFunc(cands, func(x, y ranked) int {
 		if x.utility != y.utility {
 			return cmp.Compare(y.utility, x.utility)
 		}
@@ -170,13 +179,12 @@ func (c Config) candidates(g *eg.Graph, trail bool) ([]candidate, Run) {
 	return cands, run
 }
 
-// admit selects a candidate of the run, finding its line of the trail (when
-// there is one) by ID.
-func (r *Run) admit(c candidate) {
+// admit selects a candidate of the run and marks its line of the trail, when
+// there is one.
+func (r *Run) admit(c ranked) {
 	r.Selected = append(r.Selected, c.v.ID)
 	if r.Trail != nil {
-		i, _ := slices.BinarySearchFunc(r.Trail, c.v.ID, func(d Decision, id string) int { return strings.Compare(d.Vertex.ID, id) })
-		r.Trail[i].Outcome = Selected
+		r.Trail[c.line].Outcome = Selected
 	}
 }
 

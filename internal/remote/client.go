@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -140,10 +139,11 @@ func (c *Client) OptimizeE(w *graph.DAG, req *obs.Request) (*core.Optimization, 
 	return &core.Optimization{Plan: plan, Warmstarts: resp.Warmstarts, Overhead: resp.Overhead}, nil
 }
 
-// Update implements core.Optimizer: ship metadata (the run's wall time
-// rides on the same request, which is where the server builds the run's
-// calibration scorecard), then upload whatever content the server asks for
-// — so there is never anything left for the caller to supply.
+// Update implements core.Optimizer: ship metadata with the models and
+// aggregates the run produced (the run's wall time rides on the same
+// request, which is where the server builds the run's calibration
+// scorecard), then upload whatever else the server asks for in one body —
+// so there is never anything left for the caller to supply.
 func (c *Client) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) []string {
 	if err := c.UpdateE(executed, req, wall); err != nil {
 		c.fail(err)
@@ -151,18 +151,18 @@ func (c *Client) Update(executed *graph.DAG, req *obs.Request, wall time.Duratio
 	return nil
 }
 
-// UpdateE is Update with error reporting. What the run computed or loaded
-// goes into the session store whether or not the server can be reached.
+// UpdateE is Update with error reporting: one POST /v1/update and at most
+// one POST /v1/artifact, plus one resend of what the server refused for a
+// column it lost in between. What the run computed or loaded goes into the
+// session store whether or not the server can be reached.
 func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Duration) error {
 	c.holdContent(executed)
 	var resp UpdateResponse
-	if err := c.postGob("/v1/update", req, &UpdateRequest{Nodes: ToWire(executed), WallTime: wall}, &resp); err != nil {
+	body := &UpdateRequest{Nodes: ToWire(executed), WallTime: wall, Inline: inline(executed)}
+	if err := c.postGob("/v1/update", req, body, &resp); err != nil {
 		return err
 	}
-	// held collects the column lineage IDs the server holds as far as this
-	// update knows: those it reported in Have and those uploaded since, so a
-	// column shared by several wanted vertices travels once.
-	held := make(map[string]bool)
+	up := uploadBatch{held: make(map[string]bool)}
 	for i, id := range resp.WantContent {
 		n := executed.Node(id)
 		if n == nil || n.Content == nil {
@@ -172,11 +172,50 @@ func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Durati
 		if i < len(resp.Have) {
 			have = resp.Have[i]
 		}
-		if err := c.uploadArtifact(id, n.Content, have, held, req); err != nil {
-			return err
+		up.add(id, n.Content, have)
+	}
+	if len(up.items) == 0 {
+		return nil
+	}
+	absent, err := c.upload(up.items, req)
+	if err != nil || len(absent) == 0 {
+		return err
+	}
+	refused := make(map[string]bool, len(absent))
+	for _, id := range absent {
+		refused[id] = true
+	}
+	var resend []artifactUpload
+	for _, item := range up.items {
+		if !refused[item.ID] {
+			continue
+		}
+		if item.ColIDs != nil { // a manifest: built from a frame with columns
+			frame := executed.Node(item.ID).Content.(*graph.DatasetArtifact).Frame
+			item.Columns = distinctColumns(frame.Columns(), nil)
+		}
+		resend = append(resend, item)
+	}
+	if absent, err = c.upload(resend, req); err == nil && len(absent) > 0 {
+		err = fmt.Errorf("remote: upload: the server lacks columns of %v although every column was sent", absent)
+	}
+	return err
+}
+
+// inline returns the content an update carries with it: what the run
+// computed (not Computed, not LoadedFromEG — so no source, earlier cell or
+// session-store hit) and is not a dataset.
+func inline(executed *graph.DAG) []InlineArtifact {
+	var out []InlineArtifact
+	for _, n := range executed.Nodes() {
+		if n.Content == nil || n.Computed || n.LoadedFromEG {
+			continue
+		}
+		if _, ok := n.Content.(*graph.DatasetArtifact); !ok {
+			out = append(out, InlineArtifact{ID: n.ID, Content: n.Content})
 		}
 	}
-	return nil
+	return out
 }
 
 // do sends one request to the server, tagged with the ID of the run it
@@ -230,7 +269,7 @@ func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) 
 		c.fail(err)
 		return nil, ""
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		// 404 is the protocol's "not stored"; anything else is a failure.
 		if resp.StatusCode != http.StatusNotFound {
@@ -284,44 +323,44 @@ func (c *Client) getJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("remote: %s: HTTP %d", path, resp.StatusCode)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// uploadArtifact POSTs the content of one wanted vertex. A dataset travels
-// as its manifest plus the columns the server does not hold: have are the
-// indices into the frame's columns that the update response reported held,
-// held is UpdateE's running set, which this call extends. If the server has
-// lost a column in between (409), the vertex is sent once more with every
-// column. Everything else travels whole.
-func (c *Client) uploadArtifact(id string, content graph.Artifact, have []int, held map[string]bool, req *obs.Request) error {
+// uploadBatch builds the upload body of one update, in the order the server
+// wanted the vertices. held is the set of column lineage IDs the server
+// holds as far as this update knows — those it reported in Have and those
+// of earlier items, which the server admits first — so a column shared by
+// several wanted vertices travels once.
+type uploadBatch struct {
+	items []artifactUpload
+	held  map[string]bool
+}
+
+// add appends the item of one wanted vertex. A dataset travels as its
+// manifest plus the columns not held: have are the indices into the
+// frame's columns that the update response reported held. Everything else
+// travels whole.
+func (b *uploadBatch) add(id string, content graph.Artifact, have []int) {
 	ds, ok := content.(*graph.DatasetArtifact)
 	if !ok || ds.Frame == nil || ds.Frame.NumCols() == 0 {
-		return c.postUpload(id, &artifactUpload{Blob: artifactEnvelope{Content: content}}, req)
+		b.items = append(b.items, artifactUpload{ID: id, Blob: artifactEnvelope{Content: content}})
+		return
 	}
 	cols := ds.Frame.Columns()
 	for _, i := range have {
 		if i >= 0 && i < len(cols) {
-			held[cols[i].ID] = true
+			b.held[cols[i].ID] = true
 		}
 	}
-	up := artifactUpload{ColIDs: ds.Frame.ColumnIDs(), Names: ds.Frame.ColumnNames()}
-	up.Columns = distinctColumns(cols, held)
-	err := c.postUpload(id, &up, req)
-	if errors.Is(err, errColumnAbsent) {
-		up.Columns = distinctColumns(cols, nil)
-		err = c.postUpload(id, &up, req)
-	}
-	if err != nil {
-		return err
-	}
+	b.items = append(b.items, artifactUpload{ID: id, ColIDs: ds.Frame.ColumnIDs(),
+		Names: ds.Frame.ColumnNames(), Columns: distinctColumns(cols, b.held)})
 	for _, col := range cols {
-		held[col.ID] = true
+		b.held[col.ID] = true
 	}
-	return nil
 }
 
 // distinctColumns returns the columns whose lineage ID is not in skip, one
@@ -338,41 +377,67 @@ func distinctColumns(cols []*data.Column, skip map[string]bool) []*data.Column {
 	return out
 }
 
-// errColumnAbsent is the client's view of a 409 on an upload: the manifest
-// relied on a column the server no longer holds.
-var errColumnAbsent = errors.New("remote: server no longer holds a referenced column")
-
-func (c *Client) postUpload(id string, up *artifactUpload, req *obs.Request) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(up); err != nil {
-		return fmt.Errorf("remote: encode artifact %s: %w", id, err)
-	}
-	resp, err := c.do(http.MethodPost, c.base+"/v1/artifact?id="+url.QueryEscape(id), &buf, req)
+// upload POSTs items as one body and returns the IDs of those the server
+// refused because a column they left out is no longer held; it admitted
+// the rest.
+func (c *Client) upload(items []artifactUpload, req *obs.Request) ([]string, error) {
+	r, err := c.post("/v1/artifact", req, func(enc *gob.Encoder) error {
+		for i := range items {
+			if err := enc.Encode(&items[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusConflict:
-		return fmt.Errorf("remote: upload %s: %w", id, errColumnAbsent)
-	case resp.StatusCode >= 300:
-		return fmt.Errorf("remote: upload %s: HTTP %d", id, resp.StatusCode)
+	defer closeBody(r)
+	switch r.StatusCode {
+	case http.StatusNoContent:
+		return nil, nil
+	case http.StatusOK:
+		var resp uploadResponse
+		if err := gob.NewDecoder(r.Body).Decode(&resp); err != nil {
+			return nil, fmt.Errorf("remote: decode upload answer: %w", err)
+		}
+		return resp.Absent, nil
 	}
-	return nil
+	return nil, fmt.Errorf("remote: upload of %d artifacts: HTTP %d", len(items), r.StatusCode)
 }
 
 func (c *Client) postGob(path string, req *obs.Request, body, resp any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(body); err != nil {
-		return fmt.Errorf("remote: encode request: %w", err)
-	}
-	r, err := c.do(http.MethodPost, c.base+path, &buf, req)
+	r, err := c.post(path, req, func(enc *gob.Encoder) error { return enc.Encode(body) })
 	if err != nil {
 		return err
 	}
-	defer r.Body.Close()
+	defer closeBody(r)
 	if r.StatusCode != http.StatusOK {
 		return fmt.Errorf("remote: %s: HTTP %d", path, r.StatusCode)
 	}
 	return gob.NewDecoder(r.Body).Decode(resp)
+}
+
+// post sends a body that encode writes as one gob stream, encoded into a
+// buffer first so that Content-Length is exact.
+func (c *Client) post(path string, req *obs.Request, encode func(*gob.Encoder) error) (*http.Response, error) {
+	var buf bytes.Buffer
+	if err := encode(gob.NewEncoder(&buf)); err != nil {
+		return nil, fmt.Errorf("remote: encode %s body: %w", path, err)
+	}
+	return c.do(http.MethodPost, c.base+path, &buf, req)
+}
+
+// maxDrain bounds what closeBody reads of a body nobody decoded: an error
+// answer is a line of text, and past this much the connection is cheaper to
+// lose than the bytes are to read.
+const maxDrain = 64 << 10
+
+// closeBody reads what is left of a response body, up to maxDrain bytes,
+// and closes it. The transport keeps a connection alive only once its last
+// body was read to the end, so an answer closed unread — a 404 fetch, an
+// error status — would cost the next request a new dial.
+func closeBody(r *http.Response) {
+	_, _ = io.CopyN(io.Discard, r.Body, maxDrain) // a failed read only costs the connection
+	r.Body.Close()
 }

@@ -34,7 +34,7 @@ func TestMalformedGobBodiesRejected(t *testing.T) {
 	_, rc, closeFn := newRemotePair(t)
 	defer closeFn()
 	garbage := []byte("definitely not gob")
-	for _, path := range []string{"/v1/optimize", "/v1/update", "/v1/artifact?id=x"} {
+	for _, path := range []string{"/v1/optimize", "/v1/update", "/v1/artifact"} {
 		resp := postRaw(t, rc.base, path, garbage)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s with garbage: status %d, want 400", path, resp.StatusCode)
@@ -57,25 +57,25 @@ func TestArtifactMissingIDAndMissingContent(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// PUT without an id: 400, nothing stored.
+	// An upload item without an id: 400, nothing stored.
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&artifactUpload{}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&artifactUpload{Blob: artifactEnvelope{Content: &graph.AggregateArtifact{Value: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	resp = postRaw(t, rc.base, "/v1/artifact", buf.Bytes())
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("PUT without id: status %d, want 400", resp.StatusCode)
+		t.Errorf("upload without id: status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 
-	// PUT with an id but neither blob nor manifest: 400.
+	// An item with an id but neither blob nor manifest: 400.
 	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&artifactUpload{}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(&artifactUpload{ID: "v1"}); err != nil {
 		t.Fatal(err)
 	}
-	resp = postRaw(t, rc.base, "/v1/artifact?id=v1", buf.Bytes())
+	resp = postRaw(t, rc.base, "/v1/artifact", buf.Bytes())
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("PUT empty upload: status %d, want 400", resp.StatusCode)
+		t.Errorf("empty upload: status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 	if srv.Store.Len() != 0 {

@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"bytes"
+	"encoding/gob"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -47,8 +50,9 @@ func TestClientAttributionWithoutFlightRing(t *testing.T) {
 	}
 }
 
-// transferLog records the X-Collab-Request header of every /v1/artifact
-// transfer by the vertex ID it moved.
+// transferLog records the X-Collab-Request header of every artifact
+// transfer by the vertex ID it moved: downloads, the items of an upload
+// body, and the content an update carries inline.
 type transferLog struct {
 	next http.Handler
 	mu   sync.Mutex
@@ -56,12 +60,31 @@ type transferLog struct {
 }
 
 func (l *transferLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/v1/artifact" {
-		l.mu.Lock()
-		id := r.URL.Query().Get("id")
-		l.seen[id] = append(l.seen[id], r.Header.Get(obs.RequestIDHeader))
-		l.mu.Unlock()
+	var ids []string
+	switch {
+	case r.Method == http.MethodGet && r.URL.Path == "/v1/artifact":
+		ids = []string{r.URL.Query().Get("id")}
+	case r.Method == http.MethodPost && (r.URL.Path == "/v1/artifact" || r.URL.Path == "/v1/update"):
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		if r.URL.Path == "/v1/artifact" {
+			items, _ := uploadItems(body)
+			for _, up := range items {
+				ids = append(ids, up.ID)
+			}
+		} else {
+			var req UpdateRequest
+			_ = gob.NewDecoder(bytes.NewReader(body)).Decode(&req) // the handler answers a bad body
+			for _, a := range req.Inline {
+				ids = append(ids, a.ID)
+			}
+		}
 	}
+	l.mu.Lock()
+	for _, id := range ids {
+		l.seen[id] = append(l.seen[id], r.Header.Get(obs.RequestIDHeader))
+	}
+	l.mu.Unlock()
 	l.next.ServeHTTP(w, r)
 }
 
@@ -83,9 +106,9 @@ func namedPipeline(name string, frame *data.Frame) *graph.DAG {
 // TestSharedClientConcurrentRunsKeepTheirRequestIDs: two goroutines run two
 // workloads at once through ONE remote.Client. The request ID is an
 // argument of every call, not a field of the client, so every artifact
-// upload (first phase, cold server) and download (second phase, a second
-// shared client with an empty session) carries the ID of the run that
-// caused it. Run under -race.
+// upload — inline with an update or in an upload body — (first phase, cold
+// server) and download (second phase, a second shared client with an empty
+// session) carries the ID of the run that caused it. Run under -race.
 func TestSharedClientConcurrentRunsKeepTheirRequestIDs(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
 	log := &transferLog{next: NewHandler(srv), seen: make(map[string][]string)}

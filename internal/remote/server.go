@@ -149,18 +149,24 @@ func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if !decodeBody(w, r, maxMetaBody, &req) {
+	if !decodeBody(w, r, maxArtifactBody, &req) {
 		return
 	}
 	dag := wireDAG(w, req.Nodes)
 	if dag == nil {
 		return
 	}
+	content, err := inlineContent(dag, req.Inline)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	// The DAG carries meta-data only — column lineage (dedup accounting) and
 	// model kinds (warmstart donor matching) included, which the updater
-	// merges before it selects — so what the materializer selected comes
-	// back as the list of content to upload.
-	resp := UpdateResponse{WantContent: h.srv.Update(dag, request(r), req.WallTime)}
+	// merges before it selects — and the inline content travels beside it,
+	// so what the materializer selected and was not handed comes back as the
+	// list of content to upload.
+	resp := UpdateResponse{WantContent: h.srv.UpdateContent(dag, content, request(r), req.WallTime)}
 	wanted := make(map[string]int, len(resp.WantContent))
 	for i, id := range resp.WantContent {
 		wanted[id] = i
@@ -196,45 +202,102 @@ func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
 	writeGob(w, &env)
 }
 
+// inlineContent indexes an update's inline artifacts by vertex ID. Each must
+// carry content for a vertex of the update's DAG, and none may be a
+// dataset: datasets have one upload shape, the manifest on the upload route.
+func inlineContent(dag *graph.DAG, inline []InlineArtifact) (map[string]graph.Artifact, error) {
+	content := make(map[string]graph.Artifact, len(inline))
+	for _, a := range inline {
+		switch a.Content.(type) {
+		case nil:
+			return nil, fmt.Errorf("inline artifact %q carries no content", a.ID)
+		case *graph.DatasetArtifact:
+			return nil, fmt.Errorf("inline artifact %q is a dataset: datasets are uploaded as a manifest", a.ID)
+		}
+		if dag.Node(a.ID) == nil {
+			return nil, fmt.Errorf("inline artifact %q is not a vertex of the update", a.ID)
+		}
+		content[a.ID] = a.Content
+	}
+	return content, nil
+}
+
+// putArtifact admits an upload body: every item the update wanted, checked
+// for shape before any is admitted and then admitted in body order, each
+// all or nothing. An item that relies on a column the store has since lost
+// (evicted by another client's update) is listed in a 200 answer, and the
+// client resends it with every column; a malformed one ends the body with a
+// 400 that names it, after the items before it were admitted.
 func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		http.Error(w, "missing id", http.StatusBadRequest)
+	items, ok := decodeUploads(w, r)
+	if !ok {
 		return
 	}
-	var up artifactUpload
-	if !decodeBody(w, r, maxArtifactBody, &up) {
-		return
-	}
-	var err error
-	manifest := len(up.ColIDs)+len(up.Names)+len(up.Columns) > 0
-	switch {
-	case up.Blob.Content != nil && !manifest:
-		// Datasets have one upload shape, the manifest; only a frame without
-		// columns has nothing to put in one.
-		if ds, ok := up.Blob.Content.(*graph.DatasetArtifact); ok && ds.Frame != nil && ds.Frame.NumCols() > 0 {
-			http.Error(w, "dataset content must be uploaded as a manifest", http.StatusBadRequest)
+	var resp uploadResponse
+	for _, up := range items {
+		var err error
+		if up.Blob.Content != nil {
+			err = h.srv.PutArtifact(up.ID, up.Blob.Content, request(r))
+		} else {
+			err = h.srv.PutFrameRef(up.ID, up.ColIDs, up.Names, up.Columns, request(r))
+		}
+		switch {
+		case err == nil:
+		case errors.Is(err, store.ErrColumnAbsent):
+			resp.Absent = append(resp.Absent, up.ID)
+		case errors.Is(err, store.ErrBadManifest):
+			http.Error(w, fmt.Sprintf("artifact %q: %v", up.ID, err), http.StatusBadRequest)
+			return
+		default:
+			http.Error(w, fmt.Sprintf("artifact %q: %v", up.ID, err), http.StatusInternalServerError)
 			return
 		}
-		err = h.srv.PutArtifact(id, up.Blob.Content, request(r))
-	case up.Blob.Content == nil && manifest:
-		err = h.srv.PutFrameRef(id, up.ColIDs, up.Names, up.Columns, request(r))
-	default:
-		http.Error(w, "upload must carry either a blob or a dataset manifest", http.StatusBadRequest)
+	}
+	if len(resp.Absent) == 0 {
+		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	switch {
-	case err == nil:
-		w.WriteHeader(http.StatusNoContent)
-	case errors.Is(err, store.ErrColumnAbsent):
-		// The client left out a column the store has since lost (evicted by
-		// another client's update); it retries with every column.
-		http.Error(w, err.Error(), http.StatusConflict)
-	case errors.Is(err, store.ErrBadManifest):
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	writeGob(w, &resp)
+}
+
+// decodeUploads reads a whole upload body, a gob stream of artifactUpload
+// items of at most maxArtifactBody bytes, and checks the shape of each. It
+// answers as decodeBody does, and 400 for a body without items or an item
+// that is not exactly one blob or one manifest, and reports whether the
+// handler may go on.
+func decodeUploads(w http.ResponseWriter, r *http.Request) ([]artifactUpload, bool) {
+	dec := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxArtifactBody))
+	var items []artifactUpload
+	for {
+		var up artifactUpload
+		if err := dec.Decode(&up); err == io.EOF {
+			break
+		} else if err != nil {
+			refuseBody(w, err, maxArtifactBody)
+			return nil, false
+		}
+		manifest := len(up.ColIDs)+len(up.Names)+len(up.Columns) > 0
+		var bad string
+		switch ds, isDataset := up.Blob.Content.(*graph.DatasetArtifact); {
+		case up.ID == "":
+			bad = "missing id"
+		case (up.Blob.Content != nil) == manifest:
+			bad = "upload must carry either a blob or a dataset manifest"
+		case isDataset && ds.Frame != nil && ds.Frame.NumCols() > 0:
+			// Only a frame without columns has nothing to put in a manifest.
+			bad = "dataset content must be uploaded as a manifest"
+		}
+		if bad != "" {
+			http.Error(w, fmt.Sprintf("artifact %q: %s", up.ID, bad), http.StatusBadRequest)
+			return nil, false
+		}
+		items = append(items, up)
 	}
+	if len(items) == 0 {
+		http.Error(w, "upload carries no artifact", http.StatusBadRequest)
+		return nil, false
+	}
+	return items, true
 }
 
 func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
@@ -490,16 +553,21 @@ func (h *Handler) artifacts(q url.Values) (any, *httpError) {
 // reports whether the handler may go on.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
-	if err == nil {
-		return true
+	if err != nil {
+		refuseBody(w, err, limit)
 	}
+	return err == nil
+}
+
+// refuseBody answers a body that failed to decode: 413 when it ran past the
+// limit, 400 otherwise.
+func refuseBody(w http.ResponseWriter, err error, limit int64) {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
 	} else {
 		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
 	}
-	return false
 }
 
 // wireDAG rebuilds the workload DAG a meta-data request carries. It answers

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,53 +18,117 @@ import (
 	"repro/internal/graph"
 	"repro/internal/materialize"
 	"repro/internal/obs"
+	"repro/internal/ops"
 	"repro/internal/store"
 	"repro/internal/workloads/kaggle"
 )
 
 // uploadMeter is a client-side http.RoundTripper that records what the
-// upload route carried: requests, body bytes, columns, and the answers.
+// update and upload routes carried: every POST /v1/artifact with its items
+// and its answer, the bytes and columns of those bodies, and how many update
+// answers asked for content.
 type uploadMeter struct {
 	next http.RoundTripper
 
-	mu       sync.Mutex
-	ids      []string // one entry per POST /v1/artifact, in order
-	statuses []int
-	bytes    int64
-	columns  int
-	partial  int // dataset uploads that left at least one column out
+	mu      sync.Mutex
+	posts   []uploadPost
+	bytes   int64
+	columns int
+	partial int // dataset items that left at least one column out
+	wanting int // update answers that asked for content
+}
+
+// uploadPost is one POST /v1/artifact as the meter saw it.
+type uploadPost struct {
+	items  []artifactUpload
+	status int
+	absent []string // what a 200 answer listed
 }
 
 func (m *uploadMeter) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method != http.MethodPost || req.URL.Path != "/v1/artifact" {
+	upload := req.URL.Path == "/v1/artifact"
+	if req.Method != http.MethodPost || !upload && req.URL.Path != "/v1/update" {
 		return m.next.RoundTrip(req)
 	}
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		return nil, err
-	}
-	req.Body = io.NopCloser(bytes.NewReader(body))
-	var up artifactUpload
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&up); err != nil {
-		return nil, err
+	var items []artifactUpload
+	if upload {
+		body, err := io.ReadAll(req.Body)
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		if items, err = uploadItems(body); err != nil {
+			return nil, err
+		}
 	}
 	resp, err := m.next.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	m.ids = append(m.ids, req.URL.Query().Get("id"))
-	m.statuses = append(m.statuses, resp.StatusCode)
-	m.bytes += req.ContentLength
-	m.columns += len(up.Columns)
-	if len(up.Columns) < len(up.ColIDs) {
-		m.partial++
+	answer, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
 	}
-	m.mu.Unlock()
+	resp.Body = io.NopCloser(bytes.NewReader(answer))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !upload {
+		var ur UpdateResponse
+		if resp.StatusCode == http.StatusOK && gob.NewDecoder(bytes.NewReader(answer)).Decode(&ur) == nil && len(ur.WantContent) > 0 {
+			m.wanting++
+		}
+		return resp, nil
+	}
+	post := uploadPost{items: items, status: resp.StatusCode}
+	if resp.StatusCode == http.StatusOK {
+		var ur uploadResponse
+		if err := gob.NewDecoder(bytes.NewReader(answer)).Decode(&ur); err != nil {
+			return nil, err
+		}
+		post.absent = ur.Absent
+	}
+	m.posts = append(m.posts, post)
+	m.bytes += req.ContentLength
+	for _, up := range items {
+		m.columns += len(up.Columns)
+		if len(up.Columns) < len(up.ColIDs) {
+			m.partial++
+		}
+	}
 	return resp, nil
 }
 
-// meteredClient returns a remote client whose uploads go through a meter.
+// ids returns the vertex ID of every item uploaded, in order.
+func (m *uploadMeter) ids() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []string
+	for _, p := range m.posts {
+		for _, up := range p.items {
+			out = append(out, up.ID)
+		}
+	}
+	return out
+}
+
+// uploadItems decodes an upload body, the gob stream of its items.
+func uploadItems(body []byte) ([]artifactUpload, error) {
+	dec := gob.NewDecoder(bytes.NewReader(body))
+	var items []artifactUpload
+	for {
+		var up artifactUpload
+		if err := dec.Decode(&up); err == io.EOF {
+			return items, nil
+		} else if err != nil {
+			return nil, err
+		}
+		items = append(items, up)
+	}
+}
+
+// meteredClient returns a remote client whose updates and uploads go
+// through a meter.
 func meteredClient(url string) (*Client, *uploadMeter) {
 	rc := NewClient(url, cost.Memory())
 	m := &uploadMeter{next: http.DefaultTransport}
@@ -133,10 +198,11 @@ func runKaggle(t testing.TB, rc *Client, src *kaggle.Sources, ids ...int) []*gra
 }
 
 // TestColumnLevelUploadEndToEnd is the protocol's end-to-end contract on the
-// Table-1 feature workloads: a cold W1→W2→W3 uploads a small fraction of
-// what whole-artifact uploads carried, still one POST per wanted vertex;
-// everything the server then holds equals the client's content bit for bit;
-// and a second collaborator re-running W1 uploads nothing.
+// Table-1 feature workloads: a cold W1→W2→W3 makes one upload POST per update
+// that wants content and uploads a small fraction of what whole-artifact
+// uploads carried; everything the server then holds equals the client's
+// content bit for bit; and a second collaborator re-running W1 uploads
+// nothing.
 func TestColumnLevelUploadEndToEnd(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
 	ts := httptest.NewServer(NewHandler(srv))
@@ -146,29 +212,34 @@ func TestColumnLevelUploadEndToEnd(t *testing.T) {
 	rc, meter := meteredClient(ts.URL)
 	dags := runKaggle(t, rc, src, 1, 2, 3)
 
+	if len(meter.posts) != meter.wanting {
+		t.Errorf("%d upload POSTs for %d updates that wanted content, want one each", len(meter.posts), meter.wanting)
+	}
 	seen := make(map[string]bool)
 	var wholeBytes int64
-	for i, id := range meter.ids {
-		if meter.statuses[i] != http.StatusNoContent {
-			t.Errorf("upload %d of %s answered %d", i, id, meter.statuses[i])
+	for i, post := range meter.posts {
+		if post.status != http.StatusNoContent {
+			t.Errorf("upload %d answered %d", i, post.status)
 		}
-		if seen[id] {
-			t.Errorf("vertex %s uploaded twice", id)
+		for _, up := range post.items {
+			if seen[up.ID] {
+				t.Errorf("vertex %s uploaded twice", up.ID)
+			}
+			seen[up.ID] = true
+			a, _ := srv.PeekArtifact(up.ID)
+			if a == nil {
+				t.Fatalf("uploaded vertex %s is not stored", up.ID)
+			}
+			wholeBytes += envelopeBytes(t, a)
 		}
-		seen[id] = true
-		a, _ := srv.PeekArtifact(id)
-		if a == nil {
-			t.Fatalf("uploaded vertex %s is not stored", id)
-		}
-		wholeBytes += envelopeBytes(t, a)
 	}
-	if len(meter.ids) == 0 || meter.partial == 0 {
-		t.Fatalf("%d uploads, %d partial: the workloads did not exercise the protocol", len(meter.ids), meter.partial)
+	if len(seen) == 0 || meter.partial == 0 {
+		t.Fatalf("%d uploads, %d partial: the workloads did not exercise the protocol", len(seen), meter.partial)
 	}
 	if limit := wholeBytes * 15 / 100; meter.bytes >= limit {
 		t.Errorf("uploaded %d bytes, want < 15%% of the %d whole-artifact uploads carried", meter.bytes, wholeBytes)
 	}
-	t.Logf("%d uploads: %d bytes (%.1f%% of %d), %d columns", len(meter.ids), meter.bytes,
+	t.Logf("%d POSTs, %d artifacts: %d bytes (%.1f%% of %d), %d columns", len(meter.posts), len(seen), meter.bytes,
 		100*float64(meter.bytes)/float64(wholeBytes), wholeBytes, meter.columns)
 
 	stored := 0
@@ -184,22 +255,22 @@ func TestColumnLevelUploadEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if stored < len(meter.ids) {
-		t.Errorf("compared %d stored artifacts, uploaded %d", stored, len(meter.ids))
+	if stored < len(seen) {
+		t.Errorf("compared %d stored artifacts, uploaded %d", stored, len(seen))
 	}
 
 	rc2, meter2 := meteredClient(ts.URL)
 	runKaggle(t, rc2, src, 1)
-	if meter2.columns != 0 || meter2.bytes != 0 {
-		t.Errorf("second client re-running W1 uploaded %d columns in %d bytes, want none", meter2.columns, meter2.bytes)
+	if len(meter2.posts) != 0 || meter2.bytes != 0 {
+		t.Errorf("second client re-running W1 made %d upload POSTs of %d bytes, want none", len(meter2.posts), meter2.bytes)
 	}
 }
 
 // TestUploadRetriesOnceWhenServerLostAColumn forces the race the protocol
-// allows: the update response says a column is held, another client's update
-// evicts it before the upload arrives. The upload is refused with 409, the
-// client resends that vertex with every column, and nothing is recorded as
-// an error.
+// allows: the update answer says a column is held, and the store loses it
+// before the upload arrives. The upload's 200 answer names exactly the items
+// that relied on a lost column, the client resends those once with every
+// column, and nothing is recorded as an error.
 func TestUploadRetriesOnceWhenServerLostAColumn(t *testing.T) {
 	// Materialize everything, so the derived frames (which share columns
 	// with the source) are wanted whatever their measured compute times.
@@ -208,60 +279,92 @@ func TestUploadRetriesOnceWhenServerLostAColumn(t *testing.T) {
 	h := NewHandler(srv)
 	var once sync.Once
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/v1/artifact" {
-			body, _ := io.ReadAll(r.Body)
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			var up artifactUpload
-			if gob.NewDecoder(bytes.NewReader(body)).Decode(&up) == nil && len(up.Columns) < len(up.ColIDs) {
-				once.Do(func() {
-					for _, id := range srv.Store.StoredIDs() {
-						srv.Store.Evict(id)
-					}
-				})
-			}
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/artifact" && r.Header.Get(obs.ClientIDHeader) == "second" {
+			once.Do(func() {
+				for _, id := range srv.Store.StoredIDs() {
+					srv.Store.Evict(id)
+				}
+			})
 		}
 		h.ServeHTTP(w, r)
 	}))
 	defer ts.Close()
 
+	// A first collaborator leaves the pipeline's frames on the server.
+	frame := testFrame(200, 1)
+	mustRun(t, NewClient(ts.URL, cost.Memory()), buildPipeline(frame))
+	// A second one widens the features and reads a new source: the update
+	// answers that the wider frame's inherited columns are held, and the
+	// store loses them before the upload arrives.
+	dag := graph.NewDAG()
+	src := dag.AddSource("remote.csv", &graph.DatasetArtifact{Frame: frame})
+	feat := dag.Apply(dag.Apply(src, ops.FillNA{}), ops.Derive{Out: "ab", Inputs: []string{"a", "b"}, Fn: ops.Sum})
+	dag.Apply(feat, ops.Derive{Out: "ab2", Inputs: []string{"ab", "b"}, Fn: ops.Sum})
+	other := data.MustNewFrame(data.NewFloatColumn("z", make([]float64, 200)))
+	dag.Apply(dag.AddSource("other.csv", &graph.DatasetArtifact{Frame: other}), ops.FillNA{})
 	rc, meter := meteredClient(ts.URL)
-	dag := buildPipeline(testFrame(200, 1))
-	if _, err := core.NewClient(rc).Run(dag); err != nil {
-		t.Fatal(err)
+	rc.SetName("second")
+	mustRun(t, rc, dag)
+
+	if len(meter.posts) != 2 {
+		t.Fatalf("%d upload POSTs, want the batch and one resend", len(meter.posts))
 	}
-	if err := rc.Err(); err != nil {
-		t.Fatalf("Client.Err() = %v, want nil", err)
-	}
-	conflicts := 0
-	for i, status := range meter.statuses {
-		if status != http.StatusConflict {
+	first, resend := meter.posts[0], meter.posts[1]
+	// What the store refuses, restated: an item is admitted when each of its
+	// manifest columns is in its own body or was admitted before it.
+	admitted := make(map[string]bool)
+	var want []string
+	for _, up := range first.items {
+		own := make(map[string]bool)
+		for _, col := range up.Columns {
+			own[col.ID] = true
+		}
+		lost := false
+		for _, id := range up.ColIDs {
+			lost = lost || !admitted[id] && !own[id]
+		}
+		if lost {
+			want = append(want, up.ID)
 			continue
 		}
-		conflicts++
-		if i+1 >= len(meter.ids) || meter.ids[i+1] != meter.ids[i] || meter.statuses[i+1] != http.StatusNoContent {
-			t.Fatalf("409 on %s was not followed by a successful retry of it", meter.ids[i])
-		}
-		got, _ := srv.PeekArtifact(meter.ids[i])
-		if got == nil || !sameBits(got, dag.Node(meter.ids[i]).Content) {
-			t.Errorf("retried vertex %s is not stored as the client holds it", meter.ids[i])
+		for _, id := range up.ColIDs {
+			admitted[id] = true
 		}
 	}
-	if conflicts != 1 {
-		t.Fatalf("saw %d conflicts, want exactly 1 (statuses %v)", conflicts, meter.statuses)
+	if len(want) == 0 || len(want) == len(first.items) {
+		t.Fatalf("%d of %d items relied on a lost column: the scenario no longer separates them", len(want), len(first.items))
+	}
+	t.Logf("%d items in the batch, %d relied on a lost column", len(first.items), len(want))
+	if first.status != http.StatusOK || !reflect.DeepEqual(first.absent, want) {
+		t.Fatalf("upload answered %d listing %v, want 200 listing %v", first.status, first.absent, want)
+	}
+	var resent []string
+	for _, up := range resend.items {
+		resent = append(resent, up.ID)
+		if len(up.Columns) != len(up.ColIDs) {
+			t.Errorf("resend of %s carries %d of its %d columns", up.ID, len(up.Columns), len(up.ColIDs))
+		}
+		if got, _ := srv.PeekArtifact(up.ID); got == nil || !sameBits(got, dag.Node(up.ID).Content) {
+			t.Errorf("resent vertex %s is not stored as the client holds it", up.ID)
+		}
+	}
+	if resend.status != http.StatusNoContent || !reflect.DeepEqual(resent, want) {
+		t.Errorf("resend of %v answered %d, want %v answered 204", resent, resend.status, want)
 	}
 }
 
 // TestConcurrentCollaboratorsUploadAVertexOnce forces the other race of the
 // upload protocol: two collaborators compute the same vertices in concurrent
-// runs, and the second one's update arrives while the first one's uploads
-// are still on their way. The server asks the first and passes the second
-// over (core.Server's askOnceLocked), so every wanted vertex travels once —
-// which client's bytes they are may depend on timing, how many bytes must not.
+// runs, and the second one's update arrives while the first one's upload of
+// the datasets is still on its way. The server asks the first and passes the
+// second over (core.Server's askOnceLocked), so every wanted vertex travels
+// once — which client's bytes they are may depend on timing, how many bytes
+// must not. The models ride in the first update and are stored by it.
 func TestConcurrentCollaboratorsUploadAVertexOnce(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30),
 		core.WithStrategy(materialize.NewAll()))
 	h := NewHandler(srv)
-	firstHeld := make(chan struct{}) // closed when the first client's first upload has arrived
+	firstHeld := make(chan struct{}) // closed when the first client's upload has arrived
 	secondDone := make(chan struct{})
 	var once sync.Once
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -301,20 +404,32 @@ func TestConcurrentCollaboratorsUploadAVertexOnce(t *testing.T) {
 		}
 	}
 
-	if len(meter2.ids) != 0 {
-		t.Errorf("the second collaborator uploaded %v while the first one's uploads of the same vertices were under way", meter2.ids)
+	if ids := meter2.ids(); len(ids) != 0 {
+		t.Errorf("the second collaborator uploaded %v while the first one's upload of the same vertices was under way", ids)
 	}
-	if len(one.meter.ids) == 0 {
+	ids := one.meter.ids()
+	if len(ids) == 0 {
 		t.Fatal("the first collaborator uploaded nothing: the run did not exercise the protocol")
 	}
 	seen := make(map[string]bool)
-	for _, id := range one.meter.ids {
+	for _, id := range ids {
 		if seen[id] {
 			t.Errorf("vertex %s uploaded twice", id)
 		}
 		seen[id] = true
+		if _, ok := one.dag.Node(id).Content.(*graph.DatasetArtifact); !ok {
+			t.Errorf("vertex %s was uploaded, not sent with the update", id)
+		}
 		if got, _ := srv.PeekArtifact(id); got == nil || !sameBits(got, one.dag.Node(id).Content) {
 			t.Errorf("uploaded vertex %s is not stored as the clients hold it", id)
+		}
+	}
+	for _, n := range one.dag.Nodes() {
+		if n.Content == nil {
+			continue
+		}
+		if got, _ := srv.PeekArtifact(n.ID); got == nil || !sameBits(got, n.Content) {
+			t.Errorf("vertex %s (%s) is not stored as the clients hold it", n.ID, n.Name)
 		}
 	}
 }
@@ -364,44 +479,55 @@ func TestHaveIndexOutOfRangeIsIgnored(t *testing.T) {
 	srv, rc, closeFn := newRemotePair(t)
 	defer closeFn()
 	frame := testFrame(10, 3)
-	held := make(map[string]bool)
-	err := rc.uploadArtifact("v", &graph.DatasetArtifact{Frame: frame}, []int{-1, 3, 1 << 20}, held, nil)
-	if err != nil {
-		t.Fatal(err)
+	b := uploadBatch{held: make(map[string]bool)}
+	b.add("v", &graph.DatasetArtifact{Frame: frame}, []int{-1, 3, 1 << 20})
+	if absent, err := rc.upload(b.items, nil); err != nil || len(absent) > 0 {
+		t.Fatalf("upload: absent %v, %v", absent, err)
 	}
 	got, _ := srv.PeekArtifact("v")
 	if got == nil || !sameBits(got, &graph.DatasetArtifact{Frame: frame}) {
 		t.Fatal("frame not stored whole")
 	}
-	if len(held) != frame.NumCols() {
-		t.Errorf("held = %v, want the frame's %d columns", held, frame.NumCols())
+	if len(b.held) != frame.NumCols() {
+		t.Errorf("held = %v, want the frame's %d columns", b.held, frame.NumCols())
 	}
 }
 
-// postUploadRaw encodes an upload body and POSTs it straight at the handler.
-func postUploadRaw(t testing.TB, h http.Handler, id string, up *artifactUpload) int {
+// postUploads encodes items as one upload body and POSTs it straight at the
+// handler.
+func postUploads(t testing.TB, h http.Handler, items ...artifactUpload) *httptest.ResponseRecorder {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(up); err != nil {
-		t.Fatal(err)
+	enc := gob.NewEncoder(&buf)
+	for i := range items {
+		if err := enc.Encode(&items[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/artifact?id="+id, &buf))
-	return rec.Code
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/artifact", &buf))
+	return rec
 }
 
-// TestUploadRejectsInconsistentBodies: malformed uploads are answered 400
-// (409 when a full resend would cure them) and never reach the store.
+// TestUploadRejectsInconsistentBodies: a malformed item is answered 400 and
+// never reaches the store; an item whose columns a full resend would supply
+// is listed in a 200 answer. A body whose second item has the wrong shape
+// changes nothing; one whose second item the store finds malformed keeps
+// the first.
 func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
 	h := NewHandler(srv)
 	frame := testFrame(10, 3)
 	cols := frame.Columns()
-	if code := postUploadRaw(t, h, "base", &artifactUpload{
-		ColIDs: frame.ColumnIDs()[:1], Names: frame.ColumnNames()[:1], Columns: cols[:1],
-	}); code != http.StatusNoContent {
-		t.Fatalf("seeding upload answered %d", code)
+	if rec := postUploads(t, h, artifactUpload{
+		ID: "base", ColIDs: frame.ColumnIDs()[:1], Names: frame.ColumnNames()[:1], Columns: cols[:1],
+	}); rec.Code != http.StatusNoContent {
+		t.Fatalf("seeding upload answered %d", rec.Code)
 	}
+	unchanged := func() bool {
+		return !srv.Store.Has("v") && srv.Store.Len() == 1 && srv.Store.PhysicalBytes() == cols[0].SizeBytes()
+	}
+	shortNames := artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: []string{"a"}, Columns: cols}
 	ints := data.NewIntColumn("a", make([]int64, 10)).WithID(cols[0].ID)
 	short := data.NewFloatColumn("short", make([]float64, 9))
 	blobFrame := artifactEnvelope{Content: &graph.DatasetArtifact{Frame: frame}}
@@ -411,32 +537,55 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 		up   artifactUpload
 		want int
 	}{
-		{"neither blob nor manifest", artifactUpload{}, 400},
-		{"blob and manifest", artifactUpload{Blob: model, ColIDs: []string{cols[0].ID}, Names: []string{"a"}}, 400},
-		{"dataset smuggled as blob", artifactUpload{Blob: blobFrame}, 400},
-		{"columns without manifest", artifactUpload{Columns: cols[:1]}, 400},
-		{"names shorter than ids", artifactUpload{ColIDs: frame.ColumnIDs(), Names: []string{"a"}, Columns: cols}, 400},
-		{"body column not in manifest", artifactUpload{ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: cols[1:2]}, 400},
-		{"column sent twice", artifactUpload{ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: append(cols[:3:3], cols[1])}, 400},
-		{"dtype differs from held column", artifactUpload{ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: []*data.Column{ints}}, 400},
-		{"row count differs from held column", artifactUpload{ColIDs: []string{cols[0].ID, short.ID}, Names: []string{"a", "short"}, Columns: []*data.Column{short}}, 400},
-		{"column neither sent nor held", artifactUpload{ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[2:]}, 409},
+		{"neither blob nor manifest", artifactUpload{ID: "v"}, 400},
+		{"blob and manifest", artifactUpload{ID: "v", Blob: model, ColIDs: []string{cols[0].ID}, Names: []string{"a"}}, 400},
+		{"dataset smuggled as blob", artifactUpload{ID: "v", Blob: blobFrame}, 400},
+		{"columns without manifest", artifactUpload{ID: "v", Columns: cols[:1]}, 400},
+		{"names shorter than ids", shortNames, 400},
+		{"body column not in manifest", artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: cols[1:2]}, 400},
+		{"column sent twice", artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: append(cols[:3:3], cols[1])}, 400},
+		{"dtype differs from held column", artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: []*data.Column{ints}}, 400},
+		{"row count differs from held column", artifactUpload{ID: "v", ColIDs: []string{cols[0].ID, short.ID}, Names: []string{"a", "short"}, Columns: []*data.Column{short}}, 400},
+		{"column neither sent nor held", artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[2:]}, 200},
 	}
 	for _, tc := range cases {
-		if code := postUploadRaw(t, h, "v", &tc.up); code != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
+		rec := postUploads(t, h, tc.up)
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
 		}
-		if srv.Store.Has("v") || srv.Store.Len() != 1 || srv.Store.PhysicalBytes() != cols[0].SizeBytes() {
+		if tc.want == http.StatusOK {
+			var resp uploadResponse
+			if err := gob.NewDecoder(rec.Body).Decode(&resp); err != nil || !reflect.DeepEqual(resp.Absent, []string{"v"}) {
+				t.Errorf("%s: answer lists %v (%v), want [v]", tc.name, resp.Absent, err)
+			}
+		}
+		if !unchanged() {
 			t.Fatalf("%s: refused upload changed the store", tc.name)
 		}
 	}
-	if code := postUploadRaw(t, h, "m", &artifactUpload{Blob: model}); code != http.StatusNoContent {
-		t.Errorf("blob upload answered %d", code)
+
+	// Shapes are checked before anything is admitted.
+	if rec := postUploads(t, h, artifactUpload{ID: "m1", Blob: model}, artifactUpload{ID: "v"}); rec.Code != http.StatusBadRequest || srv.Store.Has("m1") || !unchanged() {
+		t.Errorf("a body with a shapeless second item: status %d, first item stored %v", rec.Code, srv.Store.Has("m1"))
+	}
+	// What the store refuses ends the body after the items before it.
+	rec := postUploads(t, h, artifactUpload{ID: "m2", Blob: model}, shortNames)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"v"`) {
+		t.Errorf("a body with a malformed second manifest: status %d %q, want 400 naming v", rec.Code, rec.Body)
+	}
+	if !srv.Store.Has("m2") || srv.Store.Has("v") {
+		t.Errorf("after a malformed second manifest: first item stored %v, second %v; want true, false", srv.Store.Has("m2"), srv.Store.Has("v"))
+	}
+	if rec := postUploads(t, h, artifactUpload{ID: "m3", Blob: model}); rec.Code != http.StatusNoContent {
+		t.Errorf("blob upload answered %d", rec.Code)
 	}
 }
 
 // TestOversizedBodiesAnswered413 covers the bounded-body helper with a small
-// limit (the real limits are tens of megabytes) and one real route.
+// limit (the real limits are tens of megabytes and more) and the real
+// routes: a gob message header that announces more than the optimize route
+// allows, then keeps sending, is cut off at its bound; the update route,
+// which carries artifacts, reads the same body past that bound to its end.
 func TestOversizedBodiesAnswered413(t *testing.T) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&OptimizeRequest{Nodes: make([]WireNode, 64)}); err != nil {
@@ -454,19 +603,22 @@ func TestOversizedBodiesAnswered413(t *testing.T) {
 		t.Errorf("body at the limit was refused: status %d", rec.Code)
 	}
 
-	// A gob message header that announces more than the route allows, then
-	// keeps sending: the handler must stop reading at the limit.
 	_, rc, closeFn := newRemotePair(t)
 	defer closeFn()
-	huge := io.MultiReader(bytes.NewReader([]byte{0xFC, 0x10, 0x00, 0x00, 0x00}), // message length 256 MiB
-		io.LimitReader(zeros{}, maxMetaBody+1))
-	resp, err := http.Post(rc.base+"/v1/update", "application/octet-stream", huge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized update: status %d, want 413", resp.StatusCode)
+	for route, want := range map[string]int{
+		"/v1/optimize": http.StatusRequestEntityTooLarge,
+		"/v1/update":   http.StatusBadRequest, // truncated, not too large: its bound is maxArtifactBody
+	} {
+		huge := io.MultiReader(bytes.NewReader([]byte{0xFC, 0x10, 0x00, 0x00, 0x00}), // message length 256 MiB
+			io.LimitReader(zeros{}, maxMetaBody+1))
+		resp, err := http.Post(rc.base+route, "application/octet-stream", huge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s with a body past %d bytes: status %d, want %d", route, maxMetaBody, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -506,51 +658,63 @@ func TestClientRecordsServerErrors(t *testing.T) {
 }
 
 // FuzzUploadDecode throws arbitrary bytes at POST /v1/artifact on a server
-// that already holds a frame. Whatever arrives, the handler answers 204, 400,
-// 409 or 413 — never a panic, never a 5xx — and a refused upload leaves the
-// store as it was; an accepted one is readable back.
+// that already holds a frame. Whatever arrives, the handler answers 200, 204,
+// 400 or 413 — never a panic, never a 5xx. A body refused before admission
+// leaves the store as it was; whatever the store holds afterwards is readable
+// back, and an answer of 204 means every item is.
 func FuzzUploadDecode(f *testing.F) {
 	frame := testFrame(10, 3)
 	cols := frame.Columns()
-	for _, up := range []artifactUpload{
-		{}, // empty manifest
-		{ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols},     // full upload
-		{ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[1:]}, // partial, column 0 held
-		{ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames()},                    // relies on absent columns
-		{ColIDs: frame.ColumnIDs()[:1], Names: []string{"a"}, Columns: cols[1:2]},  // column outside the manifest
-		{Blob: artifactEnvelope{Content: &graph.AggregateArtifact{Value: 1}}},
+	blob := artifactUpload{ID: "m", Blob: artifactEnvelope{Content: &graph.AggregateArtifact{Value: 1}}}
+	for _, body := range [][]artifactUpload{
+		{{ID: "v"}}, // empty manifest
+		{{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols}},     // full upload
+		{{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[1:]}}, // partial, column 0 held
+		{{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames()}},                    // relies on absent columns
+		{{ID: "v", ColIDs: frame.ColumnIDs()[:1], Names: []string{"a"}, Columns: cols[1:2]}},  // column outside the manifest
+		{blob},
+		{blob, {ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[1:]}}, // a batch
 	} {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&up); err != nil {
-			f.Fatal(err)
+		enc := gob.NewEncoder(&buf)
+		for i := range body {
+			if err := enc.Encode(&body[i]); err != nil {
+				f.Fatal(err)
+			}
 		}
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated gob
 	}
 	f.Add([]byte{})
 
-	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
-	h := NewHandler(srv)
-	if code := postUploadRaw(f, h, "base", &artifactUpload{
-		ColIDs: frame.ColumnIDs()[:1], Names: frame.ColumnNames()[:1], Columns: cols[:1],
-	}); code != http.StatusNoContent {
-		f.Fatalf("seeding upload answered %d", code)
-	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+		h := NewHandler(srv)
+		if rec := postUploads(t, h, artifactUpload{
+			ID: "base", ColIDs: frame.ColumnIDs()[:1], Names: frame.ColumnNames()[:1], Columns: cols[:1],
+		}); rec.Code != http.StatusNoContent {
+			t.Fatalf("seeding upload answered %d", rec.Code)
+		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/artifact?id=v", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/artifact", bytes.NewReader(body)))
 		switch rec.Code {
-		case http.StatusNoContent:
-			if a, _ := srv.PeekArtifact("v"); a == nil {
-				t.Fatal("accepted upload cannot be read back")
-			}
-			srv.Store.Evict("v")
-		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
+		case http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 		default:
 			t.Fatalf("status %d", rec.Code)
 		}
-		if srv.Store.Has("v") || srv.Store.Len() != 1 || srv.Store.PhysicalBytes() != cols[0].SizeBytes() {
-			t.Fatal("store changed by a refused upload, or not restored after an accepted one")
+		items, whole := decodeUploads(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/artifact", bytes.NewReader(body)))
+		if !whole && (srv.Store.Len() != 1 || srv.Store.PhysicalBytes() != cols[0].SizeBytes()) {
+			t.Fatal("a body refused before admission changed the store")
+		}
+		for _, id := range srv.Store.StoredIDs() {
+			if a, _ := srv.PeekArtifact(id); a == nil {
+				t.Fatalf("stored %q cannot be read back", id)
+			}
+		}
+		for _, up := range items {
+			if rec.Code == http.StatusNoContent && !srv.Store.Has(up.ID) {
+				t.Fatalf("answered 204 and %q is not stored", up.ID)
+			}
 		}
 	})
 }

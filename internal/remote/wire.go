@@ -1,8 +1,9 @@
 // Package remote implements the HTTP transport between clients and the
 // collaborative-optimizer server (Figure 2 split across machines). The
-// workload DAG travels as meta-data only; artifact content moves lazily —
-// downloaded when a plan reuses it, uploaded when the server's
-// materializer selects it.
+// workload DAG travels as meta-data; artifact content moves lazily —
+// downloaded when a plan reuses it; the models and aggregates a run
+// produced ride along with its update, and datasets are uploaded, in one
+// body per update, when the server's materializer selects them.
 //
 // Wire format: gob; graph.RegisterGobTypes lists the artifact and model
 // types that travel inside Artifact values.
@@ -70,13 +71,27 @@ type OptimizeResponse struct {
 	PredictedLoadSec []float64
 }
 
-// UpdateRequest carries an executed DAG's meta-data.
+// UpdateRequest carries an executed DAG's meta-data and the content of what
+// the run produced that is not a dataset.
 type UpdateRequest struct {
 	Nodes []WireNode
 	// WallTime is the client's measured Execute wall-clock time, for the
 	// calibration scorecard. A client that predates it sends an eight-field
 	// run summary instead, which gob drops: its wall time reads as 0.
 	WallTime time.Duration
+	// Inline holds the models, aggregates and transformers the run computed
+	// (not Computed, not LoadedFromEG): small next to the frames, and mostly
+	// what the materializer selects. The server stores what it selects of
+	// them during the update and asks for none of them. Datasets never ride
+	// here — they are uploaded by manifest, so the columns the server holds
+	// stay behind — and a dataset sent inline is refused.
+	Inline []InlineArtifact
+}
+
+// InlineArtifact is the content of one vertex of an update's DAG.
+type InlineArtifact struct {
+	ID      string
+	Content graph.Artifact
 }
 
 // UpdateResponse lists the vertex IDs whose content the server asks the
@@ -94,17 +109,28 @@ type UpdateResponse struct {
 	Have [][]int
 }
 
-// artifactUpload is the body of POST /v1/artifact. Exactly one half is set.
-// Models, aggregates and transformers travel whole in Blob. A dataset
-// travels as its manifest (ordered column lineage IDs and names) plus the
-// columns the server does not hold yet; the server assembles the frame from
-// those and the columns its store has under the same IDs. A full upload is
-// the case where Columns carries every manifest column.
+// artifactUpload is one item of the body of POST /v1/artifact, the content
+// of vertex ID; the body is a gob stream of them, one per wanted vertex of
+// an update. Exactly one half is set. Models, aggregates and transformers
+// travel whole in Blob. A dataset travels as its manifest (ordered column
+// lineage IDs and names) plus the columns the server does not hold yet; the
+// server assembles the frame from those and the columns its store has under
+// the same IDs. A full upload is the case where Columns carries every
+// manifest column.
 type artifactUpload struct {
+	ID      string
 	Blob    artifactEnvelope
 	ColIDs  []string
 	Names   []string
 	Columns []*data.Column
+}
+
+// uploadResponse is the 200 answer to an upload: the items, in body order,
+// refused because a manifest column is neither in the body nor held any
+// more. Everything else in the body was admitted. An upload with nothing
+// refused is answered 204.
+type uploadResponse struct {
+	Absent []string
 }
 
 // artifactEnvelope wraps the Artifact interface for gob transport: blob
@@ -113,10 +139,11 @@ type artifactEnvelope struct {
 	Content graph.Artifact
 }
 
-// Request bodies are bounded: a meta-data request (optimize, update) carries
-// a few hundred bytes per workload vertex, an artifact upload at most one
-// artifact, which the default materialization budget (1 GiB) caps anyway.
-// Larger bodies are answered 413.
+// Request bodies are bounded: a meta-data request (optimize) carries a few
+// hundred bytes per workload vertex; an update adds the run's inline
+// artifacts and an upload carries the content an update wants, both capped
+// in practice by the default materialization budget (1 GiB). Larger bodies
+// are answered 413.
 const (
 	maxMetaBody     = 64 << 20
 	maxArtifactBody = 1 << 30
