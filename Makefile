@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fmt-check lint-logs lint-layers loc bench profile-train bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
+.PHONY: build vet test race fmt-check lint-logs lint-layers loc bench profile-train profile-update bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,19 @@ profile-train:
 	$(GO) test -run=NONE -bench='LogisticRegressionFit$$' -benchtime=100x \
 		-o $(PROFILE_DIR)/ml.test -cpuprofile $(PROFILE_DIR)/ml.prof ./internal/ml
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ml.test $(PROFILE_DIR)/ml.prof
+
+# profile-update profiles the server's updater (Figure 2, step 5) on a
+# 10 000-vertex Experiment Graph with explain capture on, as collabd runs it:
+# CPU, then the bytes allocated, of a fixed number of 5-vertex updates (the
+# graph grows by five vertices per update, so a fixed count keeps runs
+# comparable).
+profile-update:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run=NONE -bench='ServerUpdateAtScale/vertices=10000$$/explain=true' -benchtime=400x \
+		-o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/update.prof \
+		-memprofile $(PROFILE_DIR)/update-mem.prof ./internal/core
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/update.prof
+	$(GO) tool pprof -top -nodecount=15 -sample_index=alloc_space $(PROFILE_DIR)/core.test $(PROFILE_DIR)/update-mem.prof
 
 # bench-e2e is the end-to-end + per-layer ruler (bench/README.md): all five
 # workloads through real Client.Run over loopback HTTP against a spawned

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -67,6 +68,25 @@ func stagedAllocsPerCall(stage func() (call func())) float64 {
 		calls[i]()
 		i++
 	})
+}
+
+// stagedBytesPerCall is stagedAllocsPerCall for bytes: the heap bytes each of
+// 20 calls whose inputs stage built beforehand allocates, on average.
+func stagedBytesPerCall(stage func() (call func())) float64 {
+	const runs = 20
+	calls := make([]func(), runs+1)
+	for i := range calls {
+		calls[i] = stage()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	calls[0]() // warm up, as AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, call := range calls[1:] {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // runArms is the body of an *Overhead benchmark: one sub-benchmark per arm.
@@ -167,15 +187,22 @@ func BenchmarkExecuteTraceOverhead(b *testing.B)    { runArms(b, traceArms(b, 4)
 func BenchmarkOptimizeExplainOverhead(b *testing.B) { runArms(b, explainArms(b)) }
 
 // scaleServer returns a server whose Experiment Graph holds a synthetic
-// universe of n vertices (merged and materialized through one Update), and a
-// generator of the 5-vertex workloads the scale benchmark and the
-// allocation-flatness test submit: the source and a fresh four-operation
-// chain, as executed.
+// universe of n vertices (merged and materialized through one Update that
+// carries every vertex's content, so the store holds what the strategy
+// selects, as between the runs of a real sequence), and a generator of the
+// 5-vertex workloads the scale benchmark and the flatness tests submit: the
+// source and a fresh four-operation chain, as executed.
 func scaleServer(tb testing.TB, n int, opts ...ServerOption) (*Server, func(i int) *graph.DAG) {
 	tb.Helper()
 	srv := NewServer(store.New(cost.Memory()), opts...)
 	u := synth.NewUniverse(int64(n), n)
-	srv.Update(u.Workload(rand.New(rand.NewSource(1))), nil, 0)
+	universe := u.Workload(rand.New(rand.NewSource(1)))
+	for _, node := range universe.Nodes() {
+		if node.Content == nil {
+			node.Content = &graph.AggregateArtifact{}
+		}
+	}
+	srv.Update(universe, nil, 0)
 	if srv.EG.Len() < n {
 		tb.Fatalf("EG holds %d vertices, want at least %d", srv.EG.Len(), n)
 	}

@@ -347,3 +347,27 @@ func TestUpdateAllocationsDoNotGrowWithTheGraph(t *testing.T) {
 		t.Errorf("Update allocates %.0f times on a 5000-vertex graph, %.0f on a 500-vertex one: it grows with the graph", large, small)
 	}
 }
+
+// TestUpdateBytesDoNotGrowWithTheGraph is the byte count beside the
+// allocation count above, under a budget every candidate fits (the default
+// 1 GiB binds on the 5 000-vertex universe) and explain off. While each
+// update listed and mapped the whole selection, copied the vertex list and
+// scanned every stored ID, the bytes grew with the graph (785 against 84 KB
+// per update at 5 000 and 500 vertices) although the count of allocations
+// did not.
+func TestUpdateBytesDoNotGrowWithTheGraph(t *testing.T) {
+	bytes := func(vertices int) float64 {
+		srv, next := scaleServer(t, vertices, WithBudget(1<<40))
+		i := 0
+		return stagedBytesPerCall(func() func() {
+			w := next(i)
+			i++
+			return func() { srv.Update(w, nil, 0) }
+		})
+	}
+	small, large := bytes(500), bytes(5000)
+	t.Logf("bytes per 5-vertex update: %.0f on 500 vertices, %.0f on 5000", small, large)
+	if large >= 1.5*small {
+		t.Errorf("Update allocates %.0f bytes on a 5000-vertex graph, %.0f on a 500-vertex one: it grows with the graph", large, small)
+	}
+}

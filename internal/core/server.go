@@ -7,6 +7,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,6 +43,15 @@ type Server struct {
 	// and whose content has not arrived yet (see askOnceLocked). Guarded
 	// by mu.
 	asked map[string]bool
+	// scratch holds the materialization run's buffers between updates; lost
+	// is the buffer the store's loss report is read into; arrived lists what
+	// was stored outside an update since the last one, and settled is the
+	// graph whose store content the updater has taken in (see settleLocked).
+	// Guarded by mu.
+	scratch materialize.Scratch
+	lost    []string
+	arrived []string
+	settled *eg.Graph
 
 	// metrics is the server's observability registry (always on — updates
 	// are atomic counters, far below planning cost). trace is the opt-in
@@ -294,6 +304,7 @@ func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 		started: obs.StartTimer(),
 	}
 	srv.version, srv.goVersion = obs.BuildInfo()
+	st.TrackLosses()
 	cfg := materialize.Config{Alpha: 0.5, Profile: st.Profile()}
 	srv.strategy = materialize.NewStorageAware(cfg)
 	srv.planner = reuse.Linear{}
@@ -735,13 +746,15 @@ func (s *Server) PutFrameRef(id string, colIDs, names []string, cols []*data.Col
 }
 
 // materialize runs one store admission inside the "materialize" lock
-// section and marks the vertex materialized when it succeeds.
+// section and marks the vertex materialized when it succeeds. The next update
+// settles what arrived (settleLocked).
 func (s *Server) materialize(id string, req *obs.Request, put func() error) error {
 	defer s.lockSection("materialize", untagged(req))()
 	if err := put(); err != nil {
 		return err
 	}
 	s.EG.SetMaterialized(id, true)
+	s.arrived = append(s.arrived, id)
 	delete(s.asked, id)
 	return nil
 }
@@ -772,37 +785,34 @@ func (s *Server) askOnceLocked(executed *graph.DAG, want []string) []string {
 }
 
 // applySelectionLocked stores sources, runs the materialization strategy,
-// applies it to the store using the contents in available, and returns the
-// desired-but-missing vertex IDs. The strategy's record of the run is the
-// one account of what it decided: the counters read its counts and, when
-// explain is on, the recorder renders its trail.
+// applies what the run changed to the store using the contents in available,
+// and returns the desired-but-missing vertex IDs. The strategy's record of the
+// run is the one account of what it decided: the updater evicts its Dropped
+// and stores or asks for its Admitted, the counters read its counts and, when
+// explain is on, the recorder renders its trail. The store and the mat flags
+// end where reconciling every stored artifact with the whole selection left
+// them (TestDeltaUpdaterMatchesFullReconcile), at the cost of what changed.
 func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *obs.Request, sc *calib.Scorecard) (want []string) {
 	requestID := req.RequestID
 	// Task one: every raw source artifact is stored, outside the budget.
-	sources := make(map[string]bool)
 	for _, id := range s.EG.Sources() {
-		sources[id] = true
 		if s.Store.Has(id) {
 			s.EG.SetMaterialized(id, true)
 			continue
 		}
-		if content, ok := available[id]; ok {
-			if err := s.Store.Put(id, content); err == nil {
-				s.EG.SetMaterialized(id, true)
-			}
-		} else {
-			want = append(want, id)
-		}
+		want = s.storeLocked(id, available, want)
 	}
+	// After the sources, whose puts the full reconcile made while what it
+	// evicts was still stored; before the strategy reads the flags.
+	s.settleLocked()
 
 	// Task three: run the materialization algorithm and apply it.
 	matSW := obs.StartTimer()
-	run := s.strategy.Select(s.EG, s.budget, s.explain != nil)
-	desired := run.Selected
+	run := s.strategy.Select(s.EG, s.budget, s.explain != nil, &s.scratch)
 	matElapsed := matSW.Elapsed()
 	s.metrics.matRuns.Inc()
 	s.metrics.matSec.Observe(matElapsed.Seconds())
-	s.metrics.matSelected.Set(float64(len(desired)))
+	s.metrics.matSelected.Set(float64(run.Selected))
 	s.metrics.matConsidered.Add(int64(run.Eligible))
 	s.metrics.matVetoed.Add(int64(run.Vetoed))
 	if s.explain != nil {
@@ -812,36 +822,95 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *
 	}
 	if s.trace != nil {
 		s.trace.Span("materialize", "server", 0, matSW.StartedAt(), matElapsed,
-			tagged(req, map[string]any{"selected": len(desired)}))
+			tagged(req, map[string]any{"selected": run.Selected}))
 	}
 
-	desiredSet := make(map[string]bool, len(desired))
-	for _, id := range desired {
-		desiredSet[id] = true
+	// Evict artifacts that fell out of the selection; store newly selected
+	// artifacts whose content we have and report the rest, so a remote client
+	// can upload them.
+	for _, id := range run.Dropped {
+		s.evictLocked(id)
 	}
-	// Evict artifacts that fell out of the selection (sources exempt).
-	for _, id := range s.Store.StoredIDs() {
-		if sources[id] || desiredSet[id] {
-			continue
-		}
-		s.Store.Evict(id)
-		s.EG.SetMaterialized(id, false)
-		s.metrics.matEvicted.Inc()
-	}
-	// Store newly selected artifacts whose content we have; report the
-	// rest so a remote client can upload them.
-	for _, id := range desired {
-		if s.Store.Has(id) {
-			s.EG.SetMaterialized(id, true)
-			continue
-		}
-		if content, ok := available[id]; ok {
-			if err := s.Store.Put(id, content); err == nil {
-				s.EG.SetMaterialized(id, true)
-			}
-		} else {
-			want = append(want, id)
+	for _, id := range run.Admitted {
+		want = s.storeLocked(id, available, want)
+		if s.lost = s.Store.TakeLosses(s.lost); len(s.lost) > 0 {
+			return s.applyInOrderLocked(run, id, available, want)
 		}
 	}
 	return want
+}
+
+// applyInOrderLocked finishes applying a run once a put has made the store
+// drop an artifact on its own (a memory budget with no disk tier under it, or
+// a disk budget), which may be a selected one the run found stored. It walks
+// the rest of the selection, after from, in the order the strategy admitted
+// it, as the full reconcile did: what is stored stays, what is not is stored
+// from available content or wanted. Then what was lost is unmarked.
+func (s *Server) applyInOrderLocked(run materialize.Run, from string, available map[string]graph.Artifact, want []string) []string {
+	selected := run.SelectedIDs()
+	for _, id := range selected[slices.Index(selected, from)+1:] {
+		if !s.Store.Has(id) {
+			want = s.storeLocked(id, available, want)
+		}
+	}
+	s.unmarkLostLocked()
+	return want
+}
+
+// storeLocked stores the vertex's content when available holds it, marking
+// the vertex materialized, and otherwise adds the vertex to want.
+func (s *Server) storeLocked(id string, available map[string]graph.Artifact, want []string) []string {
+	content, ok := available[id]
+	if !ok {
+		return append(want, id)
+	}
+	if s.Store.Put(id, content) == nil {
+		s.EG.SetMaterialized(id, true)
+	}
+	return want
+}
+
+// evictLocked evicts the vertex's content and unmarks it.
+func (s *Server) evictLocked(id string) {
+	s.Store.Evict(id)
+	s.EG.SetMaterialized(id, false)
+	s.metrics.matEvicted.Inc()
+}
+
+// settleLocked brings the mat flags up to date with what changed in the
+// store outside the updater's own puts and evictions, before the strategy
+// reads them: what the store lost on its own is unmarked, and what arrived
+// since the last update — uploads and, the first time the updater meets a
+// graph (a new server, a restored snapshot), whatever the store already
+// holds — is kept where the updater keeps content (materialize.Keeps) and
+// evicted where the graph does not know the vertex or never selects it.
+func (s *Server) settleLocked() {
+	s.unmarkLostLocked()
+	if s.settled != s.EG {
+		s.settled = s.EG
+		s.arrived = append(s.arrived, s.Store.StoredIDs()...)
+	}
+	for _, id := range s.arrived {
+		if !s.Store.Has(id) {
+			continue
+		}
+		if v := s.EG.Vertex(id); v != nil && materialize.Keeps(v) {
+			s.EG.SetMaterialized(id, true)
+		} else {
+			s.evictLocked(id)
+		}
+	}
+	s.arrived = s.arrived[:0]
+}
+
+// unmarkLostLocked unmarks what the store reports it lost and does not hold
+// again since.
+func (s *Server) unmarkLostLocked() {
+	s.lost = s.Store.TakeLosses(s.lost)
+	for _, id := range s.lost {
+		if !s.Store.Has(id) {
+			s.EG.SetMaterialized(id, false)
+		}
+	}
+	s.lost = s.lost[:0]
 }

@@ -36,9 +36,10 @@ type Column struct {
 	Dict  []string
 	Codes []uint32
 
-	// quant memoises the column's quantile view (quantile.go). It is not
-	// content: unexported, so no codec carries it, and outside SizeBytes.
-	quant *quantileMemo
+	// derived memoises what is computed from the values: the quantile view
+	// (quantile.go) and the size of a string column. It is not content:
+	// unexported, so no codec carries it.
+	derived *columnMemo
 }
 
 // DeriveID computes the lineage ID of a column produced by the operation
@@ -99,7 +100,8 @@ func (c *Column) Len() int {
 // SizeBytes returns the storage footprint of the column's content. String
 // cells cost their byte length plus a 16-byte header; fixed-width cells cost
 // their width. This is the byte count the storage manager and the budget
-// accounting use.
+// accounting use. A string column is walked once and its size remembered,
+// beside the quantile view and shared with it by WithID and Rename copies.
 func (c *Column) SizeBytes() int64 {
 	switch c.Type {
 	case Float64:
@@ -107,23 +109,29 @@ func (c *Column) SizeBytes() int64 {
 	case Int64:
 		return int64(len(c.Ints)) * 8
 	case String:
-		if c.IsDict() {
-			var n int64
-			for _, s := range c.Dict {
-				n += int64(len(s)) + 16
-			}
-			return n + int64(len(c.Codes))*4
-		}
-		var n int64
-		for _, s := range c.Strings {
-			n += int64(len(s)) + 16
-		}
-		return n
+		m := c.memo()
+		m.sizeOnce.Do(func() { m.size = c.stringBytes() })
+		return m.size
 	case Bool:
 		return int64(len(c.Bools))
 	default:
 		return 0
 	}
+}
+
+// stringBytes walks a string column for SizeBytes.
+func (c *Column) stringBytes() int64 {
+	var n int64
+	if c.IsDict() {
+		for _, s := range c.Dict {
+			n += int64(len(s)) + 16
+		}
+		return n + int64(len(c.Codes))*4
+	}
+	for _, s := range c.Strings {
+		n += int64(len(s)) + 16
+	}
+	return n
 }
 
 // Float returns the value at row i converted to float64. Strings yield NaN;

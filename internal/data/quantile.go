@@ -24,10 +24,14 @@ type Quantiles struct {
 	Bins  []uint8
 }
 
-// quantileMemo holds a column's quantile view once it has been asked for.
-type quantileMemo struct {
+// columnMemo holds what has been computed from a column's values once it
+// has been asked for: the quantile view and the size of a string column.
+type columnMemo struct {
 	once sync.Once
 	view *Quantiles
+
+	sizeOnce sync.Once
+	size     int64
 }
 
 // memoInstall orders the first assignment of a Column's memo pointer against
@@ -35,13 +39,13 @@ type quantileMemo struct {
 // built.
 var memoInstall sync.Mutex
 
-func (c *Column) memo() *quantileMemo {
+func (c *Column) memo() *columnMemo {
 	memoInstall.Lock()
 	defer memoInstall.Unlock()
-	if c.quant == nil {
-		c.quant = new(quantileMemo)
+	if c.derived == nil {
+		c.derived = new(columnMemo)
 	}
-	return c.quant
+	return c.derived
 }
 
 // Quantiles returns the column's quantile view over all of its rows, building

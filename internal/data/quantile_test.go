@@ -172,6 +172,44 @@ func TestQuantileMemoIsNotContent(t *testing.T) {
 	}
 }
 
+// TestStringSizeMemoMatchesTheWalk: the size a string column remembers is
+// the walk of its cells — 16 bytes plus the length per plain cell; per
+// dictionary entry, plus 4 bytes of code per row — on the column and on the
+// copies WithID and Rename make, which share it, with or without a quantile
+// view built first; asking again allocates nothing.
+func TestStringSizeMemoMatchesTheWalk(t *testing.T) {
+	vals := []string{"alpha", "", "beta", "alpha", "gamma-delta", "beta", "alpha"}
+	plain := NewStringColumn("s", vals)
+	dict := plain.DictEncoded()
+	var plainWalk, dictWalk int64
+	for _, s := range vals {
+		plainWalk += int64(len(s)) + 16
+	}
+	for _, s := range dict.Dict {
+		dictWalk += int64(len(s)) + 16
+	}
+	dictWalk += 4 * int64(len(vals))
+	for _, tc := range []struct {
+		c    *Column
+		walk int64
+	}{{plain, plainWalk}, {dict, dictWalk}, {NewStringColumn("t", vals), plainWalk}} {
+		if tc.c == plain {
+			tc.c.Quantiles()
+		}
+		for _, c := range []*Column{tc.c, tc.c.WithID("copy"), tc.c.Rename("r", "op")} {
+			if got := c.SizeBytes(); got != tc.walk {
+				t.Errorf("%s (dict %v): SizeBytes %d, walk %d", c.ID, c.IsDict(), got, tc.walk)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { tc.c.SizeBytes() }); allocs != 0 {
+			t.Errorf("a remembered size allocates %.0f times", allocs)
+		}
+	}
+	if dictWalk >= plainWalk {
+		t.Fatalf("fixture: the dictionary form (%d bytes) should be the smaller (%d)", dictWalk, plainWalk)
+	}
+}
+
 // TestQuantilesBuiltOnceUnderConcurrency, under -race: many goroutines asking
 // one column (and a copy of it) for its view all get the one view, and once
 // it is there asking again, on the column or on a copy, builds nothing.

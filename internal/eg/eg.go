@@ -322,6 +322,17 @@ func (g *Graph) Vertices() []*Vertex {
 	return slices.Clone(g.byID)
 }
 
+// Visit calls fn with every vertex, sorted by ID, under the graph's read lock:
+// the walk of Vertices without the copy. fn must treat the vertices as
+// read-only and must not call back into the graph.
+func (g *Graph) Visit(fn func(*Vertex)) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	for _, v := range g.byID {
+		fn(v)
+	}
+}
+
 // DedupedSize computes the physical bytes needed to store the given vertex
 // set under column deduplication: unique dataset columns are counted once;
 // non-dataset artifacts count their full size.

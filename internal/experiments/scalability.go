@@ -73,7 +73,7 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 		runtime.ReadMemStats(&after)
 		for k := range lat[:3] {
 			start := time.Now()
-			srv.Strategy().Select(srv.EG, srv.Budget(), false)
+			srv.Strategy().Select(srv.EG, srv.Budget(), false, nil)
 			lat[k] = time.Since(start)
 		}
 		mat := median(lat[:3])

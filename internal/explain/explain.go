@@ -262,7 +262,7 @@ func BuildUpdate(run materialize.Run, profile cost.Profile, strategy string, bud
 			Strategy:        strategy,
 			BudgetBytes:     budget,
 			Eligible:        run.Eligible,
-			Selected:        len(run.Selected),
+			Selected:        run.Selected,
 			VetoedLoadCost:  run.Vetoed,
 			BudgetExhausted: run.OverBudget(),
 		},

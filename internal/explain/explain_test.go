@@ -119,7 +119,7 @@ func updateRecord() *Record {
 		d := materialize.Decision{Vertex: v, Outcome: materialize.OverBudget}
 		if v.Materialized {
 			d.Outcome = materialize.Selected
-			run.Selected = append(run.Selected, v.ID)
+			run.Selected++
 		}
 		run.Trail = append(run.Trail, d)
 	}

@@ -33,18 +33,24 @@ func largeEG(vertices int) *eg.Graph {
 }
 
 // BenchmarkStrategySelect runs each strategy under a budget that binds and
-// under collabd's default (1 GiB), where nearly every candidate is
-// admitted, with and without the trail explain (on in collabd by default)
-// asks for.
+// under collabd's default (1 GiB), where every candidate fits, with and
+// without the trail explain (on in collabd by default) asks for, on a graph
+// as the updater leaves it — what the strategy selects is materialized — and
+// in one Scratch, as the updater runs them.
 func BenchmarkStrategySelect(b *testing.B) {
-	g := largeEG(2000)
 	c := Config{Alpha: 0.5, Profile: cost.Memory()}
 	for _, s := range []Strategy{NewGreedy(c), NewStorageAware(c), NewHelix(c), NewAll()} {
 		for _, budget := range []int64{8 << 20, 1 << 30} {
+			g := largeEG(2000)
+			for _, id := range s.Select(g, budget, false, nil).Admitted {
+				g.SetMaterialized(id, true)
+			}
 			for _, trail := range []bool{false, true} {
 				b.Run(fmt.Sprintf("%s/budget=%dMiB/trail=%v", s.Name(), budget>>20, trail), func(b *testing.B) {
+					sc := new(Scratch)
+					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						s.Select(g, budget, trail)
+						s.Select(g, budget, trail, sc)
 					}
 				})
 			}
@@ -61,7 +67,7 @@ func BenchmarkGreedyAlphaSweep(b *testing.B) {
 		c := Config{Alpha: alpha, Profile: cost.Memory()}
 		b.Run(fmt.Sprintf("alpha=%v", alpha), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				NewGreedy(c).Select(g, budget, false)
+				NewGreedy(c).Select(g, budget, false, nil)
 			}
 		})
 	}

@@ -4,9 +4,10 @@
 // in the evaluation.
 //
 // A Strategy inspects the Experiment Graph and returns the record of one
-// run (Run): the vertex IDs whose content should be stored under a byte
-// budget, and what it decided for the rest. Raw source artifacts are always
-// stored by the updater (§3.2) and are not part of the budgeted selection.
+// run (Run): what the selection under a byte budget changes against what is
+// materialized, the counts of what it decided and, on request, a decision
+// per vertex. Raw source artifacts are always stored by the updater (§3.2)
+// and are not part of the budgeted selection.
 package materialize
 
 import (
@@ -28,8 +29,9 @@ type Strategy interface {
 	// bytes) and returns the record of that run. Budget accounting is
 	// strategy-specific: HM and HL count logical artifact sizes, SA counts
 	// deduplicated physical bytes. With trail set the record also carries the
-	// outcome of every eligible vertex; without it Select builds none.
-	Select(g *eg.Graph, budget int64, trail bool) Run
+	// outcome of every eligible vertex; without it Select builds none. The run
+	// lives in sc's buffers (nil: buffers of its own).
+	Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run
 }
 
 // Outcome is what a run decided for one eligible vertex. The values are the
@@ -54,24 +56,88 @@ type Decision struct {
 }
 
 // Run is the record of one materialization run, produced by the strategy in
-// the pass that decides: the server applies Selected and counts from it,
-// explain renders Trail. Every eligible vertex is selected, vetoed or over
-// budget.
+// the pass that decides: the server applies what it changed (Admitted,
+// Dropped) and counts from it, explain renders Trail. Every eligible vertex is
+// selected, vetoed or over budget.
 type Run struct {
-	// Selected holds the vertex IDs to materialize, in the order the
-	// strategy admitted them.
-	Selected []string
+	// Admitted holds the selected vertices that were not materialized when
+	// the run read them, in the order the strategy admitted them: what the
+	// updater stores or asks for.
+	Admitted []string
+	// Dropped holds the eligible vertices that were materialized and are not
+	// selected, sorted by ID: what the updater evicts.
+	Dropped []string
 	// Eligible counts the vertices that took part (see eligible), Vetoed
-	// those of them the strategy's load-cost rule rejected.
-	Eligible, Vetoed int
+	// those of them the strategy's load-cost rule rejected, Selected those it
+	// selected.
+	Eligible, Vetoed, Selected int
 	// Trail has one Decision per eligible vertex, sorted by ID; nil unless
 	// Select was asked for it.
 	Trail []Decision
+
+	// selected lists the selection in admission order, when the run built
+	// the list; when every candidate fit, unranked holds them instead, for
+	// SelectedIDs to rank.
+	selected []string
+	unranked []ranked
 }
 
 // OverBudget counts the eligible vertices that passed the veto and were not
 // selected.
-func (r Run) OverBudget() int { return r.Eligible - r.Vetoed - len(r.Selected) }
+func (r Run) OverBudget() int { return r.Eligible - r.Vetoed - r.Selected }
+
+// SelectedIDs returns the IDs of the selected vertices in the order the
+// strategy admitted them. The updater needs only what changed; a run in which
+// every candidate fit ranks them here, for the readers that ask (LimitCount
+// and tests), not in Select.
+func (r Run) SelectedIDs() []string {
+	if r.unranked == nil {
+		return r.selected
+	}
+	ranking := slices.Clone(r.unranked)
+	rank(ranking)
+	ids := make([]string, len(ranking))
+	for i, c := range ranking {
+		ids[i] = c.v.ID
+	}
+	return ids
+}
+
+// Scratch holds the buffers of a run between runs. The updater keeps one
+// under its lock, so that a run whose candidates all fit allocates nothing. A
+// Run, SelectedIDs included, is valid until the next Select with the Scratch
+// it was selected with.
+type Scratch struct {
+	cands                       []ranked
+	trail                       []Decision
+	selected, admitted, dropped []string
+}
+
+// open starts a run in sc's buffers (none for a nil sc).
+func (sc *Scratch) open(trail bool) Run {
+	if sc == nil {
+		return Run{}
+	}
+	run := Run{Admitted: sc.admitted[:0], Dropped: sc.dropped[:0], selected: sc.selected[:0]}
+	if trail {
+		run.Trail = sc.trail[:0]
+	}
+	return run
+}
+
+// keep hands the buffers the run grew back to sc, for the next run.
+func (sc *Scratch) keep(r *Run, cands []ranked) {
+	if sc == nil {
+		return
+	}
+	sc.admitted, sc.dropped, sc.selected = r.Admitted, r.Dropped, r.selected
+	if r.Trail != nil {
+		sc.trail = r.Trail
+	}
+	if cands != nil {
+		sc.cands = cands
+	}
+}
 
 // Config carries the knobs shared by the paper's strategies.
 type Config struct {
@@ -98,48 +164,82 @@ type candidate struct {
 }
 
 // ranked is a candidate as a run holds it: with the index of its line in
-// the run's trail (meaningless without a trail), so admitting it marks the
-// line without a search.
+// the run's trail (-1 without a trail), so admitting it marks the line
+// without a search, and whether the run selected it.
 type ranked struct {
 	candidate
-	line int
+	line     int
+	selected bool
 }
 
-// candidates computes Equation 2 utilities for every non-materialized-
-// eligible vertex: U(v) = 0 if Cl(v) ≥ Cr(v), else α·p'(v) + (1−α)·r'cs(v)
-// with sum-normalized p and rcs, and opens the run's record with what the
-// pass saw: the eligible and vetoed counts and, when asked, a trail that
-// holds every candidate as over budget until admit selects it. Cr and p are
-// read off the vertices, where the graph maintains them; the normalisation
-// sums move with every update, so the pass over the vertices (in ID order,
-// which fixes the order of the floating-point sums and of the trail) and the
-// ranking stay per call.
-func (c Config) candidates(g *eg.Graph, trail bool) ([]ranked, Run) {
-	vertices := g.Vertices()
-	cands := make([]ranked, 0, len(vertices))
-	var run Run
-	if trail {
-		run.Trail = make([]Decision, 0, len(vertices))
+// rank sorts candidates highest utility first. Ties (common at α=1, where
+// every ancestor of the best model shares its potential) fall back to the
+// cost-size ratio, which favours the model artifact itself, then to ID for
+// determinism — a total order, so any subset ranks as it does in the whole.
+func rank(cands []ranked) {
+	slices.SortFunc(cands, func(x, y ranked) int {
+		if x.utility != y.utility {
+			return cmp.Compare(y.utility, x.utility)
+		}
+		if x.rcs != y.rcs {
+			return cmp.Compare(y.rcs, x.rcs)
+		}
+		return strings.Compare(x.v.ID, y.v.ID)
+	})
+}
+
+// candidates computes Equation 2 utilities for every eligible vertex: U(v) =
+// 0 if Cl(v) ≥ Cr(v), else α·p'(v) + (1−α)·r'cs(v) with sum-normalized p and
+// rcs, and opens the run's record with what the pass saw: the eligible and
+// vetoed counts, the vetoed vertices that are materialized (Dropped) and,
+// when asked, a trail that holds every candidate as over budget until admit
+// selects it. Cr and p are read off the vertices, where the graph maintains
+// them; the normalisation sums move with every update, so the pass over the
+// vertices stays per call: one walk in ID order (which fixes the order of the
+// floating-point sums and of the trail) through the graph's visitor, in sc's
+// buffers.
+//
+// When the candidates' logical bytes fit a positive budget, Algorithm 1
+// admits all of them in its first round and the storage-aware second round
+// finds none left, so candidates completes the run itself and reports fit:
+// every candidate is selected, and only the ones to admit are ranked, among
+// themselves. Otherwise it returns the candidates ranked, for the strategy's
+// fill and settle.
+func (c Config) candidates(g *eg.Graph, budget int64, trail bool, sc *Scratch) (cands []ranked, run Run, fit bool) {
+	run = sc.open(trail)
+	if sc != nil {
+		cands = sc.cands[:0]
 	}
 	var sumP, sumR float64
-	for _, v := range vertices {
+	var logical int64
+	fit = budget > 0
+	g.Visit(func(v *eg.Vertex) {
 		if !eligible(v) {
-			continue
+			return
 		}
 		run.Eligible++
 		crv := v.RecreationCost()
 		vetoed := c.Profile.LoadCost(v.SizeBytes) >= crv
+		line := -1
 		if trail {
 			d := Decision{v, OverBudget}
 			if vetoed {
 				d.Outcome = Vetoed
 			}
+			line = len(run.Trail)
 			run.Trail = append(run.Trail, d)
 		}
 		if vetoed {
 			run.Vetoed++
-			continue // U(v) = 0: loading is no cheaper than recomputing
+			if v.Materialized {
+				run.Dropped = append(run.Dropped, v.ID)
+			}
+			return // U(v) = 0: loading is no cheaper than recomputing
 		}
+		if v.SizeBytes < 0 {
+			fit = false // a greedy fill could then reject a prefix the total admits
+		}
+		logical += v.SizeBytes
 		sz := v.SizeBytes
 		if sz <= 0 {
 			sz = 1
@@ -147,10 +247,10 @@ func (c Config) candidates(g *eg.Graph, trail bool) ([]ranked, Run) {
 		rcs := float64(v.Frequency) * crv.Seconds() / (float64(sz) / (1 << 20)) // s/MB
 		p := v.Potential()
 		// utility holds p until the sums are known
-		cands = append(cands, ranked{candidate{v, p, rcs}, len(run.Trail) - 1})
+		cands = append(cands, ranked{candidate{v, p, rcs}, line, false})
 		sumP += p
 		sumR += rcs
-	}
+	})
 	a := c.alpha()
 	for i := range cands {
 		p, r := cands[i].utility, cands[i].rcs
@@ -163,29 +263,52 @@ func (c Config) candidates(g *eg.Graph, trail bool) ([]ranked, Run) {
 		}
 		cands[i].utility = u
 	}
-	// Highest utility first. Ties (common at α=1, where every ancestor of
-	// the best model shares its potential) fall back to the cost-size
-	// ratio, which favours the model artifact itself, then to ID for
-	// determinism.
-	slices.SortFunc(cands, func(x, y ranked) int {
-		if x.utility != y.utility {
-			return cmp.Compare(y.utility, x.utility)
+	if !fit || logical > budget {
+		rank(cands)
+		return cands, run, false
+	}
+	run.Selected = len(cands)
+	admit := 0
+	for i := range cands {
+		if cands[i].line >= 0 {
+			run.Trail[cands[i].line].Outcome = Selected
 		}
-		if x.rcs != y.rcs {
-			return cmp.Compare(y.rcs, x.rcs)
+		if !cands[i].v.Materialized {
+			cands[admit], cands[i] = cands[i], cands[admit]
+			admit++
 		}
-		return strings.Compare(x.v.ID, y.v.ID)
-	})
-	return cands, run
+	}
+	rank(cands[:admit])
+	for _, c := range cands[:admit] {
+		run.Admitted = append(run.Admitted, c.v.ID)
+	}
+	run.unranked = cands
+	return cands, run, true
 }
 
 // admit selects a candidate of the run and marks its line of the trail, when
 // there is one.
-func (r *Run) admit(c ranked) {
-	r.Selected = append(r.Selected, c.v.ID)
-	if r.Trail != nil {
+func (r *Run) admit(c *ranked) {
+	c.selected = true
+	r.Selected++
+	r.selected = append(r.selected, c.v.ID)
+	if !c.v.Materialized {
+		r.Admitted = append(r.Admitted, c.v.ID)
+	}
+	if c.line >= 0 {
 		r.Trail[c.line].Outcome = Selected
 	}
+}
+
+// settle completes a run whose fill admitted through admit: the materialized
+// candidates it left out join the vetoed ones in Dropped, in ID order.
+func (r *Run) settle(cands []ranked) {
+	for _, c := range cands {
+		if c.v.Materialized && !c.selected {
+			r.Dropped = append(r.Dropped, c.v.ID)
+		}
+	}
+	slices.Sort(r.Dropped)
 }
 
 // eligible reports whether a vertex participates in budgeted
@@ -194,6 +317,11 @@ func (r *Run) admit(c ranked) {
 func eligible(v *eg.Vertex) bool {
 	return v.Kind != graph.SupernodeKind && !v.External && !v.IsSource()
 }
+
+// Keeps reports whether the updater keeps stored content for the vertex:
+// sources always, other vertices when eligible for selection. Content stored
+// for any other vertex is evicted.
+func Keeps(v *eg.Vertex) bool { return v.IsSource() || eligible(v) }
 
 // Greedy is Algorithm 1: pop vertices by descending utility until the
 // budget is exhausted. Budget accounting uses logical artifact sizes (no
@@ -209,15 +337,19 @@ func NewGreedy(cfg Config) *Greedy { return &Greedy{cfg: cfg} }
 func (m *Greedy) Name() string { return "HM" }
 
 // Select implements Strategy.
-func (m *Greedy) Select(g *eg.Graph, budget int64, trail bool) Run {
-	cands, run := m.cfg.candidates(g, trail)
-	var used int64
-	for _, c := range cands {
-		if used+c.v.SizeBytes <= budget {
-			run.admit(c)
-			used += c.v.SizeBytes
+func (m *Greedy) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
+	cands, run, fit := m.cfg.candidates(g, budget, trail, sc)
+	if !fit {
+		var used int64
+		for i := range cands {
+			if c := &cands[i]; used+c.v.SizeBytes <= budget {
+				run.admit(c)
+				used += c.v.SizeBytes
+			}
 		}
+		run.settle(cands)
 	}
+	sc.keep(&run, cands)
 	return run
 }
 
@@ -235,22 +367,21 @@ func NewStorageAware(cfg Config) *StorageAware { return &StorageAware{cfg: cfg} 
 func (m *StorageAware) Name() string { return "SA" }
 
 // Select implements Strategy.
-func (m *StorageAware) Select(g *eg.Graph, budget int64, trail bool) Run {
-	cands, run := m.cfg.candidates(g, trail)
-	selected := make([]bool, len(cands))
-	for {
-		remaining := budget - g.DedupedSize(run.Selected)
+func (m *StorageAware) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
+	cands, run, fit := m.cfg.candidates(g, budget, trail, sc)
+	for !fit {
+		remaining := budget - g.DedupedSize(run.selected)
 		if remaining <= 0 {
 			break
 		}
 		added := 0
 		var used int64
-		for i, c := range cands {
-			if selected[i] {
+		for i := range cands {
+			c := &cands[i]
+			if c.selected {
 				continue
 			}
 			if used+c.v.SizeBytes <= remaining {
-				selected[i] = true
 				run.admit(c)
 				used += c.v.SizeBytes
 				added++
@@ -260,6 +391,10 @@ func (m *StorageAware) Select(g *eg.Graph, budget int64, trail bool) Run {
 			break
 		}
 	}
+	if !fit {
+		run.settle(cands)
+	}
+	sc.keep(&run, cands)
 	return run
 }
 
@@ -278,8 +413,8 @@ func NewHelix(cfg Config) *Helix { return &Helix{cfg: cfg} }
 func (m *Helix) Name() string { return "HL" }
 
 // Select implements Strategy.
-func (m *Helix) Select(g *eg.Graph, budget int64, trail bool) Run {
-	var run Run
+func (m *Helix) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
+	run := sc.open(trail)
 	var used int64
 	// The scan stops at the first vertex that overflows the budget, so the
 	// result depends on which topological order it walks: TopoOrder's, a
@@ -302,14 +437,19 @@ func (m *Helix) Select(g *eg.Graph, budget int64, trail bool) Run {
 			stopped = true // root-first scan stops when the budget is exhausted
 		default:
 			outcome = Selected
-			run.Selected = append(run.Selected, id)
+			run.admit(&ranked{candidate: candidate{v: v}, line: -1})
 			used += v.SizeBytes
+		}
+		if outcome != Selected && v.Materialized {
+			run.Dropped = append(run.Dropped, id)
 		}
 		if trail {
 			run.Trail = append(run.Trail, Decision{v, outcome})
 		}
 	}
 	slices.SortFunc(run.Trail, func(x, y Decision) int { return strings.Compare(x.Vertex.ID, y.Vertex.ID) })
+	slices.Sort(run.Dropped)
+	sc.keep(&run, nil)
 	return run
 }
 
@@ -324,18 +464,19 @@ func NewAll() *All { return &All{} }
 func (m *All) Name() string { return "ALL" }
 
 // Select implements Strategy.
-func (m *All) Select(g *eg.Graph, _ int64, trail bool) Run {
-	var run Run
-	for _, v := range g.Vertices() {
+func (m *All) Select(g *eg.Graph, _ int64, trail bool, sc *Scratch) Run {
+	run := sc.open(trail)
+	g.Visit(func(v *eg.Vertex) {
 		if !eligible(v) {
-			continue
+			return
 		}
 		run.Eligible++
-		run.Selected = append(run.Selected, v.ID)
+		run.admit(&ranked{candidate: candidate{v: v}, line: -1})
 		if trail {
 			run.Trail = append(run.Trail, Decision{v, Selected})
 		}
-	}
+	})
+	sc.keep(&run, nil)
 	return run
 }
 
@@ -350,16 +491,26 @@ type LimitCount struct {
 func (m LimitCount) Name() string { return m.Inner.Name() }
 
 // Select implements Strategy: what the inner strategy selected past the
-// first K is over budget.
-func (m LimitCount) Select(g *eg.Graph, budget int64, trail bool) Run {
-	run := m.Inner.Select(g, budget, trail)
-	if len(run.Selected) <= m.K {
+// first K is over budget — no longer admitted, and dropped where it is
+// materialized.
+func (m LimitCount) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
+	run := m.Inner.Select(g, budget, trail, sc)
+	if run.Selected <= m.K {
 		return run
 	}
-	dropped := run.Selected[m.K:]
-	run.Selected = run.Selected[:m.K]
+	ids := run.SelectedIDs()
+	over := make(map[string]bool, len(ids)-m.K)
+	for _, id := range ids[m.K:] {
+		over[id] = true
+		if g.Vertex(id).Materialized {
+			run.Dropped = append(run.Dropped, id)
+		}
+	}
+	slices.Sort(run.Dropped)
+	run.Admitted = slices.DeleteFunc(run.Admitted, func(id string) bool { return over[id] })
+	run.selected, run.unranked, run.Selected = ids[:m.K], nil, m.K
 	for i, d := range run.Trail {
-		if slices.Contains(dropped, d.Vertex.ID) {
+		if over[d.Vertex.ID] {
 			run.Trail[i].Outcome = OverBudget
 		}
 	}

@@ -59,7 +59,7 @@ func buildEG() (*eg.Graph, []*graph.Node) {
 func TestGreedyRespectsBudget(t *testing.T) {
 	g, nodes := buildEG()
 	hm := NewGreedy(cfg())
-	sel := hm.Select(g, 2<<20, false).Selected // 2 MiB: fits a (1 MiB) and m (1 KiB), not b
+	sel := hm.Select(g, 2<<20, false, nil).SelectedIDs() // 2 MiB: fits a (1 MiB) and m (1 KiB), not b
 	selSet := map[string]bool{}
 	var total int64
 	for _, id := range sel {
@@ -82,7 +82,7 @@ func TestGreedyPrefersModelQualityWithHighAlpha(t *testing.T) {
 	c := cfg()
 	c.Alpha = 1 // only quality matters
 	hm := NewGreedy(c)
-	sel := hm.Select(g, g.Vertex(nodes[3].ID).SizeBytes, false).Selected // room for exactly the model
+	sel := hm.Select(g, g.Vertex(nodes[3].ID).SizeBytes, false, nil).SelectedIDs() // room for exactly the model
 	if len(sel) == 0 || sel[0] != nodes[3].ID {
 		t.Errorf("α=1 budget-of-one should pick the model, got %v", sel)
 	}
@@ -97,13 +97,31 @@ func TestLoadCostVetoExcludesCheapRecomputes(t *testing.T) {
 	annotate(fast, time.Nanosecond, 1<<30, 0) // 1 GiB that recomputes in 1ns
 	g := eg.New()
 	g.Merge(w)
-	run := NewGreedy(Config{Alpha: 0.5, Profile: cost.Disk()}).Select(g, 1<<40, false)
-	if len(run.Selected) != 0 {
-		t.Errorf("vetoed artifact selected: %v", run.Selected)
+	run := NewGreedy(Config{Alpha: 0.5, Profile: cost.Disk()}).Select(g, 1<<40, false, nil)
+	if run.Selected != 0 {
+		t.Errorf("vetoed artifact selected: %v", run.SelectedIDs())
 	}
 	if run.Eligible != 1 || run.Vetoed != 1 || run.OverBudget() != 0 {
 		t.Errorf("run counts eligible %d, vetoed %d, over budget %d; want 1, 1, 0",
 			run.Eligible, run.Vetoed, run.OverBudget())
+	}
+}
+
+// TestEverythingFitsOnlyAPositiveBudget: a candidate of zero bytes fits a
+// budget of 0. Algorithm 1 admits it; the storage-aware strategy starts no
+// round with nothing remaining, so it selects nothing, and a run must not
+// take the all-fit shortcut to say otherwise.
+func TestEverythingFitsOnlyAPositiveBudget(t *testing.T) {
+	w := graph.NewDAG()
+	empty := w.Apply(w.AddSource("s", &graph.AggregateArtifact{}), stubOp{name: "empty", kind: graph.DatasetKind})
+	annotate(empty, time.Second, 0, 0)
+	g := eg.New()
+	g.Merge(w)
+	if run := NewGreedy(cfg()).Select(g, 0, false, nil); run.Selected != 1 || len(run.Admitted) != 1 {
+		t.Errorf("HM at budget 0 selected %d, admitted %v; want the empty artifact", run.Selected, run.Admitted)
+	}
+	if run := NewStorageAware(cfg()).Select(g, 0, false, nil); run.Selected != 0 || len(run.Admitted) != 0 {
+		t.Errorf("SA at budget 0 selected %d, admitted %v; want nothing", run.Selected, run.Admitted)
 	}
 }
 
@@ -115,7 +133,7 @@ func TestExternalArtifactsNeverMaterialized(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 	for _, s := range []Strategy{NewGreedy(cfg()), NewStorageAware(cfg()), NewHelix(cfg()), NewAll()} {
-		for _, id := range s.Select(g, 1<<40, false).Selected {
+		for _, id := range s.Select(g, 1<<40, false, nil).SelectedIDs() {
 			if id == kde.ID {
 				t.Errorf("%s materialized an external artifact", s.Name())
 			}
@@ -154,8 +172,8 @@ func overlappingEG() (*eg.Graph, []string) {
 func TestStorageAwareStoresMoreThanGreedy(t *testing.T) {
 	g, _ := overlappingEG()
 	budget := int64(14*8) << 10 // 112 KiB: ~2.3 artifacts logically
-	hm := NewGreedy(cfg()).Select(g, budget, false).Selected
-	sa := NewStorageAware(cfg()).Select(g, budget, false).Selected
+	hm := NewGreedy(cfg()).Select(g, budget, false, nil).SelectedIDs()
+	sa := NewStorageAware(cfg()).Select(g, budget, false, nil).SelectedIDs()
 	if len(sa) <= len(hm) {
 		t.Errorf("SA should materialize more under overlap: SA=%d HM=%d", len(sa), len(hm))
 	}
@@ -186,7 +204,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 
-	hl := NewHelix(cfg()).Select(g, 16<<20, false).Selected // room for two artifacts
+	hl := NewHelix(cfg()).Select(g, 16<<20, false, nil).SelectedIDs() // room for two artifacts
 	if len(hl) != 2 {
 		t.Fatalf("HL selected %d, want 2", len(hl))
 	}
@@ -194,7 +212,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 	if !sel[a.ID] || !sel[b.ID] {
 		t.Errorf("HL should take root-first {a,b}, got %v", hl)
 	}
-	hm := NewGreedy(cfg()).Select(g, 16<<20, false).Selected
+	hm := NewGreedy(cfg()).Select(g, 16<<20, false, nil).SelectedIDs()
 	hmSet := map[string]bool{}
 	for _, id := range hm {
 		hmSet[id] = true
@@ -206,7 +224,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 
 func TestAllSelectsEverythingEligible(t *testing.T) {
 	g, nodes := buildEG()
-	sel := NewAll().Select(g, 0, false).Selected
+	sel := NewAll().Select(g, 0, false, nil).SelectedIDs()
 	if len(sel) != 3 { // a, b, m — not the source
 		t.Errorf("ALL selected %d, want 3: %v", len(sel), sel)
 	}
@@ -219,8 +237,8 @@ func TestAllSelectsEverythingEligible(t *testing.T) {
 
 func TestDeterministicSelection(t *testing.T) {
 	g, _ := buildEG()
-	a := NewStorageAware(cfg()).Select(g, 4<<20, false).Selected
-	b := NewStorageAware(cfg()).Select(g, 4<<20, false).Selected
+	a := NewStorageAware(cfg()).Select(g, 4<<20, false, nil).SelectedIDs()
+	b := NewStorageAware(cfg()).Select(g, 4<<20, false, nil).SelectedIDs()
 	if len(a) != len(b) {
 		t.Fatalf("nondeterministic selection size: %d vs %d", len(a), len(b))
 	}
@@ -262,14 +280,14 @@ func TestRunAccountsForEveryEligibleVertex(t *testing.T) {
 		{LimitCount{Inner: NewGreedy(c), K: 3}, algorithm1}, // not the daemon's: Fig 8b's
 	} {
 		t.Run(tc.strategy.Name(), func(t *testing.T) {
-			run := tc.strategy.Select(g, budget, true)
-			bare := tc.strategy.Select(g, budget, false)
+			run := tc.strategy.Select(g, budget, true, nil)
+			bare := tc.strategy.Select(g, budget, false, nil)
 			if bare.Trail != nil {
 				t.Errorf("a run that was not asked built a trail of %d", len(bare.Trail))
 			}
-			if !slices.Equal(run.Selected, bare.Selected) || run.Eligible != bare.Eligible || run.Vetoed != bare.Vetoed {
+			if !slices.Equal(run.SelectedIDs(), bare.SelectedIDs()) || run.Eligible != bare.Eligible || run.Vetoed != bare.Vetoed {
 				t.Errorf("the trail changed the run: %d/%d/%d selected/eligible/vetoed with, %d/%d/%d without",
-					len(run.Selected), run.Eligible, run.Vetoed, len(bare.Selected), bare.Eligible, bare.Vetoed)
+					run.Selected, run.Eligible, run.Vetoed, bare.Selected, bare.Eligible, bare.Vetoed)
 			}
 			var eligibleIDs []string
 			for _, v := range g.Vertices() {
@@ -292,15 +310,15 @@ func TestRunAccountsForEveryEligibleVertex(t *testing.T) {
 			if !slices.Equal(trailIDs, eligibleIDs) {
 				t.Fatalf("the trail holds %d vertices, the graph %d eligible ones (or in another order)", len(trailIDs), len(eligibleIDs))
 			}
-			if tally[Selected] != len(run.Selected) || tally[Vetoed] != run.Vetoed || tally[OverBudget] != run.OverBudget() ||
-				len(run.Selected)+run.Vetoed+run.OverBudget() != run.Eligible || run.Eligible != len(eligibleIDs) {
+			if tally[Selected] != run.Selected || tally[Vetoed] != run.Vetoed || tally[OverBudget] != run.OverBudget() ||
+				run.Selected+run.Vetoed+run.OverBudget() != run.Eligible || run.Eligible != len(eligibleIDs) {
 				t.Errorf("trail %v, counts: %d selected, %d vetoed, %d over budget of %d eligible",
-					tally, len(run.Selected), run.Vetoed, run.OverBudget(), run.Eligible)
+					tally, run.Selected, run.Vetoed, run.OverBudget(), run.Eligible)
 			}
-			if tc.strategy.Name() != "ALL" && (len(run.Selected) == 0 || run.Vetoed == 0 || run.OverBudget() == 0) {
+			if tc.strategy.Name() != "ALL" && (run.Selected == 0 || run.Vetoed == 0 || run.OverBudget() == 0) {
 				t.Fatalf("fixture leaves an outcome unused: %v", tally)
 			}
-			for _, id := range run.Selected {
+			for _, id := range run.SelectedIDs() {
 				if outcome[id] != Selected {
 					t.Errorf("selected %s is %q in the trail", id, outcome[id])
 				}

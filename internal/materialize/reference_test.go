@@ -2,7 +2,7 @@ package materialize
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -142,13 +142,36 @@ func refAll(g *eg.Graph) []string {
 	return out
 }
 
+// refDelta is what a run with the given selection changes on g: the selected
+// vertices that are not materialized, in selection order, and the eligible
+// ones that are and are not selected, by ID.
+func refDelta(g *eg.Graph, selected []string) (admitted, dropped []string) {
+	in := make(map[string]bool, len(selected))
+	for _, id := range selected {
+		in[id] = true
+		if !g.Vertex(id).Materialized {
+			admitted = append(admitted, id)
+		}
+	}
+	for _, v := range g.Vertices() {
+		if eligible(v) && v.Materialized && !in[v.ID] {
+			dropped = append(dropped, v.ID)
+		}
+	}
+	return admitted, dropped
+}
+
 // TestStrategiesSelectAsFromScratch drives every strategy over the
 // sequences of the graph's own exactness test (overlapping workloads,
-// re-executed vertices, prunes, snapshot round trips) and demands, after
-// every step, the selection the reference code makes from the from-scratch
-// derivation: same IDs, same order. HL is also run on a graph restored
-// from a snapshot, whose maintained order differs from the live one's: its
-// root-first scan must not see the difference.
+// re-executed vertices, prunes, snapshot round trips, vertices marked and
+// unmarked materialized) and demands, after every step, the selection the
+// reference code makes from the from-scratch derivation: same IDs, same
+// order, and what it changes against the mat flags. The budgets straddle the
+// point where every candidate fits (total ± 1), where the strategies skip
+// their ranking, and every run of a sequence shares one Scratch, as the
+// updater's do. HL is also run on a graph restored from a snapshot, whose
+// maintained order differs from the live one's: its root-first scan must not
+// see the difference.
 func TestStrategiesSelectAsFromScratch(t *testing.T) {
 	profiles := []cost.Profile{cost.Memory(), cost.Disk(), cost.Remote()}
 	property := func(seed int64) bool {
@@ -156,31 +179,52 @@ func TestStrategiesSelectAsFromScratch(t *testing.T) {
 		u := synth.NewUniverse(seed, 30+rng.Intn(220))
 		c := Config{Alpha: []float64{0.5, 0.001, 1}[rng.Intn(3)], Profile: profiles[rng.Intn(3)]}
 		g := eg.New()
+		sc := new(Scratch)
 		for step := 0; step < 40; step++ {
 			switch r := rng.Intn(10); {
 			case r == 0:
 				g.Prune(eg.PrunePolicy{MaxIdleWorkloads: 1 + rng.Intn(4), MinFrequency: rng.Intn(3)})
 			case r == 1:
 				g = eg.FromSnapshot(g.Snapshot())
+			case r == 2:
+				vs := g.Vertices()
+				for i := 0; i < len(vs)/4; i++ {
+					g.SetMaterialized(vs[rng.Intn(len(vs))].ID, rng.Intn(2) == 0)
+				}
 			default:
 				g.Merge(u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len())))
 			}
-			budget := int64(rng.Intn(24 << 20))
+			var total int64
+			for _, cand := range refCandidates(c, g) {
+				total += cand.v.SizeBytes
+			}
 			restored := eg.FromSnapshot(g.Snapshot())
-			for _, check := range []struct {
-				name      string
-				got, want []string
-			}{
-				{"HM", NewGreedy(c).Select(g, budget, false).Selected, refGreedy(c, g, budget)},
-				{"SA", NewStorageAware(c).Select(g, budget, false).Selected, refStorageAware(c, g, budget)},
-				{"HL", NewHelix(c).Select(g, budget, false).Selected, refHelix(c, g, budget)},
-				{"ALL", NewAll().Select(g, budget, false).Selected, refAll(g)},
-				{"HL restored", NewHelix(c).Select(restored, budget, false).Selected, refHelix(c, g, budget)},
-			} {
-				if !reflect.DeepEqual(check.got, check.want) {
-					t.Errorf("seed %d, step %d, %s (α=%v, budget %d): selected %d, reference %d\n got %v\nwant %v",
-						seed, step, check.name, c.Alpha, budget, len(check.got), len(check.want), check.got, check.want)
-					return false
+			k := rng.Intn(4)
+			for _, budget := range []int64{0, total - 1, total, total + 1, int64(rng.Intn(24 << 20))} {
+				greedy := refGreedy(c, g, budget)
+				for _, check := range []struct {
+					name     string
+					strategy Strategy
+					g        *eg.Graph
+					want     []string
+				}{
+					{"HM", NewGreedy(c), g, greedy},
+					{"SA", NewStorageAware(c), g, refStorageAware(c, g, budget)},
+					{"HL", NewHelix(c), g, refHelix(c, g, budget)},
+					{"ALL", NewAll(), g, refAll(g)},
+					{"HL restored", NewHelix(c), restored, refHelix(c, g, budget)},
+					{"LimitCount HM", LimitCount{Inner: NewGreedy(c), K: k}, g, greedy[:min(k, len(greedy))]},
+				} {
+					run := check.strategy.Select(check.g, budget, false, sc)
+					got := run.SelectedIDs()
+					admitted, dropped := refDelta(check.g, check.want)
+					if !slices.Equal(got, check.want) || run.Selected != len(got) ||
+						!slices.Equal(run.Admitted, admitted) || !slices.Equal(run.Dropped, dropped) {
+						t.Errorf("seed %d, step %d, %s (α=%v, budget %d of %d): selected %d, reference %d\n got %v\nwant %v\nadmitted %v, reference %v\ndropped %v, reference %v",
+							seed, step, check.name, c.Alpha, budget, total, len(got), len(check.want), got, check.want,
+							run.Admitted, admitted, run.Dropped, dropped)
+						return false
+					}
 				}
 			}
 		}

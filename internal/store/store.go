@@ -159,6 +159,13 @@ type Manager struct {
 	// the detached state must cost exactly one pointer load
 	// (TestDetachedLedgerAllocatesAsAbsent).
 	ledger atomic.Pointer[obs.ArtifactLedger]
+
+	// lost lists what the manager dropped from its last tier on its own since
+	// TakeLosses last collected it, while tracking (TrackLosses). lossMu
+	// guards both: Peek records a failed disk read under the read lock.
+	lossMu   sync.Mutex
+	tracking bool
+	lost     []string
 }
 
 // Instrument installs observability counters on the manager; the zero
@@ -223,6 +230,40 @@ func (m *Manager) reportLocked(vertexID string) {
 		sz = m.disk.LogicalSize(vertexID)
 	}
 	led.Hold(vertexID, inMemory, onDisk, sz)
+}
+
+// TrackLosses starts the loss report: from then on the manager records every
+// artifact it drops from its last tier on its own — evicted under a memory
+// budget with no disk tier to demote to, evicted under the disk budget, or
+// unreadable on disk — until TakeLosses collects them. An owner that keeps a
+// flag per stored artifact needs it; a manager nobody asks keeps no list.
+func (m *Manager) TrackLosses() {
+	m.lossMu.Lock()
+	m.tracking = true
+	m.lossMu.Unlock()
+}
+
+// TakeLosses appends the artifacts lost since its last call to buf and
+// forgets them. An ID may since have been stored again.
+func (m *Manager) TakeLosses(buf []string) []string {
+	m.lossMu.Lock()
+	defer m.lossMu.Unlock()
+	buf = append(buf, m.lost...)
+	m.lost = m.lost[:0]
+	return buf
+}
+
+// loseLocked records the vertex in the loss report when no tier holds it any
+// more. The caller holds m.mu, for reading at least.
+func (m *Manager) loseLocked(vertexID string) {
+	if m.hasLocked(vertexID) {
+		return
+	}
+	m.lossMu.Lock()
+	if m.tracking {
+		m.lost = append(m.lost, vertexID)
+	}
+	m.lossMu.Unlock()
 }
 
 // Ledger returns the attached artifact ledger, or nil.
@@ -491,6 +532,7 @@ func (m *Manager) getDiskLocked(vertexID string) graph.Artifact {
 		if led := m.ledger.Load(); led != nil {
 			led.Quarantine(vertexID)
 		}
+		m.loseLocked(vertexID)
 		return nil
 	}
 	return a
@@ -701,6 +743,7 @@ func (m *Manager) enforceBudgetsLocked() {
 				delete(m.lastTouch, victim)
 				m.met.Evictions.Inc()
 				m.reportLocked(victim)
+				m.loseLocked(victim)
 			}
 		}
 	}
@@ -722,6 +765,7 @@ func (m *Manager) enforceBudgetsLocked() {
 			if m.tierOfLocked(victim) == TierNone {
 				delete(m.lastUse, victim)
 				delete(m.lastTouch, victim)
+				m.loseLocked(victim)
 			}
 		}
 	}

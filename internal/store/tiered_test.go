@@ -1,6 +1,9 @@
 package store
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -303,4 +306,75 @@ func TestDictColumnSurvivesTiers(t *testing.T) {
 		t.Fatalf("recovery quarantined %d files", rep.Quarantined)
 	}
 	check(NewTiered(cost.Memory(), Options{Disk: d2}), "after restart")
+}
+
+// TestLossReport: a tracking manager reports each artifact it drops from its
+// last tier on its own — evicted by a memory budget with no disk tier, by the
+// disk budget, or quarantined by a read (Peek's, under the read lock, too) —
+// once, and nothing it still holds somewhere, evicts on request or demotes.
+// A manager that does not track keeps no list.
+func TestLossReport(t *testing.T) {
+	take := func(m *Manager) []string { return m.TakeLosses(nil) }
+	put := func(m *Manager, ids ...string) {
+		t.Helper()
+		for _, id := range ids {
+			if err := m.Put(id, floatArtifact(id, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	untracked := NewTiered(cost.Memory(), Options{MemoryBudget: 160})
+	put(untracked, "v1", "v2", "v3")
+	if got := take(untracked); len(got) != 0 {
+		t.Errorf("an untracked manager reports %v", got)
+	}
+
+	memOnly := NewTiered(cost.Memory(), Options{MemoryBudget: 160})
+	memOnly.TrackLosses()
+	put(memOnly, "v1", "v2", "v3")
+	memOnly.Evict("v2")
+	if got := take(memOnly); !reflect.DeepEqual(got, []string{"v1"}) {
+		t.Errorf("memory budget, no disk: lost %v, want [v1]", got)
+	}
+	if got := take(memOnly); len(got) != 0 {
+		t.Errorf("a second take reports %v again", got)
+	}
+
+	dir := t.TempDir()
+	d, _, err := tier.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered := NewTiered(cost.Memory(), Options{MemoryBudget: 80, Disk: d, DiskBudget: 160})
+	tiered.TrackLosses()
+	put(tiered, "v1", "v2", "v3", "v4") // v1..v3 demoted, v1 then evicted from disk
+	if got := take(tiered); !reflect.DeepEqual(got, []string{"v1"}) {
+		t.Errorf("disk budget: lost %v, want [v1]", got)
+	}
+	// Corrupt the column files behind the tier's back: a read that finds one
+	// quarantines the frame, and the store no longer holds it.
+	cols, err := filepath.Glob(filepath.Join(dir, "cols", "*"))
+	if err != nil || len(cols) == 0 {
+		t.Fatalf("column files = %v (%v)", cols, err)
+	}
+	for _, path := range cols {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0xFF
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, _ := tiered.Peek("v2"); a != nil {
+		t.Fatal("a corrupt frame was served")
+	}
+	if a, _ := tiered.Get("v3"); a != nil {
+		t.Fatal("a corrupt frame was served")
+	}
+	if got := take(tiered); !reflect.DeepEqual(got, []string{"v2", "v3"}) || tiered.Has("v2") || tiered.Has("v3") {
+		t.Errorf("quarantined reads: lost %v, want [v2 v3]", got)
+	}
 }

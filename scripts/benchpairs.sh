@@ -13,7 +13,10 @@
 # end-to-end metric whose gain is claimed; its row is judged as a claim).
 #
 # Prints, per end-to-end metric of BENCHMARK.json, each side's median
-# [q1, q3], the change against the parent's median, wins/ties, and a verdict:
+# [q1, q3], the change against the parent's median, the paired view — the
+# median [min, max] over pairs of (change - parent) / parent, which a shift
+# smaller than one side's spread across seeds still shows when every pair
+# moves — wins/ties, and a verdict:
 #   gain        the change won >= 9/10 of the pairs (ties count for neither)
 #               and the medians differ by more than the parent's q3-q1
 #   ok          the change's median is no worse than the parent's by more
@@ -24,7 +27,7 @@
 # Exits non-zero on WORSE, NOT MET, or a run with failed steps.
 set -eu
 if [ $# -lt 2 ]; then
-	sed -n '2,24p' "$0" >&2
+	sed -n '2,27p' "$0" >&2
 	exit 2
 fi
 parent=$1 workload=$2 pairs=${3:-10}
@@ -77,8 +80,11 @@ function field(s, key,    re) {          # the number after "key": in s
 function sorted(side, m, out,    n, i, j, t) {
 	n = 0
 	for (i = 1; i <= runs[side]; i++) out[++n] = val[side, m, i]
-	for (i = 2; i <= n; i++) { t = out[i]; for (j = i - 1; j >= 1 && out[j] > t; j--) out[j+1] = out[j]; out[j+1] = t }
+	sortarr(out, n)
 	return n
+}
+function sortarr(a, n,    i, j, t) {
+	for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]; a[j+1] = t }
 }
 function quart(s, n, k,    pos, lo) {     # exclusive method, as bench/suite.go
 	pos = k * (n + 1) / 4; lo = int(pos)
@@ -107,7 +113,7 @@ FILENAME == "BENCHMARK.json" {
 END {
 	n = runs["parent"]
 	printf "%s: %d pairs, parent vs change%s\n", workload, n, n < 10 ? " (a claim needs at least 10)" : ""
-	printf "%-12s %-30s %-30s %8s %9s %6s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "wins/ties", "bound", "verdict"
+	printf "%-12s %-30s %-30s %8s %-25s %9s %6s  %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "change", "per pair [min, max]", "wins/ties", "bound", "verdict"
 	for (k = 1; k <= nm; k++) {
 		m = order[k]
 		sorted("parent", m, P); sorted("change", m, C)
@@ -117,7 +123,9 @@ END {
 		for (i = 1; i <= n; i++) {
 			d = val["parent", m, i] - val["change", m, i]; if (higher[m]) d = -d
 			if (d > 0) wins++; else if (d == 0) ties++
+			R[i] = val["parent", m, i] ? (val["change", m, i] - val["parent", m, i]) / val["parent", m, i] : 0
 		}
+		sortarr(R, n)
 		rel = (cm - pm) / pm; worse = higher[m] ? -rel : rel
 		gain = (wins >= 0.9 * n && -worse * pm > piqr)
 		if (piqr / pm > bound[m] || ciqr / cm > bound[m]) verdict = "unresolved"
@@ -125,10 +133,11 @@ END {
 		else verdict = "ok"
 		if (gain) verdict = "gain"
 		else if (m == claim) { verdict = "NOT MET (claimed)"; bad = 1 }
-		printf "%-12s %-30s %-30s %+7.1f%% %6d/%-2d %5.0f%%  %s\n", m,
+		printf "%-12s %-30s %-30s %+7.1f%% %-25s %6d/%-2d %5.0f%%  %s\n", m,
 			sprintf("%.4g [%.4g, %.4g]", pm, quart(P, n, 1), quart(P, n, 3)),
 			sprintf("%.4g [%.4g, %.4g]", cm, quart(C, n, 1), quart(C, n, 3)),
-			100 * rel, wins, ties, 100 * bound[m], verdict
+			100 * rel, sprintf("%+.1f%% [%+.1f%%, %+.1f%%]", 100 * quart(R, n, 2), 100 * R[1], 100 * R[n]),
+			wins, ties, 100 * bound[m], verdict
 	}
 	exit bad
 }' BENCHMARK.json "$tmp/runs"
