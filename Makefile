@@ -129,12 +129,20 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 
 # lint-layers keeps the kernels free of server wiring: the columnar and ML
 # kernels, the operators, the DAG and the worker pool run on the client, so
-# none of them may import the metrics registry's package.
+# none of them may import the metrics registry's package. It also keeps one
+# record of what is stored: the Experiment Graph records meta-data and the
+# materializer decides, and what the store holds is handed to them as a
+# predicate, so neither imports the store or its disk tier.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
+DECISION_PKGS = ./internal/eg ./internal/materialize
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "kernel packages import repro/internal/obs:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(DECISION_PKGS) | grep -wE 'repro/internal/(store|tier)' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "graph and materializer packages import the store:"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

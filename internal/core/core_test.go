@@ -1,12 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/eg"
+	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/materialize"
 	"repro/internal/ops"
@@ -177,13 +183,70 @@ func TestUpdaterStoresSourcesUnconditionally(t *testing.T) {
 	if !srv.Store.Has(srcID) {
 		t.Error("source content missing from store")
 	}
-	v := srv.EG.Vertex(srcID)
-	if v == nil || !v.Materialized {
-		t.Error("source vertex not marked materialized")
-	}
 	// Nothing else fits in a zero budget.
 	if n := len(srv.Store.StoredIDs()); n != 1 {
 		t.Errorf("stored %d artifacts, want 1 (the source)", n)
+	}
+}
+
+// TestReadsBetweenUpdatesAskTheStore: what is materialized is the store's to
+// say, also between updates. One update stores a source and the frame derived
+// from it in a memory budget with no disk tier under it; an upload of a
+// larger frame then pushes both out of the store for good. The count /v1/stats
+// reports, the collab_eg_materialized gauge, the Experiment Graph's DOT and
+// the planner's load costs must all see it at once, not at the next update.
+func TestReadsBetweenUpdatesAskTheStore(t *testing.T) {
+	frame := func(col string, rows int) *data.Frame {
+		return data.MustNewFrame(data.NewFloatColumn(col, make([]float64, rows)))
+	}
+	const rows = 1024 // 8 KiB a column
+	srv := NewServer(store.NewTiered(cost.Memory(), store.Options{MemoryBudget: 64 << 10}))
+	w := graph.NewDAG()
+	src := w.AddSource("held.csv", &graph.DatasetArtifact{Frame: frame("s", rows)})
+	derived := w.Apply(src, ops.FillNA{})
+	derived.Content = &graph.DatasetArtifact{Frame: frame("d", rows)}
+	large := w.Apply(src, ops.OneHot{Col: "s"})
+	for _, n := range []*graph.Node{src, derived, large} {
+		n.ComputeTime, n.SizeBytes = time.Second, 8<<10
+	}
+	large.SizeBytes = 60 << 10
+	srv.Update(w, nil, 0)
+	if !srv.Store.Has(src.ID) || !srv.Store.Has(derived.ID) || srv.Materialized() != 2 {
+		t.Fatalf("the update stored source %v, derived %v; %d materialized, want both",
+			srv.Store.Has(src.ID), srv.Store.Has(derived.ID), srv.Materialized())
+	}
+
+	if err := srv.PutArtifact(large.ID, &graph.DatasetArtifact{Frame: frame("l", 60*rows/8)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if srv.Store.Has(src.ID) || srv.Store.Has(derived.ID) || !srv.Store.Has(large.ID) {
+		t.Fatal("the upload did not push the source and the derived frame out of the store")
+	}
+	if n := srv.Materialized(); n != 1 {
+		t.Errorf("%d vertices materialized, the store holds 1", n)
+	}
+	var metrics bytes.Buffer
+	if err := srv.Metrics().WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), "\ncollab_eg_materialized 1\n") {
+		t.Errorf("collab_eg_materialized does not read 1:\n%s", metrics.String())
+	}
+	var dot bytes.Buffer
+	if err := explain.WriteEGDOT(srv.EG, srv.Store.Has, &dot); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(dot.String(), "\n")
+	for _, n := range []*graph.Node{src, derived, large} {
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, `  "`+graph.ShortID(n.ID)+`" [`) })
+		if i < 0 || strings.Contains(lines[i], "penwidth") != (n == large) {
+			t.Errorf("the graph's DOT does not draw %s held %v:\n%s", n.Name, n == large, dot.String())
+		}
+	}
+	costs := reuse.GatherCosts(w, srv.EG, srv.Store)
+	if !math.IsInf(costs.Load[src.ID], 1) || !math.IsInf(costs.Load[derived.ID], 1) || math.IsInf(costs.Load[large.ID], 1) {
+		t.Errorf("load costs %v, %v, %v: want the source's and the derived frame's infinite",
+			costs.Load[src.ID], costs.Load[derived.ID], costs.Load[large.ID])
 	}
 }
 

@@ -22,53 +22,39 @@ import (
 // reconciled the whole store with the whole selection: every stored artifact
 // that is neither a source nor selected is evicted, every selected vertex is
 // looked up in the store, in selection order. It is the oracle of
-// TestDeltaUpdaterMatchesFullReconcile. Its last loop is the one addition:
-// the reconcile left a flag set where a later put of the same update pushed
-// the artifact out of the store, and the updater it checks keeps every flag
-// equal to Store.Has.
+// TestDeltaUpdaterMatchesFullReconcile.
 func (s *Server) reconcileLocked(available map[string]graph.Artifact) (want []string) {
 	sources := make(map[string]bool)
-	for _, id := range s.EG.Sources() {
-		sources[id] = true
-		if s.Store.Has(id) {
-			s.EG.SetMaterialized(id, true)
-			continue
-		}
+	put := func(id string) {
 		if content, ok := available[id]; ok {
-			if err := s.Store.Put(id, content); err == nil {
-				s.EG.SetMaterialized(id, true)
-			}
+			_ = s.Store.Put(id, content)
 		} else {
 			want = append(want, id)
 		}
 	}
-	desired := s.strategy.Select(s.EG, s.budget, false, nil).SelectedIDs()
+	for _, id := range s.EG.Sources() {
+		sources[id] = true
+		if !s.Store.Has(id) {
+			put(id)
+		}
+	}
+	var desired []string
+	s.Store.Holding(func(held func(string) bool) {
+		desired = s.strategy.Select(s.EG, held, s.budget, false, nil).SelectedIDs()
+	})
 	desiredSet := make(map[string]bool, len(desired))
 	for _, id := range desired {
 		desiredSet[id] = true
 	}
 	for _, id := range s.Store.StoredIDs() {
-		if sources[id] || desiredSet[id] {
-			continue
+		if !sources[id] && !desiredSet[id] {
+			s.Store.Evict(id)
 		}
-		s.Store.Evict(id)
-		s.EG.SetMaterialized(id, false)
 	}
 	for _, id := range desired {
-		if s.Store.Has(id) {
-			s.EG.SetMaterialized(id, true)
-			continue
+		if !s.Store.Has(id) {
+			put(id)
 		}
-		if content, ok := available[id]; ok {
-			if err := s.Store.Put(id, content); err == nil {
-				s.EG.SetMaterialized(id, true)
-			}
-		} else {
-			want = append(want, id)
-		}
-	}
-	for _, v := range s.EG.Vertices() {
-		s.EG.SetMaterialized(v.ID, s.Store.Has(v.ID))
 	}
 	return want
 }
@@ -86,15 +72,14 @@ func (s *Server) updateByReconcile(executed *graph.DAG) []string {
 	defer s.mu.Unlock()
 	s.EG.Merge(executed)
 	want := s.askOnceLocked(executed, s.reconcileLocked(content))
-	s.EG.Prune(s.prune)
+	s.Store.Holding(func(held func(string) bool) { s.EG.Prune(s.prune, held) })
 	return want
 }
 
 // TestDeltaUpdaterMatchesFullReconcile runs random update sequences through
 // two servers, the updater that applies what the run changed and the full
 // reconcile it replaced, and demands after every update the same want list,
-// in its order, the same stored IDs, the same vertices and the same flags —
-// and, on the delta side, flags equal to Store.Has. The sequences mix
+// in its order, the same stored IDs and the same vertices. The sequences mix
 // workloads of one synthetic universe (some of their content carried, the
 // rest wanted), uploads that arrive outside an update (of vertices the graph
 // holds, of sources, of IDs it does not know, of vertices it never selects),
@@ -206,9 +191,8 @@ func TestDeltaUpdaterMatchesFullReconcile(t *testing.T) {
 	}
 }
 
-// sameState compares what the two servers hold after an update: stored IDs,
-// vertices and mat flags; and checks delta's flags against its store. It
-// returns what differs, or "".
+// sameState compares what the two servers hold after an update: stored IDs
+// and vertices. It returns what differs, or "".
 func sameState(delta, oracle *Server) string {
 	dIDs, oIDs := delta.Store.StoredIDs(), oracle.Store.StoredIDs()
 	sort.Strings(dIDs)
@@ -221,17 +205,9 @@ func sameState(delta, oracle *Server) string {
 		return fmt.Sprintf("%d vertices, the full reconcile %d", len(dv), len(ov))
 	}
 	for i, v := range dv {
-		switch {
-		case v.ID != ov[i].ID:
+		if v.ID != ov[i].ID {
 			return fmt.Sprintf("vertex %s where the full reconcile holds %s", v.ID, ov[i].ID)
-		case v.Materialized != ov[i].Materialized:
-			return fmt.Sprintf("%s materialized %v, the full reconcile %v", v.ID, v.Materialized, ov[i].Materialized)
-		case v.Materialized != delta.Store.Has(v.ID):
-			return fmt.Sprintf("%s materialized %v, stored %v", v.ID, v.Materialized, !v.Materialized)
 		}
-	}
-	if delta.EG.MaterializedCount() != oracle.EG.MaterializedCount() {
-		return fmt.Sprintf("%d materialized, the full reconcile %d", delta.EG.MaterializedCount(), oracle.EG.MaterializedCount())
 	}
 	return ""
 }

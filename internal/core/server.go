@@ -43,14 +43,10 @@ type Server struct {
 	// and whose content has not arrived yet (see askOnceLocked). Guarded
 	// by mu.
 	asked map[string]bool
-	// scratch holds the materialization run's buffers between updates; lost
-	// is the buffer the store's loss report is read into; arrived lists what
-	// was stored outside an update since the last one, and settled is the
-	// graph whose store content the updater has taken in (see settleLocked).
-	// Guarded by mu.
+	// scratch holds the materialization run's buffers between updates, and
+	// settled is the graph whose store content the updater has taken in (see
+	// settleLocked). Guarded by mu.
 	scratch materialize.Scratch
-	lost    []string
-	arrived []string
 	settled *eg.Graph
 
 	// metrics is the server's observability registry (always on — updates
@@ -304,7 +300,6 @@ func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 		started: obs.StartTimer(),
 	}
 	srv.version, srv.goVersion = obs.BuildInfo()
-	st.TrackLosses()
 	cfg := materialize.Config{Alpha: 0.5, Profile: st.Profile()}
 	srv.strategy = materialize.NewStorageAware(cfg)
 	srv.planner = reuse.Linear{}
@@ -325,7 +320,7 @@ func (s *Server) initMetrics() {
 	reg.GaugeFunc("collab_eg_vertices", "Experiment Graph vertex count",
 		func() float64 { return float64(s.EG.Len()) })
 	reg.GaugeFunc("collab_eg_materialized", "EG vertices with stored content",
-		func() float64 { return float64(s.EG.MaterializedCount()) })
+		func() float64 { return float64(s.Materialized()) })
 	reg.GaugeFunc("collab_store_artifacts", "artifacts in the store",
 		func() float64 { return float64(s.Store.Len()) })
 	reg.GaugeFunc("collab_store_physical_bytes", "deduplicated bytes stored",
@@ -526,6 +521,20 @@ func (s *Server) UpdateCount() int64 { return s.metrics.updateTotal.Value() }
 // Budget returns the materialization budget in bytes.
 func (s *Server) Budget() int64 { return s.budget }
 
+// Materialized counts the Experiment Graph vertices whose content the store
+// holds: mat(v) summed over the graph. Every reader that asks the store about
+// many vertices takes its lock before the graph's (store.Holding).
+func (s *Server) Materialized() (n int) {
+	s.Store.Holding(func(held func(string) bool) {
+		s.EG.Visit(func(v *eg.Vertex) {
+			if held(v.ID) {
+				n++
+			}
+		})
+	})
+	return n
+}
+
 // FetchTiered implements ArtifactSource against the server's local store:
 // the returned load cost is priced with the profile of the tier that
 // actually served the artifact (a disk hit costs disk speed even though the
@@ -643,7 +652,7 @@ func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Art
 	s.EG.Merge(executed)
 
 	want = s.askOnceLocked(executed, s.applySelectionLocked(content, req, sc))
-	s.EG.Prune(s.prune)
+	s.Store.Holding(func(held func(string) bool) { s.EG.Prune(s.prune, held) }) // what is stored stays
 	s.metrics.updateTotal.Inc()
 	if s.trace != nil {
 		s.trace.Span("update", "server", 0, sw.StartedAt(), sw.Elapsed(),
@@ -729,9 +738,9 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, w
 	return &sc
 }
 
-// PutArtifact stores uploaded content for a vertex and marks it
-// materialized. It is the upload half of the remote update protocol; the
-// lock wait of the upload lands on the request that suffered it.
+// PutArtifact stores uploaded content for a vertex. It is the upload half of
+// the remote update protocol; the lock wait of the upload lands on the
+// request that suffered it.
 func (s *Server) PutArtifact(id string, a graph.Artifact, req *obs.Request) error {
 	return s.materialize(id, req, func() error { return s.Store.Put(id, a) })
 }
@@ -746,15 +755,17 @@ func (s *Server) PutFrameRef(id string, colIDs, names []string, cols []*data.Col
 }
 
 // materialize runs one store admission inside the "materialize" lock
-// section and marks the vertex materialized when it succeeds. The next update
-// settles what arrived (settleLocked).
+// section. Content for a vertex the graph does not keep — unknown to it, or
+// never selected (materialize.Keeps) — is taken and not stored: the updater
+// would only evict it.
 func (s *Server) materialize(id string, req *obs.Request, put func() error) error {
 	defer s.lockSection("materialize", untagged(req))()
+	if v := s.EG.Vertex(id); v == nil || !materialize.Keeps(v) {
+		return nil
+	}
 	if err := put(); err != nil {
 		return err
 	}
-	s.EG.SetMaterialized(id, true)
-	s.arrived = append(s.arrived, id)
 	delete(s.asked, id)
 	return nil
 }
@@ -789,26 +800,29 @@ func (s *Server) askOnceLocked(executed *graph.DAG, want []string) []string {
 // and returns the desired-but-missing vertex IDs. The strategy's record of the
 // run is the one account of what it decided: the updater evicts its Dropped
 // and stores or asks for its Admitted, the counters read its counts and, when
-// explain is on, the recorder renders its trail. The store and the mat flags
-// end where reconciling every stored artifact with the whole selection left
-// them (TestDeltaUpdaterMatchesFullReconcile), at the cost of what changed.
+// explain is on, the recorder renders its trail. The store ends where
+// reconciling every stored artifact with the whole selection left it
+// (TestDeltaUpdaterMatchesFullReconcile), at the cost of what changed.
 func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *obs.Request, sc *calib.Scorecard) (want []string) {
 	requestID := req.RequestID
 	// Task one: every raw source artifact is stored, outside the budget.
 	for _, id := range s.EG.Sources() {
-		if s.Store.Has(id) {
-			s.EG.SetMaterialized(id, true)
-			continue
+		if !s.Store.Has(id) {
+			want = s.storeLocked(id, available, want)
 		}
-		want = s.storeLocked(id, available, want)
 	}
 	// After the sources, whose puts the full reconcile made while what it
-	// evicts was still stored; before the strategy reads the flags.
+	// evicts was still stored.
 	s.settleLocked()
 
-	// Task three: run the materialization algorithm and apply it.
+	// Task three: run the materialization algorithm, which asks the store
+	// what it holds under one read lock, and apply it.
 	matSW := obs.StartTimer()
-	run := s.strategy.Select(s.EG, s.budget, s.explain != nil, &s.scratch)
+	drops := s.Store.Drops()
+	var run materialize.Run
+	s.Store.Holding(func(held func(string) bool) {
+		run = s.strategy.Select(s.EG, held, s.budget, s.explain != nil, &s.scratch)
+	})
 	matElapsed := matSW.Elapsed()
 	s.metrics.matRuns.Inc()
 	s.metrics.matSec.Observe(matElapsed.Seconds())
@@ -833,19 +847,19 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *
 	}
 	for _, id := range run.Admitted {
 		want = s.storeLocked(id, available, want)
-		if s.lost = s.Store.TakeLosses(s.lost); len(s.lost) > 0 {
+		if s.Store.Drops() != drops {
 			return s.applyInOrderLocked(run, id, available, want)
 		}
 	}
 	return want
 }
 
-// applyInOrderLocked finishes applying a run once a put has made the store
-// drop an artifact on its own (a memory budget with no disk tier under it, or
-// a disk budget), which may be a selected one the run found stored. It walks
-// the rest of the selection, after from, in the order the strategy admitted
-// it, as the full reconcile did: what is stored stays, what is not is stored
-// from available content or wanted. Then what was lost is unmarked.
+// applyInOrderLocked finishes applying a run once the store has dropped an
+// artifact on its own since the run read it (a put under a memory budget with
+// no disk tier under it, or under a disk budget), which may be a selected one
+// the run found stored. It walks the rest of the selection, after from, in the
+// order the strategy admitted it, as the full reconcile did: what is stored
+// stays, what is not is stored from available content or wanted.
 func (s *Server) applyInOrderLocked(run materialize.Run, from string, available map[string]graph.Artifact, want []string) []string {
 	selected := run.SelectedIDs()
 	for _, id := range selected[slices.Index(selected, from)+1:] {
@@ -853,64 +867,38 @@ func (s *Server) applyInOrderLocked(run materialize.Run, from string, available 
 			want = s.storeLocked(id, available, want)
 		}
 	}
-	s.unmarkLostLocked()
 	return want
 }
 
-// storeLocked stores the vertex's content when available holds it, marking
-// the vertex materialized, and otherwise adds the vertex to want.
+// storeLocked stores the vertex's content when available holds it, and
+// otherwise adds the vertex to want.
 func (s *Server) storeLocked(id string, available map[string]graph.Artifact, want []string) []string {
-	content, ok := available[id]
-	if !ok {
-		return append(want, id)
+	if content, ok := available[id]; ok {
+		_ = s.Store.Put(id, content)
+		return want
 	}
-	if s.Store.Put(id, content) == nil {
-		s.EG.SetMaterialized(id, true)
-	}
-	return want
+	return append(want, id)
 }
 
-// evictLocked evicts the vertex's content and unmarks it.
+// evictLocked evicts the vertex's content.
 func (s *Server) evictLocked(id string) {
 	s.Store.Evict(id)
-	s.EG.SetMaterialized(id, false)
 	s.metrics.matEvicted.Inc()
 }
 
-// settleLocked brings the mat flags up to date with what changed in the
-// store outside the updater's own puts and evictions, before the strategy
-// reads them: what the store lost on its own is unmarked, and what arrived
-// since the last update — uploads and, the first time the updater meets a
-// graph (a new server, a restored snapshot), whatever the store already
-// holds — is kept where the updater keeps content (materialize.Keeps) and
-// evicted where the graph does not know the vertex or never selects it.
+// settleLocked evicts, the first time the updater meets a graph (a new
+// server, a restored snapshot), whatever the store already holds that the
+// graph does not keep (materialize.Keeps): content of vertices it does not
+// know or never selects. Uploads are held to the same rule as they arrive
+// (materialize).
 func (s *Server) settleLocked() {
-	s.unmarkLostLocked()
-	if s.settled != s.EG {
-		s.settled = s.EG
-		s.arrived = append(s.arrived, s.Store.StoredIDs()...)
+	if s.settled == s.EG {
+		return
 	}
-	for _, id := range s.arrived {
-		if !s.Store.Has(id) {
-			continue
-		}
-		if v := s.EG.Vertex(id); v != nil && materialize.Keeps(v) {
-			s.EG.SetMaterialized(id, true)
-		} else {
+	s.settled = s.EG
+	for _, id := range s.Store.StoredIDs() {
+		if v := s.EG.Vertex(id); v == nil || !materialize.Keeps(v) {
 			s.evictLocked(id)
 		}
 	}
-	s.arrived = s.arrived[:0]
-}
-
-// unmarkLostLocked unmarks what the store reports it lost and does not hold
-// again since.
-func (s *Server) unmarkLostLocked() {
-	s.lost = s.Store.TakeLosses(s.lost)
-	for _, id := range s.lost {
-		if !s.Store.Has(id) {
-			s.EG.SetMaterialized(id, false)
-		}
-	}
-	s.lost = s.lost[:0]
 }

@@ -151,13 +151,10 @@ func (g *Graph) rebuildLocked() {
 		}
 		g.dropLocked(func(v *Vertex) bool { return v.pos < 0 })
 	}
-	g.sources, g.materialized = g.sources[:0], 0
+	g.sources = g.sources[:0]
 	for _, v := range g.order {
 		if v.IsSource() {
 			g.sources = append(g.sources, v.ID)
-		}
-		if v.Materialized {
-			g.materialized++
 		}
 	}
 	g.rederiveLocked()

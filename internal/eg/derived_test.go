@@ -31,27 +31,30 @@ func gobRoundTrip(t testing.TB, s *eg.Snapshot) *eg.Snapshot {
 // TestMaintainedStateEqualsFromScratch is the exactness property the
 // updater rests on: after any sequence of merges (overlapping workloads
 // with diamonds, vertices re-executed with compute times and qualities that
-// move both ways), prunes and snapshot round trips, the Cr, p, ID-sorted
-// view and topological order the graph maintains equal — with ==, not
-// within a tolerance — what the one-pass derivation gives from scratch.
+// move both ways), prunes that keep what a store holds and snapshot round
+// trips, the Cr, p, ID-sorted view and topological order the graph maintains
+// equal — with ==, not within a tolerance — what the one-pass derivation
+// gives from scratch.
 func TestMaintainedStateEqualsFromScratch(t *testing.T) {
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		u := synth.NewUniverse(seed, 30+rng.Intn(220))
 		g := eg.New()
+		held := make(map[string]bool)
 		for step := 0; step < 80; step++ {
 			op := "merge"
 			switch r := rng.Intn(12); {
 			case r == 0:
 				op = "prune"
-				g.Prune(eg.PrunePolicy{MaxIdleWorkloads: 1 + rng.Intn(4), MinFrequency: rng.Intn(3)})
+				g.Prune(eg.PrunePolicy{MaxIdleWorkloads: 1 + rng.Intn(4), MinFrequency: rng.Intn(3)},
+					func(id string) bool { return held[id] })
 			case r == 1:
 				op = "restore"
 				g = eg.FromSnapshot(gobRoundTrip(t, g.Snapshot()))
 			case r == 2 && g.Len() > 0:
-				op = "materialize"
+				op = "store"
 				vs := g.Vertices()
-				g.SetMaterialized(vs[rng.Intn(len(vs))].ID, rng.Intn(3) > 0)
+				held[vs[rng.Intn(len(vs))].ID] = rng.Intn(3) > 0
 			default:
 				targets := make([]int, 1+rng.Intn(4))
 				for i := range targets {

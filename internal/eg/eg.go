@@ -1,9 +1,11 @@
 // Package eg implements the Experiment Graph (§3.2): the union of all
-// executed workload DAGs. Vertices carry the paper's ⟨f, t, s, mat⟩
-// attributes plus model quality q and artifact meta-data; edges carry
-// operation hashes. The graph stores meta-data for every artifact ever
-// executed; artifact content lives in the storage manager and only for the
-// vertices the materializer selected.
+// executed workload DAGs. Vertices carry the paper's ⟨f, t, s⟩ attributes
+// plus model quality q and artifact meta-data; edges carry operation hashes.
+// The graph stores meta-data for every artifact ever executed; artifact
+// content lives in the storage manager and only for the vertices the
+// materializer selected. The paper's mat attribute is not kept here: whether
+// content is stored is the store's to say, and the readers that need it
+// (Prune) are handed it as a predicate.
 package eg
 
 import (
@@ -28,8 +30,6 @@ type Vertex struct {
 	ComputeTime time.Duration
 	// SizeBytes is the measured content size (s).
 	SizeBytes int64
-	// Materialized reports whether content is currently stored (mat).
-	Materialized bool
 	// Quality is the evaluation score q for model vertices, 0 otherwise.
 	Quality float64
 	// External marks artifacts produced by third-party integrations that
@@ -89,11 +89,9 @@ type Graph struct {
 	vertices map[string]*Vertex
 	// order holds every vertex parents-first: insertion order, which is
 	// topological because a vertex is inserted after its parents. byID holds
-	// every vertex sorted by ID. materialized counts the vertices whose mat
-	// flag is set.
-	order        []*Vertex
-	byID         []*Vertex
-	materialized int
+	// every vertex sorted by ID.
+	order []*Vertex
+	byID  []*Vertex
 	// costFrom/potFrom and the pending counts bound the sweep of
 	// refreshLocked over order.
 	costFrom, costPending int
@@ -278,40 +276,6 @@ func (g *Graph) setMetaLocked(v *Vertex, key, value string) {
 		v.Meta = make(map[string]string)
 	}
 	v.Meta[key] = value
-}
-
-// SetMaterialized flips the mat attribute of a vertex.
-func (g *Graph) SetMaterialized(id string, mat bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if v, ok := g.vertices[id]; ok && v.Materialized != mat {
-		v.Materialized = mat
-		if mat {
-			g.materialized++
-		} else {
-			g.materialized--
-		}
-	}
-}
-
-// MaterializedCount returns the number of materialized vertices.
-func (g *Graph) MaterializedCount() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.materialized
-}
-
-// MaterializedIDs returns the IDs of all materialized vertices, sorted.
-func (g *Graph) MaterializedIDs() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, 0, g.materialized)
-	for _, v := range g.byID {
-		if v.Materialized {
-			out = append(out, v.ID)
-		}
-	}
-	return out
 }
 
 // Vertices returns all vertices (read-only view), sorted by ID. The slice

@@ -155,21 +155,6 @@ func TestDedupedSizeCountsSharedColumnsOnce(t *testing.T) {
 	}
 }
 
-func TestMaterializedIDs(t *testing.T) {
-	g := New()
-	w, _, a, _ := buildChain()
-	g.Merge(w)
-	g.SetMaterialized(a.ID, true)
-	ids := g.MaterializedIDs()
-	if len(ids) != 1 || ids[0] != a.ID {
-		t.Errorf("materialized=%v", ids)
-	}
-	g.SetMaterialized(a.ID, false)
-	if len(g.MaterializedIDs()) != 0 {
-		t.Error("unmaterialize failed")
-	}
-}
-
 func TestTopoOrderParentsFirst(t *testing.T) {
 	g := New()
 	w, _, _, _ := buildChain()

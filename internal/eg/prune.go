@@ -21,11 +21,13 @@ func (p PrunePolicy) Enabled() bool {
 	return p.MaxIdleWorkloads > 0 || p.MinFrequency > 0
 }
 
-// Prune removes vertices matching the policy. Sources, materialized
-// vertices, and any vertex with a surviving descendant are always kept (a
-// removed vertex must take its whole stale subtree with it so no dangling
-// parent references remain). It returns the removed vertex IDs.
-func (g *Graph) Prune(p PrunePolicy) []string {
+// Prune removes vertices matching the policy. Sources, the vertices keep
+// reports (the materialized ones: the caller asks its store), and any vertex
+// with a surviving descendant are always kept (a removed vertex must take its
+// whole stale subtree with it so no dangling parent references remain). keep
+// runs under the graph's write lock and must not call back into the graph. It
+// returns the removed vertex IDs.
+func (g *Graph) Prune(p PrunePolicy, keep func(id string) bool) []string {
 	if !p.Enabled() {
 		return nil
 	}
@@ -39,13 +41,16 @@ func (g *Graph) Prune(p PrunePolicy) []string {
 	// order gives the same set, so the maintained one serves.
 	for i := len(g.order) - 1; i >= 0; i-- {
 		v := g.order[i]
-		if v.IsSource() || v.Materialized {
+		if v.IsSource() {
 			continue
 		}
 		if p.MinFrequency > 0 && v.Frequency >= p.MinFrequency {
 			continue
 		}
 		if p.MaxIdleWorkloads > 0 && g.mergeCount-v.LastSeen <= p.MaxIdleWorkloads {
+			continue
+		}
+		if keep(v.ID) {
 			continue
 		}
 		allChildrenGone := true

@@ -2,6 +2,7 @@ package eg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,6 +20,11 @@ func mergeChain(g *Graph, tag string) (*graph.Node, *graph.Node) {
 	return src, a
 }
 
+// held is the keep predicate of a store that holds the given vertices.
+func held(ids ...string) func(string) bool {
+	return func(id string) bool { return slices.Contains(ids, id) }
+}
+
 func TestPruneDropsStaleUnmaterialized(t *testing.T) {
 	g := New()
 	_, old := mergeChain(g, "old")
@@ -26,7 +32,7 @@ func TestPruneDropsStaleUnmaterialized(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mergeChain(g, fmt.Sprintf("fresh-%d", i))
 	}
-	removed := g.Prune(PrunePolicy{MaxIdleWorkloads: 3})
+	removed := g.Prune(PrunePolicy{MaxIdleWorkloads: 3}, held())
 	if len(removed) == 0 {
 		t.Fatal("nothing pruned")
 	}
@@ -46,7 +52,6 @@ func TestPruneKeepsMaterializedAndFrequent(t *testing.T) {
 	g := New()
 	_, hot := mergeChain(g, "hot")
 	_, mat := mergeChain(g, "mat")
-	g.SetMaterialized(mat.ID, true)
 	// Re-merge "hot" many times to raise its frequency.
 	for i := 0; i < 4; i++ {
 		mergeChain(g, "hot")
@@ -54,7 +59,7 @@ func TestPruneKeepsMaterializedAndFrequent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mergeChain(g, fmt.Sprintf("noise-%d", i))
 	}
-	g.Prune(PrunePolicy{MaxIdleWorkloads: 2, MinFrequency: 3})
+	g.Prune(PrunePolicy{MaxIdleWorkloads: 2, MinFrequency: 3}, held(mat.ID))
 	if !g.Has(hot.ID) {
 		t.Error("frequent vertex pruned")
 	}
@@ -70,12 +75,11 @@ func TestPruneRemovesWholeSubtreesOnly(t *testing.T) {
 	mid := w.Apply(src, stubOp{name: "mid", kind: graph.DatasetKind})
 	leaf := w.Apply(mid, stubOp{name: "leaf", kind: graph.DatasetKind})
 	g.Merge(w)
-	g.SetMaterialized(leaf.ID, true) // leaf pinned
 
 	for i := 0; i < 10; i++ {
 		mergeChain(g, fmt.Sprintf("n-%d", i))
 	}
-	g.Prune(PrunePolicy{MaxIdleWorkloads: 2})
+	g.Prune(PrunePolicy{MaxIdleWorkloads: 2}, held(leaf.ID)) // leaf pinned
 	// mid must survive because its child survives.
 	if !g.Has(mid.ID) {
 		t.Error("parent of a surviving child was pruned")
@@ -98,7 +102,7 @@ func TestPruneRemovesWholeSubtreesOnly(t *testing.T) {
 func TestPruneDisabledPolicy(t *testing.T) {
 	g := New()
 	mergeChain(g, "x")
-	if removed := g.Prune(PrunePolicy{}); removed != nil {
+	if removed := g.Prune(PrunePolicy{}, held()); removed != nil {
 		t.Errorf("disabled policy removed %v", removed)
 	}
 }
@@ -116,7 +120,7 @@ func TestPruneGarbageCollectsColumnSizes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mergeChain(g, fmt.Sprintf("m-%d", i))
 	}
-	g.Prune(PrunePolicy{MaxIdleWorkloads: 2})
+	g.Prune(PrunePolicy{MaxIdleWorkloads: 2}, held())
 	if g.Has(n.ID) {
 		t.Fatal("vertex should be pruned")
 	}

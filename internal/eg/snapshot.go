@@ -1,5 +1,7 @@
 package eg
 
+import "maps"
+
 // Snapshot is a serializable copy of the Experiment Graph's state, used by
 // the persistence layer to survive server restarts.
 type Snapshot struct {
@@ -12,22 +14,14 @@ type Snapshot struct {
 func (g *Graph) Snapshot() *Snapshot {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	s := &Snapshot{ColSizes: make(map[string]int64, len(g.colSizes))}
-	for id, sz := range g.colSizes {
-		s.ColSizes[id] = sz
-	}
+	s := &Snapshot{ColSizes: maps.Clone(g.colSizes)}
 	for _, v := range g.byID {
 		cp := *v
 		cp.Op = nil // operations are process-local; see Vertex.Op
 		cp.Parents = append([]string(nil), v.Parents...)
 		cp.Children = append([]string(nil), v.Children...)
 		cp.Columns = append([]string(nil), v.Columns...)
-		if v.Meta != nil {
-			cp.Meta = make(map[string]string, len(v.Meta))
-			for k, val := range v.Meta {
-				cp.Meta[k] = val
-			}
-		}
+		cp.Meta = maps.Clone(v.Meta)
 		s.Vertices = append(s.Vertices, &cp)
 	}
 	return s
@@ -41,9 +35,7 @@ func FromSnapshot(s *Snapshot) *Graph {
 	if s == nil {
 		return g
 	}
-	for id, sz := range s.ColSizes {
-		g.colSizes[id] = sz
-	}
+	maps.Copy(g.colSizes, s.ColSizes)
 	for _, v := range s.Vertices {
 		cp := *v
 		g.vertices[cp.ID] = &cp

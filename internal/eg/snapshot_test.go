@@ -19,7 +19,6 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 	a.Columns, a.ColSizes = []string{"c1", "c2"}, []int64{400, 600}
 	b.ModelKind = "logreg"
 	g.Merge(w)
-	g.SetMaterialized(a.ID, true)
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(g.Snapshot()); err != nil {
@@ -41,10 +40,6 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 				v2.RecreationCost(), v2.Potential(), v.RecreationCost(), v.Potential())
 		}
 	}
-	if !reflect.DeepEqual(g2.MaterializedIDs(), g.MaterializedIDs()) {
-		t.Errorf("MaterializedIDs differ: got %v, want %v",
-			g2.MaterializedIDs(), g.MaterializedIDs())
-	}
 	if got := g2.ColumnSize("c1"); got != 400 {
 		t.Errorf("ColumnSize(c1)=%d after round-trip, want 400", got)
 	}
@@ -61,11 +56,10 @@ func TestSnapshotIsolation(t *testing.T) {
 	w, _, a, _ := buildChain()
 	g.Merge(w)
 	snap := g.Snapshot()
-	g.SetMaterialized(a.ID, true)
 	g.Vertex(a.ID).Frequency = 99
 	for _, v := range snap.Vertices {
 		if v.ID == a.ID {
-			if v.Materialized || v.Frequency == 99 {
+			if v.Frequency == 99 {
 				t.Fatal("snapshot shares state with the live graph")
 			}
 		}

@@ -73,7 +73,9 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 		runtime.ReadMemStats(&after)
 		for k := range lat[:3] {
 			start := time.Now()
-			srv.Strategy().Select(srv.EG, srv.Budget(), false, nil)
+			srv.Store.Holding(func(held func(string) bool) {
+				srv.Strategy().Select(srv.EG, held, srv.Budget(), false, nil)
+			})
 			lat[k] = time.Since(start)
 		}
 		mat := median(lat[:3])

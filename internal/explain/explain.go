@@ -281,7 +281,7 @@ func BuildUpdate(run materialize.Run, profile cost.Profile, strategy string, bud
 			RecreationCost: Cost(v.RecreationCost().Seconds()),
 			LoadCost:       Cost(profile.LoadCost(v.SizeBytes).Seconds()),
 			Potential:      v.Potential(),
-			Materialized:   v.Materialized,
+			Materialized:   d.Held,
 			Decision:       string(d.Outcome),
 		})
 	}

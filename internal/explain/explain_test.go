@@ -87,9 +87,9 @@ func optimizeRecord() *Record {
 	return rec
 }
 
-// egFixture builds a tiny Experiment Graph: train -> a -> b, with a
-// materialized and an external vertex alongside.
-func egFixture() *eg.Graph {
+// egFixture builds a tiny Experiment Graph: train -> a -> b, and the held
+// predicate of a store that holds a.
+func egFixture() (*eg.Graph, func(string) bool) {
 	w := graph.NewDAG()
 	src := w.AddSource("train", &graph.AggregateArtifact{Value: 1})
 	a := w.Apply(src, stubOp{"a", graph.DatasetKind})
@@ -102,8 +102,7 @@ func egFixture() *eg.Graph {
 	b.Quality = 0.8
 	g := eg.New()
 	g.Merge(w)
-	g.SetMaterialized(a.ID, true)
-	return g
+	return g, func(id string) bool { return id == a.ID }
 }
 
 // updateRecord builds the canonical update fixture: a run, written out as a
@@ -111,13 +110,14 @@ func egFixture() *eg.Graph {
 // the rest.
 func updateRecord() *Record {
 	var run materialize.Run
-	for _, v := range egFixture().Vertices() {
+	g, held := egFixture()
+	for _, v := range g.Vertices() {
 		if v.IsSource() {
 			continue
 		}
 		run.Eligible++
-		d := materialize.Decision{Vertex: v, Outcome: materialize.OverBudget}
-		if v.Materialized {
+		d := materialize.Decision{Vertex: v, Outcome: materialize.OverBudget, Held: held(v.ID)}
+		if d.Held {
 			d.Outcome = materialize.Selected
 			run.Selected++
 		}
@@ -175,9 +175,9 @@ func TestUpdateGoldens(t *testing.T) {
 }
 
 func TestEGDOTGolden(t *testing.T) {
-	g := egFixture()
+	g, held := egFixture()
 	golden(t, "eg.dot.golden", render(t, func(w io.Writer) error {
-		return WriteEGDOT(g, w)
+		return WriteEGDOT(g, held, w)
 	}))
 }
 

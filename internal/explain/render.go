@@ -131,12 +131,13 @@ func fillAttrs(decision string) string {
 }
 
 // WriteEGDOT renders the whole Experiment Graph as Graphviz DOT annotated
-// with recreation costs, frequencies, sizes, and materialization flags.
-// Vertices are emitted sorted by ID and edges in stored parent order, so
-// output is byte-stable for a given graph (map iteration never reaches the
-// writer). It renders a snapshot — one consistent copy taken under the
-// graph's lock — so it may run beside the updater.
-func WriteEGDOT(g *eg.Graph, w io.Writer) error {
+// with recreation costs, frequencies, sizes, and whether held (the store's
+// Has) reports the content stored. Vertices are emitted sorted by ID and
+// edges in stored parent order, so output is byte-stable (map iteration
+// never reaches the writer). It renders a snapshot — one consistent copy
+// taken under the graph's lock, released before held is asked — so it may
+// run beside the updater.
+func WriteEGDOT(g *eg.Graph, held func(id string) bool, w io.Writer) error {
 	d := graph.NewDOT("experiment-graph")
 	vertices := g.Snapshot().Vertices // sorted by ID
 	for _, v := range vertices {
@@ -146,7 +147,7 @@ func WriteEGDOT(g *eg.Graph, w io.Writer) error {
 			label = ""
 		}
 		attrs := ""
-		if v.Materialized {
+		if held(v.ID) {
 			attrs += `, style=filled, fillcolor="#cce5ff", penwidth=2`
 		}
 		if v.External {

@@ -42,15 +42,17 @@ func BenchmarkStrategySelect(b *testing.B) {
 	for _, s := range []Strategy{NewGreedy(c), NewStorageAware(c), NewHelix(c), NewAll()} {
 		for _, budget := range []int64{8 << 20, 1 << 30} {
 			g := largeEG(2000)
-			for _, id := range s.Select(g, budget, false, nil).Admitted {
-				g.SetMaterialized(id, true)
+			stored := make(map[string]bool)
+			for _, id := range s.Select(g, none, budget, false, nil).Admitted {
+				stored[id] = true
 			}
+			held := func(id string) bool { return stored[id] }
 			for _, trail := range []bool{false, true} {
 				b.Run(fmt.Sprintf("%s/budget=%dMiB/trail=%v", s.Name(), budget>>20, trail), func(b *testing.B) {
 					sc := new(Scratch)
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						s.Select(g, budget, trail, sc)
+						s.Select(g, held, budget, trail, sc)
 					}
 				})
 			}
@@ -67,7 +69,7 @@ func BenchmarkGreedyAlphaSweep(b *testing.B) {
 		c := Config{Alpha: alpha, Profile: cost.Memory()}
 		b.Run(fmt.Sprintf("alpha=%v", alpha), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				NewGreedy(c).Select(g, budget, false, nil)
+				NewGreedy(c).Select(g, none, budget, false, nil)
 			}
 		})
 	}

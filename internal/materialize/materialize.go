@@ -6,7 +6,8 @@
 // A Strategy inspects the Experiment Graph and returns the record of one
 // run (Run): what the selection under a byte budget changes against what is
 // materialized, the counts of what it decided and, on request, a decision
-// per vertex. Raw source artifacts are always stored by the updater (§3.2)
+// per vertex; what is materialized (mat) is the store's to say, as a
+// predicate. Raw source artifacts are always stored by the updater (§3.2)
 // and are not part of the budgeted selection.
 package materialize
 
@@ -28,10 +29,12 @@ type Strategy interface {
 	// Select decides which vertices to materialize under the budget (in
 	// bytes) and returns the record of that run. Budget accounting is
 	// strategy-specific: HM and HL count logical artifact sizes, SA counts
-	// deduplicated physical bytes. With trail set the record also carries the
-	// outcome of every eligible vertex; without it Select builds none. The run
-	// lives in sc's buffers (nil: buffers of its own).
-	Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run
+	// deduplicated physical bytes. held, asked once per eligible vertex under
+	// the graph's read lock, reports whether its content is stored. With
+	// trail set the record also carries the outcome of every eligible vertex;
+	// without it Select builds none. The run lives in sc's buffers (nil:
+	// buffers of its own).
+	Select(g *eg.Graph, held func(id string) bool, budget int64, trail bool, sc *Scratch) Run
 }
 
 // Outcome is what a run decided for one eligible vertex. The values are the
@@ -49,10 +52,12 @@ const (
 	OverBudget Outcome = "budget-exhausted"
 )
 
-// Decision is one eligible vertex's line of a run's trail.
+// Decision is one eligible vertex's line of a run's trail, with whether its
+// content was stored when the run read it.
 type Decision struct {
 	Vertex  *eg.Vertex
 	Outcome Outcome
+	Held    bool
 }
 
 // Run is the record of one materialization run, produced by the strategy in
@@ -60,11 +65,11 @@ type Decision struct {
 // Dropped) and counts from it, explain renders Trail. Every eligible vertex is
 // selected, vetoed or over budget.
 type Run struct {
-	// Admitted holds the selected vertices that were not materialized when
-	// the run read them, in the order the strategy admitted them: what the
-	// updater stores or asks for.
+	// Admitted holds the selected vertices that were not held when the run
+	// read them, in the order the strategy admitted them: what the updater
+	// stores or asks for.
 	Admitted []string
-	// Dropped holds the eligible vertices that were materialized and are not
+	// Dropped holds the eligible vertices that were held and are not
 	// selected, sorted by ID: what the updater evicts.
 	Dropped []string
 	// Eligible counts the vertices that took part (see eligible), Vetoed
@@ -165,11 +170,12 @@ type candidate struct {
 
 // ranked is a candidate as a run holds it: with the index of its line in
 // the run's trail (-1 without a trail), so admitting it marks the line
-// without a search, and whether the run selected it.
+// without a search, whether its content was held when the run read it, and
+// whether the run selected it.
 type ranked struct {
 	candidate
-	line     int
-	selected bool
+	line           int
+	held, selected bool
 }
 
 // rank sorts candidates highest utility first. Ties (common at α=1, where
@@ -191,13 +197,13 @@ func rank(cands []ranked) {
 // candidates computes Equation 2 utilities for every eligible vertex: U(v) =
 // 0 if Cl(v) ≥ Cr(v), else α·p'(v) + (1−α)·r'cs(v) with sum-normalized p and
 // rcs, and opens the run's record with what the pass saw: the eligible and
-// vetoed counts, the vetoed vertices that are materialized (Dropped) and,
-// when asked, a trail that holds every candidate as over budget until admit
-// selects it. Cr and p are read off the vertices, where the graph maintains
-// them; the normalisation sums move with every update, so the pass over the
-// vertices stays per call: one walk in ID order (which fixes the order of the
-// floating-point sums and of the trail) through the graph's visitor, in sc's
-// buffers.
+// vetoed counts, the vetoed vertices that are held (Dropped) and, when asked,
+// a trail that holds every candidate as over budget until admit selects it.
+// Cr and p are read off the vertices, where the graph maintains them, and
+// whether a vertex is held is asked once, here; the normalisation sums move
+// with every update, so the pass over the vertices stays per call: one walk in
+// ID order (which fixes the order of the floating-point sums and of the trail)
+// through the graph's visitor, in sc's buffers.
 //
 // When the candidates' logical bytes fit a positive budget, Algorithm 1
 // admits all of them in its first round and the storage-aware second round
@@ -205,7 +211,7 @@ func rank(cands []ranked) {
 // every candidate is selected, and only the ones to admit are ranked, among
 // themselves. Otherwise it returns the candidates ranked, for the strategy's
 // fill and settle.
-func (c Config) candidates(g *eg.Graph, budget int64, trail bool, sc *Scratch) (cands []ranked, run Run, fit bool) {
+func (c Config) candidates(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) (cands []ranked, run Run, fit bool) {
 	run = sc.open(trail)
 	if sc != nil {
 		cands = sc.cands[:0]
@@ -220,9 +226,10 @@ func (c Config) candidates(g *eg.Graph, budget int64, trail bool, sc *Scratch) (
 		run.Eligible++
 		crv := v.RecreationCost()
 		vetoed := c.Profile.LoadCost(v.SizeBytes) >= crv
+		stored := held(v.ID)
 		line := -1
 		if trail {
-			d := Decision{v, OverBudget}
+			d := Decision{v, OverBudget, stored}
 			if vetoed {
 				d.Outcome = Vetoed
 			}
@@ -231,7 +238,7 @@ func (c Config) candidates(g *eg.Graph, budget int64, trail bool, sc *Scratch) (
 		}
 		if vetoed {
 			run.Vetoed++
-			if v.Materialized {
+			if stored {
 				run.Dropped = append(run.Dropped, v.ID)
 			}
 			return // U(v) = 0: loading is no cheaper than recomputing
@@ -247,7 +254,7 @@ func (c Config) candidates(g *eg.Graph, budget int64, trail bool, sc *Scratch) (
 		rcs := float64(v.Frequency) * crv.Seconds() / (float64(sz) / (1 << 20)) // s/MB
 		p := v.Potential()
 		// utility holds p until the sums are known
-		cands = append(cands, ranked{candidate{v, p, rcs}, line, false})
+		cands = append(cands, ranked{candidate{v, p, rcs}, line, stored, false})
 		sumP += p
 		sumR += rcs
 	})
@@ -273,7 +280,7 @@ func (c Config) candidates(g *eg.Graph, budget int64, trail bool, sc *Scratch) (
 		if cands[i].line >= 0 {
 			run.Trail[cands[i].line].Outcome = Selected
 		}
-		if !cands[i].v.Materialized {
+		if !cands[i].held {
 			cands[admit], cands[i] = cands[i], cands[admit]
 			admit++
 		}
@@ -292,7 +299,7 @@ func (r *Run) admit(c *ranked) {
 	c.selected = true
 	r.Selected++
 	r.selected = append(r.selected, c.v.ID)
-	if !c.v.Materialized {
+	if !c.held {
 		r.Admitted = append(r.Admitted, c.v.ID)
 	}
 	if c.line >= 0 {
@@ -300,11 +307,11 @@ func (r *Run) admit(c *ranked) {
 	}
 }
 
-// settle completes a run whose fill admitted through admit: the materialized
+// settle completes a run whose fill admitted through admit: the held
 // candidates it left out join the vetoed ones in Dropped, in ID order.
 func (r *Run) settle(cands []ranked) {
 	for _, c := range cands {
-		if c.v.Materialized && !c.selected {
+		if c.held && !c.selected {
 			r.Dropped = append(r.Dropped, c.v.ID)
 		}
 	}
@@ -337,8 +344,8 @@ func NewGreedy(cfg Config) *Greedy { return &Greedy{cfg: cfg} }
 func (m *Greedy) Name() string { return "HM" }
 
 // Select implements Strategy.
-func (m *Greedy) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
-	cands, run, fit := m.cfg.candidates(g, budget, trail, sc)
+func (m *Greedy) Select(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) Run {
+	cands, run, fit := m.cfg.candidates(g, held, budget, trail, sc)
 	if !fit {
 		var used int64
 		for i := range cands {
@@ -367,8 +374,8 @@ func NewStorageAware(cfg Config) *StorageAware { return &StorageAware{cfg: cfg} 
 func (m *StorageAware) Name() string { return "SA" }
 
 // Select implements Strategy.
-func (m *StorageAware) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
-	cands, run, fit := m.cfg.candidates(g, budget, trail, sc)
+func (m *StorageAware) Select(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) Run {
+	cands, run, fit := m.cfg.candidates(g, held, budget, trail, sc)
 	for !fit {
 		remaining := budget - g.DedupedSize(run.selected)
 		if remaining <= 0 {
@@ -413,7 +420,7 @@ func NewHelix(cfg Config) *Helix { return &Helix{cfg: cfg} }
 func (m *Helix) Name() string { return "HL" }
 
 // Select implements Strategy.
-func (m *Helix) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
+func (m *Helix) Select(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) Run {
 	run := sc.open(trail)
 	var used int64
 	// The scan stops at the first vertex that overflows the budget, so the
@@ -427,6 +434,7 @@ func (m *Helix) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
 			continue
 		}
 		run.Eligible++
+		stored := held(id)
 		outcome := OverBudget
 		switch {
 		case stopped:
@@ -437,14 +445,14 @@ func (m *Helix) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
 			stopped = true // root-first scan stops when the budget is exhausted
 		default:
 			outcome = Selected
-			run.admit(&ranked{candidate: candidate{v: v}, line: -1})
+			run.admit(&ranked{candidate: candidate{v: v}, line: -1, held: stored})
 			used += v.SizeBytes
 		}
-		if outcome != Selected && v.Materialized {
+		if outcome != Selected && stored {
 			run.Dropped = append(run.Dropped, id)
 		}
 		if trail {
-			run.Trail = append(run.Trail, Decision{v, outcome})
+			run.Trail = append(run.Trail, Decision{v, outcome, stored})
 		}
 	}
 	slices.SortFunc(run.Trail, func(x, y Decision) int { return strings.Compare(x.Vertex.ID, y.Vertex.ID) })
@@ -464,16 +472,17 @@ func NewAll() *All { return &All{} }
 func (m *All) Name() string { return "ALL" }
 
 // Select implements Strategy.
-func (m *All) Select(g *eg.Graph, _ int64, trail bool, sc *Scratch) Run {
+func (m *All) Select(g *eg.Graph, held func(string) bool, _ int64, trail bool, sc *Scratch) Run {
 	run := sc.open(trail)
 	g.Visit(func(v *eg.Vertex) {
 		if !eligible(v) {
 			return
 		}
 		run.Eligible++
-		run.admit(&ranked{candidate: candidate{v: v}, line: -1})
+		stored := held(v.ID)
+		run.admit(&ranked{candidate: candidate{v: v}, line: -1, held: stored})
 		if trail {
-			run.Trail = append(run.Trail, Decision{v, Selected})
+			run.Trail = append(run.Trail, Decision{v, Selected, stored})
 		}
 	})
 	sc.keep(&run, nil)
@@ -492,9 +501,9 @@ func (m LimitCount) Name() string { return m.Inner.Name() }
 
 // Select implements Strategy: what the inner strategy selected past the
 // first K is over budget — no longer admitted, and dropped where it is
-// materialized.
-func (m LimitCount) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) Run {
-	run := m.Inner.Select(g, budget, trail, sc)
+// held.
+func (m LimitCount) Select(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) Run {
+	run := m.Inner.Select(g, held, budget, trail, sc)
 	if run.Selected <= m.K {
 		return run
 	}
@@ -502,7 +511,7 @@ func (m LimitCount) Select(g *eg.Graph, budget int64, trail bool, sc *Scratch) R
 	over := make(map[string]bool, len(ids)-m.K)
 	for _, id := range ids[m.K:] {
 		over[id] = true
-		if g.Vertex(id).Materialized {
+		if held(id) {
 			run.Dropped = append(run.Dropped, id)
 		}
 	}

@@ -39,6 +39,9 @@ func cfg() Config {
 	return Config{Alpha: 0.5, Profile: cost.Memory()}
 }
 
+// none is the held predicate of an empty store.
+func none(string) bool { return false }
+
 // buildEG constructs an EG with a chain of three derived artifacts of
 // decreasing cost-effectiveness plus a high-quality model.
 func buildEG() (*eg.Graph, []*graph.Node) {
@@ -59,7 +62,7 @@ func buildEG() (*eg.Graph, []*graph.Node) {
 func TestGreedyRespectsBudget(t *testing.T) {
 	g, nodes := buildEG()
 	hm := NewGreedy(cfg())
-	sel := hm.Select(g, 2<<20, false, nil).SelectedIDs() // 2 MiB: fits a (1 MiB) and m (1 KiB), not b
+	sel := hm.Select(g, none, 2<<20, false, nil).SelectedIDs() // 2 MiB: fits a (1 MiB) and m (1 KiB), not b
 	selSet := map[string]bool{}
 	var total int64
 	for _, id := range sel {
@@ -82,7 +85,7 @@ func TestGreedyPrefersModelQualityWithHighAlpha(t *testing.T) {
 	c := cfg()
 	c.Alpha = 1 // only quality matters
 	hm := NewGreedy(c)
-	sel := hm.Select(g, g.Vertex(nodes[3].ID).SizeBytes, false, nil).SelectedIDs() // room for exactly the model
+	sel := hm.Select(g, none, g.Vertex(nodes[3].ID).SizeBytes, false, nil).SelectedIDs() // room for exactly the model
 	if len(sel) == 0 || sel[0] != nodes[3].ID {
 		t.Errorf("α=1 budget-of-one should pick the model, got %v", sel)
 	}
@@ -97,7 +100,7 @@ func TestLoadCostVetoExcludesCheapRecomputes(t *testing.T) {
 	annotate(fast, time.Nanosecond, 1<<30, 0) // 1 GiB that recomputes in 1ns
 	g := eg.New()
 	g.Merge(w)
-	run := NewGreedy(Config{Alpha: 0.5, Profile: cost.Disk()}).Select(g, 1<<40, false, nil)
+	run := NewGreedy(Config{Alpha: 0.5, Profile: cost.Disk()}).Select(g, none, 1<<40, false, nil)
 	if run.Selected != 0 {
 		t.Errorf("vetoed artifact selected: %v", run.SelectedIDs())
 	}
@@ -117,10 +120,10 @@ func TestEverythingFitsOnlyAPositiveBudget(t *testing.T) {
 	annotate(empty, time.Second, 0, 0)
 	g := eg.New()
 	g.Merge(w)
-	if run := NewGreedy(cfg()).Select(g, 0, false, nil); run.Selected != 1 || len(run.Admitted) != 1 {
+	if run := NewGreedy(cfg()).Select(g, none, 0, false, nil); run.Selected != 1 || len(run.Admitted) != 1 {
 		t.Errorf("HM at budget 0 selected %d, admitted %v; want the empty artifact", run.Selected, run.Admitted)
 	}
-	if run := NewStorageAware(cfg()).Select(g, 0, false, nil); run.Selected != 0 || len(run.Admitted) != 0 {
+	if run := NewStorageAware(cfg()).Select(g, none, 0, false, nil); run.Selected != 0 || len(run.Admitted) != 0 {
 		t.Errorf("SA at budget 0 selected %d, admitted %v; want nothing", run.Selected, run.Admitted)
 	}
 }
@@ -133,7 +136,7 @@ func TestExternalArtifactsNeverMaterialized(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 	for _, s := range []Strategy{NewGreedy(cfg()), NewStorageAware(cfg()), NewHelix(cfg()), NewAll()} {
-		for _, id := range s.Select(g, 1<<40, false, nil).SelectedIDs() {
+		for _, id := range s.Select(g, none, 1<<40, false, nil).SelectedIDs() {
 			if id == kde.ID {
 				t.Errorf("%s materialized an external artifact", s.Name())
 			}
@@ -172,8 +175,8 @@ func overlappingEG() (*eg.Graph, []string) {
 func TestStorageAwareStoresMoreThanGreedy(t *testing.T) {
 	g, _ := overlappingEG()
 	budget := int64(14*8) << 10 // 112 KiB: ~2.3 artifacts logically
-	hm := NewGreedy(cfg()).Select(g, budget, false, nil).SelectedIDs()
-	sa := NewStorageAware(cfg()).Select(g, budget, false, nil).SelectedIDs()
+	hm := NewGreedy(cfg()).Select(g, none, budget, false, nil).SelectedIDs()
+	sa := NewStorageAware(cfg()).Select(g, none, budget, false, nil).SelectedIDs()
 	if len(sa) <= len(hm) {
 		t.Errorf("SA should materialize more under overlap: SA=%d HM=%d", len(sa), len(hm))
 	}
@@ -204,7 +207,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 
-	hl := NewHelix(cfg()).Select(g, 16<<20, false, nil).SelectedIDs() // room for two artifacts
+	hl := NewHelix(cfg()).Select(g, none, 16<<20, false, nil).SelectedIDs() // room for two artifacts
 	if len(hl) != 2 {
 		t.Fatalf("HL selected %d, want 2", len(hl))
 	}
@@ -212,7 +215,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 	if !sel[a.ID] || !sel[b.ID] {
 		t.Errorf("HL should take root-first {a,b}, got %v", hl)
 	}
-	hm := NewGreedy(cfg()).Select(g, 16<<20, false, nil).SelectedIDs()
+	hm := NewGreedy(cfg()).Select(g, none, 16<<20, false, nil).SelectedIDs()
 	hmSet := map[string]bool{}
 	for _, id := range hm {
 		hmSet[id] = true
@@ -224,7 +227,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 
 func TestAllSelectsEverythingEligible(t *testing.T) {
 	g, nodes := buildEG()
-	sel := NewAll().Select(g, 0, false, nil).SelectedIDs()
+	sel := NewAll().Select(g, none, 0, false, nil).SelectedIDs()
 	if len(sel) != 3 { // a, b, m — not the source
 		t.Errorf("ALL selected %d, want 3: %v", len(sel), sel)
 	}
@@ -237,8 +240,8 @@ func TestAllSelectsEverythingEligible(t *testing.T) {
 
 func TestDeterministicSelection(t *testing.T) {
 	g, _ := buildEG()
-	a := NewStorageAware(cfg()).Select(g, 4<<20, false, nil).SelectedIDs()
-	b := NewStorageAware(cfg()).Select(g, 4<<20, false, nil).SelectedIDs()
+	a := NewStorageAware(cfg()).Select(g, none, 4<<20, false, nil).SelectedIDs()
+	b := NewStorageAware(cfg()).Select(g, none, 4<<20, false, nil).SelectedIDs()
 	if len(a) != len(b) {
 		t.Fatalf("nondeterministic selection size: %d vs %d", len(a), len(b))
 	}
@@ -280,8 +283,8 @@ func TestRunAccountsForEveryEligibleVertex(t *testing.T) {
 		{LimitCount{Inner: NewGreedy(c), K: 3}, algorithm1}, // not the daemon's: Fig 8b's
 	} {
 		t.Run(tc.strategy.Name(), func(t *testing.T) {
-			run := tc.strategy.Select(g, budget, true, nil)
-			bare := tc.strategy.Select(g, budget, false, nil)
+			run := tc.strategy.Select(g, none, budget, true, nil)
+			bare := tc.strategy.Select(g, none, budget, false, nil)
 			if bare.Trail != nil {
 				t.Errorf("a run that was not asked built a trail of %d", len(bare.Trail))
 			}

@@ -143,18 +143,18 @@ func refAll(g *eg.Graph) []string {
 }
 
 // refDelta is what a run with the given selection changes on g: the selected
-// vertices that are not materialized, in selection order, and the eligible
-// ones that are and are not selected, by ID.
-func refDelta(g *eg.Graph, selected []string) (admitted, dropped []string) {
+// vertices that are not held, in selection order, and the eligible ones that
+// are and are not selected, by ID.
+func refDelta(g *eg.Graph, held map[string]bool, selected []string) (admitted, dropped []string) {
 	in := make(map[string]bool, len(selected))
 	for _, id := range selected {
 		in[id] = true
-		if !g.Vertex(id).Materialized {
+		if !held[id] {
 			admitted = append(admitted, id)
 		}
 	}
 	for _, v := range g.Vertices() {
-		if eligible(v) && v.Materialized && !in[v.ID] {
+		if eligible(v) && held[v.ID] && !in[v.ID] {
 			dropped = append(dropped, v.ID)
 		}
 	}
@@ -163,10 +163,10 @@ func refDelta(g *eg.Graph, selected []string) (admitted, dropped []string) {
 
 // TestStrategiesSelectAsFromScratch drives every strategy over the
 // sequences of the graph's own exactness test (overlapping workloads,
-// re-executed vertices, prunes, snapshot round trips, vertices marked and
-// unmarked materialized) and demands, after every step, the selection the
+// re-executed vertices, prunes, snapshot round trips, vertices whose content
+// is stored and dropped) and demands, after every step, the selection the
 // reference code makes from the from-scratch derivation: same IDs, same
-// order, and what it changes against the mat flags. The budgets straddle the
+// order, and what it changes against what is held. The budgets straddle the
 // point where every candidate fits (total ± 1), where the strategies skip
 // their ranking, and every run of a sequence shares one Scratch, as the
 // updater's do. HL is also run on a graph restored from a snapshot, whose
@@ -180,16 +180,18 @@ func TestStrategiesSelectAsFromScratch(t *testing.T) {
 		c := Config{Alpha: []float64{0.5, 0.001, 1}[rng.Intn(3)], Profile: profiles[rng.Intn(3)]}
 		g := eg.New()
 		sc := new(Scratch)
+		stored := make(map[string]bool)
+		held := func(id string) bool { return stored[id] }
 		for step := 0; step < 40; step++ {
 			switch r := rng.Intn(10); {
 			case r == 0:
-				g.Prune(eg.PrunePolicy{MaxIdleWorkloads: 1 + rng.Intn(4), MinFrequency: rng.Intn(3)})
+				g.Prune(eg.PrunePolicy{MaxIdleWorkloads: 1 + rng.Intn(4), MinFrequency: rng.Intn(3)}, held)
 			case r == 1:
 				g = eg.FromSnapshot(g.Snapshot())
 			case r == 2:
 				vs := g.Vertices()
 				for i := 0; i < len(vs)/4; i++ {
-					g.SetMaterialized(vs[rng.Intn(len(vs))].ID, rng.Intn(2) == 0)
+					stored[vs[rng.Intn(len(vs))].ID] = rng.Intn(2) == 0
 				}
 			default:
 				g.Merge(u.Workload(rng, rng.Intn(u.Len()), rng.Intn(u.Len())))
@@ -215,9 +217,9 @@ func TestStrategiesSelectAsFromScratch(t *testing.T) {
 					{"HL restored", NewHelix(c), restored, refHelix(c, g, budget)},
 					{"LimitCount HM", LimitCount{Inner: NewGreedy(c), K: k}, g, greedy[:min(k, len(greedy))]},
 				} {
-					run := check.strategy.Select(check.g, budget, false, sc)
+					run := check.strategy.Select(check.g, held, budget, false, sc)
 					got := run.SelectedIDs()
-					admitted, dropped := refDelta(check.g, check.want)
+					admitted, dropped := refDelta(check.g, stored, check.want)
 					if !slices.Equal(got, check.want) || run.Selected != len(got) ||
 						!slices.Equal(run.Admitted, admitted) || !slices.Equal(run.Dropped, dropped) {
 						t.Errorf("seed %d, step %d, %s (α=%v, budget %d of %d): selected %d, reference %d\n got %v\nwant %v\nadmitted %v, reference %v\ndropped %v, reference %v",

@@ -28,23 +28,25 @@ const OverflowClientID = "(other)"
 // DefaultClientCap bounds a NewClientTable(0) table.
 const DefaultClientCap = 64
 
-// maxClientIDLen bounds a sanitized client identity.
-const maxClientIDLen = 64
+// maxIDLen bounds a sanitized identity.
+const maxIDLen = 64
 
-// SanitizeClientID normalizes a client-supplied identity: surrounding
-// space trimmed, non-printable and non-ASCII runes replaced with '_',
-// length capped. Returns "" for an effectively empty identity.
-func SanitizeClientID(s string) string {
+// SanitizeID normalizes a client-supplied identity (X-Collab-Client,
+// X-Collab-Request): surrounding space trimmed, non-printable and non-ASCII
+// runes replaced with '_', length capped. Returns "" for an effectively
+// empty identity, and a clean one as it is, without allocating.
+func SanitizeID(s string) string {
 	s = strings.TrimSpace(s)
-	if s == "" {
-		return ""
+	unprintable := func(r rune) bool { return r <= 0x20 || r > 0x7e }
+	if len(s) <= maxIDLen && !strings.ContainsFunc(s, unprintable) {
+		return s
 	}
 	var b strings.Builder
 	for _, r := range s {
-		if b.Len() >= maxClientIDLen {
+		if b.Len() >= maxIDLen {
 			break
 		}
-		if r <= 0x20 || r > 0x7e {
+		if unprintable(r) {
 			r = '_'
 		}
 		b.WriteRune(r)

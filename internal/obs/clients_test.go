@@ -87,18 +87,19 @@ func TestClientTableConcurrent(t *testing.T) {
 	}
 }
 
-func TestSanitizeClientID(t *testing.T) {
+func TestSanitizeID(t *testing.T) {
 	for in, want := range map[string]string{
 		"  alice  ":              "alice",
 		"":                       "",
 		"   ":                    "",
 		"a b":                    "a_b",
 		"tab\there":              "tab_here",
+		"req\n\x00id":            "req__id",
 		"ünïcode":                "_n_code",
-		strings.Repeat("x", 200): strings.Repeat("x", maxClientIDLen),
+		strings.Repeat("x", 200): strings.Repeat("x", maxIDLen),
 	} {
-		if got := SanitizeClientID(in); got != want {
-			t.Fatalf("SanitizeClientID(%q) = %q, want %q", in, got, want)
+		if got := SanitizeID(in); got != want {
+			t.Fatalf("SanitizeID(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

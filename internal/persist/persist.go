@@ -92,7 +92,10 @@ func Save(srv *core.Server, dir string) error {
 
 // Load restores a previously saved state into the server. A missing data
 // directory (first boot) is not an error; Load then leaves the server
-// empty and returns false.
+// empty and returns false. What is materialized after a restore is what the
+// store holds: the snapshot's artifacts and the disk tier's own survivors
+// (its boot scan verified their checksums); the first update evicts those
+// the restored graph does not keep.
 func Load(srv *core.Server, dir string) (restored bool, err error) {
 	var egSnap eg.Snapshot
 	if err := readGobFile(filepath.Join(dir, egFile), &egSnap); err != nil {
@@ -114,22 +117,6 @@ func Load(srv *core.Server, dir string) (restored bool, err error) {
 		}
 		if err := srv.Store.Put(id, rec.Content); err != nil {
 			return false, fmt.Errorf("persist: restoring %s: %w", id, err)
-		}
-		srv.EG.SetMaterialized(id, true)
-	}
-	// Artifacts recovered by the disk tier's own boot scan (checksummed
-	// files under the store directory) are loadable without recomputation:
-	// mark their EG vertices materialized.
-	for _, id := range srv.Store.StoredIDs() {
-		if srv.EG.Vertex(id) != nil {
-			srv.EG.SetMaterialized(id, true)
-		}
-	}
-	// Vertices whose content did not survive must not be marked
-	// materialized, or the planner would propose loading them.
-	for _, id := range srv.EG.MaterializedIDs() {
-		if !srv.Store.Has(id) {
-			srv.EG.SetMaterialized(id, false)
 		}
 	}
 	return true, nil

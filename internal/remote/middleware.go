@@ -98,13 +98,13 @@ func newHTTPMetrics(reg *obs.Registry, paths []string) *httpMetrics {
 // attribution table bounds distinct identities itself, so an adversarially
 // rotating label cannot grow it past its cap.
 func clientLabel(r *http.Request) string {
-	if c := obs.SanitizeClientID(r.Header.Get(obs.ClientIDHeader)); c != "" {
+	if c := obs.SanitizeID(r.Header.Get(obs.ClientIDHeader)); c != "" {
 		return c
 	}
 	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil && host != "" {
-		return obs.SanitizeClientID(host)
+		return obs.SanitizeID(host)
 	}
-	if c := obs.SanitizeClientID(r.RemoteAddr); c != "" {
+	if c := obs.SanitizeID(r.RemoteAddr); c != "" {
 		return c
 	}
 	return "unknown"
@@ -172,14 +172,15 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // ServeHTTP implements http.Handler. It is the edge where the request's
-// record is created — ID resolved and echoed on the response, route and
-// caller labelled — and, once the mux has dispatched it to the handler that
-// passes it on to the server, finished (status, wall time, bytes) and
-// emitted: into the per-route metrics and the server's flight ring and
-// client table, and onto the access log.
+// record is created — ID resolved (X-Collab-Request through the same
+// sanitizer as X-Collab-Client, a fresh ID when nothing usable is left) and
+// echoed on the response, route and caller labelled — and, once the mux has
+// dispatched it to the handler that passes it on to the server, finished
+// (status, wall time, bytes) and emitted: into the per-route metrics and the
+// server's flight ring and client table, and onto the access log.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req := &obs.Request{
-		RequestID: r.Header.Get(obs.RequestIDHeader),
+		RequestID: obs.SanitizeID(r.Header.Get(obs.RequestIDHeader)),
 		Client:    clientLabel(r),
 		Method:    r.Method,
 		Route:     h.routeLabel(r.URL.Path),

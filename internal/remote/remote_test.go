@@ -101,6 +101,7 @@ func TestRemoteEndToEnd(t *testing.T) {
 func TestRemoteArtifactRoundTrip(t *testing.T) {
 	srv, rc, closeFn := newRemotePair(t)
 	defer closeFn()
+	knownTo(t, srv, "v-test")
 	frame := testFrame(50, 2)
 	if err := srv.PutArtifact("v-test", &graph.DatasetArtifact{Frame: frame}, nil); err != nil {
 		t.Fatal(err)

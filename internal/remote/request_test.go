@@ -3,9 +3,11 @@ package remote
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,6 +49,39 @@ func TestClientAttributionWithoutFlightRing(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/v1/requests with the ring off = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHostileRequestIDIsSanitized: a request ID is client input. One of
+// 4 KiB with a newline and a NUL in it is echoed, and kept in the flight ring,
+// as at most 64 printable bytes; one with nothing usable in it is replaced by
+// a fresh ID.
+func TestHostileRequestIDIsSanitized(t *testing.T) {
+	h := NewHandler(core.NewServer(store.New(cost.Memory())))
+	serve := func(path, id string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodGet, path, nil)
+		r.Header[obs.RequestIDHeader] = []string{id} // bypasses the client's header checks
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		return rec
+	}
+	printable := func(s string) bool {
+		return !strings.ContainsFunc(s, func(r rune) bool { return r <= 0x20 || r > 0x7e })
+	}
+	hostile := "evil\n\x00" + strings.Repeat("x", 4<<10)
+	echoed := serve("/v1/stats", hostile).Header().Get(obs.RequestIDHeader)
+	if len(echoed) == 0 || len(echoed) > 64 || !printable(echoed) {
+		t.Fatalf("echoed request ID %q (%d bytes)", echoed, len(echoed))
+	}
+	if blank := serve("/v1/stats", " \t ").Header().Get(obs.RequestIDHeader); len(blank) != 16 {
+		t.Errorf("a blank request ID came back as %q, want a fresh one", blank)
+	}
+	var report obs.FlightReport
+	if err := json.NewDecoder(serve("/v1/requests?route=/v1/stats", "").Body).Decode(&report); err != nil {
+		t.Fatal(err)
+	}
+	if report.Count != 2 || report.Requests[0].RequestID != echoed {
+		t.Errorf("the flight ring recorded %+v, want the echoed ID %q first", report.Requests, echoed)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/core"
-	"repro/internal/eg"
 	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -27,11 +26,11 @@ import (
 // Handler wraps a core.Server with the HTTP protocol. Mount it on any mux.
 //
 // Every request gets one obs.Request record, created in ServeHTTP and
-// tagged with a request ID — the client-sent X-Collab-Request header when
-// present, a freshly minted ID otherwise — which is echoed on the response
-// header. The record is handed to the server method the route calls, which
-// fills in the optimizer facts, and is emitted once when the request
-// finishes (middleware.go).
+// tagged with a request ID — the client-sent X-Collab-Request header,
+// sanitized (obs.SanitizeID), when anything of it is left, a freshly minted
+// ID otherwise — which is echoed on the response header. The record is
+// handed to the server method the route calls, which fills in the optimizer
+// facts, and is emitted once when the request finishes (middleware.go).
 type Handler struct {
 	srv *core.Server
 	mux *http.ServeMux
@@ -304,7 +303,7 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	plan, mat := h.srv.Timings()
 	st := Stats{
 		Vertices:           h.srv.EG.Len(),
-		Materialized:       h.srv.EG.MaterializedCount(),
+		Materialized:       h.srv.Materialized(),
 		PhysicalBytes:      h.srv.Store.PhysicalBytes(),
 		LogicalBytes:       h.srv.Store.LogicalBytes(),
 		MemoryBytes:        h.srv.Store.MemoryBytes(),
@@ -465,7 +464,7 @@ func (h *Handler) explain(q url.Values) (any, *httpError) {
 		if q.Get("format") != "dot" {
 			return nil, badRequest("target=eg requires format=dot")
 		}
-		return egGraph{h.srv.EG}, nil
+		return egGraph{h.srv}, nil
 	}
 	kind := q.Get("kind")
 	if kind == "" {
@@ -479,9 +478,9 @@ func (h *Handler) explain(q url.Values) (any, *httpError) {
 }
 
 // egGraph is the explain view of the whole Experiment Graph (dot only).
-type egGraph struct{ g *eg.Graph }
+type egGraph struct{ srv *core.Server }
 
-func (e egGraph) WriteDOT(w io.Writer) error { return explain.WriteEGDOT(e.g, w) }
+func (e egGraph) WriteDOT(w io.Writer) error { return explain.WriteEGDOT(e.srv.EG, e.srv.Store.Has, w) }
 
 // requests is the flight log of finished requests (json|text). Query
 // parameters:

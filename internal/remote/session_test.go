@@ -346,7 +346,6 @@ func TestSessionFetchesOnceWhileHeld(t *testing.T) {
 	// The server loses its copy: the session still serves the run, and the
 	// update hands the content back.
 	srv.Store.Evict(feat)
-	srv.EG.SetMaterialized(feat, false)
 	before := dl.total()
 	step(32)
 	if dl.total() != before {

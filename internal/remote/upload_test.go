@@ -478,6 +478,7 @@ func TestAskedAndNeverUploadedIsAskedAgain(t *testing.T) {
 func TestHaveIndexOutOfRangeIsIgnored(t *testing.T) {
 	srv, rc, closeFn := newRemotePair(t)
 	defer closeFn()
+	knownTo(t, srv, "v")
 	frame := testFrame(10, 3)
 	b := uploadBatch{held: make(map[string]bool)}
 	b.add("v", &graph.DatasetArtifact{Frame: frame}, []int{-1, 3, 1 << 20})
@@ -491,6 +492,22 @@ func TestHaveIndexOutOfRangeIsIgnored(t *testing.T) {
 	if len(b.held) != frame.NumCols() {
 		t.Errorf("held = %v, want the frame's %d columns", b.held, frame.NumCols())
 	}
+}
+
+// knownTo merges source vertices of the given IDs into the server's
+// Experiment Graph: the server keeps uploaded content only for vertices its
+// graph keeps.
+func knownTo(t testing.TB, srv *core.Server, ids ...string) {
+	t.Helper()
+	nodes := make([]WireNode, len(ids))
+	for i, id := range ids {
+		nodes[i] = WireNode{ID: id, Kind: graph.DatasetKind}
+	}
+	dag, err := FromWire(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.EG.Merge(dag)
 }
 
 // postUploads encodes items as one upload body and POSTs it straight at the
@@ -516,6 +533,7 @@ func postUploads(t testing.TB, h http.Handler, items ...artifactUpload) *httptes
 // the first.
 func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	knownTo(t, srv, "base", "v", "m1", "m2", "m3")
 	h := NewHandler(srv)
 	frame := testFrame(10, 3)
 	cols := frame.Columns()
@@ -661,7 +679,7 @@ func TestClientRecordsServerErrors(t *testing.T) {
 // that already holds a frame. Whatever arrives, the handler answers 200, 204,
 // 400 or 413 — never a panic, never a 5xx. A body refused before admission
 // leaves the store as it was; whatever the store holds afterwards is readable
-// back, and an answer of 204 means every item is.
+// back, and an answer of 204 means every item the graph keeps is.
 func FuzzUploadDecode(f *testing.F) {
 	frame := testFrame(10, 3)
 	cols := frame.Columns()
@@ -689,6 +707,7 @@ func FuzzUploadDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+		knownTo(t, srv, "base", "v", "m")
 		h := NewHandler(srv)
 		if rec := postUploads(t, h, artifactUpload{
 			ID: "base", ColIDs: frame.ColumnIDs()[:1], Names: frame.ColumnNames()[:1], Columns: cols[:1],
@@ -712,7 +731,7 @@ func FuzzUploadDecode(f *testing.F) {
 			}
 		}
 		for _, up := range items {
-			if rec.Code == http.StatusNoContent && !srv.Store.Has(up.ID) {
+			if rec.Code == http.StatusNoContent && srv.EG.Has(up.ID) && !srv.Store.Has(up.ID) {
 				t.Fatalf("answered 204 and %q is not stored", up.ID)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -243,7 +244,9 @@ func TestRemoteUpdatePricesNewFramesWithTheirLineage(t *testing.T) {
 			}
 			done()
 		}
-		return srv.EG.MaterializedIDs()
+		ids := srv.Store.StoredIDs()
+		sort.Strings(ids)
+		return ids
 	}
 	inProcess := run(t, func(srv *core.Server) (*core.Client, func()) {
 		return core.NewClient(srv), func() {}

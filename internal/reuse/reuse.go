@@ -43,7 +43,7 @@ func GatherCosts(w *graph.DAG, g *eg.Graph, st *store.Manager) Costs {
 					ci = v.ComputeTime.Seconds()
 				}
 			}
-			if v.Materialized && st.Has(n.ID) {
+			if st.Has(n.ID) {
 				// Price Cl(v) with the artifact's actual tier: a
 				// memory-resident artifact loads at memory speed, a demoted
 				// one at disk speed, so the load-vs-compute comparison tracks

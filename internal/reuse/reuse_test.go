@@ -230,7 +230,6 @@ func TestGatherCosts(t *testing.T) {
 	if err := st.Put(a.ID, a.Content); err != nil {
 		t.Fatal(err)
 	}
-	g.SetMaterialized(a.ID, true)
 
 	// Fresh incoming workload: same shape plus one unseen op.
 	w2 := graph.NewDAG()

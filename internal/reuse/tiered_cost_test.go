@@ -39,7 +39,6 @@ func TestPlannerPricesArtifactTier(t *testing.T) {
 	if err := st.Put(a.ID, a.Content); err != nil {
 		t.Fatal(err)
 	}
-	g.SetMaterialized(a.ID, true)
 
 	// Memory-resident: Cl ≈ 20 µs < Ci = 1 ms → load.
 	w2, a2 := build()

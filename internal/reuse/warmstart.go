@@ -49,10 +49,7 @@ func FindWarmstarts(w *graph.DAG, g *eg.Graph, st *store.Manager, plan *Plan) []
 				continue
 			}
 			cand := g.Vertex(childID)
-			if cand == nil || cand.Kind != graph.ModelKind || !cand.Materialized {
-				continue
-			}
-			if cand.Meta["model"] != wop.ModelKind() {
+			if cand == nil || cand.Kind != graph.ModelKind || cand.Meta["model"] != wop.ModelKind() {
 				continue
 			}
 			if !st.Has(childID) {

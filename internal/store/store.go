@@ -160,12 +160,9 @@ type Manager struct {
 	// (TestDetachedLedgerAllocatesAsAbsent).
 	ledger atomic.Pointer[obs.ArtifactLedger]
 
-	// lost lists what the manager dropped from its last tier on its own since
-	// TakeLosses last collected it, while tracking (TrackLosses). lossMu
-	// guards both: Peek records a failed disk read under the read lock.
-	lossMu   sync.Mutex
-	tracking bool
-	lost     []string
+	// drops counts what the manager dropped from its last tier on its own
+	// (Drops). Atomic: Peek counts a failed disk read under the read lock.
+	drops atomic.Uint64
 }
 
 // Instrument installs observability counters on the manager; the zero
@@ -232,38 +229,22 @@ func (m *Manager) reportLocked(vertexID string) {
 	led.Hold(vertexID, inMemory, onDisk, sz)
 }
 
-// TrackLosses starts the loss report: from then on the manager records every
-// artifact it drops from its last tier on its own — evicted under a memory
-// budget with no disk tier to demote to, evicted under the disk budget, or
-// unreadable on disk — until TakeLosses collects them. An owner that keeps a
-// flag per stored artifact needs it; a manager nobody asks keeps no list.
-func (m *Manager) TrackLosses() {
-	m.lossMu.Lock()
-	m.tracking = true
-	m.lossMu.Unlock()
-}
+// Drops counts the artifacts the manager has dropped from its last tier on
+// its own: evicted under a memory budget with no disk tier to demote to,
+// evicted under the disk budget, or unreadable on disk. A caller that put
+// something and sees the count move knows the put may have cost it another
+// artifact; what is held now is Has's to say.
+func (m *Manager) Drops() uint64 { return m.drops.Load() }
 
-// TakeLosses appends the artifacts lost since its last call to buf and
-// forgets them. An ID may since have been stored again.
-func (m *Manager) TakeLosses(buf []string) []string {
-	m.lossMu.Lock()
-	defer m.lossMu.Unlock()
-	buf = append(buf, m.lost...)
-	m.lost = m.lost[:0]
-	return buf
-}
-
-// loseLocked records the vertex in the loss report when no tier holds it any
-// more. The caller holds m.mu, for reading at least.
-func (m *Manager) loseLocked(vertexID string) {
-	if m.hasLocked(vertexID) {
-		return
-	}
-	m.lossMu.Lock()
-	if m.tracking {
-		m.lost = append(m.lost, vertexID)
-	}
-	m.lossMu.Unlock()
+// Holding calls fn, under the manager's read lock, with a predicate that
+// reports whether some tier holds a vertex's content: Has for many vertices
+// at the price of one lock, with answers consistent with each other. fn must
+// not call back into the manager. It may take other locks, as long as no
+// holder of those ever waits on the manager's.
+func (m *Manager) Holding(fn func(held func(vertexID string) bool)) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	fn(m.hasLocked)
 }
 
 // Ledger returns the attached artifact ledger, or nil.
@@ -532,7 +513,9 @@ func (m *Manager) getDiskLocked(vertexID string) graph.Artifact {
 		if led := m.ledger.Load(); led != nil {
 			led.Quarantine(vertexID)
 		}
-		m.loseLocked(vertexID)
+		if !m.hasLocked(vertexID) {
+			m.drops.Add(1)
+		}
 		return nil
 	}
 	return a
@@ -595,10 +578,7 @@ func (m *Manager) TierOf(vertexID string) Tier {
 }
 
 func (m *Manager) tierOfLocked(vertexID string) Tier {
-	if _, ok := m.frames[vertexID]; ok {
-		return TierMemory
-	}
-	if _, ok := m.blobs[vertexID]; ok {
+	if _, ok := m.logical[vertexID]; ok { // keyed by every frame and blob in memory
 		return TierMemory
 	}
 	if m.disk != nil && m.disk.Has(vertexID) {
@@ -743,7 +723,7 @@ func (m *Manager) enforceBudgetsLocked() {
 				delete(m.lastTouch, victim)
 				m.met.Evictions.Inc()
 				m.reportLocked(victim)
-				m.loseLocked(victim)
+				m.drops.Add(1)
 			}
 		}
 	}
@@ -765,7 +745,7 @@ func (m *Manager) enforceBudgetsLocked() {
 			if m.tierOfLocked(victim) == TierNone {
 				delete(m.lastUse, victim)
 				delete(m.lastTouch, victim)
-				m.loseLocked(victim)
+				m.drops.Add(1)
 			}
 		}
 	}
@@ -924,17 +904,5 @@ func (m *Manager) LoadCostFor(vertexID string, sizeBytes int64) float64 {
 func (m *Manager) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	n := len(m.frames) + len(m.blobs)
-	if m.disk != nil {
-		for _, id := range m.disk.StoredIDs() {
-			if _, f := m.frames[id]; f {
-				continue
-			}
-			if _, b := m.blobs[id]; b {
-				continue
-			}
-			n++
-		}
-	}
-	return n
+	return len(m.storedIDsLocked())
 }

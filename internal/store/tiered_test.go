@@ -3,7 +3,6 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -308,13 +307,11 @@ func TestDictColumnSurvivesTiers(t *testing.T) {
 	check(NewTiered(cost.Memory(), Options{Disk: d2}), "after restart")
 }
 
-// TestLossReport: a tracking manager reports each artifact it drops from its
-// last tier on its own — evicted by a memory budget with no disk tier, by the
-// disk budget, or quarantined by a read (Peek's, under the read lock, too) —
-// once, and nothing it still holds somewhere, evicts on request or demotes.
-// A manager that does not track keeps no list.
-func TestLossReport(t *testing.T) {
-	take := func(m *Manager) []string { return m.TakeLosses(nil) }
+// TestDropCount: the manager counts each artifact it drops from its last tier
+// on its own — evicted by a memory budget with no disk tier, by the disk
+// budget, or quarantined by a read (Peek's, under the read lock, too) — once,
+// and nothing it still holds somewhere, evicts on request or demotes.
+func TestDropCount(t *testing.T) {
 	put := func(m *Manager, ids ...string) {
 		t.Helper()
 		for _, id := range ids {
@@ -324,21 +321,11 @@ func TestLossReport(t *testing.T) {
 		}
 	}
 
-	untracked := NewTiered(cost.Memory(), Options{MemoryBudget: 160})
-	put(untracked, "v1", "v2", "v3")
-	if got := take(untracked); len(got) != 0 {
-		t.Errorf("an untracked manager reports %v", got)
-	}
-
 	memOnly := NewTiered(cost.Memory(), Options{MemoryBudget: 160})
-	memOnly.TrackLosses()
 	put(memOnly, "v1", "v2", "v3")
 	memOnly.Evict("v2")
-	if got := take(memOnly); !reflect.DeepEqual(got, []string{"v1"}) {
-		t.Errorf("memory budget, no disk: lost %v, want [v1]", got)
-	}
-	if got := take(memOnly); len(got) != 0 {
-		t.Errorf("a second take reports %v again", got)
+	if got := memOnly.Drops(); got != 1 || memOnly.Has("v1") {
+		t.Errorf("memory budget, no disk: %d drops (v1 held %v), want v1's", got, memOnly.Has("v1"))
 	}
 
 	dir := t.TempDir()
@@ -347,10 +334,9 @@ func TestLossReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiered := NewTiered(cost.Memory(), Options{MemoryBudget: 80, Disk: d, DiskBudget: 160})
-	tiered.TrackLosses()
 	put(tiered, "v1", "v2", "v3", "v4") // v1..v3 demoted, v1 then evicted from disk
-	if got := take(tiered); !reflect.DeepEqual(got, []string{"v1"}) {
-		t.Errorf("disk budget: lost %v, want [v1]", got)
+	if got := tiered.Drops(); got != 1 || tiered.Has("v1") {
+		t.Errorf("disk budget: %d drops (v1 held %v), want v1's", got, tiered.Has("v1"))
 	}
 	// Corrupt the column files behind the tier's back: a read that finds one
 	// quarantines the frame, and the store no longer holds it.
@@ -374,7 +360,7 @@ func TestLossReport(t *testing.T) {
 	if a, _ := tiered.Get("v3"); a != nil {
 		t.Fatal("a corrupt frame was served")
 	}
-	if got := take(tiered); !reflect.DeepEqual(got, []string{"v2", "v3"}) || tiered.Has("v2") || tiered.Has("v3") {
-		t.Errorf("quarantined reads: lost %v, want [v2 v3]", got)
+	if got := tiered.Drops(); got != 3 || tiered.Has("v2") || tiered.Has("v3") {
+		t.Errorf("quarantined reads: %d drops in all, want 3 (v1, v2, v3)", got)
 	}
 }

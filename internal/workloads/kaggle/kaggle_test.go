@@ -160,7 +160,7 @@ func TestWorkload1HasExternalVisualization(t *testing.T) {
 	for _, v := range srv.EG.Vertices() {
 		if v.External {
 			found = true
-			if v.Materialized {
+			if srv.Store.Has(v.ID) {
 				t.Error("external artifact must never be materialized")
 			}
 		}
