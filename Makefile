@@ -91,16 +91,19 @@ bench-pairs:
 # on-disk column codec (corruption must never decode successfully), the
 # artifact upload body (hostile bytes must never panic the handler or tear a
 # store entry), the update body, which carries artifacts too (a refused
-# update changes nothing), and the node list of a meta-data request
-# (FromWire accepts exactly the DAGs in topological order, and what it
-# accepts merges into the Experiment Graph whole). -fuzzminimizetime bounds
-# the minimizer, which otherwise spends its default minute on the first
-# gob-encoded request that widens coverage and explores nothing in a 10 s
-# budget.
+# update changes nothing), the optimize body (the planner and the warmstart
+# search answer only about the request's vertices and change nothing), and
+# the node list of a meta-data request (FromWire accepts exactly the DAGs in
+# topological order, and what it accepts merges into the Experiment Graph
+# whole). -fuzzminimizetime bounds the minimizer, which otherwise spends its
+# default minute on the first large input that widens coverage — an upload
+# body of columns, a W1 update with its models inline — and explores nothing
+# in a 10 s budget.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzColumnCodec -fuzztime=10s ./internal/tier/
 	$(GO) test -run=NONE -fuzz=FuzzUploadDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzOptimizeDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzFromWire -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 
 # lint-logs forbids unstructured logging in server-path packages: server

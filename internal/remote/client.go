@@ -121,7 +121,7 @@ func (c *Client) Optimize(w *graph.DAG, req *obs.Request) *core.Optimization {
 func (c *Client) OptimizeE(w *graph.DAG, req *obs.Request) (*core.Optimization, error) {
 	c.installHeld(w)
 	var resp OptimizeResponse
-	if err := c.postGob("/v1/optimize", req, &OptimizeRequest{Nodes: ToWire(w)}, &resp); err != nil {
+	if err := c.exchange("/v1/optimize", req, &OptimizeRequest{Nodes: ToWire(w)}, &resp); err != nil {
 		return nil, err
 	}
 	plan := &reuse.Plan{Reuse: make(map[string]bool, len(resp.ReuseIDs))}
@@ -159,7 +159,7 @@ func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Durati
 	c.holdContent(executed)
 	var resp UpdateResponse
 	body := &UpdateRequest{Nodes: ToWire(executed), WallTime: wall, Inline: inline(executed)}
-	if err := c.postGob("/v1/update", req, body, &resp); err != nil {
+	if err := c.exchange("/v1/update", req, body, &resp); err != nil {
 		return err
 	}
 	up := uploadBatch{held: make(map[string]bool)}
@@ -381,14 +381,11 @@ func distinctColumns(cols []*data.Column, skip map[string]bool) []*data.Column {
 // refused because a column they left out is no longer held; it admitted
 // the rest.
 func (c *Client) upload(items []artifactUpload, req *obs.Request) ([]string, error) {
-	r, err := c.post("/v1/artifact", req, func(enc *gob.Encoder) error {
-		for i := range items {
-			if err := enc.Encode(&items[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	body, err := encodeUploads(items)
+	if err != nil {
+		return nil, fmt.Errorf("remote: encode /v1/artifact body: %w", err)
+	}
+	r, err := c.post("/v1/artifact", req, body)
 	if err != nil {
 		return nil, err
 	}
@@ -406,8 +403,47 @@ func (c *Client) upload(items []artifactUpload, req *obs.Request) ([]string, err
 	return nil, fmt.Errorf("remote: upload of %d artifacts: HTTP %d", len(items), r.StatusCode)
 }
 
-func (c *Client) postGob(path string, req *obs.Request, body, resp any) error {
-	r, err := c.post(path, req, func(enc *gob.Encoder) error { return enc.Encode(body) })
+// encodeUploads writes items as an upload body, one gob stream, into a
+// buffer sized beforehand from the memoized sizes of the columns and blobs
+// they carry, so that encoding does not grow it from empty. gob trims the
+// zero bytes of small numbers and writes a string without its header, so the
+// size is an upper bound in practice: 1.04 to 1.7 times the body on a cold
+// Kaggle W1–W8 pass.
+func encodeUploads(items []artifactUpload) ([]byte, error) {
+	size := 0
+	for _, up := range items {
+		size += len(up.ID)
+		if up.Blob.Content != nil {
+			size += int(up.Blob.Content.SizeBytes())
+		}
+		for _, id := range up.ColIDs {
+			size += len(id)
+		}
+		for _, name := range up.Names {
+			size += len(name)
+		}
+		for _, col := range up.Columns {
+			size += len(col.ID) + len(col.Name) + int(col.SizeBytes())
+		}
+	}
+	var buf bytes.Buffer
+	buf.Grow(size)
+	enc := gob.NewEncoder(&buf)
+	for i := range items {
+		if err := enc.Encode(&items[i]); err != nil {
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
+// exchange POSTs a meta-data message and decodes the 200 answer into resp.
+func (c *Client) exchange(path string, req *obs.Request, body, resp message) error {
+	b, err := body.marshal()
+	if err != nil {
+		return fmt.Errorf("remote: encode %s body: %w", path, err)
+	}
+	r, err := c.post(path, req, b)
 	if err != nil {
 		return err
 	}
@@ -415,17 +451,19 @@ func (c *Client) postGob(path string, req *obs.Request, body, resp any) error {
 	if r.StatusCode != http.StatusOK {
 		return fmt.Errorf("remote: %s: HTTP %d", path, r.StatusCode)
 	}
-	return gob.NewDecoder(r.Body).Decode(resp)
+	answer, err := io.ReadAll(r.Body)
+	if err == nil {
+		err = resp.unmarshal(answer)
+	}
+	if err != nil {
+		return fmt.Errorf("remote: decode %s answer: %w", path, err)
+	}
+	return nil
 }
 
-// post sends a body that encode writes as one gob stream, encoded into a
-// buffer first so that Content-Length is exact.
-func (c *Client) post(path string, req *obs.Request, encode func(*gob.Encoder) error) (*http.Response, error) {
-	var buf bytes.Buffer
-	if err := encode(gob.NewEncoder(&buf)); err != nil {
-		return nil, fmt.Errorf("remote: encode %s body: %w", path, err)
-	}
-	return c.do(http.MethodPost, c.base+path, &buf, req)
+// post sends an encoded body; its length is the request's Content-Length.
+func (c *Client) post(path string, req *obs.Request, body []byte) (*http.Response, error) {
+	return c.do(http.MethodPost, c.base+path, bytes.NewReader(body), req)
 }
 
 // maxDrain bounds what closeBody reads of a body nobody decoded: an error

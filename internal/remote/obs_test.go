@@ -33,7 +33,7 @@ func postRaw(t *testing.T, url, path string, body []byte) *http.Response {
 func TestMalformedGobBodiesRejected(t *testing.T) {
 	_, rc, closeFn := newRemotePair(t)
 	defer closeFn()
-	garbage := []byte("definitely not gob")
+	garbage := []byte("definitely not a message")
 	for _, path := range []string{"/v1/optimize", "/v1/update", "/v1/artifact"} {
 		resp := postRaw(t, rc.base, path, garbage)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -113,17 +113,21 @@ func TestOptimizeResponseReuseIDsSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&OptimizeRequest{Nodes: ToWire(build())}); err != nil {
+	body, err := (&OptimizeRequest{Nodes: ToWire(build())}).marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp := postRaw(t, rc.base, "/v1/optimize", buf.Bytes())
+	resp := postRaw(t, rc.base, "/v1/optimize", body)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("optimize: status %d", resp.StatusCode)
 	}
+	answer, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var or OptimizeResponse
-	if err := gob.NewDecoder(resp.Body).Decode(&or); err != nil {
+	if err := or.unmarshal(answer); err != nil {
 		t.Fatal(err)
 	}
 	if len(or.ReuseIDs) < 2 {

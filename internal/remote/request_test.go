@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -109,7 +108,7 @@ func (l *transferLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		} else {
 			var req UpdateRequest
-			_ = gob.NewDecoder(bytes.NewReader(body)).Decode(&req) // the handler answers a bad body
+			_ = req.unmarshal(body) // the handler answers a bad body
 			for _, a := range req.Inline {
 				ids = append(ids, a.ID)
 			}

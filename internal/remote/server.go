@@ -123,7 +123,7 @@ func request(r *http.Request) *obs.Request {
 
 func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if !decodeBody(w, r, maxMetaBody, &req) {
+	if !readMessage(w, r, maxMetaBody, &req) {
 		return
 	}
 	dag := wireDAG(w, req.Nodes)
@@ -143,12 +143,12 @@ func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 			resp.PredictedLoadSec[i] = opt.Plan.PredictedLoad[id]
 		}
 	}
-	writeGob(w, &resp)
+	writeMessage(w, &resp)
 }
 
 func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	var req UpdateRequest
-	if !decodeBody(w, r, maxArtifactBody, &req) {
+	if !readMessage(w, r, maxArtifactBody, &req) {
 		return
 	}
 	dag := wireDAG(w, req.Nodes)
@@ -183,7 +183,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeGob(w, &resp)
+	writeMessage(w, &resp)
 }
 
 func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
@@ -261,7 +261,7 @@ func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
 
 // decodeUploads reads a whole upload body, a gob stream of artifactUpload
 // items of at most maxArtifactBody bytes, and checks the shape of each. It
-// answers as decodeBody does, and 400 for a body without items or an item
+// answers as readMessage does, and 400 for a body without items or an item
 // that is not exactly one blob or one manifest, and reports whether the
 // handler may go on.
 func decodeUploads(w http.ResponseWriter, r *http.Request) ([]artifactUpload, bool) {
@@ -547,11 +547,19 @@ func (h *Handler) artifacts(q url.Values) (any, *httpError) {
 	return led.Report(query), nil
 }
 
-// decodeBody gob-decodes a request body of at most limit bytes into v. It
-// answers 413 for a larger body and 400 for one that does not decode, and
-// reports whether the handler may go on.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+// readMessage reads a request body of at most limit bytes and decodes it
+// into m, which it must be exactly. It answers 413 for a larger body — at
+// once when its declared length says so — and 400 for one that does not
+// decode, and reports whether the handler may go on.
+func readMessage(w http.ResponseWriter, r *http.Request, limit int64, m message) bool {
+	if r.ContentLength > limit {
+		refuseBody(w, &http.MaxBytesError{Limit: limit}, limit)
+		return false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = m.unmarshal(body)
+	}
 	if err != nil {
 		refuseBody(w, err, limit)
 	}
@@ -578,6 +586,18 @@ func wireDAG(w http.ResponseWriter, nodes []WireNode) *graph.DAG {
 		return nil
 	}
 	return dag
+}
+
+// writeMessage answers 200 with m, or 500 when m cannot be encoded.
+func writeMessage(w http.ResponseWriter, m message) {
+	b, err := m.marshal()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	_, _ = w.Write(b)
 }
 
 func writeGob(w http.ResponseWriter, v any) {

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -185,7 +184,7 @@ func (m *stepMeter) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		resp.Body = io.NopCloser(bytes.NewReader(answer))
 		var or OptimizeResponse
-		if err := gob.NewDecoder(bytes.NewReader(answer)).Decode(&or); err != nil {
+		if err := or.unmarshal(answer); err != nil {
 			return nil, err
 		}
 		m.planned = append(m.planned, or.ReuseIDs...)
@@ -339,12 +338,12 @@ func FuzzUpdateDecode(f *testing.F) {
 		{Nodes: ToWire(small), Inline: inline(small)},
 		{Nodes: ToWire(small), Inline: smuggled}, // a dataset inline: 400
 	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+		body, err := req.marshal()
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated gob
+		f.Add(body)
+		f.Add(body[:len(body)/2]) // truncated
 	}
 	f.Add([]byte{})
 

@@ -75,7 +75,7 @@ func (m *uploadMeter) RoundTrip(req *http.Request) (*http.Response, error) {
 	defer m.mu.Unlock()
 	if !upload {
 		var ur UpdateResponse
-		if resp.StatusCode == http.StatusOK && gob.NewDecoder(bytes.NewReader(answer)).Decode(&ur) == nil && len(ur.WantContent) > 0 {
+		if resp.StatusCode == http.StatusOK && ur.unmarshal(answer) == nil && len(ur.WantContent) > 0 {
 			m.wanting++
 		}
 		return resp, nil
@@ -600,35 +600,42 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 }
 
 // TestOversizedBodiesAnswered413 covers the bounded-body helper with a small
-// limit (the real limits are tens of megabytes and more) and the real
-// routes: a gob message header that announces more than the optimize route
-// allows, then keeps sending, is cut off at its bound; the update route,
-// which carries artifacts, reads the same body past that bound to its end.
+// limit (the real limits are tens of megabytes and more) — a body that
+// declares more is refused before it is read, one of unknown length once it
+// runs past — and the real routes: an optimize body that keeps sending is cut
+// off at its bound; the update route, which carries artifacts, reads the same
+// body past that bound to its end and finds bytes after the message.
 func TestOversizedBodiesAnswered413(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&OptimizeRequest{Nodes: make([]WireNode, 64)}); err != nil {
+	body, err := (&OptimizeRequest{Nodes: make([]WireNode, 64)}).marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(buf.Bytes()))
-	var out OptimizeRequest
-	if decodeBody(rec, req, 32, &out) || rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("body over the limit: status %d, want 413", rec.Code)
+	for _, declared := range []bool{true, false} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body))
+		if !declared {
+			req.ContentLength = -1
+		}
+		var out OptimizeRequest
+		if readMessage(rec, req, 32, &out) || rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("body over the limit, length declared %v: status %d, want 413", declared, rec.Code)
+		}
 	}
-	rec = httptest.NewRecorder()
-	req = httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(buf.Bytes()))
-	if !decodeBody(rec, req, int64(buf.Len()), &out) || len(out.Nodes) != 64 {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body))
+	var out OptimizeRequest
+	if !readMessage(rec, req, int64(len(body)), &out) || len(out.Nodes) != 64 {
 		t.Errorf("body at the limit was refused: status %d", rec.Code)
 	}
 
 	_, rc, closeFn := newRemotePair(t)
 	defer closeFn()
-	for route, want := range map[string]int{
-		"/v1/optimize": http.StatusRequestEntityTooLarge,
-		"/v1/update":   http.StatusBadRequest, // truncated, not too large: its bound is maxArtifactBody
-	} {
-		huge := io.MultiReader(bytes.NewReader([]byte{0xFC, 0x10, 0x00, 0x00, 0x00}), // message length 256 MiB
-			io.LimitReader(zeros{}, maxMetaBody+1))
+	for route, magic := range map[string]string{"/v1/optimize": optimizeRequestMagic, "/v1/update": updateRequestMagic} {
+		want := http.StatusRequestEntityTooLarge
+		if route == "/v1/update" {
+			want = http.StatusBadRequest // not too large: its bound is maxArtifactBody
+		}
+		huge := io.MultiReader(strings.NewReader(magic), io.LimitReader(zeros{}, maxMetaBody+1))
 		resp, err := http.Post(rc.base+route, "application/octet-stream", huge)
 		if err != nil {
 			t.Fatal(err)

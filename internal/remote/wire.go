@@ -5,8 +5,11 @@
 // produced ride along with its update, and datasets are uploaded, in one
 // body per update, when the server's materializer selects them.
 //
-// Wire format: gob; graph.RegisterGobTypes lists the artifact and model
-// types that travel inside Artifact values.
+// Wire format: the meta-data routes, optimize and update, speak the
+// hand-written binary codec of codec.go. Artifact content travels as gob:
+// the update's inline section, upload bodies and downloads.
+// graph.RegisterGobTypes lists the artifact and model types that travel
+// inside Artifact values.
 package remote
 
 import (
@@ -38,7 +41,8 @@ type WireNode struct {
 	ComputeTime   time.Duration
 	SizeBytes     int64
 	Quality       float64
-	// Columns and ColSizes carry dataset lineage for dedup accounting.
+	// Columns and ColSizes carry dataset lineage for dedup accounting and
+	// the update's Have answer; an optimize request leaves them behind.
 	Columns  []string
 	ColSizes []int64
 	// TrainedKind is the learner kind of an executed model vertex
@@ -66,8 +70,7 @@ type OptimizeResponse struct {
 	Overhead   time.Duration
 	// PredictedLoadSec is aligned index-for-index with ReuseIDs: the
 	// planner's Cl(v) prediction in seconds for each reused vertex, so the
-	// client's executor can annotate fetches for calibration. Empty from
-	// older servers.
+	// client's executor can annotate fetches for calibration.
 	PredictedLoadSec []float64
 }
 
@@ -76,8 +79,7 @@ type OptimizeResponse struct {
 type UpdateRequest struct {
 	Nodes []WireNode
 	// WallTime is the client's measured Execute wall-clock time, for the
-	// calibration scorecard. A client that predates it sends an eight-field
-	// run summary instead, which gob drops: its wall time reads as 0.
+	// calibration scorecard.
 	WallTime time.Duration
 	// Inline holds the models, aggregates and transformers the run computed
 	// (not Computed, not LoadedFromEG): small next to the frames, and mostly
@@ -103,9 +105,9 @@ type UpdateResponse struct {
 	// update) of the columns the server's store already holds, which the
 	// client leaves out of the upload. Indices, not lineage IDs, so the
 	// response grows by a byte per held column. A missing or empty entry
-	// means "holds none" — gob cannot tell nil from empty, so the list names
-	// what is held, not what is needed: the safe reading of silence is a
-	// full upload.
+	// means "holds none" — the codec carries an empty list as nothing, so the
+	// list names what is held, not what is needed: the safe reading of
+	// silence is a full upload.
 	Have [][]int
 }
 
@@ -139,8 +141,8 @@ type artifactEnvelope struct {
 	Content graph.Artifact
 }
 
-// Request bodies are bounded: a meta-data request (optimize) carries a few
-// hundred bytes per workload vertex; an update adds the run's inline
+// Request bodies are bounded: a meta-data request (optimize) carries about
+// fifty bytes per workload vertex; an update adds the run's inline
 // artifacts and an upload carries the content an update wants, both capped
 // in practice by the default materialization budget (1 GiB). Larger bodies
 // are answered 413.
@@ -301,7 +303,9 @@ func (o wireWarmstartOp) SetDonor(ml.Model)  {}
 // be a DAG in topological order, as ToWire produces it. A node that repeats
 // an ID, or names a parent that does not precede it, is an error — dropping
 // the edge instead would turn an operation's output into a "source", which
-// the updater stores outside the budget.
+// the updater stores outside the budget. (A list decoded off the wire has
+// its parents as indices of earlier nodes already; the rule stands for
+// in-process callers.)
 func FromWire(nodes []WireNode) (*graph.DAG, error) {
 	w := graph.NewDAG()
 	byID := make(map[string]*graph.Node, len(nodes))

@@ -2,11 +2,11 @@ package remote
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -21,16 +21,55 @@ import (
 	"repro/internal/store"
 )
 
-// postMeta gob-encodes a meta-data request and POSTs it at the handler.
-func postMeta(t testing.TB, h http.Handler, path string, body any) int {
+// postMeta encodes a meta-data message and POSTs it at the handler.
+func postMeta(t testing.TB, h http.Handler, path string, body message) int {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(body); err != nil {
+	b, err := body.marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(h, path, b).Code
+}
+
+// postBody POSTs raw bytes at the handler.
+func postBody(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, &buf))
-	return rec.Code
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// metaBody writes nodes as a request body of route, every parent as the
+// index of the first node that carries its ID, or the list's length when
+// none does. So it writes lists the client's encoder refuses: a parent that
+// does not precede its child is an index at or after the child's own.
+func metaBody(t testing.TB, route string, nodes []WireNode) []byte {
+	t.Helper()
+	var parents []int
+	for _, wn := range nodes {
+		for _, p := range wn.Parents {
+			j := slices.IndexFunc(nodes, func(n WireNode) bool { return n.ID == p })
+			if j < 0 {
+				j = len(nodes)
+			}
+			parents = append(parents, j)
+		}
+	}
+	update := route == "/v1/update"
+	magic := optimizeRequestMagic
+	if update {
+		magic = updateRequestMagic
+	}
+	b, err := marshal(magic, func(e *encoder) {
+		e.nodes(nodes, parents, update)
+		if update {
+			e.uvarint(0) // wall time
+			e.uvarint(0) // no inline artifact
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // wellFormed is the rule FromWire enforces, stated independently: IDs are
@@ -56,7 +95,9 @@ func wellFormed(nodes []WireNode) bool {
 // order is a 400 on both meta-data routes and leaves the Experiment Graph
 // as it was — before, the offending edge was dropped, and an operation's
 // output entered the graph as a "source" the updater stores outside the
-// budget and asks the client to upload.
+// budget and asks the client to upload. On the wire a parent is an index,
+// so the codec refuses one that does not precede its child and FromWire a
+// repeated ID.
 func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 	src := WireNode{ID: "s", Kind: graph.DatasetKind, Name: "s"}
 	a := WireNode{ID: "a", Kind: graph.DatasetKind, Name: "a", OpHash: "ha", Parents: []string{"s"}, ComputeTime: time.Second, SizeBytes: 10}
@@ -79,11 +120,7 @@ func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 	for _, route := range []string{"/v1/optimize", "/v1/update"} {
 		for _, tc := range cases {
 			srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
-			var body any = &OptimizeRequest{Nodes: tc.nodes}
-			if route == "/v1/update" {
-				body = &UpdateRequest{Nodes: tc.nodes}
-			}
-			if code := postMeta(t, NewHandler(srv), route, body); code != tc.want {
+			if code := postBody(NewHandler(srv), route, metaBody(t, route, tc.nodes)).Code; code != tc.want {
 				t.Errorf("%s %s: status %d, want %d", route, tc.name, code, tc.want)
 			}
 			if tc.want == 400 && (srv.EG.Len() != 0 || srv.UpdateCount() != 0) {
@@ -96,38 +133,28 @@ func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 	}
 }
 
-// oldShapeUpdate is the gob encoding of an UpdateRequest written when it
-// still carried the client's eight-field run summary (a Run pointer, every
-// field set, wall time 1.5s) instead of WallTime: a source "s" and its
-// child "a". It is what a client of that version sends on /v1/update.
-const oldShapeUpdate = "Ln8DAQENVXBkYXRlUmVxdWVzdAH/gAABAgEFTm9kZXMB/4gAAQNSdW4B/4oAAAAg/4cCAQERW11yZW1vdGUuV2lyZU5vZGUB/4gAAf+CAAD+AQf/gQMBAQhXaXJlTm9kZQH/ggABEgECSUQBDAABBEtpbmQBBgABBE5hbWUBDAABBk9wSGFzaAEMAAEIRXh0ZXJuYWwBAgABDVdhcm1zdGFydEtpbmQBDAABB1BhcmVudHMB/4QAAQhDb21wdXRlZAECAAELQ29tcHV0ZVRpbWUBBAABCVNpemVCeXRlcwEEAAEHUXVhbGl0eQEIAAEHQ29sdW1ucwH/hAABCENvbFNpemVzAf+GAAELVHJhaW5lZEtpbmQBDAABDExvYWRlZEZyb21FRwECAAEJRmV0Y2hUaW1lAQQAAQlGZXRjaFRpZXIBDAABDVByZWRpY3RlZExvYWQBBAAAABb/gwIBAQhbXXN0cmluZwH/hAABDAAAFf+FAgEBB1tdaW50NjQB/4YAAQQAAP+D/4kDAQEJQ2xpZW50UnVuAf+KAAEIAQhXYWxsVGltZQEEAAEHUnVuVGltZQEEAAELQ29tcHV0ZVRpbWUBBAABCExvYWRUaW1lAQQAAQlGZXRjaFRpbWUBBAABCEV4ZWN1dGVkAQQAAQZSZXVzZWQBBAABC1dhcm1zdGFydGVkAQQAAABO/4ABAgEBcwIBcwUBAv/IAAEBYQIBYQECaGEDAQFzAvx3NZQAARQAAQH8stBeAAH8jw0YAAH8dzWUAAH8F9eEAAH8EeGjAAECAQQBBgAA"
-
-// TestUpdateOfTheOldShapeStillMerges: gob drops the run summary the new
-// UpdateRequest lacks, so an update from a client that predates WallTime
-// decodes with a wall time of 0 and merges whole.
-func TestUpdateOfTheOldShapeStillMerges(t *testing.T) {
-	raw, err := base64.StdEncoding.DecodeString(oldShapeUpdate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var req UpdateRequest
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
-		t.Fatal(err)
-	}
-	if len(req.Nodes) != 2 || req.Nodes[1].ComputeTime != time.Second || req.WallTime != 0 {
-		t.Fatalf("decoded %d nodes %+v, wall time %v: want s and a, wall time 0", len(req.Nodes), req.Nodes, req.WallTime)
-	}
-	srv := core.NewServer(store.New(cost.Memory()))
-	rec := httptest.NewRecorder()
-	NewHandler(srv).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(raw)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/update of the old shape: status %d: %s", rec.Code, rec.Body)
-	}
-	if srv.EG.Len() != 2 || srv.EG.Vertex("a") == nil {
-		t.Fatalf("EG holds %d vertices after the update, want s and a", srv.EG.Len())
-	}
-	if err := egtest.Check(srv.EG); err != nil {
-		t.Fatal(err)
+// TestGobBodiesAreRefused: the meta-data routes speak the codec only, so a
+// client of the gob protocol is refused on both — 400, and nothing of its
+// request reaches the server — not half understood.
+func TestGobBodiesAreRefused(t *testing.T) {
+	dag := buildPipeline(testFrame(20, 1))
+	dag.MarkComputed()
+	for route, body := range map[string]any{
+		"/v1/optimize": &OptimizeRequest{Nodes: ToWire(dag)},
+		"/v1/update":   &UpdateRequest{Nodes: ToWire(dag), WallTime: time.Second},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(body); err != nil {
+			t.Fatal(err)
+		}
+		srv := core.NewServer(store.New(cost.Memory()))
+		rec := postBody(NewHandler(srv), route, buf.Bytes())
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s with a gob body: status %d, want 400", route, rec.Code)
+		}
+		if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.OptimizeCount() != 0 || srv.UpdateCount() != 0 {
+			t.Errorf("%s: the refused gob body reached the server", route)
+		}
 	}
 }
 
@@ -150,7 +177,7 @@ func nodesFromBytes(b []byte) []WireNode {
 	return nodes
 }
 
-// FuzzFromWire feeds FromWire node lists — a gob-encoded UpdateRequest when
+// FuzzFromWire feeds FromWire node lists — the nodes of an update body when
 // the input decodes as one, a list read off the raw bytes otherwise. It must
 // accept exactly the well-formed lists, and what it accepts must merge into
 // an Experiment Graph whole (every node finds its parents) and leave the
@@ -161,11 +188,7 @@ func FuzzFromWire(f *testing.F) {
 		{{ID: "s"}, {ID: "b", Parents: []string{"a"}}, {ID: "a", Parents: []string{"s"}}},
 		{{ID: "s"}, {ID: "s"}},
 	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&UpdateRequest{Nodes: nodes}); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(metaBody(f, "/v1/update", nodes))
 	}
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 0, 2, 2, 0, 1}) // a; b ← a; c ← a, b
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0})             // b ← a before a
@@ -173,7 +196,7 @@ func FuzzFromWire(f *testing.F) {
 	f.Add([]byte{3, 1, 3, 0})                         // d ← d
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req UpdateRequest
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		if err := req.unmarshal(body); err != nil {
 			req.Nodes = nodesFromBytes(body)
 		}
 		dag, err := FromWire(req.Nodes)
