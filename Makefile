@@ -88,10 +88,11 @@ bench-pairs:
 	@scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)"
 
 # fuzz replays the seed corpora and explores, for a short budget each, the
-# on-disk column codec (corruption must never decode successfully), the
-# artifact upload body (hostile bytes must never panic the handler or tear a
-# store entry), the update body, which carries artifacts too (a refused
-# update changes nothing), the optimize body (the planner and the warmstart
+# column codec (corruption must never decode successfully), the artifact
+# upload body (hostile bytes must never panic the handler or tear a store
+# entry), the client's download decoder (never a panic, never a byte after
+# the message accepted), the update body, which carries artifacts too (a
+# refused update changes nothing), the optimize body (the planner and the warmstart
 # search answer only about the request's vertices and change nothing), and
 # the node list of a meta-data request (FromWire accepts exactly the DAGs in
 # topological order, and what it accepts merges into the Experiment Graph
@@ -102,6 +103,7 @@ bench-pairs:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzColumnCodec -fuzztime=10s ./internal/tier/
 	$(GO) test -run=NONE -fuzz=FuzzUploadDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzArtifactDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzOptimizeDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzFromWire -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/

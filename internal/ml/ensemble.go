@@ -99,14 +99,22 @@ func (g *GradientBoostedTrees) FitColumns(cols []*data.Column, rows []int, y []f
 			}
 		})
 	}
-	overRows(256, func(i int) {
-		s := g.Base
-		for _, tr := range g.Trees { // a warmstart donor's
-			s += g.LearningRate * tr.predictAt(cols, i)
-		}
-		score[i] = s
-		grad[i] = y[i] - sigmoid(s)
-	})
+	if len(g.Trees) == 0 {
+		p := sigmoid(g.Base) // every row starts from the prior
+		overRows(256, func(i int) {
+			score[i] = g.Base
+			grad[i] = y[i] - p
+		})
+	} else {
+		overRows(256, func(i int) {
+			s := g.Base
+			for _, tr := range g.Trees { // a warmstart donor's
+				s += g.LearningRate * tr.predictAt(cols, i)
+			}
+			score[i] = s
+			grad[i] = y[i] - sigmoid(s)
+		})
+	}
 	g.TreesGrown = 0
 	gr := newGrower(binColumns(cols), g.MaxDepth, 4)
 	idx := make([]int, len(rows))

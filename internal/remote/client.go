@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -277,12 +276,16 @@ func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) 
 		}
 		return nil, ""
 	}
-	var env artifactEnvelope
-	if err := gob.NewDecoder(resp.Body).Decode(&env); err != nil {
+	body, err := readBody(resp.Body, resp.ContentLength)
+	var answer downloadResponse
+	if err == nil {
+		err = answer.unmarshal(body)
+	}
+	if err != nil {
 		c.fail(fmt.Errorf("remote: decode artifact %s: %w", id, err))
 		return nil, ""
 	}
-	return env.Content, resp.Header.Get(TierHeader)
+	return answer.Content, resp.Header.Get(TierHeader)
 }
 
 // FetchTiered implements core.ArtifactSource: transfers always cost the
@@ -347,7 +350,7 @@ type uploadBatch struct {
 func (b *uploadBatch) add(id string, content graph.Artifact, have []int) {
 	ds, ok := content.(*graph.DatasetArtifact)
 	if !ok || ds.Frame == nil || ds.Frame.NumCols() == 0 {
-		b.items = append(b.items, artifactUpload{ID: id, Blob: artifactEnvelope{Content: content}})
+		b.items = append(b.items, artifactUpload{ID: id, Blob: content})
 		return
 	}
 	cols := ds.Frame.Columns()
@@ -381,77 +384,32 @@ func distinctColumns(cols []*data.Column, skip map[string]bool) []*data.Column {
 // refused because a column they left out is no longer held; it admitted
 // the rest.
 func (c *Client) upload(items []artifactUpload, req *obs.Request) ([]string, error) {
-	body, err := encodeUploads(items)
-	if err != nil {
-		return nil, fmt.Errorf("remote: encode /v1/artifact body: %w", err)
-	}
-	r, err := c.post("/v1/artifact", req, body)
-	if err != nil {
-		return nil, err
-	}
-	defer closeBody(r)
-	switch r.StatusCode {
-	case http.StatusNoContent:
-		return nil, nil
-	case http.StatusOK:
-		var resp uploadResponse
-		if err := gob.NewDecoder(r.Body).Decode(&resp); err != nil {
-			return nil, fmt.Errorf("remote: decode upload answer: %w", err)
-		}
-		return resp.Absent, nil
-	}
-	return nil, fmt.Errorf("remote: upload of %d artifacts: HTTP %d", len(items), r.StatusCode)
+	var resp uploadResponse
+	err := c.exchange("/v1/artifact", req, &uploadRequest{Items: items}, &resp)
+	return resp.Absent, err
 }
 
-// encodeUploads writes items as an upload body, one gob stream, into a
-// buffer sized beforehand from the memoized sizes of the columns and blobs
-// they carry, so that encoding does not grow it from empty. gob trims the
-// zero bytes of small numbers and writes a string without its header, so the
-// size is an upper bound in practice: 1.04 to 1.7 times the body on a cold
-// Kaggle W1–W8 pass.
-func encodeUploads(items []artifactUpload) ([]byte, error) {
-	size := 0
-	for _, up := range items {
-		size += len(up.ID)
-		if up.Blob.Content != nil {
-			size += int(up.Blob.Content.SizeBytes())
-		}
-		for _, id := range up.ColIDs {
-			size += len(id)
-		}
-		for _, name := range up.Names {
-			size += len(name)
-		}
-		for _, col := range up.Columns {
-			size += len(col.ID) + len(col.Name) + int(col.SizeBytes())
-		}
-	}
-	var buf bytes.Buffer
-	buf.Grow(size)
-	enc := gob.NewEncoder(&buf)
-	for i := range items {
-		if err := enc.Encode(&items[i]); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// exchange POSTs a meta-data message and decodes the 200 answer into resp.
+// exchange POSTs a message, its length the request's Content-Length, and
+// decodes a 200 answer into resp. A 204 answer has no body and leaves resp
+// as it was; any other status is an error.
 func (c *Client) exchange(path string, req *obs.Request, body, resp message) error {
 	b, err := body.marshal()
 	if err != nil {
 		return fmt.Errorf("remote: encode %s body: %w", path, err)
 	}
-	r, err := c.post(path, req, b)
+	r, err := c.do(http.MethodPost, c.base+path, bytes.NewReader(b), req)
 	if err != nil {
 		return err
 	}
 	defer closeBody(r)
-	if r.StatusCode != http.StatusOK {
+	switch r.StatusCode {
+	case http.StatusOK:
+	case http.StatusNoContent:
+		return nil
+	default:
 		return fmt.Errorf("remote: %s: HTTP %d", path, r.StatusCode)
 	}
-	answer, err := io.ReadAll(r.Body)
+	answer, err := readBody(r.Body, r.ContentLength)
 	if err == nil {
 		err = resp.unmarshal(answer)
 	}
@@ -459,11 +417,6 @@ func (c *Client) exchange(path string, req *obs.Request, body, resp message) err
 		return fmt.Errorf("remote: decode %s answer: %w", path, err)
 	}
 	return nil
-}
-
-// post sends an encoded body; its length is the request's Content-Length.
-func (c *Client) post(path string, req *obs.Request, body []byte) (*http.Response, error) {
-	return c.do(http.MethodPost, c.base+path, bytes.NewReader(body), req)
 }
 
 // maxDrain bounds what closeBody reads of a body nobody decoded: an error

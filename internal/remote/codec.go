@@ -10,19 +10,23 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/reuse"
+	"repro/internal/tier"
 )
 
-// The meta-data codec: the bodies of POST /v1/optimize and POST /v1/update,
-// both directions (DESIGN.md "Remote protocol → The meta-data codec"). Each
-// message is written into a buffer of exactly its length and read back
-// without reflection; a body must be one whole message, nothing before and
-// nothing after it.
+// The codec of every body the protocol moves (DESIGN.md "Remote protocol →
+// The meta-data codec" and "→ The artifact messages"): POST /v1/optimize and
+// POST /v1/update both ways, the upload body of POST /v1/artifact and its
+// answer, and the answer to GET /v1/artifact. Each message is written into a
+// buffer of exactly its length and read back without reflection; a body
+// must be one whole message, nothing before and nothing after it.
 //
 //	message  = magic fields
-//	magic    = "C", route ("O" optimize | "U" update),
-//	           direction ("Q" request | "R" response), version ("1")
+//	magic    = "C", route ("O" optimize | "U" update | "P" upload |
+//	           "G" download), direction ("Q" request | "R" response),
+//	           version ("1")
 //	uvarint  = encoding/binary's unsigned varint; sizes and durations too, so
 //	           none can be negative
 //	str      = uvarint 0, 16 bytes       a string of 32 lowercase hex digits
@@ -39,16 +43,39 @@ import (
 //	"COR1" list(str reuse ID) list(str vertex, str donor, float quality)
 //	       uvarint(overhead, ns) list(float predicted load, s)
 //	"CUR1" list(str wanted ID) list(list(uvarint held column index))
+//	"CPQ1" list(str ID, artifact)
+//	"CPR1" list(str refused ID)
+//	"CGR1" artifact
+//
+//	artifact = "B" uvarint len, len bytes: the gob of one artifactEnvelope
+//	         | "D" list(str column ID, str name)
+//	           list(uvarint len, len bytes: a tier column record)
 //
 // A node is a presence bitmask (uvarint, bit i for field i of nodeFields)
 // followed by the fields whose bit is set, in bit order. A zero field is
 // left out; a bool is its bit alone. A parent is the index of an earlier
 // node of the same list.
+//
+// An artifact is a model, aggregate or transformer as one gob envelope
+// ("B"), or a dataset ("D"): its manifest — the frame's column lineage IDs
+// in order, with the names they carry in it — and columns as version-2
+// records of internal/tier, each checked against its own checksum when it
+// is read. An upload item carries the columns the server does not hold; a
+// download carries each distinct column of the frame once.
 const (
 	optimizeRequestMagic  = "COQ1"
 	updateRequestMagic    = "CUQ1"
 	optimizeResponseMagic = "COR1"
 	updateResponseMagic   = "CUR1"
+	uploadRequestMagic    = "CPQ1"
+	uploadResponseMagic   = "CPR1"
+	downloadResponseMagic = "CGR1"
+)
+
+// The forms of an artifact.
+const (
+	blobForm    = 'B'
+	datasetForm = 'D'
 )
 
 // The fields of a node, in WireNode's order: one presence bit each.
@@ -78,7 +105,7 @@ const (
 	columnFields = hasColumns | hasColSizes
 )
 
-// message is a body of the meta-data routes.
+// message is a body the protocol moves.
 type message interface {
 	marshal() ([]byte, error)
 	unmarshal(body []byte) error
@@ -232,6 +259,239 @@ func (m *UpdateResponse) unmarshal(body []byte) error {
 		}
 	}
 	return d.finish()
+}
+
+func (m *uploadRequest) marshal() ([]byte, error) {
+	content := make([]encodedArtifact, len(m.Items))
+	for i, up := range m.Items {
+		var err error
+		if content[i], err = encodeArtifact(up.Blob, up.ColIDs, up.Names, up.Columns); err != nil {
+			return nil, fmt.Errorf("artifact %q: %w", up.ID, err)
+		}
+	}
+	return marshal(uploadRequestMagic, func(e *encoder) {
+		e.uvarint(uint64(len(m.Items)))
+		for i, up := range m.Items {
+			e.str(up.ID)
+			e.artifact(&content[i])
+		}
+	})
+}
+
+// unmarshal reads an upload body and checks the shape of every item: an ID,
+// and a blob that is not a dataset with columns or a manifest naming at
+// least one column, whose records all decode.
+func (m *uploadRequest) unmarshal(body []byte) error {
+	d := decoder{b: body}
+	d.header(uploadRequestMagic)
+	n := d.count(3) // an ID, a form byte and a length at least
+	if n == 0 {
+		d.fail("upload carries no artifact")
+	}
+	m.Items = make([]artifactUpload, n)
+	for i := range m.Items {
+		up := &m.Items[i]
+		if up.ID = d.str(); up.ID == "" {
+			d.fail("item %d: missing id", i)
+		}
+		up.Blob, up.ColIDs, up.Names, up.Columns = d.artifact()
+		if d.err != nil {
+			return fmt.Errorf("artifact %q: %w", up.ID, d.err)
+		}
+	}
+	return d.finish()
+}
+
+func (m *uploadResponse) marshal() ([]byte, error) {
+	return marshal(uploadResponseMagic, func(e *encoder) { e.strs(m.Absent) })
+}
+
+func (m *uploadResponse) unmarshal(body []byte) error {
+	d := decoder{b: body}
+	d.header(uploadResponseMagic)
+	m.Absent = d.strs()
+	return d.finish()
+}
+
+// marshal writes a dataset with columns as its manifest and each distinct
+// column once, anything else as a blob.
+func (m *downloadResponse) marshal() ([]byte, error) {
+	var content encodedArtifact
+	var err error
+	if ds, ok := m.Content.(*graph.DatasetArtifact); ok && ds.Frame != nil && ds.Frame.NumCols() > 0 {
+		f := ds.Frame
+		content, err = encodeArtifact(nil, f.ColumnIDs(), f.ColumnNames(), distinctColumns(f.Columns(), nil))
+	} else {
+		content, err = encodeArtifact(m.Content, nil, nil, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return marshal(downloadResponseMagic, func(e *encoder) { e.artifact(&content) })
+}
+
+// unmarshal reads a download and assembles a dataset's frame: every column
+// of the manifest from the record of its lineage ID, under the manifest's
+// name. The records must be exactly the manifest's distinct columns.
+func (m *downloadResponse) unmarshal(body []byte) error {
+	d := decoder{b: body}
+	d.header(downloadResponseMagic)
+	blob, colIDs, names, cols := d.artifact()
+	if err := d.finish(); err != nil {
+		return err
+	}
+	if blob != nil {
+		m.Content = blob
+		return nil
+	}
+	byID := make(map[string]*data.Column, len(cols))
+	for _, c := range cols {
+		if byID[c.ID] != nil {
+			return fmt.Errorf("column %s sent twice", c.ID)
+		}
+		byID[c.ID] = c
+	}
+	frameCols := make([]*data.Column, len(colIDs))
+	named := make(map[string]bool, len(colIDs))
+	for i, id := range colIDs {
+		c := byID[id]
+		if c == nil {
+			return fmt.Errorf("column %s of the manifest not sent", id)
+		}
+		named[id] = true
+		if c.Name != names[i] {
+			c = c.WithID(id)
+			c.Name = names[i]
+		}
+		frameCols[i] = c
+	}
+	if len(named) != len(cols) {
+		return fmt.Errorf("%d columns sent that the manifest does not name", len(cols)-len(named))
+	}
+	f, err := data.NewFrame(frameCols...)
+	if err != nil {
+		return err
+	}
+	m.Content = &graph.DatasetArtifact{Frame: f}
+	return nil
+}
+
+// encodedArtifact is an artifact encoded ahead of its message, so that the
+// counting pass of marshal only adds up lengths: the gob envelope of a blob,
+// or a manifest and column records.
+type encodedArtifact struct {
+	blob          []byte
+	colIDs, names []string
+	records       [][]byte
+}
+
+// encodeArtifact encodes a blob, or — when there is a manifest or a column —
+// a dataset.
+func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Column) (encodedArtifact, error) {
+	if colIDs == nil && cols == nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&artifactEnvelope{Content: blob}); err != nil {
+			return encodedArtifact{}, err
+		}
+		return encodedArtifact{blob: buf.Bytes()}, nil
+	}
+	if blob != nil {
+		return encodedArtifact{}, fmt.Errorf("carries both a blob and a manifest")
+	}
+	if len(names) != len(colIDs) {
+		return encodedArtifact{}, fmt.Errorf("%d column ids, %d names", len(colIDs), len(names))
+	}
+	a := encodedArtifact{colIDs: colIDs, names: names, records: make([][]byte, len(cols))}
+	for i, c := range cols {
+		var err error
+		if a.records[i], err = tier.EncodeColumn(c); err != nil {
+			return encodedArtifact{}, err
+		}
+	}
+	return a, nil
+}
+
+func (e *encoder) artifact(a *encodedArtifact) {
+	if a.blob != nil {
+		e.write([]byte{blobForm})
+		e.uvarint(uint64(len(a.blob)))
+		e.write(a.blob)
+		return
+	}
+	e.write([]byte{datasetForm})
+	e.uvarint(uint64(len(a.colIDs)))
+	for i := range a.colIDs {
+		e.str(a.colIDs[i])
+		e.str(a.names[i])
+	}
+	e.uvarint(uint64(len(a.records)))
+	for _, r := range a.records {
+		e.uvarint(uint64(len(r)))
+		e.write(r)
+	}
+}
+
+// minRecord is the size of the shortest column record: magic, dtype, two
+// empty strings, a row count and a checksum.
+const minRecord = 4 + 1 + 2 + 2 + 4 + 4
+
+// artifact reads an artifact: a blob, or a dataset's manifest and columns.
+// A blob must hold content and not be a dataset with columns, which travels
+// as its manifest; a manifest must name a column; every record must verify.
+func (d *decoder) artifact() (blob graph.Artifact, colIDs, names []string, cols []*data.Column) {
+	switch form := d.u8(); form {
+	case blobForm:
+		p := d.next(d.uvarint())
+		if d.err != nil {
+			return
+		}
+		r := bytes.NewReader(p)
+		var env artifactEnvelope
+		if err := gob.NewDecoder(r).Decode(&env); err != nil {
+			d.fail("blob: %v", err)
+			return
+		}
+		switch ds, isDataset := env.Content.(*graph.DatasetArtifact); {
+		case r.Len() > 0:
+			d.fail("%d bytes after the blob", r.Len())
+		case env.Content == nil:
+			d.fail("blob carries no content")
+		case isDataset && ds.Frame != nil && ds.Frame.NumCols() > 0:
+			d.fail("dataset content must travel as a manifest")
+		}
+		return env.Content, nil, nil, nil
+	case datasetForm:
+		n := d.count(2)
+		if n == 0 {
+			d.fail("dataset manifest names no column")
+			return
+		}
+		colIDs, names = make([]string, n), make([]string, n)
+		for i := range colIDs {
+			colIDs[i], names[i] = d.str(), d.str()
+		}
+		if k := d.count(1 + minRecord); k > 0 {
+			cols = make([]*data.Column, k)
+			for i := range cols {
+				rec := d.next(d.uvarint())
+				if d.err != nil {
+					return
+				}
+				c, err := tier.DecodeColumn(rec)
+				if err != nil {
+					d.fail("column %d: %v", i, err)
+					return
+				}
+				cols[i] = c
+			}
+		}
+		return nil, colIDs, names, cols
+	default:
+		if d.err == nil {
+			d.fail("unknown artifact form %q", form)
+		}
+	}
+	return
 }
 
 // parentIndices returns the parents of every node as indices of earlier

@@ -25,6 +25,7 @@ import (
 	"repro/internal/ops"
 	"repro/internal/reuse"
 	"repro/internal/store"
+	"repro/internal/tier"
 	"repro/internal/workloads/kaggle"
 	"repro/internal/workloads/openml"
 )
@@ -306,7 +307,9 @@ func TestRequestsCarryTheirLength(t *testing.T) {
 }
 
 // TestUploadBodyIsTheUnsizedEncoding: sizing the upload buffer beforehand
-// changes how it is allocated, not one byte of the body.
+// changes how it is allocated, not one byte of the body. The body of W1's
+// content is exactly as long as its buffer and byte for byte the layout
+// codec.go documents, written here into a buffer that grows from empty.
 func TestUploadBodyIsTheUnsizedEncoding(t *testing.T) {
 	w1 := kaggle.Workload1(kaggle.Generate(kaggle.Config{Scale: 1, Seed: 42}))
 	if _, err := core.Execute(w1, nil, nil); err != nil {
@@ -314,21 +317,53 @@ func TestUploadBodyIsTheUnsizedEncoding(t *testing.T) {
 	}
 	b := uploadBatch{held: make(map[string]bool)}
 	for _, n := range w1.Nodes() {
-		b.add(n.ID, n.Content, nil)
+		if n.Content != nil {
+			b.add(n.ID, n.Content, nil)
+		}
 	}
-	body, err := encodeUploads(b.items)
+	body, err := (&uploadRequest{Items: b.items}).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unsized bytes.Buffer
-	enc := gob.NewEncoder(&unsized)
-	for i := range b.items {
-		if err := enc.Encode(&b.items[i]); err != nil {
-			t.Fatal(err)
+	e := encoder{b: []byte{}}
+	e.writeString(uploadRequestMagic)
+	e.uvarint(uint64(len(b.items)))
+	blobs := 0
+	for _, up := range b.items {
+		e.str(up.ID)
+		if up.Blob != nil {
+			blobs++
+			var env bytes.Buffer
+			if err := gob.NewEncoder(&env).Encode(&artifactEnvelope{Content: up.Blob}); err != nil {
+				t.Fatal(err)
+			}
+			e.write([]byte{blobForm})
+			e.uvarint(uint64(env.Len()))
+			e.write(env.Bytes())
+			continue
+		}
+		e.write([]byte{datasetForm})
+		e.uvarint(uint64(len(up.ColIDs)))
+		for i := range up.ColIDs {
+			e.str(up.ColIDs[i])
+			e.str(up.Names[i])
+		}
+		e.uvarint(uint64(len(up.Columns)))
+		for _, c := range up.Columns {
+			rec, err := tier.EncodeColumn(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.uvarint(uint64(len(rec)))
+			e.write(rec)
 		}
 	}
-	if !bytes.Equal(body, unsized.Bytes()) {
-		t.Errorf("the sized upload body of %d items differs from the unsized one (%d vs %d bytes)", len(b.items), len(body), unsized.Len())
+	if blobs == 0 || blobs == len(b.items) {
+		t.Fatalf("%d of %d items are blobs: the body does not exercise both forms", blobs, len(b.items))
+	}
+	if cap(body) != len(body) || !bytes.Equal(body, e.b) {
+		t.Errorf("the sized upload body of %d items differs from the unsized one (%d bytes in a buffer of %d vs %d)",
+			len(b.items), len(body), cap(body), len(e.b))
 	}
 }
 

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -58,22 +57,14 @@ func TestArtifactMissingIDAndMissingContent(t *testing.T) {
 	resp.Body.Close()
 
 	// An upload item without an id: 400, nothing stored.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&artifactUpload{Blob: artifactEnvelope{Content: &graph.AggregateArtifact{Value: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	resp = postRaw(t, rc.base, "/v1/artifact", buf.Bytes())
+	resp = postRaw(t, rc.base, "/v1/artifact", uploadBody(t, artifactUpload{Blob: &graph.AggregateArtifact{Value: 1}}))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("upload without id: status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
 
 	// An item with an id but neither blob nor manifest: 400.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&artifactUpload{ID: "v1"}); err != nil {
-		t.Fatal(err)
-	}
-	resp = postRaw(t, rc.base, "/v1/artifact", buf.Bytes())
+	resp = postRaw(t, rc.base, "/v1/artifact", uploadBody(t, artifactUpload{ID: "v1"}))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty upload: status %d, want 400", resp.StatusCode)
 	}

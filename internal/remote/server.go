@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -197,8 +196,7 @@ func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(TierHeader, tier.String())
-	env := artifactEnvelope{Content: content}
-	writeGob(w, &env)
+	writeMessage(w, &downloadResponse{Content: content})
 }
 
 // inlineContent indexes an update's inline artifacts by vertex ID. Each must
@@ -222,21 +220,22 @@ func inlineContent(dag *graph.DAG, inline []InlineArtifact) (map[string]graph.Ar
 }
 
 // putArtifact admits an upload body: every item the update wanted, checked
-// for shape before any is admitted and then admitted in body order, each
-// all or nothing. An item that relies on a column the store has since lost
-// (evicted by another client's update) is listed in a 200 answer, and the
-// client resends it with every column; a malformed one ends the body with a
-// 400 that names it, after the items before it were admitted.
+// for shape before any is admitted (uploadRequest.unmarshal, answered as
+// readMessage answers) and then admitted in body order, each all or nothing.
+// An item that relies on a column the store has since lost (evicted by
+// another client's update) is listed in a 200 answer, and the client resends
+// it with every column; a malformed one ends the body with a 400 that names
+// it, after the items before it were admitted.
 func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
-	items, ok := decodeUploads(w, r)
-	if !ok {
+	var body uploadRequest
+	if !readMessage(w, r, maxArtifactBody, &body) {
 		return
 	}
 	var resp uploadResponse
-	for _, up := range items {
+	for _, up := range body.Items {
 		var err error
-		if up.Blob.Content != nil {
-			err = h.srv.PutArtifact(up.ID, up.Blob.Content, request(r))
+		if up.Blob != nil {
+			err = h.srv.PutArtifact(up.ID, up.Blob, request(r))
 		} else {
 			err = h.srv.PutFrameRef(up.ID, up.ColIDs, up.Names, up.Columns, request(r))
 		}
@@ -256,47 +255,7 @@ func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeGob(w, &resp)
-}
-
-// decodeUploads reads a whole upload body, a gob stream of artifactUpload
-// items of at most maxArtifactBody bytes, and checks the shape of each. It
-// answers as readMessage does, and 400 for a body without items or an item
-// that is not exactly one blob or one manifest, and reports whether the
-// handler may go on.
-func decodeUploads(w http.ResponseWriter, r *http.Request) ([]artifactUpload, bool) {
-	dec := gob.NewDecoder(http.MaxBytesReader(w, r.Body, maxArtifactBody))
-	var items []artifactUpload
-	for {
-		var up artifactUpload
-		if err := dec.Decode(&up); err == io.EOF {
-			break
-		} else if err != nil {
-			refuseBody(w, err, maxArtifactBody)
-			return nil, false
-		}
-		manifest := len(up.ColIDs)+len(up.Names)+len(up.Columns) > 0
-		var bad string
-		switch ds, isDataset := up.Blob.Content.(*graph.DatasetArtifact); {
-		case up.ID == "":
-			bad = "missing id"
-		case (up.Blob.Content != nil) == manifest:
-			bad = "upload must carry either a blob or a dataset manifest"
-		case isDataset && ds.Frame != nil && ds.Frame.NumCols() > 0:
-			// Only a frame without columns has nothing to put in a manifest.
-			bad = "dataset content must be uploaded as a manifest"
-		}
-		if bad != "" {
-			http.Error(w, fmt.Sprintf("artifact %q: %s", up.ID, bad), http.StatusBadRequest)
-			return nil, false
-		}
-		items = append(items, up)
-	}
-	if len(items) == 0 {
-		http.Error(w, "upload carries no artifact", http.StatusBadRequest)
-		return nil, false
-	}
-	return items, true
+	writeMessage(w, &resp)
 }
 
 func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
@@ -556,7 +515,7 @@ func readMessage(w http.ResponseWriter, r *http.Request, limit int64, m message)
 		refuseBody(w, &http.MaxBytesError{Limit: limit}, limit)
 		return false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
 	if err == nil {
 		err = m.unmarshal(body)
 	}
@@ -588,7 +547,8 @@ func wireDAG(w http.ResponseWriter, nodes []WireNode) *graph.DAG {
 	return dag
 }
 
-// writeMessage answers 200 with m, or 500 when m cannot be encoded.
+// writeMessage answers 200 with m and its exact Content-Length, or 500 when
+// m cannot be encoded: it is encoded whole before anything is sent.
 func writeMessage(w http.ResponseWriter, m message) {
 	b, err := m.marshal()
 	if err != nil {
@@ -600,9 +560,16 @@ func writeMessage(w http.ResponseWriter, m message) {
 	_, _ = w.Write(b)
 }
 
-func writeGob(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := gob.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+// readBody reads a body whose length n is declared (n < 0: unknown) into a
+// buffer of that length, so that a large one is not copied again at every
+// doubling of a growing buffer. A body declared past maxMetaBody, or of
+// unknown length, grows with what actually arrives instead: a declared
+// length alone does not get to allocate more.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > maxMetaBody {
+		return io.ReadAll(r)
 	}
+	b := make([]byte, n)
+	_, err := io.ReadFull(r, b)
+	return b, err
 }

@@ -1,9 +1,7 @@
 package remote
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +18,7 @@ import (
 	"repro/internal/ops"
 	"repro/internal/reuse"
 	"repro/internal/store"
+	"repro/internal/tier"
 	"repro/internal/workloads/kaggle"
 	"repro/internal/workloads/openml"
 	"repro/internal/workloads/synth"
@@ -276,11 +275,11 @@ func columnSums(t testing.TB, a graph.Artifact) map[string][sha256.Size]byte {
 	}
 	out := make(map[string][sha256.Size]byte)
 	for _, c := range ds.Frame.Columns() {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+		rec, err := tier.EncodeColumn(c)
+		if err != nil {
 			t.Fatal(err)
 		}
-		out[c.ID] = sha256.Sum256(buf.Bytes())
+		out[c.ID] = sha256.Sum256(rec)
 	}
 	return out
 }

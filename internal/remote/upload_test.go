@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,7 +84,7 @@ func (m *uploadMeter) RoundTrip(req *http.Request) (*http.Response, error) {
 	post := uploadPost{items: items, status: resp.StatusCode}
 	if resp.StatusCode == http.StatusOK {
 		var ur uploadResponse
-		if err := gob.NewDecoder(bytes.NewReader(answer)).Decode(&ur); err != nil {
+		if err := ur.unmarshal(answer); err != nil {
 			return nil, err
 		}
 		post.absent = ur.Absent
@@ -112,19 +113,11 @@ func (m *uploadMeter) ids() []string {
 	return out
 }
 
-// uploadItems decodes an upload body, the gob stream of its items.
+// uploadItems decodes an upload body into its items.
 func uploadItems(body []byte) ([]artifactUpload, error) {
-	dec := gob.NewDecoder(bytes.NewReader(body))
-	var items []artifactUpload
-	for {
-		var up artifactUpload
-		if err := dec.Decode(&up); err == io.EOF {
-			return items, nil
-		} else if err != nil {
-			return nil, err
-		}
-		items = append(items, up)
-	}
+	var up uploadRequest
+	err := up.unmarshal(body)
+	return up.Items, err
 }
 
 // meteredClient returns a remote client whose updates and uploads go
@@ -510,27 +503,31 @@ func knownTo(t testing.TB, srv *core.Server, ids ...string) {
 	srv.EG.Merge(dag)
 }
 
+// uploadBody encodes items as one upload body.
+func uploadBody(t testing.TB, items ...artifactUpload) []byte {
+	t.Helper()
+	body, err := (&uploadRequest{Items: items}).marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 // postUploads encodes items as one upload body and POSTs it straight at the
 // handler.
 func postUploads(t testing.TB, h http.Handler, items ...artifactUpload) *httptest.ResponseRecorder {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i := range items {
-		if err := enc.Encode(&items[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/artifact", &buf))
-	return rec
+	return postBody(h, "/v1/artifact", uploadBody(t, items...))
 }
 
 // TestUploadRejectsInconsistentBodies: a malformed item is answered 400 and
 // never reaches the store; an item whose columns a full resend would supply
-// is listed in a 200 answer. A body whose second item has the wrong shape
-// changes nothing; one whose second item the store finds malformed keeps
-// the first.
+// is listed in a 200 answer. A body that is not one whole message — bytes
+// after it, a column record whose checksum fails, a form it does not know —
+// changes nothing, and neither does one whose second item has the wrong
+// shape; one whose second item the store finds malformed keeps the first.
+// The encoder writes no item it cannot carry: a blob beside a manifest, a
+// manifest whose names and IDs differ in number.
 func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
 	knownTo(t, srv, "base", "v", "m1", "m2", "m3")
@@ -545,40 +542,60 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	unchanged := func() bool {
 		return !srv.Store.Has("v") && srv.Store.Len() == 1 && srv.Store.PhysicalBytes() == cols[0].SizeBytes()
 	}
-	shortNames := artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: []string{"a"}, Columns: cols}
 	ints := data.NewIntColumn("a", make([]int64, 10)).WithID(cols[0].ID)
 	short := data.NewFloatColumn("short", make([]float64, 9))
-	blobFrame := artifactEnvelope{Content: &graph.DatasetArtifact{Frame: frame}}
-	model := artifactEnvelope{Content: &graph.AggregateArtifact{Value: 1}}
+	model := &graph.AggregateArtifact{Value: 1}
+	outside := artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: cols[1:2]}
+	full := uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols})
+	flipped := slices.Clone(full)
+	flipped[len(flipped)-10] ^= 1 // inside the last column record
+	unknownForm, err := marshal(uploadRequestMagic, func(e *encoder) {
+		e.uvarint(1)
+		e.str("v")
+		e.write([]byte{'X', 0})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
-		up   artifactUpload
+		body []byte
 		want int
 	}{
-		{"neither blob nor manifest", artifactUpload{ID: "v"}, 400},
-		{"blob and manifest", artifactUpload{ID: "v", Blob: model, ColIDs: []string{cols[0].ID}, Names: []string{"a"}}, 400},
-		{"dataset smuggled as blob", artifactUpload{ID: "v", Blob: blobFrame}, 400},
-		{"columns without manifest", artifactUpload{ID: "v", Columns: cols[:1]}, 400},
-		{"names shorter than ids", shortNames, 400},
-		{"body column not in manifest", artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: cols[1:2]}, 400},
-		{"column sent twice", artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: append(cols[:3:3], cols[1])}, 400},
-		{"dtype differs from held column", artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: []*data.Column{ints}}, 400},
-		{"row count differs from held column", artifactUpload{ID: "v", ColIDs: []string{cols[0].ID, short.ID}, Names: []string{"a", "short"}, Columns: []*data.Column{short}}, 400},
-		{"column neither sent nor held", artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[2:]}, 200},
+		{"neither blob nor manifest", uploadBody(t, artifactUpload{ID: "v"}), 400},
+		{"dataset smuggled as blob", uploadBody(t, artifactUpload{ID: "v", Blob: &graph.DatasetArtifact{Frame: frame}}), 400},
+		{"columns without manifest", uploadBody(t, artifactUpload{ID: "v", Columns: cols[:1]}), 400},
+		{"unknown form", unknownForm, 400},
+		{"a byte after the body", append(slices.Clone(full), 0), 400},
+		{"bad column checksum", flipped, 400},
+		{"no item", uploadBody(t), 400},
+		{"body column not in manifest", uploadBody(t, outside), 400},
+		{"column sent twice", uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: append(cols[:3:3], cols[1])}), 400},
+		{"dtype differs from held column", uploadBody(t, artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: []*data.Column{ints}}), 400},
+		{"row count differs from held column", uploadBody(t, artifactUpload{ID: "v", ColIDs: []string{cols[0].ID, short.ID}, Names: []string{"a", "short"}, Columns: []*data.Column{short}}), 400},
+		{"column neither sent nor held", uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[2:]}), 200},
 	}
 	for _, tc := range cases {
-		rec := postUploads(t, h, tc.up)
+		rec := postBody(h, "/v1/artifact", tc.body)
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
 		}
 		if tc.want == http.StatusOK {
 			var resp uploadResponse
-			if err := gob.NewDecoder(rec.Body).Decode(&resp); err != nil || !reflect.DeepEqual(resp.Absent, []string{"v"}) {
+			if err := resp.unmarshal(rec.Body.Bytes()); err != nil || !reflect.DeepEqual(resp.Absent, []string{"v"}) {
 				t.Errorf("%s: answer lists %v (%v), want [v]", tc.name, resp.Absent, err)
 			}
 		}
 		if !unchanged() {
 			t.Fatalf("%s: refused upload changed the store", tc.name)
+		}
+	}
+	for name, up := range map[string]artifactUpload{
+		"blob and manifest":      {ID: "v", Blob: model, ColIDs: []string{cols[0].ID}, Names: []string{"a"}},
+		"names shorter than ids": {ID: "v", ColIDs: frame.ColumnIDs(), Names: []string{"a"}, Columns: cols},
+	} {
+		if _, err := (&uploadRequest{Items: []artifactUpload{up}}).marshal(); err == nil {
+			t.Errorf("%s: encoded", name)
 		}
 	}
 
@@ -587,7 +604,7 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 		t.Errorf("a body with a shapeless second item: status %d, first item stored %v", rec.Code, srv.Store.Has("m1"))
 	}
 	// What the store refuses ends the body after the items before it.
-	rec := postUploads(t, h, artifactUpload{ID: "m2", Blob: model}, shortNames)
+	rec := postUploads(t, h, artifactUpload{ID: "m2", Blob: model}, outside)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"v"`) {
 		t.Errorf("a body with a malformed second manifest: status %d %q, want 400 naming v", rec.Code, rec.Body)
 	}
@@ -604,7 +621,9 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 // declares more is refused before it is read, one of unknown length once it
 // runs past — and the real routes: an optimize body that keeps sending is cut
 // off at its bound; the update route, which carries artifacts, reads the same
-// body past that bound to its end and finds bytes after the message.
+// body past that bound to its end and finds bytes after the message; and an
+// upload that declares more than its bound is refused without a byte of it
+// read.
 func TestOversizedBodiesAnswered413(t *testing.T) {
 	body, err := (&OptimizeRequest{Nodes: make([]WireNode, 64)}).marshal()
 	if err != nil {
@@ -645,6 +664,22 @@ func TestOversizedBodiesAnswered413(t *testing.T) {
 			t.Errorf("%s with a body past %d bytes: status %d, want %d", route, maxMetaBody, resp.StatusCode, want)
 		}
 	}
+
+	req = httptest.NewRequest(http.MethodPost, "/v1/artifact", unread{t})
+	req.ContentLength = maxArtifactBody + 1
+	rec = httptest.NewRecorder()
+	NewHandler(core.NewServer(store.New(cost.Memory()))).ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("an upload declaring %d bytes: status %d, want 413", req.ContentLength, rec.Code)
+	}
+}
+
+// unread is a request body that fails the test if anything reads it.
+type unread struct{ t *testing.T }
+
+func (u unread) Read([]byte) (int, error) {
+	u.t.Error("the body was read")
+	return 0, io.EOF
 }
 
 type zeros struct{}
@@ -690,9 +725,9 @@ func TestClientRecordsServerErrors(t *testing.T) {
 func FuzzUploadDecode(f *testing.F) {
 	frame := testFrame(10, 3)
 	cols := frame.Columns()
-	blob := artifactUpload{ID: "m", Blob: artifactEnvelope{Content: &graph.AggregateArtifact{Value: 1}}}
+	blob := artifactUpload{ID: "m", Blob: &graph.AggregateArtifact{Value: 1}}
 	for _, body := range [][]artifactUpload{
-		{{ID: "v"}}, // empty manifest
+		{{ID: "v"}}, // neither blob nor manifest
 		{{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols}},     // full upload
 		{{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[1:]}}, // partial, column 0 held
 		{{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames()}},                    // relies on absent columns
@@ -700,15 +735,9 @@ func FuzzUploadDecode(f *testing.F) {
 		{blob},
 		{blob, {ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[1:]}}, // a batch
 	} {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for i := range body {
-			if err := enc.Encode(&body[i]); err != nil {
-				f.Fatal(err)
-			}
-		}
-		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()/2]) // truncated gob
+		b := uploadBody(f, body...)
+		f.Add(b)
+		f.Add(b[:len(b)/2]) // truncated
 	}
 	f.Add([]byte{})
 
@@ -721,14 +750,14 @@ func FuzzUploadDecode(f *testing.F) {
 		}); rec.Code != http.StatusNoContent {
 			t.Fatalf("seeding upload answered %d", rec.Code)
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/artifact", bytes.NewReader(body)))
+		rec := postBody(h, "/v1/artifact", body)
 		switch rec.Code {
 		case http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
 		default:
 			t.Fatalf("status %d", rec.Code)
 		}
-		items, whole := decodeUploads(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/artifact", bytes.NewReader(body)))
+		var up uploadRequest
+		whole := up.unmarshal(body) == nil
 		if !whole && (srv.Store.Len() != 1 || srv.Store.PhysicalBytes() != cols[0].SizeBytes()) {
 			t.Fatal("a body refused before admission changed the store")
 		}
@@ -737,9 +766,9 @@ func FuzzUploadDecode(f *testing.F) {
 				t.Fatalf("stored %q cannot be read back", id)
 			}
 		}
-		for _, up := range items {
-			if rec.Code == http.StatusNoContent && srv.EG.Has(up.ID) && !srv.Store.Has(up.ID) {
-				t.Fatalf("answered 204 and %q is not stored", up.ID)
+		for _, item := range up.Items {
+			if rec.Code == http.StatusNoContent && srv.EG.Has(item.ID) && !srv.Store.Has(item.ID) {
+				t.Fatalf("answered 204 and %q is not stored", item.ID)
 			}
 		}
 	})

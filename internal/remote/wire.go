@@ -5,9 +5,10 @@
 // produced ride along with its update, and datasets are uploaded, in one
 // body per update, when the server's materializer selects them.
 //
-// Wire format: the meta-data routes, optimize and update, speak the
-// hand-written binary codec of codec.go. Artifact content travels as gob:
-// the update's inline section, upload bodies and downloads.
+// Wire format: every body is a message of the hand-written binary codec of
+// codec.go. A dataset travels as its manifest and its columns in the tier's
+// column record; models, aggregates and transformers travel as gob
+// envelopes, in the update's inline section, an upload item or a download.
 // graph.RegisterGobTypes lists the artifact and model types that travel
 // inside Artifact values.
 package remote
@@ -111,17 +112,22 @@ type UpdateResponse struct {
 	Have [][]int
 }
 
-// artifactUpload is one item of the body of POST /v1/artifact, the content
-// of vertex ID; the body is a gob stream of them, one per wanted vertex of
-// an update. Exactly one half is set. Models, aggregates and transformers
-// travel whole in Blob. A dataset travels as its manifest (ordered column
-// lineage IDs and names) plus the columns the server does not hold yet; the
-// server assembles the frame from those and the columns its store has under
-// the same IDs. A full upload is the case where Columns carries every
-// manifest column.
+// uploadRequest is the body of POST /v1/artifact: one item per vertex an
+// update wanted.
+type uploadRequest struct {
+	Items []artifactUpload
+}
+
+// artifactUpload is one item of an upload body, the content of vertex ID.
+// Exactly one half is set. Models, aggregates and transformers travel whole
+// in Blob. A dataset travels as its manifest (ordered column lineage IDs
+// and names) plus the columns the server does not hold yet; the server
+// assembles the frame from those and the columns its store has under the
+// same IDs. A full upload is the case where Columns carries every manifest
+// column.
 type artifactUpload struct {
 	ID      string
-	Blob    artifactEnvelope
+	Blob    graph.Artifact
 	ColIDs  []string
 	Names   []string
 	Columns []*data.Column
@@ -135,8 +141,15 @@ type uploadResponse struct {
 	Absent []string
 }
 
-// artifactEnvelope wraps the Artifact interface for gob transport: blob
-// uploads and every download.
+// downloadResponse is the 200 answer to GET /v1/artifact: the content of
+// the vertex asked for.
+type downloadResponse struct {
+	Content graph.Artifact
+}
+
+// artifactEnvelope wraps the Artifact interface for gob: a blob of an
+// upload item or a download, and each artifact of an update's inline
+// section.
 type artifactEnvelope struct {
 	Content graph.Artifact
 }
@@ -145,7 +158,8 @@ type artifactEnvelope struct {
 // fifty bytes per workload vertex; an update adds the run's inline
 // artifacts and an upload carries the content an update wants, both capped
 // in practice by the default materialization budget (1 GiB). Larger bodies
-// are answered 413.
+// are answered 413. A body of known length up to maxMetaBody is read into a
+// buffer of that length (readBody).
 const (
 	maxMetaBody     = 64 << 20
 	maxArtifactBody = 1 << 30

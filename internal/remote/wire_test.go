@@ -133,15 +133,17 @@ func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 	}
 }
 
-// TestGobBodiesAreRefused: the meta-data routes speak the codec only, so a
-// client of the gob protocol is refused on both — 400, and nothing of its
+// TestGobBodiesAreRefused: every POST route speaks the codec only, so a
+// client of the gob protocol is refused on each — 400, and nothing of its
 // request reaches the server — not half understood.
 func TestGobBodiesAreRefused(t *testing.T) {
 	dag := buildPipeline(testFrame(20, 1))
 	dag.MarkComputed()
+	frame := testFrame(20, 1)
 	for route, body := range map[string]any{
 		"/v1/optimize": &OptimizeRequest{Nodes: ToWire(dag)},
 		"/v1/update":   &UpdateRequest{Nodes: ToWire(dag), WallTime: time.Second},
+		"/v1/artifact": &artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: frame.Columns()},
 	} {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(body); err != nil {

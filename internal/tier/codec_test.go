@@ -6,25 +6,17 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
 )
 
-func sampleColumns() []*data.Column {
-	f := data.NewFloatColumn("f", []float64{1.5, math.NaN(), -0, math.Inf(1)})
-	i := data.NewIntColumn("i", []int64{-1, 0, 42, math.MaxInt64})
-	s := data.NewStringColumn("s", []string{"", "a", "héllo", "x\x00y"})
-	b := data.NewBoolColumn("b", []bool{true, false, true, true})
-	empty := data.NewFloatColumn("empty", nil)
-	d := data.NewDictColumn("d", []string{"", "aa", "bb"}, []uint32{2, 0, 1, 2})
-	de := data.NewStringColumn("de", []string{"x", "y", "x", "x"}).DictEncoded()
-	dempty := data.NewDictColumn("dempty", []string{}, nil)
-	return []*data.Column{f, i, s, b, empty, d, de, dempty}
-}
-
 func TestColumnCodecRoundTrip(t *testing.T) {
-	for _, c := range sampleColumns() {
+	for _, c := range modeColumns() {
 		enc, err := EncodeColumn(c)
 		if err != nil {
 			t.Fatalf("encode %s: %v", c.Name, err)
@@ -33,19 +25,8 @@ func TestColumnCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %s: %v", c.Name, err)
 		}
-		if got.ID != c.ID || got.Name != c.Name || got.Type != c.Type || got.Len() != c.Len() {
-			t.Fatalf("%s: identity mismatch: got %+v", c.Name, got)
-		}
-		for r := 0; r < c.Len(); r++ {
-			if c.Type == data.Float64 {
-				if math.Float64bits(got.Floats[r]) != math.Float64bits(c.Floats[r]) {
-					t.Fatalf("%s row %d: float bits differ", c.Name, r)
-				}
-				continue
-			}
-			if got.StringAt(r) != c.StringAt(r) {
-				t.Fatalf("%s row %d: %q != %q", c.Name, r, got.StringAt(r), c.StringAt(r))
-			}
+		if !sameColumn(got, c) {
+			t.Fatalf("%s: decoded column differs", c.Name)
 		}
 		// Canonical: re-encoding the decoded column is byte-identical.
 		re, err := EncodeColumn(got)
@@ -54,6 +35,94 @@ func TestColumnCodecRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(enc, re) {
 			t.Fatalf("%s: encoding not canonical", c.Name)
+		}
+	}
+}
+
+// payloadAt is the offset of a record's payload: after the magic, dtype, ID,
+// name and row count.
+func payloadAt(c *data.Column) int { return len(colMagic) + 1 + 2 + len(c.ID) + 2 + len(c.Name) + 4 }
+
+// TestColumnCodecPicksTheSmallestMode: each numeric column is written in the
+// mode its values select, and no mode it could take is smaller.
+func TestColumnCodecPicksTheSmallestMode(t *testing.T) {
+	want := map[string]byte{
+		"onehot": modeVarint, "counts": modeVarint, "few": modeDict8, "many": modeDict16,
+		"distinct": modeRaw, "specials": modeRaw, "empty": modeRaw,
+		"small": modeVarint, "big": modeRaw, "iempty": modeRaw,
+	}
+	for _, c := range modeColumns() {
+		mode, ok := want[c.Name]
+		if !ok {
+			continue
+		}
+		enc, err := EncodeColumn(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := enc[payloadAt(c)]; got != mode {
+			t.Errorf("%s: mode %d, want %d", c.Name, got, mode)
+		}
+		if raw := payloadAt(c) + 1 + 8*c.Len() + 4; len(enc) > raw {
+			t.Errorf("%s: %d bytes, raw would be %d", c.Name, len(enc), raw)
+		}
+	}
+}
+
+// record builds a version-2 record around a payload, checksum included, so
+// that only the structural checks can refuse it.
+func record(dtype data.DType, rows int, payload []byte) []byte {
+	b := []byte(colMagic)
+	b = append(b, byte(dtype))
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = append(b, 'x')
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(rows))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+func floatBytes(vals ...float64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// TestColumnCodecRefusesNonCanonical: a record whose checksum holds but
+// which the encoder would not have written is corrupt — so whatever decodes
+// re-encodes to the same bytes.
+func TestColumnCodecRefusesNonCanonical(t *testing.T) {
+	alternating := bytes.Repeat([]byte{0, 1}, 8) // 16 rows of two values
+	dict8 := func(entries []byte, codes []byte) []byte {
+		return append(append([]byte{modeDict8, byte(len(entries)/8 - 1)}, entries...), codes...)
+	}
+	canonical := record(data.Float64, 16, dict8(floatBytes(0.5, 1.5), alternating))
+	c, err := DecodeColumn(canonical)
+	if err != nil {
+		t.Fatalf("the canonical dictionary record: %v", err)
+	}
+	if enc, _ := EncodeColumn(c); !bytes.Equal(enc, canonical) {
+		t.Fatal("the test's canonical dictionary record is not what EncodeColumn writes")
+	}
+	for name, rec := range map[string][]byte{
+		"raw floats that are integers": record(data.Float64, 2, append([]byte{modeRaw}, floatBytes(1, 2)...)),
+		"varint not in shortest form":  record(data.Float64, 1, []byte{modeVarint, 0x82, 0x00}),
+		"varint that is not a float":   record(data.Float64, 1, binary.AppendUvarint([]byte{modeVarint}, zigzag(1<<53+1))),
+		"dictionary out of order":      record(data.Float64, 16, dict8(floatBytes(0.5, 1.5), bytes.Repeat([]byte{1, 0}, 8))),
+		"dictionary entry repeated":    record(data.Float64, 16, dict8(floatBytes(0.5, 0.5, 1.5), bytes.Repeat([]byte{0, 1, 2, 0}, 4))),
+		"dictionary entry unused":      record(data.Float64, 16, dict8(floatBytes(0.5, 1.5, 2.5), alternating)),
+		"dictionary code out of range": record(data.Float64, 16, dict8(floatBytes(0.5), alternating)),
+		"dict16 where dict8 is smaller": record(data.Float64, 16, append(append([]byte{modeDict16, 1, 0}, floatBytes(0.5, 1.5)...),
+			bytes.Repeat([]byte{0, 0, 1, 0}, 8)...)),
+		"raw ints that are small":    record(data.Int64, 1, binary.LittleEndian.AppendUint64([]byte{modeRaw}, 3)),
+		"int varint longer than raw": record(data.Int64, 1, binary.AppendUvarint([]byte{modeVarint}, zigzag(math.MinInt64))),
+		"unknown float mode":         record(data.Float64, 0, []byte{9}),
+		"string length past the end": record(data.String, 1, []byte{5, 'a'}),
+	} {
+		if _, err := DecodeColumn(rec); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decoded (err=%v)", name, err)
 		}
 	}
 }
@@ -70,22 +139,8 @@ func TestColumnCodecDict(t *testing.T) {
 	}
 	// Representation survives the disk round trip: the decoded column is
 	// still dictionary-encoded, with identical dictionary and codes.
-	if !got.IsDict() {
-		t.Fatal("decoded column lost dictionary encoding")
-	}
-	if len(got.Dict) != len(c.Dict) || len(got.Codes) != len(c.Codes) {
-		t.Fatalf("dict/codes length mismatch: %d/%d vs %d/%d",
-			len(got.Dict), len(got.Codes), len(c.Dict), len(c.Codes))
-	}
-	for i := range c.Dict {
-		if got.Dict[i] != c.Dict[i] {
-			t.Fatalf("dict entry %d: %q != %q", i, got.Dict[i], c.Dict[i])
-		}
-	}
-	for i := range c.Codes {
-		if got.Codes[i] != c.Codes[i] {
-			t.Fatalf("code %d: %d != %d", i, got.Codes[i], c.Codes[i])
-		}
+	if !got.IsDict() || !sameColumn(got, c) {
+		t.Fatal("decoded column lost its dictionary encoding or its codes")
 	}
 
 	// Out-of-bounds codes are rejected on encode...
@@ -93,11 +148,11 @@ func TestColumnCodecDict(t *testing.T) {
 	if _, err := EncodeColumn(bad); err == nil {
 		t.Fatal("encode accepted out-of-bounds code")
 	}
-	// ...and on decode: corrupt the last code in place and refresh the CRC
-	// so only the structural check can catch it.
-	tail := len(enc) - 8 // last code (4 bytes) + crc (4 bytes)
+	// ...and on decode: corrupt the last code (one byte, for a 3-entry
+	// dictionary) in place and refresh the CRC so only the structural check
+	// can catch it.
 	forged := append([]byte(nil), enc[:len(enc)-4]...)
-	binary.LittleEndian.PutUint32(forged[tail:], 99)
+	forged[len(forged)-1] = 99
 	forged = binary.LittleEndian.AppendUint32(forged, crc32.Checksum(forged, castagnoli))
 	if _, err := DecodeColumn(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("decode accepted out-of-bounds code (err=%v)", err)
@@ -110,6 +165,23 @@ func TestColumnCodecDict(t *testing.T) {
 	forged = binary.LittleEndian.AppendUint32(forged, crc32.Checksum(forged, castagnoli))
 	if _, err := DecodeColumn(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("decode accepted dict flag on float dtype (err=%v)", err)
+	}
+
+	// Codes take the narrowest width that holds the dictionary.
+	for _, k := range []int{1, 256, 257, 1 << 16, 1<<16 + 1} {
+		dict := make([]string, k)
+		for i := range dict {
+			dict[i] = strconv.Itoa(i)
+		}
+		c := data.NewDictColumn("w", dict, []uint32{uint32(k - 1), 0})
+		enc, err := EncodeColumn(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := len(enc) - 4 - payloadAt(c) - uvarintLen(uint64(k)) - stringsLen(dict)
+		if got, err := DecodeColumn(enc); err != nil || !sameColumn(got, c) || codes != 2*codeWidth(k) {
+			t.Errorf("%d entries: %d code bytes for 2 rows, round trip %v", k, codes, err)
+		}
 	}
 }
 
@@ -136,6 +208,47 @@ func TestColumnCodecDetectsCorruption(t *testing.T) {
 	// Trailing garbage must be detected.
 	if _, err := DecodeColumn(append(append([]byte(nil), enc...), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte not detected (err=%v)", err)
+	}
+}
+
+// TestCommittedCTC1SeedsStillDecode reads the version-1 records of the
+// committed fuzz corpus, written before version 2: the well-formed ones
+// decode, and their version-2 record decodes to the same column.
+func TestCommittedCTC1SeedsStillDecode(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzColumnCodec")
+	for name, wellFormed := range map[string]bool{
+		"seed-bool": true, "seed-empty": true, "seed-float": true, "seed-int": true, "seed-string": true,
+		"seed-bad-dtype": false, "seed-magic-only": false, "seed-empty-input": false,
+	} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The corpus format: a header line, then one Go literal per
+		// argument; the first is []byte("...").
+		lines := strings.Split(string(raw), "\n")
+		b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c, err := DecodeColumn([]byte(b))
+		if (err == nil) != wellFormed {
+			t.Errorf("%s: decode error %v, want well-formed %v", name, err, wellFormed)
+			continue
+		}
+		if !wellFormed {
+			continue
+		}
+		if !strings.HasPrefix(b, colMagicV1) {
+			t.Errorf("%s is not a version-1 record", name)
+		}
+		enc, err := EncodeColumn(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeColumn(enc); err != nil || !sameColumn(got, c) {
+			t.Errorf("%s: the version-2 record does not decode to the column (%v)", name, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -217,6 +218,104 @@ func TestDiskGetQuarantinesRuntimeCorruption(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt column file not moved to quarantine")
+	}
+}
+
+// ctc1Columns are the columns of frame "v1" in testdata/store-ctc1, a disk
+// tier written before version 2 of the column record: five CTC1 column
+// files, their frame manifest, and the blob "m1" = aggregate 3.25 "count".
+func ctc1Columns() []*data.Column {
+	return []*data.Column{
+		data.NewFloatColumn("f", []float64{1.5, math.Float64frombits(0x7ff8000000000bad), math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 3}),
+		data.NewIntColumn("i", []int64{-1, 0, 42, math.MaxInt64, math.MinInt64, 7}),
+		data.NewStringColumn("s", []string{"", "a", "héllo", "x\x00y", "z", "a"}),
+		data.NewDictColumn("d", []string{"", "north", "south"}, []uint32{1, 2, 0, 1, 1, 2}),
+		data.NewBoolColumn("b", []bool{true, false, true, true, false, false}),
+	}
+}
+
+// copyTree copies a directory of directories of files, so a test can open a
+// committed fixture without changing it.
+func copyTree(t *testing.T, from, to string) {
+	t.Helper()
+	subs, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range subs {
+		files, err := os.ReadDir(filepath.Join(from, sub.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(to, sub.Name()), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join(from, sub.Name(), f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(to, sub.Name(), f.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// checkFrame fails the test unless the tier serves vid as exactly cols.
+func checkFrame(t *testing.T, d *Disk, vid string, cols []*data.Column) {
+	t.Helper()
+	a, err := d.Get(vid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := a.(*graph.DatasetArtifact).Frame.Columns()
+	if len(got) != len(cols) {
+		t.Fatalf("%s: %d columns, want %d", vid, len(got), len(cols))
+	}
+	for i := range cols {
+		if !sameColumn(got[i], cols[i]) {
+			t.Errorf("%s: column %s differs from the original", vid, cols[i].Name)
+		}
+	}
+}
+
+// TestDiskRecoversAVersion1Store opens a directory written before version 2
+// of the column record: it recovers whole, serves the original columns bit
+// for bit, and keeps doing so beside version-2 files written into it.
+func TestDiskRecoversAVersion1Store(t *testing.T) {
+	dir := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "store-ctc1"), dir)
+	d, rep, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Columns != 5 || rep.Frames != 1 || rep.Blobs != 1 || rep.Quarantined != 0 || rep.OrphanColumns != 0 {
+		t.Fatalf("recovery report %+v, want 5 columns, 1 frame, 1 blob, nothing quarantined", rep)
+	}
+	v1 := ctc1Columns()
+	checkFrame(t, d, "v1", v1)
+	if a, err := d.Get("m1"); err != nil || *a.(*graph.AggregateArtifact) != (graph.AggregateArtifact{Value: 3.25, Text: "count"}) {
+		t.Fatalf("blob m1: %v %v", a, err)
+	}
+
+	// A second frame shares two version-1 columns and adds version-2 ones.
+	v2 := []*data.Column{v1[0], data.NewFloatColumn("g", []float64{0, 1, 1, 0, 1, 0}), v1[3],
+		data.NewIntColumn("j", []int64{1, 2, 3, 4, 5, 6})}
+	if err := d.PutFrame("v2", v2); err != nil {
+		t.Fatal(err)
+	}
+	d, rep, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Columns != 7 || rep.Frames != 2 || rep.Quarantined != 0 {
+		t.Fatalf("recovery of the mixed directory %+v, want 7 columns, 2 frames, nothing quarantined", rep)
+	}
+	checkFrame(t, d, "v1", v1)
+	checkFrame(t, d, "v2", v2)
+	if b, err := os.ReadFile(d.colPath(v2[1].ID)); err != nil || string(b[:len(colMagic)]) != colMagic {
+		t.Fatalf("a new column file is not version 2 (%v)", err)
 	}
 }
 

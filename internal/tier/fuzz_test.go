@@ -9,28 +9,106 @@ import (
 	"repro/internal/data"
 )
 
-// FuzzColumnCodec exercises the on-disk column codec three ways:
-//
-//  1. DecodeColumn must never panic and never accept non-canonical input:
-//     whatever decodes must re-encode to exactly the input bytes.
-//  2. A decoded column must re-decode to the same logical column.
-//  3. Single-byte corruption of a valid encoding must be detected (the
-//     checksum covers every byte, so any flip yields ErrCorrupt).
-//
-// The committed seed corpus (testdata/fuzz/FuzzColumnCodec) holds valid
-// encodings of every dtype plus malformed variants; `go test` replays it on
-// every run, `go test -fuzz=FuzzColumnCodec` explores beyond it.
-func FuzzColumnCodec(f *testing.F) {
-	for _, c := range []*data.Column{
-		data.NewFloatColumn("f", []float64{1.5, math.NaN(), math.Inf(-1)}),
-		data.NewIntColumn("i", []int64{-1, math.MaxInt64, 0}),
+// modeColumns holds a column of every payload a version-2 record can carry:
+// each float and int mode, NaN payloads and −0, empty columns, plain and
+// dictionary strings of each code width, bools.
+func modeColumns() []*data.Column {
+	nan := math.Float64frombits(0x7ff8000000000bad)
+	negZero := math.Copysign(0, -1)
+	var oneHot, counts, few, many, distinct []float64
+	for i := 0; i < 600; i++ {
+		oneHot = append(oneHot, float64(i%7/6))
+		counts = append(counts, float64(i*i%1000-300))
+		few = append(few, []float64{0.25, nan, negZero, math.Inf(1)}[i%4])
+		many = append(many, float64(i%300)+0.5)
+		distinct = append(distinct, float64(i)*1.1)
+	}
+	wide := make([]string, 300)
+	wideCodes := make([]uint32, 600)
+	for i := range wide {
+		wide[i] = string(rune('a' + i%26))
+	}
+	for i := range wideCodes {
+		wideCodes[i] = uint32(i % 300)
+	}
+	return []*data.Column{
+		data.NewFloatColumn("onehot", oneHot),     // varint
+		data.NewFloatColumn("counts", counts),     // varint, negative too
+		data.NewFloatColumn("few", few),           // dict8: NaN payload, −0, Inf
+		data.NewFloatColumn("many", many),         // dict16
+		data.NewFloatColumn("distinct", distinct), // raw
+		data.NewFloatColumn("specials", []float64{1.5, math.NaN(), negZero, math.Inf(-1)}),
+		data.NewFloatColumn("empty", nil),
+		data.NewIntColumn("small", []int64{-1, 0, 42, 7}),                                                     // varint
+		data.NewIntColumn("big", []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}), // raw
+		data.NewIntColumn("iempty", nil),
 		data.NewStringColumn("s", []string{"", "héllo", "a\x00b"}),
 		data.NewBoolColumn("b", []bool{true, false}),
-		data.NewFloatColumn("empty", nil),
 		data.NewDictColumn("d", []string{"", "aa", "bb"}, []uint32{2, 0, 1, 2}),
+		data.NewDictColumn("d16", wide, wideCodes),
 		data.NewStringColumn("de", []string{"x", "y", "x"}).DictEncoded(),
 		data.NewDictColumn("dempty", []string{}, nil),
-	} {
+	}
+}
+
+// sameColumn reports whether two columns are equal in identity,
+// representation and every value, floats bit for bit.
+func sameColumn(a, b *data.Column) bool {
+	if a.ID != b.ID || a.Name != b.Name || a.Type != b.Type || a.IsDict() != b.IsDict() || a.Len() != b.Len() {
+		return false
+	}
+	if a.IsDict() {
+		for i := range a.Codes {
+			if a.Codes[i] != b.Codes[i] {
+				return false
+			}
+		}
+		if len(a.Dict) != len(b.Dict) {
+			return false
+		}
+		for i := range a.Dict {
+			if a.Dict[i] != b.Dict[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for r := 0; r < a.Len(); r++ {
+		switch a.Type {
+		case data.Float64:
+			if math.Float64bits(a.Floats[r]) != math.Float64bits(b.Floats[r]) {
+				return false
+			}
+		case data.Int64:
+			if a.Ints[r] != b.Ints[r] {
+				return false
+			}
+		default:
+			if a.StringAt(r) != b.StringAt(r) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzColumnCodec exercises the column codec three ways:
+//
+//  1. DecodeColumn must never panic and never accept non-canonical input: a
+//     version-2 record that decodes must re-encode to exactly the input
+//     bytes, and a version-1 record must decode to a column whose version-2
+//     record decodes equal to it.
+//  2. A decoded column must re-decode to the same column.
+//  3. Single-byte corruption of a valid record must be detected (the
+//     checksum covers every byte, so any flip yields ErrCorrupt).
+//
+// The committed seed corpus (testdata/fuzz/FuzzColumnCodec) holds version-1
+// records of every dtype, written before version 2, plus malformed inputs;
+// the seeds added here are version-2 records of every mode. `go test`
+// replays both on every run, `go test -fuzz=FuzzColumnCodec` explores
+// beyond them.
+func FuzzColumnCodec(f *testing.F) {
+	for _, c := range modeColumns() {
 		enc, err := EncodeColumn(c)
 		if err != nil {
 			f.Fatal(err)
@@ -49,23 +127,20 @@ func FuzzColumnCodec(f *testing.F) {
 			}
 			return
 		}
-		// Canonical: accepted input re-encodes byte-identically.
 		re, err := EncodeColumn(c)
 		if err != nil {
 			t.Fatalf("decoded column failed to encode: %v", err)
 		}
-		if !bytes.Equal(re, b) {
+		if string(b[:len(colMagic)]) == colMagic && !bytes.Equal(re, b) {
 			t.Fatalf("non-canonical accept: %d in, %d out", len(b), len(re))
 		}
-		// Round trip: decode(encode(c)) preserves the logical column.
 		c2, err := DecodeColumn(re)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if c2.ID != c.ID || c2.Name != c.Name || c2.Type != c.Type || c2.Len() != c.Len() {
-			t.Fatal("round trip changed identity")
+		if !sameColumn(c, c2) {
+			t.Fatal("round trip changed the column")
 		}
-		// Corruption detection: flipping any one byte must be caught.
 		bad := append([]byte(nil), b...)
 		bad[int(flip)%len(bad)] ^= byte(flip>>8) | 1 // nonzero mask
 		if _, err := DecodeColumn(bad); !errors.Is(err, ErrCorrupt) {
