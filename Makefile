@@ -88,7 +88,9 @@ bench-pairs:
 	@scripts/benchpairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)"
 
 # fuzz replays the seed corpora and explores, for a short budget each, the
-# column codec (corruption must never decode successfully), the artifact
+# column codec (corruption must never decode successfully), the blob record
+# of models and aggregates (never a panic, and what it accepts re-encodes to
+# the same bytes), the artifact
 # upload body (hostile bytes must never panic the handler or tear a store
 # entry), the client's download decoder (never a panic, never a byte after
 # the message accepted), the update body, which carries artifacts too (a
@@ -102,6 +104,7 @@ bench-pairs:
 # in a 10 s budget.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzColumnCodec -fuzztime=10s ./internal/tier/
+	$(GO) test -run=NONE -fuzz=FuzzModelRecord -fuzztime=10s ./internal/tier/
 	$(GO) test -run=NONE -fuzz=FuzzUploadDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzArtifactDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
@@ -137,9 +140,13 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # none of them may import the metrics registry's package. It also keeps one
 # record of what is stored: the Experiment Graph records meta-data and the
 # materializer decides, and what the store holds is handed to them as a
-# predicate, so neither imports the store or its disk tier.
+# predicate, so neither imports the store or its disk tier. And it keeps gob
+# to what still reads or writes it: persist's snapshot, the gob hooks of
+# graph and data, and the tier's read path of version-1 blob files. Nothing
+# the wire or the disk tier writes is gob (bench/, the ruler, is not linted).
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
+GOB_FILES = internal/persist/persist.go internal/graph/gob.go internal/data/gob.go internal/tier/blobv1.go
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
 	if [ -n "$$out" ]; then \
@@ -148,6 +155,10 @@ lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(DECISION_PKGS) | grep -wE 'repro/internal/(store|tier)' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "graph and materializer packages import the store:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"encoding/gob"' . | sed 's|^\./||' | grep -vxF $(addprefix -e ,$(GOB_FILES)) || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "encoding/gob imported outside $(GOB_FILES):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

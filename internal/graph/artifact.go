@@ -110,22 +110,3 @@ func (a *ModelArtifact) SizeBytes() int64 {
 	}
 	return a.Model.SizeBytes() + n
 }
-
-// TransformerArtifact wraps a fitted feature transform (scaler, PCA, ...)
-// used as a model in further feature engineering (§4.1: "a Model is used
-// either in other feature engineering operations, e.g., PCA model...").
-// It is a ModelKind vertex with quality 0.
-type TransformerArtifact struct {
-	Transformer ml.Transformer
-}
-
-// Kind implements Artifact.
-func (a *TransformerArtifact) Kind() Kind { return ModelKind }
-
-// SizeBytes implements Artifact.
-func (a *TransformerArtifact) SizeBytes() int64 {
-	if a.Transformer == nil {
-		return 0
-	}
-	return a.Transformer.SizeBytes()
-}

@@ -8,14 +8,14 @@ import (
 )
 
 // RegisterGobTypes registers every concrete type that travels inside an
-// Artifact interface value, for the packages that gob-encode artifacts (the
-// wire in internal/remote, the blob files in internal/tier). A new model or
-// transformer type is one line here.
+// Artifact interface value, for what still reads or writes artifacts as gob:
+// persist's snapshot of the memory tier and the tier's version-1 blob files.
+// These are the types that can be stored; the wire and the disk tier's blob
+// files carry the same set in the tier's blob record.
 func RegisterGobTypes() {
 	gob.Register(&DatasetArtifact{})
 	gob.Register(&AggregateArtifact{})
 	gob.Register(&ModelArtifact{})
-	gob.Register(&TransformerArtifact{})
 	gob.Register(&data.Frame{})
 	gob.Register(&ml.LogisticRegression{})
 	gob.Register(&ml.LinearRegression{})
@@ -25,9 +25,4 @@ func RegisterGobTypes() {
 	gob.Register(&ml.KNN{})
 	gob.Register(&ml.GaussianNB{})
 	gob.Register(&ml.LinearSVM{})
-	gob.Register(&ml.KMeans{})
-	gob.Register(&ml.StandardScaler{})
-	gob.Register(&ml.MinMaxScaler{})
-	gob.Register(&ml.SelectKBest{})
-	gob.Register(&ml.PCA{})
 }

@@ -270,6 +270,38 @@ func TestGBTWarmstartOnColumns(t *testing.T) {
 	}
 }
 
+// TestGBTWarmstartFromALargerDonor: a donor with more trees than the variant
+// asks for and the same hyperparameters is a prefix-compatible ensemble
+// whose first NTrees trees are the variant's: the fit keeps those, grows
+// none, and predicts bit for bit as a fit from scratch.
+func TestGBTWarmstartFromALargerDonor(t *testing.T) {
+	cols, y := mixedColumns(rand.New(rand.NewSource(9)), 500, 8)
+	train, _ := TrainTestSplit(len(y), 0.25, 9)
+	fit := func(trees int, donor Model) *GradientBoostedTrees {
+		g := NewGBT(1)
+		g.NTrees = trees
+		if donor != nil && !g.WarmstartFrom(donor) {
+			t.Fatal("donor rejected")
+		}
+		if err := g.FitColumns(cols, train, y); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	donor := fit(8, nil)
+	warm, cold := fit(5, donor), fit(5, nil)
+	if len(warm.Trees) != 5 || warm.TreesGrown != 0 || len(donor.Trees) != 8 {
+		t.Errorf("warmstarted fit holds %d trees and grew %d (donor %d), want 5 and 0 (8)", len(warm.Trees), warm.TreesGrown, len(donor.Trees))
+	}
+	x := rowsOf(cols)
+	a, b := warm.Predict(x), cold.Predict(x)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("prediction %d: %v warmstarted, %v cold", i, a[i], b[i])
+		}
+	}
+}
+
 // heapBytes is what one call of fn allocates on the heap.
 func heapBytes(fn func()) uint64 {
 	var before, after runtime.MemStats

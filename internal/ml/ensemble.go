@@ -44,7 +44,8 @@ func NewGBT(seed int64) *GradientBoostedTrees {
 func (g *GradientBoostedTrees) Kind() string { return "gbt" }
 
 // WarmstartFrom implements Warmstarter: adopt the donor's trees; Fit will
-// grow only NTrees-len(donor.Trees) additional trees.
+// grow only NTrees-len(donor.Trees) additional trees, and keeps only the
+// first NTrees of a donor that has more.
 func (g *GradientBoostedTrees) WarmstartFrom(donor Model) bool {
 	d, ok := donor.(*GradientBoostedTrees)
 	if !ok || len(d.Trees) == 0 {
@@ -74,6 +75,9 @@ func (g *GradientBoostedTrees) FitColumns(cols []*data.Column, rows []int, y []f
 	}
 	if g.Subsample == 0 {
 		g.Subsample = 1
+	}
+	if len(g.Trees) > g.NTrees { // a warmstart donor's ensemble was the larger
+		g.Trees = g.Trees[:g.NTrees:g.NTrees]
 	}
 	rng := rand.New(rand.NewSource(g.Seed))
 	if len(g.Trees) == 0 {

@@ -15,9 +15,11 @@ import (
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/ml"
+	"repro/internal/ops"
 	"repro/internal/store"
 	"repro/internal/tier"
 	"repro/internal/workloads/kaggle"
+	"repro/internal/workloads/openml"
 )
 
 // sameContent reports whether two artifacts are equal: a dataset column by
@@ -203,6 +205,41 @@ func TestColdPassStoresWhatTheClientHolds(t *testing.T) {
 	}
 }
 
+// learnerKinds are the learners ops.ModelSpec builds.
+var learnerKinds = []string{"logreg", "linreg", "tree", "gbt", "rf", "knn", "nb", "svm"}
+
+// learnerRuns executes a small OpenML pipeline per learner kind: each DAG
+// holds the trained model and its score, as a run carries them inline.
+func learnerRuns(tb testing.TB) []*graph.DAG {
+	tb.Helper()
+	frame := openml.GenerateDataset(openml.Config{Rows: 40, Features: 4, Seed: 31})
+	var dags []*graph.DAG
+	for _, kind := range learnerKinds {
+		dag := openml.Pipeline{Scaler: "std", Spec: ops.ModelSpec{Kind: kind, Params: map[string]float64{"n_trees": 3}, Seed: 1}}.Build(frame)
+		if _, err := core.Execute(dag, nil, nil); err != nil {
+			tb.Fatalf("%s: %v", kind, err)
+		}
+		dags = append(dags, dag)
+	}
+	return dags
+}
+
+// learnerModels returns the trained model of each learnerRuns DAG.
+func learnerModels(tb testing.TB) []graph.Artifact {
+	var out []graph.Artifact
+	for _, dag := range learnerRuns(tb) {
+		for _, n := range dag.Nodes() {
+			if ma, ok := n.Content.(*graph.ModelArtifact); ok {
+				out = append(out, ma)
+			}
+		}
+	}
+	if len(out) != len(learnerKinds) {
+		tb.Fatalf("%d models of %d learners", len(out), len(learnerKinds))
+	}
+	return out
+}
+
 // FuzzArtifactDecode feeds the client's download decoder arbitrary bytes. It
 // must never panic, and whatever it accepts it must refuse with one more
 // byte after it: a download is one whole message.
@@ -224,6 +261,14 @@ func FuzzArtifactDecode(f *testing.F) {
 	}
 	f.Add([]byte(downloadResponseMagic))
 	f.Add([]byte{})
+	for _, model := range learnerModels(f) {
+		body, err := (&downloadResponse{Content: model}).marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+		f.Add(body[:len(body)/2])
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var m downloadResponse
 		if m.unmarshal(body) != nil {

@@ -1,9 +1,7 @@
 package remote
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -26,7 +24,7 @@ import (
 //	message  = magic fields
 //	magic    = "C", route ("O" optimize | "U" update | "P" upload |
 //	           "G" download), direction ("Q" request | "R" response),
-//	           version ("1")
+//	           version ("1", or "2" for a message that carries blob records)
 //	uvarint  = encoding/binary's unsigned varint; sizes and durations too, so
 //	           none can be negative
 //	str      = uvarint 0, 16 bytes       a string of 32 lowercase hex digits
@@ -37,39 +35,41 @@ import (
 //	list(x)  = uvarint count, count × x
 //
 //	"COQ1" list(node without columns)
-//	"CUQ1" list(node) uvarint(wall time, ns) list(str inline ID)
-//	       [uvarint len, len bytes: a gob stream of one artifactEnvelope per
-//	       inline ID — present when there is one]
+//	"CUQ2" list(node) uvarint(wall time, ns) list(str inline ID, blob)
 //	"COR1" list(str reuse ID) list(str vertex, str donor, float quality)
 //	       uvarint(overhead, ns) list(float predicted load, s)
 //	"CUR1" list(str wanted ID) list(list(uvarint held column index))
-//	"CPQ1" list(str ID, artifact)
+//	"CPQ2" list(str ID, artifact)
 //	"CPR1" list(str refused ID)
-//	"CGR1" artifact
+//	"CGR2" artifact
 //
-//	artifact = "B" uvarint len, len bytes: the gob of one artifactEnvelope
+//	artifact = "B" blob
 //	         | "D" list(str column ID, str name)
 //	           list(uvarint len, len bytes: a tier column record)
+//	blob     = uvarint len, len bytes: a tier blob record (len 0: no content)
 //
 // A node is a presence bitmask (uvarint, bit i for field i of nodeFields)
 // followed by the fields whose bit is set, in bit order. A zero field is
 // left out; a bool is its bit alone. A parent is the index of an earlier
 // node of the same list.
 //
-// An artifact is a model, aggregate or transformer as one gob envelope
-// ("B"), or a dataset ("D"): its manifest — the frame's column lineage IDs
-// in order, with the names they carry in it — and columns as version-2
-// records of internal/tier, each checked against its own checksum when it
-// is read. An upload item carries the columns the server does not hold; a
-// download carries each distinct column of the frame once.
+// An artifact is a model, an aggregate or a dataset without columns as its
+// blob record of internal/tier ("B"), the bytes a blob file of the disk tier
+// holds, or a dataset ("D"): its manifest — the frame's column lineage IDs in
+// order, with the names they carry in it — and columns as version-2 records
+// of internal/tier, each checked against its own checksum when it is read. An
+// upload item carries the columns the server does not hold; a download
+// carries each distinct column of the frame once. A blob record is read
+// without reflection, as every other field: no type descriptors travel, and
+// nothing is compiled per request.
 const (
 	optimizeRequestMagic  = "COQ1"
-	updateRequestMagic    = "CUQ1"
+	updateRequestMagic    = "CUQ2"
 	optimizeResponseMagic = "COR1"
 	updateResponseMagic   = "CUR1"
-	uploadRequestMagic    = "CPQ1"
+	uploadRequestMagic    = "CPQ2"
 	uploadResponseMagic   = "CPR1"
-	downloadResponseMagic = "CGR1"
+	downloadResponseMagic = "CGR2"
 )
 
 // The forms of an artifact.
@@ -131,66 +131,47 @@ func (m *UpdateRequest) marshal() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var inline bytes.Buffer
-	if len(m.Inline) > 0 {
-		enc := gob.NewEncoder(&inline)
-		for _, a := range m.Inline {
-			if err := enc.Encode(&artifactEnvelope{Content: a.Content}); err != nil {
+	// The records go into one buffer ahead of the message: ends[i] is where
+	// the record of inline artifact i ends (a nil content is the empty one).
+	var records []byte
+	ends := make([]int, len(m.Inline))
+	for i, a := range m.Inline {
+		if a.Content != nil {
+			if records, err = tier.AppendBlob(records, a.Content); err != nil {
 				return nil, fmt.Errorf("inline artifact %q: %w", a.ID, err)
 			}
 		}
+		ends[i] = len(records)
 	}
 	return marshal(updateRequestMagic, func(e *encoder) {
 		e.nodes(m.Nodes, parents, true)
 		e.length("wall time", int64(m.WallTime))
 		e.uvarint(uint64(len(m.Inline)))
-		for _, a := range m.Inline {
+		start := 0
+		for i, a := range m.Inline {
 			e.str(a.ID)
-		}
-		if len(m.Inline) > 0 {
-			e.uvarint(uint64(inline.Len()))
-			e.write(inline.Bytes())
+			e.blob(records[start:ends[i]])
+			start = ends[i]
 		}
 	})
 }
 
 func (m *UpdateRequest) unmarshal(body []byte) error {
 	d := decoder{b: body}
-	inline := m.readMeta(&d)
-	if err := d.finish(); err != nil {
-		return err
-	}
-	r := bytes.NewReader(inline)
-	dec := gob.NewDecoder(r)
-	for i := range m.Inline {
-		var env artifactEnvelope
-		if err := dec.Decode(&env); err != nil {
-			return fmt.Errorf("inline artifact %q: %w", m.Inline[i].ID, err)
-		}
-		m.Inline[i].Content = env.Content
-	}
-	if r.Len() > 0 {
-		return fmt.Errorf("%d bytes after the inline artifacts", r.Len())
-	}
-	return nil
-}
-
-// readMeta reads an update up to its inline content: the nodes, the wall
-// time and the IDs of the inline artifacts. It returns the inline section,
-// still gob.
-func (m *UpdateRequest) readMeta(d *decoder) []byte {
 	d.header(updateRequestMagic)
 	m.Nodes = d.nodes(true)
 	m.WallTime = time.Duration(d.length())
-	n := d.count(1)
-	if n == 0 {
-		return nil
+	if n := d.count(2); n > 0 { // an ID and a record length at least
+		m.Inline = make([]InlineArtifact, n)
+		for i := range m.Inline {
+			a := &m.Inline[i]
+			a.ID = d.str()
+			if a.Content = d.blob(); d.err != nil {
+				return fmt.Errorf("inline artifact %q: %w", a.ID, d.err)
+			}
+		}
 	}
-	m.Inline = make([]InlineArtifact, n)
-	for i := range m.Inline {
-		m.Inline[i].ID = d.str()
-	}
-	return d.next(d.uvarint())
+	return d.finish()
 }
 
 func (m *OptimizeResponse) marshal() ([]byte, error) {
@@ -377,9 +358,10 @@ func (m *downloadResponse) unmarshal(body []byte) error {
 }
 
 // encodedArtifact is an artifact encoded ahead of its message, so that the
-// counting pass of marshal only adds up lengths: the gob envelope of a blob,
+// counting pass of marshal only adds up lengths: the blob record of a blob,
 // or a manifest and column records.
 type encodedArtifact struct {
+	form          byte
 	blob          []byte
 	colIDs, names []string
 	records       [][]byte
@@ -389,11 +371,14 @@ type encodedArtifact struct {
 // a dataset.
 func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Column) (encodedArtifact, error) {
 	if colIDs == nil && cols == nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&artifactEnvelope{Content: blob}); err != nil {
-			return encodedArtifact{}, err
+		a := encodedArtifact{form: blobForm}
+		if blob != nil { // nil travels as the empty record, which the reader refuses
+			var err error
+			if a.blob, err = tier.AppendBlob(nil, blob); err != nil {
+				return encodedArtifact{}, err
+			}
 		}
-		return encodedArtifact{blob: buf.Bytes()}, nil
+		return a, nil
 	}
 	if blob != nil {
 		return encodedArtifact{}, fmt.Errorf("carries both a blob and a manifest")
@@ -401,7 +386,7 @@ func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Co
 	if len(names) != len(colIDs) {
 		return encodedArtifact{}, fmt.Errorf("%d column ids, %d names", len(colIDs), len(names))
 	}
-	a := encodedArtifact{colIDs: colIDs, names: names, records: make([][]byte, len(cols))}
+	a := encodedArtifact{form: datasetForm, colIDs: colIDs, names: names, records: make([][]byte, len(cols))}
 	for i, c := range cols {
 		var err error
 		if a.records[i], err = tier.EncodeColumn(c); err != nil {
@@ -411,14 +396,17 @@ func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Co
 	return a, nil
 }
 
+func (e *encoder) blob(record []byte) {
+	e.uvarint(uint64(len(record)))
+	e.write(record)
+}
+
 func (e *encoder) artifact(a *encodedArtifact) {
-	if a.blob != nil {
-		e.write([]byte{blobForm})
-		e.uvarint(uint64(len(a.blob)))
-		e.write(a.blob)
+	e.write([]byte{a.form})
+	if a.form == blobForm {
+		e.blob(a.blob)
 		return
 	}
-	e.write([]byte{datasetForm})
 	e.uvarint(uint64(len(a.colIDs)))
 	for i := range a.colIDs {
 		e.str(a.colIDs[i])
@@ -436,30 +424,15 @@ func (e *encoder) artifact(a *encodedArtifact) {
 const minRecord = 4 + 1 + 2 + 2 + 4 + 4
 
 // artifact reads an artifact: a blob, or a dataset's manifest and columns.
-// A blob must hold content and not be a dataset with columns, which travels
-// as its manifest; a manifest must name a column; every record must verify.
+// A blob must hold content; a manifest must name a column; every record must
+// verify.
 func (d *decoder) artifact() (blob graph.Artifact, colIDs, names []string, cols []*data.Column) {
 	switch form := d.u8(); form {
 	case blobForm:
-		p := d.next(d.uvarint())
-		if d.err != nil {
-			return
-		}
-		r := bytes.NewReader(p)
-		var env artifactEnvelope
-		if err := gob.NewDecoder(r).Decode(&env); err != nil {
-			d.fail("blob: %v", err)
-			return
-		}
-		switch ds, isDataset := env.Content.(*graph.DatasetArtifact); {
-		case r.Len() > 0:
-			d.fail("%d bytes after the blob", r.Len())
-		case env.Content == nil:
+		if blob = d.blob(); blob == nil {
 			d.fail("blob carries no content")
-		case isDataset && ds.Frame != nil && ds.Frame.NumCols() > 0:
-			d.fail("dataset content must travel as a manifest")
 		}
-		return env.Content, nil, nil, nil
+		return blob, nil, nil, nil
 	case datasetForm:
 		n := d.count(2)
 		if n == 0 {
@@ -807,6 +780,20 @@ func (d *decoder) strs() []string {
 		out[i] = d.str()
 	}
 	return out
+}
+
+// blob reads a blob record: nil for the empty record and on an error.
+func (d *decoder) blob() graph.Artifact {
+	p := d.next(d.uvarint())
+	if len(p) == 0 {
+		return nil
+	}
+	a, err := tier.DecodeBlob(p)
+	if err != nil {
+		d.fail("%v", err)
+		return nil
+	}
+	return a
 }
 
 // nodes reads a node list. A parent index must name an earlier node: the

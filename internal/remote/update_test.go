@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,9 @@ import (
 	"repro/internal/eg/egtest"
 	"repro/internal/graph"
 	"repro/internal/materialize"
+	"repro/internal/ml"
 	"repro/internal/store"
+	"repro/internal/tier"
 	"repro/internal/workloads/kaggle"
 	"repro/internal/workloads/openml"
 )
@@ -67,7 +70,9 @@ func TestUpdateStoresTheInlineContentItSelects(t *testing.T) {
 
 // TestUpdateRefusesInlineContentItCannotTake: a dataset, an item without
 // content and content for a vertex the update does not carry are each a 400
-// that leaves the Experiment Graph and the store as they were.
+// that leaves the Experiment Graph and the store as they were. (A dataset with
+// columns cannot be written inline at all: a blob record has no form for
+// one.)
 func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 	dag := buildPipeline(testFrame(50, 1))
 	if _, err := core.Execute(dag, nil, nil); err != nil {
@@ -89,7 +94,7 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 		name string
 		bad  InlineArtifact
 	}{
-		{"a dataset", InlineArtifact{ID: feat.ID, Content: feat.Content}},
+		{"a dataset", InlineArtifact{ID: feat.ID, Content: &graph.DatasetArtifact{}}},
 		{"no content", InlineArtifact{ID: model.ID}},
 		{"not a vertex of the update", InlineArtifact{ID: "ghost", Content: model.Content}},
 	} {
@@ -102,10 +107,98 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 			t.Errorf("%s: the refused update reached the server (EG %d, store %d)", tc.name, srv.EG.Len(), srv.Store.Len())
 		}
 	}
+	frame := &UpdateRequest{Nodes: ToWire(dag), Inline: []InlineArtifact{valid, {ID: feat.ID, Content: feat.Content}}}
+	if _, err := frame.marshal(); err == nil {
+		t.Error("a frame with columns was written inline")
+	}
 	srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
 	body := &UpdateRequest{Nodes: ToWire(dag), Inline: []InlineArtifact{valid}}
 	if code := postMeta(t, NewHandler(srv), "/v1/update", body); code != http.StatusOK || !srv.Store.Has(model.ID) {
 		t.Errorf("the valid item alone: status %d, stored %v", code, srv.Store.Has(model.ID))
+	}
+}
+
+// TestHostileBlobRecordsAreRefused: a blob record the tier refuses — here a
+// tree that splits on a feature the model does not list, which gob accepted
+// and prediction then indexed past the feature columns with, and a record
+// cut short — is a 400 on the update and the upload, leaving the server as
+// it was, and an error on a download.
+func TestHostileBlobRecordsAreRefused(t *testing.T) {
+	record := func(a graph.Artifact) []byte {
+		rec, err := tier.AppendBlob(nil, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	split := &ml.TreeNode{Feature: 1, Left: &ml.TreeNode{Feature: -1}, Right: &ml.TreeNode{Feature: -1}}
+	tree := record(&graph.ModelArtifact{Model: &ml.DecisionTree{Root: split}, Features: []string{"a", "b"}})
+	two, one := record(&graph.ModelArtifact{Features: []string{"a", "b"}}), record(&graph.ModelArtifact{Features: []string{"a"}})
+	// The header of a model of one feature, then the tree's learner.
+	wrongFeature := slices.Concat(one[:len(one)-1], tree[len(two)-1:])
+
+	dag := buildPipeline(testFrame(50, 1))
+	if _, err := core.Execute(dag, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	nodes := ToWire(dag)
+	parents, err := parentIndices(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model string
+	for _, a := range inline(dag) {
+		if _, ok := a.Content.(*graph.ModelArtifact); ok {
+			model = a.ID
+		}
+	}
+	update := func(rec []byte) []byte {
+		body, _ := marshal(updateRequestMagic, func(e *encoder) {
+			e.nodes(nodes, parents, true)
+			e.uvarint(0)
+			e.uvarint(1)
+			e.str(model)
+			e.blob(rec)
+		})
+		return body
+	}
+	upload := func(rec []byte) []byte {
+		body, _ := marshal(uploadRequestMagic, func(e *encoder) {
+			e.uvarint(1)
+			e.str("m")
+			e.write([]byte{blobForm})
+			e.blob(rec)
+		})
+		return body
+	}
+	download := func(rec []byte) error {
+		body, _ := marshal(downloadResponseMagic, func(e *encoder) {
+			e.write([]byte{blobForm})
+			e.blob(rec)
+		})
+		return (&downloadResponse{}).unmarshal(body)
+	}
+	for name, rec := range map[string][]byte{
+		"a split on a feature not listed": wrongFeature,
+		"a record cut short":              tree[:len(tree)-1],
+		"a valid tree":                    slices.Concat(two[:len(two)-1], tree[len(two)-1:]), // the same splice
+	} {
+		want, uploaded, stored := http.StatusBadRequest, http.StatusBadRequest, 0
+		if name == "a valid tree" {
+			want, uploaded, stored = http.StatusOK, http.StatusNoContent, 1
+		}
+		srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
+		if code := postBody(NewHandler(srv), "/v1/update", update(rec)).Code; code != want || want != http.StatusOK && srv.EG.Len() != 0 {
+			t.Errorf("update with %s: status %d, want %d (EG %d)", name, code, want, srv.EG.Len())
+		}
+		srv = core.NewServer(store.New(cost.Memory()))
+		knownTo(t, srv, "m")
+		if code := postBody(NewHandler(srv), "/v1/artifact", upload(rec)).Code; code != uploaded || srv.Store.Len() != stored {
+			t.Errorf("upload of %s: status %d, want %d; store holds %d, want %d", name, code, uploaded, srv.Store.Len(), stored)
+		}
+		if err := download(rec); (err == nil) != (want == http.StatusOK) {
+			t.Errorf("download of %s: %v", name, err)
+		}
 	}
 }
 
@@ -330,14 +423,18 @@ func FuzzUpdateDecode(f *testing.F) {
 	smuggled := inline(small)
 	for _, n := range small.Nodes() {
 		if !n.IsSource() && n.Kind == graph.DatasetKind {
-			smuggled = append(smuggled, InlineArtifact{ID: n.ID, Content: n.Content})
+			smuggled = append(smuggled, InlineArtifact{ID: n.ID, Content: &graph.DatasetArtifact{}})
 		}
 	}
-	for _, req := range []*UpdateRequest{
+	reqs := []*UpdateRequest{
 		{Nodes: ToWire(w1), WallTime: time.Second, Inline: inline(w1)},
 		{Nodes: ToWire(small), Inline: inline(small)},
 		{Nodes: ToWire(small), Inline: smuggled}, // a dataset inline: 400
-	} {
+	}
+	for _, dag := range learnerRuns(f) {
+		reqs = append(reqs, &UpdateRequest{Nodes: ToWire(dag), Inline: inline(dag)})
+	}
+	for _, req := range reqs {
 		body, err := req.marshal()
 		if err != nil {
 			f.Fatal(err)

@@ -7,10 +7,9 @@
 //
 // Wire format: every body is a message of the hand-written binary codec of
 // codec.go. A dataset travels as its manifest and its columns in the tier's
-// column record; models, aggregates and transformers travel as gob
-// envelopes, in the update's inline section, an upload item or a download.
-// graph.RegisterGobTypes lists the artifact and model types that travel
-// inside Artifact values.
+// column record; models and aggregates travel in the tier's blob record, in
+// the update's inline section, an upload item or a download. Nothing on the
+// wire is gob.
 package remote
 
 import (
@@ -23,8 +22,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/reuse"
 )
-
-func init() { graph.RegisterGobTypes() }
 
 // WireNode is one workload vertex as shipped to the server: identity,
 // structure, and measurements — never content.
@@ -82,9 +79,9 @@ type UpdateRequest struct {
 	// WallTime is the client's measured Execute wall-clock time, for the
 	// calibration scorecard.
 	WallTime time.Duration
-	// Inline holds the models, aggregates and transformers the run computed
-	// (not Computed, not LoadedFromEG): small next to the frames, and mostly
-	// what the materializer selects. The server stores what it selects of
+	// Inline holds the models and aggregates the run computed (not
+	// Computed, not LoadedFromEG): small next to the frames, and mostly what
+	// the materializer selects. The server stores what it selects of
 	// them during the update and asks for none of them. Datasets never ride
 	// here — they are uploaded by manifest, so the columns the server holds
 	// stay behind — and a dataset sent inline is refused.
@@ -119,12 +116,11 @@ type uploadRequest struct {
 }
 
 // artifactUpload is one item of an upload body, the content of vertex ID.
-// Exactly one half is set. Models, aggregates and transformers travel whole
-// in Blob. A dataset travels as its manifest (ordered column lineage IDs
-// and names) plus the columns the server does not hold yet; the server
-// assembles the frame from those and the columns its store has under the
-// same IDs. A full upload is the case where Columns carries every manifest
-// column.
+// Exactly one half is set. Models and aggregates travel whole in Blob. A
+// dataset travels as its manifest (ordered column lineage IDs and names)
+// plus the columns the server does not hold yet; the server assembles the
+// frame from those and the columns its store has under the same IDs. A full
+// upload is the case where Columns carries every manifest column.
 type artifactUpload struct {
 	ID      string
 	Blob    graph.Artifact
@@ -144,13 +140,6 @@ type uploadResponse struct {
 // downloadResponse is the 200 answer to GET /v1/artifact: the content of
 // the vertex asked for.
 type downloadResponse struct {
-	Content graph.Artifact
-}
-
-// artifactEnvelope wraps the Artifact interface for gob: a blob of an
-// upload item or a download, and each artifact of an update's inline
-// section.
-type artifactEnvelope struct {
 	Content graph.Artifact
 }
 

@@ -1,10 +1,8 @@
 package tier
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -18,15 +16,11 @@ import (
 	"repro/internal/graph"
 )
 
-// The disk tier gob-encodes whole-blob artifacts, so the concrete artifact
-// and model types must be registered.
-func init() { graph.RegisterGobTypes() }
-
 // Directory layout under the tier root:
 //
 //	cols/<h>.col        one file per column lineage ID (EncodeColumn)
 //	frames/<h>.mf       dataset manifest: vertex ID → ordered (colID, name)
-//	blobs/<h>.bl        whole-blob artifacts (models, aggregates), gob payload
+//	blobs/<h>.bl        whole-blob artifacts (models, aggregates), blob record
 //	quarantine/         corrupt files moved here by Open, never loaded
 //
 // File names are hex(sha256(logical ID))[:40]; the logical ID inside the
@@ -41,8 +35,9 @@ const (
 	frameExt = ".mf"
 	blobExt  = ".bl"
 
-	frameMagic = "CTM1"
-	blobMagic  = "CTB1"
+	frameMagic  = "CTM1"
+	blobMagic   = "CTB2"
+	blobMagicV1 = "CTB1"
 )
 
 func fname(id string) string {
@@ -365,9 +360,12 @@ func decodeManifest(b []byte) (vid string, man manifest, err error) {
 	return vid, man, nil
 }
 
-// Blob file format (version 1):
+// Blob file format, version 2:
 //
-//	magic "CTB1", u16 vidLen + vid, gob payload, u32 CRC-32C
+//	magic "CTB2", u16 vidLen + vid, blob record (AppendBlob), u32 CRC-32C
+//
+// Version 1 ("CTB1") is read, never written (blobv1.go): the same frame
+// around a gob payload.
 func encodeBlob(vid string, a graph.Artifact) ([]byte, error) {
 	if len(vid) > maxMetaLen {
 		return nil, fmt.Errorf("tier: vertex id too long (%d bytes)", len(vid))
@@ -376,17 +374,19 @@ func encodeBlob(vid string, a graph.Artifact) ([]byte, error) {
 	b = append(b, blobMagic...)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(vid)))
 	b = append(b, vid...)
-	var buf bytes.Buffer
-	env := blobEnvelope{Content: a}
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
+	b, err := AppendBlob(b, a)
+	if err != nil {
 		return nil, fmt.Errorf("tier: encoding blob %s: %w", vid, err)
 	}
-	b = append(b, buf.Bytes()...)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
 }
 
 func decodeBlob(b []byte) (vid string, content graph.Artifact, err error) {
-	if len(b) < len(blobMagic)+4 || string(b[:len(blobMagic)]) != blobMagic {
+	if len(b) < len(blobMagic)+4 {
+		return "", nil, fmt.Errorf("%w: bad blob magic", ErrCorrupt)
+	}
+	magic := string(b[:len(blobMagic)])
+	if magic != blobMagic && magic != blobMagicV1 {
 		return "", nil, fmt.Errorf("%w: bad blob magic", ErrCorrupt)
 	}
 	body, crcBytes := b[:len(b)-4], b[len(b)-4:]
@@ -402,20 +402,15 @@ func decodeBlob(b []byte) (vid string, content graph.Artifact, err error) {
 	if !ok {
 		return "", nil, fmt.Errorf("%w: truncated blob", ErrCorrupt)
 	}
-	vid = string(vb)
-	var env blobEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(body[r.off:])).Decode(&env); err != nil {
-		return "", nil, fmt.Errorf("%w: blob gob: %v", ErrCorrupt, err)
+	if magic == blobMagicV1 {
+		content, err = decodeBlobV1(body[r.off:])
+	} else {
+		content, err = DecodeBlob(body[r.off:])
 	}
-	if env.Content == nil {
-		return "", nil, fmt.Errorf("%w: empty blob", ErrCorrupt)
+	if err != nil {
+		return "", nil, err
 	}
-	return vid, env.Content, nil
-}
-
-// blobEnvelope wraps the Artifact interface for gob.
-type blobEnvelope struct {
-	Content graph.Artifact
+	return string(vb), content, nil
 }
 
 // PutFrame spills a dataset artifact: it writes column files that are not

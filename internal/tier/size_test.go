@@ -58,6 +58,76 @@ func TestRecordsAreSmallerThanGob(t *testing.T) {
 	}
 }
 
+// TestBlobRecordsOfRealRuns: every model and aggregate that Table-1 W1–W8
+// (Kaggle scale 1, seed 42) and a hundred OpenML stand-in pipelines produce
+// decodes from its blob record bit for bit and re-encodes to the same bytes,
+// and each record is smaller than the gob envelope it replaced (one fresh
+// encoder per artifact, as the wire and the blob files wrote it).
+func TestBlobRecordsOfRealRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("executes the Table-1 sequence")
+	}
+	var dags []*graph.DAG
+	src := kaggle.Generate(kaggle.Config{Scale: 1, Seed: 42})
+	for _, w := range kaggle.AllWorkloads() {
+		dags = append(dags, w.Build(src))
+	}
+	cfg := openml.DefaultConfig()
+	frame := openml.GenerateDataset(cfg)
+	for _, p := range openml.SamplePipelines(cfg, 100, false) {
+		dags = append(dags, p.Build(frame))
+	}
+	type total struct{ n, records, gobs int }
+	byKind := make(map[string]*total)
+	for _, dag := range dags {
+		if _, err := core.Execute(dag, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range dag.Nodes() {
+			kind := "aggregate"
+			switch a := n.Content.(type) {
+			case *graph.DatasetArtifact, nil:
+				continue
+			case *graph.ModelArtifact:
+				kind = a.Model.Kind()
+			}
+			rec, err := tier.AppendBlob(nil, n.Content)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", n.Name, n.ID, err)
+			}
+			got, err := tier.DecodeBlob(rec)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", n.Name, n.ID, err)
+			}
+			if !tier.EqualBits(got, n.Content) {
+				t.Errorf("%s (%s) decoded as something else", n.Name, n.ID)
+			}
+			if re, err := tier.AppendBlob(nil, got); err != nil || !bytes.Equal(re, rec) {
+				t.Errorf("%s (%s) re-encoded differently (%v)", n.Name, n.ID, err)
+			}
+			var env bytes.Buffer
+			if err := gob.NewEncoder(&env).Encode(&struct{ Content graph.Artifact }{n.Content}); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec) >= env.Len() {
+				t.Errorf("%s (%s): %d bytes as a record, %d as gob", n.Name, n.ID, len(rec), env.Len())
+			}
+			if byKind[kind] == nil {
+				byKind[kind] = &total{}
+			}
+			k := byKind[kind]
+			k.n, k.records, k.gobs = k.n+1, k.records+len(rec), k.gobs+env.Len()
+		}
+	}
+	for kind, k := range byKind {
+		t.Logf("%-9s %4d: %7.1f bytes as records, %7.1f as gob on average", kind, k.n,
+			float64(k.records)/float64(k.n), float64(k.gobs)/float64(k.n))
+	}
+	if len(byKind) < 5 {
+		t.Errorf("the runs produced %d kinds of content, want aggregates and four learners", len(byKind))
+	}
+}
+
 func recordBytes(t *testing.T, cols []*data.Column) int64 {
 	var n int64
 	for _, c := range cols {
