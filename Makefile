@@ -90,7 +90,8 @@ bench-pairs:
 # fuzz replays the seed corpora and explores, for a short budget each, the
 # column codec (corruption must never decode successfully), the blob record
 # of models and aggregates (never a panic, and what it accepts re-encodes to
-# the same bytes), the artifact
+# the same bytes), the disk tier's manifest (the same, and no more entries
+# than its bytes could hold), the artifact
 # upload body (hostile bytes must never panic the handler or tear a store
 # entry), the client's download decoder (never a panic, never a byte after
 # the message accepted), the update body, which carries artifacts too (a
@@ -105,6 +106,7 @@ bench-pairs:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzColumnCodec -fuzztime=10s ./internal/tier/
 	$(GO) test -run=NONE -fuzz=FuzzModelRecord -fuzztime=10s ./internal/tier/
+	$(GO) test -run=NONE -fuzz=FuzzManifest -fuzztime=10s ./internal/tier/
 	$(GO) test -run=NONE -fuzz=FuzzUploadDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzArtifactDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
@@ -144,6 +146,8 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # to what still reads or writes it: persist's snapshot, the gob hooks of
 # graph and data, and the tier's read path of version-1 blob files. Nothing
 # the wire or the disk tier writes is gob (bench/, the ruler, is not linted).
+# And it keeps one byte toolkit: internal/rec imports nothing of the
+# repository, and is the only program code that computes a checksum.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 GOB_FILES = internal/persist/persist.go internal/graph/gob.go internal/data/gob.go internal/tier/blobv1.go
@@ -159,6 +163,14 @@ lint-layers:
 	@out="$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"encoding/gob"' . | sed 's|^\./||' | grep -vxF $(addprefix -e ,$(GOB_FILES)) || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "encoding/gob imported outside $(GOB_FILES):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/rec | grep '^repro/' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "the byte toolkit internal/rec imports the repository:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"hash/crc32"' . | sed 's|^\./||' | grep -v '^internal/rec/' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "hash/crc32 imported outside internal/rec (seal records with rec.Seal):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

@@ -19,11 +19,9 @@ package persist
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -31,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eg"
 	"repro/internal/graph"
+	"repro/internal/rec"
 
 	// Register artifact and model types for gob.
 	_ "repro/internal/remote"
@@ -49,8 +48,6 @@ const (
 // checksum mismatch). Callers distinguish it from fs.ErrNotExist: a missing
 // file is a first boot, a torn file is data loss that deserves a loud log.
 var ErrTorn = errors.New("persist: torn or truncated snapshot")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // storeSnapshot is the serialized artifact store: artifact content by
 // vertex ID. Column deduplication is an in-memory property that Put
@@ -131,29 +128,17 @@ func writeGobFile(path string, v any) error {
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		return fmt.Errorf("persist: encode %s: %w", filepath.Base(path), err)
 	}
-	buf := make([]byte, 0, len(snapMagic)+8+payload.Len()+4)
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(payload.Len()))
-	buf = append(buf, payload.Bytes()...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	w := rec.Frame(snapMagic, 8+payload.Len())
+	w.U64(uint64(payload.Len()))
+	w.Raw(payload.Bytes())
+	buf, err := w.Seal()
+	if err == nil {
+		err = rec.WriteFile(path, buf)
+	}
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: write %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: sync %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return nil
 }
 
 // readGobFile reads an enveloped snapshot, rejecting torn or truncated
@@ -171,20 +156,15 @@ func readGobFile(path string, v any) error {
 		}
 		return nil
 	}
-	head := len(snapMagic) + 8
-	if len(b) < head+4 {
-		return fmt.Errorf("persist: %s: %d bytes: %w", name, len(b), ErrTorn)
+	_, body, err := rec.Open(b, snapMagic)
+	if err != nil {
+		return fmt.Errorf("persist: %s: %v: %w", name, err, ErrTorn)
 	}
-	payloadLen := binary.LittleEndian.Uint64(b[len(snapMagic):head])
-	if uint64(len(b)) != uint64(head)+payloadLen+4 {
-		return fmt.Errorf("persist: %s: length %d does not match declared payload %d: %w",
-			name, len(b), payloadLen, ErrTorn)
+	r := rec.NewReader(body)
+	if n := r.U64(); r.Err() != nil || n != uint64(r.Left()) {
+		return fmt.Errorf("persist: %s: %d bytes do not hold the declared payload of %d: %w", name, len(b), n, ErrTorn)
 	}
-	body, trailer := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.Checksum(body, castagnoli) != trailer {
-		return fmt.Errorf("persist: %s: checksum mismatch: %w", name, ErrTorn)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body[head:])).Decode(v); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(r.Bytes(r.Left()))).Decode(v); err != nil {
 		return fmt.Errorf("persist: decode %s: %w", name, err)
 	}
 	return nil

@@ -1,15 +1,13 @@
 package remote
 
 import (
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/graph"
+	"repro/internal/rec"
 	"repro/internal/reuse"
 	"repro/internal/tier"
 )
@@ -19,18 +17,16 @@ import (
 // POST /v1/update both ways, the upload body of POST /v1/artifact and its
 // answer, and the answer to GET /v1/artifact. Each message is written into a
 // buffer of exactly its length and read back without reflection; a body
-// must be one whole message, nothing before and nothing after it.
+// must be one whole message, nothing before and nothing after it. Its
+// primitives are internal/rec's:
 //
 //	message  = magic fields
 //	magic    = "C", route ("O" optimize | "U" update | "P" upload |
 //	           "G" download), direction ("Q" request | "R" response),
 //	           version ("1", or "2" for a message that carries blob records)
-//	uvarint  = encoding/binary's unsigned varint; sizes and durations too, so
-//	           none can be negative
-//	str      = uvarint 0, 16 bytes       a string of 32 lowercase hex digits
-//	                                     (vertex IDs, op hashes, column
-//	                                     lineage IDs)
-//	         | uvarint len+1, len bytes  any other string
+//	uvarint  = sizes and durations too, so none can be negative
+//	str      = rec's id: 16 bytes for 32 lowercase hex digits (vertex IDs,
+//	           op hashes, column lineage IDs), any other string as itself
 //	float    = 8 bytes, the little-endian IEEE-754 bits
 //	list(x)  = uvarint count, count × x
 //
@@ -44,8 +40,8 @@ import (
 //	"CGR2" artifact
 //
 //	artifact = "B" blob
-//	         | "D" list(str column ID, str name)
-//	           list(uvarint len, len bytes: a tier column record)
+//	         | "D" manifest list(uvarint len, len bytes: a tier column record)
+//	manifest = list(str column ID, str name), tier.WriteManifest
 //	blob     = uvarint len, len bytes: a tier blob record (len 0: no content)
 //
 // A node is a presence bitmask (uvarint, bit i for field i of nodeFields)
@@ -56,7 +52,8 @@ import (
 // An artifact is a model, an aggregate or a dataset without columns as its
 // blob record of internal/tier ("B"), the bytes a blob file of the disk tier
 // holds, or a dataset ("D"): its manifest — the frame's column lineage IDs in
-// order, with the names they carry in it — and columns as version-2 records
+// order, with the names they carry in it, the bytes a manifest file of the
+// disk tier holds after its vertex ID — and columns as version-2 records
 // of internal/tier, each checked against its own checksum when it is read. An
 // upload item carries the columns the server does not hold; a download
 // carries each distinct column of the frame once. A blob record is read
@@ -116,14 +113,13 @@ func (m *OptimizeRequest) marshal() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return marshal(optimizeRequestMagic, func(e *encoder) { e.nodes(m.Nodes, parents, false) })
+	return marshal(optimizeRequestMagic, func(w *rec.Writer) { writeNodes(w, m.Nodes, parents, false) })
 }
 
 func (m *OptimizeRequest) unmarshal(body []byte) error {
-	d := decoder{b: body}
-	d.header(optimizeRequestMagic)
-	m.Nodes = d.nodes(false)
-	return d.finish()
+	r := open(body, optimizeRequestMagic)
+	m.Nodes = readNodes(&r, false)
+	return r.Done()
 }
 
 func (m *UpdateRequest) marshal() ([]byte, error) {
@@ -143,103 +139,98 @@ func (m *UpdateRequest) marshal() ([]byte, error) {
 		}
 		ends[i] = len(records)
 	}
-	return marshal(updateRequestMagic, func(e *encoder) {
-		e.nodes(m.Nodes, parents, true)
-		e.length("wall time", int64(m.WallTime))
-		e.uvarint(uint64(len(m.Inline)))
+	return marshal(updateRequestMagic, func(w *rec.Writer) {
+		writeNodes(w, m.Nodes, parents, true)
+		w.Length("wall time", int64(m.WallTime))
+		w.Uvarint(uint64(len(m.Inline)))
 		start := 0
 		for i, a := range m.Inline {
-			e.str(a.ID)
-			e.blob(records[start:ends[i]])
+			w.ID(a.ID)
+			writeBlob(w, records[start:ends[i]])
 			start = ends[i]
 		}
 	})
 }
 
 func (m *UpdateRequest) unmarshal(body []byte) error {
-	d := decoder{b: body}
-	d.header(updateRequestMagic)
-	m.Nodes = d.nodes(true)
-	m.WallTime = time.Duration(d.length())
-	if n := d.count(2); n > 0 { // an ID and a record length at least
+	r := open(body, updateRequestMagic)
+	m.Nodes = readNodes(&r, true)
+	m.WallTime = time.Duration(r.Length())
+	if n := r.Count(2); n > 0 { // an ID and a record length at least
 		m.Inline = make([]InlineArtifact, n)
 		for i := range m.Inline {
 			a := &m.Inline[i]
-			a.ID = d.str()
-			if a.Content = d.blob(); d.err != nil {
-				return fmt.Errorf("inline artifact %q: %w", a.ID, d.err)
+			a.ID = r.ID()
+			if a.Content = readBlob(&r); r.Err() != nil {
+				return fmt.Errorf("inline artifact %q: %w", a.ID, r.Err())
 			}
 		}
 	}
-	return d.finish()
+	return r.Done()
 }
 
 func (m *OptimizeResponse) marshal() ([]byte, error) {
-	return marshal(optimizeResponseMagic, func(e *encoder) {
-		e.strs(m.ReuseIDs)
-		e.uvarint(uint64(len(m.Warmstarts)))
+	return marshal(optimizeResponseMagic, func(w *rec.Writer) {
+		writeIDs(w, m.ReuseIDs)
+		w.Uvarint(uint64(len(m.Warmstarts)))
 		for _, c := range m.Warmstarts {
-			e.str(c.VertexID)
-			e.str(c.DonorID)
-			e.float(c.Quality)
+			w.ID(c.VertexID)
+			w.ID(c.DonorID)
+			w.Float(c.Quality)
 		}
-		e.length("overhead", int64(m.Overhead))
-		e.uvarint(uint64(len(m.PredictedLoadSec)))
-		for _, s := range m.PredictedLoadSec {
-			e.float(s)
-		}
+		w.Length("overhead", int64(m.Overhead))
+		w.Uvarint(uint64(len(m.PredictedLoadSec)))
+		w.Floats(m.PredictedLoadSec)
 	})
 }
 
 func (m *OptimizeResponse) unmarshal(body []byte) error {
-	d := decoder{b: body}
-	d.header(optimizeResponseMagic)
-	m.ReuseIDs = d.strs()
-	if n := d.count(1 + 1 + 8); n > 0 {
+	r := open(body, optimizeResponseMagic)
+	m.ReuseIDs = readIDs(&r)
+	if n := r.Count(1 + 1 + 8); n > 0 {
 		m.Warmstarts = make([]reuse.WarmstartCandidate, n)
 		for i := range m.Warmstarts {
-			m.Warmstarts[i] = reuse.WarmstartCandidate{VertexID: d.str(), DonorID: d.str(), Quality: d.float()}
+			m.Warmstarts[i] = reuse.WarmstartCandidate{VertexID: r.ID(), DonorID: r.ID(), Quality: r.Float()}
 		}
 	}
-	m.Overhead = time.Duration(d.length())
-	if n := d.count(8); n > 0 {
+	m.Overhead = time.Duration(r.Length())
+	if n := r.Count(8); n > 0 {
 		m.PredictedLoadSec = make([]float64, n)
 		for i := range m.PredictedLoadSec {
-			m.PredictedLoadSec[i] = d.float()
+			m.PredictedLoadSec[i] = r.Float()
 		}
 	}
-	return d.finish()
+	return r.Done()
 }
 
 func (m *UpdateResponse) marshal() ([]byte, error) {
-	return marshal(updateResponseMagic, func(e *encoder) {
-		e.strs(m.WantContent)
-		e.uvarint(uint64(len(m.Have)))
+	return marshal(updateResponseMagic, func(w *rec.Writer) {
+		writeIDs(w, m.WantContent)
+		w.Uvarint(uint64(len(m.Have)))
 		for _, held := range m.Have {
-			e.uvarint(uint64(len(held)))
+			w.Uvarint(uint64(len(held)))
 			for _, i := range held {
-				e.length("held column index", int64(i))
+				w.Length("held column index", int64(i))
 			}
 		}
 	})
 }
 
 func (m *UpdateResponse) unmarshal(body []byte) error {
-	d := decoder{b: body}
-	d.header(updateResponseMagic)
-	m.WantContent = d.strs()
-	if n := d.count(1); n > 0 {
+	r := open(body, updateResponseMagic)
+	m.WantContent = readIDs(&r)
+	if n := r.Count(1); n > 0 {
 		m.Have = make([][]int, n)
 		for i := range m.Have {
-			if k := d.count(1); k > 0 {
+			if k := r.Count(1); k > 0 {
 				m.Have[i] = make([]int, k)
 				for j := range m.Have[i] {
-					m.Have[i][j] = int(d.length())
+					m.Have[i][j] = int(r.Length())
 				}
 			}
 		}
 	}
-	return d.finish()
+	return r.Done()
 }
 
 func (m *uploadRequest) marshal() ([]byte, error) {
@@ -250,11 +241,11 @@ func (m *uploadRequest) marshal() ([]byte, error) {
 			return nil, fmt.Errorf("artifact %q: %w", up.ID, err)
 		}
 	}
-	return marshal(uploadRequestMagic, func(e *encoder) {
-		e.uvarint(uint64(len(m.Items)))
+	return marshal(uploadRequestMagic, func(w *rec.Writer) {
+		w.Uvarint(uint64(len(m.Items)))
 		for i, up := range m.Items {
-			e.str(up.ID)
-			e.artifact(&content[i])
+			w.ID(up.ID)
+			writeArtifact(w, &content[i])
 		}
 	})
 }
@@ -263,35 +254,33 @@ func (m *uploadRequest) marshal() ([]byte, error) {
 // and a blob that is not a dataset with columns or a manifest naming at
 // least one column, whose records all decode.
 func (m *uploadRequest) unmarshal(body []byte) error {
-	d := decoder{b: body}
-	d.header(uploadRequestMagic)
-	n := d.count(3) // an ID, a form byte and a length at least
+	r := open(body, uploadRequestMagic)
+	n := r.Count(3) // an ID, a form byte and a length at least
 	if n == 0 {
-		d.fail("upload carries no artifact")
+		r.Fail("upload carries no artifact")
 	}
 	m.Items = make([]artifactUpload, n)
 	for i := range m.Items {
 		up := &m.Items[i]
-		if up.ID = d.str(); up.ID == "" {
-			d.fail("item %d: missing id", i)
+		if up.ID = r.ID(); up.ID == "" {
+			r.Fail("item %d: missing id", i)
 		}
-		up.Blob, up.ColIDs, up.Names, up.Columns = d.artifact()
-		if d.err != nil {
-			return fmt.Errorf("artifact %q: %w", up.ID, d.err)
+		up.Blob, up.ColIDs, up.Names, up.Columns = readArtifact(&r)
+		if r.Err() != nil {
+			return fmt.Errorf("artifact %q: %w", up.ID, r.Err())
 		}
 	}
-	return d.finish()
+	return r.Done()
 }
 
 func (m *uploadResponse) marshal() ([]byte, error) {
-	return marshal(uploadResponseMagic, func(e *encoder) { e.strs(m.Absent) })
+	return marshal(uploadResponseMagic, func(w *rec.Writer) { writeIDs(w, m.Absent) })
 }
 
 func (m *uploadResponse) unmarshal(body []byte) error {
-	d := decoder{b: body}
-	d.header(uploadResponseMagic)
-	m.Absent = d.strs()
-	return d.finish()
+	r := open(body, uploadResponseMagic)
+	m.Absent = readIDs(&r)
+	return r.Done()
 }
 
 // marshal writes a dataset with columns as its manifest and each distinct
@@ -308,17 +297,16 @@ func (m *downloadResponse) marshal() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return marshal(downloadResponseMagic, func(e *encoder) { e.artifact(&content) })
+	return marshal(downloadResponseMagic, func(w *rec.Writer) { writeArtifact(w, &content) })
 }
 
 // unmarshal reads a download and assembles a dataset's frame: every column
 // of the manifest from the record of its lineage ID, under the manifest's
 // name. The records must be exactly the manifest's distinct columns.
 func (m *downloadResponse) unmarshal(body []byte) error {
-	d := decoder{b: body}
-	d.header(downloadResponseMagic)
-	blob, colIDs, names, cols := d.artifact()
-	if err := d.finish(); err != nil {
+	r := open(body, downloadResponseMagic)
+	blob, colIDs, names, cols := readArtifact(&r)
+	if err := r.Done(); err != nil {
 		return err
 	}
 	if blob != nil {
@@ -383,9 +371,6 @@ func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Co
 	if blob != nil {
 		return encodedArtifact{}, fmt.Errorf("carries both a blob and a manifest")
 	}
-	if len(names) != len(colIDs) {
-		return encodedArtifact{}, fmt.Errorf("%d column ids, %d names", len(colIDs), len(names))
-	}
 	a := encodedArtifact{form: datasetForm, colIDs: colIDs, names: names, records: make([][]byte, len(cols))}
 	for i, c := range cols {
 		var err error
@@ -396,63 +381,45 @@ func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Co
 	return a, nil
 }
 
-func (e *encoder) blob(record []byte) {
-	e.uvarint(uint64(len(record)))
-	e.write(record)
+func writeBlob(w *rec.Writer, record []byte) {
+	w.Uvarint(uint64(len(record)))
+	w.Raw(record)
 }
 
-func (e *encoder) artifact(a *encodedArtifact) {
-	e.write([]byte{a.form})
+func writeArtifact(w *rec.Writer, a *encodedArtifact) {
+	w.U8(a.form)
 	if a.form == blobForm {
-		e.blob(a.blob)
+		writeBlob(w, a.blob)
 		return
 	}
-	e.uvarint(uint64(len(a.colIDs)))
-	for i := range a.colIDs {
-		e.str(a.colIDs[i])
-		e.str(a.names[i])
-	}
-	e.uvarint(uint64(len(a.records)))
+	tier.WriteManifest(w, a.colIDs, a.names)
+	w.Uvarint(uint64(len(a.records)))
 	for _, r := range a.records {
-		e.uvarint(uint64(len(r)))
-		e.write(r)
+		writeBlob(w, r)
 	}
 }
 
-// minRecord is the size of the shortest column record: magic, dtype, two
-// empty strings, a row count and a checksum.
-const minRecord = 4 + 1 + 2 + 2 + 4 + 4
-
-// artifact reads an artifact: a blob, or a dataset's manifest and columns.
-// A blob must hold content; a manifest must name a column; every record must
-// verify.
-func (d *decoder) artifact() (blob graph.Artifact, colIDs, names []string, cols []*data.Column) {
-	switch form := d.u8(); form {
+// readArtifact reads an artifact: a blob, or a dataset's manifest and
+// columns. A blob must hold content; a manifest must name a column; every
+// record must verify.
+func readArtifact(r *rec.Reader) (blob graph.Artifact, colIDs, names []string, cols []*data.Column) {
+	switch form := r.U8(); form {
 	case blobForm:
-		if blob = d.blob(); blob == nil {
-			d.fail("blob carries no content")
+		if blob = readBlob(r); blob == nil {
+			r.Fail("blob carries no content")
 		}
 		return blob, nil, nil, nil
 	case datasetForm:
-		n := d.count(2)
-		if n == 0 {
-			d.fail("dataset manifest names no column")
+		if colIDs, names = tier.ReadManifest(r); len(colIDs) == 0 {
+			r.Fail("dataset manifest names no column")
 			return
 		}
-		colIDs, names = make([]string, n), make([]string, n)
-		for i := range colIDs {
-			colIDs[i], names[i] = d.str(), d.str()
-		}
-		if k := d.count(1 + minRecord); k > 0 {
+		if k := r.Count(1 + tier.MinColumnRecord); k > 0 {
 			cols = make([]*data.Column, k)
 			for i := range cols {
-				rec := d.next(d.uvarint())
-				if d.err != nil {
-					return
-				}
-				c, err := tier.DecodeColumn(rec)
+				c, err := tier.DecodeColumn(r.Bytes(r.Count(1)))
 				if err != nil {
-					d.fail("column %d: %v", i, err)
+					r.Fail("column %d: %v", i, err)
 					return
 				}
 				cols[i] = c
@@ -460,11 +427,23 @@ func (d *decoder) artifact() (blob graph.Artifact, colIDs, names []string, cols 
 		}
 		return nil, colIDs, names, cols
 	default:
-		if d.err == nil {
-			d.fail("unknown artifact form %q", form)
-		}
+		r.Fail("unknown artifact form %q", form)
 	}
 	return
+}
+
+// readBlob reads a blob record: nil for the empty record and on an error.
+func readBlob(r *rec.Reader) graph.Artifact {
+	p := r.Bytes(r.Count(1))
+	if len(p) == 0 {
+		return nil
+	}
+	a, err := tier.DecodeBlob(p)
+	if err != nil {
+		r.Fail("%v", err)
+		return nil
+	}
+	return a
 }
 
 // parentIndices returns the parents of every node as indices of earlier
@@ -487,143 +466,105 @@ func parentIndices(nodes []WireNode) ([]int, error) {
 	return out, nil
 }
 
-// marshal runs write twice: once to count the message's bytes, once into a
-// buffer of exactly that length.
-func marshal(magic string, write func(*encoder)) ([]byte, error) {
-	var e encoder
-	e.writeString(magic)
-	write(&e)
-	if e.err != nil {
-		return nil, e.err
+// marshal writes a message into a buffer of exactly its length.
+func marshal(magic string, write func(*rec.Writer)) ([]byte, error) {
+	return rec.Exact(func(w *rec.Writer) {
+		w.Raw([]byte(magic))
+		write(w)
+	})
+}
+
+// open starts reading a body that must begin with magic.
+func open(body []byte, magic string) rec.Reader {
+	r := rec.NewReader(body)
+	if len(body) < len(magic) || string(body[:len(magic)]) != magic {
+		r.Fail("not a %s message", magic)
 	}
-	e = encoder{b: make([]byte, 0, e.n)}
-	e.writeString(magic)
-	write(&e)
-	return e.b, nil
+	r.Bytes(len(magic))
+	return r
 }
 
-// encoder writes a message: while b is nil it only counts the bytes.
-type encoder struct {
-	b   []byte
-	n   int
-	err error
-}
-
-func (e *encoder) write(p []byte) {
-	e.n += len(p)
-	if e.b != nil {
-		e.b = append(e.b, p...)
-	}
-}
-
-func (e *encoder) writeString(s string) {
-	e.n += len(s)
-	if e.b != nil {
-		e.b = append(e.b, s...)
-	}
-}
-
-func (e *encoder) uvarint(v uint64) {
-	var p [binary.MaxVarintLen64]byte
-	e.write(p[:binary.PutUvarint(p[:], v)])
-}
-
-// length writes a size or a duration, which must not be negative.
-func (e *encoder) length(what string, v int64) {
-	if v < 0 && e.err == nil {
-		e.err = fmt.Errorf("%s %d is negative", what, v)
-	}
-	e.uvarint(uint64(v))
-}
-
-func (e *encoder) float(f float64) {
-	var p [8]byte
-	binary.LittleEndian.PutUint64(p[:], math.Float64bits(f))
-	e.write(p[:])
-}
-
-func (e *encoder) str(s string) {
-	if !isHexID(s) {
-		e.uvarint(uint64(len(s)) + 1)
-		e.writeString(s)
-		return
-	}
-	var p [17]byte // tag 0, then the 16 bytes the digits spell
-	for i := 0; i < 16; i++ {
-		p[1+i] = unhex(s[2*i])<<4 | unhex(s[2*i+1])
-	}
-	e.write(p[:])
-}
-
-func (e *encoder) strs(list []string) {
-	e.uvarint(uint64(len(list)))
+func writeIDs(w *rec.Writer, list []string) {
+	w.Uvarint(uint64(len(list)))
 	for _, s := range list {
-		e.str(s)
+		w.ID(s)
 	}
 }
 
-// nodes writes a node list; parents is what parentIndices returned for it.
-// Without columns, the nodes' column lineage stays behind.
-func (e *encoder) nodes(nodes []WireNode, parents []int, columns bool) {
-	e.uvarint(uint64(len(nodes)))
+func readIDs(r *rec.Reader) []string {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.ID()
+	}
+	return out
+}
+
+// writeNodes writes a node list; parents is what parentIndices returned for
+// it. Without columns, the nodes' column lineage stays behind.
+func writeNodes(w *rec.Writer, nodes []WireNode, parents []int, columns bool) {
+	w.Uvarint(uint64(len(nodes)))
 	for i := range nodes {
 		wn := &nodes[i]
 		has := wn.fields()
 		if !columns {
 			has &^= columnFields
 		}
-		e.uvarint(has)
+		w.Uvarint(has)
 		if has&hasID != 0 {
-			e.str(wn.ID)
+			w.ID(wn.ID)
 		}
 		if has&hasKind != 0 {
-			e.write([]byte{byte(wn.Kind)})
+			w.U8(byte(wn.Kind))
 		}
 		if has&hasName != 0 {
-			e.str(wn.Name)
+			w.ID(wn.Name)
 		}
 		if has&hasOpHash != 0 {
-			e.str(wn.OpHash)
+			w.ID(wn.OpHash)
 		}
 		if has&hasWarmstartKind != 0 {
-			e.str(wn.WarmstartKind)
+			w.ID(wn.WarmstartKind)
 		}
 		if has&hasParents != 0 {
-			e.uvarint(uint64(len(wn.Parents)))
+			w.Uvarint(uint64(len(wn.Parents)))
 			for _, p := range parents[:len(wn.Parents)] {
-				e.uvarint(uint64(p))
+				w.Uvarint(uint64(p))
 			}
 		}
 		parents = parents[len(wn.Parents):]
 		if has&hasComputeTime != 0 {
-			e.length("compute time", int64(wn.ComputeTime))
+			w.Length("compute time", int64(wn.ComputeTime))
 		}
 		if has&hasSizeBytes != 0 {
-			e.length("size", wn.SizeBytes)
+			w.Length("size", wn.SizeBytes)
 		}
 		if has&hasQuality != 0 {
-			e.float(wn.Quality)
+			w.Float(wn.Quality)
 		}
 		if has&hasColumns != 0 {
-			e.strs(wn.Columns)
+			writeIDs(w, wn.Columns)
 		}
 		if has&hasColSizes != 0 {
-			e.uvarint(uint64(len(wn.ColSizes)))
+			w.Uvarint(uint64(len(wn.ColSizes)))
 			for _, s := range wn.ColSizes {
-				e.length("column size", s)
+				w.Length("column size", s)
 			}
 		}
 		if has&hasTrainedKind != 0 {
-			e.str(wn.TrainedKind)
+			w.ID(wn.TrainedKind)
 		}
 		if has&hasFetchTime != 0 {
-			e.length("fetch time", int64(wn.FetchTime))
+			w.Length("fetch time", int64(wn.FetchTime))
 		}
 		if has&hasFetchTier != 0 {
-			e.str(wn.FetchTier)
+			w.ID(wn.FetchTier)
 		}
 		if has&hasPredictedLoad != 0 {
-			e.length("predicted load", int64(wn.PredictedLoad))
+			w.Length("predicted load", int64(wn.PredictedLoad))
 		}
 	}
 }
@@ -647,159 +588,10 @@ func (wn *WireNode) fields() uint64 {
 	return has
 }
 
-// isHexID reports whether s is 32 lowercase hex digits, the form of every ID
-// graph and data mint.
-func isHexID(s string) bool {
-	if len(s) != 32 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-func unhex(c byte) byte {
-	if c <= '9' {
-		return c - '0'
-	}
-	return c - 'a' + 10
-}
-
-// decoder reads a message off a body. The first error sticks: every read
-// after it returns zero values.
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
-	d.b = nil
-}
-
-// header consumes the magic the message must start with.
-func (d *decoder) header(magic string) {
-	if len(d.b) < len(magic) || string(d.b[:len(magic)]) != magic {
-		d.fail("not a %s message", magic)
-		return
-	}
-	d.b = d.b[len(magic):]
-}
-
-// finish reports the first error, or an error if bytes are left over.
-func (d *decoder) finish() error {
-	if d.err == nil && len(d.b) > 0 {
-		d.err = fmt.Errorf("%d bytes after the message", len(d.b))
-	}
-	return d.err
-}
-
-// next consumes n bytes.
-func (d *decoder) next(n uint64) []byte {
-	if n > uint64(len(d.b)) {
-		d.fail("%w: %d bytes wanted, %d left", io.ErrUnexpectedEOF, n, len(d.b))
-		return nil
-	}
-	p := d.b[:n:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// length reads a size or a duration.
-func (d *decoder) length() int64 {
-	v := d.uvarint()
-	if v > math.MaxInt64 {
-		d.fail("length %d out of range", v)
-		return 0
-	}
-	return int64(v)
-}
-
-// count reads the length of a list whose items take at least min bytes
-// each, and refuses one that the bytes left cannot hold — before anything
-// is allocated for it.
-func (d *decoder) count(min int) int {
-	n := d.uvarint()
-	if n > uint64(len(d.b)/min) {
-		d.fail("%d items in %d bytes", n, len(d.b))
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) u8() byte {
-	if p := d.next(1); p != nil {
-		return p[0]
-	}
-	return 0
-}
-
-func (d *decoder) float() float64 {
-	if p := d.next(8); p != nil {
-		return math.Float64frombits(binary.LittleEndian.Uint64(p))
-	}
-	return 0
-}
-
-func (d *decoder) str() string {
-	tag := d.uvarint()
-	if tag > 0 {
-		return string(d.next(tag - 1))
-	}
-	p := d.next(16)
-	if p == nil {
-		return ""
-	}
-	var h [32]byte
-	hex.Encode(h[:], p)
-	return string(h[:])
-}
-
-func (d *decoder) strs() []string {
-	n := d.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.str()
-	}
-	return out
-}
-
-// blob reads a blob record: nil for the empty record and on an error.
-func (d *decoder) blob() graph.Artifact {
-	p := d.next(d.uvarint())
-	if len(p) == 0 {
-		return nil
-	}
-	a, err := tier.DecodeBlob(p)
-	if err != nil {
-		d.fail("%v", err)
-		return nil
-	}
-	return a
-}
-
-// nodes reads a node list. A parent index must name an earlier node: the
+// readNodes reads a node list. A parent index must name an earlier node: the
 // parent of a node that does not precede it, as FromWire has it.
-func (d *decoder) nodes(columns bool) []WireNode {
-	n := d.count(1)
+func readNodes(r *rec.Reader, columns bool) []WireNode {
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}
@@ -810,34 +602,34 @@ func (d *decoder) nodes(columns bool) []WireNode {
 	nodes := make([]WireNode, n)
 	for i := range nodes {
 		wn := &nodes[i]
-		has := d.uvarint()
+		has := r.Uvarint()
 		if has&^allowed != 0 {
-			d.fail("wire node %d: unknown fields %#x", i, has&^allowed)
+			r.Fail("wire node %d: unknown fields %#x", i, has&^allowed)
 			return nil
 		}
 		if has&hasID != 0 {
-			wn.ID = d.str()
+			wn.ID = r.ID()
 		}
 		if has&hasKind != 0 {
-			wn.Kind = graph.Kind(d.u8())
+			wn.Kind = graph.Kind(r.U8())
 		}
 		if has&hasName != 0 {
-			wn.Name = d.str()
+			wn.Name = r.ID()
 		}
 		if has&hasOpHash != 0 {
-			wn.OpHash = d.str()
+			wn.OpHash = r.ID()
 		}
 		wn.External = has&isExternal != 0
 		if has&hasWarmstartKind != 0 {
-			wn.WarmstartKind = d.str()
+			wn.WarmstartKind = r.ID()
 		}
 		if has&hasParents != 0 {
-			if k := d.count(1); k > 0 {
+			if k := r.Count(1); k > 0 {
 				wn.Parents = make([]string, k)
 				for j := range wn.Parents {
-					p := d.uvarint()
+					p := r.Uvarint()
 					if p >= uint64(i) {
-						d.fail("wire node %d (%q): parent index %d does not precede it", i, wn.ID, p)
+						r.Fail("wire node %d (%q): parent index %d does not precede it", i, wn.ID, p)
 						return nil
 					}
 					wn.Parents[j] = nodes[p].ID
@@ -846,39 +638,39 @@ func (d *decoder) nodes(columns bool) []WireNode {
 		}
 		wn.Computed = has&isComputed != 0
 		if has&hasComputeTime != 0 {
-			wn.ComputeTime = time.Duration(d.length())
+			wn.ComputeTime = time.Duration(r.Length())
 		}
 		if has&hasSizeBytes != 0 {
-			wn.SizeBytes = d.length()
+			wn.SizeBytes = r.Length()
 		}
 		if has&hasQuality != 0 {
-			wn.Quality = d.float()
+			wn.Quality = r.Float()
 		}
 		if has&hasColumns != 0 {
-			wn.Columns = d.strs()
+			wn.Columns = readIDs(r)
 		}
 		if has&hasColSizes != 0 {
-			if k := d.count(1); k > 0 {
+			if k := r.Count(1); k > 0 {
 				wn.ColSizes = make([]int64, k)
 				for j := range wn.ColSizes {
-					wn.ColSizes[j] = d.length()
+					wn.ColSizes[j] = r.Length()
 				}
 			}
 		}
 		if has&hasTrainedKind != 0 {
-			wn.TrainedKind = d.str()
+			wn.TrainedKind = r.ID()
 		}
 		wn.LoadedFromEG = has&isLoadedFromEG != 0
 		if has&hasFetchTime != 0 {
-			wn.FetchTime = time.Duration(d.length())
+			wn.FetchTime = time.Duration(r.Length())
 		}
 		if has&hasFetchTier != 0 {
-			wn.FetchTier = d.str()
+			wn.FetchTier = r.ID()
 		}
 		if has&hasPredictedLoad != 0 {
-			wn.PredictedLoad = time.Duration(d.length())
+			wn.PredictedLoad = time.Duration(r.Length())
 		}
-		if d.err != nil {
+		if r.Err() != nil {
 			return nil
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/materialize"
 	"repro/internal/ops"
+	"repro/internal/rec"
 	"repro/internal/reuse"
 	"repro/internal/store"
 	"repro/internal/tier"
@@ -324,51 +325,52 @@ func TestUploadBodyIsTheUnsizedEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := encoder{b: []byte{}}
-	e.writeString(uploadRequestMagic)
-	e.uvarint(uint64(len(b.items)))
+	e := rec.NewWriter([]byte{})
+	e.Raw([]byte(uploadRequestMagic))
+	e.Uvarint(uint64(len(b.items)))
 	blobs := 0
 	for _, up := range b.items {
-		e.str(up.ID)
+		e.ID(up.ID)
 		if up.Blob != nil {
 			blobs++
 			rec, err := tier.AppendBlob(nil, up.Blob)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.write([]byte{blobForm})
-			e.uvarint(uint64(len(rec)))
-			e.write(rec)
+			e.Raw([]byte{blobForm})
+			e.Uvarint(uint64(len(rec)))
+			e.Raw(rec)
 			continue
 		}
-		e.write([]byte{datasetForm})
-		e.uvarint(uint64(len(up.ColIDs)))
+		e.Raw([]byte{datasetForm})
+		e.Uvarint(uint64(len(up.ColIDs)))
 		for i := range up.ColIDs {
-			e.str(up.ColIDs[i])
-			e.str(up.Names[i])
+			e.ID(up.ColIDs[i])
+			e.ID(up.Names[i])
 		}
-		e.uvarint(uint64(len(up.Columns)))
+		e.Uvarint(uint64(len(up.Columns)))
 		for _, c := range up.Columns {
 			rec, err := tier.EncodeColumn(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.uvarint(uint64(len(rec)))
-			e.write(rec)
+			e.Uvarint(uint64(len(rec)))
+			e.Raw(rec)
 		}
 	}
 	if blobs == 0 || blobs == len(b.items) {
 		t.Fatalf("%d of %d items are blobs: the body does not exercise both forms", blobs, len(b.items))
 	}
-	if cap(body) != len(body) || !bytes.Equal(body, e.b) {
+	if cap(body) != len(body) || !bytes.Equal(body, e.Bytes()) {
 		t.Errorf("the sized upload body of %d items differs from the unsized one (%d bytes in a buffer of %d vs %d)",
-			len(b.items), len(body), cap(body), len(e.b))
+			len(b.items), len(body), cap(body), len(e.Bytes()))
 	}
 }
 
 // TestMetaBodyIsExactlyOneMessage: a meta-data body is read to its end and
-// must be one message. Three stray bytes after an update, or a second update
-// from the same client after the first, are a 400 that leaves the Experiment
+// must be one message. Three stray bytes after an update, a second update
+// from the same client after the first, or an update whose node count is a
+// varint longer than its shortest form, are a 400 that leaves the Experiment
 // Graph, the store and the update count as they were; so is an optimize
 // request with bytes after it. (The gob handler decoded one value and
 // ignored the rest: it answered both updates 200 and merged only the first.)
@@ -388,15 +390,18 @@ func TestMetaBodyIsExactlyOneMessage(t *testing.T) {
 		return core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
 	}
 	for name, body := range map[string][]byte{
-		"three stray bytes": slices.Concat(first, []byte{1, 2, 3}),
-		"a second update":   slices.Concat(first, second),
+		"followed by three stray bytes": slices.Concat(first, []byte{1, 2, 3}),
+		"followed by a second update":   slices.Concat(first, second),
+		// The node count 0 in two bytes: the wire, as every record, takes a
+		// varint in its shortest form only.
+		"whose node count is an overlong varint": []byte(updateRequestMagic + "\x80\x00\x00\x00"),
 	} {
 		srv := newServer()
 		if rec := postBody(NewHandler(srv), "/v1/update", body); rec.Code != http.StatusBadRequest {
-			t.Errorf("update followed by %s: status %d, want 400", name, rec.Code)
+			t.Errorf("update %s: status %d, want 400", name, rec.Code)
 		}
 		if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.UpdateCount() != 0 {
-			t.Errorf("update followed by %s changed the server (EG %d, store %d, updates %d)",
+			t.Errorf("update %s changed the server (EG %d, store %d, updates %d)",
 				name, srv.EG.Len(), srv.Store.Len(), srv.UpdateCount())
 		}
 	}

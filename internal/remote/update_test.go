@@ -21,6 +21,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/materialize"
 	"repro/internal/ml"
+	"repro/internal/rec"
 	"repro/internal/store"
 	"repro/internal/tier"
 	"repro/internal/workloads/kaggle"
@@ -125,11 +126,11 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 // it was, and an error on a download.
 func TestHostileBlobRecordsAreRefused(t *testing.T) {
 	record := func(a graph.Artifact) []byte {
-		rec, err := tier.AppendBlob(nil, a)
+		blob, err := tier.AppendBlob(nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rec
+		return blob
 	}
 	split := &ml.TreeNode{Feature: 1, Left: &ml.TreeNode{Feature: -1}, Right: &ml.TreeNode{Feature: -1}}
 	tree := record(&graph.ModelArtifact{Model: &ml.DecisionTree{Root: split}, Features: []string{"a", "b"}})
@@ -152,33 +153,33 @@ func TestHostileBlobRecordsAreRefused(t *testing.T) {
 			model = a.ID
 		}
 	}
-	update := func(rec []byte) []byte {
-		body, _ := marshal(updateRequestMagic, func(e *encoder) {
-			e.nodes(nodes, parents, true)
-			e.uvarint(0)
-			e.uvarint(1)
-			e.str(model)
-			e.blob(rec)
+	update := func(blob []byte) []byte {
+		body, _ := marshal(updateRequestMagic, func(e *rec.Writer) {
+			writeNodes(e, nodes, parents, true)
+			e.Uvarint(0)
+			e.Uvarint(1)
+			e.ID(model)
+			writeBlob(e, blob)
 		})
 		return body
 	}
-	upload := func(rec []byte) []byte {
-		body, _ := marshal(uploadRequestMagic, func(e *encoder) {
-			e.uvarint(1)
-			e.str("m")
-			e.write([]byte{blobForm})
-			e.blob(rec)
+	upload := func(blob []byte) []byte {
+		body, _ := marshal(uploadRequestMagic, func(e *rec.Writer) {
+			e.Uvarint(1)
+			e.ID("m")
+			e.Raw([]byte{blobForm})
+			writeBlob(e, blob)
 		})
 		return body
 	}
-	download := func(rec []byte) error {
-		body, _ := marshal(downloadResponseMagic, func(e *encoder) {
-			e.write([]byte{blobForm})
-			e.blob(rec)
+	download := func(blob []byte) error {
+		body, _ := marshal(downloadResponseMagic, func(e *rec.Writer) {
+			e.Raw([]byte{blobForm})
+			writeBlob(e, blob)
 		})
 		return (&downloadResponse{}).unmarshal(body)
 	}
-	for name, rec := range map[string][]byte{
+	for name, blob := range map[string][]byte{
 		"a split on a feature not listed": wrongFeature,
 		"a record cut short":              tree[:len(tree)-1],
 		"a valid tree":                    slices.Concat(two[:len(two)-1], tree[len(two)-1:]), // the same splice
@@ -188,15 +189,15 @@ func TestHostileBlobRecordsAreRefused(t *testing.T) {
 			want, uploaded, stored = http.StatusOK, http.StatusNoContent, 1
 		}
 		srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
-		if code := postBody(NewHandler(srv), "/v1/update", update(rec)).Code; code != want || want != http.StatusOK && srv.EG.Len() != 0 {
+		if code := postBody(NewHandler(srv), "/v1/update", update(blob)).Code; code != want || want != http.StatusOK && srv.EG.Len() != 0 {
 			t.Errorf("update with %s: status %d, want %d (EG %d)", name, code, want, srv.EG.Len())
 		}
 		srv = core.NewServer(store.New(cost.Memory()))
 		knownTo(t, srv, "m")
-		if code := postBody(NewHandler(srv), "/v1/artifact", upload(rec)).Code; code != uploaded || srv.Store.Len() != stored {
+		if code := postBody(NewHandler(srv), "/v1/artifact", upload(blob)).Code; code != uploaded || srv.Store.Len() != stored {
 			t.Errorf("upload of %s: status %d, want %d; store holds %d, want %d", name, code, uploaded, srv.Store.Len(), stored)
 		}
-		if err := download(rec); (err == nil) != (want == http.StatusOK) {
+		if err := download(blob); (err == nil) != (want == http.StatusOK) {
 			t.Errorf("download of %s: %v", name, err)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/materialize"
 	"repro/internal/obs"
 	"repro/internal/ops"
+	"repro/internal/rec"
 	"repro/internal/store"
 	"repro/internal/workloads/kaggle"
 )
@@ -551,10 +552,10 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	full := uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols})
 	flipped := slices.Clone(full)
 	flipped[len(flipped)-10] ^= 1 // inside the last column record
-	unknownForm, err := marshal(uploadRequestMagic, func(e *encoder) {
-		e.uvarint(1)
-		e.str("v")
-		e.write([]byte{'X', 0})
+	unknownForm, err := marshal(uploadRequestMagic, func(e *rec.Writer) {
+		e.Uvarint(1)
+		e.ID("v")
+		e.Raw([]byte{'X', 0})
 	})
 	if err != nil {
 		t.Fatal(err)

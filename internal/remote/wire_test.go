@@ -18,6 +18,7 @@ import (
 	"repro/internal/eg/egtest"
 	"repro/internal/graph"
 	"repro/internal/ops"
+	"repro/internal/rec"
 	"repro/internal/store"
 )
 
@@ -59,11 +60,11 @@ func metaBody(t testing.TB, route string, nodes []WireNode) []byte {
 	if update {
 		magic = updateRequestMagic
 	}
-	b, err := marshal(magic, func(e *encoder) {
-		e.nodes(nodes, parents, update)
+	b, err := marshal(magic, func(e *rec.Writer) {
+		writeNodes(e, nodes, parents, update)
 		if update {
-			e.uvarint(0) // wall time
-			e.uvarint(0) // no inline artifact
+			e.Uvarint(0) // wall time
+			e.Uvarint(0) // no inline artifact
 		}
 	})
 	if err != nil {

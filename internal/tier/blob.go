@@ -1,13 +1,13 @@
 package tier
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/ml"
+	"repro/internal/rec"
 )
 
 // Blob record: the one byte format of an artifact that is not a dataset with
@@ -15,7 +15,7 @@ import (
 // payload of a blob file of the disk tier (CTB2), and on the wire an item of
 // an update's inline section, the blob form of an upload item and of a
 // download. It has no magic and no checksum of its own: the file and the
-// message that carry it frame it.
+// message that carry it frame it. In the primitives of internal/rec:
 //
 //	record  = u8 graph.Kind, then by kind:
 //	          0 dataset    u8 0 (no frame) | 1 (a frame of no columns)
@@ -43,12 +43,7 @@ import (
 //	        | uvarint f+2, float threshold, float value, node left, node right
 //	                                       a split on feature f, in preorder
 //
-//	float   = 8 bytes, the little-endian IEEE-754 bits: NaN payloads and −0
-//	          survive
-//	int     = uvarint(zigzag(v)), as the column record's varint mode
-//	str     = uvarint len, len bytes
-//	list(x) = uvarint 0 (a nil list) | uvarint n+1, n × x
-//	floats  = list(float); strs = list(str)
+//	list(x) = a list, then its items; floats = list(float); strs = list(str)
 //
 // The encoding is canonical: a record that decodes re-encodes to exactly the
 // same bytes. So the decoder refuses a varint longer than its shortest form
@@ -85,438 +80,321 @@ const maxTreeDepth = 256
 
 // AppendBlob appends the blob record of a to b.
 func AppendBlob(b []byte, a graph.Artifact) ([]byte, error) {
-	w := blobWriter{b: b}
-	w.artifact(a)
-	if w.err != nil {
-		return nil, w.err
+	w := rec.NewWriter(b)
+	writeArtifact(&w, a)
+	if err := w.Err(); err != nil {
+		return nil, fmt.Errorf("tier: blob: %w", err)
 	}
-	return w.b, nil
+	return w.Bytes(), nil
 }
 
 // DecodeBlob parses a blob record that takes all of b. Any violation returns
 // an error wrapping ErrCorrupt.
 func DecodeBlob(b []byte) (graph.Artifact, error) {
-	r := blobReader{b: b}
-	a := r.artifact()
-	if r.err == nil && r.off != len(r.b) {
-		r.fail("%d bytes after the record", len(r.b)-r.off)
-	}
-	if r.err != nil {
-		return nil, r.err
+	r := rec.NewReader(b)
+	a := readArtifact(&r)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
-// blobWriter appends a record. The first error sticks.
-type blobWriter struct {
-	b   []byte
-	err error
+func writeFloats(w *rec.Writer, v []float64) {
+	w.List(len(v), v == nil)
+	w.Floats(v)
 }
 
-func (w *blobWriter) fail(format string, args ...any) {
-	if w.err == nil {
-		w.err = fmt.Errorf("tier: blob: "+format, args...)
-	}
+func writeStrs(w *rec.Writer, v []string) {
+	w.List(len(v), v == nil)
+	writeStrings(w, v)
 }
 
-func (w *blobWriter) u8(v byte)        { w.b = append(w.b, v) }
-func (w *blobWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *blobWriter) int(v int64)      { w.uvarint(zigzag(v)) }
-func (w *blobWriter) float(f float64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(f))
-}
-func (w *blobWriter) str(s string) { w.uvarint(uint64(len(s))); w.b = append(w.b, s...) }
-func (w *blobWriter) list(n int, isNil bool) {
-	if isNil {
-		w.uvarint(0)
-		return
-	}
-	w.uvarint(uint64(n) + 1)
-}
-
-func (w *blobWriter) floats(v []float64) {
-	w.list(len(v), v == nil)
-	for _, f := range v {
-		w.float(f)
-	}
-}
-
-func (w *blobWriter) strs(v []string) {
-	w.list(len(v), v == nil)
-	for _, s := range v {
-		w.str(s)
-	}
-}
-
-func (w *blobWriter) artifact(a graph.Artifact) {
+func writeArtifact(w *rec.Writer, a graph.Artifact) {
 	switch a := a.(type) {
 	case *graph.DatasetArtifact:
-		w.u8(byte(graph.DatasetKind))
+		w.U8(byte(graph.DatasetKind))
 		switch {
 		case a.Frame == nil:
-			w.u8(0)
+			w.U8(0)
 		case a.Frame.NumCols() == 0:
-			w.u8(1)
+			w.U8(1)
 		default:
-			w.fail("a dataset with columns has no blob record")
+			w.Fail("a dataset with columns has no blob record")
 		}
 	case *graph.AggregateArtifact:
-		w.u8(byte(graph.AggregateKind))
-		w.float(a.Value)
-		w.str(a.Text)
+		w.U8(byte(graph.AggregateKind))
+		w.Float(a.Value)
+		w.Str(a.Text)
 	case *graph.ModelArtifact:
-		w.u8(byte(graph.ModelKind))
-		w.float(a.Quality)
-		w.strs(a.Features)
-		w.model(a.Model, len(a.Features))
+		w.U8(byte(graph.ModelKind))
+		w.Float(a.Quality)
+		writeStrs(w, a.Features)
+		writeModel(w, a.Model, len(a.Features))
 	default:
-		w.fail("no record for content %T", a)
+		w.Fail("no record for content %T", a)
 	}
 }
 
-// model writes a learner whose trees split on features below nfeat.
-func (w *blobWriter) model(m ml.Model, nfeat int) {
+// writeModel writes a learner whose trees split on features below nfeat.
+func writeModel(w *rec.Writer, m ml.Model, nfeat int) {
 	switch m := m.(type) {
 	case nil:
-		w.u8(learnerNone)
+		w.U8(learnerNone)
 	case *ml.LogisticRegression:
-		w.u8(learnerLogreg)
-		w.float(m.LearningRate)
-		w.int(int64(m.MaxIter))
-		w.float(m.Tol)
-		w.float(m.L2)
-		w.int(m.Seed)
-		w.floats(m.Weights)
-		w.float(m.Bias)
-		w.int(int64(m.EpochsRun))
+		w.U8(learnerLogreg)
+		w.Float(m.LearningRate)
+		w.Int(int64(m.MaxIter))
+		w.Float(m.Tol)
+		w.Float(m.L2)
+		w.Int(m.Seed)
+		writeFloats(w, m.Weights)
+		w.Float(m.Bias)
+		w.Int(int64(m.EpochsRun))
 	case *ml.LinearRegression:
-		w.u8(learnerLinreg)
-		w.float(m.LearningRate)
-		w.int(int64(m.MaxIter))
-		w.float(m.Tol)
-		w.float(m.L2)
-		w.int(m.Seed)
-		w.floats(m.Weights)
-		w.float(m.Bias)
-		w.int(int64(m.EpochsRun))
+		w.U8(learnerLinreg)
+		w.Float(m.LearningRate)
+		w.Int(int64(m.MaxIter))
+		w.Float(m.Tol)
+		w.Float(m.L2)
+		w.Int(m.Seed)
+		writeFloats(w, m.Weights)
+		w.Float(m.Bias)
+		w.Int(int64(m.EpochsRun))
 	case *ml.DecisionTree:
-		w.u8(learnerTree)
-		w.tree(m, nfeat)
+		w.U8(learnerTree)
+		writeTree(w, m, nfeat)
 	case *ml.GradientBoostedTrees:
-		w.u8(learnerGBT)
-		w.int(int64(m.NTrees))
-		w.float(m.LearningRate)
-		w.int(int64(m.MaxDepth))
-		w.float(m.Subsample)
-		w.int(m.Seed)
-		w.list(len(m.Trees), m.Trees == nil)
+		w.U8(learnerGBT)
+		w.Int(int64(m.NTrees))
+		w.Float(m.LearningRate)
+		w.Int(int64(m.MaxDepth))
+		w.Float(m.Subsample)
+		w.Int(m.Seed)
+		w.List(len(m.Trees), m.Trees == nil)
 		for _, t := range m.Trees {
-			w.node(t, 0, nfeat)
+			writeNode(w, t, 0, nfeat)
 		}
-		w.float(m.Base)
-		w.int(int64(m.TreesGrown))
+		w.Float(m.Base)
+		w.Int(int64(m.TreesGrown))
 	case *ml.RandomForest:
-		w.u8(learnerRF)
-		w.int(int64(m.NTrees))
-		w.int(int64(m.MaxDepth))
-		w.int(int64(m.MaxFeatures))
-		w.int(m.Seed)
-		w.list(len(m.Trees), m.Trees == nil)
+		w.U8(learnerRF)
+		w.Int(int64(m.NTrees))
+		w.Int(int64(m.MaxDepth))
+		w.Int(int64(m.MaxFeatures))
+		w.Int(m.Seed)
+		w.List(len(m.Trees), m.Trees == nil)
 		for _, t := range m.Trees {
 			if t == nil {
-				w.fail("rf: a nil tree")
+				w.Fail("rf: a nil tree")
 				return
 			}
-			w.tree(t, nfeat)
+			writeTree(w, t, nfeat)
 		}
 	case *ml.KNN:
-		w.u8(learnerKNN)
-		w.int(int64(m.K))
-		w.list(len(m.TrainX), m.TrainX == nil)
+		w.U8(learnerKNN)
+		w.Int(int64(m.K))
+		w.List(len(m.TrainX), m.TrainX == nil)
 		for _, row := range m.TrainX {
-			w.floats(row)
+			writeFloats(w, row)
 		}
-		w.floats(m.TrainY)
+		writeFloats(w, m.TrainY)
 	case *ml.GaussianNB:
-		w.u8(learnerNB)
-		w.float(m.VarSmoothing)
-		w.floats(m.Mean[0])
-		w.floats(m.Mean[1])
-		w.floats(m.Var[0])
-		w.floats(m.Var[1])
-		w.float(m.Prior[0])
-		w.float(m.Prior[1])
+		w.U8(learnerNB)
+		w.Float(m.VarSmoothing)
+		writeFloats(w, m.Mean[0])
+		writeFloats(w, m.Mean[1])
+		writeFloats(w, m.Var[0])
+		writeFloats(w, m.Var[1])
+		w.Float(m.Prior[0])
+		w.Float(m.Prior[1])
 	case *ml.LinearSVM:
-		w.u8(learnerSVM)
-		w.float(m.Lambda)
-		w.int(int64(m.MaxIter))
-		w.float(m.Tol)
-		w.int(m.Seed)
-		w.floats(m.Weights)
-		w.float(m.Bias)
-		w.int(int64(m.EpochsRun))
+		w.U8(learnerSVM)
+		w.Float(m.Lambda)
+		w.Int(int64(m.MaxIter))
+		w.Float(m.Tol)
+		w.Int(m.Seed)
+		writeFloats(w, m.Weights)
+		w.Float(m.Bias)
+		w.Int(int64(m.EpochsRun))
 	default:
-		w.fail("no record for model %T", m)
+		w.Fail("no record for model %T", m)
 	}
 }
 
-func (w *blobWriter) tree(t *ml.DecisionTree, nfeat int) {
-	w.int(int64(t.MaxDepth))
-	w.int(int64(t.MinSamplesLeaf))
-	w.int(int64(t.MaxFeatures))
-	w.int(t.Seed)
+func writeTree(w *rec.Writer, t *ml.DecisionTree, nfeat int) {
+	w.Int(int64(t.MaxDepth))
+	w.Int(int64(t.MinSamplesLeaf))
+	w.Int(int64(t.MaxFeatures))
+	w.Int(t.Seed)
 	if t.Root == nil {
-		w.uvarint(nodeNone)
+		w.Uvarint(nodeNone)
 		return
 	}
-	w.node(t.Root, 0, nfeat)
+	writeNode(w, t.Root, 0, nfeat)
 }
 
-// node writes the subtree n, depth splits below the root.
-func (w *blobWriter) node(n *ml.TreeNode, depth, nfeat int) {
+// writeNode writes the subtree n, depth splits below the root.
+func writeNode(w *rec.Writer, n *ml.TreeNode, depth, nfeat int) {
 	switch {
-	case w.err != nil:
+	case w.Err() != nil:
 	case n == nil:
-		w.fail("a missing tree or child")
+		w.Fail("a missing tree or child")
 	case depth > maxTreeDepth:
-		w.fail("tree deeper than %d", maxTreeDepth)
+		w.Fail("tree deeper than %d", maxTreeDepth)
 	case n.Feature == -1:
 		if math.Float64bits(n.Threshold) != 0 || n.Left != nil || n.Right != nil {
-			w.fail("a leaf with a threshold or a child")
+			w.Fail("a leaf with a threshold or a child")
 			return
 		}
-		w.uvarint(nodeLeaf)
-		w.float(n.Value)
+		w.Uvarint(nodeLeaf)
+		w.Float(n.Value)
 	case n.Feature < 0 || n.Feature >= nfeat:
-		w.fail("split on feature %d of %d", n.Feature, nfeat)
+		w.Fail("split on feature %d of %d", n.Feature, nfeat)
 	default:
-		w.uvarint(nodeSplit + uint64(n.Feature))
-		w.float(n.Threshold)
-		w.float(n.Value)
-		w.node(n.Left, depth+1, nfeat)
-		w.node(n.Right, depth+1, nfeat)
+		w.Uvarint(nodeSplit + uint64(n.Feature))
+		w.Float(n.Threshold)
+		w.Float(n.Value)
+		writeNode(w, n.Left, depth+1, nfeat)
+		writeNode(w, n.Right, depth+1, nfeat)
 	}
 }
 
-// blobReader reads a record. The first error sticks, and every read after it
-// returns zero values.
-type blobReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *blobReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = corrupt("blob: "+format, args...)
-	}
-	r.off = len(r.b)
-}
-
-func (r *blobReader) left() int { return len(r.b) - r.off }
-
-func (r *blobReader) u8() byte {
-	if r.left() < 1 {
-		r.fail("truncated")
-		return 0
-	}
-	r.off++
-	return r.b[r.off-1]
-}
-
-// uvarint reads a varint in its shortest form and refuses any other.
-func (r *blobReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *blobReader) int() int64 { return unzigzag(r.uvarint()) }
-
-func (r *blobReader) float() float64 {
-	if r.left() < 8 {
-		r.fail("truncated float")
-		return 0
-	}
-	r.off += 8
-	return math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off-8:]))
-}
-
-func (r *blobReader) str() string {
-	n := r.uvarint()
-	if n > uint64(r.left()) {
-		r.fail("string of %d bytes in %d", n, r.left())
-		return ""
-	}
-	r.off += int(n)
-	return string(r.b[r.off-int(n) : r.off])
-}
-
-// list reads the length of a list whose items take at least min bytes each:
-// -1 for a nil list. A length the bytes left cannot hold is refused before
-// anything is made for it.
-func (r *blobReader) list(min int) int {
-	v := r.uvarint()
-	if v == 0 {
-		return -1
-	}
-	if v-1 > uint64(r.left()/min) {
-		r.fail("%d items in %d bytes", v-1, r.left())
-		return -1
-	}
-	return int(v - 1)
-}
-
-func (r *blobReader) floats() []float64 {
-	n := r.list(8)
+func readFloats(r *rec.Reader) []float64 {
+	n := r.List(8)
 	if n < 0 {
 		return nil
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = r.float()
+		out[i] = r.Float()
 	}
 	return out
 }
 
-func (r *blobReader) strs() []string {
-	n := r.list(1)
+func readStrs(r *rec.Reader) []string {
+	n := r.List(1)
 	if n < 0 {
 		return nil
 	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
+	return readStrings(r, n)
 }
 
-func (r *blobReader) artifact() graph.Artifact {
-	switch kind := graph.Kind(r.u8()); {
-	case r.err != nil:
+func readArtifact(r *rec.Reader) graph.Artifact {
+	switch kind := graph.Kind(r.U8()); {
+	case r.Err() != nil:
 		return nil
 	case kind == graph.DatasetKind:
-		switch r.u8() {
+		switch r.U8() {
 		case 0:
 			return &graph.DatasetArtifact{}
 		case 1:
 			f, _ := data.NewFrame()
 			return &graph.DatasetArtifact{Frame: f}
 		}
-		r.fail("bad dataset form")
+		r.Fail("bad dataset form")
 	case kind == graph.AggregateKind:
-		return &graph.AggregateArtifact{Value: r.float(), Text: r.str()}
+		return &graph.AggregateArtifact{Value: r.Float(), Text: r.Str()}
 	case kind == graph.ModelKind:
-		a := &graph.ModelArtifact{Quality: r.float(), Features: r.strs()}
-		a.Model = r.model(len(a.Features))
+		a := &graph.ModelArtifact{Quality: r.Float(), Features: readStrs(r)}
+		a.Model = readModel(r, len(a.Features))
 		return a
 	default:
-		r.fail("unknown kind %d", kind)
+		r.Fail("unknown kind %d", kind)
 	}
 	return nil
 }
 
-func (r *blobReader) model(nfeat int) ml.Model {
-	switch tag := r.u8(); tag {
+func readModel(r *rec.Reader, nfeat int) ml.Model {
+	switch tag := r.U8(); tag {
 	case learnerNone:
 		return nil
 	case learnerLogreg:
-		m := &ml.LogisticRegression{LearningRate: r.float(), MaxIter: int(r.int()), Tol: r.float(), L2: r.float(), Seed: r.int()}
-		m.Weights, m.Bias, m.EpochsRun = r.floats(), r.float(), int(r.int())
+		m := &ml.LogisticRegression{LearningRate: r.Float(), MaxIter: int(r.Int()), Tol: r.Float(), L2: r.Float(), Seed: r.Int()}
+		m.Weights, m.Bias, m.EpochsRun = readFloats(r), r.Float(), int(r.Int())
 		return m
 	case learnerLinreg:
-		m := &ml.LinearRegression{LearningRate: r.float(), MaxIter: int(r.int()), Tol: r.float(), L2: r.float(), Seed: r.int()}
-		m.Weights, m.Bias, m.EpochsRun = r.floats(), r.float(), int(r.int())
+		m := &ml.LinearRegression{LearningRate: r.Float(), MaxIter: int(r.Int()), Tol: r.Float(), L2: r.Float(), Seed: r.Int()}
+		m.Weights, m.Bias, m.EpochsRun = readFloats(r), r.Float(), int(r.Int())
 		return m
 	case learnerTree:
-		return r.tree(nfeat)
+		return readTree(r, nfeat)
 	case learnerGBT:
-		m := &ml.GradientBoostedTrees{NTrees: int(r.int()), LearningRate: r.float(), MaxDepth: int(r.int()),
-			Subsample: r.float(), Seed: r.int()}
-		if n := r.list(1 + 8); n >= 0 {
+		m := &ml.GradientBoostedTrees{NTrees: int(r.Int()), LearningRate: r.Float(), MaxDepth: int(r.Int()),
+			Subsample: r.Float(), Seed: r.Int()}
+		if n := r.List(1 + 8); n >= 0 {
 			m.Trees = make([]*ml.TreeNode, n)
 			for i := range m.Trees {
-				if m.Trees[i] = r.node(0, nfeat); m.Trees[i] == nil {
-					r.fail("gbt: tree %d missing", i)
+				if m.Trees[i] = readNode(r, r.Uvarint(), 0, nfeat); m.Trees[i] == nil {
+					r.Fail("gbt: tree %d missing", i)
 				}
 			}
 		}
-		m.Base, m.TreesGrown = r.float(), int(r.int())
+		m.Base, m.TreesGrown = r.Float(), int(r.Int())
 		return m
 	case learnerRF:
-		m := &ml.RandomForest{NTrees: int(r.int()), MaxDepth: int(r.int()), MaxFeatures: int(r.int()), Seed: r.int()}
-		if n := r.list(4 + 1); n >= 0 {
+		m := &ml.RandomForest{NTrees: int(r.Int()), MaxDepth: int(r.Int()), MaxFeatures: int(r.Int()), Seed: r.Int()}
+		if n := r.List(4 + 1); n >= 0 {
 			m.Trees = make([]*ml.DecisionTree, n)
 			for i := range m.Trees {
-				m.Trees[i] = r.tree(nfeat)
+				m.Trees[i] = readTree(r, nfeat)
 			}
 		}
 		return m
 	case learnerKNN:
-		m := &ml.KNN{K: int(r.int())}
-		if n := r.list(1); n >= 0 {
+		m := &ml.KNN{K: int(r.Int())}
+		if n := r.List(1); n >= 0 {
 			m.TrainX = make([][]float64, n)
 			for i := range m.TrainX {
-				m.TrainX[i] = r.floats()
+				m.TrainX[i] = readFloats(r)
 			}
 		}
-		m.TrainY = r.floats()
+		m.TrainY = readFloats(r)
 		return m
 	case learnerNB:
-		m := &ml.GaussianNB{VarSmoothing: r.float()}
-		m.Mean[0], m.Mean[1], m.Var[0], m.Var[1] = r.floats(), r.floats(), r.floats(), r.floats()
-		m.Prior[0], m.Prior[1] = r.float(), r.float()
+		m := &ml.GaussianNB{VarSmoothing: r.Float()}
+		m.Mean[0], m.Mean[1], m.Var[0], m.Var[1] = readFloats(r), readFloats(r), readFloats(r), readFloats(r)
+		m.Prior[0], m.Prior[1] = r.Float(), r.Float()
 		return m
 	case learnerSVM:
-		m := &ml.LinearSVM{Lambda: r.float(), MaxIter: int(r.int()), Tol: r.float(), Seed: r.int()}
-		m.Weights, m.Bias, m.EpochsRun = r.floats(), r.float(), int(r.int())
+		m := &ml.LinearSVM{Lambda: r.Float(), MaxIter: int(r.Int()), Tol: r.Float(), Seed: r.Int()}
+		m.Weights, m.Bias, m.EpochsRun = readFloats(r), r.Float(), int(r.Int())
 		return m
 	default:
-		r.fail("unknown learner %d", tag)
+		r.Fail("unknown learner %d", tag)
 	}
 	return nil
 }
 
-func (r *blobReader) tree(nfeat int) *ml.DecisionTree {
-	t := &ml.DecisionTree{MaxDepth: int(r.int()), MinSamplesLeaf: int(r.int()), MaxFeatures: int(r.int()), Seed: r.int()}
-	if r.left() > 0 && r.b[r.off] == nodeNone {
-		r.off++
-		return t
+func readTree(r *rec.Reader, nfeat int) *ml.DecisionTree {
+	t := &ml.DecisionTree{MaxDepth: int(r.Int()), MinSamplesLeaf: int(r.Int()), MaxFeatures: int(r.Int()), Seed: r.Int()}
+	if tag := r.Uvarint(); tag != nodeNone {
+		t.Root = readNode(r, tag, 0, nfeat)
 	}
-	t.Root = r.node(0, nfeat)
 	return t
 }
 
-// node reads the subtree depth splits below the root; nil only on an error.
-// No tree is allowed only as a DecisionTree's root, whose tag tree reads.
-func (r *blobReader) node(depth, nfeat int) *ml.TreeNode {
-	if depth > maxTreeDepth {
-		r.fail("tree deeper than %d", maxTreeDepth)
-		return nil
-	}
-	switch tag := r.uvarint(); {
-	case r.err != nil:
+// readNode reads the subtree tagged tag, depth splits below the root; nil
+// only on an error. No tree is allowed only as a DecisionTree's root, whose
+// tag readTree reads.
+func readNode(r *rec.Reader, tag uint64, depth, nfeat int) *ml.TreeNode {
+	switch {
+	case !r.Depth(depth, maxTreeDepth), r.Err() != nil:
 		return nil
 	case tag == nodeLeaf:
-		return &ml.TreeNode{Feature: -1, Value: r.float()}
+		return &ml.TreeNode{Feature: -1, Value: r.Float()}
 	case tag == nodeNone:
-		r.fail("a missing tree or child")
+		r.Fail("a missing tree or child")
 		return nil
 	case tag-nodeSplit >= uint64(nfeat):
-		r.fail("split on feature %d of %d", tag-nodeSplit, nfeat)
+		r.Fail("split on feature %d of %d", tag-nodeSplit, nfeat)
 		return nil
-	default:
-		n := &ml.TreeNode{Feature: int(tag - nodeSplit), Threshold: r.float(), Value: r.float()}
-		if n.Left = r.node(depth+1, nfeat); n.Left != nil {
-			n.Right = r.node(depth+1, nfeat)
-		}
-		if n.Right == nil {
-			return nil
-		}
-		return n
 	}
+	n := &ml.TreeNode{Feature: int(tag - nodeSplit), Threshold: r.Float(), Value: r.Float()}
+	if n.Left = readNode(r, r.Uvarint(), depth+1, nfeat); n.Left != nil {
+		n.Right = readNode(r, r.Uvarint(), depth+1, nfeat)
+	}
+	if n.Right == nil {
+		return nil
+	}
+	return n
 }

@@ -9,49 +9,44 @@
 // Every file carries a CRC-32C checksum over its entire content. Torn
 // writes, truncation, and bit rot are detected on read and at boot, when
 // Open scans the directory, verifies every file, quarantines corrupt ones,
-// and rebuilds the tier index so a restarted server comes up warm.
+// and rebuilds the tier index so a restarted server comes up warm. Every
+// record is read and written with the primitives of internal/rec.
 package tier
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/bits"
 	"sync"
 
 	"repro/internal/data"
+	"repro/internal/rec"
 )
 
 // ErrCorrupt marks a file that failed structural validation or checksum
-// verification. Callers treat such files as absent and quarantine them.
-var ErrCorrupt = errors.New("tier: corrupt file")
+// verification. Callers treat such files as absent and quarantine them. It
+// is the toolkit's error: every failure a record reader reports wraps it.
+var ErrCorrupt = rec.ErrCorrupt
 
-// castagnoli is the CRC-32C table; hardware-accelerated on amd64/arm64.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Column record format, version 2 (all fixed-width integers little-endian).
+// Column record format, version 2, in the primitives of internal/rec.
 // It is the one byte format of a column: a file of the disk tier, and a
 // column of an upload body or a download on the wire.
 //
-//	magic   "CTC2"                       4 bytes
-//	dtype   uint8                        data.DType
-//	idLen   uint16, id bytes             lineage ID
-//	nameLen uint16, name bytes           column name at write time
-//	rows    uint32
+//	magic   "CTC2"
+//	dtype   u8                           data.DType
+//	id      str16                        lineage ID
+//	name    str16                        column name at write time
+//	rows    u32
 //	payload                              per dtype, see below
-//	crc     uint32                       CRC-32C of everything above
-//
-// uvarint is encoding/binary's unsigned varint in its shortest form, and
-// zigzag maps an int64 onto one (0, −1, 1, −2 → 0, 1, 2, 3).
+//	crc     u32                          CRC-32C of everything above
 //
 // A Float64 or Int64 payload is a mode byte and the values in that mode:
 //
 //	0 raw     rows × 8 bytes: the IEEE-754 bits, or two's complement
-//	1 varint  rows × uvarint(zigzag(i)); in a Float64 column every cell is
-//	          an integral float and i the int64 it equals bit for bit
-//	          (−0, NaN and ±Inf are not)
+//	1 varint  rows × int; in a Float64 column every cell is an integral
+//	          float and the int the int64 it equals bit for bit (−0, NaN
+//	          and ±Inf are not)
 //	2 dict8   Float64 only: u8 k−1, k distinct 8-byte bit patterns in order
 //	          of first appearance, rows × u8 code
 //	3 dict16  Float64 only: u16 k−1, the same k entries, rows × u16 code
@@ -60,13 +55,13 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // modes the column can take, a tie going to the lower mode. A dictionary
 // keys on bit patterns, so every NaN payload and −0 survive it.
 //
-// Bool is 1 byte per row (0 or 1 — anything else is rejected). String is
-// uvarint length + bytes per row. A dictionary-encoded string column sets
-// the high bit of the dtype byte (dictDType | String) and carries uvarint k,
-// k × (uvarint length + bytes), then one code per row in the narrowest width
-// that holds k−1: 1 byte up to 256 entries, 2 up to 65 536, else 4. Codes
-// must index the dictionary; the dictionary itself is accepted as-is (any
-// entries, any order), and consumers that rely on sortedness re-check it.
+// Bool is 1 byte per row (0 or 1 — anything else is rejected). String is a
+// str per row. A dictionary-encoded string column sets the high bit of the
+// dtype byte (dictDType | String) and carries uvarint k, k × str, then one
+// code per row in the narrowest width that holds k−1: 1 byte up to 256
+// entries, 2 up to 65 536, else 4. Codes must index the dictionary; the
+// dictionary itself is accepted as-is (any entries, any order), and
+// consumers that rely on sortedness re-check it.
 //
 // The encoding is canonical: any version-2 byte string that decodes
 // re-encodes to exactly the same bytes, which the fuzz test exploits. So
@@ -76,12 +71,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //
 // Version 1 ("CTC1") is read, never written, so a directory written before
 // version 2 recovers: the same header, then Float64/Int64 as rows × 8 bytes,
-// strings as uint32 length + bytes, a string dictionary as uint32 k,
-// uint32-length entries and uint32 codes.
+// strings as u32 length + bytes, a string dictionary as u32 k, u32-length
+// entries and u32 codes.
 const (
 	colMagic   = "CTC2"
 	colMagicV1 = "CTC1"
 )
+
+// MinColumnRecord is the size of the shortest column record: magic, dtype,
+// an empty ID and name, a row count and the checksum.
+const MinColumnRecord = len(colMagic) + 1 + 2 + 2 + 4 + rec.SealLen
 
 // dictDType flags a dictionary-encoded payload in the dtype byte. Only
 // valid combined with data.String.
@@ -123,7 +122,7 @@ func EncodeColumn(c *data.Column) ([]byte, error) {
 				return nil, fmt.Errorf("tier: code %d out of bounds for %d-entry dictionary", code, len(c.Dict))
 			}
 		}
-		size = uvarintLen(uint64(len(c.Dict))) + stringsLen(c.Dict) + rows*codeWidth(len(c.Dict))
+		size = rec.UvarintLen(uint64(len(c.Dict))) + stringsLen(c.Dict) + rows*codeWidth(len(c.Dict))
 	case c.Type == data.Float64:
 		plan = planFloats(c.Floats)
 		defer plan.release()
@@ -138,91 +137,80 @@ func EncodeColumn(c *data.Column) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("tier: unsupported dtype %v", c.Type)
 	}
-	b := make([]byte, 0, len(colMagic)+1+2+len(c.ID)+2+len(c.Name)+4+size+4)
-	b = append(b, colMagic...)
-	b = append(b, dtype)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.ID)))
-	b = append(b, c.ID...)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Name)))
-	b = append(b, c.Name...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(rows))
+	w := rec.Frame(colMagic, 1+2+len(c.ID)+2+len(c.Name)+4+size)
+	w.U8(dtype)
+	w.Str16(c.ID)
+	w.Str16(c.Name)
+	w.U32(uint32(rows))
 	switch {
 	case isDict:
-		b = binary.AppendUvarint(b, uint64(len(c.Dict)))
-		b = appendStrings(b, c.Dict)
-		switch codeWidth(len(c.Dict)) {
-		case 1:
-			for _, code := range c.Codes {
-				b = append(b, byte(code))
-			}
-		case 2:
-			for _, code := range c.Codes {
-				b = binary.LittleEndian.AppendUint16(b, uint16(code))
-			}
-		default:
-			for _, code := range c.Codes {
-				b = binary.LittleEndian.AppendUint32(b, code)
+		w.Uvarint(uint64(len(c.Dict)))
+		writeStrings(&w, c.Dict)
+		width := codeWidth(len(c.Dict))
+		for _, code := range c.Codes {
+			switch width {
+			case 1:
+				w.U8(byte(code))
+			case 2:
+				w.U16(uint16(code))
+			default:
+				w.U32(code)
 			}
 		}
 	case c.Type == data.Float64:
-		b = appendFloats(b, c.Floats, plan)
+		writeFloatColumn(&w, c.Floats, plan)
 	case c.Type == data.Int64:
-		b = append(b, plan.mode)
+		w.U8(plan.mode)
 		for _, v := range c.Ints {
 			if plan.mode == modeVarint {
-				b = binary.AppendUvarint(b, zigzag(v))
+				w.Int(v)
 			} else {
-				b = binary.LittleEndian.AppendUint64(b, uint64(v))
+				w.U64(uint64(v))
 			}
 		}
 	case c.Type == data.String:
-		b = appendStrings(b, c.Strings)
+		writeStrings(&w, c.Strings)
 	case c.Type == data.Bool:
 		for _, v := range c.Bools {
 			if v {
-				b = append(b, 1)
+				w.U8(1)
 			} else {
-				b = append(b, 0)
+				w.U8(0)
 			}
 		}
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
+	return w.Seal()
 }
 
-// appendFloats writes a Float64 payload in the mode plan chose.
-func appendFloats(b []byte, vals []float64, plan numPlan) []byte {
-	b = append(b, plan.mode)
+// writeFloatColumn writes a Float64 payload in the mode plan chose.
+func writeFloatColumn(w *rec.Writer, vals []float64, plan numPlan) {
+	w.U8(plan.mode)
 	switch plan.mode {
 	case modeRaw:
-		out := b[len(b) : len(b)+8*len(vals)]
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-		}
-		b = b[:len(b)+len(out)]
+		w.Floats(vals)
 	case modeVarint:
 		for _, v := range vals {
 			i, _ := floatInt(v)
-			b = binary.AppendUvarint(b, zigzag(i))
+			w.Int(i)
 		}
 	case modeDict8, modeDict16:
 		d := plan.dict
 		if plan.mode == modeDict8 {
-			b = append(b, byte(len(d.order)-1))
+			w.U8(byte(len(d.order) - 1))
 		} else {
-			b = binary.LittleEndian.AppendUint16(b, uint16(len(d.order)-1))
+			w.U16(uint16(len(d.order) - 1))
 		}
 		for _, k := range d.order {
-			b = binary.LittleEndian.AppendUint64(b, k)
+			w.U64(k)
 		}
 		for _, code := range d.rows {
 			if plan.mode == modeDict8 {
-				b = append(b, byte(code))
+				w.U8(byte(code))
 			} else {
-				b = binary.LittleEndian.AppendUint16(b, code)
+				w.U16(code)
 			}
 		}
 	}
-	return b
 }
 
 // numPlan is the mode a Float64 or Int64 column is written in and the size
@@ -275,7 +263,7 @@ func planFloats(vals []float64) numPlan {
 			integral = false
 			break
 		}
-		varint += uvarintLen(zigzag(i))
+		varint += rec.UvarintLen(rec.Zigzag(i))
 	}
 	return planDict(vals, integral, varint)
 }
@@ -308,7 +296,7 @@ func planDict(vals []float64, integral bool, varint int) numPlan {
 func planInts(vals []int64) numPlan {
 	varint := 0
 	for _, v := range vals {
-		varint += uvarintLen(zigzag(v))
+		varint += rec.UvarintLen(rec.Zigzag(v))
 	}
 	if varint < 8*len(vals) {
 		return numPlan{mode: modeVarint, size: varint}
@@ -328,11 +316,6 @@ func floatInt(v float64) (int64, bool) {
 	return i, true
 }
 
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
 // codeWidth is the byte width of a string dictionary's codes: the narrowest
 // that holds every code of a k-entry dictionary.
 func codeWidth(k int) int {
@@ -345,21 +328,19 @@ func codeWidth(k int) int {
 	return 4
 }
 
-// stringsLen is what appendStrings writes for list.
+// stringsLen is what writeStrings writes for list.
 func stringsLen(list []string) int {
 	n := 0
 	for _, s := range list {
-		n += uvarintLen(uint64(len(s))) + len(s)
+		n += rec.UvarintLen(uint64(len(s))) + len(s)
 	}
 	return n
 }
 
-func appendStrings(b []byte, list []string) []byte {
+func writeStrings(w *rec.Writer, list []string) {
 	for _, s := range list {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
+		w.Str(s)
 	}
-	return b
 }
 
 // patterns numbers the distinct bit patterns of a float column in order of
@@ -457,143 +438,49 @@ func (d *patterns) code(k uint64) uint32 {
 	}
 }
 
-// colReader is a bounds-checked cursor over an encoded column.
-type colReader struct {
-	b   []byte
-	off int
-}
-
-func (r *colReader) left() int { return len(r.b) - r.off }
-
-func (r *colReader) take(n int) ([]byte, bool) {
-	if n < 0 || r.left() < n {
-		return nil, false
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out, true
-}
-
-func (r *colReader) u8() (byte, bool) {
-	b, ok := r.take(1)
-	if !ok {
-		return 0, false
-	}
-	return b[0], true
-}
-
-func (r *colReader) u16() (uint16, bool) {
-	b, ok := r.take(2)
-	if !ok {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint16(b), true
-}
-
-func (r *colReader) u32() (uint32, bool) {
-	b, ok := r.take(4)
-	if !ok {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(b), true
-}
-
-// uvarint reads a varint in its shortest form and refuses any other.
-func (r *colReader) uvarint() (uint64, bool) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
-		return 0, false
-	}
-	r.off += n
-	return v, true
-}
-
-// corrupt returns an error wrapping ErrCorrupt.
-func corrupt(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
-}
-
 // DecodeColumn parses and verifies a column record of either version. Any
 // structural violation or checksum mismatch returns an error wrapping
 // ErrCorrupt.
 func DecodeColumn(b []byte) (*data.Column, error) {
-	if len(b) < len(colMagic)+4 {
-		return nil, corrupt("bad magic")
-	}
-	magic := string(b[:len(colMagic)])
-	if magic != colMagic && magic != colMagicV1 {
-		return nil, corrupt("bad magic")
-	}
-	body, crcBytes := b[:len(b)-4], b[len(b)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, corrupt("checksum mismatch")
-	}
-	r := &colReader{b: body, off: len(colMagic)}
-	dt, ok := r.u8()
-	if !ok {
-		return nil, corrupt("truncated header")
-	}
-	isDict := dt&dictDType != 0
-	c := &data.Column{Type: data.DType(dt &^ dictDType)}
-	if isDict && c.Type != data.String {
-		return nil, corrupt("dict flag on dtype %d", dt&^dictDType)
-	}
-	idLen, ok := r.u16()
-	if !ok {
-		return nil, corrupt("truncated id")
-	}
-	id, ok := r.take(int(idLen))
-	if !ok {
-		return nil, corrupt("truncated id")
-	}
-	c.ID = string(id)
-	nameLen, ok := r.u16()
-	if !ok {
-		return nil, corrupt("truncated name")
-	}
-	name, ok := r.take(int(nameLen))
-	if !ok {
-		return nil, corrupt("truncated name")
-	}
-	c.Name = string(name)
-	rows32, ok := r.u32()
-	if !ok {
-		return nil, corrupt("truncated row count")
-	}
-	decode := decodePayload
-	if magic == colMagicV1 {
-		decode = decodePayloadV1
-	}
-	if err := decode(r, c, int(rows32), isDict); err != nil {
+	magic, body, err := rec.Open(b, colMagic, colMagicV1)
+	if err != nil {
 		return nil, err
 	}
-	if r.left() != 0 {
-		return nil, corrupt("%d trailing bytes", r.left())
+	r := rec.NewReader(body)
+	dt := r.U8()
+	isDict := dt&dictDType != 0
+	c := &data.Column{Type: data.DType(dt &^ dictDType), ID: r.Str16(), Name: r.Str16()}
+	rows := int(r.U32())
+	switch {
+	case r.Err() != nil:
+	case isDict && c.Type != data.String:
+		r.Fail("dict flag on dtype %d", c.Type)
+	case magic == colMagicV1:
+		decodePayloadV1(&r, c, rows, isDict)
+	default:
+		decodePayload(&r, c, rows, isDict)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
 // decodePayload reads a version-2 payload into c.
-func decodePayload(r *colReader, c *data.Column, rows int, isDict bool) error {
+func decodePayload(r *rec.Reader, c *data.Column, rows int, isDict bool) {
 	// Every row takes at least one byte in every mode of every dtype, so an
 	// honest row count is bounded by the bytes left; checking before
 	// allocating keeps a corrupt header from forcing a huge allocation.
-	if rows > r.left() {
-		return corrupt("row count %d exceeds payload", rows)
+	if rows > r.Left() {
+		r.Fail("row count %d exceeds payload", rows)
+		return
 	}
 	if isDict {
-		k, ok := r.uvarint()
-		if !ok || k > uint64(r.left()) { // an entry takes at least its length byte
-			return corrupt("bad dictionary length")
-		}
-		dict, err := readStrings(r, int(k))
-		if err != nil {
-			return err
-		}
+		dict := readStrings(r, r.Count(1)) // an entry takes at least its length byte
 		width := codeWidth(len(dict))
-		payload, ok := r.take(rows * width)
-		if !ok {
-			return corrupt("truncated code payload")
+		payload := r.Bytes(rows * width)
+		if r.Err() != nil {
+			return
 		}
 		codes := make([]uint32, rows)
 		for i := range codes {
@@ -606,101 +493,87 @@ func decodePayload(r *colReader, c *data.Column, rows int, isDict bool) error {
 				codes[i] = binary.LittleEndian.Uint32(payload[4*i:])
 			}
 			if int(codes[i]) >= len(dict) {
-				return corrupt("code %d out of bounds for %d-entry dictionary", codes[i], len(dict))
+				r.Fail("code %d out of bounds for %d-entry dictionary", codes[i], len(dict))
+				return
 			}
 		}
 		c.Dict, c.Codes = dict, codes
-		return nil
+		return
 	}
 	switch c.Type {
 	case data.Float64:
-		vals, err := decodeFloats(r, rows)
-		c.Floats = vals
-		return err
+		c.Floats = decodeFloats(r, rows)
 	case data.Int64:
-		return decodeInts(r, c, rows)
+		c.Ints = decodeInts(r, rows)
 	case data.String:
-		vals, err := readStrings(r, rows)
-		c.Strings = vals
-		return err
+		c.Strings = readStrings(r, rows)
 	case data.Bool:
-		return decodeBools(r, c, rows)
+		c.Bools = decodeBools(r, rows)
+	default:
+		r.Fail("unknown dtype %d", c.Type)
 	}
-	return corrupt("unknown dtype %d", c.Type)
 }
 
 // decodeFloats reads a Float64 payload and checks that its mode is the one
 // its values select.
-func decodeFloats(r *colReader, rows int) ([]float64, error) {
-	mode, ok := r.u8()
-	if !ok {
-		return nil, corrupt("truncated float mode")
-	}
+func decodeFloats(r *rec.Reader, rows int) []float64 {
+	mode := r.U8()
 	vals := make([]float64, rows)
 	var plan numPlan
 	switch mode {
 	case modeRaw:
-		payload, ok := r.take(rows * 8)
-		if !ok {
-			return nil, corrupt("truncated float payload")
+		payload := r.Bytes(rows * 8)
+		if payload == nil {
+			return nil
 		}
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 		}
 		plan = planFloats(vals)
 	case modeVarint:
-		start := r.off
+		left := r.Left()
 		for i := range vals {
-			u, ok := r.uvarint()
-			if !ok {
-				return nil, corrupt("bad varint at row %d", i)
-			}
-			v := unzigzag(u)
+			v := r.Int()
 			f := float64(v)
 			if f >= 0x1p63 || int64(f) != v {
-				return nil, corrupt("row %d: %d is not a float", i, v)
+				r.Fail("row %d: %d is not a float", i, v)
+				return nil
 			}
 			vals[i] = f
 		}
-		plan = planDict(vals, true, r.off-start)
+		if r.Err() != nil {
+			return nil
+		}
+		plan = planDict(vals, true, left-r.Left())
 	case modeDict8, modeDict16:
-		return vals, decodeFloatDict(r, mode, vals)
+		decodeFloatDict(r, mode, vals)
+		return vals
 	default:
-		return nil, corrupt("unknown float mode %d", mode)
+		r.Fail("unknown float mode %d", mode)
+		return nil
 	}
 	plan.release()
 	if plan.mode != mode {
-		return nil, corrupt("float mode %d is not the one its values select", mode)
+		r.Fail("float mode %d is not the one its values select", mode)
 	}
-	return vals, nil
+	return vals
 }
 
 // decodeFloatDict reads a dictionary payload into vals. The mode rule is
 // checked on the dictionary rather than by planning the values again: its
 // entries must be distinct and each one used, first in order of entry, and
 // choose must select this mode for that many patterns.
-func decodeFloatDict(r *colReader, mode byte, vals []float64) error {
+func decodeFloatDict(r *rec.Reader, mode byte, vals []float64) {
 	k, width := 0, 1
 	if mode == modeDict8 {
-		n, ok := r.u8()
-		if !ok {
-			return corrupt("truncated dictionary length")
-		}
-		k = int(n) + 1
+		k = int(r.U8()) + 1
 	} else {
-		n, ok := r.u16()
-		if !ok {
-			return corrupt("truncated dictionary length")
-		}
-		k, width = int(n)+1, 2
+		k, width = int(r.U16())+1, 2
 	}
-	entries, ok := r.take(8 * k)
-	if !ok {
-		return corrupt("truncated dictionary")
-	}
-	codes, ok := r.take(len(vals) * width)
-	if !ok {
-		return corrupt("truncated code payload")
+	entries := r.Bytes(8 * k)
+	codes := r.Bytes(len(vals) * width)
+	if r.Err() != nil {
+		return
 	}
 	dict := make([]float64, k)
 	lens := make([]int, k) // each entry's varint length
@@ -708,7 +581,7 @@ func decodeFloatDict(r *colReader, mode byte, vals []float64) error {
 	for e := range dict {
 		dict[e] = math.Float64frombits(binary.LittleEndian.Uint64(entries[8*e:]))
 		if i, ok := floatInt(dict[e]); ok {
-			lens[e] = uvarintLen(zigzag(i))
+			lens[e] = rec.UvarintLen(rec.Zigzag(i))
 		} else {
 			integral = false
 		}
@@ -718,7 +591,8 @@ func decodeFloatDict(r *colReader, mode byte, vals []float64) error {
 	distinct := len(pt.order) == k
 	patternPool.Put(pt)
 	if !distinct {
-		return corrupt("a dictionary entry repeats")
+		r.Fail("a dictionary entry repeats")
+		return
 	}
 	next, varint := 0, 0 // next is the code the next new value must take
 	for i := range vals {
@@ -727,7 +601,8 @@ func decodeFloatDict(r *colReader, mode byte, vals []float64) error {
 			code = int(binary.LittleEndian.Uint16(codes[2*i:]))
 		}
 		if code > next || code == k {
-			return corrupt("row %d: code %d out of first-appearance order in a %d-entry dictionary", i, code, k)
+			r.Fail("row %d: code %d out of first-appearance order in a %d-entry dictionary", i, code, k)
+			return
 		}
 		if code == next {
 			next++
@@ -736,154 +611,119 @@ func decodeFloatDict(r *colReader, mode byte, vals []float64) error {
 		varint += lens[code]
 	}
 	if next != k {
-		return corrupt("%d of %d dictionary entries unused", k-next, k)
+		r.Fail("%d of %d dictionary entries unused", k-next, k)
+		return
 	}
 	if want, _ := choose(len(vals), integral, varint, k); want != mode {
-		return corrupt("float mode %d is not the one its values select", mode)
+		r.Fail("float mode %d is not the one its values select", mode)
 	}
-	return nil
 }
 
-func decodeInts(r *colReader, c *data.Column, rows int) error {
-	mode, ok := r.u8()
-	if !ok {
-		return corrupt("truncated int mode")
-	}
-	c.Ints = make([]int64, rows)
+func decodeInts(r *rec.Reader, rows int) []int64 {
+	mode := r.U8()
+	ints := make([]int64, rows)
 	switch mode {
 	case modeRaw:
-		payload, ok := r.take(rows * 8)
-		if !ok {
-			return corrupt("truncated int payload")
-		}
-		for i := range c.Ints {
-			c.Ints[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
+		if payload := r.Bytes(rows * 8); payload != nil {
+			for i := range ints {
+				ints[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
+			}
 		}
 	case modeVarint:
-		for i := range c.Ints {
-			u, ok := r.uvarint()
-			if !ok {
-				return corrupt("bad varint at row %d", i)
-			}
-			c.Ints[i] = unzigzag(u)
+		for i := range ints {
+			ints[i] = r.Int()
 		}
 	default:
-		return corrupt("unknown int mode %d", mode)
+		r.Fail("unknown int mode %d", mode)
 	}
-	if planInts(c.Ints).mode != mode {
-		return corrupt("int mode %d is not the one its values select", mode)
+	if r.Err() == nil && planInts(ints).mode != mode {
+		r.Fail("int mode %d is not the one its values select", mode)
 	}
-	return nil
+	return ints
 }
 
-// readStrings reads n uvarint-length-prefixed strings.
-func readStrings(r *colReader, n int) ([]string, error) {
+// readStrings reads n strs.
+func readStrings(r *rec.Reader, n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		l, ok := r.uvarint()
-		if !ok || l > uint64(r.left()) {
-			return nil, corrupt("bad string length at %d", i)
-		}
-		s, _ := r.take(int(l))
-		out[i] = string(s)
+		out[i] = r.Str()
 	}
-	return out, nil
+	return out
 }
 
-func decodeBools(r *colReader, c *data.Column, rows int) error {
-	payload, ok := r.take(rows)
-	if !ok {
-		return corrupt("truncated bool payload")
-	}
-	c.Bools = make([]bool, rows)
+func decodeBools(r *rec.Reader, rows int) []bool {
+	payload := r.Bytes(rows)
+	bools := make([]bool, len(payload))
 	for i, v := range payload {
 		if v > 1 {
-			return corrupt("non-canonical bool byte %d", v)
+			r.Fail("non-canonical bool byte %d", v)
+			return nil
 		}
-		c.Bools[i] = v == 1
+		bools[i] = v == 1
 	}
-	return nil
+	return bools
 }
 
 // decodePayloadV1 reads a version-1 payload into c.
-func decodePayloadV1(r *colReader, c *data.Column, rows int, isDict bool) error {
+func decodePayloadV1(r *rec.Reader, c *data.Column, rows int, isDict bool) {
 	if isDict {
-		dictLen32, ok := r.u32()
-		if !ok {
-			return corrupt("truncated dictionary length")
-		}
-		dictLen := int(dictLen32)
 		// Every dictionary entry needs at least its 4-byte length prefix.
-		if dictLen > r.left()/4 {
-			return corrupt("dictionary length %d exceeds payload", dictLen)
+		dictLen := int(r.U32())
+		if dictLen > r.Left()/4 {
+			r.Fail("dictionary length %d exceeds payload", dictLen)
+			return
 		}
-		dict, err := readStringsV1(r, dictLen)
-		if err != nil {
-			return err
-		}
-		payload, ok := r.take(rows * 4)
-		if !ok {
-			return corrupt("truncated code payload")
+		dict := readStringsV1(r, dictLen)
+		if rows*4 > r.Left() {
+			r.Fail("truncated code payload")
+			return
 		}
 		codes := make([]uint32, rows)
 		for i := range codes {
-			code := binary.LittleEndian.Uint32(payload[i*4:])
-			if int(code) >= dictLen {
-				return corrupt("code %d out of bounds for %d-entry dictionary", code, dictLen)
+			if codes[i] = r.U32(); int(codes[i]) >= dictLen {
+				r.Fail("code %d out of bounds for %d-entry dictionary", codes[i], dictLen)
+				return
 			}
-			codes[i] = code
 		}
 		c.Dict, c.Codes = dict, codes
-		return nil
+		return
 	}
 	switch c.Type {
-	case data.Float64:
-		payload, ok := r.take(rows * 8)
-		if !ok {
-			return corrupt("truncated float payload")
+	case data.Float64, data.Int64:
+		if r.Left() < rows*8 {
+			r.Fail("truncated payload")
+			return
 		}
-		c.Floats = make([]float64, rows)
-		for i := range c.Floats {
-			c.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-	case data.Int64:
-		payload, ok := r.take(rows * 8)
-		if !ok {
-			return corrupt("truncated int payload")
-		}
-		c.Ints = make([]int64, rows)
-		for i := range c.Ints {
-			c.Ints[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
+		if c.Type == data.Float64 {
+			c.Floats = make([]float64, rows)
+			for i := range c.Floats {
+				c.Floats[i] = r.Float()
+			}
+		} else {
+			c.Ints = make([]int64, rows)
+			for i := range c.Ints {
+				c.Ints[i] = int64(r.U64())
+			}
 		}
 	case data.String:
 		// Each row needs at least its 4-byte length prefix.
-		if rows > r.left()/4 {
-			return corrupt("row count %d exceeds payload", rows)
+		if rows > r.Left()/4 {
+			r.Fail("row count %d exceeds payload", rows)
+			return
 		}
-		vals, err := readStringsV1(r, rows)
-		c.Strings = vals
-		return err
+		c.Strings = readStringsV1(r, rows)
 	case data.Bool:
-		return decodeBools(r, c, rows)
+		c.Bools = decodeBools(r, rows)
 	default:
-		return corrupt("unknown dtype %d", c.Type)
+		r.Fail("unknown dtype %d", c.Type)
 	}
-	return nil
 }
 
-// readStringsV1 reads n uint32-length-prefixed strings.
-func readStringsV1(r *colReader, n int) ([]string, error) {
+// readStringsV1 reads n u32-length-prefixed strings.
+func readStringsV1(r *rec.Reader, n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		l, ok := r.u32()
-		if !ok {
-			return nil, corrupt("truncated string length")
-		}
-		s, ok := r.take(int(l))
-		if !ok {
-			return nil, corrupt("truncated string payload")
-		}
-		out[i] = string(s)
+		out[i] = string(r.Bytes(int(r.U32())))
 	}
-	return out, nil
+	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/rec"
 )
 
 func TestColumnCodecRoundTrip(t *testing.T) {
@@ -79,7 +79,7 @@ func record(dtype data.DType, rows int, payload []byte) []byte {
 	b = binary.LittleEndian.AppendUint16(b, 0)
 	b = binary.LittleEndian.AppendUint32(b, uint32(rows))
 	b = append(b, payload...)
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	return checksummed(b)
 }
 
 func floatBytes(vals ...float64) []byte {
@@ -109,7 +109,7 @@ func TestColumnCodecRefusesNonCanonical(t *testing.T) {
 	for name, rec := range map[string][]byte{
 		"raw floats that are integers": record(data.Float64, 2, append([]byte{modeRaw}, floatBytes(1, 2)...)),
 		"varint not in shortest form":  record(data.Float64, 1, []byte{modeVarint, 0x82, 0x00}),
-		"varint that is not a float":   record(data.Float64, 1, binary.AppendUvarint([]byte{modeVarint}, zigzag(1<<53+1))),
+		"varint that is not a float":   record(data.Float64, 1, binary.AppendUvarint([]byte{modeVarint}, rec.Zigzag(1<<53+1))),
 		"dictionary out of order":      record(data.Float64, 16, dict8(floatBytes(0.5, 1.5), bytes.Repeat([]byte{1, 0}, 8))),
 		"dictionary entry repeated":    record(data.Float64, 16, dict8(floatBytes(0.5, 0.5, 1.5), bytes.Repeat([]byte{0, 1, 2, 0}, 4))),
 		"dictionary entry unused":      record(data.Float64, 16, dict8(floatBytes(0.5, 1.5, 2.5), alternating)),
@@ -117,7 +117,7 @@ func TestColumnCodecRefusesNonCanonical(t *testing.T) {
 		"dict16 where dict8 is smaller": record(data.Float64, 16, append(append([]byte{modeDict16, 1, 0}, floatBytes(0.5, 1.5)...),
 			bytes.Repeat([]byte{0, 0, 1, 0}, 8)...)),
 		"raw ints that are small":    record(data.Int64, 1, binary.LittleEndian.AppendUint64([]byte{modeRaw}, 3)),
-		"int varint longer than raw": record(data.Int64, 1, binary.AppendUvarint([]byte{modeVarint}, zigzag(math.MinInt64))),
+		"int varint longer than raw": record(data.Int64, 1, binary.AppendUvarint([]byte{modeVarint}, rec.Zigzag(math.MinInt64))),
 		"unknown float mode":         record(data.Float64, 0, []byte{9}),
 		"string length past the end": record(data.String, 1, []byte{5, 'a'}),
 	} {
@@ -153,7 +153,7 @@ func TestColumnCodecDict(t *testing.T) {
 	// can catch it.
 	forged := append([]byte(nil), enc[:len(enc)-4]...)
 	forged[len(forged)-1] = 99
-	forged = binary.LittleEndian.AppendUint32(forged, crc32.Checksum(forged, castagnoli))
+	forged = checksummed(forged)
 	if _, err := DecodeColumn(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("decode accepted out-of-bounds code (err=%v)", err)
 	}
@@ -162,7 +162,7 @@ func TestColumnCodecDict(t *testing.T) {
 	// must be rejected even with a valid checksum.
 	forged = append([]byte(nil), enc[:len(enc)-4]...)
 	forged[len(colMagic)] = dictDType | byte(data.Float64)
-	forged = binary.LittleEndian.AppendUint32(forged, crc32.Checksum(forged, castagnoli))
+	forged = checksummed(forged)
 	if _, err := DecodeColumn(forged); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("decode accepted dict flag on float dtype (err=%v)", err)
 	}
@@ -178,7 +178,7 @@ func TestColumnCodecDict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		codes := len(enc) - 4 - payloadAt(c) - uvarintLen(uint64(k)) - stringsLen(dict)
+		codes := len(enc) - 4 - payloadAt(c) - rec.UvarintLen(uint64(k)) - stringsLen(dict)
 		if got, err := DecodeColumn(enc); err != nil || !sameColumn(got, c) || codes != 2*codeWidth(k) {
 			t.Errorf("%d entries: %d code bytes for 2 rows, round trip %v", k, codes, err)
 		}
@@ -266,11 +266,83 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 		got.colIDs[1] != "c2" || got.names[0] != "a" {
 		t.Fatalf("round trip mismatch: %q %+v", vid, got)
 	}
-	for i := range enc {
-		bad := append([]byte(nil), enc...)
-		bad[i] ^= 0xFF
-		if _, _, err := decodeManifest(bad); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("manifest flip at %d not detected", i)
+	// The file is the wire's manifest after the vertex ID.
+	w := rec.NewWriter(nil)
+	WriteManifest(&w, man.colIDs, man.names)
+	if !bytes.HasPrefix(enc, []byte(frameMagic)) || !bytes.HasSuffix(enc[:len(enc)-rec.SealLen], w.Bytes()) {
+		t.Fatalf("a %s file is not the wire's manifest", frameMagic)
+	}
+	for _, frame := range [][]byte{enc, ctm1Frame(t)} {
+		for i := range frame {
+			bad := append([]byte(nil), frame...)
+			bad[i] ^= 0xFF
+			if _, _, err := decodeManifest(bad); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s flip at %d not detected", frame[:4], i)
+			}
 		}
 	}
+}
+
+// ctm1Frame is the version-1 manifest of the committed store-ctc1 directory.
+func ctm1Frame(tb testing.TB) []byte {
+	b, err := os.ReadFile(filepath.Join("testdata", "store-ctc1", "frames", "3bfc269594ef649228e9a74bab00f042efc91d5a.mf"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if string(b[:4]) != frameMagicV1 {
+		tb.Fatalf("store-ctc1's manifest is %q", b[:4])
+	}
+	return b
+}
+
+// FuzzManifest throws arbitrary bytes at the manifest decoder, seeded with
+// the version-1 manifest of store-ctc1 and version-2 manifests. It must never
+// panic; it refuses an entry count the bytes left cannot hold before making
+// anything for it, so what it accepts holds no more entries than the frame
+// has bytes for; and a version-2 frame it accepts re-encodes to exactly its
+// bytes.
+func FuzzManifest(f *testing.F) {
+	f.Add(ctm1Frame(f))
+	for _, m := range []struct {
+		vid string
+		man manifest
+	}{
+		{"v", manifest{}},
+		{"vertex/with weird:chars", manifest{colIDs: []string{"c1", "c2"}, names: []string{"a", ""}}},
+		{data.SourceID("", "v"), manifest{colIDs: []string{data.SourceID("", "x"), "0123456789ABCDEF0123456789ABCDEF"},
+			names: []string{"x", data.SourceID("", "y")}}},
+	} {
+		enc, err := encodeManifest(m.vid, m.man)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		vid, man, err := decodeManifest(b)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("an error not wrapping ErrCorrupt: %v", err)
+			}
+			return
+		}
+		if len(man.colIDs) != len(man.names) || 2*len(man.colIDs) > len(b) {
+			t.Fatalf("%d column ids and %d names from %d bytes", len(man.colIDs), len(man.names), len(b))
+		}
+		if string(b[:4]) != frameMagic {
+			return
+		}
+		if re, err := encodeManifest(vid, man); err != nil || !bytes.Equal(re, b) {
+			t.Fatalf("non-canonical accept: %d bytes in, %d out (%v)", len(b), len(re), err)
+		}
+	})
+}
+
+// checksummed ends b, a record's magic and body, with their checksum, as
+// the encoder seals a record.
+func checksummed(b []byte) []byte {
+	w := rec.Frame(string(b[:4]), len(b))
+	w.Raw(b[4:])
+	out, _ := w.Seal()
+	return out
 }

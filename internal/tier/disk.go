@@ -2,11 +2,9 @@ package tier
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +12,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/graph"
+	"repro/internal/rec"
 )
 
 // Directory layout under the tier root:
@@ -35,9 +34,10 @@ const (
 	frameExt = ".mf"
 	blobExt  = ".bl"
 
-	frameMagic  = "CTM1"
-	blobMagic   = "CTB2"
-	blobMagicV1 = "CTB1"
+	frameMagic   = "CTM2"
+	frameMagicV1 = "CTM1"
+	blobMagic    = "CTB2"
+	blobMagicV1  = "CTB1"
 )
 
 func fname(id string) string {
@@ -262,155 +262,113 @@ func (d *Disk) scanBlobs(rep *Report) error {
 	return nil
 }
 
-// writeFileAtomic writes b to path via a temp file, fsync, and rename, so a
-// crash mid-write never leaves a torn file under the final name.
-func writeFileAtomic(path string, b []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("tier: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return fmt.Errorf("tier: writing %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("tier: syncing %s: %w", filepath.Base(path), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("tier: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("tier: %w", err)
-	}
-	return nil
-}
-
-// Manifest file format (version 1):
+// Manifest file format, version 2: the wire's manifest of a dataset
+// (WriteManifest) after the vertex ID, in the primitives of internal/rec.
 //
-//	magic "CTM1", u16 vidLen + vid, u32 count,
-//	count × (u16 idLen + colID, u16 nameLen + name), u32 CRC-32C
+//	magic "CTM2", id vid, count n, n × (id colID, id name), u32 CRC-32C
+//
+// Version 1 ("CTM1") is read, never written: magic, str16 vid, u32 count,
+// count × (str16 colID, str16 name), u32 CRC-32C.
 func encodeManifest(vid string, man manifest) ([]byte, error) {
-	if len(vid) > maxMetaLen {
-		return nil, fmt.Errorf("tier: vertex id too long (%d bytes)", len(vid))
-	}
-	b := make([]byte, 0, 64)
-	b = append(b, frameMagic...)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(vid)))
-	b = append(b, vid...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(man.colIDs)))
-	for i, cid := range man.colIDs {
-		if len(cid) > maxMetaLen || len(man.names[i]) > maxMetaLen {
-			return nil, fmt.Errorf("tier: column id/name too long")
-		}
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(cid)))
-		b = append(b, cid...)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(man.names[i])))
-		b = append(b, man.names[i]...)
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
+	w := rec.Frame(frameMagic, 17+len(man.colIDs)*(17+8))
+	w.ID(vid)
+	WriteManifest(&w, man.colIDs, man.names)
+	return w.Seal()
 }
 
 func decodeManifest(b []byte) (vid string, man manifest, err error) {
-	if len(b) < len(frameMagic)+4 || string(b[:len(frameMagic)]) != frameMagic {
-		return "", man, fmt.Errorf("%w: bad manifest magic", ErrCorrupt)
+	magic, body, err := rec.Open(b, frameMagic, frameMagicV1)
+	if err != nil {
+		return "", man, err
 	}
-	body, crcBytes := b[:len(b)-4], b[len(b)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(crcBytes) {
-		return "", man, fmt.Errorf("%w: manifest checksum mismatch", ErrCorrupt)
-	}
-	r := &colReader{b: body, off: len(frameMagic)}
-	vidLen, ok := r.u16()
-	if !ok {
-		return "", man, fmt.Errorf("%w: truncated manifest", ErrCorrupt)
-	}
-	vb, ok := r.take(int(vidLen))
-	if !ok {
-		return "", man, fmt.Errorf("%w: truncated manifest", ErrCorrupt)
-	}
-	vid = string(vb)
-	count, ok := r.u32()
-	if !ok {
-		return "", man, fmt.Errorf("%w: truncated manifest", ErrCorrupt)
-	}
-	for i := 0; i < int(count); i++ {
-		idLen, ok := r.u16()
-		if !ok {
-			return "", man, fmt.Errorf("%w: truncated manifest entry", ErrCorrupt)
+	r := rec.NewReader(body)
+	if magic == frameMagic {
+		vid = r.ID()
+		man.colIDs, man.names = ReadManifest(&r)
+	} else {
+		vid = r.Str16()
+		if n := r.U32(); n > uint32(r.Left()/4) { // an entry takes two lengths at least
+			r.Fail("%d manifest entries in %d bytes", n, r.Left())
+		} else {
+			man.colIDs, man.names = make([]string, n), make([]string, n)
+			for i := range man.colIDs {
+				man.colIDs[i], man.names[i] = r.Str16(), r.Str16()
+			}
 		}
-		id, ok := r.take(int(idLen))
-		if !ok {
-			return "", man, fmt.Errorf("%w: truncated manifest entry", ErrCorrupt)
-		}
-		nameLen, ok := r.u16()
-		if !ok {
-			return "", man, fmt.Errorf("%w: truncated manifest entry", ErrCorrupt)
-		}
-		name, ok := r.take(int(nameLen))
-		if !ok {
-			return "", man, fmt.Errorf("%w: truncated manifest entry", ErrCorrupt)
-		}
-		man.colIDs = append(man.colIDs, string(id))
-		man.names = append(man.names, string(name))
 	}
-	if r.off != len(body) {
-		return "", man, fmt.Errorf("%w: trailing manifest bytes", ErrCorrupt)
+	if err := r.Done(); err != nil {
+		return "", manifest{}, err
 	}
 	return vid, man, nil
 }
 
+// WriteManifest writes a frame's manifest — its column lineage IDs in order,
+// with the names they carry in it — as count n, n × (id colID, id name). It
+// is the body of a manifest file after its vertex ID and the manifest of a
+// dataset on the wire.
+func WriteManifest(w *rec.Writer, colIDs, names []string) {
+	if len(names) != len(colIDs) {
+		w.Fail("%d column ids, %d names", len(colIDs), len(names))
+		return
+	}
+	w.Uvarint(uint64(len(colIDs)))
+	for i := range colIDs {
+		w.ID(colIDs[i])
+		w.ID(names[i])
+	}
+}
+
+// ReadManifest reads what WriteManifest writes.
+func ReadManifest(r *rec.Reader) (colIDs, names []string) {
+	n := r.Count(2)
+	if n == 0 {
+		return nil, nil
+	}
+	colIDs, names = make([]string, n), make([]string, n)
+	for i := range colIDs {
+		colIDs[i], names[i] = r.ID(), r.ID()
+	}
+	return colIDs, names
+}
+
 // Blob file format, version 2:
 //
-//	magic "CTB2", u16 vidLen + vid, blob record (AppendBlob), u32 CRC-32C
+//	magic "CTB2", str16 vid, blob record (AppendBlob), u32 CRC-32C
 //
 // Version 1 ("CTB1") is read, never written (blobv1.go): the same frame
 // around a gob payload.
 func encodeBlob(vid string, a graph.Artifact) ([]byte, error) {
-	if len(vid) > maxMetaLen {
-		return nil, fmt.Errorf("tier: vertex id too long (%d bytes)", len(vid))
-	}
-	b := make([]byte, 0, 256)
-	b = append(b, blobMagic...)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(vid)))
-	b = append(b, vid...)
-	b, err := AppendBlob(b, a)
+	w := rec.Frame(blobMagic, 2+len(vid)+256)
+	w.Str16(vid)
+	writeArtifact(&w, a)
+	b, err := w.Seal()
 	if err != nil {
 		return nil, fmt.Errorf("tier: encoding blob %s: %w", vid, err)
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli)), nil
+	return b, nil
 }
 
 func decodeBlob(b []byte) (vid string, content graph.Artifact, err error) {
-	if len(b) < len(blobMagic)+4 {
-		return "", nil, fmt.Errorf("%w: bad blob magic", ErrCorrupt)
+	magic, body, err := rec.Open(b, blobMagic, blobMagicV1)
+	if err != nil {
+		return "", nil, err
 	}
-	magic := string(b[:len(blobMagic)])
-	if magic != blobMagic && magic != blobMagicV1 {
-		return "", nil, fmt.Errorf("%w: bad blob magic", ErrCorrupt)
-	}
-	body, crcBytes := b[:len(b)-4], b[len(b)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(crcBytes) {
-		return "", nil, fmt.Errorf("%w: blob checksum mismatch", ErrCorrupt)
-	}
-	r := &colReader{b: body, off: len(blobMagic)}
-	vidLen, ok := r.u16()
-	if !ok {
-		return "", nil, fmt.Errorf("%w: truncated blob", ErrCorrupt)
-	}
-	vb, ok := r.take(int(vidLen))
-	if !ok {
-		return "", nil, fmt.Errorf("%w: truncated blob", ErrCorrupt)
-	}
+	r := rec.NewReader(body)
+	vid = r.Str16()
 	if magic == blobMagicV1 {
-		content, err = decodeBlobV1(body[r.off:])
+		if p := r.Bytes(r.Left()); r.Err() == nil {
+			content, err = decodeBlobV1(p)
+		}
 	} else {
-		content, err = DecodeBlob(body[r.off:])
+		content = readArtifact(&r)
+	}
+	if err == nil {
+		err = r.Done()
 	}
 	if err != nil {
 		return "", nil, err
 	}
-	return string(vb), content, nil
+	return vid, content, nil
 }
 
 // PutFrame spills a dataset artifact: it writes column files that are not
@@ -440,7 +398,7 @@ func (d *Disk) PutFrame(vid string, cols []*data.Column) error {
 		if err != nil {
 			return err
 		}
-		if err := writeFileAtomic(d.colPath(c.ID), b); err != nil {
+		if err := rec.WriteFile(d.colPath(c.ID), b); err != nil {
 			return err
 		}
 		d.cols[c.ID] = colState{size: c.SizeBytes()}
@@ -450,7 +408,7 @@ func (d *Disk) PutFrame(vid string, cols []*data.Column) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(d.framePath(vid), mb); err != nil {
+	if err := rec.WriteFile(d.framePath(vid), mb); err != nil {
 		return err
 	}
 	for _, cid := range man.colIDs {
@@ -475,7 +433,7 @@ func (d *Disk) PutBlob(vid string, a graph.Artifact) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(d.blobPath(vid), b); err != nil {
+	if err := rec.WriteFile(d.blobPath(vid), b); err != nil {
 		return err
 	}
 	sz := a.SizeBytes()
