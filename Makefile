@@ -147,9 +147,13 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # graph and data, and the tier's read path of version-1 blob files. Nothing
 # the wire or the disk tier writes is gob (bench/, the ruler, is not linted).
 # And it keeps one byte toolkit: internal/rec imports nothing of the
-# repository, and is the only program code that computes a checksum.
+# repository, and is the only program code that computes a checksum. And it
+# keeps the storage layers apart: the tier imports no layer above it, and the
+# store, which keeps only policy over the tiers, does no file I/O — every
+# artifact file is the tier's.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
+ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
 GOB_FILES = internal/persist/persist.go internal/graph/gob.go internal/data/gob.go internal/tier/blobv1.go
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
@@ -171,6 +175,14 @@ lint-layers:
 	@out="$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"hash/crc32"' . | sed 's|^\./||' | grep -v '^internal/rec/' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "hash/crc32 imported outside internal/rec (seal records with rec.Seal):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/tier | grep -xE '$(ABOVE_TIER)' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "the tier internal/tier imports a layer above it:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/store | grep -x 'os' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "internal/store imports os (artifact files are internal/tier's to read and write)"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

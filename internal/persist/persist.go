@@ -13,8 +13,9 @@
 //
 // Writes are atomic and verified: content goes to an fsynced temp file that
 // is renamed over the target, and each snapshot carries a length + CRC-32C
-// envelope so Load rejects torn or truncated files with a clear error
-// instead of restoring garbage.
+// envelope under the magic "CSN1" so Load rejects torn or truncated files
+// with a clear error instead of restoring garbage. A file without the magic
+// is refused as torn too.
 package persist
 
 import (
@@ -39,12 +40,11 @@ const (
 	egFile    = "eg.gob"
 	storeFile = "store.gob"
 
-	// snapMagic opens every snapshot envelope; files without it are read as
-	// legacy raw gob (pre-envelope snapshots).
+	// snapMagic opens every snapshot envelope; a file without it is torn.
 	snapMagic = "CSN1"
 )
 
-// ErrTorn marks a snapshot rejected as torn or truncated (length or
+// ErrTorn marks a snapshot rejected as torn or truncated (magic, length or
 // checksum mismatch). Callers distinguish it from fs.ErrNotExist: a missing
 // file is a first boot, a torn file is data loss that deserves a loud log.
 var ErrTorn = errors.New("persist: torn or truncated snapshot")
@@ -142,20 +142,13 @@ func writeGobFile(path string, v any) error {
 }
 
 // readGobFile reads an enveloped snapshot, rejecting torn or truncated
-// files with ErrTorn. Files without the envelope magic are decoded as
-// legacy raw gob for compatibility with pre-envelope snapshots.
+// files, and any without the envelope's magic, with ErrTorn.
 func readGobFile(path string, v any) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	name := filepath.Base(path)
-	if len(b) < len(snapMagic) || string(b[:len(snapMagic)]) != string(snapMagic) {
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
-			return fmt.Errorf("persist: decode legacy %s: %w", name, err)
-		}
-		return nil
-	}
 	_, body, err := rec.Open(b, snapMagic)
 	if err != nil {
 		return fmt.Errorf("persist: %s: %v: %w", name, err, ErrTorn)

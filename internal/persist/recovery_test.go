@@ -156,8 +156,9 @@ func TestCrashRecoveryQuarantinesAndRecomputes(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsTornSnapshot truncates and byte-flips enveloped snapshots:
-// both must surface ErrTorn rather than restoring partial state.
+// TestLoadRejectsTornSnapshot truncates and byte-flips enveloped snapshots,
+// in the payload and in the magic: each must surface ErrTorn rather than
+// restoring partial state.
 func TestLoadRejectsTornSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
@@ -192,6 +193,16 @@ func TestLoadRejectsTornSnapshot(t *testing.T) {
 	}
 	if _, err := Load(fresh(), dir); err == nil || !isTorn(err) {
 		t.Fatalf("corrupted snapshot: got %v, want ErrTorn", err)
+	}
+
+	// A flipped magic byte: torn, not a snapshot of some other format.
+	bad = append([]byte(nil), orig...)
+	bad[0] ^= 0x01
+	if err := os.WriteFile(egPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(fresh(), dir); err == nil || !isTorn(err) {
+		t.Fatalf("snapshot with a flipped magic: got %v, want ErrTorn", err)
 	}
 
 	// Restoring the original bytes works again.

@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 )
 
 // ErrCorrupt marks bytes a Reader or Open refused: truncated, malformed, not
@@ -299,6 +300,13 @@ func (r *Reader) Fail(format string, args ...any) {
 		r.err = corrupt(fmt.Sprintf(format, args...))
 	}
 	r.off = len(r.b)
+}
+
+// Nest fails the reader with err, the failure of a record nested in its own,
+// in the context format gives: the message names ErrCorrupt once, however
+// deep the nesting.
+func (r *Reader) Nest(err error, format string, args ...any) {
+	r.Fail("%s: %s", fmt.Sprintf(format, args...), strings.TrimPrefix(err.Error(), ErrCorrupt.Error()+": "))
 }
 
 // corrupt is a failure a Reader recorded. Refusing hostile input costs what

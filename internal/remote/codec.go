@@ -419,7 +419,7 @@ func readArtifact(r *rec.Reader) (blob graph.Artifact, colIDs, names []string, c
 			for i := range cols {
 				c, err := tier.DecodeColumn(r.Bytes(r.Count(1)))
 				if err != nil {
-					r.Fail("column %d: %v", i, err)
+					r.Nest(err, "column %d", i)
 					return
 				}
 				cols[i] = c
@@ -440,7 +440,7 @@ func readBlob(r *rec.Reader) graph.Artifact {
 	}
 	a, err := tier.DecodeBlob(p)
 	if err != nil {
-		r.Fail("%v", err)
+		r.Nest(err, "blob")
 		return nil
 	}
 	return a

@@ -552,6 +552,8 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	full := uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols})
 	flipped := slices.Clone(full)
 	flipped[len(flipped)-10] ^= 1 // inside the last column record
+	firstFlipped := slices.Clone(full)
+	firstFlipped[bytes.Index(full, []byte("CTC2"))+8] ^= 1 // inside the first column record
 	unknownForm, err := marshal(uploadRequestMagic, func(e *rec.Writer) {
 		e.Uvarint(1)
 		e.ID("v")
@@ -564,23 +566,28 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 		name string
 		body []byte
 		want int
+		once string // what the answer says exactly once, if anything
 	}{
-		{"neither blob nor manifest", uploadBody(t, artifactUpload{ID: "v"}), 400},
-		{"columns without manifest", uploadBody(t, artifactUpload{ID: "v", Columns: cols[:1]}), 400},
-		{"unknown form", unknownForm, 400},
-		{"a byte after the body", append(slices.Clone(full), 0), 400},
-		{"bad column checksum", flipped, 400},
-		{"no item", uploadBody(t), 400},
-		{"body column not in manifest", uploadBody(t, outside), 400},
-		{"column sent twice", uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: append(cols[:3:3], cols[1])}), 400},
-		{"dtype differs from held column", uploadBody(t, artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: []*data.Column{ints}}), 400},
-		{"row count differs from held column", uploadBody(t, artifactUpload{ID: "v", ColIDs: []string{cols[0].ID, short.ID}, Names: []string{"a", "short"}, Columns: []*data.Column{short}}), 400},
-		{"column neither sent nor held", uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[2:]}), 200},
+		{"neither blob nor manifest", uploadBody(t, artifactUpload{ID: "v"}), 400, ""},
+		{"columns without manifest", uploadBody(t, artifactUpload{ID: "v", Columns: cols[:1]}), 400, ""},
+		{"unknown form", unknownForm, 400, ""},
+		{"a byte after the body", append(slices.Clone(full), 0), 400, ""},
+		{"bad column checksum", flipped, 400, ""},
+		{"a byte of a column flipped", firstFlipped, 400, "corrupt record"},
+		{"no item", uploadBody(t), 400, ""},
+		{"body column not in manifest", uploadBody(t, outside), 400, ""},
+		{"column sent twice", uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: append(cols[:3:3], cols[1])}), 400, ""},
+		{"dtype differs from held column", uploadBody(t, artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: []*data.Column{ints}}), 400, ""},
+		{"row count differs from held column", uploadBody(t, artifactUpload{ID: "v", ColIDs: []string{cols[0].ID, short.ID}, Names: []string{"a", "short"}, Columns: []*data.Column{short}}), 400, ""},
+		{"column neither sent nor held", uploadBody(t, artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: cols[2:]}), 200, ""},
 	}
 	for _, tc := range cases {
 		rec := postBody(h, "/v1/artifact", tc.body)
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
+		}
+		if n := strings.Count(rec.Body.String(), tc.once); tc.once != "" && n != 1 {
+			t.Errorf("%s: the answer %q says %q %d times, want once", tc.name, rec.Body, tc.once, n)
 		}
 		if tc.want == http.StatusOK {
 			var resp uploadResponse

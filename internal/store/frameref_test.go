@@ -40,13 +40,17 @@ func refPool(rng *rand.Rand, rows int) []*data.Column {
 	return pool
 }
 
-// colRefs snapshots the memory tier's column ref-counts.
+// colRefs counts, for each column the memory tier holds, the memory-resident
+// manifests naming it.
 func colRefs(m *Manager) map[string]int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make(map[string]int, len(m.cols))
-	for id, e := range m.cols {
-		out[id] = e.refs
+	for _, id := range m.mem.IDs() {
+		man, _ := m.mem.Frame(id)
+		for _, c := range man.ColIDs {
+			out[c]++
+		}
 	}
 	return out
 }

@@ -94,16 +94,6 @@ type Metrics struct {
 // acquisition regardless.
 const lockWaitSpanThreshold = 100 * time.Microsecond
 
-type colEntry struct {
-	col  *data.Column
-	refs int
-}
-
-type manifest struct {
-	colIDs []string
-	names  []string
-}
-
 // Options configures the tiered manager beyond the memory profile.
 type Options struct {
 	// MemoryBudget bounds the memory tier's deduplicated bytes; exceeding
@@ -130,24 +120,21 @@ type Manager struct {
 	diskBudget  int64
 	disk        *tier.Disk
 
-	cols   map[string]*colEntry
-	frames map[string]manifest
-	blobs  map[string]graph.Artifact
-	// blobSizes caches blob sizes so physical accounting is O(1).
-	blobSizes map[string]int64
-	physical  int64 // memory-tier deduplicated bytes
-	logical   map[string]int64
+	// The memory tier: an index of what it holds, and the values — each
+	// column of its manifests once, by lineage ID, and each blob.
+	mem   *tier.Index
+	cols  map[string]*data.Column
+	blobs map[string]graph.Artifact
 
 	// lastUse orders artifacts for LRU demotion/eviction (a logical clock:
-	// deterministic under any timer resolution); lastTouch supports
-	// wall-clock idle sweeps. Both cover every stored id, either tier.
-	lastUse   map[string]uint64
-	lastTouch map[string]time.Time
-	clock     uint64
-	// memLRU lists the memory-resident vertex IDs by ascending lastUse stamp
-	// (front = coldest), memElem finds an ID's element: every stamp is a new
-	// clock maximum, so a touch is a move to the back and picking a victim is
-	// reading the front.
+	// deterministic under any timer resolution). It covers every stored id,
+	// either tier.
+	lastUse map[string]uint64
+	clock   uint64
+	// memLRU lists the memory-resident artifacts as *touch by ascending
+	// lastUse stamp (front = coldest), memElem finds an ID's element: every
+	// stamp is a new clock maximum, so a touch is a move to the back and
+	// picking a victim, by budget or by idleness, is reading the front.
 	memLRU  *list.List
 	memElem map[string]*list.Element
 
@@ -221,7 +208,7 @@ func (m *Manager) reportLocked(vertexID string) {
 	if led == nil {
 		return
 	}
-	sz, inMemory := m.logical[vertexID]
+	inMemory, sz := m.mem.Has(vertexID), m.mem.Logical(vertexID)
 	onDisk := m.disk != nil && m.disk.Has(vertexID)
 	if !inMemory && onDisk {
 		sz = m.disk.LogicalSize(vertexID)
@@ -284,13 +271,10 @@ func NewTiered(profile cost.Profile, opts Options) *Manager {
 		memBudget:   opts.MemoryBudget,
 		diskBudget:  opts.DiskBudget,
 		disk:        opts.Disk,
-		cols:        make(map[string]*colEntry),
-		frames:      make(map[string]manifest),
+		mem:         tier.NewIndex(),
+		cols:        make(map[string]*data.Column),
 		blobs:       make(map[string]graph.Artifact),
-		blobSizes:   make(map[string]int64),
-		logical:     make(map[string]int64),
 		lastUse:     make(map[string]uint64),
-		lastTouch:   make(map[string]time.Time),
 		memLRU:      list.New(),
 		memElem:     make(map[string]*list.Element),
 	}
@@ -310,15 +294,23 @@ func (m *Manager) TierProfile(t Tier) cost.Profile {
 // Disk returns the attached disk tier, or nil for a memory-only manager.
 func (m *Manager) Disk() *tier.Disk { return m.disk }
 
+// touch is a memory-resident artifact's element of the LRU list, with the
+// wall-clock time of its last access for idle sweeps.
+type touch struct {
+	id string
+	at time.Time
+}
+
 // touchLocked stamps a memory-resident artifact's LRU position.
 func (m *Manager) touchLocked(vertexID string) {
 	m.clock++
 	m.lastUse[vertexID] = m.clock
-	m.lastTouch[vertexID] = obs.Timestamp()
+	now := obs.Timestamp()
 	if e, ok := m.memElem[vertexID]; ok {
+		e.Value.(*touch).at = now
 		m.memLRU.MoveToBack(e)
 	} else {
-		m.memElem[vertexID] = m.memLRU.PushBack(vertexID)
+		m.memElem[vertexID] = m.memLRU.PushBack(&touch{vertexID, now})
 	}
 }
 
@@ -367,7 +359,7 @@ func (m *Manager) HeldColumns(colIDs []string) []int {
 	defer m.mu.RUnlock()
 	var held []int
 	for i, id := range colIDs {
-		if _, ok := m.cols[id]; ok || (m.disk != nil && m.disk.HasColumn(id)) {
+		if m.mem.HasColumn(id) || (m.disk != nil && m.disk.HasColumn(id)) {
 			held = append(held, i)
 		}
 	}
@@ -415,90 +407,72 @@ func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied 
 	if m.hasLocked(vertexID) {
 		return nil
 	}
-	cols := make([]*data.Column, len(colIDs))
-	for i, id := range colIDs {
+	a, err := tier.Assemble(tier.Manifest{ColIDs: colIDs, Names: names}, func(id string) (*data.Column, error) {
 		c := byID[id]
-		if e, held := m.cols[id]; held {
+		if held := m.cols[id]; held != nil {
 			// As in admitLocked, the held column wins; a supplied one must
 			// at least be the same shape.
-			if c != nil && (c.Type != e.col.Type || c.Len() != e.col.Len()) {
-				return fmt.Errorf("%w: column %s is %s×%d here, %s×%d in the store",
-					ErrBadManifest, id, c.Type, c.Len(), e.col.Type, e.col.Len())
+			if c != nil && (c.Type != held.Type || c.Len() != held.Len()) {
+				return nil, fmt.Errorf("column %s is %s×%d here, %s×%d in the store",
+					id, c.Type, c.Len(), held.Type, held.Len())
 			}
-			c = e.col
-		} else if c == nil && m.disk != nil {
+			return held, nil
+		}
+		if c == nil && m.disk != nil {
 			var err error
 			if c, err = m.disk.Column(id); err != nil {
 				m.met.ChecksumFailures.Inc()
 			}
 		}
 		if c == nil {
-			return fmt.Errorf("%w: %s", ErrColumnAbsent, id)
+			return nil, fmt.Errorf("%w: %s", ErrColumnAbsent, id)
 		}
-		cols[i] = withName(c, names[i])
+		return c, nil
+	})
+	if errors.Is(err, ErrColumnAbsent) {
+		return err
 	}
-	f, err := data.NewFrame(cols...)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadManifest, err)
 	}
-	m.putLocked(vertexID, &graph.DatasetArtifact{Frame: f})
+	m.putLocked(vertexID, a)
 	return nil
 }
 
-// withName returns the column under the name a manifest gives it, sharing the
-// values; columns are stored once per lineage ID whatever they are called.
-func withName(c *data.Column, name string) *data.Column {
-	if c.Name != name {
-		c = c.WithID(c.ID)
-		c.Name = name
-	}
-	return c
-}
-
-// admitLocked inserts content into the memory-tier maps (no budget check,
-// no touch).
+// admitLocked inserts content into the memory tier (no budget check, no
+// touch). A dataset's columns already held keep their values.
 func (m *Manager) admitLocked(vertexID string, a graph.Artifact) {
-	if ds, ok := a.(*graph.DatasetArtifact); ok && ds.Frame != nil {
-		man := manifest{}
-		for _, c := range ds.Frame.Columns() {
-			man.colIDs = append(man.colIDs, c.ID)
-			man.names = append(man.names, c.Name)
-			if e, exists := m.cols[c.ID]; exists {
-				e.refs++
-			} else {
-				m.cols[c.ID] = &colEntry{col: c, refs: 1}
-				m.physical += c.SizeBytes()
-			}
-		}
-		m.frames[vertexID] = man
-		m.logical[vertexID] = ds.SizeBytes()
+	ds, ok := a.(*graph.DatasetArtifact)
+	if !ok || ds.Frame == nil {
+		m.blobs[vertexID] = a
+		m.mem.AddBlob(vertexID, a.SizeBytes())
 		return
 	}
-	m.blobs[vertexID] = a
-	sz := a.SizeBytes()
-	m.blobSizes[vertexID] = sz
-	m.physical += sz
-	m.logical[vertexID] = sz
+	cols := ds.Frame.Columns()
+	for _, i := range m.mem.AddFrame(vertexID, tier.ManifestOf(cols), func(i int) int64 { return cols[i].SizeBytes() }) {
+		m.cols[cols[i].ID] = cols[i]
+	}
 }
 
 // getMemoryLocked reassembles a memory-resident artifact, or nil.
 func (m *Manager) getMemoryLocked(vertexID string) graph.Artifact {
-	if man, ok := m.frames[vertexID]; ok {
-		cols := make([]*data.Column, 0, len(man.colIDs))
-		for i, id := range man.colIDs {
-			e, exists := m.cols[id]
-			if !exists {
-				return nil // torn entry; treat as absent
-			}
-			cols = append(cols, withName(e.col, man.names[i]))
-		}
-		f, err := data.NewFrame(cols...)
-		if err != nil {
-			return nil
-		}
-		return &graph.DatasetArtifact{Frame: f}
+	man, ok := m.mem.Frame(vertexID)
+	if !ok {
+		return m.blobs[vertexID]
 	}
-	return m.blobs[vertexID]
+	a, err := tier.Assemble(man, m.memColumn)
+	if err != nil {
+		return nil // torn entry; treat as absent
+	}
+	return a
+}
+
+// memColumn returns the memory tier's values of a column.
+func (m *Manager) memColumn(colID string) (*data.Column, error) {
+	if c := m.cols[colID]; c != nil {
+		return c, nil
+	}
+	return nil, fmt.Errorf("store: torn entry: column %s not held", colID)
 }
 
 // getDiskLocked reads an artifact from the disk tier, counting checksum
@@ -533,7 +507,7 @@ func (m *Manager) Get(vertexID string) (graph.Artifact, Tier) {
 	defer m.mu.Unlock()
 	if a := m.getMemoryLocked(vertexID); a != nil {
 		m.met.GetHits.Inc()
-		m.met.BytesFetched.Add(m.logical[vertexID])
+		m.met.BytesFetched.Add(m.mem.Logical(vertexID))
 		m.touchLocked(vertexID)
 		return a, TierMemory
 	}
@@ -545,7 +519,7 @@ func (m *Manager) Get(vertexID string) (graph.Artifact, Tier) {
 		m.admitLocked(vertexID, a)
 		m.met.Promotions.Inc()
 		m.reportLocked(vertexID)
-		m.met.BytesFetched.Add(m.logical[vertexID])
+		m.met.BytesFetched.Add(m.mem.Logical(vertexID))
 		m.touchLocked(vertexID)
 		m.enforceBudgetsLocked()
 		return a, TierDisk
@@ -578,7 +552,7 @@ func (m *Manager) TierOf(vertexID string) Tier {
 }
 
 func (m *Manager) tierOfLocked(vertexID string) Tier {
-	if _, ok := m.logical[vertexID]; ok { // keyed by every frame and blob in memory
+	if m.mem.Has(vertexID) {
 		return TierMemory
 	}
 	if m.disk != nil && m.disk.Has(vertexID) {
@@ -598,37 +572,22 @@ func (m *Manager) hasLocked(vertexID string) bool {
 	return m.tierOfLocked(vertexID) != TierNone
 }
 
-// dropMemoryLocked removes a vertex from the memory-tier maps, releasing
-// column references. Reports whether anything was removed.
+// dropMemoryLocked removes a vertex from the memory tier, letting go of the
+// columns no other memory-resident frame names. Reports whether anything was
+// removed.
 func (m *Manager) dropMemoryLocked(vertexID string) bool {
+	if !m.mem.Has(vertexID) {
+		return false
+	}
 	if e, ok := m.memElem[vertexID]; ok {
 		m.memLRU.Remove(e)
 		delete(m.memElem, vertexID)
 	}
-	if man, ok := m.frames[vertexID]; ok {
-		for _, id := range man.colIDs {
-			e := m.cols[id]
-			if e == nil {
-				continue
-			}
-			e.refs--
-			if e.refs <= 0 {
-				m.physical -= e.col.SizeBytes()
-				delete(m.cols, id)
-			}
-		}
-		delete(m.frames, vertexID)
-		delete(m.logical, vertexID)
-		return true
+	for _, id := range m.mem.Drop(vertexID) {
+		delete(m.cols, id)
 	}
-	if _, ok := m.blobs[vertexID]; ok {
-		m.physical -= m.blobSizes[vertexID]
-		delete(m.blobs, vertexID)
-		delete(m.blobSizes, vertexID)
-		delete(m.logical, vertexID)
-		return true
-	}
-	return false
+	delete(m.blobs, vertexID)
+	return true
 }
 
 // Evict removes a vertex's content from every tier (true eviction),
@@ -644,7 +603,6 @@ func (m *Manager) Evict(vertexID string) {
 	}
 	if dropped {
 		delete(m.lastUse, vertexID)
-		delete(m.lastTouch, vertexID)
 		m.met.Evictions.Inc()
 		m.reportLocked(vertexID)
 	}
@@ -658,28 +616,22 @@ func (m *Manager) demoteLocked(vertexID string) error {
 	if m.disk == nil {
 		return fmt.Errorf("store: no disk tier to demote %s to", vertexID)
 	}
-	if man, ok := m.frames[vertexID]; ok {
-		if !m.disk.Has(vertexID) {
-			cols := make([]*data.Column, len(man.colIDs))
-			for i, id := range man.colIDs {
-				e := m.cols[id]
-				if e == nil {
-					return fmt.Errorf("store: torn entry %s, cannot demote %s", id, vertexID)
-				}
-				cols[i] = withName(e.col, man.names[i])
-			}
-			if err := m.disk.PutFrame(vertexID, cols); err != nil {
-				return err
-			}
-		}
-	} else if b, ok := m.blobs[vertexID]; ok {
-		if !m.disk.Has(vertexID) {
-			if err := m.disk.PutBlob(vertexID, b); err != nil {
-				return err
-			}
-		}
-	} else {
+	if !m.mem.Has(vertexID) {
 		return fmt.Errorf("store: %s is not memory-resident", vertexID)
+	}
+	if !m.disk.Has(vertexID) {
+		var err error
+		if man, ok := m.mem.Frame(vertexID); ok {
+			var cols []*data.Column
+			if cols, err = tier.Columns(man, m.memColumn); err == nil {
+				err = m.disk.PutFrame(vertexID, cols)
+			}
+		} else {
+			err = m.disk.PutBlob(vertexID, m.blobs[vertexID])
+		}
+		if err != nil {
+			return err
+		}
 	}
 	m.dropMemoryLocked(vertexID)
 	m.met.Demotions.Inc()
@@ -699,7 +651,7 @@ func (m *Manager) Demote(vertexID string) error {
 // stamp, or "" when the memory tier is empty.
 func (m *Manager) coldestLocked() string {
 	if e := m.memLRU.Front(); e != nil {
-		return e.Value.(string)
+		return e.Value.(*touch).id
 	}
 	return ""
 }
@@ -710,7 +662,7 @@ func (m *Manager) coldestLocked() string {
 // budget. Deterministic: victims are selected by logical-clock LRU order.
 func (m *Manager) enforceBudgetsLocked() {
 	if m.memBudget > 0 {
-		for m.physical > m.memBudget {
+		for m.mem.Physical() > m.memBudget {
 			victim := m.coldestLocked()
 			if victim == "" {
 				break
@@ -720,7 +672,6 @@ func (m *Manager) enforceBudgetsLocked() {
 				// artifact so the budget still holds.
 				m.dropMemoryLocked(victim)
 				delete(m.lastUse, victim)
-				delete(m.lastTouch, victim)
 				m.met.Evictions.Inc()
 				m.reportLocked(victim)
 				m.drops.Add(1)
@@ -729,13 +680,7 @@ func (m *Manager) enforceBudgetsLocked() {
 	}
 	if m.disk != nil && m.diskBudget > 0 {
 		for m.disk.PhysicalBytes() > m.diskBudget {
-			victim, best := "", uint64(0)
-			for _, id := range m.disk.StoredIDs() {
-				u := m.lastUse[id]
-				if victim == "" || u < best {
-					victim, best = id, u
-				}
-			}
+			victim := m.disk.Coldest(m.lastUse)
 			if victim == "" {
 				break
 			}
@@ -744,7 +689,6 @@ func (m *Manager) enforceBudgetsLocked() {
 			m.reportLocked(victim)
 			if m.tierOfLocked(victim) == TierNone {
 				delete(m.lastUse, victim)
-				delete(m.lastTouch, victim)
 				m.drops.Add(1)
 			}
 		}
@@ -754,7 +698,9 @@ func (m *Manager) enforceBudgetsLocked() {
 // DemoteIdle demotes every memory-resident artifact whose last access is
 // older than the cutoff. It is the background-demotion entry point: collabd
 // runs it on a timer so long-idle artifacts drain to disk even without
-// budget pressure. Returns how many artifacts were demoted.
+// budget pressure. It walks the LRU list from its cold end and stops at the
+// first artifact touched since the cutoff. Returns how many artifacts were
+// demoted.
 func (m *Manager) DemoteIdle(olderThan time.Duration) int {
 	m.lockWrite()
 	defer m.mu.Unlock()
@@ -762,19 +708,10 @@ func (m *Manager) DemoteIdle(olderThan time.Duration) int {
 		return 0
 	}
 	cutoff := obs.Timestamp().Add(-olderThan)
-	var victims []string
-	for id := range m.frames {
-		if m.lastTouch[id].Before(cutoff) {
-			victims = append(victims, id)
-		}
-	}
-	for id := range m.blobs {
-		if m.lastTouch[id].Before(cutoff) {
-			victims = append(victims, id)
-		}
-	}
 	n := 0
-	for _, id := range victims {
+	for e := m.memLRU.Front(); e != nil && e.Value.(*touch).at.Before(cutoff); {
+		id := e.Value.(*touch).id
+		e = e.Next() // demotion removes id's element
 		if m.demoteLocked(id) == nil {
 			n++
 		}
@@ -782,24 +719,19 @@ func (m *Manager) DemoteIdle(olderThan time.Duration) int {
 	return n
 }
 
-// FlushToDisk demotes every memory-resident artifact, so all content is
-// durable on the disk tier (used at graceful shutdown of a persistent
-// store). Returns the first error, continuing past failures.
+// FlushToDisk demotes every memory-resident artifact, coldest first, so all
+// content is durable on the disk tier (used at graceful shutdown of a
+// persistent store). Returns the first error, continuing past failures.
 func (m *Manager) FlushToDisk() error {
 	m.lockWrite()
 	defer m.mu.Unlock()
 	if m.disk == nil {
 		return fmt.Errorf("store: no disk tier attached")
 	}
-	ids := make([]string, 0, len(m.frames)+len(m.blobs))
-	for id := range m.frames {
-		ids = append(ids, id)
-	}
-	for id := range m.blobs {
-		ids = append(ids, id)
-	}
 	var first error
-	for _, id := range ids {
+	for e := m.memLRU.Front(); e != nil; {
+		id := e.Value.(*touch).id
+		e = e.Next() // demotion removes id's element
 		if err := m.demoteLocked(id); err != nil && first == nil {
 			first = err
 		}
@@ -811,7 +743,7 @@ func (m *Manager) FlushToDisk() error {
 func (m *Manager) MemoryBytes() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.physical
+	return m.mem.Physical()
 }
 
 // DiskBytes returns the deduplicated bytes resident in the disk tier, 0
@@ -829,7 +761,7 @@ func (m *Manager) DiskBytes() int64 {
 func (m *Manager) TierCounts() (memory, disk int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	memory = len(m.frames) + len(m.blobs)
+	memory = m.mem.Len()
 	if m.disk != nil {
 		disk = m.disk.Len()
 	}
@@ -849,14 +781,11 @@ func (m *Manager) LogicalBytes() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var n int64
-	for _, sz := range m.logical {
-		n += sz
-	}
-	if m.disk != nil {
-		for _, id := range m.disk.StoredIDs() {
-			if _, inMem := m.logical[id]; !inMem {
-				n += m.disk.LogicalSize(id)
-			}
+	for _, id := range m.storedIDsLocked() {
+		if m.mem.Has(id) {
+			n += m.mem.Logical(id)
+		} else {
+			n += m.disk.LogicalSize(id)
 		}
 	}
 	return n
@@ -870,22 +799,12 @@ func (m *Manager) StoredIDs() []string {
 }
 
 func (m *Manager) storedIDsLocked() []string {
-	out := make([]string, 0, len(m.frames)+len(m.blobs))
-	for id := range m.frames {
-		out = append(out, id)
-	}
-	for id := range m.blobs {
-		out = append(out, id)
-	}
+	out := m.mem.IDs()
 	if m.disk != nil {
 		for _, id := range m.disk.StoredIDs() {
-			if _, f := m.frames[id]; f {
-				continue
+			if !m.mem.Has(id) {
+				out = append(out, id)
 			}
-			if _, b := m.blobs[id]; b {
-				continue
-			}
-			out = append(out, id)
 		}
 	}
 	return out

@@ -253,7 +253,7 @@ func TestCommittedCTC1SeedsStillDecode(t *testing.T) {
 }
 
 func TestManifestCodecRoundTrip(t *testing.T) {
-	man := manifest{colIDs: []string{"c1", "c2"}, names: []string{"a", "b"}}
+	man := Manifest{ColIDs: []string{"c1", "c2"}, Names: []string{"a", "b"}}
 	enc, err := encodeManifest("vertex/with weird:chars", man)
 	if err != nil {
 		t.Fatal(err)
@@ -262,13 +262,13 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vid != "vertex/with weird:chars" || len(got.colIDs) != 2 ||
-		got.colIDs[1] != "c2" || got.names[0] != "a" {
+	if vid != "vertex/with weird:chars" || len(got.ColIDs) != 2 ||
+		got.ColIDs[1] != "c2" || got.Names[0] != "a" {
 		t.Fatalf("round trip mismatch: %q %+v", vid, got)
 	}
 	// The file is the wire's manifest after the vertex ID.
 	w := rec.NewWriter(nil)
-	WriteManifest(&w, man.colIDs, man.names)
+	WriteManifest(&w, man.ColIDs, man.Names)
 	if !bytes.HasPrefix(enc, []byte(frameMagic)) || !bytes.HasSuffix(enc[:len(enc)-rec.SealLen], w.Bytes()) {
 		t.Fatalf("a %s file is not the wire's manifest", frameMagic)
 	}
@@ -305,12 +305,12 @@ func FuzzManifest(f *testing.F) {
 	f.Add(ctm1Frame(f))
 	for _, m := range []struct {
 		vid string
-		man manifest
+		man Manifest
 	}{
-		{"v", manifest{}},
-		{"vertex/with weird:chars", manifest{colIDs: []string{"c1", "c2"}, names: []string{"a", ""}}},
-		{data.SourceID("", "v"), manifest{colIDs: []string{data.SourceID("", "x"), "0123456789ABCDEF0123456789ABCDEF"},
-			names: []string{"x", data.SourceID("", "y")}}},
+		{"v", Manifest{}},
+		{"vertex/with weird:chars", Manifest{ColIDs: []string{"c1", "c2"}, Names: []string{"a", ""}}},
+		{data.SourceID("", "v"), Manifest{ColIDs: []string{data.SourceID("", "x"), "0123456789ABCDEF0123456789ABCDEF"},
+			Names: []string{"x", data.SourceID("", "y")}}},
 	} {
 		enc, err := encodeManifest(m.vid, m.man)
 		if err != nil {
@@ -326,8 +326,8 @@ func FuzzManifest(f *testing.F) {
 			}
 			return
 		}
-		if len(man.colIDs) != len(man.names) || 2*len(man.colIDs) > len(b) {
-			t.Fatalf("%d column ids and %d names from %d bytes", len(man.colIDs), len(man.names), len(b))
+		if len(man.ColIDs) != len(man.Names) || 2*len(man.ColIDs) > len(b) {
+			t.Fatalf("%d column ids and %d names from %d bytes", len(man.ColIDs), len(man.Names), len(b))
 		}
 		if string(b[:4]) != frameMagic {
 			return

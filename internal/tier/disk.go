@@ -45,17 +45,6 @@ func fname(id string) string {
 	return hex.EncodeToString(h[:20])
 }
 
-// manifest is the in-memory index entry for a spilled dataset artifact.
-type manifest struct {
-	colIDs []string
-	names  []string
-}
-
-type colState struct {
-	size int64
-	refs int
-}
-
 // Report summarizes what Open found while rebuilding the tier index.
 type Report struct {
 	// Columns, Frames, Blobs count the files that verified cleanly.
@@ -72,19 +61,13 @@ type Report struct {
 }
 
 // Disk is the durable tier: a content-addressed, checksummed column/blob
-// store rooted at a directory. It is safe for concurrent use. All writes
-// are atomic (temp file + rename) and fsynced, so a crash never leaves a
-// half-written file under its final name.
+// store rooted at a directory, an Index of what its files hold. It is safe
+// for concurrent use. All writes are atomic (temp file + rename) and fsynced,
+// so a crash never leaves a half-written file under its final name.
 type Disk struct {
 	mu  sync.Mutex
 	dir string
-
-	frames  map[string]manifest // vertex ID → spilled dataset manifest
-	blobs   map[string]int64    // vertex ID → logical blob size
-	cols    map[string]colState // column lineage ID → size and ref count
-	logical map[string]int64    // vertex ID → logical artifact size
-
-	physical int64 // deduplicated bytes on disk (column + blob payloads)
+	idx *Index
 }
 
 // Open attaches to (or creates) a disk tier rooted at dir: it scans the
@@ -96,35 +79,56 @@ func Open(dir string) (*Disk, *Report, error) {
 			return nil, nil, fmt.Errorf("tier: %w", err)
 		}
 	}
-	d := &Disk{
-		dir:     dir,
-		frames:  make(map[string]manifest),
-		blobs:   make(map[string]int64),
-		cols:    make(map[string]colState),
-		logical: make(map[string]int64),
-	}
+	d := &Disk{dir: dir, idx: NewIndex()}
 	rep := &Report{}
-	if err := d.scanColumns(rep); err != nil {
-		return nil, nil, err
-	}
-	if err := d.scanFrames(rep); err != nil {
-		return nil, nil, err
-	}
-	if err := d.scanBlobs(rep); err != nil {
-		return nil, nil, err
-	}
-	// Garbage-collect verified columns no surviving manifest references.
-	for id, st := range d.cols {
-		if st.refs == 0 {
-			_ = os.Remove(d.colPath(id))
-			delete(d.cols, id)
-			rep.OrphanColumns++
-		} else {
-			d.physical += st.size
+	sizes := make(map[string]int64) // every verified column file
+	err := d.scan(colsDir, colExt, rep, func(name string, b []byte) bool {
+		c, err := DecodeColumn(b)
+		if err != nil || fname(c.ID)+colExt != name {
+			return false
 		}
+		sizes[c.ID] = c.SizeBytes()
+		rep.Columns++
+		return true
+	})
+	if err == nil {
+		err = d.scan(framesDir, frameExt, rep, func(name string, b []byte) bool {
+			vid, man, err := decodeManifest(b)
+			if err != nil || fname(vid)+frameExt != name {
+				return false
+			}
+			// A manifest naming a missing or quarantined column is
+			// unservable: quarantine it too, rather than serving a torn frame.
+			for _, id := range man.ColIDs {
+				if _, ok := sizes[id]; !ok {
+					return false
+				}
+			}
+			d.idx.AddFrame(vid, man, func(i int) int64 { return sizes[man.ColIDs[i]] })
+			rep.Frames++
+			return true
+		})
 	}
-	for _, sz := range d.blobs {
-		d.physical += sz
+	if err == nil {
+		err = d.scan(blobsDir, blobExt, rep, func(name string, b []byte) bool {
+			vid, content, err := decodeBlob(b)
+			if err != nil || fname(vid)+blobExt != name {
+				return false
+			}
+			d.idx.AddBlob(vid, content.SizeBytes())
+			rep.Blobs++
+			return true
+		})
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// Garbage-collect verified columns no surviving manifest names.
+	for id := range sizes {
+		if !d.idx.HasColumn(id) {
+			_ = os.Remove(d.colPath(id))
+			rep.OrphanColumns++
+		}
 	}
 	return d, rep, nil
 }
@@ -151,112 +155,24 @@ func (d *Disk) quarantine(path string) {
 	_ = os.Rename(path, filepath.Join(d.dir, quarantineDir, filepath.Base(path)))
 }
 
-func (d *Disk) scanColumns(rep *Report) error {
-	entries, err := os.ReadDir(filepath.Join(d.dir, colsDir))
+// scan reads every file of one kind, counting the bytes of those load
+// accepts and quarantining those it refuses or that cannot be read.
+func (d *Disk) scan(sub, ext string, rep *Report, load func(name string, b []byte) bool) error {
+	entries, err := os.ReadDir(filepath.Join(d.dir, sub))
 	if err != nil {
 		return fmt.Errorf("tier: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != colExt {
+		if e.IsDir() || filepath.Ext(e.Name()) != ext {
 			continue
 		}
-		path := filepath.Join(d.dir, colsDir, e.Name())
+		path := filepath.Join(d.dir, sub, e.Name())
 		b, err := os.ReadFile(path)
-		if err != nil {
+		if err != nil || !load(e.Name(), b) {
 			d.quarantine(path)
 			rep.Quarantined++
 			continue
 		}
-		c, err := DecodeColumn(b)
-		if err != nil || fname(c.ID)+colExt != e.Name() {
-			d.quarantine(path)
-			rep.Quarantined++
-			continue
-		}
-		d.cols[c.ID] = colState{size: c.SizeBytes()}
-		rep.Columns++
-		rep.BytesVerified += int64(len(b))
-	}
-	return nil
-}
-
-func (d *Disk) scanFrames(rep *Report) error {
-	entries, err := os.ReadDir(filepath.Join(d.dir, framesDir))
-	if err != nil {
-		return fmt.Errorf("tier: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != frameExt {
-			continue
-		}
-		path := filepath.Join(d.dir, framesDir, e.Name())
-		b, err := os.ReadFile(path)
-		if err != nil {
-			d.quarantine(path)
-			rep.Quarantined++
-			continue
-		}
-		vid, man, err := decodeManifest(b)
-		if err != nil || fname(vid)+frameExt != e.Name() {
-			d.quarantine(path)
-			rep.Quarantined++
-			continue
-		}
-		// A manifest referencing a missing or quarantined column is
-		// unservable: quarantine it too, rather than serving a torn frame.
-		complete := true
-		for _, cid := range man.colIDs {
-			if _, ok := d.cols[cid]; !ok {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			d.quarantine(path)
-			rep.Quarantined++
-			continue
-		}
-		var logical int64
-		for _, cid := range man.colIDs {
-			st := d.cols[cid]
-			st.refs++
-			d.cols[cid] = st
-			logical += st.size
-		}
-		d.frames[vid] = man
-		d.logical[vid] = logical
-		rep.Frames++
-		rep.BytesVerified += int64(len(b))
-	}
-	return nil
-}
-
-func (d *Disk) scanBlobs(rep *Report) error {
-	entries, err := os.ReadDir(filepath.Join(d.dir, blobsDir))
-	if err != nil {
-		return fmt.Errorf("tier: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != blobExt {
-			continue
-		}
-		path := filepath.Join(d.dir, blobsDir, e.Name())
-		b, err := os.ReadFile(path)
-		if err != nil {
-			d.quarantine(path)
-			rep.Quarantined++
-			continue
-		}
-		vid, content, err := decodeBlob(b)
-		if err != nil || fname(vid)+blobExt != e.Name() {
-			d.quarantine(path)
-			rep.Quarantined++
-			continue
-		}
-		sz := content.SizeBytes()
-		d.blobs[vid] = sz
-		d.logical[vid] = sz
-		rep.Blobs++
 		rep.BytesVerified += int64(len(b))
 	}
 	return nil
@@ -269,14 +185,14 @@ func (d *Disk) scanBlobs(rep *Report) error {
 //
 // Version 1 ("CTM1") is read, never written: magic, str16 vid, u32 count,
 // count × (str16 colID, str16 name), u32 CRC-32C.
-func encodeManifest(vid string, man manifest) ([]byte, error) {
-	w := rec.Frame(frameMagic, 17+len(man.colIDs)*(17+8))
+func encodeManifest(vid string, man Manifest) ([]byte, error) {
+	w := rec.Frame(frameMagic, 17+len(man.ColIDs)*(17+8))
 	w.ID(vid)
-	WriteManifest(&w, man.colIDs, man.names)
+	WriteManifest(&w, man.ColIDs, man.Names)
 	return w.Seal()
 }
 
-func decodeManifest(b []byte) (vid string, man manifest, err error) {
+func decodeManifest(b []byte) (vid string, man Manifest, err error) {
 	magic, body, err := rec.Open(b, frameMagic, frameMagicV1)
 	if err != nil {
 		return "", man, err
@@ -284,20 +200,20 @@ func decodeManifest(b []byte) (vid string, man manifest, err error) {
 	r := rec.NewReader(body)
 	if magic == frameMagic {
 		vid = r.ID()
-		man.colIDs, man.names = ReadManifest(&r)
+		man.ColIDs, man.Names = ReadManifest(&r)
 	} else {
 		vid = r.Str16()
 		if n := r.U32(); n > uint32(r.Left()/4) { // an entry takes two lengths at least
 			r.Fail("%d manifest entries in %d bytes", n, r.Left())
 		} else {
-			man.colIDs, man.names = make([]string, n), make([]string, n)
-			for i := range man.colIDs {
-				man.colIDs[i], man.names[i] = r.Str16(), r.Str16()
+			man.ColIDs, man.Names = make([]string, n), make([]string, n)
+			for i := range man.ColIDs {
+				man.ColIDs[i], man.Names[i] = r.Str16(), r.Str16()
 			}
 		}
 	}
 	if err := r.Done(); err != nil {
-		return "", manifest{}, err
+		return "", Manifest{}, err
 	}
 	return vid, man, nil
 }
@@ -379,45 +295,28 @@ func decodeBlob(b []byte) (vid string, content graph.Artifact, err error) {
 func (d *Disk) PutFrame(vid string, cols []*data.Column) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.frames[vid]; ok {
+	if d.idx.Has(vid) {
 		return nil
 	}
-	man := manifest{
-		colIDs: make([]string, len(cols)),
-		names:  make([]string, len(cols)),
-	}
-	var logical int64
-	for i, c := range cols {
-		man.colIDs[i] = c.ID
-		man.names[i] = c.Name
-		logical += c.SizeBytes()
-		if _, ok := d.cols[c.ID]; ok {
-			continue
+	man := ManifestOf(cols)
+	for _, i := range d.idx.AddFrame(vid, man, func(i int) int64 { return cols[i].SizeBytes() }) {
+		b, err := EncodeColumn(cols[i])
+		if err == nil {
+			err = rec.WriteFile(d.colPath(cols[i].ID), b)
 		}
-		b, err := EncodeColumn(c)
 		if err != nil {
+			d.evictLocked(vid)
 			return err
 		}
-		if err := rec.WriteFile(d.colPath(c.ID), b); err != nil {
-			return err
-		}
-		d.cols[c.ID] = colState{size: c.SizeBytes()}
-		d.physical += c.SizeBytes()
 	}
-	mb, err := encodeManifest(vid, man)
+	b, err := encodeManifest(vid, man)
+	if err == nil {
+		err = rec.WriteFile(d.framePath(vid), b)
+	}
 	if err != nil {
+		d.evictLocked(vid)
 		return err
 	}
-	if err := rec.WriteFile(d.framePath(vid), mb); err != nil {
-		return err
-	}
-	for _, cid := range man.colIDs {
-		st := d.cols[cid]
-		st.refs++
-		d.cols[cid] = st
-	}
-	d.frames[vid] = man
-	d.logical[vid] = logical
 	return nil
 }
 
@@ -426,73 +325,61 @@ func (d *Disk) PutFrame(vid string, cols []*data.Column) error {
 func (d *Disk) PutBlob(vid string, a graph.Artifact) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.blobs[vid]; ok {
+	if d.idx.Has(vid) {
 		return nil
 	}
 	b, err := encodeBlob(vid, a)
+	if err == nil {
+		err = rec.WriteFile(d.blobPath(vid), b)
+	}
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteFile(d.blobPath(vid), b); err != nil {
-		return err
-	}
-	sz := a.SizeBytes()
-	d.blobs[vid] = sz
-	d.logical[vid] = sz
-	d.physical += sz
+	d.idx.AddBlob(vid, a.SizeBytes())
 	return nil
 }
 
 // Get reads, verifies, and reassembles the artifact stored for a vertex.
-// It returns (nil, nil) when the vertex is absent. A checksum or decode
-// failure quarantines the offending file, drops the vertex from the index,
-// and returns an error wrapping ErrCorrupt.
+// It returns (nil, nil) when the vertex is absent. A failed read drops the
+// vertex, leaving the files of its columns to the next Open, and returns an
+// error; a file that fails verification is quarantined, and the error wraps
+// ErrCorrupt.
 func (d *Disk) Get(vid string) (graph.Artifact, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if man, ok := d.frames[vid]; ok {
-		cols := make([]*data.Column, len(man.colIDs))
-		for i, cid := range man.colIDs {
-			c, err := d.readColumnLocked(cid)
-			if err != nil {
-				if errors.Is(err, ErrCorrupt) {
-					d.quarantine(d.colPath(cid))
-				}
-				d.dropFrameLocked(vid)
-				return nil, fmt.Errorf("tier: %s: %w", vid, err)
+	if man, ok := d.idx.Frame(vid); ok {
+		a, err := Assemble(man, func(colID string) (*data.Column, error) {
+			c, err := d.readColumnLocked(colID)
+			if errors.Is(err, ErrCorrupt) {
+				d.quarantine(d.colPath(colID))
 			}
-			if c.Name != man.names[i] {
-				c = c.WithID(c.ID)
-				c.Name = man.names[i]
-			}
-			cols[i] = c
-		}
-		f, err := data.NewFrame(cols...)
+			return c, err
+		})
 		if err != nil {
-			d.dropFrameLocked(vid)
-			return nil, fmt.Errorf("tier: reassembling %s: %w", vid, err)
+			d.dropLocked(vid)
+			return nil, fmt.Errorf("tier: %s: %w", vid, err)
 		}
-		return &graph.DatasetArtifact{Frame: f}, nil
+		return a, nil
 	}
-	if _, ok := d.blobs[vid]; ok {
-		path := d.blobPath(vid)
-		b, err := os.ReadFile(path)
-		if err != nil {
-			d.dropBlobLocked(vid)
-			return nil, fmt.Errorf("tier: reading blob %s: %w", vid, err)
-		}
-		gotVid, content, err := decodeBlob(b)
-		if err != nil || gotVid != vid {
-			d.quarantine(path)
-			d.dropBlobLocked(vid)
-			if err == nil {
-				err = fmt.Errorf("%w: blob identity mismatch", ErrCorrupt)
-			}
-			return nil, fmt.Errorf("tier: blob %s: %w", vid, err)
-		}
-		return content, nil
+	if !d.idx.Has(vid) {
+		return nil, nil
 	}
-	return nil, nil
+	path := d.blobPath(vid)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		d.dropLocked(vid)
+		return nil, fmt.Errorf("tier: reading blob %s: %w", vid, err)
+	}
+	gotVid, content, err := decodeBlob(b)
+	if err != nil || gotVid != vid {
+		d.quarantine(path)
+		d.dropLocked(vid)
+		if err == nil {
+			err = fmt.Errorf("%w: blob identity mismatch", ErrCorrupt)
+		}
+		return nil, fmt.Errorf("tier: blob %s: %w", vid, err)
+	}
+	return content, nil
 }
 
 // HasColumn reports whether a verified file for the column lineage ID is on
@@ -500,8 +387,7 @@ func (d *Disk) Get(vid string) (graph.Artifact, error) {
 func (d *Disk) HasColumn(colID string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.cols[colID]
-	return ok
+	return d.idx.HasColumn(colID)
 }
 
 // Column reads and verifies one column file by lineage ID, so a frame can be
@@ -512,7 +398,7 @@ func (d *Disk) HasColumn(colID string) bool {
 func (d *Disk) Column(colID string) (*data.Column, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.cols[colID]; !ok {
+	if !d.idx.HasColumn(colID) {
 		return nil, nil
 	}
 	c, err := d.readColumnLocked(colID)
@@ -539,97 +425,60 @@ func (d *Disk) readColumnLocked(colID string) (*data.Column, error) {
 	return c, nil
 }
 
-// dropFrameLocked removes a frame from the index (not its column files,
-// which other manifests may share; unreferenced ones are GC'd at next Open).
-func (d *Disk) dropFrameLocked(vid string) {
-	man, ok := d.frames[vid]
-	if !ok {
-		return
-	}
-	for _, cid := range man.colIDs {
-		st, ok := d.cols[cid]
-		if !ok {
-			continue
-		}
-		st.refs--
-		if st.refs <= 0 {
-			d.physical -= st.size
-			delete(d.cols, cid)
-		} else {
-			d.cols[cid] = st
-		}
-	}
-	_ = os.Remove(d.framePath(vid))
-	delete(d.frames, vid)
-	delete(d.logical, vid)
-}
-
-func (d *Disk) dropBlobLocked(vid string) {
-	if sz, ok := d.blobs[vid]; ok {
-		d.physical -= sz
+// dropLocked forgets a vertex and deletes its manifest or blob file. It
+// returns the columns no manifest names any more; their files are the
+// caller's to delete or to leave for the next Open to collect.
+func (d *Disk) dropLocked(vid string) (freed []string) {
+	if _, ok := d.idx.Frame(vid); ok {
+		_ = os.Remove(d.framePath(vid))
+	} else {
 		_ = os.Remove(d.blobPath(vid))
-		delete(d.blobs, vid)
-		delete(d.logical, vid)
 	}
+	return d.idx.Drop(vid)
 }
 
-// Evict removes a vertex's content from disk: the manifest or blob file is
-// deleted, column references released, and column files no longer
-// referenced by any manifest deleted.
+// Evict removes a vertex's content from disk: its manifest or blob file, and
+// the files of the columns no other manifest names.
 func (d *Disk) Evict(vid string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if man, ok := d.frames[vid]; ok {
-		for _, cid := range man.colIDs {
-			st, ok := d.cols[cid]
-			if !ok {
-				continue
-			}
-			st.refs--
-			if st.refs <= 0 {
-				d.physical -= st.size
-				_ = os.Remove(d.colPath(cid))
-				delete(d.cols, cid)
-			} else {
-				d.cols[cid] = st
-			}
-		}
-		_ = os.Remove(d.framePath(vid))
-		delete(d.frames, vid)
-		delete(d.logical, vid)
-		return
+	if d.idx.Has(vid) {
+		d.evictLocked(vid)
 	}
-	d.dropBlobLocked(vid)
+}
+
+func (d *Disk) evictLocked(vid string) {
+	for _, id := range d.dropLocked(vid) {
+		_ = os.Remove(d.colPath(id))
+	}
 }
 
 // Has reports whether the vertex's content is on disk.
 func (d *Disk) Has(vid string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, f := d.frames[vid]
-	_, b := d.blobs[vid]
-	return f || b
+	return d.idx.Has(vid)
 }
 
 // LogicalSize returns the stored artifact's logical size, or 0 if absent.
 func (d *Disk) LogicalSize(vid string) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.logical[vid]
+	return d.idx.Logical(vid)
 }
 
 // PhysicalBytes returns the deduplicated payload bytes resident on disk.
 func (d *Disk) PhysicalBytes() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.physical
+	return d.idx.Physical()
 }
 
 // Len returns the number of artifacts on disk.
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.frames) + len(d.blobs)
+	return d.idx.Len()
 }
 
 // StoredIDs returns the vertex IDs with content on disk, sorted for
@@ -637,13 +486,15 @@ func (d *Disk) Len() int {
 func (d *Disk) StoredIDs() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.frames)+len(d.blobs))
-	for id := range d.frames {
-		out = append(out, id)
-	}
-	for id := range d.blobs {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	ids := d.idx.IDs()
+	sort.Strings(ids)
+	return ids
+}
+
+// Coldest returns the vertex on disk with the least stamp (see
+// Index.Coldest), or "" when the tier is empty.
+func (d *Disk) Coldest(stamp map[string]uint64) string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.idx.Coldest(stamp)
 }
