@@ -97,9 +97,9 @@ bench-pairs:
 # the message accepted), the update body, which carries artifacts too (a
 # refused update changes nothing), the optimize body (the planner and the warmstart
 # search answer only about the request's vertices and change nothing), and
-# the node list of a meta-data request (FromWire accepts exactly the DAGs in
-# topological order, and what it accepts merges into the Experiment Graph
-# whole). -fuzzminimizetime bounds the minimizer, which otherwise spends its
+# the node list of a meta-data request (the update decoder accepts exactly
+# the DAGs in topological order, and what it accepts merges into the
+# Experiment Graph whole). -fuzzminimizetime bounds the minimizer, which otherwise spends its
 # default minute on the first large input that widens coverage — an upload
 # body of columns, a W1 update with its models inline — and explores nothing
 # in a 10 s budget.
@@ -111,7 +111,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzArtifactDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzOptimizeDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
-	$(GO) test -run=NONE -fuzz=FuzzFromWire -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzUpdateNodes -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 
 # lint-logs forbids unstructured logging in server-path packages: server
 # logging goes through log/slog so every line can carry the propagated

@@ -156,10 +156,11 @@ type externalOp interface{ External() bool }
 // for exactly the vertices those changes reach. It returns the IDs of
 // vertices that were newly inserted.
 //
-// Nodes must arrive parents-first, as graph.DAG and remote.FromWire produce
-// them. A node naming a parent the graph does not hold — unknown, or later
-// in the DAG — is skipped, and so, in turn, is every node that descends
-// from it: the graph never holds a vertex without its parents.
+// Nodes must arrive parents-first, as graph.DAG builds them and as the
+// remote decoder reads them (it refuses a node list in any other order). A
+// node naming a parent the graph does not hold — unknown, or later in the
+// DAG — is skipped, and so, in turn, is every node that descends from it:
+// the graph never holds a vertex without its parents.
 func (g *Graph) Merge(w *graph.DAG) []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()

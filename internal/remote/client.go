@@ -119,23 +119,11 @@ func (c *Client) Optimize(w *graph.DAG, req *obs.Request) *core.Optimization {
 // holds are installed into w first, so the server plans around them.
 func (c *Client) OptimizeE(w *graph.DAG, req *obs.Request) (*core.Optimization, error) {
 	c.installHeld(w)
-	var resp OptimizeResponse
-	if err := c.exchange("/v1/optimize", req, &OptimizeRequest{Nodes: ToWire(w)}, &resp); err != nil {
+	var resp optimizeResponse
+	if err := c.exchange("/v1/optimize", req, &OptimizeRequest{DAG: w}, &resp); err != nil {
 		return nil, err
 	}
-	plan := &reuse.Plan{Reuse: make(map[string]bool, len(resp.ReuseIDs))}
-	for _, id := range resp.ReuseIDs {
-		plan.Reuse[id] = true
-	}
-	// Rebuild the planner's Cl predictions (aligned with the sorted reuse
-	// IDs) so the executor can annotate fetches for calibration.
-	if len(resp.PredictedLoadSec) == len(resp.ReuseIDs) && len(resp.ReuseIDs) > 0 {
-		plan.PredictedLoad = make(map[string]float64, len(resp.ReuseIDs))
-		for i, id := range resp.ReuseIDs {
-			plan.PredictedLoad[id] = resp.PredictedLoadSec[i]
-		}
-	}
-	return &core.Optimization{Plan: plan, Warmstarts: resp.Warmstarts, Overhead: resp.Overhead}, nil
+	return (*core.Optimization)(&resp), nil
 }
 
 // Update implements core.Optimizer: ship metadata with the models and
@@ -157,7 +145,7 @@ func (c *Client) Update(executed *graph.DAG, req *obs.Request, wall time.Duratio
 func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Duration) error {
 	c.holdContent(executed)
 	var resp UpdateResponse
-	body := &UpdateRequest{Nodes: ToWire(executed), WallTime: wall, Inline: inline(executed)}
+	body := &UpdateRequest{DAG: executed, WallTime: wall, Inline: inline(executed)}
 	if err := c.exchange("/v1/update", req, body, &resp); err != nil {
 		return err
 	}
@@ -272,7 +260,7 @@ func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) 
 	if resp.StatusCode != http.StatusOK {
 		// 404 is the protocol's "not stored"; anything else is a failure.
 		if resp.StatusCode != http.StatusNotFound {
-			c.fail(fmt.Errorf("remote: GET /v1/artifact %s: HTTP %d", id, resp.StatusCode))
+			c.fail(statusError("GET /v1/artifact "+id, resp))
 		}
 		return nil, ""
 	}
@@ -328,7 +316,7 @@ func (c *Client) getJSON(path string, v any) error {
 	}
 	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("remote: %s: HTTP %d", path, resp.StatusCode)
+		return statusError(path, resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
 }
@@ -407,7 +395,7 @@ func (c *Client) exchange(path string, req *obs.Request, body, resp message) err
 	case http.StatusNoContent:
 		return nil
 	default:
-		return fmt.Errorf("remote: %s: HTTP %d", path, r.StatusCode)
+		return statusError(path, r)
 	}
 	answer, err := readBody(r.Body, r.ContentLength)
 	if err == nil {
@@ -417,6 +405,17 @@ func (c *Client) exchange(path string, req *obs.Request, body, resp message) err
 		return fmt.Errorf("remote: decode %s answer: %w", path, err)
 	}
 	return nil
+}
+
+// maxReason bounds what an error keeps of the reason an error answer gives.
+const maxReason = 512
+
+// statusError is the error of an answer of an unexpected status: what was
+// asked, the status and the start of the server's reason, the text of
+// http.Error. closeBody drains the rest.
+func statusError(what string, r *http.Response) error {
+	reason, _ := io.ReadAll(io.LimitReader(r.Body, maxReason))
+	return fmt.Errorf("remote: %s: HTTP %d: %s", what, r.StatusCode, bytes.TrimSpace(reason))
 }
 
 // maxDrain bounds what closeBody reads of a body nobody decoded: an error

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/data"
@@ -44,10 +45,12 @@ import (
 //	manifest = list(str column ID, str name), tier.WriteManifest
 //	blob     = uvarint len, len bytes: a tier blob record (len 0: no content)
 //
-// A node is a presence bitmask (uvarint, bit i for field i of nodeFields)
-// followed by the fields whose bit is set, in bit order. A zero field is
-// left out; a bool is its bit alone. A parent is the index of an earlier
-// node of the same list.
+// A node is a presence bitmask (uvarint, bit i for field i of the node's
+// fields, in the order of the has* constants) followed by the fields whose
+// bit is set, in bit order. A zero field is left out; a bool is its bit
+// alone. A parent is the index of an earlier node of the same list. A node
+// list is written from a graph.DAG in its TopoOrder and read straight into
+// one (writeNode, readDAG).
 //
 // An artifact is a model, an aggregate or a dataset without columns as its
 // blob record of internal/tier ("B"), the bytes a blob file of the disk tier
@@ -75,7 +78,7 @@ const (
 	datasetForm = 'D'
 )
 
-// The fields of a node, in WireNode's order: one presence bit each.
+// The fields of a node, in the order they travel: one presence bit each.
 const (
 	hasID = 1 << iota
 	hasKind
@@ -109,21 +112,21 @@ type message interface {
 }
 
 func (m *OptimizeRequest) marshal() ([]byte, error) {
-	parents, err := parentIndices(m.Nodes)
+	nodes, err := listOf(m.DAG)
 	if err != nil {
 		return nil, err
 	}
-	return marshal(optimizeRequestMagic, func(w *rec.Writer) { writeNodes(w, m.Nodes, parents, false) })
+	return marshal(optimizeRequestMagic, func(w *rec.Writer) { nodes.write(w, false) })
 }
 
 func (m *OptimizeRequest) unmarshal(body []byte) error {
 	r := open(body, optimizeRequestMagic)
-	m.Nodes = readNodes(&r, false)
+	m.DAG = readDAG(&r, false)
 	return r.Done()
 }
 
 func (m *UpdateRequest) marshal() ([]byte, error) {
-	parents, err := parentIndices(m.Nodes)
+	nodes, err := listOf(m.DAG)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +143,7 @@ func (m *UpdateRequest) marshal() ([]byte, error) {
 		ends[i] = len(records)
 	}
 	return marshal(updateRequestMagic, func(w *rec.Writer) {
-		writeNodes(w, m.Nodes, parents, true)
+		nodes.write(w, true)
 		w.Length("wall time", int64(m.WallTime))
 		w.Uvarint(uint64(len(m.Inline)))
 		start := 0
@@ -154,7 +157,7 @@ func (m *UpdateRequest) marshal() ([]byte, error) {
 
 func (m *UpdateRequest) unmarshal(body []byte) error {
 	r := open(body, updateRequestMagic)
-	m.Nodes = readNodes(&r, true)
+	m.DAG = readDAG(&r, true)
 	m.WallTime = time.Duration(r.Length())
 	if n := r.Count(2); n > 0 { // an ID and a record length at least
 		m.Inline = make([]InlineArtifact, n)
@@ -169,9 +172,17 @@ func (m *UpdateRequest) unmarshal(body []byte) error {
 	return r.Done()
 }
 
-func (m *OptimizeResponse) marshal() ([]byte, error) {
+// marshal writes the plan as its reuse IDs, sorted so that the answer is
+// byte-stable, and — when the planner predicted loads — each one's predicted
+// load in the same order.
+func (m *optimizeResponse) marshal() ([]byte, error) {
+	ids := make([]string, 0, len(m.Plan.Reuse))
+	for id := range m.Plan.Reuse {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
 	return marshal(optimizeResponseMagic, func(w *rec.Writer) {
-		writeIDs(w, m.ReuseIDs)
+		writeIDs(w, ids)
 		w.Uvarint(uint64(len(m.Warmstarts)))
 		for _, c := range m.Warmstarts {
 			w.ID(c.VertexID)
@@ -179,14 +190,24 @@ func (m *OptimizeResponse) marshal() ([]byte, error) {
 			w.Float(c.Quality)
 		}
 		w.Length("overhead", int64(m.Overhead))
-		w.Uvarint(uint64(len(m.PredictedLoadSec)))
-		w.Floats(m.PredictedLoadSec)
+		if len(m.Plan.PredictedLoad) == 0 {
+			w.Uvarint(0)
+			return
+		}
+		w.Uvarint(uint64(len(ids)))
+		for _, id := range ids {
+			w.Float(m.Plan.PredictedLoad[id])
+		}
 	})
 }
 
-func (m *OptimizeResponse) unmarshal(body []byte) error {
+func (m *optimizeResponse) unmarshal(body []byte) error {
 	r := open(body, optimizeResponseMagic)
-	m.ReuseIDs = readIDs(&r)
+	ids := readIDs(&r)
+	*m = optimizeResponse{Plan: &reuse.Plan{Reuse: make(map[string]bool, len(ids))}}
+	for _, id := range ids {
+		m.Plan.Reuse[id] = true
+	}
 	if n := r.Count(1 + 1 + 8); n > 0 {
 		m.Warmstarts = make([]reuse.WarmstartCandidate, n)
 		for i := range m.Warmstarts {
@@ -195,9 +216,13 @@ func (m *OptimizeResponse) unmarshal(body []byte) error {
 	}
 	m.Overhead = time.Duration(r.Length())
 	if n := r.Count(8); n > 0 {
-		m.PredictedLoadSec = make([]float64, n)
-		for i := range m.PredictedLoadSec {
-			m.PredictedLoadSec[i] = r.Float()
+		if n != len(ids) {
+			r.Fail("%d predicted loads for %d reused vertices", n, len(ids))
+		} else {
+			m.Plan.PredictedLoad = make(map[string]float64, n)
+			for _, id := range ids {
+				m.Plan.PredictedLoad[id] = r.Float()
+			}
 		}
 	}
 	return r.Done()
@@ -446,26 +471,6 @@ func readBlob(r *rec.Reader) graph.Artifact {
 	return a
 }
 
-// parentIndices returns the parents of every node as indices of earlier
-// nodes, all in one list in node order. A parent that does not precede its
-// child cannot be written.
-func parentIndices(nodes []WireNode) ([]int, error) {
-	at := make(map[string]int, len(nodes))
-	var out []int
-	for i := range nodes {
-		wn := &nodes[i]
-		for _, p := range wn.Parents {
-			j, ok := at[p]
-			if !ok {
-				return nil, fmt.Errorf("wire node %d (%q): parent %q does not precede it", i, wn.ID, p)
-			}
-			out = append(out, j)
-		}
-		at[wn.ID] = i
-	}
-	return out, nil
-}
-
 // marshal writes a message into a buffer of exactly its length.
 func marshal(magic string, write func(*rec.Writer)) ([]byte, error) {
 	return rec.Exact(func(w *rec.Writer) {
@@ -503,176 +508,255 @@ func readIDs(r *rec.Reader) []string {
 	return out
 }
 
-// writeNodes writes a node list; parents is what parentIndices returned for
-// it. Without columns, the nodes' column lineage stays behind.
-func writeNodes(w *rec.Writer, nodes []WireNode, parents []int, columns bool) {
-	w.Uvarint(uint64(len(nodes)))
-	for i := range nodes {
-		wn := &nodes[i]
-		has := wn.fields()
-		if !columns {
-			has &^= columnFields
-		}
-		w.Uvarint(has)
-		if has&hasID != 0 {
-			w.ID(wn.ID)
-		}
-		if has&hasKind != 0 {
-			w.U8(byte(wn.Kind))
-		}
-		if has&hasName != 0 {
-			w.ID(wn.Name)
-		}
-		if has&hasOpHash != 0 {
-			w.ID(wn.OpHash)
-		}
-		if has&hasWarmstartKind != 0 {
-			w.ID(wn.WarmstartKind)
-		}
-		if has&hasParents != 0 {
-			w.Uvarint(uint64(len(wn.Parents)))
-			for _, p := range parents[:len(wn.Parents)] {
-				w.Uvarint(uint64(p))
+// nodeList is a node list as the encoder writes it: the nodes in order, the
+// position of each ID in it, and the hash of each node's operation ("" for
+// none), taken once for both of the encoder's passes.
+type nodeList struct {
+	nodes  []*graph.Node
+	at     map[string]int
+	hashes []string
+}
+
+// listOf returns the node list of d: its nodes in TopoOrder. A DAG with a
+// node whose parent it does not hold cannot be written.
+func listOf(d *graph.DAG) (*nodeList, error) {
+	order := d.TopoOrder()
+	l := &nodeList{nodes: order, at: make(map[string]int, len(order)), hashes: make([]string, len(order))}
+	for i, n := range l.nodes {
+		for _, p := range n.Parents {
+			if _, ok := l.at[p.ID]; !ok {
+				return nil, fmt.Errorf("node %d (%q): parent %q is not a node of the DAG", i, n.ID, p.ID)
 			}
 		}
-		parents = parents[len(wn.Parents):]
-		if has&hasComputeTime != 0 {
-			w.Length("compute time", int64(wn.ComputeTime))
+		l.at[n.ID] = i
+		if n.Op != nil {
+			l.hashes[i] = n.Op.Hash()
 		}
-		if has&hasSizeBytes != 0 {
-			w.Length("size", wn.SizeBytes)
-		}
-		if has&hasQuality != 0 {
-			w.Float(wn.Quality)
-		}
-		if has&hasColumns != 0 {
-			writeIDs(w, wn.Columns)
-		}
-		if has&hasColSizes != 0 {
-			w.Uvarint(uint64(len(wn.ColSizes)))
-			for _, s := range wn.ColSizes {
-				w.Length("column size", s)
-			}
-		}
-		if has&hasTrainedKind != 0 {
-			w.ID(wn.TrainedKind)
-		}
-		if has&hasFetchTime != 0 {
-			w.Length("fetch time", int64(wn.FetchTime))
-		}
-		if has&hasFetchTier != 0 {
-			w.ID(wn.FetchTier)
-		}
-		if has&hasPredictedLoad != 0 {
-			w.Length("predicted load", int64(wn.PredictedLoad))
-		}
+	}
+	return l, nil
+}
+
+// write writes the list; without columns, its nodes' column lineage stays
+// behind.
+func (l *nodeList) write(w *rec.Writer, columns bool) {
+	w.Uvarint(uint64(len(l.nodes)))
+	for i := range l.nodes {
+		l.writeNode(w, i, columns)
 	}
 }
 
-// fields returns the presence bitmask of a node: a bit for every field that
-// is not zero. Quality is zero only as +0: its bits travel, so -0 and every
-// NaN survive.
-func (wn *WireNode) fields() uint64 {
+// writeNode writes node i, each parent as its position in the list. The op
+// hash, the external flag and the warmstart kind come from the node's
+// operation; the column lineage comes from a dataset's frame and the
+// trained kind from a model, or — for a node that holds no such content, as
+// the decoder builds them — from the fields that carry them. Quality is zero
+// only as +0: its bits travel, so -0 and every NaN survive.
+func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
+	n, hash := l.nodes[i], l.hashes[i]
+	var warmstart string
+	var external bool
+	if n.Op != nil {
+		ext, ok := n.Op.(interface{ External() bool })
+		external = ok && ext.External()
+		if wop, ok := n.Op.(graph.WarmstartableOp); ok && wop.CanWarmstart() {
+			warmstart = wop.ModelKind()
+		}
+	}
+	ids, sizes, trained := n.Columns, n.ColSizes, n.ModelKind
+	var frame []*data.Column
+	switch c := n.Content.(type) {
+	case *graph.DatasetArtifact:
+		if c.Frame != nil {
+			frame, ids, sizes = c.Frame.Columns(), nil, nil
+		}
+	case *graph.ModelArtifact:
+		if c.Model != nil {
+			trained = c.Model.Kind()
+		}
+	}
+	nIDs, nSizes := len(frame)+len(ids), len(frame)+len(sizes) // one of the two sources is empty
 	var has uint64
-	for i, set := range [...]bool{
-		wn.ID != "", wn.Kind != 0, wn.Name != "", wn.OpHash != "", wn.External,
-		wn.WarmstartKind != "", len(wn.Parents) > 0, wn.Computed, wn.ComputeTime != 0,
-		wn.SizeBytes != 0, math.Float64bits(wn.Quality) != 0, len(wn.Columns) > 0,
-		len(wn.ColSizes) > 0, wn.TrainedKind != "", wn.LoadedFromEG, wn.FetchTime != 0,
-		wn.FetchTier != "", wn.PredictedLoad != 0,
+	for bit, set := range [...]bool{
+		n.ID != "", n.Kind != 0, n.Name != "", hash != "", external,
+		warmstart != "", len(n.Parents) > 0, n.Computed, n.ComputeTime != 0,
+		n.SizeBytes != 0, math.Float64bits(n.Quality) != 0, nIDs > 0,
+		nSizes > 0, trained != "", n.LoadedFromEG, n.FetchTime != 0,
+		n.FetchTier != "", n.PredictedLoad != 0,
 	} {
 		if set {
-			has |= 1 << i
+			has |= 1 << bit
 		}
 	}
-	return has
+	if !columns {
+		has &^= columnFields
+	}
+	w.Uvarint(has)
+	if has&hasID != 0 {
+		w.ID(n.ID)
+	}
+	if has&hasKind != 0 {
+		w.U8(byte(n.Kind))
+	}
+	if has&hasName != 0 {
+		w.ID(n.Name)
+	}
+	if has&hasOpHash != 0 {
+		w.ID(hash)
+	}
+	if has&hasWarmstartKind != 0 {
+		w.ID(warmstart)
+	}
+	if has&hasParents != 0 {
+		w.Uvarint(uint64(len(n.Parents)))
+		for _, p := range n.Parents {
+			w.Uvarint(uint64(l.at[p.ID]))
+		}
+	}
+	if has&hasComputeTime != 0 {
+		w.Length("compute time", int64(n.ComputeTime))
+	}
+	if has&hasSizeBytes != 0 {
+		w.Length("size", n.SizeBytes)
+	}
+	if has&hasQuality != 0 {
+		w.Float(n.Quality)
+	}
+	if has&hasColumns != 0 {
+		w.Uvarint(uint64(nIDs))
+		for _, c := range frame {
+			w.ID(c.ID)
+		}
+		for _, id := range ids {
+			w.ID(id)
+		}
+	}
+	if has&hasColSizes != 0 {
+		w.Uvarint(uint64(nSizes))
+		for _, c := range frame {
+			w.Length("column size", c.SizeBytes())
+		}
+		for _, size := range sizes {
+			w.Length("column size", size)
+		}
+	}
+	if has&hasTrainedKind != 0 {
+		w.ID(trained)
+	}
+	if has&hasFetchTime != 0 {
+		w.Length("fetch time", int64(n.FetchTime))
+	}
+	if has&hasFetchTier != 0 {
+		w.ID(n.FetchTier)
+	}
+	if has&hasPredictedLoad != 0 {
+		w.Length("predicted load", int64(n.PredictedLoad))
+	}
 }
 
-// readNodes reads a node list. A parent index must name an earlier node: the
-// parent of a node that does not precede it, as FromWire has it.
-func readNodes(r *rec.Reader, columns bool) []WireNode {
+// readDAG reads a node list into a graph.DAG. A node that names an
+// operation gets a wireOp for it, with the node's name and kind. It is the
+// one place a node list is refused: every parent index must name an earlier
+// node, no ID may repeat, every kind must be one of graph's four, and a
+// dataset's column lineage must carry one size per column. So the handlers
+// answer 400 to a list the graph could not take whole, and merge none of it.
+func readDAG(r *rec.Reader, columns bool) *graph.DAG {
 	n := r.Count(1)
-	if n == 0 {
+	if r.Err() != nil {
 		return nil
 	}
 	allowed := uint64(nodeFields)
 	if !columns {
 		allowed &^= columnFields
 	}
-	nodes := make([]WireNode, n)
+	dag := graph.NewDAG()
+	nodes := make([]graph.Node, n)
 	for i := range nodes {
-		wn := &nodes[i]
+		nd := &nodes[i]
 		has := r.Uvarint()
 		if has&^allowed != 0 {
-			r.Fail("wire node %d: unknown fields %#x", i, has&^allowed)
+			r.Fail("node %d: unknown fields %#x", i, has&^allowed)
 			return nil
 		}
 		if has&hasID != 0 {
-			wn.ID = r.ID()
+			nd.ID = r.ID()
 		}
 		if has&hasKind != 0 {
-			wn.Kind = graph.Kind(r.U8())
+			if nd.Kind = graph.Kind(r.U8()); nd.Kind > graph.SupernodeKind {
+				r.Fail("node %d (%q): unknown kind %d", i, nd.ID, nd.Kind)
+				return nil
+			}
 		}
 		if has&hasName != 0 {
-			wn.Name = r.ID()
+			nd.Name = r.ID()
 		}
-		if has&hasOpHash != 0 {
-			wn.OpHash = r.ID()
-		}
-		wn.External = has&isExternal != 0
-		if has&hasWarmstartKind != 0 {
-			wn.WarmstartKind = r.ID()
+		if has&(hasOpHash|isExternal|hasWarmstartKind) != 0 {
+			op := wireOp{name: nd.Name, kind: nd.Kind, external: has&isExternal != 0}
+			if has&hasOpHash != 0 {
+				op.hash = r.ID()
+			}
+			if has&hasWarmstartKind != 0 {
+				op.warmstartKind = r.ID()
+			}
+			nd.Op = op
 		}
 		if has&hasParents != 0 {
 			if k := r.Count(1); k > 0 {
-				wn.Parents = make([]string, k)
-				for j := range wn.Parents {
+				nd.Parents = make([]*graph.Node, k)
+				for j := range nd.Parents {
 					p := r.Uvarint()
 					if p >= uint64(i) {
-						r.Fail("wire node %d (%q): parent index %d does not precede it", i, wn.ID, p)
+						r.Fail("node %d (%q): parent index %d does not precede it", i, nd.ID, p)
 						return nil
 					}
-					wn.Parents[j] = nodes[p].ID
+					nd.Parents[j] = &nodes[p]
 				}
 			}
 		}
-		wn.Computed = has&isComputed != 0
+		nd.Computed = has&isComputed != 0
 		if has&hasComputeTime != 0 {
-			wn.ComputeTime = time.Duration(r.Length())
+			nd.ComputeTime = time.Duration(r.Length())
 		}
 		if has&hasSizeBytes != 0 {
-			wn.SizeBytes = r.Length()
+			nd.SizeBytes = r.Length()
 		}
 		if has&hasQuality != 0 {
-			wn.Quality = r.Float()
+			nd.Quality = r.Float()
 		}
 		if has&hasColumns != 0 {
-			wn.Columns = readIDs(r)
+			nd.Columns = readIDs(r)
 		}
 		if has&hasColSizes != 0 {
 			if k := r.Count(1); k > 0 {
-				wn.ColSizes = make([]int64, k)
-				for j := range wn.ColSizes {
-					wn.ColSizes[j] = r.Length()
+				nd.ColSizes = make([]int64, k)
+				for j := range nd.ColSizes {
+					nd.ColSizes[j] = r.Length()
 				}
 			}
 		}
 		if has&hasTrainedKind != 0 {
-			wn.TrainedKind = r.ID()
+			nd.ModelKind = r.ID()
 		}
-		wn.LoadedFromEG = has&isLoadedFromEG != 0
+		nd.LoadedFromEG = has&isLoadedFromEG != 0
 		if has&hasFetchTime != 0 {
-			wn.FetchTime = time.Duration(r.Length())
+			nd.FetchTime = time.Duration(r.Length())
 		}
 		if has&hasFetchTier != 0 {
-			wn.FetchTier = r.ID()
+			nd.FetchTier = r.ID()
 		}
 		if has&hasPredictedLoad != 0 {
-			wn.PredictedLoad = time.Duration(r.Length())
+			nd.PredictedLoad = time.Duration(r.Length())
 		}
 		if r.Err() != nil {
 			return nil
 		}
+		if len(nd.Columns) != len(nd.ColSizes) {
+			r.Fail("node %d (%q): %d column lineage IDs and %d sizes", i, nd.ID, len(nd.Columns), len(nd.ColSizes))
+			return nil
+		}
+		if dag.Adopt(nd) != nd {
+			r.Fail("node %d repeats ID %q", i, nd.ID)
+			return nil
+		}
 	}
-	return nodes
+	return dag
 }

@@ -83,82 +83,92 @@ func randomStrings(rng *rand.Rand) []string {
 	return out
 }
 
-// randomNodes draws a node list in topological order with every field zero
-// or not, independently.
-func randomNodes(rng *rand.Rand) []WireNode {
-	var nodes []WireNode
+// randomDAG draws a DAG of meta-data nodes, as a decoder builds them, with
+// every field zero or not, independently: a valid kind, an operation or
+// none, and as many column sizes as column lineage IDs. With columns false,
+// the nodes carry no column lineage, as an optimize request has them.
+func randomDAG(rng *rand.Rand, columns bool) *graph.DAG {
+	dag := graph.NewDAG()
+	var nodes []*graph.Node
 	for i := rng.Intn(8); i > 0; i-- {
-		wn := WireNode{
-			ID: randomString(rng), Name: randomString(rng), OpHash: randomString(rng),
-			External: rng.Intn(2) == 0, WarmstartKind: randomString(rng), Computed: rng.Intn(2) == 0,
-			ComputeTime: time.Duration(randomLength(rng)), SizeBytes: randomLength(rng),
-			Quality: randomFloat(rng), Columns: randomStrings(rng), TrainedKind: randomString(rng),
-			LoadedFromEG: rng.Intn(2) == 0, FetchTime: time.Duration(randomLength(rng)),
-			FetchTier: randomString(rng), PredictedLoad: time.Duration(randomLength(rng)),
+		n := &graph.Node{
+			ID: randomString(rng), Kind: graph.Kind(rng.Intn(4)), Name: randomString(rng),
+			Computed: rng.Intn(2) == 0, ComputeTime: time.Duration(randomLength(rng)), SizeBytes: randomLength(rng),
+			Quality: randomFloat(rng), ModelKind: randomString(rng), LoadedFromEG: rng.Intn(2) == 0,
+			FetchTime: time.Duration(randomLength(rng)), FetchTier: randomString(rng), PredictedLoad: time.Duration(randomLength(rng)),
 		}
-		if rng.Intn(2) == 0 {
-			wn.Kind = graph.Kind(1 + rng.Intn(255))
+		op := wireOp{name: n.Name, hash: randomString(rng), kind: n.Kind, external: rng.Intn(2) == 0, warmstartKind: randomString(rng)}
+		if op.hash != "" || op.external || op.warmstartKind != "" {
+			n.Op = op
 		}
 		for j := rng.Intn(4); j > 0 && len(nodes) > 0; j-- {
-			wn.Parents = append(wn.Parents, nodes[rng.Intn(len(nodes))].ID)
+			n.Parents = append(n.Parents, nodes[rng.Intn(len(nodes))])
 		}
-		for j := rng.Intn(4); j > 0; j-- {
-			wn.ColSizes = append(wn.ColSizes, randomLength(rng))
+		for _, id := range randomStrings(rng) {
+			n.Columns, n.ColSizes = append(n.Columns, id), append(n.ColSizes, randomLength(rng))
 		}
-		nodes = append(nodes, wn)
+		if !columns {
+			n.Columns, n.ColSizes = nil, nil
+		}
+		if dag.Node(n.ID) == nil {
+			nodes = append(nodes, dag.Adopt(n))
+		}
 	}
-	return nodes
+	return dag
 }
+
+// inTopoOrder is d with its nodes in TopoOrder, the order they travel and
+// decode in.
+func inTopoOrder(d *graph.DAG) *graph.DAG { return dagOf(d.TopoOrder()...) }
 
 // floatBits moves every float of a message into a list of its bits, so that
 // reflect.DeepEqual compares the rest and the bits are compared exactly: a
-// NaN is not equal to itself.
+// NaN is not equal to itself. The message is changed in place.
 func floatBits(m any) (any, []uint64) {
 	var bits []uint64
 	take := func(f *float64) {
 		bits = append(bits, math.Float64bits(*f))
 		*f = 0
 	}
-	nodes := func(list []WireNode) []WireNode {
-		list = slices.Clone(list)
-		for i := range list {
-			take(&list[i].Quality)
+	nodes := func(dag *graph.DAG) {
+		if dag != nil {
+			for _, n := range dag.TopoOrder() {
+				take(&n.Quality)
+			}
 		}
-		return list
 	}
 	switch m := m.(type) {
 	case *OptimizeRequest:
-		return &OptimizeRequest{Nodes: nodes(m.Nodes)}, bits
+		nodes(m.DAG)
 	case *UpdateRequest:
-		cp := *m
-		cp.Nodes = nodes(m.Nodes)
-		return &cp, bits
-	case *OptimizeResponse:
-		cp := *m
-		cp.Warmstarts = slices.Clone(m.Warmstarts)
-		for i := range cp.Warmstarts {
-			take(&cp.Warmstarts[i].Quality)
+		nodes(m.DAG)
+	case *optimizeResponse:
+		for i := range m.Warmstarts {
+			take(&m.Warmstarts[i].Quality)
 		}
-		cp.PredictedLoadSec = slices.Clone(m.PredictedLoadSec)
-		for i := range cp.PredictedLoadSec {
-			take(&cp.PredictedLoadSec[i])
+		ids := make([]string, 0, len(m.Plan.PredictedLoad))
+		for id := range m.Plan.PredictedLoad {
+			ids = append(ids, id)
 		}
-		return &cp, bits
+		sort.Strings(ids)
+		for _, id := range ids {
+			f := m.Plan.PredictedLoad[id]
+			take(&f)
+			m.Plan.PredictedLoad[id] = f
+		}
 	}
-	return m, nil
+	return m, bits
 }
 
 // TestMetaMessagesRoundTrip: every message decodes to what was encoded —
 // strings of every shape, every field zero and not, floats bit for bit —
-// except that an optimize request leaves its column lineage behind.
+// except that an optimize request leaves its column lineage behind. Each
+// draw builds its messages afresh from one seed, as floatBits changes them.
 func TestMetaMessagesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
-		nodes := randomNodes(rng)
-		noColumns := slices.Clone(nodes)
-		for j := range noColumns {
-			noColumns[j].Columns, noColumns[j].ColSizes = nil, nil
-		}
+		seed := rng.Int63()
+		draw := func(columns bool) *graph.DAG { return randomDAG(rand.New(rand.NewSource(seed)), columns) }
 		var inline []InlineArtifact
 		for j := rng.Intn(3); j > 0; j-- {
 			a := InlineArtifact{ID: randomString(rng)}
@@ -181,25 +191,33 @@ func TestMetaMessagesRoundTrip(t *testing.T) {
 		for j := rng.Intn(3); j > 0; j-- {
 			warm = append(warm, reuse.WarmstartCandidate{VertexID: randomString(rng), DonorID: randomString(rng), Quality: randomFloat(rng)})
 		}
-		var predicted []float64
-		for j := rng.Intn(3); j > 0; j-- {
-			predicted = append(predicted, randomFloat(rng))
+		plan := &reuse.Plan{Reuse: map[string]bool{}}
+		predicted := rng.Intn(2) == 0
+		for _, id := range randomStrings(rng) {
+			plan.Reuse[id] = true
+			if predicted {
+				if plan.PredictedLoad == nil {
+					plan.PredictedLoad = map[string]float64{}
+				}
+				plan.PredictedLoad[id] = randomFloat(rng)
+			}
 		}
+		wall := time.Duration(randomLength(rng))
 		for _, tc := range []struct {
 			in, want, out message
 		}{
-			{&OptimizeRequest{Nodes: nodes}, &OptimizeRequest{Nodes: noColumns}, &OptimizeRequest{}},
-			{&UpdateRequest{Nodes: nodes, WallTime: time.Duration(randomLength(rng)), Inline: inline}, nil, &UpdateRequest{}},
-			{&OptimizeResponse{ReuseIDs: randomStrings(rng), Warmstarts: warm, Overhead: time.Duration(randomLength(rng)),
-				PredictedLoadSec: predicted}, nil, &OptimizeResponse{}},
+			{&OptimizeRequest{DAG: draw(true)}, &OptimizeRequest{DAG: inTopoOrder(draw(false))}, &OptimizeRequest{}},
+			{&UpdateRequest{DAG: draw(true), WallTime: wall, Inline: inline},
+				&UpdateRequest{DAG: inTopoOrder(draw(true)), WallTime: wall, Inline: inline}, &UpdateRequest{}},
+			{&optimizeResponse{Plan: plan, Warmstarts: warm, Overhead: time.Duration(randomLength(rng))}, nil, &optimizeResponse{}},
 			{&UpdateResponse{WantContent: randomStrings(rng), Have: have}, nil, &UpdateResponse{}},
 		} {
-			if tc.want == nil {
-				tc.want = tc.in
-			}
 			body, err := tc.in.marshal()
 			if err != nil {
 				t.Fatalf("draw %d: %T: %v", i, tc.in, err)
+			}
+			if tc.want == nil {
+				tc.want = tc.in
 			}
 			if err := tc.out.unmarshal(body); err != nil {
 				t.Fatalf("draw %d: %T: %v", i, tc.in, err)
@@ -219,15 +237,15 @@ func TestMetaMessagesRoundTrip(t *testing.T) {
 // it.
 func TestCodecRefusesWhatItCannotCarry(t *testing.T) {
 	for name, m := range map[string]message{
-		"compute time":   &OptimizeRequest{Nodes: []WireNode{{ID: "a", ComputeTime: -1}}},
-		"size":           &UpdateRequest{Nodes: []WireNode{{ID: "a", SizeBytes: -1}}},
-		"column size":    &UpdateRequest{Nodes: []WireNode{{ID: "a", Columns: []string{"c"}, ColSizes: []int64{-1}}}},
-		"fetch time":     &UpdateRequest{Nodes: []WireNode{{ID: "a", FetchTime: -1}}},
-		"predicted load": &UpdateRequest{Nodes: []WireNode{{ID: "a", PredictedLoad: -1}}},
-		"wall time":      &UpdateRequest{WallTime: -1},
-		"overhead":       &OptimizeResponse{Overhead: -1},
+		"compute time":   &OptimizeRequest{DAG: dagOf(&graph.Node{ID: "a", ComputeTime: -1})},
+		"size":           &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", SizeBytes: -1})},
+		"column size":    &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", Columns: []string{"c"}, ColSizes: []int64{-1}})},
+		"fetch time":     &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", FetchTime: -1})},
+		"predicted load": &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", PredictedLoad: -1})},
+		"wall time":      &UpdateRequest{DAG: graph.NewDAG(), WallTime: -1},
+		"overhead":       &optimizeResponse{Plan: &reuse.Plan{}, Overhead: -1},
 		"held index":     &UpdateResponse{WantContent: []string{"v"}, Have: [][]int{{-1}}},
-		"parent":         &OptimizeRequest{Nodes: []WireNode{{ID: "a", Parents: []string{"b"}}, {ID: "b"}}},
+		"parent":         &OptimizeRequest{DAG: dagOf(&graph.Node{ID: "a", Parents: []*graph.Node{{ID: "b"}}})},
 	} {
 		if _, err := m.marshal(); err == nil {
 			t.Errorf("%s: encoded", name)
@@ -379,7 +397,7 @@ func TestMetaBodyIsExactlyOneMessage(t *testing.T) {
 		if _, err := core.Execute(dag, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		body, err := (&UpdateRequest{Nodes: ToWire(dag), WallTime: time.Second, Inline: inline(dag)}).marshal()
+		body, err := (&UpdateRequest{DAG: dag, WallTime: time.Second, Inline: inline(dag)}).marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +427,7 @@ func TestMetaBodyIsExactlyOneMessage(t *testing.T) {
 	if rec := postBody(NewHandler(srv), "/v1/update", first); rec.Code != http.StatusOK || srv.EG.Len() == 0 {
 		t.Errorf("the update alone: status %d, EG %d vertices", rec.Code, srv.EG.Len())
 	}
-	body, err := (&OptimizeRequest{Nodes: ToWire(buildPipeline(testFrame(50, 1)))}).marshal()
+	body, err := (&OptimizeRequest{DAG: buildPipeline(testFrame(50, 1))}).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,60 +461,41 @@ func kaggleVariant(src *kaggle.Sources, w func(*kaggle.Sources) *graph.DAG) *gra
 	return dag
 }
 
-// heldAllocations counts what decoding a node list must allocate: the list,
-// each non-empty string but a parent (which is the ID string of an earlier
-// node) and each other non-nil slice.
-func heldAllocations(nodes []WireNode) int {
-	n := 0
-	if nodes != nil {
-		n++
-	}
-	for _, wn := range nodes {
-		for _, s := range slices.Concat([]string{wn.ID, wn.Name, wn.OpHash, wn.WarmstartKind, wn.TrainedKind, wn.FetchTier}, wn.Columns) {
-			if s != "" {
-				n++
-			}
-		}
-		for _, held := range []bool{wn.Parents != nil, wn.Columns != nil, wn.ColSizes != nil} {
-			if held {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// TestMetaDecodeAllocations gates the decoder's allocations: decoding a
-// recorded body allocates at most the strings, slices and values the message
-// holds. The bodies are the optimize requests of three kaggle_variants steps,
-// one per feature set (28, 26 and 146 nodes, 66.7 on average, as the
+// TestMetaDecodeAllocations gates the allocations of a meta-data body in
+// both directions: body to the graph.DAG the server plans on (decoding, and
+// for an update the handler's index of its inline content), and a client's
+// DAG to body (encoding). The bodies are the optimize requests of three
+// kaggle_variants steps, one per feature set (28, 26 and 146 nodes, as the
 // benchmark sends them), and the whole update of an OpenML pipeline, its
-// model and score inline. Gob decoding of the same messages with a fresh
-// decoder per request, as the handler did before this codec, allocated 478,
-// 484 and 1 341 times for the three optimize requests (which carried their
-// sources' column lineage then) and 370 for the update without its inline
-// artifacts; with the inline section still gob, the whole update allocated
-// 330 times in 1 401 bytes. This decoder allocates 110, 93, 563 and 64 times
-// (the update in 968 bytes), exactly what the messages hold.
+// model and score inline. The ceilings are what the codec allocated while a
+// request went through an intermediate copy of every node: 209, 180, 1 013
+// and 86 times to decode and rebuild the DAG, 298, 268, 1 564 and 85 times
+// to flatten the DAG and encode it. Straight from and to the graph.DAG it
+// allocates 150, 125, 717 and 76 times to decode, 254, 204, 1 354 and 59
+// times to encode.
 func TestMetaDecodeAllocations(t *testing.T) {
+	type body struct {
+		name           string
+		dag            *graph.DAG
+		encode         func() ([]byte, error)
+		decode         func([]byte) error
+		server, client float64 // the ceilings, exclusive
+	}
+	var bodies []body
 	src := kaggle.Generate(kaggle.Config{Scale: 1, Seed: 42})
-	for i, w := range []func(*kaggle.Sources) *graph.DAG{kaggle.Workload1, kaggle.Workload2, kaggle.Workload3} {
-		dag := kaggleVariant(src, w)
+	for i, c := range []struct {
+		w              func(*kaggle.Sources) *graph.DAG
+		server, client float64
+	}{{kaggle.Workload1, 209, 298}, {kaggle.Workload2, 180, 268}, {kaggle.Workload3, 1013, 1564}} {
+		dag := kaggleVariant(src, c.w)
 		dag.MarkComputed()
-		body, err := (&OptimizeRequest{Nodes: ToWire(dag)}).marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var req OptimizeRequest
-		allocs := testing.AllocsPerRun(20, func() {
-			if err := req.unmarshal(body); err != nil {
-				t.Fatal(err)
-			}
+		bodies = append(bodies, body{
+			name:   fmt.Sprintf("W%d variant optimize", i+1),
+			dag:    dag,
+			encode: (&OptimizeRequest{DAG: dag}).marshal,
+			decode: func(b []byte) error { return new(OptimizeRequest).unmarshal(b) },
+			server: c.server, client: c.client,
 		})
-		if held := heldAllocations(req.Nodes); allocs > float64(held) {
-			t.Errorf("W%d variant: decoding %d nodes in %d bytes allocated %v times, the message holds %d strings and slices",
-				i+1, len(req.Nodes), len(body), allocs, held)
-		}
 	}
 
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
@@ -504,58 +503,48 @@ func TestMetaDecodeAllocations(t *testing.T) {
 	defer ts.Close()
 	rc, log := loggedClient(ts.URL)
 	cfg := openml.DefaultConfig()
-	mustRun(t, rc, openml.SamplePipelines(cfg, 1, false)[0].Build(openml.GenerateDataset(cfg)))
-	body := log.bodies["/v1/update"][0]
-	var req UpdateRequest
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := req.unmarshal(body); err != nil {
+	dag := openml.SamplePipelines(cfg, 1, false)[0].Build(openml.GenerateDataset(cfg))
+	mustRun(t, rc, dag)
+	bodies = append(bodies, body{
+		name: "OpenML update",
+		dag:  dag,
+		encode: func() ([]byte, error) {
+			return (&UpdateRequest{DAG: dag, WallTime: time.Second, Inline: inline(dag)}).marshal()
+		},
+		decode: func(b []byte) error {
+			var req UpdateRequest
+			if err := req.unmarshal(b); err != nil {
+				return err
+			}
+			_, err := inlineContent(req.DAG, req.Inline)
+			return err
+		},
+		server: 86, client: 85,
+	})
+
+	for _, b := range bodies {
+		sent, err := b.encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	held := heldAllocations(req.Nodes) + 1 // and the inline list
-	models := 0
-	for _, a := range req.Inline {
-		held += heldBy(reflect.ValueOf(a))
-		if _, ok := a.Content.(*graph.ModelArtifact); ok {
-			models++
+		if b.dag == dag {
+			sent = log.bodies["/v1/update"][0] // as the client sent it
+		}
+		server := testing.AllocsPerRun(20, func() {
+			if err := b.decode(sent); err != nil {
+				t.Fatal(err)
+			}
+		})
+		client := testing.AllocsPerRun(20, func() {
+			if _, err := b.encode(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s, %d nodes in %d bytes: %v allocations to decode, %v to encode", b.name, b.dag.Len(), len(sent), server, client)
+		if server >= b.server || client >= b.client {
+			t.Errorf("%s: %v allocations to decode (ceiling %v), %v to encode (ceiling %v)", b.name, server, b.server, client, b.client)
 		}
 	}
-	if models == 0 || allocs > float64(held) {
-		t.Errorf("OpenML update: decoding %d nodes and %d inline artifacts (%d models) allocated %v times, the message holds %d strings, slices and values",
-			len(req.Nodes), len(req.Inline), models, allocs, held)
-	}
-}
-
-// heldBy counts what decoding v must allocate: each non-nil pointer, each
-// non-empty slice and each non-empty string it reaches.
-func heldBy(v reflect.Value) int {
-	n := 0
-	switch v.Kind() {
-	case reflect.Pointer:
-		if !v.IsNil() {
-			n = 1 + heldBy(v.Elem())
-		}
-	case reflect.Interface:
-		if !v.IsNil() {
-			n = heldBy(v.Elem())
-		}
-	case reflect.String:
-		if v.Len() > 0 {
-			n = 1
-		}
-	case reflect.Slice, reflect.Array:
-		if v.Kind() == reflect.Slice && v.Len() > 0 {
-			n = 1
-		}
-		for i := 0; i < v.Len(); i++ {
-			n += heldBy(v.Index(i))
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			n += heldBy(v.Field(i))
-		}
-	}
-	return n
 }
 
 // FuzzOptimizeDecode throws arbitrary bytes at POST /v1/optimize, which
@@ -616,18 +605,18 @@ func FuzzOptimizeDecode(f *testing.F) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 		var req OptimizeRequest
-		var resp OptimizeResponse
+		var resp optimizeResponse
 		if err := req.unmarshal(body); err != nil {
 			t.Fatalf("answered 200 to a body that does not decode: %v", err)
 		}
 		if err := resp.unmarshal(rec.Body.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		asked := make(map[string]bool, len(req.Nodes))
-		for _, wn := range req.Nodes {
-			asked[wn.ID] = true
+		asked := make(map[string]bool, req.DAG.Len())
+		for _, n := range req.DAG.Nodes() {
+			asked[n.ID] = true
 		}
-		for _, id := range resp.ReuseIDs {
+		for id := range resp.Plan.Reuse {
 			if !asked[id] {
 				t.Fatalf("plan reuses %q, which the request does not carry", id)
 			}
@@ -637,7 +626,7 @@ func FuzzOptimizeDecode(f *testing.F) {
 				t.Fatalf("warmstart %+v: vertex asked %v, donor in the graph %v", c, asked[c.VertexID], srv.EG.Has(c.DonorID))
 			}
 		}
-		return len(resp.ReuseIDs), len(resp.Warmstarts)
+		return len(resp.Plan.Reuse), len(resp.Warmstarts)
 	}
 	reused, warmstarted := 0, 0
 	for _, body := range seeds {

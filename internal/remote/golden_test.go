@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -16,21 +15,31 @@ import (
 	"repro/internal/reuse"
 )
 
+// goldenDAG is the workload DAG of the golden meta-data messages: IDs that
+// travel as their 16 bytes and strings that do not, every node field set
+// somewhere — the source's external flag by an operation whose hash is
+// empty. With columns false, its source leaves its column lineage behind,
+// as an optimize request does.
+func goldenDAG(columns bool) *graph.DAG {
+	const src, model, hash = "0123456789abcdef0123456789abcdef", "fedcba9876543210fedcba9876543210", "00112233445566778899aabbccddeeff"
+	s := &graph.Node{ID: src, Kind: graph.DatasetKind, Name: "train.csv", Computed: true, SizeBytes: 4096,
+		Op: wireOp{name: "train.csv", kind: graph.DatasetKind, external: true}}
+	if columns {
+		s.Columns, s.ColSizes = []string{hash, "plain column"}, []int64{2048, 2048}
+	}
+	m := &graph.Node{ID: model, Kind: graph.ModelKind, Name: "train", Parents: []*graph.Node{s},
+		Op:       wireOp{name: "train", hash: hash, kind: graph.ModelKind, warmstartKind: "logreg"},
+		Computed: true, ComputeTime: 1500 * time.Microsecond, SizeBytes: 120, Quality: 0.875, ModelKind: "logreg",
+		LoadedFromEG: true, FetchTime: 20 * time.Microsecond, FetchTier: "memory", PredictedLoad: 30 * time.Microsecond}
+	return dagOf(s, m, &graph.Node{ID: "score", Kind: graph.AggregateKind, Name: "auc", Parents: []*graph.Node{s, m},
+		Op: wireOp{name: "auc", hash: "0123456789ABCDEF0123456789ABCDEF", kind: graph.AggregateKind}, Quality: -2.5})
+}
+
 // goldenMessages holds one message of every kind the protocol moves, by its
-// magic, built from fixed inputs: IDs that travel as their 16 bytes and
-// strings that do not, every node field set somewhere, inline content and
-// its absence, both forms of an artifact.
+// magic, built from fixed inputs: the golden DAG, inline content and its
+// absence, both forms of an artifact.
 func goldenMessages() map[string]message {
 	const src, model, hash = "0123456789abcdef0123456789abcdef", "fedcba9876543210fedcba9876543210", "00112233445566778899aabbccddeeff"
-	nodes := []WireNode{
-		{ID: src, Kind: graph.DatasetKind, Name: "train.csv", External: true, Computed: true, SizeBytes: 4096,
-			Columns: []string{hash, "plain column"}, ColSizes: []int64{2048, 2048}},
-		{ID: model, Kind: graph.ModelKind, Name: "train", OpHash: hash, WarmstartKind: "logreg", Parents: []string{src},
-			Computed: true, ComputeTime: 1500 * time.Microsecond, SizeBytes: 120, Quality: 0.875, TrainedKind: "logreg",
-			LoadedFromEG: true, FetchTime: 20 * time.Microsecond, FetchTier: "memory", PredictedLoad: 30 * time.Microsecond},
-		{ID: "score", Kind: graph.AggregateKind, Name: "auc", OpHash: "0123456789ABCDEF0123456789ABCDEF",
-			Parents: []string{src, model}, Quality: -2.5},
-	}
 	frame := data.MustNewFrame(
 		data.NewFloatColumn("x", []float64{0.5, 1.5, 2.5, 0.5}),
 		data.NewIntColumn("n", []int64{3, -1, 40000, 0}),
@@ -40,12 +49,14 @@ func goldenMessages() map[string]message {
 		Weights: []float64{0.5, -1.25}, Bias: 0.75, EpochsRun: 12}, Quality: 0.875, Features: []string{"x", "n"}}
 	auc := &graph.AggregateArtifact{Value: 0.875, Text: "auc"}
 	return map[string]message{
-		"COQ1": &OptimizeRequest{Nodes: nodes},
-		"CUQ2": &UpdateRequest{Nodes: nodes, WallTime: 2 * time.Second,
+		"COQ1": &OptimizeRequest{DAG: goldenDAG(true)},
+		"CUQ2": &UpdateRequest{DAG: goldenDAG(true), WallTime: 2 * time.Second,
 			Inline: []InlineArtifact{{ID: model, Content: logreg}, {ID: "score", Content: auc}, {ID: src}}},
-		"COR1": &OptimizeResponse{ReuseIDs: []string{src, "score"},
+		"COR1": &optimizeResponse{
+			Plan: &reuse.Plan{Reuse: map[string]bool{src: true, "score": true},
+				PredictedLoad: map[string]float64{src: 0.25, "score": 1.5}},
 			Warmstarts: []reuse.WarmstartCandidate{{VertexID: model, DonorID: hash, Quality: 0.75}},
-			Overhead:   1234567, PredictedLoadSec: []float64{0.25, 1.5}},
+			Overhead:   1234567},
 		"CUR1": &UpdateResponse{WantContent: []string{src, "score"}, Have: [][]int{{0, 2}, nil}},
 		"CPQ2": &uploadRequest{Items: []artifactUpload{{ID: "score", Blob: auc},
 			{ID: src, ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: frame.Columns()[1:]}}},
@@ -93,12 +104,8 @@ func TestMessagesMatchTheirGoldens(t *testing.T) {
 			t.Fatalf("%s: %v", magic, err)
 		}
 		want := m
-		if req, ok := m.(*OptimizeRequest); ok {
-			nodes := slices.Clone(req.Nodes)
-			for i := range nodes {
-				nodes[i].Columns, nodes[i].ColSizes = nil, nil
-			}
-			want = &OptimizeRequest{Nodes: nodes}
+		if magic == optimizeRequestMagic {
+			want = &OptimizeRequest{DAG: goldenDAG(false)}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s decoded as\n%+v\nwant\n%+v", magic, got, want)

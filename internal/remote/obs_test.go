@@ -104,7 +104,7 @@ func TestOptimizeResponseReuseIDsSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, err := (&OptimizeRequest{Nodes: ToWire(build())}).marshal()
+	body, err := (&OptimizeRequest{DAG: build()}).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,15 +117,17 @@ func TestOptimizeResponseReuseIDsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var or OptimizeResponse
-	if err := or.unmarshal(answer); err != nil {
-		t.Fatal(err)
+	// The reuse IDs are the first list of the answer.
+	r := open(answer, optimizeResponseMagic)
+	ids := readIDs(&r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
-	if len(or.ReuseIDs) < 2 {
-		t.Fatalf("want >= 2 reuse IDs to check ordering, got %v", or.ReuseIDs)
+	if len(ids) < 2 {
+		t.Fatalf("want >= 2 reuse IDs to check ordering, got %v", ids)
 	}
-	if !sort.StringsAreSorted(or.ReuseIDs) {
-		t.Errorf("ReuseIDs not sorted: %v", or.ReuseIDs)
+	if !sort.StringsAreSorted(ids) {
+		t.Errorf("reuse IDs not sorted: %v", ids)
 	}
 }
 

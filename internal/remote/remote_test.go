@@ -138,14 +138,7 @@ func TestWireRoundTripPreservesStructure(t *testing.T) {
 	frame := testFrame(20, 4)
 	w := buildPipeline(frame)
 	w.MarkComputed()
-	nodes := ToWire(w)
-	if len(nodes) != w.Len() {
-		t.Fatalf("wire has %d nodes, DAG has %d", len(nodes), w.Len())
-	}
-	back, err := FromWire(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := serverDAG(t, w)
 	if back.Len() != w.Len() {
 		t.Fatalf("reconstructed %d nodes, want %d", back.Len(), w.Len())
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -125,24 +124,7 @@ func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxMetaBody, &req) {
 		return
 	}
-	dag := wireDAG(w, req.Nodes)
-	if dag == nil {
-		return
-	}
-	opt := h.srv.Optimize(dag, request(r))
-	resp := OptimizeResponse{Warmstarts: opt.Warmstarts, Overhead: opt.Overhead}
-	for id := range opt.Plan.Reuse {
-		resp.ReuseIDs = append(resp.ReuseIDs, id)
-	}
-	// Map iteration order is random; sort so responses are byte-stable.
-	sort.Strings(resp.ReuseIDs)
-	if len(opt.Plan.PredictedLoad) > 0 {
-		resp.PredictedLoadSec = make([]float64, len(resp.ReuseIDs))
-		for i, id := range resp.ReuseIDs {
-			resp.PredictedLoadSec[i] = opt.Plan.PredictedLoad[id]
-		}
-	}
-	writeMessage(w, &resp)
+	writeMessage(w, (*optimizeResponse)(h.srv.Optimize(req.DAG, request(r))))
 }
 
 func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
@@ -150,11 +132,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxArtifactBody, &req) {
 		return
 	}
-	dag := wireDAG(w, req.Nodes)
-	if dag == nil {
-		return
-	}
-	content, err := inlineContent(dag, req.Inline)
+	content, err := inlineContent(req.DAG, req.Inline)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -164,17 +142,13 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	// merges before it selects — and the inline content travels beside it,
 	// so what the materializer selected and was not handed comes back as the
 	// list of content to upload.
-	resp := UpdateResponse{WantContent: h.srv.UpdateContent(dag, content, request(r), req.WallTime)}
-	wanted := make(map[string]int, len(resp.WantContent))
+	resp := UpdateResponse{WantContent: h.srv.UpdateContent(req.DAG, content, request(r), req.WallTime)}
 	for i, id := range resp.WantContent {
-		wanted[id] = i
-	}
-	for _, wn := range req.Nodes {
 		// Tell the client which columns of a wanted dataset to leave out.
 		// The answer may be stale by the time the upload arrives; the upload
 		// handler checks again.
-		if i, ok := wanted[wn.ID]; ok && len(wn.Columns) > 0 {
-			if held := h.srv.Store.HeldColumns(wn.Columns); len(held) > 0 {
+		if n := req.DAG.Node(id); n != nil && len(n.Columns) > 0 {
+			if held := h.srv.Store.HeldColumns(n.Columns); len(held) > 0 {
 				if resp.Have == nil {
 					resp.Have = make([][]int, len(resp.WantContent))
 				}
@@ -534,17 +508,6 @@ func refuseBody(w http.ResponseWriter, err error, limit int64) {
 	} else {
 		http.Error(w, fmt.Sprintf("decode: %v", err), http.StatusBadRequest)
 	}
-}
-
-// wireDAG rebuilds the workload DAG a meta-data request carries. It answers
-// 400 and returns nil for a node list that is not one (FromWire).
-func wireDAG(w http.ResponseWriter, nodes []WireNode) *graph.DAG {
-	dag, err := FromWire(nodes)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return nil
-	}
-	return dag
 }
 
 // writeMessage answers 200 with m and its exact Content-Length, or 500 when

@@ -100,7 +100,7 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 		{"not a vertex of the update", InlineArtifact{ID: "ghost", Content: model.Content}},
 	} {
 		srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
-		body := &UpdateRequest{Nodes: ToWire(dag), Inline: []InlineArtifact{valid, tc.bad}}
+		body := &UpdateRequest{DAG: dag, Inline: []InlineArtifact{valid, tc.bad}}
 		if code := postMeta(t, NewHandler(srv), "/v1/update", body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
@@ -108,12 +108,12 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 			t.Errorf("%s: the refused update reached the server (EG %d, store %d)", tc.name, srv.EG.Len(), srv.Store.Len())
 		}
 	}
-	frame := &UpdateRequest{Nodes: ToWire(dag), Inline: []InlineArtifact{valid, {ID: feat.ID, Content: feat.Content}}}
+	frame := &UpdateRequest{DAG: dag, Inline: []InlineArtifact{valid, {ID: feat.ID, Content: feat.Content}}}
 	if _, err := frame.marshal(); err == nil {
 		t.Error("a frame with columns was written inline")
 	}
 	srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
-	body := &UpdateRequest{Nodes: ToWire(dag), Inline: []InlineArtifact{valid}}
+	body := &UpdateRequest{DAG: dag, Inline: []InlineArtifact{valid}}
 	if code := postMeta(t, NewHandler(srv), "/v1/update", body); code != http.StatusOK || !srv.Store.Has(model.ID) {
 		t.Errorf("the valid item alone: status %d, stored %v", code, srv.Store.Has(model.ID))
 	}
@@ -142,8 +142,7 @@ func TestHostileBlobRecordsAreRefused(t *testing.T) {
 	if _, err := core.Execute(dag, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	nodes := ToWire(dag)
-	parents, err := parentIndices(nodes)
+	nodes, err := listOf(dag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestHostileBlobRecordsAreRefused(t *testing.T) {
 	}
 	update := func(blob []byte) []byte {
 		body, _ := marshal(updateRequestMagic, func(e *rec.Writer) {
-			writeNodes(e, nodes, parents, true)
+			nodes.write(e, true)
 			e.Uvarint(0)
 			e.Uvarint(1)
 			e.ID(model)
@@ -277,11 +276,13 @@ func (m *stepMeter) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		resp.Body = io.NopCloser(bytes.NewReader(answer))
-		var or OptimizeResponse
+		var or optimizeResponse
 		if err := or.unmarshal(answer); err != nil {
 			return nil, err
 		}
-		m.planned = append(m.planned, or.ReuseIDs...)
+		for id := range or.Plan.Reuse {
+			m.planned = append(m.planned, id)
+		}
 	}
 	return resp, nil
 }
@@ -349,11 +350,7 @@ func TestARunIsTwoRequestsPlusItsFetches(t *testing.T) {
 		uploads += calls["upload"]
 		fetches += len(fetched)
 
-		meta, err := FromWire(ToWire(r.dag))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range replay.Update(meta, nil, 0) {
+		for _, id := range replay.Update(serverDAG(t, r.dag), nil, 0) {
 			if n := r.dag.Node(id); n != nil && n.Content != nil {
 				if err := replay.PutArtifact(id, n.Content, nil); err != nil {
 					t.Fatal(err)
@@ -428,12 +425,12 @@ func FuzzUpdateDecode(f *testing.F) {
 		}
 	}
 	reqs := []*UpdateRequest{
-		{Nodes: ToWire(w1), WallTime: time.Second, Inline: inline(w1)},
-		{Nodes: ToWire(small), Inline: inline(small)},
-		{Nodes: ToWire(small), Inline: smuggled}, // a dataset inline: 400
+		{DAG: w1, WallTime: time.Second, Inline: inline(w1)},
+		{DAG: small, Inline: inline(small)},
+		{DAG: small, Inline: smuggled}, // a dataset inline: 400
 	}
 	for _, dag := range learnerRuns(f) {
-		reqs = append(reqs, &UpdateRequest{Nodes: ToWire(dag), Inline: inline(dag)})
+		reqs = append(reqs, &UpdateRequest{DAG: dag, Inline: inline(dag)})
 	}
 	for _, req := range reqs {
 		body, err := req.marshal()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -439,13 +440,7 @@ func TestAskedAndNeverUploadedIsAskedAgain(t *testing.T) {
 	if _, err := core.Execute(dag, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	update := func() []string {
-		meta, err := FromWire(ToWire(dag))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv.Update(meta, nil, 0)
-	}
+	update := func() []string { return srv.Update(serverDAG(t, dag), nil, 0) }
 	asked := update()
 	if len(asked) == 0 {
 		t.Fatal("first update asked for nothing")
@@ -494,13 +489,9 @@ func TestHaveIndexOutOfRangeIsIgnored(t *testing.T) {
 // graph keeps.
 func knownTo(t testing.TB, srv *core.Server, ids ...string) {
 	t.Helper()
-	nodes := make([]WireNode, len(ids))
-	for i, id := range ids {
-		nodes[i] = WireNode{ID: id, Kind: graph.DatasetKind}
-	}
-	dag, err := FromWire(nodes)
-	if err != nil {
-		t.Fatal(err)
+	dag := graph.NewDAG()
+	for _, id := range ids {
+		dag.Adopt(&graph.Node{ID: id, Kind: graph.DatasetKind})
 	}
 	srv.EG.Merge(dag)
 }
@@ -634,7 +625,11 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 // upload that declares more than its bound is refused without a byte of it
 // read.
 func TestOversizedBodiesAnswered413(t *testing.T) {
-	body, err := (&OptimizeRequest{Nodes: make([]WireNode, 64)}).marshal()
+	nodes := make([]*graph.Node, 64)
+	for i := range nodes {
+		nodes[i] = &graph.Node{ID: strconv.Itoa(i)}
+	}
+	body, err := (&OptimizeRequest{DAG: dagOf(nodes...)}).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +647,7 @@ func TestOversizedBodiesAnswered413(t *testing.T) {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body))
 	var out OptimizeRequest
-	if !readMessage(rec, req, int64(len(body)), &out) || len(out.Nodes) != 64 {
+	if !readMessage(rec, req, int64(len(body)), &out) || out.DAG.Len() != 64 {
 		t.Errorf("body at the limit was refused: status %d", rec.Code)
 	}
 
@@ -701,7 +696,8 @@ func (zeros) Read(p []byte) (int, error) {
 }
 
 // TestClientRecordsServerErrors: a server answering 500 is a recorded
-// failure on the fetch path and an error from StatsE, not silence.
+// failure on the fetch path and an error from StatsE and UpdateE, not
+// silence, and each error carries the reason the server gave.
 func TestClientRecordsServerErrors(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
@@ -711,11 +707,14 @@ func TestClientRecordsServerErrors(t *testing.T) {
 	if a := rc.Fetch("v"); a != nil {
 		t.Error("Fetch returned content from a 500")
 	}
-	if err := rc.Err(); err == nil {
-		t.Error("a 500 on fetch was not recorded")
+	if err := rc.Err(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("a 500 on fetch was recorded as %v, want the server's reason", err)
 	}
-	if _, err := rc.StatsE(); err == nil {
-		t.Error("StatsE returned no error on a 500")
+	if _, err := rc.StatsE(); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("StatsE returned %v on a 500, want the server's reason", err)
+	}
+	if err := rc.UpdateE(buildPipeline(testFrame(10, 1)), nil, 0); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("UpdateE returned %v on a 500, want the server's reason", err)
 	}
 
 	// 404 stays the protocol's "not stored", not an error.

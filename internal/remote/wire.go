@@ -1,6 +1,9 @@
 // Package remote implements the HTTP transport between clients and the
 // collaborative-optimizer server (Figure 2 split across machines). The
-// workload DAG travels as meta-data; artifact content moves lazily —
+// workload DAG travels as meta-data: the codec writes a client's graph.DAG
+// and reads a body straight into the graph.DAG the server plans on and
+// merges, and its decoder is the one place a node list that is not a DAG in
+// topological order is refused. Artifact content moves lazily —
 // downloaded when a plan reuses it; the models and aggregates a run
 // produced ride along with its update, and datasets are uploaded, in one
 // body per update, when the server's materializer selects them.
@@ -13,69 +16,30 @@
 package remote
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/calib"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/ml"
-	"repro/internal/reuse"
 )
 
-// WireNode is one workload vertex as shipped to the server: identity,
-// structure, and measurements — never content.
-type WireNode struct {
-	ID       string
-	Kind     graph.Kind
-	Name     string
-	OpHash   string
-	External bool
-	// Warmstartable training operations advertise their learner kind so
-	// the server can search donors.
-	WarmstartKind string
-	Parents       []string
-	Computed      bool
-	ComputeTime   time.Duration
-	SizeBytes     int64
-	Quality       float64
-	// Columns and ColSizes carry dataset lineage for dedup accounting and
-	// the update's Have answer; an optimize request leaves them behind.
-	Columns  []string
-	ColSizes []int64
-	// TrainedKind is the learner kind of an executed model vertex
-	// ("logreg", "gbt", ...), needed server-side for donor matching.
-	TrainedKind string
-	// LoadedFromEG through PredictedLoad carry the client's calibration
-	// measurements back on update: whether the vertex was fetched instead
-	// of computed, how long the fetch took, which tier served it, and the
-	// Cl(v) the plan predicted.
-	LoadedFromEG  bool
-	FetchTime     time.Duration
-	FetchTier     string
-	PredictedLoad time.Duration
-}
-
-// OptimizeRequest carries a pruned workload DAG in topological order.
+// OptimizeRequest is the body of POST /v1/optimize: a pruned workload DAG,
+// its vertices' meta-data without their column lineage.
 type OptimizeRequest struct {
-	Nodes []WireNode
+	DAG *graph.DAG
 }
 
-// OptimizeResponse returns the reuse plan and warmstart proposals.
-type OptimizeResponse struct {
-	ReuseIDs   []string
-	Warmstarts []reuse.WarmstartCandidate
-	Overhead   time.Duration
-	// PredictedLoadSec is aligned index-for-index with ReuseIDs: the
-	// planner's Cl(v) prediction in seconds for each reused vertex, so the
-	// client's executor can annotate fetches for calibration.
-	PredictedLoadSec []float64
-}
+// optimizeResponse is the answer to POST /v1/optimize: the reuse plan, as
+// its reuse IDs sorted and each one's predicted load, the warmstart
+// proposals and the planner's overhead.
+type optimizeResponse core.Optimization
 
 // UpdateRequest carries an executed DAG's meta-data and the content of what
 // the run produced that is not a dataset.
 type UpdateRequest struct {
-	Nodes []WireNode
+	DAG *graph.DAG
 	// WallTime is the client's measured Execute wall-clock time, for the
 	// calibration scorecard.
 	WallTime time.Duration
@@ -99,7 +63,7 @@ type InlineArtifact struct {
 type UpdateResponse struct {
 	WantContent []string
 	// Have is aligned index-for-index with WantContent: Have[i] lists the
-	// indices into vertex WantContent[i]'s WireNode.Columns (as sent on this
+	// indices into vertex WantContent[i]'s column lineage (as sent on this
 	// update) of the columns the server's store already holds, which the
 	// client leaves out of the upload. Indices, not lineage IDs, so the
 	// response grows by a byte per held column. A missing or empty entry
@@ -226,56 +190,9 @@ type Stats struct {
 	ArtifactNetSec   float64
 }
 
-// ToWire flattens a workload DAG into wire nodes in topological order.
-func ToWire(w *graph.DAG) []WireNode {
-	order := w.TopoOrder()
-	out := make([]WireNode, 0, len(order))
-	for _, n := range order {
-		wn := WireNode{
-			ID:            n.ID,
-			Kind:          n.Kind,
-			Name:          n.Name,
-			Computed:      n.Computed,
-			ComputeTime:   n.ComputeTime,
-			SizeBytes:     n.SizeBytes,
-			Quality:       n.Quality,
-			LoadedFromEG:  n.LoadedFromEG,
-			FetchTime:     n.FetchTime,
-			FetchTier:     n.FetchTier,
-			PredictedLoad: n.PredictedLoad,
-		}
-		for _, p := range n.Parents {
-			wn.Parents = append(wn.Parents, p.ID)
-		}
-		if n.Op != nil {
-			wn.OpHash = n.Op.Hash()
-			if ext, ok := n.Op.(interface{ External() bool }); ok && ext.External() {
-				wn.External = true
-			}
-			if wop, ok := n.Op.(graph.WarmstartableOp); ok && wop.CanWarmstart() {
-				wn.WarmstartKind = wop.ModelKind()
-			}
-		}
-		switch content := n.Content.(type) {
-		case *graph.DatasetArtifact:
-			if content.Frame != nil {
-				for _, c := range content.Frame.Columns() {
-					wn.Columns = append(wn.Columns, c.ID)
-					wn.ColSizes = append(wn.ColSizes, c.SizeBytes())
-				}
-			}
-		case *graph.ModelArtifact:
-			if content.Model != nil {
-				wn.TrainedKind = content.Model.Kind()
-			}
-		}
-		out = append(out, wn)
-	}
-	return out
-}
-
 // wireOp is the server-side stand-in for a client operation: it carries
-// the hash and flags but cannot run.
+// the hash and flags but cannot run. It is warmstartable when the client's
+// operation was, so donor search works server-side.
 type wireOp struct {
 	name          string
 	hash          string
@@ -291,70 +208,6 @@ func (o wireOp) External() bool      { return o.external }
 func (o wireOp) Run([]graph.Artifact) (graph.Artifact, error) {
 	panic("remote: wire operations are not executable on the server")
 }
-
-// wireWarmstartOp additionally satisfies graph.WarmstartableOp so donor
-// search works server-side.
-type wireWarmstartOp struct{ wireOp }
-
-func (o wireWarmstartOp) CanWarmstart() bool { return true }
-func (o wireWarmstartOp) ModelKind() string  { return o.warmstartKind }
-func (o wireWarmstartOp) SetDonor(ml.Model)  {}
-
-// FromWire reconstructs a meta-only workload DAG on the server. Node
-// identity is preserved verbatim (the server trusts client-computed IDs,
-// as both sides share the hashing scheme), structure is not: the list must
-// be a DAG in topological order, as ToWire produces it. A node that repeats
-// an ID, or names a parent that does not precede it, is an error — dropping
-// the edge instead would turn an operation's output into a "source", which
-// the updater stores outside the budget. (A list decoded off the wire has
-// its parents as indices of earlier nodes already; the rule stands for
-// in-process callers.)
-func FromWire(nodes []WireNode) (*graph.DAG, error) {
-	w := graph.NewDAG()
-	byID := make(map[string]*graph.Node, len(nodes))
-	for i, wn := range nodes {
-		if byID[wn.ID] != nil {
-			return nil, fmt.Errorf("wire node %d repeats ID %q", i, wn.ID)
-		}
-		n := &graph.Node{
-			ID:            wn.ID,
-			Kind:          wn.Kind,
-			Name:          wn.Name,
-			Computed:      wn.Computed,
-			ComputeTime:   wn.ComputeTime,
-			SizeBytes:     wn.SizeBytes,
-			Quality:       wn.Quality,
-			LoadedFromEG:  wn.LoadedFromEG,
-			FetchTime:     wn.FetchTime,
-			FetchTier:     wn.FetchTier,
-			PredictedLoad: wn.PredictedLoad,
-			Columns:       wn.Columns,
-			ColSizes:      wn.ColSizes,
-			ModelKind:     wn.TrainedKind,
-		}
-		for _, pid := range wn.Parents {
-			p := byID[pid]
-			if p == nil {
-				return nil, fmt.Errorf("wire node %d (%q): parent %q does not precede it", i, wn.ID, pid)
-			}
-			n.Parents = append(n.Parents, p)
-		}
-		if wn.OpHash != "" {
-			op := wireOp{
-				name:          wn.Name,
-				hash:          wn.OpHash,
-				kind:          wn.Kind,
-				external:      wn.External,
-				warmstartKind: wn.WarmstartKind,
-			}
-			if wn.WarmstartKind != "" {
-				n.Op = wireWarmstartOp{op}
-			} else {
-				n.Op = op
-			}
-		}
-		byID[wn.ID] = n
-		w.Adopt(n)
-	}
-	return w, nil
-}
+func (o wireOp) CanWarmstart() bool { return o.warmstartKind != "" }
+func (o wireOp) ModelKind() string  { return o.warmstartKind }
+func (o wireOp) SetDonor(ml.Model)  {}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -39,30 +38,60 @@ func postBody(h http.Handler, path string, body []byte) *httptest.ResponseRecord
 	return rec
 }
 
-// metaBody writes nodes as a request body of route, every parent as the
-// index of the first node that carries its ID, or the list's length when
-// none does. So it writes lists the client's encoder refuses: a parent that
-// does not precede its child is an index at or after the child's own.
-func metaBody(t testing.TB, route string, nodes []WireNode) []byte {
+// dagOf adopts nodes, in order, into a DAG.
+func dagOf(nodes ...*graph.Node) *graph.DAG {
+	dag := graph.NewDAG()
+	for _, n := range nodes {
+		dag.Adopt(n)
+	}
+	return dag
+}
+
+// serverDAG is the DAG a server decodes of an update carrying dag.
+func serverDAG(t testing.TB, dag *graph.DAG) *graph.DAG {
 	t.Helper()
-	var parents []int
-	for _, wn := range nodes {
-		for _, p := range wn.Parents {
-			j := slices.IndexFunc(nodes, func(n WireNode) bool { return n.ID == p })
-			if j < 0 {
-				j = len(nodes)
-			}
-			parents = append(parents, j)
+	body, err := (&UpdateRequest{DAG: dag}).marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req UpdateRequest
+	if err := req.unmarshal(body); err != nil {
+		t.Fatal(err)
+	}
+	return req.DAG
+}
+
+// metaBody writes a node list — not a DAG: its IDs may repeat and its
+// parents follow their children — as a request body of route, with every
+// field its nodes set, column lineage too, and every parent as the index of
+// the first node that carries its ID, or the list's length when none does.
+// So it writes lists the client's encoder cannot: a parent that does not
+// precede its child is an index at or after the child's own.
+func metaBody(t testing.TB, route string, nodes []*graph.Node) []byte {
+	t.Helper()
+	l := nodeList{nodes: nodes, at: make(map[string]int), hashes: make([]string, len(nodes))}
+	for i, n := range nodes {
+		if _, ok := l.at[n.ID]; !ok {
+			l.at[n.ID] = i
+		}
+		if n.Op != nil {
+			l.hashes[i] = n.Op.Hash()
 		}
 	}
-	update := route == "/v1/update"
+	for _, n := range nodes {
+		for _, p := range n.Parents {
+			if _, ok := l.at[p.ID]; !ok {
+				l.at[p.ID] = len(nodes)
+			}
+		}
+	}
 	magic := optimizeRequestMagic
-	if update {
+	if route == "/v1/update" {
 		magic = updateRequestMagic
 	}
 	b, err := marshal(magic, func(e *rec.Writer) {
-		writeNodes(e, nodes, parents, update)
-		if update {
+		l.write(e, true)
+		if magic == updateRequestMagic {
 			e.Uvarint(0) // wall time
 			e.Uvarint(0) // no inline artifact
 		}
@@ -73,50 +102,58 @@ func metaBody(t testing.TB, route string, nodes []WireNode) []byte {
 	return b
 }
 
-// wellFormed is the rule FromWire enforces, stated independently: IDs are
-// unique and every parent precedes its child.
-func wellFormed(nodes []WireNode) bool {
+// wellFormed is the rule the decoder enforces, stated independently: IDs
+// are unique, every parent precedes its child, every kind is one of the
+// four and every column lineage ID has its size.
+func wellFormed(nodes []*graph.Node) bool {
 	seen := make(map[string]bool, len(nodes))
-	for _, wn := range nodes {
-		if seen[wn.ID] {
+	for _, n := range nodes {
+		if seen[n.ID] || n.Kind > graph.SupernodeKind || len(n.Columns) != len(n.ColSizes) {
 			return false
 		}
-		for _, p := range wn.Parents {
-			if !seen[p] {
+		for _, p := range n.Parents {
+			if !seen[p.ID] {
 				return false
 			}
 		}
-		seen[wn.ID] = true
+		seen[n.ID] = true
 	}
 	return true
 }
 
 // TestMetaRequestsRejectNodeListsThatAreNotDAGs: a collaborative server
 // takes DAGs from strangers. A node list that is not a DAG in topological
-// order is a 400 on both meta-data routes and leaves the Experiment Graph
-// as it was — before, the offending edge was dropped, and an operation's
-// output entered the graph as a "source" the updater stores outside the
-// budget and asks the client to upload. On the wire a parent is an index,
-// so the codec refuses one that does not precede its child and FromWire a
-// repeated ID.
+// order, or holds a node the graph cannot take whole, is a 400 on both
+// meta-data routes and leaves the Experiment Graph as it was — before, the
+// offending edge was dropped, and an operation's output entered the graph
+// as a "source" the updater stores outside the budget and asks the client
+// to upload; a vertex of kind 9 was merged for good, and one with two column
+// IDs and one size merged without its lineage, which the storage-aware
+// strategy then mispriced. The decoder refuses them all. (An optimize
+// request carries no column lineage, so there the mismatched node is refused
+// for carrying it at all.)
 func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
-	src := WireNode{ID: "s", Kind: graph.DatasetKind, Name: "s"}
-	a := WireNode{ID: "a", Kind: graph.DatasetKind, Name: "a", OpHash: "ha", Parents: []string{"s"}, ComputeTime: time.Second, SizeBytes: 10}
-	b := WireNode{ID: "b", Kind: graph.DatasetKind, Name: "b", OpHash: "hb", Parents: []string{"a"}, ComputeTime: time.Second, SizeBytes: 10}
-	self := WireNode{ID: "x", Kind: graph.DatasetKind, OpHash: "hx", Parents: []string{"x"}}
+	src := &graph.Node{ID: "s", Kind: graph.DatasetKind, Name: "s"}
+	a := &graph.Node{ID: "a", Kind: graph.DatasetKind, Name: "a", Op: wireOp{hash: "ha"}, Parents: []*graph.Node{src}, ComputeTime: time.Second, SizeBytes: 10}
+	b := &graph.Node{ID: "b", Kind: graph.DatasetKind, Name: "b", Op: wireOp{hash: "hb"}, Parents: []*graph.Node{a}, ComputeTime: time.Second, SizeBytes: 10}
+	self := &graph.Node{ID: "x", Kind: graph.DatasetKind, Op: wireOp{hash: "hx"}}
+	self.Parents = []*graph.Node{self}
+	ghost := &graph.Node{ID: "ghost"}
 	cases := []struct {
 		name  string
-		nodes []WireNode
+		nodes []*graph.Node
 		want  int
 	}{
-		{"parent after child", []WireNode{src, b, a}, 400},
-		{"parent never sent", []WireNode{src, b}, 400},
-		{"parent listed twice, once unknown", []WireNode{src, {ID: "c", OpHash: "hc", Parents: []string{"s", "ghost"}}}, 400},
-		{"own parent", []WireNode{src, self}, 400},
-		{"repeated ID", []WireNode{src, a, a}, 400},
-		{"repeated source", []WireNode{src, src}, 400},
+		{"parent after child", []*graph.Node{src, b, a}, 400},
+		{"parent never sent", []*graph.Node{src, b}, 400},
+		{"parent listed twice, once unknown", []*graph.Node{src, {ID: "c", Op: wireOp{hash: "hc"}, Parents: []*graph.Node{src, ghost}}}, 400},
+		{"own parent", []*graph.Node{src, self}, 400},
+		{"repeated ID", []*graph.Node{src, a, a}, 400},
+		{"repeated source", []*graph.Node{src, src}, 400},
+		{"kind outside the four", []*graph.Node{src, {ID: "k", Kind: 9, Op: wireOp{hash: "hk"}, Parents: []*graph.Node{src}}}, 400},
+		{"two column IDs and one size", []*graph.Node{{ID: "c", Kind: graph.DatasetKind, Columns: []string{"c1", "c2"}, ColSizes: []int64{8}}}, 400},
 		{"empty", nil, 200},
-		{"topological", []WireNode{src, a, b}, 200},
+		{"topological", []*graph.Node{src, a, b}, 200},
 	}
 	for _, route := range []string{"/v1/optimize", "/v1/update"} {
 		for _, tc := range cases {
@@ -140,10 +177,26 @@ func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 func TestGobBodiesAreRefused(t *testing.T) {
 	dag := buildPipeline(testFrame(20, 1))
 	dag.MarkComputed()
+	// The gob protocol's meta-data requests carried a list of nodes.
+	type gobNode struct {
+		ID, Name string
+		Parents  []string
+	}
+	var nodes []gobNode
+	for _, n := range dag.TopoOrder() {
+		gn := gobNode{ID: n.ID, Name: n.Name}
+		for _, p := range n.Parents {
+			gn.Parents = append(gn.Parents, p.ID)
+		}
+		nodes = append(nodes, gn)
+	}
 	frame := testFrame(20, 1)
 	for route, body := range map[string]any{
-		"/v1/optimize": &OptimizeRequest{Nodes: ToWire(dag)},
-		"/v1/update":   &UpdateRequest{Nodes: ToWire(dag), WallTime: time.Second},
+		"/v1/optimize": struct{ Nodes []gobNode }{nodes},
+		"/v1/update": struct {
+			Nodes    []gobNode
+			WallTime time.Duration
+		}{nodes, time.Second},
 		"/v1/artifact": &artifactUpload{ID: "v", ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: frame.Columns()},
 	} {
 		var buf bytes.Buffer
@@ -164,32 +217,35 @@ func TestGobBodiesAreRefused(t *testing.T) {
 // nodesFromBytes reads a node list off raw fuzz input, four bytes a node:
 // ID, parent count (0–2) and two parent IDs, all from a 16-name alphabet so
 // that repeats, forward references and self loops are common.
-func nodesFromBytes(b []byte) []WireNode {
+func nodesFromBytes(b []byte) []*graph.Node {
 	name := func(c byte) string { return string(rune('a' + c%16)) }
-	var nodes []WireNode
+	var nodes []*graph.Node
 	for ; len(b) >= 4; b = b[4:] {
-		wn := WireNode{ID: name(b[0]), Kind: graph.DatasetKind, ComputeTime: time.Duration(b[1]) * time.Millisecond}
+		n := &graph.Node{ID: name(b[0]), Kind: graph.DatasetKind, ComputeTime: time.Duration(b[1]) * time.Millisecond}
 		for _, p := range b[2 : 2+b[1]%3] {
-			wn.Parents = append(wn.Parents, name(p))
+			n.Parents = append(n.Parents, &graph.Node{ID: name(p)})
 		}
-		if len(wn.Parents) > 0 {
-			wn.OpHash = "h" + wn.ID
+		if len(n.Parents) > 0 {
+			n.Op = wireOp{hash: "h" + n.ID}
 		}
-		nodes = append(nodes, wn)
+		nodes = append(nodes, n)
 	}
 	return nodes
 }
 
-// FuzzFromWire feeds FromWire node lists — the nodes of an update body when
-// the input decodes as one, a list read off the raw bytes otherwise. It must
-// accept exactly the well-formed lists, and what it accepts must merge into
-// an Experiment Graph whole (every node finds its parents) and leave the
-// graph's maintained state equal to the from-scratch derivation.
-func FuzzFromWire(f *testing.F) {
-	for _, nodes := range [][]WireNode{
-		ToWire(buildPipeline(testFrame(10, 1))),
-		{{ID: "s"}, {ID: "b", Parents: []string{"a"}}, {ID: "a", Parents: []string{"s"}}},
-		{{ID: "s"}, {ID: "s"}},
+// FuzzUpdateNodes feeds the update decoder node lists: an update body when
+// the input decodes as one, otherwise a list read off the raw bytes — one a
+// graph.DAG cannot hold, with repeats, forward parents and self loops —
+// written as an update body. The decoder must accept exactly the
+// well-formed lists, and what it accepts must merge into an Experiment Graph
+// whole (every node finds its parents) and leave the graph's maintained
+// state equal to the from-scratch derivation.
+func FuzzUpdateNodes(f *testing.F) {
+	s, a := &graph.Node{ID: "s"}, &graph.Node{ID: "a"}
+	for _, nodes := range [][]*graph.Node{
+		buildPipeline(testFrame(10, 1)).TopoOrder(),
+		{s, {ID: "b", Parents: []*graph.Node{a}}, {ID: "a", Parents: []*graph.Node{s}}},
+		{s, s},
 	} {
 		f.Add(metaBody(f, "/v1/update", nodes))
 	}
@@ -200,18 +256,18 @@ func FuzzFromWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req UpdateRequest
 		if err := req.unmarshal(body); err != nil {
-			req.Nodes = nodesFromBytes(body)
-		}
-		dag, err := FromWire(req.Nodes)
-		if want := wellFormed(req.Nodes); (err == nil) != want {
-			t.Fatalf("FromWire error %v on a list whose well-formedness is %v", err, want)
-		}
-		if err != nil {
-			return
+			nodes := nodesFromBytes(body)
+			err := req.unmarshal(metaBody(t, "/v1/update", nodes))
+			if want := wellFormed(nodes); (err == nil) != want {
+				t.Fatalf("decoder error %v on a list whose well-formedness is %v", err, want)
+			}
+			if err != nil {
+				return
+			}
 		}
 		g := eg.New()
-		if ins := g.Merge(dag); len(ins) != len(req.Nodes) || g.Len() != len(req.Nodes) {
-			t.Fatalf("merged %d of %d accepted nodes", len(ins), len(req.Nodes))
+		if ins := g.Merge(req.DAG); len(ins) != req.DAG.Len() || g.Len() != req.DAG.Len() {
+			t.Fatalf("merged %d of %d accepted nodes", len(ins), req.DAG.Len())
 		}
 		if err := egtest.Check(g); err != nil {
 			t.Fatal(err)
