@@ -34,24 +34,32 @@ loc:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./...
 
-# profile-train takes a CPU profile of the client kernels that are the wall of
-# the end-to-end ruler once reuse has removed the feature pipeline — Train and
-# Evaluate of a GBT variant (kaggle_variants, tiered_variants, kaggle_cold)
-# and the logistic regression's Train and bare fit (openml_stream, shared_2c)
-# — at the ruler's shapes, and prints the top of each. Test binaries and
-# profiles go to PROFILE_DIR, outside the repository.
+# profile-train takes a CPU profile of the client work that is the wall of
+# the end-to-end ruler — Train and Evaluate of a GBT variant (kaggle_variants,
+# tiered_variants, once reuse has removed the feature pipeline), W1's external
+# KDE, which no reuse removes and every kaggle_cold pass recomputes, the
+# logistic regression's Train and bare fit (openml_stream, shared_2c), and a
+# cold W1→W3 upload through the column codec (kaggle_cold) — at the ruler's
+# shapes, and prints the top of each. Test binaries and profiles go to
+# PROFILE_DIR, outside the repository.
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/collab-profile
 profile-train:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run=NONE -bench='TrainVariants/later|EvaluateVariants' -benchtime=200x \
 		-o $(PROFILE_DIR)/ops.test -cpuprofile $(PROFILE_DIR)/ops.prof ./internal/ops
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ops.test $(PROFILE_DIR)/ops.prof
+	$(GO) test -run=NONE -bench='KDE2D' -benchtime=20x \
+		-o $(PROFILE_DIR)/ops.test -cpuprofile $(PROFILE_DIR)/ops-kde.prof ./internal/ops
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ops.test $(PROFILE_DIR)/ops-kde.prof
 	$(GO) test -run=NONE -bench='TrainLogreg$$' -benchtime=100x \
 		-o $(PROFILE_DIR)/ops.test -cpuprofile $(PROFILE_DIR)/ops-logreg.prof ./internal/ops
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ops.test $(PROFILE_DIR)/ops-logreg.prof
 	$(GO) test -run=NONE -bench='LogisticRegressionFit$$' -benchtime=100x \
 		-o $(PROFILE_DIR)/ml.test -cpuprofile $(PROFILE_DIR)/ml.prof ./internal/ml
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ml.test $(PROFILE_DIR)/ml.prof
+	$(GO) test -run=NONE -bench='UploadColdPass$$' -benchtime=5x \
+		-o $(PROFILE_DIR)/remote.test -cpuprofile $(PROFILE_DIR)/upload.prof ./internal/remote
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/upload.prof
 
 # profile-update profiles the server's updater (Figure 2, step 5) on a
 # 10 000-vertex Experiment Graph with explain capture on, as collabd runs it:

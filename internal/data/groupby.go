@@ -197,7 +197,7 @@ func aggregateTokens[K comparable](toks []K, hash func(K) uint64, aggCols []*Col
 // key (one StringAt per group), matching the sequential kernel's sorted
 // output. Tokens are injective under rendering, so keys are unique and the
 // order is total.
-func sortGroupsByRenderedKey(kc *Column, groups []*gbGroup) []string {
+func sortGroupsByRenderedKey(kc *Column, groups []*gbGroup) {
 	keys := make([]string, len(groups))
 	parallel.For(len(groups), 256, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
@@ -210,11 +210,8 @@ func sortGroupsByRenderedKey(kc *Column, groups []*gbGroup) []string {
 	}
 	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 	sorted := make([]*gbGroup, len(groups))
-	sortedKeys := make([]string, len(groups))
 	for i, oi := range order {
 		sorted[i] = groups[oi]
-		sortedKeys[i] = keys[oi]
 	}
 	copy(groups, sorted)
-	return sortedKeys
 }

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -57,5 +58,20 @@ func BenchmarkEvaluateVariants(b *testing.B) {
 		if _, err := (Evaluate{Label: "TARGET", Metric: AUC}).Run(inputs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKDE2D is W1's external KDE at the kernel, which no reuse removes
+// from a pass: 4 000 rows on a 32 × 32 grid, at pool widths 1 and 2.
+func BenchmarkKDE2D(b *testing.B) {
+	f := kdeFrame(1, 4000)
+	op := KDE2D{ColX: "x", ColY: "y", GridSize: 32, Bandwidth: 0.5}
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprint("width=", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				kdeAt(b, width, op, f)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/ml"
+	"repro/internal/parallel"
 )
 
 // numericFeatureNames lists the numeric columns of f excluding the label.
@@ -354,7 +355,11 @@ func (o KDE2D) OutKind() graph.Kind { return graph.AggregateKind }
 // optimizer is oblivious to, §4.2 "Integration Limitations").
 func (o KDE2D) External() bool { return true }
 
-// Run implements graph.Operation.
+// Run implements graph.Operation. A row with a missing coordinate is left out
+// of the estimate. The density of each grid cell is summed over the rows in
+// order, one grid line of cells per task of the shared pool, and the cells
+// are added up in the serial loop's gx-major order, so the aggregate is the
+// same at every pool width.
 func (o KDE2D) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	in, err := one(inputs)
 	if err != nil {
@@ -372,51 +377,83 @@ func (o KDE2D) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if grid == 0 {
 		grid = 32
 	}
+	if grid < 2 {
+		return nil, fmt.Errorf("ops: kde2d: grid size %d, want at least 2", grid)
+	}
 	bw := o.Bandwidth
 	if bw == 0 {
 		bw = 1
 	}
-	minX, maxX := columnRange(cx)
-	minY, maxY := columnRange(cy)
-	spanX, spanY := maxX-minX, maxY-minY
-	if spanX <= 0 {
-		spanX = 1
-	}
-	if spanY <= 0 {
-		spanY = 1
-	}
-	var total float64
+	xs, ys := presentPairs(cx, cy)
+	minX, spanX := axisRange(xs)
+	minY, spanY := axisRange(ys)
 	inv := 1 / (2 * bw * bw)
-	n := cx.Len()
-	for gx := 0; gx < grid; gx++ {
-		px := minX + spanX*float64(gx)/float64(grid-1)
-		for gy := 0; gy < grid; gy++ {
-			py := minY + spanY*float64(gy)/float64(grid-1)
-			var dens float64
-			for i := 0; i < n; i++ {
-				dx := (cx.Float(i) - px) / spanX
-				dy := (cy.Float(i) - py) / spanY
-				dens += math.Exp(-(dx*dx + dy*dy) * inv)
+	// dy2[gy*n+i] is row i's squared distance to grid line gy along y, kept
+	// for every line (grid × the rows' floats); the x distances of one grid
+	// line are computed by the task that owns it.
+	n := len(xs)
+	dy2 := make([]float64, grid*n)
+	for gy := 0; gy < grid; gy++ {
+		squaredDistances(dy2[gy*n:(gy+1)*n], ys, minY+spanY*float64(gy)/float64(grid-1), spanY)
+	}
+	dens := make([]float64, grid*grid)
+	parallel.For(grid, 1, func(lo, hi int) {
+		dx2 := make([]float64, n)
+		for gx := lo; gx < hi; gx++ {
+			squaredDistances(dx2, xs, minX+spanX*float64(gx)/float64(grid-1), spanX)
+			for gy := 0; gy < grid; gy++ {
+				d2 := dy2[gy*n : (gy+1)*n]
+				var d float64
+				for i, v := range dx2 {
+					d += math.Exp(-(v + d2[i]) * inv)
+				}
+				dens[gx*grid+gy] = d
 			}
-			total += dens
 		}
+	})
+	var total float64
+	for _, d := range dens {
+		total += d
 	}
 	return &graph.AggregateArtifact{Value: total, Text: "kde2d"}, nil
 }
 
-func columnRange(c *data.Column) (float64, float64) {
-	mn, mx := math.Inf(1), math.Inf(-1)
-	for i := 0; i < c.Len(); i++ {
-		if c.IsMissing(i) {
+// presentPairs reads the rows where both columns hold a value.
+func presentPairs(cx, cy *data.Column) (xs, ys []float64) {
+	n := cx.Len()
+	xs, ys = make([]float64, 0, n), make([]float64, 0, n)
+	for i := 0; i < n; i++ {
+		x, y := cx.Float(i), cy.Float(i)
+		if math.IsNaN(x) || math.IsNaN(y) {
 			continue
 		}
-		v := c.Float(i)
-		if v < mn {
-			mn = v
+		xs, ys = append(xs, x), append(ys, y)
+	}
+	return xs, ys
+}
+
+// axisRange returns the least value and the span of vals, a span of 1 when
+// vals hold fewer than two distinct values.
+func axisRange(vals []float64) (lo, span float64) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if v < lo {
+			lo = v
 		}
-		if v > mx {
-			mx = v
+		if v > hi {
+			hi = v
 		}
 	}
-	return mn, mx
+	if span = hi - lo; span <= 0 {
+		span = 1
+	}
+	return lo, span
+}
+
+// squaredDistances writes ((v - p) / span)² for each of vals into out.
+func squaredDistances(out, vals []float64, p, span float64) {
+	for i, v := range vals {
+		d := (v - p) / span
+		out[i] = d * d
+	}
 }

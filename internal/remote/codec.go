@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/rec"
 	"repro/internal/reuse"
 	"repro/internal/tier"
@@ -397,13 +398,48 @@ func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Co
 		return encodedArtifact{}, fmt.Errorf("carries both a blob and a manifest")
 	}
 	a := encodedArtifact{form: datasetForm, colIDs: colIDs, names: names, records: make([][]byte, len(cols))}
-	for i, c := range cols {
-		var err error
-		if a.records[i], err = tier.EncodeColumn(c); err != nil {
+	cells := 0
+	for _, c := range cols {
+		if c != nil {
+			cells += c.Len()
+		}
+	}
+	errs := make([]error, len(cols))
+	eachRecord(len(cols), cells >= wideCells, func(i int) { a.records[i], errs[i] = tier.EncodeColumn(cols[i]) })
+	for _, err := range errs {
+		if err != nil {
 			return encodedArtifact{}, err
 		}
 	}
 	return a, nil
+}
+
+// A dataset's column records are encoded on the shared pool, one record per
+// task, when it has at least wideCells cells (rows × columns), and decoded
+// there when its records hold at least wideBytes bytes: sizes known before
+// the work starts. An OpenML-shaped frame (1 000 × 21, 160 KB of records)
+// stays on its caller, where a second core saves little and costs the other
+// client its share (DESIGN.md "Parallel execution"). Either way every record
+// is the one a serial loop makes, in its place.
+const (
+	wideCells = 32_000
+	wideBytes = 256 << 10
+)
+
+// eachRecord calls fn(i) for every i in [0, n): on the pool when wide, else
+// in order on the caller.
+func eachRecord(n int, wide bool, fn func(i int)) {
+	if !wide {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	parallel.For(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
 }
 
 func writeBlob(w *rec.Writer, record []byte) {
@@ -439,22 +475,45 @@ func readArtifact(r *rec.Reader) (blob graph.Artifact, colIDs, names []string, c
 			r.Fail("dataset manifest names no column")
 			return
 		}
-		if k := r.Count(1 + tier.MinColumnRecord); k > 0 {
-			cols = make([]*data.Column, k)
-			for i := range cols {
-				c, err := tier.DecodeColumn(r.Bytes(r.Count(1)))
-				if err != nil {
-					r.Nest(err, "column %d", i)
-					return
-				}
-				cols[i] = c
-			}
-		}
-		return nil, colIDs, names, cols
+		return nil, colIDs, names, readColumns(r)
 	default:
 		r.Fail("unknown artifact form %q", form)
 	}
 	return
+}
+
+// readColumns frames a dataset's column records in body order, then decodes
+// them. It fails r as a record-by-record read would: at the first record in
+// body order that does not decode, or else at the first that cannot be framed.
+func readColumns(r *rec.Reader) []*data.Column {
+	k := r.Count(1 + tier.MinColumnRecord)
+	if k == 0 {
+		return nil
+	}
+	// Framing reads a copy of r, so that a framing failure after a record
+	// that does not decode leaves r free to report that record.
+	framed := *r
+	records := make([][]byte, 0, k)
+	size := 0
+	for len(records) < k {
+		b := framed.Bytes(framed.Count(1))
+		if framed.Err() != nil {
+			break
+		}
+		records = append(records, b)
+		size += len(b)
+	}
+	cols := make([]*data.Column, len(records))
+	errs := make([]error, len(records))
+	eachRecord(len(records), size >= wideBytes, func(i int) { cols[i], errs[i] = tier.DecodeColumn(records[i]) })
+	for i, err := range errs {
+		if err != nil {
+			r.Nest(err, "column %d", i)
+			return nil
+		}
+	}
+	*r = framed
+	return cols
 }
 
 // readBlob reads a blob record: nil for the empty record and on an error.
