@@ -158,7 +158,8 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # repository, and is the only program code that computes a checksum. And it
 # keeps the storage layers apart: the tier imports no layer above it, and the
 # store, which keeps only policy over the tiers, does no file I/O — every
-# artifact file is the tier's.
+# artifact file is the tier's. And the snapshot layer does not depend on the
+# HTTP protocol: internal/persist registers the gob types it decodes itself.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
@@ -191,6 +192,10 @@ lint-layers:
 	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/store | grep -x 'os' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "internal/store imports os (artifact files are internal/tier's to read and write)"; exit 1; \
+	fi
+	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/persist | grep -x 'repro/internal/remote' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "internal/persist imports repro/internal/remote (the snapshot layer registers its own gob types)"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

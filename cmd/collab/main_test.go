@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/explain"
-	"repro/internal/obs"
 	"repro/internal/remote"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
@@ -60,9 +59,7 @@ func serve(t *testing.T, opts ...core.ServerOption) (*lastRequest, string) {
 // query each flag set turns into, a recognizable piece of the output, and
 // the server's own reason in the error when the surface is disabled.
 func TestViewSubcommands(t *testing.T) {
-	on, onURL := serve(t,
-		core.WithTracing(obs.NewTraceCapped(4096)),
-		core.WithExplain(explain.NewRecorder(8)))
+	on, onURL := serve(t, core.WithExplain(explain.NewRecorder(8)))
 	_, offURL := serve(t,
 		core.WithExplain(nil), core.WithFlightRecorder(nil),
 		core.WithClientTable(nil), core.WithArtifactLedger(nil))

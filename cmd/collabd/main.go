@@ -6,7 +6,7 @@
 //
 //	collabd -addr :7171 -budget 1073741824 -strategy sa -planner ln \
 //	        [-store-dir /var/lib/collab -mem-budget 268435456 -disk-budget 0] \
-//	        [-trace 65536] [-explain 16] [-pprof]
+//	        [-explain 16] [-pprof]
 //
 // -store-dir enables the durable artifact tier: cold artifacts demote to
 // checksummed, content-addressed files when the -mem-budget is exceeded (or
@@ -16,13 +16,14 @@
 //
 // Prometheus-style metrics are always served at /metrics (including
 // per-route request histograms, counters, and inflight gauges), liveness at
-// /healthz, and readiness at /readyz. Five flags each size one debugging
-// surface served at /v1/<flag>, 0 switching it off: -trace (rolling buffer
-// of server spans, Chrome trace JSON), -explain (optimizer decision
-// records), -requests (finished requests), -clients (per-caller
-// attribution, keyed by X-Collab-Client, else remote address), -artifacts
-// (artifact lifecycle and storage economics). -slow-request D warns on
-// requests slower than D; -pprof mounts net/http/pprof under /debug/pprof/.
+// /healthz, and readiness at /readyz. Four flags each size one debugging
+// surface served at /v1/<flag>, 0 switching it off: -explain (optimizer
+// decision records), -requests (finished requests, each with its plan,
+// lock-wait and materialization time: the server's timeline), -clients
+// (per-caller attribution, keyed by X-Collab-Client, else remote address),
+// -artifacts (artifact lifecycle and storage economics). -slow-request D
+// warns on requests slower than D; -pprof mounts net/http/pprof under
+// /debug/pprof/.
 //
 // On SIGINT or SIGTERM collabd stops accepting connections, lets requests
 // in flight finish (for up to 30 s), and only then flushes the memory tier
@@ -73,7 +74,7 @@ type config struct {
 	demoteIdle, checkpoint, slowWarn time.Duration
 	pruneIdle, pruneFreq             int
 	// Capacities of the debugging surfaces, 0 = off.
-	traceCap, explainCap, requestCap, clientCap, ledgerCap int
+	explainCap, requestCap, clientCap, ledgerCap int
 }
 
 // parseFlags parses collabd's arguments (without the program name).
@@ -96,7 +97,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&c.pruneIdle, "prune-idle", 0, "drop unmaterialized vertices idle for N workloads (0: never)")
 	fs.IntVar(&c.pruneFreq, "prune-min-freq", 0, "always keep vertices seen in at least N workloads")
 	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "periodic save interval when -data-dir is set")
-	fs.IntVar(&c.traceCap, "trace", 0, "keep the newest N server trace events for GET /v1/trace (0: tracing off)")
 	fs.IntVar(&c.explainCap, "explain", explain.DefaultCapacity, "keep the last N optimizer decision records for GET /v1/explain (0: explain off)")
 	fs.IntVar(&c.requestCap, "requests", obs.DefaultFlightCap, "keep the last N finished requests for GET /v1/requests (0: flight log off)")
 	fs.IntVar(&c.clientCap, "clients", obs.DefaultClientCap, "attribute resource usage to up to N distinct clients for GET /v1/clients (0: attribution off)")
@@ -164,7 +164,6 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 		cap  int
 		opt  core.ServerOption
 	}{
-		{"trace", c.traceCap, core.WithTracing(capped(c.traceCap, obs.NewTraceCapped))},
 		{"explain", c.explainCap, core.WithExplain(capped(c.explainCap, explain.NewRecorder))},
 		{"requests", c.requestCap, core.WithFlightRecorder(capped(c.requestCap, obs.NewRing[obs.Request]))},
 		{"clients", c.clientCap, core.WithClientTable(capped(c.clientCap, obs.NewClientTable))},

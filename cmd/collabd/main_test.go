@@ -28,9 +28,6 @@ func TestBenchArgumentLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if srv.Trace() != nil {
-			t.Error("tracing should default off")
-		}
 		if srv.Explain() == nil || srv.Flight() == nil || srv.Clients() == nil || srv.ArtifactLedger() == nil {
 			t.Error("explain, requests, clients and artifacts should default on")
 		}
@@ -50,10 +47,10 @@ func TestBenchArgumentLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if srv.Trace() != nil || srv.Explain() != nil || srv.Flight() != nil ||
+		if srv.Explain() != nil || srv.Flight() != nil ||
 			srv.Clients() != nil || srv.ArtifactLedger() != nil {
-			t.Errorf("a surface sized 0 still has a recorder: trace=%v explain=%v requests=%v clients=%v artifacts=%v",
-				srv.Trace(), srv.Explain(), srv.Flight(), srv.Clients(), srv.ArtifactLedger())
+			t.Errorf("a surface sized 0 still has a recorder: explain=%v requests=%v clients=%v artifacts=%v",
+				srv.Explain(), srv.Flight(), srv.Clients(), srv.ArtifactLedger())
 		}
 		if srv.Store.Ledger() != nil {
 			t.Error("-artifacts 0 left a ledger attached to the store")
@@ -83,9 +80,9 @@ func TestBenchArgumentLists(t *testing.T) {
 		}
 	})
 
-	// README "Metrics and tracing": the rolling server trace.
-	t.Run("traced", func(t *testing.T) {
-		c, err := parseFlags([]string{"-trace", "65536", "-clients", "64"})
+	// README "Saturation": a longer flight log and a wider client table.
+	t.Run("sized", func(t *testing.T) {
+		c, err := parseFlags([]string{"-requests", "4096", "-clients", "64"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,8 +90,8 @@ func TestBenchArgumentLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if srv.Trace().Cap() != 65536 || srv.Clients().Cap() != 64 {
-			t.Errorf("trace cap %d, clients cap %d; want 65536, 64", srv.Trace().Cap(), srv.Clients().Cap())
+		if srv.Flight().Cap() != 4096 || srv.Clients().Cap() != 64 {
+			t.Errorf("requests cap %d, clients cap %d; want 4096, 64", srv.Flight().Cap(), srv.Clients().Cap())
 		}
 	})
 

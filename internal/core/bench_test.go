@@ -139,13 +139,13 @@ func stageExecute(tb testing.TB, srv *Server, planned bool, opts ...ExecOption) 
 
 // traceArms compares Execute with tracing absent, disabled (nil recorder —
 // the WithTrace fast path, which builds no span arguments) and enabled (a
-// capped recorder, as collabd -trace N runs it).
+// recorder, as collab -trace runs it).
 func traceArms(tb testing.TB, workers int) []overheadArm {
 	srv, width := primedServer(tb), WithParallelism(workers)
 	return []overheadArm{
 		{"absent", stageExecute(tb, srv, false, width)},
 		{"disabled", stageExecute(tb, srv, false, width, WithTrace(nil))},
-		{"enabled", stageExecute(tb, srv, false, width, WithTrace(obs.NewTraceCapped(4096)))},
+		{"enabled", stageExecute(tb, srv, false, width, WithTrace(obs.NewTrace()))},
 	}
 }
 

@@ -133,6 +133,10 @@ func TestServerMetricsExposition(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// The lock section of the removed run-report call is gone.
+	if strings.Contains(out, `section="report"`) {
+		t.Error(`exposition still carries section="report"`)
+	}
 }
 
 // TestDisabledInstrumentsAllocateAsAbsent gates what the *Overhead benchmarks
@@ -206,73 +210,5 @@ func TestTimingsDoesNotQueueBehindAnUpdate(t *testing.T) {
 	}
 	if srv.LockWaitSeconds() != waited {
 		t.Error("reading the timings was accounted as lock wait")
-	}
-}
-
-// TestTraceBufferGauges: a tracing-enabled server exposes the recorder's
-// occupancy, drop count, and capacity as gauges on /metrics.
-func TestTraceBufferGauges(t *testing.T) {
-	tr := obs.NewTraceCapped(4)
-	srv := NewServer(store.New(cost.Memory()), WithTracing(tr))
-	// Each run emits a handful of server spans; enough runs overflow the
-	// 4-event cap so both occupancy and drop count are exercised.
-	for i := 0; i < 5; i++ {
-		if _, err := NewClient(srv).Run(synth.Wide(*wideWorkload(), 11)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var b strings.Builder
-	if err := srv.Metrics().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"collab_trace_buffered_events 4", // capped buffer is full after a run
-		"collab_trace_buffer_capacity 4",
-		"collab_trace_dropped_total",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// One name per signal: the pre-convention alias of the drop counter and
-	// the lock section of the removed run-report call are gone.
-	for _, gone := range []string{"collab_trace_dropped_events", `section="report"`} {
-		if strings.Contains(out, gone) {
-			t.Errorf("exposition still carries %q", gone)
-		}
-	}
-	if tr.Dropped() == 0 {
-		t.Error("capped recorder dropped nothing; gauge assertion is vacuous")
-	}
-
-	// Without tracing, the gauges stay unregistered.
-	srv2 := NewServer(store.New(cost.Memory()))
-	b.Reset()
-	if err := srv2.Metrics().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "collab_trace_buffered_events") {
-		t.Error("trace gauges registered on an untraced server")
-	}
-}
-
-func TestServerTracingSpans(t *testing.T) {
-	tr := obs.NewTrace()
-	srv := NewServer(store.New(cost.Memory()), WithTracing(tr))
-	if srv.Trace() != tr {
-		t.Fatal("Trace() should return the installed recorder")
-	}
-	if _, err := NewClient(srv).Run(synth.Wide(*wideWorkload(), 5)); err != nil {
-		t.Fatal(err)
-	}
-	cats := map[string]int{}
-	for _, ev := range tr.Events() {
-		cats[ev.Name]++
-	}
-	for _, want := range []string{"optimize", "update", "materialize"} {
-		if cats[want] == 0 {
-			t.Errorf("server trace missing %q span; got %v", want, cats)
-		}
 	}
 }

@@ -50,10 +50,8 @@ type Server struct {
 	settled *eg.Graph
 
 	// metrics is the server's observability registry (always on — updates
-	// are atomic counters, far below planning cost). trace is the opt-in
-	// server-side timeline; nil unless WithTracing was given.
+	// are atomic counters, far below planning cost).
 	metrics *serverMetrics
-	trace   *obs.Trace
 	// explain is the opt-in decision-introspection recorder (nil: the
 	// disabled fast path — no record is built, nothing allocates).
 	explain *explain.Recorder
@@ -170,17 +168,9 @@ func newServerMetrics() *serverMetrics {
 	return m
 }
 
-// lockWaitSpanThreshold gates lock-wait trace spans: uncontended
-// acquisitions (the common case by far) must not flood the trace buffer,
-// while any wait long enough to matter on a request's critical path is
-// kept. Histograms see every acquisition regardless.
-const lockWaitSpanThreshold = 100 * time.Microsecond
-
 // lockSection acquires the server mutex on behalf of the named section,
 // accounting the queue wait on the section's histogram and on the request
-// record, and — above lockWaitSpanThreshold — emitting a
-// "lock-wait:<section>" trace span (cat "lock") tagged with the request
-// that suffered it, so contention shows on the timeline. The
+// record, so the flight log shows which request waited and for how long. The
 // returned release observes the hold time and unlocks; callers defer it
 // exactly where they previously deferred s.mu.Unlock().
 func (s *Server) lockSection(section string, req *obs.Request) (release func()) {
@@ -190,23 +180,11 @@ func (s *Server) lockSection(section string, req *obs.Request) (release func()) 
 	req.LockWaitNanos += wait.Nanoseconds()
 	m := s.metrics
 	m.lockWait[section].Observe(wait.Seconds())
-	if s.trace != nil && wait >= lockWaitSpanThreshold {
-		s.trace.Span("lock-wait:"+section, "lock", 0, sw.StartedAt(), wait,
-			tagged(req, map[string]any{"section": section}))
-	}
 	hold := obs.StartTimer()
 	return func() {
 		m.lockHold[section].Observe(hold.Elapsed().Seconds())
 		s.mu.Unlock()
 	}
-}
-
-// tagged adds the request's ID, when it has one, to a trace span's args.
-func tagged(req *obs.Request, args map[string]any) map[string]any {
-	if req.RequestID != "" {
-		args[obs.RequestIDKey] = req.RequestID
-	}
-	return args
 }
 
 // untagged stands in for the record of a caller that passed none
@@ -246,13 +224,6 @@ func WithWarmstart(enabled bool) ServerOption {
 // unmaterialized vertices matching the policy are dropped.
 func WithPrunePolicy(p eg.PrunePolicy) ServerOption {
 	return func(srv *Server) { srv.prune = p }
-}
-
-// WithTracing attaches a server-side trace recorder: optimize, update, and
-// materialize phases record spans onto it, served by the remote handler's
-// /v1/trace endpoint. Nil (the default) disables tracing entirely.
-func WithTracing(t *obs.Trace) ServerOption {
-	return func(srv *Server) { srv.trace = t }
 }
 
 // WithExplain attaches a decision-introspection recorder: every optimize
@@ -349,7 +320,6 @@ func (s *Server) initMetrics() {
 			"disk reads rejected by checksum verification (files quarantined)"),
 		BytesFetched: reg.Counter("collab_store_fetched_bytes_total", "logical bytes served by store lookups"),
 		LockWait:     m.storeLockWait,
-		Trace:        s.trace,
 	})
 	// Build identity and uptime: an info-gauge (constant 1, facts in the
 	// labels, the Prometheus convention) plus a scrape-time uptime gauge.
@@ -390,25 +360,11 @@ func (s *Server) initMetrics() {
 		reg.GaugeFunc("collab_clients_tracked", "distinct clients in the attribution table",
 			func() float64 { return float64(s.clients.Len()) })
 	}
-	// Trace-recorder health: without these gauges, drops are only visible
-	// inside the exported trace JSON.
-	if s.trace != nil {
-		reg.GaugeFunc("collab_trace_buffered_events", "events currently in the trace buffer",
-			func() float64 { return float64(s.trace.Len()) })
-		reg.GaugeFunc("collab_trace_dropped_total", "events overwritten by the trace buffer cap",
-			func() float64 { return float64(s.trace.Dropped()) })
-		reg.GaugeFunc("collab_trace_buffer_capacity", "trace buffer capacity (0 = unbounded)",
-			func() float64 { return float64(s.trace.Cap()) })
-	}
 }
 
 // Metrics returns the server's observability registry, rendered by the
 // remote handler's /metrics endpoint.
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
-// Trace returns the server-side trace recorder, or nil when tracing is
-// disabled.
-func (s *Server) Trace() *obs.Trace { return s.trace }
 
 // Explain returns the decision-introspection recorder, or nil when
 // explain capture is disabled.
@@ -570,10 +526,10 @@ type Optimization struct {
 
 // Optimize runs the reuse planner on a pruned workload DAG (Figure 2,
 // step 3) and searches warmstart donors for eligible training operations.
-// The request's ID is attached to the trace span and the explain record, and
-// the edge's access-log line carries it with the plan facts below, so one
-// grep correlates the request end-to-end; its plan
-// facts and lock wait are written into req (nil: an untagged caller).
+// The request's ID is attached to the explain record, and the edge's
+// access-log line carries it with the plan facts below, so one grep
+// correlates the request end-to-end; its plan facts and lock wait are
+// written into req (nil: an untagged caller).
 func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 	req = untagged(req)
 	defer s.lockSection("optimize", req)()
@@ -603,10 +559,6 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 	if s.explain != nil {
 		s.explain.Add(explain.BuildOptimize(w, costs, plan, s.planner.Name(), req.RequestID, ws))
 	}
-	if s.trace != nil {
-		s.trace.Span("optimize", "server", 0, sw.StartedAt(), overhead,
-			tagged(req, map[string]any{"vertices": w.Len(), "reuse": len(plan.Reuse), "warmstarts": len(ws)}))
-	}
 	return &Optimization{Plan: plan, Warmstarts: ws, Overhead: overhead}
 }
 
@@ -622,8 +574,9 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 // already sending (askOnceLocked).
 //
 // wall, when positive, is the client's measured Execute wall-clock time,
-// folded into the request's calibration scorecard. The executed DAG's shape
-// and the lock wait are written into req (nil: an untagged caller).
+// folded into the request's calibration scorecard. The executed DAG's shape,
+// the lock wait and the materialization time are written into req (nil: an
+// untagged caller).
 func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string) {
 	content := make(map[string]graph.Artifact)
 	for _, n := range executed.Nodes() {
@@ -643,7 +596,6 @@ func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duratio
 func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Artifact, req *obs.Request, wall time.Duration) (want []string) {
 	req = untagged(req)
 	defer s.lockSection("update", req)()
-	sw := obs.StartTimer()
 
 	// Calibration reads EG predictions, so it must run before Merge
 	// refreshes them with this run's measurements.
@@ -654,10 +606,6 @@ func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Art
 	want = s.askOnceLocked(executed, s.applySelectionLocked(content, req, sc))
 	s.Store.Holding(func(held func(string) bool) { s.EG.Prune(s.prune, held) }) // what is stored stays
 	s.metrics.updateTotal.Inc()
-	if s.trace != nil {
-		s.trace.Span("update", "server", 0, sw.StartedAt(), sw.Elapsed(),
-			tagged(req, map[string]any{"vertices": executed.Len(), "want": len(want)}))
-	}
 	return want
 }
 
@@ -804,7 +752,6 @@ func (s *Server) askOnceLocked(executed *graph.DAG, want []string) []string {
 // reconciling every stored artifact with the whole selection left it
 // (TestDeltaUpdaterMatchesFullReconcile), at the cost of what changed.
 func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *obs.Request, sc *calib.Scorecard) (want []string) {
-	requestID := req.RequestID
 	// Task one: every raw source artifact is stored, outside the budget.
 	for _, id := range s.EG.Sources() {
 		if !s.Store.Has(id) {
@@ -824,19 +771,16 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *
 		run = s.strategy.Select(s.EG, held, s.budget, s.explain != nil, &s.scratch)
 	})
 	matElapsed := matSW.Elapsed()
+	req.MatNanos += matElapsed.Nanoseconds()
 	s.metrics.matRuns.Inc()
 	s.metrics.matSec.Observe(matElapsed.Seconds())
 	s.metrics.matSelected.Set(float64(run.Selected))
 	s.metrics.matConsidered.Add(int64(run.Eligible))
 	s.metrics.matVetoed.Add(int64(run.Vetoed))
 	if s.explain != nil {
-		rec := explain.BuildUpdate(run, s.Store.Profile(), s.strategy.Name(), s.budget, requestID)
+		rec := explain.BuildUpdate(run, s.Store.Profile(), s.strategy.Name(), s.budget, req.RequestID)
 		rec.Calibration = sc
 		s.explain.Add(rec)
-	}
-	if s.trace != nil {
-		s.trace.Span("materialize", "server", 0, matSW.StartedAt(), matElapsed,
-			tagged(req, map[string]any{"selected": run.Selected}))
 	}
 
 	// Evict artifacts that fell out of the selection; store newly selected

@@ -9,7 +9,6 @@
 package eg
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -35,8 +34,9 @@ type Vertex struct {
 	// External marks artifacts produced by third-party integrations that
 	// the optimizer may never materialize (§4.2).
 	External bool
-	// Meta carries artifact meta-data: column names for datasets,
-	// hyperparameters for models (§3.2).
+	// Meta carries artifact meta-data (§3.2): for a trained model, its
+	// learner kind under "model", which the warmstart search matches on. It
+	// is the same whether the run arrived in process or over the wire.
 	Meta map[string]string
 
 	// Parents and Children are vertex IDs; OpHash identifies the edge
@@ -44,11 +44,6 @@ type Vertex struct {
 	Parents  []string
 	Children []string
 	OpHash   string
-	// Op is the producing operation itself when known (in-process
-	// execution; nil for vertices learned over the wire). It powers the
-	// §9 future-work features: automatic pipeline construction and
-	// hyperparameter tuning. It is not persisted across restarts.
-	Op graph.Operation
 
 	// Columns lists the lineage column IDs of dataset artifacts, used by
 	// the storage-aware materializer's deduplication.
@@ -219,7 +214,6 @@ func (g *Graph) insertLocked(n *graph.Node) *Vertex {
 	}
 	if n.Op != nil {
 		v.OpHash = n.Op.Hash()
-		v.Op = n.Op
 		if ext, isExt := n.Op.(externalOp); isExt && ext.External() {
 			v.External = true
 		}
@@ -235,7 +229,8 @@ func (g *Graph) insertLocked(n *graph.Node) *Vertex {
 	return v
 }
 
-// annotateContentLocked records meta-data and column lineage from content.
+// annotateContentLocked records column lineage and the learner kind from
+// content: what annotateMetaLocked reads off a node that travels without it.
 func (g *Graph) annotateContentLocked(v *Vertex, content graph.Artifact) {
 	switch a := content.(type) {
 	case *graph.DatasetArtifact:
@@ -243,8 +238,6 @@ func (g *Graph) annotateContentLocked(v *Vertex, content graph.Artifact) {
 			return
 		}
 		v.Columns = v.Columns[:0]
-		g.setMetaLocked(v, "rows", fmt.Sprintf("%d", a.Frame.NumRows()))
-		g.setMetaLocked(v, "cols", fmt.Sprintf("%d", a.Frame.NumCols()))
 		for _, c := range a.Frame.Columns() {
 			v.Columns = append(v.Columns, c.ID)
 			g.colSizes[c.ID] = c.SizeBytes()
@@ -253,7 +246,6 @@ func (g *Graph) annotateContentLocked(v *Vertex, content graph.Artifact) {
 		if a.Model != nil {
 			g.setMetaLocked(v, "model", a.Model.Kind())
 		}
-		g.setMetaLocked(v, "quality", fmt.Sprintf("%.4f", a.Quality))
 	}
 }
 

@@ -17,7 +17,6 @@ func (g *Graph) Snapshot() *Snapshot {
 	s := &Snapshot{ColSizes: maps.Clone(g.colSizes)}
 	for _, v := range g.byID {
 		cp := *v
-		cp.Op = nil // operations are process-local; see Vertex.Op
 		cp.Parents = append([]string(nil), v.Parents...)
 		cp.Children = append([]string(nil), v.Children...)
 		cp.Columns = append([]string(nil), v.Columns...)

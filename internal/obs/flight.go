@@ -42,6 +42,9 @@ type Request struct {
 	// LockWaitNanos is time the request spent queued on the server mutex
 	// before its section (optimize/update/materialize) could run.
 	LockWaitNanos int64 `json:"lock_wait_ns,omitempty"`
+	// MatNanos is time the updater's materialization algorithm ran for
+	// this request (an update's share of collab_materialize_seconds).
+	MatNanos int64 `json:"mat_ns,omitempty"`
 }
 
 // ID returns the request's correlation ID; a nil record — a caller that
@@ -100,8 +103,9 @@ func NewFlightReport(reqs []Request, filter RequestFilter) FlightReport {
 // WriteJSON renders the report as byte-stable JSON.
 func (r FlightReport) WriteJSON(w io.Writer) error { return WriteJSON(w, r) }
 
-// WriteText renders one line per request, with the optimizer facts
-// appended where the request carried any.
+// WriteText renders one line per request, with the optimizer facts, the
+// lock wait and the materialization time appended where the request carried
+// any.
 func (r FlightReport) WriteText(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d request(s)\n", r.Count)
@@ -113,6 +117,12 @@ func (r FlightReport) WriteText(w io.Writer) error {
 			fmt.Fprintf(&b, "  vertices=%d reuse=%d computes=%d warmstarts=%d plan=%.2fms",
 				s.Vertices, s.Reused, s.Computes, s.Warmstarts,
 				float64(s.PlanNanos)/float64(time.Millisecond))
+		}
+		if s.LockWaitNanos > 0 {
+			fmt.Fprintf(&b, " lock=%.2fms", float64(s.LockWaitNanos)/float64(time.Millisecond))
+		}
+		if s.MatNanos > 0 {
+			fmt.Fprintf(&b, " mat=%.2fms", float64(s.MatNanos)/float64(time.Millisecond))
 		}
 		b.WriteByte('\n')
 	}

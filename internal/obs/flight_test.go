@@ -138,3 +138,26 @@ func TestFlightReportJSONGolden(t *testing.T) {
 		t.Errorf("text rendering:\n%s", text.String())
 	}
 }
+
+// TestFlightTextShowsLockWaitAndMaterialization: the text view shows the
+// queue wait and the materialization time of any record that has them — an
+// upload, which carries no optimizer facts, included — and nothing of either
+// on a record without them.
+func TestFlightTextShowsLockWaitAndMaterialization(t *testing.T) {
+	rep := FlightReport{Count: 3, Requests: []Request{
+		{Seq: 1, Route: "/v1/update", Vertices: 4, LockWaitNanos: 2500000, MatNanos: 750000},
+		{Seq: 2, Route: "/v1/artifact", LockWaitNanos: 1250000},
+		{Seq: 3, Route: "/v1/stats"},
+	}}
+	var text bytes.Buffer
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(text.String()), "\n")
+	if len(lines) != 4 ||
+		!strings.Contains(lines[1], "plan=0.00ms lock=2.50ms mat=0.75ms") ||
+		!strings.Contains(lines[2], "lock=1.25ms") || strings.Contains(lines[2], "mat=") ||
+		strings.Contains(lines[3], "lock=") || strings.Contains(lines[3], "mat=") {
+		t.Errorf("text rendering:\n%s", text.String())
+	}
+}

@@ -26,29 +26,22 @@ type TraceEvent struct {
 // ChromeTrace is the JSON-object form of a trace file, used by both the
 // exporter and tests that round-trip it.
 type ChromeTrace struct {
-	TraceEvents     []TraceEvent   `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit,omitempty"`
-	OtherData       map[string]any `json:"otherData,omitempty"`
+	TraceEvents     []TraceEvent `json:"traceEvents"`
+	DisplayTimeUnit string       `json:"displayTimeUnit,omitempty"`
 }
 
-// Trace records timeline events for one execution (or one server's
-// lifetime). All methods are safe for concurrent use and nil-safe: a nil
-// *Trace records nothing, which is the disabled fast path — callers still
-// guard argument construction behind a nil check to keep hot paths
-// allocation-free.
+// Trace records timeline events for one execution. All methods are safe for
+// concurrent use and nil-safe: a nil *Trace records nothing, which is the
+// disabled fast path — callers still guard argument construction behind a
+// nil check to keep hot paths allocation-free.
 type Trace struct {
 	epoch  time.Time
 	events *Ring[TraceEvent]
 }
 
 // NewTrace returns an unbounded recorder whose epoch is now.
-func NewTrace() *Trace { return NewTraceCapped(0) }
-
-// NewTraceCapped returns a rolling recorder that keeps the newest max
-// events and counts the ones it overwrote as dropped — for long-running
-// servers, where the recent past is what a debugger asks about.
-func NewTraceCapped(max int) *Trace {
-	return &Trace{epoch: time.Now(), events: NewRing[TraceEvent](max)}
+func NewTrace() *Trace {
+	return &Trace{epoch: time.Now(), events: NewRing[TraceEvent](0)}
 }
 
 func (t *Trace) sinceEpochMicros(ts time.Time) float64 {
@@ -91,13 +84,6 @@ func (t *Trace) ring() *Ring[TraceEvent] {
 // Len returns the number of buffered events.
 func (t *Trace) Len() int { return t.ring().Len() }
 
-// Cap returns the recorder's event capacity, 0 when unbounded. It feeds
-// the buffer-occupancy gauges alongside Len and Dropped.
-func (t *Trace) Cap() int { return t.ring().Cap() }
-
-// Dropped returns how many events the cap has overwritten.
-func (t *Trace) Dropped() int64 { return t.ring().Dropped() }
-
 // Events returns a copy of the buffered events, oldest first.
 func (t *Trace) Events() []TraceEvent { return t.ring().Snapshot() }
 
@@ -107,9 +93,6 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	ct := ChromeTrace{DisplayTimeUnit: "ms", TraceEvents: []TraceEvent{}}
 	if t != nil {
 		ct.TraceEvents = t.Events()
-		if d := t.Dropped(); d > 0 {
-			ct.OtherData = map[string]any{"droppedEvents": d}
-		}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&ct)

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 	"time"
 )
@@ -63,46 +62,5 @@ func TestNilTraceExportsValidJSON(t *testing.T) {
 	}
 	if got.TraceEvents == nil || len(got.TraceEvents) != 0 {
 		t.Fatal("nil trace should export an empty traceEvents array")
-	}
-}
-
-// TestTraceCapKeepsNewest pins the rolling-buffer contract of a capped
-// (server) trace: after cap+k events the newest cap are served — so the
-// spans of a request that arrived long after start-up are in the export
-// — Dropped() counts the k overwritten ones, and the Chrome export reports
-// them as droppedEvents.
-func TestTraceCapKeepsNewest(t *testing.T) {
-	const capN, k = 4, 3
-	tr := NewTraceCapped(capN)
-	start := time.Now()
-	for i := 0; i < capN+k; i++ {
-		tr.Span(fmt.Sprintf("span-%d", i), "server", 0, start, time.Millisecond,
-			map[string]any{RequestIDKey: fmt.Sprintf("req-%d", i)})
-	}
-	if tr.Len() != capN || tr.Cap() != capN {
-		t.Fatalf("capped trace holds %d of %d events, want it full", tr.Len(), tr.Cap())
-	}
-	if tr.Dropped() != k {
-		t.Fatalf("dropped = %d, want %d", tr.Dropped(), k)
-	}
-	for i, ev := range tr.Events() {
-		if want := fmt.Sprintf("span-%d", k+i); ev.Name != want {
-			t.Fatalf("event %d = %s, want %s (newest %d, oldest first)", i, ev.Name, want, capN)
-		}
-		if want := fmt.Sprintf("req-%d", k+i); ev.Args[RequestIDKey] != want {
-			t.Fatalf("event %d carries request %v, want %s", i, ev.Args[RequestIDKey], want)
-		}
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got ChromeTrace
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.OtherData["droppedEvents"] != float64(k) || len(got.TraceEvents) != capN {
-		t.Errorf("export has %d events, otherData %v; want %d events, droppedEvents %d",
-			len(got.TraceEvents), got.OtherData, capN, k)
 	}
 }

@@ -31,10 +31,10 @@ import (
 	"repro/internal/eg"
 	"repro/internal/graph"
 	"repro/internal/rec"
-
-	// Register artifact and model types for gob.
-	_ "repro/internal/remote"
 )
+
+// The store snapshot holds artifacts as gob interface values.
+func init() { graph.RegisterGobTypes() }
 
 const (
 	egFile    = "eg.gob"

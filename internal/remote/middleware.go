@@ -226,7 +226,8 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Int("computes", req.Computes),
 			slog.Int("warmstarts", req.Warmstarts),
 			slog.Int64("plan_ns", req.PlanNanos),
-			slog.Int64("lock_wait_ns", req.LockWaitNanos))
+			slog.Int64("lock_wait_ns", req.LockWaitNanos),
+			slog.Int64("mat_ns", req.MatNanos))
 	}
 	h.log.Info("http", attrs...)
 	if h.slowWarn > 0 && elapsed > h.slowWarn {

@@ -256,7 +256,6 @@ func TestRequestsEndpointDisabled(t *testing.T) {
 func TestGETContentTypes(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()),
 		core.WithBudget(1<<30),
-		core.WithTracing(obs.NewTrace()),
 		core.WithExplain(explain.NewRecorder(8)),
 	)
 	ts := httptest.NewServer(NewHandler(srv, WithPprof(false)))
@@ -273,7 +272,6 @@ func TestGETContentTypes(t *testing.T) {
 		want string
 	}{
 		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/v1/trace", "application/json"},
 		{"/v1/stats", "application/json"},
 		{"/v1/requests", "application/json"},
 		{"/v1/calibration", "application/json"},
@@ -346,7 +344,7 @@ func TestAccessLogCarriesThePlanFacts(t *testing.T) {
 	ts.Close() // every handler has returned: the buffer is complete
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
 
-	facts := []string{" vertices=", " reused=", " computes=", " warmstarts=", " plan_ns=", " lock_wait_ns="}
+	facts := []string{" vertices=", " reused=", " computes=", " warmstarts=", " plan_ns=", " lock_wait_ns=", " mat_ns="}
 	lines := map[string]int{} // per path
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		if !strings.Contains(line, "level=INFO msg=http "+obs.RequestIDKey+"=") {
@@ -361,6 +359,9 @@ func TestAccessLogCarriesThePlanFacts(t *testing.T) {
 			if strings.Contains(line, f) != planned {
 				t.Errorf("field%s present=%v, want %v: %s", f, !planned, planned, line)
 			}
+		}
+		if path == "/v1/update" && strings.Contains(line, " mat_ns=0") {
+			t.Errorf("the update's line carries no materialization time: %s", line)
 		}
 	}
 	// One run is one optimize and one update, each logged once.

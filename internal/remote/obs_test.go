@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ops"
 	"repro/internal/store"
+	"repro/internal/workloads/openml"
 )
 
 // postRaw sends an arbitrary body to a handler path and returns the
@@ -203,46 +206,64 @@ func TestServerPublishesNoKernelSignals(t *testing.T) {
 	}
 }
 
-func TestTraceEndpoint(t *testing.T) {
-	// Tracing disabled: 404.
-	srvOff := core.NewServer(store.New(cost.Memory()))
-	tsOff := httptest.NewServer(NewHandler(srvOff))
-	defer tsOff.Close()
-	resp, err := http.Get(tsOff.URL + "/v1/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("trace on untraced server: status %d, want 404", resp.StatusCode)
-	}
-	resp.Body.Close()
-
-	// Tracing enabled: serves Chrome trace JSON with server spans.
-	tr := obs.NewTrace()
-	srv := core.NewServer(store.New(cost.Memory()), core.WithTracing(tr))
+// TestUpdateRecordsCarryMaterializationTime: each update's flight record
+// carries the time its materialization run took, and over twenty OpenML
+// pipelines those times add up to collab_materialize_seconds_sum — the
+// record is the server's timeline, the histogram a fold of the same
+// measurements.
+func TestUpdateRecordsCarryMaterializationTime(t *testing.T) {
+	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30),
+		core.WithFlightRecorder(obs.NewRing[obs.Request](1024)))
 	ts := httptest.NewServer(NewHandler(srv))
 	defer ts.Close()
 	rc := NewClient(ts.URL, cost.Memory())
-	if _, err := core.NewClient(rc).Run(buildPipeline(testFrame(150, 8))); err != nil {
-		t.Fatal(err)
+	cfg := openml.Config{Rows: 200, Features: 8, Seed: 31}
+	frame := openml.GenerateDataset(cfg)
+	const pipelines = 20
+	for _, p := range openml.SamplePipelines(cfg, pipelines, false) {
+		mustRun(t, rc, p.Build(frame))
 	}
-	resp, err = http.Get(ts.URL + "/v1/trace")
+
+	var updates int
+	var matNanos int64
+	for _, req := range srv.Flight().Snapshot() {
+		if req.Route != "/v1/update" {
+			continue
+		}
+		updates++
+		if req.MatNanos <= 0 {
+			t.Errorf("update #%d (%s) has mat_ns %d, want > 0", req.Seq, req.RequestID, req.MatNanos)
+		}
+		matNanos += req.MatNanos
+	}
+	if updates != pipelines {
+		t.Fatalf("%d update records for %d pipelines", updates, pipelines)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var ct obs.ChromeTrace
-	if err := json.NewDecoder(resp.Body).Decode(&ct); err != nil {
-		t.Fatalf("trace endpoint is not Chrome trace JSON: %v", err)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	names := map[string]bool{}
-	for _, ev := range ct.TraceEvents {
-		names[ev.Name] = true
-	}
-	for _, want := range []string{"optimize", "update", "materialize"} {
-		if !names[want] {
-			t.Errorf("server trace missing %q span", want)
+	const family = "collab_materialize_seconds_sum "
+	var sum float64 = -1
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, family); ok {
+			if sum, err = strconv.ParseFloat(rest, 64); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if sum < 0 {
+		t.Fatalf("/metrics carries no %q", family)
+	}
+	if diff := math.Abs(float64(matNanos)/1e9 - sum); diff > pipelines*1e-6 {
+		t.Errorf("update records sum to %d ns of materialization, the histogram to %v s: %v s apart, want within 1µs per update",
+			matNanos, sum, diff)
 	}
 }
 

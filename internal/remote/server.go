@@ -82,7 +82,6 @@ func (h *Handler) routes() []route {
 		{"POST /v1/artifact", http.HandlerFunc(h.putArtifact)},
 		{"GET /v1/stats", http.HandlerFunc(h.stats)},
 		{"GET /metrics", h.srv.Metrics().Handler()},
-		{"GET /v1/trace", http.HandlerFunc(h.trace)},
 		{"GET /v1/calibration", report(h.calibration)},
 		{"GET /v1/explain", report(h.explain)},
 		{"GET /v1/requests", report(h.requests)},
@@ -289,19 +288,6 @@ func (st *Stats) calibration(r *calib.Report) {
 
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
-}
-
-// trace serves the server-side timeline as Chrome trace_event JSON, ready
-// for chrome://tracing or Perfetto. 404 unless the server was started
-// with tracing enabled (core.WithTracing).
-func (h *Handler) trace(w http.ResponseWriter, _ *http.Request) {
-	tr := h.srv.Trace()
-	if tr == nil {
-		http.Error(w, "tracing disabled on this server", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = tr.WriteChrome(w)
 }
 
 // The report views. Each debugging surface is a function from the query to

@@ -3,9 +3,11 @@ package remote
 import (
 	"bytes"
 	"encoding/gob"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/ops"
 	"repro/internal/rec"
 	"repro/internal/store"
+	"repro/internal/workloads/openml"
 )
 
 // postMeta encodes a meta-data message and POSTs it at the handler.
@@ -356,5 +359,63 @@ func TestRemoteUpdatePricesNewFramesWithTheirLineage(t *testing.T) {
 	if !reflect.DeepEqual(remote, inProcess) {
 		t.Errorf("materialized over HTTP %d vertices, in process %d:\n http %v\n proc %v",
 			len(remote), len(inProcess), remote, inProcess)
+	}
+}
+
+// TestMergeRecordsTheSameGraphInProcessAndOverTheWire: an executed DAG merged
+// as it stands, with its content, and the same DAG as a server decodes it
+// from an update, meta-data only, leave the Experiment Graph the same
+// vertices with the same parents, column lineage, column sizes and
+// meta-data — whichever way a run arrives.
+func TestMergeRecordsTheSameGraphInProcessAndOverTheWire(t *testing.T) {
+	cfg := openml.Config{Rows: 120, Features: 6, Seed: 31}
+	for i, dag := range []*graph.DAG{
+		buildPipeline(testFrame(120, 1)),
+		openml.SamplePipelines(cfg, 1, false)[0].Build(openml.GenerateDataset(cfg)),
+	} {
+		if _, err := core.Execute(dag, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		inProcess, wire := eg.New(), eg.New()
+		inProcess.Merge(dag)
+		wire.Merge(serverDAG(t, dag))
+
+		if inProcess.Len() != dag.Len() || wire.Len() != dag.Len() {
+			t.Fatalf("DAG %d: %d nodes merge into %d vertices in process, %d over the wire",
+				i, dag.Len(), inProcess.Len(), wire.Len())
+		}
+		var models, datasets int
+		for _, a := range inProcess.Vertices() {
+			b := wire.Vertex(a.ID)
+			if b == nil {
+				t.Fatalf("DAG %d: vertex %s (%s) is missing over the wire", i, a.ID, a.Name)
+			}
+			if a.Kind != b.Kind || !slices.Equal(a.Parents, b.Parents) {
+				t.Errorf("DAG %d, %s: kind %v parents %v in process, kind %v parents %v over the wire",
+					i, a.Name, a.Kind, a.Parents, b.Kind, b.Parents)
+			}
+			if !slices.Equal(a.Columns, b.Columns) {
+				t.Errorf("DAG %d, %s: columns %v in process, %v over the wire", i, a.Name, a.Columns, b.Columns)
+			}
+			for _, c := range a.Columns {
+				if inProcess.ColumnSize(c) != wire.ColumnSize(c) {
+					t.Errorf("DAG %d, %s: column %s is %d bytes in process, %d over the wire",
+						i, a.Name, c, inProcess.ColumnSize(c), wire.ColumnSize(c))
+				}
+			}
+			if !maps.Equal(a.Meta, b.Meta) {
+				t.Errorf("DAG %d, %s: meta-data %v in process, %v over the wire", i, a.Name, a.Meta, b.Meta)
+			}
+			if a.Kind == graph.ModelKind && a.Meta["model"] != "" {
+				models++
+			}
+			if len(a.Columns) > 0 {
+				datasets++
+			}
+		}
+		if models == 0 || datasets == 0 {
+			t.Fatalf("DAG %d has %d models with a learner kind and %d datasets with lineage: the comparison is vacuous",
+				i, models, datasets)
+		}
 	}
 }

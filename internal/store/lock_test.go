@@ -11,14 +11,12 @@ import (
 
 // TestLockWriteAccounting verifies the manager's write-lock wait
 // instrumentation: every write-path acquisition observes the wait
-// histogram, and a wait above the span threshold lands a lock-wait span on
-// the attached trace.
+// histogram, and a contended one observes the time it queued.
 func TestLockWriteAccounting(t *testing.T) {
 	m := New(cost.Memory())
 	reg := obs.NewRegistry()
-	tr := obs.NewTrace()
 	hist := reg.Histogram("collab_store_lock_wait_seconds", "test", nil)
-	m.Instrument(Metrics{LockWait: hist, Trace: tr})
+	m.Instrument(Metrics{LockWait: hist})
 
 	if err := m.Put("v1", &graph.ModelArtifact{Quality: 0.5}); err != nil {
 		t.Fatal(err)
@@ -26,11 +24,8 @@ func TestLockWriteAccounting(t *testing.T) {
 	if hist.Count() != 1 {
 		t.Fatalf("uncontended Put observed %d waits, want 1", hist.Count())
 	}
-	if tr.Len() != 0 {
-		t.Fatal("uncontended acquisition emitted a trace span below the threshold")
-	}
 
-	// Hold the write lock so a concurrent Put queues past the threshold.
+	// Hold the write lock so a concurrent Put queues behind it.
 	m.mu.Lock()
 	done := make(chan struct{})
 	go func() {
@@ -46,14 +41,5 @@ func TestLockWriteAccounting(t *testing.T) {
 	}
 	if hist.Sum() < 0.001 {
 		t.Fatalf("wait sum = %v s, want >= 1ms (lock was held 5ms)", hist.Sum())
-	}
-	var found bool
-	for _, ev := range tr.Events() {
-		if ev.Name == "lock-wait:store" && ev.Cat == "lock" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no lock-wait:store span after a 5ms wait; events: %+v", tr.Events())
 	}
 }

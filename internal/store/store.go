@@ -83,16 +83,7 @@ type Metrics struct {
 	// (Put, Get, Evict, Demote, DemoteIdle, FlushToDisk) — the
 	// eviction/admission serialization point under concurrent clients.
 	LockWait *obs.Histogram
-	// Trace, when non-nil, receives a "lock-wait:store" span (cat "lock")
-	// for each write-lock wait above lockWaitSpanThreshold, so store
-	// contention shows on the timeline next to the request that waited.
-	Trace *obs.Trace
 }
-
-// lockWaitSpanThreshold gates lock-wait trace spans: uncontended
-// acquisitions must not flood the trace buffer. The histogram sees every
-// acquisition regardless.
-const lockWaitSpanThreshold = 100 * time.Microsecond
 
 // Options configures the tiered manager beyond the memory profile.
 type Options struct {
@@ -243,12 +234,8 @@ func (m *Manager) Ledger() *obs.ArtifactLedger { return m.ledger.Load() }
 func (m *Manager) lockWrite() {
 	sw := obs.StartTimer()
 	m.mu.Lock()
-	wait := sw.Elapsed()
 	if m.met.LockWait != nil {
-		m.met.LockWait.Observe(wait.Seconds())
-	}
-	if m.met.Trace != nil && wait >= lockWaitSpanThreshold {
-		m.met.Trace.Span("lock-wait:store", "lock", 0, sw.StartedAt(), wait, nil)
+		m.met.LockWait.Observe(sw.Elapsed().Seconds())
 	}
 }
 
