@@ -7,6 +7,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -551,7 +552,7 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 	m.planPrunedCost.Add(int64(plan.Stats.PrunedByCost))
 	m.planPrunedNoMat.Add(int64(plan.Stats.PrunedNotMaterialized))
 	m.warmstartsFound.Add(int64(len(ws)))
-	req.Vertices = w.Len()
+	req.Vertices, req.Frontier = w.Len(), frontierNodes(w)
 	req.Reused = len(plan.Reuse)
 	req.Computes = plan.Stats.Computes
 	req.Warmstarts = len(ws)
@@ -584,7 +585,20 @@ func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duratio
 			content[n.ID] = n.Content
 		}
 	}
-	return s.UpdateContent(executed, content, req, wall)
+	want, _ = s.UpdateContent(executed, content, req, wall) // a DAG with content has no frontier
+	return want
+}
+
+// FrontierError is UpdateContent's refusal of a DAG whose frontier nodes
+// (graph.Node.Frontier) name vertices the Experiment Graph does not hold —
+// pruned, or lost to a restart, since the client was told they were known.
+// Nothing of that update was applied.
+type FrontierError struct {
+	Unknown []string
+}
+
+func (e *FrontierError) Error() string {
+	return fmt.Sprintf("the experiment graph does not hold %d frontier vertices of the update", len(e.Unknown))
 }
 
 // UpdateContent is Update with the content that is available handed over
@@ -592,10 +606,23 @@ func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duratio
 // handler's entry point, whose DAG is meta-data only — so eg.Merge annotates
 // it from the wire meta-data — and whose content is what the client sent
 // inline with the update. What the materializer selects of that content is
-// stored during the update and never asked for.
-func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Artifact, req *obs.Request, wall time.Duration) (want []string) {
+// stored during the update and never asked for. A frontier node stands for
+// a vertex of the graph and its ancestors; when the graph does not hold one
+// of them, the update changes nothing and returns a *FrontierError naming
+// them all.
+func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Artifact, req *obs.Request, wall time.Duration) (want []string, err error) {
 	req = untagged(req)
 	defer s.lockSection("update", req)()
+
+	var unknown []string
+	for _, n := range executed.Nodes() {
+		if n.Frontier && !s.EG.Has(n.ID) {
+			unknown = append(unknown, n.ID)
+		}
+	}
+	if unknown != nil {
+		return nil, &FrontierError{Unknown: unknown}
+	}
 
 	// Calibration reads EG predictions, so it must run before Merge
 	// refreshes them with this run's measurements.
@@ -606,7 +633,7 @@ func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Art
 	want = s.askOnceLocked(executed, s.applySelectionLocked(content, req, sc))
 	s.Store.Holding(func(held func(string) bool) { s.EG.Prune(s.prune, held) }) // what is stored stays
 	s.metrics.updateTotal.Inc()
-	return want
+	return want, nil
 }
 
 // observeExecutionLocked feeds the calibration collector from an executed
@@ -676,7 +703,7 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, w
 			s.calib.ObserveCompute(op, v.ComputeTime, n.ComputeTime)
 		}
 	}
-	req.Vertices, req.Reused = executed.Len(), reused
+	req.Vertices, req.Frontier, req.Reused = executed.Len(), frontierNodes(executed), reused
 	if !measured && wall <= 0 {
 		return nil
 	}
@@ -684,6 +711,16 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, w
 	sc.WallSec = wall.Seconds()
 	s.calib.RecordScorecard(sc)
 	return &sc
+}
+
+// frontierNodes counts the frontier nodes of a DAG the server received.
+func frontierNodes(w *graph.DAG) (n int) {
+	for _, node := range w.Nodes() {
+		if node.Frontier {
+			n++
+		}
+	}
+	return n
 }
 
 // PutArtifact stores uploaded content for a vertex. It is the upload half of

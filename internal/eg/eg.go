@@ -141,6 +141,18 @@ func (g *Graph) ColumnSize(id string) int64 {
 	return g.colSizes[id]
 }
 
+// Columns returns the column lineage IDs of a vertex, copied under the
+// graph's read lock: nil for a vertex it does not hold or one without
+// lineage.
+func (g *Graph) Columns(id string) []string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if v := g.vertices[id]; v != nil {
+		return slices.Clone(v.Columns)
+	}
+	return nil
+}
+
 // externalOp detects operations whose outputs must never be materialized.
 type externalOp interface{ External() bool }
 
@@ -156,22 +168,41 @@ type externalOp interface{ External() bool }
 // node naming a parent the graph does not hold — unknown, or later in the
 // DAG — is skipped, and so, in turn, is every node that descends from it:
 // the graph never holds a vertex without its parents.
+//
+// A Frontier node stands for its vertex and every ancestor of it: the
+// workload touched them all, so each is counted once, whether the walk up
+// from a frontier vertex or a node of the DAG reaches it first — exactly
+// what merging the same DAG with its ancestors would count. A frontier node
+// whose vertex the graph does not hold is skipped: there is nothing to
+// insert it under.
 func (g *Graph) Merge(w *graph.DAG) []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.mergeCount++
 	var inserted []string
 	known := len(g.byID)
+	// touched is what this merge has counted, kept when the workload has a
+	// frontier (nil otherwise: every vertex then comes once, as its node).
+	var touched map[*Vertex]bool
+	if slices.ContainsFunc(w.Nodes(), func(n *graph.Node) bool { return n.Frontier }) {
+		touched = make(map[*Vertex]bool, w.Len())
+	}
 	for _, n := range w.Nodes() {
 		v, ok := g.vertices[n.ID]
 		if !ok {
+			if n.Frontier {
+				continue
+			}
 			if v = g.insertLocked(n); v == nil {
 				continue
 			}
 			inserted = append(inserted, v.ID)
 		}
-		v.Frequency++
-		v.LastSeen = g.mergeCount
+		if n.Frontier {
+			g.touchAncestryLocked(v, touched)
+		} else {
+			g.touchLocked(v, touched)
+		}
 		// Refresh measurements from this execution when available. A changed
 		// compute time reaches the Cr of the descendants, a changed model
 		// quality the p of the ancestors.
@@ -195,6 +226,39 @@ func (g *Graph) Merge(w *graph.DAG) []string {
 	g.sortInsertedLocked(known)
 	g.refreshLocked()
 	return inserted
+}
+
+// touchLocked counts one appearance of v in the workload being merged,
+// unless touched (nil: the workload has no frontier, so every vertex comes
+// once) says this merge already counted it. It reports whether it counted.
+func (g *Graph) touchLocked(v *Vertex, touched map[*Vertex]bool) bool {
+	if touched != nil {
+		if touched[v] {
+			return false
+		}
+		touched[v] = true
+	}
+	v.Frequency++
+	v.LastSeen = g.mergeCount
+	return true
+}
+
+// touchAncestryLocked counts v and every ancestor of it that this merge has
+// not counted yet. It stops at a counted vertex: its ancestors were counted
+// with it, as a node's parents precede it in the DAG and a frontier vertex's
+// walk goes all the way up.
+func (g *Graph) touchAncestryLocked(v *Vertex, touched map[*Vertex]bool) {
+	stack := []*Vertex{v}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !g.touchLocked(u, touched) {
+			continue
+		}
+		for _, p := range u.Parents {
+			stack = append(stack, g.vertices[p])
+		}
+	}
 }
 
 // insertLocked adds the vertex of a workload node and links it under its

@@ -172,3 +172,48 @@ func TestTopoOrderParentsFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeCountsAFrontierAndItsAncestryOnce: a frontier node stands for its
+// vertex and every ancestor of it, so a merge counts them all, and counts a
+// vertex reached both as a node and from a frontier once — what merging the
+// whole DAG counts. A frontier node the graph does not hold is skipped, and
+// with it what descends from it; the maintained order stays whole.
+func TestMergeCountsAFrontierAndItsAncestryOnce(t *testing.T) {
+	g := New()
+	w, src, a, b := buildChain()
+	g.Merge(w)
+
+	// src → a → b, sent as: a live src, b as a frontier node (its ancestry
+	// a and src), and c ← b, d ← src.
+	live := &graph.Node{ID: src.ID, Kind: src.Kind, Computed: true}
+	front := &graph.Node{ID: b.ID, Kind: b.Kind, Computed: true, Frontier: true, SizeBytes: 70}
+	c := &graph.Node{ID: "c", Kind: graph.AggregateKind, Op: stubOp{name: "c"}, Parents: []*graph.Node{front}}
+	d := &graph.Node{ID: "d", Kind: graph.AggregateKind, Op: stubOp{name: "d"}, Parents: []*graph.Node{live}}
+	sent := graph.NewDAG()
+	for _, n := range []*graph.Node{live, front, c, d} {
+		sent.Adopt(n)
+	}
+	if ins := g.Merge(sent); len(ins) != 2 {
+		t.Fatalf("inserted %v, want c and d", ins)
+	}
+	for id, want := range map[string]int{src.ID: 2, a.ID: 2, b.ID: 2, "c": 1, "d": 1} {
+		if v := g.Vertex(id); v.Frequency != want || v.LastSeen != 2 {
+			t.Errorf("%s: frequency %d last seen %d, want %d and 2", id, v.Frequency, v.LastSeen, want)
+		}
+	}
+	if got := g.Vertex(b.ID).SizeBytes; got != 70 {
+		t.Errorf("the frontier node's measurement did not land: size %d", got)
+	}
+
+	lost := &graph.Node{ID: "lost", Kind: graph.DatasetKind, Computed: true, Frontier: true}
+	e := &graph.Node{ID: "e", Kind: graph.AggregateKind, Op: stubOp{name: "e"}, Parents: []*graph.Node{lost}}
+	orphan := graph.NewDAG()
+	orphan.Adopt(lost)
+	orphan.Adopt(e)
+	if ins := g.Merge(orphan); len(ins) != 0 || g.Has("lost") || g.Has("e") {
+		t.Errorf("an unknown frontier vertex entered the graph: inserted %v", ins)
+	}
+	if err := g.CheckOrder(); err != nil {
+		t.Fatal(err)
+	}
+}

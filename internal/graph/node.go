@@ -96,6 +96,13 @@ type Node struct {
 	Columns   []string
 	ColSizes  []int64
 	ModelKind string
+
+	// Frontier marks a Computed node that travelled without its parents (the
+	// remote protocol's frontier form): it stands for itself and every
+	// ancestor the Experiment Graph holds for its ID, which names them all,
+	// since an ID is derived from the parents' IDs. Only the wire decoder
+	// sets it.
+	Frontier bool
 }
 
 // SourceID returns the vertex ID of a raw source dataset by name.
@@ -117,5 +124,6 @@ func DeriveNodeID(opHash string, parents []*Node) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// IsSource reports whether the node is a raw-data source vertex.
-func (n *Node) IsSource() bool { return len(n.Parents) == 0 }
+// IsSource reports whether the node is a raw-data source vertex: it has no
+// parents, and not because it travelled without them (Frontier).
+func (n *Node) IsSource() bool { return len(n.Parents) == 0 && !n.Frontier }

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/parallel"
@@ -44,6 +45,28 @@ func BenchmarkGBTFitParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkHistogram fills the root histogram of a tree at the Kaggle
+// training-input shape, 3 000 rows × 41 features, at pool widths 1 and 2:
+// the shape of a GBT variant's Train, where the pool's hand-off costs about
+// what a second core saves (DESIGN.md "Parallel execution").
+func BenchmarkHistogram(b *testing.B) {
+	cols, y := mixedColumns(rand.New(rand.NewSource(5)), 3000, 41)
+	g := newGrower(binColumns(cols), 3, 1)
+	rows := make([]int, len(y))
+	for i := range rows {
+		rows[i] = i
+	}
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			prev := parallel.SetWorkers(w)
+			defer parallel.SetWorkers(prev)
+			for i := 0; i < b.N; i++ {
+				g.release(g.histogram(g.feats, y, rows))
+			}
+		})
+	}
 }
 
 func BenchmarkKNNPredictParallel(b *testing.B) {

@@ -33,8 +33,10 @@ type Request struct {
 	BytesIn       int64 `json:"bytes_in"`
 	BytesOut      int64 `json:"bytes_out"`
 	// Optimizer facts, written by core.Server; all zero for plain
-	// transport requests.
+	// transport requests. Vertices counts the nodes the server received,
+	// Frontier those of them that came without their parents.
 	Vertices   int   `json:"vertices,omitempty"`
+	Frontier   int   `json:"frontier,omitempty"`
 	Reused     int   `json:"reuse,omitempty"`
 	Computes   int   `json:"computes,omitempty"`
 	Warmstarts int   `json:"warmstarts,omitempty"`
@@ -114,9 +116,12 @@ func (r FlightReport) WriteText(w io.Writer) error {
 			s.Seq, s.RequestID, s.Method, s.Route, s.Status,
 			float64(s.WallNanos)/float64(time.Millisecond), s.BytesIn, s.BytesOut)
 		if s.Vertices > 0 {
-			fmt.Fprintf(&b, "  vertices=%d reuse=%d computes=%d warmstarts=%d plan=%.2fms",
-				s.Vertices, s.Reused, s.Computes, s.Warmstarts,
-				float64(s.PlanNanos)/float64(time.Millisecond))
+			fmt.Fprintf(&b, "  vertices=%d", s.Vertices)
+			if s.Frontier > 0 {
+				fmt.Fprintf(&b, " frontier=%d", s.Frontier)
+			}
+			fmt.Fprintf(&b, " reuse=%d computes=%d warmstarts=%d plan=%.2fms",
+				s.Reused, s.Computes, s.Warmstarts, float64(s.PlanNanos)/float64(time.Millisecond))
 		}
 		if s.LockWaitNanos > 0 {
 			fmt.Fprintf(&b, " lock=%.2fms", float64(s.LockWaitNanos)/float64(time.Millisecond))

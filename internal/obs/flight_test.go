@@ -139,6 +139,32 @@ func TestFlightReportJSONGolden(t *testing.T) {
 	}
 }
 
+// TestFlightTextShowsTheFrontier: a record of a request whose DAG came in
+// its frontier form says how many of the vertices it received were frontier
+// vertices, in JSON and after vertices= in the text view; one without any
+// says nothing of them.
+func TestFlightTextShowsTheFrontier(t *testing.T) {
+	rep := NewFlightReport([]Request{
+		{Seq: 1, RequestID: "r1", Route: "/v1/optimize", Vertices: 5, Frontier: 2, Reused: 1, Computes: 2},
+		{Seq: 2, RequestID: "r2", Route: "/v1/update", Vertices: 4, Reused: 1},
+	}, RequestFilter{})
+	var text, js bytes.Buffer
+	if err := rep.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(text.String()), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[1], "vertices=5 frontier=2 reuse=1 computes=2") ||
+		!strings.Contains(lines[2], "vertices=4 reuse=1") || strings.Contains(lines[2], "frontier=") {
+		t.Errorf("text rendering:\n%s", text.String())
+	}
+	if strings.Count(js.String(), `"frontier": 2`) != 1 || strings.Count(js.String(), `"frontier"`) != 1 {
+		t.Errorf("JSON rendering:\n%s", js.String())
+	}
+}
+
 // TestFlightTextShowsLockWaitAndMaterialization: the text view shows the
 // queue wait and the materialization time of any record that has them — an
 // upload, which carries no optimizer facts, included — and nothing of either

@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -45,6 +46,11 @@ type Client struct {
 
 	mu      sync.Mutex
 	lastErr error
+	// unknown holds, by the ID of the run that asked, the frontier vertices
+	// an optimize answer said the server does not hold, until that run's
+	// update sends them with their ancestry. A run whose execution fails
+	// never updates, and leaves its few IDs behind.
+	unknown map[string][]string
 	// name, when set, travels as the X-Collab-Client header on every
 	// request so the server's per-client attribution table keys on a
 	// stable collaborator identity instead of the remote address.
@@ -116,14 +122,35 @@ func (c *Client) Optimize(w *graph.DAG, req *obs.Request) *core.Optimization {
 }
 
 // OptimizeE is Optimize with error reporting. Vertices the session store
-// holds are installed into w first, so the server plans around them.
+// holds are installed into w first, so the server plans around them, and w
+// travels in its frontier form. The frontier vertices the server does not
+// hold are remembered for the run's update.
 func (c *Client) OptimizeE(w *graph.DAG, req *obs.Request) (*core.Optimization, error) {
 	c.installHeld(w)
 	var resp optimizeResponse
 	if err := c.exchange("/v1/optimize", req, &OptimizeRequest{DAG: w}, &resp); err != nil {
 		return nil, err
 	}
-	return (*core.Optimization)(&resp), nil
+	if rid := req.ID(); rid != "" && len(resp.Unknown) > 0 {
+		c.mu.Lock()
+		if c.unknown == nil {
+			c.unknown = make(map[string][]string)
+		}
+		c.unknown[rid] = resp.Unknown
+		c.mu.Unlock()
+	}
+	return &resp.Optimization, nil
+}
+
+// unknownFrontier returns, and forgets, the frontier vertices the optimize
+// of run req was told the server does not hold.
+func (c *Client) unknownFrontier(req *obs.Request) []string {
+	rid := req.ID()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := c.unknown[rid]
+	delete(c.unknown, rid)
+	return ids
 }
 
 // Update implements core.Optimizer: ship metadata with the models and
@@ -140,13 +167,22 @@ func (c *Client) Update(executed *graph.DAG, req *obs.Request, wall time.Duratio
 
 // UpdateE is Update with error reporting: one POST /v1/update and at most
 // one POST /v1/artifact, plus one resend of what the server refused for a
-// column it lost in between. What the run computed or loaded goes into the
-// session store whether or not the server can be reached.
+// column it lost in between. The DAG travels in its frontier form, the
+// frontier vertices the optimize answer named with their ancestry; when the
+// server has lost a frontier vertex since (409), the update goes once more
+// with that vertex's ancestry too. What the run computed or loaded goes into
+// the session store whether or not the server can be reached.
 func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Duration) error {
 	c.holdContent(executed)
 	var resp UpdateResponse
-	body := &UpdateRequest{DAG: executed, WallTime: wall, Inline: inline(executed)}
-	if err := c.exchange("/v1/update", req, body, &resp); err != nil {
+	body := &UpdateRequest{DAG: executed, Unknown: c.unknownFrontier(req), WallTime: wall, Inline: inline(executed)}
+	err := c.exchange("/v1/update", req, body, &resp)
+	var conflict *frontierConflict
+	if errors.As(err, &conflict) {
+		body.Unknown = append(body.Unknown, conflict.Unknown...)
+		err = c.exchange("/v1/update", req, body, &resp)
+	}
+	if err != nil {
 		return err
 	}
 	up := uploadBatch{held: make(map[string]bool)}
@@ -379,7 +415,8 @@ func (c *Client) upload(items []artifactUpload, req *obs.Request) ([]string, err
 
 // exchange POSTs a message, its length the request's Content-Length, and
 // decodes a 200 answer into resp. A 204 answer has no body and leaves resp
-// as it was; any other status is an error.
+// as it was; a 409 answer is returned as the *frontierConflict it carries;
+// any other status is an error.
 func (c *Client) exchange(path string, req *obs.Request, body, resp message) error {
 	b, err := body.marshal()
 	if err != nil {
@@ -390,10 +427,13 @@ func (c *Client) exchange(path string, req *obs.Request, body, resp message) err
 		return err
 	}
 	defer closeBody(r)
+	var conflict frontierConflict
 	switch r.StatusCode {
 	case http.StatusOK:
 	case http.StatusNoContent:
 		return nil
+	case http.StatusConflict:
+		resp = &conflict
 	default:
 		return statusError(path, r)
 	}
@@ -403,6 +443,9 @@ func (c *Client) exchange(path string, req *obs.Request, body, resp message) err
 	}
 	if err != nil {
 		return fmt.Errorf("remote: decode %s answer: %w", path, err)
+	}
+	if r.StatusCode == http.StatusConflict {
+		return &conflict
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -24,19 +25,22 @@ import (
 //
 //	message  = magic fields
 //	magic    = "C", route ("O" optimize | "U" update | "P" upload |
-//	           "G" download), direction ("Q" request | "R" response),
-//	           version ("1", or "2" for a message that carries blob records)
+//	           "G" download), direction ("Q" request | "R" response |
+//	           "C" the 409 answer), version (the layout's: "1" for the
+//	           first, one more at every change)
 //	uvarint  = sizes and durations too, so none can be negative
 //	str      = rec's id: 16 bytes for 32 lowercase hex digits (vertex IDs,
 //	           op hashes, column lineage IDs), any other string as itself
 //	float    = 8 bytes, the little-endian IEEE-754 bits
 //	list(x)  = uvarint count, count × x
 //
-//	"COQ1" list(node without columns)
-//	"CUQ2" list(node) uvarint(wall time, ns) list(str inline ID, blob)
-//	"COR1" list(str reuse ID) list(str vertex, str donor, float quality)
+//	"COQ2" list(node without columns)
+//	"CUQ3" list(node) uvarint(wall time, ns) list(str inline ID, blob)
+//	"COR2" list(str reuse ID) list(str vertex, str donor, float quality)
 //	       uvarint(overhead, ns) list(float predicted load, s)
+//	       list(str unknown frontier ID)
 //	"CUR1" list(str wanted ID) list(list(uvarint held column index))
+//	"CUC1" list(str unknown frontier ID)
 //	"CPQ2" list(str ID, artifact)
 //	"CPR1" list(str refused ID)
 //	"CGR2" artifact
@@ -50,8 +54,12 @@ import (
 // fields, in the order of the has* constants) followed by the fields whose
 // bit is set, in bit order. A zero field is left out; a bool is its bit
 // alone. A parent is the index of an earlier node of the same list. A node
-// list is written from a graph.DAG in its TopoOrder and read straight into
-// one (writeNode, readDAG).
+// list is written from a graph.DAG in its frontier form, in its TopoOrder,
+// and read straight into one (listOf, writeNode, readDAG): the live nodes
+// with their parents, and the frontier — the Computed nodes the walk up from
+// the terminals stops at — as frontier nodes, which carry their kind and
+// the run's measurements of them and nothing the graph already holds: no
+// name, operation, parents or column lineage.
 //
 // An artifact is a model, an aggregate or a dataset without columns as its
 // blob record of internal/tier ("B"), the bytes a blob file of the disk tier
@@ -64,10 +72,11 @@ import (
 // without reflection, as every other field: no type descriptors travel, and
 // nothing is compiled per request.
 const (
-	optimizeRequestMagic  = "COQ1"
-	updateRequestMagic    = "CUQ2"
-	optimizeResponseMagic = "COR1"
+	optimizeRequestMagic  = "COQ2"
+	updateRequestMagic    = "CUQ3"
+	optimizeResponseMagic = "COR2"
 	updateResponseMagic   = "CUR1"
+	updateConflictMagic   = "CUC1"
 	uploadRequestMagic    = "CPQ2"
 	uploadResponseMagic   = "CPR1"
 	downloadResponseMagic = "CGR2"
@@ -99,11 +108,15 @@ const (
 	hasFetchTime
 	hasFetchTier
 	hasPredictedLoad
+	isFrontier
 
 	nodeFields = 1<<iota - 1
 	// columnFields never travel on an optimize request: the planner prices
 	// from the Experiment Graph and the store, not from column lineage.
 	columnFields = hasColumns | hasColSizes
+	// structureFields never travel on a frontier node: the graph holds them
+	// under its ID.
+	structureFields = hasName | hasOpHash | isExternal | hasWarmstartKind | hasParents
 )
 
 // message is a body the protocol moves.
@@ -113,7 +126,7 @@ type message interface {
 }
 
 func (m *OptimizeRequest) marshal() ([]byte, error) {
-	nodes, err := listOf(m.DAG)
+	nodes, err := listOf(m.DAG, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +140,7 @@ func (m *OptimizeRequest) unmarshal(body []byte) error {
 }
 
 func (m *UpdateRequest) marshal() ([]byte, error) {
-	nodes, err := listOf(m.DAG)
+	nodes, err := listOf(m.DAG, m.Unknown)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +188,7 @@ func (m *UpdateRequest) unmarshal(body []byte) error {
 
 // marshal writes the plan as its reuse IDs, sorted so that the answer is
 // byte-stable, and — when the planner predicted loads — each one's predicted
-// load in the same order.
+// load in the same order; then the unknown frontier vertices.
 func (m *optimizeResponse) marshal() ([]byte, error) {
 	ids := make([]string, 0, len(m.Plan.Reuse))
 	for id := range m.Plan.Reuse {
@@ -193,19 +206,20 @@ func (m *optimizeResponse) marshal() ([]byte, error) {
 		w.Length("overhead", int64(m.Overhead))
 		if len(m.Plan.PredictedLoad) == 0 {
 			w.Uvarint(0)
-			return
+		} else {
+			w.Uvarint(uint64(len(ids)))
+			for _, id := range ids {
+				w.Float(m.Plan.PredictedLoad[id])
+			}
 		}
-		w.Uvarint(uint64(len(ids)))
-		for _, id := range ids {
-			w.Float(m.Plan.PredictedLoad[id])
-		}
+		writeIDs(w, m.Unknown)
 	})
 }
 
 func (m *optimizeResponse) unmarshal(body []byte) error {
 	r := open(body, optimizeResponseMagic)
 	ids := readIDs(&r)
-	*m = optimizeResponse{Plan: &reuse.Plan{Reuse: make(map[string]bool, len(ids))}}
+	*m = optimizeResponse{Optimization: core.Optimization{Plan: &reuse.Plan{Reuse: make(map[string]bool, len(ids))}}}
 	for _, id := range ids {
 		m.Plan.Reuse[id] = true
 	}
@@ -226,6 +240,17 @@ func (m *optimizeResponse) unmarshal(body []byte) error {
 			}
 		}
 	}
+	m.Unknown = readIDs(&r)
+	return r.Done()
+}
+
+func (m *frontierConflict) marshal() ([]byte, error) {
+	return marshal(updateConflictMagic, func(w *rec.Writer) { writeIDs(w, m.Unknown) })
+}
+
+func (m *frontierConflict) unmarshal(body []byte) error {
+	r := open(body, updateConflictMagic)
+	m.Unknown = readIDs(&r)
 	return r.Done()
 }
 
@@ -567,30 +592,76 @@ func readIDs(r *rec.Reader) []string {
 	return out
 }
 
-// nodeList is a node list as the encoder writes it: the nodes in order, the
-// position of each ID in it, and the hash of each node's operation ("" for
-// none), taken once for both of the encoder's passes.
+// nodeList is a node list as the encoder writes it: the nodes that travel,
+// in order, whether each travels as a frontier node, the position of each
+// ID in the list, and the hash of each node's operation ("" for none), taken
+// once for both of the encoder's passes.
 type nodeList struct {
-	nodes  []*graph.Node
-	at     map[string]int
-	hashes []string
+	nodes    []*graph.Node
+	frontier []bool
+	at       map[string]int
+	hashes   []string
 }
 
-// listOf returns the node list of d: its nodes in TopoOrder. A DAG with a
+// listOf returns the node list of d in its frontier form. Walking up from
+// the terminals, a node that is not Computed is live: it travels with its
+// parents, and the walk goes on to them. A Computed node is the frontier: it
+// travels without its parents, and nothing above it travels. A node of
+// unknown (a frontier vertex the server does not hold) travels instead with
+// its whole ancestry, every node of it with its parents. A node that arrived
+// as a frontier node stays one. The nodes go in d's TopoOrder. A DAG with a
 // node whose parent it does not hold cannot be written.
-func listOf(d *graph.DAG) (*nodeList, error) {
+func listOf(d *graph.DAG, unknown []string) (*nodeList, error) {
+	frontier := make(map[string]bool, d.Len()) // every node that travels: true for the frontier
+	var stack []*graph.Node
+	for _, id := range unknown {
+		if n := d.Node(id); n != nil {
+			stack = append(stack, n)
+		}
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if _, ok := frontier[n.ID]; !ok {
+			frontier[n.ID] = n.Frontier
+			stack = append(stack, n.Parents...)
+		}
+	}
+	stack = d.Terminals()
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if _, ok := frontier[n.ID]; ok {
+			continue
+		}
+		frontier[n.ID] = n.Computed || n.Frontier
+		if !frontier[n.ID] {
+			stack = append(stack, n.Parents...)
+		}
+	}
 	order := d.TopoOrder()
-	l := &nodeList{nodes: order, at: make(map[string]int, len(order)), hashes: make([]string, len(order))}
-	for i, n := range l.nodes {
-		for _, p := range n.Parents {
-			if _, ok := l.at[p.ID]; !ok {
-				return nil, fmt.Errorf("node %d (%q): parent %q is not a node of the DAG", i, n.ID, p.ID)
+	l := &nodeList{nodes: order[:0], at: make(map[string]int, len(frontier))}
+	for _, n := range order {
+		f, ok := frontier[n.ID]
+		if !ok {
+			continue
+		}
+		i := len(l.nodes)
+		if !f {
+			for _, p := range n.Parents {
+				if _, ok := l.at[p.ID]; !ok {
+					return nil, fmt.Errorf("node %d (%q): parent %q is not a node of the DAG", i, n.ID, p.ID)
+				}
 			}
 		}
 		l.at[n.ID] = i
-		if n.Op != nil {
-			l.hashes[i] = n.Op.Hash()
+		l.nodes = append(l.nodes, n)
+		l.frontier = append(l.frontier, f)
+		hash := ""
+		if n.Op != nil && !f {
+			hash = n.Op.Hash()
 		}
+		l.hashes = append(l.hashes, hash)
 	}
 	return l, nil
 }
@@ -608,8 +679,9 @@ func (l *nodeList) write(w *rec.Writer, columns bool) {
 // hash, the external flag and the warmstart kind come from the node's
 // operation; the column lineage comes from a dataset's frame and the
 // trained kind from a model, or — for a node that holds no such content, as
-// the decoder builds them — from the fields that carry them. Quality is zero
-// only as +0: its bits travel, so -0 and every NaN survive.
+// the decoder builds them — from the fields that carry them. A frontier node
+// leaves its structure and its column lineage behind, and is Computed.
+// Quality is zero only as +0: its bits travel, so -0 and every NaN survive.
 func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
 	n, hash := l.nodes[i], l.hashes[i]
 	var warmstart string
@@ -640,7 +712,7 @@ func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
 		warmstart != "", len(n.Parents) > 0, n.Computed, n.ComputeTime != 0,
 		n.SizeBytes != 0, math.Float64bits(n.Quality) != 0, nIDs > 0,
 		nSizes > 0, trained != "", n.LoadedFromEG, n.FetchTime != 0,
-		n.FetchTier != "", n.PredictedLoad != 0,
+		n.FetchTier != "", n.PredictedLoad != 0, n.Frontier,
 	} {
 		if set {
 			has |= 1 << bit
@@ -648,6 +720,9 @@ func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
 	}
 	if !columns {
 		has &^= columnFields
+	}
+	if l.frontier[i] {
+		has = has&^(structureFields|columnFields) | isComputed | isFrontier
 	}
 	w.Uvarint(has)
 	if has&hasID != 0 {
@@ -715,9 +790,11 @@ func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
 // readDAG reads a node list into a graph.DAG. A node that names an
 // operation gets a wireOp for it, with the node's name and kind. It is the
 // one place a node list is refused: every parent index must name an earlier
-// node, no ID may repeat, every kind must be one of graph's four, and a
-// dataset's column lineage must carry one size per column. So the handlers
-// answer 400 to a list the graph could not take whole, and merge none of it.
+// node, no ID may repeat, every kind must be one of graph's four, a
+// dataset's column lineage must carry one size per column, and a frontier
+// node must be Computed and list no parents (it may be a parent). So the
+// handlers answer 400 to a list the graph could not take whole, and merge
+// none of it.
 func readDAG(r *rec.Reader, columns bool) *graph.DAG {
 	n := r.Count(1)
 	if r.Err() != nil {
@@ -810,6 +887,10 @@ func readDAG(r *rec.Reader, columns bool) *graph.DAG {
 		}
 		if len(nd.Columns) != len(nd.ColSizes) {
 			r.Fail("node %d (%q): %d column lineage IDs and %d sizes", i, nd.ID, len(nd.Columns), len(nd.ColSizes))
+			return nil
+		}
+		if nd.Frontier = has&isFrontier != 0; nd.Frontier && (has&hasParents != 0 || !nd.Computed) {
+			r.Fail("node %d (%q): a frontier node must be computed and list no parents", i, nd.ID)
 			return nil
 		}
 		if dag.Adopt(nd) != nd {

@@ -117,9 +117,68 @@ func randomDAG(rng *rand.Rand, columns bool) *graph.DAG {
 	return dag
 }
 
-// inTopoOrder is d with its nodes in TopoOrder, the order they travel and
-// decode in.
-func inTopoOrder(d *graph.DAG) *graph.DAG { return dagOf(d.TopoOrder()...) }
+// frontierForm is d as a server decodes it, stated apart from the encoder:
+// walking up from the terminals, a node that is not Computed keeps its
+// parents and the walk goes on to them; a Computed one becomes a frontier
+// node — its ID, kind and the run's measurements of it, Computed and
+// Frontier, nothing else — and nothing above it is kept; a node of unknown
+// is kept with its whole ancestry, in full. Without columns, no node keeps
+// column lineage. The nodes are copies, in d's TopoOrder, the order they
+// travel and decode in.
+func frontierForm(d *graph.DAG, columns bool, unknown ...string) *graph.DAG {
+	full := make(map[string]bool)
+	var up func(n *graph.Node)
+	up = func(n *graph.Node) {
+		full[n.ID] = true
+		for _, p := range n.Parents {
+			up(p)
+		}
+	}
+	for _, id := range unknown {
+		if n := d.Node(id); n != nil {
+			up(n)
+		}
+	}
+	frontier := make(map[string]bool) // the nodes the walk keeps: true for the frontier
+	var walk func(n *graph.Node)
+	walk = func(n *graph.Node) {
+		if _, ok := frontier[n.ID]; ok || full[n.ID] {
+			return
+		}
+		frontier[n.ID] = n.Computed
+		if !n.Computed {
+			for _, p := range n.Parents {
+				walk(p)
+			}
+		}
+	}
+	for _, t := range d.Terminals() {
+		walk(t)
+	}
+	out := graph.NewDAG()
+	for _, n := range d.TopoOrder() {
+		f, kept := frontier[n.ID]
+		if !kept && !full[n.ID] {
+			continue
+		}
+		cp := *n
+		if f {
+			cp = graph.Node{ID: n.ID, Kind: n.Kind, Computed: true, Frontier: true,
+				ComputeTime: n.ComputeTime, SizeBytes: n.SizeBytes, Quality: n.Quality, ModelKind: n.ModelKind,
+				LoadedFromEG: n.LoadedFromEG, FetchTime: n.FetchTime, FetchTier: n.FetchTier, PredictedLoad: n.PredictedLoad}
+		} else {
+			cp.Parents = nil
+			for _, p := range n.Parents {
+				cp.Parents = append(cp.Parents, out.Node(p.ID))
+			}
+		}
+		if !columns {
+			cp.Columns, cp.ColSizes = nil, nil
+		}
+		out.Adopt(&cp)
+	}
+	return out
+}
 
 // floatBits moves every float of a message into a list of its bits, so that
 // reflect.DeepEqual compares the rest and the bits are compared exactly: a
@@ -162,8 +221,10 @@ func floatBits(m any) (any, []uint64) {
 
 // TestMetaMessagesRoundTrip: every message decodes to what was encoded —
 // strings of every shape, every field zero and not, floats bit for bit —
-// except that an optimize request leaves its column lineage behind. Each
-// draw builds its messages afresh from one seed, as floatBits changes them.
+// except that a request's DAG decodes to its frontier form, with the
+// frontier vertices the update names sent whole, and an optimize request
+// leaves its column lineage behind. Each draw builds its messages afresh
+// from one seed, as floatBits changes them.
 func TestMetaMessagesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
@@ -203,14 +264,22 @@ func TestMetaMessagesRoundTrip(t *testing.T) {
 			}
 		}
 		wall := time.Duration(randomLength(rng))
+		var unknown []string
+		for _, n := range draw(true).Nodes() {
+			if rng.Intn(4) == 0 {
+				unknown = append(unknown, n.ID)
+			}
+		}
 		for _, tc := range []struct {
 			in, want, out message
 		}{
-			{&OptimizeRequest{DAG: draw(true)}, &OptimizeRequest{DAG: inTopoOrder(draw(false))}, &OptimizeRequest{}},
-			{&UpdateRequest{DAG: draw(true), WallTime: wall, Inline: inline},
-				&UpdateRequest{DAG: inTopoOrder(draw(true)), WallTime: wall, Inline: inline}, &UpdateRequest{}},
-			{&optimizeResponse{Plan: plan, Warmstarts: warm, Overhead: time.Duration(randomLength(rng))}, nil, &optimizeResponse{}},
+			{&OptimizeRequest{DAG: draw(true)}, &OptimizeRequest{DAG: frontierForm(draw(true), false)}, &OptimizeRequest{}},
+			{&UpdateRequest{DAG: draw(true), Unknown: unknown, WallTime: wall, Inline: inline},
+				&UpdateRequest{DAG: frontierForm(draw(true), true, unknown...), WallTime: wall, Inline: inline}, &UpdateRequest{}},
+			{&optimizeResponse{Optimization: core.Optimization{Plan: plan, Warmstarts: warm, Overhead: time.Duration(randomLength(rng))},
+				Unknown: randomStrings(rng)}, nil, &optimizeResponse{}},
 			{&UpdateResponse{WantContent: randomStrings(rng), Have: have}, nil, &UpdateResponse{}},
+			{&frontierConflict{Unknown: randomStrings(rng)}, nil, &frontierConflict{}},
 		} {
 			body, err := tc.in.marshal()
 			if err != nil {
@@ -243,7 +312,7 @@ func TestCodecRefusesWhatItCannotCarry(t *testing.T) {
 		"fetch time":     &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", FetchTime: -1})},
 		"predicted load": &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", PredictedLoad: -1})},
 		"wall time":      &UpdateRequest{DAG: graph.NewDAG(), WallTime: -1},
-		"overhead":       &optimizeResponse{Plan: &reuse.Plan{}, Overhead: -1},
+		"overhead":       &optimizeResponse{Optimization: core.Optimization{Plan: &reuse.Plan{}, Overhead: -1}},
 		"held index":     &UpdateResponse{WantContent: []string{"v"}, Have: [][]int{{-1}}},
 		"parent":         &OptimizeRequest{DAG: dagOf(&graph.Node{ID: "a", Parents: []*graph.Node{{ID: "b"}}})},
 	} {
@@ -397,7 +466,7 @@ func TestMetaBodyIsExactlyOneMessage(t *testing.T) {
 		if _, err := core.Execute(dag, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		body, err := (&UpdateRequest{DAG: dag, WallTime: time.Second, Inline: inline(dag)}).marshal()
+		body, err := (&UpdateRequest{DAG: dag, Unknown: dag.IDs(), WallTime: time.Second, Inline: inline(dag)}).marshal()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +623,11 @@ func TestMetaDecodeAllocations(t *testing.T) {
 // the handler answers 200, 400 or 413; the Experiment Graph, the stored IDs
 // and the update count never change; and a 200 plans only for what it was
 // asked about: every reused vertex and every warmstarted one is a vertex of
-// the request, every donor a vertex of the graph.
+// the request, every donor a vertex of the graph, and the unknown list is
+// exactly the request's frontier nodes the graph does not hold. The seeds
+// carry frontier nodes: the sources of every run, the vertices the first
+// collaborator's session holds when it asks about W1 again, and a frontier
+// vertex the graph never held.
 func FuzzOptimizeDecode(f *testing.F) {
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30),
 		core.WithWarmstart(true), core.WithExplain(explain.NewRecorder(4)))
@@ -578,6 +651,14 @@ func FuzzOptimizeDecode(f *testing.F) {
 		if _, err := other.OptimizeE(dag, nil); err != nil {
 			f.Fatal(err)
 		}
+	}
+	again := kaggle.Workload1(src)
+	again.MarkComputed()
+	lost := again.AddSource("never-sent.csv", &graph.DatasetArtifact{Frame: testFrame(5, 1)})
+	again.Apply(lost, ops.Derive{Out: "z", Inputs: []string{"a", "b"}, Fn: ops.Sum})
+	again.MarkComputed()
+	if _, err := rc.OptimizeE(again, nil); err != nil {
+		f.Fatal(err)
 	}
 	ts.Close()
 	seeds := log.bodies["/v1/optimize"]
@@ -626,15 +707,36 @@ func FuzzOptimizeDecode(f *testing.F) {
 				t.Fatalf("warmstart %+v: vertex asked %v, donor in the graph %v", c, asked[c.VertexID], srv.EG.Has(c.DonorID))
 			}
 		}
+		var unknown []string
+		for _, n := range req.DAG.Nodes() {
+			if n.Frontier && !srv.EG.Has(n.ID) {
+				unknown = append(unknown, n.ID)
+			}
+		}
+		if !slices.Equal(resp.Unknown, unknown) {
+			t.Fatalf("answered unknown frontier %v, want %v", resp.Unknown, unknown)
+		}
 		return len(resp.Plan.Reuse), len(resp.Warmstarts)
 	}
-	reused, warmstarted := 0, 0
+	reused, warmstarted, deep, unknown := 0, 0, 0, 0
 	for _, body := range seeds {
 		r, w := check(f, body)
 		reused, warmstarted = reused+r, warmstarted+w
+		var req OptimizeRequest
+		if err := req.unmarshal(body); err != nil {
+			f.Fatal(err)
+		}
+		for _, n := range req.DAG.Nodes() {
+			if v := srv.EG.Vertex(n.ID); n.Frontier && v == nil {
+				unknown++
+			} else if n.Frontier && len(v.Parents) > 0 {
+				deep++
+			}
+		}
 	}
-	if reused == 0 || warmstarted == 0 {
-		f.Fatalf("the seeds plan %d reuses and %d warmstarts: they do not reach the planner's answers", reused, warmstarted)
+	if reused == 0 || warmstarted == 0 || deep == 0 || unknown == 0 {
+		f.Fatalf("the seeds plan %d reuses and %d warmstarts and carry %d frontier vertices below a source and %d unknown ones: they do not reach the planner's answers",
+			reused, warmstarted, deep, unknown)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) { check(t, body) })
 }

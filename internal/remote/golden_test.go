@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/ml"
@@ -18,20 +19,23 @@ import (
 // goldenDAG is the workload DAG of the golden meta-data messages: IDs that
 // travel as their 16 bytes and strings that do not, every node field set
 // somewhere — the source's external flag by an operation whose hash is
-// empty. With columns false, its source leaves its column lineage behind,
-// as an optimize request does.
-func goldenDAG(columns bool) *graph.DAG {
-	const src, model, hash = "0123456789abcdef0123456789abcdef", "fedcba9876543210fedcba9876543210", "00112233445566778899aabbccddeeff"
+// empty. Its source and its feature frame are Computed, so both travel as
+// frontier nodes on optimize; the update names the source unknown, which
+// then travels whole, column lineage included.
+func goldenDAG() *graph.DAG {
+	const src, feat, model, hash = "0123456789abcdef0123456789abcdef", "00112233445566778899aabbccddee00",
+		"fedcba9876543210fedcba9876543210", "00112233445566778899aabbccddeeff"
 	s := &graph.Node{ID: src, Kind: graph.DatasetKind, Name: "train.csv", Computed: true, SizeBytes: 4096,
-		Op: wireOp{name: "train.csv", kind: graph.DatasetKind, external: true}}
-	if columns {
-		s.Columns, s.ColSizes = []string{hash, "plain column"}, []int64{2048, 2048}
-	}
-	m := &graph.Node{ID: model, Kind: graph.ModelKind, Name: "train", Parents: []*graph.Node{s},
-		Op:       wireOp{name: "train", hash: hash, kind: graph.ModelKind, warmstartKind: "logreg"},
-		Computed: true, ComputeTime: 1500 * time.Microsecond, SizeBytes: 120, Quality: 0.875, ModelKind: "logreg",
+		Op:      wireOp{name: "train.csv", kind: graph.DatasetKind, external: true},
+		Columns: []string{hash, "plain column"}, ColSizes: []int64{2048, 2048}}
+	f := &graph.Node{ID: feat, Kind: graph.DatasetKind, Name: "features", Parents: []*graph.Node{s},
+		Op: wireOp{name: "features", hash: hash, kind: graph.DatasetKind}, Computed: true, SizeBytes: 2048,
+		LoadedFromEG: true, FetchTier: "session", Columns: []string{hash}, ColSizes: []int64{2048}}
+	m := &graph.Node{ID: model, Kind: graph.ModelKind, Name: "train", Parents: []*graph.Node{f},
+		Op:          wireOp{name: "train", hash: hash, kind: graph.ModelKind, warmstartKind: "logreg"},
+		ComputeTime: 1500 * time.Microsecond, SizeBytes: 120, Quality: 0.875, ModelKind: "logreg",
 		LoadedFromEG: true, FetchTime: 20 * time.Microsecond, FetchTier: "memory", PredictedLoad: 30 * time.Microsecond}
-	return dagOf(s, m, &graph.Node{ID: "score", Kind: graph.AggregateKind, Name: "auc", Parents: []*graph.Node{s, m},
+	return dagOf(s, f, m, &graph.Node{ID: "score", Kind: graph.AggregateKind, Name: "auc", Parents: []*graph.Node{s, m},
 		Op: wireOp{name: "auc", hash: "0123456789ABCDEF0123456789ABCDEF", kind: graph.AggregateKind}, Quality: -2.5})
 }
 
@@ -49,15 +53,16 @@ func goldenMessages() map[string]message {
 		Weights: []float64{0.5, -1.25}, Bias: 0.75, EpochsRun: 12}, Quality: 0.875, Features: []string{"x", "n"}}
 	auc := &graph.AggregateArtifact{Value: 0.875, Text: "auc"}
 	return map[string]message{
-		"COQ1": &OptimizeRequest{DAG: goldenDAG(true)},
-		"CUQ2": &UpdateRequest{DAG: goldenDAG(true), WallTime: 2 * time.Second,
+		"COQ2": &OptimizeRequest{DAG: goldenDAG()},
+		"CUQ3": &UpdateRequest{DAG: goldenDAG(), Unknown: []string{src}, WallTime: 2 * time.Second,
 			Inline: []InlineArtifact{{ID: model, Content: logreg}, {ID: "score", Content: auc}, {ID: src}}},
-		"COR1": &optimizeResponse{
+		"COR2": &optimizeResponse{Optimization: core.Optimization{
 			Plan: &reuse.Plan{Reuse: map[string]bool{src: true, "score": true},
 				PredictedLoad: map[string]float64{src: 0.25, "score": 1.5}},
 			Warmstarts: []reuse.WarmstartCandidate{{VertexID: model, DonorID: hash, Quality: 0.75}},
-			Overhead:   1234567},
+			Overhead:   1234567}, Unknown: []string{src, "v"}},
 		"CUR1": &UpdateResponse{WantContent: []string{src, "score"}, Have: [][]int{{0, 2}, nil}},
+		"CUC1": &frontierConflict{Unknown: []string{src, "v"}},
 		"CPQ2": &uploadRequest{Items: []artifactUpload{{ID: "score", Blob: auc},
 			{ID: src, ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: frame.Columns()[1:]}}},
 		"CPR1": &uploadResponse{Absent: []string{src, "v"}},
@@ -66,10 +71,12 @@ func goldenMessages() map[string]message {
 }
 
 // TestMessagesMatchTheirGoldens pins the bytes of every message: the goldens
-// were written by the codec as it stood before it shared a toolkit with the
-// tier, and the codec must still write the same bytes for the same message
-// and read them back to it (an optimize request without its nodes' column
-// lineage, which it does not carry).
+// of the messages whose layout has not changed since were written by the
+// codec as it stood before it shared a toolkit with the tier, those of the
+// requests and the optimize answer when the DAG took its frontier form, and
+// the codec must still write the same bytes for the same message and read
+// them back to it (a request's DAG as its frontier form, an optimize request
+// without its nodes' column lineage, which it does not carry).
 func TestMessagesMatchTheirGoldens(t *testing.T) {
 	msgs := goldenMessages()
 	magics := make([]string, 0, len(msgs))
@@ -104,8 +111,11 @@ func TestMessagesMatchTheirGoldens(t *testing.T) {
 			t.Fatalf("%s: %v", magic, err)
 		}
 		want := m
-		if magic == optimizeRequestMagic {
-			want = &OptimizeRequest{DAG: goldenDAG(false)}
+		switch m := m.(type) {
+		case *OptimizeRequest:
+			want = &OptimizeRequest{DAG: frontierForm(m.DAG, false)}
+		case *UpdateRequest:
+			want = &UpdateRequest{DAG: frontierForm(m.DAG, true, m.Unknown...), WallTime: m.WallTime, Inline: m.Inline}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s decoded as\n%+v\nwant\n%+v", magic, got, want)

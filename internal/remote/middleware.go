@@ -222,6 +222,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if req.Vertices > 0 { // an optimize or update: the facts core wrote into the record
 		attrs = append(attrs,
 			slog.Int("vertices", req.Vertices),
+			slog.Int("frontier", req.Frontier),
 			slog.Int("reused", req.Reused),
 			slog.Int("computes", req.Computes),
 			slog.Int("warmstarts", req.Warmstarts),

@@ -344,7 +344,7 @@ func TestAccessLogCarriesThePlanFacts(t *testing.T) {
 	ts.Close() // every handler has returned: the buffer is complete
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
 
-	facts := []string{" vertices=", " reused=", " computes=", " warmstarts=", " plan_ns=", " lock_wait_ns=", " mat_ns="}
+	facts := []string{" vertices=", " frontier=", " reused=", " computes=", " warmstarts=", " plan_ns=", " lock_wait_ns=", " mat_ns="}
 	lines := map[string]int{} // per path
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		if !strings.Contains(line, "level=INFO msg=http "+obs.RequestIDKey+"=") {

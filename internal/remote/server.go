@@ -123,7 +123,21 @@ func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxMetaBody, &req) {
 		return
 	}
-	writeMessage(w, (*optimizeResponse)(h.srv.Optimize(req.DAG, request(r))))
+	// A frontier node takes its name from the graph, for the explain record;
+	// one the graph does not hold is named to the client instead, whose
+	// update then sends it with its ancestry.
+	var unknown []string
+	for _, n := range req.DAG.Nodes() {
+		if !n.Frontier {
+			continue
+		}
+		if v := h.srv.EG.Vertex(n.ID); v != nil {
+			n.Name = v.Name
+		} else {
+			unknown = append(unknown, n.ID)
+		}
+	}
+	writeMessage(w, http.StatusOK, &optimizeResponse{Optimization: *h.srv.Optimize(req.DAG, request(r)), Unknown: unknown})
 }
 
 func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
@@ -141,21 +155,38 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	// merges before it selects — and the inline content travels beside it,
 	// so what the materializer selected and was not handed comes back as the
 	// list of content to upload.
-	resp := UpdateResponse{WantContent: h.srv.UpdateContent(req.DAG, content, request(r), req.WallTime)}
+	want, err := h.srv.UpdateContent(req.DAG, content, request(r), req.WallTime)
+	var lost *core.FrontierError
+	if errors.As(err, &lost) {
+		writeMessage(w, http.StatusConflict, &frontierConflict{Unknown: lost.Unknown})
+		return
+	}
+	resp := UpdateResponse{WantContent: want}
 	for i, id := range resp.WantContent {
-		// Tell the client which columns of a wanted dataset to leave out.
+		// Tell the client which columns of a wanted dataset to leave out:
+		// those of the lineage the update carried, or — for a frontier
+		// vertex, which carries none — the lineage the graph holds for it.
 		// The answer may be stale by the time the upload arrives; the upload
 		// handler checks again.
-		if n := req.DAG.Node(id); n != nil && len(n.Columns) > 0 {
-			if held := h.srv.Store.HeldColumns(n.Columns); len(held) > 0 {
-				if resp.Have == nil {
-					resp.Have = make([][]int, len(resp.WantContent))
-				}
-				resp.Have[i] = held
+		n := req.DAG.Node(id)
+		if n == nil {
+			continue
+		}
+		cols := n.Columns
+		if n.Frontier {
+			cols = h.srv.EG.Columns(id)
+		}
+		if len(cols) == 0 {
+			continue
+		}
+		if held := h.srv.Store.HeldColumns(cols); len(held) > 0 {
+			if resp.Have == nil {
+				resp.Have = make([][]int, len(resp.WantContent))
 			}
+			resp.Have[i] = held
 		}
 	}
-	writeMessage(w, &resp)
+	writeMessage(w, http.StatusOK, &resp)
 }
 
 func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
@@ -169,7 +200,7 @@ func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(TierHeader, tier.String())
-	writeMessage(w, &downloadResponse{Content: content})
+	writeMessage(w, http.StatusOK, &downloadResponse{Content: content})
 }
 
 // inlineContent indexes an update's inline artifacts by vertex ID. Each must
@@ -228,7 +259,7 @@ func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeMessage(w, &resp)
+	writeMessage(w, http.StatusOK, &resp)
 }
 
 func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
@@ -496,9 +527,9 @@ func refuseBody(w http.ResponseWriter, err error, limit int64) {
 	}
 }
 
-// writeMessage answers 200 with m and its exact Content-Length, or 500 when
-// m cannot be encoded: it is encoded whole before anything is sent.
-func writeMessage(w http.ResponseWriter, m message) {
+// writeMessage answers code with m and its exact Content-Length, or 500
+// when m cannot be encoded: it is encoded whole before anything is sent.
+func writeMessage(w http.ResponseWriter, code int, m message) {
 	b, err := m.marshal()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -506,6 +537,7 @@ func writeMessage(w http.ResponseWriter, m message) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(code)
 	_, _ = w.Write(b)
 }
 

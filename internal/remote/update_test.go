@@ -100,7 +100,7 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 		{"not a vertex of the update", InlineArtifact{ID: "ghost", Content: model.Content}},
 	} {
 		srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
-		body := &UpdateRequest{DAG: dag, Inline: []InlineArtifact{valid, tc.bad}}
+		body := &UpdateRequest{DAG: dag, Unknown: dag.IDs(), Inline: []InlineArtifact{valid, tc.bad}}
 		if code := postMeta(t, NewHandler(srv), "/v1/update", body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
@@ -113,7 +113,7 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 		t.Error("a frame with columns was written inline")
 	}
 	srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
-	body := &UpdateRequest{DAG: dag, Inline: []InlineArtifact{valid}}
+	body := &UpdateRequest{DAG: dag, Unknown: dag.IDs(), Inline: []InlineArtifact{valid}}
 	if code := postMeta(t, NewHandler(srv), "/v1/update", body); code != http.StatusOK || !srv.Store.Has(model.ID) {
 		t.Errorf("the valid item alone: status %d, stored %v", code, srv.Store.Has(model.ID))
 	}
@@ -142,7 +142,7 @@ func TestHostileBlobRecordsAreRefused(t *testing.T) {
 	if _, err := core.Execute(dag, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := listOf(dag)
+	nodes, err := listOf(dag, dag.IDs()) // every vertex with its ancestry: the server holds none
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,10 +396,13 @@ func sameServerState(got, want *core.Server) error {
 }
 
 // FuzzUpdateDecode throws arbitrary bytes at POST /v1/update, which decodes
-// artifacts from the network. Whatever arrives, the handler answers 200, 400
-// or 413 — never a panic, never a 5xx; a refused update leaves the
-// Experiment Graph and the store as they were, and an accepted one leaves
-// the graph's maintained state equal to its from-scratch derivation.
+// artifacts from the network. Whatever arrives, the handler answers 200, 400,
+// 409 (a frontier vertex the fresh server does not hold) or 413 — never a
+// panic, never a 5xx; a refused update leaves the Experiment Graph and the
+// store as they were, and an accepted one leaves the graph's maintained
+// state equal to its from-scratch derivation. The seeds are updates as a
+// client sends them to a server that holds nothing (every vertex with its
+// ancestry), and one in its frontier form.
 func FuzzUpdateDecode(f *testing.F) {
 	w1 := kaggle.AllWorkloads()[0].Build(kaggle.Generate(kaggle.Config{Scale: 1, Seed: 42}))
 	if _, err := core.Execute(w1, nil, nil); err != nil {
@@ -425,12 +428,13 @@ func FuzzUpdateDecode(f *testing.F) {
 		}
 	}
 	reqs := []*UpdateRequest{
-		{DAG: w1, WallTime: time.Second, Inline: inline(w1)},
-		{DAG: small, Inline: inline(small)},
-		{DAG: small, Inline: smuggled}, // a dataset inline: 400
+		{DAG: w1, Unknown: w1.IDs(), WallTime: time.Second, Inline: inline(w1)},
+		{DAG: small, Unknown: small.IDs(), Inline: inline(small)},
+		{DAG: small, Unknown: small.IDs(), Inline: smuggled}, // a dataset inline: 400
+		{DAG: small, Inline: inline(small)},                  // its frontier unknown: 409
 	}
 	for _, dag := range learnerRuns(f) {
-		reqs = append(reqs, &UpdateRequest{DAG: dag, Inline: inline(dag)})
+		reqs = append(reqs, &UpdateRequest{DAG: dag, Unknown: dag.IDs(), Inline: inline(dag)})
 	}
 	for _, req := range reqs {
 		body, err := req.marshal()
@@ -451,7 +455,7 @@ func FuzzUpdateDecode(f *testing.F) {
 			if err := egtest.Check(srv.EG); err != nil {
 				t.Fatal(err)
 			}
-		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
 			if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.UpdateCount() != 0 {
 				t.Fatalf("a refused update changed the server (EG %d, store %d)", srv.EG.Len(), srv.Store.Len())
 			}

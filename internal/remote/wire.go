@@ -3,7 +3,14 @@
 // workload DAG travels as meta-data: the codec writes a client's graph.DAG
 // and reads a body straight into the graph.DAG the server plans on and
 // merges, and its decoder is the one place a node list that is not a DAG in
-// topological order is refused. Artifact content moves lazily —
+// topological order is refused. What travels of a DAG is what the run
+// needs, its frontier form: the live vertices — the ones the walk up from
+// the terminals reaches before it meets a Computed one — with their
+// parents, and the Computed vertices it stops at, the frontier, without
+// theirs; nothing above the frontier leaves the client. The server holds
+// the rest under the frontier's IDs: the optimize answer names the
+// frontier vertices it does not hold, and the update sends those with their
+// whole ancestry. Artifact content moves lazily —
 // downloaded when a plan reuses it; the models and aggregates a run
 // produced ride along with its update, and datasets are uploaded, in one
 // body per update, when the server's materializer selects them.
@@ -16,6 +23,7 @@
 package remote
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/calib"
@@ -25,21 +33,37 @@ import (
 	"repro/internal/ml"
 )
 
-// OptimizeRequest is the body of POST /v1/optimize: a pruned workload DAG,
-// its vertices' meta-data without their column lineage.
+// OptimizeRequest is the body of POST /v1/optimize: the locally pruned
+// workload DAG in its frontier form (the live vertices and the frontier, see
+// listOf), its vertices' meta-data without their column lineage. The
+// planner prices a frontier vertex at 0, as any Computed vertex, so the plan
+// of the live vertices is the plan of the whole DAG.
 type OptimizeRequest struct {
 	DAG *graph.DAG
 }
 
 // optimizeResponse is the answer to POST /v1/optimize: the reuse plan, as
 // its reuse IDs sorted and each one's predicted load, the warmstart
-// proposals and the planner's overhead.
-type optimizeResponse core.Optimization
+// proposals and the planner's overhead; and the frontier vertices of the
+// request the Experiment Graph does not hold, in request order — none in
+// steady state, the sources on a fresh server — which the update then sends
+// with their ancestry.
+type optimizeResponse struct {
+	core.Optimization
+	Unknown []string
+}
 
 // UpdateRequest carries an executed DAG's meta-data and the content of what
-// the run produced that is not a dataset.
+// the run produced that is not a dataset. The DAG travels in its frontier
+// form, as on optimize, with column lineage; the frontier vertices of
+// Unknown travel in full instead, each with its whole ancestry, which is
+// what the server needs to insert vertices it does not hold.
 type UpdateRequest struct {
 	DAG *graph.DAG
+	// Unknown lists the frontier vertices the server said it does not hold
+	// (the optimize answer's, or a 409's). Only the encoder reads it: a
+	// decoded request carries the form in its nodes (graph.Node.Frontier).
+	Unknown []string
 	// WallTime is the client's measured Execute wall-clock time, for the
 	// calibration scorecard.
 	WallTime time.Duration
@@ -71,6 +95,18 @@ type UpdateResponse struct {
 	// list names what is held, not what is needed: the safe reading of
 	// silence is a full upload.
 	Have [][]int
+}
+
+// frontierConflict is the 409 answer to an update whose frontier names
+// vertices the Experiment Graph does not hold (pruned, or lost to a
+// restart, since the optimize): the update changed nothing, and the client
+// sends it once more with those vertices' ancestry.
+type frontierConflict struct {
+	Unknown []string
+}
+
+func (c *frontierConflict) Error() string {
+	return fmt.Sprintf("remote: update: the server does not hold frontier vertices %v", c.Unknown)
 }
 
 // uploadRequest is the body of POST /v1/artifact: one item per vertex an

@@ -50,10 +50,12 @@ func dagOf(nodes ...*graph.Node) *graph.DAG {
 	return dag
 }
 
-// serverDAG is the DAG a server decodes of an update carrying dag.
+// serverDAG is the DAG a server decodes of an update carrying all of dag,
+// every vertex with its parents: the form of an update to a server that
+// holds none of its frontier.
 func serverDAG(t testing.TB, dag *graph.DAG) *graph.DAG {
 	t.Helper()
-	body, err := (&UpdateRequest{DAG: dag}).marshal()
+	body, err := (&UpdateRequest{DAG: dag, Unknown: dag.IDs()}).marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func serverDAG(t testing.TB, dag *graph.DAG) *graph.DAG {
 // precede its child is an index at or after the child's own.
 func metaBody(t testing.TB, route string, nodes []*graph.Node) []byte {
 	t.Helper()
-	l := nodeList{nodes: nodes, at: make(map[string]int), hashes: make([]string, len(nodes))}
+	l := nodeList{nodes: nodes, frontier: make([]bool, len(nodes)), at: make(map[string]int), hashes: make([]string, len(nodes))}
 	for i, n := range nodes {
 		if _, ok := l.at[n.ID]; !ok {
 			l.at[n.ID] = i
@@ -107,11 +109,15 @@ func metaBody(t testing.TB, route string, nodes []*graph.Node) []byte {
 
 // wellFormed is the rule the decoder enforces, stated independently: IDs
 // are unique, every parent precedes its child, every kind is one of the
-// four and every column lineage ID has its size.
+// four, every column lineage ID has its size and every frontier node is
+// Computed and lists no parents.
 func wellFormed(nodes []*graph.Node) bool {
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
 		if seen[n.ID] || n.Kind > graph.SupernodeKind || len(n.Columns) != len(n.ColSizes) {
+			return false
+		}
+		if n.Frontier && (len(n.Parents) > 0 || !n.Computed) {
 			return false
 		}
 		for _, p := range n.Parents {
@@ -155,6 +161,8 @@ func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 		{"repeated source", []*graph.Node{src, src}, 400},
 		{"kind outside the four", []*graph.Node{src, {ID: "k", Kind: 9, Op: wireOp{hash: "hk"}, Parents: []*graph.Node{src}}}, 400},
 		{"two column IDs and one size", []*graph.Node{{ID: "c", Kind: graph.DatasetKind, Columns: []string{"c1", "c2"}, ColSizes: []int64{8}}}, 400},
+		{"frontier node that lists parents", []*graph.Node{src, {ID: "f", Parents: []*graph.Node{src}, Computed: true, Frontier: true}}, 400},
+		{"frontier node that is not computed", []*graph.Node{{ID: "f", Frontier: true}}, 400},
 		{"empty", nil, 200},
 		{"topological", []*graph.Node{src, a, b}, 200},
 	}
@@ -218,13 +226,15 @@ func TestGobBodiesAreRefused(t *testing.T) {
 }
 
 // nodesFromBytes reads a node list off raw fuzz input, four bytes a node:
-// ID, parent count (0–2) and two parent IDs, all from a 16-name alphabet so
-// that repeats, forward references and self loops are common.
+// ID, parent count (0–2) with the frontier and Computed flags in its top
+// two bits, and two parent IDs, all from a 16-name alphabet so that
+// repeats, forward references and self loops are common.
 func nodesFromBytes(b []byte) []*graph.Node {
 	name := func(c byte) string { return string(rune('a' + c%16)) }
 	var nodes []*graph.Node
 	for ; len(b) >= 4; b = b[4:] {
-		n := &graph.Node{ID: name(b[0]), Kind: graph.DatasetKind, ComputeTime: time.Duration(b[1]) * time.Millisecond}
+		n := &graph.Node{ID: name(b[0]), Kind: graph.DatasetKind, ComputeTime: time.Duration(b[1]) * time.Millisecond,
+			Frontier: b[1]&0x80 != 0, Computed: b[1]&0x40 != 0}
 		for _, p := range b[2 : 2+b[1]%3] {
 			n.Parents = append(n.Parents, &graph.Node{ID: name(p)})
 		}
@@ -238,17 +248,23 @@ func nodesFromBytes(b []byte) []*graph.Node {
 
 // FuzzUpdateNodes feeds the update decoder node lists: an update body when
 // the input decodes as one, otherwise a list read off the raw bytes — one a
-// graph.DAG cannot hold, with repeats, forward parents and self loops —
-// written as an update body. The decoder must accept exactly the
-// well-formed lists, and what it accepts must merge into an Experiment Graph
-// whole (every node finds its parents) and leave the graph's maintained
-// state equal to the from-scratch derivation.
+// graph.DAG cannot hold, with repeats, forward parents, self loops and
+// frontier nodes that list parents or are not Computed — written as an
+// update body. The decoder must accept exactly the well-formed lists. What
+// it accepts is refused whole (409, or 400 for an inline section it cannot
+// take; nothing merged) by a server that does not hold its frontier, and
+// merges whole into a graph that does: every
+// node finds its parents, every vertex it names is counted once, and the
+// graph's maintained state equals the from-scratch derivation.
 func FuzzUpdateNodes(f *testing.F) {
 	s, a := &graph.Node{ID: "s"}, &graph.Node{ID: "a"}
+	fr := &graph.Node{ID: "f", Computed: true, Frontier: true}
 	for _, nodes := range [][]*graph.Node{
 		buildPipeline(testFrame(10, 1)).TopoOrder(),
 		{s, {ID: "b", Parents: []*graph.Node{a}}, {ID: "a", Parents: []*graph.Node{s}}},
 		{s, s},
+		{fr, {ID: "x", Parents: []*graph.Node{fr}}, {ID: "y", Parents: []*graph.Node{fr, s}}, s},
+		{s, {ID: "f", Parents: []*graph.Node{s}, Computed: true, Frontier: true}},
 	} {
 		f.Add(metaBody(f, "/v1/update", nodes))
 	}
@@ -256,11 +272,14 @@ func FuzzUpdateNodes(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0})             // b ← a before a
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})             // a twice
 	f.Add([]byte{3, 1, 3, 0})                         // d ← d
+	f.Add([]byte{0, 0xc0, 0, 0, 1, 1, 0, 0})          // frontier a; b ← a
+	f.Add([]byte{0, 0x80, 0, 0})                      // frontier a, not computed
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req UpdateRequest
 		if err := req.unmarshal(body); err != nil {
 			nodes := nodesFromBytes(body)
-			err := req.unmarshal(metaBody(t, "/v1/update", nodes))
+			body = metaBody(t, "/v1/update", nodes)
+			err := req.unmarshal(body)
 			if want := wellFormed(nodes); (err == nil) != want {
 				t.Fatalf("decoder error %v on a list whose well-formedness is %v", err, want)
 			}
@@ -268,14 +287,43 @@ func FuzzUpdateNodes(f *testing.F) {
 				return
 			}
 		}
+		base := graph.NewDAG() // the frontier's vertices, as a graph that holds them has them
+		for _, n := range req.DAG.Nodes() {
+			if n.Frontier {
+				base.Adopt(&graph.Node{ID: n.ID, Kind: n.Kind})
+			}
+		}
+		if base.Len() > 0 {
+			want := http.StatusConflict
+			if _, err := inlineContent(req.DAG, req.Inline); err != nil {
+				want = http.StatusBadRequest // an inline section it cannot take is refused first
+			}
+			srv := core.NewServer(store.New(cost.Memory()))
+			if code := postBody(NewHandler(srv), "/v1/update", body).Code; code != want || srv.EG.Len() != 0 || srv.UpdateCount() != 0 {
+				t.Fatalf("an update whose frontier the server does not hold: status %d (want %d), EG %d vertices", code, want, srv.EG.Len())
+			}
+		}
 		g := eg.New()
-		if ins := g.Merge(req.DAG); len(ins) != req.DAG.Len() || g.Len() != req.DAG.Len() {
-			t.Fatalf("merged %d of %d accepted nodes", len(ins), req.DAG.Len())
+		g.Merge(base)
+		if ins := g.Merge(req.DAG); len(ins) != req.DAG.Len()-base.Len() || g.Len() != req.DAG.Len() {
+			t.Fatalf("merged %d of %d accepted nodes beside a frontier of %d", len(ins), req.DAG.Len(), base.Len())
+		}
+		for _, v := range g.Vertices() {
+			if want := 1 + btoi(base.Node(v.ID) != nil); v.Frequency != want {
+				t.Fatalf("vertex %s counted %d times, want %d", v.ID, v.Frequency, want)
+			}
 		}
 		if err := egtest.Check(g); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // slowDerive is ops.Derive made expensive enough that its output is never
@@ -366,7 +414,9 @@ func TestRemoteUpdatePricesNewFramesWithTheirLineage(t *testing.T) {
 // as it stands, with its content, and the same DAG as a server decodes it
 // from an update, meta-data only, leave the Experiment Graph the same
 // vertices with the same parents, column lineage, column sizes and
-// meta-data — whichever way a run arrives.
+// meta-data — whichever way a run arrives. And a sequence of runs over HTTP,
+// each sent in its frontier form, leaves the server where an in-process
+// server fed the same whole DAGs is (runOverTheWireAndInProcess).
 func TestMergeRecordsTheSameGraphInProcessAndOverTheWire(t *testing.T) {
 	cfg := openml.Config{Rows: 120, Features: 6, Seed: 31}
 	for i, dag := range []*graph.DAG{
@@ -418,4 +468,5 @@ func TestMergeRecordsTheSameGraphInProcessAndOverTheWire(t *testing.T) {
 				i, models, datasets)
 		}
 	}
+	t.Run("a run sequence in its frontier form", runOverTheWireAndInProcess)
 }
