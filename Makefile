@@ -151,15 +151,20 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # record of what is stored: the Experiment Graph records meta-data and the
 # materializer decides, and what the store holds is handed to them as a
 # predicate, so neither imports the store or its disk tier. And it keeps gob
-# to what still reads or writes it: persist's snapshot, the gob hooks of
-# graph and data, and the tier's read path of version-1 blob files. Nothing
+# to what still reads or writes it: persist's Experiment Graph snapshot and
+# its read-once store.gob of older versions, the gob hooks of graph and data,
+# and the tier's read path of version-1 blob files. Nothing
 # the wire or the disk tier writes is gob (bench/, the ruler, is not linted).
 # And it keeps one byte toolkit: internal/rec imports nothing of the
 # repository, and is the only program code that computes a checksum. And it
 # keeps the storage layers apart: the tier imports no layer above it, and the
 # store, which keeps only policy over the tiers, does no file I/O — every
-# artifact file is the tier's. And the snapshot layer does not depend on the
-# HTTP protocol: internal/persist registers the gob types it decodes itself.
+# artifact file is the tier's. And placement runs on the logical clock: the
+# store reads no wall clock (obs.Timestamp, time.Now), so its demotion and
+# eviction victims are a function of the order of accesses alone;
+# obs.StartTimer stopwatches, which only measure, stay allowed. And the
+# snapshot layer does not depend on the HTTP protocol: internal/persist
+# registers the gob types it decodes itself.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
@@ -192,6 +197,10 @@ lint-layers:
 	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/store | grep -x 'os' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "internal/store imports os (artifact files are internal/tier's to read and write)"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\b(obs\.Timestamp|time\.Now)\(' internal/store || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "internal/store reads the wall clock (placement runs on the logical clock):"; echo "$$out"; exit 1; \
 	fi
 	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/persist | grep -x 'repro/internal/remote' || true)"; \
 	if [ -n "$$out" ]; then \

@@ -158,14 +158,11 @@ func (t *target) printSession() {
 		s.Hits, s.Misses, s.Evictions, s.Held, float64(s.Bytes)/1e6)
 }
 
-// close persists local-mode state: the memory tier drains into the durable
+// close persists local-mode state: the memory tier syncs into the durable
 // disk tier and the EG snapshot is saved beside it.
 func (t *target) close() error {
 	if t.srv == nil {
 		return nil
-	}
-	if err := t.srv.Store.FlushToDisk(); err != nil {
-		return fmt.Errorf("store-dir: flush: %w", err)
 	}
 	return persist.Save(t.srv, t.dir)
 }

@@ -8,11 +8,13 @@
 //	        [-store-dir /var/lib/collab -mem-budget 268435456 -disk-budget 0] \
 //	        [-explain 16] [-pprof]
 //
-// -store-dir enables the durable artifact tier: cold artifacts demote to
-// checksummed, content-addressed files when the -mem-budget is exceeded (or
-// after -demote-idle of inactivity) and are verified and re-indexed on the
-// next boot, so a restart serves them without recomputation. The EG
-// snapshot defaults into the same directory when -data-dir is unset.
+// -store-dir is the one state directory, and without it nothing is saved.
+// It holds the durable artifact tier: cold artifacts demote to checksummed,
+// content-addressed files when the -mem-budget is exceeded, every
+// -checkpoint writes the files of the artifacts still memory-only, and the
+// files are verified and re-indexed on the next boot, so a restart serves
+// them without recomputation. The Experiment Graph snapshot sits beside
+// them.
 //
 // Prometheus-style metrics are always served at /metrics (including
 // per-route request histograms, counters, and inflight gauges), liveness at
@@ -26,8 +28,8 @@
 // /debug/pprof/.
 //
 // On SIGINT or SIGTERM collabd stops accepting connections, lets requests
-// in flight finish (for up to 30 s), and only then flushes the memory tier
-// and saves its state; periodic -checkpoint saves stop before that last one.
+// in flight finish (for up to 30 s), and only then saves its state;
+// periodic -checkpoint saves stop before that last one.
 //
 // -profile-file loads the cost profile from a JSON file — typically one
 // refitted from measurements by `collab calibration -fit TIER` — instead
@@ -66,13 +68,13 @@ import (
 
 // config is collabd's parsed command line.
 type config struct {
-	addr, strategy, planner, profile, profFile, dataDir, storeDir, logLevel string
+	addr, strategy, planner, profile, profFile, storeDir, logLevel string
 
-	budget, memBudget, diskBudget    int64
-	alpha                            float64
-	warmstart, pprofOn               bool
-	demoteIdle, checkpoint, slowWarn time.Duration
-	pruneIdle, pruneFreq             int
+	budget, memBudget, diskBudget int64
+	alpha                         float64
+	warmstart, pprofOn            bool
+	checkpoint, slowWarn          time.Duration
+	pruneIdle, pruneFreq          int
 	// Capacities of the debugging surfaces, 0 = off.
 	explainCap, requestCap, clientCap, ledgerCap int
 }
@@ -89,14 +91,12 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.profile, "profile", "memory", "storage profile: memory|disk|remote")
 	fs.StringVar(&c.profFile, "profile-file", "", "load the cost profile from a JSON file (e.g. collab calibration -fit output); overrides -profile")
 	fs.BoolVar(&c.warmstart, "warmstart", true, "enable warmstart donor search")
-	fs.StringVar(&c.dataDir, "data-dir", "", "directory for persistent state (empty: -store-dir, else in-memory only)")
-	fs.StringVar(&c.storeDir, "store-dir", "", "directory for the durable artifact tier (empty: memory-only store)")
+	fs.StringVar(&c.storeDir, "store-dir", "", "state directory: the durable artifact tier and the graph snapshot (empty: in-memory only, nothing saved)")
 	fs.Int64Var(&c.memBudget, "mem-budget", 0, "memory-tier byte budget; cold artifacts demote to -store-dir (0: unbounded)")
 	fs.Int64Var(&c.diskBudget, "disk-budget", 0, "disk-tier byte budget; coldest artifacts evict for real (0: unbounded)")
-	fs.DurationVar(&c.demoteIdle, "demote-idle", 0, "demote artifacts idle this long to the disk tier (0: only on budget pressure)")
 	fs.IntVar(&c.pruneIdle, "prune-idle", 0, "drop unmaterialized vertices idle for N workloads (0: never)")
 	fs.IntVar(&c.pruneFreq, "prune-min-freq", 0, "always keep vertices seen in at least N workloads")
-	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "periodic save interval when -data-dir is set")
+	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "periodic save interval when -store-dir is set")
 	fs.IntVar(&c.explainCap, "explain", explain.DefaultCapacity, "keep the last N optimizer decision records for GET /v1/explain (0: explain off)")
 	fs.IntVar(&c.requestCap, "requests", obs.DefaultFlightCap, "keep the last N finished requests for GET /v1/requests (0: flight log off)")
 	fs.IntVar(&c.clientCap, "clients", obs.DefaultClientCap, "attribute resource usage to up to N distinct clients for GET /v1/clients (0: attribution off)")
@@ -214,53 +214,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	dataDir := c.dataDir
-	if dataDir == "" {
-		// Keep the EG snapshot next to the artifacts it indexes.
-		dataDir = c.storeDir
-	}
-	if c.storeDir != "" && c.demoteIdle > 0 {
-		go func() {
-			ticker := time.NewTicker(c.demoteIdle)
-			defer ticker.Stop()
-			for range ticker.C {
-				if n := srv.Store.DemoteIdle(c.demoteIdle); n > 0 {
-					logger.Info("idle artifacts demoted to disk", "count", n)
-				}
-			}
-		}()
-	}
-	// checkpoint and final save the state under dataDir; without one there
-	// is nothing to save, and shutdown only drains the requests in flight.
+	// checkpoint and final save the state under -store-dir; without one
+	// there is nothing to save, and shutdown only drains the requests in
+	// flight.
 	var checkpoint, final func()
-	if dataDir != "" {
-		restored, err := persist.Load(srv, dataDir)
+	if dir := c.storeDir; dir != "" {
+		restored, err := persist.Load(srv, dir)
 		if err != nil {
-			logger.Error("restoring state", "dir", dataDir, "err", err)
+			logger.Error("restoring state", "dir", dir, "err", err)
 			os.Exit(1)
 		}
 		if restored {
-			logger.Info("state restored", "dir", dataDir,
+			logger.Info("state restored", "dir", dir,
 				"vertices", srv.EG.Len(), "materialized", srv.Store.Len())
 		}
 		save := func(reason string) {
-			if err := persist.Save(srv, dataDir); err != nil {
+			if err := persist.Save(srv, dir); err != nil {
 				logger.Error("state save failed", "reason", reason, "err", err)
 			} else {
 				logger.Info("state saved", "reason", reason)
 			}
 		}
 		checkpoint = func() { save("checkpoint") }
-		final = func() {
-			if c.storeDir != "" {
-				// Drain the memory tier so every artifact is durable in the
-				// checksummed tier files, not just in the gob snapshot.
-				if err := srv.Store.FlushToDisk(); err != nil {
-					logger.Error("store flush failed", "err", err)
-				}
-			}
-			save("shutdown")
-		}
+		final = func() { save("shutdown") }
 	}
 	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {

@@ -65,18 +65,22 @@ type family struct {
 	actual       *obs.Sketch
 	relErr       *obs.Sketch
 
-	// samples is a bounded ring of (bytes, seconds) pairs for FitProfile;
-	// only load families populate it.
-	samples []Sample
-	next    int
+	// samples keeps the newest (bytes, seconds) pairs for FitProfile; only
+	// load families have one, a compute family's is nil and keeps nothing.
+	samples *obs.Ring[Sample]
 }
 
-func newFamily() *family {
-	return &family{actual: obs.NewSketch(0), relErr: obs.NewSketch(0)}
+// newFamily returns an empty family of the given kind ("load", "compute").
+func newFamily(kind string) *family {
+	f := &family{actual: obs.NewSketch(0), relErr: obs.NewSketch(0)}
+	if kind == "load" {
+		f.samples = obs.NewRing[Sample](fitSampleCap)
+	}
+	return f
 }
 
 // observe folds one (predicted, actual) pair into the family.
-func (f *family) observe(bytes, predictedSec, actualSec float64, keepSample bool) {
+func (f *family) observe(bytes, predictedSec, actualSec float64) {
 	f.count++
 	f.predictedSum += predictedSec
 	f.actualSum += actualSec
@@ -98,15 +102,7 @@ func (f *family) observe(bytes, predictedSec, actualSec float64, keepSample bool
 	}
 	f.actual.Observe(actualSec)
 	f.relErr.Observe(relErr)
-	if !keepSample {
-		return
-	}
-	if len(f.samples) < fitSampleCap {
-		f.samples = append(f.samples, Sample{Bytes: bytes, ActualSec: actualSec})
-	} else {
-		f.samples[f.next] = Sample{Bytes: bytes, ActualSec: actualSec}
-		f.next = (f.next + 1) % fitSampleCap
-	}
+	f.samples.Add(Sample{Bytes: bytes, ActualSec: actualSec})
 }
 
 // Collector aggregates calibration observations. The zero value is not
@@ -157,16 +153,16 @@ func opFamily(op string) string {
 // against the measured fetch duration, keyed by the tier the bytes came
 // from.
 func (c *Collector) ObserveLoad(tier string, sizeBytes int64, predicted, actual time.Duration) {
-	c.observe(tierFamily(tier), float64(sizeBytes), predicted.Seconds(), actual.Seconds(), true)
+	c.observe(tierFamily(tier), float64(sizeBytes), predicted.Seconds(), actual.Seconds())
 }
 
 // ObserveCompute records one vertex execution: the EG's predicted compute
 // time t(v) against the measured duration, keyed by operation family.
 func (c *Collector) ObserveCompute(op string, predicted, actual time.Duration) {
-	c.observe(opFamily(op), 0, predicted.Seconds(), actual.Seconds(), false)
+	c.observe(opFamily(op), 0, predicted.Seconds(), actual.Seconds())
 }
 
-func (c *Collector) observe(key string, bytes, predictedSec, actualSec float64, keepSample bool) {
+func (c *Collector) observe(key string, bytes, predictedSec, actualSec float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	f := c.families[key]
@@ -179,12 +175,12 @@ func (c *Collector) observe(key string, bytes, predictedSec, actualSec float64, 
 		if f == nil {
 			// A new family, or the kind's first overflow opening
 			// "<kind>:other" one past the cap.
-			f = newFamily()
+			f = newFamily(kind)
 			c.families[key] = f
 			c.perKind[kind]++
 		}
 	}
-	f.observe(bytes, predictedSec, actualSec, keepSample)
+	f.observe(bytes, predictedSec, actualSec)
 }
 
 // RecordScorecard folds one request's scorecard into the running totals

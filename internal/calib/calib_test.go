@@ -130,7 +130,7 @@ func TestCollectorBoundsEachKindSeparately(t *testing.T) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s := c.families["load:memory"].samples; len(s) != 1 || s[0].Bytes != 1<<20 {
+	if s := c.families["load:memory"].samples.Snapshot(); len(s) != 1 || s[0].Bytes != 1<<20 {
 		t.Errorf("load:memory fit samples = %v, want the one sample", s)
 	}
 	if f := c.families["compute:other"]; f == nil || f.count != 100-maxFamilies {

@@ -64,11 +64,7 @@ func (c *Collector) Snapshot() *Report {
 	c.mu.Lock()
 	snaps := make([]famSnap, 0, len(c.families))
 	for name, f := range c.families {
-		s := famSnap{name: name, f: *f}
-		if len(f.samples) > 0 {
-			s.samples = append([]Sample(nil), f.samples...)
-		}
-		snaps = append(snaps, s)
+		snaps = append(snaps, famSnap{name: name, f: *f, samples: f.samples.Snapshot()})
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].name < snaps[j].name })
 	r.Runs = c.runs

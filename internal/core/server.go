@@ -312,7 +312,7 @@ func (s *Server) initMetrics() {
 		Puts:      reg.Counter("collab_store_puts_total", "artifacts admitted to the store"),
 		Evictions: reg.Counter("collab_store_evictions_total", "artifacts evicted from the store"),
 		Demotions: reg.Counter("collab_store_demotions_total",
-			"artifacts demoted memory → disk by budget pressure or idle sweeps"),
+			"artifacts demoted memory → disk by budget pressure"),
 		Promotions: reg.Counter("collab_store_promotions_total",
 			"artifacts promoted disk → memory on access"),
 		DiskEvictions: reg.Counter("collab_store_disk_evictions_total",

@@ -3,11 +3,12 @@ package obs
 import "sync"
 
 // Ring is the one bounded buffer of the observability plane: the request
-// flight log, the explain recorder and the ledger's per-artifact event
-// windows all keep their history in one, and a client trace its events. It
-// retains the newest Cap elements — a full ring overwrites its oldest
-// element, so a long-running server always holds the recent past — and
-// numbers elements from 1 in Add order. Cap 0 is unbounded (client-side one-run traces).
+// flight log, the explain recorder, the ledger's per-artifact event windows
+// and calibration's fit samples all keep their history in one, and a client
+// trace its events. It retains the newest Cap elements — a full ring
+// overwrites its oldest element, so a long-running server always holds the
+// recent past — and numbers elements from 1 in Add order. Cap 0 is unbounded
+// (client-side one-run traces).
 //
 // All methods are safe for concurrent use and nil-safe: a nil *Ring keeps
 // nothing and reports empty, which is how a disabled surface is held

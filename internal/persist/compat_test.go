@@ -19,6 +19,7 @@ import (
 	"repro/internal/explain"
 	"repro/internal/remote"
 	"repro/internal/store"
+	"repro/internal/tier"
 	"repro/internal/workloads/synth"
 )
 
@@ -83,11 +84,15 @@ func TestRestoresSnapshotOfParentCommit(t *testing.T) {
 // writing: the graph hands out copies of its lists and the graph view
 // renders a snapshot.
 func TestReadersRunBesideTheUpdater(t *testing.T) {
-	srv := core.NewServer(store.New(cost.Memory()),
+	dir := t.TempDir()
+	d, _, err := tier.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := core.NewServer(store.NewTiered(cost.Memory(), store.Options{Disk: d}),
 		core.WithBudget(8<<20), core.WithExplain(explain.NewRecorder(4)))
 	ts := httptest.NewServer(remote.NewHandler(srv))
 	defer ts.Close()
-	dir := t.TempDir()
 
 	u := synth.NewUniverse(11, 300)
 	rng := rand.New(rand.NewSource(11))
@@ -134,5 +139,43 @@ func TestReadersRunBesideTheUpdater(t *testing.T) {
 	wg.Wait()
 	if err := egtest.Check(srv.EG); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLoadRestoresStoreGobInIDOrder loads the parent-b10de20 store.gob into
+// a tiered store whose memory budget holds its largest artifact alone, so
+// restoring demotes: the order of the puts decides which artifacts stay in
+// memory. Every load of the same files must place every artifact alike.
+func TestLoadRestoresStoreGobInIDOrder(t *testing.T) {
+	fixture := filepath.Join("testdata", "parent-b10de20")
+	probe := core.NewServer(store.New(cost.Memory()))
+	if _, err := Load(probe, fixture); err != nil {
+		t.Fatal(err)
+	}
+	ids := probe.Store.StoredIDs()
+	var budget int64
+	for _, id := range ids {
+		a, _ := probe.Store.Peek(id)
+		budget = max(budget, a.SizeBytes())
+	}
+	var first map[string]store.Tier
+	for i := 0; i < 20; i++ {
+		d, _, err := tier.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := core.NewServer(store.NewTiered(cost.Memory(), store.Options{MemoryBudget: budget, Disk: d}))
+		if _, err := Load(srv, fixture); err != nil {
+			t.Fatal(err)
+		}
+		tiers := map[string]store.Tier{}
+		for _, id := range ids {
+			tiers[id] = srv.Store.TierOf(id)
+		}
+		if first == nil {
+			first = tiers
+		} else if !reflect.DeepEqual(tiers, first) {
+			t.Fatalf("load %d placed the artifacts %v, the first load %v", i, tiers, first)
+		}
 	}
 }

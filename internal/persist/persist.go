@@ -3,13 +3,13 @@
 // collabd daemon survives restarts without losing the accumulated history
 // of the collaborative environment.
 //
-// Layout under the data directory:
+// The state directory is the store's disk tier (internal/tier), which holds
+// the one durable copy of every artifact, with the graph beside it:
 //
 //	eg.gob     Experiment Graph snapshot
-//	store.gob  materialized artifact contents (column dedup is rebuilt on
-//	           load from the preserved lineage IDs); artifacts already
-//	           durable in the store's disk tier are skipped — the tier
-//	           directory is their authoritative copy
+//	store.gob  artifact contents as versions before the tier held them all
+//	           saved them: Load restores it once, and the next clean Save,
+//	           having written its artifacts as tier files, removes it
 //
 // Writes are atomic and verified: content goes to an fsynced temp file that
 // is renamed over the target, and each snapshot carries a length + CRC-32C
@@ -26,6 +26,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/eg"
@@ -33,7 +34,7 @@ import (
 	"repro/internal/rec"
 )
 
-// The store snapshot holds artifacts as gob interface values.
+// A store.gob holds artifacts as gob interface values.
 func init() { graph.RegisterGobTypes() }
 
 const (
@@ -49,9 +50,9 @@ const (
 // file is a first boot, a torn file is data loss that deserves a loud log.
 var ErrTorn = errors.New("persist: torn or truncated snapshot")
 
-// storeSnapshot is the serialized artifact store: artifact content by
-// vertex ID. Column deduplication is an in-memory property that Put
-// re-establishes on load (lineage IDs are preserved inside the frames).
+// storeSnapshot decodes a store.gob: artifact content by vertex ID. Column
+// deduplication is re-established by Put on load (lineage IDs are preserved
+// inside the frames).
 type storeSnapshot struct {
 	Artifacts map[string]artifactRecord
 }
@@ -61,38 +62,36 @@ type artifactRecord struct {
 	Content graph.Artifact
 }
 
-// Save writes the server's EG and store under dir, creating it if needed.
+// Save checkpoints the server's state under dir, creating it if needed: the
+// store syncs its memory tier into the disk tier, then the EG snapshot is
+// written — data before the index that names it. A failed sync does not stop
+// the EG snapshot: Save writes it and returns the errors joined, so a bad
+// checkpoint loses at most the artifacts it could not write, not the graph.
+// A store without a disk tier has nothing durable, and Save says so.
 func Save(srv *core.Server, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
+	syncErr := srv.Store.Sync()
 	if err := writeGobFile(filepath.Join(dir, egFile), srv.EG.Snapshot()); err != nil {
-		return err
+		return errors.Join(syncErr, err)
 	}
-	disk := srv.Store.Disk()
-	snap := storeSnapshot{Artifacts: make(map[string]artifactRecord)}
-	for _, id := range srv.Store.StoredIDs() {
-		// Artifacts with a disk-tier copy are already durable in the tier
-		// directory (checksummed, column-deduplicated); snapshotting them
-		// again would store the bytes twice without dedup.
-		if disk != nil && disk.Has(id) {
-			continue
-		}
-		// Peek, not Get: snapshotting must not disturb tier placement or
-		// the LRU order.
-		if content, _ := srv.Store.Peek(id); content != nil {
-			snap.Artifacts[id] = artifactRecord{Content: content}
-		}
+	if syncErr != nil {
+		return fmt.Errorf("persist: %w", syncErr)
 	}
-	return writeGobFile(filepath.Join(dir, storeFile), &snap)
+	if err := os.Remove(filepath.Join(dir, storeFile)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("persist: %w", err)
+	}
+	return nil
 }
 
 // Load restores a previously saved state into the server. A missing data
 // directory (first boot) is not an error; Load then leaves the server
 // empty and returns false. What is materialized after a restore is what the
-// store holds: the snapshot's artifacts and the disk tier's own survivors
-// (its boot scan verified their checksums); the first update evicts those
-// the restored graph does not keep.
+// store holds: the disk tier's survivors (its boot scan verified their
+// checksums) and the artifacts of a store.gob, restored in ID order so that
+// a memory budget demotes the same ones on every load; the first update
+// evicts those the restored graph does not keep.
 func Load(srv *core.Server, dir string) (restored bool, err error) {
 	var egSnap eg.Snapshot
 	if err := readGobFile(filepath.Join(dir, egFile), &egSnap); err != nil {
@@ -108,11 +107,17 @@ func Load(srv *core.Server, dir string) (restored bool, err error) {
 		}
 	}
 	srv.EG = eg.FromSnapshot(&egSnap)
-	for id, rec := range st.Artifacts {
-		if rec.Content == nil {
+	ids := make([]string, 0, len(st.Artifacts))
+	for id := range st.Artifacts {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		content := st.Artifacts[id].Content
+		if content == nil {
 			continue
 		}
-		if err := srv.Store.Put(id, rec.Content); err != nil {
+		if err := srv.Store.Put(id, content); err != nil {
 			return false, fmt.Errorf("persist: restoring %s: %w", id, err)
 		}
 	}

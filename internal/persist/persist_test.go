@@ -44,7 +44,7 @@ func TestSaveLoadRoundTripPreservesReuse(t *testing.T) {
 	frame := testFrame(200)
 
 	// Session 1: run a workload and save.
-	srv1 := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	srv1, _ := newTieredServer(t, dir, 0)
 	if _, err := core.NewClient(srv1).Run(buildWorkload(frame)); err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSaveLoadRoundTripPreservesReuse(t *testing.T) {
 
 	// Session 2: fresh server, restore, and re-run the same workload —
 	// it must be reused from the restored state.
-	srv2 := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	srv2, _ := newTieredServer(t, dir, 0)
 	restored, err := Load(srv2, dir)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -102,7 +102,7 @@ func TestLoadCorruptFileErrors(t *testing.T) {
 func TestSaveIsAtomicOverExisting(t *testing.T) {
 	dir := t.TempDir()
 	frame := testFrame(100)
-	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	srv, _ := newTieredServer(t, dir, 0)
 	if _, err := core.NewClient(srv).Run(buildWorkload(frame)); err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +113,13 @@ func TestSaveIsAtomicOverExisting(t *testing.T) {
 	if err := Save(srv, dir); err != nil {
 		t.Fatalf("second save: %v", err)
 	}
-	// No temp litter.
+	// No temp litter; the tier's subdirectories are expected.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() != "eg.gob" && e.Name() != "store.gob" {
+		if e.Type().IsRegular() && e.Name() != "eg.gob" && e.Name() != "store.gob" {
 			t.Errorf("unexpected file %s", e.Name())
 		}
 	}
@@ -128,14 +128,14 @@ func TestSaveIsAtomicOverExisting(t *testing.T) {
 func TestRestoredStateKeepsMaterializationConsistent(t *testing.T) {
 	dir := t.TempDir()
 	frame := testFrame(150)
-	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	srv, _ := newTieredServer(t, dir, 0)
 	if _, err := core.NewClient(srv).Run(buildWorkload(frame)); err != nil {
 		t.Fatal(err)
 	}
 	if err := Save(srv, dir); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	srv2, _ := newTieredServer(t, dir, 0)
 	if _, err := Load(srv2, dir); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,11 @@ package persist
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,6 +14,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/store"
 	"repro/internal/tier"
+	"repro/internal/workloads/kaggle"
 )
 
 func isTorn(err error) bool { return errors.Is(err, ErrTorn) }
@@ -103,9 +107,6 @@ func TestCrashRecoveryQuarantinesAndRecomputes(t *testing.T) {
 	if _, err := core.NewClient(srv1).Run(buildWorkload(frame)); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv1.Store.FlushToDisk(); err != nil {
-		t.Fatal(err)
-	}
 	if err := Save(srv1, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCrashRecoveryQuarantinesAndRecomputes(t *testing.T) {
 // restoring partial state.
 func TestLoadRejectsTornSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	srv, _ := newTieredServer(t, dir, 0)
 	if _, err := core.NewClient(srv).Run(buildWorkload(testFrame(100))); err != nil {
 		t.Fatal(err)
 	}
@@ -211,5 +212,110 @@ func TestLoadRejectsTornSnapshot(t *testing.T) {
 	}
 	if restored, err := Load(fresh(), dir); err != nil || !restored {
 		t.Fatalf("pristine snapshot: restored=%v err=%v", restored, err)
+	}
+}
+
+// TestKillAfterCheckpointRestoresEveryArtifact: with no memory budget every
+// artifact of the run is memory-only until the checkpoint, which must make
+// each one durable. The server is then dropped without a shutdown; a fresh
+// server on the same directory holds every artifact again and re-runs the
+// workloads without executing anything.
+func TestKillAfterCheckpointRestoresEveryArtifact(t *testing.T) {
+	dir := t.TempDir()
+	src := kaggle.Generate(kaggle.DefaultConfig())
+	// W2 and W3: W1 reruns its external visualization on any server,
+	// restarted or not, because external artifacts are never materialized.
+	wls := kaggle.AllWorkloads()[1:3]
+
+	srv1, _ := newTieredServer(t, dir, 0)
+	for _, wl := range wls {
+		if _, err := core.NewClient(srv1).Run(wl.Build(src)); err != nil {
+			t.Fatalf("W%d: %v", wl.ID, err)
+		}
+	}
+	if srv1.Store.DiskBytes() != 0 {
+		t.Fatal("setup: an unbudgeted run should leave every artifact memory-only")
+	}
+	if err := Save(srv1, dir); err != nil {
+		t.Fatal(err)
+	}
+	held := srv1.Store.StoredIDs()
+	sort.Strings(held)
+	if len(held) == 0 {
+		t.Fatal("setup: the run materialized nothing")
+	}
+	// Hard stop: srv1 is abandoned without a shutdown save.
+
+	srv2, rep := newTieredServer(t, dir, 0)
+	if rep.Quarantined != 0 {
+		t.Fatalf("clean restart quarantined %d files", rep.Quarantined)
+	}
+	if restored, err := Load(srv2, dir); err != nil || !restored {
+		t.Fatalf("Load: restored=%v err=%v", restored, err)
+	}
+	got := srv2.Store.StoredIDs()
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, held) {
+		t.Fatalf("restored %d artifacts, the checkpoint held %d", len(got), len(held))
+	}
+	for _, wl := range wls {
+		res, err := core.NewClient(srv2).Run(wl.Build(src))
+		if err != nil {
+			t.Fatalf("W%d rerun: %v", wl.ID, err)
+		}
+		if res.Executed != 0 {
+			t.Errorf("W%d rerun executed %d ops", wl.ID, res.Executed)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "store.gob")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("store.gob after a checkpoint: %v", err)
+	}
+}
+
+// TestCheckpointIsIncremental: a second checkpoint with no update in
+// between rewrites no tier file, and neither leaves a store.gob.
+func TestCheckpointIsIncremental(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newTieredServer(t, dir, 0)
+	if _, err := core.NewClient(srv).Run(buildWorkload(testFrame(200))); err != nil {
+		t.Fatal(err)
+	}
+	type stamp struct {
+		size  int64
+		mtime time.Time
+	}
+	files := func() map[string]stamp {
+		t.Helper()
+		out := map[string]stamp{}
+		for _, sub := range []string{"cols", "frames", "blobs"} {
+			entries, err := os.ReadDir(filepath.Join(dir, sub))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				info, err := e.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[sub+"/"+e.Name()] = stamp{info.Size(), info.ModTime()}
+			}
+		}
+		return out
+	}
+	if err := Save(srv, dir); err != nil {
+		t.Fatal(err)
+	}
+	first := files()
+	if len(first) == 0 {
+		t.Fatal("the first checkpoint wrote no tier file")
+	}
+	if err := Save(srv, dir); err != nil {
+		t.Fatal(err)
+	}
+	if second := files(); !reflect.DeepEqual(second, first) {
+		t.Errorf("the second checkpoint rewrote tier files:\nbefore %v\nafter  %v", first, second)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "store.gob")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("store.gob after a checkpoint: %v", err)
 	}
 }

@@ -108,22 +108,6 @@ func TestLedgerSeesBudgetPressure(t *testing.T) {
 	}
 }
 
-// TestLedgerSeesIdleDemotion: DemoteIdle's spills reach the ledger too.
-func TestLedgerSeesIdleDemotion(t *testing.T) {
-	d := newDisk(t)
-	m := NewTiered(cost.Memory(), Options{Disk: d})
-	led, _ := attachTestLedger(t, m)
-	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.DemoteIdle(0); n != 1 {
-		t.Fatalf("DemoteIdle = %d, want 1", n)
-	}
-	if got := record(led, "v1").Tier; got != "disk" {
-		t.Fatalf("v1 tier = %s, want disk", got)
-	}
-}
-
 // TestLedgerRecoverySeeding: attaching a ledger to a store whose disk tier
 // recovered prior content rebuilds ledger entries for the survivors where
 // they live, so restart does not blind the economics.
@@ -137,7 +121,7 @@ func TestLedgerRecoverySeeding(t *testing.T) {
 	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FlushToDisk(); err != nil {
+	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -210,7 +194,7 @@ func TestLedgerQuarantineOnRuntimeCorruption(t *testing.T) {
 
 // TestQuickLedgerResidencyIsTheStores drives a tiered store whose memory
 // budget demotes (and whose disk budget evicts) through random sequences of
-// Put, PutFrameRef, Get (which promotes), Evict, DemoteIdle and FlushToDisk,
+// Put, PutFrameRef, Get (which promotes), Evict and Sync,
 // one second of scripted ledger clock per step. After every step each
 // artifact's ledger tier is the store's — memory wins, "none" once evicted —
 // and its byte-seconds per tier are the sum, over the steps it was resident
@@ -243,7 +227,7 @@ func TestQuickLedgerResidencyIsTheStores(t *testing.T) {
 				cols = pool[:1]
 			}
 			frame := data.MustNewFrame(cols...)
-			switch op := rng.Intn(7); {
+			switch op := rng.Intn(6); {
 			case op <= 1 && !m.Has(id):
 				if err := m.Put(id, &graph.DatasetArtifact{Frame: frame}); err != nil {
 					t.Fatal(err)
@@ -270,9 +254,7 @@ func TestQuickLedgerResidencyIsTheStores(t *testing.T) {
 			case op == 4:
 				m.Evict(id)
 			case op == 5:
-				m.DemoteIdle(0)
-			case op == 6:
-				if err := m.FlushToDisk(); err != nil {
+				if err := m.Sync(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -20,7 +20,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/data"
@@ -67,7 +66,7 @@ type Metrics struct {
 	// Evictions counts artifacts removed entirely (all tiers).
 	Evictions *obs.Counter
 	// Demotions counts artifacts moved memory → disk under budget
-	// pressure or idle sweeps.
+	// pressure (or by Demote).
 	Demotions *obs.Counter
 	// Promotions counts artifacts copied disk → memory on access.
 	Promotions *obs.Counter
@@ -80,7 +79,7 @@ type Metrics struct {
 	// BytesFetched accumulates the logical size of artifacts served by Get.
 	BytesFetched *obs.Counter
 	// LockWait accounts time callers queued on the manager's write lock
-	// (Put, Get, Evict, Demote, DemoteIdle, FlushToDisk) — the
+	// (Put, Get, Evict, Demote, and Sync once per artifact it walks) — the
 	// eviction/admission serialization point under concurrent clients.
 	LockWait *obs.Histogram
 }
@@ -122,10 +121,10 @@ type Manager struct {
 	// either tier.
 	lastUse map[string]uint64
 	clock   uint64
-	// memLRU lists the memory-resident artifacts as *touch by ascending
+	// memLRU lists the IDs of the memory-resident artifacts by ascending
 	// lastUse stamp (front = coldest), memElem finds an ID's element: every
 	// stamp is a new clock maximum, so a touch is a move to the back and
-	// picking a victim, by budget or by idleness, is reading the front.
+	// picking a budget victim is reading the front.
 	memLRU  *list.List
 	memElem map[string]*list.Element
 
@@ -281,23 +280,14 @@ func (m *Manager) TierProfile(t Tier) cost.Profile {
 // Disk returns the attached disk tier, or nil for a memory-only manager.
 func (m *Manager) Disk() *tier.Disk { return m.disk }
 
-// touch is a memory-resident artifact's element of the LRU list, with the
-// wall-clock time of its last access for idle sweeps.
-type touch struct {
-	id string
-	at time.Time
-}
-
 // touchLocked stamps a memory-resident artifact's LRU position.
 func (m *Manager) touchLocked(vertexID string) {
 	m.clock++
 	m.lastUse[vertexID] = m.clock
-	now := obs.Timestamp()
 	if e, ok := m.memElem[vertexID]; ok {
-		e.Value.(*touch).at = now
 		m.memLRU.MoveToBack(e)
 	} else {
-		m.memElem[vertexID] = m.memLRU.PushBack(&touch{vertexID, now})
+		m.memElem[vertexID] = m.memLRU.PushBack(vertexID)
 	}
 }
 
@@ -595,30 +585,35 @@ func (m *Manager) Evict(vertexID string) {
 	}
 }
 
-// demoteLocked moves a memory-resident artifact to the disk tier: content
-// is spilled (skipped when the inclusive disk copy already exists) and the
-// memory copy dropped. The artifact stays loadable — Has, Get, and the
-// planner's cost model all keep seeing it, at disk cost.
-func (m *Manager) demoteLocked(vertexID string) error {
+// spillLocked writes the disk copy of a memory-resident artifact unless the
+// inclusive copy already exists. It is the one writer of disk copies:
+// demotion and Sync both spill.
+func (m *Manager) spillLocked(vertexID string) error {
 	if m.disk == nil {
-		return fmt.Errorf("store: no disk tier to demote %s to", vertexID)
+		return fmt.Errorf("store: no disk tier to spill %s to", vertexID)
 	}
-	if !m.mem.Has(vertexID) {
-		return fmt.Errorf("store: %s is not memory-resident", vertexID)
+	if m.disk.Has(vertexID) {
+		return nil
 	}
-	if !m.disk.Has(vertexID) {
-		var err error
-		if man, ok := m.mem.Frame(vertexID); ok {
-			var cols []*data.Column
-			if cols, err = tier.Columns(man, m.memColumn); err == nil {
-				err = m.disk.PutFrame(vertexID, cols)
-			}
-		} else {
-			err = m.disk.PutBlob(vertexID, m.blobs[vertexID])
-		}
+	if man, ok := m.mem.Frame(vertexID); ok {
+		cols, err := tier.Columns(man, m.memColumn)
 		if err != nil {
 			return err
 		}
+		return m.disk.PutFrame(vertexID, cols)
+	}
+	return m.disk.PutBlob(vertexID, m.blobs[vertexID])
+}
+
+// demoteLocked moves a memory-resident artifact to the disk tier: content
+// is spilled and the memory copy dropped. The artifact stays loadable —
+// Has, Get, and the planner's cost model all keep seeing it, at disk cost.
+func (m *Manager) demoteLocked(vertexID string) error {
+	if !m.mem.Has(vertexID) {
+		return fmt.Errorf("store: %s is not memory-resident", vertexID)
+	}
+	if err := m.spillLocked(vertexID); err != nil {
+		return err
 	}
 	m.dropMemoryLocked(vertexID)
 	m.met.Demotions.Inc()
@@ -638,7 +633,7 @@ func (m *Manager) Demote(vertexID string) error {
 // stamp, or "" when the memory tier is empty.
 func (m *Manager) coldestLocked() string {
 	if e := m.memLRU.Front(); e != nil {
-		return e.Value.(*touch).id
+		return e.Value.(string)
 	}
 	return ""
 }
@@ -682,46 +677,36 @@ func (m *Manager) enforceBudgetsLocked() {
 	}
 }
 
-// DemoteIdle demotes every memory-resident artifact whose last access is
-// older than the cutoff. It is the background-demotion entry point: collabd
-// runs it on a timer so long-idle artifacts drain to disk even without
-// budget pressure. It walks the LRU list from its cold end and stops at the
-// first artifact touched since the cutoff. Returns how many artifacts were
-// demoted.
-func (m *Manager) DemoteIdle(olderThan time.Duration) int {
-	m.lockWrite()
-	defer m.mu.Unlock()
+// Sync writes the disk copy of every memory-resident artifact that lacks
+// one, coldest first, and keeps the memory copy (the tiers are inclusive).
+// It locks per artifact, so a Get or Evict waits for one write, not the
+// walk, and it skips an artifact evicted meanwhile: writing it back would
+// restore content the materializer dropped. It does not evict for the disk
+// budget; the next put does. Sync continues past failures and returns the
+// first, or an error when no disk tier is attached.
+func (m *Manager) Sync() error {
 	if m.disk == nil {
-		return 0
+		return errors.New("store: no disk tier to sync to")
 	}
-	cutoff := obs.Timestamp().Add(-olderThan)
-	n := 0
-	for e := m.memLRU.Front(); e != nil && e.Value.(*touch).at.Before(cutoff); {
-		id := e.Value.(*touch).id
-		e = e.Next() // demotion removes id's element
-		if m.demoteLocked(id) == nil {
-			n++
-		}
+	m.mu.RLock()
+	ids := make([]string, 0, m.memLRU.Len())
+	for e := m.memLRU.Front(); e != nil; e = e.Next() {
+		ids = append(ids, e.Value.(string))
 	}
-	return n
-}
-
-// FlushToDisk demotes every memory-resident artifact, coldest first, so all
-// content is durable on the disk tier (used at graceful shutdown of a
-// persistent store). Returns the first error, continuing past failures.
-func (m *Manager) FlushToDisk() error {
-	m.lockWrite()
-	defer m.mu.Unlock()
-	if m.disk == nil {
-		return fmt.Errorf("store: no disk tier attached")
-	}
+	m.mu.RUnlock()
 	var first error
-	for e := m.memLRU.Front(); e != nil; {
-		id := e.Value.(*touch).id
-		e = e.Next() // demotion removes id's element
-		if err := m.demoteLocked(id); err != nil && first == nil {
-			first = err
+	for _, id := range ids {
+		m.lockWrite()
+		if m.mem.Has(id) && !m.disk.Has(id) {
+			if err := m.spillLocked(id); err != nil {
+				if first == nil {
+					first = err
+				}
+			} else {
+				m.reportLocked(id)
+			}
 		}
+		m.mu.Unlock()
 	}
 	return first
 }

@@ -1,10 +1,11 @@
 package store
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/data"
@@ -189,30 +190,9 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	}
 }
 
-// TestDemoteIdleSweep: the background sweep demotes only artifacts idle
-// longer than the cutoff.
-func TestDemoteIdleSweep(t *testing.T) {
-	d := newDisk(t)
-	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if err := m.Put("old", floatArtifact("old", 10)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	if err := m.Put("fresh", floatArtifact("fresh", 10)); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.DemoteIdle(15 * time.Millisecond); n != 1 {
-		t.Fatalf("demoted %d, want 1", n)
-	}
-	if m.TierOf("old") != TierDisk || m.TierOf("fresh") != TierMemory {
-		t.Fatalf("sweep hit the wrong artifact: old=%v fresh=%v",
-			m.TierOf("old"), m.TierOf("fresh"))
-	}
-}
-
-// TestFlushToDiskSurvivesRestart: flushing then reopening the directory in
-// a new manager serves the same artifacts from the disk tier.
-func TestFlushToDiskSurvivesRestart(t *testing.T) {
+// TestSyncSurvivesRestart: syncing then reopening the directory in a new
+// manager serves the same artifacts from the disk tier.
+func TestSyncSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	d, _, err := tier.Open(dir)
 	if err != nil {
@@ -225,11 +205,14 @@ func TestFlushToDiskSurvivesRestart(t *testing.T) {
 	if err := m.Put("m1", &graph.AggregateArtifact{Value: 42}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FlushToDisk(); err != nil {
+	if err := m.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if m.MemoryBytes() != 0 {
-		t.Fatalf("memory not drained: %d bytes", m.MemoryBytes())
+	for _, id := range []string{"v1", "m1"} {
+		if m.TierOf(id) != TierMemory || !d.Has(id) {
+			t.Fatalf("%s: tier %v, on disk %v; want the memory copy kept and a disk copy written",
+				id, m.TierOf(id), d.Has(id))
+		}
 	}
 
 	d2, rep, err := tier.Open(dir)
@@ -252,6 +235,75 @@ func TestFlushToDiskSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestSyncRacesEvict runs Sync over and over beside a loop of Put, Get and
+// Evict (under -race, the checkpoint beside the server's updates): afterwards
+// Has agrees with the loop's model, and a reopened tier holds nothing the
+// loop last evicted — Sync never writes back what was evicted while it
+// walked.
+func TestSyncRacesEvict(t *testing.T) {
+	dir := t.TempDir()
+	d, _, err := tier.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewTiered(cost.Memory(), Options{Disk: d})
+	ids := []string{"v0", "m1", "v2", "m3"}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := m.Sync(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	held := map[string]bool{}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		j := rng.Intn(len(ids))
+		id := ids[j]
+		switch rng.Intn(3) {
+		case 0:
+			var a graph.Artifact = floatArtifact(id, 10)
+			if j%2 == 1 {
+				a = &graph.AggregateArtifact{Value: float64(i)}
+			}
+			if err := m.Put(id, a); err != nil {
+				t.Fatal(err)
+			}
+			held[id] = true
+		case 1:
+			m.Get(id)
+		case 2:
+			m.Evict(id)
+			held[id] = false
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	d2, _, err := tier.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if m.Has(id) != held[id] {
+			t.Errorf("%s: Has = %v, the loop left it held = %v", id, m.Has(id), held[id])
+		}
+		if !held[id] && d2.Has(id) {
+			t.Errorf("%s: evicted by the loop, yet the reopened tier holds it", id)
+		}
+	}
+}
+
 // TestDictColumnSurvivesTiers: a dictionary-encoded string column keeps its
 // representation (and its contents) through demotion to disk and a restart
 // recovery — the disk codec stores codes + dictionary, not expanded strings.
@@ -269,7 +321,7 @@ func TestDictColumnSurvivesTiers(t *testing.T) {
 	if err := m.Put("v1", &graph.DatasetArtifact{Frame: data.MustNewFrame(col)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.FlushToDisk(); err != nil {
+	if err := m.Demote("v1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -295,7 +347,7 @@ func TestDictColumnSurvivesTiers(t *testing.T) {
 			}
 		}
 	}
-	check(m, "after flush")
+	check(m, "after demotion")
 
 	d2, rep, err := tier.Open(dir)
 	if err != nil {
