@@ -126,7 +126,7 @@ fuzz:
 # request ID (X-Collab-Request). Tests are exempt.
 LOG_LINT_DIRS = internal/core internal/remote internal/obs internal/explain \
 	internal/reuse internal/materialize internal/eg internal/store \
-	internal/calib internal/tier internal/persist
+	internal/calib internal/tier internal/persist cmd/collabd
 lint-logs:
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\b(log\.Printf|log\.Println|log\.Fatal|fmt\.Printf|fmt\.Println)\(' $(LOG_LINT_DIRS) || true)"; \
 	if [ -n "$$out" ]; then \
@@ -143,7 +143,7 @@ lint-logs:
 # hosts the helpers and is exempt.
 TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 	internal/reuse internal/materialize internal/eg internal/store \
-	internal/calib internal/tier internal/persist
+	internal/calib internal/tier internal/persist cmd/collabd
 
 # lint-layers keeps the kernels free of server wiring: the columnar and ML
 # kernels, the operators, the DAG and the worker pool run on the client, so

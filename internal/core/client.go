@@ -32,13 +32,15 @@ const SessionTier = "session"
 // client propagates the ID over the wire as the X-Collab-Request header.
 type Optimizer interface {
 	ArtifactSource
+	// Optimize plans the run; nil is no answer, and the run computes
+	// everything.
 	Optimize(w *graph.DAG, req *obs.Request) *Optimization
 	// Update merges the executed DAG; wall is the run's measured Execute
 	// wall-clock time for the calibration scorecard (0: not measured). The
 	// returned IDs are content the server wants and was not given — empty
 	// whenever the DAG carried its content or the implementation uploads it
 	// itself.
-	Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string)
+	Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string, err error)
 }
 
 // Client drives one workload through the full pipeline: local pruning,
@@ -68,7 +70,10 @@ type RunResult struct {
 }
 
 // Run executes a workload DAG end to end (Figure 2 steps 2–5) and returns
-// the metrics. The DAG's source vertices must carry content.
+// the metrics. The DAG's source vertices must carry content. Run is the one
+// place that decides how a run goes on without its server: with no optimize
+// answer it computes everything, and a failed update leaves the result
+// standing (a remote optimizer keeps the error for its Err).
 //
 // Every run generates a request ID, propagated to the server (in-process
 // or via the X-Collab-Request header) and attached to trace spans, server
@@ -83,6 +88,9 @@ func (c *Client) Run(w *graph.DAG) (*RunResult, error) {
 
 	// Step 3: server-side optimization.
 	opt := c.srv.Optimize(w, req)
+	if opt == nil {
+		opt = &Optimization{}
+	}
 
 	cfg := execConfig{req: req}
 	for _, o := range c.execOpts {
@@ -117,8 +125,9 @@ func (c *Client) Run(w *graph.DAG) (*RunResult, error) {
 	}
 
 	// Step 5: updater. The wall time rides along so the server can fold it
-	// into the request's scorecard.
-	c.srv.Update(w, req, res.WallTime)
+	// into the request's scorecard; a failed update leaves the result
+	// standing.
+	_, _ = c.srv.Update(w, req, res.WallTime)
 
 	return &RunResult{
 		ExecResult:          *res,

@@ -369,6 +369,45 @@ func TestServerPrunePolicyBoundsEG(t *testing.T) {
 	}
 }
 
+// TestPruningEndsTheClaimOnAnUpload: a vertex an update asked its caller
+// for, which never uploads it, is pruned once idle merges pass it by, and its
+// claim (askOnceLocked) goes with it: the claims do not outlive the graph's
+// vertices.
+func TestPruningEndsTheClaimOnAnUpload(t *testing.T) {
+	srv := newTestServer(
+		WithStrategy(materialize.NewAll()),
+		WithPrunePolicy(eg.PrunePolicy{MaxIdleWorkloads: 1}),
+	)
+	frame := syntheticTrain(100, 10)
+	run := func(i int) (*graph.DAG, *graph.Node) {
+		w := graph.NewDAG()
+		src := w.AddSource("train.csv", &graph.DatasetArtifact{Frame: frame})
+		f := w.Apply(src, ops.Filter{Col: "price", Op: ops.GT, Value: float64(i)})
+		if _, err := Execute(w, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		return w, f
+	}
+	w, held := run(0)
+	held.Content = nil // the caller holds it and never uploads it
+	want, err := srv.Update(w, nil, 0)
+	if err != nil || !slices.Contains(want, held.ID) || !srv.asked[held.ID] {
+		t.Fatalf("the update asked for %v (err %v); want the filtered frame, claimed", want, err)
+	}
+	for i := 1; i <= 3; i++ {
+		idle, _ := run(i)
+		if _, err := srv.Update(idle, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if srv.EG.Has(held.ID) {
+		t.Fatal("the idle vertex was not pruned")
+	}
+	if srv.asked[held.ID] {
+		t.Error("the pruned vertex is still claimed as asked for")
+	}
+}
+
 func TestMaterializeStrategySwap(t *testing.T) {
 	frame := syntheticTrain(200, 9)
 	cfg := materialize.Config{Alpha: 0.5, Profile: cost.Memory()}

@@ -101,7 +101,8 @@ func TestPlanPrunedCountersSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	offPath, byCost, notMat := srv.PlanPruned()
+	st := srv.Stats()
+	offPath, byCost, notMat := st.PlanPrunedOffPath, st.PlanPrunedByCost, st.PlanPrunedNotMaterialized
 	if offPath < 0 || byCost < 0 || notMat < 0 {
 		t.Fatalf("negative pruned counters: %d %d %d", offPath, byCost, notMat)
 	}

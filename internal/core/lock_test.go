@@ -47,9 +47,9 @@ func TestLockSectionAccounting(t *testing.T) {
 	if n := m.lockHold["optimize"].Count(); n != 1 {
 		t.Fatalf("optimize lock-hold observations = %d, want 1", n)
 	}
-	if srv.LockWaitSeconds() < forcedWait.Seconds() || srv.LockHoldSeconds() <= 0 {
+	if st := srv.Stats(); st.LockWaitSec < forcedWait.Seconds() || st.LockHoldSec <= 0 {
 		t.Fatalf("scalar lock totals = wait %v / hold %v, want both positive",
-			srv.LockWaitSeconds(), srv.LockHoldSeconds())
+			st.LockWaitSec, st.LockHoldSec)
 	}
 
 	// The wait was written into the record the request carried, which is

@@ -100,14 +100,15 @@ func TestServerMetricsExposition(t *testing.T) {
 		}
 	}
 
-	if srv.OptimizeCount() != 2 || srv.UpdateCount() != 2 {
+	st := srv.Stats()
+	if st.OptimizeCount != 2 || st.UpdateCount != 2 {
 		t.Errorf("optimize/update counts = %d/%d, want 2/2",
-			srv.OptimizeCount(), srv.UpdateCount())
+			st.OptimizeCount, st.UpdateCount)
 	}
-	if srv.ReusePlanned() == 0 {
+	if st.ReusePlanned == 0 {
 		t.Error("second run should have planned reuse")
 	}
-	plan, mat := srv.Timings()
+	plan, mat := st.PlanTime, st.MatTime
 	if plan <= 0 || mat <= 0 {
 		t.Errorf("timings plan=%v mat=%v, want positive", plan, mat)
 	}
@@ -193,12 +194,12 @@ func TestTimingsDoesNotQueueBehindAnUpdate(t *testing.T) {
 	}
 	release := srv.lockSection("update", &obs.Request{})
 	defer release()
-	waited := srv.LockWaitSeconds()
+	waited := srv.Stats().LockWaitSec
 
 	done := make(chan [2]time.Duration, 1)
 	go func() {
-		plan, mat := srv.Timings()
-		done <- [2]time.Duration{plan, mat}
+		st := srv.Stats()
+		done <- [2]time.Duration{st.PlanTime, st.MatTime}
 	}()
 	select {
 	case got := <-done:
@@ -206,9 +207,9 @@ func TestTimingsDoesNotQueueBehindAnUpdate(t *testing.T) {
 			t.Errorf("timings plan=%v mat=%v after one run, want positive", got[0], got[1])
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Timings() is waiting for the server mutex")
+		t.Fatal("Stats() is waiting for the server mutex")
 	}
-	if srv.LockWaitSeconds() != waited {
+	if srv.Stats().LockWaitSec != waited {
 		t.Error("reading the timings was accounted as lock wait")
 	}
 }

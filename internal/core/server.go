@@ -111,7 +111,7 @@ type serverMetrics struct {
 	lockWait map[string]*obs.Histogram
 	lockHold map[string]*obs.Histogram
 	// storeLockWait is the store manager's write-lock wait histogram,
-	// retained so /v1/stats can report its scalar sum.
+	// retained so Stats can report its scalar sum.
 	storeLockWait *obs.Histogram
 }
 
@@ -327,7 +327,7 @@ func (s *Server) initMetrics() {
 	reg.Gauge(obs.Labeled("collab_build_info", "version", s.version, "go_version", s.goVersion),
 		"build identity of this server (constant 1; facts travel in the labels)").Set(1)
 	reg.GaugeFunc("collab_uptime_seconds", "seconds since this server was constructed",
-		func() float64 { return s.UptimeSeconds() })
+		func() float64 { return s.started.Elapsed().Seconds() })
 	// Flight-ring health: occupancy and capacity.
 	if s.flight != nil {
 		reg.GaugeFunc("collab_flight_requests", "finished requests retained by the flight ring",
@@ -387,39 +387,6 @@ func (s *Server) Clients() *obs.ClientTable { return s.clients }
 // when artifact accounting is disabled.
 func (s *Server) ArtifactLedger() *obs.ArtifactLedger { return s.ledger }
 
-// LockWaitSeconds returns the cumulative time requests spent queued on the
-// server mutex, summed across sections (the scalar view of the
-// collab_server_lock_wait_seconds histograms, mirrored on /v1/stats).
-func (s *Server) LockWaitSeconds() float64 {
-	var total float64
-	for _, h := range s.metrics.lockWait {
-		total += h.Sum()
-	}
-	return total
-}
-
-// LockHoldSeconds returns the cumulative time requests held the server
-// mutex, summed across sections.
-func (s *Server) LockHoldSeconds() float64 {
-	var total float64
-	for _, h := range s.metrics.lockHold {
-		total += h.Sum()
-	}
-	return total
-}
-
-// StoreLockWaitSeconds returns the cumulative time callers spent queued on
-// the store manager's write lock (the scalar view of
-// collab_store_lock_wait_seconds, mirrored on /v1/stats).
-func (s *Server) StoreLockWaitSeconds() float64 { return s.metrics.storeLockWait.Sum() }
-
-// UptimeSeconds reports how long ago this server was constructed.
-func (s *Server) UptimeSeconds() float64 { return s.started.Elapsed().Seconds() }
-
-// BuildInfo reports the module version and Go toolchain baked into the
-// binary, mirrored on the collab_build_info metric and /v1/stats.
-func (s *Server) BuildInfo() (version, goVersion string) { return s.version, s.goVersion }
-
 // Ready reports whether the server can serve traffic: the artifact store
 // must be attached and its cost profile loaded. The HTTP layer's /readyz
 // endpoint surfaces the error text on 503 responses.
@@ -443,37 +410,6 @@ func (s *Server) ObserveRequest(req *obs.Request) {
 	})
 	s.clients.Observe(req)
 }
-
-// Timings returns the accumulated reuse-planning (Figure 9d) and
-// materialization-algorithm overheads: the sums of collab_optimize_seconds
-// and collab_materialize_seconds. It takes no lock, so a stats scrape never
-// queues behind the update it is measuring.
-func (s *Server) Timings() (plan, mat time.Duration) {
-	seconds := func(h *obs.Histogram) time.Duration { return time.Duration(h.Sum() * float64(time.Second)) }
-	return seconds(s.metrics.optimizeSec), seconds(s.metrics.matSec)
-}
-
-// ReusePlanned returns the cumulative count of vertices reuse plans chose
-// to load.
-func (s *Server) ReusePlanned() int64 { return s.metrics.planLoads.Value() }
-
-// WarmstartsProposed returns the cumulative count of warmstart donors
-// proposed.
-func (s *Server) WarmstartsProposed() int64 { return s.metrics.warmstartsFound.Value() }
-
-// PlanPruned returns the cumulative reason-coded counts of vertices reuse
-// plans did not load: off-path (backward-pass drops), by-cost (loadable
-// but Cl >= recreation cost), and not-materialized (no loadable artifact).
-func (s *Server) PlanPruned() (offPath, byCost, notMaterialized int64) {
-	m := s.metrics
-	return m.planPruned.Value(), m.planPrunedCost.Value(), m.planPrunedNoMat.Value()
-}
-
-// OptimizeCount returns how many optimize requests the server served.
-func (s *Server) OptimizeCount() int64 { return s.metrics.optimizeTotal.Value() }
-
-// UpdateCount returns how many updater invocations the server served.
-func (s *Server) UpdateCount() int64 { return s.metrics.updateTotal.Value() }
 
 // Budget returns the materialization budget in bytes.
 func (s *Server) Budget() int64 { return s.budget }
@@ -502,13 +438,6 @@ func (s *Server) FetchTiered(id string, _ *obs.Request) (graph.Artifact, string,
 		return nil, "", 0
 	}
 	return a, tr.String(), s.Store.TierProfile(tr).LoadCost(a.SizeBytes())
-}
-
-// PeekArtifact returns stored content and its tier without promoting it or
-// disturbing the LRU order. Remote artifact transfers and the snapshotter
-// read through it so serving a cold artifact does not displace the hot set.
-func (s *Server) PeekArtifact(id string) (graph.Artifact, store.Tier) {
-	return s.Store.Peek(id)
 }
 
 // Strategy returns the active materialization strategy.
@@ -563,33 +492,7 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 	return &Optimization{Plan: plan, Warmstarts: ws, Overhead: overhead}
 }
 
-// Update is the server's updater (Figure 2, step 5): it merges the
-// executed DAG into EG, stores missing source artifacts unconditionally,
-// re-runs the materialization strategy under the budget, and applies the
-// selection to the store — storing newly selected artifacts whose content
-// the DAG carries and evicting deselected ones. It returns the vertex IDs
-// whose content it wants and does not have (the newly selected artifacts
-// plus any missing raw sources): always empty for an in-process run, the
-// upload list of the remote protocol (UpdateContent) — datasets, and what
-// the client held rather than produced — less what another caller is
-// already sending (askOnceLocked).
-//
-// wall, when positive, is the client's measured Execute wall-clock time,
-// folded into the request's calibration scorecard. The executed DAG's shape,
-// the lock wait and the materialization time are written into req (nil: an
-// untagged caller).
-func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string) {
-	content := make(map[string]graph.Artifact)
-	for _, n := range executed.Nodes() {
-		if n.Content != nil {
-			content[n.ID] = n.Content
-		}
-	}
-	want, _ = s.UpdateContent(executed, content, req, wall) // a DAG with content has no frontier
-	return want
-}
-
-// FrontierError is UpdateContent's refusal of a DAG whose frontier nodes
+// FrontierError is Update's refusal of a DAG whose frontier nodes
 // (graph.Node.Frontier) name vertices the Experiment Graph does not hold —
 // pruned, or lost to a restart, since the client was told they were known.
 // Nothing of that update was applied.
@@ -601,16 +504,28 @@ func (e *FrontierError) Error() string {
 	return fmt.Sprintf("the experiment graph does not hold %d frontier vertices of the update", len(e.Unknown))
 }
 
-// UpdateContent is Update with the content that is available handed over
-// beside the DAG, by vertex ID, instead of read off its nodes: the remote
-// handler's entry point, whose DAG is meta-data only — so eg.Merge annotates
-// it from the wire meta-data — and whose content is what the client sent
-// inline with the update. What the materializer selects of that content is
-// stored during the update and never asked for. A frontier node stands for
-// a vertex of the graph and its ancestors; when the graph does not hold one
-// of them, the update changes nothing and returns a *FrontierError naming
-// them all.
-func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Artifact, req *obs.Request, wall time.Duration) (want []string, err error) {
+// Update is the server's updater (Figure 2, step 5) and the one way a run
+// enters the server, in process and over HTTP: it merges the executed DAG
+// into EG, stores missing source artifacts unconditionally, re-runs the
+// materialization strategy under the budget, and applies the selection to
+// the store — storing newly selected artifacts whose content the DAG's nodes
+// carry and evicting deselected ones. It returns the vertex IDs whose content
+// it wants and does not have (the newly selected artifacts plus any missing
+// raw sources), less what another caller is already sending
+// (askOnceLocked): for an in-process run only what its plan left
+// unexecuted, for a remote one the upload list — its decoded DAG is
+// meta-data only, which eg.Merge annotates it from, and carries on its
+// nodes only the content the client sent inline.
+//
+// A frontier node stands for a vertex of the graph and its ancestors; when
+// the graph does not hold one of them, the update changes nothing and
+// returns a *FrontierError naming them all.
+//
+// wall, when positive, is the client's measured Execute wall-clock time,
+// folded into the request's calibration scorecard. The executed DAG's shape,
+// the lock wait and the materialization time are written into req (nil: an
+// untagged caller).
+func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string, err error) {
 	req = untagged(req)
 	defer s.lockSection("update", req)()
 
@@ -630,10 +545,21 @@ func (s *Server) UpdateContent(executed *graph.DAG, content map[string]graph.Art
 
 	s.EG.Merge(executed)
 
-	want = s.askOnceLocked(executed, s.applySelectionLocked(content, req, sc))
-	s.Store.Holding(func(held func(string) bool) { s.EG.Prune(s.prune, held) }) // what is stored stays
+	want = s.askOnceLocked(executed, s.applySelectionLocked(executed, req, sc))
+	s.pruneLocked()
 	s.metrics.updateTotal.Inc()
 	return want, nil
+}
+
+// pruneLocked drops the vertices the prune policy lets go of — what is stored
+// stays — and the claims on their uploads (askOnceLocked), which can no
+// longer arrive.
+func (s *Server) pruneLocked() {
+	var pruned []string
+	s.Store.Holding(func(held func(string) bool) { pruned = s.EG.Prune(s.prune, held) })
+	for _, id := range pruned {
+		delete(s.asked, id)
+	}
 }
 
 // observeExecutionLocked feeds the calibration collector from an executed
@@ -781,18 +707,18 @@ func (s *Server) askOnceLocked(executed *graph.DAG, want []string) []string {
 }
 
 // applySelectionLocked stores sources, runs the materialization strategy,
-// applies what the run changed to the store using the contents in available,
-// and returns the desired-but-missing vertex IDs. The strategy's record of the
+// applies what the run changed to the store using the content the executed
+// DAG carries, and returns the desired-but-missing vertex IDs. The strategy's record of the
 // run is the one account of what it decided: the updater evicts its Dropped
 // and stores or asks for its Admitted, the counters read its counts and, when
 // explain is on, the recorder renders its trail. The store ends where
 // reconciling every stored artifact with the whole selection left it
 // (TestDeltaUpdaterMatchesFullReconcile), at the cost of what changed.
-func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *obs.Request, sc *calib.Scorecard) (want []string) {
+func (s *Server) applySelectionLocked(executed *graph.DAG, req *obs.Request, sc *calib.Scorecard) (want []string) {
 	// Task one: every raw source artifact is stored, outside the budget.
 	for _, id := range s.EG.Sources() {
 		if !s.Store.Has(id) {
-			want = s.storeLocked(id, available, want)
+			want = s.storeLocked(id, executed, want)
 		}
 	}
 	// After the sources, whose puts the full reconcile made while what it
@@ -827,9 +753,9 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *
 		s.evictLocked(id)
 	}
 	for _, id := range run.Admitted {
-		want = s.storeLocked(id, available, want)
+		want = s.storeLocked(id, executed, want)
 		if s.Store.Drops() != drops {
-			return s.applyInOrderLocked(run, id, available, want)
+			return s.applyInOrderLocked(run, id, executed, want)
 		}
 	}
 	return want
@@ -840,22 +766,22 @@ func (s *Server) applySelectionLocked(available map[string]graph.Artifact, req *
 // no disk tier under it, or under a disk budget), which may be a selected one
 // the run found stored. It walks the rest of the selection, after from, in the
 // order the strategy admitted it, as the full reconcile did: what is stored
-// stays, what is not is stored from available content or wanted.
-func (s *Server) applyInOrderLocked(run materialize.Run, from string, available map[string]graph.Artifact, want []string) []string {
+// stays, what is not is stored from the executed DAG's content or wanted.
+func (s *Server) applyInOrderLocked(run materialize.Run, from string, executed *graph.DAG, want []string) []string {
 	selected := run.SelectedIDs()
 	for _, id := range selected[slices.Index(selected, from)+1:] {
 		if !s.Store.Has(id) {
-			want = s.storeLocked(id, available, want)
+			want = s.storeLocked(id, executed, want)
 		}
 	}
 	return want
 }
 
-// storeLocked stores the vertex's content when available holds it, and
-// otherwise adds the vertex to want.
-func (s *Server) storeLocked(id string, available map[string]graph.Artifact, want []string) []string {
-	if content, ok := available[id]; ok {
-		_ = s.Store.Put(id, content)
+// storeLocked stores the vertex's content when its node in the executed DAG
+// carries it, and otherwise adds the vertex to want.
+func (s *Server) storeLocked(id string, executed *graph.DAG, want []string) []string {
+	if n := executed.Node(id); n != nil && n.Content != nil {
+		_ = s.Store.Put(id, n.Content)
 		return want
 	}
 	return append(want, id)

@@ -189,7 +189,7 @@ func TestColdPassStoresWhatTheClientHolds(t *testing.T) {
 	other := anotherClient(rc)
 	frames := 0
 	for _, id := range srv.Store.StoredIDs() {
-		stored, _ := srv.PeekArtifact(id)
+		stored, _ := srv.Store.Peek(id)
 		if mine := held[id]; mine == nil || !sameContent(t, stored, mine) {
 			t.Errorf("stored %s is not the client's content", id)
 		}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/reuse"
 	"repro/internal/store"
 )
 
@@ -31,10 +30,9 @@ const DefaultSessionBudget = 256 << 20
 // its runs fetch or compute stays in its session store (SetSessionBudget), so
 // a later run of the same client neither downloads nor recomputes it.
 //
-// core.Optimizer's methods cannot return errors; transport failures are
-// therefore absorbed conservatively (Optimize degrades to compute-
-// everything, Update becomes a no-op) and recorded — check Err after a
-// run, or use the *E variants directly.
+// A transport failure is recorded for Err, which the caller checks after a
+// run: Optimize then answers nil, Update returns it as well, and a fetch
+// finds nothing. core.Client.Run decides how the run goes on.
 //
 // A Client is safe for concurrent runs: every call carries the record of
 // the run it belongs to, whose ID travels as the X-Collab-Request header on
@@ -111,25 +109,17 @@ func (c *Client) fail(err error) {
 	c.mu.Unlock()
 }
 
-// Optimize implements core.Optimizer.
+// Optimize implements core.Optimizer: nil when the server cannot be
+// reached, the failure recorded for Err. Vertices the session store holds
+// are installed into w first, so the server plans around them, and w travels
+// in its frontier form. The frontier vertices the server does not hold are
+// remembered for the run's update.
 func (c *Client) Optimize(w *graph.DAG, req *obs.Request) *core.Optimization {
-	opt, err := c.OptimizeE(w, req)
-	if err != nil {
-		c.fail(err)
-		return &core.Optimization{Plan: &reuse.Plan{Reuse: map[string]bool{}}}
-	}
-	return opt
-}
-
-// OptimizeE is Optimize with error reporting. Vertices the session store
-// holds are installed into w first, so the server plans around them, and w
-// travels in its frontier form. The frontier vertices the server does not
-// hold are remembered for the run's update.
-func (c *Client) OptimizeE(w *graph.DAG, req *obs.Request) (*core.Optimization, error) {
 	c.installHeld(w)
 	var resp optimizeResponse
 	if err := c.exchange("/v1/optimize", req, &OptimizeRequest{DAG: w}, &resp); err != nil {
-		return nil, err
+		c.fail(err)
+		return nil
 	}
 	if rid := req.ID(); rid != "" && len(resp.Unknown) > 0 {
 		c.mu.Lock()
@@ -139,7 +129,7 @@ func (c *Client) OptimizeE(w *graph.DAG, req *obs.Request) (*core.Optimization, 
 		c.unknown[rid] = resp.Unknown
 		c.mu.Unlock()
 	}
-	return &resp.Optimization, nil
+	return &resp.Optimization
 }
 
 // unknownFrontier returns, and forgets, the frontier vertices the optimize
@@ -157,33 +147,33 @@ func (c *Client) unknownFrontier(req *obs.Request) []string {
 // aggregates the run produced (the run's wall time rides on the same
 // request, which is where the server builds the run's calibration
 // scorecard), then upload whatever else the server asks for in one body —
-// so there is never anything left for the caller to supply.
-func (c *Client) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) []string {
-	if err := c.UpdateE(executed, req, wall); err != nil {
-		c.fail(err)
-	}
-	return nil
-}
-
-// UpdateE is Update with error reporting: one POST /v1/update and at most
-// one POST /v1/artifact, plus one resend of what the server refused for a
-// column it lost in between. The DAG travels in its frontier form, the
-// frontier vertices the optimize answer named with their ancestry; when the
-// server has lost a frontier vertex since (409), the update goes once more
-// with that vertex's ancestry too. What the run computed or loaded goes into
-// the session store whether or not the server can be reached.
-func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Duration) error {
+// so there is never anything left for the caller to supply, and want is
+// always empty. A failure is returned and recorded for Err.
+//
+// An update is one POST /v1/update and at most one POST /v1/artifact, plus
+// one resend of what the server refused for a column it lost in between.
+// The DAG travels in its frontier form, the frontier vertices the optimize
+// answer named with their ancestry; when the server has lost a frontier
+// vertex since (409), the update goes once more with that vertex's ancestry
+// too. What the run computed or loaded goes into the session store whether
+// or not the server can be reached.
+func (c *Client) Update(executed *graph.DAG, req *obs.Request, wall time.Duration) (want []string, err error) {
+	defer func() {
+		if err != nil {
+			c.fail(err)
+		}
+	}()
 	c.holdContent(executed)
 	var resp UpdateResponse
 	body := &UpdateRequest{DAG: executed, Unknown: c.unknownFrontier(req), WallTime: wall, Inline: inline(executed)}
-	err := c.exchange("/v1/update", req, body, &resp)
+	err = c.exchange("/v1/update", req, body, &resp)
 	var conflict *frontierConflict
 	if errors.As(err, &conflict) {
 		body.Unknown = append(body.Unknown, conflict.Unknown...)
 		err = c.exchange("/v1/update", req, body, &resp)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	up := uploadBatch{held: make(map[string]bool)}
 	for i, id := range resp.WantContent {
@@ -198,11 +188,11 @@ func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Durati
 		up.add(id, n.Content, have)
 	}
 	if len(up.items) == 0 {
-		return nil
+		return nil, nil
 	}
 	absent, err := c.upload(up.items, req)
 	if err != nil || len(absent) == 0 {
-		return err
+		return nil, err
 	}
 	refused := make(map[string]bool, len(absent))
 	for _, id := range absent {
@@ -222,7 +212,7 @@ func (c *Client) UpdateE(executed *graph.DAG, req *obs.Request, wall time.Durati
 	if absent, err = c.upload(resend, req); err == nil && len(absent) > 0 {
 		err = fmt.Errorf("remote: upload: the server lacks columns of %v although every column was sent", absent)
 	}
-	return err
+	return nil, err
 }
 
 // inline returns the content an update carries with it: what the run
@@ -262,27 +252,8 @@ func (c *Client) do(method, url string, body io.Reader, req *obs.Request) (*http
 
 // Fetch returns an artifact by vertex ID outside any run, or nil.
 func (c *Client) Fetch(id string) graph.Artifact {
-	content, _ := c.fetchTagged(id, nil)
+	content, _, _ := c.FetchTiered(id, nil)
 	return content
-}
-
-// fetchTagged reads an artifact through the session store: a held ID comes
-// back labelled core.SessionTier, anything else is downloaded, held, and
-// labelled with the server-side tier from the X-Collab-Tier response header
-// ("" for older servers). So an ID is downloaded once for as long as the
-// session's budget keeps it.
-func (c *Client) fetchTagged(id string, req *obs.Request) (graph.Artifact, string) {
-	held := c.sessionStore()
-	if held != nil {
-		if a, _ := held.Get(id); a != nil {
-			return a, core.SessionTier
-		}
-	}
-	content, srvTier := c.download(id, req)
-	if content != nil && held != nil {
-		_ = held.Put(id, content) // fails on nil content only
-	}
-	return content, srvTier
 }
 
 // download GETs an artifact from the server.
@@ -312,23 +283,27 @@ func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) 
 	return answer.Content, resp.Header.Get(TierHeader)
 }
 
-// FetchTiered implements core.ArtifactSource: transfers always cost the
-// client's (remote) profile, but the span label records which server tier
-// the bytes actually came from, e.g. "remote:disk". Content the session
-// store holds costs nothing.
+// FetchTiered implements core.ArtifactSource, reading through the session
+// store: a held ID comes back labelled core.SessionTier and costs nothing;
+// anything else is downloaded, held — so an ID is downloaded once for as
+// long as the session's budget keeps it — and labelled with the server-side
+// tier the bytes came from (the X-Collab-Tier response header), e.g.
+// "remote:disk", at the client's (remote) profile's transfer cost.
 func (c *Client) FetchTiered(id string, req *obs.Request) (graph.Artifact, string, time.Duration) {
-	content, srvTier := c.fetchTagged(id, req)
+	held := c.sessionStore()
+	if held != nil {
+		if a, _ := held.Get(id); a != nil {
+			return a, core.SessionTier, 0
+		}
+	}
+	content, srvTier := c.download(id, req)
 	if content == nil {
 		return nil, "", 0
 	}
-	if srvTier == core.SessionTier {
-		return content, srvTier, 0
+	if held != nil {
+		_ = held.Put(id, content) // fails on nil content only
 	}
-	label := "remote"
-	if srvTier != "" {
-		label = "remote:" + srvTier
-	}
-	return content, label, c.profile.LoadCost(content.SizeBytes())
+	return content, "remote:" + srvTier, c.profile.LoadCost(content.SizeBytes())
 }
 
 // CalibrationE fetches the server's calibration report.
@@ -338,8 +313,8 @@ func (c *Client) CalibrationE() (*calib.Report, error) {
 }
 
 // StatsE fetches server statistics.
-func (c *Client) StatsE() (*Stats, error) {
-	var st Stats
+func (c *Client) StatsE() (*core.Stats, error) {
+	var st core.Stats
 	return &st, c.getJSON("/v1/stats", &st)
 }
 

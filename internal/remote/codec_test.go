@@ -487,9 +487,9 @@ func TestMetaBodyIsExactlyOneMessage(t *testing.T) {
 		if rec := postBody(NewHandler(srv), "/v1/update", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("update %s: status %d, want 400", name, rec.Code)
 		}
-		if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.UpdateCount() != 0 {
+		if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.Stats().UpdateCount != 0 {
 			t.Errorf("update %s changed the server (EG %d, store %d, updates %d)",
-				name, srv.EG.Len(), srv.Store.Len(), srv.UpdateCount())
+				name, srv.EG.Len(), srv.Store.Len(), srv.Stats().UpdateCount)
 		}
 	}
 	srv := newServer()
@@ -501,8 +501,8 @@ func TestMetaBodyIsExactlyOneMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv = newServer()
-	if rec := postBody(NewHandler(srv), "/v1/optimize", slices.Concat(body, []byte{0})); rec.Code != http.StatusBadRequest || srv.OptimizeCount() != 0 {
-		t.Errorf("optimize followed by a stray byte: status %d, %d optimizations", rec.Code, srv.OptimizeCount())
+	if rec := postBody(NewHandler(srv), "/v1/optimize", slices.Concat(body, []byte{0})); rec.Code != http.StatusBadRequest || srv.Stats().OptimizeCount != 0 {
+		t.Errorf("optimize followed by a stray byte: status %d, %d optimizations", rec.Code, srv.Stats().OptimizeCount)
 	}
 }
 
@@ -585,8 +585,7 @@ func TestMetaDecodeAllocations(t *testing.T) {
 			if err := req.unmarshal(b); err != nil {
 				return err
 			}
-			_, err := inlineContent(req.DAG, req.Inline)
-			return err
+			return putInline(req.DAG, req.Inline)
 		},
 		server: 86, client: 85,
 	})
@@ -648,8 +647,8 @@ func FuzzOptimizeDecode(f *testing.F) {
 	other.http.Transport = log
 	for _, dag := range []*graph.DAG{kaggle.Workload1(src), sibling(0.2)} {
 		dag.MarkComputed()
-		if _, err := other.OptimizeE(dag, nil); err != nil {
-			f.Fatal(err)
+		if other.Optimize(dag, nil) == nil {
+			f.Fatal(other.Err())
 		}
 	}
 	again := kaggle.Workload1(src)
@@ -657,8 +656,8 @@ func FuzzOptimizeDecode(f *testing.F) {
 	lost := again.AddSource("never-sent.csv", &graph.DatasetArtifact{Frame: testFrame(5, 1)})
 	again.Apply(lost, ops.Derive{Out: "z", Inputs: []string{"a", "b"}, Fn: ops.Sum})
 	again.MarkComputed()
-	if _, err := rc.OptimizeE(again, nil); err != nil {
-		f.Fatal(err)
+	if rc.Optimize(again, nil) == nil {
+		f.Fatal(rc.Err())
 	}
 	ts.Close()
 	seeds := log.bodies["/v1/optimize"]
@@ -668,15 +667,15 @@ func FuzzOptimizeDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 
-	vertices, stored, updates := srv.EG.Len(), srv.Store.StoredIDs(), srv.UpdateCount()
+	vertices, stored, updates := srv.EG.Len(), srv.Store.StoredIDs(), srv.Stats().UpdateCount
 	sort.Strings(stored)
 	check := func(t testing.TB, body []byte) (reused, warmstarted int) {
 		rec := postBody(h, "/v1/optimize", body)
 		after := srv.Store.StoredIDs()
 		sort.Strings(after)
-		if srv.EG.Len() != vertices || !slices.Equal(after, stored) || srv.UpdateCount() != updates {
+		if srv.EG.Len() != vertices || !slices.Equal(after, stored) || srv.Stats().UpdateCount != updates {
 			t.Fatalf("an optimize request changed the server: EG %d → %d vertices, %d → %d stored, %d → %d updates",
-				vertices, srv.EG.Len(), len(stored), len(after), updates, srv.UpdateCount())
+				vertices, srv.EG.Len(), len(stored), len(after), updates, srv.Stats().UpdateCount)
 		}
 		switch rec.Code {
 		case http.StatusOK:

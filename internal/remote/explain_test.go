@@ -183,7 +183,8 @@ func TestStatsPrunedSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offPath, byCost, notMat := srv.PlanPruned()
+	want := srv.Stats()
+	offPath, byCost, notMat := want.PlanPrunedOffPath, want.PlanPrunedByCost, want.PlanPrunedNotMaterialized
 	if st.PlanPrunedOffPath != offPath || st.PlanPrunedByCost != byCost || st.PlanPrunedNotMaterialized != notMat {
 		t.Errorf("stats pruned split (%d,%d,%d) disagrees with server (%d,%d,%d)",
 			st.PlanPrunedOffPath, st.PlanPrunedByCost, st.PlanPrunedNotMaterialized,

@@ -1,8 +1,12 @@
 package remote
 
 import (
+	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -131,6 +135,50 @@ func TestRemoteStats(t *testing.T) {
 	}
 	if st.Vertices == 0 || st.Materialized == 0 {
 		t.Errorf("stats look empty: %+v", st)
+	}
+}
+
+// TestStatsKeySet pins the keys of /v1/stats as its raw body carries them,
+// not as the struct decodes them: the benchmark reads the first thirteen by
+// name, and a renamed field would silently read zero there. After one run
+// the store's physical bytes are counted.
+func TestStatsKeySet(t *testing.T) {
+	_, rc, closeFn := newRemotePair(t)
+	defer closeFn()
+	mustRun(t, rc, buildPipeline(testFrame(100, 3)))
+	resp, err := http.Get(rc.BaseURL() + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		// Read by the benchmark.
+		"LockWaitSec", "LockHoldSec", "StoreLockWaitSec", "PlanTime", "MatTime",
+		"ReusePlanned", "PlanPrunedByCost", "WarmstartsProposed", "Vertices",
+		"Materialized", "LogicalBytes", "PhysicalBytes", "DiskBytes",
+		// Read by collab stats and the tests.
+		"MemoryBytes", "MemoryArtifacts", "DiskArtifacts", "OptimizeCount",
+		"UpdateCount", "PlanPrunedOffPath", "PlanPrunedNotMaterialized", "Runs",
+		"RunWallTime", "LastRunWallTime", "CalibLoadObs", "CalibComputeObs",
+		"EstimatedSavedSec", "LastSpeedup", "MaxDrift", "MaxDriftFamily", "LastRun",
+		"Version", "GoVersion", "UptimeSeconds", "ArtifactsTracked",
+		"ArtifactSavedSec", "ArtifactRentSec", "ArtifactNetSec",
+	}
+	got := make([]string, 0, len(body))
+	for k := range body {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("/v1/stats keys\n%v\nwant\n%v", got, want)
+	}
+	if pb, _ := body["PhysicalBytes"].(float64); pb <= 0 {
+		t.Errorf("PhysicalBytes %v after a run, want above 0", body["PhysicalBytes"])
 	}
 }
 

@@ -28,8 +28,8 @@ func TestClientAttributionWithoutFlightRing(t *testing.T) {
 	defer ts.Close()
 	rc := NewClient(ts.URL, cost.Memory())
 	rc.SetName("analyst-1")
-	if _, err := rc.OptimizeE(buildPipeline(testFrame(120, 1)), &obs.Request{RequestID: "req-1"}); err != nil {
-		t.Fatal(err)
+	if rc.Optimize(buildPipeline(testFrame(120, 1)), &obs.Request{RequestID: "req-1"}) == nil {
+		t.Fatal(rc.Err())
 	}
 	if srv.Flight() != nil {
 		t.Fatal("flight ring should be off")

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/explain"
 	"repro/internal/graph"
@@ -145,17 +144,16 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxArtifactBody, &req) {
 		return
 	}
-	content, err := inlineContent(req.DAG, req.Inline)
-	if err != nil {
+	if err := putInline(req.DAG, req.Inline); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	// The DAG carries meta-data only — column lineage (dedup accounting) and
 	// model kinds (warmstart donor matching) included, which the updater
-	// merges before it selects — and the inline content travels beside it,
-	// so what the materializer selected and was not handed comes back as the
+	// merges before it selects — and the inline content on its nodes, so
+	// what the materializer selected and was not handed comes back as the
 	// list of content to upload.
-	want, err := h.srv.UpdateContent(req.DAG, content, request(r), req.WallTime)
+	want, err := h.srv.Update(req.DAG, request(r), req.WallTime)
 	var lost *core.FrontierError
 	if errors.As(err, &lost) {
 		writeMessage(w, http.StatusConflict, &frontierConflict{Unknown: lost.Unknown})
@@ -194,7 +192,7 @@ func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
 	// Peek, don't Get: serving a collaborator must not promote the artifact
 	// into the memory tier or disturb the LRU order — a cold artifact
 	// streams straight from the disk tier.
-	content, tier := h.srv.PeekArtifact(id)
+	content, tier := h.srv.Store.Peek(id)
 	if content == nil {
 		http.Error(w, "artifact not found", http.StatusNotFound)
 		return
@@ -203,24 +201,29 @@ func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
 	writeMessage(w, http.StatusOK, &downloadResponse{Content: content})
 }
 
-// inlineContent indexes an update's inline artifacts by vertex ID. Each must
-// carry content for a vertex of the update's DAG, and none may be a
+// putInline puts each of an update's inline artifacts on its node of the
+// update's DAG. Each must carry content for a vertex the run computed — one
+// of the DAG that is neither Computed nor LoadedFromEG, so never a frontier
+// node, whose content eg.Merge would otherwise read — and none may be a
 // dataset: datasets have one upload shape, the manifest on the upload route.
-func inlineContent(dag *graph.DAG, inline []InlineArtifact) (map[string]graph.Artifact, error) {
-	content := make(map[string]graph.Artifact, len(inline))
+func putInline(dag *graph.DAG, inline []InlineArtifact) error {
 	for _, a := range inline {
 		switch a.Content.(type) {
 		case nil:
-			return nil, fmt.Errorf("inline artifact %q carries no content", a.ID)
+			return fmt.Errorf("inline artifact %q carries no content", a.ID)
 		case *graph.DatasetArtifact:
-			return nil, fmt.Errorf("inline artifact %q is a dataset: datasets are uploaded as a manifest", a.ID)
+			return fmt.Errorf("inline artifact %q is a dataset: datasets are uploaded as a manifest", a.ID)
 		}
-		if dag.Node(a.ID) == nil {
-			return nil, fmt.Errorf("inline artifact %q is not a vertex of the update", a.ID)
+		n := dag.Node(a.ID)
+		switch {
+		case n == nil:
+			return fmt.Errorf("inline artifact %q is not a vertex of the update", a.ID)
+		case n.Computed || n.LoadedFromEG:
+			return fmt.Errorf("inline artifact %q is of a vertex the run did not compute", a.ID)
 		}
-		content[a.ID] = a.Content
+		n.Content = a.Content
 	}
-	return content, nil
+	return nil
 }
 
 // putArtifact admits an upload body: every item the update wanted, checked
@@ -263,62 +266,8 @@ func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
-	plan, mat := h.srv.Timings()
-	st := Stats{
-		Vertices:           h.srv.EG.Len(),
-		Materialized:       h.srv.Materialized(),
-		PhysicalBytes:      h.srv.Store.PhysicalBytes(),
-		LogicalBytes:       h.srv.Store.LogicalBytes(),
-		MemoryBytes:        h.srv.Store.MemoryBytes(),
-		DiskBytes:          h.srv.Store.DiskBytes(),
-		PlanTime:           plan,
-		MatTime:            mat,
-		OptimizeCount:      h.srv.OptimizeCount(),
-		UpdateCount:        h.srv.UpdateCount(),
-		ReusePlanned:       h.srv.ReusePlanned(),
-		WarmstartsProposed: h.srv.WarmstartsProposed(),
-		UptimeSeconds:      h.srv.UptimeSeconds(),
-		LockWaitSec:        h.srv.LockWaitSeconds(),
-		LockHoldSec:        h.srv.LockHoldSeconds(),
-		StoreLockWaitSec:   h.srv.StoreLockWaitSeconds(),
-	}
-	st.MemoryArtifacts, st.DiskArtifacts = h.srv.Store.TierCounts()
-	st.Version, st.GoVersion = h.srv.BuildInfo()
-	st.PlanPrunedOffPath, st.PlanPrunedByCost, st.PlanPrunedNotMaterialized = h.srv.PlanPruned()
-	if led := h.srv.ArtifactLedger(); led != nil {
-		st.ArtifactsTracked, st.ArtifactSavedSec, st.ArtifactRentSec, st.ArtifactNetSec = led.Totals()
-	}
-	st.calibration(h.srv.Calibration().Snapshot())
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(st)
-}
-
-// calibration fills the scorecard summary from the calibration report: run
-// totals, observation counts summed over each kind of family, and the worst
-// drift, ties going to the lexically smaller family (the report's order).
-func (st *Stats) calibration(r *calib.Report) {
-	st.Runs = r.Runs
-	st.RunWallTime = secondsToDuration(r.WallSecTotal)
-	st.EstimatedSavedSec = r.EstimatedSavedSecTotal
-	st.LastSpeedup = r.LastSpeedup
-	st.LastRun = r.LastRun
-	if r.LastRun != nil {
-		st.LastRunWallTime = secondsToDuration(r.LastRun.WallSec)
-	}
-	for _, f := range r.Families {
-		if strings.HasPrefix(f.Name, "load:") {
-			st.CalibLoadObs += f.Count
-		} else {
-			st.CalibComputeObs += f.Count
-		}
-		if f.Drift > st.MaxDrift {
-			st.MaxDriftFamily, st.MaxDrift = f.Name, f.Drift
-		}
-	}
-}
-
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
+	_ = json.NewEncoder(w).Encode(h.srv.Stats())
 }
 
 // The report views. Each debugging surface is a function from the query to

@@ -350,7 +350,7 @@ func TestSessionFetchesOnceWhileHeld(t *testing.T) {
 	if dl.total() != before {
 		t.Errorf("%d downloads in a run whose inputs the session held", dl.total()-before)
 	}
-	back, _ := srv.PeekArtifact(feat)
+	back, _ := srv.Store.Peek(feat)
 	if back == nil {
 		t.Fatal("the server wanted the features back and did not get them from the session copy")
 	}

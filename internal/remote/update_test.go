@@ -53,7 +53,7 @@ func TestUpdateStoresTheInlineContentItSelects(t *testing.T) {
 			t.Fatalf("%s: %d inline artifacts, want the model and the score", tc.name, len(sent))
 		}
 		for _, a := range sent {
-			got, _ := srv.PeekArtifact(a.ID)
+			got, _ := srv.Store.Peek(a.ID)
 			if (got != nil) != tc.stored {
 				t.Errorf("%s: %s stored %v; want %v", tc.name, a.ID, got != nil, tc.stored)
 			}
@@ -90,6 +90,10 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 			}
 		}
 	}
+	// The source is Computed, as a run's pruning marks it: content an update
+	// carried for it would be content the run did not compute.
+	src := dag.Nodes()[0]
+	src.Computed = true
 	valid := InlineArtifact{ID: model.ID, Content: model.Content}
 	for _, tc := range []struct {
 		name string
@@ -98,13 +102,14 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 		{"a dataset", InlineArtifact{ID: feat.ID, Content: &graph.DatasetArtifact{}}},
 		{"no content", InlineArtifact{ID: model.ID}},
 		{"not a vertex of the update", InlineArtifact{ID: "ghost", Content: model.Content}},
+		{"a vertex the run did not compute", InlineArtifact{ID: src.ID, Content: model.Content}},
 	} {
 		srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
 		body := &UpdateRequest{DAG: dag, Unknown: dag.IDs(), Inline: []InlineArtifact{valid, tc.bad}}
 		if code := postMeta(t, NewHandler(srv), "/v1/update", body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
-		if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.UpdateCount() != 0 {
+		if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.Stats().UpdateCount != 0 {
 			t.Errorf("%s: the refused update reached the server (EG %d, store %d)", tc.name, srv.EG.Len(), srv.Store.Len())
 		}
 	}
@@ -350,7 +355,11 @@ func TestARunIsTwoRequestsPlusItsFetches(t *testing.T) {
 		uploads += calls["upload"]
 		fetches += len(fetched)
 
-		for _, id := range replay.Update(serverDAG(t, r.dag), nil, 0) {
+		want, err := replay.Update(serverDAG(t, r.dag), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range want {
 			if n := r.dag.Node(id); n != nil && n.Content != nil {
 				if err := replay.PutArtifact(id, n.Content, nil); err != nil {
 					t.Fatal(err)
@@ -365,8 +374,8 @@ func TestARunIsTwoRequestsPlusItsFetches(t *testing.T) {
 		t.Fatalf("%d uploads and %d fetches over %d runs: the sequence did not exercise the protocol", uploads, fetches, len(runs))
 	}
 	for _, id := range srv.Store.StoredIDs() {
-		a, _ := srv.PeekArtifact(id)
-		b, _ := replay.PeekArtifact(id)
+		a, _ := srv.Store.Peek(id)
+		b, _ := replay.Store.Peek(id)
 		if !sameBits(a, b) {
 			t.Errorf("stored content of %s differs from the per-vertex protocol's", id)
 		}
@@ -456,7 +465,7 @@ func FuzzUpdateDecode(f *testing.F) {
 				t.Fatal(err)
 			}
 		case http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge:
-			if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.UpdateCount() != 0 {
+			if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.Stats().UpdateCount != 0 {
 				t.Fatalf("a refused update changed the server (EG %d, store %d)", srv.EG.Len(), srv.Store.Len())
 			}
 		default:

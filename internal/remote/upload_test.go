@@ -222,7 +222,7 @@ func TestColumnLevelUploadEndToEnd(t *testing.T) {
 				t.Errorf("vertex %s uploaded twice", up.ID)
 			}
 			seen[up.ID] = true
-			a, _ := srv.PeekArtifact(up.ID)
+			a, _ := srv.Store.Peek(up.ID)
 			if a == nil {
 				t.Fatalf("uploaded vertex %s is not stored", up.ID)
 			}
@@ -241,7 +241,7 @@ func TestColumnLevelUploadEndToEnd(t *testing.T) {
 	stored := 0
 	for _, dag := range dags {
 		for _, n := range dag.Nodes() {
-			got, _ := srv.PeekArtifact(n.ID)
+			got, _ := srv.Store.Peek(n.ID)
 			if got == nil || n.Content == nil {
 				continue
 			}
@@ -340,7 +340,7 @@ func TestUploadRetriesOnceWhenServerLostAColumn(t *testing.T) {
 		if len(up.Columns) != len(up.ColIDs) {
 			t.Errorf("resend of %s carries %d of its %d columns", up.ID, len(up.Columns), len(up.ColIDs))
 		}
-		if got, _ := srv.PeekArtifact(up.ID); got == nil || !sameBits(got, dag.Node(up.ID).Content) {
+		if got, _ := srv.Store.Peek(up.ID); got == nil || !sameBits(got, dag.Node(up.ID).Content) {
 			t.Errorf("resent vertex %s is not stored as the client holds it", up.ID)
 		}
 	}
@@ -416,7 +416,7 @@ func TestConcurrentCollaboratorsUploadAVertexOnce(t *testing.T) {
 		if _, ok := one.dag.Node(id).Content.(*graph.DatasetArtifact); !ok {
 			t.Errorf("vertex %s was uploaded, not sent with the update", id)
 		}
-		if got, _ := srv.PeekArtifact(id); got == nil || !sameBits(got, one.dag.Node(id).Content) {
+		if got, _ := srv.Store.Peek(id); got == nil || !sameBits(got, one.dag.Node(id).Content) {
 			t.Errorf("uploaded vertex %s is not stored as the clients hold it", id)
 		}
 	}
@@ -424,7 +424,7 @@ func TestConcurrentCollaboratorsUploadAVertexOnce(t *testing.T) {
 		if n.Content == nil {
 			continue
 		}
-		if got, _ := srv.PeekArtifact(n.ID); got == nil || !sameBits(got, n.Content) {
+		if got, _ := srv.Store.Peek(n.ID); got == nil || !sameBits(got, n.Content) {
 			t.Errorf("vertex %s (%s) is not stored as the clients hold it", n.ID, n.Name)
 		}
 	}
@@ -440,7 +440,13 @@ func TestAskedAndNeverUploadedIsAskedAgain(t *testing.T) {
 	if _, err := core.Execute(dag, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	update := func() []string { return srv.Update(serverDAG(t, dag), nil, 0) }
+	update := func() []string {
+		want, err := srv.Update(serverDAG(t, dag), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
 	asked := update()
 	if len(asked) == 0 {
 		t.Fatal("first update asked for nothing")
@@ -475,7 +481,7 @@ func TestHaveIndexOutOfRangeIsIgnored(t *testing.T) {
 	if absent, err := rc.upload(b.items, nil); err != nil || len(absent) > 0 {
 		t.Fatalf("upload: absent %v, %v", absent, err)
 	}
-	got, _ := srv.PeekArtifact("v")
+	got, _ := srv.Store.Peek("v")
 	if got == nil || !sameBits(got, &graph.DatasetArtifact{Frame: frame}) {
 		t.Fatal("frame not stored whole")
 	}
@@ -696,7 +702,7 @@ func (zeros) Read(p []byte) (int, error) {
 }
 
 // TestClientRecordsServerErrors: a server answering 500 is a recorded
-// failure on the fetch path and an error from StatsE and UpdateE, not
+// failure on the fetch path and an error from StatsE and Update, not
 // silence, and each error carries the reason the server gave.
 func TestClientRecordsServerErrors(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -713,8 +719,8 @@ func TestClientRecordsServerErrors(t *testing.T) {
 	if _, err := rc.StatsE(); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("StatsE returned %v on a 500, want the server's reason", err)
 	}
-	if err := rc.UpdateE(buildPipeline(testFrame(10, 1)), nil, 0); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("UpdateE returned %v on a 500, want the server's reason", err)
+	if _, err := rc.Update(buildPipeline(testFrame(10, 1)), nil, 0); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Errorf("Update returned %v on a 500, want the server's reason", err)
 	}
 
 	// 404 stays the protocol's "not stored", not an error.
@@ -775,7 +781,7 @@ func FuzzUploadDecode(f *testing.F) {
 			t.Fatal("a body refused before admission changed the store")
 		}
 		for _, id := range srv.Store.StoredIDs() {
-			if a, _ := srv.PeekArtifact(id); a == nil {
+			if a, _ := srv.Store.Peek(id); a == nil {
 				t.Fatalf("stored %q cannot be read back", id)
 			}
 		}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/graph"
@@ -157,74 +156,6 @@ const (
 // TierHeader is the response header on artifact downloads naming the
 // storage tier that served the content ("memory", "disk").
 const TierHeader = "X-Collab-Tier"
-
-// Stats summarizes server state for CLI inspection: EG/store sizes plus
-// the cumulative optimizer and updater telemetry tracked by internal/obs.
-type Stats struct {
-	Vertices      int
-	Materialized  int
-	PhysicalBytes int64
-	LogicalBytes  int64
-	// MemoryBytes and DiskBytes split PhysicalBytes by storage tier
-	// (inclusive tiers: an artifact resident in both counts in both).
-	MemoryBytes int64
-	DiskBytes   int64
-	// MemoryArtifacts and DiskArtifacts are the per-tier artifact counts
-	// (inclusive tiers: memory+disk can exceed the store total).
-	MemoryArtifacts int
-	DiskArtifacts   int
-	// PlanTime and MatTime are the accumulated reuse-planning and
-	// materialization-algorithm overheads.
-	PlanTime time.Duration
-	MatTime  time.Duration
-	// OptimizeCount and UpdateCount count served round-trips.
-	OptimizeCount int64
-	UpdateCount   int64
-	// ReusePlanned is the cumulative number of vertices reuse plans chose
-	// to load; WarmstartsProposed counts donors proposed to clients.
-	ReusePlanned       int64
-	WarmstartsProposed int64
-	// Reason-coded split of vertices reuse plans did not load: dropped by
-	// the backward pass (off the execution path), rejected because loading
-	// was no cheaper than recomputing, or unloadable because EG never
-	// materialized them.
-	PlanPrunedOffPath         int64
-	PlanPrunedByCost          int64
-	PlanPrunedNotMaterialized int64
-	// Runs onward summarize the calibration scorecard: measured client
-	// runs, their wall-clock totals, observation counts, estimated time
-	// saved by reuse, the most recent realized speedup, and the worst
-	// cost-family drift.
-	Runs              int64
-	RunWallTime       time.Duration
-	LastRunWallTime   time.Duration
-	CalibLoadObs      int64
-	CalibComputeObs   int64
-	EstimatedSavedSec float64
-	LastSpeedup       float64
-	MaxDrift          float64
-	MaxDriftFamily    string
-	LastRun           *calib.Scorecard
-	// Version, GoVersion, and UptimeSeconds identify the serving process:
-	// build identity (mirroring the collab_build_info metric) and how long
-	// it has been up.
-	Version       string
-	GoVersion     string
-	UptimeSeconds float64
-	// Saturation telemetry: cumulative server-mutex queue and hold times
-	// across sections and the store write-lock analogue.
-	LockWaitSec      float64
-	LockHoldSec      float64
-	StoreLockWaitSec float64
-	// Artifact-ledger economics: distinct artifacts tracked, cumulative
-	// realized reuse savings, storage rent, and their difference (see
-	// /v1/artifacts for the per-artifact breakdown). All zero when the
-	// ledger is disabled.
-	ArtifactsTracked int
-	ArtifactSavedSec float64
-	ArtifactRentSec  float64
-	ArtifactNetSec   float64
-}
 
 // wireOp is the server-side stand-in for a client operation: it carries
 // the hash and flags but cannot run. It is warmstartable when the client's

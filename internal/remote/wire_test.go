@@ -172,7 +172,7 @@ func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 			if code := postBody(NewHandler(srv), route, metaBody(t, route, tc.nodes)).Code; code != tc.want {
 				t.Errorf("%s %s: status %d, want %d", route, tc.name, code, tc.want)
 			}
-			if tc.want == 400 && (srv.EG.Len() != 0 || srv.UpdateCount() != 0) {
+			if tc.want == 400 && (srv.EG.Len() != 0 || srv.Stats().UpdateCount != 0) {
 				t.Errorf("%s %s: refused request reached the server (EG %d vertices)", route, tc.name, srv.EG.Len())
 			}
 			if got := wellFormed(tc.nodes); got != (tc.want == 200) {
@@ -219,7 +219,7 @@ func TestGobBodiesAreRefused(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s with a gob body: status %d, want 400", route, rec.Code)
 		}
-		if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.OptimizeCount() != 0 || srv.UpdateCount() != 0 {
+		if srv.EG.Len() != 0 || srv.Store.Len() != 0 || srv.Stats().OptimizeCount != 0 || srv.Stats().UpdateCount != 0 {
 			t.Errorf("%s: the refused gob body reached the server", route)
 		}
 	}
@@ -295,11 +295,11 @@ func FuzzUpdateNodes(f *testing.F) {
 		}
 		if base.Len() > 0 {
 			want := http.StatusConflict
-			if _, err := inlineContent(req.DAG, req.Inline); err != nil {
+			if err := putInline(req.DAG, req.Inline); err != nil {
 				want = http.StatusBadRequest // an inline section it cannot take is refused first
 			}
 			srv := core.NewServer(store.New(cost.Memory()))
-			if code := postBody(NewHandler(srv), "/v1/update", body).Code; code != want || srv.EG.Len() != 0 || srv.UpdateCount() != 0 {
+			if code := postBody(NewHandler(srv), "/v1/update", body).Code; code != want || srv.EG.Len() != 0 || srv.Stats().UpdateCount != 0 {
 				t.Fatalf("an update whose frontier the server does not hold: status %d (want %d), EG %d vertices", code, want, srv.EG.Len())
 			}
 		}
