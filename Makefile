@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fmt-check lint-logs lint-layers loc bench profile-train profile-update bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
+.PHONY: build vet test race fmt-check lint-logs lint-layers loc knobs bench profile-train profile-update bench-e2e bench-e2e-selfcheck bench-pairs fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+# knobs prints collabd's flag names and their count, the figure a PR quotes
+# next to loc.
+knobs:
+	@$(GO) build -o "$${TMPDIR:-/tmp}/collabd-knobs" ./cmd/collabd
+	@"$${TMPDIR:-/tmp}/collabd-knobs" -h 2>&1 | awk '/^  -/ { print $$1; n++ } END { printf "%d flags\n", n }'
+	@rm -f "$${TMPDIR:-/tmp}/collabd-knobs"
 
 # bench runs every Go micro-benchmark once, with allocation counts: these are
 # for reading curves while working on one layer (EXPERIMENTS.md cites the
@@ -159,9 +166,9 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # repository, and is the only program code that computes a checksum. And it
 # keeps the storage layers apart: the tier imports no layer above it, and the
 # store, which keeps only policy over the tiers, does no file I/O — every
-# artifact file is the tier's. And placement runs on the logical clock: the
-# store reads no wall clock (obs.Timestamp, time.Now), so its demotion and
-# eviction victims are a function of the order of accesses alone;
+# artifact file is the tier's. And placement follows the order of accesses:
+# the store reads no wall clock (obs.Timestamp, time.Now), so its demotion
+# victims are a function of the order of accesses alone;
 # obs.StartTimer stopwatches, which only measure, stay allowed. And the
 # snapshot layer does not depend on the HTTP protocol: internal/persist
 # registers the gob types it decodes itself.
@@ -200,7 +207,7 @@ lint-layers:
 	fi
 	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' -E '\b(obs\.Timestamp|time\.Now)\(' internal/store || true)"; \
 	if [ -n "$$out" ]; then \
-		echo "internal/store reads the wall clock (placement runs on the logical clock):"; echo "$$out"; exit 1; \
+		echo "internal/store reads the wall clock (placement follows the order of accesses):"; echo "$$out"; exit 1; \
 	fi
 	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/persist | grep -x 'repro/internal/remote' || true)"; \
 	if [ -n "$$out" ]; then \

@@ -5,16 +5,18 @@
 // Usage:
 //
 //	collabd -addr :7171 -budget 1073741824 -strategy sa -planner ln \
-//	        [-store-dir /var/lib/collab -mem-budget 268435456 -disk-budget 0] \
+//	        [-store-dir /var/lib/collab -mem-budget 268435456] \
 //	        [-explain 16] [-pprof]
 //
-// -store-dir is the one state directory, and without it nothing is saved.
-// It holds the durable artifact tier: cold artifacts demote to checksummed,
-// content-addressed files when the -mem-budget is exceeded, every
-// -checkpoint writes the files of the artifacts still memory-only, and the
-// files are verified and re-indexed on the next boot, so a restart serves
-// them without recomputation. The Experiment Graph snapshot sits beside
-// them.
+// -budget is the one limit on what the server stores: the sources plus the
+// materializer's selection. -store-dir is the one state directory, and
+// without it nothing is saved. It holds the durable artifact tier: cold
+// artifacts demote to checksummed, content-addressed files when the
+// -mem-budget is exceeded, every -checkpoint writes the files of the
+// artifacts still memory-only, and the files are verified and re-indexed on
+// the next boot, so a restart serves them without recomputation. The
+// Experiment Graph snapshot sits beside them. -mem-budget decides only where
+// an artifact lives, so it needs -store-dir.
 //
 // Prometheus-style metrics are always served at /metrics (including
 // per-route request histograms, counters, and inflight gauges), liveness at
@@ -70,33 +72,34 @@ import (
 type config struct {
 	addr, strategy, planner, profile, profFile, storeDir, logLevel string
 
-	budget, memBudget, diskBudget int64
-	alpha                         float64
-	warmstart, pprofOn            bool
-	checkpoint, slowWarn          time.Duration
-	pruneIdle, pruneFreq          int
+	budget, memBudget    int64
+	alpha                float64
+	warmstart, pprofOn   bool
+	checkpoint, slowWarn time.Duration
+	pruneIdle, pruneFreq int
 	// Capacities of the debugging surfaces, 0 = off.
 	explainCap, requestCap, clientCap, ledgerCap int
 }
 
-// parseFlags parses collabd's arguments (without the program name).
+// parseFlags parses collabd's arguments (without the program name) and
+// refuses values no server can run with. On failure it has printed the
+// error and the usage.
 func parseFlags(args []string) (*config, error) {
 	c := &config{}
 	fs := flag.NewFlagSet("collabd", flag.ContinueOnError)
 	fs.StringVar(&c.addr, "addr", ":7171", "listen address")
-	fs.Int64Var(&c.budget, "budget", 1<<30, "materialization budget in bytes")
+	fs.Int64Var(&c.budget, "budget", 1<<30, "materialization budget in bytes: the one limit on what is stored")
 	fs.StringVar(&c.strategy, "strategy", "sa", "materialization strategy: sa|hm|hl|all")
 	fs.StringVar(&c.planner, "planner", "ln", "reuse planner: ln|hl|allm|allc")
-	fs.Float64Var(&c.alpha, "alpha", 0.5, "utility weight of model quality (0..1)")
+	fs.Float64Var(&c.alpha, "alpha", 0.5, "utility weight of model quality, in [0, 1]")
 	fs.StringVar(&c.profile, "profile", "memory", "storage profile: memory|disk|remote")
 	fs.StringVar(&c.profFile, "profile-file", "", "load the cost profile from a JSON file (e.g. collab calibration -fit output); overrides -profile")
 	fs.BoolVar(&c.warmstart, "warmstart", true, "enable warmstart donor search")
 	fs.StringVar(&c.storeDir, "store-dir", "", "state directory: the durable artifact tier and the graph snapshot (empty: in-memory only, nothing saved)")
-	fs.Int64Var(&c.memBudget, "mem-budget", 0, "memory-tier byte budget; cold artifacts demote to -store-dir (0: unbounded)")
-	fs.Int64Var(&c.diskBudget, "disk-budget", 0, "disk-tier byte budget; coldest artifacts evict for real (0: unbounded)")
+	fs.Int64Var(&c.memBudget, "mem-budget", 0, "memory-tier byte budget; cold artifacts demote to -store-dir, which it needs (0: unbounded)")
 	fs.IntVar(&c.pruneIdle, "prune-idle", 0, "drop unmaterialized vertices idle for N workloads (0: never)")
 	fs.IntVar(&c.pruneFreq, "prune-min-freq", 0, "always keep vertices seen in at least N workloads")
-	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "periodic save interval when -store-dir is set")
+	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "periodic save interval when -store-dir is set (positive)")
 	fs.IntVar(&c.explainCap, "explain", explain.DefaultCapacity, "keep the last N optimizer decision records for GET /v1/explain (0: explain off)")
 	fs.IntVar(&c.requestCap, "requests", obs.DefaultFlightCap, "keep the last N finished requests for GET /v1/requests (0: flight log off)")
 	fs.IntVar(&c.clientCap, "clients", obs.DefaultClientCap, "attribute resource usage to up to N distinct clients for GET /v1/clients (0: attribution off)")
@@ -104,7 +107,23 @@ func parseFlags(args []string) (*config, error) {
 	fs.DurationVar(&c.slowWarn, "slow-request", time.Second, "log a warning for requests slower than this (0: off)")
 	fs.BoolVar(&c.pprofOn, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug|info|warn|error")
-	return c, fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
+	switch {
+	case c.checkpoint <= 0:
+		err = fmt.Errorf("-checkpoint %v: the save interval must be positive", c.checkpoint)
+	case !(c.alpha >= 0 && c.alpha <= 1):
+		err = fmt.Errorf("-alpha %v: outside [0, 1]", c.alpha)
+	case c.memBudget > 0 && c.storeDir == "":
+		err = errors.New("-mem-budget needs -store-dir to demote to; cap what is stored with -budget")
+	default:
+		return c, nil
+	}
+	fmt.Fprintln(fs.Output(), err)
+	fs.Usage()
+	return nil, err
 }
 
 // capped builds a debugging surface of capacity n, or nil — the surface
@@ -177,7 +196,7 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 		surfaces = append(surfaces, s.flag, state)
 	}
 	logger.Info("debug surfaces", append(surfaces, "pprof", c.pprofOn)...)
-	stOpts := store.Options{MemoryBudget: c.memBudget, DiskBudget: c.diskBudget}
+	stOpts := store.Options{MemoryBudget: c.memBudget}
 	if c.storeDir != "" {
 		disk, report, err := tier.Open(c.storeDir)
 		if err != nil {
@@ -188,8 +207,6 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 			"frames", report.Frames, "blobs", report.Blobs, "columns", report.Columns,
 			"bytes_verified", report.BytesVerified,
 			"quarantined", report.Quarantined, "orphans", report.OrphanColumns)
-	} else if c.memBudget > 0 {
-		logger.Warn("-mem-budget without -store-dir hard-evicts cold artifacts (no disk tier to demote to)")
 	}
 	return core.NewServer(store.NewTiered(prof, stOpts), srvOpts...), nil
 }
@@ -200,7 +217,7 @@ func main() {
 		os.Exit(0)
 	}
 	if err != nil {
-		// The flag package has already printed the error and the usage.
+		// parseFlags has already printed the error and the usage.
 		os.Exit(2)
 	}
 	level, err := logLevelByName(c.logLevel)

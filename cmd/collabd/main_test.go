@@ -6,6 +6,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -100,6 +102,34 @@ func TestBenchArgumentLists(t *testing.T) {
 			t.Error("unknown flag parsed")
 		}
 	})
+}
+
+// TestParseFlagsRefusesWhatCannotRun: a non-positive -checkpoint (which
+// would panic the ticker after "listening"), an -alpha outside [0, 1], and a
+// -mem-budget with no -store-dir to demote to are usage errors; -alpha 0 and
+// 1, the ends of the range, parse as given.
+func TestParseFlagsRefusesWhatCannotRun(t *testing.T) {
+	for _, args := range [][]string{
+		{"-store-dir", t.TempDir(), "-checkpoint", "0"},
+		{"-store-dir", t.TempDir(), "-checkpoint", "-1s"},
+		{"-alpha", "-0.1"},
+		{"-alpha", "1.5"},
+		{"-alpha", "NaN"},
+		{"-mem-budget", "4194304"},
+	} {
+		if _, err := parseFlags(args); err == nil {
+			t.Errorf("%q parsed", args)
+		}
+	}
+	if _, err := parseFlags([]string{"-mem-budget", "1"}); err == nil || !strings.Contains(err.Error(), "-budget") {
+		t.Errorf("-mem-budget without -store-dir: error %v, want one that points at -budget", err)
+	}
+	for _, alpha := range []float64{0, 1} {
+		c, err := parseFlags([]string{"-alpha", strconv.FormatFloat(alpha, 'g', -1, 64)})
+		if err != nil || c.alpha != alpha {
+			t.Errorf("-alpha %v: parsed %+v, error %v", alpha, c, err)
+		}
+	}
 }
 
 // TestShutdownDrainsBeforeTheLastSave: a request in flight when the signal

@@ -80,7 +80,9 @@ func (s *Server) updateByReconcile(executed *graph.DAG) []string {
 // fetches that reorder and promote, and pruning; the strategies are SA, HM,
 // HL, ALL and LimitCount under budgets that bind and that fit; the stores are
 // memory only, a memory budget with no disk tier (puts evict for good) and a
-// disk tier with budgets on both tiers (demotions and disk evictions).
+// memory budget over a disk tier (demotions). With pruning off, every check
+// also holds the store to the one budget: it keeps the graph's sources and
+// what the strategy selects for that graph under it, nothing else.
 func TestDeltaUpdaterMatchesFullReconcile(t *testing.T) {
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -92,7 +94,7 @@ func TestDeltaUpdaterMatchesFullReconcile(t *testing.T) {
 		strategy := strategies[rng.Intn(len(strategies))]
 		budget := []int64{1 << 40, int64(rng.Intn(6 << 20))}[rng.Intn(2)]
 		kind := rng.Intn(3)
-		memBudget, diskBudget := int64(200+rng.Intn(1500)), int64(400+rng.Intn(3000))
+		memBudget := int64(200 + rng.Intn(1500))
 		newStore := func() *store.Manager {
 			switch kind {
 			case 1:
@@ -102,7 +104,7 @@ func TestDeltaUpdaterMatchesFullReconcile(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return store.NewTiered(cost.Memory(), store.Options{MemoryBudget: memBudget, Disk: d, DiskBudget: diskBudget})
+				return store.NewTiered(cost.Memory(), store.Options{MemoryBudget: memBudget, Disk: d})
 			}
 			return store.New(cost.Memory())
 		}
@@ -177,6 +179,12 @@ func TestDeltaUpdaterMatchesFullReconcile(t *testing.T) {
 					t.Errorf("%s, update %d: %s", label, updates, msg)
 					return false
 				}
+				if prune.MaxIdleWorkloads == 0 {
+					if msg := storesOnlySelection(delta); msg != "" {
+						t.Errorf("%s, update %d: %s", label, updates, msg)
+						return false
+					}
+				}
 			}
 		}
 		return true
@@ -184,6 +192,22 @@ func TestDeltaUpdaterMatchesFullReconcile(t *testing.T) {
 	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// storesOnlySelection checks that every stored ID is a source of the graph or
+// selected by the server's strategy for the graph under its budget. It
+// returns the first that is neither, or "".
+func storesOnlySelection(s *Server) string {
+	selected := make(map[string]bool)
+	for _, id := range s.Strategy().Select(s.EG, s.Store.Has, s.Budget(), false, nil).SelectedIDs() {
+		selected[id] = true
+	}
+	for _, id := range s.Store.StoredIDs() {
+		if v := s.EG.Vertex(id); !selected[id] && (v == nil || !v.IsSource()) {
+			return fmt.Sprintf("stores %s, neither a source nor selected", id)
+		}
+	}
+	return ""
 }
 
 // sameState compares what the two servers hold after an update: stored IDs

@@ -315,8 +315,6 @@ func (s *Server) initMetrics() {
 			"artifacts demoted memory → disk by budget pressure"),
 		Promotions: reg.Counter("collab_store_promotions_total",
 			"artifacts promoted disk → memory on access"),
-		DiskEvictions: reg.Counter("collab_store_disk_evictions_total",
-			"artifacts evicted from the disk tier by its budget"),
 		ChecksumFailures: reg.Counter("collab_store_checksum_failures_total",
 			"disk reads rejected by checksum verification (files quarantined)"),
 		BytesFetched: reg.Counter("collab_store_fetched_bytes_total", "logical bytes served by store lookups"),
@@ -763,7 +761,7 @@ func (s *Server) applySelectionLocked(executed *graph.DAG, req *obs.Request, sc 
 
 // applyInOrderLocked finishes applying a run once the store has dropped an
 // artifact on its own since the run read it (a put under a memory budget with
-// no disk tier under it, or under a disk budget), which may be a selected one
+// no disk tier under it, or a failed disk read), which may be a selected one
 // the run found stored. It walks the rest of the selection, after from, in the
 // order the strategy admitted it, as the full reconcile did: what is stored
 // stays, what is not is stored from the executed DAG's content or wanted.

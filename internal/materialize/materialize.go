@@ -146,19 +146,14 @@ func (sc *Scratch) keep(r *Run, cands []ranked) {
 
 // Config carries the knobs shared by the paper's strategies.
 type Config struct {
-	// Alpha is the α of Equation 2: the weight of model quality against
-	// the weighted cost-size ratio. Default 0.5.
+	// Alpha is the α of Equation 2, in [0, 1]: the weight of model quality
+	// against the weighted cost-size ratio. 0 weighs the ratio alone.
 	Alpha float64
 	// Profile models the load cost Cl used by the Cl ≥ Cr veto.
 	Profile cost.Profile
 }
 
-func (c Config) alpha() float64 {
-	if c.Alpha == 0 {
-		return 0.5
-	}
-	return c.Alpha
-}
+func (c Config) alpha() float64 { return c.Alpha }
 
 // candidate pairs a vertex with its utility and (tie-break) cost-size
 // ratio.

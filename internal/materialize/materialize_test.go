@@ -91,6 +91,31 @@ func TestGreedyPrefersModelQualityWithHighAlpha(t *testing.T) {
 	}
 }
 
+// TestAlphaZeroWeighsOnlyTheCostSizeRatio: of two 1 MiB candidates under a
+// budget of one, d recomputes in 10 s and feeds no model, m recomputes in 1 s
+// and scores 0.9. α = 0 ranks by r_cs alone and admits d; α = 0.5 lets m's
+// quality outweigh d's ratio.
+func TestAlphaZeroWeighsOnlyTheCostSizeRatio(t *testing.T) {
+	w := graph.NewDAG()
+	src := w.AddSource("s", &graph.AggregateArtifact{})
+	d := w.Apply(src, stubOp{name: "d", kind: graph.DatasetKind})
+	annotate(d, 10*time.Second, 1<<20, 0)
+	m := w.Apply(src, stubOp{name: "m", kind: graph.ModelKind})
+	annotate(m, time.Second, 1<<20, 0.9)
+	g := eg.New()
+	g.Merge(w)
+	for _, tc := range []struct {
+		alpha float64
+		want  string
+	}{{0, d.ID}, {0.5, m.ID}} {
+		c := cfg()
+		c.Alpha = tc.alpha
+		if got := NewGreedy(c).Select(g, none, 1<<20, false, nil).SelectedIDs(); !slices.Equal(got, []string{tc.want}) {
+			t.Errorf("α=%v selected %v, want [%s]", tc.alpha, got, tc.want)
+		}
+	}
+}
+
 func TestLoadCostVetoExcludesCheapRecomputes(t *testing.T) {
 	// An artifact whose recompute is faster than its load must never be
 	// materialized (Equation 2's veto).

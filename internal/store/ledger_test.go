@@ -193,12 +193,11 @@ func TestLedgerQuarantineOnRuntimeCorruption(t *testing.T) {
 }
 
 // TestQuickLedgerResidencyIsTheStores drives a tiered store whose memory
-// budget demotes (and whose disk budget evicts) through random sequences of
-// Put, PutFrameRef, Get (which promotes), Evict and Sync,
-// one second of scripted ledger clock per step. After every step each
-// artifact's ledger tier is the store's — memory wins, "none" once evicted —
-// and its byte-seconds per tier are the sum, over the steps it was resident
-// there, of its bytes times the step.
+// budget demotes through random sequences of Put, PutFrameRef, Get (which
+// promotes), Evict and Sync, one second of scripted ledger clock per step.
+// After every step each artifact's ledger tier is the store's — memory
+// wins, "none" once evicted — and its byte-seconds per tier are the sum,
+// over the steps it was resident there, of its bytes times the step.
 func TestQuickLedgerResidencyIsTheStores(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -211,7 +210,7 @@ func TestQuickLedgerResidencyIsTheStores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewTiered(cost.Memory(), Options{Disk: d, MemoryBudget: 3 * colSize, DiskBudget: 5 * colSize})
+		m := NewTiered(cost.Memory(), Options{Disk: d, MemoryBudget: 3 * colSize})
 		led, advance := attachTestLedger(t, m)
 		size := map[string]int64{}          // logical bytes of each artifact's last content
 		byteSec := map[string]*[2]float64{} // reference byte-seconds, memory and disk

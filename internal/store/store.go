@@ -6,8 +6,10 @@
 // The manager holds two tiers. The memory tier serves artifacts at
 // in-process speed and has a configurable byte budget; under pressure, cold
 // artifacts are *demoted* to the durable disk tier (internal/tier) instead
-// of being dropped, and promoted back on access. True eviction happens only
-// from disk (or when no disk tier is attached). The tiers are inclusive: a
+// of being dropped, and promoted back on access. The manager decides only
+// where an artifact lives: what is stored is the caller's to decide (Evict),
+// and only a memory budget with no disk tier attached drops artifacts on its
+// own. The tiers are inclusive: a
 // promoted artifact keeps its disk copy, so re-demotion is a metadata-only
 // drop and a crash never loses demoted work. See DESIGN.md "Tiered
 // storage".
@@ -70,9 +72,6 @@ type Metrics struct {
 	Demotions *obs.Counter
 	// Promotions counts artifacts copied disk → memory on access.
 	Promotions *obs.Counter
-	// DiskEvictions counts artifacts dropped from the disk tier by its
-	// budget (true eviction of cold data).
-	DiskEvictions *obs.Counter
 	// ChecksumFailures counts disk reads rejected by checksum or decode
 	// verification (the offending files are quarantined).
 	ChecksumFailures *obs.Counter
@@ -95,9 +94,6 @@ type Options struct {
 	// DiskProfile is the load-cost profile priced for disk-tier artifacts
 	// (defaults to cost.Disk() when a disk tier is attached).
 	DiskProfile cost.Profile
-	// DiskBudget bounds the disk tier's bytes; exceeding it evicts the
-	// coldest disk artifacts for real. 0 means unbounded.
-	DiskBudget int64
 }
 
 // Manager stores artifact content for materialized Experiment Graph
@@ -107,7 +103,6 @@ type Manager struct {
 	profile     cost.Profile // memory-tier load costs
 	diskProfile cost.Profile // disk-tier load costs
 	memBudget   int64
-	diskBudget  int64
 	disk        *tier.Disk
 
 	// The memory tier: an index of what it holds, and the values — each
@@ -116,15 +111,10 @@ type Manager struct {
 	cols  map[string]*data.Column
 	blobs map[string]graph.Artifact
 
-	// lastUse orders artifacts for LRU demotion/eviction (a logical clock:
-	// deterministic under any timer resolution). It covers every stored id,
-	// either tier.
-	lastUse map[string]uint64
-	clock   uint64
-	// memLRU lists the IDs of the memory-resident artifacts by ascending
-	// lastUse stamp (front = coldest), memElem finds an ID's element: every
-	// stamp is a new clock maximum, so a touch is a move to the back and
-	// picking a budget victim is reading the front.
+	// memLRU lists the IDs of the memory-resident artifacts from least to
+	// most recently used (front = coldest), memElem finds an ID's element: a
+	// touch is a move to the back and picking a budget victim is reading the
+	// front.
 	memLRU  *list.List
 	memElem map[string]*list.Element
 
@@ -207,8 +197,8 @@ func (m *Manager) reportLocked(vertexID string) {
 }
 
 // Drops counts the artifacts the manager has dropped from its last tier on
-// its own: evicted under a memory budget with no disk tier to demote to,
-// evicted under the disk budget, or unreadable on disk. A caller that put
+// its own: evicted under a memory budget with no disk tier to demote to, or
+// unreadable on disk. A caller that put
 // something and sees the count move knows the put may have cost it another
 // artifact; what is held now is Has's to say.
 func (m *Manager) Drops() uint64 { return m.drops.Load() }
@@ -255,12 +245,10 @@ func NewTiered(profile cost.Profile, opts Options) *Manager {
 		profile:     profile,
 		diskProfile: dp,
 		memBudget:   opts.MemoryBudget,
-		diskBudget:  opts.DiskBudget,
 		disk:        opts.Disk,
 		mem:         tier.NewIndex(),
 		cols:        make(map[string]*data.Column),
 		blobs:       make(map[string]graph.Artifact),
-		lastUse:     make(map[string]uint64),
 		memLRU:      list.New(),
 		memElem:     make(map[string]*list.Element),
 	}
@@ -280,10 +268,8 @@ func (m *Manager) TierProfile(t Tier) cost.Profile {
 // Disk returns the attached disk tier, or nil for a memory-only manager.
 func (m *Manager) Disk() *tier.Disk { return m.disk }
 
-// touchLocked stamps a memory-resident artifact's LRU position.
+// touchLocked moves a memory-resident artifact to the hot end of the LRU.
 func (m *Manager) touchLocked(vertexID string) {
-	m.clock++
-	m.lastUse[vertexID] = m.clock
 	if e, ok := m.memElem[vertexID]; ok {
 		m.memLRU.MoveToBack(e)
 	} else {
@@ -310,13 +296,13 @@ func (m *Manager) Put(vertexID string, a graph.Artifact) error {
 }
 
 // putLocked admits a vertex that no tier holds yet: counters, memory-tier
-// maps, LRU stamp, ledger report, then budget enforcement.
+// maps, LRU position, ledger report, then budget enforcement.
 func (m *Manager) putLocked(vertexID string, a graph.Artifact) {
 	m.met.Puts.Inc()
 	m.admitLocked(vertexID, a)
 	m.touchLocked(vertexID)
 	m.reportLocked(vertexID)
-	m.enforceBudgetsLocked()
+	m.enforceBudgetLocked()
 }
 
 // ErrColumnAbsent is returned by PutFrameRef when the manifest names a
@@ -498,7 +484,7 @@ func (m *Manager) Get(vertexID string) (graph.Artifact, Tier) {
 		m.reportLocked(vertexID)
 		m.met.BytesFetched.Add(m.mem.Logical(vertexID))
 		m.touchLocked(vertexID)
-		m.enforceBudgetsLocked()
+		m.enforceBudgetLocked()
 		return a, TierDisk
 	}
 	m.met.GetMisses.Inc()
@@ -579,7 +565,6 @@ func (m *Manager) Evict(vertexID string) {
 		dropped = true
 	}
 	if dropped {
-		delete(m.lastUse, vertexID)
 		m.met.Evictions.Inc()
 		m.reportLocked(vertexID)
 	}
@@ -629,8 +614,8 @@ func (m *Manager) Demote(vertexID string) error {
 	return m.demoteLocked(vertexID)
 }
 
-// coldestLocked returns the memory-resident vertex with the oldest LRU
-// stamp, or "" when the memory tier is empty.
+// coldestLocked returns the least recently used memory-resident vertex, or
+// "" when the memory tier is empty.
 func (m *Manager) coldestLocked() string {
 	if e := m.memLRU.Front(); e != nil {
 		return e.Value.(string)
@@ -638,41 +623,25 @@ func (m *Manager) coldestLocked() string {
 	return ""
 }
 
-// enforceBudgetsLocked demotes the coldest memory artifacts until the
-// memory tier fits its budget (hard-evicting when demotion is impossible),
-// then evicts the coldest disk artifacts until the disk tier fits its
-// budget. Deterministic: victims are selected by logical-clock LRU order.
-func (m *Manager) enforceBudgetsLocked() {
-	if m.memBudget > 0 {
-		for m.mem.Physical() > m.memBudget {
-			victim := m.coldestLocked()
-			if victim == "" {
-				break
-			}
-			if err := m.demoteLocked(victim); err != nil {
-				// No disk tier or spill failure: fall back to dropping the
-				// artifact so the budget still holds.
-				m.dropMemoryLocked(victim)
-				delete(m.lastUse, victim)
-				m.met.Evictions.Inc()
-				m.reportLocked(victim)
-				m.drops.Add(1)
-			}
-		}
+// enforceBudgetLocked demotes the coldest memory artifacts, in LRU order,
+// until the memory tier fits its budget, hard-evicting when demotion is
+// impossible.
+func (m *Manager) enforceBudgetLocked() {
+	if m.memBudget <= 0 {
+		return
 	}
-	if m.disk != nil && m.diskBudget > 0 {
-		for m.disk.PhysicalBytes() > m.diskBudget {
-			victim := m.disk.Coldest(m.lastUse)
-			if victim == "" {
-				break
-			}
-			m.disk.Evict(victim)
-			m.met.DiskEvictions.Inc()
+	for m.mem.Physical() > m.memBudget {
+		victim := m.coldestLocked()
+		if victim == "" {
+			break
+		}
+		if err := m.demoteLocked(victim); err != nil {
+			// No disk tier or spill failure: fall back to dropping the
+			// artifact so the budget still holds.
+			m.dropMemoryLocked(victim)
+			m.met.Evictions.Inc()
 			m.reportLocked(victim)
-			if m.tierOfLocked(victim) == TierNone {
-				delete(m.lastUse, victim)
-				m.drops.Add(1)
-			}
+			m.drops.Add(1)
 		}
 	}
 }
@@ -681,9 +650,8 @@ func (m *Manager) enforceBudgetsLocked() {
 // one, coldest first, and keeps the memory copy (the tiers are inclusive).
 // It locks per artifact, so a Get or Evict waits for one write, not the
 // walk, and it skips an artifact evicted meanwhile: writing it back would
-// restore content the materializer dropped. It does not evict for the disk
-// budget; the next put does. Sync continues past failures and returns the
-// first, or an error when no disk tier is attached.
+// restore content the materializer dropped. Sync continues past failures and
+// returns the first, or an error when no disk tier is attached.
 func (m *Manager) Sync() error {
 	if m.disk == nil {
 		return errors.New("store: no disk tier to sync to")

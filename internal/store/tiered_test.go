@@ -100,30 +100,6 @@ func TestBudgetWithoutDiskHardEvicts(t *testing.T) {
 	}
 }
 
-// TestDiskBudgetEvictsForReal: the disk tier's budget truly evicts the
-// coldest artifacts — the only place data is lost, by design.
-func TestDiskBudgetEvictsForReal(t *testing.T) {
-	d := newDisk(t)
-	m := NewTiered(cost.Memory(), Options{MemoryBudget: 80, Disk: d, DiskBudget: 160})
-	var evict obs.Counter
-	m.Instrument(Metrics{DiskEvictions: &evict})
-	for _, id := range []string{"v1", "v2", "v3", "v4"} {
-		if err := m.Put(id, floatArtifact(id, 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Memory holds v4; disk can hold two of v1..v3 → v1 evicted for real.
-	if m.Has("v1") {
-		t.Fatal("v1 should be gone (disk budget)")
-	}
-	if !m.Has("v2") || !m.Has("v3") || !m.Has("v4") {
-		t.Fatal("newer artifacts should survive")
-	}
-	if evict.Value() != 1 {
-		t.Fatalf("disk evictions = %d, want 1", evict.Value())
-	}
-}
-
 // TestEvictRemovesAllTiers: the materializer's deselection eviction clears
 // both the memory and the disk copy.
 func TestEvictRemovesAllTiers(t *testing.T) {
@@ -360,9 +336,9 @@ func TestDictColumnSurvivesTiers(t *testing.T) {
 }
 
 // TestDropCount: the manager counts each artifact it drops from its last tier
-// on its own — evicted by a memory budget with no disk tier, by the disk
-// budget, or quarantined by a read (Peek's, under the read lock, too) — once,
-// and nothing it still holds somewhere, evicts on request or demotes.
+// on its own — evicted by a memory budget with no disk tier, or quarantined by
+// a read (Peek's, under the read lock, too) — once, and nothing it still holds
+// somewhere, evicts on request or demotes.
 func TestDropCount(t *testing.T) {
 	put := func(m *Manager, ids ...string) {
 		t.Helper()
@@ -385,10 +361,10 @@ func TestDropCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := NewTiered(cost.Memory(), Options{MemoryBudget: 80, Disk: d, DiskBudget: 160})
-	put(tiered, "v1", "v2", "v3", "v4") // v1..v3 demoted, v1 then evicted from disk
-	if got := tiered.Drops(); got != 1 || tiered.Has("v1") {
-		t.Errorf("disk budget: %d drops (v1 held %v), want v1's", got, tiered.Has("v1"))
+	tiered := NewTiered(cost.Memory(), Options{MemoryBudget: 80, Disk: d})
+	put(tiered, "v1", "v2", "v3", "v4") // v1..v3 demoted, none dropped
+	if got := tiered.Drops(); got != 0 || !tiered.Has("v1") {
+		t.Errorf("demotions: %d drops (v1 held %v), want none", got, tiered.Has("v1"))
 	}
 	// Corrupt the column files behind the tier's back: a read that finds one
 	// quarantines the frame, and the store no longer holds it.
@@ -412,7 +388,7 @@ func TestDropCount(t *testing.T) {
 	if a, _ := tiered.Get("v3"); a != nil {
 		t.Fatal("a corrupt frame was served")
 	}
-	if got := tiered.Drops(); got != 3 || tiered.Has("v2") || tiered.Has("v3") {
-		t.Errorf("quarantined reads: %d drops in all, want 3 (v1, v2, v3)", got)
+	if got := tiered.Drops(); got != 2 || tiered.Has("v2") || tiered.Has("v3") {
+		t.Errorf("quarantined reads: %d drops in all, want 2 (v2, v3)", got)
 	}
 }

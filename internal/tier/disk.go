@@ -490,11 +490,3 @@ func (d *Disk) StoredIDs() []string {
 	sort.Strings(ids)
 	return ids
 }
-
-// Coldest returns the vertex on disk with the least stamp (see
-// Index.Coldest), or "" when the tier is empty.
-func (d *Disk) Coldest(stamp map[string]uint64) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.idx.Coldest(stamp)
-}

@@ -187,16 +187,3 @@ func (x *Index) IDs() []string {
 	}
 	return out
 }
-
-// Coldest returns the held vertex with the least stamp — one that stamp
-// lacks counts as 0 — and the least ID among equals, or "" when nothing is
-// held.
-func (x *Index) Coldest(stamp map[string]uint64) string {
-	victim, best := "", uint64(0)
-	for id := range x.logical {
-		if u := stamp[id]; victim == "" || u < best || u == best && id < victim {
-			victim, best = id, u
-		}
-	}
-	return victim
-}
