@@ -69,8 +69,8 @@ profile-train:
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/upload.prof
 
 # profile-update profiles the server's updater (Figure 2, step 5) on a
-# 10 000-vertex Experiment Graph with explain capture on, as collabd runs it:
-# CPU, then the bytes allocated, of a fixed number of 5-vertex updates (the
+# 10 000-vertex Experiment Graph with explain on, collabd's default (an
+# update does the same work with it off): CPU, then the bytes allocated, of a fixed number of 5-vertex updates (the
 # graph grows by five vertices per update, so a fixed count keeps runs
 # comparable).
 profile-update:

@@ -90,7 +90,7 @@ const usageText = `usage: collab <stats|explain|calibration|requests|artifacts|k
           [-id VERTEX] [-json]                     storage economics (savings
                                                    vs rent)
   explain -server URL [-format json|text|dot]      show the optimizer's last
-          [-kind optimize|update] [-target plan|eg] decision trail
+          [-kind optimize|update] [-target plan|eg] decision record
   calibration -server URL [-json]                  show predicted-vs-measured
           [-fit TIER [-o FILE]]                    cost calibration; -fit writes
                                                    a refitted profile as JSON
@@ -322,10 +322,10 @@ func runExplain(args []string, out io.Writer) error {
 	_ = fs.Parse(args)
 
 	q := url.Values{"format": {*format}}
-	if *target == "eg" {
-		q.Set("target", "eg")
-	} else {
+	if *target == "plan" {
 		q.Set("kind", *kind)
+	} else {
+		q.Set("target", *target) // the server refuses any but eg
 	}
 	return fetchAndPrint(out, *server, "explain", q)
 }

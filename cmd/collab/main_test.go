@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/explain"
 	"repro/internal/remote"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
@@ -59,9 +58,9 @@ func serve(t *testing.T, opts ...core.ServerOption) (*lastRequest, string) {
 // query each flag set turns into, a recognizable piece of the output, and
 // the server's own reason in the error when the surface is disabled.
 func TestViewSubcommands(t *testing.T) {
-	on, onURL := serve(t, core.WithExplain(explain.NewRecorder(8)))
+	on, onURL := serve(t, core.WithExplain(true))
 	_, offURL := serve(t,
-		core.WithExplain(nil), core.WithFlightRecorder(nil),
+		core.WithExplain(false), core.WithFlightRecorder(nil),
 		core.WithClientTable(nil), core.WithArtifactLedger(nil))
 
 	for _, tc := range []struct {

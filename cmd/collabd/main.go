@@ -6,7 +6,7 @@
 //
 //	collabd -addr :7171 -budget 1073741824 -strategy sa -planner ln \
 //	        [-store-dir /var/lib/collab -mem-budget 268435456] \
-//	        [-explain 16] [-pprof]
+//	        [-explain 0] [-pprof]
 //
 // -budget is the one limit on what the server stores: the sources plus the
 // materializer's selection. -store-dir is the one state directory, and
@@ -20,12 +20,14 @@
 //
 // Prometheus-style metrics are always served at /metrics (including
 // per-route request histograms, counters, and inflight gauges), liveness at
-// /healthz, and readiness at /readyz. Four flags each size one debugging
-// surface served at /v1/<flag>, 0 switching it off: -explain (optimizer
-// decision records), -requests (finished requests, each with its plan,
-// lock-wait and materialization time: the server's timeline), -clients
-// (per-caller attribution, keyed by X-Collab-Client, else remote address),
-// -artifacts (artifact lifecycle and storage economics). -slow-request D
+// /healthz, and readiness at /readyz. Four flags each switch on one
+// debugging surface served at /v1/<flag>, 0 switching it off: -explain (the
+// optimizer's newest optimize and update decisions; any value above 0 is
+// on), and three that also size theirs: -requests (finished requests, each
+// with its plan, lock-wait and materialization time: the server's timeline),
+// -clients (per-caller attribution, keyed by X-Collab-Client, else remote
+// address), -artifacts (artifact lifecycle and storage economics). All four
+// are on by default. -slow-request D
 // warns on requests slower than D; -pprof mounts net/http/pprof under
 // /debug/pprof/.
 //
@@ -58,7 +60,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/eg"
-	"repro/internal/explain"
 	"repro/internal/materialize"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -77,8 +78,9 @@ type config struct {
 	warmstart, pprofOn   bool
 	checkpoint, slowWarn time.Duration
 	pruneIdle, pruneFreq int
-	// Capacities of the debugging surfaces, 0 = off.
-	explainCap, requestCap, clientCap, ledgerCap int
+	// The debugging surfaces: 0 = off, else on — with that capacity, but for
+	// explain.
+	explain, requestCap, clientCap, ledgerCap int
 }
 
 // parseFlags parses collabd's arguments (without the program name) and
@@ -100,7 +102,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&c.pruneIdle, "prune-idle", 0, "drop unmaterialized vertices idle for N workloads (0: never)")
 	fs.IntVar(&c.pruneFreq, "prune-min-freq", 0, "always keep vertices seen in at least N workloads")
 	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "periodic save interval when -store-dir is set (positive)")
-	fs.IntVar(&c.explainCap, "explain", explain.DefaultCapacity, "keep the last N optimizer decision records for GET /v1/explain (0: explain off)")
+	fs.IntVar(&c.explain, "explain", 1, "serve the newest optimize and update decision records at GET /v1/explain (0: explain off, above 0: on)")
 	fs.IntVar(&c.requestCap, "requests", obs.DefaultFlightCap, "keep the last N finished requests for GET /v1/requests (0: flight log off)")
 	fs.IntVar(&c.clientCap, "clients", obs.DefaultClientCap, "attribute resource usage to up to N distinct clients for GET /v1/clients (0: attribution off)")
 	fs.IntVar(&c.ledgerCap, "artifacts", obs.DefaultLedgerCap, "track lifecycle and storage economics of up to N distinct artifacts for GET /v1/artifacts (0: ledger off)")
@@ -175,23 +177,27 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 			MinFrequency:     c.pruneFreq,
 		}),
 	}
-	// The capped debugging surfaces: the flag that sizes one (0 = off)
-	// doubles as its /v1/<flag> route.
+	// The debugging surfaces: the flag that switches one on (0 = off), and
+	// sizes it where it is capped, doubles as its /v1/<flag> route.
 	surfaces := []any{"metrics", "/metrics"}
 	for _, s := range []struct {
-		flag string
-		cap  int
-		opt  core.ServerOption
+		flag   string
+		n      int
+		capped bool
+		opt    core.ServerOption
 	}{
-		{"explain", c.explainCap, core.WithExplain(capped(c.explainCap, explain.NewRecorder))},
-		{"requests", c.requestCap, core.WithFlightRecorder(capped(c.requestCap, obs.NewRing[obs.Request]))},
-		{"clients", c.clientCap, core.WithClientTable(capped(c.clientCap, obs.NewClientTable))},
-		{"artifacts", c.ledgerCap, core.WithArtifactLedger(capped(c.ledgerCap, obs.NewArtifactLedger))},
+		{"explain", c.explain, false, core.WithExplain(c.explain > 0)},
+		{"requests", c.requestCap, true, core.WithFlightRecorder(capped(c.requestCap, obs.NewRing[obs.Request]))},
+		{"clients", c.clientCap, true, core.WithClientTable(capped(c.clientCap, obs.NewClientTable))},
+		{"artifacts", c.ledgerCap, true, core.WithArtifactLedger(capped(c.ledgerCap, obs.NewArtifactLedger))},
 	} {
 		srvOpts = append(srvOpts, s.opt)
 		state := fmt.Sprintf("off (-%s N to enable)", s.flag)
-		if s.cap > 0 {
-			state = fmt.Sprintf("on (cap %d, GET /v1/%s)", s.cap, s.flag)
+		switch {
+		case s.n > 0 && s.capped:
+			state = fmt.Sprintf("on (cap %d, GET /v1/%s)", s.n, s.flag)
+		case s.n > 0:
+			state = fmt.Sprintf("on (GET /v1/%s)", s.flag)
 		}
 		surfaces = append(surfaces, s.flag, state)
 	}

@@ -149,12 +149,16 @@ func traceArms(tb testing.TB, workers int) []overheadArm {
 	}
 }
 
+// keptRecord is where the record-alone arm keeps what it builds, as the
+// server keeps its optimize record.
+var keptRecord *explain.Record
+
 // explainArms compares Server.Optimize with explain capture absent, disabled
-// (nil recorder — the WithExplain fast path, which never builds a record) and
-// enabled. Every arm's server learns the same executed DAG, measured compute
-// times included, so the three plan against identical Experiment Graphs. The
-// fourth arm is what capture is supposed to add and nothing else: building
-// and storing the record of that plan, outside the server.
+// (WithExplain(false), which never builds a record) and enabled. Every arm's
+// server learns the same executed DAG, measured compute times included, so
+// the three plan against identical Experiment Graphs. The fourth arm is what
+// capture is supposed to add and nothing else: building and keeping the
+// record of that plan, outside the server.
 func explainArms(tb testing.TB) []overheadArm {
 	tb.Helper()
 	executed := synth.Wide(overheadProfile, 1)
@@ -172,19 +176,43 @@ func explainArms(tb testing.TB) []overheadArm {
 	}
 	optimize := func(srv *Server) func() { return func() { srv.Optimize(w, nil) } }
 
-	srv, rec := seeded(), explain.NewRecorder(8)
+	srv := seeded()
 	costs := reuse.GatherCosts(w, srv.EG, srv.Store)
 	plan := srv.planner.Plan(w, costs)
 	return []overheadArm{
 		arm("absent", optimize(srv)),
-		arm("disabled", optimize(seeded(WithExplain(nil)))),
-		arm("enabled", optimize(seeded(WithExplain(explain.NewRecorder(8))))),
-		arm("record-alone", func() { rec.Add(explain.BuildOptimize(w, costs, plan, srv.planner.Name(), "", nil)) }),
+		arm("disabled", optimize(seeded(WithExplain(false)))),
+		arm("enabled", optimize(seeded(WithExplain(true)))),
+		arm("record-alone", func() { keptRecord = explain.BuildOptimize(w, costs, plan, srv.planner.Name(), "", nil) }),
 	}
 }
 
-func BenchmarkExecuteTraceOverhead(b *testing.B)    { runArms(b, traceArms(b, 4)) }
-func BenchmarkOptimizeExplainOverhead(b *testing.B) { runArms(b, explainArms(b)) }
+// explainUpdateArms compares Server.Update with explain absent, disabled and
+// enabled, on servers that hold the same 1 000-vertex graph and take the same
+// sequence of 5-vertex updates: the update's record is rendered when it is
+// read, so enabled does what the other two do.
+func explainUpdateArms(tb testing.TB) []overheadArm {
+	tb.Helper()
+	arm := func(name string, opts ...ServerOption) overheadArm {
+		srv, next := scaleServer(tb, 1_000, opts...)
+		i := 0
+		return overheadArm{name, func() func() {
+			w := next(i)
+			i++
+			return func() { srv.Update(w, nil, 0) }
+		}}
+	}
+	return []overheadArm{arm("absent"), arm("disabled", WithExplain(false)), arm("enabled", WithExplain(true))}
+}
+
+func BenchmarkExecuteTraceOverhead(b *testing.B) { runArms(b, traceArms(b, 4)) }
+
+// BenchmarkOptimizeExplainOverhead runs the Optimize arms, then the Update
+// arms under "update/".
+func BenchmarkOptimizeExplainOverhead(b *testing.B) {
+	runArms(b, explainArms(b))
+	b.Run("update", func(b *testing.B) { runArms(b, explainUpdateArms(b)) })
+}
 
 // scaleServer returns a server whose Experiment Graph holds a synthetic
 // universe of n vertices (merged and materialized through one Update that
@@ -232,17 +260,17 @@ func (o scaleOp) Run([]graph.Artifact) (graph.Artifact, error) {
 // BenchmarkServerUpdateAtScale shows the curve of the updater (Figure 2,
 // step 5) against the size of the Experiment Graph: one 5-vertex update per
 // iteration on a graph of 1 k, 10 k and 100 k vertices, with the default
-// strategy (storage-aware) and explain capture on (collabd's default) and
-// off. What grows with the graph is the candidate scoring pass and, with
-// explain on, the per-vertex decision rows; the derivation of Cr and p does
-// not (the graph maintains them).
+// strategy (storage-aware) and explain on (collabd's default) and off, which
+// do the same work: the update's explain record is rendered when it is read.
+// What grows with the graph is the candidate scoring pass; the derivation of
+// Cr and p does not (the graph maintains them).
 func BenchmarkServerUpdateAtScale(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		for _, explainOn := range []bool{true, false} {
 			b.Run(fmt.Sprintf("vertices=%d/explain=%t", n, explainOn), func(b *testing.B) {
 				var opts []ServerOption
 				if explainOn {
-					opts = append(opts, WithExplain(explain.NewRecorder(explain.DefaultCapacity)))
+					opts = append(opts, WithExplain(true))
 				}
 				srv, next := scaleServer(b, n, opts...)
 				b.ReportAllocs()

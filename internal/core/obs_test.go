@@ -143,8 +143,10 @@ func TestServerMetricsExposition(t *testing.T) {
 // TestDisabledInstrumentsAllocateAsAbsent gates what the *Overhead benchmarks
 // show, with a count instead of a timing: switching tracing or explain
 // capture off costs exactly what never asking for it costs, and switching it
-// on costs no less; for explain, whose record can be built alone, switching
-// it on costs exactly the record. Calibration measurement has no switch:
+// on costs no less; for explain, whose optimize record can be built alone,
+// switching it on costs exactly the record, and an update, whose record is
+// rendered when it is read, costs the same on as off. Calibration
+// measurement has no switch:
 // Execute on a reuse-heavy plan allocates what it did when measurement was
 // an option that was on. Width 1 keeps the counts free of goroutine
 // start-up.
@@ -152,9 +154,12 @@ func TestDisabledInstrumentsAllocateAsAbsent(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		arms []overheadArm
+		// free: enabled allocates exactly what disabled does.
+		free bool
 	}{
-		{"trace", traceArms(t, 1)},
-		{"explain", explainArms(t)},
+		{"trace", traceArms(t, 1), false},
+		{"explain", explainArms(t), false},
+		{"explain update", explainUpdateArms(t), true},
 	} {
 		allocs := map[string]float64{}
 		for _, arm := range c.arms {
@@ -174,6 +179,10 @@ func TestDisabledInstrumentsAllocateAsAbsent(t *testing.T) {
 		if alone, ok := allocs["record-alone"]; ok && allocs["enabled"] != allocs["disabled"]+alone {
 			t.Errorf("%s enabled allocates %.0f times per call, disabled %.0f, the record alone %.0f: part of the record is built on the off path",
 				c.name, allocs["enabled"], allocs["disabled"], alone)
+		}
+		if c.free && allocs["enabled"] != allocs["disabled"] {
+			t.Errorf("%s enabled allocates %.0f times per call, disabled %.0f: switching it on does work",
+				c.name, allocs["enabled"], allocs["disabled"])
 		}
 	}
 	// 76 is what this plan's Execute allocated with calibration measurement

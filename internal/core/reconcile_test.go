@@ -40,7 +40,7 @@ func (s *Server) reconcileLocked(executed *graph.DAG) (want []string) {
 	}
 	var desired []string
 	s.Store.Holding(func(held func(string) bool) {
-		desired = s.strategy.Select(s.EG, held, s.budget, false, nil).SelectedIDs()
+		desired = s.strategy.Select(s.EG, held, s.budget, nil).SelectedIDs()
 	})
 	desiredSet := make(map[string]bool, len(desired))
 	for _, id := range desired {
@@ -199,7 +199,7 @@ func TestDeltaUpdaterMatchesFullReconcile(t *testing.T) {
 // returns the first that is neither, or "".
 func storesOnlySelection(s *Server) string {
 	selected := make(map[string]bool)
-	for _, id := range s.Strategy().Select(s.EG, s.Store.Has, s.Budget(), false, nil).SelectedIDs() {
+	for _, id := range s.Strategy().Select(s.EG, s.Store.Has, s.Budget(), nil).SelectedIDs() {
 		selected[id] = true
 	}
 	for _, id := range s.Store.StoredIDs() {

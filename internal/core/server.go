@@ -49,13 +49,18 @@ type Server struct {
 	// settleLocked). Guarded by mu.
 	scratch materialize.Scratch
 	settled *eg.Graph
+	// served counts the optimize and update calls served, and last is what
+	// the newest update left for its explain record, kept whether explain is
+	// on or not. Guarded by mu.
+	served int64
+	last   lastUpdate
 
 	// metrics is the server's observability registry (always on — updates
 	// are atomic counters, far below planning cost).
 	metrics *serverMetrics
-	// explain is the opt-in decision-introspection recorder (nil: the
-	// disabled fast path — no record is built, nothing allocates).
-	explain *explain.Recorder
+	// explain reads the decision records; nil when explain is off
+	// (WithExplain).
+	explain *Explainer
 
 	// calib is the always-on calibration collector: updates feed it the
 	// measured fetch/compute durations next to the predictions the planner
@@ -227,14 +232,19 @@ func WithPrunePolicy(p eg.PrunePolicy) ServerOption {
 	return func(srv *Server) { srv.prune = p }
 }
 
-// WithExplain attaches a decision-introspection recorder: every optimize
-// call records a per-vertex reuse decision trail and every update a
-// per-candidate materialization trail, served by the remote handler's
-// /v1/explain endpoint and the `collab explain` CLI. Nil (the default)
-// disables explain entirely — the hot paths build no records and allocate
-// nothing.
-func WithExplain(r *explain.Recorder) ServerOption {
-	return func(srv *Server) { srv.explain = r }
+// WithExplain switches decision introspection on or off (the default): the
+// newest optimize call's per-vertex reuse decisions and the newest update's
+// per-candidate materialization decisions, served by the remote handler's
+// /v1/explain endpoint and the `collab explain` CLI (Explain). On, an
+// optimize call also builds its record; an update does the same work either
+// way, and its record is rendered when it is read.
+func WithExplain(on bool) ServerOption {
+	return func(srv *Server) {
+		srv.explain = nil
+		if on {
+			srv.explain = &Explainer{s: srv}
+		}
+	}
 }
 
 // WithFlightRecorder replaces the default request flight ring (the last
@@ -365,9 +375,47 @@ func (s *Server) initMetrics() {
 // remote handler's /metrics endpoint.
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
-// Explain returns the decision-introspection recorder, or nil when
-// explain capture is disabled.
-func (s *Server) Explain() *explain.Recorder { return s.explain }
+// Explain returns the reader of the server's decision records, or nil when
+// explain is off.
+func (s *Server) Explain() *Explainer { return s.explain }
+
+// Explainer reads a server's decision records and holds the newest optimize
+// record, which the optimize call builds (guarded by the server's mu).
+type Explainer struct {
+	s         *Server
+	optimized *explain.Record
+}
+
+// lastUpdate is what an update leaves for its explain record: the
+// materialization run, whose lists live in the server's scratch until the
+// next update, the request's scorecard and ID, and the call's number (0: no
+// update yet).
+type lastUpdate struct {
+	run       materialize.Run
+	scorecard *calib.Scorecard
+	requestID string
+	seq       int64
+}
+
+// Last returns the newest record of the kind (explain.KindOptimize or
+// explain.KindUpdate), or nil when there is none. The update record is
+// rendered here, under the server mutex, from the newest update's run and
+// the graph as it stands: after a prune, the rows are the eligible vertices
+// the graph still holds, and the counts are the run's.
+func (e *Explainer) Last(kind string) *explain.Record {
+	s := e.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case kind == explain.KindOptimize:
+		return e.optimized
+	case kind == explain.KindUpdate && s.last.seq > 0:
+		rec := explain.BuildUpdate(s.EG, s.last.run, s.Store.Profile(), s.strategy.Name(), s.budget, s.last.requestID)
+		rec.Seq, rec.Calibration = s.last.seq, s.last.scorecard
+		return rec
+	}
+	return nil
+}
 
 // Calibration returns the server's calibration collector (always
 // non-nil), whose Snapshot backs /v1/calibration and /v1/stats.
@@ -484,8 +532,10 @@ func (s *Server) Optimize(w *graph.DAG, req *obs.Request) *Optimization {
 	req.Computes = plan.Stats.Computes
 	req.Warmstarts = len(ws)
 	req.PlanNanos += overhead.Nanoseconds()
+	s.served++
 	if s.explain != nil {
-		s.explain.Add(explain.BuildOptimize(w, costs, plan, s.planner.Name(), req.RequestID, ws))
+		s.explain.optimized = explain.BuildOptimize(w, costs, plan, s.planner.Name(), req.RequestID, ws)
+		s.explain.optimized.Seq = s.served
 	}
 	return &Optimization{Plan: plan, Warmstarts: ws, Overhead: overhead}
 }
@@ -536,6 +586,7 @@ func (s *Server) Update(executed *graph.DAG, req *obs.Request, wall time.Duratio
 	if unknown != nil {
 		return nil, &FrontierError{Unknown: unknown}
 	}
+	s.served++
 
 	// Calibration reads EG predictions, so it must run before Merge
 	// refreshes them with this run's measurements.
@@ -708,8 +759,9 @@ func (s *Server) askOnceLocked(executed *graph.DAG, want []string) []string {
 // applies what the run changed to the store using the content the executed
 // DAG carries, and returns the desired-but-missing vertex IDs. The strategy's record of the
 // run is the one account of what it decided: the updater evicts its Dropped
-// and stores or asks for its Admitted, the counters read its counts and, when
-// explain is on, the recorder renders its trail. The store ends where
+// and stores or asks for its Admitted, the counters read its counts, and it
+// is kept, with the request's scorecard, for the explain record
+// (Explainer.Last). The store ends where
 // reconciling every stored artifact with the whole selection left it
 // (TestDeltaUpdaterMatchesFullReconcile), at the cost of what changed.
 func (s *Server) applySelectionLocked(executed *graph.DAG, req *obs.Request, sc *calib.Scorecard) (want []string) {
@@ -729,7 +781,7 @@ func (s *Server) applySelectionLocked(executed *graph.DAG, req *obs.Request, sc 
 	drops := s.Store.Drops()
 	var run materialize.Run
 	s.Store.Holding(func(held func(string) bool) {
-		run = s.strategy.Select(s.EG, held, s.budget, s.explain != nil, &s.scratch)
+		run = s.strategy.Select(s.EG, held, s.budget, &s.scratch)
 	})
 	matElapsed := matSW.Elapsed()
 	req.MatNanos += matElapsed.Nanoseconds()
@@ -738,11 +790,7 @@ func (s *Server) applySelectionLocked(executed *graph.DAG, req *obs.Request, sc 
 	s.metrics.matSelected.Set(float64(run.Selected))
 	s.metrics.matConsidered.Add(int64(run.Eligible))
 	s.metrics.matVetoed.Add(int64(run.Vetoed))
-	if s.explain != nil {
-		rec := explain.BuildUpdate(run, s.Store.Profile(), s.strategy.Name(), s.budget, req.RequestID)
-		rec.Calibration = sc
-		s.explain.Add(rec)
-	}
+	s.last = lastUpdate{run, sc, req.RequestID, s.served}
 
 	// Evict artifacts that fell out of the selection; store newly selected
 	// artifacts whose content we have and report the rest, so a remote client

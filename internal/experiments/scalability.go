@@ -74,7 +74,7 @@ func (s *Suite) FigScalability() ([]ScalabilityResult, error) {
 		for k := range lat[:3] {
 			start := time.Now()
 			srv.Store.Holding(func(held func(string) bool) {
-				srv.Strategy().Select(srv.EG, held, srv.Budget(), false, nil)
+				srv.Strategy().Select(srv.EG, held, srv.Budget(), nil)
 			})
 			lat[k] = time.Since(start)
 		}

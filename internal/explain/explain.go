@@ -1,8 +1,9 @@
 // Package explain is the optimizer's decision-introspection layer: it
-// records, for every optimize and update call, a per-vertex decision trail
-// — the Ci(v)/Cl(v)/Cr(v)/p(v) inputs the reuse planner and materializer
-// saw, and which branch fired, as a reason code — and renders it as
-// deterministic, byte-stable JSON, human-readable text, and Graphviz DOT.
+// builds the record of an optimize or update call, a per-vertex decision
+// trail — the Ci(v)/Cl(v)/Cr(v)/p(v) inputs the reuse planner and
+// materializer saw, and which branch fired, as a reason code — and renders
+// it as deterministic, byte-stable JSON, human-readable text, and Graphviz
+// DOT.
 //
 // The paper's contribution is a chain of decisions (materialize or not,
 // load vs. recompute, warmstart or not); metrics and traces expose only
@@ -17,9 +18,9 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/cost"
+	"repro/internal/eg"
 	"repro/internal/graph"
 	"repro/internal/materialize"
-	"repro/internal/obs"
 	"repro/internal/reuse"
 )
 
@@ -158,7 +159,8 @@ type MatSummary struct {
 // same bytes (vertices are in deterministic order, maps never iterate at
 // render time).
 type Record struct {
-	// Seq numbers records per recorder, newest highest. 0 until Add.
+	// Seq is the number of optimize and update calls the server had served
+	// when it made the record, that call included.
 	Seq int64 `json:"seq"`
 	// RequestID is the client-generated correlation ID (see
 	// obs.RequestIDHeader); empty when the caller supplied none.
@@ -249,12 +251,13 @@ func decideVertex(n *graph.Node, costs reuse.Costs, plan *reuse.Plan) string {
 	}
 }
 
-// BuildUpdate renders the record of one materialization run, as the
-// strategy produced it (run.Trail: every eligible EG vertex, sorted by ID,
-// with the outcome under that strategy's own rules), beside the Equation-2
-// inputs of each vertex. Cl(v) is priced with profile, the store's. It
-// derives nothing: eligibility, the veto and the counts are the run's.
-func BuildUpdate(run materialize.Run, profile cost.Profile, strategy string, budget int64, requestID string) *Record {
+// BuildUpdate renders the record of one materialization run over the graph
+// it ran on: a row for every eligible vertex g holds, sorted by ID, with the
+// outcome under the strategy's own rules (run.Outcomes), beside the
+// Equation-2 inputs of each vertex. Cl(v) is priced with profile, the
+// store's. It derives nothing: eligibility, the veto and the counts are the
+// run's; selected_bytes sums the selected rows.
+func BuildUpdate(g *eg.Graph, run materialize.Run, profile cost.Profile, strategy string, budget int64, requestID string) *Record {
 	rec := &Record{
 		Kind:      KindUpdate,
 		RequestID: requestID,
@@ -266,11 +269,10 @@ func BuildUpdate(run materialize.Run, profile cost.Profile, strategy string, bud
 			VetoedLoadCost:  run.Vetoed,
 			BudgetExhausted: run.OverBudget(),
 		},
-		Materialize: make([]MatDecision, 0, len(run.Trail)),
+		Materialize: make([]MatDecision, 0, run.Eligible),
 	}
-	for _, d := range run.Trail {
-		v := d.Vertex
-		if d.Outcome == materialize.Selected {
+	run.Outcomes(g, func(v *eg.Vertex, o materialize.Outcome, held bool) {
+		if o == materialize.Selected {
 			rec.Mat.SelectedBytes += v.SizeBytes
 		}
 		rec.Materialize = append(rec.Materialize, MatDecision{
@@ -281,76 +283,9 @@ func BuildUpdate(run materialize.Run, profile cost.Profile, strategy string, bud
 			RecreationCost: Cost(v.RecreationCost().Seconds()),
 			LoadCost:       Cost(profile.LoadCost(v.SizeBytes).Seconds()),
 			Potential:      v.Potential(),
-			Materialized:   d.Held,
-			Decision:       string(d.Outcome),
+			Materialized:   held,
+			Decision:       string(o),
 		})
-	}
-	return rec
-}
-
-// Recorder keeps the most recent decision records in a bounded ring. All
-// methods are safe for concurrent use; a nil *Recorder records nothing,
-// which is the disabled fast path — callers guard record construction
-// behind a nil check so disabled explain costs zero allocations.
-type Recorder struct {
-	recs *obs.Ring[*Record]
-}
-
-// DefaultCapacity bounds a NewRecorder(0) ring.
-const DefaultCapacity = 16
-
-// NewRecorder returns a recorder keeping the last n records (n <= 0
-// selects DefaultCapacity).
-func NewRecorder(n int) *Recorder {
-	if n <= 0 {
-		n = DefaultCapacity
-	}
-	return &Recorder{recs: obs.NewRing[*Record](n)}
-}
-
-// Add stamps the record's sequence number and appends it, evicting the
-// oldest record beyond capacity.
-func (r *Recorder) Add(rec *Record) {
-	if r == nil || rec == nil {
-		return
-	}
-	r.recs.AddSeq(func(seq int64) *Record {
-		rec.Seq = seq
-		return rec
 	})
-}
-
-// Last returns the most recent record of the given kind ("optimize" or
-// "update"; "" matches any), or nil.
-func (r *Recorder) Last(kind string) *Record {
-	recs := r.Records()
-	for i := len(recs) - 1; i >= 0; i-- {
-		if kind == "" || recs[i].Kind == kind {
-			return recs[i]
-		}
-	}
-	return nil
-}
-
-// Records returns the retained records, oldest first.
-func (r *Recorder) Records() []*Record {
-	if r == nil {
-		return nil
-	}
-	return r.recs.Snapshot()
-}
-
-// ByRequest returns all retained records carrying the given request ID,
-// oldest first — the correlated trail of one workload run.
-func (r *Recorder) ByRequest(id string) []*Record {
-	if id == "" {
-		return nil
-	}
-	var out []*Record
-	for _, rec := range r.Records() {
-		if rec.RequestID == id {
-			out = append(out, rec)
-		}
-	}
-	return out
+	return rec
 }

@@ -3,7 +3,6 @@ package explain
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -74,8 +73,8 @@ func figure3() (*graph.DAG, reuse.Costs) {
 	return w, costs
 }
 
-// optimizeRecord builds the canonical optimize fixture, Seq-stamped via a
-// recorder like production code does.
+// optimizeRecord builds the canonical optimize fixture, numbered as a
+// server's first call.
 func optimizeRecord() *Record {
 	w, costs := figure3()
 	plan := reuse.Linear{}.Plan(w, costs)
@@ -83,7 +82,7 @@ func optimizeRecord() *Record {
 		{VertexID: "vertex-model-1", DonorID: "donor-model-7", Quality: 0.75},
 	}
 	rec := BuildOptimize(w, costs, plan, "ln", "req-fixture-01", ws)
-	NewRecorder(4).Add(rec)
+	rec.Seq = 1
 	return rec
 }
 
@@ -105,28 +104,15 @@ func egFixture() (*eg.Graph, func(string) bool) {
 	return g, func(id string) bool { return id == a.ID }
 }
 
-// updateRecord builds the canonical update fixture: a run, written out as a
-// strategy would report it, that keeps what is stored and finds no room for
-// the rest.
+// updateRecord builds the canonical update fixture, numbered as a server's
+// second call: a run that keeps what is stored (a, first by ID) and finds no
+// room for the rest — the first of ALL's selection, so that no rule of
+// Equation 2 decides it.
 func updateRecord() *Record {
-	var run materialize.Run
 	g, held := egFixture()
-	for _, v := range g.Vertices() {
-		if v.IsSource() {
-			continue
-		}
-		run.Eligible++
-		d := materialize.Decision{Vertex: v, Outcome: materialize.OverBudget, Held: held(v.ID)}
-		if d.Held {
-			d.Outcome = materialize.Selected
-			run.Selected++
-		}
-		run.Trail = append(run.Trail, d)
-	}
-	rec := BuildUpdate(run, cost.Remote(), "sa", 2048, "req-fixture-02")
-	r := NewRecorder(4)
-	r.Add(&Record{Kind: KindOptimize}) // bump seq so update goldens pin Seq=2
-	r.Add(rec)
+	run := materialize.LimitCount{Inner: materialize.NewAll(), K: 1}.Select(g, held, 2048, nil)
+	rec := BuildUpdate(g, run, cost.Remote(), "sa", 2048, "req-fixture-02")
+	rec.Seq = 2
 	return rec
 }
 
@@ -252,41 +238,6 @@ func TestUpdateDecisions(t *testing.T) {
 	// non-selected classification left is budget exhaustion.
 	if byName["b"] != MatBudgetExhausted {
 		t.Errorf("b: decision %q, want budget-exhausted", byName["b"])
-	}
-}
-
-func TestRecorderRingAndLookup(t *testing.T) {
-	r := NewRecorder(2)
-	for i := 0; i < 3; i++ {
-		r.Add(&Record{Kind: KindOptimize, RequestID: fmt.Sprintf("req-%d", i)})
-	}
-	r.Add(&Record{Kind: KindUpdate, RequestID: "req-2"})
-	recs := r.Records()
-	if len(recs) != 2 {
-		t.Fatalf("ring kept %d records, want 2", len(recs))
-	}
-	if recs[0].Seq != 3 || recs[1].Seq != 4 {
-		t.Errorf("seq numbers %d,%d; want 3,4", recs[0].Seq, recs[1].Seq)
-	}
-	if last := r.Last(KindOptimize); last == nil || last.RequestID != "req-2" {
-		t.Errorf("Last(optimize) = %+v", last)
-	}
-	if last := r.Last(""); last == nil || last.Kind != KindUpdate {
-		t.Errorf("Last(any) = %+v", last)
-	}
-	if got := r.ByRequest("req-2"); len(got) != 2 {
-		t.Errorf("ByRequest(req-2) returned %d records, want 2", len(got))
-	}
-	if got := r.ByRequest("req-0"); got != nil {
-		t.Errorf("evicted request still returned: %+v", got)
-	}
-}
-
-func TestNilRecorderIsDisabled(t *testing.T) {
-	var r *Recorder
-	r.Add(&Record{Kind: KindOptimize}) // must not panic
-	if r.Last("") != nil || r.Records() != nil || r.ByRequest("x") != nil {
-		t.Fatal("nil recorder returned records")
 	}
 }
 

@@ -33,29 +33,26 @@ func largeEG(vertices int) *eg.Graph {
 }
 
 // BenchmarkStrategySelect runs each strategy under a budget that binds and
-// under collabd's default (1 GiB), where every candidate fits, with and
-// without the trail explain (on in collabd by default) asks for, on a graph
-// as the updater leaves it — what the strategy selects is materialized — and
-// in one Scratch, as the updater runs them.
+// under collabd's default (1 GiB), where every candidate fits, on a graph as
+// the updater leaves it — what the strategy selects is materialized — and in
+// one Scratch, as the updater runs them.
 func BenchmarkStrategySelect(b *testing.B) {
 	c := Config{Alpha: 0.5, Profile: cost.Memory()}
 	for _, s := range []Strategy{NewGreedy(c), NewStorageAware(c), NewHelix(c), NewAll()} {
 		for _, budget := range []int64{8 << 20, 1 << 30} {
 			g := largeEG(2000)
 			stored := make(map[string]bool)
-			for _, id := range s.Select(g, none, budget, false, nil).Admitted {
+			for _, id := range s.Select(g, none, budget, nil).Admitted {
 				stored[id] = true
 			}
 			held := func(id string) bool { return stored[id] }
-			for _, trail := range []bool{false, true} {
-				b.Run(fmt.Sprintf("%s/budget=%dMiB/trail=%v", s.Name(), budget>>20, trail), func(b *testing.B) {
-					sc := new(Scratch)
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						s.Select(g, held, budget, trail, sc)
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("%s/budget=%dMiB", s.Name(), budget>>20), func(b *testing.B) {
+				sc := new(Scratch)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s.Select(g, held, budget, sc)
+				}
+			})
 		}
 	}
 }
@@ -69,7 +66,7 @@ func BenchmarkGreedyAlphaSweep(b *testing.B) {
 		c := Config{Alpha: alpha, Profile: cost.Memory()}
 		b.Run(fmt.Sprintf("alpha=%v", alpha), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				NewGreedy(c).Select(g, none, budget, false, nil)
+				NewGreedy(c).Select(g, none, budget, nil)
 			}
 		})
 	}

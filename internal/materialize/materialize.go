@@ -5,10 +5,10 @@
 //
 // A Strategy inspects the Experiment Graph and returns the record of one
 // run (Run): what the selection under a byte budget changes against what is
-// materialized, the counts of what it decided and, on request, a decision
-// per vertex; what is materialized (mat) is the store's to say, as a
-// predicate. Raw source artifacts are always stored by the updater (§3.2)
-// and are not part of the budgeted selection.
+// materialized and the counts of what it decided, from which the outcome of
+// every vertex can be read back (Run.Outcomes); what is materialized is the
+// store's to say, as a predicate. Raw source artifacts are always stored by
+// the updater (§3.2) and are not part of the budgeted selection.
 package materialize
 
 import (
@@ -30,11 +30,9 @@ type Strategy interface {
 	// bytes) and returns the record of that run. Budget accounting is
 	// strategy-specific: HM and HL count logical artifact sizes, SA counts
 	// deduplicated physical bytes. held, asked once per eligible vertex under
-	// the graph's read lock, reports whether its content is stored. With
-	// trail set the record also carries the outcome of every eligible vertex;
-	// without it Select builds none. The run lives in sc's buffers (nil:
-	// buffers of its own).
-	Select(g *eg.Graph, held func(id string) bool, budget int64, trail bool, sc *Scratch) Run
+	// the graph's read lock, reports whether its content is stored. The run
+	// lives in sc's buffers (nil: buffers of its own).
+	Select(g *eg.Graph, held func(id string) bool, budget int64, sc *Scratch) Run
 }
 
 // Outcome is what a run decided for one eligible vertex. The values are the
@@ -52,18 +50,10 @@ const (
 	OverBudget Outcome = "budget-exhausted"
 )
 
-// Decision is one eligible vertex's line of a run's trail, with whether its
-// content was stored when the run read it.
-type Decision struct {
-	Vertex  *eg.Vertex
-	Outcome Outcome
-	Held    bool
-}
-
 // Run is the record of one materialization run, produced by the strategy in
 // the pass that decides: the server applies what it changed (Admitted,
-// Dropped) and counts from it, explain renders Trail. Every eligible vertex is
-// selected, vetoed or over budget.
+// Dropped) and counts from it, explain renders its Outcomes. Every eligible
+// vertex is selected, vetoed or over budget.
 type Run struct {
 	// Admitted holds the selected vertices that were not held when the run
 	// read them, in the order the strategy admitted them: what the updater
@@ -76,15 +66,13 @@ type Run struct {
 	// those of them the strategy's load-cost rule rejected, Selected those it
 	// selected.
 	Eligible, Vetoed, Selected int
-	// Trail has one Decision per eligible vertex, sorted by ID; nil unless
-	// Select was asked for it.
-	Trail []Decision
 
 	// selected lists the selection in admission order, when the run built
 	// the list; when every candidate fit, unranked holds them instead, for
-	// SelectedIDs to rank.
-	selected []string
-	unranked []ranked
+	// SelectedIDs to rank. vetoed lists the vertices the load-cost rule
+	// rejected.
+	selected, vetoed []string
+	unranked         []ranked
 }
 
 // OverBudget counts the eligible vertices that passed the veto and were not
@@ -93,8 +81,8 @@ func (r Run) OverBudget() int { return r.Eligible - r.Vetoed - r.Selected }
 
 // SelectedIDs returns the IDs of the selected vertices in the order the
 // strategy admitted them. The updater needs only what changed; a run in which
-// every candidate fit ranks them here, for the readers that ask (LimitCount
-// and tests), not in Select.
+// every candidate fit ranks them here, for the readers that ask (LimitCount,
+// explain and tests), not in Select.
 func (r Run) SelectedIDs() []string {
 	if r.unranked == nil {
 		return r.selected
@@ -108,26 +96,54 @@ func (r Run) SelectedIDs() []string {
 	return ids
 }
 
+// Outcomes calls f with every eligible vertex of g, in ID order, and what the
+// run decided for it: selected if the run selected it, vetoed if the
+// strategy's load-cost rule rejected it, over budget otherwise; and whether
+// its content was held when the run read it, which the run says by dropping
+// it, or by selecting it without admitting it. It reads the graph as it is
+// when called — after a prune, the vertices the graph still holds — and the
+// run's lists, so it is valid as long as the run is.
+func (r Run) Outcomes(g *eg.Graph, f func(v *eg.Vertex, o Outcome, held bool)) {
+	selected, vetoed := idSet(r.SelectedIDs()), idSet(r.vetoed)
+	admitted, dropped := idSet(r.Admitted), idSet(r.Dropped)
+	g.Visit(func(v *eg.Vertex) {
+		if !eligible(v) {
+			return
+		}
+		o := OverBudget
+		switch {
+		case selected[v.ID]:
+			o = Selected
+		case vetoed[v.ID]:
+			o = Vetoed
+		}
+		f(v, o, dropped[v.ID] || o == Selected && !admitted[v.ID])
+	})
+}
+
+func idSet(ids []string) map[string]bool {
+	set := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		set[id] = true
+	}
+	return set
+}
+
 // Scratch holds the buffers of a run between runs. The updater keeps one
 // under its lock, so that a run whose candidates all fit allocates nothing. A
 // Run, SelectedIDs included, is valid until the next Select with the Scratch
 // it was selected with.
 type Scratch struct {
-	cands                       []ranked
-	trail                       []Decision
-	selected, admitted, dropped []string
+	cands                               []ranked
+	selected, vetoed, admitted, dropped []string
 }
 
 // open starts a run in sc's buffers (none for a nil sc).
-func (sc *Scratch) open(trail bool) Run {
+func (sc *Scratch) open() Run {
 	if sc == nil {
 		return Run{}
 	}
-	run := Run{Admitted: sc.admitted[:0], Dropped: sc.dropped[:0], selected: sc.selected[:0]}
-	if trail {
-		run.Trail = sc.trail[:0]
-	}
-	return run
+	return Run{Admitted: sc.admitted[:0], Dropped: sc.dropped[:0], selected: sc.selected[:0], vetoed: sc.vetoed[:0]}
 }
 
 // keep hands the buffers the run grew back to sc, for the next run.
@@ -135,10 +151,7 @@ func (sc *Scratch) keep(r *Run, cands []ranked) {
 	if sc == nil {
 		return
 	}
-	sc.admitted, sc.dropped, sc.selected = r.Admitted, r.Dropped, r.selected
-	if r.Trail != nil {
-		sc.trail = r.Trail
-	}
+	sc.admitted, sc.dropped, sc.selected, sc.vetoed = r.Admitted, r.Dropped, r.selected, r.vetoed
 	if cands != nil {
 		sc.cands = cands
 	}
@@ -163,13 +176,10 @@ type candidate struct {
 	rcs     float64
 }
 
-// ranked is a candidate as a run holds it: with the index of its line in
-// the run's trail (-1 without a trail), so admitting it marks the line
-// without a search, whether its content was held when the run read it, and
-// whether the run selected it.
+// ranked is a candidate as a run holds it: with whether its content was
+// held when the run read it, and whether the run selected it.
 type ranked struct {
 	candidate
-	line           int
 	held, selected bool
 }
 
@@ -192,12 +202,11 @@ func rank(cands []ranked) {
 // candidates computes Equation 2 utilities for every eligible vertex: U(v) =
 // 0 if Cl(v) ≥ Cr(v), else α·p'(v) + (1−α)·r'cs(v) with sum-normalized p and
 // rcs, and opens the run's record with what the pass saw: the eligible and
-// vetoed counts, the vetoed vertices that are held (Dropped) and, when asked,
-// a trail that holds every candidate as over budget until admit selects it.
-// Cr and p are read off the vertices, where the graph maintains them, and
-// whether a vertex is held is asked once, here; the normalisation sums move
-// with every update, so the pass over the vertices stays per call: one walk in
-// ID order (which fixes the order of the floating-point sums and of the trail)
+// vetoed counts, the vetoed vertices, and those of them that are held
+// (Dropped). Cr and p are read off the vertices, where the graph maintains
+// them, and whether a vertex is held is asked once, here; the normalisation
+// sums move with every update, so the pass over the vertices stays per call:
+// one walk in ID order (which fixes the order of the floating-point sums)
 // through the graph's visitor, in sc's buffers.
 //
 // When the candidates' logical bytes fit a positive budget, Algorithm 1
@@ -206,8 +215,8 @@ func rank(cands []ranked) {
 // every candidate is selected, and only the ones to admit are ranked, among
 // themselves. Otherwise it returns the candidates ranked, for the strategy's
 // fill and settle.
-func (c Config) candidates(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) (cands []ranked, run Run, fit bool) {
-	run = sc.open(trail)
+func (c Config) candidates(g *eg.Graph, held func(string) bool, budget int64, sc *Scratch) (cands []ranked, run Run, fit bool) {
+	run = sc.open()
 	if sc != nil {
 		cands = sc.cands[:0]
 	}
@@ -222,17 +231,9 @@ func (c Config) candidates(g *eg.Graph, held func(string) bool, budget int64, tr
 		crv := v.RecreationCost()
 		vetoed := c.Profile.LoadCost(v.SizeBytes) >= crv
 		stored := held(v.ID)
-		line := -1
-		if trail {
-			d := Decision{v, OverBudget, stored}
-			if vetoed {
-				d.Outcome = Vetoed
-			}
-			line = len(run.Trail)
-			run.Trail = append(run.Trail, d)
-		}
 		if vetoed {
 			run.Vetoed++
+			run.vetoed = append(run.vetoed, v.ID)
 			if stored {
 				run.Dropped = append(run.Dropped, v.ID)
 			}
@@ -249,7 +250,7 @@ func (c Config) candidates(g *eg.Graph, held func(string) bool, budget int64, tr
 		rcs := float64(v.Frequency) * crv.Seconds() / (float64(sz) / (1 << 20)) // s/MB
 		p := v.Potential()
 		// utility holds p until the sums are known
-		cands = append(cands, ranked{candidate{v, p, rcs}, line, stored, false})
+		cands = append(cands, ranked{candidate{v, p, rcs}, stored, false})
 		sumP += p
 		sumR += rcs
 	})
@@ -272,9 +273,6 @@ func (c Config) candidates(g *eg.Graph, held func(string) bool, budget int64, tr
 	run.Selected = len(cands)
 	admit := 0
 	for i := range cands {
-		if cands[i].line >= 0 {
-			run.Trail[cands[i].line].Outcome = Selected
-		}
 		if !cands[i].held {
 			cands[admit], cands[i] = cands[i], cands[admit]
 			admit++
@@ -288,17 +286,13 @@ func (c Config) candidates(g *eg.Graph, held func(string) bool, budget int64, tr
 	return cands, run, true
 }
 
-// admit selects a candidate of the run and marks its line of the trail, when
-// there is one.
+// admit selects a candidate of the run.
 func (r *Run) admit(c *ranked) {
 	c.selected = true
 	r.Selected++
 	r.selected = append(r.selected, c.v.ID)
 	if !c.held {
 		r.Admitted = append(r.Admitted, c.v.ID)
-	}
-	if c.line >= 0 {
-		r.Trail[c.line].Outcome = Selected
 	}
 }
 
@@ -339,8 +333,8 @@ func NewGreedy(cfg Config) *Greedy { return &Greedy{cfg: cfg} }
 func (m *Greedy) Name() string { return "HM" }
 
 // Select implements Strategy.
-func (m *Greedy) Select(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) Run {
-	cands, run, fit := m.cfg.candidates(g, held, budget, trail, sc)
+func (m *Greedy) Select(g *eg.Graph, held func(string) bool, budget int64, sc *Scratch) Run {
+	cands, run, fit := m.cfg.candidates(g, held, budget, sc)
 	if !fit {
 		var used int64
 		for i := range cands {
@@ -369,8 +363,8 @@ func NewStorageAware(cfg Config) *StorageAware { return &StorageAware{cfg: cfg} 
 func (m *StorageAware) Name() string { return "SA" }
 
 // Select implements Strategy.
-func (m *StorageAware) Select(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) Run {
-	cands, run, fit := m.cfg.candidates(g, held, budget, trail, sc)
+func (m *StorageAware) Select(g *eg.Graph, held func(string) bool, budget int64, sc *Scratch) Run {
+	cands, run, fit := m.cfg.candidates(g, held, budget, sc)
 	for !fit {
 		remaining := budget - g.DedupedSize(run.selected)
 		if remaining <= 0 {
@@ -415,8 +409,8 @@ func NewHelix(cfg Config) *Helix { return &Helix{cfg: cfg} }
 func (m *Helix) Name() string { return "HL" }
 
 // Select implements Strategy.
-func (m *Helix) Select(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) Run {
-	run := sc.open(trail)
+func (m *Helix) Select(g *eg.Graph, held func(string) bool, budget int64, sc *Scratch) Run {
+	run := sc.open()
 	var used int64
 	// The scan stops at the first vertex that overflows the budget, so the
 	// result depends on which topological order it walks: TopoOrder's, a
@@ -430,27 +424,23 @@ func (m *Helix) Select(g *eg.Graph, held func(string) bool, budget int64, trail 
 		}
 		run.Eligible++
 		stored := held(id)
-		outcome := OverBudget
+		selected := false
 		switch {
 		case stopped:
 		case v.RecreationCost() <= 2*m.cfg.Profile.LoadCost(v.SizeBytes):
-			outcome = Vetoed
 			run.Vetoed++
+			run.vetoed = append(run.vetoed, id)
 		case used+v.SizeBytes > budget:
 			stopped = true // root-first scan stops when the budget is exhausted
 		default:
-			outcome = Selected
-			run.admit(&ranked{candidate: candidate{v: v}, line: -1, held: stored})
+			selected = true
+			run.admit(&ranked{candidate: candidate{v: v}, held: stored})
 			used += v.SizeBytes
 		}
-		if outcome != Selected && stored {
+		if !selected && stored {
 			run.Dropped = append(run.Dropped, id)
 		}
-		if trail {
-			run.Trail = append(run.Trail, Decision{v, outcome, stored})
-		}
 	}
-	slices.SortFunc(run.Trail, func(x, y Decision) int { return strings.Compare(x.Vertex.ID, y.Vertex.ID) })
 	slices.Sort(run.Dropped)
 	sc.keep(&run, nil)
 	return run
@@ -467,18 +457,14 @@ func NewAll() *All { return &All{} }
 func (m *All) Name() string { return "ALL" }
 
 // Select implements Strategy.
-func (m *All) Select(g *eg.Graph, held func(string) bool, _ int64, trail bool, sc *Scratch) Run {
-	run := sc.open(trail)
+func (m *All) Select(g *eg.Graph, held func(string) bool, _ int64, sc *Scratch) Run {
+	run := sc.open()
 	g.Visit(func(v *eg.Vertex) {
 		if !eligible(v) {
 			return
 		}
 		run.Eligible++
-		stored := held(v.ID)
-		run.admit(&ranked{candidate: candidate{v: v}, line: -1, held: stored})
-		if trail {
-			run.Trail = append(run.Trail, Decision{v, Selected, stored})
-		}
+		run.admit(&ranked{candidate: candidate{v: v}, held: held(v.ID)})
 	})
 	sc.keep(&run, nil)
 	return run
@@ -497,8 +483,8 @@ func (m LimitCount) Name() string { return m.Inner.Name() }
 // Select implements Strategy: what the inner strategy selected past the
 // first K is over budget — no longer admitted, and dropped where it is
 // held.
-func (m LimitCount) Select(g *eg.Graph, held func(string) bool, budget int64, trail bool, sc *Scratch) Run {
-	run := m.Inner.Select(g, held, budget, trail, sc)
+func (m LimitCount) Select(g *eg.Graph, held func(string) bool, budget int64, sc *Scratch) Run {
+	run := m.Inner.Select(g, held, budget, sc)
 	if run.Selected <= m.K {
 		return run
 	}
@@ -513,10 +499,5 @@ func (m LimitCount) Select(g *eg.Graph, held func(string) bool, budget int64, tr
 	slices.Sort(run.Dropped)
 	run.Admitted = slices.DeleteFunc(run.Admitted, func(id string) bool { return over[id] })
 	run.selected, run.unranked, run.Selected = ids[:m.K], nil, m.K
-	for i, d := range run.Trail {
-		if over[d.Vertex.ID] {
-			run.Trail[i].Outcome = OverBudget
-		}
-	}
 	return run
 }

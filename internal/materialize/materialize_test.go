@@ -62,7 +62,7 @@ func buildEG() (*eg.Graph, []*graph.Node) {
 func TestGreedyRespectsBudget(t *testing.T) {
 	g, nodes := buildEG()
 	hm := NewGreedy(cfg())
-	sel := hm.Select(g, none, 2<<20, false, nil).SelectedIDs() // 2 MiB: fits a (1 MiB) and m (1 KiB), not b
+	sel := hm.Select(g, none, 2<<20, nil).SelectedIDs() // 2 MiB: fits a (1 MiB) and m (1 KiB), not b
 	selSet := map[string]bool{}
 	var total int64
 	for _, id := range sel {
@@ -85,7 +85,7 @@ func TestGreedyPrefersModelQualityWithHighAlpha(t *testing.T) {
 	c := cfg()
 	c.Alpha = 1 // only quality matters
 	hm := NewGreedy(c)
-	sel := hm.Select(g, none, g.Vertex(nodes[3].ID).SizeBytes, false, nil).SelectedIDs() // room for exactly the model
+	sel := hm.Select(g, none, g.Vertex(nodes[3].ID).SizeBytes, nil).SelectedIDs() // room for exactly the model
 	if len(sel) == 0 || sel[0] != nodes[3].ID {
 		t.Errorf("α=1 budget-of-one should pick the model, got %v", sel)
 	}
@@ -110,7 +110,7 @@ func TestAlphaZeroWeighsOnlyTheCostSizeRatio(t *testing.T) {
 	}{{0, d.ID}, {0.5, m.ID}} {
 		c := cfg()
 		c.Alpha = tc.alpha
-		if got := NewGreedy(c).Select(g, none, 1<<20, false, nil).SelectedIDs(); !slices.Equal(got, []string{tc.want}) {
+		if got := NewGreedy(c).Select(g, none, 1<<20, nil).SelectedIDs(); !slices.Equal(got, []string{tc.want}) {
 			t.Errorf("α=%v selected %v, want [%s]", tc.alpha, got, tc.want)
 		}
 	}
@@ -125,7 +125,7 @@ func TestLoadCostVetoExcludesCheapRecomputes(t *testing.T) {
 	annotate(fast, time.Nanosecond, 1<<30, 0) // 1 GiB that recomputes in 1ns
 	g := eg.New()
 	g.Merge(w)
-	run := NewGreedy(Config{Alpha: 0.5, Profile: cost.Disk()}).Select(g, none, 1<<40, false, nil)
+	run := NewGreedy(Config{Alpha: 0.5, Profile: cost.Disk()}).Select(g, none, 1<<40, nil)
 	if run.Selected != 0 {
 		t.Errorf("vetoed artifact selected: %v", run.SelectedIDs())
 	}
@@ -145,10 +145,10 @@ func TestEverythingFitsOnlyAPositiveBudget(t *testing.T) {
 	annotate(empty, time.Second, 0, 0)
 	g := eg.New()
 	g.Merge(w)
-	if run := NewGreedy(cfg()).Select(g, none, 0, false, nil); run.Selected != 1 || len(run.Admitted) != 1 {
+	if run := NewGreedy(cfg()).Select(g, none, 0, nil); run.Selected != 1 || len(run.Admitted) != 1 {
 		t.Errorf("HM at budget 0 selected %d, admitted %v; want the empty artifact", run.Selected, run.Admitted)
 	}
-	if run := NewStorageAware(cfg()).Select(g, none, 0, false, nil); run.Selected != 0 || len(run.Admitted) != 0 {
+	if run := NewStorageAware(cfg()).Select(g, none, 0, nil); run.Selected != 0 || len(run.Admitted) != 0 {
 		t.Errorf("SA at budget 0 selected %d, admitted %v; want nothing", run.Selected, run.Admitted)
 	}
 }
@@ -161,7 +161,7 @@ func TestExternalArtifactsNeverMaterialized(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 	for _, s := range []Strategy{NewGreedy(cfg()), NewStorageAware(cfg()), NewHelix(cfg()), NewAll()} {
-		for _, id := range s.Select(g, none, 1<<40, false, nil).SelectedIDs() {
+		for _, id := range s.Select(g, none, 1<<40, nil).SelectedIDs() {
 			if id == kde.ID {
 				t.Errorf("%s materialized an external artifact", s.Name())
 			}
@@ -200,8 +200,8 @@ func overlappingEG() (*eg.Graph, []string) {
 func TestStorageAwareStoresMoreThanGreedy(t *testing.T) {
 	g, _ := overlappingEG()
 	budget := int64(14*8) << 10 // 112 KiB: ~2.3 artifacts logically
-	hm := NewGreedy(cfg()).Select(g, none, budget, false, nil).SelectedIDs()
-	sa := NewStorageAware(cfg()).Select(g, none, budget, false, nil).SelectedIDs()
+	hm := NewGreedy(cfg()).Select(g, none, budget, nil).SelectedIDs()
+	sa := NewStorageAware(cfg()).Select(g, none, budget, nil).SelectedIDs()
 	if len(sa) <= len(hm) {
 		t.Errorf("SA should materialize more under overlap: SA=%d HM=%d", len(sa), len(hm))
 	}
@@ -232,7 +232,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 	g := eg.New()
 	g.Merge(w)
 
-	hl := NewHelix(cfg()).Select(g, none, 16<<20, false, nil).SelectedIDs() // room for two artifacts
+	hl := NewHelix(cfg()).Select(g, none, 16<<20, nil).SelectedIDs() // room for two artifacts
 	if len(hl) != 2 {
 		t.Fatalf("HL selected %d, want 2", len(hl))
 	}
@@ -240,7 +240,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 	if !sel[a.ID] || !sel[b.ID] {
 		t.Errorf("HL should take root-first {a,b}, got %v", hl)
 	}
-	hm := NewGreedy(cfg()).Select(g, none, 16<<20, false, nil).SelectedIDs()
+	hm := NewGreedy(cfg()).Select(g, none, 16<<20, nil).SelectedIDs()
 	hmSet := map[string]bool{}
 	for _, id := range hm {
 		hmSet[id] = true
@@ -252,7 +252,7 @@ func TestHelixMaterializesRootFirst(t *testing.T) {
 
 func TestAllSelectsEverythingEligible(t *testing.T) {
 	g, nodes := buildEG()
-	sel := NewAll().Select(g, none, 0, false, nil).SelectedIDs()
+	sel := NewAll().Select(g, none, 0, nil).SelectedIDs()
 	if len(sel) != 3 { // a, b, m — not the source
 		t.Errorf("ALL selected %d, want 3: %v", len(sel), sel)
 	}
@@ -265,8 +265,8 @@ func TestAllSelectsEverythingEligible(t *testing.T) {
 
 func TestDeterministicSelection(t *testing.T) {
 	g, _ := buildEG()
-	a := NewStorageAware(cfg()).Select(g, none, 4<<20, false, nil).SelectedIDs()
-	b := NewStorageAware(cfg()).Select(g, none, 4<<20, false, nil).SelectedIDs()
+	a := NewStorageAware(cfg()).Select(g, none, 4<<20, nil).SelectedIDs()
+	b := NewStorageAware(cfg()).Select(g, none, 4<<20, nil).SelectedIDs()
 	if len(a) != len(b) {
 		t.Fatalf("nondeterministic selection size: %d vs %d", len(a), len(b))
 	}
@@ -279,10 +279,10 @@ func TestDeterministicSelection(t *testing.T) {
 
 // TestRunAccountsForEveryEligibleVertex pins the one-record contract for the
 // strategies the daemon accepts, on a graph of overlapping synthetic
-// workloads under a budget that binds: asked for a trail, a run decides as it
-// does without one, and the trail holds every eligible vertex once, by ID,
+// workloads under a budget that binds: reading a run's outcomes back leaves
+// it deciding as it did, and they hold every eligible vertex once, by ID,
 // under the outcome the strategy's own rule gives it — so that selected +
-// vetoed + over budget = eligible, in the trail and in the counts alike.
+// vetoed + over budget = eligible, in the outcomes and in the counts alike.
 func TestRunAccountsForEveryEligibleVertex(t *testing.T) {
 	// A link slow enough (Cl of 1 to 1.25 s beside compute times of up to
 	// 2 s) that both vetoes fire, and fire differently.
@@ -308,13 +308,16 @@ func TestRunAccountsForEveryEligibleVertex(t *testing.T) {
 		{LimitCount{Inner: NewGreedy(c), K: 3}, algorithm1}, // not the daemon's: Fig 8b's
 	} {
 		t.Run(tc.strategy.Name(), func(t *testing.T) {
-			run := tc.strategy.Select(g, none, budget, true, nil)
-			bare := tc.strategy.Select(g, none, budget, false, nil)
-			if bare.Trail != nil {
-				t.Errorf("a run that was not asked built a trail of %d", len(bare.Trail))
+			run := tc.strategy.Select(g, none, budget, nil)
+			type decision struct {
+				Vertex  *eg.Vertex
+				Outcome Outcome
 			}
+			var trail []decision
+			run.Outcomes(g, func(v *eg.Vertex, o Outcome, _ bool) { trail = append(trail, decision{v, o}) })
+			bare := tc.strategy.Select(g, none, budget, nil)
 			if !slices.Equal(run.SelectedIDs(), bare.SelectedIDs()) || run.Eligible != bare.Eligible || run.Vetoed != bare.Vetoed {
-				t.Errorf("the trail changed the run: %d/%d/%d selected/eligible/vetoed with, %d/%d/%d without",
+				t.Errorf("reading the outcomes changed the run: %d/%d/%d selected/eligible/vetoed read, %d/%d/%d unread",
 					run.Selected, run.Eligible, run.Vetoed, bare.Selected, bare.Eligible, bare.Vetoed)
 			}
 			var eligibleIDs []string
@@ -323,10 +326,10 @@ func TestRunAccountsForEveryEligibleVertex(t *testing.T) {
 					eligibleIDs = append(eligibleIDs, v.ID)
 				}
 			}
-			outcome := make(map[string]Outcome, len(run.Trail))
+			outcome := make(map[string]Outcome, len(trail))
 			tally := map[Outcome]int{}
 			var trailIDs []string
-			for _, d := range run.Trail {
+			for _, d := range trail {
 				trailIDs = append(trailIDs, d.Vertex.ID)
 				outcome[d.Vertex.ID] = d.Outcome
 				tally[d.Outcome]++

@@ -217,7 +217,7 @@ func TestStrategiesSelectAsFromScratch(t *testing.T) {
 					{"HL restored", NewHelix(c), restored, refHelix(c, g, budget)},
 					{"LimitCount HM", LimitCount{Inner: NewGreedy(c), K: k}, g, greedy[:min(k, len(greedy))]},
 				} {
-					run := check.strategy.Select(check.g, held, budget, false, sc)
+					run := check.strategy.Select(check.g, held, budget, sc)
 					got := run.SelectedIDs()
 					admitted, dropped := refDelta(check.g, stored, check.want)
 					if !slices.Equal(got, check.want) || run.Selected != len(got) ||

@@ -3,9 +3,8 @@ package obs
 import "sync"
 
 // Ring is the one bounded buffer of the observability plane: the request
-// flight log, the explain recorder, the ledger's per-artifact event windows
-// and calibration's fit samples all keep their history in one, and a client
-// trace its events. It retains the newest Cap elements — a full ring
+// flight log and calibration's fit samples keep their history in one, and a
+// client trace its events. It retains the newest Cap elements — a full ring
 // overwrites its oldest element, so a long-running server always holds the
 // recent past — and numbers elements from 1 in Add order. Cap 0 is unbounded
 // (client-side one-run traces).

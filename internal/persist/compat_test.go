@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/eg/egtest"
-	"repro/internal/explain"
 	"repro/internal/remote"
 	"repro/internal/store"
 	"repro/internal/tier"
@@ -90,7 +89,7 @@ func TestReadersRunBesideTheUpdater(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := core.NewServer(store.NewTiered(cost.Memory(), store.Options{Disk: d}),
-		core.WithBudget(8<<20), core.WithExplain(explain.NewRecorder(4)))
+		core.WithBudget(8<<20), core.WithExplain(true))
 	ts := httptest.NewServer(remote.NewHandler(srv))
 	defer ts.Close()
 

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/materialize"
 	"repro/internal/ops"
@@ -629,7 +628,7 @@ func TestMetaDecodeAllocations(t *testing.T) {
 // vertex the graph never held.
 func FuzzOptimizeDecode(f *testing.F) {
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30),
-		core.WithWarmstart(true), core.WithExplain(explain.NewRecorder(4)))
+		core.WithWarmstart(true), core.WithExplain(true))
 	h := NewHandler(srv)
 	ts := httptest.NewServer(h)
 	rc, log := loggedClient(ts.URL)

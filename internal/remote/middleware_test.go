@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/explain"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -256,7 +255,7 @@ func TestRequestsEndpointDisabled(t *testing.T) {
 func TestGETContentTypes(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()),
 		core.WithBudget(1<<30),
-		core.WithExplain(explain.NewRecorder(8)),
+		core.WithExplain(true),
 	)
 	ts := httptest.NewServer(NewHandler(srv, WithPprof(false)))
 	defer ts.Close()

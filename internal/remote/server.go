@@ -349,27 +349,36 @@ func (h *Handler) calibration(url.Values) (any, *httpError) {
 // parameters:
 //
 //	kind=optimize|update  which record (default optimize)
-//	target=eg             with format=dot, render the whole Experiment
-//	                      Graph annotated with costs instead of a record
+//	target=plan|eg        plan (the default): the record; eg, with
+//	                      format=dot: the whole Experiment Graph annotated
+//	                      with costs instead
 //
-// 404 unless the server was started with explain capture enabled
-// (core.WithExplain) and at least one matching record exists.
+// 404 unless the server was started with explain enabled (core.WithExplain)
+// and a matching record exists; 400 for any other kind or target.
 func (h *Handler) explain(q url.Values) (any, *httpError) {
-	rec := h.srv.Explain()
-	if rec == nil {
+	ex := h.srv.Explain()
+	if ex == nil {
 		return nil, notFound("explain disabled on this server")
 	}
-	if q.Get("target") == "eg" {
+	switch target := q.Get("target"); target {
+	case "", "plan":
+	case "eg":
 		if q.Get("format") != "dot" {
 			return nil, badRequest("target=eg requires format=dot")
 		}
 		return egGraph{h.srv}, nil
+	default:
+		return nil, badRequest("unknown target " + target + " (plan|eg)")
 	}
 	kind := q.Get("kind")
-	if kind == "" {
+	switch kind {
+	case "":
 		kind = explain.KindOptimize
+	case explain.KindOptimize, explain.KindUpdate:
+	default:
+		return nil, badRequest("unknown kind " + kind + " (optimize|update)")
 	}
-	record := rec.Last(kind)
+	record := ex.Last(kind)
 	if record == nil {
 		return nil, notFound("no explain record of kind " + kind)
 	}

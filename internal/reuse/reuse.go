@@ -77,32 +77,18 @@ type Plan struct {
 	// every vertex in Reuse — the prediction the calibration layer checks
 	// against the measured fetch time.
 	PredictedLoad map[string]float64
-	// PredictedCompute is the finite Ci(v) the comparison used, in
-	// seconds, for every computable vertex the plan executes (vertices the
-	// EG has never seen carry Ci = ∞ and are omitted).
-	PredictedCompute map[string]float64
 	// Stats counts the planner's decisions, feeding the server's
 	// observability counters.
 	Stats PlanStats
 }
 
-// withPredictions fills PredictedLoad/PredictedCompute from the planning
-// costs so executors can annotate fetches with the exact numbers the
-// decision used.
-func (p *Plan) withPredictions(w *graph.DAG, costs Costs) *Plan {
+// withPredictions fills PredictedLoad from the planning costs so executors
+// can annotate fetches with the exact numbers the decision used.
+func (p *Plan) withPredictions(costs Costs) *Plan {
 	p.PredictedLoad = make(map[string]float64, len(p.Reuse))
-	p.PredictedCompute = make(map[string]float64)
 	for id := range p.Reuse {
 		if cl := costs.Load[id]; !math.IsInf(cl, 1) {
 			p.PredictedLoad[id] = cl
-		}
-	}
-	for _, n := range w.Nodes() {
-		if n.IsSource() || n.Computed || n.Kind == graph.SupernodeKind || p.Reuse[n.ID] {
-			continue
-		}
-		if ci, ok := costs.Compute[n.ID]; ok && !math.IsInf(ci, 1) && ci > 0 {
-			p.PredictedCompute[n.ID] = ci
 		}
 	}
 	return p
@@ -196,7 +182,7 @@ func (Linear) Plan(w *graph.DAG, costs Costs) *Plan {
 	}
 	final := backwardPrune(w, reuse)
 	p := &Plan{Reuse: final, Candidates: reuse, RecreationCost: rec, Stats: planStats(w, costs, reuse, final)}
-	return p.withPredictions(w, costs)
+	return p.withPredictions(costs)
 }
 
 // backwardPrune walks from the terminals toward the sources, keeping only
@@ -300,7 +286,7 @@ func (Helix) Plan(w *graph.DAG, costs Costs) *Plan {
 	}
 	final := backwardPrune(w, reuse)
 	p := &Plan{Reuse: final, Candidates: reuse, RecreationCost: rec, Stats: planStats(w, costs, reuse, final)}
-	return p.withPredictions(w, costs)
+	return p.withPredictions(costs)
 }
 
 // AllMaterialized loads every materialized vertex regardless of cost
@@ -320,7 +306,7 @@ func (AllMaterialized) Plan(w *graph.DAG, costs Costs) *Plan {
 	}
 	final := backwardPrune(w, reuse)
 	p := &Plan{Reuse: final, Candidates: reuse, Stats: planStats(w, costs, reuse, final)}
-	return p.withPredictions(w, costs)
+	return p.withPredictions(costs)
 }
 
 // AllCompute never reuses anything (§7.4's ALL_C, the no-reuse baseline).
@@ -333,5 +319,5 @@ func (AllCompute) Name() string { return "ALL_C" }
 func (AllCompute) Plan(w *graph.DAG, costs Costs) *Plan {
 	none := map[string]bool{}
 	p := &Plan{Reuse: none, Candidates: none, Stats: planStats(w, costs, none, none)}
-	return p.withPredictions(w, costs)
+	return p.withPredictions(costs)
 }

@@ -280,12 +280,6 @@ func TestPlanExposesPredictedCosts(t *testing.T) {
 	if _, ok := plan.PredictedLoad[c.ID]; ok {
 		t.Error("PredictedLoad should only cover reused vertices")
 	}
-	if got := plan.PredictedCompute[c.ID]; got != 2 {
-		t.Errorf("PredictedCompute[c] = %v, want 2", got)
-	}
-	if _, ok := plan.PredictedCompute[b.ID]; ok {
-		t.Error("PredictedCompute must not cover reused vertices")
-	}
 }
 
 func TestAllComputePlanPredictions(t *testing.T) {
@@ -299,8 +293,5 @@ func TestAllComputePlanPredictions(t *testing.T) {
 	plan := AllCompute{}.Plan(w, costs)
 	if len(plan.PredictedLoad) != 0 {
 		t.Errorf("ALL_C PredictedLoad = %v, want empty", plan.PredictedLoad)
-	}
-	if got := plan.PredictedCompute[b.ID]; got != 3 {
-		t.Errorf("PredictedCompute[b] = %v, want 3", got)
 	}
 }
