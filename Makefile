@@ -26,12 +26,16 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# knobs prints collabd's flag names and their count, the figure a PR quotes
-# next to loc.
+# knobs prints collabd's flag names and their count, then the exported With*
+# options of internal/core and internal/remote and theirs: the independently
+# settable values a PR quotes next to loc.
 knobs:
 	@$(GO) build -o "$${TMPDIR:-/tmp}/collabd-knobs" ./cmd/collabd
 	@"$${TMPDIR:-/tmp}/collabd-knobs" -h 2>&1 | awk '/^  -/ { print $$1; n++ } END { printf "%d flags\n", n }'
 	@rm -f "$${TMPDIR:-/tmp}/collabd-knobs"
+	@for p in core remote; do $(GO) doc -short ./internal/$$p | \
+		awk -v p=$$p '$$1 == "func" && $$2 ~ /^With/ { sub(/\(.*/, "", $$2); print p "." $$2 }'; \
+	done | awk '{ print; n++ } END { printf "%d options\n", n }'
 
 # bench runs every Go micro-benchmark once, with allocation counts: these are
 # for reading curves while working on one layer (EXPERIMENTS.md cites the

@@ -253,7 +253,7 @@ func textUnlessJSON(asJSON bool) url.Values {
 
 func runStats(args []string, out io.Writer) error {
 	fs, server := newFlags("stats")
-	clients := fs.Bool("clients", false, "also print the per-client attribution table")
+	clients := fs.Bool("clients", false, "also print the per-client attribution of the requests the server's flight log holds")
 	_ = fs.Parse(args)
 	st, err := newRemote(*server).StatsE()
 	if err != nil {

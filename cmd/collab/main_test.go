@@ -61,7 +61,7 @@ func TestViewSubcommands(t *testing.T) {
 	on, onURL := serve(t, core.WithExplain(true))
 	_, offURL := serve(t,
 		core.WithExplain(false), core.WithFlightRecorder(nil),
-		core.WithClientTable(nil), core.WithArtifactLedger(nil))
+		core.WithClients(false), core.WithArtifactLedger(nil))
 
 	for _, tc := range []struct {
 		cmd      string

@@ -21,15 +21,15 @@
 // Prometheus-style metrics are always served at /metrics (including
 // per-route request histograms, counters, and inflight gauges), liveness at
 // /healthz, and readiness at /readyz. Four flags each switch on one
-// debugging surface served at /v1/<flag>, 0 switching it off: -explain (the
-// optimizer's newest optimize and update decisions; any value above 0 is
-// on), and three that also size theirs: -requests (finished requests, each
-// with its plan, lock-wait and materialization time: the server's timeline),
-// -clients (per-caller attribution, keyed by X-Collab-Client, else remote
-// address), -artifacts (artifact lifecycle and storage economics). All four
-// are on by default. -slow-request D
-// warns on requests slower than D; -pprof mounts net/http/pprof under
-// /debug/pprof/.
+// debugging surface served at /v1/<flag>, 0 switching it off: two that are
+// on for any value above 0, -explain (the optimizer's newest optimize and
+// update decisions) and -clients (per-caller attribution, keyed by
+// X-Collab-Client, else remote address, summed over the requests -requests
+// keeps), and two that also size theirs: -requests (finished requests, each
+// with its plan, lock-wait and materialization time: the server's timeline)
+// and -artifacts (artifact lifecycle and storage economics). All four are on
+// by default. Requests slower than a second log a warning; -pprof mounts
+// net/http/pprof under /debug/pprof/.
 //
 // On SIGINT or SIGTERM collabd stops accepting connections, lets requests
 // in flight finish (for up to 30 s), and only then saves its state;
@@ -76,11 +76,11 @@ type config struct {
 	budget, memBudget    int64
 	alpha                float64
 	warmstart, pprofOn   bool
-	checkpoint, slowWarn time.Duration
+	checkpoint           time.Duration
 	pruneIdle, pruneFreq int
 	// The debugging surfaces: 0 = off, else on — with that capacity, but for
-	// explain.
-	explain, requestCap, clientCap, ledgerCap int
+	// explain and clients.
+	explain, requestCap, clients, ledgerCap int
 }
 
 // parseFlags parses collabd's arguments (without the program name) and
@@ -104,9 +104,8 @@ func parseFlags(args []string) (*config, error) {
 	fs.DurationVar(&c.checkpoint, "checkpoint", 5*time.Minute, "periodic save interval when -store-dir is set (positive)")
 	fs.IntVar(&c.explain, "explain", 1, "serve the newest optimize and update decision records at GET /v1/explain (0: explain off, above 0: on)")
 	fs.IntVar(&c.requestCap, "requests", obs.DefaultFlightCap, "keep the last N finished requests for GET /v1/requests (0: flight log off)")
-	fs.IntVar(&c.clientCap, "clients", obs.DefaultClientCap, "attribute resource usage to up to N distinct clients for GET /v1/clients (0: attribution off)")
+	fs.IntVar(&c.clients, "clients", 1, "attribute the requests the flight log keeps (-requests) to their clients at GET /v1/clients (0: attribution off, above 0: on)")
 	fs.IntVar(&c.ledgerCap, "artifacts", obs.DefaultLedgerCap, "track lifecycle and storage economics of up to N distinct artifacts for GET /v1/artifacts (0: ledger off)")
-	fs.DurationVar(&c.slowWarn, "slow-request", time.Second, "log a warning for requests slower than this (0: off)")
 	fs.BoolVar(&c.pprofOn, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug|info|warn|error")
 	if err := fs.Parse(args); err != nil {
@@ -188,7 +187,7 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 	}{
 		{"explain", c.explain, false, core.WithExplain(c.explain > 0)},
 		{"requests", c.requestCap, true, core.WithFlightRecorder(capped(c.requestCap, obs.NewRing[obs.Request]))},
-		{"clients", c.clientCap, true, core.WithClientTable(capped(c.clientCap, obs.NewClientTable))},
+		{"clients", c.clients, false, core.WithClients(c.clients > 0)},
 		{"artifacts", c.ledgerCap, true, core.WithArtifactLedger(capped(c.ledgerCap, obs.NewArtifactLedger))},
 	} {
 		srvOpts = append(srvOpts, s.opt)
@@ -272,7 +271,6 @@ func main() {
 	hs := &http.Server{
 		Handler: remote.NewHandler(srv,
 			remote.WithHandlerLogger(logger),
-			remote.WithSlowRequestWarn(c.slowWarn),
 			remote.WithPprof(c.pprofOn)),
 		ReadHeaderTimeout: readHeaderTimeout,
 	}

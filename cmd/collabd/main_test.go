@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -12,14 +13,33 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/remote"
 )
 
 func discardLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
 
+// surfaces are the debugging surfaces' routes, one per collabd flag.
+var surfaces = []string{"/v1/explain", "/v1/requests", "/v1/clients", "/v1/artifacts"}
+
+// status answers one GET of path, through the handler collabd serves srv
+// with, after a request that leaves a record in the flight log and an
+// optimize record for explain.
+func status(srv *core.Server, path string) int {
+	h := remote.NewHandler(srv)
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	srv.Optimize(graph.NewDAG(), nil)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	return w.Code
+}
+
 // TestBenchArgumentLists pins the two argument lists bench/ spawns collabd
 // with beyond -addr: they must parse, and must build what the benchmark
-// assumes — no recorder behind a surface sized 0, a disk tier behind
-// -store-dir.
+// assumes — every surface served by default and none behind a flag set to
+// 0, a disk tier behind -store-dir.
 func TestBenchArgumentLists(t *testing.T) {
 	t.Run("defaults", func(t *testing.T) {
 		c, err := parseFlags([]string{"-addr", "127.0.0.1:0"})
@@ -30,8 +50,10 @@ func TestBenchArgumentLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if srv.Explain() == nil || srv.Flight() == nil || srv.Clients() == nil || srv.ArtifactLedger() == nil {
-			t.Error("explain, requests, clients and artifacts should default on")
+		for _, path := range surfaces {
+			if code := status(srv, path); code != http.StatusOK {
+				t.Errorf("GET %s = %d by default, want 200", path, code)
+			}
 		}
 		if srv.Store.Disk() != nil {
 			t.Error("no -store-dir, yet the store has a disk tier")
@@ -49,10 +71,14 @@ func TestBenchArgumentLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if srv.Explain() != nil || srv.Flight() != nil ||
-			srv.Clients() != nil || srv.ArtifactLedger() != nil {
-			t.Errorf("a surface sized 0 still has a recorder: explain=%v requests=%v clients=%v artifacts=%v",
-				srv.Explain(), srv.Flight(), srv.Clients(), srv.ArtifactLedger())
+		if srv.Explain() != nil || srv.Flight() != nil || srv.ArtifactLedger() != nil {
+			t.Errorf("a surface sized 0 still has a recorder: explain=%v requests=%v artifacts=%v",
+				srv.Explain(), srv.Flight(), srv.ArtifactLedger())
+		}
+		for _, path := range surfaces {
+			if code := status(srv, path); code != http.StatusNotFound {
+				t.Errorf("GET %s = %d with its flag at 0, want 404", path, code)
+			}
 		}
 		if srv.Store.Ledger() != nil {
 			t.Error("-artifacts 0 left a ledger attached to the store")
@@ -82,9 +108,9 @@ func TestBenchArgumentLists(t *testing.T) {
 		}
 	})
 
-	// README "Saturation": a longer flight log and a wider client table.
+	// README "Saturation": a longer flight log, which the client view reads.
 	t.Run("sized", func(t *testing.T) {
-		c, err := parseFlags([]string{"-requests", "4096", "-clients", "64"})
+		c, err := parseFlags([]string{"-requests", "4096"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +118,11 @@ func TestBenchArgumentLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if srv.Flight().Cap() != 4096 || srv.Clients().Cap() != 64 {
-			t.Errorf("requests cap %d, clients cap %d; want 4096, 64", srv.Flight().Cap(), srv.Clients().Cap())
+		if srv.Flight().Cap() != 4096 {
+			t.Errorf("requests cap %d, want 4096", srv.Flight().Cap())
+		}
+		if code := status(srv, "/v1/clients"); code != http.StatusOK || srv.ClientReport().Clients[0].Requests != 2 {
+			t.Errorf("GET /v1/clients = %d, report %+v; want the two requests the log holds", code, srv.ClientReport())
 		}
 	})
 

@@ -24,6 +24,12 @@ type ArtifactSource interface {
 // reuse, but nothing was transferred: there is no load to calibrate.
 const SessionTier = "session"
 
+// RemoteTierPrefix heads the label of content fetched over the wire, before
+// the server-side tier that served it ("remote:disk"): calibration prices
+// the transfer apart from the server's own reads, and the updater credits
+// the serving tier in the artifact ledger.
+const RemoteTierPrefix = "remote:"
+
 // Optimizer is the server interface the client speaks: in-process (*Server)
 // or over HTTP (*remote.Client). Both implement the optimize/update
 // round-trip of Figure 2 plus artifact retrieval. Every call of one run

@@ -53,8 +53,8 @@ func TestLockSectionAccounting(t *testing.T) {
 	}
 
 	// The wait was written into the record the request carried, which is
-	// what the edge emits to the flight log and the client table, and the
-	// flight log's text view shows it.
+	// what the edge emits to the flight log (the client view reads it there),
+	// and the flight log's text view shows it.
 	if req.LockWaitNanos < forcedWait.Nanoseconds() {
 		t.Fatalf("request record lock wait = %d ns, want >= %v", req.LockWaitNanos, forcedWait)
 	}

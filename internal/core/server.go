@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -67,14 +68,13 @@ type Server struct {
 	// used.
 	calib *calib.Collector
 
-	// flight and clients are the two folds over finished request records
-	// (ObserveRequest): the ring of recent requests served at /v1/requests
-	// and the per-client attribution table (requests, wall time, bytes,
-	// lock wait, plan time per caller) served at /v1/clients. Both default
-	// on with a small cap; WithFlightRecorder(nil) / WithClientTable(nil)
-	// disable them (nil is a zero-cost no-op).
+	// flight is the ring of finished request records (ObserveRequest)
+	// served at /v1/requests, on by default with a small cap;
+	// WithFlightRecorder(nil) disables it (nil is a zero-cost no-op).
+	// clients switches the per-client view of it (requests, wall time,
+	// bytes, lock wait, plan time per caller) served at /v1/clients.
 	flight  *obs.Ring[obs.Request]
-	clients *obs.ClientTable
+	clients bool
 	// ledger is the artifact ledger: the store reports where each artifact
 	// lives, the updater feeds it per-reuse realized savings, and it is
 	// served at /v1/artifacts. Default-on with a small cap;
@@ -254,11 +254,11 @@ func WithFlightRecorder(f *obs.Ring[obs.Request]) ServerOption {
 	return func(srv *Server) { srv.flight = f }
 }
 
-// WithClientTable replaces the default per-client attribution table (a
-// DefaultClientCap-entry table). Pass a larger table to track more
-// distinct clients, or nil to disable attribution entirely.
-func WithClientTable(t *obs.ClientTable) ServerOption {
-	return func(srv *Server) { srv.clients = t }
+// WithClients switches per-client attribution on (the default) or off: a
+// view that sums the flight log's records per client when it is read, so it
+// covers the requests the log holds and is off with the log.
+func WithClients(on bool) ServerOption {
+	return func(srv *Server) { srv.clients = on }
 }
 
 // WithArtifactLedger replaces the default artifact ledger (a
@@ -276,7 +276,7 @@ func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 		budget:  1 << 30,
 		calib:   calib.NewCollector(),
 		flight:  obs.NewRing[obs.Request](obs.DefaultFlightCap),
-		clients: obs.NewClientTable(0),
+		clients: true,
 		ledger:  obs.NewArtifactLedger(0),
 		asked:   make(map[string]bool),
 		started: obs.StartTimer(),
@@ -336,13 +336,6 @@ func (s *Server) initMetrics() {
 		"build identity of this server (constant 1; facts travel in the labels)").Set(1)
 	reg.GaugeFunc("collab_uptime_seconds", "seconds since this server was constructed",
 		func() float64 { return s.started.Elapsed().Seconds() })
-	// Flight-ring health: occupancy and capacity.
-	if s.flight != nil {
-		reg.GaugeFunc("collab_flight_requests", "finished requests retained by the flight ring",
-			func() float64 { return float64(s.flight.Len()) })
-		reg.GaugeFunc("collab_flight_capacity", "flight ring capacity",
-			func() float64 { return float64(s.flight.Cap()) })
-	}
 	// Artifact ledger: attach to the store (deriving rent rates from the
 	// tier profiles and reporting what it already holds) and expose the
 	// aggregate economics.
@@ -362,12 +355,6 @@ func (s *Server) initMetrics() {
 		reg.GaugeFunc("collab_artifact_net_benefit_seconds",
 			"net benefit across tracked artifacts (savings minus rent)",
 			func() float64 { _, _, _, net := s.ledger.Totals(); return net })
-	}
-	// Per-client attribution health: distinct clients currently tracked
-	// (the cap plus one overflow bucket is the ceiling).
-	if s.clients != nil {
-		reg.GaugeFunc("collab_clients_tracked", "distinct clients in the attribution table",
-			func() float64 { return float64(s.clients.Len()) })
 	}
 }
 
@@ -425,9 +412,15 @@ func (s *Server) Calibration() *calib.Collector { return s.calib }
 // nil when recording is disabled.
 func (s *Server) Flight() *obs.Ring[obs.Request] { return s.flight }
 
-// Clients returns the per-client attribution table backing /v1/clients, or
-// nil when attribution is disabled.
-func (s *Server) Clients() *obs.ClientTable { return s.clients }
+// ClientReport returns the per-client view of the flight log backing
+// /v1/clients, or nil when attribution or the flight log is disabled.
+func (s *Server) ClientReport() *obs.ClientReport {
+	if !s.clients || s.flight == nil {
+		return nil
+	}
+	rep := obs.NewClientReport(s.flight.Snapshot())
+	return &rep
+}
 
 // ArtifactLedger returns the artifact ledger backing /v1/artifacts, or nil
 // when artifact accounting is disabled.
@@ -447,14 +440,12 @@ func (s *Server) Ready() error {
 }
 
 // ObserveRequest emits one finished request record, once, from the edge
-// that created it: the flight ring retains a sequence-stamped copy and the
-// per-client table folds it into its caller's row.
+// that created it: the flight ring retains a sequence-stamped copy.
 func (s *Server) ObserveRequest(req *obs.Request) {
 	s.flight.AddSeq(func(seq int64) obs.Request {
 		req.Seq = seq
 		return *req
 	})
-	s.clients.Observe(req)
 }
 
 // Budget returns the materialization budget in bytes.
@@ -642,6 +633,9 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, w
 				cr = v.RecreationCost()
 			}
 			recreation += cr
+			// The ledger counts hits per serving tier, wherever the
+			// client fetched from.
+			servedBy := strings.TrimPrefix(n.FetchTier, RemoteTierPrefix)
 			if n.FetchTime > 0 && n.FetchTier != "" && n.FetchTier != SessionTier {
 				s.calib.ObserveLoad(n.FetchTier, n.SizeBytes, n.PredictedLoad, n.FetchTime)
 				fetchTotal += n.FetchTime
@@ -651,7 +645,7 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, w
 				// the ledger's per-artifact join of planner prediction and
 				// measured outcome. Negative when fetching was slower than
 				// recomputing would have been.
-				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes,
+				s.ledger.ObserveReuse(n.ID, servedBy, n.SizeBytes,
 					(cr - n.FetchTime).Seconds())
 			} else if n.FetchTier != SessionTier || s.Store.Has(n.ID) {
 				// Unmeasured reuse (satisfied from the client's session
@@ -659,7 +653,7 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, req *obs.Request, w
 				// attributable saving.
 				// What a client holds of its own work and the store never
 				// kept is not an artifact the ledger tracks.
-				s.ledger.ObserveReuse(n.ID, n.FetchTier, n.SizeBytes, 0)
+				s.ledger.ObserveReuse(n.ID, servedBy, n.SizeBytes, 0)
 			}
 			continue
 		}

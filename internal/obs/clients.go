@@ -5,28 +5,18 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// This file is the per-client attribution table: a bounded accounting map
-// keyed by client identity (the X-Collab-Client header, falling back to
-// the peer address) that the serving middleware feeds one finished request
-// at a time. It answers "who is consuming this server" — the tenancy
-// signal the future sharding/quota work needs — at GET /v1/clients and in
-// `collab stats`.
+// This file is per-client attribution: a view over the flight log that sums
+// its records per client identity (the X-Collab-Client header, falling back
+// to the peer address) when it is read. It answers "who is consuming this
+// server" over the requests the log holds, at GET /v1/clients and in
+// `collab stats -clients`.
 
 // ClientIDHeader names the HTTP header carrying a client's self-declared
 // identity for per-client attribution. Absent, the middleware falls back
 // to the connection's remote address.
 const ClientIDHeader = "X-Collab-Client"
-
-// OverflowClientID is the reserved bucket absorbing clients beyond the
-// table's capacity, so an open server cannot be grown without bound by
-// spoofed identities.
-const OverflowClientID = "(other)"
-
-// DefaultClientCap bounds a NewClientTable(0) table.
-const DefaultClientCap = 64
 
 // maxIDLen bounds a sanitized identity.
 const maxIDLen = 64
@@ -54,8 +44,9 @@ func SanitizeID(s string) string {
 	return b.String()
 }
 
-// ClientStats is one client's accumulated consumption. Field order is the
-// JSON contract (byte-stable WriteJSON, golden-tested).
+// ClientStats is one client's consumption over the requests the flight log
+// holds. Field order is the JSON contract (byte-stable WriteJSON,
+// golden-tested).
 type ClientStats struct {
 	Client   string `json:"client"`
 	Requests int64  `json:"requests"`
@@ -71,119 +62,57 @@ type ClientStats struct {
 	PlanNS     int64 `json:"plan_ns"`
 }
 
-// ClientTable is a bounded, race-safe per-client accounting table. A nil
-// table drops observations and serves empty snapshots, so callers hold it
-// without guards.
-type ClientTable struct {
-	mu   sync.Mutex
-	capN int
-	m    map[string]*ClientStats
-}
-
-// NewClientTable returns a table tracking at most n distinct clients
-// (n <= 0 selects DefaultClientCap); the n+1-th client and beyond fold
-// into the OverflowClientID bucket.
-func NewClientTable(n int) *ClientTable {
-	if n <= 0 {
-		n = DefaultClientCap
-	}
-	return &ClientTable{capN: n, m: make(map[string]*ClientStats)}
-}
-
-// Cap returns the distinct-client capacity.
-func (t *ClientTable) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return t.capN
-}
-
-// Len returns the number of tracked clients (including the overflow
-// bucket once it exists).
-func (t *ClientTable) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}
-
-// Observe folds one finished request into its client's row. Unknown
-// clients beyond the capacity land in the overflow bucket; an empty
-// client label is recorded as "unknown".
-func (t *ClientTable) Observe(s *Request) {
-	if t == nil {
-		return
-	}
-	client := s.Client
-	if client == "" {
-		client = "unknown"
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := t.m[client]
-	if row == nil {
-		if len(t.m) >= t.capN && client != OverflowClientID {
-			client = OverflowClientID
-			row = t.m[client]
-		}
-		if row == nil {
-			row = &ClientStats{Client: client}
-			t.m[client] = row
-		}
-	}
-	row.Requests++
-	if s.Status >= 400 {
-		row.Errors++
-	}
-	row.WallNS += s.WallNanos
-	row.BytesIn += s.BytesIn
-	row.BytesOut += s.BytesOut
-	row.LockWaitNS += s.LockWaitNanos
-	row.PlanNS += s.PlanNanos
-}
-
-// Snapshot returns the per-client rows sorted by client identity — a
-// deterministic copy, safe to hold across further recording.
-func (t *ClientTable) Snapshot() []ClientStats {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]ClientStats, 0, len(t.m))
-	for _, row := range t.m {
-		out = append(out, *row)
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })
-	return out
-}
-
-// clientsExport is the JSON envelope of WriteJSON / GET /v1/clients.
-type clientsExport struct {
+// ClientReport is the /v1/clients view: one row per client, sorted by client
+// identity.
+type ClientReport struct {
 	Count   int           `json:"count"`
 	Clients []ClientStats `json:"clients"`
 }
 
-// WriteJSON renders the table as byte-stable JSON: an object with the
-// client count and the rows sorted by client identity.
-func (t *ClientTable) WriteJSON(w io.Writer) error {
-	rows := t.Snapshot()
-	if rows == nil {
-		rows = []ClientStats{}
+// NewClientReport sums flight-log records per client; an empty client label
+// is counted as "unknown". The rows cannot outnumber the records, so the
+// log's capacity bounds the view.
+func NewClientReport(reqs []Request) ClientReport {
+	rows := []ClientStats{}
+	at := make(map[string]int)
+	for i := range reqs {
+		s := &reqs[i]
+		client := s.Client
+		if client == "" {
+			client = "unknown"
+		}
+		j, ok := at[client]
+		if !ok {
+			j = len(rows)
+			at[client] = j
+			rows = append(rows, ClientStats{Client: client})
+		}
+		row := &rows[j]
+		row.Requests++
+		if s.Status >= 400 {
+			row.Errors++
+		}
+		row.WallNS += s.WallNanos
+		row.BytesIn += s.BytesIn
+		row.BytesOut += s.BytesOut
+		row.LockWaitNS += s.LockWaitNanos
+		row.PlanNS += s.PlanNanos
 	}
-	return WriteJSON(w, clientsExport{Count: len(rows), Clients: rows})
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Client < rows[j].Client })
+	return ClientReport{Count: len(rows), Clients: rows}
 }
 
-// WriteText renders the table as a fixed-width text report.
-func (t *ClientTable) WriteText(w io.Writer) error {
+// WriteJSON renders the report as byte-stable JSON.
+func (r ClientReport) WriteJSON(w io.Writer) error { return WriteJSON(w, r) }
+
+// WriteText renders the report as a fixed-width text table.
+func (r ClientReport) WriteText(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %8s %6s %14s %12s %12s %14s %12s\n",
 		"CLIENT", "REQS", "ERRS", "WALL_NS", "BYTES_IN", "BYTES_OUT", "LOCKWAIT_NS", "PLAN_NS")
-	for _, r := range t.Snapshot() {
+	for _, c := range r.Clients {
 		fmt.Fprintf(&b, "%-24s %8d %6d %14d %12d %12d %14d %12d\n",
-			r.Client, r.Requests, r.Errors, r.WallNS, r.BytesIn, r.BytesOut, r.LockWaitNS, r.PlanNS)
+			c.Client, c.Requests, c.Errors, c.WallNS, c.BytesIn, c.BytesOut, c.LockWaitNS, c.PlanNS)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

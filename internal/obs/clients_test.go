@@ -2,88 +2,35 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 )
 
-func TestClientTableAccumulates(t *testing.T) {
-	ct := NewClientTable(8)
-	ct.Observe(&Request{Client: "alice", Status: 200, WallNanos: 100, BytesIn: 10, BytesOut: 20, LockWaitNanos: 5, PlanNanos: 7})
-	ct.Observe(&Request{Client: "alice", Status: 500, WallNanos: 50})
-	ct.Observe(&Request{Client: "bob", Status: 200, WallNanos: 30})
-	rows := ct.Snapshot()
-	if len(rows) != 2 {
-		t.Fatalf("snapshot has %d rows, want 2", len(rows))
+// TestClientReportSums: the view sums each client's records, counts the
+// ones answered >= 400 as errors, files an unlabelled record under
+// "unknown", and sorts its rows by client.
+func TestClientReportSums(t *testing.T) {
+	rep := NewClientReport([]Request{
+		{Client: "bob", Status: 200, WallNanos: 30},
+		{Client: "alice", Status: 200, WallNanos: 100, BytesIn: 10, BytesOut: 20, LockWaitNanos: 5, PlanNanos: 7},
+		{Client: "alice", Status: 500, WallNanos: 50},
+		{Status: 200},
+	})
+	if rep.Count != 3 || len(rep.Clients) != 3 {
+		t.Fatalf("report = %+v, want 3 rows", rep)
 	}
-	a := rows[0]
-	if a.Client != "alice" || a.Requests != 2 || a.Errors != 1 || a.WallNS != 150 ||
-		a.BytesIn != 10 || a.BytesOut != 20 || a.LockWaitNS != 5 || a.PlanNS != 7 {
+	a := rep.Clients[0]
+	if a != (ClientStats{Client: "alice", Requests: 2, Errors: 1, WallNS: 150, BytesIn: 10, BytesOut: 20, LockWaitNS: 5, PlanNS: 7}) {
 		t.Fatalf("alice row = %+v", a)
 	}
-	if rows[1].Client != "bob" || rows[1].Requests != 1 {
-		t.Fatalf("bob row = %+v", rows[1])
+	if rep.Clients[1].Client != "bob" || rep.Clients[1].Requests != 1 || rep.Clients[2].Client != "unknown" {
+		t.Fatalf("rows = %+v", rep.Clients)
 	}
-}
-
-func TestClientTableBounded(t *testing.T) {
-	ct := NewClientTable(3)
-	for i := 0; i < 10; i++ {
-		ct.Observe(&Request{Client: fmt.Sprintf("client-%d", i), Status: 200, WallNanos: 1})
-	}
-	if ct.Len() != 4 { // 3 tracked + overflow bucket
-		t.Fatalf("table has %d rows, want 4 (cap 3 + overflow)", ct.Len())
-	}
-	var overflow *ClientStats
-	for _, r := range ct.Snapshot() {
-		if r.Client == OverflowClientID {
-			row := r
-			overflow = &row
-		}
-	}
-	if overflow == nil || overflow.Requests != 7 {
-		t.Fatalf("overflow bucket = %+v, want 7 requests", overflow)
-	}
-}
-
-func TestClientTableNilAndEmpty(t *testing.T) {
-	var ct *ClientTable
-	ct.Observe(&Request{Client: "x"}) // must not panic
-	if ct.Len() != 0 || ct.Snapshot() != nil {
-		t.Fatal("nil table must be inert")
-	}
-	ct = NewClientTable(0)
-	if ct.Cap() != DefaultClientCap {
-		t.Fatalf("default cap = %d, want %d", ct.Cap(), DefaultClientCap)
-	}
-	ct.Observe(&Request{Status: 200})
-	if rows := ct.Snapshot(); len(rows) != 1 || rows[0].Client != "unknown" {
-		t.Fatalf("empty client label rows = %+v, want one 'unknown' row", rows)
-	}
-}
-
-func TestClientTableConcurrent(t *testing.T) {
-	ct := NewClientTable(4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				ct.Observe(&Request{Client: fmt.Sprintf("client-%d", g%6), Status: 200, WallNanos: 1})
-			}
-		}(g)
-	}
-	wg.Wait()
-	var total int64
-	for _, r := range ct.Snapshot() {
-		total += r.Requests
-	}
-	if total != 800 {
-		t.Fatalf("observed %d requests total, want 800", total)
+	var empty bytes.Buffer
+	if err := NewClientReport(nil).WriteJSON(&empty); err != nil || !strings.Contains(empty.String(), `"clients": []`) {
+		t.Fatalf("empty report renders %q (%v), want an empty list", empty.String(), err)
 	}
 }
 
@@ -104,14 +51,16 @@ func TestSanitizeID(t *testing.T) {
 	}
 }
 
-// TestClientsGolden pins the /v1/clients JSON contract byte-for-byte.
+// TestClientsGolden pins the /v1/clients JSON contract byte-for-byte: the
+// view of three records taken through a flight ring.
 func TestClientsGolden(t *testing.T) {
-	ct := NewClientTable(8)
-	ct.Observe(&Request{Client: "alice", Status: 200, WallNanos: 1200000, BytesIn: 512, BytesOut: 2048, LockWaitNanos: 40000, PlanNanos: 300000})
-	ct.Observe(&Request{Client: "alice", Status: 200, WallNanos: 800000, BytesIn: 256, BytesOut: 1024})
-	ct.Observe(&Request{Client: "10.0.0.7", Status: 404, WallNanos: 90000, BytesOut: 19})
+	ring := NewRing[Request](8)
+	ring.Add(Request{Client: "alice", Status: 200, WallNanos: 1200000, BytesIn: 512, BytesOut: 2048, LockWaitNanos: 40000, PlanNanos: 300000})
+	ring.Add(Request{Client: "alice", Status: 200, WallNanos: 800000, BytesIn: 256, BytesOut: 1024})
+	ring.Add(Request{Client: "10.0.0.7", Status: 404, WallNanos: 90000, BytesOut: 19})
+	rep := NewClientReport(ring.Snapshot())
 	var buf bytes.Buffer
-	if err := ct.WriteJSON(&buf); err != nil {
+	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "clients.json")
@@ -128,7 +77,7 @@ func TestClientsGolden(t *testing.T) {
 		t.Errorf("clients JSON drifted from golden file.\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
 	}
 	var text bytes.Buffer
-	ct.WriteText(&text)
+	rep.WriteText(&text)
 	if !strings.Contains(text.String(), "alice") || !strings.Contains(text.String(), "LOCKWAIT_NS") {
 		t.Fatalf("text rendering missing expected content:\n%s", text.String())
 	}

@@ -11,17 +11,18 @@ import (
 // Request is the one record of a request. The edge that receives the
 // request creates it (the HTTP middleware, or core.Client.Run in process),
 // it travels as an argument through the server's optimize, update, fetch
-// and upload methods, which fill the optimizer facts in place, and the edge
-// emits it once when the request finishes: the flight log (/v1/requests),
-// the per-client table (/v1/clients) and the access log are folds over that
-// one emission. Field order is the JSON contract — the /v1/requests
-// rendering is byte-stable for a fixed ring state, and a golden test pins
-// it.
+// and upload methods, which fill the optimizer facts in place, and the HTTP
+// edge emits it once when the request finishes: into the flight log
+// (/v1/requests), which the per-client view (/v1/clients) is read from, and
+// onto the access log. core.Client.Run emits nothing, so in-process runs do
+// not reach the flight log. Field order is the JSON contract — the
+// /v1/requests rendering is byte-stable for a fixed ring state, and a golden
+// test pins it.
 type Request struct {
 	Seq       int64  `json:"seq"`
 	RequestID string `json:"request_id"`
 	// Client is the caller's attribution label (X-Collab-Client, else the
-	// remote address); it keys the per-client table and stays off the wire.
+	// remote address); it keys the per-client view and stays off the wire.
 	Client string `json:"-"`
 	Method string `json:"method"`
 	Route  string `json:"route"`

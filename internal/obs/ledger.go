@@ -211,9 +211,9 @@ func (l *ArtifactLedger) record(id string, inMemory, onDisk, quarantined bool, b
 	e.quarantined = quarantined
 }
 
-// ObserveReuse records one reuse of the artifact: tier names the tier the
-// fetch was served from ("memory", "disk", "remote", or "" when the
-// client did not measure), and savedSec is the realized saving — the
+// ObserveReuse records one reuse of the artifact: tier names the server
+// tier that served the fetch ("memory" and "disk" count as hits of that
+// tier; "session" or "" when nothing was fetched or measured), and savedSec is the realized saving — the
 // recreation cost Cr(v) the reuse avoided minus the measured fetch time,
 // in seconds (0 for unmeasured reuses; negative when the fetch cost more
 // than recomputation would have). The server's update path calls this

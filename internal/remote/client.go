@@ -287,8 +287,9 @@ func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) 
 // store: a held ID comes back labelled core.SessionTier and costs nothing;
 // anything else is downloaded, held — so an ID is downloaded once for as
 // long as the session's budget keeps it — and labelled with the server-side
-// tier the bytes came from (the X-Collab-Tier response header), e.g.
-// "remote:disk", at the client's (remote) profile's transfer cost.
+// tier the bytes came from (the X-Collab-Tier response header) after
+// core.RemoteTierPrefix, e.g. "remote:disk", at the client's (remote)
+// profile's transfer cost.
 func (c *Client) FetchTiered(id string, req *obs.Request) (graph.Artifact, string, time.Duration) {
 	held := c.sessionStore()
 	if held != nil {
@@ -303,7 +304,7 @@ func (c *Client) FetchTiered(id string, req *obs.Request) (graph.Artifact, strin
 	if held != nil {
 		_ = held.Put(id, content) // fails on nil content only
 	}
-	return content, "remote:" + srvTier, c.profile.LoadCost(content.SizeBytes())
+	return content, core.RemoteTierPrefix + srvTier, c.profile.LoadCost(content.SizeBytes())
 }
 
 // CalibrationE fetches the server's calibration report.

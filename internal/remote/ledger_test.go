@@ -236,3 +236,32 @@ func ledgerReuse(led *obs.ArtifactLedger) int64 {
 	}
 	return n
 }
+
+// TestLedgerCountsTierHitsOverHTTP: a fetch over the wire is labelled with
+// the server tier behind core.RemoteTierPrefix, and the ledger credits that
+// tier, as it does for an in-process fetch. With the session store off, the
+// repeat run fetches every reuse from the server's memory tier.
+func TestLedgerCountsTierHitsOverHTTP(t *testing.T) {
+	srv, rc, closeFn := newRemotePair(t)
+	defer closeFn()
+	rc.SetSessionBudget(0)
+	client := core.NewClient(rc)
+	frame := testFrame(150, 1)
+	for run := 1; run <= 2; run++ {
+		res, err := client.Run(buildPipeline(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 2 && res.Reused == 0 {
+			t.Fatal("the repeat run reused nothing")
+		}
+	}
+	var memory, disk int64
+	for _, r := range srv.ArtifactLedger().Snapshot(obs.ArtifactQuery{}) {
+		memory += r.MemoryHits
+		disk += r.DiskHits
+	}
+	if reuse := ledgerReuse(srv.ArtifactLedger()); memory != reuse || disk != 0 {
+		t.Fatalf("ledger: %d reuses, %d memory hits, %d disk hits; want every reuse a memory hit", reuse, memory, disk)
+	}
+}

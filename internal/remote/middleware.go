@@ -15,10 +15,10 @@ import (
 // This file is the serving-telemetry middleware: Handler.ServeHTTP creates
 // the request's obs.Request record, measures the request into per-route
 // metric families on the server's obs.Registry, and emits the finished
-// record once (core.Server.ObserveRequest feeds GET /v1/requests and
-// GET /v1/clients; the access and slow-request log lines read the same
-// record). What that costs over the bare mux dispatch is a gated count
-// (TestHandlerAllocatesAtMostKOverBareMux).
+// record once (core.Server.ObserveRequest keeps it in the flight log, which
+// GET /v1/requests and GET /v1/clients read; the access and slow-request log
+// lines read the same record). What that costs over the bare mux dispatch is
+// a gated count (TestHandlerAllocatesAtMostKOverBareMux).
 
 // routeLabel maps a request path onto the route label vocabulary: the
 // paths of the mounted routes (Handler.routes) plus "other", which every
@@ -125,12 +125,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 func (c *countingReader) Close() error { return c.rc.Close() }
 
-// WithSlowRequestWarn logs a slog warning for any request slower than
-// threshold (0, the default, disables the warning). Requires a handler
-// logger.
-func WithSlowRequestWarn(threshold time.Duration) HandlerOption {
-	return func(h *Handler) { h.slowWarn = threshold }
-}
+// slowRequest is the wall time above which a handler with a logger warns
+// about a request.
+const slowRequest = time.Second
 
 // healthz is the liveness probe: the process is up and the handler
 // reachable. Always 200 — readiness is /readyz's job.
@@ -177,7 +174,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // echoed on the response, route and caller labelled — and, once the mux has
 // dispatched it to the handler that passes it on to the server, finished
 // (status, wall time, bytes) and emitted: into the per-route metrics and the
-// server's flight ring and client table, and onto the access log.
+// server's flight ring, and onto the access log.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req := &obs.Request{
 		RequestID: obs.SanitizeID(r.Header.Get(obs.RequestIDHeader)),
@@ -231,7 +228,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Int64("mat_ns", req.MatNanos))
 	}
 	h.log.Info("http", attrs...)
-	if h.slowWarn > 0 && elapsed > h.slowWarn {
+	if elapsed > h.slowWarn {
 		h.log.Warn("slow request", append(attrs, slog.Duration("threshold", h.slowWarn))...)
 	}
 }

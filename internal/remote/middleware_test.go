@@ -307,7 +307,8 @@ func TestSlowRequestWarning(t *testing.T) {
 	srv := core.NewServer(store.New(cost.Memory()))
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	h := NewHandler(srv, WithHandlerLogger(logger), WithSlowRequestWarn(time.Nanosecond))
+	h := NewHandler(srv, WithHandlerLogger(logger))
+	h.slowWarn = time.Nanosecond
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/healthz", nil))
 	if !strings.Contains(buf.String(), "slow request") {
@@ -315,7 +316,8 @@ func TestSlowRequestWarning(t *testing.T) {
 	}
 
 	buf.Reset()
-	h2 := NewHandler(srv, WithHandlerLogger(logger), WithSlowRequestWarn(time.Hour))
+	h2 := NewHandler(srv, WithHandlerLogger(logger))
+	h2.slowWarn = time.Hour
 	h2.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
 	if strings.Contains(buf.String(), "slow request") {
 		t.Errorf("unexpected slow-request warning with 1h threshold, log:\n%s", buf.String())

@@ -19,38 +19,6 @@ import (
 	"repro/internal/store"
 )
 
-// TestClientAttributionWithoutFlightRing: the optimizer writes plan time
-// and lock wait into the request's own record, so the per-client table sees
-// them whether or not the flight ring is keeping a copy.
-func TestClientAttributionWithoutFlightRing(t *testing.T) {
-	srv := core.NewServer(store.New(cost.Memory()), core.WithFlightRecorder(nil))
-	ts := httptest.NewServer(NewHandler(srv))
-	defer ts.Close()
-	rc := NewClient(ts.URL, cost.Memory())
-	rc.SetName("analyst-1")
-	if rc.Optimize(buildPipeline(testFrame(120, 1)), &obs.Request{RequestID: "req-1"}) == nil {
-		t.Fatal(rc.Err())
-	}
-	if srv.Flight() != nil {
-		t.Fatal("flight ring should be off")
-	}
-	rows := srv.Clients().Snapshot()
-	if len(rows) != 1 || rows[0].Client != "analyst-1" || rows[0].Requests != 1 {
-		t.Fatalf("client rows = %+v, want one analyst-1 row with one request", rows)
-	}
-	if rows[0].PlanNS <= 0 {
-		t.Fatalf("plan time not attributed with the flight ring off: %+v", rows[0])
-	}
-	resp, err := http.Get(ts.URL + "/v1/requests")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/v1/requests with the ring off = %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestHostileRequestIDIsSanitized: a request ID is client input. One of
 // 4 KiB with a newline and a NUL in it is echoed, and kept in the flight ring,
 // as at most 64 printable bytes; one with nothing usable in it is replaced by

@@ -34,7 +34,8 @@ type Handler struct {
 	log *slog.Logger
 	// Serving telemetry (middleware.go): per-route metric families, keyed
 	// by the route labels the mounted routes define.
-	metrics  *httpMetrics
+	metrics *httpMetrics
+	// slowWarn is slowRequest; tests lower it.
 	slowWarn time.Duration
 }
 
@@ -94,7 +95,7 @@ func (h *Handler) routes() []route {
 // NewHandler builds the HTTP façade over a server: it mounts the route
 // table and pre-registers one set of serving metrics per route path.
 func NewHandler(srv *core.Server, opts ...HandlerOption) *Handler {
-	h := &Handler{srv: srv, mux: http.NewServeMux()}
+	h := &Handler{srv: srv, mux: http.NewServeMux(), slowWarn: slowRequest}
 	var paths []string
 	for _, r := range h.routes() {
 		h.mux.Handle(r.pattern, r.handler)
@@ -418,14 +419,15 @@ func (h *Handler) requests(q url.Values) (any, *httpError) {
 	return obs.NewFlightReport(fr.Snapshot(), filter), nil
 }
 
-// clients is the per-client attribution table (json|text). 404 when the
-// server runs with client attribution disabled.
+// clients is the per-client attribution view of the flight log (json|text).
+// 404 when the server runs with client attribution or the flight log
+// disabled.
 func (h *Handler) clients(url.Values) (any, *httpError) {
-	ct := h.srv.Clients()
-	if ct == nil {
+	rep := h.srv.ClientReport()
+	if rep == nil {
 		return nil, notFound("client attribution disabled on this server")
 	}
-	return ct, nil
+	return rep, nil
 }
 
 // artifacts is the artifact ledger: per-artifact residency and storage
