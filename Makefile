@@ -28,7 +28,9 @@ loc:
 
 # knobs prints collabd's flag names and their count, then the exported With*
 # options of internal/core and internal/remote and theirs: the independently
-# settable values a PR quotes next to loc.
+# settable values a PR quotes next to loc. Then the surface inventory: the
+# collab_* metric families program code registers, and the core.Stats keys
+# /v1/stats serves, each list with its count.
 knobs:
 	@$(GO) build -o "$${TMPDIR:-/tmp}/collabd-knobs" ./cmd/collabd
 	@"$${TMPDIR:-/tmp}/collabd-knobs" -h 2>&1 | awk '/^  -/ { print $$1; n++ } END { printf "%d flags\n", n }'
@@ -36,6 +38,11 @@ knobs:
 	@for p in core remote; do $(GO) doc -short ./internal/$$p | \
 		awk -v p=$$p '$$1 == "func" && $$2 ~ /^With/ { sub(/\(.*/, "", $$2); print p "." $$2 }'; \
 	done | awk '{ print; n++ } END { printf "%d options\n", n }'
+	@grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"collab_[a-z_]+"' . | tr -d '"' | sort -u | \
+		awk '{ print; n++ } END { printf "%d collab_* metric families\n", n }'
+	@$(GO) doc ./internal/core Stats | \
+		awk '/^type Stats struct/ { s = 1; next } s && /^}/ { exit } s && /^\t[A-Z][A-Za-z0-9]* +[^ ]/ { print "stats." $$1; n++ } \
+		END { printf "%d /v1/stats keys\n", n }'
 
 # bench runs every Go micro-benchmark once, with allocation counts: these are
 # for reading curves while working on one layer (EXPERIMENTS.md cites the

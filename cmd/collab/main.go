@@ -333,11 +333,13 @@ func runExplain(args []string, out io.Writer) error {
 // runCalibration prints the server's predicted-vs-measured cost report
 // (GET /v1/calibration). With -fit it instead extracts the least-squares
 // refitted profile for one load tier and writes it as cost profile JSON,
-// ready for collabd's -profile-file flag.
+// ready for collabd's -profile flag. Every fetch a client makes from
+// collabd is a remote one, so against collabd the report fits remote or
+// nothing.
 func runCalibration(args []string, out io.Writer) error {
 	fs, server := newFlags("calibration")
 	asJSON := fs.Bool("json", false, "print the raw JSON report instead of the table")
-	fitTier := fs.String("fit", "", "write the refitted profile for this load tier (memory|disk|remote)")
+	fitTier := fs.String("fit", "", "write the refitted profile of this load tier, one the report fits (collabd's fetches are all remote)")
 	outPath := fs.String("o", "", "with -fit, write the profile JSON to this file instead of stdout")
 	_ = fs.Parse(args)
 
@@ -348,8 +350,10 @@ func runCalibration(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var fitted []string
 	for _, fit := range report.Fits {
 		if fit.Tier != *fitTier {
+			fitted = append(fitted, fit.Tier)
 			continue
 		}
 		latency, err := time.ParseDuration(fit.Latency)
@@ -375,8 +379,11 @@ func runCalibration(args []string, out io.Writer) error {
 			fit.Tier, fit.Samples, *outPath)
 		return nil
 	}
-	return fmt.Errorf("calibration: no fit for tier %q (needs >= %d observed fetches)",
-		*fitTier, calib.MinFitSamples)
+	if len(fitted) == 0 {
+		return fmt.Errorf("calibration: no fit for tier %q: the report fits no tier yet (a tier needs >= %d observed fetches)",
+			*fitTier, calib.MinFitSamples)
+	}
+	return fmt.Errorf("calibration: no fit for tier %q: the report fits %s", *fitTier, strings.Join(fitted, ", "))
 }
 
 // runRequests prints the server's flight log of finished requests

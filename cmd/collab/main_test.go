@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/remote"
@@ -39,9 +40,18 @@ func serve(t *testing.T, opts ...core.ServerOption) (*lastRequest, string) {
 	lr := &lastRequest{next: remote.NewHandler(srv)}
 	ts := httptest.NewServer(lr)
 	t.Cleanup(ts.Close)
+	runs(t, ts.URL, 2)
+	return lr, ts.URL
+}
+
+// runs runs one small workload n times against the server at url, as a
+// client named analyst-1 and a new collaborator each run: every run past
+// the first fetches its result from the server.
+func runs(t *testing.T, url string, n int) {
+	t.Helper()
 	wp := synth.WideProfile{Branches: 2, Depth: 2, SpinIters: 2000}
-	for i := 0; i < 2; i++ {
-		rc := remote.NewClient(ts.URL, cost.Memory()) // a new collaborator each run: the second one fetches
+	for i := 0; i < n; i++ {
+		rc := remote.NewClient(url, cost.Memory())
 		rc.SetName("analyst-1")
 		if _, err := core.NewClient(rc).Run(synth.Wide(wp, 3)); err != nil {
 			t.Fatal(err)
@@ -50,7 +60,6 @@ func serve(t *testing.T, opts ...core.ServerOption) (*lastRequest, string) {
 			t.Fatal(err)
 		}
 	}
-	return lr, ts.URL
 }
 
 // TestViewSubcommands drives every view subcommand against a server with
@@ -148,5 +157,26 @@ func TestUsageListsTheRegisteredSubcommands(t *testing.T) {
 	}
 	if len(listed) != len(views)+len(workloads) {
 		t.Errorf("usage lists %d subcommands, %d are registered", len(listed), len(views)+len(workloads))
+	}
+}
+
+// TestCalibrationFitNamesTheFittedTiers: every fetch a client makes from
+// collabd is a remote one, so after remote runs `-fit memory` fails naming
+// remote, the tier the report does fit, and `-fit remote` writes that fit
+// as a profile collabd's -profile reads.
+func TestCalibrationFitNamesTheFittedTiers(t *testing.T) {
+	_, url := serve(t)
+	runs(t, url, calib.MinFitSamples)
+	var out bytes.Buffer
+	err := runCalibration([]string{"-server", url, "-fit", "memory"}, &out)
+	if err == nil || !strings.HasSuffix(err.Error(), "the report fits remote") {
+		t.Errorf("-fit memory after remote runs: error %v, want one naming remote", err)
+	}
+	if err := runCalibration([]string{"-server", url, "-fit", "remote"}, &out); err != nil {
+		t.Fatalf("-fit remote: %v", err)
+	}
+	prof, err := cost.ParseProfileJSON(out.Bytes())
+	if err != nil || prof.Name != "fitted:remote" {
+		t.Errorf("-fit remote wrote %q (%v), want the fitted:remote profile", out.String(), err)
 	}
 }

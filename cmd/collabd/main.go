@@ -5,6 +5,7 @@
 // Usage:
 //
 //	collabd -addr :7171 -budget 1073741824 -strategy sa -planner ln \
+//	        [-profile memory|disk|remote|fitted.json] \
 //	        [-store-dir /var/lib/collab -mem-budget 268435456] \
 //	        [-explain 0] [-pprof]
 //
@@ -35,9 +36,10 @@
 // in flight finish (for up to 30 s), and only then saves its state;
 // periodic -checkpoint saves stop before that last one.
 //
-// -profile-file loads the cost profile from a JSON file — typically one
-// refitted from measurements by `collab calibration -fit TIER` — instead
-// of the named -profile preset.
+// -profile names the storage cost profile: memory, disk or remote, or else
+// the path of a profile JSON file — typically one refitted from measurements
+// by `collab calibration -fit TIER -o fitted.json`. The three names win over
+// a file of the same name.
 //
 // All logging is structured (log/slog); every request-scoped line carries
 // the request_id propagated from the client's X-Collab-Request header.
@@ -71,7 +73,7 @@ import (
 
 // config is collabd's parsed command line.
 type config struct {
-	addr, strategy, planner, profile, profFile, storeDir, logLevel string
+	addr, strategy, planner, profile, storeDir, logLevel string
 
 	budget, memBudget    int64
 	alpha                float64
@@ -94,8 +96,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.StringVar(&c.strategy, "strategy", "sa", "materialization strategy: sa|hm|hl|all")
 	fs.StringVar(&c.planner, "planner", "ln", "reuse planner: ln|hl|allm|allc")
 	fs.Float64Var(&c.alpha, "alpha", 0.5, "utility weight of model quality, in [0, 1]")
-	fs.StringVar(&c.profile, "profile", "memory", "storage profile: memory|disk|remote")
-	fs.StringVar(&c.profFile, "profile-file", "", "load the cost profile from a JSON file (e.g. collab calibration -fit output); overrides -profile")
+	fs.StringVar(&c.profile, "profile", "memory", "storage cost profile: memory|disk|remote, or the path of a profile JSON file (collab calibration -fit -o writes one)")
 	fs.BoolVar(&c.warmstart, "warmstart", true, "enable warmstart donor search")
 	fs.StringVar(&c.storeDir, "store-dir", "", "state directory: the durable artifact tier and the graph snapshot (empty: in-memory only, nothing saved)")
 	fs.Int64Var(&c.memBudget, "mem-budget", 0, "memory-tier byte budget; cold artifacts demote to -store-dir, which it needs (0: unbounded)")
@@ -144,18 +145,6 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 	prof, err := profileByName(c.profile)
 	if err != nil {
 		return nil, err
-	}
-	if c.profFile != "" {
-		blob, err := os.ReadFile(c.profFile)
-		if err != nil {
-			return nil, fmt.Errorf("collabd: -profile-file: %w", err)
-		}
-		prof, err = cost.ParseProfileJSON(blob)
-		if err != nil {
-			return nil, fmt.Errorf("collabd: -profile-file: %w", err)
-		}
-		logger.Info("cost profile loaded", "file", c.profFile, "name", prof.Name,
-			"latency", prof.Latency, "bytes_per_second", prof.BytesPerSecond)
 	}
 	strat, err := strategyByName(c.strategy, materialize.Config{Alpha: c.alpha, Profile: prof})
 	if err != nil {
@@ -359,6 +348,8 @@ func logLevelByName(name string) (slog.Level, error) {
 	}
 }
 
+// profileByName returns the named cost profile, or else the one in the
+// profile JSON file at that path.
 func profileByName(name string) (cost.Profile, error) {
 	switch name {
 	case "memory":
@@ -367,9 +358,15 @@ func profileByName(name string) (cost.Profile, error) {
 		return cost.Disk(), nil
 	case "remote":
 		return cost.Remote(), nil
-	default:
-		return cost.Profile{}, fmt.Errorf("unknown profile %q (memory|disk|remote)", name)
 	}
+	blob, err := os.ReadFile(name)
+	if err == nil {
+		var prof cost.Profile
+		if prof, err = cost.ParseProfileJSON(blob); err == nil {
+			return prof, nil
+		}
+	}
+	return cost.Profile{}, fmt.Errorf("unknown profile %q (memory|disk|remote, or a profile JSON file): %w", name, err)
 }
 
 func strategyByName(name string, cfg materialize.Config) (materialize.Strategy, error) {

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/remote"
 )
@@ -158,6 +161,42 @@ func TestParseFlagsRefusesWhatCannotRun(t *testing.T) {
 		if err != nil || c.alpha != alpha {
 			t.Errorf("-alpha %v: parsed %+v, error %v", alpha, c, err)
 		}
+	}
+}
+
+// TestProfileNamesOrFile: -profile takes the path of the profile JSON that
+// `collab calibration -fit remote -o` writes, and boots with that profile;
+// a value that is neither a profile name nor a readable profile file is
+// refused with the three names and the file's error.
+func TestProfileNamesOrFile(t *testing.T) {
+	fitted := cost.Profile{Name: "fitted:remote", Latency: 3 * time.Millisecond, BytesPerSecond: 5e7}
+	blob, err := cost.EncodeProfileJSON(fitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fitted.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseFlags([]string{"-profile", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := c.newServer(discardLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Store.Profile(); got != fitted {
+		t.Errorf("-profile %s booted with %+v, want %+v", path, got, fitted)
+	}
+
+	c, err = parseFlags([]string{"-profile", "nosuch"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.newServer(discardLogger())
+	if err == nil || !strings.Contains(err.Error(), "memory|disk|remote") || !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-profile nosuch: error %v, want one naming the three profiles and the missing file", err)
 	}
 }
 

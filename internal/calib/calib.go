@@ -5,13 +5,14 @@
 // against reality. The collector here records, for every fetched or
 // executed vertex, the predicted cost next to the measured duration,
 // aggregated online per cost family ("load:<tier>", "compute:<op>") with
-// count, means, p50/p95 (via obs.Sketch), a relative-error distribution,
-// and an exponentially-weighted drift signal. A per-request scorecard
-// quantifies optimizer quality: estimated time saved by reuse, realized
-// speedup versus the naive all-compute plan, and regret when the
-// prediction was wrong. FitProfile turns accumulated (size, duration)
-// samples back into a least-squares cost.Profile operators can feed into
-// collabd, completing the calibration cycle.
+// count, means, an exponentially-weighted drift signal, and p50/p95 of the
+// measured seconds and of the relative error over the family's newest
+// samples. A per-request scorecard quantifies optimizer quality: estimated
+// time saved by reuse, realized speedup versus the naive all-compute plan,
+// and regret when the prediction was wrong. FitProfile turns a load
+// family's (size, duration) samples back into a least-squares cost.Profile
+// operators can feed into collabd's -profile, completing the calibration
+// cycle.
 package calib
 
 import (
@@ -40,18 +41,20 @@ const driftAlpha = 0.2
 // kind.
 const maxFamilies = 64
 
-// fitSampleCap bounds the per-family (bytes, seconds) ring used by
-// FitProfile.
-const fitSampleCap = 512
+// sampleCap is how many of its newest observations a family keeps: the
+// window its quantiles cover and FitProfile reads.
+const sampleCap = 512
 
 // minFloor guards divisions by near-zero measured durations.
 const minFloor = 1e-9
 
-// Sample is one (size, measured duration) observation used for profile
-// fitting.
+// Sample is one observation a family keeps: the artifact size (0 for
+// compute), the measured duration, and the relative error of its
+// prediction.
 type Sample struct {
 	Bytes     float64
 	ActualSec float64
+	RelErr    float64
 }
 
 // family aggregates predicted-vs-actual for one cost family.
@@ -62,21 +65,10 @@ type family struct {
 	bytesSum     float64
 	relErrSum    float64
 	drift        float64
-	actual       *obs.Sketch
-	relErr       *obs.Sketch
 
-	// samples keeps the newest (bytes, seconds) pairs for FitProfile; only
-	// load families have one, a compute family's is nil and keeps nothing.
+	// samples keeps the newest sampleCap observations: the quantiles of
+	// Snapshot and, for a load family, FitProfile's input.
 	samples *obs.Ring[Sample]
-}
-
-// newFamily returns an empty family of the given kind ("load", "compute").
-func newFamily(kind string) *family {
-	f := &family{actual: obs.NewSketch(0), relErr: obs.NewSketch(0)}
-	if kind == "load" {
-		f.samples = obs.NewRing[Sample](fitSampleCap)
-	}
-	return f
 }
 
 // observe folds one (predicted, actual) pair into the family.
@@ -100,9 +92,7 @@ func (f *family) observe(bytes, predictedSec, actualSec float64) {
 	} else {
 		f.drift = driftAlpha*relErr + (1-driftAlpha)*f.drift
 	}
-	f.actual.Observe(actualSec)
-	f.relErr.Observe(relErr)
-	f.samples.Add(Sample{Bytes: bytes, ActualSec: actualSec})
+	f.samples.Add(Sample{Bytes: bytes, ActualSec: actualSec, RelErr: relErr})
 }
 
 // Collector aggregates calibration observations. The zero value is not
@@ -175,7 +165,7 @@ func (c *Collector) observe(key string, bytes, predictedSec, actualSec float64) 
 		if f == nil {
 			// A new family, or the kind's first overflow opening
 			// "<kind>:other" one past the cap.
-			f = newFamily(kind)
+			f = &family{samples: obs.NewRing[Sample](sampleCap)}
 			c.families[key] = f
 			c.perKind[kind]++
 		}

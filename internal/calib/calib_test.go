@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -89,20 +90,31 @@ func TestCollectorAggregates(t *testing.T) {
 	}
 }
 
+// TestCollectorFamilyCap: however many operation names arrive, the
+// collector keeps at most maxFamilies compute families plus compute:other,
+// which takes the observations past the cap, and no family more than
+// sampleCap samples.
 func TestCollectorFamilyCap(t *testing.T) {
 	c := NewCollector()
-	for i := 0; i < maxFamilies+20; i++ {
-		c.ObserveCompute(strings.Repeat("x", i+1), time.Millisecond, time.Millisecond)
+	for op := 0; op < 200; op++ {
+		for i := 0; i < 100; i++ {
+			c.ObserveCompute(fmt.Sprintf("op%d", op), time.Millisecond, time.Duration(i+1)*time.Microsecond)
+		}
 	}
 	c.mu.Lock()
-	n := len(c.families)
-	overflow := c.families["compute:other"]
-	c.mu.Unlock()
-	if n > maxFamilies+1 {
+	defer c.mu.Unlock()
+	if n := len(c.families); n > maxFamilies+1 {
 		t.Fatalf("family map grew to %d, cap is %d", n, maxFamilies)
 	}
-	if overflow == nil || overflow.count == 0 {
-		t.Fatal("overflow observations should fold into compute:other")
+	for name, f := range c.families {
+		if n := f.samples.Len(); n > sampleCap {
+			t.Errorf("%s holds %d samples, want at most %d", name, n, sampleCap)
+		}
+	}
+	overflow := c.families["compute:other"]
+	if overflow == nil || overflow.count != (200-maxFamilies)*100 || overflow.samples.Len() != sampleCap {
+		t.Errorf("compute:other = %+v, want the %d observations past the cap and a full window of %d samples",
+			overflow, (200-maxFamilies)*100, sampleCap)
 	}
 }
 
@@ -309,4 +321,80 @@ func TestReportGoldens(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden(t, "report.text.golden", buf.Bytes())
+}
+
+// nearestRank is the q-quantile of vals by nearest rank over a sorted copy.
+func nearestRank(vals []float64, q float64) float64 {
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	return sorted[int(math.Ceil(q*float64(len(sorted))))-1]
+}
+
+// TestFamilyWindowIsNewestSamples: a load and a compute family each take
+// more observations than a family keeps, slow ones first and fast ones
+// after. Count counts them all; the quantiles of the measured seconds and
+// of the relative error, and the load tier's fit, cover exactly the newest
+// sampleCap of them.
+func TestFamilyWindowIsNewestSamples(t *testing.T) {
+	const slow, fast = 400, 400
+	c := NewCollector()
+	var loads []Sample
+	var computeActual, computeRelErr []float64
+	for i := 0; i < slow+fast; i++ {
+		size := int64(1000 + 37*i)
+		actual := 100*time.Millisecond + time.Duration(i)*time.Microsecond
+		predicted := 10 * time.Millisecond
+		if i >= slow {
+			actual = time.Millisecond + time.Duration(i%97)*time.Microsecond
+			predicted = time.Millisecond
+		}
+		relErr := math.Abs(predicted.Seconds()-actual.Seconds()) / actual.Seconds()
+		c.ObserveLoad("memory", size, predicted, actual)
+		c.ObserveCompute("train", predicted, actual)
+		loads = append(loads, Sample{Bytes: float64(size), ActualSec: actual.Seconds(), RelErr: relErr})
+		computeActual = append(computeActual, actual.Seconds())
+		computeRelErr = append(computeRelErr, relErr)
+	}
+	window := loads[len(loads)-sampleCap:]
+	loadActual := make([]float64, len(window))
+	loadRelErr := make([]float64, len(window))
+	for i, s := range window {
+		loadActual[i], loadRelErr[i] = s.ActualSec, s.RelErr
+	}
+
+	r := c.Snapshot()
+	for _, tc := range []struct {
+		family         string
+		actual, relErr []float64
+	}{
+		{"load:memory", loadActual, loadRelErr},
+		{"compute:train", computeActual[len(computeActual)-sampleCap:], computeRelErr[len(computeRelErr)-sampleCap:]},
+	} {
+		f := familyOf(r, tc.family)
+		if f.Count != slow+fast {
+			t.Errorf("%s count = %d, want %d", tc.family, f.Count, slow+fast)
+		}
+		for _, q := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"actual p50", f.ActualP50Sec, nearestRank(tc.actual, 0.50)},
+			{"actual p95", f.ActualP95Sec, nearestRank(tc.actual, 0.95)},
+			{"rel-err p50", f.RelErrP50, nearestRank(tc.relErr, 0.50)},
+			{"rel-err p95", f.RelErrP95, nearestRank(tc.relErr, 0.95)},
+		} {
+			if q.got != q.want {
+				t.Errorf("%s %s = %v, want %v over the newest %d", tc.family, q.name, q.got, q.want, sampleCap)
+			}
+		}
+	}
+
+	prof, ok := FitProfile("memory", window)
+	if !ok {
+		t.Fatal("no fit over the newest samples")
+	}
+	want := ProfileFit{Tier: "memory", Samples: sampleCap, Latency: prof.Latency.String(), BytesPerSecond: prof.BytesPerSecond}
+	if len(r.Fits) != 1 || r.Fits[0] != want {
+		t.Errorf("fits = %+v, want [%+v]", r.Fits, want)
+	}
 }

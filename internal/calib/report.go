@@ -3,6 +3,7 @@ package calib
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -78,19 +79,20 @@ func (c *Collector) Snapshot() *Report {
 	}
 	c.mu.Unlock()
 
-	// Sketch quantiles take the sketch's own lock; computed outside the
-	// collector lock to keep lock ordering trivial.
 	for _, s := range snaps {
 		f := &s.f
-		fr := FamilyReport{
-			Name:         s.name,
-			Count:        f.count,
-			ActualP50Sec: f.actual.Quantile(0.50),
-			ActualP95Sec: f.actual.Quantile(0.95),
-			RelErrP50:    f.relErr.Quantile(0.50),
-			RelErrP95:    f.relErr.Quantile(0.95),
-			Drift:        f.drift,
+		actual := make([]float64, len(s.samples))
+		relErr := make([]float64, len(s.samples))
+		for i, o := range s.samples {
+			actual[i], relErr[i] = o.ActualSec, o.RelErr
 		}
+		fr := FamilyReport{
+			Name:  s.name,
+			Count: f.count,
+			Drift: f.drift,
+		}
+		fr.ActualP50Sec, fr.ActualP95Sec = p50p95(actual)
+		fr.RelErrP50, fr.RelErrP95 = p50p95(relErr)
 		if f.count > 0 {
 			n := float64(f.count)
 			fr.PredictedMeanSec = f.predictedSum / n
@@ -114,6 +116,19 @@ func (c *Collector) Snapshot() *Report {
 		}
 	}
 	return r
+}
+
+// p50p95 returns the nearest-rank median and 95th percentile of vals,
+// which it sorts in place; 0 and 0 when vals is empty.
+func p50p95(vals []float64) (p50, p95 float64) {
+	if len(vals) == 0 {
+		return 0, 0
+	}
+	sort.Float64s(vals)
+	rank := func(q float64) float64 {
+		return vals[int(math.Ceil(q*float64(len(vals))))-1]
+	}
+	return rank(0.50), rank(0.95)
 }
 
 // WriteJSON renders the report as indented JSON ending in a newline. The

@@ -43,7 +43,7 @@ func (p Profile) LoadCost(sizeBytes int64) time.Duration {
 }
 
 // profileSpec is the JSON shape for profiles exchanged with operators
-// (collabd -profile-file, collab calibration -fit). Durations are strings
+// (collabd -profile FILE, collab calibration -fit). Durations are strings
 // ("3ms") so the files stay human-editable.
 type profileSpec struct {
 	Name           string  `json:"name"`

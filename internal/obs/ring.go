@@ -3,7 +3,7 @@ package obs
 import "sync"
 
 // Ring is the one bounded buffer of the observability plane: the request
-// flight log and calibration's fit samples keep their history in one, and a
+// flight log and calibration's samples keep their history in one, and a
 // client trace its events. It retains the newest Cap elements — a full ring
 // overwrites its oldest element, so a long-running server always holds the
 // recent past — and numbers elements from 1 in Add order. Cap 0 is unbounded
