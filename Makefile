@@ -56,10 +56,12 @@ bench:
 # the end-to-end ruler — Train and Evaluate of a GBT variant (kaggle_variants,
 # tiered_variants, once reuse has removed the feature pipeline), W1's external
 # KDE, which no reuse removes and every kaggle_cold pass recomputes, the
-# logistic regression's Train and bare fit (openml_stream, shared_2c), and a
-# cold W1→W3 upload through the column codec (kaggle_cold) — at the ruler's
-# shapes, and prints the top of each. Test binaries and profiles go to
-# PROFILE_DIR, outside the repository.
+# quantile view every tree learner bins a column into, the logistic
+# regression's Train and bare fit (openml_stream, shared_2c), the client
+# compute of a whole kaggle_cold pass (W1–W8 at scale 2, in process, nothing
+# reused), and a cold W1→W3 upload through the column codec (kaggle_cold) —
+# at the ruler's shapes, and prints the top of each. Test binaries and
+# profiles go to PROFILE_DIR, outside the repository.
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/collab-profile
 profile-train:
 	@mkdir -p $(PROFILE_DIR)
@@ -69,12 +71,18 @@ profile-train:
 	$(GO) test -run=NONE -bench='KDE2D' -benchtime=20x \
 		-o $(PROFILE_DIR)/ops.test -cpuprofile $(PROFILE_DIR)/ops-kde.prof ./internal/ops
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ops.test $(PROFILE_DIR)/ops-kde.prof
+	$(GO) test -run=NONE -bench='Quantiles' -benchtime=20000x \
+		-o $(PROFILE_DIR)/data.test -cpuprofile $(PROFILE_DIR)/data-quantiles.prof ./internal/data
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/data.test $(PROFILE_DIR)/data-quantiles.prof
 	$(GO) test -run=NONE -bench='TrainLogreg$$' -benchtime=100x \
 		-o $(PROFILE_DIR)/ops.test -cpuprofile $(PROFILE_DIR)/ops-logreg.prof ./internal/ops
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ops.test $(PROFILE_DIR)/ops-logreg.prof
 	$(GO) test -run=NONE -bench='LogisticRegressionFit$$' -benchtime=100x \
 		-o $(PROFILE_DIR)/ml.test -cpuprofile $(PROFILE_DIR)/ml.prof ./internal/ml
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/ml.test $(PROFILE_DIR)/ml.prof
+	$(GO) test -run=NONE -bench='ColdPassCompute$$' -benchtime=10x \
+		-o $(PROFILE_DIR)/kaggle.test -cpuprofile $(PROFILE_DIR)/coldpass.prof ./internal/workloads/kaggle
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/kaggle.test $(PROFILE_DIR)/coldpass.prof
 	$(GO) test -run=NONE -bench='UploadColdPass$$' -benchtime=5x \
 		-o $(PROFILE_DIR)/remote.test -cpuprofile $(PROFILE_DIR)/upload.prof ./internal/remote
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/upload.prof

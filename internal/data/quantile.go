@@ -1,7 +1,9 @@
 package data
 
 import (
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -67,74 +69,169 @@ func (c *Column) Quantiles() *Quantiles {
 // quantize bins vals.
 func quantize(vals []float64) *Quantiles {
 	q := &Quantiles{Edges: quantileEdges(vals), Bins: make([]uint8, len(vals))}
+	var e edgeKeys
+	e.fill(q.Edges)
 	for i, v := range vals {
-		q.Bins[i] = binOf(q.Edges, v)
+		q.Bins[i] = e.bin(v)
 	}
 	return q
 }
 
-// quantileEdges returns at most MaxBins-1 ascending bin edges for vals.
+// quantileEdges returns at most MaxBins-1 ascending bin edges for vals. It
+// finds them on the values' order keys, in which −0 and +0 are one value, so
+// a zero edge is +0 whichever of the two the column holds.
 func quantileEdges(vals []float64) []float64 {
-	if distinct, ok := fewDistinct(vals); ok {
+	var keys []uint64
+	if distinct, n, ok := fewDistinct(vals); ok {
 		// Every distinct value gets a bin of its own; the largest needs no
 		// edge. This also covers the empty column.
-		if len(distinct) > 0 {
-			distinct = distinct[:len(distinct)-1]
-		}
-		return distinct
+		keys = distinct[:max(n-1, 0)]
+	} else {
+		keys = sampleQuantiles(vals)
 	}
-	// Quantile edges are estimated on an evenly strided sample of at most
-	// quantileSample rows, which keeps the sort independent of the row count.
-	stride := (len(vals) + quantileSample - 1) / quantileSample
-	sample := make([]float64, 0, quantileSample)
-	for i := 0; i < len(vals); i += stride {
-		sample = append(sample, vals[i])
-	}
-	sort.Float64s(sample)
-	var edges []float64
-	for k := 1; k < MaxBins; k++ {
-		e := sample[k*len(sample)/MaxBins]
-		if len(edges) == 0 || e > edges[len(edges)-1] {
-			edges = append(edges, e)
-		}
+	edges := make([]float64, len(keys))
+	for i, k := range keys {
+		edges[i] = fromOrderKey(k)
 	}
 	return edges
 }
 
-// fewDistinct returns the distinct values of vals in ascending order when
-// there are at most MaxBins of them — every one-hot, boolean and small-integer
-// feature — in one pass and without a sort; it gives up at the first value
-// beyond that.
-func fewDistinct(vals []float64) ([]float64, bool) {
-	distinct := make([]float64, 0, MaxBins)
-	for _, v := range vals {
-		k := int(binOf(distinct, v))
-		if k < len(distinct) && distinct[k] == v {
-			continue
-		}
-		if len(distinct) == MaxBins {
-			return nil, false
-		}
-		distinct = append(distinct, 0)
-		copy(distinct[k+1:], distinct[k:])
-		distinct[k] = v
+// sampleQuantiles returns the distinct keys among the order statistics at
+// ranks k·m/MaxBins, k = 1 … MaxBins-1, of an evenly strided sample of m ≤
+// quantileSample rows, which keeps the work independent of the row count.
+// They are selected, not sorted for: the sample is only partitioned as far
+// as those ranks need.
+func sampleQuantiles(vals []float64) []uint64 {
+	stride := (len(vals) + quantileSample - 1) / quantileSample
+	sample := make([]uint64, 0, quantileSample)
+	for i := 0; i < len(vals); i += stride {
+		sample = append(sample, orderKey(vals[i]))
 	}
-	return distinct, true
+	var ranks [MaxBins - 1]int
+	for k := range ranks {
+		ranks[k] = (k + 1) * len(sample) / MaxBins
+	}
+	selectRanks(sample, 0, len(sample), ranks[:], 2*bits.Len(uint(len(sample))))
+	var keys []uint64
+	for _, r := range ranks {
+		if k := sample[r]; len(keys) == 0 || k > keys[len(keys)-1] {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }
 
-// binOf returns the first bin whose edge is >= v (the last bin when v exceeds
-// every edge). edges is ascending and has fewer than 256 entries.
-func binOf(edges []float64, v float64) uint8 {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= edges[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
+// selectRanks reorders a[lo:hi] so that a[r], for each of ranks (ascending,
+// in [lo, hi)), holds the key a sorted a[lo:hi] holds there. It partitions
+// around a median of three and keeps to the sides that hold a rank; it sorts
+// a side outright once the side is short, or once depth partitions have not
+// finished the job, which bounds the work on an adversarial order.
+func selectRanks(a []uint64, lo, hi int, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if hi-lo <= 16 || depth == 0 {
+			slices.Sort(a[lo:hi])
+			return
+		}
+		depth--
+		p := max(min(a[lo], a[hi-1]), min(max(a[lo], a[hi-1]), a[lo+(hi-lo)/2]))
+		m := partition(a, lo, hi, p)
+		if m == lo {
+			// Nothing is below the pivot: gather its ties at the front,
+			// where they are already in order.
+			m = partition(a, lo, hi, p+1)
+			i, _ := slices.BinarySearch(ranks, m)
+			lo, ranks = m, ranks[i:]
+			continue
+		}
+		i, _ := slices.BinarySearch(ranks, m) // ranks[:i] are left of m
+		selectRanks(a, lo, m, ranks[:i], depth)
+		lo, ranks = m, ranks[i:]
+	}
+}
+
+// partition moves the keys of a[lo:hi] that are below bound to its front and
+// returns where they end. It swaps at every step and adds the comparison's
+// borrow to the front's end, so no step branches on the data.
+func partition(a []uint64, lo, hi int, bound uint64) int {
+	i := lo
+	for j := lo; j < hi; j++ {
+		k := a[j]
+		a[j] = a[i]
+		a[i] = k
+		_, below := bits.Sub64(k, bound, 0)
+		i += int(below)
+	}
+	return i
+}
+
+// fewDistinct returns the order keys of the distinct values of vals, padded
+// as edgeKeys are, and their number when there are at most MaxBins of them —
+// every one-hot, boolean and small-integer feature — in one pass and without
+// a sort; it gives up at the first value beyond that.
+func fewDistinct(vals []float64) (keys edgeKeys, n int, ok bool) {
+	keys.fill(nil)
+	for _, v := range vals {
+		k := keys.bin(v)
+		if keys[k] == orderKey(v) {
+			continue
+		}
+		// Not seen yet. When MaxBins values are, the search's answer may be
+		// short by one, but then there is no room for v anyway.
+		if n == MaxBins {
+			return keys, 0, false
+		}
+		copy(keys[k+1:], keys[k:])
+		keys[k] = orderKey(v)
+		n++
+	}
+	return keys, n, true
+}
+
+// orderKey maps v, which must not be NaN, to an integer in the order of the
+// floats: the bits of a non-negative value with the sign bit set, those of a
+// negative one all flipped. v+0 turns −0 into +0, so the two zeros share a
+// key, as they compare equal. No key is math.MaxUint64.
+func orderKey(v float64) uint64 {
+	b := math.Float64bits(v + 0)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// fromOrderKey is the value whose order key is k.
+func fromOrderKey(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// edgeKeys holds at most MaxBins-1 ascending edges as order keys, padded to
+// MaxBins entries with math.MaxUint64, which is above every value's key. So
+// the last entry is always above v, and a row's bin is found in a fixed five
+// steps that compare by subtraction and add the borrow: no step branches on
+// the data, which a pass that bins each column once could not predict.
+type edgeKeys [MaxBins]uint64
+
+// fill sets e to the keys of edges and pads it.
+func (e *edgeKeys) fill(edges []float64) {
+	for i := range e {
+		e[i] = math.MaxUint64
+		if i < len(edges) {
+			e[i] = orderKey(edges[i])
 		}
 	}
-	return uint8(lo)
+}
+
+// bin returns the first bin whose edge is >= v, the number of edges below v:
+// the number of edges when v exceeds every one.
+func (e *edgeKeys) bin(v float64) uint8 {
+	k := orderKey(v)
+	_, below := bits.Sub64(e[15], k, 0)
+	i := below << 4
+	_, below = bits.Sub64(e[(i+7)%MaxBins], k, 0)
+	i |= below << 3
+	_, below = bits.Sub64(e[(i+3)%MaxBins], k, 0)
+	i |= below << 2
+	_, below = bits.Sub64(e[(i+1)%MaxBins], k, 0)
+	i |= below << 1
+	_, below = bits.Sub64(e[i%MaxBins], k, 0)
+	return uint8(i | below)
 }
 
 // FillNumeric writes the column's value at each of rows (at every row when

@@ -13,7 +13,9 @@ import (
 
 // TestQuickBinOfMatchesEdgeComparison is the equivalence the tree learners
 // rest on: a row's bin is <= b exactly when its value is <= edges[b], so a
-// split grown on bins routes rows as its float threshold does.
+// split grown on bins routes rows as its float threshold does. It holds for
+// the five-step search over the edges' keys and for binOf, the binary search
+// it replaced.
 func TestQuickBinOfMatchesEdgeComparison(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -30,6 +32,8 @@ func TestQuickBinOfMatchesEdgeComparison(t *testing.T) {
 			}
 		}
 		edges = edges[:k]
+		var keys edgeKeys
+		keys.fill(edges)
 		for trial := 0; trial < 64; trial++ {
 			v := math.Round(rng.NormFloat64()*8) / 4
 			switch trial {
@@ -38,8 +42,8 @@ func TestQuickBinOfMatchesEdgeComparison(t *testing.T) {
 			case 1:
 				v = math.Inf(-1)
 			}
-			bin := int(binOf(edges, v))
-			if bin > len(edges) {
+			bin := int(keys.bin(v))
+			if bin > len(edges) || bin != int(binOf(edges, v)) {
 				return false
 			}
 			for b := range edges {
@@ -52,6 +56,129 @@ func TestQuickBinOfMatchesEdgeComparison(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedQuantileEdges is the edge finder quantize had before it selected:
+// the distinct values when there are at most MaxBins, and otherwise the
+// strided sample sorted whole and read at ranks k·m/MaxBins.
+func sortedQuantileEdges(vals []float64) []float64 {
+	distinct := make([]float64, 0, MaxBins)
+	for _, v := range vals {
+		k := int(binOf(distinct, v))
+		if k < len(distinct) && distinct[k] == v {
+			continue
+		}
+		if len(distinct) == MaxBins {
+			distinct = nil
+			break
+		}
+		distinct = append(distinct, 0)
+		copy(distinct[k+1:], distinct[k:])
+		distinct[k] = v
+	}
+	if distinct != nil {
+		if len(distinct) > 0 {
+			distinct = distinct[:len(distinct)-1]
+		}
+		return distinct
+	}
+	stride := (len(vals) + quantileSample - 1) / quantileSample
+	sample := make([]float64, 0, quantileSample)
+	for i := 0; i < len(vals); i += stride {
+		sample = append(sample, vals[i])
+	}
+	sort.Float64s(sample)
+	var edges []float64
+	for k := 1; k < MaxBins; k++ {
+		e := sample[k*len(sample)/MaxBins]
+		if len(edges) == 0 || e > edges[len(edges)-1] {
+			edges = append(edges, e)
+		}
+	}
+	return edges
+}
+
+// binOf is the per-row search quantize had before it searched the edge keys: the
+// first bin whose edge is >= v, by binary search.
+func binOf(edges []float64, v float64) uint8 {
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if v <= edges[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return uint8(lo)
+}
+
+// TestQuickQuantizeMatchesTheSortedSample: for every length around the
+// sample's and the bin count's boundaries and every column shape — normal,
+// heavy ties, exactly 32 and 33 distinct values, infinities, a mass of −0
+// and +0, constant — the selected view has the sorted one's bins, and its
+// edges are the sorted one's bits once a −0 edge there is read as +0.
+func TestQuickQuantizeMatchesTheSortedSample(t *testing.T) {
+	lengths := []int{0, 1, 2, 31, 32, 33, 2047, 2048, 2049, 4095, 4096, 9000}
+	shapes := map[string]func(rng *rand.Rand, i int) float64{
+		"normal": func(rng *rand.Rand, _ int) float64 { return rng.NormFloat64() * 1e3 },
+		"ties":   func(rng *rand.Rand, _ int) float64 { return math.Round(rng.ExpFloat64()*3) / 2 },
+		"32":     func(_ *rand.Rand, i int) float64 { return float64(i*7%32) - 10 },
+		"33":     func(_ *rand.Rand, i int) float64 { return float64(i * 7 % 33) },
+		"inf": func(rng *rand.Rand, _ int) float64 {
+			switch rng.Intn(5) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			}
+			return rng.NormFloat64()
+		},
+		"zeros": func(rng *rand.Rand, _ int) float64 {
+			switch rng.Intn(3) {
+			case 0:
+				return math.Copysign(0, -1)
+			case 1:
+				return 0
+			}
+			return rng.NormFloat64()
+		},
+		"constant": func(*rand.Rand, int) float64 { return -7.25 },
+	}
+	signed := 0
+	for name, shape := range shapes {
+		for _, n := range lengths {
+			for seed := int64(0); seed < 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				vals := make([]float64, n)
+				for i := range vals {
+					vals[i] = shape(rng, i)
+				}
+				want := sortedQuantileEdges(append([]float64(nil), vals...))
+				q := quantize(vals)
+				if len(q.Edges) != len(want) {
+					t.Fatalf("%s, %d rows, seed %d: %d edges, the sorted sample's %d", name, n, seed, len(q.Edges), len(want))
+				}
+				for k, e := range want {
+					if e == 0 && math.Signbit(e) {
+						signed++
+						e = 0
+					}
+					if math.Float64bits(q.Edges[k]) != math.Float64bits(e) {
+						t.Fatalf("%s, %d rows, seed %d: edge %d is %v, the sorted sample's %v", name, n, seed, k, q.Edges[k], e)
+					}
+				}
+				for i, v := range vals {
+					if b := binOf(want, v); q.Bins[i] != b {
+						t.Fatalf("%s, %d rows, seed %d: row %d (%v) in bin %d, the sorted sample's %d", name, n, seed, i, v, q.Bins[i], b)
+					}
+				}
+			}
+		}
+	}
+	if signed == 0 {
+		t.Error("no −0 edge in the sorted samples: the zero shape tests nothing")
 	}
 }
 

@@ -355,11 +355,14 @@ func (o KDE2D) OutKind() graph.Kind { return graph.AggregateKind }
 // optimizer is oblivious to, §4.2 "Integration Limitations").
 func (o KDE2D) External() bool { return true }
 
-// Run implements graph.Operation. A row with a missing coordinate is left out
-// of the estimate. The density of each grid cell is summed over the rows in
-// order, one grid line of cells per task of the shared pool, and the cells
-// are added up in the serial loop's gx-major order, so the aggregate is the
-// same at every pool width.
+// Run implements graph.Operation. A row with a missing or non-finite
+// coordinate is left out of the estimate. The isotropic Gaussian factors,
+// exp(−(dx²+dy²)/2h²) = exp(−dx²/2h²)·exp(−dy²/2h²), so each grid line holds
+// one kernel row per axis — 2·grid·rows exponentials, not grid²·rows — and a
+// cell's density is the dot product of its two rows, summed over the rows
+// in order. One grid line of cells is one task of the shared pool, and the
+// cells are added up in gx-major order, so the aggregate is the same at
+// every pool width.
 func (o KDE2D) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	in, err := one(inputs)
 	if err != nil {
@@ -384,28 +387,28 @@ func (o KDE2D) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if bw == 0 {
 		bw = 1
 	}
-	xs, ys := presentPairs(cx, cy)
+	xs, ys := finitePairs(cx, cy)
 	minX, spanX := axisRange(xs)
 	minY, spanY := axisRange(ys)
 	inv := 1 / (2 * bw * bw)
-	// dy2[gy*n+i] is row i's squared distance to grid line gy along y, kept
-	// for every line (grid × the rows' floats); the x distances of one grid
-	// line are computed by the task that owns it.
+	// ky[gy*n+i] is row i's kernel factor along y at grid line gy, kept for
+	// every line (grid × the rows' floats); the x factors of one grid line
+	// are computed by the task that owns it.
 	n := len(xs)
-	dy2 := make([]float64, grid*n)
+	ky := make([]float64, grid*n)
 	for gy := 0; gy < grid; gy++ {
-		squaredDistances(dy2[gy*n:(gy+1)*n], ys, minY+spanY*float64(gy)/float64(grid-1), spanY)
+		kernelRow(ky[gy*n:(gy+1)*n], ys, minY+spanY*float64(gy)/float64(grid-1), spanY, inv)
 	}
 	dens := make([]float64, grid*grid)
 	parallel.For(grid, 1, func(lo, hi int) {
-		dx2 := make([]float64, n)
+		kx := make([]float64, n)
 		for gx := lo; gx < hi; gx++ {
-			squaredDistances(dx2, xs, minX+spanX*float64(gx)/float64(grid-1), spanX)
+			kernelRow(kx, xs, minX+spanX*float64(gx)/float64(grid-1), spanX, inv)
 			for gy := 0; gy < grid; gy++ {
-				d2 := dy2[gy*n : (gy+1)*n]
+				k := ky[gy*n : (gy+1)*n]
 				var d float64
-				for i, v := range dx2 {
-					d += math.Exp(-(v + d2[i]) * inv)
+				for i, v := range kx {
+					d += v * k[i]
 				}
 				dens[gx*grid+gy] = d
 			}
@@ -418,19 +421,22 @@ func (o KDE2D) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	return &graph.AggregateArtifact{Value: total, Text: "kde2d"}, nil
 }
 
-// presentPairs reads the rows where both columns hold a value.
-func presentPairs(cx, cy *data.Column) (xs, ys []float64) {
+// finitePairs reads the rows where both columns hold a finite value.
+func finitePairs(cx, cy *data.Column) (xs, ys []float64) {
 	n := cx.Len()
 	xs, ys = make([]float64, 0, n), make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		x, y := cx.Float(i), cy.Float(i)
-		if math.IsNaN(x) || math.IsNaN(y) {
+		if !finite(x) || !finite(y) {
 			continue
 		}
 		xs, ys = append(xs, x), append(ys, y)
 	}
 	return xs, ys
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // axisRange returns the least value and the span of vals, a span of 1 when
 // vals hold fewer than two distinct values.
@@ -450,10 +456,11 @@ func axisRange(vals []float64) (lo, span float64) {
 	return lo, span
 }
 
-// squaredDistances writes ((v - p) / span)² for each of vals into out.
-func squaredDistances(out, vals []float64, p, span float64) {
+// kernelRow writes exp(−((v − p) / span)² · inv) for each of vals into out:
+// one axis's factor of the Gaussian at grid line p.
+func kernelRow(out, vals []float64, p, span, inv float64) {
 	for i, v := range vals {
 		d := (v - p) / span
-		out[i] = d * d
+		out[i] = math.Exp(-(d * d) * inv)
 	}
 }

@@ -10,12 +10,31 @@ import (
 	"repro/internal/parallel"
 )
 
-// refKDE2D is the loop KDE2D.Run had before it read each column once, hoisted
-// the per-axis distances and filled the cells on the pool: one goroutine, the
-// coordinates read and both distances computed again for every cell, on a
-// grid of at least 2 and columns without missing cells. Run claims the same
-// aggregate bit for bit; this is what it is identical to.
+// refKDE2D is the loop KDE2D.Run claims to be bit for bit: one goroutine,
+// cell by cell, the rows in order, the coordinates read and both kernel
+// factors computed again for every cell — exp(−dx²/2h²)·exp(−dy²/2h²), the
+// Gaussian factored as Run factors it — on a grid of at least 2 and columns
+// without missing cells.
 func refKDE2D(cx, cy *data.Column, grid int, bw float64) float64 {
+	return serialKDE2D(cx, cy, grid, bw, func(dx, dy, inv float64) float64 {
+		return math.Exp(-(dx*dx)*inv) * math.Exp(-(dy*dy)*inv)
+	})
+}
+
+// directKDE2D is the loop KDE2D.Run had before it factored the Gaussian:
+// refKDE2D with one exponential of the squared distance per cell and row,
+// exp(−(dx²+dy²)/2h²). The factored kernel rounds differently, so Run only
+// comes close to it.
+func directKDE2D(cx, cy *data.Column, grid int, bw float64) float64 {
+	return serialKDE2D(cx, cy, grid, bw, func(dx, dy, inv float64) float64 {
+		return math.Exp(-(dx*dx + dy*dy) * inv)
+	})
+}
+
+// serialKDE2D sums kernel(dx, dy, 1/2h²) over the grid's cells in gx-major
+// order and, within a cell, over the rows in order; dx and dy are a row's
+// distances to the cell along each axis, in units of the axis's span.
+func serialKDE2D(cx, cy *data.Column, grid int, bw float64, kernel func(dx, dy, inv float64) float64) float64 {
 	columnRange := func(c *data.Column) (float64, float64) {
 		mn, mx := math.Inf(1), math.Inf(-1)
 		for i := 0; i < c.Len(); i++ {
@@ -50,9 +69,7 @@ func refKDE2D(cx, cy *data.Column, grid int, bw float64) float64 {
 			py := minY + spanY*float64(gy)/float64(grid-1)
 			var dens float64
 			for i := 0; i < n; i++ {
-				dx := (cx.Float(i) - px) / spanX
-				dy := (cy.Float(i) - py) / spanY
-				dens += math.Exp(-(dx*dx + dy*dy) * inv)
+				dens += kernel((cx.Float(i)-px)/spanX, (cy.Float(i)-py)/spanY, inv)
 			}
 			total += dens
 		}
@@ -82,11 +99,9 @@ func kdeAt(t testing.TB, width int, op KDE2D, f *data.Frame) float64 {
 	return out.(*graph.AggregateArtifact).Value
 }
 
-// TestKDE2DIsTheSerialLoopBitForBit: on random frames — 1 to 3 000 rows, a
-// grid of 2 to 40, a bandwidth of 0.1 to 1.1, now and then a constant column
-// — Run returns the serial loop's aggregate bit for bit at pool widths 1, 2
-// and 8.
-func TestKDE2DIsTheSerialLoopBitForBit(t *testing.T) {
+// randomKDECases calls check on random frames — 1 to 3 000 rows, a grid of 2
+// to 40, a bandwidth of 0.1 to 1.1, now and then a constant column.
+func randomKDECases(check func(cx, cy *data.Column, op KDE2D)) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {
 		rows := 1 + rng.Intn(3000)
@@ -101,16 +116,36 @@ func TestKDE2DIsTheSerialLoopBitForBit(t *testing.T) {
 			}
 		}
 		cx, cy := data.NewFloatColumn("x", x), data.NewFloatColumn("y", y)
-		op := KDE2D{ColX: "x", ColY: "y", GridSize: 2 + rng.Intn(39), Bandwidth: 0.1 + rng.Float64()}
+		check(cx, cy, KDE2D{ColX: "x", ColY: "y", GridSize: 2 + rng.Intn(39), Bandwidth: 0.1 + rng.Float64()})
+	}
+}
+
+// TestKDE2DIsTheSerialLoopBitForBit: on random frames, Run returns the
+// factored serial loop's aggregate bit for bit at pool widths 1, 2 and 8.
+func TestKDE2DIsTheSerialLoopBitForBit(t *testing.T) {
+	randomKDECases(func(cx, cy *data.Column, op KDE2D) {
 		want := refKDE2D(cx, cy, op.GridSize, op.Bandwidth)
 		for _, width := range []int{1, 2, 8} {
 			got := kdeAt(t, width, op, data.MustNewFrame(cx, cy))
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%d rows, grid %d, bandwidth %g, width %d: %v, the serial loop %v",
-					rows, op.GridSize, op.Bandwidth, width, got, want)
+					cx.Len(), op.GridSize, op.Bandwidth, width, got, want)
 			}
 		}
-	}
+	})
+}
+
+// TestKDE2DMatchesTheDirectKernel: on the same frames, the factored kernel's
+// aggregate is the unfactored one's to 1e-12 relative.
+func TestKDE2DMatchesTheDirectKernel(t *testing.T) {
+	randomKDECases(func(cx, cy *data.Column, op KDE2D) {
+		got := kdeAt(t, 2, op, data.MustNewFrame(cx, cy))
+		want := directKDE2D(cx, cy, op.GridSize, op.Bandwidth)
+		if math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Errorf("%d rows, grid %d, bandwidth %g: %v, the direct kernel %v (relative %.3g)",
+				cx.Len(), op.GridSize, op.Bandwidth, got, want, math.Abs(got-want)/math.Abs(want))
+		}
+	})
 }
 
 // TestKDE2DRefusesAGridItCannotLayOut: a grid needs two lines per axis. Size 1
@@ -152,6 +187,35 @@ func TestKDE2DSkipsARowWithAMissingCoordinate(t *testing.T) {
 		got, want := kdeAt(t, 2, op, holed), kdeAt(t, 2, op, f.Gather(keep, "rest"))
 		if math.IsNaN(got) || got != want {
 			t.Errorf("NaN in %s at row %d: aggregate %v, the other rows' %v", col, row, got, want)
+		}
+	}
+}
+
+// TestKDE2DSkipsARowWithAnInfiniteCoordinate: one +Inf or −Inf in either
+// column made the axis's minimum or span infinite, so every grid line and
+// the aggregate were NaN; the row is left out, as a missing one is.
+func TestKDE2DSkipsARowWithAnInfiniteCoordinate(t *testing.T) {
+	f := kdeFrame(3, 300)
+	op := KDE2D{ColX: "x", ColY: "y", GridSize: 16, Bandwidth: 0.5}
+	const row = 17
+	keep := make([]int, 0, f.NumRows()-1)
+	for i := 0; i < f.NumRows(); i++ {
+		if i != row {
+			keep = append(keep, i)
+		}
+	}
+	want := kdeAt(t, 2, op, f.Gather(keep, "rest"))
+	for _, col := range []string{"x", "y"} {
+		for _, inf := range []float64{math.Inf(1), math.Inf(-1)} {
+			vals := append([]float64(nil), f.Column(col).Floats...)
+			vals[row] = inf
+			holed, err := f.WithColumn(data.NewFloatColumn(col, vals))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := kdeAt(t, 2, op, holed); math.IsNaN(got) || got != want {
+				t.Errorf("%v in %s at row %d: aggregate %v, the other rows' %v", inf, col, row, got, want)
+			}
 		}
 	}
 }
