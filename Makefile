@@ -58,10 +58,13 @@ bench:
 # KDE, which no reuse removes and every kaggle_cold pass recomputes, the
 # quantile view every tree learner bins a column into, the logistic
 # regression's Train and bare fit (openml_stream, shared_2c), the client
-# compute of a whole kaggle_cold pass (W1–W8 at scale 2, in process, nothing
-# reused), and a cold W1→W3 upload through the column codec (kaggle_cold) —
-# at the ruler's shapes, and prints the top of each. Test binaries and
-# profiles go to PROFILE_DIR, outside the repository.
+# compute of a whole kaggle_cold pass (W1–W8 at scale 2, in process) twice —
+# once with nothing reused, so every workload recomputes the features it
+# shares, and once on one default server, so each vertex is computed at most
+# once, as a kaggle_cold pass executes it — and a cold W1→W3 upload through
+# the column codec (kaggle_cold) — at the ruler's shapes, and prints the top
+# of each. Test binaries and profiles go to PROFILE_DIR, outside the
+# repository.
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/collab-profile
 profile-train:
 	@mkdir -p $(PROFILE_DIR)
@@ -83,6 +86,9 @@ profile-train:
 	$(GO) test -run=NONE -bench='ColdPassCompute$$' -benchtime=10x \
 		-o $(PROFILE_DIR)/kaggle.test -cpuprofile $(PROFILE_DIR)/coldpass.prof ./internal/workloads/kaggle
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/kaggle.test $(PROFILE_DIR)/coldpass.prof
+	$(GO) test -run=NONE -bench='ColdPassReuse$$' -benchtime=10x \
+		-o $(PROFILE_DIR)/kaggle.test -cpuprofile $(PROFILE_DIR)/coldpass-reuse.prof ./internal/workloads/kaggle
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/kaggle.test $(PROFILE_DIR)/coldpass-reuse.prof
 	$(GO) test -run=NONE -bench='UploadColdPass$$' -benchtime=5x \
 		-o $(PROFILE_DIR)/remote.test -cpuprofile $(PROFILE_DIR)/upload.prof ./internal/remote
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/upload.prof

@@ -1,42 +1,67 @@
 package data
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/parallel"
 )
 
-// Partitioned group-by engine.
+// Dense-ID group-by engine.
 //
-// The sequential group-by rendered every key to a string and pushed every
-// row through one serial map[string][]int. This engine aggregates in three
-// deterministic phases:
+// A group-by is three passes over int32 arrays; no hash table is built per
+// chunk, no group is a heap object and no key is rendered to be sorted:
 //
-//  1. partial aggregation: rows are scanned in fixed-size chunks
-//     (concurrently); each chunk keeps per-partition hash tables of
-//     partial aggregate state (count, non-missing count, sum, min, max
-//     per aggregated column) — no row lists are materialized;
-//  2. merge: partitions are merged concurrently; within a partition,
-//     chunk tables merge in chunk order, so floating-point sums combine
-//     in one fixed tree shape regardless of worker count;
-//  3. emit: groups sort by their rendered key (rendering touches one row
-//     per distinct group, not one per input row) and the output columns
-//     fill chunk-parallel.
-//
-// Chunk boundaries and the partition count are fixed independently of the
-// pool width, so the result is bit-identical at any worker count.
+//  1. assign IDs: each row gets a slot in a dense domain — an Int64 key its
+//     offset from the column's minimum when the span is compact, a
+//     dictionary key its code, a Bool key 0 or 1, and any other key (a
+//     sparse Int64, Float64 or plain string) the first-appearance ID one
+//     hash map gives it, under the token rules of key.go: NaNs collapse into
+//     one group, ±0 stay apart;
+//  2. rank: the present slots are ordered as their rendered keys sort, and
+//     every row's slot becomes its group's rank, which is its output row —
+//     Int64 keys compare their decimal renderings arithmetically, a sorted
+//     dictionary's codes are already in order, "false" < "true", and only
+//     Float64 keys render one string per group;
+//  3. aggregate: a stable counting sort lists each group's rows in row
+//     order, and groups fold on the pool in fixed ranges of ranks. A group
+//     sums its values in row order within each 2048-row chunk (rowGrain) and
+//     adds those chunk partials in chunk order, so every sum has the
+//     floating-point tree of a chunk-parallel scan, at any pool width.
 
-// gbColStats is the partial aggregate state of one (group, column) pair.
-// Sum/count/mean/min/max all derive from it: mean is sum/n, so every
-// supported AggKind composes from one merged state.
+// groupGrain is how many groups one pool task folds.
+const groupGrain = 256
+
+// denseSpan bounds the direct-address table of an Int64 key: the key's
+// span may be at most this many slots per row.
+const denseSpan = 4
+
+// gbColStats is the aggregate state of one (group, column) pair.
+// Sum/count/mean/min/max all derive from it: mean is sum/n.
 type gbColStats struct {
 	n, sum, mn, mx float64
+	// part is the sum of the cells of chunk, the rowGrain-row chunk of the
+	// latest row observed; sum holds the earlier chunks' partials.
+	part  float64
+	chunk int32
 }
 
-func (s *gbColStats) observe(v float64) {
+func newColStats() gbColStats {
+	return gbColStats{mn: math.Inf(1), mx: math.Inf(-1), chunk: -1}
+}
+
+// observe takes in v, the non-missing cell of row r; rows come in ascending
+// order. Cells add in row order within a chunk, and chunk partials add in
+// chunk order.
+func (s *gbColStats) observe(r int32, v float64) {
+	if c := r / rowGrain; c != s.chunk {
+		s.sum += s.part
+		s.part, s.chunk = 0, c
+	}
+	s.part += v
 	s.n++
-	s.sum += v
 	if v < s.mn {
 		s.mn = v
 	}
@@ -45,28 +70,17 @@ func (s *gbColStats) observe(v float64) {
 	}
 }
 
-func (s *gbColStats) merge(o gbColStats) {
-	s.n += o.n
-	s.sum += o.sum
-	if o.mn < s.mn {
-		s.mn = o.mn
-	}
-	if o.mx > s.mx {
-		s.mx = o.mx
-	}
-}
-
-func (s gbColStats) value(kind AggKind, rows int64) float64 {
+func (s gbColStats) value(kind AggKind, rows int) float64 {
 	switch kind {
 	case AggCount:
 		return float64(rows)
 	case AggSum:
-		return s.sum
+		return s.sum + s.part
 	case AggMean:
 		if s.n == 0 {
 			return math.NaN()
 		}
-		return s.sum / s.n
+		return (s.sum + s.part) / s.n
 	case AggMin:
 		if s.n == 0 {
 			return math.NaN()
@@ -82,136 +96,308 @@ func (s gbColStats) value(kind AggKind, rows int64) float64 {
 	}
 }
 
-// gbGroup is one group's accumulated state: the first row it appeared on
-// (for rendering the key output), its total row count (AggCount includes
-// missing cells), and per-aggregated-column stats.
-type gbGroup struct {
-	firstRow int32
-	rows     int64
-	stats    []gbColStats
+// groups is a key column's grouping: the rows of group g, in row order,
+// are rows[start[g]:start[g+1]], and groups are numbered in the order of
+// their rendered keys.
+type groups struct {
+	start []int32
+	rows  []int32
 }
 
-func newGBGroup(firstRow int32, ncols int) *gbGroup {
-	g := &gbGroup{firstRow: firstRow, stats: make([]gbColStats, ncols)}
-	for j := range g.stats {
-		g.stats[j] = gbColStats{mn: math.Inf(1), mx: math.Inf(-1)}
+func (g groups) len() int { return len(g.start) - 1 }
+
+// firstRows returns each group's first row, the row its key output copies.
+func (g groups) firstRows() []int {
+	first := make([]int, g.len())
+	for i := range first {
+		first[i] = int(g.rows[g.start[i]])
 	}
-	return g
+	return first
 }
 
-// groupTokens reduces the key column to tokens plus their hash function,
-// mirroring the join's representation choice.
-func groupByTokens(kc *Column, aggCols []*Column) []*gbGroup {
-	if kc.IsDict() {
-		return aggregateTokens(dictTokens(kc), hashUint64, aggCols)
+// groupKeys groups the rows of kc (steps 1 and 2, then the counting sort).
+func groupKeys(kc *Column) groups {
+	ranks, n := rankRows(kc)
+	start := make([]int32, n+1)
+	for _, r := range ranks {
+		start[r+1]++
 	}
-	if kc.Type.IsNumeric() {
-		return aggregateTokens(numericTokens(kc), hashUint64, aggCols)
+	for g := 0; g < n; g++ {
+		start[g+1] += start[g]
 	}
-	return aggregateTokens(stringTokens(kc), hashString, aggCols)
+	next := slices.Clone(start[:n])
+	rows := make([]int32, len(ranks))
+	for i, r := range ranks {
+		rows[next[r]] = int32(i)
+		next[r]++
+	}
+	return groups{start: start, rows: rows}
 }
 
-// aggregateTokens runs the partial-aggregation and merge phases, returning
-// every group's merged state (in unspecified order; callers sort by
-// rendered key).
-func aggregateTokens[K comparable](toks []K, hash func(K) uint64, aggCols []*Column) []*gbGroup {
-	n := len(toks)
-	parts := partitionIDs(toks, hash)
-	nchunks := (n + rowGrain - 1) / rowGrain
-
-	// Phase 1: chunk-local, partition-split partial aggregation. Chunk
-	// boundaries derive from rowGrain only, never from the worker count:
-	// parallel.For may hand a narrow pool one wide range, so the callback
-	// re-splits its range at rowGrain boundaries and keeps one partial
-	// state per fixed chunk — the floating-point accumulation tree is the
-	// same shape at every width.
-	locals := make([][]map[K]*gbGroup, nchunks)
-	parallel.For(n, rowGrain, func(lo, hi int) {
-		for base := lo; base < hi; base += rowGrain {
-			end := min(base+rowGrain, hi)
-			local := make([]map[K]*gbGroup, kernelParts)
-			for i := base; i < end; i++ {
-				p := parts[i]
-				m := local[p]
-				if m == nil {
-					m = make(map[K]*gbGroup)
-					local[p] = m
-				}
-				g := m[toks[i]]
-				if g == nil {
-					g = newGBGroup(int32(i), len(aggCols))
-					m[toks[i]] = g
-				}
-				g.rows++
-				for j, c := range aggCols {
-					if !c.IsMissing(i) {
-						g.stats[j].observe(c.Float(i))
-					}
-				}
+// rankRows returns each row's group rank and the number of groups.
+func rankRows(kc *Column) ([]int32, int) {
+	n := kc.Len()
+	switch {
+	case kc.IsDict():
+		slots := make([]int32, n)
+		parallel.For(n, rowGrain, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				slots[i] = int32(kc.Codes[i])
 			}
-			locals[base/rowGrain] = local
+		})
+		return slots, rankSlots(slots, len(kc.Dict), func(present []int32) {
+			if !kc.dictIsSorted() {
+				slices.SortFunc(present, func(a, b int32) int {
+					return cmp.Or(strings.Compare(kc.Dict[a], kc.Dict[b]), cmp.Compare(a, b))
+				})
+			}
+		})
+	case kc.Type == Bool:
+		slots := make([]int32, n)
+		for i, b := range kc.Bools {
+			if b {
+				slots[i] = 1
+			}
+		}
+		return slots, rankSlots(slots, 2, func([]int32) {})
+	case kc.Type == Int64:
+		return rankInts(kc.Ints)
+	case kc.Type == Float64:
+		slots, first := hashSlots(kc.Floats, floatToken)
+		return slots, rankSlots(slots, len(first), func(present []int32) {
+			keys := make([]string, len(first))
+			parallel.For(len(first), groupGrain, func(lo, hi int) {
+				for s := lo; s < hi; s++ {
+					keys[s] = kc.StringAt(int(first[s]))
+				}
+			})
+			slices.SortFunc(present, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+		})
+	default:
+		slots, first := hashSlots(kc.Strings, func(s string) string { return s })
+		return slots, rankSlots(slots, len(first), func(present []int32) {
+			slices.SortFunc(present, func(a, b int32) int {
+				return strings.Compare(kc.Strings[first[a]], kc.Strings[first[b]])
+			})
+		})
+	}
+}
+
+// rankInts ranks an Int64 key: through a direct-address table on v − min
+// when the span is compact, through one hash map otherwise.
+func rankInts(vals []int64) ([]int32, int) {
+	if len(vals) == 0 {
+		return nil, 0
+	}
+	lo, hi := slices.Min(vals), slices.Max(vals)
+	if span := uint64(hi) - uint64(lo); span < denseSpan*uint64(len(vals)) {
+		slots := make([]int32, len(vals))
+		parallel.For(len(vals), rowGrain, func(a, b int) {
+			for i := a; i < b; i++ {
+				slots[i] = int32(uint64(vals[i]) - uint64(lo))
+			}
+		})
+		return slots, rankSlots(slots, int(span)+1, func(present []int32) {
+			sortDecimal(present, func(s int32) int64 { return lo + int64(s) })
+		})
+	}
+	slots, first := hashSlots(vals, func(v int64) int64 { return v })
+	return slots, rankSlots(slots, len(first), func(present []int32) {
+		sortDecimal(present, func(s int32) int64 { return vals[first[s]] })
+	})
+}
+
+// hashSlots gives each row the first-appearance ID of its token, and
+// returns the first row of each ID.
+func hashSlots[V any, K comparable](vals []V, token func(V) K) (slots, first []int32) {
+	ids := make(map[K]int32)
+	slots = make([]int32, len(vals))
+	for i, v := range vals {
+		t := token(v)
+		id, ok := ids[t]
+		if !ok {
+			id = int32(len(first))
+			ids[t] = id
+			first = append(first, int32(i))
+		}
+		slots[i] = id
+	}
+	return slots, first
+}
+
+// rankSlots turns each row's slot in [0, domain) into its group's rank, in
+// place, and returns the number of groups. order sorts the present slots,
+// given in ascending slot order, into the order of their rendered keys.
+func rankSlots(slots []int32, domain int, order func(present []int32)) int {
+	rank := make([]int32, domain)
+	for _, s := range slots {
+		rank[s] = 1
+	}
+	present := make([]int32, 0, min(domain, len(slots)))
+	for s, seen := range rank {
+		if seen != 0 {
+			present = append(present, int32(s))
+		}
+	}
+	order(present)
+	for r, s := range present {
+		rank[s] = int32(r)
+	}
+	parallel.For(len(slots), rowGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			slots[i] = rank[slots[i]]
 		}
 	})
+	return len(present)
+}
 
-	// Phase 2: merge partitions concurrently; chunks merge in chunk order
-	// within each partition, fixing the floating-point combination tree.
-	merged := make([]map[K]*gbGroup, kernelParts)
-	parallel.For(kernelParts, 1, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			var global map[K]*gbGroup
-			for c := 0; c < nchunks; c++ {
-				m := locals[c][p]
-				if m == nil {
-					continue
-				}
-				if global == nil {
-					global = m // first chunk's table is adopted wholesale
-					continue
-				}
-				for tok, g := range m {
-					gg := global[tok]
-					if gg == nil {
-						global[tok] = g // first appearance was this chunk
-						continue
-					}
-					gg.rows += g.rows
-					for j := range gg.stats {
-						gg.stats[j].merge(g.stats[j])
-					}
-				}
+// pow10 holds 10^0 … 10^19, every power of ten a uint64 holds.
+var pow10 = func() (p [20]uint64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// decimalKey orders an int64 as strconv.FormatInt renders it, without
+// rendering: '-' sorts before every digit, so negatives come first; within
+// a sign, magnitudes compare digit by digit, which is comparing them scaled
+// to 19 digits; and of two renderings one of which is a prefix of the
+// other ("1", "10"), the shorter sorts first.
+type decimalKey struct {
+	nonneg bool
+	digits uint8
+	scaled uint64
+	slot   int32
+}
+
+func newDecimalKey(v int64, slot int32) decimalKey {
+	m := uint64(v)
+	if v < 0 {
+		m = -m // MinInt64's magnitude, 2^63, fits too
+	}
+	d := 1
+	for d < 19 && m >= pow10[d] {
+		d++
+	}
+	return decimalKey{nonneg: v >= 0, digits: uint8(d), scaled: m * pow10[19-d], slot: slot}
+}
+
+func compareDecimal(a, b decimalKey) int {
+	if a.nonneg != b.nonneg {
+		if a.nonneg {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Or(cmp.Compare(a.scaled, b.scaled), cmp.Compare(a.digits, b.digits))
+}
+
+// sortDecimal sorts slots by the decimal rendering of their values. It is
+// a natural merge sort: slots in ascending value order — how the
+// direct-address table hands them over — fall into one run per sign and
+// digit count (a negative run descends, and is reversed), so the sort is a
+// few linear merges instead of a comparison sort.
+func sortDecimal(slots []int32, value func(int32) int64) {
+	keys := make([]decimalKey, len(slots))
+	for i, s := range slots {
+		keys[i] = newDecimalKey(value(s), s)
+	}
+	bounds := []int{} // each run's first index, then len(keys)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		if hi < len(keys) && compareDecimal(keys[hi], keys[lo]) < 0 {
+			for hi < len(keys) && compareDecimal(keys[hi], keys[hi-1]) < 0 {
+				hi++
 			}
-			merged[p] = global
+			slices.Reverse(keys[lo:hi])
+		} else {
+			for hi < len(keys) && compareDecimal(keys[hi], keys[hi-1]) > 0 {
+				hi++
+			}
+		}
+		bounds = append(bounds, lo)
+		lo = hi
+	}
+	bounds = append(bounds, len(keys))
+	buf := make([]decimalKey, len(keys))
+	for runs := len(bounds) - 1; runs > 1; runs = len(bounds) - 1 {
+		merged := bounds[:0] // run i+1's start is read before merged overwrites it
+		for i := 0; i < runs; i += 2 {
+			lo, mid, hi := bounds[i], bounds[i+1], bounds[min(i+2, runs)]
+			mergeDecimal(buf[lo:hi], keys[lo:mid], keys[mid:hi])
+			merged = append(merged, lo)
+		}
+		bounds = append(merged, len(keys))
+		keys, buf = buf, keys
+	}
+	for i, k := range keys {
+		slots[i] = k.slot
+	}
+}
+
+// mergeDecimal merges the sorted runs a and b into dst.
+func mergeDecimal(dst, a, b []decimalKey) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if compareDecimal(b[0], a[0]) < 0 {
+			dst[k], b = b[0], b[1:]
+		} else {
+			dst[k], a = a[0], a[1:]
+		}
+		k++
+	}
+	copy(dst[copy(dst[k:], a)+k:], b)
+}
+
+// aggregate folds every group's rows of each column in cols and returns one
+// output per aggregate: out[a][g] is aggs[a] of group g over cols[slot[a]].
+func (g groups) aggregate(cols []*Column, slot []int, aggs []Agg) [][]float64 {
+	out := make([][]float64, len(aggs))
+	for a := range out {
+		out[a] = make([]float64, g.len())
+	}
+	parallel.For(g.len(), groupGrain, func(lo, hi int) {
+		stats := make([]gbColStats, len(cols))
+		for gi := lo; gi < hi; gi++ {
+			rows := g.rows[g.start[gi]:g.start[gi+1]]
+			for ci, c := range cols {
+				stats[ci] = fold(c, rows)
+			}
+			for a, agg := range aggs {
+				out[a][gi] = stats[slot[a]].value(agg.Kind, len(rows))
+			}
 		}
 	})
-
-	var out []*gbGroup
-	for _, m := range merged {
-		for _, g := range m {
-			out = append(out, g)
-		}
-	}
 	return out
 }
 
-// sortGroupsByRenderedKey orders groups by the string rendering of their
-// key (one StringAt per group), matching the sequential kernel's sorted
-// output. Tokens are injective under rendering, so keys are unique and the
-// order is total.
-func sortGroupsByRenderedKey(kc *Column, groups []*gbGroup) {
-	keys := make([]string, len(groups))
-	parallel.For(len(groups), 256, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			keys[gi] = kc.StringAt(int(groups[gi].firstRow))
+// fold aggregates the cells of c at rows, which ascend.
+func fold(c *Column, rows []int32) gbColStats {
+	switch c.Type {
+	case Float64:
+		return foldValues(c.Floats, rows)
+	case Int64:
+		return foldValues(c.Ints, rows)
+	}
+	s := newColStats()
+	for _, r := range rows {
+		if !c.IsMissing(int(r)) {
+			s.observe(r, c.Float(int(r)))
 		}
-	})
-	order := make([]int, len(groups))
-	for i := range order {
-		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	sorted := make([]*gbGroup, len(groups))
-	for i, oi := range order {
-		sorted[i] = groups[oi]
+	return s
+}
+
+// foldValues is fold for the columns whose missing cells are NaN: an
+// int64 is never missing.
+func foldValues[T float64 | int64](vals []T, rows []int32) gbColStats {
+	s := newColStats()
+	for _, r := range rows {
+		if v := float64(vals[r]); v == v {
+			s.observe(r, v)
+		}
 	}
-	copy(groups, sorted)
+	return s
 }

@@ -6,10 +6,11 @@ import (
 	"repro/internal/parallel"
 )
 
-// Key tokens: the partition-parallel join and group-by kernels never hash
-// rendered strings on the hot path. Each key cell is reduced to a token —
-// a comparable value whose equality matches the equality of the cell's
-// string rendering (the semantics the sequential kernels always had):
+// Key tokens: the partition-parallel join never hashes rendered strings on
+// the hot path, and the group-by hashes only the keys it has no dense ID
+// for (groupby.go). Each key cell is reduced to a token — a comparable
+// value whose equality matches the equality of the cell's string rendering
+// (the semantics the sequential kernels always had):
 //
 //   - Int64:  the value's two's-complement bits
 //   - Bool:   0 or 1
@@ -26,6 +27,14 @@ import (
 // canonicalNaN is the single token all NaN payloads collapse to.
 var canonicalNaN = math.Float64bits(math.NaN())
 
+// floatToken is a Float64 cell's token: its bits, every NaN collapsed.
+func floatToken(v float64) uint64 {
+	if v != v {
+		return canonicalNaN
+	}
+	return math.Float64bits(v)
+}
+
 // numericTokens renders a numeric column into uint64 tokens, chunked on
 // the shared pool. Returns nil for non-numeric columns.
 func numericTokens(c *Column) []uint64 {
@@ -41,12 +50,7 @@ func numericTokens(c *Column) []uint64 {
 	case Float64:
 		parallel.For(n, rowGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v := c.Floats[i]
-				if v != v {
-					toks[i] = canonicalNaN
-				} else {
-					toks[i] = math.Float64bits(v)
-				}
+				toks[i] = floatToken(c.Floats[i])
 			}
 		})
 	case Bool:
@@ -109,10 +113,10 @@ func remappedDictTokens(left, right *Column) []uint64 {
 // for them.
 func stringTokens(c *Column) []string { return renderKeys(c) }
 
-// kernelParts is the fixed radix-partition count of the join and group-by
-// kernels. It is a power of two, chosen independently of the pool width so
-// partition assignment — and therefore every downstream data structure —
-// is identical at any worker count. 64 partitions keep per-partition hash
+// kernelParts is the fixed radix-partition count of the join. It is a
+// power of two, chosen independently of the pool width so partition
+// assignment — and therefore every downstream data structure — is
+// identical at any worker count. 64 partitions keep per-partition hash
 // tables cache-sized for the row counts this system handles while leaving
 // enough parallel slack for wide pools.
 const kernelParts = 64

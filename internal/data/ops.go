@@ -391,24 +391,28 @@ type Agg struct {
 }
 
 // GroupBy groups f by the key column and computes the requested aggregates.
-// The output has one row per distinct key (sorted) with columns key,
-// "col_kind"... Aggregation produces entirely new data, so all output
-// columns carry opHash-derived IDs.
+// The output has one row per distinct key, in the order of the keys'
+// renderings (StringAt), with columns key, "col_kind"... An aggregate whose
+// output name is the key's or another aggregate's is an error. Aggregation
+// produces entirely new data, so all output columns carry opHash-derived
+// IDs.
 //
-// The kernel is the partitioned group-by engine (groupby.go): chunk-local
-// partial aggregation, deterministic partition merge, then one rendered key
-// per distinct group. Row lists are never materialized; every aggregate
-// derives from one merged (count, sum, min, max) state per (group, column).
+// The kernel is the dense-ID group-by engine (groupby.go): each row's key
+// becomes its group's rank, a counting sort lists each group's rows, and
+// groups fold on the pool. Every aggregate derives from one (count, sum,
+// min, max) state per (group, column).
 func (f *Frame) GroupBy(key string, aggs []Agg, opHash string) (*Frame, error) {
 	kc := f.Column(key)
 	if kc == nil {
 		return nil, fmt.Errorf("data: groupby: no column %q", key)
 	}
 	// Resolve aggregated columns up front, deduping by name so several
-	// aggregates over one column share a single partial-aggregate slot.
+	// aggregates over one column share a single fold.
 	aggCols := make([]*Column, 0, len(aggs))
 	slotOf := make(map[string]int, len(aggs))
 	slots := make([]int, len(aggs))
+	names := make([]string, len(aggs))
+	taken := map[string]bool{key: true}
 	for ai, a := range aggs {
 		slot, seen := slotOf[a.Col]
 		if !seen {
@@ -421,42 +425,26 @@ func (f *Frame) GroupBy(key string, aggs []Agg, opHash string) (*Frame, error) {
 			slotOf[a.Col] = slot
 		}
 		slots[ai] = slot
+		names[ai] = a.Col + "_" + a.Kind.String()
+		if taken[names[ai]] {
+			return nil, fmt.Errorf("data: groupby: aggregate %s of %q would be named %q, which the key or an earlier aggregate already is", a.Kind, a.Col, names[ai])
+		}
+		taken[names[ai]] = true
 	}
 
-	groups := groupByTokens(kc, aggCols)
-	sortGroupsByRenderedKey(kc, groups)
-
-	firstRows := make([]int, len(groups))
-	for gi, g := range groups {
-		firstRows[gi] = int(g.firstRow)
-	}
-	keyOut := kc.Gather(firstRows, DeriveID(opHash+"\x01key", kc.ID))
-	out, err := NewFrame(keyOut)
-	if err != nil {
-		return nil, err
-	}
-	for ai, a := range aggs {
-		c := aggCols[slots[ai]]
-		vals := make([]float64, len(groups))
-		slot := slots[ai]
-		parallel.For(len(groups), 256, func(lo, hi int) {
-			for gi := lo; gi < hi; gi++ {
-				g := groups[gi]
-				vals[gi] = g.stats[slot].value(a.Kind, g.rows)
-			}
-		})
-		name := a.Col + "_" + a.Kind.String()
-		nc := &Column{
-			ID:     DeriveID(opHash+"\x01"+name, c.ID),
+	g := groupKeys(kc)
+	vals := g.aggregate(aggCols, slots, aggs)
+	cols := make([]*Column, 0, 1+len(aggs))
+	cols = append(cols, kc.Gather(g.firstRows(), DeriveID(opHash+"\x01key", kc.ID)))
+	for ai, name := range names {
+		cols = append(cols, &Column{
+			ID:     DeriveID(opHash+"\x01"+name, aggCols[slots[ai]].ID),
 			Name:   name,
 			Type:   Float64,
-			Floats: vals,
-		}
-		if out, err = out.WithColumn(nc); err != nil {
-			return nil, err
-		}
+			Floats: vals[ai],
+		})
 	}
-	return out, nil
+	return NewFrame(cols...)
 }
 
 // Align removes from both frames every column whose name does not appear in

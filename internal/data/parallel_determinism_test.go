@@ -268,7 +268,7 @@ func TestRadixJoinMatchesNaiveJoin(t *testing.T) {
 	}
 }
 
-// TestGroupByMatchesNaive checks the partitioned group-by against a direct
+// TestGroupByMatchesNaive checks the group-by engine against a direct
 // row-list reference on every key representation, including NaN float keys
 // (all NaNs collapse into one group) and signed zeros (distinct groups).
 // Aggregated values are small integers, so sums are exact and the chunked

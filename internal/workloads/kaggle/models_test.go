@@ -169,3 +169,21 @@ func BenchmarkColdPassCompute(b *testing.B) {
 		computeAll(b, src)
 	}
 }
+
+// BenchmarkColdPassReuse is the client compute of what one kaggle_cold pass
+// executes, without HTTP: W1–W8 at scale 2 in sequence on one default
+// in-process server, fresh each pass, so a vertex an earlier workload
+// computed is reused and none is computed twice. BenchmarkColdPassCompute
+// recomputes W2's features in every later workload that shares them.
+func BenchmarkColdPassReuse(b *testing.B) {
+	src := kaggle.Generate(kaggle.Config{Scale: 2, Seed: 42})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl := core.NewClient(core.NewServer(store.New(cost.Memory())))
+		for _, wl := range kaggle.AllWorkloads() {
+			if _, err := cl.Run(wl.Build(src)); err != nil {
+				b.Fatalf("W%d: %v", wl.ID, err)
+			}
+		}
+	}
+}
