@@ -139,7 +139,10 @@ bench-pairs:
 # search answer only about the request's vertices and change nothing), and
 # the node list of a meta-data request (the update decoder accepts exactly
 # the DAGs in topological order, and what it accepts merges into the
-# Experiment Graph whole). -fuzzminimizetime bounds the minimizer, which otherwise spends its
+# Experiment Graph whole), and the keyed kernels of internal/data (the join,
+# the group-by's key order and Distinct on two fuzzed key columns of any
+# type pair agree with references that compare rendered keys).
+# -fuzzminimizetime bounds the minimizer, which otherwise spends its
 # default minute on the first large input that widens coverage — an upload
 # body of columns, a W1 update with its models inline — and explores nothing
 # in a 10 s budget.
@@ -152,6 +155,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUpdateDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzOptimizeDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateNodes -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
+	$(GO) test -run=NONE -fuzz=FuzzKeyedKernels -fuzztime=10s ./internal/data/
 
 # lint-logs forbids unstructured logging in server-path packages: server
 # logging goes through log/slog so every line can carry the propagated

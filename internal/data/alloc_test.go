@@ -30,23 +30,20 @@ func TestStringAtAllocationFree(t *testing.T) {
 	_ = sink
 }
 
-// TestRenderKeysAllocationBound pins the key-rendering cost on dictionary
-// columns: one output slice, not one allocation per row. The old kernel
-// formatted every cell through fmt, allocating per row even for strings.
-func TestRenderKeysAllocationBound(t *testing.T) {
-	vals := make([]string, 10000)
-	for i := range vals {
-		vals[i] = []string{"north", "south", "east", "west"}[i%4]
-	}
-	dc := NewStringColumn("d", vals).DictEncoded()
+// TestJoinAllocationBound pins the join's allocation count, which does not
+// grow with the row or key count: the key slots, the right side's row
+// lists, the probed slots, the output offsets and pairs, and the gathered
+// output columns with their IDs — 54 on this join.
+func TestJoinAllocationBound(t *testing.T) {
+	left, right := benchFrame(9000, 21), benchFrame(9000, 22)
 	prev := parallel.SetWorkers(1) // keep pool-helper allocations out of the count
 	defer parallel.SetWorkers(prev)
-	var sink []string
-	allocs := testing.AllocsPerRun(10, func() { sink = renderKeys(dc) })
-	_ = sink
-	// The output slice itself, plus a little slack for the testing harness;
-	// anything proportional to rows (10000) fails loudly.
-	if allocs > 4 {
-		t.Errorf("renderKeys on a dict column allocates %.1f per run, want <= 4", allocs)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := left.Join(right, "id", Left, "op"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 60 {
+		t.Errorf("a 9000-row Left join allocates %.1f per run, want <= 60", allocs)
 	}
 }

@@ -254,7 +254,9 @@ func (c *Column) WithID(id string) *Column {
 
 // Validate checks a column that arrived from outside the process (a decoded
 // upload): the type is known, no representation other than the one Type
-// selects is populated, and every dictionary code indexes the dictionary.
+// selects is populated, no dictionary entry repeats (the key kernels take
+// equal codes for equal strings), and every dictionary code indexes the
+// dictionary.
 // Columns built by this package always pass; so does an empty column, which
 // decodes with every slice nil.
 func (c *Column) Validate() error {
@@ -274,6 +276,9 @@ func (c *Column) Validate() error {
 	}
 	if c.Strings != nil && (c.Dict != nil || c.Codes != nil) {
 		return fmt.Errorf("data: column %q is both plain and dictionary-encoded", c.Name)
+	}
+	if s, ok := RepeatedEntry(c.Dict); ok {
+		return fmt.Errorf("data: column %q: dictionary entry %q repeats", c.Name, s)
 	}
 	for _, code := range c.Codes {
 		if int(code) >= len(c.Dict) {

@@ -17,11 +17,11 @@ import (
 // values stores 50 strings plus 4 MB of codes instead of a million string
 // headers.
 //
-// Invariants of columns built by this package: Dict entries are unique and
-// sorted ascending (so code order is lexicographic order, which SortBy and
-// OneHot exploit), and every code is in [0, len(Dict)). Consumers that rely
-// on sortedness re-check it cheaply, because the tier codec deliberately
-// accepts any in-bounds dictionary to keep decoding canonical.
+// Invariants: Dict entries are unique — a code is a key slot (key.go), so
+// equal codes must mean equal strings — and every code is in [0, len(Dict));
+// Validate and the tier codec refuse a column that breaks either. This
+// package builds its dictionaries sorted, so code order is lexicographic
+// order (SortBy, OneHot and the group-by exploit it, re-checking it first).
 
 // IsDict reports whether the column uses the dictionary-encoded string
 // representation.
@@ -30,9 +30,9 @@ func (c *Column) IsDict() bool {
 }
 
 // NewDictColumn builds a dictionary-encoded String column from an explicit
-// dictionary and code vector. The caller is responsible for the dictionary
-// invariants (unique, sorted, codes in bounds); use DictEncoded to derive
-// both from plain values.
+// dictionary and code vector. The caller is responsible for the invariants
+// (unique entries, codes in bounds); use DictEncoded to derive both from
+// plain values.
 func NewDictColumn(name string, dict []string, codes []uint32) *Column {
 	return &Column{ID: SourceID("", name), Name: name, Type: String, Dict: dict, Codes: codes}
 }
@@ -119,6 +119,28 @@ func (c *Column) StringValues() []string {
 		}
 	})
 	return out
+}
+
+// RepeatedEntry returns an entry that occurs more than once in dict, if one
+// does. In a sorted dictionary — every one this package builds — a repeat
+// sits next to itself, so no map is built for one.
+func RepeatedEntry(dict []string) (string, bool) {
+	if sort.StringsAreSorted(dict) {
+		for i := 1; i < len(dict); i++ {
+			if dict[i] == dict[i-1] {
+				return dict[i], true
+			}
+		}
+		return "", false
+	}
+	seen := make(map[string]struct{}, len(dict))
+	for _, s := range dict {
+		if _, ok := seen[s]; ok {
+			return s, true
+		}
+		seen[s] = struct{}{}
+	}
+	return "", false
 }
 
 // dictIsSorted reports whether the dictionary is sorted ascending — true

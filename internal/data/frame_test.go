@@ -371,3 +371,20 @@ func TestColumnValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateRefusesRepeatedDictEntry: a dictionary whose entry repeats
+// gives one string two codes, and the key kernels take equal codes for
+// equal strings — such a column would group "a" twice and join it once.
+// Validate, which guards every decoded upload, refuses it and names the
+// entry, in a sorted dictionary and an unsorted one.
+func TestValidateRefusesRepeatedDictEntry(t *testing.T) {
+	for _, dict := range [][]string{{"a", "a"}, {"b", "a", "c", "a"}} {
+		err := NewDictColumn("k", dict, []uint32{0, 1, 0}).Validate()
+		if err == nil || !strings.Contains(err.Error(), `"a" repeats`) {
+			t.Errorf("dictionary %q: Validate returned %v, want an error naming \"a\"", dict, err)
+		}
+	}
+	if err := NewDictColumn("k", []string{"b", "a", "c"}, []uint32{0, 1, 2}).Validate(); err != nil {
+		t.Errorf("an unsorted dictionary of distinct entries: %v", err)
+	}
+}

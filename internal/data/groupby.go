@@ -14,12 +14,9 @@ import (
 // A group-by is three passes over int32 arrays; no hash table is built per
 // chunk, no group is a heap object and no key is rendered to be sorted:
 //
-//  1. assign IDs: each row gets a slot in a dense domain — an Int64 key its
-//     offset from the column's minimum when the span is compact, a
-//     dictionary key its code, a Bool key 0 or 1, and any other key (a
-//     sparse Int64, Float64 or plain string) the first-appearance ID one
-//     hash map gives it, under the token rules of key.go: NaNs collapse into
-//     one group, ±0 stay apart;
+//  1. assign IDs: each row gets its key slot (keySlots, key.go, the engine
+//     the join and Distinct share) — NaNs collapse into one group, ±0 stay
+//     apart;
 //  2. rank: the present slots are ordered as their rendered keys sort, and
 //     every row's slot becomes its group's rank, which is its output row —
 //     Int64 keys compare their decimal renderings arithmetically, a sorted
@@ -33,10 +30,6 @@ import (
 
 // groupGrain is how many groups one pool task folds.
 const groupGrain = 256
-
-// denseSpan bounds the direct-address table of an Int64 key: the key's
-// span may be at most this many slots per row.
-const denseSpan = 4
 
 // gbColStats is the aggregate state of one (group, column) pair.
 // Sum/count/mean/min/max all derive from it: mean is sum/n.
@@ -96,9 +89,9 @@ func (s gbColStats) value(kind AggKind, rows int) float64 {
 	}
 }
 
-// groups is a key column's grouping: the rows of group g, in row order,
-// are rows[start[g]:start[g+1]], and groups are numbered in the order of
-// their rendered keys.
+// groups lists a key column's rows by slot: the rows of slot g, in row
+// order, are rows[start[g]:start[g+1]]. A group-by's slots are its groups'
+// ranks, in the order of their rendered keys; a join's are key slots.
 type groups struct {
 	start []int32
 	rows  []int32
@@ -115,114 +108,56 @@ func (g groups) firstRows() []int {
 	return first
 }
 
-// groupKeys groups the rows of kc (steps 1 and 2, then the counting sort).
-func groupKeys(kc *Column) groups {
-	ranks, n := rankRows(kc)
-	start := make([]int32, n+1)
-	for _, r := range ranks {
-		start[r+1]++
+// listRows lists the rows of each slot in [0, domain) by a stable counting
+// sort.
+func listRows(slots []int32, domain int) groups {
+	start := make([]int32, domain+1)
+	for _, s := range slots {
+		start[s+1]++
 	}
-	for g := 0; g < n; g++ {
+	for g := 0; g < domain; g++ {
 		start[g+1] += start[g]
 	}
-	next := slices.Clone(start[:n])
-	rows := make([]int32, len(ranks))
-	for i, r := range ranks {
-		rows[next[r]] = int32(i)
-		next[r]++
+	next := slices.Clone(start[:domain])
+	rows := make([]int32, len(slots))
+	for i, s := range slots {
+		rows[next[s]] = int32(i)
+		next[s]++
 	}
 	return groups{start: start, rows: rows}
 }
 
-// rankRows returns each row's group rank and the number of groups.
+// rankRows returns each row's group rank and the number of groups: the key
+// slots, ranked in the order of their rendered keys ("false" < "true"
+// already).
 func rankRows(kc *Column) ([]int32, int) {
-	n := kc.Len()
-	switch {
-	case kc.IsDict():
-		slots := make([]int32, n)
-		parallel.For(n, rowGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				slots[i] = int32(kc.Codes[i])
-			}
-		})
-		return slots, rankSlots(slots, len(kc.Dict), func(present []int32) {
+	ks := keySlots(kc)
+	return ks.slots, rankSlots(ks.slots, ks.domain, func(present []int32) {
+		switch {
+		case kc.IsDict():
 			if !kc.dictIsSorted() {
 				slices.SortFunc(present, func(a, b int32) int {
 					return cmp.Or(strings.Compare(kc.Dict[a], kc.Dict[b]), cmp.Compare(a, b))
 				})
 			}
-		})
-	case kc.Type == Bool:
-		slots := make([]int32, n)
-		for i, b := range kc.Bools {
-			if b {
-				slots[i] = 1
-			}
-		}
-		return slots, rankSlots(slots, 2, func([]int32) {})
-	case kc.Type == Int64:
-		return rankInts(kc.Ints)
-	case kc.Type == Float64:
-		slots, first := hashSlots(kc.Floats, floatToken)
-		return slots, rankSlots(slots, len(first), func(present []int32) {
-			keys := make([]string, len(first))
-			parallel.For(len(first), groupGrain, func(lo, hi int) {
+		case kc.Type == Int64 && ks.index == nil:
+			sortDecimal(present, func(s int32) int64 { return ks.lo + int64(s) })
+		case kc.Type == Int64:
+			sortDecimal(present, func(s int32) int64 { return kc.Ints[ks.first[s]] })
+		case kc.Type == Float64:
+			keys := make([]string, ks.domain)
+			parallel.For(ks.domain, groupGrain, func(lo, hi int) {
 				for s := lo; s < hi; s++ {
-					keys[s] = kc.StringAt(int(first[s]))
+					keys[s] = kc.StringAt(int(ks.first[s]))
 				}
 			})
 			slices.SortFunc(present, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
-		})
-	default:
-		slots, first := hashSlots(kc.Strings, func(s string) string { return s })
-		return slots, rankSlots(slots, len(first), func(present []int32) {
+		case kc.Type == String:
 			slices.SortFunc(present, func(a, b int32) int {
-				return strings.Compare(kc.Strings[first[a]], kc.Strings[first[b]])
+				return strings.Compare(kc.Strings[ks.first[a]], kc.Strings[ks.first[b]])
 			})
-		})
-	}
-}
-
-// rankInts ranks an Int64 key: through a direct-address table on v − min
-// when the span is compact, through one hash map otherwise.
-func rankInts(vals []int64) ([]int32, int) {
-	if len(vals) == 0 {
-		return nil, 0
-	}
-	lo, hi := slices.Min(vals), slices.Max(vals)
-	if span := uint64(hi) - uint64(lo); span < denseSpan*uint64(len(vals)) {
-		slots := make([]int32, len(vals))
-		parallel.For(len(vals), rowGrain, func(a, b int) {
-			for i := a; i < b; i++ {
-				slots[i] = int32(uint64(vals[i]) - uint64(lo))
-			}
-		})
-		return slots, rankSlots(slots, int(span)+1, func(present []int32) {
-			sortDecimal(present, func(s int32) int64 { return lo + int64(s) })
-		})
-	}
-	slots, first := hashSlots(vals, func(v int64) int64 { return v })
-	return slots, rankSlots(slots, len(first), func(present []int32) {
-		sortDecimal(present, func(s int32) int64 { return vals[first[s]] })
-	})
-}
-
-// hashSlots gives each row the first-appearance ID of its token, and
-// returns the first row of each ID.
-func hashSlots[V any, K comparable](vals []V, token func(V) K) (slots, first []int32) {
-	ids := make(map[K]int32)
-	slots = make([]int32, len(vals))
-	for i, v := range vals {
-		t := token(v)
-		id, ok := ids[t]
-		if !ok {
-			id = int32(len(first))
-			ids[t] = id
-			first = append(first, int32(i))
 		}
-		slots[i] = id
-	}
-	return slots, first
+	})
 }
 
 // rankSlots turns each row's slot in [0, domain) into its group's rank, in

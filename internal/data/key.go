@@ -2,158 +2,208 @@ package data
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/parallel"
 )
 
-// Key tokens: the partition-parallel join never hashes rendered strings on
-// the hot path, and the group-by hashes only the keys it has no dense ID
-// for (groupby.go). Each key cell is reduced to a token — a comparable
-// value whose equality matches the equality of the cell's string rendering
-// (the semantics the sequential kernels always had):
+// Key slots: the one engine that keys the join, the group-by and Distinct.
 //
-//   - Int64:  the value's two's-complement bits
-//   - Bool:   0 or 1
-//   - Float64: IEEE-754 bits with every NaN collapsed to one canonical
-//     pattern (all NaNs render "NaN", so they must compare equal; -0 and 0
-//     render differently, and their bit patterns differ too)
-//   - dictionary-encoded String: the dictionary code (joins remap one
-//     side's codes into the other's token space first)
-//   - plain String: the string itself, as a fallback token type
+// keySlots assigns each row of a key column a slot in a dense domain
+// [0, domain), so that two rows share a slot exactly when their cells render
+// to the same string (StringAt) — the key semantics the kernels always had:
 //
-// Rendering is injective on the remaining values (Go's shortest float
-// formatting round-trips), so token equality ≡ rendered-string equality.
+//   - a compact Int64 key (a span under denseSpan slots per row): the
+//     value's offset from the column's minimum;
+//   - a dictionary-encoded String: the code (dictionary entries are unique:
+//     Validate and the tier codec refuse a repeated one);
+//   - a Bool: 0 or 1;
+//   - anything else (a sparse Int64, a Float64, a plain String): the
+//     first-appearance ID that one hash map gives the cell's token, which is
+//     the value itself, or for a Float64 its bits with every NaN collapsed
+//     to one pattern (all NaNs render "NaN"; -0 and 0 render differently,
+//     and their bits differ too).
+//
+// Go's shortest float formatting round-trips, so rendering is injective on
+// the remaining values, and slot equality ≡ rendered-string equality.
 
-// canonicalNaN is the single token all NaN payloads collapse to.
-var canonicalNaN = math.Float64bits(math.NaN())
+// denseSpan bounds the direct-address domain of an Int64 key: the key's
+// span may be at most this many slots per row.
+const denseSpan = 4
 
-// floatToken is a Float64 cell's token: its bits, every NaN collapsed.
+// floatToken is a Float64 cell's token: its bits, every NaN payload
+// collapsed to one.
 func floatToken(v float64) uint64 {
 	if v != v {
-		return canonicalNaN
+		v = math.NaN()
 	}
 	return math.Float64bits(v)
 }
 
-// numericTokens renders a numeric column into uint64 tokens, chunked on
-// the shared pool. Returns nil for non-numeric columns.
-func numericTokens(c *Column) []uint64 {
-	n := c.Len()
-	toks := make([]uint64, n)
-	switch c.Type {
-	case Int64:
-		parallel.For(n, rowGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				toks[i] = uint64(c.Ints[i])
-			}
-		})
-	case Float64:
-		parallel.For(n, rowGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				toks[i] = floatToken(c.Floats[i])
-			}
-		})
-	case Bool:
-		parallel.For(n, rowGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if c.Bools[i] {
-					toks[i] = 1
-				}
-			}
-		})
+// keySpace is a key column's rows assigned to slots.
+type keySpace struct {
+	col    *Column
+	slots  []int32 // each row's slot
+	domain int     // every slot lies in [0, domain)
+	// lo is a compact Int64 key's minimum: the slot of v is v − lo.
+	lo int64
+	// first and index are the hash path's: the first row of each slot, and
+	// the map from token to slot (map[int64]int32, map[uint64]int32 or
+	// map[string]int32). index is nil on every other path.
+	first []int32
+	index any
+}
+
+// keySlots assigns the rows of c to slots.
+func keySlots(c *Column) *keySpace {
+	ks := &keySpace{col: c}
+	switch {
+	case c.IsDict():
+		ks.slots = mapRows(len(c.Codes), func(i int) int32 { return int32(c.Codes[i]) })
+		ks.domain = len(c.Dict)
+	case c.Type == Bool:
+		ks.slots = mapRows(len(c.Bools), func(i int) int32 { return boolSlot(c.Bools[i]) })
+		ks.domain = 2
+	case c.Type == Int64:
+		lo, span, compact := intSpan(c.Ints)
+		if !compact {
+			ks.slots, ks.first, ks.index = hashSlots(c.Ints, func(v int64) int64 { return v })
+			break
+		}
+		ks.slots = mapRows(len(c.Ints), func(i int) int32 { return int32(uint64(c.Ints[i]) - uint64(lo)) })
+		ks.lo, ks.domain = lo, int(span)+1
+	case c.Type == Float64:
+		ks.slots, ks.first, ks.index = hashSlots(c.Floats, floatToken)
 	default:
-		return nil
+		ks.slots, ks.first, ks.index = hashSlots(c.Strings, func(s string) string { return s })
 	}
-	return toks
+	if ks.index != nil {
+		ks.domain = len(ks.first)
+	}
+	return ks
 }
 
-// dictTokens returns the column's codes widened to uint64 tokens.
-func dictTokens(c *Column) []uint64 {
-	toks := make([]uint64, len(c.Codes))
-	parallel.For(len(c.Codes), rowGrain, func(lo, hi int) {
+// intSpan returns an Int64 key's minimum and span, and whether the key takes
+// the direct-address path: it has rows, and a span under denseSpan per row.
+func intSpan(vals []int64) (lo int64, span uint64, compact bool) {
+	if len(vals) == 0 {
+		return 0, 0, false
+	}
+	lo = slices.Min(vals)
+	span = uint64(slices.Max(vals)) - uint64(lo)
+	return lo, span, span < denseSpan*uint64(len(vals))
+}
+
+func boolSlot(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// hashSlots gives each row the first-appearance ID of its token, and
+// returns the first row of each ID and the map from token to ID.
+func hashSlots[V any, K comparable](vals []V, token func(V) K) (slots, first []int32, ids map[K]int32) {
+	ids = make(map[K]int32)
+	slots = make([]int32, len(vals))
+	for i, v := range vals {
+		t := token(v)
+		id, ok := ids[t]
+		if !ok {
+			id = int32(len(first))
+			ids[t] = id
+			first = append(first, int32(i))
+		}
+		slots[i] = id
+	}
+	return slots, first, ids
+}
+
+// mapRows returns f of every row in [0, n), chunked on the shared pool.
+func mapRows(n int, f func(i int) int32) []int32 {
+	out := make([]int32, n)
+	parallel.For(n, rowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			toks[i] = uint64(c.Codes[i])
+			out[i] = f(i)
 		}
 	})
-	return toks
+	return out
 }
 
-// remappedDictTokens maps right's codes into left's token space: a right
-// cell whose string appears in left's dictionary gets left's code for it;
-// strings unknown to left get tokens >= len(left.Dict), which no left row
-// carries, so they can never match. Cost is O(|left.Dict| + |right.Dict|)
-// map operations plus one O(rows) array lookup pass — per-row string
-// hashing never happens.
-func remappedDictTokens(left, right *Column) []uint64 {
-	ldex := make(map[string]uint64, len(left.Dict))
-	for code, s := range left.Dict {
-		ldex[s] = uint64(code)
-	}
-	nomatch := uint64(len(left.Dict))
-	remap := make([]uint64, len(right.Dict))
-	for rcode, s := range right.Dict {
-		if lcode, ok := ldex[s]; ok {
-			remap[rcode] = lcode
-		} else {
-			remap[rcode] = nomatch + uint64(rcode)
+// lookupRows maps each row's key through index, −1 where index lacks it.
+func lookupRows[K comparable](index map[K]int32, n int, key func(i int) K) []int32 {
+	return mapRows(n, func(i int) int32 {
+		if s, ok := index[key(i)]; ok {
+			return s
 		}
-	}
-	toks := make([]uint64, len(right.Codes))
-	parallel.For(len(right.Codes), rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			toks[i] = remap[right.Codes[i]]
-		}
+		return -1
 	})
-	return toks
 }
 
-// stringTokens renders every cell to its string form (the fallback token
-// type for plain string keys and mixed-type joins). Dictionary columns
-// share their dictionary entries, so this pass allocates nothing per row
-// for them.
-func stringTokens(c *Column) []string { return renderKeys(c) }
-
-// kernelParts is the fixed radix-partition count of the join. It is a
-// power of two, chosen independently of the pool width so partition
-// assignment — and therefore every downstream data structure — is
-// identical at any worker count. 64 partitions keep per-partition hash
-// tables cache-sized for the row counts this system handles while leaving
-// enough parallel slack for wide pools.
-const kernelParts = 64
-
-// mix64 is the splitmix64 finalizer: a full-avalanche mix so that
-// sequential integer keys spread over all partitions.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// fnv64a hashes a string (FNV-1a, 64-bit). Deterministic across runs so
-// partition contents never depend on process state.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+// probe maps each row of lk into this space: the slot of the key that
+// renders as the row's does, or −1 where there is none. Rows of the same
+// representation map without rendering — by an offset test, a 0/1, a
+// read-only map lookup, or a code remap built once over the dictionaries;
+// a key of another type matches through rendered strings. g lists this
+// space's rows per slot.
+func (ks *keySpace) probe(lk *Column, g groups) []int32 {
+	rk, n := ks.col, lk.Len()
+	switch {
+	case rk.Type == String:
+		return probeStrings(lk, ks.stringIndex())
+	case lk.Type != rk.Type:
+		return probeStrings(lk, g.renderedIndex(rk))
+	case rk.Type == Bool:
+		return mapRows(n, func(i int) int32 { return boolSlot(lk.Bools[i]) })
+	case ks.index == nil: // a compact Int64
+		return mapRows(n, func(i int) int32 {
+			if s := uint64(lk.Ints[i]) - uint64(ks.lo); s < uint64(ks.domain) {
+				return int32(s)
+			}
+			return -1
+		})
+	case rk.Type == Int64:
+		return lookupRows(ks.index.(map[int64]int32), n, func(i int) int64 { return lk.Ints[i] })
+	default:
+		return lookupRows(ks.index.(map[uint64]int32), n, func(i int) uint64 { return floatToken(lk.Floats[i]) })
 	}
-	return h
 }
 
-// partitionIDs assigns each row's token to one of kernelParts partitions,
-// chunked on the shared pool.
-func partitionIDs[K comparable](toks []K, hash func(K) uint64) []uint8 {
-	parts := make([]uint8, len(toks))
-	parallel.For(len(toks), rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			parts[i] = uint8(hash(toks[i]) & (kernelParts - 1))
+// stringIndex maps a String key's values to their slots.
+func (ks *keySpace) stringIndex() map[string]int32 {
+	if !ks.col.IsDict() {
+		return ks.index.(map[string]int32)
+	}
+	index := make(map[string]int32, len(ks.col.Dict))
+	for code, s := range ks.col.Dict {
+		index[s] = int32(code)
+	}
+	return index
+}
+
+// renderedIndex maps the rendering of each occupied slot's key to the slot.
+func (g groups) renderedIndex(c *Column) map[string]int32 {
+	index := make(map[string]int32, g.len())
+	for s := range g.len() {
+		if g.start[s] < g.start[s+1] {
+			index[c.StringAt(int(g.rows[g.start[s]]))] = int32(s)
 		}
-	})
-	return parts
+	}
+	return index
 }
 
-func hashUint64(t uint64) uint64 { return mix64(t) }
-func hashString(s string) uint64 { return fnv64a(s) }
+// probeStrings maps each row of lk through index by its rendering; a
+// dictionary key looks each entry up once.
+func probeStrings(lk *Column, index map[string]int32) []int32 {
+	if !lk.IsDict() {
+		return lookupRows(index, lk.Len(), lk.StringAt)
+	}
+	remap := make([]int32, len(lk.Dict))
+	for code, s := range lk.Dict {
+		remap[code] = -1
+		if slot, ok := index[s]; ok {
+			remap[code] = slot
+		}
+	}
+	return mapRows(len(lk.Codes), func(i int) int32 { return remap[lk.Codes[i]] })
+}

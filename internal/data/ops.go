@@ -260,13 +260,12 @@ const (
 // right. Joins re-align rows, so every output column is re-materialized with
 // an opHash-derived ID.
 //
-// The kernel is a radix-partitioned hash join (join.go): keys reduce to
-// typed tokens (dictionary codes, raw numeric bits, or rendered strings as
-// the fallback — equality always matches the string-rendering semantics),
-// partition by hash, build per-partition indexes concurrently, and probe
-// left rows in fixed chunks. Output row order is the sequential kernel's:
-// left-row order, with each left row's matches in ascending right-row
-// order, bit-identical at any pool width.
+// The kernel (join.go) runs on the key slots the group-by and Distinct use
+// (key.go): the right side's rows are listed per slot, and each left row
+// maps its key into the right's slots — keys match when their renderings
+// (StringAt) do. Output row order is the sequential kernel's: left-row
+// order, with each left row's matches in ascending right-row order,
+// bit-identical at any pool width.
 func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*Frame, error) {
 	lk := f.Column(key)
 	rk := right.Column(key)
@@ -309,18 +308,6 @@ func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*F
 		}
 	}
 	return out, nil
-}
-
-// renderKeys renders every cell of a key column to its string form, chunked
-// over the shared pool.
-func renderKeys(c *Column) []string {
-	keys := make([]string, c.Len())
-	parallel.For(c.Len(), rowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i] = c.StringAt(i)
-		}
-	})
-	return keys
 }
 
 // ConcatColumns appends the columns of others to f. Row counts must match;
@@ -432,7 +419,7 @@ func (f *Frame) GroupBy(key string, aggs []Agg, opHash string) (*Frame, error) {
 		taken[names[ai]] = true
 	}
 
-	g := groupKeys(kc)
+	g := listRows(rankRows(kc))
 	vals := g.aggregate(aggCols, slots, aggs)
 	cols := make([]*Column, 0, 1+len(aggs))
 	cols = append(cols, kc.Gather(g.firstRows(), DeriveID(opHash+"\x01key", kc.ID)))

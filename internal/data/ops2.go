@@ -70,17 +70,21 @@ func (f *Frame) Distinct(opHash string, cols ...string) (*Frame, error) {
 			use = append(use, c)
 		}
 	}
-	seen := make(map[string]bool, f.NumRows())
-	var idx []int
-	for i := 0; i < f.NumRows(); i++ {
-		key := ""
-		for _, c := range use {
-			key += c.StringAt(i) + "\x00"
+	// A row's ID numbers its combination of key slots in order of first
+	// appearance, one column at a time; the rows kept are each ID's first.
+	ids := make([]int32, f.NumRows())
+	var first []int32
+	for _, c := range use {
+		slots := keySlots(c).slots
+		pairs := make([]uint64, len(ids))
+		for i, id := range ids {
+			pairs[i] = uint64(id)<<32 | uint64(slots[i])
 		}
-		if !seen[key] {
-			seen[key] = true
-			idx = append(idx, i)
-		}
+		ids, first, _ = hashSlots(pairs, func(p uint64) uint64 { return p })
+	}
+	idx := make([]int, len(first))
+	for k, r := range first {
+		idx[k] = int(r)
 	}
 	return f.Gather(idx, opHash), nil
 }

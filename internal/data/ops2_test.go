@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -61,6 +62,40 @@ func TestDistinct(t *testing.T) {
 	}
 	if all.NumRows() != 5 {
 		t.Errorf("all rows are distinct, got %d", all.NumRows())
+	}
+}
+
+// TestDistinctKeysCellsNotJoinedStrings requires Distinct to compare cells,
+// not a rendering of the row: ("a\x00", "b") and ("a", "\x00b") differ,
+// though both rows joined with NUL separators read "a\x00\x00b\x00". It also
+// runs every key representation through it: NaNs are one value and ±0 two,
+// as they render, and a dictionary column keys as its plain form does.
+func TestDistinctKeysCellsNotJoinedStrings(t *testing.T) {
+	nul := MustNewFrame(
+		NewStringColumn("x", []string{"a\x00", "a", "a\x00"}),
+		NewStringColumn("y", []string{"b", "\x00b", "b"}),
+	)
+	d, err := nul.Distinct("op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Column("y").Strings; len(got) != 2 || got[0] != "b" || got[1] != "\x00b" {
+		t.Errorf("distinct rows keep y %q, want [\"b\" \"\\x00b\"]", got)
+	}
+
+	f := MustNewFrame(
+		NewFloatColumn("f", []float64{math.NaN(), math.Float64frombits(0x7ff8000000000bad), 0, math.Copysign(0, -1), 0, 2}),
+		NewStringColumn("s", []string{"p", "p", "q", "q", "q", "p"}).DictEncoded(),
+		NewBoolColumn("b", []bool{true, true, false, false, false, false}),
+		NewIntColumn("i", []int64{7, 7, 7, 7, 7, 1 << 40}),
+		NewIntColumn("row", []int64{0, 1, 2, 3, 4, 5}),
+	)
+	d, err = f.Distinct("op", "f", "s", "b", "i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Column("row").Ints; !slices.Equal(got, []int64{0, 2, 3, 5}) {
+		t.Errorf("distinct rows %v, want [0 2 3 5]", got)
 	}
 }
 

@@ -216,11 +216,15 @@ func naiveJoinIndices(lk, rk *Column, kind JoinKind) (lidx, ridx []int) {
 	return lidx, ridx
 }
 
-// TestRadixJoinMatchesNaiveJoin checks the radix join's emitted row pairs
-// against the reference implementation for every token path: int keys,
-// plain string keys, dict keys, dict-vs-plain, and a mixed-type key (int
-// left, float right) that must match through rendered strings.
-func TestRadixJoinMatchesNaiveJoin(t *testing.T) {
+// TestJoinMatchesNaiveJoin checks the join's emitted row pairs against the
+// reference implementation for every slot path of the right side and every
+// way a left key maps into it: compact int keys (with negatives, and with
+// left keys outside the right's span), sparse int keys on the hash path,
+// float keys with NaN payloads and signed zeros, bool keys, plain string
+// keys, dict keys (shared, disjoint and unsorted dictionaries),
+// dict-vs-plain, a mixed-type key (int left, float right) that must match
+// through rendered strings, and an empty right side.
+func TestJoinMatchesNaiveJoin(t *testing.T) {
 	ints := make([]int64, 3000)
 	floats := make([]float64, 1500)
 	strs := make([]string, 3000)
@@ -237,6 +241,24 @@ func TestRadixJoinMatchesNaiveJoin(t *testing.T) {
 	dictCol := strCol.DictEncoded()
 	shortStr := NewStringColumn("k", strs[:1100])
 	shortDict := shortStr.DictEncoded()
+	negs, outside, sparse := make([]int64, 2000), make([]int64, 2000), make([]int64, 2000)
+	nanZero, bools := make([]float64, 2000), make([]bool, 2000)
+	otherNaN := math.Float64frombits(0x7ff8000000000bad)
+	for i := range negs {
+		negs[i] = int64(i%900) - 450
+		outside[i] = int64(i%1500) - 700 // below, inside and above negs[:600]'s span
+		sparse[i] = int64(i%300) * 1_000_003
+		nanZero[i] = []float64{math.NaN(), otherNaN, 0, math.Copysign(0, -1), 1.5, float64(i % 40)}[i%6]
+		bools[i] = i%3 == 0
+	}
+	unsorted := NewDictColumn("k", []string{"dd", "", "b", "zz", "a"}, make([]uint32, 1500))
+	disjoint := NewDictColumn("k", []string{"p", "q"}, make([]uint32, 700))
+	for i := range unsorted.Codes {
+		unsorted.Codes[i] = uint32(i*7) % 5
+	}
+	for i := range disjoint.Codes {
+		disjoint.Codes[i] = uint32(i % 2)
+	}
 
 	cases := []struct {
 		name   string
@@ -247,6 +269,17 @@ func TestRadixJoinMatchesNaiveJoin(t *testing.T) {
 		{"dict-dict", dictCol, shortDict},
 		{"dict-plain", dictCol, shortStr},
 		{"mixed-int-float", intCol, floatCol},
+		{"int-negative", NewIntColumn("k", negs), NewIntColumn("k", negs[:1200])},
+		{"int-outside-span", NewIntColumn("k", outside), NewIntColumn("k", negs[:600])},
+		{"int-sparse", NewIntColumn("k", negs), NewIntColumn("k", sparse)},
+		{"sparse-sparse", NewIntColumn("k", sparse), NewIntColumn("k", sparse[:900])},
+		{"float-nan-zero", NewFloatColumn("k", nanZero), NewFloatColumn("k", nanZero[:700])},
+		{"bool-bool", NewBoolColumn("k", bools), NewBoolColumn("k", bools[:40])},
+		{"dict-dict-disjoint", dictCol, disjoint},
+		{"dict-dict-unsorted", dictCol, unsorted},
+		{"unsorted-dict", unsorted, shortDict},
+		{"int-empty-right", intCol, NewIntColumn("k", nil)},
+		{"dict-empty-right", dictCol, NewDictColumn("k", nil, nil)},
 	}
 	for _, tc := range cases {
 		for _, kind := range []JoinKind{Inner, Left} {

@@ -59,9 +59,10 @@ var ErrCorrupt = rec.ErrCorrupt
 // str per row. A dictionary-encoded string column sets the high bit of the
 // dtype byte (dictDType | String) and carries uvarint k, k × str, then one
 // code per row in the narrowest width that holds k−1: 1 byte up to 256
-// entries, 2 up to 65 536, else 4. Codes must index the dictionary; the
-// dictionary itself is accepted as-is (any entries, any order), and
-// consumers that rely on sortedness re-check it.
+// entries, 2 up to 65 536, else 4. Codes must index the dictionary, and no
+// entry may repeat, in either version (the key kernels take equal codes for
+// equal strings); the entries may come in any order, and consumers that
+// rely on sortedness re-check it.
 //
 // The encoding is canonical: any version-2 byte string that decodes
 // re-encodes to exactly the same bytes, which the fuzz test exploits. So
@@ -477,6 +478,10 @@ func decodePayload(r *rec.Reader, c *data.Column, rows int, isDict bool) {
 	}
 	if isDict {
 		dict := readStrings(r, r.Count(1)) // an entry takes at least its length byte
+		if s, dup := data.RepeatedEntry(dict); dup {
+			r.Fail("dictionary entry %q repeats", s)
+			return
+		}
 		width := codeWidth(len(dict))
 		payload := r.Bytes(rows * width)
 		if r.Err() != nil {
@@ -674,6 +679,10 @@ func decodePayloadV1(r *rec.Reader, c *data.Column, rows int, isDict bool) {
 			return
 		}
 		dict := readStringsV1(r, dictLen)
+		if s, dup := data.RepeatedEntry(dict); dup {
+			r.Fail("dictionary entry %q repeats", s)
+			return
+		}
 		if rows*4 > r.Left() {
 			r.Fail("truncated code payload")
 			return

@@ -185,6 +185,49 @@ func TestColumnCodecDict(t *testing.T) {
 	}
 }
 
+// TestColumnCodecRefusesRepeatedDictEntry: a string dictionary whose entry
+// repeats would give one string two codes, and the key kernels take equal
+// codes for equal strings, so neither version decodes it.
+func TestColumnCodecRefusesRepeatedDictEntry(t *testing.T) {
+	c := data.NewDictColumn("d", []string{"x", "y"}, []uint32{0, 1, 0})
+	enc, err := EncodeColumn(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The record's only 'y' is the second entry (IDs are hex): make it "x".
+	v2 := append([]byte(nil), enc[:len(enc)-4]...)
+	v2[bytes.IndexByte(v2, 'y')] = 'x'
+	v2 = checksummed(v2)
+
+	v1 := []byte(colMagicV1)
+	v1 = append(v1, dictDType|byte(data.String))
+	v1 = binary.LittleEndian.AppendUint16(v1, 0)
+	v1 = binary.LittleEndian.AppendUint16(v1, 1)
+	v1 = append(v1, 'd')
+	v1 = binary.LittleEndian.AppendUint32(v1, 3)
+	v1 = binary.LittleEndian.AppendUint32(v1, 2)
+	for _, s := range []string{"x", "x"} {
+		v1 = append(binary.LittleEndian.AppendUint32(v1, uint32(len(s))), s...)
+	}
+	for _, code := range []uint32{0, 1, 0} {
+		v1 = binary.LittleEndian.AppendUint32(v1, code)
+	}
+	v1 = checksummed(v1)
+	// The same record with distinct entries decodes: only the repeat is
+	// refused.
+	ok := append([]byte(nil), v1[:len(v1)-4]...)
+	ok[bytes.LastIndexByte(ok, 'x')] = 'y'
+	if got, err := DecodeColumn(checksummed(ok)); err != nil || !sameColumn(got, &data.Column{Name: "d", Type: data.String, Dict: []string{"x", "y"}, Codes: []uint32{0, 1, 0}}) {
+		t.Fatalf("the version-1 record with distinct entries: %v", err)
+	}
+
+	for name, b := range map[string][]byte{"CTC2": v2, "CTC1": v1} {
+		if _, err := DecodeColumn(b); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `"x" repeats`) {
+			t.Errorf("%s: decoding a repeated entry: err=%v, want ErrCorrupt naming \"x\"", name, err)
+		}
+	}
+}
+
 func TestColumnCodecDetectsCorruption(t *testing.T) {
 	c := data.NewFloatColumn("f", []float64{1, 2, 3, 4, 5})
 	enc, err := EncodeColumn(c)

@@ -15,9 +15,14 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenColumns is modeColumns and a string dictionary of 65 537 entries,
-// whose codes take 4 bytes: one column of every mode and code width.
+// whose codes take 4 bytes: one column of every mode and code width. The
+// entries are "" and then every two-byte string, the shortest distinct ones.
 func goldenColumns() []*data.Column {
-	return append(modeColumns(), data.NewDictColumn("d32", make([]string, 1<<16+1), []uint32{1 << 16, 0}))
+	wide := make([]string, 1<<16+1)
+	for i := range wide[1:] {
+		wide[i+1] = string([]byte{byte(i >> 8), byte(i)})
+	}
+	return append(modeColumns(), data.NewDictColumn("d32", wide, []uint32{1 << 16, 0}))
 }
 
 // goldenBlobs is one blob of every learner, the aggregate, and both forms of
