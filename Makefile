@@ -61,9 +61,10 @@ bench:
 # compute of a whole kaggle_cold pass (W1–W8 at scale 2, in process) twice —
 # once with nothing reused, so every workload recomputes the features it
 # shares, and once on one default server, so each vertex is computed at most
-# once, as a kaggle_cold pass executes it — and a cold W1→W3 upload through
-# the column codec (kaggle_cold) — at the ruler's shapes, and prints the top
-# of each. Test binaries and profiles go to PROFILE_DIR, outside the
+# once, as a kaggle_cold pass executes it — a cold W1→W3 upload through
+# the column codec (kaggle_cold), and the server's admission of a cold
+# W1–W8 pass's upload bodies at scale 2, which validates and keeps their
+# column records — at the ruler's shapes, and prints the top of each. Test binaries and profiles go to PROFILE_DIR, outside the
 # repository.
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/collab-profile
 profile-train:
@@ -92,6 +93,9 @@ profile-train:
 	$(GO) test -run=NONE -bench='UploadColdPass$$' -benchtime=5x \
 		-o $(PROFILE_DIR)/remote.test -cpuprofile $(PROFILE_DIR)/upload.prof ./internal/remote
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/upload.prof
+	$(GO) test -run=NONE -bench='UploadAdmit$$' -benchtime=20x \
+		-o $(PROFILE_DIR)/remote.test -cpuprofile $(PROFILE_DIR)/admit.prof ./internal/remote
+	$(GO) tool pprof -top -nodecount=25 -focus=putArtifact $(PROFILE_DIR)/remote.test $(PROFILE_DIR)/admit.prof
 
 # profile-update profiles the server's updater (Figure 2, step 5) on a
 # 10 000-vertex Experiment Graph with explain on, collabd's default (an
@@ -141,7 +145,10 @@ bench-pairs:
 # the DAGs in topological order, and what it accepts merges into the
 # Experiment Graph whole), and the keyed kernels of internal/data (the join,
 # the group-by's key order and Distinct on two fuzzed key columns of any
-# type pair agree with references that compare rendered keys).
+# type pair agree with references that compare rendered keys), and the
+# server's column record validation (it accepts exactly what the decoder
+# accepts, and reports the ID, dtype, rows and size of what the decoder
+# builds).
 # -fuzzminimizetime bounds the minimizer, which otherwise spends its
 # default minute on the first large input that widens coverage — an upload
 # body of columns, a W1 update with its models inline — and explores nothing
@@ -156,6 +163,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzOptimizeDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzUpdateNodes -fuzztime=10s -fuzzminimizetime=1s ./internal/remote/
 	$(GO) test -run=NONE -fuzz=FuzzKeyedKernels -fuzztime=10s ./internal/data/
+	$(GO) test -run=NONE -fuzz=FuzzValidateColumn -fuzztime=10s -fuzzminimizetime=1s ./internal/tier/
 
 # lint-logs forbids unstructured logging in server-path packages: server
 # logging goes through log/slog so every line can carry the propagated
@@ -200,11 +208,17 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # victims are a function of the order of accesses alone;
 # obs.StartTimer stopwatches, which only measure, stay allowed. And the
 # snapshot layer does not depend on the HTTP protocol: internal/persist
-# registers the gob types it decodes itself.
+# registers the gob types it decodes itself. And the server relays column
+# records: no program file of internal/remote or internal/store decodes one
+# (tier.DecodeColumn) except in the two functions of DECODERS (their
+# declarations with the blanks taken out) — the store's
+# lazily filled decoded view of a memory-tier column, which an in-process
+# Get reads, and the client's decoder of a download.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
 GOB_FILES = internal/persist/persist.go internal/graph/gob.go internal/data/gob.go internal/tier/blobv1.go
+DECODERS = 'internal/store/store.go:func(c*column)decoded()' 'internal/remote/codec.go:funcdecodeColumns('
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
 	if [ -n "$$out" ]; then \
@@ -241,6 +255,11 @@ lint-layers:
 	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/persist | grep -x 'repro/internal/remote' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "internal/persist imports repro/internal/remote (the snapshot layer registers its own gob types)"; exit 1; \
+	fi
+	@out="$$(awk '/^func / { fn = $$0; gsub(/[ \t]/, "", fn) } /tier\.DecodeColumn([^A-Za-z0-9_]|$$)/ { print FILENAME ":" fn }' \
+		$$(ls internal/remote/*.go internal/store/*.go | grep -v '_test\.go$$') | grep -vF $(addprefix -e ,$(DECODERS)) || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "tier.DecodeColumn called in internal/remote or internal/store outside $(DECODERS):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

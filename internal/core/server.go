@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/calib"
-	"repro/internal/data"
 	"repro/internal/eg"
 	"repro/internal/explain"
 	"repro/internal/graph"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reuse"
 	"repro/internal/store"
+	"repro/internal/tier"
 )
 
 // Server is the collaborative-environment server: it owns the Experiment
@@ -700,11 +700,12 @@ func (s *Server) PutArtifact(id string, a graph.Artifact, req *obs.Request) erro
 }
 
 // PutFrameRef is PutArtifact for a dataset uploaded by reference: its
-// manifest plus the columns the store does not hold (store.PutFrameRef,
-// whose ErrColumnAbsent and ErrBadManifest pass through unwrapped).
-func (s *Server) PutFrameRef(id string, colIDs, names []string, cols []*data.Column, req *obs.Request) error {
+// manifest plus the records of the columns the store does not hold
+// (store.PutFrameRef, whose ErrColumnAbsent and ErrBadManifest pass through
+// unwrapped).
+func (s *Server) PutFrameRef(id string, colIDs, names []string, records []tier.Record, req *obs.Request) error {
 	return s.materialize(id, req, func() error {
-		return s.Store.PutFrameRef(id, colIDs, names, cols)
+		return s.Store.PutFrameRef(id, colIDs, names, records)
 	})
 }
 

@@ -140,13 +140,20 @@ func NewWriter(b []byte) Writer { return Writer{b: b} }
 
 // Exact runs write twice: once counting its bytes, once into a buffer of
 // exactly that length, which it returns.
-func Exact(write func(*Writer)) ([]byte, error) {
+func Exact(write func(*Writer)) ([]byte, error) { return ExactIn(nil, write) }
+
+// ExactIn is Exact writing into buf when buf has the capacity, and into a
+// new buffer of exactly the length otherwise.
+func ExactIn(buf []byte, write func(*Writer)) ([]byte, error) {
 	c := Writer{count: true}
 	write(&c)
 	if c.err != nil {
 		return nil, c.err
 	}
-	w := Writer{b: make([]byte, 0, c.n)}
+	if cap(buf) < c.n {
+		buf = make([]byte, 0, c.n)
+	}
+	w := Writer{b: buf[:0]}
 	write(&w)
 	return w.b, w.err
 }
@@ -268,6 +275,10 @@ func (w *Writer) ID(s string) {
 		w.str(s)
 		return
 	}
+	if w.count {
+		w.n += 17
+		return
+	}
 	var p [17]byte // tag 0, then the 16 bytes
 	hex.Decode(p[1:], []byte(s))
 	w.Raw(p[:])
@@ -306,7 +317,16 @@ func (r *Reader) Fail(format string, args ...any) {
 // in the context format gives: the message names ErrCorrupt once, however
 // deep the nesting.
 func (r *Reader) Nest(err error, format string, args ...any) {
-	r.Fail("%s: %s", fmt.Sprintf(format, args...), strings.TrimPrefix(err.Error(), ErrCorrupt.Error()+": "))
+	if r.err == nil {
+		r.err = Nested(err, format, args...)
+	}
+	r.off = len(r.b)
+}
+
+// Nested is the failure Nest records: err, the failure of a nested record,
+// in the context format gives, naming ErrCorrupt once.
+func Nested(err error, format string, args ...any) error {
+	return corrupt(fmt.Sprintf(format, args...) + ": " + strings.TrimPrefix(err.Error(), ErrCorrupt.Error()+": "))
 }
 
 // corrupt is a failure a Reader recorded. Refusing hostile input costs what
@@ -444,14 +464,17 @@ func (r *Reader) List(min int) int {
 	return int(v - 1)
 }
 
-func (r *Reader) Str() string {
+func (r *Reader) Str() string { return string(r.StrBytes()) }
+
+// StrBytes reads a str without copying it: the bytes alias the record.
+func (r *Reader) StrBytes() []byte {
 	n := r.Uvarint()
 	if n > uint64(r.Left()) {
 		r.Fail("string of %d bytes in %d", n, r.Left())
-		return ""
+		return nil
 	}
 	r.off += int(n)
-	return string(r.b[r.off-int(n) : r.off])
+	return r.b[r.off-int(n) : r.off : r.off]
 }
 
 func (r *Reader) Str16() string { return string(r.Bytes(int(r.U16()))) }

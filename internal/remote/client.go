@@ -233,12 +233,20 @@ func inline(executed *graph.DAG) []InlineArtifact {
 
 // do sends one request to the server, tagged with the ID of the run it
 // belongs to (req nil: none) and the collaborator's name.
-func (c *Client) do(method, url string, body io.Reader, req *obs.Request) (*http.Response, error) {
-	hr, err := http.NewRequest(method, url, body)
+func (c *Client) do(method, url string, body *sentBody, req *obs.Request) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = body
+	}
+	hr, err := http.NewRequest(method, url, rd)
 	if err != nil {
+		if body != nil {
+			body.Close()
+		}
 		return nil, err
 	}
 	if body != nil {
+		hr.ContentLength = int64(body.r.Len())
 		hr.Header.Set("Content-Type", "application/octet-stream")
 	}
 	if rid := req.ID(); rid != "" {
@@ -271,7 +279,7 @@ func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) 
 		}
 		return nil, ""
 	}
-	body, err := readBody(resp.Body, resp.ContentLength)
+	body, err := readBody(resp.Body, resp.ContentLength, nil)
 	var answer downloadResponse
 	if err == nil {
 		err = answer.unmarshal(body)
@@ -382,10 +390,13 @@ func distinctColumns(cols []*data.Column, skip map[string]bool) []*data.Column {
 
 // upload POSTs items as one body and returns the IDs of those the server
 // refused because a column they left out is no longer held; it admitted
-// the rest.
+// the rest. The body is written into a buffer of uploadBodies, which
+// exchange is done with when it returns.
 func (c *Client) upload(items []artifactUpload, req *obs.Request) ([]string, error) {
+	buf := uploadBodies.Get().(*[]byte)
+	defer uploadBodies.Put(buf)
 	var resp uploadResponse
-	err := c.exchange("/v1/artifact", req, &uploadRequest{Items: items}, &resp)
+	err := c.exchange("/v1/artifact", req, &uploadRequest{Items: items, buf: buf}, &resp)
 	return resp.Absent, err
 }
 
@@ -398,7 +409,9 @@ func (c *Client) exchange(path string, req *obs.Request, body, resp message) err
 	if err != nil {
 		return fmt.Errorf("remote: encode %s body: %w", path, err)
 	}
-	r, err := c.do(http.MethodPost, c.base+path, bytes.NewReader(b), req)
+	sent := newSentBody(b)
+	defer sent.wait() // the caller may write b again once exchange returns
+	r, err := c.do(http.MethodPost, c.base+path, sent, req)
 	if err != nil {
 		return err
 	}
@@ -413,7 +426,7 @@ func (c *Client) exchange(path string, req *obs.Request, body, resp message) err
 	default:
 		return statusError(path, r)
 	}
-	answer, err := readBody(r.Body, r.ContentLength)
+	answer, err := readBody(r.Body, r.ContentLength, nil)
 	if err == nil {
 		err = resp.unmarshal(answer)
 	}
@@ -425,6 +438,36 @@ func (c *Client) exchange(path string, req *obs.Request, body, resp message) err
 	}
 	return nil
 }
+
+// sentBody is a request body the client may write again once the transport
+// is done with it: when it has read the body to its end, or closed it,
+// which it always does, on errors too. wait returns then.
+type sentBody struct {
+	r    bytes.Reader
+	once sync.Once
+	done chan struct{}
+}
+
+func newSentBody(b []byte) *sentBody {
+	s := &sentBody{done: make(chan struct{})}
+	s.r.Reset(b)
+	return s
+}
+
+func (s *sentBody) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err == io.EOF {
+		s.Close()
+	}
+	return n, err
+}
+
+func (s *sentBody) Close() error {
+	s.once.Do(func() { close(s.done) })
+	return nil
+}
+
+func (s *sentBody) wait() { <-s.done }
 
 // maxReason bounds what an error keeps of the reason an error answer gives.
 const maxReason = 512

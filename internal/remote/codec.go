@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/rec"
 	"repro/internal/reuse"
+	"repro/internal/store"
 	"repro/internal/tier"
 )
 
@@ -121,9 +123,14 @@ const (
 
 // message is a body the protocol moves.
 type message interface {
-	marshal() ([]byte, error)
-	unmarshal(body []byte) error
+	marshaler
+	unmarshaler
 }
+
+type (
+	marshaler   interface{ marshal() ([]byte, error) }
+	unmarshaler interface{ unmarshal(body []byte) error }
+)
 
 func (m *OptimizeRequest) marshal() ([]byte, error) {
 	nodes, err := listOf(m.DAG, nil)
@@ -284,44 +291,128 @@ func (m *UpdateResponse) unmarshal(body []byte) error {
 	return r.Done()
 }
 
+// marshal encodes every column of the body in one batch (encodeColumns), as
+// the server validates them, and then writes the items, into *m.buf when
+// it has the capacity; the body becomes *m.buf.
 func (m *uploadRequest) marshal() ([]byte, error) {
+	var cols []*data.Column
+	for _, up := range m.Items {
+		cols = append(cols, up.Columns...)
+	}
+	records, bad, err := encodeColumns(cols)
 	content := make([]encodedArtifact, len(m.Items))
 	for i, up := range m.Items {
-		var err error
-		if content[i], err = encodeArtifact(up.Blob, up.ColIDs, up.Names, up.Columns); err != nil {
+		k := len(up.Columns)
+		switch {
+		case err != nil && bad < k:
+			return nil, fmt.Errorf("artifact %q: column %d: %w", up.ID, bad, err)
+		case err != nil:
+			bad -= k
+			continue
+		}
+		if content[i], err = encodeArtifact(up.Blob, up.ColIDs, up.Names, up.Columns != nil, records[:k:k]); err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", up.ID, err)
 		}
+		records = records[k:]
 	}
-	return marshal(uploadRequestMagic, func(w *rec.Writer) {
+	var buf []byte
+	if m.buf != nil {
+		buf = *m.buf
+	}
+	body, err := rec.ExactIn(buf, func(w *rec.Writer) {
+		w.Raw([]byte(uploadRequestMagic))
 		w.Uvarint(uint64(len(m.Items)))
 		for i, up := range m.Items {
 			w.ID(up.ID)
 			writeArtifact(w, &content[i])
 		}
 	})
+	if err == nil && m.buf != nil {
+		*m.buf = body
+	}
+	return body, err
 }
 
-// unmarshal reads an upload body and checks the shape of every item: an ID,
-// and a blob that is not a dataset with columns or a manifest naming at
-// least one column, whose records all decode.
+// unmarshal reads an upload body as the server does (readUpload) and
+// decodes each dataset item's records into its Columns.
 func (m *uploadRequest) unmarshal(body []byte) error {
+	items, err := readUpload(body)
+	if err != nil {
+		return err
+	}
+	for i := range items {
+		up := &items[i]
+		if up.Records == nil {
+			continue
+		}
+		records := make([][]byte, len(up.Records))
+		for j, r := range up.Records {
+			records[j] = r.Bytes()
+		}
+		if up.Columns, _, err = decodeColumns(records); err != nil {
+			return fmt.Errorf("artifact %q: %w", up.ID, err)
+		}
+		up.Records = nil
+	}
+	m.Items = items
+	return nil
+}
+
+// uploadRecords is an upload body as the handler admits it: read by
+// readUpload, its column records validated and kept, none decoded.
+type uploadRecords struct {
+	Items []artifactUpload
+}
+
+func (m *uploadRecords) unmarshal(body []byte) (err error) {
+	m.Items, err = readUpload(body)
+	return err
+}
+
+// readUpload reads an upload body and checks the shape of every item: an
+// ID, and a blob that is not a dataset with columns or a manifest naming at
+// least one column. Every column record of the body is then validated as one
+// batch (validateColumns) and kept as its item's Records. The body is
+// refused as a record-by-record read would refuse it: at the first record in
+// body order that does not validate, or else at the first thing that cannot
+// be read — every record framed lies before it.
+func readUpload(body []byte) ([]artifactUpload, error) {
 	r := open(body, uploadRequestMagic)
 	n := r.Count(3) // an ID, a form byte and a length at least
 	if n == 0 {
 		r.Fail("upload carries no artifact")
 	}
-	m.Items = make([]artifactUpload, n)
-	for i := range m.Items {
-		up := &m.Items[i]
+	items := make([]artifactUpload, n)
+	counts := make([]int, 0, n) // the records framed of each item read
+	var framed [][]byte
+	for i := 0; i < n && r.Err() == nil; i++ {
+		up := &items[i]
 		if up.ID = r.ID(); up.ID == "" {
 			r.Fail("item %d: missing id", i)
 		}
-		up.Blob, up.ColIDs, up.Names, up.Columns = readArtifact(&r)
-		if r.Err() != nil {
-			return fmt.Errorf("artifact %q: %w", up.ID, r.Err())
+		var records [][]byte
+		up.Blob, up.ColIDs, up.Names, records = readArtifact(&r)
+		framed = append(framed, records...)
+		counts = append(counts, len(records))
+	}
+	records, bad, err := validateColumns(framed)
+	for i, k := range counts {
+		switch {
+		case err != nil && bad < k:
+			return nil, fmt.Errorf("artifact %q: %w", items[i].ID, rec.Nested(err, "column %d", bad))
+		case err != nil:
+			bad -= k
+		case k > 0:
+			items[i].Records, records = records[:k:k], records[k:]
 		}
 	}
-	return r.Done()
+	if r.Err() != nil && len(counts) > 0 {
+		return nil, fmt.Errorf("artifact %q: %w", items[len(counts)-1].ID, r.Err())
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return items, nil
 }
 
 func (m *uploadResponse) marshal() ([]byte, error) {
@@ -341,12 +432,33 @@ func (m *downloadResponse) marshal() ([]byte, error) {
 	var err error
 	if ds, ok := m.Content.(*graph.DatasetArtifact); ok && ds.Frame != nil && ds.Frame.NumCols() > 0 {
 		f := ds.Frame
-		content, err = encodeArtifact(nil, f.ColumnIDs(), f.ColumnNames(), distinctColumns(f.Columns(), nil))
+		var records [][]byte
+		if records, _, err = encodeColumns(distinctColumns(f.Columns(), nil)); err == nil {
+			content, err = encodeArtifact(nil, f.ColumnIDs(), f.ColumnNames(), true, records)
+		}
 	} else {
-		content, err = encodeArtifact(m.Content, nil, nil, nil)
+		content, err = encodeArtifact(m.Content, nil, nil, false, nil)
 	}
 	if err != nil {
 		return nil, err
+	}
+	return marshal(downloadResponseMagic, func(w *rec.Writer) { writeArtifact(w, &content) })
+}
+
+// storedDownload is the server's answer to GET /v1/artifact: an artifact
+// as the store keeps it. A dataset's records are written as they are, which
+// are the bytes downloadResponse.marshal writes for the same frame: each
+// distinct column once, named as the manifest first names it.
+type storedDownload struct{ *store.Records }
+
+func (m storedDownload) marshal() ([]byte, error) {
+	if m.Content != nil {
+		return (&downloadResponse{Content: m.Content}).marshal()
+	}
+	content := encodedArtifact{form: datasetForm, colIDs: m.Manifest.ColIDs, names: m.Manifest.Names,
+		records: make([][]byte, len(m.Columns))}
+	for i, r := range m.Columns {
+		content.records[i] = r.Bytes()
 	}
 	return marshal(downloadResponseMagic, func(w *rec.Writer) { writeArtifact(w, &content) })
 }
@@ -356,7 +468,11 @@ func (m *downloadResponse) marshal() ([]byte, error) {
 // name. The records must be exactly the manifest's distinct columns.
 func (m *downloadResponse) unmarshal(body []byte) error {
 	r := open(body, downloadResponseMagic)
-	blob, colIDs, names, cols := readArtifact(&r)
+	blob, colIDs, names, records := readArtifact(&r)
+	cols, bad, err := decodeColumns(records)
+	if err != nil {
+		return rec.Nested(err, "column %d", bad)
+	}
 	if err := r.Done(); err != nil {
 		return err
 	}
@@ -407,9 +523,9 @@ type encodedArtifact struct {
 }
 
 // encodeArtifact encodes a blob, or — when there is a manifest or a column —
-// a dataset.
-func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Column) (encodedArtifact, error) {
-	if colIDs == nil && cols == nil {
+// a dataset of the given column records.
+func encodeArtifact(blob graph.Artifact, colIDs, names []string, hasColumns bool, records [][]byte) (encodedArtifact, error) {
+	if colIDs == nil && !hasColumns {
 		a := encodedArtifact{form: blobForm}
 		if blob != nil { // nil travels as the empty record, which the reader refuses
 			var err error
@@ -422,30 +538,17 @@ func encodeArtifact(blob graph.Artifact, colIDs, names []string, cols []*data.Co
 	if blob != nil {
 		return encodedArtifact{}, fmt.Errorf("carries both a blob and a manifest")
 	}
-	a := encodedArtifact{form: datasetForm, colIDs: colIDs, names: names, records: make([][]byte, len(cols))}
-	cells := 0
-	for _, c := range cols {
-		if c != nil {
-			cells += c.Len()
-		}
-	}
-	errs := make([]error, len(cols))
-	eachRecord(len(cols), cells >= wideCells, func(i int) { a.records[i], errs[i] = tier.EncodeColumn(cols[i]) })
-	for _, err := range errs {
-		if err != nil {
-			return encodedArtifact{}, err
-		}
-	}
-	return a, nil
+	return encodedArtifact{form: datasetForm, colIDs: colIDs, names: names, records: records}, nil
 }
 
-// A dataset's column records are encoded on the shared pool, one record per
-// task, when it has at least wideCells cells (rows × columns), and decoded
-// there when its records hold at least wideBytes bytes: sizes known before
-// the work starts. An OpenML-shaped frame (1 000 × 21, 160 KB of records)
-// stays on its caller, where a second core saves little and costs the other
-// client its share (DESIGN.md "Parallel execution"). Either way every record
-// is the one a serial loop makes, in its place.
+// Column records are encoded on the shared pool, one record per task, when
+// the columns have at least wideCells cells (rows × columns), and decoded or
+// validated there when the records hold at least wideBytes bytes — a
+// download's, or every column of an upload body together: sizes known
+// before the work starts. An OpenML-shaped frame (1 000 × 21, 160 KB of
+// records) stays on its caller, where a second core saves little and costs
+// the other client its share (DESIGN.md "Parallel execution"). Either way
+// every result is the one a serial loop makes, in its place.
 const (
 	wideCells = 32_000
 	wideBytes = 256 << 10
@@ -485,10 +588,11 @@ func writeArtifact(w *rec.Writer, a *encodedArtifact) {
 	}
 }
 
-// readArtifact reads an artifact: a blob, or a dataset's manifest and
-// columns. A blob must hold content; a manifest must name a column; every
-// record must verify.
-func readArtifact(r *rec.Reader) (blob graph.Artifact, colIDs, names []string, cols []*data.Column) {
+// readArtifact reads an artifact: a blob, or a dataset's manifest and its
+// column records, framed and not yet checked. A blob must hold content; a
+// manifest must name a column. The records framed before a failure to frame
+// one are returned with it.
+func readArtifact(r *rec.Reader) (blob graph.Artifact, colIDs, names []string, records [][]byte) {
 	switch form := r.U8(); form {
 	case blobForm:
 		if blob = readBlob(r); blob == nil {
@@ -500,45 +604,77 @@ func readArtifact(r *rec.Reader) (blob graph.Artifact, colIDs, names []string, c
 			r.Fail("dataset manifest names no column")
 			return
 		}
-		return nil, colIDs, names, readColumns(r)
+		return nil, colIDs, names, readRecords(r)
 	default:
 		r.Fail("unknown artifact form %q", form)
 	}
 	return
 }
 
-// readColumns frames a dataset's column records in body order, then decodes
-// them. It fails r as a record-by-record read would: at the first record in
-// body order that does not decode, or else at the first that cannot be framed.
-func readColumns(r *rec.Reader) []*data.Column {
+// readRecords frames a dataset's column records in body order.
+func readRecords(r *rec.Reader) [][]byte {
 	k := r.Count(1 + tier.MinColumnRecord)
 	if k == 0 {
 		return nil
 	}
-	// Framing reads a copy of r, so that a framing failure after a record
-	// that does not decode leaves r free to report that record.
-	framed := *r
 	records := make([][]byte, 0, k)
-	size := 0
 	for len(records) < k {
-		b := framed.Bytes(framed.Count(1))
-		if framed.Err() != nil {
+		b := r.Bytes(r.Count(1))
+		if r.Err() != nil {
 			break
 		}
 		records = append(records, b)
-		size += len(b)
 	}
-	cols := make([]*data.Column, len(records))
-	errs := make([]error, len(records))
-	eachRecord(len(records), size >= wideBytes, func(i int) { cols[i], errs[i] = tier.DecodeColumn(records[i]) })
-	for i, err := range errs {
-		if err != nil {
-			r.Nest(err, "column %d", i)
-			return nil
+	return records
+}
+
+// validateColumns validates column records (tier.ValidateColumn) as one
+// batch: what the server does with an upload. Each record is copied out of
+// the body first, so that a record the store keeps does not keep the whole
+// body alive after the others are gone.
+func validateColumns(records [][]byte) ([]tier.Record, int, error) {
+	return eachColumn(records, wideRecords(records), func(b []byte) (tier.Record, error) { return tier.ValidateColumn(bytes.Clone(b)) })
+}
+
+// decodeColumns decodes column records: what a client does with a download,
+// and the one place the protocol decodes a column record.
+func decodeColumns(records [][]byte) ([]*data.Column, int, error) {
+	return eachColumn(records, wideRecords(records), tier.DecodeColumn)
+}
+
+// encodeColumns encodes columns as records (tier.EncodeColumn) as one batch.
+func encodeColumns(cols []*data.Column) ([][]byte, int, error) {
+	cells := 0
+	for _, c := range cols {
+		if c != nil {
+			cells += c.Len()
 		}
 	}
-	*r = framed
-	return cols
+	return eachColumn(cols, cells >= wideCells, tier.EncodeColumn)
+}
+
+// eachColumn converts every item of in with conv — on the pool when wide,
+// one item per task — and returns the results, or the index and failure of
+// the first that fails.
+func eachColumn[In, Out any](in []In, wide bool, conv func(In) (Out, error)) ([]Out, int, error) {
+	out := make([]Out, len(in))
+	errs := make([]error, len(in))
+	eachRecord(len(in), wide, func(i int) { out[i], errs[i] = conv(in[i]) })
+	for i, err := range errs {
+		if err != nil {
+			return nil, i, err
+		}
+	}
+	return out, 0, nil
+}
+
+// wideRecords reports whether records hold at least wideBytes bytes.
+func wideRecords(records [][]byte) bool {
+	size := 0
+	for _, b := range records {
+		size += len(b)
+	}
+	return size >= wideBytes
 }
 
 // readBlob reads a blob record: nil for the empty record and on an error.

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -191,15 +192,16 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	// Peek, don't Get: serving a collaborator must not promote the artifact
-	// into the memory tier or disturb the LRU order — a cold artifact
-	// streams straight from the disk tier.
-	content, tier := h.srv.Store.Peek(id)
-	if content == nil {
+	// into the memory tier or disturb the LRU order. A dataset is served as
+	// the records the store keeps — a cold artifact streams straight from
+	// the disk tier's files — and nothing is decoded.
+	stored, tier := h.srv.Store.PeekRecords(id)
+	if stored == nil {
 		http.Error(w, "artifact not found", http.StatusNotFound)
 		return
 	}
 	w.Header().Set(TierHeader, tier.String())
-	writeMessage(w, http.StatusOK, &downloadResponse{Content: content})
+	writeMessage(w, http.StatusOK, storedDownload{stored})
 }
 
 // putInline puts each of an update's inline artifacts on its node of the
@@ -228,15 +230,18 @@ func putInline(dag *graph.DAG, inline []InlineArtifact) error {
 }
 
 // putArtifact admits an upload body: every item the update wanted, checked
-// for shape before any is admitted (uploadRequest.unmarshal, answered as
-// readMessage answers) and then admitted in body order, each all or nothing.
+// for shape and every column record validated before any is admitted
+// (readUpload, answered as readMessage answers) and then admitted in body
+// order, each all or nothing, as the records arrived: nothing is decoded.
 // An item that relies on a column the store has since lost (evicted by
 // another client's update) is listed in a 200 answer, and the client resends
 // it with every column; a malformed one ends the body with a 400 that names
 // it, after the items before it were admitted.
 func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
-	var body uploadRequest
-	if !readMessage(w, r, maxArtifactBody, &body) {
+	var body uploadRecords
+	buf := uploadBodies.Get().(*[]byte)
+	defer uploadBodies.Put(buf)
+	if !readInto(w, r, maxArtifactBody, &body, buf) {
 		return
 	}
 	var resp uploadResponse
@@ -245,7 +250,7 @@ func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
 		if up.Blob != nil {
 			err = h.srv.PutArtifact(up.ID, up.Blob, request(r))
 		} else {
-			err = h.srv.PutFrameRef(up.ID, up.ColIDs, up.Names, up.Columns, request(r))
+			err = h.srv.PutFrameRef(up.ID, up.ColIDs, up.Names, up.Records, request(r))
 		}
 		switch {
 		case err == nil:
@@ -457,16 +462,30 @@ func (h *Handler) artifacts(q url.Values) (any, *httpError) {
 	return led.Report(query), nil
 }
 
+// uploadBodies recycles the buffers upload bodies are written into, on a
+// client, and read into, on the server: the largest bodies either sends or
+// receives, each a fresh allocation of its length otherwise. A client's is
+// free again once the transport is done with it (sentBody). What the
+// handler keeps of a body is copied out of it — every record
+// (validateColumns), every ID and name, every blob decoded — so the
+// server's is free again once the body is read.
+var uploadBodies = sync.Pool{New: func() any { return new([]byte) }}
+
 // readMessage reads a request body of at most limit bytes and decodes it
 // into m, which it must be exactly. It answers 413 for a larger body — at
 // once when its declared length says so — and 400 for one that does not
 // decode, and reports whether the handler may go on.
-func readMessage(w http.ResponseWriter, r *http.Request, limit int64, m message) bool {
+func readMessage(w http.ResponseWriter, r *http.Request, limit int64, m unmarshaler) bool {
+	return readInto(w, r, limit, m, nil)
+}
+
+// readInto is readMessage reading the body into *buf (readBody).
+func readInto(w http.ResponseWriter, r *http.Request, limit int64, m unmarshaler, buf *[]byte) bool {
 	if r.ContentLength > limit {
 		refuseBody(w, &http.MaxBytesError{Limit: limit}, limit)
 		return false
 	}
-	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, buf)
 	if err == nil {
 		err = m.unmarshal(body)
 	}
@@ -489,7 +508,7 @@ func refuseBody(w http.ResponseWriter, err error, limit int64) {
 
 // writeMessage answers code with m and its exact Content-Length, or 500
 // when m cannot be encoded: it is encoded whole before anything is sent.
-func writeMessage(w http.ResponseWriter, code int, m message) {
+func writeMessage(w http.ResponseWriter, code int, m marshaler) {
 	b, err := m.marshal()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -503,14 +522,24 @@ func writeMessage(w http.ResponseWriter, code int, m message) {
 
 // readBody reads a body whose length n is declared (n < 0: unknown) into a
 // buffer of that length, so that a large one is not copied again at every
-// doubling of a growing buffer. A body declared past maxMetaBody, or of
-// unknown length, grows with what actually arrives instead: a declared
-// length alone does not get to allocate more.
-func readBody(r io.Reader, n int64) ([]byte, error) {
+// doubling of a growing buffer: *buf when buf is set, grown first if it is
+// shorter. A body declared past maxMetaBody, or of unknown length, grows
+// with what actually arrives instead: a declared length alone does not get
+// to allocate more.
+func readBody(r io.Reader, n int64, buf *[]byte) ([]byte, error) {
 	if n < 0 || n > maxMetaBody {
 		return io.ReadAll(r)
 	}
-	b := make([]byte, n)
+	var b []byte
+	switch {
+	case buf == nil:
+		b = make([]byte, n)
+	case int64(cap(*buf)) < n:
+		*buf = make([]byte, n)
+		b = *buf
+	default:
+		b = (*buf)[:n]
+	}
 	_, err := io.ReadFull(r, b)
 	return b, err
 }

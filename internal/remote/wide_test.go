@@ -204,10 +204,11 @@ func TestRefusedBodyNamesItsFirstBadColumn(t *testing.T) {
 	}
 }
 
-// TestColumnCodecSpawnsHelpersAtWidth: on W1's frame, encoding and decoding
-// its records are one pool call each, of one chunk per column, run on the
-// caller plus width - 1 helpers — the same calls and chunks at width 1 and at
-// width 4. An OpenML-shaped frame makes no pool call.
+// TestColumnCodecSpawnsHelpersAtWidth: on W1's frame, encoding its records
+// and validating them as the server reads the upload are one pool call each,
+// of one chunk per column, run on the caller plus width - 1 helpers — the
+// same calls and chunks at width 1 and at width 4. An OpenML-shaped frame
+// makes no pool call.
 func TestColumnCodecSpawnsHelpersAtWidth(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -217,9 +218,8 @@ func TestColumnCodecSpawnsHelpersAtWidth(t *testing.T) {
 		body := wholeUpload(t, c.f)
 		for step, run := range map[string]func(){
 			"encode": func() { wholeUpload(t, c.f) },
-			"decode": func() {
-				var up uploadRequest
-				if err := up.unmarshal(body); err != nil {
+			"validate": func() {
+				if _, err := readUpload(body); err != nil {
 					t.Fatal(err)
 				}
 			},

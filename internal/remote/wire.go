@@ -17,8 +17,9 @@
 //
 // Wire format: every body is a message of the hand-written binary codec of
 // codec.go. A dataset travels as its manifest and its columns in the tier's
-// column record; models and aggregates travel in the tier's blob record, in
-// the update's inline section, an upload item or a download. Nothing on the
+// column record, which the server validates, keeps and sends back as it
+// arrived; models and aggregates travel in the tier's blob record, in the
+// update's inline section, an upload item or a download. Nothing on the
 // wire is gob.
 package remote
 
@@ -30,6 +31,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/ml"
+	"repro/internal/tier"
 )
 
 // OptimizeRequest is the body of POST /v1/optimize: the locally pruned
@@ -109,9 +111,12 @@ func (c *frontierConflict) Error() string {
 }
 
 // uploadRequest is the body of POST /v1/artifact: one item per vertex an
-// update wanted.
+// update wanted. buf, when set, is the buffer the encoder writes the body
+// into when it is large enough: a client reuses one for its uploads, the
+// largest bodies it sends.
 type uploadRequest struct {
 	Items []artifactUpload
+	buf   *[]byte
 }
 
 // artifactUpload is one item of an upload body, the content of vertex ID.
@@ -119,13 +124,16 @@ type uploadRequest struct {
 // dataset travels as its manifest (ordered column lineage IDs and names)
 // plus the columns the server does not hold yet; the server assembles the
 // frame from those and the columns its store has under the same IDs. A full
-// upload is the case where Columns carries every manifest column.
+// upload is the case where every manifest column travels. The client's
+// columns are Columns, encoded when the body is written; the server reads
+// them as Records, validated and never decoded, and keeps those.
 type artifactUpload struct {
 	ID      string
 	Blob    graph.Artifact
 	ColIDs  []string
 	Names   []string
 	Columns []*data.Column
+	Records []tier.Record
 }
 
 // uploadResponse is the 200 answer to an upload: the items, in body order,

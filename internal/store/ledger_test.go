@@ -244,7 +244,7 @@ func TestQuickLedgerResidencyIsTheStores(t *testing.T) {
 						supplied = append(supplied, c)
 					}
 				}
-				if err := m.PutFrameRef(id, ids, frame.ColumnNames(), supplied); err != nil {
+				if err := m.PutFrameRef(id, ids, frame.ColumnNames(), recordsOf(t, supplied)); err != nil {
 					t.Fatal(err)
 				}
 				size[id] = frame.SizeBytes()

@@ -108,7 +108,7 @@ type Manager struct {
 	// The memory tier: an index of what it holds, and the values — each
 	// column of its manifests once, by lineage ID, and each blob.
 	mem   *tier.Index
-	cols  map[string]*data.Column
+	cols  map[string]*column
 	blobs map[string]graph.Artifact
 
 	// memLRU lists the IDs of the memory-resident artifacts from least to
@@ -247,7 +247,7 @@ func NewTiered(profile cost.Profile, opts Options) *Manager {
 		memBudget:   opts.MemoryBudget,
 		disk:        opts.Disk,
 		mem:         tier.NewIndex(),
-		cols:        make(map[string]*data.Column),
+		cols:        make(map[string]*column),
 		blobs:       make(map[string]graph.Artifact),
 		memLRU:      list.New(),
 		memElem:     make(map[string]*list.Element),
@@ -291,15 +291,15 @@ func (m *Manager) Put(vertexID string, a graph.Artifact) error {
 	if m.hasLocked(vertexID) {
 		return nil
 	}
-	m.putLocked(vertexID, a)
+	m.putLocked(vertexID, func() { m.admitLocked(vertexID, a) })
 	return nil
 }
 
 // putLocked admits a vertex that no tier holds yet: counters, memory-tier
-// maps, LRU position, ledger report, then budget enforcement.
-func (m *Manager) putLocked(vertexID string, a graph.Artifact) {
+// maps (admit), LRU position, ledger report, then budget enforcement.
+func (m *Manager) putLocked(vertexID string, admit func()) {
 	m.met.Puts.Inc()
-	m.admitLocked(vertexID, a)
+	admit()
 	m.touchLocked(vertexID)
 	m.reportLocked(vertexID)
 	m.enforceBudgetLocked()
@@ -331,19 +331,21 @@ func (m *Manager) HeldColumns(colIDs []string) []int {
 
 // PutFrameRef is Put for a dataset given by reference: the manifest
 // (ordered column lineage IDs and the names they carry in this frame) plus
-// only the columns the caller chose to supply. Every other manifest column
-// is taken from the store under its lineage ID, from the memory tier or, for
-// columns that only demoted frames still reference, from the disk tier. The
-// outcome is that of Put with the whole frame: same column ref-counts,
-// physical and logical bytes, ledger report and budget enforcement.
+// the records of only the columns the caller chose to supply. Every other
+// manifest column is taken from the store under its lineage ID, from the
+// memory tier or, for columns that only demoted frames still reference, as
+// its record from the disk tier. The outcome is that of Put with the whole
+// frame: same column ref-counts, physical and logical bytes, ledger report
+// and budget enforcement. Nothing is decoded: the memory tier keeps the
+// records, and decodes one when an in-process Get first asks for it.
 //
 // Nothing is admitted unless the whole frame can be: ErrColumnAbsent (retry
 // with every column) when a manifest column is in neither place,
 // ErrBadManifest when the input contradicts itself or the store — a supplied
 // column the manifest does not name, two supplied columns under one ID, a
-// malformed column, a supplied column whose type or length differs from the
-// held column of the same ID, or columns that do not form a frame.
-func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied []*data.Column) error {
+// supplied column whose type or length differs from the held column of the
+// same ID, or columns that do not form a frame.
+func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied []tier.Record) error {
 	if len(colIDs) == 0 || len(colIDs) != len(names) {
 		return fmt.Errorf("%w: %d column ids, %d names", ErrBadManifest, len(colIDs), len(names))
 	}
@@ -351,18 +353,15 @@ func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied 
 	for _, id := range colIDs {
 		named[id] = true
 	}
-	byID := make(map[string]*data.Column, len(supplied))
-	for _, c := range supplied {
-		if c == nil || !named[c.ID] {
+	byID := make(map[string]*column, len(colIDs))
+	for _, r := range supplied {
+		if !named[r.ID] {
 			return fmt.Errorf("%w: supplied column not named by the manifest", ErrBadManifest)
 		}
-		if _, dup := byID[c.ID]; dup {
-			return fmt.Errorf("%w: column %s supplied twice", ErrBadManifest, c.ID)
+		if byID[r.ID] != nil {
+			return fmt.Errorf("%w: column %s supplied twice", ErrBadManifest, r.ID)
 		}
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadManifest, err)
-		}
-		byID[c.ID] = c
+		byID[r.ID] = &column{info: r.ColumnInfo, rec: r}
 	}
 
 	m.lockWrite()
@@ -370,35 +369,47 @@ func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied 
 	if m.hasLocked(vertexID) {
 		return nil
 	}
-	a, err := tier.Assemble(tier.Manifest{ColIDs: colIDs, Names: names}, func(id string) (*data.Column, error) {
+	cols := make([]*column, len(colIDs))
+	for i, id := range colIDs {
 		c := byID[id]
 		if held := m.cols[id]; held != nil {
 			// As in admitLocked, the held column wins; a supplied one must
 			// at least be the same shape.
-			if c != nil && (c.Type != held.Type || c.Len() != held.Len()) {
-				return nil, fmt.Errorf("column %s is %s×%d here, %s×%d in the store",
-					id, c.Type, c.Len(), held.Type, held.Len())
+			if c != nil && (c.info.Type != held.info.Type || c.info.Rows != held.info.Rows) {
+				return fmt.Errorf("%w: column %s is %s×%d here, %s×%d in the store", ErrBadManifest,
+					id, c.info.Type, c.info.Rows, held.info.Type, held.info.Rows)
 			}
-			return held, nil
+			c = held
 		}
 		if c == nil && m.disk != nil {
-			var err error
-			if c, err = m.disk.Column(id); err != nil {
+			r, ok, err := m.disk.ColumnRecord(id)
+			if err != nil {
 				m.met.ChecksumFailures.Inc()
+			}
+			if ok {
+				c = &column{info: r.ColumnInfo, rec: r}
+				byID[id] = c
 			}
 		}
 		if c == nil {
-			return nil, fmt.Errorf("%w: %s", ErrColumnAbsent, id)
+			return fmt.Errorf("%w: %s", ErrColumnAbsent, id)
 		}
-		return c, nil
+		cols[i] = c
+	}
+	// The frame's own shape, as data.NewFrame checks it.
+	seen := make(map[string]bool, len(names))
+	for i, name := range names {
+		if seen[name] {
+			return fmt.Errorf("%w: data: duplicate column %q", ErrBadManifest, name)
+		}
+		seen[name] = true
+		if rows := cols[i].info.Rows; rows != cols[0].info.Rows {
+			return fmt.Errorf("%w: data: column %q has %d rows, frame has %d", ErrBadManifest, name, rows, cols[0].info.Rows)
+		}
+	}
+	m.putLocked(vertexID, func() {
+		m.admitFrameLocked(vertexID, tier.Manifest{ColIDs: colIDs, Names: names}, func(i int) *column { return cols[i] })
 	})
-	if errors.Is(err, ErrColumnAbsent) {
-		return err
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	m.putLocked(vertexID, a)
 	return nil
 }
 
@@ -412,8 +423,23 @@ func (m *Manager) admitLocked(vertexID string, a graph.Artifact) {
 		return
 	}
 	cols := ds.Frame.Columns()
-	for _, i := range m.mem.AddFrame(vertexID, tier.ManifestOf(cols), func(i int) int64 { return cols[i].SizeBytes() }) {
-		m.cols[cols[i].ID] = cols[i]
+	m.admitFrameLocked(vertexID, tier.ManifestOf(cols), func(i int) *column { return decodedColumn(cols[i]) })
+}
+
+// admitFrameLocked records a dataset in the memory tier: col(i) is the
+// entry of column man.ColIDs[i], asked for only when the memory tier does
+// not hold that column yet.
+func (m *Manager) admitFrameLocked(vertexID string, man tier.Manifest, col func(i int) *column) {
+	entries := make([]*column, len(man.ColIDs))
+	size := func(i int) int64 {
+		if held := m.cols[man.ColIDs[i]]; held != nil {
+			return held.info.Size
+		}
+		entries[i] = col(i)
+		return entries[i].info.Size
+	}
+	for _, i := range m.mem.AddFrame(vertexID, man, size) {
+		m.cols[man.ColIDs[i]] = entries[i]
 	}
 }
 
@@ -433,9 +459,62 @@ func (m *Manager) getMemoryLocked(vertexID string) graph.Artifact {
 // memColumn returns the memory tier's values of a column.
 func (m *Manager) memColumn(colID string) (*data.Column, error) {
 	if c := m.cols[colID]; c != nil {
-		return c, nil
+		return c.decoded()
 	}
 	return nil, fmt.Errorf("store: torn entry: column %s not held", colID)
+}
+
+// memRecord returns the memory tier's record of a column.
+func (m *Manager) memRecord(colID string) (tier.Record, error) {
+	if c := m.cols[colID]; c != nil {
+		return c.record()
+	}
+	return tier.Record{}, fmt.Errorf("store: torn entry: column %s not held", colID)
+}
+
+// column is one column of the memory tier, held once per lineage ID in two
+// views: the record, which a transfer writes and a demotion spills, and the
+// decoded column, which an in-process Get returns. An upload fills the
+// record, an in-process Put the column, so neither path converts unless the
+// other kind of reader comes along. The decoded view of a record is made
+// the first time it is asked for and kept. The record of a decoded column
+// is encoded each time and not kept: only an in-process server holds
+// decoded columns, and every checkpoint's Sync spills them, which would
+// leave it holding each column twice.
+type column struct {
+	info tier.ColumnInfo
+	rec  tier.Record // set when the entry is made, or never
+
+	mu  sync.Mutex
+	col *data.Column
+}
+
+// decodedColumn is the entry of a column an in-process Put stored.
+func decodedColumn(c *data.Column) *column {
+	return &column{info: tier.InfoOf(c), col: c}
+}
+
+// decoded returns the column's values, decoding its record the first time:
+// the one place the store decodes a column record.
+func (c *column) decoded() (*data.Column, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.col == nil {
+		col, err := tier.DecodeColumn(c.rec.Bytes())
+		if err != nil {
+			return nil, err
+		}
+		c.col = col
+	}
+	return c.col, nil
+}
+
+// record returns the column's record, encoding its values when it has none.
+func (c *column) record() (tier.Record, error) {
+	if c.rec.Bytes() != nil {
+		return c.rec, nil
+	}
+	return tier.RecordOf(c.col)
 }
 
 // getDiskLocked reads an artifact from the disk tier, counting checksum
@@ -446,16 +525,22 @@ func (m *Manager) getDiskLocked(vertexID string) graph.Artifact {
 	}
 	a, err := m.disk.Get(vertexID)
 	if err != nil {
-		m.met.ChecksumFailures.Inc()
-		if led := m.ledger.Load(); led != nil {
-			led.Quarantine(vertexID)
-		}
-		if !m.hasLocked(vertexID) {
-			m.drops.Add(1)
-		}
+		m.diskFailedLocked(vertexID)
 		return nil
 	}
 	return a
+}
+
+// diskFailedLocked accounts a disk read that failed: the tier has
+// quarantined what failed verification and dropped the vertex.
+func (m *Manager) diskFailedLocked(vertexID string) {
+	m.met.ChecksumFailures.Inc()
+	if led := m.ledger.Load(); led != nil {
+		led.Quarantine(vertexID)
+	}
+	if !m.hasLocked(vertexID) {
+		m.drops.Add(1)
+	}
 }
 
 // Get retrieves the artifact content for a vertex, or nil if absent, and
@@ -492,8 +577,8 @@ func (m *Manager) Get(vertexID string) (graph.Artifact, Tier) {
 }
 
 // Peek returns the artifact without promoting it or disturbing the LRU
-// order: the snapshotter and remote artifact transfers read through Peek so
-// serving a cold artifact to a collaborator does not displace the hot set.
+// order, for in-process readers that want content and must not displace the
+// hot set. A transfer reads PeekRecords instead, which decodes nothing.
 func (m *Manager) Peek(vertexID string) (graph.Artifact, Tier) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -502,6 +587,50 @@ func (m *Manager) Peek(vertexID string) (graph.Artifact, Tier) {
 	}
 	if a := m.getDiskLocked(vertexID); a != nil {
 		return a, TierDisk
+	}
+	return nil, TierNone
+}
+
+// Records is an artifact in the form a transfer writes it: a dataset with
+// columns as its manifest and the record of each distinct column
+// (tier.Distinct), anything else as Content.
+type Records struct {
+	Content  graph.Artifact
+	Manifest tier.Manifest
+	Columns  []tier.Record
+}
+
+// PeekRecords is Peek for a transfer: a dataset comes back as the records
+// the store keeps, from the memory tier or straight from the disk tier's
+// files, decoded nowhere. A column the memory tier holds only decoded (an
+// in-process Put) is encoded. A disk read that fails is counted and
+// quarantined as Peek's is.
+func (m *Manager) PeekRecords(vertexID string) (*Records, Tier) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if man, ok := m.mem.Frame(vertexID); ok && len(man.ColIDs) > 0 {
+		recs, err := tier.Distinct(man, m.memRecord)
+		if err != nil {
+			return nil, TierNone // torn entry; treat as absent
+		}
+		return &Records{Manifest: man, Columns: recs}, TierMemory
+	}
+	if a := m.getMemoryLocked(vertexID); a != nil {
+		return &Records{Content: a}, TierMemory
+	}
+	if m.disk == nil {
+		return nil, TierNone
+	}
+	man, recs, ok, err := m.disk.FrameRecords(vertexID)
+	if ok && len(man.ColIDs) > 0 {
+		if err != nil {
+			m.diskFailedLocked(vertexID)
+			return nil, TierNone
+		}
+		return &Records{Manifest: man, Columns: recs}, TierDisk
+	}
+	if a := m.getDiskLocked(vertexID); a != nil {
+		return &Records{Content: a}, TierDisk
 	}
 	return nil, TierNone
 }
@@ -581,11 +710,9 @@ func (m *Manager) spillLocked(vertexID string) error {
 		return nil
 	}
 	if man, ok := m.mem.Frame(vertexID); ok {
-		cols, err := tier.Columns(man, m.memColumn)
-		if err != nil {
-			return err
-		}
-		return m.disk.PutFrame(vertexID, cols)
+		return m.disk.PutFrame(vertexID, man,
+			func(i int) int64 { return m.mem.ColumnSize(man.ColIDs[i]) },
+			func(i int) (tier.Record, error) { return m.memRecord(man.ColIDs[i]) })
 	}
 	return m.disk.PutBlob(vertexID, m.blobs[vertexID])
 }

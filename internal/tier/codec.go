@@ -11,6 +11,11 @@
 // Open scans the directory, verifies every file, quarantines corrupt ones,
 // and rebuilds the tier index so a restarted server comes up warm. Every
 // record is read and written with the primitives of internal/rec.
+//
+// The column record is also the server's form of a column: an upload's
+// records are validated (ValidateColumn) and kept as they arrived, in the
+// store's memory tier or as the tier's files, and a download writes them
+// back; only an in-process reader decodes one.
 package tier
 
 import (
@@ -30,8 +35,10 @@ import (
 var ErrCorrupt = rec.ErrCorrupt
 
 // Column record format, version 2, in the primitives of internal/rec.
-// It is the one byte format of a column: a file of the disk tier, and a
-// column of an upload body or a download on the wire.
+// It is the one byte format of a column: a file of the disk tier, a column
+// of an upload body or a download on the wire, and the form in which the
+// store's memory tier keeps an uploaded column, which the server validates
+// (ValidateColumn), keeps and sends back without decoding it.
 //
 //	magic   "CTC2"
 //	dtype   u8                           data.DType
@@ -441,30 +448,46 @@ func (d *patterns) code(k uint64) uint32 {
 
 // DecodeColumn parses and verifies a column record of either version. Any
 // structural violation or checksum mismatch returns an error wrapping
-// ErrCorrupt.
+// ErrCorrupt. ValidateColumn makes the same checks without building the
+// column.
 func DecodeColumn(b []byte) (*data.Column, error) {
 	magic, body, err := rec.Open(b, colMagic, colMagicV1)
 	if err != nil {
 		return nil, err
 	}
 	r := rec.NewReader(body)
-	dt := r.U8()
-	isDict := dt&dictDType != 0
-	c := &data.Column{Type: data.DType(dt &^ dictDType), ID: r.Str16(), Name: r.Str16()}
-	rows := int(r.U32())
+	info, isDict := readHeader(&r)
+	c := &data.Column{Type: info.Type, ID: info.ID, Name: info.Name}
 	switch {
 	case r.Err() != nil:
-	case isDict && c.Type != data.String:
-		r.Fail("dict flag on dtype %d", c.Type)
 	case magic == colMagicV1:
-		decodePayloadV1(&r, c, rows, isDict)
+		decodePayloadV1(&r, c, info.Rows, isDict)
 	default:
-		decodePayload(&r, c, rows, isDict)
+		decodePayload(&r, c, info.Rows, isDict)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// readHeader reads a record of either version from its dtype byte to its
+// row count. It refuses an ID or a name longer than EncodeColumn writes, so
+// that every record that reads can be written again.
+func readHeader(r *rec.Reader) (info ColumnInfo, isDict bool) {
+	dt := r.U8()
+	isDict = dt&dictDType != 0
+	info.Type = data.DType(dt &^ dictDType)
+	info.ID, info.Name = r.Str16(), r.Str16()
+	info.Rows = int(r.U32())
+	switch {
+	case r.Err() != nil:
+	case len(info.ID) > maxMetaLen || len(info.Name) > maxMetaLen:
+		r.Fail("column id/name too long (%d/%d bytes)", len(info.ID), len(info.Name))
+	case isDict && info.Type != data.String:
+		r.Fail("dict flag on dtype %d", info.Type)
+	}
+	return info, isDict
 }
 
 // decodePayload reads a version-2 payload into c.
@@ -482,54 +505,71 @@ func decodePayload(r *rec.Reader, c *data.Column, rows int, isDict bool) {
 			r.Fail("dictionary entry %q repeats", s)
 			return
 		}
-		width := codeWidth(len(dict))
-		payload := r.Bytes(rows * width)
-		if r.Err() != nil {
-			return
+		if codes, ok := readCodes(r, rows, len(dict), true); ok {
+			c.Dict, c.Codes = dict, codes
 		}
-		codes := make([]uint32, rows)
-		for i := range codes {
-			switch width {
-			case 1:
-				codes[i] = uint32(payload[i])
-			case 2:
-				codes[i] = uint32(binary.LittleEndian.Uint16(payload[2*i:]))
-			default:
-				codes[i] = binary.LittleEndian.Uint32(payload[4*i:])
-			}
-			if int(codes[i]) >= len(dict) {
-				r.Fail("code %d out of bounds for %d-entry dictionary", codes[i], len(dict))
-				return
-			}
-		}
-		c.Dict, c.Codes = dict, codes
 		return
 	}
 	switch c.Type {
 	case data.Float64:
-		c.Floats = decodeFloats(r, rows)
+		c.Floats = make([]float64, rows)
+		readFloatPayload(r, c.Floats)
 	case data.Int64:
-		c.Ints = decodeInts(r, rows)
+		c.Ints = make([]int64, rows)
+		readIntPayload(r, c.Ints)
 	case data.String:
 		c.Strings = readStrings(r, rows)
 	case data.Bool:
-		c.Bools = decodeBools(r, rows)
+		c.Bools = readBoolPayload(r, rows, true)
 	default:
 		r.Fail("unknown dtype %d", c.Type)
 	}
 }
 
-// decodeFloats reads a Float64 payload and checks that its mode is the one
-// its values select.
-func decodeFloats(r *rec.Reader, rows int) []float64 {
+// readCodes reads the codes of a k-entry string dictionary, one per row,
+// checks that each indexes the dictionary, and returns them when keep is
+// set.
+func readCodes(r *rec.Reader, rows, k int, keep bool) ([]uint32, bool) {
+	width := codeWidth(k)
+	payload := r.Bytes(rows * width)
+	if r.Err() != nil {
+		return nil, false
+	}
+	var codes []uint32
+	if keep {
+		codes = make([]uint32, rows)
+	}
+	for i := 0; i < rows; i++ {
+		var code uint32
+		switch width {
+		case 1:
+			code = uint32(payload[i])
+		case 2:
+			code = uint32(binary.LittleEndian.Uint16(payload[2*i:]))
+		default:
+			code = binary.LittleEndian.Uint32(payload[4*i:])
+		}
+		if int(code) >= k {
+			r.Fail("code %d out of bounds for %d-entry dictionary", code, k)
+			return nil, false
+		}
+		if keep {
+			codes[i] = code
+		}
+	}
+	return codes, true
+}
+
+// readFloatPayload reads a Float64 payload of len(vals) rows into vals and checks
+// that its mode is the one its values select.
+func readFloatPayload(r *rec.Reader, vals []float64) {
 	mode := r.U8()
-	vals := make([]float64, rows)
 	var plan numPlan
 	switch mode {
 	case modeRaw:
-		payload := r.Bytes(rows * 8)
+		payload := r.Bytes(len(vals) * 8)
 		if payload == nil {
-			return nil
+			return
 		}
 		for i := range vals {
 			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
@@ -542,33 +582,32 @@ func decodeFloats(r *rec.Reader, rows int) []float64 {
 			f := float64(v)
 			if f >= 0x1p63 || int64(f) != v {
 				r.Fail("row %d: %d is not a float", i, v)
-				return nil
+				return
 			}
 			vals[i] = f
 		}
 		if r.Err() != nil {
-			return nil
+			return
 		}
 		plan = planDict(vals, true, left-r.Left())
 	case modeDict8, modeDict16:
-		decodeFloatDict(r, mode, vals)
-		return vals
+		readFloatDict(r, mode, vals)
+		return
 	default:
 		r.Fail("unknown float mode %d", mode)
-		return nil
+		return
 	}
 	plan.release()
 	if plan.mode != mode {
 		r.Fail("float mode %d is not the one its values select", mode)
 	}
-	return vals
 }
 
-// decodeFloatDict reads a dictionary payload into vals. The mode rule is
+// readFloatDict reads a dictionary payload into vals. The mode rule is
 // checked on the dictionary rather than by planning the values again: its
 // entries must be distinct and each one used, first in order of entry, and
 // choose must select this mode for that many patterns.
-func decodeFloatDict(r *rec.Reader, mode byte, vals []float64) {
+func readFloatDict(r *rec.Reader, mode byte, vals []float64) {
 	k, width := 0, 1
 	if mode == modeDict8 {
 		k = int(r.U8()) + 1
@@ -580,11 +619,13 @@ func decodeFloatDict(r *rec.Reader, mode byte, vals []float64) {
 	if r.Err() != nil {
 		return
 	}
-	dict := make([]float64, k)
-	lens := make([]int, k) // each entry's varint length
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	dict, lens := s.entries(k) // lens: each entry's varint length
 	integral := true
 	for e := range dict {
 		dict[e] = math.Float64frombits(binary.LittleEndian.Uint64(entries[8*e:]))
+		lens[e] = 0
 		if i, ok := floatInt(dict[e]); ok {
 			lens[e] = rec.UvarintLen(rec.Zigzag(i))
 		} else {
@@ -624,12 +665,13 @@ func decodeFloatDict(r *rec.Reader, mode byte, vals []float64) {
 	}
 }
 
-func decodeInts(r *rec.Reader, rows int) []int64 {
+// readIntPayload reads an Int64 payload of len(ints) rows into ints and checks
+// that its mode is the one its values select.
+func readIntPayload(r *rec.Reader, ints []int64) {
 	mode := r.U8()
-	ints := make([]int64, rows)
 	switch mode {
 	case modeRaw:
-		if payload := r.Bytes(rows * 8); payload != nil {
+		if payload := r.Bytes(len(ints) * 8); payload != nil {
 			for i := range ints {
 				ints[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
 			}
@@ -644,7 +686,6 @@ func decodeInts(r *rec.Reader, rows int) []int64 {
 	if r.Err() == nil && planInts(ints).mode != mode {
 		r.Fail("int mode %d is not the one its values select", mode)
 	}
-	return ints
 }
 
 // readStrings reads n strs.
@@ -656,15 +697,22 @@ func readStrings(r *rec.Reader, n int) []string {
 	return out
 }
 
-func decodeBools(r *rec.Reader, rows int) []bool {
+// readBoolPayload reads a Bool payload of rows bytes, each 0 or 1, and returns
+// the values when keep is set.
+func readBoolPayload(r *rec.Reader, rows int, keep bool) []bool {
 	payload := r.Bytes(rows)
-	bools := make([]bool, len(payload))
+	var bools []bool
+	if keep {
+		bools = make([]bool, len(payload))
+	}
 	for i, v := range payload {
 		if v > 1 {
 			r.Fail("non-canonical bool byte %d", v)
 			return nil
 		}
-		bools[i] = v == 1
+		if keep {
+			bools[i] = v == 1
+		}
 	}
 	return bools
 }
@@ -722,7 +770,7 @@ func decodePayloadV1(r *rec.Reader, c *data.Column, rows int, isDict bool) {
 		}
 		c.Strings = readStringsV1(r, rows)
 	case data.Bool:
-		c.Bools = decodeBools(r, rows)
+		c.Bools = readBoolPayload(r, rows, true)
 	default:
 		r.Fail("unknown dtype %d", c.Type)
 	}

@@ -83,11 +83,11 @@ func Open(dir string) (*Disk, *Report, error) {
 	rep := &Report{}
 	sizes := make(map[string]int64) // every verified column file
 	err := d.scan(colsDir, colExt, rep, func(name string, b []byte) bool {
-		c, err := DecodeColumn(b)
-		if err != nil || fname(c.ID)+colExt != name {
+		r, err := ValidateColumn(b)
+		if err != nil || fname(r.ID)+colExt != name {
 			return false
 		}
-		sizes[c.ID] = c.SizeBytes()
+		sizes[r.ID] = r.Size
 		rep.Columns++
 		return true
 	})
@@ -287,22 +287,26 @@ func decodeBlob(b []byte) (vid string, content graph.Artifact, err error) {
 	return vid, content, nil
 }
 
-// PutFrame spills a dataset artifact: it writes column files that are not
-// already present (content-addressed dedup) and then the manifest. The
-// manifest is written last, so a crash mid-spill leaves only orphan columns
-// that the next Open garbage-collects. Re-putting an existing vertex is a
-// no-op.
-func (d *Disk) PutFrame(vid string, cols []*data.Column) error {
+// PutFrame spills a dataset artifact given by its manifest: size(i) is the
+// size of column man.ColIDs[i], and record(i) its record, asked for only
+// when the column file is not already present (content-addressed dedup). A
+// column file carries the name the manifest gives the column where it first
+// names it. The manifest is written last, so a crash mid-spill leaves only
+// orphan columns that the next Open garbage-collects. Re-putting an existing
+// vertex is a no-op.
+func (d *Disk) PutFrame(vid string, man Manifest, size func(i int) int64, record func(i int) (Record, error)) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.idx.Has(vid) {
 		return nil
 	}
-	man := ManifestOf(cols)
-	for _, i := range d.idx.AddFrame(vid, man, func(i int) int64 { return cols[i].SizeBytes() }) {
-		b, err := EncodeColumn(cols[i])
+	for _, i := range d.idx.AddFrame(vid, man, size) {
+		r, err := record(i)
 		if err == nil {
-			err = rec.WriteFile(d.colPath(cols[i].ID), b)
+			r, err = r.Named(man.Names[i])
+		}
+		if err == nil {
+			err = rec.WriteFile(d.colPath(man.ColIDs[i]), r.Bytes())
 		}
 		if err != nil {
 			d.evictLocked(vid)
@@ -390,22 +394,47 @@ func (d *Disk) HasColumn(colID string) bool {
 	return d.idx.HasColumn(colID)
 }
 
-// Column reads and verifies one column file by lineage ID, so a frame can be
-// assembled from columns that earlier frames spilled. It returns (nil, nil)
-// when the tier holds no such column, and an error wrapping ErrCorrupt when
-// the file fails verification; the file is left for Get, which quarantines it
-// together with the frame it tears.
-func (d *Disk) Column(colID string) (*data.Column, error) {
+// ColumnRecord reads one column file by lineage ID, so a frame can be
+// assembled from columns that earlier frames spilled; ok is false when the
+// tier holds no such column. The file is checked as FrameRecords checks it,
+// and one that fails is left for Get, which quarantines it together with
+// the frame it tears.
+func (d *Disk) ColumnRecord(colID string) (r Record, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.idx.HasColumn(colID) {
-		return nil, nil
+		return Record{}, false, nil
 	}
-	c, err := d.readColumnLocked(colID)
+	if r, err = d.readRecordLocked(colID); err != nil {
+		return Record{}, false, fmt.Errorf("tier: %w", err)
+	}
+	return r, true, nil
+}
+
+// FrameRecords returns the manifest of a dataset on disk and the records of
+// its distinct columns (Distinct): what a download of it writes, the bytes
+// the files hold. Each file is checked against its checksum and the ID it is
+// filed under; its content was checked whole when it was written or when
+// Open found it. ok is false when vid is no dataset on disk. A failed read
+// drops the vertex and quarantines a file that fails the check, as Get does.
+func (d *Disk) FrameRecords(vid string) (man Manifest, recs []Record, ok bool, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if man, ok = d.idx.Frame(vid); !ok {
+		return Manifest{}, nil, false, nil
+	}
+	recs, err = Distinct(man, func(colID string) (Record, error) {
+		r, err := d.readRecordLocked(colID)
+		if errors.Is(err, ErrCorrupt) {
+			d.quarantine(d.colPath(colID))
+		}
+		return r, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("tier: %w", err)
+		d.dropLocked(vid)
+		return man, nil, true, fmt.Errorf("tier: %s: %w", vid, err)
 	}
-	return c, nil
+	return man, recs, true, nil
 }
 
 // readColumnLocked reads one column file and checks that it decodes to the
@@ -423,6 +452,35 @@ func (d *Disk) readColumnLocked(colID string) (*data.Column, error) {
 		return nil, fmt.Errorf("column %s: %w", colID, err)
 	}
 	return c, nil
+}
+
+// readRecordLocked reads one column file as a Record, checking its checksum
+// and that it is the record of the column it is filed under. A version-1
+// file is converted.
+func (d *Disk) readRecordLocked(colID string) (Record, error) {
+	b, err := os.ReadFile(d.colPath(colID))
+	if err != nil {
+		return Record{}, fmt.Errorf("reading column %s: %w", colID, err)
+	}
+	var r Record
+	magic, body, err := rec.Open(b, colMagic, colMagicV1)
+	switch {
+	case err != nil:
+	case magic == colMagicV1:
+		r, err = ValidateColumn(b)
+	default:
+		rd := rec.NewReader(body)
+		info, _ := readHeader(&rd)
+		info.Size = d.idx.ColumnSize(colID)
+		r, err = Record{info, b}, rd.Err()
+	}
+	if err == nil && r.ID != colID {
+		err = fmt.Errorf("%w: column identity mismatch", ErrCorrupt)
+	}
+	if err != nil {
+		return Record{}, fmt.Errorf("column %s: %w", colID, err)
+	}
+	return r, nil
 }
 
 // dropLocked forgets a vertex and deletes its manifest or blob file. It

@@ -27,10 +27,10 @@ func TestDiskPutGetEvict(t *testing.T) {
 	shared := data.NewFloatColumn("shared", []float64{1, 2, 3})
 	only1 := data.NewIntColumn("a", []int64{4, 5, 6})
 	only2 := data.NewStringColumn("b", []string{"x", "y", "z"})
-	if err := d.PutFrame("v1", []*data.Column{shared, only1}); err != nil {
+	if err := putColumns(d, "v1", []*data.Column{shared, only1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.PutFrame("v2", []*data.Column{shared, only2}); err != nil {
+	if err := putColumns(d, "v2", []*data.Column{shared, only2}); err != nil {
 		t.Fatal(err)
 	}
 	wantPhys := shared.SizeBytes() + only1.SizeBytes() + only2.SizeBytes()
@@ -112,7 +112,7 @@ func TestDiskRecovery(t *testing.T) {
 	}
 	c1 := data.NewFloatColumn("c1", []float64{1, 2})
 	c2 := data.NewBoolColumn("c2", []bool{true, false})
-	if err := d.PutFrame("v1", []*data.Column{c1, c2}); err != nil {
+	if err := putColumns(d, "v1", []*data.Column{c1, c2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.PutBlob("m1", &graph.AggregateArtifact{Value: 7}); err != nil {
@@ -154,7 +154,7 @@ func TestDiskRecoveryQuarantinesCorruptFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1 := data.NewFloatColumn("c1", []float64{1, 2, 3})
-	if err := d.PutFrame("v1", []*data.Column{c1}); err != nil {
+	if err := putColumns(d, "v1", []*data.Column{c1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.PutBlob("m1", &graph.AggregateArtifact{Value: 7}); err != nil {
@@ -201,7 +201,7 @@ func TestDiskGetQuarantinesRuntimeCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1 := data.NewFloatColumn("c1", []float64{1, 2, 3})
-	if err := d.PutFrame("v1", []*data.Column{c1}); err != nil {
+	if err := putColumns(d, "v1", []*data.Column{c1}); err != nil {
 		t.Fatal(err)
 	}
 	path := d.colPath(c1.ID)
@@ -302,7 +302,7 @@ func TestDiskRecoversAVersion1Store(t *testing.T) {
 	// A second frame shares two version-1 columns and adds version-2 ones.
 	v2 := []*data.Column{v1[0], data.NewFloatColumn("g", []float64{0, 1, 1, 0, 1, 0}), v1[3],
 		data.NewIntColumn("j", []int64{1, 2, 3, 4, 5, 6})}
-	if err := d.PutFrame("v2", v2); err != nil {
+	if err := putColumns(d, "v2", v2); err != nil {
 		t.Fatal(err)
 	}
 	d, rep, err = Open(dir)
@@ -329,7 +329,7 @@ func TestDiskRecoveryCollectsOrphanColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1 := data.NewFloatColumn("c1", []float64{1, 2, 3})
-	if err := d.PutFrame("v1", []*data.Column{c1}); err != nil {
+	if err := putColumns(d, "v1", []*data.Column{c1}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-spill: a valid column file with no manifest.
@@ -352,4 +352,10 @@ func TestDiskRecoveryCollectsOrphanColumns(t *testing.T) {
 	if _, err := os.Stat(orphanPath); !os.IsNotExist(err) {
 		t.Fatal("orphan column file not garbage-collected")
 	}
+}
+
+// putColumns spills a frame of cols to d.
+func putColumns(d *Disk, vid string, cols []*data.Column) error {
+	return d.PutFrame(vid, ManifestOf(cols), func(i int) int64 { return cols[i].SizeBytes() },
+		func(i int) (Record, error) { return RecordOf(cols[i]) })
 }

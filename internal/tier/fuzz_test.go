@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -147,4 +151,89 @@ func FuzzColumnCodec(f *testing.F) {
 			t.Fatalf("single-byte corruption at %d undetected", int(flip)%len(bad))
 		}
 	})
+}
+
+// FuzzValidateColumn: ValidateColumn accepts exactly what DecodeColumn
+// accepts. When both accept, the record reports the decoded column's lineage
+// ID, name, dtype, rows and SizeBytes, the column passes Column.Validate, and
+// the record is the version-2 record of that column — the input itself when
+// the input is version 2. Seeded with every golden column record and
+// FuzzColumnCodec's corpus, its committed files included.
+func FuzzValidateColumn(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "golden", "ctc2-*.bin"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden column records (%v)", err)
+	}
+	for _, path := range goldens {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, c := range modeColumns() {
+		enc, err := EncodeColumn(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte(colMagic))
+	f.Add([]byte("CTC1\x02\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte{})
+	corpus, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzColumnCodec", "*"))
+	if err != nil || len(corpus) == 0 {
+		f.Fatalf("no FuzzColumnCodec corpus (%v)", err)
+	}
+	for _, path := range corpus {
+		f.Add(corpusBytes(f, path))
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, verr := ValidateColumn(b)
+		c, derr := DecodeColumn(b)
+		if (verr == nil) != (derr == nil) {
+			t.Fatalf("ValidateColumn: %v; DecodeColumn: %v", verr, derr)
+		}
+		if derr != nil {
+			if !errors.Is(verr, ErrCorrupt) {
+				t.Fatalf("refused without ErrCorrupt: %v", verr)
+			}
+			return
+		}
+		if r.ID != c.ID || r.Name != c.Name || r.Type != c.Type || r.Rows != c.Len() || r.Size != c.SizeBytes() {
+			t.Fatalf("reported %+v, decoded %q %q %s×%d of %d bytes", r.ColumnInfo, c.ID, c.Name, c.Type, c.Len(), c.SizeBytes())
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("a decoded column fails Validate: %v", err)
+		}
+		want, err := EncodeColumn(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.Bytes(), want) || string(b[:len(colMagic)]) == colMagic && &r.Bytes()[0] != &b[0] {
+			t.Fatal("the record is not the input's version-2 record, or a version-2 input was copied")
+		}
+	})
+}
+
+// corpusBytes reads the []byte argument of a committed corpus file of
+// FuzzColumnCodec ("go test fuzz v1", a []byte line, a uint16 line).
+func corpusBytes(t testing.TB, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if lit, ok := strings.CutPrefix(line, "[]byte("); ok {
+			s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			return []byte(s)
+		}
+	}
+	t.Fatalf("%s holds no []byte argument", path)
+	return nil
 }

@@ -168,6 +168,9 @@ func (x *Index) HasColumn(colID string) bool {
 	return ok
 }
 
+// ColumnSize returns the size of a column some manifest names, or 0.
+func (x *Index) ColumnSize(colID string) int64 { return x.cols[colID].size }
+
 // Logical returns the size of vid's artifact as if stored without
 // deduplication, or 0 when it is not held.
 func (x *Index) Logical(vid string) int64 { return x.logical[vid] }

@@ -61,7 +61,7 @@ func TestQuickReopenedTierHasTheRunningIndex(t *testing.T) {
 				err = d.PutBlob(vid, &graph.AggregateArtifact{Value: float64(step), Text: vid})
 			default:
 				if cols := frame(); len(cols) > 0 {
-					err = d.PutFrame(vid, cols)
+					err = putColumns(d, vid, cols)
 				}
 			}
 			if err != nil {
@@ -71,7 +71,7 @@ func TestQuickReopenedTierHasTheRunningIndex(t *testing.T) {
 
 		only := data.NewFloatColumn("only", make([]float64, rows))
 		cols := append(frame(), only)
-		if err := d.PutFrame("torn", cols); err != nil {
+		if err := putColumns(d, "torn", cols); err != nil {
 			t.Fatal(err)
 		}
 		path := d.colPath(only.ID)

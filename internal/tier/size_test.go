@@ -152,7 +152,8 @@ func gobBytes(t *testing.T, cols []*data.Column) int64 {
 
 // BenchmarkColumnRecords encodes and decodes every distinct column a cold
 // Table-1 W1–W8 pass (Kaggle scale 2, seed 42) produces, as version-2
-// records and as one gob stream, the format they replaced on the wire.
+// records and as one gob stream, the format they replaced on the wire; and
+// validates the records, which is what the server does with an upload.
 func BenchmarkColumnRecords(b *testing.B) {
 	src := kaggle.Generate(kaggle.Config{Scale: 2, Seed: 42})
 	seen := make(map[string]bool)
@@ -210,6 +211,15 @@ func BenchmarkColumnRecords(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range records {
 				if _, err := tier.DecodeColumn(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("validate/records", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, r := range records {
+				if _, err := tier.ValidateColumn(r); err != nil {
 					b.Fatal(err)
 				}
 			}
