@@ -197,7 +197,7 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # predicate, so neither imports the store or its disk tier. And it keeps gob
 # to what still reads or writes it: persist's Experiment Graph snapshot and
 # its read-once store.gob of older versions, the gob hooks of graph and data,
-# and the tier's read path of version-1 blob files. Nothing
+# and the tier's upgrade of version-1 files. Nothing
 # the wire or the disk tier writes is gob (bench/, the ruler, is not linted).
 # And it keeps one byte toolkit: internal/rec imports nothing of the
 # repository, and is the only program code that computes a checksum. And it
@@ -213,11 +213,14 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # (tier.DecodeColumn) except in the two functions of DECODERS (their
 # declarations with the blanks taken out) — the store's
 # lazily filled decoded view of a memory-tier column, which an in-process
-# Get reads, and the client's decoder of a download.
+# Get reads, and the client's decoder of a download. And version 1 of the
+# tier's files lives in one file: no program file but UPGRADE_FILE, which
+# Open runs once over a directory, names a version-1 magic.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
-GOB_FILES = internal/persist/persist.go internal/graph/gob.go internal/data/gob.go internal/tier/blobv1.go
+UPGRADE_FILE = internal/tier/upgrade.go
+GOB_FILES = internal/persist/persist.go internal/graph/gob.go internal/data/gob.go $(UPGRADE_FILE)
 DECODERS = 'internal/store/store.go:func(c*column)decoded()' 'internal/remote/codec.go:funcdecodeColumns('
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
@@ -260,6 +263,10 @@ lint-layers:
 		$$(ls internal/remote/*.go internal/store/*.go | grep -v '_test\.go$$') | grep -vF $(addprefix -e ,$(DECODERS)) || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "tier.DecodeColumn called in internal/remote or internal/store outside $(DECODERS):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'colMagicV1|frameMagicV1|blobMagicV1' . | sed 's|^\./||' | grep -v '^$(UPGRADE_FILE):' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "a version-1 magic named outside $(UPGRADE_FILE) (only Open's upgrade reads version 1):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

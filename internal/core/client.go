@@ -1,10 +1,12 @@
 package core
 
 import (
+	"maps"
 	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/reuse"
 )
 
 // ArtifactSource hands the executor artifact content by vertex ID.
@@ -124,8 +126,22 @@ func (c *Client) Run(w *graph.DAG) (*RunResult, error) {
 		}
 	}
 
-	// Step 4: execution, tagged with the run's request record.
-	res, err := execute(w, opt.Plan, c.srv, cfg)
+	// Step 4: execution, tagged with the run's request record. A planned
+	// load that misses — the store lost the artifact since the plan was
+	// made, or its transfer failed — is computed instead: the run executes
+	// again with it dropped from the plan, keeping what it has loaded and
+	// computed. Each attempt drops at least one load, so the run ends.
+	res := &ExecResult{}
+	plan := opt.Plan
+	missed, err := execute(w, plan, c.srv, cfg, res)
+	for err == nil && len(missed) > 0 {
+		plan = &reuse.Plan{Reuse: maps.Clone(plan.Reuse), PredictedLoad: plan.PredictedLoad}
+		for _, id := range missed {
+			delete(plan.Reuse, id)
+		}
+		cfg.resume = true
+		missed, err = execute(w, plan, c.srv, cfg, res)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -58,6 +58,9 @@ type execConfig struct {
 	// Client.Run: its ID tags the top-level trace span and travels with
 	// every fetch. nil for a bare Execute call.
 	req *obs.Request
+	// resume marks an attempt of Client.Run after one whose planned loads
+	// missed: what earlier attempts loaded or computed is held.
+	resume bool
 }
 
 // WithParallelism bounds the number of vertices executed concurrently.
@@ -90,8 +93,12 @@ type vexec struct {
 	pending int
 	// children are the active vertices waiting on this one.
 	children []*vexec
-	// stop marks plan-reuse or already-computed vertices, which act as
-	// schedule sources: they never wait on parents.
+	// held marks a vertex whose content is on the client before this
+	// execution: a source or a prior cell's vertex (Computed), or, when
+	// resuming, one an earlier attempt loaded or computed.
+	held bool
+	// stop marks plan-reuse or held vertices, which act as schedule
+	// sources: they never wait on parents.
 	stop bool
 
 	// predLoad is the planner's Cl prediction for plan-reuse vertices.
@@ -100,6 +107,7 @@ type vexec struct {
 	// Completion record, written by the owning worker, read after join.
 	reused    bool
 	executed  bool
+	missed    bool // a planned load the source had no content for
 	loadCost  time.Duration
 	fetchTime time.Duration
 	elapsed   time.Duration
@@ -128,7 +136,8 @@ func (h *vexecHeap) Pop() any {
 // Execute runs the optimized DAG (Figure 2, step 4): it loads the plan's
 // reuse vertices from the store and computes everything else needed to
 // produce every terminal vertex, annotating each vertex with measured
-// compute time and size for the updater.
+// compute time and size for the updater. A planned load the store has no
+// content for is an error; Client.Run computes it instead.
 //
 // Scheduling is a dependency-counting parallel scheduler: every active
 // vertex whose active parents have all completed is dispatched to a
@@ -143,12 +152,24 @@ func Execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, opts ...ExecOpt
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return execute(w, plan, src, cfg)
+	res := &ExecResult{}
+	missed, err := execute(w, plan, src, cfg, res)
+	if err == nil && len(missed) > 0 {
+		n := w.Node(missed[0])
+		err = fmt.Errorf("core: plan reuses %s (%s) but store has no content", n.ID, n.Name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// execute is Execute with its options resolved; Client.Run enters here
-// with the run's request record attached.
-func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig) (*ExecResult, error) {
+// execute is Execute with its options resolved, adding what it does to res;
+// Client.Run enters here with the run's request record attached. A planned
+// load that finds no content is not an error: it is returned in missed, in
+// topological order, and nothing that needs it runs. Everything else is
+// executed.
+func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig, res *ExecResult) (missed []string, err error) {
 	workers := cfg.workers
 	if workers < 1 {
 		workers = parallel.Workers()
@@ -158,8 +179,9 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 	if plan == nil {
 		plan = &reuse.Plan{Reuse: map[string]bool{}}
 	}
+	held := func(n *graph.Node) bool { return n.Content != nil && (n.Computed || cfg.resume) }
 	// Active set: vertices needed to produce the terminals, stopping the
-	// upward traversal at loaded or already-computed vertices.
+	// upward traversal at loaded or held vertices.
 	active := make(map[string]bool)
 	stack := w.Terminals()
 	for len(stack) > 0 {
@@ -169,7 +191,7 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 			continue
 		}
 		active[n.ID] = true
-		if plan.Reuse[n.ID] || (n.Computed && n.Content != nil) {
+		if plan.Reuse[n.ID] || held(n) {
 			continue
 		}
 		stack = append(stack, n.Parents...)
@@ -182,8 +204,8 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 		if !active[n.ID] {
 			continue
 		}
-		s := &vexec{node: n, topo: i}
-		s.stop = plan.Reuse[n.ID] || (n.Computed && n.Content != nil)
+		s := &vexec{node: n, topo: i, held: held(n)}
+		s.stop = plan.Reuse[n.ID] || s.held
 		if plan.Reuse[n.ID] {
 			if sec, ok := plan.PredictedLoad[n.ID]; ok {
 				s.predLoad = time.Duration(sec * float64(time.Second))
@@ -261,7 +283,7 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 				if errTopo < 0 || s.topo < errTopo {
 					errTopo = s.topo
 				}
-			} else {
+			} else if !s.missed {
 				for _, c := range s.children {
 					c.pending--
 					if c.pending == 0 {
@@ -294,9 +316,11 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 
 	// Aggregate metrics in topological order so sums of durations are
 	// accumulated deterministically regardless of completion order.
-	res := &ExecResult{Skipped: len(order) - len(topoStates)}
+	res.Skipped = len(order) - len(topoStates)
 	for _, s := range topoStates {
 		switch {
+		case s.missed:
+			missed = append(missed, s.node.ID)
 		case s.reused:
 			res.Reused++
 			res.LoadTime += s.loadCost
@@ -310,7 +334,8 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 		}
 	}
 	res.RunTime = res.ComputeTime + res.LoadTime
-	res.WallTime = sw.Elapsed()
+	wall := sw.Elapsed()
+	res.WallTime += wall
 	if tr != nil {
 		args := map[string]any{
 			"executed": res.Executed, "reused": res.Reused,
@@ -320,9 +345,9 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 		if id := cfg.req.ID(); id != "" {
 			args[obs.RequestIDKey] = id
 		}
-		tr.Span("execute", "execute", 0, sw.StartedAt(), res.WallTime, args)
+		tr.Span("execute", "execute", 0, sw.StartedAt(), wall, args)
 	}
-	return res, nil
+	return missed, nil
 }
 
 // runVertex performs the work of one active vertex. It is called by
@@ -334,8 +359,8 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig)
 func runVertex(s *vexec, src ArtifactSource, cfg execConfig, wid int) error {
 	n, tr := s.node, cfg.trace
 	switch {
-	case n.Computed && n.Content != nil:
-		// already on the client (source or prior cell)
+	case s.held:
+		// already on the client (source, prior cell or earlier attempt)
 	case s.stop:
 		// plan-reuse vertex: fetch from the store
 		fetchSW := obs.StartTimer()
@@ -346,7 +371,8 @@ func runVertex(s *vexec, src ArtifactSource, cfg execConfig, wid int) error {
 			if tr != nil {
 				tr.Instant(n.Name, "error", wid, map[string]any{"vertex": n.ID, "missing": true})
 			}
-			return fmt.Errorf("core: plan reuses %s (%s) but store has no content", n.ID, n.Name)
+			s.missed = true
+			return nil
 		}
 		n.Content = content
 		n.SizeBytes = content.SizeBytes()

@@ -58,6 +58,50 @@ func sameColumns(t testing.TB, a, b []*data.Column) bool {
 	return true
 }
 
+// downloadOf writes content as the server writes a download of it
+// (storedDownload): a dataset with columns as its manifest and the record of
+// each distinct column, anything else as a blob.
+func downloadOf(t testing.TB, content graph.Artifact) []byte {
+	t.Helper()
+	recs := &store.Records{Content: content}
+	if ds, ok := content.(*graph.DatasetArtifact); ok && ds.Frame != nil && ds.Frame.NumCols() > 0 {
+		f := ds.Frame
+		recs = &store.Records{Manifest: tier.ManifestOf(f.Columns())}
+		for _, c := range distinctColumns(f.Columns(), nil) {
+			r, err := tier.RecordOf(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs.Columns = append(recs.Columns, r)
+		}
+	}
+	body, err := storedDownload{recs}.marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// peek returns what a collaborator downloading id from the store gets:
+// PeekRecords written as collabd writes a download and read back by the
+// client's decoder. It is nil when the store holds nothing under id.
+func peek(t testing.TB, m *store.Manager, id string) graph.Artifact {
+	t.Helper()
+	recs, _ := m.PeekRecords(id)
+	if recs == nil {
+		return nil
+	}
+	body, err := storedDownload{recs}.marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got downloadResponse
+	if err := got.unmarshal(body); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return got.Content
+}
+
 // trickyFrame holds what a column record must carry exactly: a NaN payload,
 // −0 and ±Inf, one-hot and count floats, ints, plain and dictionary strings,
 // bools, and one lineage ID under two names.
@@ -92,18 +136,15 @@ func trickyFrame() *data.Frame {
 
 // TestArtifactMessagesRoundTrip: a download decodes to the content that was
 // encoded — a frame column for column, with the column sent once under its
-// lineage ID and named as the manifest names it, a model as its value — and
-// so do an upload body and the answer listing what it refused.
+// lineage ID and named as the manifest names it, a model as its value — an
+// upload body is read as the records of the columns that were encoded, and
+// the answer listing what it refused decodes to itself.
 func TestArtifactMessagesRoundTrip(t *testing.T) {
 	frame := &graph.DatasetArtifact{Frame: trickyFrame()}
 	model := &graph.ModelArtifact{Model: &ml.LogisticRegression{Weights: []float64{1, -2}, Bias: 0.5}, Quality: 0.75, Features: []string{"a", "b"}}
 	for _, content := range []graph.Artifact{frame, model, &graph.AggregateArtifact{Value: math.NaN(), Text: "mean"}} {
-		body, err := (&downloadResponse{Content: content}).marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var got downloadResponse
-		if err := got.unmarshal(body); err != nil {
+		if err := got.unmarshal(downloadOf(t, content)); err != nil {
 			t.Fatalf("%T: %v", content, err)
 		}
 		if agg, ok := content.(*graph.AggregateArtifact); ok {
@@ -115,8 +156,7 @@ func TestArtifactMessagesRoundTrip(t *testing.T) {
 		}
 	}
 	var got downloadResponse
-	body, _ := (&downloadResponse{Content: frame}).marshal()
-	_ = got.unmarshal(body)
+	_ = got.unmarshal(downloadOf(t, frame))
 	if cols := got.Content.(*graph.DatasetArtifact).Frame.Columns(); &cols[2].Floats[0] != &cols[7].Floats[0] {
 		t.Error("one lineage ID under two names arrived as two columns")
 	}
@@ -126,14 +166,19 @@ func TestArtifactMessagesRoundTrip(t *testing.T) {
 		{ID: "m", Blob: model},
 		{ID: "v", ColIDs: f.ColumnIDs(), Names: f.ColumnNames(), Columns: distinctColumns(f.Columns(), nil)},
 	}
-	var up uploadRequest
+	var up uploadRecords
 	if err := up.unmarshal(uploadBody(t, items...)); err != nil {
 		t.Fatal(err)
 	}
 	if len(up.Items) != 2 || up.Items[0].ID != "m" || !reflect.DeepEqual(up.Items[0].Blob, model) ||
 		up.Items[1].ID != "v" || !slices.Equal(up.Items[1].ColIDs, f.ColumnIDs()) || !slices.Equal(up.Items[1].Names, f.ColumnNames()) ||
-		!sameColumns(t, up.Items[1].Columns, items[1].Columns) {
+		len(up.Items[1].Records) != len(items[1].Columns) {
 		t.Fatalf("upload decoded as %+v", up.Items)
+	}
+	for i, c := range items[1].Columns {
+		if want, err := tier.RecordOf(c); err != nil || !reflect.DeepEqual(up.Items[1].Records[i], want) {
+			t.Errorf("upload record %d is not the record of %s (%v)", i, c.Name, err)
+		}
 	}
 	absent := uploadResponse{Absent: []string{"v", "not-a-hex-id"}}
 	b, err := absent.marshal()
@@ -189,7 +234,7 @@ func TestColdPassStoresWhatTheClientHolds(t *testing.T) {
 	other := anotherClient(rc)
 	frames := 0
 	for _, id := range srv.Store.StoredIDs() {
-		stored, _ := srv.Store.Peek(id)
+		stored := peek(t, srv.Store, id)
 		if mine := held[id]; mine == nil || !sameContent(t, stored, mine) {
 			t.Errorf("stored %s is not the client's content", id)
 		}
@@ -251,10 +296,7 @@ func FuzzArtifactDecode(f *testing.F) {
 		model,
 		&graph.AggregateArtifact{Value: 1, Text: "count"},
 	} {
-		body, err := (&downloadResponse{Content: content}).marshal()
-		if err != nil {
-			f.Fatal(err)
-		}
+		body := downloadOf(f, content)
 		f.Add(body)
 		f.Add(body[:len(body)/2]) // truncated
 		f.Add(append(slices.Clone(body), 0))
@@ -262,10 +304,7 @@ func FuzzArtifactDecode(f *testing.F) {
 	f.Add([]byte(downloadResponseMagic))
 	f.Add([]byte{})
 	for _, model := range learnerModels(f) {
-		body, err := (&downloadResponse{Content: model}).marshal()
-		if err != nil {
-			f.Fatal(err)
-		}
+		body := downloadOf(f, model)
 		f.Add(body)
 		f.Add(body[:len(body)/2])
 	}

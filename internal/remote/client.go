@@ -404,7 +404,7 @@ func (c *Client) upload(items []artifactUpload, req *obs.Request) ([]string, err
 // decodes a 200 answer into resp. A 204 answer has no body and leaves resp
 // as it was; a 409 answer is returned as the *frontierConflict it carries;
 // any other status is an error.
-func (c *Client) exchange(path string, req *obs.Request, body, resp message) error {
+func (c *Client) exchange(path string, req *obs.Request, body marshaler, resp unmarshaler) error {
 	b, err := body.marshal()
 	if err != nil {
 		return fmt.Errorf("remote: encode %s body: %w", path, err)

@@ -121,12 +121,9 @@ const (
 	structureFields = hasName | hasOpHash | isExternal | hasWarmstartKind | hasParents
 )
 
-// message is a body the protocol moves.
-type message interface {
-	marshaler
-	unmarshaler
-}
-
+// marshaler and unmarshaler are the two directions of a body the protocol
+// moves. A message has the directions its two ends use: an upload is only
+// written by the client, a download only by the server.
 type (
 	marshaler   interface{ marshal() ([]byte, error) }
 	unmarshaler interface{ unmarshal(body []byte) error }
@@ -333,31 +330,6 @@ func (m *uploadRequest) marshal() ([]byte, error) {
 	return body, err
 }
 
-// unmarshal reads an upload body as the server does (readUpload) and
-// decodes each dataset item's records into its Columns.
-func (m *uploadRequest) unmarshal(body []byte) error {
-	items, err := readUpload(body)
-	if err != nil {
-		return err
-	}
-	for i := range items {
-		up := &items[i]
-		if up.Records == nil {
-			continue
-		}
-		records := make([][]byte, len(up.Records))
-		for j, r := range up.Records {
-			records[j] = r.Bytes()
-		}
-		if up.Columns, _, err = decodeColumns(records); err != nil {
-			return fmt.Errorf("artifact %q: %w", up.ID, err)
-		}
-		up.Records = nil
-	}
-	m.Items = items
-	return nil
-}
-
 // uploadRecords is an upload body as the handler admits it: read by
 // readUpload, its column records validated and kept, none decoded.
 type uploadRecords struct {
@@ -425,40 +397,20 @@ func (m *uploadResponse) unmarshal(body []byte) error {
 	return r.Done()
 }
 
-// marshal writes a dataset with columns as its manifest and each distinct
-// column once, anything else as a blob.
-func (m *downloadResponse) marshal() ([]byte, error) {
-	var content encodedArtifact
-	var err error
-	if ds, ok := m.Content.(*graph.DatasetArtifact); ok && ds.Frame != nil && ds.Frame.NumCols() > 0 {
-		f := ds.Frame
-		var records [][]byte
-		if records, _, err = encodeColumns(distinctColumns(f.Columns(), nil)); err == nil {
-			content, err = encodeArtifact(nil, f.ColumnIDs(), f.ColumnNames(), true, records)
-		}
-	} else {
-		content, err = encodeArtifact(m.Content, nil, nil, false, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return marshal(downloadResponseMagic, func(w *rec.Writer) { writeArtifact(w, &content) })
-}
-
 // storedDownload is the server's answer to GET /v1/artifact: an artifact
-// as the store keeps it. A dataset's records are written as they are, which
-// are the bytes downloadResponse.marshal writes for the same frame: each
-// distinct column once, named as the manifest first names it.
+// as the store keeps it. A dataset is its manifest and the record of each
+// distinct column, named as the manifest first names it, written as they
+// are; anything else is a blob.
 type storedDownload struct{ *store.Records }
 
 func (m storedDownload) marshal() ([]byte, error) {
-	if m.Content != nil {
-		return (&downloadResponse{Content: m.Content}).marshal()
-	}
-	content := encodedArtifact{form: datasetForm, colIDs: m.Manifest.ColIDs, names: m.Manifest.Names,
-		records: make([][]byte, len(m.Columns))}
+	records := make([][]byte, len(m.Columns))
 	for i, r := range m.Columns {
-		content.records[i] = r.Bytes()
+		records[i] = r.Bytes()
+	}
+	content, err := encodeArtifact(m.Content, m.Manifest.ColIDs, m.Manifest.Names, m.Columns != nil, records)
+	if err != nil {
+		return nil, err
 	}
 	return marshal(downloadResponseMagic, func(w *rec.Writer) { writeArtifact(w, &content) })
 }
@@ -487,28 +439,21 @@ func (m *downloadResponse) unmarshal(body []byte) error {
 		}
 		byID[c.ID] = c
 	}
-	frameCols := make([]*data.Column, len(colIDs))
-	named := make(map[string]bool, len(colIDs))
-	for i, id := range colIDs {
-		c := byID[id]
-		if c == nil {
-			return fmt.Errorf("column %s of the manifest not sent", id)
+	named := make(map[string]bool, len(cols))
+	a, err := tier.Assemble(tier.Manifest{ColIDs: colIDs, Names: names}, func(id string) (*data.Column, error) {
+		if byID[id] == nil {
+			return nil, fmt.Errorf("column %s of the manifest not sent", id)
 		}
 		named[id] = true
-		if c.Name != names[i] {
-			c = c.WithID(id)
-			c.Name = names[i]
-		}
-		frameCols[i] = c
+		return byID[id], nil
+	})
+	if err == nil && len(named) != len(cols) {
+		err = fmt.Errorf("%d columns sent that the manifest does not name", len(cols)-len(named))
 	}
-	if len(named) != len(cols) {
-		return fmt.Errorf("%d columns sent that the manifest does not name", len(cols)-len(named))
-	}
-	f, err := data.NewFrame(frameCols...)
 	if err != nil {
 		return err
 	}
-	m.Content = &graph.DatasetArtifact{Frame: f}
+	m.Content = a
 	return nil
 }
 

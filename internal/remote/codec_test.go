@@ -270,7 +270,9 @@ func TestMetaMessagesRoundTrip(t *testing.T) {
 			}
 		}
 		for _, tc := range []struct {
-			in, want, out message
+			in   marshaler
+			want any
+			out  unmarshaler
 		}{
 			{&OptimizeRequest{DAG: draw(true)}, &OptimizeRequest{DAG: frontierForm(draw(true), false)}, &OptimizeRequest{}},
 			{&UpdateRequest{DAG: draw(true), Unknown: unknown, WallTime: wall, Inline: inline},
@@ -304,7 +306,7 @@ func TestMetaMessagesRoundTrip(t *testing.T) {
 // body that announces more than it holds fails before anything is made for
 // it.
 func TestCodecRefusesWhatItCannotCarry(t *testing.T) {
-	for name, m := range map[string]message{
+	for name, m := range map[string]marshaler{
 		"compute time":   &OptimizeRequest{DAG: dagOf(&graph.Node{ID: "a", ComputeTime: -1})},
 		"size":           &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", SizeBytes: -1})},
 		"column size":    &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", Columns: []string{"c"}, ColSizes: []int64{-1}})},

@@ -348,8 +348,8 @@ func runOverTheWireAndInProcess(t *testing.T) {
 		}
 	}
 	for _, id := range srv.Store.StoredIDs() {
-		a, _ := srv.Store.Peek(id)
-		b, _ := ref.Store.Peek(id)
+		a := peek(t, srv.Store, id)
+		b := peek(t, ref.Store, id)
 		if !sameBits(a, b) {
 			t.Errorf("stored content of %s differs from the in-process server's", id)
 		}

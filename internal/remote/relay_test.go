@@ -115,7 +115,7 @@ func TestDownloadsAreTheParentsBytes(t *testing.T) {
 		mustRun(t, rc, both)
 
 		concat := both.Terminals()[0]
-		if got, _ := srv.Store.Peek(concat.ID); got == nil || got.(*graph.DatasetArtifact).Frame.Column("a_1") == nil {
+		if got := peek(t, srv.Store, concat.ID); got == nil || got.(*graph.DatasetArtifact).Frame.Column("a_1") == nil {
 			t.Fatalf("tiered %v: the Concat frame is not stored with its renamed column", tiered)
 		}
 		want := "memory"
@@ -129,7 +129,7 @@ func TestDownloadsAreTheParentsBytes(t *testing.T) {
 		}
 		frames := 0
 		for _, id := range srv.Store.StoredIDs() {
-			a, _ := srv.Store.Peek(id)
+			a := peek(t, srv.Store, id)
 			resp, err := http.Get(ts.URL + "/v1/artifact?id=" + id)
 			if err != nil {
 				t.Fatal(err)

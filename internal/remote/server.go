@@ -191,7 +191,7 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) getArtifact(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
-	// Peek, don't Get: serving a collaborator must not promote the artifact
+	// PeekRecords, not Get: serving a collaborator must not promote the artifact
 	// into the memory tier or disturb the LRU order. A dataset is served as
 	// the records the store keeps — a cold artifact streams straight from
 	// the disk tier's files — and nothing is decoded.

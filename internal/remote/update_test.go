@@ -53,7 +53,7 @@ func TestUpdateStoresTheInlineContentItSelects(t *testing.T) {
 			t.Fatalf("%s: %d inline artifacts, want the model and the score", tc.name, len(sent))
 		}
 		for _, a := range sent {
-			got, _ := srv.Store.Peek(a.ID)
+			got := peek(t, srv.Store, a.ID)
 			if (got != nil) != tc.stored {
 				t.Errorf("%s: %s stored %v; want %v", tc.name, a.ID, got != nil, tc.stored)
 			}
@@ -374,8 +374,8 @@ func TestARunIsTwoRequestsPlusItsFetches(t *testing.T) {
 		t.Fatalf("%d uploads and %d fetches over %d runs: the sequence did not exercise the protocol", uploads, fetches, len(runs))
 	}
 	for _, id := range srv.Store.StoredIDs() {
-		a, _ := srv.Store.Peek(id)
-		b, _ := replay.Store.Peek(id)
+		a := peek(t, srv.Store, id)
+		b := peek(t, replay.Store, id)
 		if !sameBits(a, b) {
 			t.Errorf("stored content of %s differs from the per-vertex protocol's", id)
 		}

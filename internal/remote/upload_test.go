@@ -23,6 +23,7 @@ import (
 	"repro/internal/ops"
 	"repro/internal/rec"
 	"repro/internal/store"
+	"repro/internal/tier"
 	"repro/internal/workloads/kaggle"
 )
 
@@ -94,8 +95,8 @@ func (m *uploadMeter) RoundTrip(req *http.Request) (*http.Response, error) {
 	m.posts = append(m.posts, post)
 	m.bytes += req.ContentLength
 	for _, up := range items {
-		m.columns += len(up.Columns)
-		if len(up.Columns) < len(up.ColIDs) {
+		m.columns += len(up.Records)
+		if len(up.Records) < len(up.ColIDs) {
 			m.partial++
 		}
 	}
@@ -115,9 +116,10 @@ func (m *uploadMeter) ids() []string {
 	return out
 }
 
-// uploadItems decodes an upload body into its items.
+// uploadItems reads an upload body into its items as the server does, each
+// dataset item's columns as their validated records.
 func uploadItems(body []byte) ([]artifactUpload, error) {
-	var up uploadRequest
+	var up uploadRecords
 	err := up.unmarshal(body)
 	return up.Items, err
 }
@@ -222,7 +224,7 @@ func TestColumnLevelUploadEndToEnd(t *testing.T) {
 				t.Errorf("vertex %s uploaded twice", up.ID)
 			}
 			seen[up.ID] = true
-			a, _ := srv.Store.Peek(up.ID)
+			a := peek(t, srv.Store, up.ID)
 			if a == nil {
 				t.Fatalf("uploaded vertex %s is not stored", up.ID)
 			}
@@ -241,7 +243,7 @@ func TestColumnLevelUploadEndToEnd(t *testing.T) {
 	stored := 0
 	for _, dag := range dags {
 		for _, n := range dag.Nodes() {
-			got, _ := srv.Store.Peek(n.ID)
+			got := peek(t, srv.Store, n.ID)
 			if got == nil || n.Content == nil {
 				continue
 			}
@@ -312,8 +314,8 @@ func TestUploadRetriesOnceWhenServerLostAColumn(t *testing.T) {
 	var want []string
 	for _, up := range first.items {
 		own := make(map[string]bool)
-		for _, col := range up.Columns {
-			own[col.ID] = true
+		for _, r := range up.Records {
+			own[r.ID] = true
 		}
 		lost := false
 		for _, id := range up.ColIDs {
@@ -337,10 +339,10 @@ func TestUploadRetriesOnceWhenServerLostAColumn(t *testing.T) {
 	var resent []string
 	for _, up := range resend.items {
 		resent = append(resent, up.ID)
-		if len(up.Columns) != len(up.ColIDs) {
-			t.Errorf("resend of %s carries %d of its %d columns", up.ID, len(up.Columns), len(up.ColIDs))
+		if len(up.Records) != len(up.ColIDs) {
+			t.Errorf("resend of %s carries %d of its %d columns", up.ID, len(up.Records), len(up.ColIDs))
 		}
-		if got, _ := srv.Store.Peek(up.ID); got == nil || !sameBits(got, dag.Node(up.ID).Content) {
+		if got := peek(t, srv.Store, up.ID); got == nil || !sameBits(got, dag.Node(up.ID).Content) {
 			t.Errorf("resent vertex %s is not stored as the client holds it", up.ID)
 		}
 	}
@@ -416,7 +418,7 @@ func TestConcurrentCollaboratorsUploadAVertexOnce(t *testing.T) {
 		if _, ok := one.dag.Node(id).Content.(*graph.DatasetArtifact); !ok {
 			t.Errorf("vertex %s was uploaded, not sent with the update", id)
 		}
-		if got, _ := srv.Store.Peek(id); got == nil || !sameBits(got, one.dag.Node(id).Content) {
+		if got := peek(t, srv.Store, id); got == nil || !sameBits(got, one.dag.Node(id).Content) {
 			t.Errorf("uploaded vertex %s is not stored as the clients hold it", id)
 		}
 	}
@@ -424,7 +426,7 @@ func TestConcurrentCollaboratorsUploadAVertexOnce(t *testing.T) {
 		if n.Content == nil {
 			continue
 		}
-		if got, _ := srv.Store.Peek(n.ID); got == nil || !sameBits(got, n.Content) {
+		if got := peek(t, srv.Store, n.ID); got == nil || !sameBits(got, n.Content) {
 			t.Errorf("vertex %s (%s) is not stored as the clients hold it", n.ID, n.Name)
 		}
 	}
@@ -481,7 +483,7 @@ func TestHaveIndexOutOfRangeIsIgnored(t *testing.T) {
 	if absent, err := rc.upload(b.items, nil); err != nil || len(absent) > 0 {
 		t.Fatalf("upload: absent %v, %v", absent, err)
 	}
-	got, _ := srv.Store.Peek("v")
+	got := peek(t, srv.Store, "v")
 	if got == nil || !sameBits(got, &graph.DatasetArtifact{Frame: frame}) {
 		t.Fatal("frame not stored whole")
 	}
@@ -619,6 +621,47 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	}
 	if rec := postUploads(t, h, artifactUpload{ID: "m3", Blob: model}); rec.Code != http.StatusNoContent {
 		t.Errorf("blob upload answered %d", rec.Code)
+	}
+}
+
+// TestUploadRefusesAVersion1Record: a column record in the version-1 layout
+// (CTC1), which only the disk tier's upgrade reads, is answered 400 and
+// admits nothing; the same column as its version-2 record is admitted.
+func TestUploadRefusesAVersion1Record(t *testing.T) {
+	c := data.NewFloatColumn("x", []float64{1.5, -2, 0.25})
+	w := rec.Frame("CTC1", 1+2+len(c.ID)+2+len(c.Name)+4+8*c.Len())
+	w.U8(byte(data.Float64))
+	w.Str16(c.ID)
+	w.Str16(c.Name)
+	w.U32(uint32(c.Len()))
+	w.Floats(c.Floats)
+	v1, err := w.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := tier.EncodeColumn(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(record []byte) []byte {
+		b, err := marshal(uploadRequestMagic, func(e *rec.Writer) {
+			e.Uvarint(1)
+			e.ID("v")
+			writeArtifact(e, &encodedArtifact{form: datasetForm, colIDs: []string{c.ID}, names: []string{c.Name}, records: [][]byte{record}})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	knownTo(t, srv, "v")
+	h := NewHandler(srv)
+	if got := postBody(h, "/v1/artifact", body(v1)); got.Code != http.StatusBadRequest || srv.Store.Len() != 0 || srv.Store.HeldColumns([]string{c.ID}) != nil {
+		t.Fatalf("a CTC1 record: status %d, %d artifacts stored; want 400 and none", got.Code, srv.Store.Len())
+	}
+	if got := postBody(h, "/v1/artifact", body(v2)); got.Code != http.StatusNoContent || !sameBits(peek(t, srv.Store, "v"), &graph.DatasetArtifact{Frame: data.MustNewFrame(c)}) {
+		t.Fatalf("the CTC2 record of the same column: status %d", got.Code)
 	}
 }
 
@@ -775,13 +818,13 @@ func FuzzUploadDecode(f *testing.F) {
 		default:
 			t.Fatalf("status %d", rec.Code)
 		}
-		var up uploadRequest
+		var up uploadRecords
 		whole := up.unmarshal(body) == nil
 		if !whole && (srv.Store.Len() != 1 || srv.Store.PhysicalBytes() != cols[0].SizeBytes()) {
 			t.Fatal("a body refused before admission changed the store")
 		}
 		for _, id := range srv.Store.StoredIDs() {
-			if a, _ := srv.Store.Peek(id); a == nil {
+			if a := peek(t, srv.Store, id); a == nil {
 				t.Fatalf("stored %q cannot be read back", id)
 			}
 		}

@@ -50,10 +50,10 @@ func wholeUpload(t testing.TB, f *data.Frame) []byte {
 }
 
 // TestColumnCodecIsTheSameAtEveryWidth: an upload body and a download body
-// are the same bytes at pool widths 1, 2 and 8, and decode to the same items
-// and frames (floats compared by their bits: the Kaggle columns hold NaN) —
-// for a frame whose records go on the pool and one whose stay on
-// the caller.
+// are the same bytes at pool widths 1, 2 and 8, the upload reads to the same
+// items and the download decodes to the same frame (floats compared by their
+// bits: the Kaggle columns hold NaN) — for a frame whose records go on the
+// pool and one whose stay on the caller.
 func TestColumnCodecIsTheSameAtEveryWidth(t *testing.T) {
 	for name, f := range map[string]*data.Frame{"w1": w1Frame(), "openml": openmlFrame()} {
 		var up, down []byte
@@ -62,11 +62,8 @@ func TestColumnCodecIsTheSameAtEveryWidth(t *testing.T) {
 		for _, width := range []int{1, 2, 8} {
 			atPoolWidth(width, func() {
 				u := wholeUpload(t, f)
-				d, err := (&downloadResponse{Content: &graph.DatasetArtifact{Frame: f}}).marshal()
-				if err != nil {
-					t.Fatal(err)
-				}
-				var ur uploadRequest
+				d := downloadOf(t, &graph.DatasetArtifact{Frame: f})
+				var ur uploadRecords
 				var dr downloadResponse
 				if err := ur.unmarshal(u); err != nil {
 					t.Fatal(err)
@@ -81,7 +78,7 @@ func TestColumnCodecIsTheSameAtEveryWidth(t *testing.T) {
 				if !bytes.Equal(u, up) || !bytes.Equal(d, down) {
 					t.Errorf("%s at width %d: the upload body (%d bytes) or the download (%d) differs from width 1's", name, width, len(u), len(d))
 				}
-				if !deepEqualItems(ur.Items, items) || !deepEqualColumns(frameOf(dr.Content).Columns(), frameOf(frame).Columns()) {
+				if !reflect.DeepEqual(ur.Items, items) || !deepEqualColumns(frameOf(dr.Content).Columns(), frameOf(frame).Columns()) {
 					t.Errorf("%s at width %d: decoded to other items or another frame than at width 1", name, width)
 				}
 			})
@@ -109,25 +106,6 @@ func deepEqualColumns(a, b []*data.Column) bool {
 			}
 		}
 		x.Floats, y.Floats = nil, nil
-		if !reflect.DeepEqual(x, y) {
-			return false
-		}
-	}
-	return true
-}
-
-// deepEqualItems compares decoded upload items as deepEqualColumns compares
-// columns.
-func deepEqualItems(a, b []artifactUpload) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if !deepEqualColumns(x.Columns, y.Columns) {
-			return false
-		}
-		x.Columns, y.Columns = nil, nil
 		if !reflect.DeepEqual(x, y) {
 			return false
 		}
@@ -170,12 +148,12 @@ func truncateIn(t *testing.T, f *data.Frame, body []byte, col int) []byte {
 	return body[:at+len(record)/2]
 }
 
-// TestRefusedBodyNamesItsFirstBadColumn: records decoded on the pool are
+// TestRefusedBodyNamesItsFirstBadColumn: records validated on the pool are
 // refused with the failure a record-by-record read meets first. A body whose
 // columns 1 and 3 are corrupt names column 1, and so does one whose column 1
 // is corrupt and which ends inside a later record — at every width, whether
-// the records are decoded on the pool (W1's frame, cut in its last record) or
-// on the caller (cut in column 3).
+// the records are validated on the pool (W1's frame, cut in its last record)
+// or on the caller (cut in column 3).
 func TestRefusedBodyNamesItsFirstBadColumn(t *testing.T) {
 	f := w1Frame()
 	body := wholeUpload(t, f)
@@ -187,7 +165,7 @@ func TestRefusedBodyNamesItsFirstBadColumn(t *testing.T) {
 	} {
 		for _, width := range []int{1, 2, 8} {
 			atPoolWidth(width, func() {
-				var up uploadRequest
+				var up uploadRecords
 				err := up.unmarshal(bad)
 				if err == nil || !strings.Contains(err.Error(), ": column 1: ") {
 					t.Errorf("%s, width %d: refused with %v, want the failure of column 1", name, width, err)
@@ -198,7 +176,7 @@ func TestRefusedBodyNamesItsFirstBadColumn(t *testing.T) {
 	// A truncation alone is a framing failure, reported as the serial read
 	// reports it: without a column.
 	cut := truncateIn(t, f, body, last)
-	var up uploadRequest
+	var up uploadRecords
 	if err := up.unmarshal(cut); err == nil || strings.Contains(err.Error(), "column") {
 		t.Errorf("a body cut in its last record: refused with %v, want a framing failure", err)
 	}

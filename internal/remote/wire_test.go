@@ -25,7 +25,7 @@ import (
 )
 
 // postMeta encodes a meta-data message and POSTs it at the handler.
-func postMeta(t testing.TB, h http.Handler, path string, body message) int {
+func postMeta(t testing.TB, h http.Handler, path string, body marshaler) int {
 	t.Helper()
 	b, err := body.marshal()
 	if err != nil {

@@ -295,7 +295,7 @@ func TestPutFrameRefTakesDemotedColumnsFromDisk(t *testing.T) {
 	if err := m.PutFrameRef("new", ids, []string{"a", "b"}, recordsOf(t, []*data.Column{b})); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := m.Peek("new")
+	got, _ := peek(t, m, "new")
 	want := &graph.DatasetArtifact{Frame: data.MustNewFrame(a, b)}
 	if !sameArtifact(got, want) {
 		t.Fatal("frame assembled from disk differs from the original")

@@ -128,7 +128,8 @@ type Manager struct {
 	ledger atomic.Pointer[obs.ArtifactLedger]
 
 	// drops counts what the manager dropped from its last tier on its own
-	// (Drops). Atomic: Peek counts a failed disk read under the read lock.
+	// (Drops). Atomic: PeekRecords counts a failed disk read under the read
+	// lock.
 	drops atomic.Uint64
 }
 
@@ -576,21 +577,6 @@ func (m *Manager) Get(vertexID string) (graph.Artifact, Tier) {
 	return nil, TierNone
 }
 
-// Peek returns the artifact without promoting it or disturbing the LRU
-// order, for in-process readers that want content and must not displace the
-// hot set. A transfer reads PeekRecords instead, which decodes nothing.
-func (m *Manager) Peek(vertexID string) (graph.Artifact, Tier) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if a := m.getMemoryLocked(vertexID); a != nil {
-		return a, TierMemory
-	}
-	if a := m.getDiskLocked(vertexID); a != nil {
-		return a, TierDisk
-	}
-	return nil, TierNone
-}
-
 // Records is an artifact in the form a transfer writes it: a dataset with
 // columns as its manifest and the record of each distinct column
 // (tier.Distinct), anything else as Content.
@@ -600,11 +586,13 @@ type Records struct {
 	Columns  []tier.Record
 }
 
-// PeekRecords is Peek for a transfer: a dataset comes back as the records
-// the store keeps, from the memory tier or straight from the disk tier's
-// files, decoded nowhere. A column the memory tier holds only decoded (an
-// in-process Put) is encoded. A disk read that fails is counted and
-// quarantined as Peek's is.
+// PeekRecords returns the artifact in the form a transfer writes it,
+// without promoting it or disturbing the LRU order, so serving a
+// collaborator does not displace the hot set: a dataset comes back as the
+// records the store keeps, from the memory tier or straight from the disk
+// tier's files, decoded nowhere. A column the memory tier holds only decoded
+// (an in-process Put) is encoded. A disk read that fails is counted and
+// quarantined as Get's is.
 func (m *Manager) PeekRecords(vertexID string) (*Records, Tier) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -146,6 +146,31 @@ func TestLoadCostForPricesActualTier(t *testing.T) {
 	}
 }
 
+// peek returns what PeekRecords serves of a vertex as content: a dataset
+// assembled from its records (tier.Assemble over tier.DecodeColumn), anything
+// else as it is.
+func peek(t testing.TB, m *Manager, id string) (graph.Artifact, Tier) {
+	t.Helper()
+	recs, tr := m.PeekRecords(id)
+	if recs == nil {
+		return nil, tr
+	}
+	if recs.Content != nil {
+		return recs.Content, tr
+	}
+	byID := make(map[string][]byte, len(recs.Columns))
+	for _, r := range recs.Columns {
+		byID[r.ID] = r.Bytes()
+	}
+	a, err := tier.Assemble(recs.Manifest, func(colID string) (*data.Column, error) {
+		return tier.DecodeColumn(byID[colID])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, tr
+}
+
 // TestPeekDoesNotPromote: reads for snapshotting/transfer must not disturb
 // tier placement or LRU order.
 func TestPeekDoesNotPromote(t *testing.T) {
@@ -157,12 +182,12 @@ func TestPeekDoesNotPromote(t *testing.T) {
 	if err := m.Demote("v1"); err != nil {
 		t.Fatal(err)
 	}
-	a, tr := m.Peek("v1")
+	a, tr := peek(t, m, "v1")
 	if a == nil || tr != TierDisk {
-		t.Fatalf("Peek = %v, %v", a, tr)
+		t.Fatalf("PeekRecords = %v, %v", a, tr)
 	}
 	if m.TierOf("v1") != TierDisk {
-		t.Fatal("Peek promoted the artifact")
+		t.Fatal("PeekRecords promoted the artifact")
 	}
 }
 
@@ -337,7 +362,7 @@ func TestDictColumnSurvivesTiers(t *testing.T) {
 
 // TestDropCount: the manager counts each artifact it drops from its last tier
 // on its own — evicted by a memory budget with no disk tier, or quarantined by
-// a read (Peek's, under the read lock, too) — once, and nothing it still holds
+// a read (PeekRecords', under the read lock, too) — once, and nothing it still holds
 // somewhere, evicts on request or demotes.
 func TestDropCount(t *testing.T) {
 	put := func(m *Manager, ids ...string) {
@@ -382,7 +407,7 @@ func TestDropCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a, _ := tiered.Peek("v2"); a != nil {
+	if a, _ := peek(t, tiered, "v2"); a != nil {
 		t.Fatal("a corrupt frame was served")
 	}
 	if a, _ := tiered.Get("v3"); a != nil {

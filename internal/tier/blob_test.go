@@ -262,7 +262,7 @@ func clone(b []byte) []byte { return append([]byte(nil), b...) }
 // TestDiskRecoversAVersion1BlobStore opens a directory of blob files written
 // before the blob record, one per learner and an aggregate: it recovers
 // whole, serves each bit for bit, and keeps doing so beside version-2 files
-// written into it.
+// written into it; every file is version 2 once Open has upgraded it.
 func TestDiskRecoversAVersion1BlobStore(t *testing.T) {
 	dir := t.TempDir()
 	copyTree(t, filepath.Join("testdata", "store-ctb1"), dir)
@@ -307,12 +307,8 @@ func TestDiskRecoversAVersion1BlobStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		magic := blobMagic
-		if _, old := learnerBlobs()[id]; old {
-			magic = blobMagicV1
-		}
-		if string(b[:len(magic)]) != magic {
-			t.Errorf("blob %s is not filed as %s", id, magic)
+		if string(b[:len(blobMagic)]) != blobMagic {
+			t.Errorf("blob %s is not filed as %s", id, blobMagic)
 		}
 	}
 }

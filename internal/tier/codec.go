@@ -77,14 +77,10 @@ var ErrCorrupt = rec.ErrCorrupt
 // longer than its shortest form, and a float dictionary with a repeated or
 // unused entry or out of first-appearance order.
 //
-// Version 1 ("CTC1") is read, never written, so a directory written before
-// version 2 recovers: the same header, then Float64/Int64 as rows × 8 bytes,
-// strings as u32 length + bytes, a string dictionary as u32 k, u32-length
-// entries and u32 codes.
-const (
-	colMagic   = "CTC2"
-	colMagicV1 = "CTC1"
-)
+// Version 1 ("CTC1") is upgraded by Open (upgrade.go), so a directory
+// written before version 2 recovers; nothing else reads it, and a CTC1
+// record on the wire is refused.
+const colMagic = "CTC2"
 
 // MinColumnRecord is the size of the shortest column record: magic, dtype,
 // an empty ID and name, a row count and the checksum.
@@ -446,23 +442,19 @@ func (d *patterns) code(k uint64) uint32 {
 	}
 }
 
-// DecodeColumn parses and verifies a column record of either version. Any
+// DecodeColumn parses and verifies a version-2 column record. Any
 // structural violation or checksum mismatch returns an error wrapping
 // ErrCorrupt. ValidateColumn makes the same checks without building the
 // column.
 func DecodeColumn(b []byte) (*data.Column, error) {
-	magic, body, err := rec.Open(b, colMagic, colMagicV1)
+	_, body, err := rec.Open(b, colMagic)
 	if err != nil {
 		return nil, err
 	}
 	r := rec.NewReader(body)
 	info, isDict := readHeader(&r)
 	c := &data.Column{Type: info.Type, ID: info.ID, Name: info.Name}
-	switch {
-	case r.Err() != nil:
-	case magic == colMagicV1:
-		decodePayloadV1(&r, c, info.Rows, isDict)
-	default:
+	if r.Err() == nil {
 		decodePayload(&r, c, info.Rows, isDict)
 	}
 	if err := r.Done(); err != nil {
@@ -715,72 +707,4 @@ func readBoolPayload(r *rec.Reader, rows int, keep bool) []bool {
 		}
 	}
 	return bools
-}
-
-// decodePayloadV1 reads a version-1 payload into c.
-func decodePayloadV1(r *rec.Reader, c *data.Column, rows int, isDict bool) {
-	if isDict {
-		// Every dictionary entry needs at least its 4-byte length prefix.
-		dictLen := int(r.U32())
-		if dictLen > r.Left()/4 {
-			r.Fail("dictionary length %d exceeds payload", dictLen)
-			return
-		}
-		dict := readStringsV1(r, dictLen)
-		if s, dup := data.RepeatedEntry(dict); dup {
-			r.Fail("dictionary entry %q repeats", s)
-			return
-		}
-		if rows*4 > r.Left() {
-			r.Fail("truncated code payload")
-			return
-		}
-		codes := make([]uint32, rows)
-		for i := range codes {
-			if codes[i] = r.U32(); int(codes[i]) >= dictLen {
-				r.Fail("code %d out of bounds for %d-entry dictionary", codes[i], dictLen)
-				return
-			}
-		}
-		c.Dict, c.Codes = dict, codes
-		return
-	}
-	switch c.Type {
-	case data.Float64, data.Int64:
-		if r.Left() < rows*8 {
-			r.Fail("truncated payload")
-			return
-		}
-		if c.Type == data.Float64 {
-			c.Floats = make([]float64, rows)
-			for i := range c.Floats {
-				c.Floats[i] = r.Float()
-			}
-		} else {
-			c.Ints = make([]int64, rows)
-			for i := range c.Ints {
-				c.Ints[i] = int64(r.U64())
-			}
-		}
-	case data.String:
-		// Each row needs at least its 4-byte length prefix.
-		if rows > r.Left()/4 {
-			r.Fail("row count %d exceeds payload", rows)
-			return
-		}
-		c.Strings = readStringsV1(r, rows)
-	case data.Bool:
-		c.Bools = readBoolPayload(r, rows, true)
-	default:
-		r.Fail("unknown dtype %d", c.Type)
-	}
-}
-
-// readStringsV1 reads n u32-length-prefixed strings.
-func readStringsV1(r *rec.Reader, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = string(r.Bytes(int(r.U32())))
-	}
-	return out
 }

@@ -34,10 +34,8 @@ const (
 	frameExt = ".mf"
 	blobExt  = ".bl"
 
-	frameMagic   = "CTM2"
-	frameMagicV1 = "CTM1"
-	blobMagic    = "CTB2"
-	blobMagicV1  = "CTB1"
+	frameMagic = "CTM2"
+	blobMagic  = "CTB2"
 )
 
 func fname(id string) string {
@@ -72,7 +70,10 @@ type Disk struct {
 
 // Open attaches to (or creates) a disk tier rooted at dir: it scans the
 // store directories, verifies every file's checksum, quarantines corrupt or
-// inconsistent files, deletes orphaned columns, and rebuilds the index.
+// inconsistent files, deletes orphaned columns, and rebuilds the index. A
+// version-1 file that verifies is rewritten as its version-2 file under
+// the same name (upgrade.go), so nothing after Open reads version 1; a
+// rewrite that fails fails Open, naming the file.
 func Open(dir string) (*Disk, *Report, error) {
 	for _, sub := range []string{colsDir, framesDir, blobsDir, quarantineDir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -156,7 +157,9 @@ func (d *Disk) quarantine(path string) {
 }
 
 // scan reads every file of one kind, counting the bytes of those load
-// accepts and quarantining those it refuses or that cannot be read.
+// accepts and quarantining those it refuses or that cannot be read. A
+// version-1 file that reads is handed to load as its version-2 file, and
+// rewritten as that when load accepts it.
 func (d *Disk) scan(sub, ext string, rep *Report, load func(name string, b []byte) bool) error {
 	entries, err := os.ReadDir(filepath.Join(d.dir, sub))
 	if err != nil {
@@ -168,10 +171,21 @@ func (d *Disk) scan(sub, ext string, rep *Report, load func(name string, b []byt
 		}
 		path := filepath.Join(d.dir, sub, e.Name())
 		b, err := os.ReadFile(path)
+		upgraded := false
+		if err == nil {
+			if b, upgraded, err = upgrade(b); err != nil {
+				return fmt.Errorf("tier: upgrading %s: %w", path, err)
+			}
+		}
 		if err != nil || !load(e.Name(), b) {
 			d.quarantine(path)
 			rep.Quarantined++
 			continue
+		}
+		if upgraded {
+			if err := rec.WriteFile(path, b); err != nil {
+				return fmt.Errorf("tier: upgrading %s: %w", path, err)
+			}
 		}
 		rep.BytesVerified += int64(len(b))
 	}
@@ -183,8 +197,7 @@ func (d *Disk) scan(sub, ext string, rep *Report, load func(name string, b []byt
 //
 //	magic "CTM2", id vid, count n, n × (id colID, id name), u32 CRC-32C
 //
-// Version 1 ("CTM1") is read, never written: magic, str16 vid, u32 count,
-// count × (str16 colID, str16 name), u32 CRC-32C.
+// Version 1 ("CTM1") is upgraded by Open (upgrade.go).
 func encodeManifest(vid string, man Manifest) ([]byte, error) {
 	w := rec.Frame(frameMagic, 17+len(man.ColIDs)*(17+8))
 	w.ID(vid)
@@ -193,25 +206,13 @@ func encodeManifest(vid string, man Manifest) ([]byte, error) {
 }
 
 func decodeManifest(b []byte) (vid string, man Manifest, err error) {
-	magic, body, err := rec.Open(b, frameMagic, frameMagicV1)
+	_, body, err := rec.Open(b, frameMagic)
 	if err != nil {
 		return "", man, err
 	}
 	r := rec.NewReader(body)
-	if magic == frameMagic {
-		vid = r.ID()
-		man.ColIDs, man.Names = ReadManifest(&r)
-	} else {
-		vid = r.Str16()
-		if n := r.U32(); n > uint32(r.Left()/4) { // an entry takes two lengths at least
-			r.Fail("%d manifest entries in %d bytes", n, r.Left())
-		} else {
-			man.ColIDs, man.Names = make([]string, n), make([]string, n)
-			for i := range man.ColIDs {
-				man.ColIDs[i], man.Names[i] = r.Str16(), r.Str16()
-			}
-		}
-	}
+	vid = r.ID()
+	man.ColIDs, man.Names = ReadManifest(&r)
 	if err := r.Done(); err != nil {
 		return "", Manifest{}, err
 	}
@@ -251,8 +252,8 @@ func ReadManifest(r *rec.Reader) (colIDs, names []string) {
 //
 //	magic "CTB2", str16 vid, blob record (AppendBlob), u32 CRC-32C
 //
-// Version 1 ("CTB1") is read, never written (blobv1.go): the same frame
-// around a gob payload.
+// Version 1 ("CTB1"), the same frame around a gob payload, is upgraded by
+// Open (upgrade.go).
 func encodeBlob(vid string, a graph.Artifact) ([]byte, error) {
 	w := rec.Frame(blobMagic, 2+len(vid)+256)
 	w.Str16(vid)
@@ -265,23 +266,14 @@ func encodeBlob(vid string, a graph.Artifact) ([]byte, error) {
 }
 
 func decodeBlob(b []byte) (vid string, content graph.Artifact, err error) {
-	magic, body, err := rec.Open(b, blobMagic, blobMagicV1)
+	_, body, err := rec.Open(b, blobMagic)
 	if err != nil {
 		return "", nil, err
 	}
 	r := rec.NewReader(body)
 	vid = r.Str16()
-	if magic == blobMagicV1 {
-		if p := r.Bytes(r.Left()); r.Err() == nil {
-			content, err = decodeBlobV1(p)
-		}
-	} else {
-		content = readArtifact(&r)
-	}
-	if err == nil {
-		err = r.Done()
-	}
-	if err != nil {
+	content = readArtifact(&r)
+	if err := r.Done(); err != nil {
 		return "", nil, err
 	}
 	return vid, content, nil
@@ -353,7 +345,11 @@ func (d *Disk) Get(vid string) (graph.Artifact, error) {
 	defer d.mu.Unlock()
 	if man, ok := d.idx.Frame(vid); ok {
 		a, err := Assemble(man, func(colID string) (*data.Column, error) {
-			c, err := d.readColumnLocked(colID)
+			r, err := d.readRecordLocked(colID)
+			var c *data.Column
+			if err == nil {
+				c, err = DecodeColumn(r.Bytes())
+			}
 			if errors.Is(err, ErrCorrupt) {
 				d.quarantine(d.colPath(colID))
 			}
@@ -437,38 +433,16 @@ func (d *Disk) FrameRecords(vid string) (man Manifest, recs []Record, ok bool, e
 	return man, recs, true, nil
 }
 
-// readColumnLocked reads one column file and checks that it decodes to the
-// column it is filed under.
-func (d *Disk) readColumnLocked(colID string) (*data.Column, error) {
-	b, err := os.ReadFile(d.colPath(colID))
-	if err != nil {
-		return nil, fmt.Errorf("reading column %s: %w", colID, err)
-	}
-	c, err := DecodeColumn(b)
-	if err == nil && c.ID != colID {
-		err = fmt.Errorf("%w: column identity mismatch", ErrCorrupt)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("column %s: %w", colID, err)
-	}
-	return c, nil
-}
-
 // readRecordLocked reads one column file as a Record, checking its checksum
-// and that it is the record of the column it is filed under. A version-1
-// file is converted.
+// and that it is the record of the column it is filed under.
 func (d *Disk) readRecordLocked(colID string) (Record, error) {
 	b, err := os.ReadFile(d.colPath(colID))
 	if err != nil {
 		return Record{}, fmt.Errorf("reading column %s: %w", colID, err)
 	}
 	var r Record
-	magic, body, err := rec.Open(b, colMagic, colMagicV1)
-	switch {
-	case err != nil:
-	case magic == colMagicV1:
-		r, err = ValidateColumn(b)
-	default:
+	_, body, err := rec.Open(b, colMagic)
+	if err == nil {
 		rd := rec.NewReader(body)
 		info, _ := readHeader(&rd)
 		info.Size = d.idx.ColumnSize(colID)

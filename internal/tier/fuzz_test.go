@@ -99,16 +99,16 @@ func sameColumn(a, b *data.Column) bool {
 // FuzzColumnCodec exercises the column codec three ways:
 //
 //  1. DecodeColumn must never panic and never accept non-canonical input: a
-//     version-2 record that decodes must re-encode to exactly the input
-//     bytes, and a version-1 record must decode to a column whose version-2
-//     record decodes equal to it.
+//     record that decodes must re-encode to exactly the input bytes.
 //  2. A decoded column must re-decode to the same column.
 //  3. Single-byte corruption of a valid record must be detected (the
 //     checksum covers every byte, so any flip yields ErrCorrupt).
 //
 // The committed seed corpus (testdata/fuzz/FuzzColumnCodec) holds version-1
-// records of every dtype, written before version 2, plus malformed inputs;
-// the seeds added here are version-2 records of every mode. `go test`
+// records of every dtype, written before version 2, which DecodeColumn
+// refuses (TestCommittedCTC1SeedsStillDecode reads them with the upgrade's
+// reader), plus malformed inputs; the seeds added here are version-2
+// records of every mode. `go test`
 // replays both on every run, `go test -fuzz=FuzzColumnCodec` explores
 // beyond them.
 func FuzzColumnCodec(f *testing.F) {
@@ -135,7 +135,7 @@ func FuzzColumnCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded column failed to encode: %v", err)
 		}
-		if string(b[:len(colMagic)]) == colMagic && !bytes.Equal(re, b) {
+		if !bytes.Equal(re, b) {
 			t.Fatalf("non-canonical accept: %d in, %d out", len(b), len(re))
 		}
 		c2, err := DecodeColumn(re)
@@ -156,8 +156,8 @@ func FuzzColumnCodec(f *testing.F) {
 // FuzzValidateColumn: ValidateColumn accepts exactly what DecodeColumn
 // accepts. When both accept, the record reports the decoded column's lineage
 // ID, name, dtype, rows and SizeBytes, the column passes Column.Validate, and
-// the record is the version-2 record of that column — the input itself when
-// the input is version 2. Seeded with every golden column record and
+// the record is the input itself, the record EncodeColumn writes for that
+// column. Seeded with every golden column record and
 // FuzzColumnCodec's corpus, its committed files included.
 func FuzzValidateColumn(f *testing.F) {
 	goldens, err := filepath.Glob(filepath.Join("testdata", "golden", "ctc2-*.bin"))
@@ -211,8 +211,8 @@ func FuzzValidateColumn(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(r.Bytes(), want) || string(b[:len(colMagic)]) == colMagic && &r.Bytes()[0] != &b[0] {
-			t.Fatal("the record is not the input's version-2 record, or a version-2 input was copied")
+		if !bytes.Equal(r.Bytes(), want) || &r.Bytes()[0] != &b[0] {
+			t.Fatal("the record is not the input itself")
 		}
 	})
 }

@@ -49,20 +49,13 @@ func RecordOf(c *data.Column) (Record, error) {
 
 // ValidateColumn makes every check DecodeColumn makes of a column record —
 // checksum, structure, canonical mode, dictionary rules — and builds no
-// column: values are read into pooled scratch and dropped. A version-2
-// record is returned as b itself; a version-1 record, which only an old
-// client writes, is converted to its version-2 record.
+// column: values are read into pooled scratch and dropped. The record is
+// returned as b itself. A version-1 record is refused, as DecodeColumn
+// refuses it.
 func ValidateColumn(b []byte) (Record, error) {
-	magic, body, err := rec.Open(b, colMagic, colMagicV1)
+	_, body, err := rec.Open(b, colMagic)
 	if err != nil {
 		return Record{}, err
-	}
-	if magic == colMagicV1 {
-		c, err := DecodeColumn(b)
-		if err != nil {
-			return Record{}, err
-		}
-		return RecordOf(c)
 	}
 	r := rec.NewReader(body)
 	info, isDict := readHeader(&r)
