@@ -22,16 +22,53 @@ func benchWorkers(b *testing.B, body func(b *testing.B)) {
 }
 
 func BenchmarkJoinParallel(b *testing.B) {
-	left := benchFrame(200000, 1)
-	right := benchFrame(100000, 2)
-	benchWorkers(b, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := left.Join(right, "id", Left, "op"); err != nil {
-				b.Fatal(err)
+	join := func(left, right *Frame) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := left.Join(right, "id", Left, "op"); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	benchWorkers(b, join(benchFrame(200000, 1), benchFrame(100000, 2)))
+	b.Run("lookup", func(b *testing.B) { benchWorkers(b, join(benchLookup())) })
+}
+
+// benchLookup is the shape of every Kaggle join: a 4 000-row base table with
+// one row per key, Left-joined with per-key aggregates of three quarters of
+// those keys in another order (a group-by's output). The join keeps every
+// base row once and in order, so the base's columns pass through and only
+// the aggregates are gathered.
+func benchLookup() (base, aggs *Frame) {
+	const rows, baseCols, aggCols = 4000, 16, 5
+	rng := rand.New(rand.NewSource(5))
+	ids := make([]int64, rows)
+	for i := range ids {
+		ids[i] = int64(100000 + i)
+	}
+	cols := []*Column{NewIntColumn("id", ids)}
+	for j := 0; j < baseCols; j++ {
+		vals := make([]float64, rows)
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		cols = append(cols, NewFloatColumn(fmt.Sprintf("b%d", j), vals))
+	}
+	keys := make([]int64, 0, rows*3/4)
+	for _, i := range rng.Perm(rows)[:rows*3/4] {
+		keys = append(keys, ids[i])
+	}
+	right := []*Column{NewIntColumn("id", keys)}
+	for j := 0; j < aggCols; j++ {
+		vals := make([]float64, len(keys))
+		for i := range vals {
+			vals[i] = rng.NormFloat64()
+		}
+		right = append(right, NewFloatColumn(fmt.Sprintf("a%d", j), vals))
+	}
+	return MustNewFrame(cols...), MustNewFrame(right...)
 }
 
 // BenchmarkJoinDictKeyParallel joins on a dictionary-encoded string key:
@@ -123,17 +160,19 @@ func benchFrame(rows int, seed int64) *Frame {
 }
 
 func BenchmarkJoin(b *testing.B) {
-	for _, rows := range []int{1000, 10000} {
-		left := benchFrame(rows, 1)
-		right := benchFrame(rows/2, 2)
-		b.Run(fmt.Sprintf("%d", rows), func(b *testing.B) {
+	join := func(left, right *Frame) func(b *testing.B) {
+		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := left.Join(right, "id", Left, "op"); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
 	}
+	for _, rows := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("%d", rows), join(benchFrame(rows, 1), benchFrame(rows/2, 2)))
+	}
+	b.Run("lookup-4000", join(benchLookup()))
 }
 
 func BenchmarkGroupBy(b *testing.B) {

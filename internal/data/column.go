@@ -13,13 +13,17 @@ import (
 // Exactly one of the value slices is non-nil, selected by Type. Columns are
 // treated as immutable once attached to a Frame: operations that change
 // values allocate a new Column with a freshly derived ID, while operations
-// that merely carry a column along share the pointer (and therefore the
-// underlying array and the ID).
+// that leave a column's values as they were — carrying it along, or a row
+// selection that keeps every row in order — share the pointer (and
+// therefore the underlying array and the ID).
 type Column struct {
 	// ID is the lineage identifier: H(opHash ‖ inputID) for derived
-	// columns, H("src" ‖ dataset ‖ name) for source columns. Two columns
-	// have equal IDs iff the same operations were applied to the same
-	// source column.
+	// columns, H("src" ‖ dataset ‖ name) for source columns. Equal IDs
+	// imply equal values, and an operation that leaves a column's values
+	// unchanged passes the column on with its ID. Nothing may rely on the
+	// reverse: columns with different IDs can hold equal values. (The
+	// New*Column constructors derive an ID from the name alone, which
+	// promises nothing until the caller sets a lineage ID.)
 	ID   string
 	Name string
 	Type DType
@@ -193,9 +197,35 @@ func (c *Column) IsMissing(i int) bool {
 	}
 }
 
-// Gather returns a new column containing the rows of c selected by idx, in
-// order. The result carries the provided lineage ID.
+// Gather returns the rows of c selected by idx, in order, as a new column
+// carrying the provided lineage ID; a negative index yields a missing cell.
+// When idx selects every row in order it returns c itself, with its values
+// and its ID: the selection changed nothing.
 func (c *Column) Gather(idx []int, id string) *Column {
+	if selectsAll(idx, c.Len()) {
+		return c
+	}
+	return c.gather(idx, id)
+}
+
+// selectsAll reports whether idx is 0, 1, …, n−1: a row selection that keeps
+// every one of n rows in order. It is one scan of idx, far cheaper than the
+// copy it saves.
+func selectsAll(idx []int, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for j, i := range idx {
+		if i != j {
+			return false
+		}
+	}
+	return true
+}
+
+// gather is Gather without the identity check, for callers that made it
+// once for many columns.
+func (c *Column) gather(idx []int, id string) *Column {
 	out := &Column{ID: id, Name: c.Name, Type: c.Type}
 	switch c.Type {
 	case Float64:

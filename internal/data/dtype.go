@@ -4,10 +4,11 @@
 //
 // A Frame is an ordered collection of typed Columns. Every Column carries a
 // lineage ID: applying an operation to a frame derives new IDs only for the
-// columns the operation affects, so two columns in different artifacts share
-// an ID exactly when the same operations were applied to the same source
-// column (§5.3 of the paper). The storage-aware materializer relies on this
-// to deduplicate artifact contents.
+// columns whose values the operation changes — a row selection that keeps
+// every row in order changes none — so two columns in different artifacts
+// that share an ID hold the same values (§5.3 of the paper). The
+// storage-aware materializer relies on this to deduplicate artifact
+// contents.
 package data
 
 import "fmt"

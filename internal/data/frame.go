@@ -164,13 +164,18 @@ func (f *Frame) WithColumn(col *Column) (*Frame, error) {
 	return out, nil
 }
 
-// Gather returns a frame containing the rows selected by idx in order. Every
-// column is re-materialized and receives an ID derived from opHash, because
-// a row-selection affects all columns.
+// Gather returns a frame containing the rows selected by idx in order. A
+// row selection affects every column, so each is re-materialized with an ID
+// derived from opHash — unless idx keeps every row in order, and then every
+// column passes through, values and ID unchanged (Column.Gather).
 func (f *Frame) Gather(idx []int, opHash string) *Frame {
+	same := selectsAll(idx, f.NumRows())
 	out := &Frame{byName: make(map[string]int, len(f.cols))}
 	for _, c := range f.cols {
-		nc := c.Gather(idx, DeriveID(opHash, c.ID))
+		nc := c
+		if !same {
+			nc = c.gather(idx, DeriveID(opHash, c.ID))
+		}
 		// add cannot fail: names unique, lengths equal by construction.
 		_ = out.add(nc)
 	}

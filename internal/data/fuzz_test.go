@@ -70,6 +70,11 @@ func fuzzKey(kind byte, n int, vals []byte) *Column {
 // slots against references that compare rendered keys: the join against
 // naiveJoinIndices for both kinds, the group-by's key order against a sort
 // of the rendered keys, and Distinct against first-seen rendered tuples.
+// Each also passes a side's columns through exactly when the reference
+// keeps that side's rows in order (Column.Gather): the join's left (right)
+// columns when naiveJoinIndices' left (right) indices are 0..n−1, the
+// group-by's key when the rendered keys strictly ascend, Distinct's columns
+// when no tuple repeats.
 // The input picks the two key kinds, their row counts and their cells.
 func FuzzKeyedKernels(f *testing.F) {
 	for l := byte(0); l < fuzzKinds; l++ {
@@ -84,11 +89,20 @@ func FuzzKeyedKernels(f *testing.F) {
 		vals := b[4:]
 		lk := fuzzKey(b[0], int(b[2]%40), vals)
 		rk := fuzzKey(b[1], int(b[3]%40), slices.Concat(vals[min(1, len(vals)):], vals))
+		rv := make([]float64, rk.Len())
+		left, right := MustNewFrame(lk), MustNewFrame(rk, NewFloatColumn("w", rv))
 		for _, kind := range []JoinKind{Inner, Left} {
 			wantL, wantR := naiveJoinIndices(lk, rk, kind)
 			gotL, gotR := joinRowIndices(lk, rk, kind)
 			if !slices.Equal(gotL, wantL) || !slices.Equal(gotR, wantR) {
 				t.Fatalf("join kind %d: pairs %v %v, want %v %v", kind, gotL, gotR, wantL, wantR)
+			}
+			j, err := left.Join(right, "k", kind, "op")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keptL, keptR := j.Column("k") == lk, j.Column("w") == right.Column("w"); keptL != isIota(wantL, lk.Len()) || keptR != isIota(wantR, rk.Len()) {
+				t.Fatalf("join kind %d: left, right passed through = %v, %v for pairs %v %v", kind, keptL, keptR, wantL, wantR)
 			}
 		}
 
@@ -117,6 +131,13 @@ func FuzzKeyedKernels(f *testing.F) {
 				t.Fatalf("group-by row %d: key %q sum %v, want %q %v", i, got, g.Column("v_sum").Floats[i], k, count[k])
 			}
 		}
+		ascending := true
+		for i := 1; i < lk.Len(); i++ {
+			ascending = ascending && lk.StringAt(i-1) < lk.StringAt(i)
+		}
+		if kept := g.Columns()[0] == lk; kept != ascending {
+			t.Fatalf("group-by: key passed through = %v, keys strictly ascending = %v", kept, ascending)
+		}
 
 		other := fuzzKey(b[1], lk.Len(), vals)
 		other.Name = "o"
@@ -139,5 +160,21 @@ func FuzzKeyedKernels(f *testing.F) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("distinct rows %q, want %q", got, want)
 		}
+		if kept, unique := d.Column("k") == lk && d.Column("o") == other, len(want) == 2*lk.Len(); kept != unique {
+			t.Fatalf("distinct: columns passed through = %v, no tuple repeats = %v", kept, unique)
+		}
 	})
+}
+
+// isIota reports whether idx is 0, 1, …, n−1.
+func isIota(idx []int, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for j, i := range idx {
+		if i != j {
+			return false
+		}
+	}
+	return true
 }

@@ -14,7 +14,8 @@ const rowGrain = 2048
 
 // FilterFloat returns the rows of f where pred(column value) is true. Row
 // selection affects every column, so all output columns get IDs derived
-// from opHash.
+// from opHash — unless every row is kept, and then f's columns pass through
+// (Frame.Gather).
 func (f *Frame) FilterFloat(col string, pred func(float64) bool, opHash string) (*Frame, error) {
 	c := f.Column(col)
 	if c == nil {
@@ -257,8 +258,12 @@ const (
 // Join performs a hash join of f (left) with right on the named key column,
 // which must exist on both sides. Right-side key columns are dropped from
 // the output; name collisions on non-key columns get a "_r" suffix on the
-// right. Joins re-align rows, so every output column is re-materialized with
-// an opHash-derived ID.
+// right (on a copy: the right input keeps its names). A join re-aligns
+// rows, so a side's columns are re-materialized with opHash-derived IDs —
+// unless the join keeps that side's rows exactly, every row once and in
+// order, and then they pass through with their IDs (Column.Gather). A Left
+// join whose left rows each match at most one right row keeps its left
+// side so: a lookup of per-key aggregates adds columns and copies none.
 //
 // The kernel (join.go) runs on the key slots the group-by and Distinct use
 // (key.go): the right side's rows are listed per slot, and each left row
@@ -273,34 +278,42 @@ func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*F
 		return nil, fmt.Errorf("data: join: key %q missing (left=%v right=%v)", key, lk != nil, rk != nil)
 	}
 	lidx, ridx := joinRowIndices(lk, rk, kind)
+	lsame, rsame := selectsAll(lidx, f.NumRows()), selectsAll(ridx, right.NumRows())
 	// Materialize the output columns in parallel (each gather is an
 	// independent O(rows) copy), then attach sequentially so collision
-	// renaming stays order-dependent and deterministic.
+	// renaming stays order-dependent and deterministic. A side the join
+	// keeps exactly is not gathered: its columns are the output's.
 	type gatherJob struct {
-		src   *Column
-		id    string
-		idx   []int
-		right bool
+		src         *Column
+		id          string
+		idx         []int
+		keep, right bool
 	}
 	jobs := make([]gatherJob, 0, f.NumCols()+right.NumCols())
 	for _, c := range f.cols {
-		jobs = append(jobs, gatherJob{c, DeriveID(opHash+"\x01L", c.ID), lidx, false})
+		jobs = append(jobs, gatherJob{c, DeriveID(opHash+"\x01L", c.ID), lidx, lsame, false})
 	}
 	for _, c := range right.cols {
 		if c.Name == key {
 			continue
 		}
-		jobs = append(jobs, gatherJob{c, DeriveID(opHash+"\x01R", c.ID), ridx, true})
+		jobs = append(jobs, gatherJob{c, DeriveID(opHash+"\x01R", c.ID), ridx, rsame, true})
 	}
 	gathered := make([]*Column, len(jobs))
 	parallel.For(len(jobs), 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			gathered[k] = jobs[k].src.Gather(jobs[k].idx, jobs[k].id)
+			if j := jobs[k]; j.keep {
+				gathered[k] = j.src
+			} else {
+				gathered[k] = j.src.gather(j.idx, j.id)
+			}
 		}
 	})
 	out := &Frame{byName: make(map[string]int, len(jobs))}
 	for k, nc := range gathered {
 		if jobs[k].right && out.HasColumn(nc.Name) {
+			// The column may be the right input's own: rename a copy.
+			nc = nc.WithID(nc.ID)
 			nc.Name += "_r"
 		}
 		if err := out.add(nc); err != nil {
@@ -381,8 +394,9 @@ type Agg struct {
 // The output has one row per distinct key, in the order of the keys'
 // renderings (StringAt), with columns key, "col_kind"... An aggregate whose
 // output name is the key's or another aggregate's is an error. Aggregation
-// produces entirely new data, so all output columns carry opHash-derived
-// IDs.
+// produces entirely new data, so the aggregate columns carry opHash-derived
+// IDs; so does the key column, unless the keys were already distinct and in
+// output order, and then it is the input's key column (Column.Gather).
 //
 // The kernel is the dense-ID group-by engine (groupby.go): each row's key
 // becomes its group's rank, a counting sort lists each group's rows, and

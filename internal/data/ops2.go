@@ -8,7 +8,8 @@ import (
 
 // SortBy returns the rows ordered by the named column (ascending, or
 // descending when desc). NaNs sort last either way. All columns are
-// re-materialized with opHash-derived IDs.
+// re-materialized with opHash-derived IDs, unless the rows were in order
+// already and pass through (Frame.Gather).
 func (f *Frame) SortBy(col string, desc bool, opHash string) (*Frame, error) {
 	c := f.Column(col)
 	if c == nil {
@@ -58,6 +59,7 @@ func (f *Frame) SortBy(col string, desc bool, opHash string) (*Frame, error) {
 
 // Distinct returns the first row of every distinct value combination of
 // the named columns (all columns when empty), preserving first-seen order.
+// When no row repeats, the columns pass through (Frame.Gather).
 func (f *Frame) Distinct(opHash string, cols ...string) (*Frame, error) {
 	use := f.cols
 	if len(cols) > 0 {

@@ -57,8 +57,8 @@ func TestQuickGatherPreservesShapeAndTypes(t *testing.T) {
 			if c.Type != orig.Type || c.Name != orig.Name {
 				return false
 			}
-			if c.ID == orig.ID {
-				return false // gather must derive fresh IDs
+			if (c == orig) != isIota(idx, f.NumRows()) || (c.ID == orig.ID) != (c == orig) {
+				return false // fresh IDs exactly when the selection is not every row in order
 			}
 			for i, src := range idx {
 				if c.Type == Float64 {

@@ -128,6 +128,23 @@ func TestSampleDeterministicBySeed(t *testing.T) {
 	}
 }
 
+// TestSampleOfEveryRowKeepsLineage: a sample as large as its input selects
+// every row in order, so its columns are the input's, IDs included; a
+// smaller one re-derives them.
+func TestSampleOfEveryRowKeepsLineage(t *testing.T) {
+	in := dataset()
+	all := frameOut(t, runOp(t, Sample{N: in.Frame.NumRows() + 1, Seed: 1}, in))
+	some := frameOut(t, runOp(t, Sample{N: in.Frame.NumRows() - 1, Seed: 1}, in))
+	for _, c := range in.Frame.Columns() {
+		if all.Column(c.Name) != c {
+			t.Errorf("a sample of every row copied column %s", c.Name)
+		}
+		if some.Column(c.Name).ID == c.ID {
+			t.Errorf("a sample that drops a row kept the ID of column %s", c.Name)
+		}
+	}
+}
+
 func TestAggregateCol(t *testing.T) {
 	cases := []struct {
 		kind data.AggKind

@@ -94,7 +94,9 @@ func (c *Client) clientName() string {
 	return c.name
 }
 
-// Err returns the last transport error, if any, and clears it.
+// Err returns the last failure of an optimize, update or upload, if any,
+// and clears it. A failed download is not one: FetchTiered returns nil and
+// the run computes the artifact instead.
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -264,19 +266,17 @@ func (c *Client) Fetch(id string) graph.Artifact {
 	return content
 }
 
-// download GETs an artifact from the server.
+// download GETs an artifact from the server. A 404 (the protocol's "not
+// stored"), any other status, a dropped connection and an undecodable body
+// all come back as a nil artifact and nothing more: a run computes what it
+// could not load, so the failure is not the client's error for Err.
 func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) {
 	resp, err := c.do(http.MethodGet, c.base+"/v1/artifact?id="+url.QueryEscape(id), nil, req)
 	if err != nil {
-		c.fail(err)
 		return nil, ""
 	}
 	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
-		// 404 is the protocol's "not stored"; anything else is a failure.
-		if resp.StatusCode != http.StatusNotFound {
-			c.fail(statusError("GET /v1/artifact "+id, resp))
-		}
 		return nil, ""
 	}
 	body, err := readBody(resp.Body, resp.ContentLength, nil)
@@ -285,7 +285,6 @@ func (c *Client) download(id string, req *obs.Request) (graph.Artifact, string) 
 		err = answer.unmarshal(body)
 	}
 	if err != nil {
-		c.fail(fmt.Errorf("remote: decode artifact %s: %w", id, err))
 		return nil, ""
 	}
 	return answer.Content, resp.Header.Get(TierHeader)

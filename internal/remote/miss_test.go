@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -161,10 +160,8 @@ func TestAPlannedLoadThatMissesIsComputed(t *testing.T) {
 		if len(loss.loads) == 0 {
 			t.Fatalf("%s: the plan loads nothing: the run does not exercise a miss", arm.name)
 		}
-		if arm.failFetch {
-			if err := second.(*Client).Err(); !h.failed.Load() || err == nil || !strings.Contains(err.Error(), "500") {
-				t.Errorf("%s: the failed download is not reported (%v)", arm.name, err)
-			}
+		if arm.failFetch && !h.failed.Load() {
+			t.Errorf("%s: no download was answered 500", arm.name)
 		}
 		computed := 0
 		for id := range loss.loads {
@@ -184,6 +181,13 @@ func TestAPlannedLoadThatMissesIsComputed(t *testing.T) {
 		for _, n := range naive.Terminals() {
 			if got := dag.Node(n.ID); got == nil || !sameBits(got.Content, n.Content) {
 				t.Errorf("%s: terminal %s differs from the naive run's", arm.name, n.Name)
+			}
+		}
+		// The download that failed was recovered: the run is correct, so
+		// the client reports no error for it.
+		if rc, ok := second.(*Client); ok {
+			if err := rc.Err(); err != nil {
+				t.Errorf("%s: a correct run leaves the client's error %v", arm.name, err)
 			}
 		}
 	}

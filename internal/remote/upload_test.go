@@ -744,9 +744,11 @@ func (zeros) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestClientRecordsServerErrors: a server answering 500 is a recorded
-// failure on the fetch path and an error from StatsE and Update, not
-// silence, and each error carries the reason the server gave.
+// TestClientRecordsServerErrors: a server answering 500 is an error from
+// StatsE and Update, not silence, and each error carries the reason the
+// server gave. A fetch answered 500 is a nil artifact and no recorded
+// error: a run computes what it could not load, so the failure is not the
+// client's (TestAPlannedLoadThatMissesIsComputed).
 func TestClientRecordsServerErrors(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
@@ -756,8 +758,8 @@ func TestClientRecordsServerErrors(t *testing.T) {
 	if a := rc.Fetch("v"); a != nil {
 		t.Error("Fetch returned content from a 500")
 	}
-	if err := rc.Err(); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("a 500 on fetch was recorded as %v, want the server's reason", err)
+	if err := rc.Err(); err != nil {
+		t.Errorf("a 500 on fetch was recorded as %v, want no error: FetchTiered's nil is the failure", err)
 	}
 	if _, err := rc.StatsE(); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("StatsE returned %v on a 500, want the server's reason", err)
@@ -834,6 +836,81 @@ func FuzzUploadDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAJoinUploadsOnlyItsRightSideColumns: every join of a cold W2 (Kaggle
+// scale 1) is a Left join of a table onto per-key aggregates, which keeps
+// the table's columns with their lineage IDs (data.Frame.Join). So the
+// upload carries each application_train column once, whatever joins it
+// flows through, and each join's item adds only its right side's columns.
+func TestAJoinUploadsOnlyItsRightSideColumns(t *testing.T) {
+	src := kaggle.Generate(kaggle.Config{Scale: 1, Seed: 42})
+	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
+	ts := httptest.NewServer(NewHandler(srv))
+	defer ts.Close()
+	rc, meter := meteredClient(ts.URL)
+	dag := runKaggle(t, rc, src, 2)[0]
+
+	sent := map[string][]string{} // record names, by vertex
+	copies := map[string]int{}    // records, by name and values
+	for _, p := range meter.posts {
+		for _, up := range p.items {
+			for _, r := range up.Records {
+				sent[up.ID] = append(sent[up.ID], r.Name)
+				copies[valuesOf(t, r)]++
+			}
+		}
+	}
+	frameOf := func(n *graph.Node) *data.Frame { return n.Content.(*graph.DatasetArtifact).Frame }
+	joins, app := 0, 0
+	for _, n := range dag.Nodes() {
+		switch op := n.Op.(type) {
+		case ops.Join:
+			joins++
+			var want []string
+			for _, c := range frameOf(n.Parents[0].Parents[1]).Columns() { // through the supernode
+				if c.Name != op.Key {
+					want = append(want, c.Name)
+				}
+			}
+			if !slices.Equal(sent[n.ID], want) {
+				t.Errorf("the join on %s sent %v, want only its right side's %v", op.Key, sent[n.ID], want)
+			}
+		case ops.FillNA:
+			if n.Parents[0].Name != "application_train" {
+				continue
+			}
+			// application_train's columns as the first join takes them.
+			for _, c := range frameOf(n).Columns() {
+				r, err := tier.RecordOf(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k := copies[valuesOf(t, r)]; k != 1 {
+					t.Errorf("application_train column %s travelled %d times", c.Name, k)
+				}
+				app++
+			}
+		}
+	}
+	if joins != 3 || app == 0 {
+		t.Fatalf("W2 has %d joins and %d application_train columns, want 3 and some", joins, app)
+	}
+}
+
+// valuesOf keys a record by its column's name, type and values: the record
+// re-encoded without its lineage ID.
+func valuesOf(t *testing.T, r tier.Record) string {
+	t.Helper()
+	c, err := tier.DecodeColumn(r.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := tier.EncodeColumn(c.WithID(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // BenchmarkUploadColdPass is the upload layer's guard under `make bench`: a
