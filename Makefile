@@ -195,10 +195,9 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # record of what is stored: the Experiment Graph records meta-data and the
 # materializer decides, and what the store holds is handed to them as a
 # predicate, so neither imports the store or its disk tier. And it keeps gob
-# to what still reads or writes it: persist's Experiment Graph snapshot and
-# its read-once store.gob of older versions, the gob hooks of graph and data,
-# and the tier's upgrade of version-1 files. Nothing
-# the wire or the disk tier writes is gob (bench/, the ruler, is not linted).
+# to what still reads or writes it: persist's Experiment Graph snapshot,
+# which holds no artifact. Nothing the wire or the disk tier writes is gob
+# (bench/, the ruler, is not linted).
 # And it keeps one byte toolkit: internal/rec imports nothing of the
 # repository, and is the only program code that computes a checksum. And it
 # keeps the storage layers apart: the tier imports no layer above it, and the
@@ -208,19 +207,20 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # victims are a function of the order of accesses alone;
 # obs.StartTimer stopwatches, which only measure, stay allowed. And the
 # snapshot layer does not depend on the HTTP protocol: internal/persist
-# registers the gob types it decodes itself. And the server relays column
+# imports no internal/remote. And the server relays column
 # records: no program file of internal/remote or internal/store decodes one
 # (tier.DecodeColumn) except in the two functions of DECODERS (their
 # declarations with the blanks taken out) — the store's
 # lazily filled decoded view of a memory-tier column, which an in-process
 # Get reads, and the client's decoder of a download. And version 1 of the
-# tier's files lives in one file: no program file but UPGRADE_FILE, which
-# Open runs once over a directory, names a version-1 magic.
+# tier's files is named in one file: no program file but V1_REFUSER_FILE,
+# whose Open refuses a directory holding a version-1 file, names a
+# version-1 magic.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
-UPGRADE_FILE = internal/tier/upgrade.go
-GOB_FILES = internal/persist/persist.go internal/graph/gob.go internal/data/gob.go $(UPGRADE_FILE)
+V1_REFUSER_FILE = internal/tier/disk.go
+GOB_FILES = internal/persist/persist.go
 DECODERS = 'internal/store/store.go:func(c*column)decoded()' 'internal/remote/codec.go:funcdecodeColumns('
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
@@ -257,16 +257,16 @@ lint-layers:
 	fi
 	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/persist | grep -x 'repro/internal/remote' || true)"; \
 	if [ -n "$$out" ]; then \
-		echo "internal/persist imports repro/internal/remote (the snapshot layer registers its own gob types)"; exit 1; \
+		echo "internal/persist imports repro/internal/remote (the snapshot layer does not depend on the HTTP protocol)"; exit 1; \
 	fi
 	@out="$$(awk '/^func / { fn = $$0; gsub(/[ \t]/, "", fn) } /tier\.DecodeColumn([^A-Za-z0-9_]|$$)/ { print FILENAME ":" fn }' \
 		$$(ls internal/remote/*.go internal/store/*.go | grep -v '_test\.go$$') | grep -vF $(addprefix -e ,$(DECODERS)) || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "tier.DecodeColumn called in internal/remote or internal/store outside $(DECODERS):"; echo "$$out"; exit 1; \
 	fi
-	@out="$$(grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'colMagicV1|frameMagicV1|blobMagicV1' . | sed 's|^\./||' | grep -v '^$(UPGRADE_FILE):' || true)"; \
+	@out="$$(grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'colMagicV1|frameMagicV1|blobMagicV1' . | sed 's|^\./||' | grep -v '^$(V1_REFUSER_FILE):' || true)"; \
 	if [ -n "$$out" ]; then \
-		echo "a version-1 magic named outside $(UPGRADE_FILE) (only Open's upgrade reads version 1):"; echo "$$out"; exit 1; \
+		echo "a version-1 magic named outside $(V1_REFUSER_FILE) (only the tier's Open looks for version 1, to refuse it):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

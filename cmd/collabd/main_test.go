@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"log/slog"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/rec"
 	"repro/internal/remote"
 )
 
@@ -197,6 +199,40 @@ func TestProfileNamesOrFile(t *testing.T) {
 	_, err = c.newServer(discardLogger())
 	if err == nil || !strings.Contains(err.Error(), "memory|disk|remote") || !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("-profile nosuch: error %v, want one naming the three profiles and the missing file", err)
+	}
+}
+
+// TestRefusesAVersion1StoreDir: a -store-dir holding a sound version-1 tier
+// file makes newServer fail, naming the file and the last commit that
+// converts it, so collabd exits 2 before it serves; the file stays as it
+// was.
+func TestRefusesAVersion1StoreDir(t *testing.T) {
+	w := rec.Frame("CTC1", 32)
+	w.U8(0)
+	w.Str16("id")
+	w.Str16("x")
+	w.U32(0)
+	v1, err := w.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cols", "x.col")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseFlags([]string{"-store-dir", dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.newServer(discardLogger()); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "commit 15844bf") {
+		t.Fatalf("newServer: %v; want an error naming %s and commit 15844bf", err, path)
+	}
+	if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, v1) {
+		t.Errorf("the version-1 file was moved or changed (%v)", err)
 	}
 }
 

@@ -1,8 +1,6 @@
 package data
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sort"
 	"strings"
 	"testing"
@@ -136,26 +134,6 @@ func TestDictGatherSharesOrExtendsDict(t *testing.T) {
 	if g3.StringAt(0) != "" || g3.StringAt(1) != "q" || g3.StringAt(2) != "" {
 		t.Fatal("fill against existing \"\" wrong")
 	}
-}
-
-func TestDictColumnGobRoundTrip(t *testing.T) {
-	f := MustNewFrame(
-		NewStringColumn("region", []string{"n", "s", "n", "n"}).DictEncoded(),
-		NewFloatColumn("v", []float64{1, 2, 3, 4}),
-	)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	var got Frame
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	rc := got.Column("region")
-	if rc == nil || !rc.IsDict() {
-		t.Fatal("gob round trip lost dictionary encoding")
-	}
-	framesEqual(t, f, &got)
 }
 
 func TestDictSizeBytesSmaller(t *testing.T) {

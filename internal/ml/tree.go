@@ -10,8 +10,9 @@ import (
 )
 
 // TreeNode is one node of a binary regression/classification tree. Leaves
-// have Feature == -1. Fields are exported so fitted trees survive gob
-// encoding across the client/server wire.
+// have Feature == -1. Fields are exported so the tier's blob record
+// (internal/tier), which carries a fitted tree on the wire and on disk, can
+// write and read them.
 type TreeNode struct {
 	Feature     int
 	Threshold   float64

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -8,7 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,15 +24,14 @@ import (
 )
 
 // TestRestoresSnapshotOfParentCommit loads testdata/parent-b10de20: the
-// eg.gob and store.gob that persist.Save wrote at commit b10de20 — the last
-// one whose Experiment Graph derived Cr and p per call and kept no order —
-// for a server that had run two overlapping workloads, with the Cr and p
-// that commit's eg.RecreationCosts()/Potentials() gave beside them
+// eg.gob that persist.Save wrote at commit b10de20 — the last one whose
+// Experiment Graph derived Cr and p per call and kept no order — for a
+// server that had run two overlapping workloads, with the Cr and p that
+// commit's eg.RecreationCosts()/Potentials() gave beside them
 // (expected.json). The snapshot format did not change but for the vertices'
-// mat flag, which those files still carry and gob decoding skips (derived
-// state is unexported and never encoded), so the files restore, what this
-// commit rebuilds from them equals what that commit derived, and what the
-// store holds of the graph is what that commit had flagged.
+// mat flag, which the file still carries and gob decoding skips (derived
+// state is unexported and never encoded), so the file restores and what
+// this commit rebuilds from it equals what that commit derived.
 func TestRestoresSnapshotOfParentCommit(t *testing.T) {
 	fixture := filepath.Join("testdata", "parent-b10de20")
 	raw, err := os.ReadFile(filepath.Join(fixture, "expected.json"))
@@ -45,7 +45,6 @@ func TestRestoresSnapshotOfParentCommit(t *testing.T) {
 			CrNs int64   `json:"cr_ns"`
 			P    float64 `json:"p"`
 		} `json:"vertices"`
-		Materialized []string `json:"materialized"`
 	}
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
@@ -57,19 +56,12 @@ func TestRestoresSnapshotOfParentCommit(t *testing.T) {
 	if srv.EG.Len() != len(want.Vertices) {
 		t.Fatalf("restored %d vertices, the snapshot holds %d", srv.EG.Len(), len(want.Vertices))
 	}
-	var got []string
 	for i, v := range srv.EG.Vertices() {
 		w := want.Vertices[i] // both sorted by ID
 		if v.ID != w.ID || int64(v.RecreationCost()) != w.CrNs || v.Potential() != w.P {
 			t.Errorf("%s (%s): Cr %d ns, p %v; the parent commit derived %s: %d ns, %v",
 				v.ID, v.Name, int64(v.RecreationCost()), v.Potential(), w.ID, w.CrNs, w.P)
 		}
-		if srv.Store.Has(v.ID) {
-			got = append(got, v.ID)
-		}
-	}
-	if !reflect.DeepEqual(got, want.Materialized) {
-		t.Errorf("materialized %v, want %v", got, want.Materialized)
 	}
 	if err := egtest.Check(srv.EG); err != nil {
 		t.Error(err)
@@ -141,58 +133,46 @@ func TestReadersRunBesideTheUpdater(t *testing.T) {
 	}
 }
 
-// TestLoadRestoresStoreGobInIDOrder loads the parent-b10de20 store.gob into
-// a tiered store whose memory budget holds its largest artifact alone, so
-// restoring demotes: the order of the puts decides which artifacts stay in
-// memory. Every load of the same files must place every artifact alike.
-func TestLoadRestoresStoreGobInIDOrder(t *testing.T) {
-	fixture := filepath.Join("testdata", "parent-b10de20")
-	probe := core.NewServer(store.New(cost.Memory()))
-	if _, err := Load(probe, fixture); err != nil {
+// TestLoadRefusesAStoreGob: a directory holding a store.gob, the artifact
+// snapshot of older versions, fails Load with an error that names the file
+// and the last commit that converts it, with or without an eg.gob beside it;
+// Load restores nothing and leaves every file as it was.
+func TestLoadRefusesAStoreGob(t *testing.T) {
+	egGob, err := os.ReadFile(filepath.Join("testdata", "parent-b10de20", "eg.gob"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ids := probe.Store.StoredIDs()
-	var budget int64
-	for _, id := range ids {
-		budget = max(budget, storedSize(probe.Store, id))
-	}
-	var first map[string]store.Tier
-	for i := 0; i < 20; i++ {
-		d, _, err := tier.Open(t.TempDir())
+	storeGob := []byte("CSN1 an artifact snapshot")
+	for name, files := range map[string]map[string][]byte{
+		"alone":         {"store.gob": storeGob},
+		"beside eg.gob": {"store.gob": storeGob, "eg.gob": egGob},
+	} {
+		dir := t.TempDir()
+		for file, b := range files {
+			if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv := core.NewServer(store.New(cost.Memory()))
+		restored, err := Load(srv, dir)
+		if err == nil || restored || !strings.Contains(err.Error(), filepath.Join(dir, "store.gob")) ||
+			!strings.Contains(err.Error(), "commit 15844bf") {
+			t.Fatalf("%s: Load restored=%v, %v; want an error naming the file and commit 15844bf", name, restored, err)
+		}
+		if srv.EG.Len() != 0 {
+			t.Errorf("%s: restored %d vertices", name, srv.EG.Len())
+		}
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := core.NewServer(store.NewTiered(cost.Memory(), store.Options{MemoryBudget: budget, Disk: d}))
-		if _, err := Load(srv, fixture); err != nil {
-			t.Fatal(err)
+		if len(entries) != len(files) {
+			t.Errorf("%s: %d entries after Load, %d before", name, len(entries), len(files))
 		}
-		tiers := map[string]store.Tier{}
-		for _, id := range ids {
-			tiers[id] = srv.Store.TierOf(id)
-		}
-		if first == nil {
-			first = tiers
-		} else if !reflect.DeepEqual(tiers, first) {
-			t.Fatalf("load %d placed the artifacts %v, the first load %v", i, tiers, first)
+		for file, b := range files {
+			if after, err := os.ReadFile(filepath.Join(dir, file)); err != nil || !bytes.Equal(after, b) {
+				t.Errorf("%s: Load changed %s (%v)", name, file, err)
+			}
 		}
 	}
-}
-
-// storedSize is the size of the artifact the store holds for id, from what
-// PeekRecords serves: a dataset's columns' sizes, each as often as its
-// manifest names it.
-func storedSize(m *store.Manager, id string) int64 {
-	recs, _ := m.PeekRecords(id)
-	if recs.Content != nil {
-		return recs.Content.SizeBytes()
-	}
-	sizes := make(map[string]int64, len(recs.Columns))
-	for _, r := range recs.Columns {
-		sizes[r.ID] = r.Size
-	}
-	var n int64
-	for _, colID := range recs.Manifest.ColIDs {
-		n += sizes[colID]
-	}
-	return n
 }

@@ -7,9 +7,9 @@
 // the one durable copy of every artifact, with the graph beside it:
 //
 //	eg.gob     Experiment Graph snapshot
-//	store.gob  artifact contents as versions before the tier held them all
-//	           saved them: Load restores it once, and the next clean Save,
-//	           having written its artifacts as tier files, removes it
+//
+// A store.gob, the artifact snapshot of versions before the tier held every
+// artifact, is refused: Load fails naming the last commit that converts it.
 //
 // Writes are atomic and verified: content goes to an fsynced temp file that
 // is renamed over the target, and each snapshot carries a length + CRC-32C
@@ -26,41 +26,29 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/eg"
-	"repro/internal/graph"
 	"repro/internal/rec"
 )
 
-// A store.gob holds artifacts as gob interface values.
-func init() { graph.RegisterGobTypes() }
-
 const (
-	egFile    = "eg.gob"
-	storeFile = "store.gob"
+	egFile = "eg.gob"
 
 	// snapMagic opens every snapshot envelope; a file without it is torn.
 	snapMagic = "CSN1"
+
+	// storeFile is the artifact snapshot of older versions, which Load
+	// refuses; commit storeLastConverter is the last version of this
+	// repository that converts it to tier files (a start, then a drain).
+	storeFile          = "store.gob"
+	storeLastConverter = "15844bf"
 )
 
 // ErrTorn marks a snapshot rejected as torn or truncated (magic, length or
 // checksum mismatch). Callers distinguish it from fs.ErrNotExist: a missing
 // file is a first boot, a torn file is data loss that deserves a loud log.
 var ErrTorn = errors.New("persist: torn or truncated snapshot")
-
-// storeSnapshot decodes a store.gob: artifact content by vertex ID. Column
-// deduplication is re-established by Put on load (lineage IDs are preserved
-// inside the frames).
-type storeSnapshot struct {
-	Artifacts map[string]artifactRecord
-}
-
-// artifactRecord wraps the Artifact interface for gob.
-type artifactRecord struct {
-	Content graph.Artifact
-}
 
 // Save checkpoints the server's state under dir, creating it if needed: the
 // store syncs its memory tier into the disk tier, then the EG snapshot is
@@ -79,20 +67,24 @@ func Save(srv *core.Server, dir string) error {
 	if syncErr != nil {
 		return fmt.Errorf("persist: %w", syncErr)
 	}
-	if err := os.Remove(filepath.Join(dir, storeFile)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("persist: %w", err)
-	}
 	return nil
 }
 
 // Load restores a previously saved state into the server. A missing data
 // directory (first boot) is not an error; Load then leaves the server
 // empty and returns false. What is materialized after a restore is what the
-// store holds: the disk tier's survivors (its boot scan verified their
-// checksums) and the artifacts of a store.gob, restored in ID order so that
-// a memory budget demotes the same ones on every load; the first update
-// evicts those the restored graph does not keep.
+// store holds, the disk tier's survivors (its boot scan verified their
+// checksums); the first update evicts those the restored graph does not
+// keep. A directory holding a store.gob fails Load, with or without an
+// eg.gob beside it.
 func Load(srv *core.Server, dir string) (restored bool, err error) {
+	path := filepath.Join(dir, storeFile)
+	if _, err := os.Lstat(path); err == nil {
+		return false, fmt.Errorf("persist: %s is an artifact snapshot of an older version, which this version does not read; "+
+			"commit %s is the last that converts it to tier files", path, storeLastConverter)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return false, fmt.Errorf("persist: %w", err)
+	}
 	var egSnap eg.Snapshot
 	if err := readGobFile(filepath.Join(dir, egFile), &egSnap); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -100,27 +92,7 @@ func Load(srv *core.Server, dir string) (restored bool, err error) {
 		}
 		return false, err
 	}
-	var st storeSnapshot
-	if err := readGobFile(filepath.Join(dir, storeFile), &st); err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			return false, err
-		}
-	}
 	srv.EG = eg.FromSnapshot(&egSnap)
-	ids := make([]string, 0, len(st.Artifacts))
-	for id := range st.Artifacts {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		content := st.Artifacts[id].Content
-		if content == nil {
-			continue
-		}
-		if err := srv.Store.Put(id, content); err != nil {
-			return false, fmt.Errorf("persist: restoring %s: %w", id, err)
-		}
-	}
 	return true, nil
 }
 

@@ -119,7 +119,7 @@ func TestSaveIsAtomicOverExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Type().IsRegular() && e.Name() != "eg.gob" && e.Name() != "store.gob" {
+		if e.Type().IsRegular() && e.Name() != "eg.gob" {
 			t.Errorf("unexpected file %s", e.Name())
 		}
 	}

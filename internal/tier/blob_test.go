@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,9 +17,8 @@ import (
 // learnerBlobs holds one model of each of the eight learners ops.ModelSpec
 // builds and an aggregate, with what a blob must carry exactly: a NaN quality
 // with a payload, −0 in weights and training rows, NaN and ±Inf values,
-// negative seeds. testdata/store-ctb1 holds them as version-1 blob files,
-// written before the blob record, each under its key as vertex ID; so every
-// value here survives gob too (no −0 or empty slice where gob would drop it).
+// negative seeds. The ctb2 goldens hold their records, each under its key as
+// vertex ID.
 func learnerBlobs() map[string]graph.Artifact {
 	nan := math.Float64frombits(0x7ff8000000000bad)
 	negZero := math.Copysign(0, -1)
@@ -258,60 +255,6 @@ func TestBlobRecordRefusesHostileInput(t *testing.T) {
 type otherModel struct{ ml.LogisticRegression }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
-
-// TestDiskRecoversAVersion1BlobStore opens a directory of blob files written
-// before the blob record, one per learner and an aggregate: it recovers
-// whole, serves each bit for bit, and keeps doing so beside version-2 files
-// written into it; every file is version 2 once Open has upgraded it.
-func TestDiskRecoversAVersion1BlobStore(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "store-ctb1"), dir)
-	d, rep, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := learnerBlobs()
-	if rep.Blobs != len(want) || rep.Quarantined != 0 {
-		t.Fatalf("recovery report %+v, want %d blobs, nothing quarantined", rep, len(want))
-	}
-	check := func(d *Disk, want map[string]graph.Artifact) {
-		t.Helper()
-		if ids := d.StoredIDs(); len(ids) != len(want) {
-			t.Fatalf("%d artifacts stored, want %d", len(ids), len(want))
-		}
-		for id, a := range want {
-			got, err := d.Get(id)
-			if err != nil || !equalBits(got, a) {
-				t.Errorf("blob %s: %+v (%v)", id, got, err)
-			}
-		}
-	}
-	check(d, want)
-
-	for id, a := range edgeBlobs() {
-		if err := d.PutBlob(id, a); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = a
-	}
-	d, rep, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Blobs != len(want) || rep.Quarantined != 0 {
-		t.Fatalf("recovery of the mixed directory %+v, want %d blobs, nothing quarantined", rep, len(want))
-	}
-	check(d, want)
-	for id := range want {
-		b, err := os.ReadFile(d.blobPath(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b[:len(blobMagic)]) != blobMagic {
-			t.Errorf("blob %s is not filed as %s", id, blobMagic)
-		}
-	}
-}
 
 // FuzzModelRecord throws arbitrary bytes at DecodeBlob. It must never panic,
 // and what it accepts it must re-encode to exactly the input bytes; so must

@@ -67,9 +67,9 @@ var ErrCorrupt = rec.ErrCorrupt
 // dtype byte (dictDType | String) and carries uvarint k, k × str, then one
 // code per row in the narrowest width that holds k−1: 1 byte up to 256
 // entries, 2 up to 65 536, else 4. Codes must index the dictionary, and no
-// entry may repeat, in either version (the key kernels take equal codes for
-// equal strings); the entries may come in any order, and consumers that
-// rely on sortedness re-check it.
+// entry may repeat (the key kernels take equal codes for equal strings);
+// the entries may come in any order, and consumers that rely on
+// sortedness re-check it.
 //
 // The encoding is canonical: any version-2 byte string that decodes
 // re-encodes to exactly the same bytes, which the fuzz test exploits. So
@@ -77,9 +77,8 @@ var ErrCorrupt = rec.ErrCorrupt
 // longer than its shortest form, and a float dictionary with a repeated or
 // unused entry or out of first-appearance order.
 //
-// Version 1 ("CTC1") is upgraded by Open (upgrade.go), so a directory
-// written before version 2 recovers; nothing else reads it, and a CTC1
-// record on the wire is refused.
+// Nothing reads version 1 ("CTC1"): Open refuses a directory holding one,
+// and a CTC1 record on the wire is refused as corrupt.
 const colMagic = "CTC2"
 
 // MinColumnRecord is the size of the shortest column record: magic, dtype,
@@ -463,8 +462,7 @@ func DecodeColumn(b []byte) (*data.Column, error) {
 	return c, nil
 }
 
-// readHeader reads a record of either version from its dtype byte to its
-// row count. It refuses an ID or a name longer than EncodeColumn writes, so
+// readHeader reads a record from its dtype byte to its row count. It refuses an ID or a name longer than EncodeColumn writes, so
 // that every record that reads can be written again.
 func readHeader(r *rec.Reader) (info ColumnInfo, isDict bool) {
 	dt := r.U8()

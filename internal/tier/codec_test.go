@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -187,8 +185,7 @@ func TestColumnCodecDict(t *testing.T) {
 
 // TestColumnCodecRefusesRepeatedDictEntry: a string dictionary whose entry
 // repeats would give one string two codes, and the key kernels take equal
-// codes for equal strings, so neither version decodes it: not DecodeColumn
-// a version-2 record, nor the upgrade's reader a version-1 one.
+// codes for equal strings, so DecodeColumn refuses it.
 func TestColumnCodecRefusesRepeatedDictEntry(t *testing.T) {
 	c := data.NewDictColumn("d", []string{"x", "y"}, []uint32{0, 1, 0})
 	enc, err := EncodeColumn(c)
@@ -199,36 +196,8 @@ func TestColumnCodecRefusesRepeatedDictEntry(t *testing.T) {
 	v2 := append([]byte(nil), enc[:len(enc)-4]...)
 	v2[bytes.IndexByte(v2, 'y')] = 'x'
 	v2 = checksummed(v2)
-
-	v1 := []byte(colMagicV1)
-	v1 = append(v1, dictDType|byte(data.String))
-	v1 = binary.LittleEndian.AppendUint16(v1, 0)
-	v1 = binary.LittleEndian.AppendUint16(v1, 1)
-	v1 = append(v1, 'd')
-	v1 = binary.LittleEndian.AppendUint32(v1, 3)
-	v1 = binary.LittleEndian.AppendUint32(v1, 2)
-	for _, s := range []string{"x", "x"} {
-		v1 = append(binary.LittleEndian.AppendUint32(v1, uint32(len(s))), s...)
-	}
-	for _, code := range []uint32{0, 1, 0} {
-		v1 = binary.LittleEndian.AppendUint32(v1, code)
-	}
-	v1 = checksummed(v1)
-	// The same record with distinct entries decodes: only the repeat is
-	// refused.
-	ok := append([]byte(nil), v1[:len(v1)-4]...)
-	ok[bytes.LastIndexByte(ok, 'x')] = 'y'
-	if got, err := decodeColumnV1(checksummed(ok)); err != nil || !sameColumn(got, &data.Column{Name: "d", Type: data.String, Dict: []string{"x", "y"}, Codes: []uint32{0, 1, 0}}) {
-		t.Fatalf("the version-1 record with distinct entries: %v", err)
-	}
-
-	for name, decode := range map[string]func() (*data.Column, error){
-		"CTC2": func() (*data.Column, error) { return DecodeColumn(v2) },
-		"CTC1": func() (*data.Column, error) { return decodeColumnV1(v1) },
-	} {
-		if _, err := decode(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `"x" repeats`) {
-			t.Errorf("%s: decoding a repeated entry: err=%v, want ErrCorrupt naming \"x\"", name, err)
-		}
+	if _, err := DecodeColumn(v2); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `"x" repeats`) {
+		t.Errorf("decoding a repeated entry: err=%v, want ErrCorrupt naming \"x\"", err)
 	}
 }
 
@@ -255,48 +224,6 @@ func TestColumnCodecDetectsCorruption(t *testing.T) {
 	// Trailing garbage must be detected.
 	if _, err := DecodeColumn(append(append([]byte(nil), enc...), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte not detected (err=%v)", err)
-	}
-}
-
-// TestCommittedCTC1SeedsStillDecode reads the version-1 records of the
-// committed fuzz corpus, written before version 2, with the upgrade's
-// reader: the well-formed ones decode, and their version-2 record decodes to
-// the same column.
-func TestCommittedCTC1SeedsStillDecode(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzColumnCodec")
-	for name, wellFormed := range map[string]bool{
-		"seed-bool": true, "seed-empty": true, "seed-float": true, "seed-int": true, "seed-string": true,
-		"seed-bad-dtype": false, "seed-magic-only": false, "seed-empty-input": false,
-	} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The corpus format: a header line, then one Go literal per
-		// argument; the first is []byte("...").
-		lines := strings.Split(string(raw), "\n")
-		b, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		c, err := decodeColumnV1([]byte(b))
-		if (err == nil) != wellFormed {
-			t.Errorf("%s: decode error %v, want well-formed %v", name, err, wellFormed)
-			continue
-		}
-		if !wellFormed {
-			continue
-		}
-		if !strings.HasPrefix(b, colMagicV1) {
-			t.Errorf("%s is not a version-1 record", name)
-		}
-		enc, err := EncodeColumn(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := DecodeColumn(enc); err != nil || !sameColumn(got, c) {
-			t.Errorf("%s: the version-2 record does not decode to the column (%v)", name, err)
-		}
 	}
 }
 
@@ -331,21 +258,24 @@ func TestManifestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// ctm1Frame is the version-1 manifest of the committed store-ctc1 directory.
+// ctm1Frame is a version-1 manifest, which nothing reads: magic "CTM1",
+// str16 vid, u32 count, count × (str16 colID, str16 name), u32 CRC-32C.
 func ctm1Frame(tb testing.TB) []byte {
-	b, err := os.ReadFile(filepath.Join("testdata", "store-ctc1", "frames", "3bfc269594ef649228e9a74bab00f042efc91d5a.mf"))
+	w := rec.Frame(frameMagicV1, 64)
+	w.Str16("v1")
+	w.U32(2)
+	for _, s := range []string{"c1", "a", "c2", "b"} {
+		w.Str16(s)
+	}
+	b, err := w.Seal()
 	if err != nil {
 		tb.Fatal(err)
-	}
-	if string(b[:4]) != frameMagicV1 {
-		tb.Fatalf("store-ctc1's manifest is %q", b[:4])
 	}
 	return b
 }
 
 // FuzzManifest throws arbitrary bytes at the manifest decoder, seeded with
-// the version-1 manifest of store-ctc1, which only Open's upgrade reads, and
-// version-2 manifests. It must never panic; it refuses an entry count the
+// a version-1 manifest, which it refuses, and version-2 manifests. It must never panic; it refuses an entry count the
 // bytes left cannot hold before making anything for it, so what it accepts
 // holds no more entries than the frame has bytes for; and what it accepts
 // re-encodes to exactly its bytes.

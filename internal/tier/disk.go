@@ -38,6 +38,16 @@ const (
 	blobMagic  = "CTB2"
 )
 
+// Version 1 of the tier's files, written before the version-2 records. Open
+// refuses a directory holding one: commit v1LastConverter is the last
+// version of this repository that converts such a directory to version 2.
+const (
+	colMagicV1      = "CTC1"
+	frameMagicV1    = "CTM1"
+	blobMagicV1     = "CTB1"
+	v1LastConverter = "15844bf"
+)
+
 func fname(id string) string {
 	h := sha256.Sum256([]byte(id))
 	return hex.EncodeToString(h[:20])
@@ -71,9 +81,8 @@ type Disk struct {
 // Open attaches to (or creates) a disk tier rooted at dir: it scans the
 // store directories, verifies every file's checksum, quarantines corrupt or
 // inconsistent files, deletes orphaned columns, and rebuilds the index. A
-// version-1 file that verifies is rewritten as its version-2 file under
-// the same name (upgrade.go), so nothing after Open reads version 1; a
-// rewrite that fails fails Open, naming the file.
+// version-1 file that verifies fails Open, naming the file and the last
+// commit that converts it; Open moves or rewrites nothing before it.
 func Open(dir string) (*Disk, *Report, error) {
 	for _, sub := range []string{colsDir, framesDir, blobsDir, quarantineDir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -157,9 +166,9 @@ func (d *Disk) quarantine(path string) {
 }
 
 // scan reads every file of one kind, counting the bytes of those load
-// accepts and quarantining those it refuses or that cannot be read. A
-// version-1 file that reads is handed to load as its version-2 file, and
-// rewritten as that when load accepts it.
+// accepts and quarantining those it refuses or that cannot be read. A sound
+// version-1 file is an error: it is not corrupt, and this version cannot
+// read it.
 func (d *Disk) scan(sub, ext string, rep *Report, load func(name string, b []byte) bool) error {
 	entries, err := os.ReadDir(filepath.Join(d.dir, sub))
 	if err != nil {
@@ -171,21 +180,16 @@ func (d *Disk) scan(sub, ext string, rep *Report, load func(name string, b []byt
 		}
 		path := filepath.Join(d.dir, sub, e.Name())
 		b, err := os.ReadFile(path)
-		upgraded := false
 		if err == nil {
-			if b, upgraded, err = upgrade(b); err != nil {
-				return fmt.Errorf("tier: upgrading %s: %w", path, err)
+			if magic, _, v1 := rec.Open(b, colMagicV1, frameMagicV1, blobMagicV1); v1 == nil {
+				return fmt.Errorf("tier: %s is a version-1 file (%s), which this version does not read; "+
+					"commit %s is the last that converts it to version 2", path, magic, v1LastConverter)
 			}
 		}
 		if err != nil || !load(e.Name(), b) {
 			d.quarantine(path)
 			rep.Quarantined++
 			continue
-		}
-		if upgraded {
-			if err := rec.WriteFile(path, b); err != nil {
-				return fmt.Errorf("tier: upgrading %s: %w", path, err)
-			}
 		}
 		rep.BytesVerified += int64(len(b))
 	}
@@ -197,7 +201,7 @@ func (d *Disk) scan(sub, ext string, rep *Report, load func(name string, b []byt
 //
 //	magic "CTM2", id vid, count n, n × (id colID, id name), u32 CRC-32C
 //
-// Version 1 ("CTM1") is upgraded by Open (upgrade.go).
+// Open refuses version 1 ("CTM1").
 func encodeManifest(vid string, man Manifest) ([]byte, error) {
 	w := rec.Frame(frameMagic, 17+len(man.ColIDs)*(17+8))
 	w.ID(vid)
@@ -252,8 +256,7 @@ func ReadManifest(r *rec.Reader) (colIDs, names []string) {
 //
 //	magic "CTB2", str16 vid, blob record (AppendBlob), u32 CRC-32C
 //
-// Version 1 ("CTB1"), the same frame around a gob payload, is upgraded by
-// Open (upgrade.go).
+// Open refuses version 1 ("CTB1"), the same frame around a gob payload.
 func encodeBlob(vid string, a graph.Artifact) ([]byte, error) {
 	w := rec.Frame(blobMagic, 2+len(vid)+256)
 	w.Str16(vid)

@@ -1,15 +1,19 @@
 package tier
 
 import (
+	"bytes"
 	"errors"
-	"math"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/ml"
+	"repro/internal/rec"
 )
 
 func testFrame(ids ...*data.Column) *graph.DatasetArtifact {
@@ -221,104 +225,6 @@ func TestDiskGetQuarantinesRuntimeCorruption(t *testing.T) {
 	}
 }
 
-// ctc1Columns are the columns of frame "v1" in testdata/store-ctc1, a disk
-// tier written before version 2 of the column record: five CTC1 column
-// files, their frame manifest, and the blob "m1" = aggregate 3.25 "count".
-func ctc1Columns() []*data.Column {
-	return []*data.Column{
-		data.NewFloatColumn("f", []float64{1.5, math.Float64frombits(0x7ff8000000000bad), math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 3}),
-		data.NewIntColumn("i", []int64{-1, 0, 42, math.MaxInt64, math.MinInt64, 7}),
-		data.NewStringColumn("s", []string{"", "a", "héllo", "x\x00y", "z", "a"}),
-		data.NewDictColumn("d", []string{"", "north", "south"}, []uint32{1, 2, 0, 1, 1, 2}),
-		data.NewBoolColumn("b", []bool{true, false, true, true, false, false}),
-	}
-}
-
-// copyTree copies a directory of directories of files, so a test can open a
-// committed fixture without changing it.
-func copyTree(t *testing.T, from, to string) {
-	t.Helper()
-	subs, err := os.ReadDir(from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range subs {
-		files, err := os.ReadDir(filepath.Join(from, sub.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Join(to, sub.Name()), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			b, err := os.ReadFile(filepath.Join(from, sub.Name(), f.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(to, sub.Name(), f.Name()), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// checkFrame fails the test unless the tier serves vid as exactly cols.
-func checkFrame(t *testing.T, d *Disk, vid string, cols []*data.Column) {
-	t.Helper()
-	a, err := d.Get(vid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := a.(*graph.DatasetArtifact).Frame.Columns()
-	if len(got) != len(cols) {
-		t.Fatalf("%s: %d columns, want %d", vid, len(got), len(cols))
-	}
-	for i := range cols {
-		if !sameColumn(got[i], cols[i]) {
-			t.Errorf("%s: column %s differs from the original", vid, cols[i].Name)
-		}
-	}
-}
-
-// TestDiskRecoversAVersion1Store opens a directory written before version 2
-// of the column record: it recovers whole, serves the original columns bit
-// for bit, and keeps doing so beside version-2 files written into it.
-func TestDiskRecoversAVersion1Store(t *testing.T) {
-	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "store-ctc1"), dir)
-	d, rep, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Columns != 5 || rep.Frames != 1 || rep.Blobs != 1 || rep.Quarantined != 0 || rep.OrphanColumns != 0 {
-		t.Fatalf("recovery report %+v, want 5 columns, 1 frame, 1 blob, nothing quarantined", rep)
-	}
-	v1 := ctc1Columns()
-	checkFrame(t, d, "v1", v1)
-	if a, err := d.Get("m1"); err != nil || *a.(*graph.AggregateArtifact) != (graph.AggregateArtifact{Value: 3.25, Text: "count"}) {
-		t.Fatalf("blob m1: %v %v", a, err)
-	}
-
-	// A second frame shares two version-1 columns and adds version-2 ones.
-	v2 := []*data.Column{v1[0], data.NewFloatColumn("g", []float64{0, 1, 1, 0, 1, 0}), v1[3],
-		data.NewIntColumn("j", []int64{1, 2, 3, 4, 5, 6})}
-	if err := putColumns(d, "v2", v2); err != nil {
-		t.Fatal(err)
-	}
-	d, rep, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Columns != 7 || rep.Frames != 2 || rep.Quarantined != 0 {
-		t.Fatalf("recovery of the mixed directory %+v, want 7 columns, 2 frames, nothing quarantined", rep)
-	}
-	checkFrame(t, d, "v1", v1)
-	checkFrame(t, d, "v2", v2)
-	if b, err := os.ReadFile(d.colPath(v2[1].ID)); err != nil || string(b[:len(colMagic)]) != colMagic {
-		t.Fatalf("a new column file is not version 2 (%v)", err)
-	}
-}
-
 // TestDiskRecoveryCollectsOrphanColumns: column files not referenced by any
 // manifest (e.g. from a crash mid-spill, before the manifest write) are
 // deleted at boot.
@@ -351,6 +257,122 @@ func TestDiskRecoveryCollectsOrphanColumns(t *testing.T) {
 	}
 	if _, err := os.Stat(orphanPath); !os.IsNotExist(err) {
 		t.Fatal("orphan column file not garbage-collected")
+	}
+}
+
+// filesUnder returns every file under dir by its path relative to dir.
+func filesUnder(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = b
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// version1Files are a sound version-1 file of each kind, by its path under
+// a tier root: a column, a manifest naming it and a blob, framed as the
+// version-1 writers framed them.
+func version1Files(t *testing.T) map[string][]byte {
+	t.Helper()
+	c := data.NewFloatColumn("x", []float64{1.5, -2, 0.25})
+	col := rec.Frame(colMagicV1, 64)
+	col.U8(byte(data.Float64))
+	col.Str16(c.ID)
+	col.Str16(c.Name)
+	col.U32(uint32(c.Len()))
+	col.Floats(c.Floats)
+	man := rec.Frame(frameMagicV1, 64)
+	man.Str16("v")
+	man.U32(1)
+	man.Str16(c.ID)
+	man.Str16(c.Name)
+	blob := rec.Frame(blobMagicV1, 16)
+	blob.Str16("m")
+	blob.Raw([]byte("a gob payload"))
+	files := make(map[string][]byte)
+	for path, w := range map[string]*rec.Writer{
+		filepath.Join(colsDir, fname(c.ID)+colExt):    &col,
+		filepath.Join(framesDir, fname("v")+frameExt): &man,
+		filepath.Join(blobsDir, fname("m")+blobExt):   &blob,
+	} {
+		b, err := w.Seal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path] = b
+	}
+	return files
+}
+
+// writeFiles writes files, by path relative to dir, under dir.
+func writeFiles(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for path, b := range files {
+		path = filepath.Join(dir, path)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenRefusesAVersion1Store: a directory holding a sound version-1 file
+// of any kind fails Open with an error that names the file and the last
+// commit that converts it, and Open leaves every file as it was: a sound
+// file is not corrupt. A version-1 file that fails its checksum is corrupt,
+// and is quarantined as any corrupt file is.
+func TestOpenRefusesAVersion1Store(t *testing.T) {
+	all := version1Files(t)
+	cases := map[string]map[string][]byte{"all three": all}
+	for path, b := range all {
+		cases[path] = map[string][]byte{path: b}
+	}
+	for name, files := range cases {
+		dir := t.TempDir()
+		writeFiles(t, dir, files)
+		_, _, err := Open(dir)
+		if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "commit 15844bf") {
+			t.Fatalf("%s: Open %v; want an error naming commit 15844bf", name, err)
+		}
+		if _, alone := all[name]; alone && !strings.Contains(err.Error(), filepath.Join(dir, name)) {
+			t.Errorf("%s: %v does not name the file", name, err)
+		}
+		if after := filesUnder(t, dir); !reflect.DeepEqual(after, files) {
+			t.Errorf("%s: Open changed the directory: %d files after, %d before", name, len(after), len(files))
+		}
+	}
+
+	// The same files, each with one bit flipped, are corrupt.
+	torn, want := make(map[string][]byte), make(map[string][]byte)
+	for path, b := range all {
+		b = bytes.Clone(b)
+		b[len(b)/2] ^= 0x10
+		torn[path] = b
+		want[filepath.Join(quarantineDir, filepath.Base(path))] = b
+	}
+	dir := t.TempDir()
+	writeFiles(t, dir, torn)
+	_, rep, err := Open(dir)
+	if err != nil || rep.Quarantined != len(torn) {
+		t.Fatalf("torn version-1 files: Open %v, report %+v; want all %d quarantined", err, rep, len(torn))
+	}
+	if after := filesUnder(t, dir); !reflect.DeepEqual(after, want) {
+		t.Errorf("torn version-1 files: the directory holds %d files, want them in quarantine alone", len(after))
 	}
 }
 

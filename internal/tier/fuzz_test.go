@@ -105,12 +105,10 @@ func sameColumn(a, b *data.Column) bool {
 //     checksum covers every byte, so any flip yields ErrCorrupt).
 //
 // The committed seed corpus (testdata/fuzz/FuzzColumnCodec) holds version-1
-// records of every dtype, written before version 2, which DecodeColumn
-// refuses (TestCommittedCTC1SeedsStillDecode reads them with the upgrade's
-// reader), plus malformed inputs; the seeds added here are version-2
-// records of every mode. `go test`
-// replays both on every run, `go test -fuzz=FuzzColumnCodec` explores
-// beyond them.
+// records of every dtype, written before version 2, and malformed inputs:
+// all of it is input DecodeColumn and ValidateColumn refuse. The seeds added
+// here are version-2 records of every mode. `go test` replays both on every
+// run, `go test -fuzz=FuzzColumnCodec` explores beyond them.
 func FuzzColumnCodec(f *testing.F) {
 	for _, c := range modeColumns() {
 		enc, err := EncodeColumn(c)

@@ -32,13 +32,13 @@ func TestValidateColumnReportsTheDecodedColumn(t *testing.T) {
 	}
 }
 
-// TestValidateColumnRefusesVersion1: a version-1 record, which only Open's
-// upgrade reads, is refused as DecodeColumn refuses it, however well formed.
+// TestValidateColumnRefusesVersion1: a version-1 record is refused as
+// DecodeColumn refuses it, however sound its frame.
 func TestValidateColumnRefusesVersion1(t *testing.T) {
 	for _, name := range []string{"seed-float", "seed-int", "seed-string", "seed-bool"} {
 		v1 := corpusBytes(t, "testdata/fuzz/FuzzColumnCodec/"+name)
-		if _, err := decodeColumnV1(v1); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if _, _, err := rec.Open(v1, colMagicV1); err != nil {
+			t.Fatalf("%s is no sound version-1 record: %v", name, err)
 		}
 		_, verr := ValidateColumn(v1)
 		_, derr := DecodeColumn(v1)
@@ -142,7 +142,7 @@ func TestNamedIsTheRecordOfTheRenamedColumn(t *testing.T) {
 // TestFrameRecordsAreWhatADownloadWrites: a frame on disk comes back as its
 // manifest and the version-2 record of each distinct column, named as the
 // manifest first names it — the bytes EncodeColumn writes for the frame's
-// columns — from version-2 files and from a version-1 directory alike.
+// columns.
 func TestFrameRecordsAreWhatADownloadWrites(t *testing.T) {
 	a := data.NewFloatColumn("a", []float64{1.5, 2.5, 3.5})
 	again := a.WithID(a.ID)
@@ -158,32 +158,21 @@ func TestFrameRecordsAreWhatADownloadWrites(t *testing.T) {
 	if err := putColumns(d, "v", []*data.Column{b, again, a}); err != nil {
 		t.Fatal(err)
 	}
-	v1 := t.TempDir()
-	copyTree(t, "testdata/store-ctc1", v1)
-	old, _, err := Open(v1)
-	if err != nil {
-		t.Fatal(err)
+	want := []*data.Column{b, again}
+	man, recs, ok, err := d.FrameRecords("v")
+	if !ok || err != nil || len(recs) != len(want) {
+		t.Fatalf("%d records, ok %v (%v)", len(recs), ok, err)
 	}
-	for _, tc := range []struct {
-		d    *Disk
-		vid  string
-		want []*data.Column
-	}{{d, "v", []*data.Column{b, again}}, {old, "v1", ctc1Columns()}} {
-		man, recs, ok, err := tc.d.FrameRecords(tc.vid)
-		if !ok || err != nil || len(recs) != len(tc.want) {
-			t.Fatalf("%s: %d records, ok %v (%v)", tc.vid, len(recs), ok, err)
+	if len(man.ColIDs) != 3 {
+		t.Fatalf("manifest of %d columns", len(man.ColIDs))
+	}
+	for i, c := range want {
+		enc, err := EncodeColumn(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(man.ColIDs) < len(tc.want) {
-			t.Fatalf("%s: manifest of %d columns", tc.vid, len(man.ColIDs))
-		}
-		for i, c := range tc.want {
-			want, err := EncodeColumn(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(recs[i].Bytes(), want) || recs[i].Size != c.SizeBytes() {
-				t.Errorf("%s: record %d is not the version-2 record of %s", tc.vid, i, c.Name)
-			}
+		if !bytes.Equal(recs[i].Bytes(), enc) || recs[i].Size != c.SizeBytes() {
+			t.Errorf("record %d is not the version-2 record of %s", i, c.Name)
 		}
 	}
 	if _, _, ok, err := d.FrameRecords("absent"); ok || err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/graph"
+	"repro/internal/ml"
 	"repro/internal/tier"
 	"repro/internal/workloads/kaggle"
 	"repro/internal/workloads/openml"
@@ -77,6 +78,13 @@ func TestBlobRecordsOfRealRuns(t *testing.T) {
 	for _, p := range openml.SamplePipelines(cfg, 100, false) {
 		dags = append(dags, p.Build(frame))
 	}
+	// The gob envelope carries the content as an interface value, so the
+	// concrete types that can fill it must be registered.
+	for _, a := range []any{&graph.AggregateArtifact{}, &graph.ModelArtifact{}, &ml.LogisticRegression{},
+		&ml.LinearRegression{}, &ml.DecisionTree{}, &ml.GradientBoostedTrees{}, &ml.RandomForest{}, &ml.KNN{},
+		&ml.GaussianNB{}, &ml.LinearSVM{}} {
+		gob.Register(a)
+	}
 	type total struct{ n, records, gobs int }
 	byKind := make(map[string]*total)
 	for _, dag := range dags {
@@ -141,7 +149,7 @@ func recordBytes(t *testing.T, cols []*data.Column) int64 {
 }
 
 // gobBytes is a frame's gob encoding: its column list, by a fresh encoder,
-// as data.Frame.GobEncode writes it.
+// as gob-encoded frames were written before the column record.
 func gobBytes(t *testing.T, cols []*data.Column) int64 {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(cols); err != nil {
