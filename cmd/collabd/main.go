@@ -140,7 +140,8 @@ func capped[T any](n int, mk func(int) *T) *T {
 // newServer builds the server the configuration describes: cost profile,
 // strategy and planner by name, the debugging surfaces (logged as they are
 // switched on or off), and the artifact store — tiered over -store-dir when
-// one is given.
+// one is given, and refused, with the directory left as it was, when that
+// holds a version-1 tier file or a store.gob.
 func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 	prof, err := profileByName(c.profile)
 	if err != nil {
@@ -192,6 +193,11 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 	logger.Info("debug surfaces", append(surfaces, "pprof", c.pprofOn)...)
 	stOpts := store.Options{MemoryBudget: c.memBudget}
 	if c.storeDir != "" {
+		// A directory of an older version is refused before the tier
+		// opens it, which would create the directories it expects.
+		if err := persist.CheckDir(c.storeDir); err != nil {
+			return nil, err
+		}
 		disk, report, err := tier.Open(c.storeDir)
 		if err != nil {
 			return nil, fmt.Errorf("opening store dir %s: %w", c.storeDir, err)
@@ -205,25 +211,32 @@ func (c *config) newServer(logger *slog.Logger) (*core.Server, error) {
 	return core.NewServer(store.NewTiered(prof, stOpts), srvOpts...), nil
 }
 
-func main() {
-	c, err := parseFlags(os.Args[1:])
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is collabd given the arguments args: it serves until it is signalled
+// to stop and returns the exit status — 0 after a drain or for -h, 2 for a
+// configuration it refuses (a flag, the log level, or a -store-dir it
+// cannot open or of an older version), 1 when it cannot restore state,
+// listen or serve.
+func run(args []string) int {
+	c, err := parseFlags(args)
 	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(0)
+		return 0
 	}
 	if err != nil {
 		// parseFlags has already printed the error and the usage.
-		os.Exit(2)
+		return 2
 	}
 	level, err := logLevelByName(c.logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	logger := obs.NewLogger(os.Stderr, level)
 	srv, err := c.newServer(logger)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 	// checkpoint and final save the state under -store-dir; without one
 	// there is nothing to save, and shutdown only drains the requests in
@@ -233,7 +246,7 @@ func main() {
 		restored, err := persist.Load(srv, dir)
 		if err != nil {
 			logger.Error("restoring state", "dir", dir, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		if restored {
 			logger.Info("state restored", "dir", dir,
@@ -252,7 +265,7 @@ func main() {
 	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		logger.Error("listen failed", "addr", c.addr, "err", err)
-		os.Exit(1)
+		return 1
 	}
 	logger.Info("listening", "addr", ln.Addr().String(), "strategy", srv.Strategy().Name(),
 		"planner", srv.Planner().Name(), "budget", c.budget, "alpha", c.alpha,
@@ -267,8 +280,9 @@ func main() {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	if err := serve(hs, ln, stop, c.checkpoint, checkpoint, final, logger); err != nil {
 		logger.Error("server exited", "err", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 const (

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"log/slog"
@@ -202,10 +201,11 @@ func TestProfileNamesOrFile(t *testing.T) {
 	}
 }
 
-// TestRefusesAVersion1StoreDir: a -store-dir holding a sound version-1 tier
-// file makes newServer fail, naming the file and the last commit that
-// converts it, so collabd exits 2 before it serves; the file stays as it
-// was.
+// TestRefusesAVersion1StoreDir: a -store-dir of an older version — one
+// holding a sound version-1 tier file, or a store.gob — makes newServer
+// fail, naming the file and the last commit that converts it, so collabd
+// exits 2 before it serves, as for any configuration it refuses; and the
+// directory stays as it was, every file in place and no directory created.
 func TestRefusesAVersion1StoreDir(t *testing.T) {
 	w := rec.Frame("CTC1", 32)
 	w.U8(0)
@@ -216,24 +216,59 @@ func TestRefusesAVersion1StoreDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cols", "x.col")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
+	for _, file := range []string{filepath.Join("cols", "x.col"), "store.gob"} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, file)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := listing(t, dir)
+		c, err := parseFlags([]string{"-store-dir", dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.newServer(discardLogger()); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "commit 15844bf") {
+			t.Fatalf("%s: newServer: %v; want an error naming %s and commit 15844bf", file, err, path)
+		}
+		exit := make(chan int, 1)
+		go func() { exit <- run([]string{"-store-dir", dir, "-addr", "127.0.0.1:0"}) }()
+		select {
+		case code := <-exit:
+			if code != 2 {
+				t.Errorf("%s: collabd exits %d, want 2", file, code)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: collabd did not refuse the directory; it is serving", file)
+		}
+		if after := listing(t, dir); after != before {
+			t.Errorf("%s: the directory changed:\n%s\nwas\n%s", file, after, before)
+		}
 	}
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := parseFlags([]string{"-store-dir", dir})
+}
+
+// listing is every path under dir, with each file's contents.
+func listing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		b.WriteString(path + "\n")
+		if !d.IsDir() {
+			content, err := os.ReadFile(path)
+			b.Write(content)
+			return err
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.newServer(discardLogger()); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "commit 15844bf") {
-		t.Fatalf("newServer: %v; want an error naming %s and commit 15844bf", err, path)
-	}
-	if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, v1) {
-		t.Errorf("the version-1 file was moved or changed (%v)", err)
-	}
+	return b.String()
 }
 
 // TestShutdownDrainsBeforeTheLastSave: a request in flight when the signal

@@ -9,7 +9,8 @@
 //	eg.gob     Experiment Graph snapshot
 //
 // A store.gob, the artifact snapshot of versions before the tier held every
-// artifact, is refused: Load fails naming the last commit that converts it.
+// artifact, is refused: CheckDir and Load fail naming the last commit that
+// converts it.
 //
 // Writes are atomic and verified: content goes to an fsynced temp file that
 // is renamed over the target, and each snapshot carries a length + CRC-32C
@@ -75,15 +76,10 @@ func Save(srv *core.Server, dir string) error {
 // empty and returns false. What is materialized after a restore is what the
 // store holds, the disk tier's survivors (its boot scan verified their
 // checksums); the first update evicts those the restored graph does not
-// keep. A directory holding a store.gob fails Load, with or without an
-// eg.gob beside it.
+// keep. A directory CheckDir refuses fails Load.
 func Load(srv *core.Server, dir string) (restored bool, err error) {
-	path := filepath.Join(dir, storeFile)
-	if _, err := os.Lstat(path); err == nil {
-		return false, fmt.Errorf("persist: %s is an artifact snapshot of an older version, which this version does not read; "+
-			"commit %s is the last that converts it to tier files", path, storeLastConverter)
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return false, fmt.Errorf("persist: %w", err)
+	if err := CheckDir(dir); err != nil {
+		return false, err
 	}
 	var egSnap eg.Snapshot
 	if err := readGobFile(filepath.Join(dir, egFile), &egSnap); err != nil {
@@ -94,6 +90,21 @@ func Load(srv *core.Server, dir string) (restored bool, err error) {
 	}
 	srv.EG = eg.FromSnapshot(&egSnap)
 	return true, nil
+}
+
+// CheckDir refuses a state directory of an older version: one holding a
+// store.gob, with or without an eg.gob beside it. It reads nothing else and
+// changes nothing, so a caller can refuse the directory before anything
+// opens it.
+func CheckDir(dir string) error {
+	path := filepath.Join(dir, storeFile)
+	if _, err := os.Lstat(path); err == nil {
+		return fmt.Errorf("persist: %s is an artifact snapshot of an older version, which this version does not read; "+
+			"commit %s is the last that converts it to tier files", path, storeLastConverter)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("persist: %w", err)
+	}
+	return nil
 }
 
 // writeGobFile writes v as an enveloped gob snapshot: magic, little-endian

@@ -37,31 +37,46 @@ import (
 //	list(x)  = uvarint count, count × x
 //
 //	"COQ2" list(node without columns)
-//	"CUQ3" list(node) uvarint(wall time, ns) list(str inline ID, blob)
+//	"CUQ4" uvarint(node count) list(str column ID, uvarint size)
+//	       node × count uvarint(wall time, ns) list(str inline ID, blob)
 //	"COR2" list(str reuse ID) list(str vertex, str donor, float quality)
 //	       uvarint(overhead, ns) list(float predicted load, s)
 //	       list(str unknown frontier ID)
 //	"CUR1" list(str wanted ID) list(list(uvarint held column index))
 //	"CUC1" list(str unknown frontier ID)
-//	"CPQ2" list(str ID, artifact)
+//	"CPQ3" list(str column ID, str name) list(str ID, item)
 //	"CPR1" list(str refused ID)
 //	"CGR2" artifact
 //
 //	artifact = "B" blob
-//	         | "D" manifest list(uvarint len, len bytes: a tier column record)
+//	         | "D" manifest records
+//	item     = "B" blob
+//	         | "D" list(uvarint index into the body's column table) records
 //	manifest = list(str column ID, str name), tier.WriteManifest
+//	records  = list(uvarint len, len bytes: a tier column record)
 //	blob     = uvarint len, len bytes: a tier blob record (len 0: no content)
 //
 // A node is a presence bitmask (uvarint, bit i for field i of the node's
 // fields, in the order of the has* constants) followed by the fields whose
-// bit is set, in bit order. A zero field is left out; a bool is its bit
-// alone. A parent is the index of an earlier node of the same list. A node
-// list is written from a graph.DAG in its frontier form, in its TopoOrder,
-// and read straight into one (listOf, writeNode, readDAG): the live nodes
-// with their parents, and the frontier — the Computed nodes the walk up from
-// the terminals stops at — as frontier nodes, which carry their kind and
-// the run's measurements of them and nothing the graph already holds: no
-// name, operation, parents or column lineage.
+// bit is set, in bit order. A zero field is left out, and a bit set for one
+// is refused; a bool is its bit alone. A parent is the index of an earlier
+// node of the same list. A node list is written from a graph.DAG in its
+// frontier form, in its TopoOrder, and read straight into one (listOf,
+// writeNode, readDAG): the live nodes with their parents, and the frontier —
+// the Computed nodes the walk up from the terminals stops at — as frontier
+// nodes, which carry their kind and the run's measurements of them and
+// nothing the graph already holds: no name, operation, parents or column
+// lineage.
+//
+// The two messages that name many columns name each one once, in a column
+// table, and refer to it by its index: an update's table holds each distinct
+// lineage ID of its nodes with the column's size — a property of the ID —
+// and a node's lineage is a list of indices into it; an upload's table holds
+// each distinct (lineage ID, name) pair of its manifests, and an item's
+// manifest is a list of indices into it. A table is canonical: its entries
+// are in the order the message first names them, each named, none repeated,
+// and every index is in range (tableUse). So a message that decodes
+// re-encodes to the same bytes.
 //
 // An artifact is a model, an aggregate or a dataset without columns as its
 // blob record of internal/tier ("B"), the bytes a blob file of the disk tier
@@ -69,17 +84,17 @@ import (
 // order, with the names they carry in it, the bytes a manifest file of the
 // disk tier holds after its vertex ID — and columns as version-2 records
 // of internal/tier, each checked against its own checksum when it is read. An
-// upload item carries the columns the server does not hold; a download
-// carries each distinct column of the frame once. A blob record is read
-// without reflection, as every other field: no type descriptors travel, and
-// nothing is compiled per request.
+// upload item carries the columns the server does not hold, and its manifest
+// as indices into the body's table; a download carries each distinct column
+// of the frame once. A blob record is read without reflection, as every other
+// field: no type descriptors travel, and nothing is compiled per request.
 const (
 	optimizeRequestMagic  = "COQ2"
-	updateRequestMagic    = "CUQ3"
+	updateRequestMagic    = "CUQ4"
 	optimizeResponseMagic = "COR2"
 	updateResponseMagic   = "CUR1"
 	updateConflictMagic   = "CUC1"
-	uploadRequestMagic    = "CPQ2"
+	uploadRequestMagic    = "CPQ3"
 	uploadResponseMagic   = "CPR1"
 	downloadResponseMagic = "CGR2"
 )
@@ -104,7 +119,9 @@ const (
 	hasSizeBytes
 	hasQuality
 	hasColumns
-	hasColSizes
+	// retiredColSizes carried a node's column sizes until the update's
+	// column table took them (CUQ4): no node sets it.
+	retiredColSizes
 	hasTrainedKind
 	isLoadedFromEG
 	hasFetchTime
@@ -112,10 +129,10 @@ const (
 	hasPredictedLoad
 	isFrontier
 
-	nodeFields = 1<<iota - 1
+	nodeFields = (1<<iota - 1) &^ retiredColSizes
 	// columnFields never travel on an optimize request: the planner prices
 	// from the Experiment Graph and the store, not from column lineage.
-	columnFields = hasColumns | hasColSizes
+	columnFields = hasColumns
 	// structureFields never travel on a frontier node: the graph holds them
 	// under its ID.
 	structureFields = hasName | hasOpHash | isExternal | hasWarmstartKind | hasParents
@@ -148,6 +165,15 @@ func (m *UpdateRequest) marshal() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.marshalList(nodes)
+}
+
+// marshalList writes the request with nodes as its node list.
+func (m *UpdateRequest) marshalList(nodes *nodeList) ([]byte, error) {
+	if err := nodes.tabulate(); err != nil {
+		return nil, err
+	}
+	var err error
 	// The records go into one buffer ahead of the message: ends[i] is where
 	// the record of inline artifact i ends (a nil content is the empty one).
 	var records []byte
@@ -298,6 +324,7 @@ func (m *uploadRequest) marshal() ([]byte, error) {
 	}
 	records, bad, err := encodeColumns(cols)
 	content := make([]encodedArtifact, len(m.Items))
+	var table firstUse[columnPair]
 	for i, up := range m.Items {
 		k := len(up.Columns)
 		switch {
@@ -307,7 +334,10 @@ func (m *uploadRequest) marshal() ([]byte, error) {
 			bad -= k
 			continue
 		}
-		if content[i], err = encodeArtifact(up.Blob, up.ColIDs, up.Names, up.Columns != nil, records[:k:k]); err != nil {
+		if content[i], err = encodeArtifact(up.Blob, up.ColIDs, up.Names, up.Columns != nil, records[:k:k]); err == nil && content[i].form == datasetForm {
+			content[i].refs, err = manifestRefs(&table, up.ColIDs, up.Names)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("artifact %q: %w", up.ID, err)
 		}
 		records = records[k:]
@@ -318,10 +348,15 @@ func (m *uploadRequest) marshal() ([]byte, error) {
 	}
 	body, err := rec.ExactIn(buf, func(w *rec.Writer) {
 		w.Raw([]byte(uploadRequestMagic))
+		w.Uvarint(uint64(len(table.keys)))
+		for _, p := range table.keys {
+			w.ID(p.id)
+			w.ID(p.name)
+		}
 		w.Uvarint(uint64(len(m.Items)))
 		for i, up := range m.Items {
 			w.ID(up.ID)
-			writeArtifact(w, &content[i])
+			writeArtifact(w, &content[i], true)
 		}
 	})
 	if err == nil && m.buf != nil {
@@ -347,9 +382,12 @@ func (m *uploadRecords) unmarshal(body []byte) (err error) {
 // batch (validateColumns) and kept as its item's Records. The body is
 // refused as a record-by-record read would refuse it: at the first record in
 // body order that does not validate, or else at the first thing that cannot
-// be read — every record framed lies before it.
+// be read — every record framed lies before it. The column table is read
+// first: each of its IDs and names is one string, which every manifest that
+// names it shares.
 func readUpload(body []byte) ([]artifactUpload, error) {
 	r := open(body, uploadRequestMagic)
+	table := readPairTable(&r)
 	n := r.Count(3) // an ID, a form byte and a length at least
 	if n == 0 {
 		r.Fail("upload carries no artifact")
@@ -363,7 +401,7 @@ func readUpload(body []byte) ([]artifactUpload, error) {
 			r.Fail("item %d: missing id", i)
 		}
 		var records [][]byte
-		up.Blob, up.ColIDs, up.Names, records = readArtifact(&r)
+		up.Blob, up.ColIDs, up.Names, records = readArtifact(&r, &table)
 		framed = append(framed, records...)
 		counts = append(counts, len(records))
 	}
@@ -381,6 +419,7 @@ func readUpload(body []byte) ([]artifactUpload, error) {
 	if r.Err() != nil && len(counts) > 0 {
 		return nil, fmt.Errorf("artifact %q: %w", items[len(counts)-1].ID, r.Err())
 	}
+	table.use.done(&r)
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -412,7 +451,7 @@ func (m storedDownload) marshal() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return marshal(downloadResponseMagic, func(w *rec.Writer) { writeArtifact(w, &content) })
+	return marshal(downloadResponseMagic, func(w *rec.Writer) { writeArtifact(w, &content, false) })
 }
 
 // unmarshal reads a download and assembles a dataset's frame: every column
@@ -420,7 +459,7 @@ func (m storedDownload) marshal() ([]byte, error) {
 // name. The records must be exactly the manifest's distinct columns.
 func (m *downloadResponse) unmarshal(body []byte) error {
 	r := open(body, downloadResponseMagic)
-	blob, colIDs, names, records := readArtifact(&r)
+	blob, colIDs, names, records := readArtifact(&r, nil)
 	cols, bad, err := decodeColumns(records)
 	if err != nil {
 		return rec.Nested(err, "column %d", bad)
@@ -459,11 +498,13 @@ func (m *downloadResponse) unmarshal(body []byte) error {
 
 // encodedArtifact is an artifact encoded ahead of its message, so that the
 // counting pass of marshal only adds up lengths: the blob record of a blob,
-// or a manifest and column records.
+// or a manifest and column records. refs is an upload item's manifest, as
+// indices into the body's column table.
 type encodedArtifact struct {
 	form          byte
 	blob          []byte
 	colIDs, names []string
+	refs          []int
 	records       [][]byte
 }
 
@@ -520,24 +561,33 @@ func writeBlob(w *rec.Writer, record []byte) {
 	w.Raw(record)
 }
 
-func writeArtifact(w *rec.Writer, a *encodedArtifact) {
+// writeArtifact writes an artifact; with table, a dataset's manifest as its
+// refs, the upload item's form, and otherwise whole.
+func writeArtifact(w *rec.Writer, a *encodedArtifact, table bool) {
 	w.U8(a.form)
 	if a.form == blobForm {
 		writeBlob(w, a.blob)
 		return
 	}
-	tier.WriteManifest(w, a.colIDs, a.names)
+	if table {
+		w.Uvarint(uint64(len(a.refs)))
+		for _, x := range a.refs {
+			w.Uvarint(uint64(x))
+		}
+	} else {
+		tier.WriteManifest(w, a.colIDs, a.names)
+	}
 	w.Uvarint(uint64(len(a.records)))
 	for _, r := range a.records {
 		writeBlob(w, r)
 	}
 }
 
-// readArtifact reads an artifact: a blob, or a dataset's manifest and its
-// column records, framed and not yet checked. A blob must hold content; a
-// manifest must name a column. The records framed before a failure to frame
-// one are returned with it.
-func readArtifact(r *rec.Reader) (blob graph.Artifact, colIDs, names []string, records [][]byte) {
+// readArtifact reads an artifact: a blob, or a dataset's manifest — whole,
+// or with table as indices into it — and its column records, framed and not
+// yet checked. A blob must hold content; a manifest must name a column. The
+// records framed before a failure to frame one are returned with it.
+func readArtifact(r *rec.Reader, table *pairTable) (blob graph.Artifact, colIDs, names []string, records [][]byte) {
 	switch form := r.U8(); form {
 	case blobForm:
 		if blob = readBlob(r); blob == nil {
@@ -545,9 +595,14 @@ func readArtifact(r *rec.Reader) (blob graph.Artifact, colIDs, names []string, r
 		}
 		return blob, nil, nil, nil
 	case datasetForm:
-		if colIDs, names = tier.ReadManifest(r); len(colIDs) == 0 {
+		if table != nil {
+			colIDs, names = table.manifest(r)
+		} else {
+			colIDs, names = tier.ReadManifest(r)
+		}
+		if len(colIDs) == 0 {
 			r.Fail("dataset manifest names no column")
-			return
+			return nil, nil, nil, nil
 		}
 		return nil, colIDs, names, readRecords(r)
 	default:
@@ -644,11 +699,13 @@ func marshal(magic string, write func(*rec.Writer)) ([]byte, error) {
 	})
 }
 
-// open starts reading a body that must begin with magic.
+// open starts reading a body that must begin with magic. A body of another
+// message, or of another version of this one, is refused naming what it
+// begins with.
 func open(body []byte, magic string) rec.Reader {
 	r := rec.NewReader(body)
 	if len(body) < len(magic) || string(body[:len(magic)]) != magic {
-		r.Fail("not a %s message", magic)
+		r.Fail("a body that begins %q is not a %s message", body[:min(len(body), len(magic))], magic)
 	}
 	r.Bytes(len(magic))
 	return r
@@ -673,15 +730,136 @@ func readIDs(r *rec.Reader) []string {
 	return out
 }
 
+// firstUse numbers distinct keys in the order it is first given each: the
+// entries of a column table as an encoder builds it, and the check that a
+// decoder's table repeats no entry.
+type firstUse[K comparable] struct {
+	at   map[K]int
+	keys []K
+}
+
+func newFirstUse[K comparable](n int) firstUse[K] {
+	return firstUse[K]{at: make(map[K]int, n), keys: make([]K, 0, n)}
+}
+
+// index returns the number of k, and whether k was new.
+func (t *firstUse[K]) index(k K) (int, bool) {
+	if x, ok := t.at[k]; ok {
+		return x, false
+	}
+	if t.at == nil {
+		t.at = make(map[K]int)
+	}
+	t.at[k] = len(t.keys)
+	t.keys = append(t.keys, k)
+	return len(t.keys) - 1, true
+}
+
+// columnPair is an entry of an upload's column table: a lineage ID and the
+// name a manifest gives it.
+type columnPair struct{ id, name string }
+
+// manifestRefs returns a manifest as indices into an upload's column
+// table, adding the pairs it names first.
+func manifestRefs(table *firstUse[columnPair], colIDs, names []string) ([]int, error) {
+	if len(names) != len(colIDs) {
+		return nil, fmt.Errorf("%d column ids, %d names", len(colIDs), len(names))
+	}
+	refs := make([]int, len(colIDs))
+	for i := range colIDs {
+		refs[i], _ = table.index(columnPair{colIDs[i], names[i]})
+	}
+	return refs, nil
+}
+
+// tableUse checks the references a message makes to its column table as
+// they are read: each index in range, and each entry first named after
+// every entry before it, the table's first-use order. used counts the
+// entries named so far.
+type tableUse struct{ size, used int }
+
+// index reads a reference, or fails the reader and returns -1.
+func (t *tableUse) index(r *rec.Reader) int {
+	x := r.Uvarint()
+	switch {
+	case r.Err() != nil:
+		return -1
+	case x >= uint64(t.size):
+		r.Fail("column index %d past a table of %d", x, t.size)
+		return -1
+	case x > uint64(t.used):
+		r.Fail("column index %d named before index %d: the table is not in first-use order", x, t.used)
+		return -1
+	case x == uint64(t.used):
+		t.used++
+	}
+	return int(x)
+}
+
+// done refuses a table with an entry no reference names.
+func (t *tableUse) done(r *rec.Reader) {
+	if t.used < t.size {
+		r.Fail("column table entry %d is never named", t.used)
+	}
+}
+
+// pairTable is an upload's column table as the server reads it.
+type pairTable struct {
+	pairs []columnPair
+	use   tableUse
+}
+
+// readPairTable reads an upload's column table; no entry may repeat.
+func readPairTable(r *rec.Reader) pairTable {
+	k := r.Count(2) // an ID and a name of a byte at least
+	seen := newFirstUse[columnPair](k)
+	for x := 0; x < k && r.Err() == nil; x++ {
+		p := columnPair{r.ID(), r.ID()}
+		if _, fresh := seen.index(p); !fresh && r.Err() == nil {
+			r.Fail("column table entry %d repeats %s %q", x, p.id, p.name)
+		}
+	}
+	return pairTable{pairs: seen.keys, use: tableUse{size: len(seen.keys)}}
+}
+
+// manifest reads an item's manifest, the table's strings in the order its
+// indices name them.
+func (t *pairTable) manifest(r *rec.Reader) (colIDs, names []string) {
+	k := r.Count(1)
+	if k == 0 {
+		return nil, nil
+	}
+	colIDs, names = make([]string, k), make([]string, k)
+	for j := range colIDs {
+		x := t.use.index(r)
+		if x < 0 {
+			return nil, nil
+		}
+		colIDs[j], names[j] = t.pairs[x].id, t.pairs[x].name
+	}
+	return colIDs, names
+}
+
 // nodeList is a node list as the encoder writes it: the nodes that travel,
 // in order, whether each travels as a frontier node, the position of each
 // ID in the list, and the hash of each node's operation ("" for none), taken
-// once for both of the encoder's passes.
+// once for both of the encoder's passes; and, for an update, its column
+// table (tabulate).
 type nodeList struct {
 	nodes    []*graph.Node
 	frontier []bool
 	at       map[string]int
 	hashes   []string
+	columns  columnTable
+}
+
+// columnTable is an update's column table as the encoder writes it: each
+// distinct lineage ID of the list in first-use order with its size, and
+// each node's lineage as indices into it.
+type columnTable struct {
+	ids   firstUse[string]
+	sizes []int64
+	refs  [][]int
 }
 
 // listOf returns the node list of d in its frontier form. Walking up from
@@ -747,64 +925,141 @@ func listOf(d *graph.DAG, unknown []string) (*nodeList, error) {
 	return l, nil
 }
 
-// write writes the list; without columns, its nodes' column lineage stays
-// behind.
+// tabulate builds the list's column table from the lineage of every node
+// that travels with it: a dataset's frame, or else the node's Columns and
+// ColSizes. A column's size is a property of its lineage ID, so an ID of
+// two sizes cannot be written, nor a node whose IDs and sizes differ in
+// number.
+func (l *nodeList) tabulate() error {
+	// Sized once: every entry's reference, and the widest lineage's
+	// distinct IDs at least.
+	total, widest := 0, 0
+	for i, n := range l.nodes {
+		if l.frontier[i] {
+			continue
+		}
+		k := len(n.Columns)
+		if ds, ok := n.Content.(*graph.DatasetArtifact); ok && ds.Frame != nil {
+			k = ds.Frame.NumCols()
+		}
+		total, widest = total+k, max(widest, k)
+	}
+	t := &l.columns
+	t.ids, t.sizes, t.refs = newFirstUse[string](widest), make([]int64, 0, widest), make([][]int, len(l.nodes))
+	refs := make([]int, 0, total)
+	add := func(i int, id string, size int64) error {
+		x, fresh := t.ids.index(id)
+		switch {
+		case fresh:
+			t.sizes = append(t.sizes, size)
+		case t.sizes[x] != size:
+			return fmt.Errorf("node %d (%q): column %s of %d bytes, of %d at an earlier node", i, l.nodes[i].ID, id, size, t.sizes[x])
+		}
+		refs = append(refs, x)
+		return nil
+	}
+	for i, n := range l.nodes {
+		if l.frontier[i] {
+			continue
+		}
+		start := len(refs)
+		if ds, ok := n.Content.(*graph.DatasetArtifact); ok && ds.Frame != nil {
+			for _, c := range ds.Frame.Columns() {
+				if err := add(i, c.ID, c.SizeBytes()); err != nil {
+					return err
+				}
+			}
+		} else {
+			if len(n.Columns) != len(n.ColSizes) {
+				return fmt.Errorf("node %d (%q): %d column lineage IDs and %d sizes", i, n.ID, len(n.Columns), len(n.ColSizes))
+			}
+			for j, id := range n.Columns {
+				if err := add(i, id, n.ColSizes[j]); err != nil {
+					return err
+				}
+			}
+		}
+		t.refs[i] = refs[start:len(refs):len(refs)]
+	}
+	return nil
+}
+
+// write writes the list: with columns, the column table tabulate built
+// after the node count and each node's lineage as indices into it; without,
+// its nodes' column lineage stays behind.
 func (l *nodeList) write(w *rec.Writer, columns bool) {
 	w.Uvarint(uint64(len(l.nodes)))
+	if columns {
+		t := &l.columns
+		w.Uvarint(uint64(len(t.ids.keys)))
+		for x, id := range t.ids.keys {
+			w.ID(id)
+			w.Length("column size", t.sizes[x])
+		}
+	}
 	for i := range l.nodes {
 		l.writeNode(w, i, columns)
 	}
 }
 
-// writeNode writes node i, each parent as its position in the list. The op
-// hash, the external flag and the warmstart kind come from the node's
-// operation; the column lineage comes from a dataset's frame and the
-// trained kind from a model, or — for a node that holds no such content, as
-// the decoder builds them — from the fields that carry them. A frontier node
-// leaves its structure and its column lineage behind, and is Computed.
-// Quality is zero only as +0: its bits travel, so -0 and every NaN survive.
-func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
-	n, hash := l.nodes[i], l.hashes[i]
-	var warmstart string
-	var external bool
-	if n.Op != nil {
-		ext, ok := n.Op.(interface{ External() bool })
-		external = ok && ext.External()
-		if wop, ok := n.Op.(graph.WarmstartableOp); ok && wop.CanWarmstart() {
-			warmstart = wop.ModelKind()
-		}
+// opFields returns what a node's operation contributes to its fields
+// besides its hash: the external flag and the warmstart kind.
+func opFields(op graph.Operation) (external bool, warmstart string) {
+	if op == nil {
+		return false, ""
 	}
-	ids, sizes, trained := n.Columns, n.ColSizes, n.ModelKind
-	var frame []*data.Column
-	switch c := n.Content.(type) {
-	case *graph.DatasetArtifact:
-		if c.Frame != nil {
-			frame, ids, sizes = c.Frame.Columns(), nil, nil
-		}
-	case *graph.ModelArtifact:
-		if c.Model != nil {
-			trained = c.Model.Kind()
-		}
+	ext, ok := op.(interface{ External() bool })
+	external = ok && ext.External()
+	if wop, ok := op.(graph.WarmstartableOp); ok && wop.CanWarmstart() {
+		warmstart = wop.ModelKind()
 	}
-	nIDs, nSizes := len(frame)+len(ids), len(frame)+len(sizes) // one of the two sources is empty
+	return external, warmstart
+}
+
+// fields returns the presence bitmask of node n as it travels, as a
+// frontier node or not, given what of it comes from elsewhere: its
+// operation's, its trained kind and the number of its lineage entries that
+// travel. A bit is set for each field that is not zero. The encoder writes
+// it; the decoder refuses a node whose bitmask is not the one of the node
+// it read, so that what decodes re-encodes to the same bytes.
+func fields(n *graph.Node, hash, warmstart, trained string, external bool, cols int, frontier bool) uint64 {
 	var has uint64
 	for bit, set := range [...]bool{
 		n.ID != "", n.Kind != 0, n.Name != "", hash != "", external,
 		warmstart != "", len(n.Parents) > 0, n.Computed, n.ComputeTime != 0,
-		n.SizeBytes != 0, math.Float64bits(n.Quality) != 0, nIDs > 0,
-		nSizes > 0, trained != "", n.LoadedFromEG, n.FetchTime != 0,
+		n.SizeBytes != 0, math.Float64bits(n.Quality) != 0, cols > 0,
+		false /* retiredColSizes */, trained != "", n.LoadedFromEG, n.FetchTime != 0,
 		n.FetchTier != "", n.PredictedLoad != 0, n.Frontier,
 	} {
 		if set {
 			has |= 1 << bit
 		}
 	}
-	if !columns {
-		has &^= columnFields
-	}
-	if l.frontier[i] {
+	if frontier {
 		has = has&^(structureFields|columnFields) | isComputed | isFrontier
 	}
+	return has
+}
+
+// writeNode writes node i, each parent as its position in the list. The op
+// hash, the external flag and the warmstart kind come from the node's
+// operation; the column lineage comes from the column table and the trained
+// kind from a model, or — for a node that holds no model, as the decoder
+// builds them — from the field that carries it. A frontier node leaves its
+// structure and its column lineage behind, and is Computed. Quality is zero
+// only as +0: its bits travel, so -0 and every NaN survive.
+func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
+	n, hash := l.nodes[i], l.hashes[i]
+	external, warmstart := opFields(n.Op)
+	trained := n.ModelKind
+	if c, ok := n.Content.(*graph.ModelArtifact); ok && c.Model != nil {
+		trained = c.Model.Kind()
+	}
+	var refs []int
+	if columns {
+		refs = l.columns.refs[i]
+	}
+	has := fields(n, hash, warmstart, trained, external, len(refs), l.frontier[i])
 	w.Uvarint(has)
 	if has&hasID != 0 {
 		w.ID(n.ID)
@@ -837,21 +1092,9 @@ func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
 		w.Float(n.Quality)
 	}
 	if has&hasColumns != 0 {
-		w.Uvarint(uint64(nIDs))
-		for _, c := range frame {
-			w.ID(c.ID)
-		}
-		for _, id := range ids {
-			w.ID(id)
-		}
-	}
-	if has&hasColSizes != 0 {
-		w.Uvarint(uint64(nSizes))
-		for _, c := range frame {
-			w.Length("column size", c.SizeBytes())
-		}
-		for _, size := range sizes {
-			w.Length("column size", size)
+		w.Uvarint(uint64(len(refs)))
+		for _, x := range refs {
+			w.Uvarint(uint64(x))
 		}
 	}
 	if has&hasTrainedKind != 0 {
@@ -868,16 +1111,61 @@ func (l *nodeList) writeNode(w *rec.Writer, i int, columns bool) {
 	}
 }
 
-// readDAG reads a node list into a graph.DAG. A node that names an
-// operation gets a wireOp for it, with the node's name and kind. It is the
-// one place a node list is refused: every parent index must name an earlier
-// node, no ID may repeat, every kind must be one of graph's four, a
-// dataset's column lineage must carry one size per column, and a frontier
-// node must be Computed and list no parents (it may be a parent). So the
-// handlers answer 400 to a list the graph could not take whole, and merge
-// none of it.
+// nodeColumns is an update's column table as the server reads it: each
+// entry's lineage ID, one string that every node naming it shares, and
+// size.
+type nodeColumns struct {
+	ids   []string
+	sizes []int64
+	use   tableUse
+}
+
+// readNodeColumns reads an update's column table; no ID may repeat.
+func readNodeColumns(r *rec.Reader) nodeColumns {
+	k := r.Count(2) // an ID and a size of a byte at least
+	seen := newFirstUse[string](k)
+	sizes := make([]int64, k)
+	for x := 0; x < k && r.Err() == nil; x++ {
+		id := r.ID()
+		if _, fresh := seen.index(id); !fresh && r.Err() == nil {
+			r.Fail("column table entry %d repeats %s", x, id)
+		}
+		sizes[x] = r.Length()
+	}
+	return nodeColumns{ids: seen.keys, sizes: sizes, use: tableUse{size: len(seen.keys)}}
+}
+
+// lineage reads a node's column lineage as indices into the table.
+func (t *nodeColumns) lineage(r *rec.Reader) ([]string, []int64) {
+	k := r.Count(1)
+	if k == 0 {
+		return nil, nil
+	}
+	ids, sizes := make([]string, k), make([]int64, k)
+	for j := range ids {
+		x := t.use.index(r)
+		if x < 0 {
+			return nil, nil
+		}
+		ids[j], sizes[j] = t.ids[x], t.sizes[x]
+	}
+	return ids, sizes
+}
+
+// readDAG reads a node list into a graph.DAG, with columns after its
+// update's column table. A node that names an operation gets a wireOp for
+// it, with the node's name and kind. It is the one place a node list is
+// refused: every parent index must name an earlier node, no ID may repeat,
+// every kind must be one of graph's four, a frontier node must be Computed
+// and list no parents (it may be a parent), no node may set a bit for a
+// zero field, and the column table must be canonical. So the handlers answer
+// 400 to a list the graph could not take whole, and merge none of it.
 func readDAG(r *rec.Reader, columns bool) *graph.DAG {
 	n := r.Count(1)
+	var table nodeColumns
+	if columns {
+		table = readNodeColumns(r)
+	}
 	if r.Err() != nil {
 		return nil
 	}
@@ -906,8 +1194,9 @@ func readDAG(r *rec.Reader, columns bool) *graph.DAG {
 		if has&hasName != 0 {
 			nd.Name = r.ID()
 		}
+		var op wireOp
 		if has&(hasOpHash|isExternal|hasWarmstartKind) != 0 {
-			op := wireOp{name: nd.Name, kind: nd.Kind, external: has&isExternal != 0}
+			op = wireOp{name: nd.Name, kind: nd.Kind, external: has&isExternal != 0}
 			if has&hasOpHash != 0 {
 				op.hash = r.ID()
 			}
@@ -940,15 +1229,7 @@ func readDAG(r *rec.Reader, columns bool) *graph.DAG {
 			nd.Quality = r.Float()
 		}
 		if has&hasColumns != 0 {
-			nd.Columns = readIDs(r)
-		}
-		if has&hasColSizes != 0 {
-			if k := r.Count(1); k > 0 {
-				nd.ColSizes = make([]int64, k)
-				for j := range nd.ColSizes {
-					nd.ColSizes[j] = r.Length()
-				}
-			}
+			nd.Columns, nd.ColSizes = table.lineage(r)
 		}
 		if has&hasTrainedKind != 0 {
 			nd.ModelKind = r.ID()
@@ -966,18 +1247,21 @@ func readDAG(r *rec.Reader, columns bool) *graph.DAG {
 		if r.Err() != nil {
 			return nil
 		}
-		if len(nd.Columns) != len(nd.ColSizes) {
-			r.Fail("node %d (%q): %d column lineage IDs and %d sizes", i, nd.ID, len(nd.Columns), len(nd.ColSizes))
-			return nil
-		}
 		if nd.Frontier = has&isFrontier != 0; nd.Frontier && (has&hasParents != 0 || !nd.Computed) {
 			r.Fail("node %d (%q): a frontier node must be computed and list no parents", i, nd.ID)
+			return nil
+		}
+		if want := fields(nd, op.hash, op.warmstartKind, nd.ModelKind, op.external, len(nd.Columns), nd.Frontier); has != want {
+			r.Fail("node %d (%q): fields %#x, where what they hold is written %#x", i, nd.ID, has, want)
 			return nil
 		}
 		if dag.Adopt(nd) != nd {
 			r.Fail("node %d repeats ID %q", i, nd.ID)
 			return nil
 		}
+	}
+	if table.use.done(r); r.Err() != nil {
+		return nil
 	}
 	return dag
 }

@@ -84,11 +84,13 @@ func randomStrings(rng *rand.Rand) []string {
 
 // randomDAG draws a DAG of meta-data nodes, as a decoder builds them, with
 // every field zero or not, independently: a valid kind, an operation or
-// none, and as many column sizes as column lineage IDs. With columns false,
-// the nodes carry no column lineage, as an optimize request has them.
+// none, and as many column sizes as column lineage IDs, one size per ID
+// across the DAG. With columns false, the nodes carry no column lineage, as
+// an optimize request has them.
 func randomDAG(rng *rand.Rand, columns bool) *graph.DAG {
 	dag := graph.NewDAG()
 	var nodes []*graph.Node
+	sizes := map[string]int64{} // a column's size is a property of its lineage ID
 	for i := rng.Intn(8); i > 0; i-- {
 		n := &graph.Node{
 			ID: randomString(rng), Kind: graph.Kind(rng.Intn(4)), Name: randomString(rng),
@@ -104,7 +106,10 @@ func randomDAG(rng *rand.Rand, columns bool) *graph.DAG {
 			n.Parents = append(n.Parents, nodes[rng.Intn(len(nodes))])
 		}
 		for _, id := range randomStrings(rng) {
-			n.Columns, n.ColSizes = append(n.Columns, id), append(n.ColSizes, randomLength(rng))
+			if _, ok := sizes[id]; !ok {
+				sizes[id] = randomLength(rng)
+			}
+			n.Columns, n.ColSizes = append(n.Columns, id), append(n.ColSizes, sizes[id])
 		}
 		if !columns {
 			n.Columns, n.ColSizes = nil, nil
@@ -302,14 +307,18 @@ func TestMetaMessagesRoundTrip(t *testing.T) {
 }
 
 // TestCodecRefusesWhatItCannotCarry: a negative size or duration cannot be
-// written — the encoder returns an error, the body is never sent — and a
-// body that announces more than it holds fails before anything is made for
-// it.
+// written — the encoder returns an error, the body is never sent — nor a
+// node whose column IDs and sizes differ in number, nor one column of two
+// sizes; and a body that announces more than it holds fails before anything
+// is made for it.
 func TestCodecRefusesWhatItCannotCarry(t *testing.T) {
 	for name, m := range map[string]marshaler{
-		"compute time":   &OptimizeRequest{DAG: dagOf(&graph.Node{ID: "a", ComputeTime: -1})},
-		"size":           &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", SizeBytes: -1})},
-		"column size":    &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", Columns: []string{"c"}, ColSizes: []int64{-1}})},
+		"compute time":                &OptimizeRequest{DAG: dagOf(&graph.Node{ID: "a", ComputeTime: -1})},
+		"size":                        &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", SizeBytes: -1})},
+		"column size":                 &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", Columns: []string{"c"}, ColSizes: []int64{-1}})},
+		"two column IDs and one size": &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", Columns: []string{"c1", "c2"}, ColSizes: []int64{8}})},
+		"a column of two sizes": &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", Columns: []string{"c"}, ColSizes: []int64{8}},
+			&graph.Node{ID: "b", Columns: []string{"c"}, ColSizes: []int64{9}})},
 		"fetch time":     &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", FetchTime: -1})},
 		"predicted load": &UpdateRequest{DAG: dagOf(&graph.Node{ID: "a", PredictedLoad: -1})},
 		"wall time":      &UpdateRequest{DAG: graph.NewDAG(), WallTime: -1},
@@ -397,7 +406,8 @@ func TestRequestsCarryTheirLength(t *testing.T) {
 // TestUploadBodyIsTheUnsizedEncoding: sizing the upload buffer beforehand
 // changes how it is allocated, not one byte of the body. The body of W1's
 // content is exactly as long as its buffer and byte for byte the layout
-// codec.go documents, written here into a buffer that grows from empty.
+// codec.go documents (uploadLayout), written into a buffer that grows from
+// empty; its column table names each (ID, name) pair once.
 func TestUploadBodyIsTheUnsizedEncoding(t *testing.T) {
 	w1 := kaggle.Workload1(kaggle.Generate(kaggle.Config{Scale: 1, Seed: 42}))
 	if _, err := core.Execute(w1, nil, nil); err != nil {
@@ -413,14 +423,59 @@ func TestUploadBodyIsTheUnsizedEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blobs, entries := 0, 0
+	for _, up := range b.items {
+		blobs += btoi(up.Blob != nil)
+		entries += len(up.ColIDs)
+	}
+	if blobs == 0 || blobs == len(b.items) {
+		t.Fatalf("%d of %d items are blobs: the body does not exercise both forms", blobs, len(b.items))
+	}
+	want, pairs := uploadLayout(t, b.items)
+	if cap(body) != len(body) || !bytes.Equal(body, want) {
+		t.Errorf("the sized upload body of %d items differs from the unsized one (%d bytes in a buffer of %d vs %d)",
+			len(b.items), len(body), cap(body), len(want))
+	}
+	if pairs >= entries {
+		t.Errorf("%d manifest entries name %d distinct columns: W1's manifests share none", entries, pairs)
+	}
+	t.Logf("%d items, %d manifest entries, %d table entries, %d bytes", len(b.items), entries, pairs, len(body))
+}
+
+// uploadLayout writes an upload body as codec.go documents its layout,
+// stated apart from the encoder, into a buffer that grows from empty: the
+// column table of the items' distinct (ID, name) pairs in the order the
+// manifests first name them, then each item — a blob, or a dataset's
+// manifest as indices into the table and its records: its Columns encoded,
+// or the Records a server read, as they are. It returns the body and the
+// number of table entries.
+func uploadLayout(t testing.TB, items []artifactUpload) ([]byte, int) {
+	t.Helper()
+	type pair struct{ id, name string }
+	at := map[pair]int{}
+	var table []pair
+	refs := make([][]int, len(items))
+	for i, up := range items {
+		for j, id := range up.ColIDs {
+			p := pair{id, up.Names[j]}
+			if _, ok := at[p]; !ok {
+				at[p] = len(table)
+				table = append(table, p)
+			}
+			refs[i] = append(refs[i], at[p])
+		}
+	}
 	e := rec.NewWriter([]byte{})
 	e.Raw([]byte(uploadRequestMagic))
-	e.Uvarint(uint64(len(b.items)))
-	blobs := 0
-	for _, up := range b.items {
+	e.Uvarint(uint64(len(table)))
+	for _, p := range table {
+		e.ID(p.id)
+		e.ID(p.name)
+	}
+	e.Uvarint(uint64(len(items)))
+	for i, up := range items {
 		e.ID(up.ID)
 		if up.Blob != nil {
-			blobs++
 			rec, err := tier.AppendBlob(nil, up.Blob)
 			if err != nil {
 				t.Fatal(err)
@@ -431,28 +486,28 @@ func TestUploadBodyIsTheUnsizedEncoding(t *testing.T) {
 			continue
 		}
 		e.Raw([]byte{datasetForm})
-		e.Uvarint(uint64(len(up.ColIDs)))
-		for i := range up.ColIDs {
-			e.ID(up.ColIDs[i])
-			e.ID(up.Names[i])
+		e.Uvarint(uint64(len(refs[i])))
+		for _, x := range refs[i] {
+			e.Uvarint(uint64(x))
 		}
-		e.Uvarint(uint64(len(up.Columns)))
+		records := make([][]byte, 0, len(up.Columns)+len(up.Records))
 		for _, c := range up.Columns {
 			rec, err := tier.EncodeColumn(c)
 			if err != nil {
 				t.Fatal(err)
 			}
+			records = append(records, rec)
+		}
+		for _, r := range up.Records {
+			records = append(records, r.Bytes())
+		}
+		e.Uvarint(uint64(len(records)))
+		for _, rec := range records {
 			e.Uvarint(uint64(len(rec)))
 			e.Raw(rec)
 		}
 	}
-	if blobs == 0 || blobs == len(b.items) {
-		t.Fatalf("%d of %d items are blobs: the body does not exercise both forms", blobs, len(b.items))
-	}
-	if cap(body) != len(body) || !bytes.Equal(body, e.Bytes()) {
-		t.Errorf("the sized upload body of %d items differs from the unsized one (%d bytes in a buffer of %d vs %d)",
-			len(b.items), len(body), cap(body), len(e.Bytes()))
-	}
+	return e.Bytes(), len(table)
 }
 
 // TestMetaBodyIsExactlyOneMessage: a meta-data body is read to its end and

@@ -90,12 +90,12 @@ func goldenMessages(t *testing.T) map[string]golden {
 	absent := &uploadResponse{Absent: []string{src, "v"}}
 	return map[string]golden{
 		"COQ2": {&OptimizeRequest{DAG: goldenDAG()}, &OptimizeRequest{}, &OptimizeRequest{DAG: frontierForm(goldenDAG(), false)}},
-		"CUQ3": {&UpdateRequest{DAG: goldenDAG(), Unknown: []string{src}, WallTime: 2 * time.Second, Inline: inline},
+		"CUQ4": {&UpdateRequest{DAG: goldenDAG(), Unknown: []string{src}, WallTime: 2 * time.Second, Inline: inline},
 			&UpdateRequest{}, &UpdateRequest{DAG: frontierForm(goldenDAG(), true, src), WallTime: 2 * time.Second, Inline: inline}},
 		"COR2": {optimized, &optimizeResponse{}, optimized},
 		"CUR1": {want, &UpdateResponse{}, want},
 		"CUC1": {conflict, &frontierConflict{}, conflict},
-		"CPQ2": {&uploadRequest{Items: []artifactUpload{{ID: "score", Blob: auc},
+		"CPQ3": {&uploadRequest{Items: []artifactUpload{{ID: "score", Blob: auc},
 			{ID: src, ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Columns: frame.Columns()[1:]}}},
 			&uploadRecords{}, &uploadRecords{Items: []artifactUpload{{ID: "score", Blob: auc},
 				{ID: src, ColIDs: frame.ColumnIDs(), Names: frame.ColumnNames(), Records: records[1:]}}}},

@@ -148,6 +148,9 @@ func TestHostileBlobRecordsAreRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes, err := listOf(dag, dag.IDs()) // every vertex with its ancestry: the server holds none
+	if err == nil {
+		err = nodes.tabulate()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +172,7 @@ func TestHostileBlobRecordsAreRefused(t *testing.T) {
 	}
 	upload := func(blob []byte) []byte {
 		body, _ := marshal(uploadRequestMagic, func(e *rec.Writer) {
+			e.Uvarint(0) // no column table
 			e.Uvarint(1)
 			e.ID("m")
 			e.Raw([]byte{blobForm})
@@ -409,9 +413,11 @@ func sameServerState(got, want *core.Server) error {
 // 409 (a frontier vertex the fresh server does not hold) or 413 — never a
 // panic, never a 5xx; a refused update leaves the Experiment Graph and the
 // store as they were, and an accepted one leaves the graph's maintained
-// state equal to its from-scratch derivation. The seeds are updates as a
-// client sends them to a server that holds nothing (every vertex with its
-// ancestry), and one in its frontier form.
+// state equal to its from-scratch derivation. A body that decodes re-encodes
+// to the same bytes (decodedUpdate): the decoder is canonical. The seeds are
+// updates as a client sends them to a server that holds nothing (every
+// vertex with its ancestry), one in its frontier form, the golden body and
+// the column tables of TestColumnTablesAreCanonical.
 func FuzzUpdateDecode(f *testing.F) {
 	w1 := kaggle.AllWorkloads()[0].Build(kaggle.Generate(kaggle.Config{Scale: 1, Seed: 42}))
 	if _, err := core.Execute(w1, nil, nil); err != nil {
@@ -454,8 +460,19 @@ func FuzzUpdateDecode(f *testing.F) {
 		f.Add(body[:len(body)/2]) // truncated
 	}
 	f.Add([]byte{})
+	goldenSeeds(f, updateRequestMagic)
+	updates, _ := tableCases(f)
+	for _, body := range updates {
+		f.Add(body)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
+		var req UpdateRequest
+		if req.unmarshal(body) == nil {
+			if again, err := decodedUpdate(&req); err != nil || !bytes.Equal(again, body) {
+				t.Fatalf("a body of %d bytes decoded and re-encodes as %d bytes (%v), not the same", len(body), len(again), err)
+			}
+		}
 		srv := core.NewServer(store.New(cost.Memory()))
 		rec := httptest.NewRecorder()
 		NewHandler(srv).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(body)))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"slices"
 	"strconv"
@@ -161,6 +162,17 @@ func sameBits(a, b graph.Artifact) bool {
 		}
 	}
 	return true
+}
+
+// TestMain numbers the gob type envelopeBytes measures against before any
+// test runs. Gob numbers a type the first time the process encodes it, and
+// the number travels in every stream, so the baseline would otherwise
+// depend on which test of the binary gob-encoded first.
+func TestMain(m *testing.M) {
+	if err := gob.NewEncoder(io.Discard).Encode([]*data.Column{}); err != nil {
+		panic(err)
+	}
+	os.Exit(m.Run())
 }
 
 // envelopeBytes is about what the whole-artifact protocol put on the wire
@@ -557,6 +569,7 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	firstFlipped := slices.Clone(full)
 	firstFlipped[bytes.Index(full, []byte("CTC2"))+8] ^= 1 // inside the first column record
 	unknownForm, err := marshal(uploadRequestMagic, func(e *rec.Writer) {
+		e.Uvarint(0) // no column table
 		e.Uvarint(1)
 		e.ID("v")
 		e.Raw([]byte{'X', 0})
@@ -649,8 +662,11 @@ func TestUploadRefusesAVersion1Record(t *testing.T) {
 	body := func(record []byte) []byte {
 		b, err := marshal(uploadRequestMagic, func(e *rec.Writer) {
 			e.Uvarint(1)
+			e.ID(c.ID)
+			e.ID(c.Name)
+			e.Uvarint(1)
 			e.ID("v")
-			writeArtifact(e, &encodedArtifact{form: datasetForm, colIDs: []string{c.ID}, names: []string{c.Name}, records: [][]byte{record}})
+			writeArtifact(e, &encodedArtifact{form: datasetForm, refs: []int{0}, records: [][]byte{record}}, true)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -783,7 +799,10 @@ func TestClientRecordsServerErrors(t *testing.T) {
 // that already holds a frame. Whatever arrives, the handler answers 200, 204,
 // 400 or 413 — never a panic, never a 5xx. A body refused before admission
 // leaves the store as it was; whatever the store holds afterwards is readable
-// back, and an answer of 204 means every item the graph keeps is.
+// back, and an answer of 204 means every item the graph keeps is. A body
+// that decodes is the layout of what it decodes to (uploadLayout), byte for
+// byte: the decoder is canonical. Among the seeds are the golden body and
+// the column tables of TestColumnTablesAreCanonical.
 func FuzzUploadDecode(f *testing.F) {
 	frame := testFrame(10, 3)
 	cols := frame.Columns()
@@ -807,6 +826,11 @@ func FuzzUploadDecode(f *testing.F) {
 		f.Add(b[:len(b)/2])
 	}
 	f.Add([]byte{})
+	goldenSeeds(f, uploadRequestMagic)
+	_, uploads := tableCases(f)
+	for _, body := range uploads {
+		f.Add(body)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
@@ -825,6 +849,11 @@ func FuzzUploadDecode(f *testing.F) {
 		}
 		var up uploadRecords
 		whole := up.unmarshal(body) == nil
+		if whole {
+			if again, _ := uploadLayout(t, up.Items); !bytes.Equal(again, body) {
+				t.Fatalf("a body of %d bytes decoded and re-encodes as %d bytes, not the same", len(body), len(again))
+			}
+		}
 		if !whole && (srv.Store.Len() != 1 || srv.Store.PhysicalBytes() != cols[0].SizeBytes()) {
 			t.Fatal("a body refused before admission changed the store")
 		}

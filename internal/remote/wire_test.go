@@ -68,10 +68,10 @@ func serverDAG(t testing.TB, dag *graph.DAG) *graph.DAG {
 
 // metaBody writes a node list — not a DAG: its IDs may repeat and its
 // parents follow their children — as a request body of route, with every
-// field its nodes set, column lineage too, and every parent as the index of
-// the first node that carries its ID, or the list's length when none does.
-// So it writes lists the client's encoder cannot: a parent that does not
-// precede its child is an index at or after the child's own.
+// field its nodes set, column lineage too on an update, and every parent as
+// the index of the first node that carries its ID, or the list's length
+// when none does. So it writes lists the client's encoder cannot: a parent
+// that does not precede its child is an index at or after the child's own.
 func metaBody(t testing.TB, route string, nodes []*graph.Node) []byte {
 	t.Helper()
 	l := nodeList{nodes: nodes, frontier: make([]bool, len(nodes)), at: make(map[string]int), hashes: make([]string, len(nodes))}
@@ -93,9 +93,12 @@ func metaBody(t testing.TB, route string, nodes []*graph.Node) []byte {
 	magic := optimizeRequestMagic
 	if route == "/v1/update" {
 		magic = updateRequestMagic
+		if err := l.tabulate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	b, err := marshal(magic, func(e *rec.Writer) {
-		l.write(e, true)
+		l.write(e, magic == updateRequestMagic)
 		if magic == updateRequestMagic {
 			e.Uvarint(0) // wall time
 			e.Uvarint(0) // no inline artifact
@@ -136,11 +139,11 @@ func wellFormed(nodes []*graph.Node) bool {
 // meta-data routes and leaves the Experiment Graph as it was — before, the
 // offending edge was dropped, and an operation's output entered the graph
 // as a "source" the updater stores outside the budget and asks the client
-// to upload; a vertex of kind 9 was merged for good, and one with two column
-// IDs and one size merged without its lineage, which the storage-aware
-// strategy then mispriced. The decoder refuses them all. (An optimize
-// request carries no column lineage, so there the mismatched node is refused
-// for carrying it at all.)
+// to upload; a vertex of kind 9 was merged for good. The decoder refuses them
+// all. (A node with two column IDs and one size, which once merged without
+// its lineage, can no longer be said: an update names each column's size
+// once, in its column table, and the encoder refuses such a node —
+// TestCodecRefusesWhatItCannotCarry.)
 func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 	src := &graph.Node{ID: "s", Kind: graph.DatasetKind, Name: "s"}
 	a := &graph.Node{ID: "a", Kind: graph.DatasetKind, Name: "a", Op: wireOp{hash: "ha"}, Parents: []*graph.Node{src}, ComputeTime: time.Second, SizeBytes: 10}
@@ -160,7 +163,6 @@ func TestMetaRequestsRejectNodeListsThatAreNotDAGs(t *testing.T) {
 		{"repeated ID", []*graph.Node{src, a, a}, 400},
 		{"repeated source", []*graph.Node{src, src}, 400},
 		{"kind outside the four", []*graph.Node{src, {ID: "k", Kind: 9, Op: wireOp{hash: "hk"}, Parents: []*graph.Node{src}}}, 400},
-		{"two column IDs and one size", []*graph.Node{{ID: "c", Kind: graph.DatasetKind, Columns: []string{"c1", "c2"}, ColSizes: []int64{8}}}, 400},
 		{"frontier node that lists parents", []*graph.Node{src, {ID: "f", Parents: []*graph.Node{src}, Computed: true, Frontier: true}}, 400},
 		{"frontier node that is not computed", []*graph.Node{{ID: "f", Frontier: true}}, 400},
 		{"empty", nil, 200},

@@ -350,16 +350,19 @@ func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied 
 	if len(colIDs) == 0 || len(colIDs) != len(names) {
 		return fmt.Errorf("%w: %d column ids, %d names", ErrBadManifest, len(colIDs), len(names))
 	}
-	named := make(map[string]bool, len(colIDs))
-	for _, id := range colIDs {
-		named[id] = true
-	}
+	// byID holds every column the manifest names, keyed by the manifest's
+	// own strings: the supplied ones, and nil for the rest until a tier
+	// supplies them. Each entry is its own allocation, so that an evicted
+	// column's record is not kept alive by a sibling the store still holds.
 	byID := make(map[string]*column, len(colIDs))
+	for _, id := range colIDs {
+		byID[id] = nil
+	}
 	for _, r := range supplied {
-		if !named[r.ID] {
+		switch c, named := byID[r.ID]; {
+		case !named:
 			return fmt.Errorf("%w: supplied column not named by the manifest", ErrBadManifest)
-		}
-		if byID[r.ID] != nil {
+		case c != nil:
 			return fmt.Errorf("%w: column %s supplied twice", ErrBadManifest, r.ID)
 		}
 		byID[r.ID] = &column{info: r.ColumnInfo, rec: r}

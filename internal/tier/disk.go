@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,13 +83,10 @@ type Disk struct {
 // store directories, verifies every file's checksum, quarantines corrupt or
 // inconsistent files, deletes orphaned columns, and rebuilds the index. A
 // version-1 file that verifies fails Open, naming the file and the last
-// commit that converts it; Open moves or rewrites nothing before it.
+// commit that converts it; Open creates, moves or rewrites nothing before
+// it. The directories a scan finds missing are created once every scan has
+// passed.
 func Open(dir string) (*Disk, *Report, error) {
-	for _, sub := range []string{colsDir, framesDir, blobsDir, quarantineDir} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, nil, fmt.Errorf("tier: %w", err)
-		}
-	}
 	d := &Disk{dir: dir, idx: NewIndex()}
 	rep := &Report{}
 	sizes := make(map[string]int64) // every verified column file
@@ -133,6 +131,11 @@ func Open(dir string) (*Disk, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	for _, sub := range []string{colsDir, framesDir, blobsDir, quarantineDir} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return nil, nil, fmt.Errorf("tier: %w", err)
+		}
+	}
 	// Garbage-collect verified columns no surviving manifest names.
 	for id := range sizes {
 		if !d.idx.HasColumn(id) {
@@ -162,16 +165,17 @@ func (d *Disk) blobPath(vid string) string {
 // available for forensics. Best-effort: if the move fails the file is left
 // in place (and will fail verification again next boot).
 func (d *Disk) quarantine(path string) {
+	_ = os.MkdirAll(filepath.Join(d.dir, quarantineDir), 0o755)
 	_ = os.Rename(path, filepath.Join(d.dir, quarantineDir, filepath.Base(path)))
 }
 
 // scan reads every file of one kind, counting the bytes of those load
-// accepts and quarantining those it refuses or that cannot be read. A sound
-// version-1 file is an error: it is not corrupt, and this version cannot
-// read it.
+// accepts and quarantining those it refuses or that cannot be read; a
+// missing directory holds none. A sound version-1 file is an error: it is
+// not corrupt, and this version cannot read it.
 func (d *Disk) scan(sub, ext string, rep *Report, load func(name string, b []byte) bool) error {
 	entries, err := os.ReadDir(filepath.Join(d.dir, sub))
-	if err != nil {
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return fmt.Errorf("tier: %w", err)
 	}
 	for _, e := range entries {

@@ -3,6 +3,8 @@ package tier_test
 import (
 	"bytes"
 	"encoding/gob"
+	"io"
+	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -13,6 +15,40 @@ import (
 	"repro/internal/workloads/kaggle"
 	"repro/internal/workloads/openml"
 )
+
+// TestMain numbers the gob types the size tests measure against, in one
+// fixed order, before any test runs. Gob numbers a type the first time the
+// process encodes it, and the number travels in every stream, so the gob
+// sizes the tests log would otherwise depend on which test of the binary
+// encoded first.
+func TestMain(m *testing.M) {
+	for _, v := range gobBaselines() {
+		if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
+			panic(err)
+		}
+	}
+	os.Exit(m.Run())
+}
+
+// gobBaselines holds a value of each type the size tests gob-encode: a
+// frame's column list, and the envelope of every kind of content a run
+// produces besides datasets, which carries it as an interface value, so its
+// concrete types are registered.
+func gobBaselines() []any {
+	out := []any{[]*data.Column{}}
+	contents := []graph.Artifact{&graph.AggregateArtifact{}}
+	for _, m := range []ml.Model{&ml.LogisticRegression{}, &ml.LinearRegression{}, &ml.DecisionTree{},
+		&ml.GradientBoostedTrees{}, &ml.RandomForest{}, &ml.KNN{}, &ml.GaussianNB{}, &ml.LinearSVM{}} {
+		gob.Register(m)
+		contents = append(contents, &graph.ModelArtifact{Model: m})
+	}
+	gob.Register(&graph.AggregateArtifact{})
+	gob.Register(&graph.ModelArtifact{})
+	for _, c := range contents {
+		out = append(out, &struct{ Content graph.Artifact }{c})
+	}
+	return out
+}
 
 // TestRecordsAreSmallerThanGob is the size bar the column record had to
 // clear before it could travel: over every frame that Table-1 W1–W8 (Kaggle
@@ -77,13 +113,6 @@ func TestBlobRecordsOfRealRuns(t *testing.T) {
 	frame := openml.GenerateDataset(cfg)
 	for _, p := range openml.SamplePipelines(cfg, 100, false) {
 		dags = append(dags, p.Build(frame))
-	}
-	// The gob envelope carries the content as an interface value, so the
-	// concrete types that can fill it must be registered.
-	for _, a := range []any{&graph.AggregateArtifact{}, &graph.ModelArtifact{}, &ml.LogisticRegression{},
-		&ml.LinearRegression{}, &ml.DecisionTree{}, &ml.GradientBoostedTrees{}, &ml.RandomForest{}, &ml.KNN{},
-		&ml.GaussianNB{}, &ml.LinearSVM{}} {
-		gob.Register(a)
 	}
 	type total struct{ n, records, gobs int }
 	byKind := make(map[string]*total)
