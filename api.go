@@ -219,7 +219,10 @@ func OpHash(name, params string) string { return graph.OpHash(name, params) }
 
 // DeriveColumnID derives the lineage ID of a column produced by an
 // operation from an input column; custom operations use it so the
-// storage-aware materializer can deduplicate their outputs.
+// storage-aware materializer can deduplicate their outputs. opHash should
+// hash what fixes the column's values besides its input, and leave out
+// the column's name: equal IDs must mean equal values, and the same
+// derivation under two names is then stored once.
 func DeriveColumnID(opHash, inputColumnID string) string {
 	return data.DeriveID(opHash, inputColumnID)
 }

@@ -78,9 +78,11 @@ func (f *Frame) MapFloat(col string, fn func(float64) float64, opHash string) (*
 }
 
 // DeriveFloat appends a new float column named out computed row-wise from
-// the named input columns. The new column's ID derives from opHash and the
-// concatenated input IDs; existing columns are untouched.
-func (f *Frame) DeriveFloat(out string, inputs []string, fn func([]float64) float64, opHash string) (*Frame, error) {
+// the named input columns; existing columns are untouched. fnHash must
+// identify fn: the new column's ID derives from it and the input IDs in
+// order, never from out, so the same combiner on the same inputs under
+// another name is the same column.
+func (f *Frame) DeriveFloat(out string, inputs []string, fn func([]float64) float64, fnHash string) (*Frame, error) {
 	in := make([]*Column, len(inputs))
 	lineage := ""
 	for i, name := range inputs {
@@ -89,7 +91,7 @@ func (f *Frame) DeriveFloat(out string, inputs []string, fn func([]float64) floa
 			return nil, fmt.Errorf("data: derive: no column %q", name)
 		}
 		in[i] = c
-		lineage += c.ID
+		lineage += c.ID + "\x00"
 	}
 	rows := f.NumRows()
 	vals := make([]float64, rows)
@@ -100,7 +102,7 @@ func (f *Frame) DeriveFloat(out string, inputs []string, fn func([]float64) floa
 		}
 		vals[i] = fn(args)
 	}
-	nc := &Column{ID: DeriveID(opHash+"\x01"+out, lineage), Name: out, Type: Float64, Floats: vals}
+	nc := &Column{ID: DeriveID(fnHash, lineage), Name: out, Type: Float64, Floats: vals}
 	return f.WithColumn(nc)
 }
 

@@ -177,8 +177,9 @@ func (f *Frame) Bin(col string, bins int, opHash string) (*Frame, error) {
 
 // RollingMean appends column out holding the trailing window mean of col
 // (window w, partial windows averaged over the available prefix). Row
-// order is meaningful, as in time-indexed frames.
-func (f *Frame) RollingMean(col, out string, w int, opHash string) (*Frame, error) {
+// order is meaningful, as in time-indexed frames. windowHash must identify
+// w: the new column's ID derives from it and col's ID, never from out.
+func (f *Frame) RollingMean(col, out string, w int, windowHash string) (*Frame, error) {
 	c := f.Column(col)
 	if c == nil {
 		return nil, fmt.Errorf("data: rolling: no column %q", col)
@@ -207,6 +208,6 @@ func (f *Frame) RollingMean(col, out string, w int, opHash string) (*Frame, erro
 			vals[i] = math.NaN()
 		}
 	}
-	nc := &Column{ID: DeriveID(opHash+"\x01"+out, c.ID), Name: out, Type: Float64, Floats: vals}
+	nc := &Column{ID: DeriveID(windowHash, c.ID), Name: out, Type: Float64, Floats: vals}
 	return f.WithColumn(nc)
 }

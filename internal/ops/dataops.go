@@ -322,7 +322,7 @@ func (o Derive) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := f.DeriveFloat(o.Out, o.Inputs, o.Fn.apply, o.Hash())
+	out, err := f.DeriveFloat(o.Out, o.Inputs, o.Fn.apply, graph.OpHash("derive", string(o.Fn)))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -163,7 +164,7 @@ func (o RollingMean) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := f.RollingMean(o.Col, o.Out, o.Window, o.Hash())
+	out, err := f.RollingMean(o.Col, o.Out, o.Window, graph.OpHash("rolling_mean", strconv.Itoa(o.Window)))
 	if err != nil {
 		return nil, err
 	}

@@ -85,13 +85,18 @@ func Open(b []byte, magics ...string) (string, []byte, error) {
 
 // WriteFile writes b to path through a temporary file in the same
 // directory, synced before it is renamed over path, so a crash never leaves
-// a torn file under the final name.
-func WriteFile(path string, b []byte) error {
+// a torn file under the final name. The temporary file is removed only when
+// the write fails: once renamed, its name may already be another writer's.
+func WriteFile(path string, b []byte) (err error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
 	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
 		return fmt.Errorf("writing %s: %w", filepath.Base(path), err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -151,5 +152,33 @@ func TestWriteFile(t *testing.T) {
 	}
 	if err := WriteFile(filepath.Join(dir, "missing", "f"), nil); err == nil {
 		t.Error("wrote into a directory that does not exist")
+	}
+}
+
+// TestWriteFileLeavesNoTemporaryFile: a successful write leaves only its
+// target, and one that fails — here its rename, onto a directory that is
+// not empty — leaves no temporary file either.
+func TestWriteFileLeavesNoTemporaryFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteFile(filepath.Join(dir, "f"), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	taken := filepath.Join(dir, "taken")
+	if err := os.MkdirAll(filepath.Join(taken, "inside"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(taken, []byte("y")); err == nil {
+		t.Fatal("renamed a file over a directory that is not empty")
+	}
+	var names []string
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"f", "taken"}) {
+		t.Errorf("the directory holds %q, want only the target and the directory", names)
 	}
 }

@@ -405,7 +405,7 @@ func readUpload(body []byte) ([]artifactUpload, error) {
 		framed = append(framed, records...)
 		counts = append(counts, len(records))
 	}
-	records, bad, err := validateColumns(framed)
+	records, bad, err := validateColumns(framed, table.known)
 	for i, k := range counts {
 		switch {
 		case err != nil && bad < k:
@@ -629,11 +629,11 @@ func readRecords(r *rec.Reader) [][]byte {
 }
 
 // validateColumns validates column records (tier.ValidateColumn) as one
-// batch: what the server does with an upload. Each record is copied out of
-// the body first, so that a record the store keeps does not keep the whole
-// body alive after the others are gone.
-func validateColumns(records [][]byte) ([]tier.Record, int, error) {
-	return eachColumn(records, wideRecords(records), func(b []byte) (tier.Record, error) { return tier.ValidateColumn(bytes.Clone(b)) })
+// batch: what the server does with an upload, whose column table is known.
+// Each record is copied out of the body first, so that a record the store
+// keeps does not keep the whole body alive after the others are gone.
+func validateColumns(records [][]byte, known tier.Known) ([]tier.Record, int, error) {
+	return eachColumn(records, wideRecords(records), func(b []byte) (tier.Record, error) { return tier.ValidateColumn(bytes.Clone(b), known) })
 }
 
 // decodeColumns decodes column records: what a client does with a download,
@@ -805,7 +805,7 @@ func (t *tableUse) done(r *rec.Reader) {
 
 // pairTable is an upload's column table as the server reads it.
 type pairTable struct {
-	pairs []columnPair
+	pairs firstUse[columnPair]
 	use   tableUse
 }
 
@@ -819,7 +819,20 @@ func readPairTable(r *rec.Reader) pairTable {
 			r.Fail("column table entry %d repeats %s %q", x, p.id, p.name)
 		}
 	}
-	return pairTable{pairs: seen.keys, use: tableUse{size: len(seen.keys)}}
+	return pairTable{pairs: seen, use: tableUse{size: len(seen.keys)}}
+}
+
+// known returns the table's strings for a column record's ID and name: a
+// record is kept under strings its body already holds, and must name its
+// column as an entry of the table does. A column the body names under two
+// names travels once, under the name its first manifest gives it.
+func (t *pairTable) known(id, name []byte) (string, string, bool) {
+	x, ok := t.pairs.at[columnPair{string(id), string(name)}]
+	if !ok {
+		return "", "", false
+	}
+	p := t.pairs.keys[x]
+	return p.id, p.name, true
 }
 
 // manifest reads an item's manifest, the table's strings in the order its
@@ -835,7 +848,7 @@ func (t *pairTable) manifest(r *rec.Reader) (colIDs, names []string) {
 		if x < 0 {
 			return nil, nil
 		}
-		colIDs[j], names[j] = t.pairs[x].id, t.pairs[x].name
+		colIDs[j], names[j] = t.pairs.keys[x].id, t.pairs.keys[x].name
 	}
 	return colIDs, names
 }

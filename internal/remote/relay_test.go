@@ -217,13 +217,18 @@ func replay(t testing.TB, h http.Handler, posts []recordedPost, around func(post
 // the server in allocations: one cold W1's upload body (Kaggle scale 1),
 // admitted through the handler into a server that holds none of it, is
 // validated record by record into scratch and kept, so it allocates per
-// column only its record's ID and name and its store entry — not the
-// values, strings and slices a decoded column is made of — and per column
-// table entry its ID and name, which every manifest naming it shares.
+// column only its store entry — not the values, strings and slices a
+// decoded column is made of — and per column table entry its ID and name,
+// which every manifest naming it and the record of its column share.
 // (Before the column table, each of the body's 1 713 manifest entries was
-// two fresh strings: 5 053 allocations.)
+// two fresh strings: 5 053 allocations. Before records took the table's
+// strings, each record's ID and name were two more: about 1 780.) Under
+// the race detector the same admission reads about 1 880 (2 180 before).
 func TestUploadAdmissionAllocationBound(t *testing.T) {
-	const bound = 2500
+	bound := 1600.0
+	if raceEnabled {
+		bound = 2070
+	}
 	posts := recordPosts(t, kaggle.Generate(kaggle.Config{Scale: 1, Seed: 42}), 1)
 	var body []byte
 	srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
@@ -256,7 +261,7 @@ func TestUploadAdmissionAllocationBound(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, admit)
 	t.Logf("admitting %d items of %d columns (%d bytes): %.0f allocations", len(items), columns, len(body), allocs)
 	if allocs > bound {
-		t.Errorf("admitting W1's upload allocates %.0f times, more than %d", allocs, bound)
+		t.Errorf("admitting W1's upload allocates %.0f times, more than %.0f", allocs, bound)
 	}
 }
 

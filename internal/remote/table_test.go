@@ -73,13 +73,16 @@ func tableUpload(t testing.TB, pairs []columnPair, refs []int) []byte {
 	return body
 }
 
-// tableCases are the column tables of both requests: the canonical one,
+// tableCases are the column tables of both requests: the canonical ones —
+// among them one column under two names, which a node's lineage lists twice
+// and an upload's table pairs with each name while one record carries it —
 // and one broken each way the decoders refuse — an index past the table, an
 // entry repeated, an entry never named, entries out of first-use order.
 func tableCases(t testing.TB) (updates, uploads map[string][]byte) {
 	const a, b, c = "0123456789abcdef0123456789abcdef", "plain column", "fedcba9876543210fedcba9876543210"
 	updates = map[string][]byte{
 		"canonical":          tableUpdate(t, []string{a, b}, []int64{8, 16}, [][]int{{0, 1}, {1}}),
+		"canonical, aliased": tableUpdate(t, []string{a, b}, []int64{8, 16}, [][]int{{0, 1, 0}, {1}}),
 		"index past":         tableUpdate(t, []string{a, b}, []int64{8, 16}, [][]int{{0, 1}, {2}}),
 		"repeated entry":     tableUpdate(t, []string{a, b, a}, []int64{8, 16, 8}, [][]int{{0, 1}, {2}}),
 		"unused entry":       tableUpdate(t, []string{a, b, c}, []int64{8, 16, 4}, [][]int{{0, 1}, {1}}),
@@ -91,11 +94,12 @@ func tableCases(t testing.TB) (updates, uploads map[string][]byte) {
 	cols := frame.Columns()
 	p0, p1 := columnPair{cols[0].ID, cols[0].Name}, columnPair{cols[1].ID, cols[1].Name}
 	uploads = map[string][]byte{
-		"canonical":        tableUpload(t, []columnPair{p0, p1}, []int{0, 1}),
-		"index past":       tableUpload(t, []columnPair{p0, p1}, []int{0, 2}),
-		"repeated entry":   tableUpload(t, []columnPair{p0, p1, p0}, []int{0, 1, 2}),
-		"unused entry":     tableUpload(t, []columnPair{p0, p1, {cols[2].ID, cols[2].Name}}, []int{0, 1}),
-		"out of first use": tableUpload(t, []columnPair{p0, p1}, []int{1, 0}),
+		"canonical":          tableUpload(t, []columnPair{p0, p1}, []int{0, 1}),
+		"canonical, aliased": tableUpload(t, []columnPair{p0, {cols[0].ID, "a again"}, p1}, []int{0, 1, 2}),
+		"index past":         tableUpload(t, []columnPair{p0, p1}, []int{0, 2}),
+		"repeated entry":     tableUpload(t, []columnPair{p0, p1, p0}, []int{0, 1, 2}),
+		"unused entry":       tableUpload(t, []columnPair{p0, p1, {cols[2].ID, cols[2].Name}}, []int{0, 1}),
+		"out of first use":   tableUpload(t, []columnPair{p0, p1}, []int{1, 0}),
 	}
 	return updates, uploads
 }
@@ -104,14 +108,15 @@ func tableCases(t testing.TB) (updates, uploads map[string][]byte) {
 // An update or an upload whose table is broken — an index past it, an entry
 // repeated, an entry no node or manifest names, entries out of the order
 // they are first named — is a 400 that merges, stores and admits nothing,
-// even what came before the break; the canonical table is taken. So what
-// the decoders accept is what the encoders write.
+// even what came before the break; the canonical tables are taken, a
+// column under two names included. So what the decoders accept is what the
+// encoders write.
 func TestColumnTablesAreCanonical(t *testing.T) {
 	updates, uploads := tableCases(t)
 	for name, body := range updates {
 		srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
 		got := postBody(NewHandler(srv), "/v1/update", body)
-		if name == "canonical" {
+		if strings.HasPrefix(name, "canonical") {
 			if got.Code != http.StatusOK || srv.EG.Len() != 2 {
 				t.Errorf("update, canonical table: status %d (%s), EG %d vertices; want 200 and 2", got.Code, got.Body, srv.EG.Len())
 			}
@@ -128,7 +133,7 @@ func TestColumnTablesAreCanonical(t *testing.T) {
 		srv := core.NewServer(store.New(cost.Memory()), core.WithBudget(1<<30))
 		knownTo(t, srv, "m", "v")
 		got := postBody(NewHandler(srv), "/v1/artifact", body)
-		if name == "canonical" {
+		if strings.HasPrefix(name, "canonical") {
 			if got.Code != http.StatusNoContent || !srv.Store.Has("m") || !srv.Store.Has("v") {
 				t.Errorf("upload, canonical table: status %d (%s); want 204 and both items stored", got.Code, got.Body)
 			}

@@ -541,7 +541,8 @@ func postUploads(t testing.TB, h http.Handler, items ...artifactUpload) *httptes
 // is listed in a 200 answer. A body that is not one whole message — bytes
 // after it, a column record whose checksum fails, a form it does not know —
 // changes nothing, and neither does one whose second item has the wrong
-// shape; one whose second item the store finds malformed keeps the first.
+// shape or carries a record the body's column table does not name; one
+// whose second item the store finds malformed keeps the first.
 // The encoder writes no item it cannot carry: a blob beside a manifest, a
 // manifest whose names and IDs differ in number, a dataset with columns as a
 // blob (a blob record has no form for one).
@@ -627,8 +628,14 @@ func TestUploadRejectsInconsistentBodies(t *testing.T) {
 	if rec := postUploads(t, h, artifactUpload{ID: "m1", Blob: model}, artifactUpload{ID: "v"}); rec.Code != http.StatusBadRequest || srv.Store.Has("m1") || !unchanged() {
 		t.Errorf("a body with a shapeless second item: status %d, first item stored %v", rec.Code, srv.Store.Has("m1"))
 	}
+	// So is a column record the body's table does not name: it is refused
+	// while the records are validated, before anything is admitted.
+	if rec := postUploads(t, h, artifactUpload{ID: "m1", Blob: model}, outside); rec.Code != http.StatusBadRequest || srv.Store.Has("m1") || !unchanged() {
+		t.Errorf("a body with a record its table does not name: status %d, first item stored %v", rec.Code, srv.Store.Has("m1"))
+	}
 	// What the store refuses ends the body after the items before it.
-	rec := postUploads(t, h, artifactUpload{ID: "m2", Blob: model}, outside)
+	clash := artifactUpload{ID: "v", ColIDs: []string{cols[0].ID}, Names: []string{"a"}, Columns: []*data.Column{ints}}
+	rec := postUploads(t, h, artifactUpload{ID: "m2", Blob: model}, clash)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"v"`) {
 		t.Errorf("a body with a malformed second manifest: status %d %q, want 400 naming v", rec.Code, rec.Body)
 	}

@@ -451,7 +451,7 @@ func DecodeColumn(b []byte) (*data.Column, error) {
 		return nil, err
 	}
 	r := rec.NewReader(body)
-	info, isDict := readHeader(&r)
+	info, isDict := readHeader(&r, nil)
 	c := &data.Column{Type: info.Type, ID: info.ID, Name: info.Name}
 	if r.Err() == nil {
 		decodePayload(&r, c, info.Rows, isDict)
@@ -463,19 +463,28 @@ func DecodeColumn(b []byte) (*data.Column, error) {
 }
 
 // readHeader reads a record from its dtype byte to its row count. It refuses an ID or a name longer than EncodeColumn writes, so
-// that every record that reads can be written again.
-func readHeader(r *rec.Reader) (info ColumnInfo, isDict bool) {
+// that every record that reads can be written again. The ID and name are
+// fresh strings, or with known set the strings it returns for their bytes;
+// a record whose pair known does not hold is refused.
+func readHeader(r *rec.Reader, known Known) (info ColumnInfo, isDict bool) {
 	dt := r.U8()
 	isDict = dt&dictDType != 0
 	info.Type = data.DType(dt &^ dictDType)
-	info.ID, info.Name = r.Str16(), r.Str16()
+	id, name := r.Bytes(int(r.U16())), r.Bytes(int(r.U16()))
 	info.Rows = int(r.U32())
 	switch {
 	case r.Err() != nil:
-	case len(info.ID) > maxMetaLen || len(info.Name) > maxMetaLen:
-		r.Fail("column id/name too long (%d/%d bytes)", len(info.ID), len(info.Name))
+	case len(id) > maxMetaLen || len(name) > maxMetaLen:
+		r.Fail("column id/name too long (%d/%d bytes)", len(id), len(name))
 	case isDict && info.Type != data.String:
 		r.Fail("dict flag on dtype %d", info.Type)
+	case known == nil:
+		info.ID, info.Name = string(id), string(name)
+	default:
+		var ok bool
+		if info.ID, info.Name, ok = known(id, name); !ok {
+			r.Fail("column %s named %q is not a column the message names", id, name)
+		}
 	}
 	return info, isDict
 }

@@ -91,7 +91,7 @@ func Open(dir string) (*Disk, *Report, error) {
 	rep := &Report{}
 	sizes := make(map[string]int64) // every verified column file
 	err := d.scan(colsDir, colExt, rep, func(name string, b []byte) bool {
-		r, err := ValidateColumn(b)
+		r, err := ValidateColumn(b, nil)
 		if err != nil || fname(r.ID)+colExt != name {
 			return false
 		}
@@ -451,7 +451,7 @@ func (d *Disk) readRecordLocked(colID string) (Record, error) {
 	_, body, err := rec.Open(b, colMagic)
 	if err == nil {
 		rd := rec.NewReader(body)
-		info, _ := readHeader(&rd)
+		info, _ := readHeader(&rd, nil)
 		info.Size = d.idx.ColumnSize(colID)
 		r, err = Record{info, b}, rd.Err()
 	}

@@ -153,9 +153,9 @@ func FuzzColumnCodec(f *testing.F) {
 
 // FuzzValidateColumn: ValidateColumn accepts exactly what DecodeColumn
 // accepts. When both accept, the record reports the decoded column's lineage
-// ID, name, dtype, rows and SizeBytes, the column passes Column.Validate, and
+// ID, name, dtype, rows and SizeBytes, the column passes Column.Validate,
 // the record is the input itself, the record EncodeColumn writes for that
-// column. Seeded with every golden column record and
+// column, and it reports the same with its ID and name known. Seeded with every golden column record and
 // FuzzColumnCodec's corpus, its committed files included.
 func FuzzValidateColumn(f *testing.F) {
 	goldens, err := filepath.Glob(filepath.Join("testdata", "golden", "ctc2-*.bin"))
@@ -188,7 +188,7 @@ func FuzzValidateColumn(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r, verr := ValidateColumn(b)
+		r, verr := ValidateColumn(b, nil)
 		c, derr := DecodeColumn(b)
 		if (verr == nil) != (derr == nil) {
 			t.Fatalf("ValidateColumn: %v; DecodeColumn: %v", verr, derr)
@@ -211,6 +211,12 @@ func FuzzValidateColumn(f *testing.F) {
 		}
 		if !bytes.Equal(r.Bytes(), want) || &r.Bytes()[0] != &b[0] {
 			t.Fatal("the record is not the input itself")
+		}
+		held := func(id, name []byte) (string, string, bool) {
+			return c.ID, c.Name, string(id) == c.ID && string(name) == c.Name
+		}
+		if k, err := ValidateColumn(b, held); err != nil || k.ColumnInfo != r.ColumnInfo {
+			t.Fatalf("with its own ID and name known: %+v (%v), want %+v", k.ColumnInfo, err, r.ColumnInfo)
 		}
 	})
 }

@@ -47,18 +47,24 @@ func RecordOf(c *data.Column) (Record, error) {
 	return Record{InfoOf(c), b}, nil
 }
 
+// Known returns the strings a caller already holds for a column's lineage
+// ID and name, given their bytes, and false for a pair it does not hold.
+type Known func(id, name []byte) (string, string, bool)
+
 // ValidateColumn makes every check DecodeColumn makes of a column record —
 // checksum, structure, canonical mode, dictionary rules — and builds no
 // column: values are read into pooled scratch and dropped. The record is
 // returned as b itself. A version-1 record is refused, as DecodeColumn
-// refuses it.
-func ValidateColumn(b []byte) (Record, error) {
+// refuses it. The Record's ID and name are fresh strings when known is nil;
+// otherwise they are known's strings, and a record whose ID and name known
+// does not hold is refused.
+func ValidateColumn(b []byte, known Known) (Record, error) {
 	_, body, err := rec.Open(b, colMagic)
 	if err != nil {
 		return Record{}, err
 	}
 	r := rec.NewReader(body)
-	info, isDict := readHeader(&r)
+	info, isDict := readHeader(&r, known)
 	if r.Err() == nil {
 		info.Size = skimPayload(&r, info, isDict)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/data"
 	"repro/internal/rec"
@@ -21,7 +22,7 @@ func TestValidateColumnReportsTheDecodedColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := ValidateColumn(enc)
+		r, err := ValidateColumn(enc, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -29,6 +30,38 @@ func TestValidateColumnReportsTheDecodedColumn(t *testing.T) {
 		if r.ColumnInfo != want || &r.Bytes()[0] != &enc[0] || len(r.Bytes()) != len(enc) {
 			t.Errorf("%s: reported %+v, want %+v of the input itself", c.Name, r.ColumnInfo, want)
 		}
+	}
+}
+
+// TestValidateColumnTakesTheKnownStrings: with a Known, the record's ID
+// and name are the strings it returns for their bytes, not copies of them,
+// and a record whose ID and name it does not hold is refused — a record
+// under another name than the one known for its ID included.
+func TestValidateColumnTakesTheKnownStrings(t *testing.T) {
+	c := data.NewFloatColumn("x", []float64{1, 2})
+	enc, err := EncodeColumn(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, name := strings.Clone(c.ID), strings.Clone(c.Name)
+	held := func(i, n []byte) (string, string, bool) {
+		return id, name, string(i) == id && string(n) == name
+	}
+	r, err := ValidateColumn(enc, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(r.ID) != unsafe.StringData(id) || unsafe.StringData(r.Name) != unsafe.StringData(name) {
+		t.Error("the record's ID and name are not the known strings")
+	}
+	renamed := c.WithID(c.ID)
+	renamed.Name = "y"
+	other, err := EncodeColumn(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateColumn(other, held); err == nil || !strings.Contains(err.Error(), `"y"`) {
+		t.Errorf("a record of a name not known for its ID: %v, want refused naming it", err)
 	}
 }
 
@@ -40,7 +73,7 @@ func TestValidateColumnRefusesVersion1(t *testing.T) {
 		if _, _, err := rec.Open(v1, colMagicV1); err != nil {
 			t.Fatalf("%s is no sound version-1 record: %v", name, err)
 		}
-		_, verr := ValidateColumn(v1)
+		_, verr := ValidateColumn(v1, nil)
 		_, derr := DecodeColumn(v1)
 		if !errors.Is(verr, ErrCorrupt) || !errors.Is(derr, ErrCorrupt) {
 			t.Errorf("%s: ValidateColumn %v, DecodeColumn %v; want both refused", name, verr, derr)
@@ -70,7 +103,7 @@ func TestValidateColumnRefusesARepeatedEntryAsDecodeDoes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, verr := ValidateColumn(b)
+		_, verr := ValidateColumn(b, nil)
 		_, derr := DecodeColumn(b)
 		quoted := `"` + repeated + `" repeats`
 		if !errors.Is(verr, ErrCorrupt) || derr == nil || verr.Error() != derr.Error() || !strings.Contains(verr.Error(), quoted) {
@@ -100,7 +133,7 @@ func TestColumnRecordRefusesWhatCannotBeWritten(t *testing.T) {
 		ok       bool
 	}{{long, "n", true}, {"i", long, true}, {long + "i", "n", false}, {"i", long + "n", false}} {
 		b := record(tc.id, tc.name)
-		_, verr := ValidateColumn(b)
+		_, verr := ValidateColumn(b, nil)
 		c, derr := DecodeColumn(b)
 		if (verr == nil) != tc.ok || (derr == nil) != tc.ok {
 			t.Errorf("id %d bytes, name %d: ValidateColumn %v, DecodeColumn %v; want accepted %v", len(tc.id), len(tc.name), verr, derr, tc.ok)

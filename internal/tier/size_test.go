@@ -256,7 +256,7 @@ func BenchmarkColumnRecords(b *testing.B) {
 	b.Run("validate/records", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range records {
-				if _, err := tier.ValidateColumn(r); err != nil {
+				if _, err := tier.ValidateColumn(r, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
