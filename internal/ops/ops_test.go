@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -347,32 +348,54 @@ func TestModelSpecCanonicalOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestOpsRejectWrongInputs runs every operation type on inputs of the
+// wrong number or kind: each must fail, never panic or compute.
 func TestOpsRejectWrongInputs(t *testing.T) {
 	agg := &graph.AggregateArtifact{Value: 1}
+	noFrame := &graph.DatasetArtifact{}
+	ma := runOp(t, &Train{Spec: ModelSpec{Kind: "tree", Seed: 1}, Label: "y"}, dataset())
 	singleInput := []graph.Operation{
 		Select{Cols: []string{"x"}}, Drop{Cols: []string{"x"}},
 		Filter{Col: "x", Op: GT}, MapCol{Col: "x", Fn: Log1p},
+		Derive{Out: "d", Inputs: []string{"x", "y"}, Fn: Sum},
 		FillNA{}, OneHot{Col: "cat"}, Sample{N: 1},
 		GroupByAgg{Key: "cat"}, AggregateCol{Col: "x", Kind: data.AggSum},
+		SortBy{Col: "x"}, Distinct{Cols: []string{"cat"}},
+		Bin{Col: "x", Bins: 2}, RollingMean{Col: "x", Out: "r", Window: 2},
 		CountVectorize{Col: "cat"}, ScaleTransform{Kind: StdScaler},
 		SelectKBest{K: 1, Label: "y"}, PCATransform{K: 1},
+		KMeansTransform{K: 1, Seed: 1}, KDE2D{ColX: "x", ColY: "y", GridSize: 4},
+		&Train{Spec: ModelSpec{Kind: "tree", Seed: 1}, Label: "y"},
 	}
 	for _, op := range singleInput {
-		if _, err := op.Run([]graph.Artifact{agg}); err == nil {
-			t.Errorf("%s should reject aggregate input", op.Name())
+		for _, in := range [][]graph.Artifact{{agg}, {noFrame}, {ma}, nil, {dataset(), dataset()}} {
+			if _, err := op.Run(in); err == nil {
+				t.Errorf("%s should reject inputs %s", op.Name(), kinds(in))
+			}
 		}
-		if _, err := op.Run(nil); err == nil {
-			t.Errorf("%s should reject empty input", op.Name())
+	}
+	frames := []graph.Operation{Join{Key: "id"}, Align{Side: LeftSide}, Align{Side: RightSide}, AppendRows{}, Concat{}}
+	for _, op := range frames {
+		for _, in := range [][]graph.Artifact{nil, {dataset()}, {dataset(), agg}, {agg, dataset()}, {dataset(), noFrame}, {ma, dataset()}} {
+			if _, err := op.Run(in); err == nil {
+				t.Errorf("%s should reject inputs %s", op.Name(), kinds(in))
+			}
 		}
 	}
-	if _, err := (Join{Key: "id"}).Run([]graph.Artifact{dataset()}); err == nil {
-		t.Error("join should require two inputs")
+	for _, op := range []graph.Operation{Join{Key: "id"}, Align{}, AppendRows{}} {
+		if _, err := op.Run([]graph.Artifact{dataset(), dataset(), dataset()}); err == nil {
+			t.Errorf("%s should require exactly two inputs", op.Name())
+		}
 	}
-	if _, err := (Predict{}).Run([]graph.Artifact{dataset(), dataset()}); err == nil {
-		t.Error("predict should require a model first input")
+	if _, err := (Concat{}).Run([]graph.Artifact{dataset(), dataset(), agg}); err == nil {
+		t.Error("concat should reject a third input that is not a dataset")
 	}
-	if _, err := (Evaluate{Label: "y"}).Run([]graph.Artifact{dataset(), dataset()}); err == nil {
-		t.Error("evaluate should require a model first input")
+	for _, op := range []graph.Operation{Predict{}, Evaluate{Label: "y"}} {
+		for _, in := range [][]graph.Artifact{nil, {ma}, {ma, dataset(), dataset()}, {dataset(), dataset()}, {agg, dataset()}, {ma, agg}, {ma, noFrame}, {dataset(), ma}} {
+			if _, err := op.Run(in); err == nil {
+				t.Errorf("%s should reject inputs %s", op.Name(), kinds(in))
+			}
+		}
 	}
 	if _, err := (Select{Cols: []string{"missing"}}).Run([]graph.Artifact{dataset()}); err == nil {
 		t.Error("select of a missing column should error")
@@ -380,6 +403,15 @@ func TestOpsRejectWrongInputs(t *testing.T) {
 	if _, err := (OneHot{Col: "x"}).Run([]graph.Artifact{dataset()}); err == nil {
 		t.Error("one-hot of a numeric column should error")
 	}
+}
+
+// kinds names the artifact type of each input, for a failure message.
+func kinds(in []graph.Artifact) string {
+	names := make([]string, len(in))
+	for i, a := range in {
+		names[i] = fmt.Sprintf("%T", a)
+	}
+	return "[" + strings.Join(names, ", ") + "]"
 }
 
 func TestAlignSides(t *testing.T) {
