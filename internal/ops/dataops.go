@@ -1,9 +1,3 @@
-// Package ops provides the concrete operation vocabulary of the workload
-// DSL: data-preprocessing operations (§4.1 type 1) and model-training
-// operations (§4.1 type 2). Every operation is a plain parameter struct
-// whose Hash() covers all parameters, so identical operations in different
-// workloads produce identical edge hashes and therefore identical vertex
-// IDs in the Experiment Graph.
 package ops
 
 import (
@@ -16,21 +10,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/graph"
 )
-
-func frameOf(a graph.Artifact) (*data.Frame, error) {
-	d, ok := a.(*graph.DatasetArtifact)
-	if !ok || d.Frame == nil {
-		return nil, fmt.Errorf("ops: input is %T, want dataset", a)
-	}
-	return d.Frame, nil
-}
-
-func one(inputs []graph.Artifact) (graph.Artifact, error) {
-	if len(inputs) != 1 {
-		return nil, fmt.Errorf("ops: got %d inputs, want 1", len(inputs))
-	}
-	return inputs[0], nil
-}
 
 // Select keeps the named columns, in order.
 type Select struct{ Cols []string }
@@ -46,19 +25,11 @@ func (o Select) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Select) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.Select(o.Cols...)
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.Select(o.Cols...))
 }
 
 // Drop removes the named columns.
@@ -75,19 +46,11 @@ func (o Drop) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Drop) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.Drop(o.Cols...)
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.Drop(o.Cols...))
 }
 
 // Cmp names a comparison operator for Filter.
@@ -142,19 +105,11 @@ func (o Filter) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Filter) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.FilterFloat(o.Col, func(v float64) bool { return o.Op.apply(v, o.Value) }, o.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.FilterFloat(o.Col, func(v float64) bool { return o.Op.apply(v, o.Value) }, o.Hash()))
 }
 
 // MapFn names a unary column function for MapCol.
@@ -229,19 +184,11 @@ func (o MapCol) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o MapCol) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.MapFloat(o.Col, func(v float64) float64 { return o.Fn.apply(v, o.Arg) }, o.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.MapFloat(o.Col, func(v float64) float64 { return o.Fn.apply(v, o.Arg) }, o.Hash()))
 }
 
 // DeriveFn names a row-wise combiner for Derive.
@@ -314,19 +261,11 @@ func (o Derive) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Derive) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.DeriveFloat(o.Out, o.Inputs, o.Fn.apply, graph.OpHash("derive", string(o.Fn)))
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.DeriveFloat(o.Out, o.Inputs, o.Fn.apply, graph.OpHash("derive", string(o.Fn))))
 }
 
 // FillNA replaces missing values with column means in the named columns
@@ -344,19 +283,11 @@ func (o FillNA) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o FillNA) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.FillNA(o.Hash(), o.Cols...)
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.FillNA(o.Hash(), o.Cols...))
 }
 
 // OneHot expands a categorical string column into indicator columns.
@@ -373,19 +304,11 @@ func (o OneHot) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o OneHot) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.OneHot(o.Col, o.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.OneHot(o.Col, o.Hash()))
 }
 
 // Sample draws N rows without replacement using Seed.
@@ -405,11 +328,7 @@ func (o Sample) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Sample) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
-	if err != nil {
-		return nil, err
-	}
-	f, err := frameOf(in)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -447,19 +366,11 @@ func (o GroupByAgg) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o GroupByAgg) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.GroupBy(o.Key, o.Aggs, o.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.GroupBy(o.Key, o.Aggs, o.Hash()))
 }
 
 // Join merges two datasets on Key (multi-input; use DAG.Combine).
@@ -479,22 +390,11 @@ func (o Join) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation. Inputs arrive as [left, right].
 func (o Join) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	if len(inputs) != 2 {
-		return nil, fmt.Errorf("ops: join: got %d inputs, want 2", len(inputs))
-	}
-	l, err := frameOf(inputs[0])
+	l, r, err := twoFrames("join", inputs)
 	if err != nil {
 		return nil, err
 	}
-	r, err := frameOf(inputs[1])
-	if err != nil {
-		return nil, err
-	}
-	out, err := l.Join(r, o.Key, o.Kind, o.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(l.Join(r, o.Key, o.Kind, o.Hash()))
 }
 
 // Concat concatenates the columns of the inputs (multi-input).
@@ -511,26 +411,11 @@ func (o Concat) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Concat) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	if len(inputs) < 2 {
-		return nil, fmt.Errorf("ops: concat: got %d inputs, want >= 2", len(inputs))
-	}
-	first, err := frameOf(inputs[0])
+	in, err := frames("concat", inputs)
 	if err != nil {
 		return nil, err
 	}
-	rest := make([]*data.Frame, 0, len(inputs)-1)
-	for _, in := range inputs[1:] {
-		f, err := frameOf(in)
-		if err != nil {
-			return nil, err
-		}
-		rest = append(rest, f)
-	}
-	out, err := first.ConcatColumns(rest...)
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(in[0].ConcatColumns(in[1:]...))
 }
 
 // AlignSide selects which aligned output an Align operation yields.
@@ -558,25 +443,15 @@ func (o Align) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation. Inputs arrive as [left, right].
 func (o Align) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	if len(inputs) != 2 {
-		return nil, fmt.Errorf("ops: align: got %d inputs, want 2", len(inputs))
-	}
-	l, err := frameOf(inputs[0])
-	if err != nil {
-		return nil, err
-	}
-	r, err := frameOf(inputs[1])
+	l, r, err := twoFrames("align", inputs)
 	if err != nil {
 		return nil, err
 	}
 	la, ra, err := data.Align(l, r)
-	if err != nil {
-		return nil, err
-	}
 	if o.Side == LeftSide {
-		return &graph.DatasetArtifact{Frame: la}, nil
+		return asDataset(la, err)
 	}
-	return &graph.DatasetArtifact{Frame: ra}, nil
+	return asDataset(ra, err)
 }
 
 // AggregateCol reduces a column to a scalar Aggregate vertex.
@@ -598,11 +473,7 @@ func (o AggregateCol) OutKind() graph.Kind { return graph.AggregateKind }
 
 // Run implements graph.Operation.
 func (o AggregateCol) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
-	if err != nil {
-		return nil, err
-	}
-	f, err := frameOf(in)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}

@@ -25,19 +25,11 @@ func (o SortBy) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o SortBy) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.SortBy(o.Col, o.Desc, o.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.SortBy(o.Col, o.Desc, o.Hash()))
 }
 
 // Distinct keeps the first row per distinct combination of Cols (all
@@ -55,19 +47,11 @@ func (o Distinct) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Distinct) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.Distinct(o.Hash(), o.Cols...)
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.Distinct(o.Hash(), o.Cols...))
 }
 
 // AppendRows stacks the second input's rows under the first's
@@ -85,22 +69,11 @@ func (o AppendRows) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation. Inputs arrive as [top, bottom].
 func (o AppendRows) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	if len(inputs) != 2 {
-		return nil, fmt.Errorf("ops: append_rows: got %d inputs, want 2", len(inputs))
-	}
-	top, err := frameOf(inputs[0])
+	top, bottom, err := twoFrames("append_rows", inputs)
 	if err != nil {
 		return nil, err
 	}
-	bottom, err := frameOf(inputs[1])
-	if err != nil {
-		return nil, err
-	}
-	out, err := top.AppendRows(bottom, o.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(top.AppendRows(bottom, o.Hash()))
 }
 
 // Bin replaces Col with its equal-frequency quantile-bin index in
@@ -121,19 +94,11 @@ func (o Bin) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Bin) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.Bin(o.Col, o.Bins, o.Hash())
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.Bin(o.Col, o.Bins, o.Hash()))
 }
 
 // RollingMean appends Out = trailing mean of Col over Window rows.
@@ -156,17 +121,9 @@ func (o RollingMean) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o RollingMean) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
-	if err != nil {
-		return nil, err
-	}
-	out, err := f.RollingMean(o.Col, o.Out, o.Window, graph.OpHash("rolling_mean", strconv.Itoa(o.Window)))
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.RollingMean(o.Col, o.Out, o.Window, graph.OpHash("rolling_mean", strconv.Itoa(o.Window))))
 }

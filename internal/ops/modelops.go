@@ -145,26 +145,18 @@ func (o *Train) SetDonor(m ml.Model) { o.donor = m }
 
 // Run implements graph.Operation.
 func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	in, err := one(inputs)
+	f, err := oneFrame(inputs)
 	if err != nil {
 		return nil, err
 	}
-	f, err := frameOf(in)
+	y, err := labelOf("train", f, o.Label)
 	if err != nil {
 		return nil, err
-	}
-	label := f.Column(o.Label)
-	if label == nil {
-		return nil, fmt.Errorf("ops: train: no label column %q", o.Label)
 	}
 	if f.NumRows() == 0 {
 		return nil, fmt.Errorf("ops: train: %s has no rows", f)
 	}
 	features := numericFeatureNames(f, o.Label)
-	y := make([]float64, label.Len())
-	for i := range y {
-		y[i] = label.Float(i)
-	}
 	tf := o.TestFrac
 	if tf == 0 {
 		tf = 0.25
@@ -263,14 +255,7 @@ func (o Predict) OutKind() graph.Kind { return graph.DatasetKind }
 
 // Run implements graph.Operation.
 func (o Predict) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	if len(inputs) != 2 {
-		return nil, fmt.Errorf("ops: predict: got %d inputs, want [model, dataset]", len(inputs))
-	}
-	ma, ok := inputs[0].(*graph.ModelArtifact)
-	if !ok {
-		return nil, fmt.Errorf("ops: predict: first input is %T, want model", inputs[0])
-	}
-	f, err := frameOf(inputs[1])
+	ma, f, err := modelAndFrame("predict", inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -288,11 +273,7 @@ func (o Predict) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 		Type:   data.Float64,
 		Floats: pred,
 	}
-	out, err := f.WithColumn(nc)
-	if err != nil {
-		return nil, err
-	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.WithColumn(nc))
 }
 
 // Metric names an evaluation metric for Evaluate.
@@ -326,28 +307,17 @@ func (o Evaluate) OutKind() graph.Kind { return graph.AggregateKind }
 
 // Run implements graph.Operation.
 func (o Evaluate) Run(inputs []graph.Artifact) (graph.Artifact, error) {
-	if len(inputs) != 2 {
-		return nil, fmt.Errorf("ops: evaluate: got %d inputs, want [model, dataset]", len(inputs))
-	}
-	ma, ok := inputs[0].(*graph.ModelArtifact)
-	if !ok {
-		return nil, fmt.Errorf("ops: evaluate: first input is %T, want model", inputs[0])
-	}
-	f, err := frameOf(inputs[1])
+	ma, f, err := modelAndFrame("evaluate", inputs)
 	if err != nil {
 		return nil, err
 	}
-	label := f.Column(o.Label)
-	if label == nil {
-		return nil, fmt.Errorf("ops: evaluate: no label column %q", o.Label)
+	y, err := labelOf("evaluate", f, o.Label)
+	if err != nil {
+		return nil, err
 	}
 	pred, err := scoreFrame(ma, f)
 	if err != nil {
 		return nil, err
-	}
-	y := make([]float64, label.Len())
-	for i := range y {
-		y[i] = label.Float(i)
 	}
 	var v float64
 	switch o.Metric {
