@@ -123,6 +123,11 @@ func newTarget(serverURL, storeDir string) (*target, error) {
 		rc := newRemote(serverURL)
 		return &target{opt: rc, rc: rc}, nil
 	}
+	// A directory of an older version is refused before the tier opens
+	// it, which would create the directories it expects.
+	if err := persist.CheckDir(storeDir); err != nil {
+		return nil, fmt.Errorf("store-dir: %w", err)
+	}
 	disk, report, err := tier.Open(storeDir)
 	if err != nil {
 		return nil, fmt.Errorf("store-dir: %w", err)

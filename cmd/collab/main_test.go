@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/rec"
 	"repro/internal/remote"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
@@ -179,4 +182,62 @@ func TestCalibrationFitNamesTheFittedTiers(t *testing.T) {
 	if err != nil || prof.Name != "fitted:remote" {
 		t.Errorf("-fit remote wrote %q (%v), want the fitted:remote profile", out.String(), err)
 	}
+}
+
+// TestRefusesALegacyStoreDir: a -store-dir of an older version — one holding
+// a store.gob, or a sound version-1 tier file — makes every workload
+// subcommand exit 1 naming the file, and leaves the directory as it was:
+// every file in place and no directory created.
+func TestRefusesALegacyStoreDir(t *testing.T) {
+	w := rec.Frame("CTC1", 32)
+	w.U8(0)
+	w.Str16("id")
+	w.Str16("x")
+	w.U32(0)
+	v1, err := w.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"store.gob", filepath.Join("cols", "x.col")} {
+		for _, args := range [][]string{{"kaggle", "-workload", "1"}, {"openml", "-n", "1"}} {
+			dir := t.TempDir()
+			path := filepath.Join(dir, file)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := listing(t, dir)
+			var out, errw bytes.Buffer
+			if code := run(append(args, "-store-dir", dir), &out, &errw); code != 1 || !strings.Contains(errw.String(), path) {
+				t.Errorf("collab %s on %s: exit %d, stderr %q; want exit 1 naming %s", args[0], file, code, errw.String(), path)
+			}
+			if after := listing(t, dir); after != before {
+				t.Errorf("collab %s on %s: the directory changed:\n%s\nwas\n%s", args[0], file, after, before)
+			}
+		}
+	}
+}
+
+// listing is every path under dir, with each file's contents.
+func listing(t *testing.T, dir string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		b.WriteString(path + "\n")
+		if !d.IsDir() {
+			content, err := os.ReadFile(path)
+			b.Write(content)
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
