@@ -114,16 +114,3 @@ func (f *Frame) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// WriteCSVFile writes the frame to path, creating or truncating it.
-func (f *Frame) WriteCSVFile(path string) error {
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f.WriteCSV(out); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
