@@ -5,6 +5,7 @@ import (
 	"flag"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/materialize"
 	"repro/internal/reuse"
+	"repro/internal/workloads/synth"
 )
 
 // -update rewrites the golden files from current output.
@@ -219,6 +221,62 @@ func TestOptimizeDecisions(t *testing.T) {
 	}
 	if rec.Plan.Reuse != 1 || rec.Plan.CandidateLoads != 2 || rec.Plan.PrunedOffPath != 1 {
 		t.Errorf("plan summary wrong: %+v", rec.Plan)
+	}
+}
+
+// TestOptimizeDecisionsTallyPlanStats runs every planner over synthetic
+// workloads with a random stored set and random client-computed vertices:
+// the per-vertex decisions of each record must count to every field of the
+// plan's own summary and to its reuse set, so a record never disagrees with
+// the counters the server takes from the same plan. Every source is
+// Computed, as MarkComputed leaves any source that carries content.
+func TestOptimizeDecisionsTallyPlanStats(t *testing.T) {
+	p := synth.DefaultProfile()
+	p.MinNodes, p.MaxNodes = 50, 150
+	planners := []reuse.Planner{reuse.Linear{}, reuse.Helix{}, reuse.AllMaterialized{}, reuse.AllCompute{}}
+	for seed := int64(0); seed < 20; seed++ {
+		wl := synth.Generate(p, seed)
+		w, costs := wl.DAG, wl.Costs
+		rng := rand.New(rand.NewSource(seed))
+		storedRatio, computedRatio := rng.Float64(), 0.3*rng.Float64()
+		for _, n := range w.Nodes() {
+			if n.IsSource() {
+				if !n.Computed {
+					t.Fatalf("seed %d: source %s is not Computed", seed, n.Name)
+				}
+				continue
+			}
+			if n.Kind == graph.SupernodeKind {
+				continue
+			}
+			costs.Load[n.ID] = math.Inf(1)
+			if rng.Float64() < storedRatio {
+				costs.Load[n.ID] = rng.ExpFloat64() * p.MeanLoadSec
+			}
+			if rng.Float64() < computedRatio {
+				n.Computed = true
+				costs.Compute[n.ID] = 0
+			}
+		}
+		for _, pl := range planners {
+			plan := pl.Plan(w, costs)
+			rec := BuildOptimize(w, costs, plan, pl.Name(), "", nil)
+			n := map[string]int{}
+			for _, v := range rec.Vertices {
+				n[v.Decision]++
+			}
+			got := reuse.PlanStats{
+				CandidateLoads:        n[DecisionReuse] + n[DecisionPrunedOffPath],
+				PrunedOffPath:         n[DecisionPrunedOffPath],
+				PrunedByCost:          n[DecisionComputeByCost],
+				PrunedNotMaterialized: n[DecisionComputeNotMaterialized],
+				Computes:              n[DecisionPrunedOffPath] + n[DecisionComputeByCost] + n[DecisionComputeNotMaterialized],
+			}
+			if got != plan.Stats || n[DecisionReuse] != len(plan.Reuse) || len(rec.Vertices) != w.Len() {
+				t.Errorf("seed %d %s: decisions %v over %d of %d vertices tally to %+v, %d loads; plan says %+v, %d loads",
+					seed, pl.Name(), n, len(rec.Vertices), w.Len(), got, n[DecisionReuse], plan.Stats, len(plan.Reuse))
+			}
+		}
 	}
 }
 
