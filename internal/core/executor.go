@@ -183,19 +183,7 @@ func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig,
 	// Active set: vertices needed to produce the terminals, stopping the
 	// upward traversal at loaded or held vertices.
 	active := make(map[string]bool)
-	stack := w.Terminals()
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if active[n.ID] {
-			continue
-		}
-		active[n.ID] = true
-		if plan.Reuse[n.ID] || held(n) {
-			continue
-		}
-		stack = append(stack, n.Parents...)
-	}
+	graph.Walk(w.Terminals(), active, func(n *graph.Node) bool { return !plan.Reuse[n.ID] && !held(n) })
 
 	order := w.TopoOrder()
 	states := make(map[string]*vexec, len(active))
@@ -383,18 +371,12 @@ func runVertex(s *vexec, src ArtifactSource, cfg execConfig, wid int) error {
 		s.loadCost = loadCost
 		s.reused = true
 		// Annotate the node with measured-vs-predicted so the server's
-		// calibration collector can compare them on update. The planner's
-		// own Cl (predLoad) is preferred; the tier-priced loadCost stands in
-		// when the plan carried no prediction (older remote servers).
+		// calibration collector can compare them on update.
 		fetchElapsed := fetchSW.Elapsed()
 		s.fetchTime = fetchElapsed
 		n.FetchTime = fetchElapsed
 		n.FetchTier = tierLabel
-		if s.predLoad > 0 {
-			n.PredictedLoad = s.predLoad
-		} else {
-			n.PredictedLoad = s.loadCost
-		}
+		n.PredictedLoad = s.predLoad
 		if tr != nil {
 			args := map[string]any{
 				"vertex": n.ID, "reuse": true, "bytes": n.SizeBytes,

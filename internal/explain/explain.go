@@ -33,28 +33,17 @@ const (
 )
 
 // Reuse-planner reason codes: one per workload vertex in an optimize
-// record. The vocabulary is documented in DESIGN.md "Explain & logging".
+// record. They are the plan's own outcomes (reuse.Outcome), which says what
+// each means; the vocabulary is documented in DESIGN.md "Explain &
+// logging".
 const (
-	// DecisionReuse: the plan loads this vertex from EG (Cl < exec cost,
-	// survived the backward pass).
-	DecisionReuse = "reuse"
-	// DecisionPrunedOffPath: the forward pass picked the vertex for
-	// loading but the backward pass dropped it as off the execution path.
-	DecisionPrunedOffPath = "pruned-off-path"
-	// DecisionComputeByCost: a stored artifact exists but loading is no
-	// cheaper than recomputing (Cl >= Ci + parent costs).
-	DecisionComputeByCost = "compute-by-cost"
-	// DecisionComputeNotMaterialized: no loadable artifact exists (Cl = ∞
-	// — EG never materialized it).
-	DecisionComputeNotMaterialized = "compute-not-materialized"
-	// DecisionSource: raw source vertex, content already on the client.
-	DecisionSource = "source"
-	// DecisionClientComputed: non-source vertex whose content was already
-	// present on the client (local pruning, Ci = 0).
-	DecisionClientComputed = "client-computed"
-	// DecisionSupernode: multi-input connector; carries no data or
-	// computation (§4.1).
-	DecisionSupernode = "supernode"
+	DecisionReuse                  = string(reuse.Load)
+	DecisionPrunedOffPath          = string(reuse.PrunedOffPath)
+	DecisionComputeByCost          = string(reuse.ComputeByCost)
+	DecisionComputeNotMaterialized = string(reuse.ComputeNotMaterialized)
+	DecisionSource                 = string(reuse.Source)
+	DecisionClientComputed         = string(reuse.ClientComputed)
+	DecisionSupernode              = string(reuse.Supernode)
 )
 
 // Materializer reason codes: one per eligible EG vertex in an update
@@ -104,7 +93,8 @@ type VertexDecision struct {
 	// RecreationCost is the forward-pass recreation-cost estimate, when
 	// the planner computes one (Linear and Helix do).
 	RecreationCost *Cost `json:"recreation_cost_sec,omitempty"`
-	// Decision is the reason code (Decision* constants).
+	// Decision is the reason code: the plan's reuse.Outcome (Decision*
+	// constants).
 	Decision string `json:"decision"`
 }
 
@@ -209,7 +199,7 @@ func BuildOptimize(w *graph.DAG, costs reuse.Costs, plan *reuse.Plan, planner, r
 			Kind:        n.Kind.String(),
 			ComputeCost: Cost(costs.Compute[n.ID]),
 			LoadCost:    Cost(costs.Load[n.ID]),
-			Decision:    decideVertex(n, costs, plan),
+			Decision:    string(plan.Outcome(n, costs)),
 		}
 		for _, p := range n.Parents {
 			vd.Parents = append(vd.Parents, p.ID)
@@ -228,27 +218,6 @@ func BuildOptimize(w *graph.DAG, costs reuse.Costs, plan *reuse.Plan, planner, r
 		})
 	}
 	return rec
-}
-
-// decideVertex maps one vertex to its reason code; the order mirrors the
-// planner's own branch order (§6.1).
-func decideVertex(n *graph.Node, costs reuse.Costs, plan *reuse.Plan) string {
-	switch {
-	case n.Kind == graph.SupernodeKind:
-		return DecisionSupernode
-	case n.IsSource():
-		return DecisionSource
-	case n.Computed:
-		return DecisionClientComputed
-	case plan.Reuse[n.ID]:
-		return DecisionReuse
-	case plan.Candidates[n.ID]:
-		return DecisionPrunedOffPath
-	case math.IsInf(costs.Load[n.ID], 1):
-		return DecisionComputeNotMaterialized
-	default:
-		return DecisionComputeByCost
-	}
 }
 
 // BuildUpdate renders the record of one materialization run over the graph

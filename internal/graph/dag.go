@@ -114,25 +114,31 @@ func (g *DAG) TopoOrder(terminals ...*Node) []*Node {
 			need[id] = true
 		}
 	} else {
-		var mark func(n *Node)
-		mark = func(n *Node) {
-			if need[n.ID] {
-				return
-			}
-			need[n.ID] = true
-			for _, p := range n.Parents {
-				mark(p)
-			}
-		}
-		for _, t := range terminals {
-			mark(t)
-		}
+		Walk(append([]*Node(nil), terminals...), need, func(*Node) bool { return true })
 	}
 	// Kahn's algorithm over the needed subgraph, seeded in insertion
-	// order for determinism.
-	indeg, children := g.Indegrees(need)
+	// order for determinism. A parent listed twice contributes two edges,
+	// and is decremented twice.
+	indeg := make(map[string]int)
+	children := make(map[string][]*Node)
+	for _, n := range g.order {
+		if !need[n.ID] {
+			continue
+		}
+		for _, p := range n.Parents {
+			if need[p.ID] {
+				indeg[n.ID]++
+				children[p.ID] = append(children[p.ID], n)
+			}
+		}
+	}
+	var queue []*Node
+	for _, n := range g.order {
+		if need[n.ID] && indeg[n.ID] == 0 {
+			queue = append(queue, n)
+		}
+	}
 	var out []*Node
-	queue := g.Ready(need, indeg)
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
@@ -151,45 +157,26 @@ func (g *DAG) TopoOrder(terminals ...*Node) []*Node {
 	return out
 }
 
-// Indegrees computes, for the sub-DAG induced by the need set (the whole
-// DAG when need is nil), each vertex's count of in-subgraph parent edges
-// and the child adjacency, both keyed by vertex ID. A parent listed twice
-// contributes two edges, mirroring the decrements a scheduler performs.
-// Schedulers (TopoOrder, the parallel executor) consume this as the
-// dependency-counting state.
-func (g *DAG) Indegrees(need map[string]bool) (indeg map[string]int, children map[string][]*Node) {
-	indeg = make(map[string]int)
-	children = make(map[string][]*Node)
-	for _, n := range g.order {
-		if need != nil && !need[n.ID] {
+// Walk goes up the DAG from the vertices of from, visiting each vertex at
+// most once: it skips a vertex seen holds, adds it to seen, and goes on to
+// its parents when visit returns true. from is the walk's stack: Walk pops
+// from its end and pushes parents onto it, overwriting its elements, so a
+// caller passes a slice it does not read again. The order is the stack's
+// (depth-first, from the last vertex of from), which callers whose visits
+// have side effects rely on; the caller's seen set lets two walks share
+// what either has visited.
+func Walk(from []*Node, seen map[string]bool, visit func(*Node) bool) {
+	for len(from) > 0 {
+		n := from[len(from)-1]
+		from = from[:len(from)-1]
+		if seen[n.ID] {
 			continue
 		}
-		for _, p := range n.Parents {
-			if need != nil && !need[p.ID] {
-				continue
-			}
-			indeg[n.ID]++
-			children[p.ID] = append(children[p.ID], n)
+		seen[n.ID] = true
+		if visit(n) {
+			from = append(from, n.Parents...)
 		}
 	}
-	return indeg, children
-}
-
-// Ready returns the vertices of the sub-DAG induced by need (the whole DAG
-// when nil) whose indegree is zero, in insertion order — the initial ready
-// set of a dependency-counting scheduler. indeg is the map produced by
-// Indegrees for the same need set.
-func (g *DAG) Ready(need map[string]bool, indeg map[string]int) []*Node {
-	var out []*Node
-	for _, n := range g.order {
-		if need != nil && !need[n.ID] {
-			continue
-		}
-		if indeg[n.ID] == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Terminals returns vertices with no children among the DAG's nodes, the
@@ -224,16 +211,6 @@ func (g *DAG) MarkComputed() int {
 		}
 	}
 	return count
-}
-
-// Stats summarizes a DAG for reporting: vertex count per kind and total
-// content bytes of computed vertices.
-func (g *DAG) Stats() map[string]int {
-	out := make(map[string]int)
-	for _, n := range g.order {
-		out[n.Kind.String()]++
-	}
-	return out
 }
 
 // IDs returns the sorted vertex IDs (diagnostics, test assertions).

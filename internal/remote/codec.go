@@ -885,32 +885,21 @@ type columnTable struct {
 // node whose parent it does not hold cannot be written.
 func listOf(d *graph.DAG, unknown []string) (*nodeList, error) {
 	frontier := make(map[string]bool, d.Len()) // every node that travels: true for the frontier
-	var stack []*graph.Node
+	seen := make(map[string]bool, d.Len())
+	var ancestry []*graph.Node
 	for _, id := range unknown {
 		if n := d.Node(id); n != nil {
-			stack = append(stack, n)
+			ancestry = append(ancestry, n)
 		}
 	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := frontier[n.ID]; !ok {
-			frontier[n.ID] = n.Frontier
-			stack = append(stack, n.Parents...)
-		}
-	}
-	stack = d.Terminals()
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if _, ok := frontier[n.ID]; ok {
-			continue
-		}
+	graph.Walk(ancestry, seen, func(n *graph.Node) bool {
+		frontier[n.ID] = n.Frontier
+		return true
+	})
+	graph.Walk(d.Terminals(), seen, func(n *graph.Node) bool {
 		frontier[n.ID] = n.Computed || n.Frontier
-		if !frontier[n.ID] {
-			stack = append(stack, n.Parents...)
-		}
-	}
+		return !frontier[n.ID]
+	})
 	order := d.TopoOrder()
 	l := &nodeList{nodes: order[:0], at: make(map[string]int, len(frontier))}
 	for _, n := range order {

@@ -75,17 +75,9 @@ func (c *Client) installHeld(w *graph.DAG) {
 	if held == nil {
 		return
 	}
-	seen := make(map[string]bool, w.Len())
-	stack := w.Terminals()
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n.ID] {
-			continue
-		}
-		seen[n.ID] = true
+	graph.Walk(w.Terminals(), make(map[string]bool, w.Len()), func(n *graph.Node) bool {
 		if n.Content != nil {
-			continue
+			return false
 		}
 		// Has first: a vertex that was never held is not a miss.
 		var a graph.Artifact
@@ -93,8 +85,7 @@ func (c *Client) installHeld(w *graph.DAG) {
 			a, _ = held.Get(n.ID)
 		}
 		if a == nil {
-			stack = append(stack, n.Parents...)
-			continue
+			return true
 		}
 		n.Content = a
 		n.Computed = true
@@ -104,7 +95,8 @@ func (c *Client) installHeld(w *graph.DAG) {
 		}
 		n.LoadedFromEG = true
 		n.FetchTier = core.SessionTier
-	}
+		return false
+	})
 }
 
 // holdContent puts every derived vertex of an executed DAG that carries

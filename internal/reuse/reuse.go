@@ -67,8 +67,7 @@ type Plan struct {
 	Reuse map[string]bool
 	// Candidates holds the pre-backward-pass load candidate set: every
 	// vertex the cost comparison picked for loading. Candidates minus
-	// Reuse is what the backward pass dropped — the explain layer turns
-	// this into per-vertex reason codes.
+	// Reuse is what the backward pass dropped.
 	Candidates map[string]bool
 	// RecreationCost is the forward-pass cost estimate per vertex in
 	// seconds (diagnostics and tests).
@@ -82,9 +81,99 @@ type Plan struct {
 	Stats PlanStats
 }
 
-// withPredictions fills PredictedLoad from the planning costs so executors
-// can annotate fetches with the exact numbers the decision used.
-func (p *Plan) withPredictions(costs Costs) *Plan {
+// Outcome is what a plan decided for one workload vertex: the reason code
+// of its row in an optimize record (DESIGN.md "Explain & logging"). Every
+// vertex has exactly one (Plan.Outcome), and PlanStats counts them.
+type Outcome string
+
+const (
+	// Load: the plan loads the vertex from EG — the cost comparison picked
+	// it and it survived the backward pass.
+	Load Outcome = "reuse"
+	// PrunedOffPath: the cost comparison picked the vertex for loading but
+	// the backward pass dropped it as off the execution path.
+	PrunedOffPath Outcome = "pruned-off-path"
+	// ComputeByCost: a stored artifact exists but loading is no cheaper
+	// than recomputing (Cl >= Ci + parent costs), or the planner never
+	// loads (ALL_C).
+	ComputeByCost Outcome = "compute-by-cost"
+	// ComputeNotMaterialized: no loadable artifact exists (Cl = ∞ — EG
+	// never materialized it).
+	ComputeNotMaterialized Outcome = "compute-not-materialized"
+	// Source: raw source vertex, content already on the client.
+	Source Outcome = "source"
+	// ClientComputed: non-source vertex whose content was already present
+	// on the client (local pruning, Ci = 0).
+	ClientComputed Outcome = "client-computed"
+	// Supernode: multi-input connector; carries no data or computation
+	// (§4.1).
+	Supernode Outcome = "supernode"
+)
+
+// Outcome names the plan's decision for vertex n of the workload it was
+// made for, priced with the costs it was made from; the order is the
+// planner's own branch order (§6.1).
+func (p *Plan) Outcome(n *graph.Node, costs Costs) Outcome {
+	switch {
+	case n.Kind == graph.SupernodeKind:
+		return Supernode
+	case n.IsSource():
+		return Source
+	case n.Computed:
+		return ClientComputed
+	case p.Reuse[n.ID]:
+		return Load
+	case p.Candidates[n.ID]:
+		return PrunedOffPath
+	case math.IsInf(costs.Load[n.ID], 1):
+		return ComputeNotMaterialized
+	default:
+		return ComputeByCost
+	}
+}
+
+// PlanStats counts one planning pass's outcomes, so the split is visible in
+// /v1/stats and /metrics.
+type PlanStats struct {
+	// CandidateLoads is how many vertices the cost comparison picked for
+	// loading before the backward pass (Load and PrunedOffPath).
+	CandidateLoads int
+	// PrunedOffPath is how many load candidates the backward pass dropped
+	// as off the execution path.
+	PrunedOffPath int
+	// PrunedByCost is how many computable vertices had a loadable
+	// artifact (finite Cl) that the plan does not load (ComputeByCost).
+	PrunedByCost int
+	// PrunedNotMaterialized is how many computable vertices had no
+	// loadable artifact at all (ComputeNotMaterialized).
+	PrunedNotMaterialized int
+	// Computes is how many computable workload vertices (non-source, not
+	// already on the client) the final plan does not cover with a load.
+	Computes int
+}
+
+// newPlan finishes every planner from the vertices its cost comparison
+// picked for loading and, when it computes them, the recreation costs: the
+// backward pass keeps the candidates on the execution path, Stats counts
+// each vertex's outcome, and every load carries the Cl(v) it was planned
+// with.
+func newPlan(w *graph.DAG, costs Costs, candidates map[string]bool, rec map[string]float64) *Plan {
+	p := &Plan{Reuse: backwardPrune(w, candidates), Candidates: candidates, RecreationCost: rec}
+	loads := 0
+	for _, n := range w.Nodes() {
+		switch p.Outcome(n, costs) {
+		case Load:
+			loads++
+		case PrunedOffPath:
+			p.Stats.PrunedOffPath++
+		case ComputeByCost:
+			p.Stats.PrunedByCost++
+		case ComputeNotMaterialized:
+			p.Stats.PrunedNotMaterialized++
+		}
+	}
+	p.Stats.CandidateLoads = loads + p.Stats.PrunedOffPath
+	p.Stats.Computes = p.Stats.PrunedOffPath + p.Stats.PrunedByCost + p.Stats.PrunedNotMaterialized
 	p.PredictedLoad = make(map[string]float64, len(p.Reuse))
 	for id := range p.Reuse {
 		if cl := costs.Load[id]; !math.IsInf(cl, 1) {
@@ -92,53 +181,6 @@ func (p *Plan) withPredictions(costs Costs) *Plan {
 		}
 	}
 	return p
-}
-
-// PlanStats counts one planning pass's decisions, reason-coded so the
-// split is visible in /v1/stats and /metrics. Planners fill the fields
-// that apply to them; the zero value means "not tracked".
-type PlanStats struct {
-	// CandidateLoads is how many vertices the cost comparison picked for
-	// loading before the backward pass.
-	CandidateLoads int
-	// PrunedOffPath is how many load candidates the backward pass dropped
-	// as off the execution path (reason code "pruned-off-path").
-	PrunedOffPath int
-	// PrunedByCost is how many computable vertices had a loadable
-	// artifact (finite Cl) that the cost comparison rejected because
-	// recomputing was no more expensive (reason code "compute-by-cost").
-	PrunedByCost int
-	// PrunedNotMaterialized is how many computable vertices had no
-	// loadable artifact at all — Cl = ∞ because EG never materialized
-	// them (reason code "compute-not-materialized").
-	PrunedNotMaterialized int
-	// Computes is how many computable workload vertices (non-source, not
-	// already on the client) the final plan does not cover with a load.
-	Computes int
-}
-
-// planStats derives reason-coded PlanStats from the per-vertex costs, the
-// pre-prune candidate set, and the final reuse set.
-func planStats(w *graph.DAG, costs Costs, candidates, final map[string]bool) PlanStats {
-	st := PlanStats{
-		CandidateLoads: len(candidates),
-		PrunedOffPath:  len(candidates) - len(final),
-	}
-	for _, n := range w.Nodes() {
-		if n.IsSource() || n.Computed || n.Kind == graph.SupernodeKind || final[n.ID] {
-			continue
-		}
-		st.Computes++
-		if candidates[n.ID] {
-			continue // counted in PrunedOffPath
-		}
-		if math.IsInf(costs.Load[n.ID], 1) {
-			st.PrunedNotMaterialized++
-		} else {
-			st.PrunedByCost++
-		}
-	}
-	return st
 }
 
 // Planner generates reuse plans for workload DAGs.
@@ -150,6 +192,36 @@ type Planner interface {
 	Plan(w *graph.DAG, costs Costs) *Plan
 }
 
+// forward is Algorithm 2's forward pass over order, a topological order of
+// the workload. It returns each vertex's recreation cost — the cheaper of
+// loading it and executing it — and its execution cost, Ci(v) plus its
+// parents' recreation costs (zero, as the recreation cost, for a source or
+// a vertex already on the client), indexed as order; and the vertices whose
+// load is the cheaper, the load candidates.
+func forward(order []*graph.Node, costs Costs) (rec map[string]float64, exec []float64, candidates map[string]bool) {
+	rec = make(map[string]float64, len(order))
+	exec = make([]float64, len(order))
+	candidates = make(map[string]bool)
+	for i, n := range order {
+		if n.IsSource() || n.Computed {
+			rec[n.ID] = 0
+			continue
+		}
+		var pcosts float64
+		for _, p := range n.Parents {
+			pcosts += rec[p.ID]
+		}
+		exec[i] = costs.Compute[n.ID] + pcosts
+		if cl := costs.Load[n.ID]; cl < exec[i] {
+			rec[n.ID] = cl
+			candidates[n.ID] = true
+		} else {
+			rec[n.ID] = exec[i]
+		}
+	}
+	return rec, exec, candidates
+}
+
 // Linear is the paper's linear-time reuse algorithm (Algorithm 2 +
 // backward pass). Complexity O(|V|+|E|) in the workload DAG.
 type Linear struct{}
@@ -159,30 +231,8 @@ func (Linear) Name() string { return "LN" }
 
 // Plan implements Planner.
 func (Linear) Plan(w *graph.DAG, costs Costs) *Plan {
-	order := w.TopoOrder()
-	rec := make(map[string]float64, len(order))
-	reuse := make(map[string]bool)
-	// Forward pass (Algorithm 2).
-	for _, n := range order {
-		if n.IsSource() || n.Computed {
-			rec[n.ID] = 0
-			continue
-		}
-		var pcosts float64
-		for _, p := range n.Parents {
-			pcosts += rec[p.ID]
-		}
-		exec := costs.Compute[n.ID] + pcosts
-		if cl := costs.Load[n.ID]; cl < exec {
-			rec[n.ID] = cl
-			reuse[n.ID] = true
-		} else {
-			rec[n.ID] = exec
-		}
-	}
-	final := backwardPrune(w, reuse)
-	p := &Plan{Reuse: final, Candidates: reuse, RecreationCost: rec, Stats: planStats(w, costs, reuse, final)}
-	return p.withPredictions(costs)
+	rec, _, candidates := forward(w.TopoOrder(), costs)
+	return newPlan(w, costs, candidates, rec)
 }
 
 // backwardPrune walks from the terminals toward the sources, keeping only
@@ -190,24 +240,13 @@ func (Linear) Plan(w *graph.DAG, costs Costs) *Plan {
 // reached, its ancestors need not be visited (§6.1 backward-pass).
 func backwardPrune(w *graph.DAG, reuse map[string]bool) map[string]bool {
 	final := make(map[string]bool)
-	visited := make(map[string]bool)
-	stack := w.Terminals()
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[n.ID] {
-			continue
-		}
-		visited[n.ID] = true
+	graph.Walk(w.Terminals(), make(map[string]bool), func(n *graph.Node) bool {
 		if reuse[n.ID] {
 			final[n.ID] = true
-			continue // stop traversing parents
+			return false
 		}
-		if n.Computed {
-			continue // already on the client; ancestors not needed
-		}
-		stack = append(stack, n.Parents...)
-	}
+		return !n.Computed // already on the client: ancestors not needed
+	})
 	return final
 }
 
@@ -215,11 +254,12 @@ func backwardPrune(w *graph.DAG, reuse map[string]bool) map[string]bool {
 // cost in the experiments is far below it.
 const bigM = 1e18
 
-// Helix is the polynomial-time baseline: it folds parent recreation costs
-// into each vertex (the same DP as the forward pass), reduces the
-// load-vs-compute decision to a minimum s-t cut, and solves it with
-// Edmonds–Karp (§7.1; see DESIGN.md for the substitution note). It yields
-// the same plan as Linear at polynomial cost.
+// Helix is the polynomial-time baseline: it takes each vertex's execution
+// cost from the forward pass (so the PSP instance carries the same costs
+// the paper's reduction would), reduces the load-vs-compute decision to a
+// minimum s-t cut, and solves it with Edmonds–Karp (§7.1; see DESIGN.md
+// for the substitution note). It yields the same plan as Linear at
+// polynomial cost.
 type Helix struct{}
 
 // Name implements Planner.
@@ -228,35 +268,9 @@ func (Helix) Name() string { return "HL" }
 // Plan implements Planner.
 func (Helix) Plan(w *graph.DAG, costs Costs) *Plan {
 	order := w.TopoOrder()
-	n := len(order)
+	rec, execCost, _ := forward(order, costs)
 	// Network: 0 = source S, 1 = sink T, vertex i at index i+2.
-	idx := make(map[string]int, n)
-	for i, node := range order {
-		idx[node.ID] = i + 2
-	}
-	g := maxflow.New(n + 2)
-	rec := make(map[string]float64, n)
-	// The DP mirrors the forward pass so the PSP instance carries the
-	// same execution costs the paper's reduction would.
-	execCost := make([]float64, n)
-	for i, node := range order {
-		if node.IsSource() || node.Computed {
-			rec[node.ID] = 0
-			execCost[i] = 0
-			continue
-		}
-		var pcosts float64
-		for _, p := range node.Parents {
-			pcosts += rec[p.ID]
-		}
-		exec := costs.Compute[node.ID] + pcosts
-		execCost[i] = exec
-		if cl := costs.Load[node.ID]; cl < exec {
-			rec[node.ID] = cl
-		} else {
-			rec[node.ID] = exec
-		}
-	}
+	g := maxflow.New(len(order) + 2)
 	for i, node := range order {
 		exec := execCost[i]
 		if math.IsInf(exec, 1) {
@@ -284,9 +298,7 @@ func (Helix) Plan(w *graph.DAG, costs Costs) *Plan {
 			reuse[node.ID] = true
 		}
 	}
-	final := backwardPrune(w, reuse)
-	p := &Plan{Reuse: final, Candidates: reuse, RecreationCost: rec, Stats: planStats(w, costs, reuse, final)}
-	return p.withPredictions(costs)
+	return newPlan(w, costs, reuse, rec)
 }
 
 // AllMaterialized loads every materialized vertex regardless of cost
@@ -304,9 +316,7 @@ func (AllMaterialized) Plan(w *graph.DAG, costs Costs) *Plan {
 			reuse[n.ID] = true
 		}
 	}
-	final := backwardPrune(w, reuse)
-	p := &Plan{Reuse: final, Candidates: reuse, Stats: planStats(w, costs, reuse, final)}
-	return p.withPredictions(costs)
+	return newPlan(w, costs, reuse, nil)
 }
 
 // AllCompute never reuses anything (§7.4's ALL_C, the no-reuse baseline).
@@ -317,7 +327,5 @@ func (AllCompute) Name() string { return "ALL_C" }
 
 // Plan implements Planner.
 func (AllCompute) Plan(w *graph.DAG, costs Costs) *Plan {
-	none := map[string]bool{}
-	p := &Plan{Reuse: none, Candidates: none, Stats: planStats(w, costs, none, none)}
-	return p.withPredictions(costs)
+	return newPlan(w, costs, map[string]bool{}, nil)
 }
