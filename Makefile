@@ -224,7 +224,9 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # Get reads, and the client's decoder of a download. And version 1 of the
 # tier's files is named in one file: no program file but V1_REFUSER_FILE,
 # whose Open refuses a directory holding a version-1 file, names a
-# version-1 magic.
+# version-1 magic. And the walk up a DAG is written once: no program code
+# outside internal/graph pushes a node's parents onto a stack
+# (append(stack, n.Parents...)); it calls graph.Walk.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
@@ -276,6 +278,10 @@ lint-layers:
 	@out="$$(grep -rnwE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'colMagicV1|frameMagicV1|blobMagicV1' . | sed 's|^\./||' | grep -v '^$(V1_REFUSER_FILE):' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "a version-1 magic named outside $(V1_REFUSER_FILE) (only the tier's Open looks for version 1, to refuse it):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'append\([A-Za-z_][A-Za-z0-9_]*, [A-Za-z_][A-Za-z0-9_.]*\.Parents\.\.\.\)' . | sed 's|^\./||' | grep -v '^internal/graph/' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "a walk up the DAG written outside internal/graph (call graph.Walk):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.
