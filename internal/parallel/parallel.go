@@ -1,17 +1,21 @@
-// Package parallel provides the process-wide bounded worker pool shared by
-// the DAG executor (internal/core) and the hot data/ML kernels
-// (internal/data, internal/ml).
+// Package parallel provides the process-wide bounded worker pool of the
+// hot data/ML kernels (internal/data, internal/ml, internal/ops) and the
+// column codec of internal/remote. The DAG executor (internal/core) reads
+// its default width (Workers) but starts its own workers, outside the
+// pool's budget; a kernel running inside one of them draws helpers from the
+// pool like any other caller.
 //
 // The pool is a counting semaphore over *helper* goroutines: every entry
 // point (For, Do) always runs work on the calling goroutine and only spawns
 // extra goroutines while the global budget allows it. Two properties follow:
 //
-//   - Nesting cannot deadlock. A kernel running inside an executor worker
-//     may call For again; if the budget is exhausted the inner call simply
-//     runs inline on its caller.
+//   - Nesting cannot deadlock. A kernel running inside another kernel's
+//     task may call For again; if the budget is exhausted the inner call
+//     simply runs inline on its caller.
 //   - Total helper goroutines across the process stay bounded by
 //     SetWorkers (default runtime.GOMAXPROCS(0)), no matter how many
-//     components parallelize at once.
+//     kernels parallelize at once. The executor's workers are not helpers
+//     and are not counted.
 //
 // Determinism: callers must write results to disjoint, index-addressed
 // locations (out[i] = ...). Under that discipline results are bit-identical
