@@ -159,11 +159,10 @@ type PlanStats struct {
 // with.
 func newPlan(w *graph.DAG, costs Costs, candidates map[string]bool, rec map[string]float64) *Plan {
 	p := &Plan{Reuse: backwardPrune(w, candidates), Candidates: candidates, RecreationCost: rec}
-	loads := 0
 	for _, n := range w.Nodes() {
 		switch p.Outcome(n, costs) {
 		case Load:
-			loads++
+			p.Stats.CandidateLoads++
 		case PrunedOffPath:
 			p.Stats.PrunedOffPath++
 		case ComputeByCost:
@@ -172,7 +171,7 @@ func newPlan(w *graph.DAG, costs Costs, candidates map[string]bool, rec map[stri
 			p.Stats.PrunedNotMaterialized++
 		}
 	}
-	p.Stats.CandidateLoads = loads + p.Stats.PrunedOffPath
+	p.Stats.CandidateLoads += p.Stats.PrunedOffPath
 	p.Stats.Computes = p.Stats.PrunedOffPath + p.Stats.PrunedByCost + p.Stats.PrunedNotMaterialized
 	p.PredictedLoad = make(map[string]float64, len(p.Reuse))
 	for id := range p.Reuse {
