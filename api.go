@@ -306,7 +306,9 @@ const (
 
 // Learner interfaces for custom extensions.
 type (
-	// Model is the trainable-learner interface.
+	// Model is the trainable-learner interface: a learner fits and scores
+	// the given rows of a frame's feature columns, a nil column reading as
+	// zeros.
 	Model = ml.Model
 	// Warmstarter marks models that can adopt donor parameters.
 	Warmstarter = ml.Warmstarter

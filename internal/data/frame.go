@@ -220,13 +220,41 @@ func (f *Frame) NumericMatrix(names ...string) ([][]float64, []string) {
 // (all rows when rows is nil), with exactly one matrix column per name: a
 // name the frame lacks yields zeros, which keeps a model's feature
 // dimensionality whatever the frame holds (e.g. one-hot categories absent
-// from a test split). The matrix is filled column by column, one type switch
-// per column.
+// from a test split).
 func (f *Frame) NumericRows(names []string, rows []int) [][]float64 {
-	n, d := len(rows), len(names)
+	cols := make([]*Column, len(names))
+	for j, name := range names {
+		cols[j] = f.Column(name)
+	}
+	n := len(rows)
 	if rows == nil {
 		n = f.NumRows()
 	}
+	return numericRows(cols, rows, n)
+}
+
+// NumericRows converts the given rows of cols, in their order, to a dense
+// row-major matrix of float64 with one matrix column per column: a missing
+// value, a non-numeric cell and a nil column read as 0. When rows is nil it
+// converts every row of the first column present, and none when every
+// column is nil.
+func NumericRows(cols []*Column, rows []int) [][]float64 {
+	n := len(rows)
+	if rows == nil {
+		for _, c := range cols {
+			if c != nil {
+				n = c.Len()
+				break
+			}
+		}
+	}
+	return numericRows(cols, rows, n)
+}
+
+// numericRows is NumericRows of n rows, filled column by column, one type
+// switch per column.
+func numericRows(cols []*Column, rows []int, n int) [][]float64 {
+	d := len(cols)
 	m := make([][]float64, n)
 	flat := make([]float64, n*d)
 	for i := range m {
@@ -235,8 +263,8 @@ func (f *Frame) NumericRows(names []string, rows []int) [][]float64 {
 	if n == 0 {
 		return m
 	}
-	for j, name := range names {
-		if c := f.Column(name); c != nil {
+	for j, c := range cols {
+		if c != nil {
 			c.FillNumeric(flat[j:], d, rows)
 		}
 	}

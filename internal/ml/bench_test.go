@@ -26,7 +26,7 @@ func BenchmarkRandomForestFitParallel(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r := NewRandomForest(1)
 			r.NTrees = 16
-			if err := r.Fit(x, y); err != nil {
+			if err := fitRows(r, x, y); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -40,7 +40,7 @@ func BenchmarkGBTFitParallel(b *testing.B) {
 			g := NewGBT(1)
 			g.NTrees = 10
 			g.MaxDepth = 3
-			if err := g.Fit(x, y); err != nil {
+			if err := fitRows(g, x, y); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,13 +72,13 @@ func BenchmarkHistogram(b *testing.B) {
 func BenchmarkKNNPredictParallel(b *testing.B) {
 	x, y := synthLinear(3000, 20, 9)
 	k := NewKNN()
-	if err := k.Fit(x, y); err != nil {
+	if err := fitRows(k, x, y); err != nil {
 		b.Fatal(err)
 	}
-	queries := x[:500]
+	queries, _ := matrixColumns(x[:500])
 	benchWorkers(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			k.Predict(queries)
+			k.Predict(queries, nil)
 		}
 	})
 }
@@ -92,7 +92,7 @@ func BenchmarkLogisticRegressionFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := NewLogisticRegression(1)
 		m.MaxIter, m.Tol = 300, 1e-5
-		if err := m.Fit(x, y); err != nil {
+		if err := fitRows(m, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func BenchmarkGBTFit(b *testing.B) {
 				g := NewGBT(1)
 				g.NTrees = 12
 				g.MaxDepth = 3
-				if err := g.Fit(x, y); err != nil {
+				if err := fitRows(g, x, y); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -118,7 +118,7 @@ func BenchmarkGBTWarmstartedFit(b *testing.B) {
 	x, y := synthLinear(2000, 20, 3)
 	donor := NewGBT(1)
 	donor.NTrees = 10
-	if err := donor.Fit(x, y); err != nil {
+	if err := fitRows(donor, x, y); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -126,7 +126,7 @@ func BenchmarkGBTWarmstartedFit(b *testing.B) {
 		g := NewGBT(1)
 		g.NTrees = 12 // grows only 2 extra trees
 		g.WarmstartFrom(donor)
-		if err := g.Fit(x, y); err != nil {
+		if err := fitRows(g, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func BenchmarkRandomForestFit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := NewRandomForest(1)
 		r.NTrees = 10
-		if err := r.Fit(x, y); err != nil {
+		if err := fitRows(r, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,10 +147,10 @@ func BenchmarkRandomForestFit(b *testing.B) {
 func BenchmarkAUCROC(b *testing.B) {
 	x, y := synthLinear(10000, 5, 5)
 	m := NewLogisticRegression(1)
-	if err := m.Fit(x, y); err != nil {
+	if err := fitRows(m, x, y); err != nil {
 		b.Fatal(err)
 	}
-	scores := m.Predict(x)
+	scores := predictRows(m, x)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AUCROC(y, scores)

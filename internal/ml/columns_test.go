@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -49,18 +48,6 @@ func mixedColumns(rng *rand.Rand, n, d int) ([]*data.Column, []float64) {
 	return cols, y
 }
 
-// rowsOf is the float matrix Predict reads for cols: missing counts as 0.
-func rowsOf(cols []*data.Column) [][]float64 {
-	x := make([][]float64, cols[0].Len())
-	for i := range x {
-		x[i] = make([]float64, len(cols))
-		for f, c := range cols {
-			c.FillNumeric(x[i][f:], 1, []int{i})
-		}
-	}
-	return x
-}
-
 // predictByBins routes row i through an exported tree by bins alone: every
 // threshold must be one of its feature's edges, and the row goes left when
 // its bin is <= that edge's.
@@ -82,22 +69,21 @@ func predictByBins(t *testing.T, n *TreeNode, cols []*data.Column, i int) float6
 
 // TestQuickTreesPredictAlikeThroughBinsAndFloats: a tree, forest or boosted
 // ensemble fitted on columns scores every row of the frame — trained on or
-// held out — the same through its bins as through TreeNode.predict on
+// held out — the same through its bins as through TreeNode.predictAt on the
 // floats, which is what lets boosting update scores without the floats.
 func TestQuickTreesPredictAlikeThroughBinsAndFloats(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cols, y := mixedColumns(rng, 200+rng.Intn(400), 4+rng.Intn(8))
 		train, _ := TrainTestSplit(len(y), 0.25, seed)
-		x := rowsOf(cols)
 
 		tree := NewDecisionTree(seed)
 		gbt := NewGBT(seed)
 		gbt.NTrees, gbt.Subsample = 6, []float64{1, 0.7}[rng.Intn(2)]
 		rf := NewRandomForest(seed)
 		rf.NTrees = 4
-		for _, m := range []ColumnFitter{tree, gbt, rf} {
-			if err := m.FitColumns(cols, train, y); err != nil {
+		for _, m := range []Model{tree, gbt, rf} {
+			if err := m.Fit(cols, train, y); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -106,17 +92,10 @@ func TestQuickTreesPredictAlikeThroughBinsAndFloats(t *testing.T) {
 			roots = append(roots, dt.Root)
 		}
 		for _, root := range roots {
-			for i := range x {
-				if predictByBins(t, root, cols, i) != root.predict(x[i]) {
+			for i := range y {
+				if predictByBins(t, root, cols, i) != root.predictAt(cols, i) {
 					return false
 				}
-			}
-		}
-		// predictAt, which scores a warmstart donor's trees on the columns,
-		// agrees too.
-		for i := range x {
-			if gbt.Trees[0].predictAt(cols, i) != gbt.Trees[0].predict(x[i]) {
-				return false
 			}
 		}
 		return true
@@ -126,12 +105,12 @@ func TestQuickTreesPredictAlikeThroughBinsAndFloats(t *testing.T) {
 	}
 }
 
-// TestQuickPredictColumnsIsPredictOfNumericRows: scoring a frame's rows
-// through the columns gives, bit for bit, what Predict gives on the float
-// matrix of the same columns and rows — with missing cells, an int and a
-// bool column, a row subset and every row, and a feature the frame lacks,
-// which both read as zeros. For logistic regression the same holds of the
-// fit: FitColumns on a row subset is Fit on those numeric rows.
+// TestQuickPredictColumnsIsPredictOfNumericRows: every learner scores a
+// frame's rows, bit for bit, as it scores float columns holding
+// data.NumericRows of the same columns and rows — with missing cells, an int
+// and a bool column, a row subset and every row, and a feature the frame
+// lacks, which all read as zeros. For logistic regression the same holds of
+// the fit: Fit on a row subset is Fit on float columns of those numeric rows.
 func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -143,11 +122,6 @@ func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 		}
 		cols[4] = &data.Column{Type: data.Int64, Ints: ints}
 		cols[5] = &data.Column{Type: data.Bool, Bools: bools}
-		names := make([]string, len(cols))
-		for f, c := range cols {
-			names[f] = fmt.Sprint("f", f)
-			c.Name = names[f]
-		}
 		train, test := TrainTestSplit(n, 0.25, seed)
 
 		tree := NewDecisionTree(seed)
@@ -156,27 +130,27 @@ func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 		rf := NewRandomForest(seed)
 		rf.NTrees = 4
 		logreg := NewLogisticRegression(seed)
-		for _, m := range []ColumnFitter{tree, gbt, rf, logreg} {
-			if err := m.FitColumns(cols, train, y); err != nil {
+		fitted := []Model{tree, gbt, rf, logreg, NewLinearRegression(seed), NewKNN(), NewGaussianNB(), NewLinearSVM(seed)}
+		for _, m := range fitted {
+			if err := m.Fit(cols, train, y); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// The scored frame lacks the feature the fit saw second.
 		scored := append([]*data.Column(nil), cols...)
 		scored[1] = nil
-		frame := data.MustNewFrame(append(scored[:1:1], scored[2:]...)...)
 
 		// Logistic regression trains on what it scores: the same fit on the
-		// frame without that feature is Fit on the frame's numeric rows.
+		// frame without that feature is the fit on its numeric rows.
 		viaColumns, viaRows := NewLogisticRegression(seed), NewLogisticRegression(seed)
-		if err := viaColumns.FitColumns(scored, train, y); err != nil {
+		if err := viaColumns.Fit(scored, train, y); err != nil {
 			t.Fatal(err)
 		}
 		yTrain := make([]float64, len(train))
 		for k, i := range train {
 			yTrain[k] = y[i]
 		}
-		if err := viaRows.Fit(frame.NumericRows(names, train), yTrain); err != nil {
+		if err := fitRows(viaRows, data.NumericRows(scored, train), yTrain); err != nil {
 			t.Fatal(err)
 		}
 		if viaColumns.EpochsRun != viaRows.EpochsRun || viaColumns.Bias != viaRows.Bias {
@@ -189,10 +163,10 @@ func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 		}
 
 		// score zeros, or 0.5 everywhere, either way
-		unfitted := []ColumnFitter{&DecisionTree{}, &RandomForest{}, &LogisticRegression{}}
-		for _, m := range append(unfitted, tree, gbt, rf, logreg) {
+		unfitted := []Model{&DecisionTree{}, &RandomForest{}, &LogisticRegression{}}
+		for _, m := range append(unfitted, fitted...) {
 			for _, rows := range [][]int{nil, test, {}} {
-				got, want := m.PredictColumns(scored, rows), m.Predict(frame.NumericRows(names, rows))
+				got, want := m.Predict(scored, rows), predictRows(m, data.NumericRows(scored, rows))
 				if len(got) != len(want) {
 					return false
 				}
@@ -210,35 +184,6 @@ func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 	}
 }
 
-// TestFitIsFitColumnsOnTheMatrixColumns: Fit stays a thin wrapper.
-func TestFitIsFitColumnsOnTheMatrixColumns(t *testing.T) {
-	x, y := synthLinear(600, 10, 5)
-	rows := make([]int, len(x))
-	for i := range rows {
-		rows[i] = i
-	}
-	for _, mk := range []func() ColumnFitter{
-		func() ColumnFitter { return NewDecisionTree(2) },
-		func() ColumnFitter { return NewGBT(2) },
-		func() ColumnFitter { return NewRandomForest(2) },
-		func() ColumnFitter { return NewLogisticRegression(2) },
-	} {
-		viaFit, viaColumns := mk(), mk()
-		if err := viaFit.Fit(x, y); err != nil {
-			t.Fatal(err)
-		}
-		if err := viaColumns.FitColumns(columnsOf(x), rows, y); err != nil {
-			t.Fatal(err)
-		}
-		a, b := viaFit.Predict(x), viaColumns.Predict(x)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: prediction %d is %v through Fit, %v through FitColumns", viaFit.Kind(), i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestGBTWarmstartOnColumns: a warmstarted fit on columns scores the donor's
 // trees before growing its own and ends where a cold fit of the full size
 // does — the donor was its prefix.
@@ -251,7 +196,7 @@ func TestGBTWarmstartOnColumns(t *testing.T) {
 		if donor != nil && !g.WarmstartFrom(donor) {
 			t.Fatal("donor rejected")
 		}
-		if err := g.FitColumns(cols, train, y); err != nil {
+		if err := g.Fit(cols, train, y); err != nil {
 			t.Fatal(err)
 		}
 		return g
@@ -261,8 +206,7 @@ func TestGBTWarmstartOnColumns(t *testing.T) {
 	if warm.TreesGrown != 3 {
 		t.Errorf("warmstarted fit grew %d trees, want 3", warm.TreesGrown)
 	}
-	x := rowsOf(cols)
-	a, b := warm.Predict(x), cold.Predict(x)
+	a, b := warm.Predict(cols, nil), cold.Predict(cols, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("prediction %d: %v warmstarted, %v cold", i, a[i], b[i])
@@ -283,7 +227,7 @@ func TestGBTWarmstartFromALargerDonor(t *testing.T) {
 		if donor != nil && !g.WarmstartFrom(donor) {
 			t.Fatal("donor rejected")
 		}
-		if err := g.FitColumns(cols, train, y); err != nil {
+		if err := g.Fit(cols, train, y); err != nil {
 			t.Fatal(err)
 		}
 		return g
@@ -293,8 +237,7 @@ func TestGBTWarmstartFromALargerDonor(t *testing.T) {
 	if len(warm.Trees) != 5 || warm.TreesGrown != 0 || len(donor.Trees) != 8 {
 		t.Errorf("warmstarted fit holds %d trees and grew %d (donor %d), want 5 and 0 (8)", len(warm.Trees), warm.TreesGrown, len(donor.Trees))
 	}
-	x := rowsOf(cols)
-	a, b := warm.Predict(x), cold.Predict(x)
+	a, b := warm.Predict(cols, nil), cold.Predict(cols, nil)
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("prediction %d: %v warmstarted, %v cold", i, a[i], b[i])
@@ -327,7 +270,7 @@ func TestSecondFitFindsItsBinsBuilt(t *testing.T) {
 		seed++
 		g := NewGBT(seed)
 		g.NTrees, g.MaxDepth = 5, 3
-		if err := g.FitColumns(cols, train, y); err != nil {
+		if err := g.Fit(cols, train, y); err != nil {
 			t.Fatal(err)
 		}
 	}

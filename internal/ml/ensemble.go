@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 
@@ -57,10 +56,7 @@ func (g *GradientBoostedTrees) WarmstartFrom(donor Model) bool {
 }
 
 // Fit implements Model.
-func (g *GradientBoostedTrees) Fit(x [][]float64, y []float64) error { return fitMatrix(g, x, y) }
-
-// FitColumns implements ColumnFitter.
-func (g *GradientBoostedTrees) FitColumns(cols []*data.Column, rows []int, y []float64) error {
+func (g *GradientBoostedTrees) Fit(cols []*data.Column, rows []int, y []float64) error {
 	if err := checkColumns(g.Kind(), cols, rows, y); err != nil {
 		return err
 	}
@@ -155,22 +151,7 @@ func (g *GradientBoostedTrees) sampleRows(rng *rand.Rand, rows, idx []int) []int
 }
 
 // Predict implements Model, returning P(y=1).
-func (g *GradientBoostedTrees) Predict(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	parallel.For(len(x), 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := g.Base
-			for _, tr := range g.Trees {
-				s += g.LearningRate * tr.predict(x[i])
-			}
-			out[i] = sigmoid(s)
-		}
-	})
-	return out
-}
-
-// PredictColumns implements ColumnFitter.
-func (g *GradientBoostedTrees) PredictColumns(cols []*data.Column, rows []int) []float64 {
+func (g *GradientBoostedTrees) Predict(cols []*data.Column, rows []int) []float64 {
 	return scoreColumns(cols, rows, func(i int) float64 {
 		s := g.Base
 		for _, tr := range g.Trees {
@@ -217,10 +198,7 @@ func NewRandomForest(seed int64) *RandomForest {
 func (r *RandomForest) Kind() string { return "rf" }
 
 // Fit implements Model.
-func (r *RandomForest) Fit(x [][]float64, y []float64) error { return fitMatrix(r, x, y) }
-
-// FitColumns implements ColumnFitter.
-func (r *RandomForest) FitColumns(cols []*data.Column, rows []int, y []float64) error {
+func (r *RandomForest) Fit(cols []*data.Column, rows []int, y []float64) error {
 	if err := checkColumns(r.Kind(), cols, rows, y); err != nil {
 		return err
 	}
@@ -274,29 +252,7 @@ func (r *RandomForest) FitColumns(cols []*data.Column, rows []int, y []float64) 
 }
 
 // Predict implements Model, returning the mean vote.
-func (r *RandomForest) Predict(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	if len(r.Trees) == 0 {
-		return out
-	}
-	// Per-row vote, accumulated in tree order so the floating-point sum
-	// matches the sequential tree-major loop exactly.
-	parallel.For(len(x), 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var s float64
-			for _, t := range r.Trees {
-				if t.Root != nil {
-					s += t.Root.predict(x[i])
-				}
-			}
-			out[i] = s / float64(len(r.Trees))
-		}
-	})
-	return out
-}
-
-// PredictColumns implements ColumnFitter; the vote is taken as in Predict.
-func (r *RandomForest) PredictColumns(cols []*data.Column, rows []int) []float64 {
+func (r *RandomForest) Predict(cols []*data.Column, rows []int) []float64 {
 	return scoreColumns(cols, rows, func(i int) float64 {
 		if len(r.Trees) == 0 {
 			return 0
@@ -339,21 +295,22 @@ func NewKNN() *KNN { return &KNN{K: 5} }
 // Kind implements Model.
 func (k *KNN) Kind() string { return "knn" }
 
-// Fit implements Model (memorizes the data).
-func (k *KNN) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("ml: knn: empty or mismatched training data")
+// Fit implements Model (memorizes the training rows).
+func (k *KNN) Fit(cols []*data.Column, rows []int, y []float64) error {
+	x, yt, err := trainingRows(k.Kind(), cols, rows, y)
+	if err != nil {
+		return err
 	}
 	if k.K == 0 {
 		k.K = 5
 	}
-	k.TrainX = clone2D(x)
-	k.TrainY = append([]float64(nil), y...)
+	k.TrainX, k.TrainY = x, yt
 	return nil
 }
 
 // Predict implements Model.
-func (k *KNN) Predict(x [][]float64) []float64 {
+func (k *KNN) Predict(cols []*data.Column, rows []int) []float64 {
+	x := data.NumericRows(cols, rows)
 	out := make([]float64, len(x))
 	type nb struct{ d, y float64 }
 	// The distance scan is the hot loop: queries are independent and the

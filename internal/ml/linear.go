@@ -1,7 +1,6 @@
 package ml
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 
@@ -11,9 +10,8 @@ import (
 // LogisticRegression is a binary classifier trained by full-batch gradient
 // descent on the regularized log-loss. It supports warmstarting: training
 // initialized from a previously fitted weight vector converges in fewer
-// epochs, which is the mechanism behind Figure 10 of the paper. It is a
-// ColumnFitter: it trains and scores on a frame's columns, with no row-major
-// float matrix.
+// epochs, which is the mechanism behind Figure 10 of the paper. It trains
+// and scores on a frame's columns with no row-major float matrix.
 type LogisticRegression struct {
 	// LearningRate is the gradient-descent step size. Default 0.1.
 	LearningRate float64
@@ -58,20 +56,12 @@ func (m *LogisticRegression) WarmstartFrom(donor Model) bool {
 	return true
 }
 
-// Fit implements Model.
-func (m *LogisticRegression) Fit(x [][]float64, y []float64) error { return fitMatrix(m, x, y) }
-
-// FitColumns implements ColumnFitter. The training rows are gathered once
-// into one column-major block, converted as data.Frame.NumericRows converts
-// them; a nil column trains as zeros.
-func (m *LogisticRegression) FitColumns(cols []*data.Column, rows []int, y []float64) error {
-	if len(rows) == 0 {
-		return errors.New("ml: logreg: no training rows")
-	}
-	for _, c := range cols {
-		if c != nil && c.Len() != len(y) {
-			return errors.New("ml: logreg: a feature column and the target differ in length")
-		}
+// Fit implements Model. The training rows are gathered once into one
+// column-major block, converted as data.NumericRows converts them; a nil
+// column trains as zeros.
+func (m *LogisticRegression) Fit(cols []*data.Column, rows []int, y []float64) error {
+	if err := checkRows(m.Kind(), cols, rows, y); err != nil {
+		return err
 	}
 	n := len(rows)
 	block := make([]float64, n*len(cols))
@@ -80,15 +70,11 @@ func (m *LogisticRegression) FitColumns(cols []*data.Column, rows []int, y []flo
 			c.FillNumeric(block[j*n:], 1, rows)
 		}
 	}
-	yt := make([]float64, n)
-	for k, i := range rows {
-		yt[k] = y[i]
-	}
-	m.fit(block, len(cols), yt)
+	m.fit(block, len(cols), targets(y, rows))
 	return nil
 }
 
-// fit is the epoch loop of FitColumns on the len(y) training rows of d
+// fit is the epoch loop of Fit on the len(y) training rows of d
 // features held column-major in x: feature j is x[j*n : (j+1)*n]. An epoch
 // is three passes over x — margins, residuals, gradient — and takes every sum
 // of the row-major loop it replaced in that loop's order, so weights, bias
@@ -217,18 +203,9 @@ func gradient(g, x, r []float64) {
 	}
 }
 
-// Predict implements Model, returning P(y=1) per row.
-func (m *LogisticRegression) Predict(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = sigmoid(dot(m.Weights, row) + m.Bias)
-	}
-	return out
-}
-
-// PredictColumns implements ColumnFitter: a row's margin adds its features in
-// order, as Predict's dot product does.
-func (m *LogisticRegression) PredictColumns(cols []*data.Column, rows []int) []float64 {
+// Predict implements Model, returning P(y=1) per row: a row's margin adds
+// its features in order.
+func (m *LogisticRegression) Predict(cols []*data.Column, rows []int) []float64 {
 	return scoreColumns(cols, rows, func(i int) float64 {
 		var s float64
 		for j, w := range m.Weights {
@@ -278,11 +255,12 @@ func (m *LinearRegression) WarmstartFrom(donor Model) bool {
 }
 
 // Fit implements Model.
-func (m *LinearRegression) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("ml: linreg: empty or mismatched training data")
+func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) error {
+	x, y, err := trainingRows(m.Kind(), cols, rows, y)
+	if err != nil {
+		return err
 	}
-	d := len(x[0])
+	d := len(cols)
 	if m.LearningRate == 0 {
 		m.LearningRate = 0.05
 	}
@@ -328,7 +306,8 @@ func (m *LinearRegression) Fit(x [][]float64, y []float64) error {
 }
 
 // Predict implements Model.
-func (m *LinearRegression) Predict(x [][]float64) []float64 {
+func (m *LinearRegression) Predict(cols []*data.Column, rows []int) []float64 {
+	x := data.NumericRows(cols, rows)
 	out := make([]float64, len(x))
 	for i, row := range x {
 		out[i] = dot(m.Weights, row) + m.Bias

@@ -4,7 +4,43 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/data"
 )
+
+// matrixColumns turns a row-major matrix into one float column per feature,
+// as a frame would hold it, and the index of every row. A matrix of no rows
+// has no columns.
+func matrixColumns(x [][]float64) ([]*data.Column, []int) {
+	if len(x) == 0 {
+		return nil, nil
+	}
+	cols := make([]*data.Column, len(x[0]))
+	for f := range cols {
+		vals := make([]float64, len(x))
+		for i, row := range x {
+			vals[i] = row[f]
+		}
+		cols[f] = &data.Column{Type: data.Float64, Floats: vals}
+	}
+	rows := make([]int, len(x))
+	for i := range rows {
+		rows[i] = i
+	}
+	return cols, rows
+}
+
+// fitRows fits m on every row of the matrix x.
+func fitRows(m Model, x [][]float64, y []float64) error {
+	cols, rows := matrixColumns(x)
+	return m.Fit(cols, rows, y)
+}
+
+// predictRows scores every row of the matrix x with m.
+func predictRows(m Model, x [][]float64) []float64 {
+	cols, _ := matrixColumns(x)
+	return m.Predict(cols, nil)
+}
 
 // synthLinear builds a linearly separable binary dataset.
 func synthLinear(n, d int, seed int64) ([][]float64, []float64) {
@@ -46,10 +82,10 @@ func synthXOR(n int, seed int64) ([][]float64, []float64) {
 func TestLogisticRegressionLearns(t *testing.T) {
 	x, y := synthLinear(400, 5, 1)
 	m := NewLogisticRegression(7)
-	if err := m.Fit(x, y); err != nil {
+	if err := fitRows(m, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	auc := AUCROC(y, m.Predict(x))
+	auc := AUCROC(y, predictRows(m, x))
 	if auc < 0.9 {
 		t.Errorf("train AUC=%.3f, want >= 0.9", auc)
 	}
@@ -61,7 +97,7 @@ func TestLogisticRegressionWarmstartFewerEpochs(t *testing.T) {
 	cold.MaxIter = 2000
 	cold.LearningRate = 0.5
 	cold.Tol = 1e-5
-	if err := cold.Fit(x, y); err != nil {
+	if err := fitRows(cold, x, y); err != nil {
 		t.Fatalf("cold fit: %v", err)
 	}
 	warm := NewLogisticRegression(7)
@@ -71,7 +107,7 @@ func TestLogisticRegressionWarmstartFewerEpochs(t *testing.T) {
 	if !warm.WarmstartFrom(cold) {
 		t.Fatal("WarmstartFrom should accept a fitted logreg")
 	}
-	if err := warm.Fit(x, y); err != nil {
+	if err := fitRows(warm, x, y); err != nil {
 		t.Fatalf("warm fit: %v", err)
 	}
 	if warm.EpochsRun >= cold.EpochsRun {
@@ -106,10 +142,10 @@ func TestLinearRegressionLearns(t *testing.T) {
 	}
 	m := NewLinearRegression(1)
 	m.MaxIter = 2000
-	if err := m.Fit(x, y); err != nil {
+	if err := fitRows(m, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if rmse := RMSE(y, m.Predict(x)); rmse > 0.1 {
+	if rmse := RMSE(y, predictRows(m, x)); rmse > 0.1 {
 		t.Errorf("RMSE=%.4f, want <= 0.1", rmse)
 	}
 }
@@ -118,10 +154,10 @@ func TestDecisionTreeLearnsXOR(t *testing.T) {
 	x, y := synthXOR(400, 4)
 	tr := NewDecisionTree(1)
 	tr.MaxDepth = 4
-	if err := tr.Fit(x, y); err != nil {
+	if err := fitRows(tr, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if acc := Accuracy(y, tr.Predict(x)); acc < 0.9 {
+	if acc := Accuracy(y, predictRows(tr, x)); acc < 0.9 {
 		t.Errorf("XOR accuracy=%.3f, want >= 0.9", acc)
 	}
 }
@@ -130,10 +166,10 @@ func TestGBTLearnsXOR(t *testing.T) {
 	x, y := synthXOR(400, 5)
 	g := NewGBT(1)
 	g.NTrees = 30
-	if err := g.Fit(x, y); err != nil {
+	if err := fitRows(g, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if auc := AUCROC(y, g.Predict(x)); auc < 0.95 {
+	if auc := AUCROC(y, predictRows(g, x)); auc < 0.95 {
 		t.Errorf("XOR AUC=%.3f, want >= 0.95", auc)
 	}
 }
@@ -142,7 +178,7 @@ func TestGBTWarmstartGrowsOnlyRemainingTrees(t *testing.T) {
 	x, y := synthXOR(200, 6)
 	donor := NewGBT(1)
 	donor.NTrees = 20
-	if err := donor.Fit(x, y); err != nil {
+	if err := fitRows(donor, x, y); err != nil {
 		t.Fatalf("donor fit: %v", err)
 	}
 	warm := NewGBT(1)
@@ -150,7 +186,7 @@ func TestGBTWarmstartGrowsOnlyRemainingTrees(t *testing.T) {
 	if !warm.WarmstartFrom(donor) {
 		t.Fatal("warmstart rejected")
 	}
-	if err := warm.Fit(x, y); err != nil {
+	if err := fitRows(warm, x, y); err != nil {
 		t.Fatalf("warm fit: %v", err)
 	}
 	if warm.TreesGrown != 10 {
@@ -165,10 +201,10 @@ func TestRandomForestLearns(t *testing.T) {
 	x, y := synthXOR(300, 7)
 	rf := NewRandomForest(1)
 	rf.NTrees = 15
-	if err := rf.Fit(x, y); err != nil {
+	if err := fitRows(rf, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if auc := AUCROC(y, rf.Predict(x)); auc < 0.9 {
+	if auc := AUCROC(y, predictRows(rf, x)); auc < 0.9 {
 		t.Errorf("AUC=%.3f, want >= 0.9", auc)
 	}
 }
@@ -176,10 +212,10 @@ func TestRandomForestLearns(t *testing.T) {
 func TestKNNLearns(t *testing.T) {
 	x, y := synthXOR(200, 8)
 	k := NewKNN()
-	if err := k.Fit(x, y); err != nil {
+	if err := fitRows(k, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if acc := Accuracy(y, k.Predict(x)); acc < 0.85 {
+	if acc := Accuracy(y, predictRows(k, x)); acc < 0.85 {
 		t.Errorf("accuracy=%.3f, want >= 0.85", acc)
 	}
 }
@@ -368,7 +404,7 @@ func TestModelSizeBytesPositive(t *testing.T) {
 	x, y := synthLinear(50, 3, 12)
 	models := []Model{NewLogisticRegression(1), NewLinearRegression(1), NewDecisionTree(1), NewGBT(1), NewRandomForest(1), NewKNN()}
 	for _, m := range models {
-		if err := m.Fit(x, y); err != nil {
+		if err := fitRows(m, x, y); err != nil {
 			t.Fatalf("%s Fit: %v", m.Kind(), err)
 		}
 		if m.SizeBytes() <= 0 {
@@ -380,10 +416,10 @@ func TestModelSizeBytesPositive(t *testing.T) {
 func TestFitRejectsEmptyData(t *testing.T) {
 	models := []Model{NewLogisticRegression(1), NewLinearRegression(1), NewDecisionTree(1), NewGBT(1), NewRandomForest(1), NewKNN()}
 	for _, m := range models {
-		if err := m.Fit(nil, nil); err == nil {
+		if err := m.Fit(nil, nil, nil); err == nil {
 			t.Errorf("%s Fit(nil) should error", m.Kind())
 		}
-		if err := m.Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
+		if err := fitRows(m, [][]float64{{1}}, []float64{1, 2}); err == nil {
 			t.Errorf("%s Fit(mismatched) should error", m.Kind())
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+
+	"repro/internal/data"
 )
 
 // GaussianNB is a Gaussian naive-Bayes binary classifier: per-class
@@ -26,11 +28,12 @@ func NewGaussianNB() *GaussianNB { return &GaussianNB{} }
 func (m *GaussianNB) Kind() string { return "nb" }
 
 // Fit implements Model.
-func (m *GaussianNB) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("ml: nb: empty or mismatched training data")
+func (m *GaussianNB) Fit(cols []*data.Column, rows []int, y []float64) error {
+	x, y, err := trainingRows(m.Kind(), cols, rows, y)
+	if err != nil {
+		return err
 	}
-	d := len(x[0])
+	d := len(cols)
 	var count [2]float64
 	for c := 0; c < 2; c++ {
 		m.Mean[c] = make([]float64, d)
@@ -89,7 +92,8 @@ func (m *GaussianNB) Fit(x [][]float64, y []float64) error {
 }
 
 // Predict implements Model, returning P(y=1|x).
-func (m *GaussianNB) Predict(x [][]float64) []float64 {
+func (m *GaussianNB) Predict(cols []*data.Column, rows []int) []float64 {
+	x := data.NumericRows(cols, rows)
 	out := make([]float64, len(x))
 	for i, row := range x {
 		var logp [2]float64
@@ -155,11 +159,12 @@ func (m *LinearSVM) WarmstartFrom(donor Model) bool {
 }
 
 // Fit implements Model.
-func (m *LinearSVM) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return errors.New("ml: svm: empty or mismatched training data")
+func (m *LinearSVM) Fit(cols []*data.Column, rows []int, y []float64) error {
+	x, y, err := trainingRows(m.Kind(), cols, rows, y)
+	if err != nil {
+		return err
 	}
-	d := len(x[0])
+	d := len(cols)
 	if m.Lambda == 0 {
 		m.Lambda = 1e-3
 	}
@@ -215,7 +220,8 @@ func (m *LinearSVM) Fit(x [][]float64, y []float64) error {
 
 // Predict implements Model, mapping the margin through a sigmoid so the
 // score is a probability-like value in (0,1).
-func (m *LinearSVM) Predict(x [][]float64) []float64 {
+func (m *LinearSVM) Predict(cols []*data.Column, rows []int) []float64 {
+	x := data.NumericRows(cols, rows)
 	out := make([]float64, len(x))
 	for i, row := range x {
 		out[i] = sigmoid(dot(m.Weights, row) + m.Bias)

@@ -9,10 +9,10 @@ import (
 func TestGaussianNBLearns(t *testing.T) {
 	x, y := synthLinear(400, 5, 21)
 	m := NewGaussianNB()
-	if err := m.Fit(x, y); err != nil {
+	if err := fitRows(m, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if auc := AUCROC(y, m.Predict(x)); auc < 0.85 {
+	if auc := AUCROC(y, predictRows(m, x)); auc < 0.85 {
 		t.Errorf("NB AUC=%.3f, want >= 0.85", auc)
 	}
 	if m.SizeBytes() <= 0 {
@@ -33,10 +33,10 @@ func TestGaussianNBSeparatedClusters(t *testing.T) {
 		}
 	}
 	m := NewGaussianNB()
-	if err := m.Fit(x, y); err != nil {
+	if err := fitRows(m, x, y); err != nil {
 		t.Fatal(err)
 	}
-	if acc := Accuracy(y, m.Predict(x)); acc < 0.98 {
+	if acc := Accuracy(y, predictRows(m, x)); acc < 0.98 {
 		t.Errorf("well-separated accuracy=%.3f", acc)
 	}
 }
@@ -45,10 +45,10 @@ func TestLinearSVMLearns(t *testing.T) {
 	x, y := synthLinear(400, 5, 23)
 	m := NewLinearSVM(1)
 	m.MaxIter = 200
-	if err := m.Fit(x, y); err != nil {
+	if err := fitRows(m, x, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if auc := AUCROC(y, m.Predict(x)); auc < 0.9 {
+	if auc := AUCROC(y, predictRows(m, x)); auc < 0.9 {
 		t.Errorf("SVM AUC=%.3f, want >= 0.9", auc)
 	}
 }
@@ -57,7 +57,7 @@ func TestLinearSVMWarmstart(t *testing.T) {
 	x, y := synthLinear(300, 4, 24)
 	donor := NewLinearSVM(1)
 	donor.MaxIter = 300
-	if err := donor.Fit(x, y); err != nil {
+	if err := fitRows(donor, x, y); err != nil {
 		t.Fatal(err)
 	}
 	warm := NewLinearSVM(2)
@@ -65,7 +65,7 @@ func TestLinearSVMWarmstart(t *testing.T) {
 	if !warm.WarmstartFrom(donor) {
 		t.Fatal("warmstart rejected")
 	}
-	if err := warm.Fit(x, y); err != nil {
+	if err := fitRows(warm, x, y); err != nil {
 		t.Fatal(err)
 	}
 	if warm.EpochsRun >= donor.EpochsRun {
@@ -133,10 +133,10 @@ func TestKMeansEdgeCases(t *testing.T) {
 }
 
 func TestNewModelsRejectBadInput(t *testing.T) {
-	if err := NewGaussianNB().Fit(nil, nil); err == nil {
+	if err := NewGaussianNB().Fit(nil, nil, nil); err == nil {
 		t.Error("nb empty fit should error")
 	}
-	if err := NewLinearSVM(1).Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if err := fitRows(NewLinearSVM(1), [][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Error("svm mismatched fit should error")
 	}
 }

@@ -94,8 +94,8 @@ func refAUCROC(y, scores []float64) float64 {
 
 // TestLogisticLossIsTheGeneralFormBitForBit: the column-major epoch loop,
 // which logs the likelihood once per epoch, ends on the epoch count, weights
-// and bias of the row-major loop with a log per row — through Fit on the
-// training matrix and through FitColumns on a row subset of wider columns.
+// and bias of the row-major loop with a log per row — through Fit on every
+// row of the training matrix's columns and on a row subset of wider columns.
 // The cases cover 1 to 25 features, in fours and not, 1 to 600 rows, in
 // sixteens and not, 0/1 and soft labels, L2 on and off, weights drawn from
 // the seed and warmstarted ones, and features scaled until σ saturates and
@@ -161,12 +161,13 @@ func TestLogisticLossIsTheGeneralFormBitForBit(t *testing.T) {
 			refLogregFit(m, x, y)
 		})
 		viaFit := fit(func(m *LogisticRegression) {
-			if err := m.Fit(x, y); err != nil {
+			if err := fitRows(m, x, y); err != nil {
 				t.Fatal(err)
 			}
 		})
 		viaColumns := fit(func(m *LogisticRegression) {
-			if err := m.FitColumns(columnsOf(all), rows, yAll); err != nil {
+			cols, _ := matrixColumns(all)
+			if err := m.Fit(cols, rows, yAll); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -186,7 +187,7 @@ func TestLogisticLossIsTheGeneralFormBitForBit(t *testing.T) {
 				}
 			}
 		}
-		p := viaFit.Predict(x)
+		p := predictRows(viaFit, x)
 		for _, v := range p {
 			if v != clampProb(v) {
 				clamped++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/parallel"
@@ -20,17 +21,6 @@ type TreeNode struct {
 	Left, Right *TreeNode
 }
 
-func (n *TreeNode) predict(row []float64) float64 {
-	for n.Feature >= 0 {
-		if row[n.Feature] <= n.Threshold {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return n.Value
-}
-
 func (n *TreeNode) count() int64 {
 	if n == nil {
 		return 0
@@ -38,7 +28,7 @@ func (n *TreeNode) count() int64 {
 	return 1 + n.Left.count() + n.Right.count()
 }
 
-// predictAt is predict on row i of cols, reading the cells where they lie.
+// predictAt scores row i of cols, reading the cells where they lie.
 func (n *TreeNode) predictAt(cols []*data.Column, i int) float64 {
 	for n.Feature >= 0 {
 		if valueAt(cols, n.Feature, i) <= n.Threshold {
@@ -50,8 +40,8 @@ func (n *TreeNode) predictAt(cols []*data.Column, i int) float64 {
 	return n.Value
 }
 
-// valueAt is row i of feature f of cols as data.Frame.NumericRows converts
-// it: a missing value, a non-numeric cell and a nil column read as 0.
+// valueAt is row i of feature f of cols as data.NumericRows converts it: a
+// missing value, a non-numeric cell and a nil column read as 0.
 func valueAt(cols []*data.Column, f, i int) float64 {
 	c := cols[f]
 	if c == nil {
@@ -63,9 +53,9 @@ func valueAt(cols []*data.Column, f, i int) float64 {
 	return 0
 }
 
-// scoreColumns is the loop of PredictColumns: score(i) for each of rows, or
-// for every row of the first column present when rows is nil, on the shared
-// pool.
+// scoreColumns is the loop of Predict of the learners that score rows where
+// they lie: score(i) for each of rows, or for every row of the first column
+// present when rows is nil, on the shared pool.
 func scoreColumns(cols []*data.Column, rows []int, score func(i int) float64) []float64 {
 	n := len(rows)
 	if rows == nil {
@@ -111,39 +101,13 @@ func binColumns(cols []*data.Column) *binned {
 	return b
 }
 
-// fitMatrix is Fit for the column fitters: x's columns are read as they
-// would be in a frame (a NaN is missing) and the model trains on every row.
-func fitMatrix(m ColumnFitter, x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return fmt.Errorf("ml: %s: empty or mismatched training data", m.Kind())
-	}
-	rows := make([]int, len(x))
-	for i := range rows {
-		rows[i] = i
-	}
-	return m.FitColumns(columnsOf(x), rows, y)
-}
-
-// columnsOf transposes a non-empty row-major matrix into one float column
-// per feature.
-func columnsOf(x [][]float64) []*data.Column {
-	cols := make([]*data.Column, len(x[0]))
-	for f := range cols {
-		vals := make([]float64, len(x))
-		for i, row := range x {
-			vals[i] = row[f]
-		}
-		cols[f] = &data.Column{Type: data.Float64, Floats: vals}
-	}
-	return cols
-}
-
-// checkColumns validates the arguments of FitColumns.
+// checkColumns validates the arguments of Fit of the tree learners, which
+// bin every feature column: there is one, and none is nil.
 func checkColumns(kind string, cols []*data.Column, rows []int, y []float64) error {
-	if len(cols) == 0 || len(rows) == 0 || cols[0].Len() != len(y) {
-		return fmt.Errorf("ml: %s: empty or mismatched training data", kind)
+	if len(cols) == 0 || slices.Contains(cols, nil) {
+		return fmt.Errorf("ml: %s: no feature columns, or a missing one", kind)
 	}
-	return nil
+	return checkRows(kind, cols, rows, y)
 }
 
 // DecisionTree is a CART-style tree using histogram split finding. A split
@@ -175,10 +139,7 @@ func NewDecisionTree(seed int64) *DecisionTree {
 func (t *DecisionTree) Kind() string { return "tree" }
 
 // Fit implements Model.
-func (t *DecisionTree) Fit(x [][]float64, y []float64) error { return fitMatrix(t, x, y) }
-
-// FitColumns implements ColumnFitter.
-func (t *DecisionTree) FitColumns(cols []*data.Column, rows []int, y []float64) error {
+func (t *DecisionTree) Fit(cols []*data.Column, rows []int, y []float64) error {
 	if err := checkColumns(t.Kind(), cols, rows, y); err != nil {
 		return err
 	}
@@ -473,19 +434,7 @@ func (g *grower) bestSplit(hist []binStats, feats []int, ts, n float64) (feat in
 }
 
 // Predict implements Model.
-func (t *DecisionTree) Predict(x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	if t.Root == nil {
-		return out
-	}
-	for i, row := range x {
-		out[i] = t.Root.predict(row)
-	}
-	return out
-}
-
-// PredictColumns implements ColumnFitter.
-func (t *DecisionTree) PredictColumns(cols []*data.Column, rows []int) []float64 {
+func (t *DecisionTree) Predict(cols []*data.Column, rows []int) []float64 {
 	return scoreColumns(cols, rows, func(i int) float64 {
 		if t.Root == nil {
 			return 0

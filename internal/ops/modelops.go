@@ -172,25 +172,11 @@ func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 			warmstarted = w.WarmstartFrom(o.donor)
 		}
 	}
-	var pred []float64
-	if cf, ok := model.(ml.ColumnFitter); ok {
-		// The tree learners train on the columns' quantile views, which
-		// outlive this run with the columns; logistic regression gathers
-		// the training rows column-major. Both score the held-out rows
-		// where they lie: no row-major float matrix is built.
-		cols := featureColumns(f, features)
-		if err := cf.FitColumns(cols, train, y); err != nil {
-			return nil, err
-		}
-		pred = cf.PredictColumns(cols, test)
-	} else {
-		x, _ := f.NumericMatrix(features...)
-		if err := model.Fit(gather(x, train), gather(y, train)); err != nil {
-			return nil, err
-		}
-		pred = model.Predict(gather(x, test))
+	cols := featureColumns(f, features)
+	if err := model.Fit(cols, train, y); err != nil {
+		return nil, err
 	}
-	quality := modelQuality(model.Kind(), gather(y, test), pred)
+	quality := modelQuality(model.Kind(), gather(y, test), model.Predict(cols, test))
 	o.lastWarmstarted = warmstarted
 	return &graph.ModelArtifact{Model: model, Quality: quality, Features: features}, nil
 }
@@ -204,18 +190,13 @@ func featureColumns(f *data.Frame, names []string) []*data.Column {
 	return cols
 }
 
-// scoreFrame scores every row of f with the model. A column fitter reads the
-// feature columns where they lie; any other model reads a float matrix with
-// zeros for a feature the frame lacks (a one-hot category absent from a test
-// split). The columns are also what tells a column fitter how many rows
-// there are, so it comes back short only when f has none of them.
+// scoreFrame scores every row of f with the model, which reads zeros for a
+// feature the frame lacks (a one-hot category absent from a test split). The
+// columns are also what tells the model how many rows there are, so it comes
+// back short only when f has none of them.
 func scoreFrame(ma *graph.ModelArtifact, f *data.Frame) ([]float64, error) {
-	cf, ok := ma.Model.(ml.ColumnFitter)
-	if !ok {
-		return ma.Model.Predict(f.NumericRows(ma.Features, nil)), nil
-	}
 	cols := featureColumns(f, ma.Features)
-	pred := cf.PredictColumns(cols, nil)
+	pred := ma.Model.Predict(cols, nil)
 	if len(pred) != f.NumRows() {
 		return nil, fmt.Errorf("ops: %s has none of the model's %d features", f, len(cols))
 	}

@@ -277,7 +277,7 @@ func TestTrainAllModelKinds(t *testing.T) {
 }
 
 func TestPredictZeroFillsMissingFeatures(t *testing.T) {
-	for _, kind := range []string{"knn", "logreg", "gbt"} { // scored from a matrix, then from the columns
+	for _, kind := range []string{"knn", "logreg", "gbt"} {
 		train := &Train{Spec: ModelSpec{Kind: kind, Seed: 1}, Label: "y"}
 		ma := runOp(t, train, dataset()).(*graph.ModelArtifact)
 		// Score a frame missing the "x" feature entirely.
@@ -289,16 +289,19 @@ func TestPredictZeroFillsMissingFeatures(t *testing.T) {
 	}
 }
 
-// TestColumnScoringNeedsOneFeaturePresent: a model scored from the columns
-// learns the row count from them, so a dataset with none of its features is
-// refused, by Predict and by Evaluate, instead of scored as all zeros.
+// TestColumnScoringNeedsOneFeaturePresent: a model learns the row count
+// from the feature columns it scores, so a dataset with none of its features
+// is refused, by Predict and by Evaluate, instead of scored as all zeros —
+// whichever learner the model is.
 func TestColumnScoringNeedsOneFeaturePresent(t *testing.T) {
-	ma := runOp(t, &Train{Spec: ModelSpec{Kind: "gbt", Seed: 1}, Label: "y"}, dataset())
 	other := &graph.DatasetArtifact{Frame: data.MustNewFrame(
 		data.NewFloatColumn("z", []float64{1, 2}), data.NewFloatColumn("y", []float64{0, 1}))}
-	for _, op := range []graph.Operation{Predict{}, Evaluate{Label: "y", Metric: Acc}} {
-		if _, err := op.Run([]graph.Artifact{ma, other}); err == nil || !strings.Contains(err.Error(), "none of the model's 2 features") {
-			t.Errorf("%s on a dataset without the model's features: error %v", op.Name(), err)
+	for _, kind := range []string{"gbt", "linreg", "knn", "nb", "svm"} {
+		ma := runOp(t, &Train{Spec: ModelSpec{Kind: kind, Seed: 1}, Label: "y"}, dataset())
+		for _, op := range []graph.Operation{Predict{}, Evaluate{Label: "y", Metric: Acc}} {
+			if _, err := op.Run([]graph.Artifact{ma, other}); err == nil || !strings.Contains(err.Error(), "none of the model's 2 features") {
+				t.Errorf("%s: %s on a dataset without the model's features: error %v", kind, op.Name(), err)
+			}
 		}
 	}
 }

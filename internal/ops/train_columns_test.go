@@ -65,8 +65,7 @@ func trainOn(t testing.TB, f *data.Frame, spec ModelSpec) *graph.ModelArtifact {
 
 // sameModel compares two tree models by what they predict on f.
 func sameModel(f *data.Frame, a, b *graph.ModelArtifact) bool {
-	x := f.NumericRows(a.Features, nil)
-	pa, pb := a.Model.Predict(x), b.Model.Predict(x)
+	pa, pb := a.Model.Predict(featureColumns(f, a.Features), nil), b.Model.Predict(featureColumns(f, b.Features), nil)
 	for i := range pa {
 		if pa[i] != pb[i] {
 			return false
@@ -147,19 +146,11 @@ func TestConcurrentTrainsBuildBinsOnce(t *testing.T) {
 	}
 }
 
-// TestTrainTreeFamilyTrainsOnColumns pins which learners take the column
-// path — the tree learners and logistic regression — and that the label
-// never becomes a feature on it.
+// TestTrainTreeFamilyTrainsOnColumns: every learner trains on the frame's
+// columns, and the label never becomes a feature.
 func TestTrainTreeFamilyTrainsOnColumns(t *testing.T) {
 	f := trainingFrame(5, 400, 5)
-	for kind, want := range map[string]bool{"gbt": true, "rf": true, "tree": true, "logreg": true, "knn": false} {
-		m, err := ModelSpec{Kind: kind}.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := m.(ml.ColumnFitter); ok != want {
-			t.Errorf("%s: trains on columns = %v, want %v", kind, ok, want)
-		}
+	for _, kind := range []string{"gbt", "rf", "tree", "logreg", "linreg", "knn", "nb", "svm"} {
 		ma := trainOn(t, f, ModelSpec{Kind: kind, Seed: 1})
 		if len(ma.Features) != 5 {
 			t.Errorf("%s: features %v", kind, ma.Features)

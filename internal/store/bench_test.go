@@ -132,16 +132,16 @@ func BenchmarkDiskFetchVsRecompute(b *testing.B) {
 	// side where Cl_disk(v) < Cr(v) and the planner loads from disk.
 	b.Run("recompute-train", func(b *testing.B) {
 		a := benchFrame("v", rows)
-		x := make([][]float64, rows)
+		train := make([]int, rows)
 		y := make([]float64, rows)
-		for i := range x {
-			x[i] = []float64{a.Frame.Columns()[0].Floats[i]}
+		for i := range y {
+			train[i] = i
 			y[i] = float64(i % 2)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m := ml.NewLogisticRegression(1)
-			if err := m.Fit(x, y); err != nil {
+			if err := m.Fit(a.Frame.Columns()[:1], train, y); err != nil {
 				b.Fatal(err)
 			}
 		}

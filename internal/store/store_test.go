@@ -108,7 +108,7 @@ func TestPutIdempotent(t *testing.T) {
 func TestModelBlob(t *testing.T) {
 	m := newTestManager()
 	lr := ml.NewLogisticRegression(1)
-	if err := lr.Fit([][]float64{{1}, {0}}, []float64{1, 0}); err != nil {
+	if err := lr.Fit([]*data.Column{data.NewFloatColumn("x", []float64{1, 0})}, []int{0, 1}, []float64{1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	ma := &graph.ModelArtifact{Model: lr, Quality: 0.9, Features: []string{"x"}}
