@@ -424,6 +424,12 @@ func runKaggle(args []string) error {
 	storeDir := fs.String("store-dir", "", "run against a local persistent store instead of -server")
 	of := registerObsFlags(fs)
 	_ = fs.Parse(args)
+	if n := len(kaggle.AllWorkloads()); *workload < 0 || *workload > n {
+		return fmt.Errorf("kaggle: -workload %d: want a Table 1 workload id from 1 to %d, or 0 for all", *workload, n)
+	}
+	if *repeat < 1 {
+		return fmt.Errorf("kaggle: -repeat %d: want 1 or more runs", *repeat)
+	}
 	opts := of.start()
 	defer of.flush()
 
@@ -537,6 +543,9 @@ func runOpenML(args []string) error {
 	storeDir := fs.String("store-dir", "", "run against a local persistent store instead of -server")
 	of := registerObsFlags(fs)
 	_ = fs.Parse(args)
+	if *n < 1 {
+		return fmt.Errorf("openml: -n %d: want 1 or more pipelines", *n)
+	}
 	opts := of.start()
 	defer of.flush()
 

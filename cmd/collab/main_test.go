@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/calib"
@@ -62,6 +63,39 @@ func runs(t *testing.T, url string, n int) {
 		if err := rc.Err(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRefusesCountsItCannotRun: a workload id outside Table 1, a repeat
+// count below one and a pipeline count below one each exit 1 with a message
+// naming the valid range, and send the server no request.
+func TestRefusesCountsItCannotRun(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "no request was expected", http.StatusTeapot)
+	}))
+	defer ts.Close()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"kaggle", "-workload", "99"}, "from 1 to 8, or 0 for all"},
+		{[]string{"kaggle", "-workload", "-1"}, "from 1 to 8, or 0 for all"},
+		{[]string{"kaggle", "-workload", "1", "-repeat", "0"}, "1 or more runs"},
+		{[]string{"openml", "-n", "-3"}, "1 or more pipelines"},
+		{[]string{"openml", "-n", "0"}, "1 or more pipelines"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(tc.args, "-server", ts.URL), &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", tc.args, code)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.want) {
+			t.Errorf("%v: %q does not name the valid range (%q)", tc.args, msg, tc.want)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Errorf("the refused command lines sent %d requests, want none", n)
 	}
 }
 
