@@ -227,12 +227,16 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # version-1 magic. And the walk up a DAG is written once: no program code
 # outside internal/graph pushes a node's parents onto a stack
 # (append(stack, n.Parents...)); it calls graph.Walk.
+# And the model path hands learners a frame's columns: no program file of
+# internal/ops but ROW_MAJOR_FILE, whose transformers take a row-major
+# matrix, builds one (NumericMatrix, NumericRows).
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
 V1_REFUSER_FILE = internal/tier/disk.go
 GOB_FILES = internal/persist/persist.go
 DECODERS = 'internal/store/store.go:func(c*column)decoded()' 'internal/remote/codec.go:funcdecodeColumns('
+ROW_MAJOR_FILE = internal/ops/featureops.go
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
 	if [ -n "$$out" ]; then \
@@ -282,6 +286,10 @@ lint-layers:
 	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench 'append\([A-Za-z_][A-Za-z0-9_]*, [A-Za-z_][A-Za-z0-9_.]*\.Parents\.\.\.\)' . | sed 's|^\./||' | grep -v '^internal/graph/' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "a walk up the DAG written outside internal/graph (call graph.Walk):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '\b(NumericMatrix|NumericRows)\(' internal/ops | grep -v '^$(ROW_MAJOR_FILE):' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "a row-major matrix built in internal/ops outside $(ROW_MAJOR_FILE) (hand learners the frame's columns):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.
