@@ -203,15 +203,21 @@ func gradient(g, x, r []float64) {
 	}
 }
 
-// Predict implements Model, returning P(y=1) per row: a row's margin adds
-// its features in order.
+// Predict implements Model, returning P(y=1) per row.
 func (m *LogisticRegression) Predict(cols []*data.Column, rows []int) []float64 {
+	return linearScores(m.Weights, m.Bias, cols, rows, sigmoid)
+}
+
+// linearScores scores rows of cols with the linear model (w, b), reading the
+// cells where they lie: a row's margin adds its features in order, as dot
+// does, and link maps the margin plus b to the score.
+func linearScores(w []float64, b float64, cols []*data.Column, rows []int, link func(float64) float64) []float64 {
 	return scoreColumns(cols, rows, func(i int) float64 {
 		var s float64
-		for j, w := range m.Weights {
-			s += w * valueAt(cols, j, i)
+		for j, wj := range w {
+			s += wj * valueAt(cols, j, i)
 		}
-		return sigmoid(s + m.Bias)
+		return link(s + b)
 	})
 }
 
@@ -307,12 +313,7 @@ func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) err
 
 // Predict implements Model.
 func (m *LinearRegression) Predict(cols []*data.Column, rows []int) []float64 {
-	x := data.NumericRows(cols, rows)
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = dot(m.Weights, row) + m.Bias
-	}
-	return out
+	return linearScores(m.Weights, m.Bias, cols, rows, func(z float64) float64 { return z })
 }
 
 // SizeBytes implements Model.

@@ -6,7 +6,8 @@ import "repro/internal/data"
 // A learner trains on and scores a frame's columns: cols are the feature
 // columns, in the order of the model's features, and rows the frame rows to
 // read. A nil column — a feature the frame lacks — reads as zeros, as a
-// missing value and a non-numeric cell do (data.NumericRows).
+// missing value and a non-numeric cell do (data.NumericRows); only the tree
+// learners, which bin every feature they train on, refuse one in Fit.
 type Model interface {
 	// Kind returns a short type label ("logreg", "gbt", ...). Warmstart
 	// candidate search matches on Kind (§6.2).

@@ -221,12 +221,7 @@ func (m *LinearSVM) Fit(cols []*data.Column, rows []int, y []float64) error {
 // Predict implements Model, mapping the margin through a sigmoid so the
 // score is a probability-like value in (0,1).
 func (m *LinearSVM) Predict(cols []*data.Column, rows []int) []float64 {
-	x := data.NumericRows(cols, rows)
-	out := make([]float64, len(x))
-	for i, row := range x {
-		out[i] = sigmoid(dot(m.Weights, row) + m.Bias)
-	}
-	return out
+	return linearScores(m.Weights, m.Bias, cols, rows, sigmoid)
 }
 
 // SizeBytes implements Model.

@@ -176,7 +176,11 @@ func (o *Train) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if err := model.Fit(cols, train, y); err != nil {
 		return nil, err
 	}
-	quality := modelQuality(model.Kind(), gather(y, test), model.Predict(cols, test))
+	yTest := make([]float64, len(test))
+	for j, i := range test {
+		yTest[j] = y[i]
+	}
+	quality := modelQuality(model.Kind(), yTest, model.Predict(cols, test))
 	o.lastWarmstarted = warmstarted
 	return &graph.ModelArtifact{Model: model, Quality: quality, Features: features}, nil
 }
@@ -201,15 +205,6 @@ func scoreFrame(ma *graph.ModelArtifact, f *data.Frame) ([]float64, error) {
 		return nil, fmt.Errorf("ops: %s has none of the model's %d features", f, len(cols))
 	}
 	return pred, nil
-}
-
-// gather returns the elements of s at idx, in idx order.
-func gather[T any](s []T, idx []int) []T {
-	out := make([]T, len(idx))
-	for j, i := range idx {
-		out[j] = s[i]
-	}
-	return out
 }
 
 // modelQuality scores classifiers by AUC-ROC and regressors by 1/(1+RMSE),
