@@ -230,6 +230,10 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # And the model path hands learners a frame's columns: no program file of
 # internal/ops but ROW_MAJOR_FILE, whose transformers take a row-major
 # matrix, builds one (NumericMatrix, NumericRows).
+# And a lineage ID is minted by one rule in one place: no program file of
+# internal/data or internal/ops but MINT_FILE imports crypto/sha256, and no
+# program code hands DeriveID or DeriveColumnID an op argument it built at
+# the call site with + or fmt.Sprintf (a tag or an input is one more part).
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
@@ -237,6 +241,7 @@ V1_REFUSER_FILE = internal/tier/disk.go
 GOB_FILES = internal/persist/persist.go
 DECODERS = 'internal/store/store.go:func(c*column)decoded()' 'internal/remote/codec.go:funcdecodeColumns('
 ROW_MAJOR_FILE = internal/ops/featureops.go
+MINT_FILE = internal/data/lineage.go
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
 	if [ -n "$$out" ]; then \
@@ -290,6 +295,14 @@ lint-layers:
 	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '\b(NumericMatrix|NumericRows)\(' internal/ops | grep -v '^$(ROW_MAJOR_FILE):' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "a row-major matrix built in internal/ops outside $(ROW_MAJOR_FILE) (hand learners the frame's columns):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rl --include='*.go' --exclude='*_test.go' '"crypto/sha256"' internal/data internal/ops | grep -vx '$(MINT_FILE)' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "crypto/sha256 imported in internal/data or internal/ops outside $(MINT_FILE) (mint lineage IDs with data.DeriveID):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '\b(DeriveID|DeriveColumnID)\(([^,]*\+|fmt\.Sprintf)' . | sed 's|^\./||' || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "a lineage op argument built at the call site (pass a tag or an input ID as one more part of DeriveID):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

@@ -217,14 +217,16 @@ func NewFrameFromColumns(cols ...*Column) (*Frame, error) {
 // Operation.Hash (§4.2, Listing 2).
 func OpHash(name, params string) string { return graph.OpHash(name, params) }
 
-// DeriveColumnID derives the lineage ID of a column produced by an
-// operation from an input column; custom operations use it so the
-// storage-aware materializer can deduplicate their outputs. opHash should
-// hash what fixes the column's values besides its input, and leave out
-// the column's name: equal IDs must mean equal values, and the same
-// derivation under two names is then stored once.
-func DeriveColumnID(opHash, inputColumnID string) string {
-	return data.DeriveID(opHash, inputColumnID)
+// DeriveColumnID mints the lineage ID of a column an operation produces;
+// custom operations use it so the storage-aware materializer can
+// deduplicate their outputs. Equal IDs must mean equal values, so the rule
+// is: pass the ID of every input column the values depend on — for a row
+// selection, the columns that chose the rows as well as the column's own —
+// and let opHash cover every parameter. Leave the column's name out of
+// both: the same derivation under two names is then stored once. With one
+// input column the ID is the one this function has always returned.
+func DeriveColumnID(opHash string, inputColumnIDs ...string) string {
+	return data.DeriveID(opHash, inputColumnIDs...)
 }
 
 // Artifact kinds, for custom operations' OutKind.

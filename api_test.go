@@ -122,4 +122,14 @@ func TestPublicAPIHashHelpers(t *testing.T) {
 	if DeriveColumnID("h", "a") == DeriveColumnID("h", "b") {
 		t.Error("DeriveColumnID must cover the input column")
 	}
+	if DeriveColumnID("h", "k1", "a") == DeriveColumnID("h", "k2", "a") {
+		t.Error("DeriveColumnID must cover every input column, the second too")
+	}
+	if DeriveColumnID("h", "a", "b") == DeriveColumnID("h", "a") {
+		t.Error("DeriveColumnID of two inputs must differ from that of the first alone")
+	}
+	// One input keeps the ID that the two-argument DeriveColumnID minted.
+	if got, want := DeriveColumnID("h", "a"), "2e9607a48a58213ca535389232601adf"; got != want {
+		t.Errorf("DeriveColumnID(h, a) = %s, want %s", got, want)
+	}
 }

@@ -32,8 +32,11 @@ func (o Sample) Hash() string {
 func (o Sample) OutKind() repro.Kind { return repro.DatasetKind }
 
 // Run implements repro.Operation — the `run` method of Listing 2. The
-// lineage IDs of the output columns are derived from the operation hash so
-// the storage manager can deduplicate across artifacts.
+// lineage ID of each output column is minted from the operation hash and
+// the IDs of every input column its values depend on, so the storage
+// manager can deduplicate across artifacts: a seeded sample's rows depend
+// only on the row count and the seed in the hash, so Gather is passed no
+// selecting column (a filter would pass its predicate column).
 func (o Sample) Run(inputs []repro.Artifact) (repro.Artifact, error) {
 	ds, ok := inputs[0].(*repro.DatasetArtifact)
 	if !ok {

@@ -432,14 +432,22 @@ func runVertex(s *vexec, src ArtifactSource, cfg execConfig, wid int) error {
 // gatherInputs collects the parent artifacts of n in parent order,
 // flattening each supernode parent into its own parents' contents —
 // supernodes may appear alone or mixed among ordinary parents (e.g. in
-// DAGs reconstructed from wire metadata).
+// DAGs reconstructed from wire metadata). A model input is handed over as
+// a shallow copy carrying its vertex's ID, so that the stored artifact,
+// which collaborators share, is never written.
 func gatherInputs(n *graph.Node) ([]graph.Artifact, error) {
 	inputs := make([]graph.Artifact, 0, len(n.Parents))
 	appendContent := func(p *graph.Node) error {
 		if p.Content == nil {
 			return fmt.Errorf("core: input %s of %s has no content", p.Name, n.Name)
 		}
-		inputs = append(inputs, p.Content)
+		in := p.Content
+		if ma, ok := in.(*graph.ModelArtifact); ok {
+			cp := *ma
+			cp.VertexID = p.ID
+			in = &cp
+		}
+		inputs = append(inputs, in)
 		return nil
 	}
 	for _, p := range n.Parents {

@@ -89,3 +89,36 @@ func TestExecuteVertexWithoutOpOrContent(t *testing.T) {
 		t.Fatal("want error for an orphan vertex without op or content")
 	}
 }
+
+// modelSpy is a [model, dataset] operation that records the model input it
+// is handed.
+type modelSpy struct{ got *graph.ModelArtifact }
+
+func (o *modelSpy) Name() string        { return "model-spy" }
+func (o *modelSpy) Hash() string        { return graph.OpHash("model-spy", "") }
+func (o *modelSpy) OutKind() graph.Kind { return graph.AggregateKind }
+func (o *modelSpy) Run(in []graph.Artifact) (graph.Artifact, error) {
+	o.got = in[0].(*graph.ModelArtifact)
+	return &graph.AggregateArtifact{Value: 1}, nil
+}
+
+// TestAModelInputCarriesItsVertexID: the executor hands an operation a
+// model input through the supernode as a copy that names the model's
+// vertex; the model vertex's own artifact, which the store shares with
+// every collaborator, is left as it was.
+func TestAModelInputCarriesItsVertexID(t *testing.T) {
+	w, eval := buildWorkload(syntheticTrain(200, 1), 1)
+	model, feat := eval.Parents[0].Parents[0], eval.Parents[0].Parents[1]
+	spy := &modelSpy{}
+	w.Combine(spy, model, feat)
+	if _, err := NewClient(newTestServer()).Run(w); err != nil {
+		t.Fatal(err)
+	}
+	stored := model.Content.(*graph.ModelArtifact)
+	if spy.got == nil || spy.got == stored || spy.got.VertexID != model.ID || spy.got.Model != stored.Model {
+		t.Errorf("the op got %+v, want a copy of the model vertex's artifact naming %s", spy.got, model.ID)
+	}
+	if stored.VertexID != "" {
+		t.Errorf("the model vertex's own artifact was written: VertexID %q", stored.VertexID)
+	}
+}

@@ -209,11 +209,27 @@ func BenchmarkFilter(b *testing.B) {
 	}
 }
 
+// BenchmarkDeriveID mints at the shapes the kernels mint: one input (a
+// map, a pass of a row selection with no selecting column), and a join
+// side's tag, two key IDs and the column's own, at the width of real IDs.
 func BenchmarkDeriveID(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		DeriveID("some-operation-hash", "some-column-id")
-	}
+	op, id := SourceID("bench", "op"), SourceID("bench", "col")
+	b.Run("one-input", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mintSink = DeriveID(op, id)
+		}
+	})
+	b.Run("join-side", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mintSink = DeriveID(op, "L", id, id, id)
+		}
+	})
 }
+
+// mintSink keeps the compiler from dropping BenchmarkDeriveID's calls.
+var mintSink string
 
 // BenchmarkQuantiles builds the quantile view a tree learner trains on, at
 // the ruler's shape: 4 000 rows of a continuous column, whose edges are

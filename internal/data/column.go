@@ -1,8 +1,6 @@
 package data
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"strconv"
@@ -17,8 +15,8 @@ import (
 // selection that keeps every row in order — share the pointer (and
 // therefore the underlying array and the ID).
 type Column struct {
-	// ID is the lineage identifier: H(opHash ‖ inputID) for derived
-	// columns, H("src" ‖ dataset ‖ name) for source columns. Equal IDs
+	// ID is the lineage identifier (DeriveID, SourceID): a hash of the
+	// operation and every input ID the values depend on. Equal IDs
 	// imply equal values, and an operation that leaves a column's values
 	// unchanged passes the column on with its ID. Nothing may rely on the
 	// reverse: columns with different IDs can hold equal values. (The
@@ -44,20 +42,6 @@ type Column struct {
 	// (quantile.go) and the size of a string column. It is not content:
 	// unexported, so no codec carries it.
 	derived *columnMemo
-}
-
-// DeriveID computes the lineage ID of a column produced by the operation
-// identified by opHash from the column identified by inputID. The empty
-// inputID is allowed for columns created from nothing (e.g. a literal).
-func DeriveID(opHash, inputID string) string {
-	h := sha256.Sum256([]byte(opHash + "\x00" + inputID))
-	return hex.EncodeToString(h[:16])
-}
-
-// SourceID computes the lineage ID of a raw source column.
-func SourceID(dataset, column string) string {
-	h := sha256.Sum256([]byte("src\x00" + dataset + "\x00" + column))
-	return hex.EncodeToString(h[:16])
 }
 
 // NewFloatColumn builds a Float64 column with a source lineage ID derived

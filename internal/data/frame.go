@@ -98,13 +98,7 @@ func (f *Frame) SizeBytes() int64 {
 
 // ColumnIDs returns the lineage IDs of all columns, in column order. The
 // storage manager uses these as content-addressing keys.
-func (f *Frame) ColumnIDs() []string {
-	ids := make([]string, len(f.cols))
-	for i, c := range f.cols {
-		ids[i] = c.ID
-	}
-	return ids
-}
+func (f *Frame) ColumnIDs() []string { return IDs(f.cols) }
 
 // Select returns a frame with only the named columns, in the given order.
 // Selected columns are shared (same IDs, same arrays).
@@ -164,20 +158,19 @@ func (f *Frame) WithColumn(col *Column) (*Frame, error) {
 	return out, nil
 }
 
-// Gather returns a frame containing the rows selected by idx in order. A
-// row selection affects every column, so each is re-materialized with an ID
-// derived from opHash — unless idx keeps every row in order, and then every
-// column passes through, values and ID unchanged (Column.Gather).
-func (f *Frame) Gather(idx []int, opHash string) *Frame {
-	same := selectsAll(idx, f.NumRows())
+// Gather returns a frame containing the rows selected by idx in order, each
+// column re-materialized with an ID minted from op, the columns by whose
+// values chose idx (none for Head or a seeded sample) and its own ID —
+// unless idx keeps every row in order, and then it returns f unchanged.
+func (f *Frame) Gather(idx []int, op string, by ...*Column) *Frame {
+	if selectsAll(idx, f.NumRows()) {
+		return f
+	}
+	parts := append(IDs(by), "") // the selecting IDs, then each column's own
 	out := &Frame{byName: make(map[string]int, len(f.cols))}
 	for _, c := range f.cols {
-		nc := c
-		if !same {
-			nc = c.gather(idx, DeriveID(opHash, c.ID))
-		}
-		// add cannot fail: names unique, lengths equal by construction.
-		_ = out.add(nc)
+		parts[len(by)] = c.ID
+		_ = out.add(c.gather(idx, DeriveID(op, parts...))) // names unique, lengths equal
 	}
 	return out
 }

@@ -1,6 +1,14 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -193,6 +201,163 @@ func TestGroupByKeepsAnAlreadyGroupedKey(t *testing.T) {
 		}
 		if g.Column("v_sum").ID == f.Column("v").ID {
 			t.Errorf("keys %v: the aggregate kept its input's ID", tc.keys)
+		}
+	}
+}
+
+// TestDeriveIDHashesOpAndPartsSeparated: the ID of one input is
+// H(op ‖ 0x00 ‖ input), the ID every single-input mint has always had, and
+// each further part is one more separated field.
+func TestDeriveIDHashesOpAndPartsSeparated(t *testing.T) {
+	h := func(s string) string {
+		sum := sha256.Sum256([]byte(s))
+		return hex.EncodeToString(sum[:16])
+	}
+	if got, want := DeriveID("op", "x"), h("op\x00x"); got != want {
+		t.Errorf("DeriveID(op, x) = %s, want %s", got, want)
+	}
+	if got, want := DeriveID("op", "L", "k", "x"), h("op\x00L\x00k\x00x"); got != want {
+		t.Errorf("DeriveID(op, L, k, x) = %s, want %s", got, want)
+	}
+	if got, want := DeriveID("op"), h("op"); got != want {
+		t.Errorf("DeriveID(op) = %s, want %s", got, want)
+	}
+	long := strings.Repeat("p", 1000) // past the stack buffer
+	if got, want := DeriveID(long, long), h(long+"\x00"+long); got != want {
+		t.Errorf("a mint past the stack buffer = %s, want %s", got, want)
+	}
+	if got, want := SourceID("ds", "a"), h("src\x00ds\x00a"); got != want {
+		t.Errorf("SourceID(ds, a) = %s, want %s", got, want)
+	}
+	if DeriveID("op", "k1", "x") == DeriveID("op", "k2", "x") {
+		t.Error("the ID does not cover a selecting column")
+	}
+}
+
+// valueDigest is a test-only hash of a column's type and values, whatever
+// their representation (a dictionary-encoded column hashes as its strings).
+func valueDigest(c *Column) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(c.Type))
+	put(uint64(c.Len()))
+	for i := 0; i < c.Len(); i++ {
+		switch c.Type {
+		case Float64:
+			put(math.Float64bits(c.Floats[i]))
+		case Int64:
+			put(uint64(c.Ints[i]))
+		default:
+			h.Write([]byte(c.StringAt(i)))
+			h.Write([]byte{0})
+		}
+	}
+	return h.Sum64()
+}
+
+// lineagePair is two frames of rows rows that share lineage: the same
+// value columns v and w, and each its own low-cardinality int key k (and a
+// second key j), so an operation with one op hash applied to both sees the
+// same value columns chosen by different keys.
+func lineagePair(rng *rand.Rand, rows int) (*Frame, *Frame) {
+	v, w := make([]float64, rows), make([]float64, rows)
+	keys := make([][]int64, 4)
+	for i := range keys {
+		keys[i] = make([]int64, rows)
+	}
+	for r := 0; r < rows; r++ {
+		v[r], w[r] = float64(rng.Intn(50)), rng.NormFloat64()
+		for i := range keys {
+			keys[i][r] = int64(rng.Intn(4))
+		}
+	}
+	vc, wc := NewFloatColumn("v", v), NewFloatColumn("w", w)
+	key := func(name, src string, vals []int64) *Column {
+		return NewIntColumn(name, vals).WithID(SourceID(src, name))
+	}
+	return MustNewFrame(key("k", "a", keys[0]), key("j", "a", keys[1]), vc, wc),
+		MustNewFrame(key("k", "b", keys[2]), key("j", "b", keys[3]), vc, wc)
+}
+
+// TestPropertyOneLineageIDNamesOneContent draws chains of row selections,
+// joins, group-bys, derives and appends over two frames that share lineage,
+// each operation's op hash a function of its parameters alone (as the ops
+// layer's Hash is), and requires the map from every column ID seen to the
+// digest of that column's values to be a function: one ID, one content.
+func TestPropertyOneLineageIDNamesOneContent(t *testing.T) {
+	for seed := int64(0); seed < 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := lineagePair(rng, 200+rng.Intn(200))
+		pool := []*Frame{a, b}
+		seen := make(map[string]uint64)
+		var trail []string
+		record := func(f *Frame) {
+			for _, c := range f.Columns() {
+				d := valueDigest(c)
+				if prev, ok := seen[c.ID]; ok && prev != d {
+					t.Fatalf("seed %d: column %q has ID %s, which an earlier column with other values has, after %v", seed, c.Name, c.ID, trail)
+				}
+				seen[c.ID] = d
+			}
+		}
+		record(a)
+		record(b)
+		pick := func() *Frame { return pool[rng.Intn(len(pool))] }
+		cols := []string{"k", "j", "v", "w"}
+		for step := 0; step < 12; step++ {
+			f := pick()
+			var out *Frame
+			var err error
+			var what string
+			switch rng.Intn(7) {
+			case 0:
+				col, lim := cols[rng.Intn(len(cols))], float64(rng.Intn(3))
+				what = fmt.Sprintf("filter %s > %g", col, lim)
+				out, err = f.FilterFloat(col, func(x float64) bool { return x > lim }, what)
+			case 1:
+				col, desc := cols[rng.Intn(len(cols))], rng.Intn(2) == 0
+				what = fmt.Sprintf("sort %s desc=%v", col, desc)
+				out, err = f.SortBy(col, desc, what)
+			case 2:
+				key := cols[rng.Intn(2)]
+				what = "distinct " + key
+				out, err = f.Distinct(what, key)
+			case 3:
+				// The right side has one row per key, so that a join keeps
+				// at most the left side's rows.
+				kind := JoinKind(rng.Intn(2))
+				what = fmt.Sprintf("join k kind=%d", kind)
+				var right *Frame
+				right, err = pick().Distinct("distinct k", "k")
+				if err == nil {
+					right, err = right.Select("k", "w")
+				}
+				if err == nil {
+					out, err = f.Join(right, "k", kind, what)
+				}
+			case 4:
+				key := cols[rng.Intn(2)]
+				what = "groupby " + key + " v:mean w:sum"
+				out, err = f.GroupBy(key, []Agg{{Col: "v", Kind: AggMean}, {Col: "w", Kind: AggSum}}, what)
+			case 5:
+				what = "derive d = v + w"
+				out, err = f.DeriveFloat("d", []string{"v", "w"}, func(x []float64) float64 { return x[0] + x[1] }, "sum")
+			case 6:
+				what = "append rows"
+				if g := pick(); f.NumRows()+g.NumRows() <= 1000 {
+					out, err = f.AppendRows(g, what)
+				}
+			}
+			if out == nil || err != nil {
+				continue // the drawn frame lacks a column the operation needs
+			}
+			trail = append(trail, what)
+			record(out)
+			pool = append(pool, out)
 		}
 	}
 }

@@ -13,21 +13,14 @@ import (
 const rowGrain = 2048
 
 // FilterFloat returns the rows of f where pred(column value) is true. Row
-// selection affects every column, so all output columns get IDs derived
-// from opHash — unless every row is kept, and then f's columns pass through
-// (Frame.Gather).
+// selection affects every column, so all get IDs minted from opHash and the
+// predicate column — unless every row is kept (Frame.Gather).
 func (f *Frame) FilterFloat(col string, pred func(float64) bool, opHash string) (*Frame, error) {
 	c := f.Column(col)
 	if c == nil {
 		return nil, fmt.Errorf("data: filter: no column %q", col)
 	}
-	var idx []int
-	for i := 0; i < c.Len(); i++ {
-		if pred(c.Float(i)) {
-			idx = append(idx, i)
-		}
-	}
-	return f.Gather(idx, opHash), nil
+	return f.rowsWhere(c, func(i int) bool { return pred(c.Float(i)) }, opHash), nil
 }
 
 // FilterString returns the rows of f where pred(string value) is true. On
@@ -41,25 +34,25 @@ func (f *Frame) FilterString(col string, pred func(string) bool, opHash string) 
 	if c.Type != String {
 		return nil, fmt.Errorf("data: filter: column %q is %s, want string", col, c.Type)
 	}
-	var idx []int
 	if c.IsDict() {
 		keep := make([]bool, len(c.Dict))
 		for code, s := range c.Dict {
 			keep[code] = pred(s)
 		}
-		for i, code := range c.Codes {
-			if keep[code] {
-				idx = append(idx, i)
-			}
-		}
-		return f.Gather(idx, opHash), nil
+		return f.rowsWhere(c, func(i int) bool { return keep[c.Codes[i]] }, opHash), nil
 	}
-	for i, s := range c.Strings {
-		if pred(s) {
+	return f.rowsWhere(c, func(i int) bool { return pred(c.Strings[i]) }, opHash), nil
+}
+
+// rowsWhere selects the rows i of f where keep(i), which reads column c.
+func (f *Frame) rowsWhere(c *Column, keep func(i int) bool, opHash string) *Frame {
+	var idx []int
+	for i := 0; i < c.Len(); i++ {
+		if keep(i) {
 			idx = append(idx, i)
 		}
 	}
-	return f.Gather(idx, opHash), nil
+	return f.Gather(idx, opHash, c)
 }
 
 // MapFloat replaces column col with fn applied element-wise (reading the
@@ -84,14 +77,10 @@ func (f *Frame) MapFloat(col string, fn func(float64) float64, opHash string) (*
 // another name is the same column.
 func (f *Frame) DeriveFloat(out string, inputs []string, fn func([]float64) float64, fnHash string) (*Frame, error) {
 	in := make([]*Column, len(inputs))
-	lineage := ""
 	for i, name := range inputs {
-		c := f.Column(name)
-		if c == nil {
+		if in[i] = f.Column(name); in[i] == nil {
 			return nil, fmt.Errorf("data: derive: no column %q", name)
 		}
-		in[i] = c
-		lineage += c.ID + "\x00"
 	}
 	rows := f.NumRows()
 	vals := make([]float64, rows)
@@ -102,7 +91,7 @@ func (f *Frame) DeriveFloat(out string, inputs []string, fn func([]float64) floa
 		}
 		vals[i] = fn(args)
 	}
-	nc := &Column{ID: DeriveID(fnHash, lineage), Name: out, Type: Float64, Floats: vals}
+	nc := &Column{ID: DeriveID(fnHash, IDs(in)...), Name: out, Type: Float64, Floats: vals}
 	return f.WithColumn(nc)
 }
 
@@ -231,7 +220,7 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 				}
 			}
 			indicators[k] = &Column{
-				ID:     DeriveID(opHash+"\x01"+cat, c.ID),
+				ID:     DeriveID(opHash, cat, c.ID),
 				Name:   col + "=" + cat,
 				Type:   Float64,
 				Floats: vals,
@@ -261,9 +250,9 @@ const (
 // which must exist on both sides. Right-side key columns are dropped from
 // the output; name collisions on non-key columns get a "_r" suffix on the
 // right (on a copy: the right input keeps its names). A join re-aligns
-// rows, so a side's columns are re-materialized with opHash-derived IDs —
-// unless the join keeps that side's rows exactly, every row once and in
-// order, and then they pass through with their IDs (Column.Gather). A Left
+// rows, so a side's columns get IDs minted from opHash, the side, both keys
+// and their own — unless the join keeps that side's rows exactly, every row
+// once and in order, and then they pass through (Column.Gather). A Left
 // join whose left rows each match at most one right row keeps its left
 // side so: a lookup of per-key aggregates adds columns and copies none.
 //
@@ -286,20 +275,20 @@ func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*F
 	// renaming stays order-dependent and deterministic. A side the join
 	// keeps exactly is not gathered: its columns are the output's.
 	type gatherJob struct {
-		src         *Column
-		id          string
-		idx         []int
-		keep, right bool
+		src  *Column
+		side string // "L" or "R"
+		idx  []int
+		keep bool
 	}
 	jobs := make([]gatherJob, 0, f.NumCols()+right.NumCols())
 	for _, c := range f.cols {
-		jobs = append(jobs, gatherJob{c, DeriveID(opHash+"\x01L", c.ID), lidx, lsame, false})
+		jobs = append(jobs, gatherJob{c, "L", lidx, lsame})
 	}
 	for _, c := range right.cols {
 		if c.Name == key {
 			continue
 		}
-		jobs = append(jobs, gatherJob{c, DeriveID(opHash+"\x01R", c.ID), ridx, rsame, true})
+		jobs = append(jobs, gatherJob{c, "R", ridx, rsame})
 	}
 	gathered := make([]*Column, len(jobs))
 	parallel.For(len(jobs), 1, func(lo, hi int) {
@@ -307,13 +296,13 @@ func (f *Frame) Join(right *Frame, key string, kind JoinKind, opHash string) (*F
 			if j := jobs[k]; j.keep {
 				gathered[k] = j.src
 			} else {
-				gathered[k] = j.src.gather(j.idx, j.id)
+				gathered[k] = j.src.gather(j.idx, DeriveID(opHash, j.side, lk.ID, rk.ID, j.src.ID))
 			}
 		}
 	})
 	out := &Frame{byName: make(map[string]int, len(jobs))}
 	for k, nc := range gathered {
-		if jobs[k].right && out.HasColumn(nc.Name) {
+		if jobs[k].side == "R" && out.HasColumn(nc.Name) {
 			// The column may be the right input's own: rename a copy.
 			nc = nc.WithID(nc.ID)
 			nc.Name += "_r"
@@ -395,10 +384,10 @@ type Agg struct {
 // GroupBy groups f by the key column and computes the requested aggregates.
 // The output has one row per distinct key, in the order of the keys'
 // renderings (StringAt), with columns key, "col_kind"... An aggregate whose
-// output name is the key's or another aggregate's is an error. Aggregation
-// produces entirely new data, so the aggregate columns carry opHash-derived
-// IDs; so does the key column, unless the keys were already distinct and in
-// output order, and then it is the input's key column (Column.Gather).
+// output name is the key's or another aggregate's is an error. An
+// aggregate's ID is minted from opHash, its name, its column and the key
+// column; so is the key column's from the key, unless the keys were already
+// distinct and in output order, and then it is the input's key column.
 //
 // The kernel is the dense-ID group-by engine (groupby.go): each row's key
 // becomes its group's rank, a counting sort lists each group's rows, and
@@ -438,10 +427,10 @@ func (f *Frame) GroupBy(key string, aggs []Agg, opHash string) (*Frame, error) {
 	g := listRows(rankRows(kc))
 	vals := g.aggregate(aggCols, slots, aggs)
 	cols := make([]*Column, 0, 1+len(aggs))
-	cols = append(cols, kc.Gather(g.firstRows(), DeriveID(opHash+"\x01key", kc.ID)))
+	cols = append(cols, kc.Gather(g.firstRows(), DeriveID(opHash, "key", kc.ID)))
 	for ai, name := range names {
 		cols = append(cols, &Column{
-			ID:     DeriveID(opHash+"\x01"+name, aggCols[slots[ai]].ID),
+			ID:     DeriveID(opHash, name, aggCols[slots[ai]].ID, kc.ID),
 			Name:   name,
 			Type:   Float64,
 			Floats: vals[ai],

@@ -8,8 +8,8 @@ import (
 
 // SortBy returns the rows ordered by the named column (ascending, or
 // descending when desc). NaNs sort last either way. All columns are
-// re-materialized with opHash-derived IDs, unless the rows were in order
-// already and pass through (Frame.Gather).
+// re-materialized with IDs minted from opHash and the sort key, unless the
+// rows were in order already and pass through (Frame.Gather).
 func (f *Frame) SortBy(col string, desc bool, opHash string) (*Frame, error) {
 	c := f.Column(col)
 	if c == nil {
@@ -54,12 +54,12 @@ func (f *Frame) SortBy(col string, desc bool, opHash string) (*Frame, error) {
 		}
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-	return f.Gather(idx, opHash), nil
+	return f.Gather(idx, opHash, c), nil
 }
 
 // Distinct returns the first row of every distinct value combination of
-// the named columns (all columns when empty), preserving first-seen order.
-// When no row repeats, the columns pass through (Frame.Gather).
+// the named columns (all columns when empty), preserving first-seen order,
+// with IDs minted from opHash and those columns (Frame.Gather).
 func (f *Frame) Distinct(opHash string, cols ...string) (*Frame, error) {
 	use := f.cols
 	if len(cols) > 0 {
@@ -88,13 +88,13 @@ func (f *Frame) Distinct(opHash string, cols ...string) (*Frame, error) {
 	for k, r := range first {
 		idx[k] = int(r)
 	}
-	return f.Gather(idx, opHash), nil
+	return f.Gather(idx, opHash, use...), nil
 }
 
 // AppendRows stacks other's rows under f's (pandas concat axis=0). Both
 // frames must have identical column names in the same order; dtypes are
 // reconciled through float64 when they differ. Every output column gets an
-// opHash-derived ID.
+// ID minted from opHash and both input columns.
 func (f *Frame) AppendRows(other *Frame, opHash string) (*Frame, error) {
 	if f.NumCols() != other.NumCols() {
 		return nil, fmt.Errorf("data: append: column count %d != %d", f.NumCols(), other.NumCols())
@@ -105,7 +105,7 @@ func (f *Frame) AppendRows(other *Frame, opHash string) (*Frame, error) {
 		if c.Name != oc.Name {
 			return nil, fmt.Errorf("data: append: column %d is %q vs %q", j, c.Name, oc.Name)
 		}
-		id := DeriveID(opHash, c.ID+"\x00"+oc.ID)
+		id := DeriveID(opHash, c.ID, oc.ID)
 		var nc *Column
 		switch {
 		case c.Type == oc.Type && c.Type == String:

@@ -94,6 +94,12 @@ type ModelArtifact struct {
 	Model    ml.Model
 	Quality  float64
 	Features []string
+
+	// VertexID is the ID of the model vertex this artifact is the content
+	// of, set only on the copy the executor hands an operation as an input
+	// (a prediction's lineage ID names its model by it). It is runtime
+	// state: no codec writes or reads it.
+	VertexID string
 }
 
 // Kind implements Artifact.

@@ -260,13 +260,17 @@ func (m *LinearRegression) WarmstartFrom(donor Model) bool {
 	return true
 }
 
-// Fit implements Model.
+// Fit implements Model. The descent runs on the features standardized over
+// the training rows, so that one step size suits features of any scale, and
+// the fitted weights are folded back into raw feature space: Weights, Bias,
+// Predict and a warmstart donor's weights all read raw features.
 func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) error {
 	x, y, err := trainingRows(m.Kind(), cols, rows, y)
 	if err != nil {
 		return err
 	}
 	d := len(cols)
+	mean, scale := standardize(x, d)
 	if m.LearningRate == 0 {
 		m.LearningRate = 0.05
 	}
@@ -280,6 +284,13 @@ func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) err
 		m.Weights = make([]float64, d)
 		m.Bias = 0
 	}
+	// w, b are the model in standardized space, starting from the current
+	// (a donor's, or zero) raw-space weights.
+	w, b := make([]float64, d), m.Bias
+	for j := range w {
+		w[j] = m.Weights[j] * scale[j]
+		b += m.Weights[j] * mean[j]
+	}
 	n := float64(len(x))
 	grad := make([]float64, d)
 	prevLoss := math.Inf(1)
@@ -290,7 +301,7 @@ func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) err
 		}
 		var gradB, loss float64
 		for i, row := range x {
-			e := dot(m.Weights, row) + m.Bias - y[i]
+			e := dot(w, row) + b - y[i]
 			for j, v := range row {
 				grad[j] += e * v
 			}
@@ -298,17 +309,55 @@ func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) err
 			loss += e * e
 		}
 		loss /= 2 * n
-		for j := range m.Weights {
-			m.Weights[j] -= m.LearningRate * (grad[j]/n + m.L2*m.Weights[j])
+		for j := range w {
+			w[j] -= m.LearningRate * (grad[j]/n + m.L2*w[j])
 		}
-		m.Bias -= m.LearningRate * gradB / n
+		b -= m.LearningRate * gradB / n
 		m.EpochsRun++
 		if math.Abs(prevLoss-loss) < m.Tol {
 			break
 		}
 		prevLoss = loss
 	}
+	for j := range w {
+		m.Weights[j] = w[j] / scale[j]
+		b -= m.Weights[j] * mean[j]
+	}
+	m.Bias = b
 	return nil
+}
+
+// standardize rescales each of the d features of the rows x in place to
+// mean 0 and standard deviation 1 over the rows, and returns each feature's
+// mean and standard deviation (1 for a constant feature, which is only
+// centred).
+func standardize(x [][]float64, d int) (mean, scale []float64) {
+	mean, scale = make([]float64, d), make([]float64, d)
+	n := float64(len(x))
+	for _, row := range x {
+		for j, v := range row {
+			mean[j] += v
+		}
+	}
+	for j := range mean {
+		mean[j] /= n
+	}
+	for _, row := range x {
+		for j, v := range row {
+			scale[j] += (v - mean[j]) * (v - mean[j])
+		}
+	}
+	for j, ss := range scale {
+		if scale[j] = math.Sqrt(ss / n); scale[j] == 0 {
+			scale[j] = 1
+		}
+	}
+	for _, row := range x {
+		for j := range row {
+			row[j] = (row[j] - mean[j]) / scale[j]
+		}
+	}
+	return mean, scale
 }
 
 // Predict implements Model.

@@ -150,6 +150,45 @@ func TestLinearRegressionLearns(t *testing.T) {
 	}
 }
 
+// TestLinearRegressionLearnsUnscaledFeatures: with its default step size,
+// the regression fits features whose scales differ by six orders of
+// magnitude, one of them constant, and its raw-space weights recover the
+// generating ones; a warmstart from it starts at that fit, and stops within
+// a few epochs where the cold fit took many.
+func TestLinearRegressionLearnsUnscaledFeatures(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	n := 400
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		big, small := 1000*rng.Float64(), 0.001*rng.Float64()
+		x[i] = []float64{big, small, 7}
+		y[i] = 0.003*big + 2000*small + 1 + 0.01*rng.NormFloat64()
+	}
+	m := NewLinearRegression(1)
+	m.MaxIter = 2000
+	if err := fitRows(m, x, y); err != nil {
+		t.Fatal(err)
+	}
+	if rmse := RMSE(y, predictRows(m, x)); !(rmse < 0.05) {
+		t.Fatalf("RMSE=%v, want < 0.05", rmse)
+	}
+	if math.Abs(m.Weights[0]-0.003) > 1e-4 || math.Abs(m.Weights[1]-2000) > 50 {
+		t.Errorf("weights %v, want about [0.003 2000 _]", m.Weights)
+	}
+	warm := NewLinearRegression(1)
+	warm.MaxIter = 2000
+	if !warm.WarmstartFrom(m) {
+		t.Fatal("warmstart refused a fitted donor")
+	}
+	if err := fitRows(warm, x, y); err != nil {
+		t.Fatal(err)
+	}
+	if warm.EpochsRun > 5 || warm.EpochsRun >= m.EpochsRun {
+		t.Errorf("warmstarted fit ran %d epochs, the cold one %d", warm.EpochsRun, m.EpochsRun)
+	}
+}
+
 func TestDecisionTreeLearnsXOR(t *testing.T) {
 	x, y := synthXOR(400, 4)
 	tr := NewDecisionTree(1)

@@ -3,7 +3,7 @@ package ops
 import (
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 
 	"repro/internal/data"
 	"repro/internal/graph"
@@ -33,15 +33,11 @@ func matrixColumn(m [][]float64, j int) []float64 {
 
 // project fits tr on the numeric columns of f but label and returns its
 // transform of them as float columns named prefix0..prefixD-1, their IDs
-// derived from opHash, the column index and the joined lineage of the
-// input columns, followed by the label column when f has one.
+// minted from opHash, the column index and the IDs of the input columns,
+// followed by the label column when f has one.
 func project(f *data.Frame, label string, tr ml.Transformer, prefix, opHash string) (*data.Frame, error) {
 	m, used := f.NumericMatrix(numericFeatureNames(f, label)...)
-	var ids strings.Builder
-	for _, n := range used {
-		ids.WriteString(f.Column(n).ID)
-	}
-	lineage := ids.String()
+	parts := append([]string{""}, data.IDs(featureColumns(f, used))...) // the component index, then the inputs
 	if err := tr.Fit(m, nil); err != nil {
 		return nil, err
 	}
@@ -51,8 +47,9 @@ func project(f *data.Frame, label string, tr ml.Transformer, prefix, opHash stri
 		cols = make([]*data.Column, len(m[0]))
 	}
 	for j := range cols {
+		parts[0] = strconv.Itoa(j)
 		cols[j] = &data.Column{
-			ID:     data.DeriveID(fmt.Sprintf("%s|%d", opHash, j), lineage),
+			ID:     data.DeriveID(opHash, parts...),
 			Name:   fmt.Sprintf("%s%d", prefix, j),
 			Type:   data.Float64,
 			Floats: matrixColumn(m, j),
@@ -98,7 +95,7 @@ func (o CountVectorize) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	cols := make([]*data.Column, len(v.Tokens))
 	for j, tok := range v.Tokens {
 		cols[j] = &data.Column{
-			ID:     data.DeriveID(o.Hash()+"\x01"+tok, c.ID),
+			ID:     data.DeriveID(o.Hash(), tok, c.ID),
 			Name:   "cv_" + tok,
 			Type:   data.Float64,
 			Floats: matrixColumn(m, j),

@@ -49,7 +49,7 @@ func identityRight() *data.Frame {
 func TestOpIdentitiesMatchTheGolden(t *testing.T) {
 	left := &graph.DatasetArtifact{Frame: identityFrame()}
 	right := &graph.DatasetArtifact{Frame: identityRight()}
-	model := runOp(t, &Train{Spec: ModelSpec{Kind: "tree", Seed: 1}, Label: "y"}, left)
+	model := modelInput(runOp(t, &Train{Spec: ModelSpec{Kind: "tree", Seed: 1}, Label: "y"}, left), "tree-vertex")
 	cases := []struct {
 		op     graph.Operation
 		inputs []graph.Artifact

@@ -63,7 +63,7 @@ func TestLearnersMatchTheGolden(t *testing.T) {
 	var b bytes.Buffer
 	for _, kind := range []string{"logreg", "linreg", "tree", "gbt", "rf", "knn", "nb", "svm"} {
 		for seed := int64(0); seed < 3; seed++ {
-			ma := runOp(t, &Train{Spec: ModelSpec{Kind: kind, Seed: seed}, Label: "TARGET"}, whole).(*graph.ModelArtifact)
+			ma := modelInput(runOp(t, &Train{Spec: ModelSpec{Kind: kind, Seed: seed}, Label: "TARGET"}, whole), "model-vertex")
 			blob, err := tier.AppendBlob(nil, ma)
 			if err != nil {
 				t.Fatal(err)

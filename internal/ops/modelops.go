@@ -217,7 +217,9 @@ func modelQuality(kind string, y, pred []float64) float64 {
 }
 
 // Predict appends a "prediction" column scoring each row of the dataset
-// with the model (multi-input: [model, dataset]).
+// with the model (multi-input: [model, dataset]). The column's ID is minted
+// from the model's vertex ID and the dataset's column IDs, so the model
+// input must carry its VertexID (the executor sets it).
 type Predict struct{}
 
 // Name implements graph.Operation.
@@ -235,16 +237,15 @@ func (o Predict) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	if ma.VertexID == "" {
+		return nil, fmt.Errorf("ops: predict: the model input carries no vertex ID")
+	}
 	pred, err := scoreFrame(ma, f)
 	if err != nil {
 		return nil, err
 	}
-	var lineage strings.Builder
-	for _, c := range f.Columns() {
-		lineage.WriteString(c.ID)
-	}
 	nc := &data.Column{
-		ID:     data.DeriveID(o.Hash(), lineage.String()),
+		ID:     data.DeriveID(o.Hash(), append([]string{ma.VertexID}, f.ColumnIDs()...)...),
 		Name:   "prediction",
 		Type:   data.Float64,
 		Floats: pred,

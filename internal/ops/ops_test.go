@@ -32,6 +32,15 @@ func runOp(t *testing.T, op graph.Operation, inputs ...graph.Artifact) graph.Art
 	return out
 }
 
+// modelInput returns a trained model as the executor hands it to an
+// operation: a copy carrying the ID of the vertex it is the content of,
+// which Predict mints its column from.
+func modelInput(a graph.Artifact, vertexID string) *graph.ModelArtifact {
+	cp := *a.(*graph.ModelArtifact)
+	cp.VertexID = vertexID
+	return &cp
+}
+
 func frameOut(t *testing.T, a graph.Artifact) *data.Frame {
 	t.Helper()
 	ds, ok := a.(*graph.DatasetArtifact)
@@ -245,7 +254,7 @@ func TestTrainPredictEvaluate(t *testing.T) {
 		Spec:  ModelSpec{Kind: "tree", Params: map[string]float64{"depth": 3}, Seed: 1},
 		Label: "y",
 	}
-	ma := runOp(t, train, dataset()).(*graph.ModelArtifact)
+	ma := modelInput(runOp(t, train, dataset()), "tree-vertex")
 	if ma.Model == nil || len(ma.Features) == 0 {
 		t.Fatal("train produced empty model")
 	}
@@ -279,7 +288,7 @@ func TestTrainAllModelKinds(t *testing.T) {
 func TestPredictZeroFillsMissingFeatures(t *testing.T) {
 	for _, kind := range []string{"knn", "logreg", "gbt"} {
 		train := &Train{Spec: ModelSpec{Kind: kind, Seed: 1}, Label: "y"}
-		ma := runOp(t, train, dataset()).(*graph.ModelArtifact)
+		ma := modelInput(runOp(t, train, dataset()), kind+"-vertex")
 		// Score a frame missing the "x" feature entirely.
 		small := data.MustNewFrame(data.NewIntColumn("id", []int64{9}))
 		out := frameOut(t, runOp(t, Predict{}, ma, &graph.DatasetArtifact{Frame: small}))
@@ -297,7 +306,7 @@ func TestColumnScoringNeedsOneFeaturePresent(t *testing.T) {
 	other := &graph.DatasetArtifact{Frame: data.MustNewFrame(
 		data.NewFloatColumn("z", []float64{1, 2}), data.NewFloatColumn("y", []float64{0, 1}))}
 	for _, kind := range []string{"gbt", "linreg", "knn", "nb", "svm"} {
-		ma := runOp(t, &Train{Spec: ModelSpec{Kind: kind, Seed: 1}, Label: "y"}, dataset())
+		ma := modelInput(runOp(t, &Train{Spec: ModelSpec{Kind: kind, Seed: 1}, Label: "y"}, dataset()), kind+"-vertex")
 		for _, op := range []graph.Operation{Predict{}, Evaluate{Label: "y", Metric: Acc}} {
 			if _, err := op.Run([]graph.Artifact{ma, other}); err == nil || !strings.Contains(err.Error(), "none of the model's 2 features") {
 				t.Errorf("%s: %s on a dataset without the model's features: error %v", kind, op.Name(), err)
@@ -356,7 +365,7 @@ func TestModelSpecCanonicalOrderIndependent(t *testing.T) {
 func TestOpsRejectWrongInputs(t *testing.T) {
 	agg := &graph.AggregateArtifact{Value: 1}
 	noFrame := &graph.DatasetArtifact{}
-	ma := runOp(t, &Train{Spec: ModelSpec{Kind: "tree", Seed: 1}, Label: "y"}, dataset())
+	ma := modelInput(runOp(t, &Train{Spec: ModelSpec{Kind: "tree", Seed: 1}, Label: "y"}, dataset()), "tree-vertex")
 	singleInput := []graph.Operation{
 		Select{Cols: []string{"x"}}, Drop{Cols: []string{"x"}},
 		Filter{Col: "x", Op: GT}, MapCol{Col: "x", Fn: Log1p},
@@ -402,6 +411,9 @@ func TestOpsRejectWrongInputs(t *testing.T) {
 	}
 	if _, err := (Select{Cols: []string{"missing"}}).Run([]graph.Artifact{dataset()}); err == nil {
 		t.Error("select of a missing column should error")
+	}
+	if _, err := (Predict{}).Run([]graph.Artifact{modelInput(ma, ""), dataset()}); err == nil {
+		t.Error("predict should reject a model input that names no vertex")
 	}
 	if _, err := (OneHot{Col: "x"}).Run([]graph.Artifact{dataset()}); err == nil {
 		t.Error("one-hot of a numeric column should error")

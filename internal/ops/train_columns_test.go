@@ -60,7 +60,7 @@ func trainOn(t testing.TB, f *data.Frame, spec ModelSpec) *graph.ModelArtifact {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.(*graph.ModelArtifact)
+	return modelInput(out, spec.Kind+"-vertex")
 }
 
 // sameModel compares two tree models by what they predict on f.

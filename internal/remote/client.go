@@ -309,7 +309,7 @@ func (c *Client) FetchTiered(id string, req *obs.Request) (graph.Artifact, strin
 		return nil, "", 0
 	}
 	if held != nil {
-		_ = held.Put(id, content) // fails on nil content only
+		_ = held.Put(id, content) // a refused frame is simply not held
 	}
 	return content, core.RemoteTierPrefix + srvTier, c.profile.LoadCost(content.SizeBytes())
 }

@@ -109,7 +109,7 @@ func (c *Client) holdContent(executed *graph.DAG) {
 	}
 	for _, n := range executed.Nodes() {
 		if n.Content != nil && !n.IsSource() {
-			_ = held.Put(n.ID, n.Content) // fails on nil content only
+			_ = held.Put(n.ID, n.Content) // a refused frame is simply not held
 		}
 	}
 }

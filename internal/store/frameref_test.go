@@ -276,6 +276,35 @@ func TestPutFrameRefRejectsWithoutAdmitting(t *testing.T) {
 	}
 }
 
+// TestPutRefusesAColumnThatContradictsTheHeldOne: an in-process Put of a
+// frame whose column shares its lineage ID with a held column of another
+// row count or type is refused as PutFrameRef refuses it, and leaves the
+// store as it was — not admitted as a vertex that Has reports and Get
+// cannot assemble.
+func TestPutRefusesAColumnThatContradictsTheHeldOne(t *testing.T) {
+	a := data.NewFloatColumn("a", []float64{1, 2, 3})
+	m := New(cost.Memory())
+	if err := m.Put("base", &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*data.Column{
+		"fewer rows": data.NewFloatColumn("a", []float64{1, 2}),
+		"more rows":  data.NewFloatColumn("a", []float64{1, 2, 3, 4}),
+		"other type": data.NewIntColumn("a", []int64{1, 2, 3}).WithID(a.ID),
+	} {
+		err := m.Put("v", &graph.DatasetArtifact{Frame: data.MustNewFrame(c)})
+		if !errors.Is(err, ErrBadManifest) {
+			t.Errorf("%s: err = %v, want %v", name, err, ErrBadManifest)
+		}
+		if m.Has("v") || m.Len() != 1 || m.PhysicalBytes() != a.SizeBytes() || colRefs(m)[a.ID] != 1 {
+			t.Fatalf("%s: refusal changed the store", name)
+		}
+	}
+	if got, _ := m.Get("base"); !sameArtifact(got, &graph.DatasetArtifact{Frame: data.MustNewFrame(a)}) {
+		t.Error("the held frame changed")
+	}
+}
+
 // TestPutFrameRefTakesDemotedColumnsFromDisk: a column that only a demoted
 // frame references is still held, so a client told so need not resend it.
 func TestPutFrameRefTakesDemotedColumnsFromDisk(t *testing.T) {

@@ -281,8 +281,10 @@ func (m *Manager) touchLocked(vertexID string) {
 // Put stores the artifact content for a vertex in the memory tier. Dataset
 // artifacts are decomposed into deduplicated columns; other artifacts are
 // stored whole. Putting an already-present vertex (either tier) is a no-op.
-// If the memory budget is exceeded, the coldest artifacts are demoted to
-// the disk tier before Put returns.
+// A dataset with a column whose type or row count differs from the held
+// column of the same lineage ID is refused with ErrBadManifest, as
+// PutFrameRef refuses it. If the memory budget is exceeded, the coldest
+// artifacts are demoted to the disk tier before Put returns.
 func (m *Manager) Put(vertexID string, a graph.Artifact) error {
 	if a == nil {
 		return fmt.Errorf("store: nil artifact for %s", vertexID)
@@ -291,6 +293,13 @@ func (m *Manager) Put(vertexID string, a graph.Artifact) error {
 	defer m.mu.Unlock()
 	if m.hasLocked(vertexID) {
 		return nil
+	}
+	if ds, ok := a.(*graph.DatasetArtifact); ok && ds.Frame != nil {
+		for _, c := range ds.Frame.Columns() {
+			if err := m.sameShapeLocked(c.ID, c.Type, c.Len()); err != nil {
+				return err
+			}
+		}
 	}
 	m.putLocked(vertexID, func() { m.admitLocked(vertexID, a) })
 	return nil
@@ -312,7 +321,8 @@ func (m *Manager) putLocked(vertexID string, admit func()) {
 var ErrColumnAbsent = errors.New("store: manifest column neither supplied nor held")
 
 // ErrBadManifest is returned by PutFrameRef for input that can never be
-// admitted, however many columns are supplied.
+// admitted, however many columns are supplied, and by Put for a dataset
+// that contradicts a held column.
 var ErrBadManifest = errors.New("store: inconsistent frame manifest")
 
 // HeldColumns returns the indices into colIDs of the column lineage IDs the
@@ -379,9 +389,10 @@ func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied 
 		if held := m.cols[id]; held != nil {
 			// As in admitLocked, the held column wins; a supplied one must
 			// at least be the same shape.
-			if c != nil && (c.info.Type != held.info.Type || c.info.Rows != held.info.Rows) {
-				return fmt.Errorf("%w: column %s is %s×%d here, %s×%d in the store", ErrBadManifest,
-					id, c.info.Type, c.info.Rows, held.info.Type, held.info.Rows)
+			if c != nil {
+				if err := m.sameShapeLocked(id, c.info.Type, c.info.Rows); err != nil {
+					return err
+				}
 			}
 			c = held
 		}
@@ -414,6 +425,18 @@ func (m *Manager) PutFrameRef(vertexID string, colIDs, names []string, supplied 
 	m.putLocked(vertexID, func() {
 		m.admitFrameLocked(vertexID, tier.Manifest{ColIDs: colIDs, Names: names}, func(i int) *column { return cols[i] })
 	})
+	return nil
+}
+
+// sameShapeLocked is the admission check of both Put paths: a column that
+// comes in under the lineage ID of a column the memory tier holds, which
+// keeps the held values, must at least have the held column's type and row
+// count, or the frame would assemble torn. It returns ErrBadManifest if not.
+func (m *Manager) sameShapeLocked(id string, typ data.DType, rows int) error {
+	if held := m.cols[id]; held != nil && (typ != held.info.Type || rows != held.info.Rows) {
+		return fmt.Errorf("%w: column %s is %s×%d here, %s×%d in the store", ErrBadManifest,
+			id, typ, rows, held.info.Type, held.info.Rows)
+	}
 	return nil
 }
 
