@@ -36,7 +36,8 @@ func matrixColumn(m [][]float64, j int) []float64 {
 // minted from opHash, the column index and the IDs of the input columns,
 // followed by the label column when f has one.
 func project(f *data.Frame, label string, tr ml.Transformer, prefix, opHash string) (*data.Frame, error) {
-	m, used := f.NumericMatrix(numericFeatureNames(f, label)...)
+	used := numericFeatureNames(f, label)
+	m := f.NumericRows(used, nil)
 	parts := append([]string{""}, data.IDs(featureColumns(f, used))...) // the component index, then the inputs
 	if err := tr.Fit(m, nil); err != nil {
 		return nil, err
@@ -138,7 +139,7 @@ func (o ScaleTransform) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 		return nil, err
 	}
 	names := numericFeatureNames(f, o.Label)
-	m, _ := f.NumericMatrix(names...)
+	m := f.NumericRows(names, nil)
 	var tr ml.Transformer
 	if o.Kind == MinMaxScaler {
 		tr = &ml.MinMaxScaler{}
@@ -194,7 +195,7 @@ func (o SelectKBest) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 		return nil, err
 	}
 	names := numericFeatureNames(f, o.Label)
-	m, _ := f.NumericMatrix(names...)
+	m := f.NumericRows(names, nil)
 	sel := &ml.SelectKBest{K: o.K}
 	if err := sel.Fit(m, y); err != nil {
 		return nil, err

@@ -101,3 +101,28 @@ func runRecovered(op graph.Operation, f *data.Frame) (out graph.Artifact, err er
 	}()
 	return op.Run([]graph.Artifact{&graph.DatasetArtifact{Frame: f}})
 }
+
+// TestTransformsOfALabelOnlyFrameReadNoFeature: the label is never a
+// feature, also when the frame holds nothing else. SelectKBest keeps only
+// the label, PCA projects onto no component, and k-means, whose centroids
+// have no coordinate, gives every row a distance of zero to each of them.
+func TestTransformsOfALabelOnlyFrameReadNoFeature(t *testing.T) {
+	f := data.MustNewFrame(data.NewFloatColumn("y", []float64{0, 1, 1, 0, 1}))
+	in := &graph.DatasetArtifact{Frame: f}
+	for _, op := range []graph.Operation{SelectKBest{K: 2, Label: "y"}, PCATransform{K: 2, Label: "y"}} {
+		if got := frameOut(t, runOp(t, op, in)).ColumnNames(); len(got) != 1 || got[0] != "y" {
+			t.Errorf("%s: columns %v, want only the label", op.Name(), got)
+		}
+	}
+	out := frameOut(t, runOp(t, KMeansTransform{K: 3, Label: "y"}, in))
+	if got := out.ColumnNames(); len(got) != 4 || got[3] != "y" {
+		t.Fatalf("kmeans: columns %v, want three distances and the label", got)
+	}
+	for _, c := range out.Columns()[:3] {
+		for i, v := range c.Floats {
+			if v != 0 {
+				t.Errorf("kmeans: %s[%d] = %v, want 0", c.Name, i, v)
+			}
+		}
+	}
+}
