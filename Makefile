@@ -227,9 +227,11 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # version-1 magic. And the walk up a DAG is written once: no program code
 # outside internal/graph pushes a node's parents onto a stack
 # (append(stack, n.Parents...)); it calls graph.Walk.
-# And the model path hands learners a frame's columns: no program file of
-# internal/ops but ROW_MAJOR_FILE, whose transformers take a row-major
-# matrix, builds one (NumericMatrix, NumericRows).
+# And internal/ml has one numeric shape: every learner and transform reads
+# a frame's columns and works on a column-major block, so no program
+# function of internal/ml takes or returns a row-major matrix ([][]float64
+# in its signature; fields that hold parameters, such as KNN's TrainX, are
+# not signatures).
 # And a lineage ID is minted by one rule in one place: no program file of
 # internal/data or internal/ops but MINT_FILE imports crypto/sha256, and no
 # program code hands DeriveID or DeriveColumnID an op argument it built at
@@ -240,7 +242,6 @@ ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
 V1_REFUSER_FILE = internal/tier/disk.go
 GOB_FILES = internal/persist/persist.go
 DECODERS = 'internal/store/store.go:func(c*column)decoded()' 'internal/remote/codec.go:funcdecodeColumns('
-ROW_MAJOR_FILE = internal/ops/featureops.go
 MINT_FILE = internal/data/lineage.go
 lint-layers:
 	@out="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' $(KERNEL_PKGS) | grep -w 'repro/internal/obs' || true)"; \
@@ -292,9 +293,9 @@ lint-layers:
 	if [ -n "$$out" ]; then \
 		echo "a walk up the DAG written outside internal/graph (call graph.Walk):"; echo "$$out"; exit 1; \
 	fi
-	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '\b(NumericMatrix|NumericRows)\(' internal/ops | grep -v '^$(ROW_MAJOR_FILE):' || true)"; \
+	@out="$$(grep -nE '^func .*\[\]\[\]float64' $$(ls internal/ml/*.go | grep -v '_test\.go$$') || true)"; \
 	if [ -n "$$out" ]; then \
-		echo "a row-major matrix built in internal/ops outside $(ROW_MAJOR_FILE) (hand learners the frame's columns):"; echo "$$out"; exit 1; \
+		echo "a function of internal/ml takes or returns a row-major matrix (read a frame's columns into a column-major block):"; echo "$$out"; exit 1; \
 	fi
 	@out="$$(grep -rl --include='*.go' --exclude='*_test.go' '"crypto/sha256"' internal/data internal/ops | grep -vx '$(MINT_FILE)' || true)"; \
 	if [ -n "$$out" ]; then \

@@ -187,83 +187,6 @@ func (f *Frame) Head(n int, opHash string) *Frame {
 	return f.Gather(idx, opHash)
 }
 
-// NumericMatrix converts the named columns (all numeric columns when names is
-// empty) to a dense row-major matrix of float64, substituting 0 for missing
-// values and non-numeric cells. Names the frame lacks are skipped. It returns
-// the matrix and the column names used.
-func (f *Frame) NumericMatrix(names ...string) ([][]float64, []string) {
-	var used []string
-	if len(names) > 0 {
-		for _, n := range names {
-			if f.HasColumn(n) {
-				used = append(used, n)
-			}
-		}
-	} else {
-		for _, c := range f.cols {
-			if c.Type.IsNumeric() {
-				used = append(used, c.Name)
-			}
-		}
-	}
-	return f.NumericRows(used, nil), used
-}
-
-// NumericRows is NumericMatrix restricted to the given rows, in their order
-// (all rows when rows is nil), with exactly one matrix column per name: a
-// name the frame lacks yields zeros, which keeps a model's feature
-// dimensionality whatever the frame holds (e.g. one-hot categories absent
-// from a test split).
-func (f *Frame) NumericRows(names []string, rows []int) [][]float64 {
-	cols := make([]*Column, len(names))
-	for j, name := range names {
-		cols[j] = f.Column(name)
-	}
-	n := len(rows)
-	if rows == nil {
-		n = f.NumRows()
-	}
-	return numericRows(cols, rows, n)
-}
-
-// NumericRows converts the given rows of cols, in their order, to a dense
-// row-major matrix of float64 with one matrix column per column: a missing
-// value, a non-numeric cell and a nil column read as 0. When rows is nil it
-// converts every row of the first column present, and none when every
-// column is nil.
-func NumericRows(cols []*Column, rows []int) [][]float64 {
-	n := len(rows)
-	if rows == nil {
-		for _, c := range cols {
-			if c != nil {
-				n = c.Len()
-				break
-			}
-		}
-	}
-	return numericRows(cols, rows, n)
-}
-
-// numericRows is NumericRows of n rows, filled column by column, one type
-// switch per column.
-func numericRows(cols []*Column, rows []int, n int) [][]float64 {
-	d := len(cols)
-	m := make([][]float64, n)
-	flat := make([]float64, n*d)
-	for i := range m {
-		m[i] = flat[i*d : (i+1)*d : (i+1)*d]
-	}
-	if n == 0 {
-		return m
-	}
-	for j, c := range cols {
-		if c != nil {
-			c.FillNumeric(flat[j:], d, rows)
-		}
-	}
-	return m
-}
-
 // String renders a compact, deterministic description of the frame: its
 // shape and the sorted column names. Used in logs and error messages, not
 // for data display.

@@ -271,17 +271,6 @@ func TestAlign(t *testing.T) {
 	}
 }
 
-func TestNumericMatrix(t *testing.T) {
-	f := sampleFrame(t)
-	m, names := f.NumericMatrix()
-	if len(names) != 2 { // id, price; cat excluded
-		t.Fatalf("names=%v", names)
-	}
-	if len(m) != 4 || m[2][1] != 30 {
-		t.Errorf("matrix wrong: %v", m)
-	}
-}
-
 func TestSizeBytes(t *testing.T) {
 	f := sampleFrame(t)
 	// id: 4*8, price: 4*8, cat: 4*(1+16)

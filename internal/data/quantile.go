@@ -19,8 +19,8 @@ const quantileSample = 2048
 // row falls in the first bin whose edge is >= its value and in bin
 // len(Edges) when it exceeds every edge, so there are at most MaxBins bins
 // and, for every bin b < len(Edges), Bins[i] <= b exactly when the value of
-// row i is <= Edges[b]. A missing value counts as 0, as in NumericMatrix.
-// Both slices are shared by every caller and must not be written.
+// row i is <= Edges[b]. A missing value counts as 0, as FillNumeric
+// converts it. Both slices are shared by every caller and must not be written.
 type Quantiles struct {
 	Edges []float64
 	Bins  []uint8
@@ -236,8 +236,10 @@ func (e *edgeKeys) bin(v float64) uint8 {
 
 // FillNumeric writes the column's value at each of rows (at every row when
 // rows is nil) to dst[0], dst[stride], dst[2*stride], ...: the value as
-// float64, and 0 for a missing value or a non-numeric cell. It is the cell
-// conversion of NumericMatrix with one type switch per column.
+// float64 (a bool as 0 or 1), and 0 for a missing value or a non-numeric
+// cell, with one type switch per column. It is the one numeric conversion of
+// the model path: every learner and feature transform reads a frame's
+// columns through it.
 func (c *Column) FillNumeric(dst []float64, stride int, rows []int) {
 	switch c.Type {
 	case Float64:

@@ -202,7 +202,7 @@ func TestQuantilesOfFewDistinctValues(t *testing.T) {
 	if len(bools.Edges) != 1 || bools.Edges[0] != 0 || !bytes.Equal(bools.Bins, []uint8{1, 0, 1, 1}) {
 		t.Errorf("bool column binned as %v / %v", bools.Edges, bools.Bins)
 	}
-	// A missing float counts as 0, as in NumericMatrix.
+	// A missing float counts as 0, as FillNumeric converts it.
 	nan := NewFloatColumn("n", []float64{math.NaN(), 0, 3}).Quantiles()
 	if nan.Bins[0] != nan.Bins[1] || nan.Bins[0] == nan.Bins[2] {
 		t.Errorf("missing value binned apart from 0: %v", nan.Bins)
@@ -374,43 +374,47 @@ func TestQuantilesBuiltOnceUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestNumericRowsMatchesCellwiseConversion checks the column-wise fill
-// against the per-cell definition it replaced, on every column type, on all
-// rows and on a row subset, with a name the frame lacks.
-func TestNumericRowsMatchesCellwiseConversion(t *testing.T) {
-	f := MustNewFrame(
+// TestFillNumericMatchesCellwiseConversion checks the column-wise fill
+// against the per-cell definition — a missing value and a string cell read
+// as 0, an int as its float, a bool as 0 or 1 — on every column type, on
+// all rows and on a row subset, into a column-major block (stride 1) and
+// into a row-major one (stride d), where it writes no slot but its own.
+func TestFillNumericMatchesCellwiseConversion(t *testing.T) {
+	cols := []*Column{
 		NewFloatColumn("f", []float64{1.5, math.NaN(), -2, 0}),
 		NewIntColumn("i", []int64{4, -1, 0, 9}),
 		NewBoolColumn("b", []bool{true, false, false, true}),
 		NewStringColumn("s", []string{"a", "", "c", "d"}),
-	)
-	names := []string{"b", "absent", "f", "s", "i"}
-	cell := func(name string, i int) float64 {
-		c := f.Column(name)
-		if c == nil || !c.Type.IsNumeric() || c.IsMissing(i) {
+	}
+	cell := func(c *Column, i int) float64 {
+		if !c.Type.IsNumeric() || c.IsMissing(i) {
 			return 0
 		}
 		return c.Float(i)
 	}
-	for _, rows := range [][]int{nil, {3, 1, 1, 0}} {
-		m := f.NumericRows(names, rows)
-		want := rows
-		if rows == nil {
-			want = []int{0, 1, 2, 3}
-		}
-		if len(m) != len(want) {
-			t.Fatalf("%d matrix rows, want %d", len(m), len(want))
-		}
-		for r, i := range want {
-			for j, name := range names {
-				if m[r][j] != cell(name, i) {
-					t.Errorf("rows %v: cell [%d][%s] = %v, want %v", rows, r, name, m[r][j], cell(name, i))
+	const untouched = 7.25
+	for _, c := range cols {
+		for _, rows := range [][]int{nil, {3, 1, 1, 0}} {
+			want := rows
+			if rows == nil {
+				want = []int{0, 1, 2, 3}
+			}
+			for _, stride := range []int{1, 3} {
+				dst := make([]float64, len(want)*stride)
+				for k := range dst {
+					dst[k] = untouched
+				}
+				c.FillNumeric(dst, stride, rows)
+				for k, v := range dst {
+					w := untouched
+					if k%stride == 0 {
+						w = cell(c, want[k/stride])
+					}
+					if v != w {
+						t.Errorf("%s, rows %v, stride %d: slot %d = %v, want %v", c.Name, rows, stride, k, v, w)
+					}
 				}
 			}
 		}
-	}
-	m, used := f.NumericMatrix()
-	if len(used) != 3 || len(m) != 4 || len(m[0]) != 3 || m[1][0] != 0 || m[3][2] != 1 {
-		t.Errorf("NumericMatrix() = %v over %v", m, used)
 	}
 }

@@ -106,11 +106,12 @@ func TestQuickTreesPredictAlikeThroughBinsAndFloats(t *testing.T) {
 }
 
 // TestQuickPredictColumnsIsPredictOfNumericRows: every learner scores a
-// frame's rows, bit for bit, as it scores float columns holding
-// data.NumericRows of the same columns and rows — with missing cells, an int
-// and a bool column, a row subset and every row, and a feature the frame
-// lacks, which all read as zeros. For logistic regression the same holds of
-// the fit: Fit on a row subset is Fit on float columns of those numeric rows.
+// frame's rows, bit for bit, as it scores float columns holding cellRows,
+// the cell-by-cell conversion, of the same columns and rows — with missing
+// cells, an int and a bool column, a row subset and every row, and a
+// feature the frame lacks, which all read as zeros. For logistic regression
+// the same holds of the fit: Fit on a row subset is Fit on float columns of
+// those numeric rows.
 func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -150,7 +151,7 @@ func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 		for k, i := range train {
 			yTrain[k] = y[i]
 		}
-		if err := fitRows(viaRows, data.NumericRows(scored, train), yTrain); err != nil {
+		if err := fitRows(viaRows, cellRows(scored, train), yTrain); err != nil {
 			t.Fatal(err)
 		}
 		if viaColumns.EpochsRun != viaRows.EpochsRun || viaColumns.Bias != viaRows.Bias {
@@ -166,7 +167,7 @@ func TestQuickPredictColumnsIsPredictOfNumericRows(t *testing.T) {
 		unfitted := []Model{&DecisionTree{}, &RandomForest{}, &LogisticRegression{}}
 		for _, m := range append(unfitted, fitted...) {
 			for _, rows := range [][]int{nil, test, {}} {
-				got, want := m.Predict(scored, rows), predictRows(m, data.NumericRows(scored, rows))
+				got, want := m.Predict(scored, rows), predictRows(m, cellRows(scored, rows))
 				if len(got) != len(want) {
 					return false
 				}

@@ -295,29 +295,47 @@ func NewKNN() *KNN { return &KNN{K: 5} }
 // Kind implements Model.
 func (k *KNN) Kind() string { return "knn" }
 
-// Fit implements Model (memorizes the training rows).
+// Fit implements Model (memorizes the training rows). TrainX is row-major
+// because it is the model's stored parameter: FillNumeric writes each
+// feature into it at a stride of one row.
 func (k *KNN) Fit(cols []*data.Column, rows []int, y []float64) error {
-	x, yt, err := trainingRows(k.Kind(), cols, rows, y)
-	if err != nil {
+	if err := checkRows(k.Kind(), cols, rows, y); err != nil {
 		return err
 	}
 	if k.K == 0 {
 		k.K = 5
 	}
-	k.TrainX, k.TrainY = x, yt
+	n, d := len(rows), len(cols)
+	flat := make([]float64, n*d)
+	k.TrainX = make([][]float64, n)
+	for i := range k.TrainX {
+		k.TrainX[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	for j, c := range cols {
+		if c != nil {
+			c.FillNumeric(flat[j:], d, rows)
+		}
+	}
+	k.TrainY = targets(y, rows)
 	return nil
 }
 
-// Predict implements Model.
+// Predict implements Model. Each query row is read with valueAt.
 func (k *KNN) Predict(cols []*data.Column, rows []int) []float64 {
-	x := data.NumericRows(cols, rows)
-	out := make([]float64, len(x))
+	out := make([]float64, scoredRows(cols, rows))
 	type nb struct{ d, y float64 }
 	// The distance scan is the hot loop: queries are independent and the
 	// training set is read-only, so rows fan out over the shared pool.
-	parallel.For(len(x), 16, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			q := x[i]
+	parallel.For(len(out), 16, func(lo, hi int) {
+		q := make([]float64, len(cols))
+		for r := lo; r < hi; r++ {
+			i := r
+			if rows != nil {
+				i = rows[r]
+			}
+			for c := range q {
+				q[c] = valueAt(cols, c, i)
+			}
 			best := make([]nb, 0, k.K+1)
 			for j, row := range k.TrainX {
 				var d float64
@@ -344,7 +362,7 @@ func (k *KNN) Predict(cols []*data.Column, rows []int) []float64 {
 				s += b.y
 			}
 			if len(best) > 0 {
-				out[i] = s / float64(len(best))
+				out[r] = s / float64(len(best))
 			}
 		}
 	})
@@ -353,5 +371,9 @@ func (k *KNN) Predict(cols []*data.Column, rows []int) []float64 {
 
 // SizeBytes implements Model.
 func (k *KNN) SizeBytes() int64 {
-	return int64(len(k.TrainX))*int64(cols2D(k.TrainX))*8 + int64(len(k.TrainY))*8
+	var d int
+	if len(k.TrainX) > 0 {
+		d = len(k.TrainX[0])
+	}
+	return int64(len(k.TrainX)*d+len(k.TrainY)) * 8
 }

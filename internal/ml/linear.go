@@ -57,20 +57,12 @@ func (m *LogisticRegression) WarmstartFrom(donor Model) bool {
 }
 
 // Fit implements Model. The training rows are gathered once into one
-// column-major block, converted as data.NumericRows converts them; a nil
-// column trains as zeros.
+// column-major block; a nil column trains as zeros.
 func (m *LogisticRegression) Fit(cols []*data.Column, rows []int, y []float64) error {
 	if err := checkRows(m.Kind(), cols, rows, y); err != nil {
 		return err
 	}
-	n := len(rows)
-	block := make([]float64, n*len(cols))
-	for j, c := range cols {
-		if c != nil {
-			c.FillNumeric(block[j*n:], 1, rows)
-		}
-	}
-	m.fit(block, len(cols), targets(y, rows))
+	m.fit(gather(cols, rows, len(rows)), len(cols), targets(y, rows))
 	return nil
 }
 
@@ -263,14 +255,24 @@ func (m *LinearRegression) WarmstartFrom(donor Model) bool {
 // Fit implements Model. The descent runs on the features standardized over
 // the training rows, so that one step size suits features of any scale, and
 // the fitted weights are folded back into raw feature space: Weights, Bias,
-// Predict and a warmstart donor's weights all read raw features.
+// Predict and a warmstart donor's weights all read raw features. A feature
+// whose standard deviation is below columnStats' floor is only centred.
+// An epoch is logistic regression's three passes over the block: margins,
+// residuals, gradient.
 func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) error {
-	x, y, err := trainingRows(m.Kind(), cols, rows, y)
-	if err != nil {
+	if err := checkRows(m.Kind(), cols, rows, y); err != nil {
 		return err
 	}
-	d := len(cols)
-	mean, scale := standardize(x, d)
+	n, d := len(rows), len(cols)
+	x, y := gather(cols, rows, n), targets(y, rows)
+	mean, scale := make([]float64, d), make([]float64, d)
+	for j := range mean {
+		c := x[j*n:][:n]
+		mean[j], scale[j] = columnStats(c)
+		for i, v := range c {
+			c[i] = (v - mean[j]) / scale[j]
+		}
+	}
 	if m.LearningRate == 0 {
 		m.LearningRate = 0.05
 	}
@@ -291,28 +293,26 @@ func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) err
 		w[j] = m.Weights[j] * scale[j]
 		b += m.Weights[j] * mean[j]
 	}
-	n := float64(len(x))
+	nf := float64(n)
 	grad := make([]float64, d)
+	z := make([]float64, n) // margins, then residuals
 	prevLoss := math.Inf(1)
 	m.EpochsRun = 0
 	for epoch := 0; epoch < m.MaxIter; epoch++ {
-		for j := range grad {
-			grad[j] = 0
-		}
+		margins(z, x, w)
 		var gradB, loss float64
-		for i, row := range x {
-			e := dot(w, row) + b - y[i]
-			for j, v := range row {
-				grad[j] += e * v
-			}
+		for i, zi := range z {
+			e := zi + b - y[i]
+			z[i] = e
 			gradB += e
 			loss += e * e
 		}
-		loss /= 2 * n
+		gradient(grad, x, z)
+		loss /= 2 * nf
 		for j := range w {
-			w[j] -= m.LearningRate * (grad[j]/n + m.L2*w[j])
+			w[j] -= m.LearningRate * (grad[j]/nf + m.L2*w[j])
 		}
-		b -= m.LearningRate * gradB / n
+		b -= m.LearningRate * gradB / nf
 		m.EpochsRun++
 		if math.Abs(prevLoss-loss) < m.Tol {
 			break
@@ -325,39 +325,6 @@ func (m *LinearRegression) Fit(cols []*data.Column, rows []int, y []float64) err
 	}
 	m.Bias = b
 	return nil
-}
-
-// standardize rescales each of the d features of the rows x in place to
-// mean 0 and standard deviation 1 over the rows, and returns each feature's
-// mean and standard deviation (1 for a constant feature, which is only
-// centred).
-func standardize(x [][]float64, d int) (mean, scale []float64) {
-	mean, scale = make([]float64, d), make([]float64, d)
-	n := float64(len(x))
-	for _, row := range x {
-		for j, v := range row {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= n
-	}
-	for _, row := range x {
-		for j, v := range row {
-			scale[j] += (v - mean[j]) * (v - mean[j])
-		}
-	}
-	for j, ss := range scale {
-		if scale[j] = math.Sqrt(ss / n); scale[j] == 0 {
-			scale[j] = 1
-		}
-	}
-	for _, row := range x {
-		for j := range row {
-			row[j] = (row[j] - mean[j]) / scale[j]
-		}
-	}
-	return mean, scale
 }
 
 // Predict implements Model.

@@ -3,9 +3,9 @@
 // (warmstartable gradient descent: logistic and linear regression, a linear
 // SVM), decision trees, gradient-boosted trees, random forests, k-NN and
 // Gaussian naive Bayes, which all train on and score a frame's columns
-// (Model); preprocessing transforms on a row-major matrix (scalers,
-// SelectKBest, count-vectorizer, PCA, k-means); and evaluation metrics
-// (AUC-ROC, accuracy, log-loss, RMSE).
+// (Model); preprocessing transforms, which read a frame's columns too and
+// return their output column-major (scalers, SelectKBest, count-vectorizer,
+// PCA, k-means); and evaluation metrics (AUC-ROC, accuracy, log-loss, RMSE).
 //
 // All learners are deterministic given their Seed parameter, which the
 // experiment harness relies on for reproducibility.
@@ -32,14 +32,40 @@ func checkRows(kind string, cols []*data.Column, rows []int, y []float64) error 
 	return nil
 }
 
-// trainingRows is the training set of a learner that fits a row-major
-// matrix: the given rows of cols as data.NumericRows converts them, and
-// their targets.
-func trainingRows(kind string, cols []*data.Column, rows []int, y []float64) ([][]float64, []float64, error) {
-	if err := checkRows(kind, cols, rows, y); err != nil {
-		return nil, nil, err
+// gather returns the given rows of cols (every row when rows is nil), n of
+// them, as one column-major block: feature j is block[j*n : (j+1)*n],
+// converted as data.Column.FillNumeric converts it, and a nil column reads
+// as zeros.
+func gather(cols []*data.Column, rows []int, n int) []float64 {
+	block := make([]float64, n*len(cols))
+	for j, c := range cols {
+		if c != nil {
+			c.FillNumeric(block[j*n:], 1, rows)
+		}
 	}
-	return data.NumericRows(cols, rows), targets(y, rows), nil
+	return block
+}
+
+// eachColumn calls fn with every row of each of cols in turn, n floats
+// converted as gather converts them, in one scratch vector.
+func eachColumn(cols []*data.Column, n int, fn func(j int, x []float64)) {
+	x := make([]float64, n)
+	for j, c := range cols {
+		if c == nil {
+			clear(x)
+		} else {
+			c.FillNumeric(x, 1, nil)
+		}
+		fn(j, x)
+	}
+}
+
+// rowAt copies row i of the column-major block x of n rows into dst, one
+// value per feature.
+func rowAt(dst, x []float64, n, i int) {
+	for j := range dst {
+		dst[j] = x[j*n+i]
+	}
 }
 
 // targets returns the target of each of rows, in their order.
@@ -68,51 +94,22 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-func clone2D(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
-	flat := make([]float64, 0, len(m)*cols2D(m))
-	for i, row := range m {
-		flat = append(flat, row...)
-		out[i] = flat[len(flat)-len(row):]
-	}
-	return out
-}
-
-func cols2D(m [][]float64) int {
-	if len(m) == 0 {
-		return 0
-	}
-	return len(m[0])
-}
-
-// mean and std per column; std floor avoids division by zero.
-func columnStats(x [][]float64) (mean, std []float64) {
-	if len(x) == 0 {
-		return nil, nil
-	}
-	d := len(x[0])
-	mean = make([]float64, d)
-	std = make([]float64, d)
-	for _, row := range x {
-		for j, v := range row {
-			mean[j] += v
-		}
+// columnStats returns the mean and the standard deviation of x, each sum
+// taken in order. A standard deviation below 1e-12 reads as 1, so a
+// constant feature, whose computed deviation is 0 or a rounding residue of
+// its mean, is only centred by those who divide by it.
+func columnStats(x []float64) (mean, std float64) {
+	for _, v := range x {
+		mean += v
 	}
 	n := float64(len(x))
-	for j := range mean {
-		mean[j] /= n
+	mean /= n
+	for _, v := range x {
+		d := v - mean
+		std += d * d
 	}
-	for _, row := range x {
-		for j, v := range row {
-			dlt := v - mean[j]
-			std[j] += dlt * dlt
-		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / n)
-		if std[j] < 1e-12 {
-			std[j] = 1
-		}
+	if std = math.Sqrt(std / n); std < 1e-12 {
+		std = 1
 	}
 	return mean, std
 }

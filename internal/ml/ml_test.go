@@ -30,6 +30,33 @@ func matrixColumns(x [][]float64) ([]*data.Column, []int) {
 	return cols, rows
 }
 
+// cellRows is the given rows of cols (every row of the first column present
+// when rows is nil) as a row-major matrix, converted cell by cell: a
+// missing value, a non-numeric cell and a nil column read as 0.
+func cellRows(cols []*data.Column, rows []int) [][]float64 {
+	if rows == nil {
+		rows = []int{}
+		for _, c := range cols {
+			if c != nil {
+				for i := 0; i < c.Len(); i++ {
+					rows = append(rows, i)
+				}
+				break
+			}
+		}
+	}
+	m := make([][]float64, len(rows))
+	for r, i := range rows {
+		m[r] = make([]float64, len(cols))
+		for j, c := range cols {
+			if c != nil && c.Type.IsNumeric() && !c.IsMissing(i) {
+				m[r][j] = c.Float(i)
+			}
+		}
+	}
+	return m
+}
+
 // fitRows fits m on every row of the matrix x.
 func fitRows(m Model, x [][]float64, y []float64) error {
 	cols, rows := matrixColumns(x)
@@ -189,6 +216,31 @@ func TestLinearRegressionLearnsUnscaledFeatures(t *testing.T) {
 	}
 }
 
+// TestLinearRegressionFitsBesideAConstantFeature: a constant feature whose
+// mean rounds off its value has a computed standard deviation of a rounding
+// residue, not 0; it is only centred, as a deviation of exactly 0 is, and the
+// fit recovers the other feature's line with a weight near 0 on it.
+func TestLinearRegressionFitsBesideAConstantFeature(t *testing.T) {
+	x, y := make([][]float64, 7), make([]float64, 7)
+	for i := range x {
+		x[i] = []float64{float64(i), 0.1}
+		y[i] = 2*float64(i) + 1
+	}
+	m := NewLinearRegression(1)
+	m.MaxIter = 2000
+	if err := fitRows(m, x, y); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range predictRows(m, x) {
+		if math.Abs(p-y[i]) > 0.01 {
+			t.Errorf("row %d: predicted %v, target %v", i, p, y[i])
+		}
+	}
+	if w := m.Weights[1]; !(math.Abs(w) < 1) {
+		t.Errorf("weight %v on the constant feature, want |w| < 1", w)
+	}
+}
+
 func TestDecisionTreeLearnsXOR(t *testing.T) {
 	x, y := synthXOR(400, 4)
 	tr := NewDecisionTree(1)
@@ -261,38 +313,39 @@ func TestKNNLearns(t *testing.T) {
 
 func TestStandardScaler(t *testing.T) {
 	x := [][]float64{{1, 10}, {2, 20}, {3, 30}}
+	cols, _ := matrixColumns(x)
 	s := &StandardScaler{}
-	if err := s.Fit(x, nil); err != nil {
+	if err := s.Fit(cols, 3); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	out := s.Transform(x)
+	out := s.Transform(cols, 3)
 	for j := 0; j < 2; j++ {
 		var mean float64
-		for _, row := range out {
-			mean += row[j]
+		for _, v := range out[j*3 : (j+1)*3] {
+			mean += v
 		}
 		if math.Abs(mean) > 1e-9 {
 			t.Errorf("col %d mean=%v, want 0", j, mean/3)
 		}
 	}
 	// input must be untouched
-	if x[0][0] != 1 {
+	if cols[0].Floats[0] != 1 {
 		t.Error("Transform mutated its input")
 	}
 }
 
 func TestMinMaxScaler(t *testing.T) {
-	x := [][]float64{{0, 5}, {10, 5}, {5, 5}}
+	cols, _ := matrixColumns([][]float64{{0, 5}, {10, 5}, {5, 5}})
 	s := &MinMaxScaler{}
-	if err := s.Fit(x, nil); err != nil {
+	if err := s.Fit(cols, 3); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	out := s.Transform(x)
-	if out[0][0] != 0 || out[1][0] != 1 || out[2][0] != 0.5 {
-		t.Errorf("col0 wrong: %v", out)
+	out := s.Transform(cols, 3)
+	if out[0] != 0 || out[1] != 1 || out[2] != 0.5 {
+		t.Errorf("col0 wrong: %v", out[:3])
 	}
-	if out[0][1] != 0 { // constant column maps to 0
-		t.Errorf("constant col should map to 0, got %v", out[0][1])
+	if out[3] != 0 { // constant column maps to 0
+		t.Errorf("constant col should map to 0, got %v", out[3])
 	}
 }
 
@@ -308,16 +361,16 @@ func TestSelectKBestPicksInformativeFeature(t *testing.T) {
 			y[i] = 1
 		}
 	}
+	cols, _ := matrixColumns(x)
 	s := &SelectKBest{K: 1}
-	if err := s.Fit(x, y); err != nil {
+	if err := s.Fit(cols, y); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	if len(s.Indices) != 1 || s.Indices[0] != 1 {
 		t.Errorf("selected %v, want [1]; scores=%v", s.Indices, s.Scores)
 	}
-	out := s.Transform(x)
-	if len(out[0]) != 1 || out[3][0] != x[3][1] {
-		t.Errorf("transform wrong: %v", out[3])
+	if err := s.Fit(cols, y[1:]); err == nil {
+		t.Error("Fit on a target shorter than the columns should error")
 	}
 }
 
@@ -329,8 +382,9 @@ func TestPCARecoversDominantDirection(t *testing.T) {
 		tv := rng.NormFloat64() * 10
 		x[i] = []float64{tv, tv + rng.NormFloat64()*0.1, rng.NormFloat64() * 0.1}
 	}
+	cols, _ := matrixColumns(x)
 	p := &PCA{K: 1}
-	if err := p.Fit(x, nil); err != nil {
+	if err := p.Fit(cols, n); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	c := p.Components[0]
@@ -338,9 +392,8 @@ func TestPCARecoversDominantDirection(t *testing.T) {
 	if math.Abs(math.Abs(c[0])-math.Abs(c[1])) > 0.05 || math.Abs(c[2]) > 0.1 {
 		t.Errorf("component=%v, want ~(±0.707,±0.707,0)", c)
 	}
-	out := p.Transform(x[:2])
-	if len(out[0]) != 1 {
-		t.Errorf("projection dims=%d, want 1", len(out[0]))
+	if out := p.Transform(cols, n); len(out) != n {
+		t.Errorf("projection holds %d values, want one per row", len(out))
 	}
 }
 
@@ -358,8 +411,9 @@ func TestCountVectorizer(t *testing.T) {
 	if _, ok := v.Vocabulary["red"]; !ok {
 		t.Errorf("vocab missing 'red': %v", v.Tokens)
 	}
-	if m[0][v.Vocabulary["red"]] != 2 {
-		t.Errorf("count of 'red' in doc0 = %v, want 2", m[0][v.Vocabulary["red"]])
+	// column-major: token j of document i is at j*len(docs)+i
+	if got := m[v.Vocabulary["red"]*len(docs)]; got != 2 {
+		t.Errorf("count of 'red' in doc0 = %v, want 2", got)
 	}
 }
 

@@ -6,8 +6,9 @@ import "repro/internal/data"
 // A learner trains on and scores a frame's columns: cols are the feature
 // columns, in the order of the model's features, and rows the frame rows to
 // read. A nil column — a feature the frame lacks — reads as zeros, as a
-// missing value and a non-numeric cell do (data.NumericRows); only the tree
-// learners, which bin every feature they train on, refuse one in Fit.
+// missing value and a non-numeric cell do (data.Column.FillNumeric); only
+// the tree learners, which bin every feature they train on, refuse one in
+// Fit.
 type Model interface {
 	// Kind returns a short type label ("logreg", "gbt", ...). Warmstart
 	// candidate search matches on Kind (§6.2).
@@ -18,9 +19,10 @@ type Model interface {
 	// (which matters for warmstarted models). The tree learners train on
 	// the columns' quantile views (data.Column.Quantiles), built once and
 	// kept with the column, so every fit after the first on the same
-	// columns starts from bins that already exist; logistic regression
-	// gathers the training rows into one column-major block per fit, and
-	// the other learners into one row-major matrix (data.NumericRows).
+	// columns starts from bins that already exist; the linear models and
+	// naive Bayes gather the training rows into one column-major block per
+	// fit, and k-NN copies them into its row-major TrainX, the parameter it
+	// keeps.
 	Fit(cols []*data.Column, rows []int, y []float64) error
 	// Predict scores the given rows of cols, in their order (every row
 	// when rows is nil): a probability of the positive class for
@@ -40,11 +42,13 @@ type Warmstarter interface {
 	WarmstartFrom(donor Model) bool
 }
 
-// Transformer is a fitted feature transform (scaler, selector, PCA, ...):
-// Fit learns the transform parameters, Transform applies them.
+// Transformer is a feature transform fitted on a frame's columns (a scaler,
+// PCA, k-means): Fit learns its parameters from cols, the feature columns,
+// and Transform returns its output on cols column-major, n rows per output
+// feature. n is the frame's row count, which a frame holding none of the
+// features still has. Cells convert as data.Column.FillNumeric converts
+// them, and a nil column reads as zeros.
 type Transformer interface {
-	Kind() string
-	Fit(x [][]float64, y []float64) error
-	Transform(x [][]float64) [][]float64
-	SizeBytes() int64
+	Fit(cols []*data.Column, n int) error
+	Transform(cols []*data.Column, n int) []float64
 }

@@ -27,47 +27,43 @@ func NewGaussianNB() *GaussianNB { return &GaussianNB{} }
 // Kind implements Model.
 func (m *GaussianNB) Kind() string { return "nb" }
 
-// Fit implements Model.
+// Fit implements Model. Means and variances are taken feature by feature
+// over the block of training rows, each sum in row order.
 func (m *GaussianNB) Fit(cols []*data.Column, rows []int, y []float64) error {
-	x, y, err := trainingRows(m.Kind(), cols, rows, y)
-	if err != nil {
+	if err := checkRows(m.Kind(), cols, rows, y); err != nil {
 		return err
 	}
-	d := len(cols)
+	n, d := len(rows), len(cols)
+	x, y := gather(cols, rows, n), targets(y, rows)
+	class := make([]int, n)
 	var count [2]float64
+	for i, yi := range y {
+		if yi >= 0.5 {
+			class[i] = 1
+		}
+		count[class[i]]++
+	}
 	for c := 0; c < 2; c++ {
 		m.Mean[c] = make([]float64, d)
 		m.Var[c] = make([]float64, d)
-	}
-	for i, row := range x {
-		c := 0
-		if y[i] >= 0.5 {
-			c = 1
-		}
-		count[c]++
-		for j, v := range row {
-			m.Mean[c][j] += v
-		}
-	}
-	for c := 0; c < 2; c++ {
 		if count[c] == 0 {
 			count[c] = 1
 		}
-		for j := range m.Mean[c] {
+	}
+	for j := 0; j < d; j++ {
+		col := x[j*n:][:n]
+		for i, v := range col {
+			m.Mean[class[i]][j] += v
+		}
+		for c := 0; c < 2; c++ {
 			m.Mean[c][j] /= count[c]
+		}
+		for i, v := range col {
+			dlt := v - m.Mean[class[i]][j]
+			m.Var[class[i]][j] += dlt * dlt
 		}
 	}
 	var maxVar float64
-	for i, row := range x {
-		c := 0
-		if y[i] >= 0.5 {
-			c = 1
-		}
-		for j, v := range row {
-			dlt := v - m.Mean[c][j]
-			m.Var[c][j] += dlt * dlt
-		}
-	}
 	for c := 0; c < 2; c++ {
 		for j := range m.Var[c] {
 			m.Var[c][j] /= count[c]
@@ -91,16 +87,15 @@ func (m *GaussianNB) Fit(cols []*data.Column, rows []int, y []float64) error {
 	return nil
 }
 
-// Predict implements Model, returning P(y=1|x).
+// Predict implements Model, returning P(y=1|x). A row's log-likelihood
+// adds its features in order, reading the cells where they lie.
 func (m *GaussianNB) Predict(cols []*data.Column, rows []int) []float64 {
-	x := data.NumericRows(cols, rows)
-	out := make([]float64, len(x))
-	for i, row := range x {
+	return scoreColumns(cols, rows, func(i int) float64 {
 		var logp [2]float64
 		for c := 0; c < 2; c++ {
 			lp := math.Log(math.Max(m.Prior[c], 1e-12))
-			for j, v := range row {
-				dlt := v - m.Mean[c][j]
+			for j := range cols {
+				dlt := valueAt(cols, j, i) - m.Mean[c][j]
 				lp += -0.5*math.Log(2*math.Pi*m.Var[c][j]) - dlt*dlt/(2*m.Var[c][j])
 			}
 			logp[c] = lp
@@ -109,9 +104,8 @@ func (m *GaussianNB) Predict(cols []*data.Column, rows []int) []float64 {
 		mx := math.Max(logp[0], logp[1])
 		e0 := math.Exp(logp[0] - mx)
 		e1 := math.Exp(logp[1] - mx)
-		out[i] = e1 / (e0 + e1)
-	}
-	return out
+		return e1 / (e0 + e1)
+	})
 }
 
 // SizeBytes implements Model.
@@ -158,13 +152,15 @@ func (m *LinearSVM) WarmstartFrom(donor Model) bool {
 	return true
 }
 
-// Fit implements Model.
+// Fit implements Model. The margins of an epoch are logistic regression's
+// (margins); each weight's sub-gradient starts at λ·w[j] and subtracts
+// t·v/n for each row inside the margin, in row order.
 func (m *LinearSVM) Fit(cols []*data.Column, rows []int, y []float64) error {
-	x, y, err := trainingRows(m.Kind(), cols, rows, y)
-	if err != nil {
+	if err := checkRows(m.Kind(), cols, rows, y); err != nil {
 		return err
 	}
-	d := len(cols)
+	n, d := len(rows), len(cols)
+	x, y := gather(cols, rows, n), targets(y, rows)
 	if m.Lambda == 0 {
 		m.Lambda = 1e-3
 	}
@@ -182,29 +178,35 @@ func (m *LinearSVM) Fit(cols []*data.Column, rows []int, y []float64) error {
 		}
 		m.Bias = 0
 	}
-	n := float64(len(x))
+	nf := float64(n)
 	grad := make([]float64, d)
+	z := make([]float64, n)
+	active := make([]int, 0, n) // the rows inside the margin
 	prevObj := math.Inf(1)
 	m.EpochsRun = 0
 	for epoch := 0; epoch < m.MaxIter; epoch++ {
 		lr := 1 / (m.Lambda * float64(epoch+2))
-		for j := range grad {
-			grad[j] = m.Lambda * m.Weights[j]
-		}
+		margins(z, x, m.Weights)
 		var gradB, obj float64
-		for i, row := range x {
+		active = active[:0]
+		for i, zi := range z {
 			// labels in {-1, +1}
 			t := 2*y[i] - 1
-			margin := t * (dot(m.Weights, row) + m.Bias)
+			margin := t * (zi + m.Bias)
 			if margin < 1 {
 				obj += 1 - margin
-				for j, v := range row {
-					grad[j] -= t * v / n
-				}
-				gradB -= t / n
+				gradB -= t / nf
+				active = append(active, i)
 			}
 		}
-		obj = obj/n + 0.5*m.Lambda*dot(m.Weights, m.Weights)
+		for j := range grad {
+			g, c := m.Lambda*m.Weights[j], x[j*n:][:n]
+			for _, i := range active {
+				g -= (2*y[i] - 1) * c[i] / nf
+			}
+			grad[j] = g
+		}
+		obj = obj/nf + 0.5*m.Lambda*dot(m.Weights, m.Weights)
 		for j := range m.Weights {
 			m.Weights[j] -= lr * grad[j]
 		}
@@ -245,41 +247,41 @@ type KMeans struct {
 // NewKMeans returns a K-means transform with package defaults.
 func NewKMeans(k int, seed int64) *KMeans { return &KMeans{K: k, MaxIter: 50, Seed: seed} }
 
-// Kind implements Transformer.
-func (m *KMeans) Kind() string { return "kmeans" }
-
-// Fit implements Transformer (the label is ignored).
-func (m *KMeans) Fit(x [][]float64, _ []float64) error {
-	if len(x) == 0 {
+// Fit implements Transformer.
+func (m *KMeans) Fit(cols []*data.Column, n int) error {
+	if n == 0 {
 		return errors.New("ml: kmeans: empty data")
 	}
 	if m.K <= 0 {
 		m.K = 4
 	}
-	if m.K > len(x) {
-		m.K = len(x)
+	if m.K > n {
+		m.K = n
 	}
 	if m.MaxIter == 0 {
 		m.MaxIter = 50
 	}
 	rng := rand.New(rand.NewSource(m.Seed))
-	d := len(x[0])
+	d := len(cols)
+	x := gather(cols, nil, n)
 	// init: distinct random rows
-	perm := rng.Perm(len(x))
+	perm := rng.Perm(n)
 	m.Centroids = make([][]float64, m.K)
-	for c := 0; c < m.K; c++ {
-		m.Centroids[c] = append([]float64(nil), x[perm[c]]...)
+	for c := range m.Centroids {
+		m.Centroids[c] = make([]float64, d)
+		rowAt(m.Centroids[c], x, n, perm[c])
 	}
-	assign := make([]int, len(x))
+	assign := make([]int, n)
 	counts := make([]float64, m.K)
+	dist := make([]float64, m.K*n)
 	for it := 0; it < m.MaxIter; it++ {
+		m.sqDists(dist, x, n)
 		changed := false
-		for i, row := range x {
+		for i := range assign {
 			best, bestD := 0, math.Inf(1)
-			for c, cent := range m.Centroids {
-				dist := sqDist(row, cent)
-				if dist < bestD {
-					best, bestD = c, dist
+			for c := range m.Centroids {
+				if dd := dist[c*n+i]; dd < bestD {
+					best, bestD = c, dd
 				}
 			}
 			if assign[i] != best {
@@ -290,23 +292,22 @@ func (m *KMeans) Fit(x [][]float64, _ []float64) error {
 		if !changed && it > 0 {
 			break
 		}
+		clear(counts)
 		for c := range m.Centroids {
-			counts[c] = 0
-			for j := 0; j < d; j++ {
-				m.Centroids[c][j] = 0
-			}
+			clear(m.Centroids[c])
 		}
-		for i, row := range x {
-			c := assign[i]
+		for _, c := range assign {
 			counts[c]++
-			for j, v := range row {
-				m.Centroids[c][j] += v
+		}
+		for j := 0; j < d; j++ {
+			for i, v := range x[j*n:][:n] {
+				m.Centroids[assign[i]][j] += v
 			}
 		}
 		for c := range m.Centroids {
 			if counts[c] == 0 {
 				// re-seed an empty cluster
-				copy(m.Centroids[c], x[rng.Intn(len(x))])
+				rowAt(m.Centroids[c], x, n, rng.Intn(n))
 				continue
 			}
 			for j := range m.Centroids[c] {
@@ -317,49 +318,28 @@ func (m *KMeans) Fit(x [][]float64, _ []float64) error {
 	return nil
 }
 
-// Transform implements Transformer: each row becomes its distances to the
-// K centroids.
-func (m *KMeans) Transform(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		dists := make([]float64, len(m.Centroids))
-		for c, cent := range m.Centroids {
-			dists[c] = math.Sqrt(sqDist(row, cent))
-		}
-		out[i] = dists
+// Transform implements Transformer: output feature c is each row's distance
+// to centroid c.
+func (m *KMeans) Transform(cols []*data.Column, n int) []float64 {
+	out := make([]float64, len(m.Centroids)*n)
+	m.sqDists(out, gather(cols, nil, n), n)
+	for i, v := range out {
+		out[i] = math.Sqrt(v)
 	}
 	return out
 }
 
-// Assign returns the nearest-centroid index per row.
-func (m *KMeans) Assign(x [][]float64) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		best, bestD := 0, math.Inf(1)
-		for c, cent := range m.Centroids {
-			if dist := sqDist(row, cent); dist < bestD {
-				best, bestD = c, dist
+// sqDists sets out[c*n+i] to the squared distance of row i of the
+// column-major block x of n rows to centroid c, its features added in order.
+func (m *KMeans) sqDists(out, x []float64, n int) {
+	for c, cent := range m.Centroids {
+		o := out[c*n:][:n]
+		clear(o)
+		for j, cj := range cent {
+			for i, v := range x[j*n:][:n] {
+				dd := v - cj
+				o[i] += dd * dd
 			}
 		}
-		out[i] = best
 	}
-	return out
-}
-
-// SizeBytes implements Transformer.
-func (m *KMeans) SizeBytes() int64 {
-	var n int64
-	for _, c := range m.Centroids {
-		n += int64(len(c)) * 8
-	}
-	return n
-}
-
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }

@@ -87,11 +87,25 @@ func TestKMeansRecoverClusters(t *testing.T) {
 			truth = append(truth, c)
 		}
 	}
+	cols, _ := matrixColumns(x)
 	km := NewKMeans(3, 1)
-	if err := km.Fit(x, nil); err != nil {
+	if err := km.Fit(cols, len(x)); err != nil {
 		t.Fatal(err)
 	}
-	assign := km.Assign(x)
+	// Transform yields K distances per row, column-major; the nearest
+	// centroid is a row's cluster.
+	dist := km.Transform(cols, len(x))
+	if len(dist) != 3*len(x) {
+		t.Fatalf("transform holds %d values, want 3 per row", len(dist))
+	}
+	assign := make([]int, len(x))
+	for i := range assign {
+		for c := 1; c < 3; c++ {
+			if dist[c*len(x)+i] < dist[assign[i]*len(x)+i] {
+				assign[i] = c
+			}
+		}
+	}
 	// All points of a true cluster must share an assignment, and the
 	// three assignments must be distinct.
 	labelOf := map[int]int{}
@@ -108,26 +122,21 @@ func TestKMeansRecoverClusters(t *testing.T) {
 	if len(map[int]bool{labelOf[0]: true, labelOf[1]: true, labelOf[2]: true}) != 3 {
 		t.Error("clusters merged")
 	}
-	// Transform yields K distances.
-	tr := km.Transform(x[:2])
-	if len(tr[0]) != 3 {
-		t.Errorf("transform dims=%d", len(tr[0]))
-	}
-	if math.IsNaN(tr[0][0]) {
+	if math.IsNaN(dist[0]) {
 		t.Error("NaN distance")
 	}
 }
 
 func TestKMeansEdgeCases(t *testing.T) {
 	km := NewKMeans(10, 1)
-	x := [][]float64{{1}, {2}, {3}}
-	if err := km.Fit(x, nil); err != nil {
+	cols, _ := matrixColumns([][]float64{{1}, {2}, {3}})
+	if err := km.Fit(cols, 3); err != nil {
 		t.Fatal(err)
 	}
 	if len(km.Centroids) != 3 {
 		t.Errorf("K should clamp to row count, got %d", len(km.Centroids))
 	}
-	if err := NewKMeans(2, 1).Fit(nil, nil); err == nil {
+	if err := NewKMeans(2, 1).Fit(nil, 0); err == nil {
 		t.Error("empty fit should error")
 	}
 }

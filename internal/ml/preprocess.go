@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"sort"
+
+	"repro/internal/data"
 )
 
 // StandardScaler standardizes features to zero mean and unit variance.
@@ -12,31 +14,29 @@ type StandardScaler struct {
 	Std  []float64
 }
 
-// Kind implements Transformer.
-func (s *StandardScaler) Kind() string { return "std_scaler" }
-
 // Fit implements Transformer.
-func (s *StandardScaler) Fit(x [][]float64, _ []float64) error {
-	if len(x) == 0 {
+func (s *StandardScaler) Fit(cols []*data.Column, n int) error {
+	if n == 0 {
 		return errors.New("ml: scaler: empty data")
 	}
-	s.Mean, s.Std = columnStats(x)
+	s.Mean, s.Std = make([]float64, len(cols)), make([]float64, len(cols))
+	eachColumn(cols, n, func(j int, x []float64) {
+		s.Mean[j], s.Std[j] = columnStats(x)
+	})
 	return nil
 }
 
 // Transform implements Transformer.
-func (s *StandardScaler) Transform(x [][]float64) [][]float64 {
-	out := clone2D(x)
-	for _, row := range out {
-		for j := range row {
-			row[j] = (row[j] - s.Mean[j]) / s.Std[j]
+func (s *StandardScaler) Transform(cols []*data.Column, n int) []float64 {
+	x := gather(cols, nil, n)
+	for j := range cols {
+		c := x[j*n:][:n]
+		for i, v := range c {
+			c[i] = (v - s.Mean[j]) / s.Std[j]
 		}
 	}
-	return out
+	return x
 }
-
-// SizeBytes implements Transformer.
-func (s *StandardScaler) SizeBytes() int64 { return int64(len(s.Mean)+len(s.Std)) * 8 }
 
 // MinMaxScaler rescales features into [0,1].
 type MinMaxScaler struct {
@@ -44,52 +44,42 @@ type MinMaxScaler struct {
 	Max []float64
 }
 
-// Kind implements Transformer.
-func (s *MinMaxScaler) Kind() string { return "minmax_scaler" }
-
 // Fit implements Transformer.
-func (s *MinMaxScaler) Fit(x [][]float64, _ []float64) error {
-	if len(x) == 0 {
+func (s *MinMaxScaler) Fit(cols []*data.Column, n int) error {
+	if n == 0 {
 		return errors.New("ml: minmax: empty data")
 	}
-	d := len(x[0])
-	s.Min = make([]float64, d)
-	s.Max = make([]float64, d)
-	for j := 0; j < d; j++ {
-		s.Min[j] = math.Inf(1)
-		s.Max[j] = math.Inf(-1)
-	}
-	for _, row := range x {
-		for j, v := range row {
-			if v < s.Min[j] {
-				s.Min[j] = v
+	s.Min, s.Max = make([]float64, len(cols)), make([]float64, len(cols))
+	eachColumn(cols, n, func(j int, x []float64) {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, v := range x {
+			if v < lo {
+				lo = v
 			}
-			if v > s.Max[j] {
-				s.Max[j] = v
+			if v > hi {
+				hi = v
 			}
 		}
-	}
+		s.Min[j], s.Max[j] = lo, hi
+	})
 	return nil
 }
 
-// Transform implements Transformer.
-func (s *MinMaxScaler) Transform(x [][]float64) [][]float64 {
-	out := clone2D(x)
-	for _, row := range out {
-		for j := range row {
-			span := s.Max[j] - s.Min[j]
+// Transform implements Transformer. A constant feature maps to 0.
+func (s *MinMaxScaler) Transform(cols []*data.Column, n int) []float64 {
+	x := gather(cols, nil, n)
+	for j := range cols {
+		c, span := x[j*n:][:n], s.Max[j]-s.Min[j]
+		for i, v := range c {
 			if span <= 0 {
-				row[j] = 0
+				c[i] = 0
 			} else {
-				row[j] = (row[j] - s.Min[j]) / span
+				c[i] = (v - s.Min[j]) / span
 			}
 		}
 	}
-	return out
+	return x
 }
-
-// SizeBytes implements Transformer.
-func (s *MinMaxScaler) SizeBytes() int64 { return int64(len(s.Min)+len(s.Max)) * 8 }
 
 // SelectKBest keeps the K features with the highest absolute Pearson
 // correlation with the target (a univariate filter like sklearn's).
@@ -102,40 +92,31 @@ type SelectKBest struct {
 	Scores []float64
 }
 
-// Kind implements Transformer.
-func (s *SelectKBest) Kind() string { return "select_k_best" }
-
-// Fit implements Transformer.
-func (s *SelectKBest) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
+// Fit scores each of cols, one at a time, against y, the target of every
+// row, and selects the K best.
+func (s *SelectKBest) Fit(cols []*data.Column, y []float64) error {
+	n, d := len(y), len(cols)
+	mismatched := false
+	for _, c := range cols {
+		mismatched = mismatched || c != nil && c.Len() != n
+	}
+	if n == 0 || mismatched {
 		return errors.New("ml: selectkbest: empty or mismatched data")
 	}
-	d := len(x[0])
 	if s.K <= 0 || s.K > d {
 		s.K = d
 	}
-	mean, std := columnStats(x)
-	var my, sy float64
-	for _, v := range y {
-		my += v
-	}
-	my /= float64(len(y))
-	for _, v := range y {
-		sy += (v - my) * (v - my)
-	}
-	sy = math.Sqrt(sy / float64(len(y)))
-	if sy < 1e-12 {
-		sy = 1
-	}
+	my, sy := columnStats(y)
 	s.Scores = make([]float64, d)
-	for j := 0; j < d; j++ {
+	eachColumn(cols, n, func(j int, x []float64) {
+		mean, std := columnStats(x)
 		var cov float64
-		for i, row := range x {
-			cov += (row[j] - mean[j]) * (y[i] - my)
+		for i, v := range x {
+			cov += (v - mean) * (y[i] - my)
 		}
-		cov /= float64(len(x))
-		s.Scores[j] = math.Abs(cov / (std[j] * sy))
-	}
+		cov /= float64(n)
+		s.Scores[j] = math.Abs(cov / (std * sy))
+	})
 	order := make([]int, d)
 	for j := range order {
 		order[j] = j
@@ -151,22 +132,6 @@ func (s *SelectKBest) Fit(x [][]float64, y []float64) error {
 	return nil
 }
 
-// Transform implements Transformer.
-func (s *SelectKBest) Transform(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	flat := make([]float64, len(x)*len(s.Indices))
-	for i, row := range x {
-		out[i], flat = flat[:len(s.Indices)], flat[len(s.Indices):]
-		for j, f := range s.Indices {
-			out[i][j] = row[f]
-		}
-	}
-	return out
-}
-
-// SizeBytes implements Transformer.
-func (s *SelectKBest) SizeBytes() int64 { return int64(len(s.Indices))*8 + int64(len(s.Scores))*8 }
-
 // PCA projects onto the top-K principal components, computed by power
 // iteration with deflation on the covariance matrix.
 type PCA struct {
@@ -180,39 +145,40 @@ type PCA struct {
 	Iterations int
 }
 
-// Kind implements Transformer.
-func (p *PCA) Kind() string { return "pca" }
-
 // Fit implements Transformer.
-func (p *PCA) Fit(x [][]float64, _ []float64) error {
-	if len(x) == 0 {
+func (p *PCA) Fit(cols []*data.Column, n int) error {
+	if n == 0 {
 		return errors.New("ml: pca: empty data")
 	}
-	d := len(x[0])
+	d := len(cols)
 	if p.K <= 0 || p.K > d {
 		p.K = d
 	}
 	if p.Iterations == 0 {
 		p.Iterations = 50
 	}
-	p.Mean, _ = columnStats(x)
-	// covariance matrix (d x d)
-	cov := make([][]float64, d)
-	for j := range cov {
-		cov[j] = make([]float64, d)
+	x := gather(cols, nil, n)
+	p.Mean = make([]float64, d)
+	for j := range p.Mean {
+		p.Mean[j], _ = columnStats(x[j*n:][:n])
 	}
-	for _, row := range x {
-		for a := 0; a < d; a++ {
-			da := row[a] - p.Mean[a]
-			for b := a; b < d; b++ {
-				cov[a][b] += da * (row[b] - p.Mean[b])
+	// covariance matrix (d x d), each entry summed in row order
+	cov := make([][]float64, d)
+	for a := range cov {
+		cov[a] = make([]float64, d)
+		xa := x[a*n:][:n]
+		for b := a; b < d; b++ {
+			xb := x[b*n:][:n]
+			var s float64
+			for i, v := range xa {
+				s += (v - p.Mean[a]) * (xb[i] - p.Mean[b])
 			}
+			cov[a][b] = s
 		}
 	}
-	n := float64(len(x))
 	for a := 0; a < d; a++ {
 		for b := a; b < d; b++ {
-			cov[a][b] /= n
+			cov[a][b] /= float64(n)
 			cov[b][a] = cov[a][b]
 		}
 	}
@@ -249,24 +215,18 @@ func (p *PCA) Fit(x [][]float64, _ []float64) error {
 	return nil
 }
 
-// Transform implements Transformer.
-func (p *PCA) Transform(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	centered := make([]float64, len(p.Mean))
-	for i, row := range x {
-		for j := range centered {
-			centered[j] = row[j] - p.Mean[j]
+// Transform implements Transformer: output feature k is each row's
+// projection on component k, its centred features added in order.
+func (p *PCA) Transform(cols []*data.Column, n int) []float64 {
+	x := gather(cols, nil, n)
+	out := make([]float64, len(p.Components)*n)
+	for k, comp := range p.Components {
+		o := out[k*n:][:n]
+		for j, w := range comp {
+			for i, v := range x[j*n:][:n] {
+				o[i] += w * (v - p.Mean[j])
+			}
 		}
-		proj := make([]float64, len(p.Components))
-		for k, comp := range p.Components {
-			proj[k] = dot(comp, centered)
-		}
-		out[i] = proj
 	}
 	return out
-}
-
-// SizeBytes implements Transformer.
-func (p *PCA) SizeBytes() int64 {
-	return int64(len(p.Components))*int64(len(p.Mean))*8 + int64(len(p.Mean))*8
 }

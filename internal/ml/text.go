@@ -19,9 +19,6 @@ type CountVectorizer struct {
 	Tokens []string
 }
 
-// Kind returns the transform label.
-func (v *CountVectorizer) Kind() string { return "count_vectorizer" }
-
 func tokenize(doc string) []string {
 	return strings.FieldsFunc(strings.ToLower(doc), func(r rune) bool {
 		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
@@ -60,32 +57,23 @@ func (v *CountVectorizer) Fit(docs []string) {
 	}
 }
 
-// Transform maps docs to a dense count matrix with len(Tokens) columns.
-func (v *CountVectorizer) Transform(docs []string) [][]float64 {
-	out := make([][]float64, len(docs))
-	flat := make([]float64, len(docs)*len(v.Tokens))
+// Transform maps docs to their token counts, column-major: the count of
+// token j in document i is at j*len(docs)+i.
+func (v *CountVectorizer) Transform(docs []string) []float64 {
+	n := len(docs)
+	out := make([]float64, len(v.Tokens)*n)
 	for i, d := range docs {
-		out[i], flat = flat[:len(v.Tokens)], flat[len(v.Tokens):]
 		for _, tok := range tokenize(d) {
 			if j, ok := v.Vocabulary[tok]; ok {
-				out[i][j]++
+				out[j*n+i]++
 			}
 		}
 	}
 	return out
 }
 
-// FitTransform fits the vocabulary and returns the count matrix in one pass.
-func (v *CountVectorizer) FitTransform(docs []string) [][]float64 {
+// FitTransform fits the vocabulary and returns the counts of docs.
+func (v *CountVectorizer) FitTransform(docs []string) []float64 {
 	v.Fit(docs)
 	return v.Transform(docs)
-}
-
-// SizeBytes reports the vocabulary footprint.
-func (v *CountVectorizer) SizeBytes() int64 {
-	var n int64
-	for _, t := range v.Tokens {
-		n += int64(len(t)) + 24
-	}
-	return n
 }

@@ -40,8 +40,8 @@ func (n *TreeNode) predictAt(cols []*data.Column, i int) float64 {
 	return n.Value
 }
 
-// valueAt is row i of feature f of cols as data.NumericRows converts it: a
-// missing value, a non-numeric cell and a nil column read as 0.
+// valueAt is row i of feature f of cols as data.Column.FillNumeric converts
+// it: a missing value, a non-numeric cell and a nil column read as 0.
 func valueAt(cols []*data.Column, f, i int) float64 {
 	c := cols[f]
 	if c == nil {
@@ -53,21 +53,26 @@ func valueAt(cols []*data.Column, f, i int) float64 {
 	return 0
 }
 
+// scoredRows is the number of rows Predict scores: len(rows), or every row
+// of the first column present when rows is nil.
+func scoredRows(cols []*data.Column, rows []int) int {
+	if rows != nil {
+		return len(rows)
+	}
+	for _, c := range cols {
+		if c != nil {
+			return c.Len()
+		}
+	}
+	return 0
+}
+
 // scoreColumns is the loop of Predict of the learners that score rows where
 // they lie: score(i) for each of rows, or for every row of the first column
 // present when rows is nil, on the shared pool.
 func scoreColumns(cols []*data.Column, rows []int, score func(i int) float64) []float64 {
-	n := len(rows)
-	if rows == nil {
-		for _, c := range cols {
-			if c != nil {
-				n = c.Len()
-				break
-			}
-		}
-	}
-	out := make([]float64, n)
-	parallel.For(n, 256, func(lo, hi int) {
+	out := make([]float64, scoredRows(cols, rows))
+	parallel.For(len(out), 256, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			i := j
 			if rows != nil {

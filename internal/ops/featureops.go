@@ -22,13 +22,11 @@ func numericFeatureNames(f *data.Frame, label string) []string {
 	return out
 }
 
-// matrixColumn returns column j of the row-major matrix m.
-func matrixColumn(m [][]float64, j int) []float64 {
-	vals := make([]float64, len(m))
-	for i := range m {
-		vals[i] = m[i][j]
-	}
-	return vals
+// blockColumn is output feature j of a transform's column-major output of
+// n rows per feature, capacity-clipped so that no append reaches feature
+// j+1.
+func blockColumn(out []float64, n, j int) []float64 {
+	return out[j*n : (j+1)*n : (j+1)*n]
 }
 
 // project fits tr on the numeric columns of f but label and returns its
@@ -36,16 +34,15 @@ func matrixColumn(m [][]float64, j int) []float64 {
 // minted from opHash, the column index and the IDs of the input columns,
 // followed by the label column when f has one.
 func project(f *data.Frame, label string, tr ml.Transformer, prefix, opHash string) (*data.Frame, error) {
-	used := numericFeatureNames(f, label)
-	m := f.NumericRows(used, nil)
-	parts := append([]string{""}, data.IDs(featureColumns(f, used))...) // the component index, then the inputs
-	if err := tr.Fit(m, nil); err != nil {
+	in, n := featureColumns(f, numericFeatureNames(f, label)), f.NumRows()
+	parts := append([]string{""}, data.IDs(in)...) // the component index, then the inputs
+	if err := tr.Fit(in, n); err != nil {
 		return nil, err
 	}
-	m = tr.Transform(m)
+	m := tr.Transform(in, n)
 	var cols []*data.Column
-	if len(m) > 0 {
-		cols = make([]*data.Column, len(m[0]))
+	if n > 0 {
+		cols = make([]*data.Column, len(m)/n)
 	}
 	for j := range cols {
 		parts[0] = strconv.Itoa(j)
@@ -53,7 +50,7 @@ func project(f *data.Frame, label string, tr ml.Transformer, prefix, opHash stri
 			ID:     data.DeriveID(opHash, parts...),
 			Name:   fmt.Sprintf("%s%d", prefix, j),
 			Type:   data.Float64,
-			Floats: matrixColumn(m, j),
+			Floats: blockColumn(m, n, j),
 		}
 	}
 	out, err := data.NewFrame(cols...)
@@ -92,14 +89,14 @@ func (o CountVectorize) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 		return nil, fmt.Errorf("ops: count_vectorize: need string column %q", o.Col)
 	}
 	v := &ml.CountVectorizer{MaxFeatures: o.MaxFeatures}
-	m := v.FitTransform(c.StringValues())
+	m, n := v.FitTransform(c.StringValues()), c.Len()
 	cols := make([]*data.Column, len(v.Tokens))
 	for j, tok := range v.Tokens {
 		cols[j] = &data.Column{
 			ID:     data.DeriveID(o.Hash(), tok, c.ID),
 			Name:   "cv_" + tok,
 			Type:   data.Float64,
-			Floats: matrixColumn(m, j),
+			Floats: blockColumn(m, n, j),
 		}
 	}
 	return asDataset(data.NewFrame(cols...))
@@ -138,25 +135,24 @@ func (o ScaleTransform) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := numericFeatureNames(f, o.Label)
-	m := f.NumericRows(names, nil)
+	in, n := featureColumns(f, numericFeatureNames(f, o.Label)), f.NumRows()
 	var tr ml.Transformer
 	if o.Kind == MinMaxScaler {
 		tr = &ml.MinMaxScaler{}
 	} else {
 		tr = &ml.StandardScaler{}
 	}
-	if err := tr.Fit(m, nil); err != nil {
+	if err := tr.Fit(in, n); err != nil {
 		return nil, err
 	}
-	scaled := tr.Transform(m)
+	scaled := tr.Transform(in, n)
 	out := f
-	for j, name := range names {
+	for j, c := range in {
 		nc := &data.Column{
-			ID:     data.DeriveID(o.Hash(), f.Column(name).ID),
-			Name:   name,
+			ID:     data.DeriveID(o.Hash(), c.ID),
+			Name:   c.Name,
 			Type:   data.Float64,
-			Floats: matrixColumn(scaled, j),
+			Floats: blockColumn(scaled, n, j),
 		}
 		if out, err = out.WithColumn(nc); err != nil {
 			return nil, err
@@ -195,9 +191,8 @@ func (o SelectKBest) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 		return nil, err
 	}
 	names := numericFeatureNames(f, o.Label)
-	m := f.NumericRows(names, nil)
 	sel := &ml.SelectKBest{K: o.K}
-	if err := sel.Fit(m, y); err != nil {
+	if err := sel.Fit(featureColumns(f, names), y); err != nil {
 		return nil, err
 	}
 	keep := make([]string, 0, len(sel.Indices)+1)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/tier"
 )
 
@@ -123,6 +124,39 @@ func TestTransformsOfALabelOnlyFrameReadNoFeature(t *testing.T) {
 			if v != 0 {
 				t.Errorf("kmeans: %s[%d] = %v, want 0", c.Name, i, v)
 			}
+		}
+	}
+}
+
+// TestScaleAndSelectAllocateUnderTheirBounds is the count gate on the
+// transforms the workloads run, on a 4000 × 40 frame. ScaleTransform
+// gathers the features into one column-major block, scales it in place and
+// cuts its output columns from it: it allocates less than one and a half
+// rows × features float blocks. SelectKBest scores one column at a time in
+// one scratch vector and shares the columns it keeps: it allocates less
+// than half of one such block.
+func TestScaleAndSelectAllocateUnderTheirBounds(t *testing.T) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	const rows, features = 4000, 40
+	block := float64(rows * features * 8)
+	in := []graph.Artifact{&graph.DatasetArtifact{Frame: trainingFrame(3, rows, features)}}
+	for _, tc := range []struct {
+		op    graph.Operation
+		bound float64
+	}{
+		{ScaleTransform{Kind: StdScaler, Label: "TARGET"}, 1.5},
+		{ScaleTransform{Kind: MinMaxScaler, Label: "TARGET"}, 1.5},
+		{SelectKBest{K: 8, Label: "TARGET"}, 0.5},
+	} {
+		got := allocatedBytes(func() {
+			if _, err := tc.op.Run(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s allocates %d bytes, %.2f of a %d × %d block", tc.op.Name(), got, float64(got)/block, rows, features)
+		if float64(got) >= tc.bound*block {
+			t.Errorf("%s allocates %d bytes, %g of a %d × %d block is %.0f", tc.op.Name(), got, tc.bound, rows, features, tc.bound*block)
 		}
 	}
 }
