@@ -32,11 +32,12 @@ func BenchmarkExecuteSequentialVsParallel(b *testing.B) {
 	for _, prof := range profiles {
 		for _, workers := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", prof.name, workers), func(b *testing.B) {
+				setWorkers(b, workers)
 				srv := NewServer(store.New(cost.Memory()))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					w := synth.Wide(prof.p, 1)
-					if _, err := Execute(w, nil, srv, WithParallelism(workers)); err != nil {
+					if _, err := Execute(w, nil, srv); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -139,13 +140,15 @@ func stageExecute(tb testing.TB, srv *Server, planned bool, opts ...ExecOption) 
 
 // traceArms compares Execute with tracing absent, disabled (nil recorder —
 // the WithTrace fast path, which builds no span arguments) and enabled (a
-// recorder, as collab -trace runs it).
+// recorder, as collab -trace runs it), at the given pool width for the rest of
+// the test.
 func traceArms(tb testing.TB, workers int) []overheadArm {
-	srv, width := primedServer(tb), WithParallelism(workers)
+	setWorkers(tb, workers)
+	srv := primedServer(tb)
 	return []overheadArm{
-		{"absent", stageExecute(tb, srv, false, width)},
-		{"disabled", stageExecute(tb, srv, false, width, WithTrace(nil))},
-		{"enabled", stageExecute(tb, srv, false, width, WithTrace(obs.NewTrace()))},
+		{"absent", stageExecute(tb, srv, false)},
+		{"disabled", stageExecute(tb, srv, false, WithTrace(nil))},
+		{"enabled", stageExecute(tb, srv, false, WithTrace(obs.NewTrace()))},
 	}
 }
 

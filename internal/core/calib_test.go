@@ -39,8 +39,9 @@ func computeObs(r *calib.Report) (n int64, meanRelErr float64) {
 // the measured truth.
 func TestCalibrationEndToEnd(t *testing.T) {
 	skewed := cost.Profile{Name: "memory", Latency: 2 * time.Millisecond, BytesPerSecond: 8 << 30}
+	setWorkers(t, 1)
 	srv := NewServer(store.New(skewed))
-	client := NewClient(srv, WithParallelism(1))
+	client := NewClient(srv)
 	// Cl(terminal) = ~2ms must undercut recomputing the 4ms-per-op chain
 	// so later runs reuse from EG.
 	wp := synth.WideProfile{Branches: 4, Depth: 2, Sleep: 4 * time.Millisecond}
@@ -144,8 +145,9 @@ func TestCalibrationEndToEnd(t *testing.T) {
 // knows (ALL_C planner forces recompute) and checks compute predictions
 // are compared against fresh measurements.
 func TestCalibrationObservesCompute(t *testing.T) {
+	setWorkers(t, 1)
 	srv := NewServer(store.New(cost.Memory()), WithPlanner(reuse.AllCompute{}))
-	client := NewClient(srv, WithParallelism(1))
+	client := NewClient(srv)
 	wp := synth.WideProfile{Branches: 2, Depth: 2, Sleep: time.Millisecond}
 	for i := 0; i < 2; i++ {
 		if _, err := client.Run(synth.Wide(wp, 1)); err != nil {

@@ -59,7 +59,7 @@ type Client struct {
 }
 
 // NewClient returns a client bound to a server (local or remote). Optional
-// ExecOptions (e.g. WithParallelism) are applied to every Run.
+// ExecOptions (e.g. WithTrace) are applied to every Run.
 func NewClient(srv Optimizer, execOpts ...ExecOption) *Client {
 	return &Client{srv: srv, execOpts: execOpts}
 }

@@ -52,8 +52,7 @@ type trainOpReporter interface{ LastWarmstarted() bool }
 type ExecOption func(*execConfig)
 
 type execConfig struct {
-	workers int
-	trace   *obs.Trace
+	trace *obs.Trace
 	// req is the record of the run this execution belongs to, set by
 	// Client.Run: its ID tags the top-level trace span and travels with
 	// every fetch. nil for a bare Execute call.
@@ -61,13 +60,6 @@ type execConfig struct {
 	// resume marks an attempt of Client.Run after one whose planned loads
 	// missed: what earlier attempts loaded or computed is held.
 	resume bool
-}
-
-// WithParallelism bounds the number of vertices executed concurrently.
-// n == 1 forces sequential execution; n < 1 selects the shared pool width
-// (parallel.Workers(), i.e. runtime.GOMAXPROCS by default).
-func WithParallelism(n int) ExecOption {
-	return func(c *execConfig) { c.workers = n }
 }
 
 // WithTrace attaches a trace recorder to the execution: every vertex emits
@@ -170,10 +162,7 @@ func Execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, opts ...ExecOpt
 // topological order, and nothing that needs it runs. Everything else is
 // executed.
 func execute(w *graph.DAG, plan *reuse.Plan, src ArtifactSource, cfg execConfig, res *ExecResult) (missed []string, err error) {
-	workers := cfg.workers
-	if workers < 1 {
-		workers = parallel.Workers()
-	}
+	workers := parallel.Workers()
 	tr := cfg.trace
 	sw := obs.StartTimer()
 	if plan == nil {

@@ -188,7 +188,8 @@ func TestDisabledInstrumentsAllocateAsAbsent(t *testing.T) {
 	// 76 is what this plan's Execute allocated with calibration measurement
 	// switched on, when it could still be switched off (and off too).
 	const measuredAllocs = 76
-	if got := stagedAllocsPerCall(stageExecute(t, primedServer(t), true, WithParallelism(1))); got != measuredAllocs {
+	setWorkers(t, 1)
+	if got := stagedAllocsPerCall(stageExecute(t, primedServer(t), true)); got != measuredAllocs {
 		t.Errorf("Execute on a reuse plan allocates %.0f times per call, want %d", got, measuredAllocs)
 	}
 }

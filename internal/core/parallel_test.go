@@ -12,9 +12,17 @@ import (
 	"repro/internal/data"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/store"
 	"repro/internal/workloads/synth"
 )
+
+// setWorkers sets the pool width, which the executor reads for its own
+// width too, for the rest of the test.
+func setWorkers(tb testing.TB, n int) {
+	prev := parallel.SetWorkers(n)
+	tb.Cleanup(func() { parallel.SetWorkers(prev) })
+}
 
 // sleepOp sleeps for a fixed duration, records that it ran, and folds its
 // inputs into the output value.
@@ -92,8 +100,9 @@ func TestExecuteDiamondParallelOverlap(t *testing.T) {
 	b := w.Apply(src, sleepOp{name: "branch-b", d: 50 * time.Millisecond, ran: &ranB})
 	w.Combine(addOp{name: "merge"}, a, b)
 
+	setWorkers(t, 4)
 	srv := NewServer(store.New(cost.Memory()))
-	res, err := Execute(w, nil, srv, WithParallelism(4))
+	res, err := Execute(w, nil, srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,15 +144,18 @@ func buildBranchy() *graph.DAG {
 // requires identical artifacts, counts, and reuse decisions — including the
 // second run, where the plan reuses stored artifacts.
 func TestExecuteParallelMatchesSequential(t *testing.T) {
-	seqClient := NewClient(NewServer(store.New(cost.Memory())), WithParallelism(1))
-	parClient := NewClient(NewServer(store.New(cost.Memory())), WithParallelism(8))
+	setWorkers(t, 1)
+	seqClient := NewClient(NewServer(store.New(cost.Memory())))
+	parClient := NewClient(NewServer(store.New(cost.Memory())))
 
 	for run := 0; run < 3; run++ {
 		ws, wp := buildBranchy(), buildBranchy()
+		parallel.SetWorkers(1)
 		rs, err := seqClient.Run(ws)
 		if err != nil {
 			t.Fatalf("run %d sequential: %v", run, err)
 		}
+		parallel.SetWorkers(8)
 		rp, err := parClient.Run(wp)
 		if err != nil {
 			t.Fatalf("run %d parallel: %v", run, err)
@@ -171,13 +183,14 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 // parallel executor must still report the topologically first error — the
 // one a sequential run would hit — on every run.
 func TestExecuteDeterministicErrorSelection(t *testing.T) {
+	setWorkers(t, 8)
 	for trial := 0; trial < 10; trial++ {
 		w := graph.NewDAG()
 		src := w.AddSource("s", &graph.AggregateArtifact{Value: 1})
 		w.Apply(src, slowFailOp{name: "alpha-first-slow", d: 20 * time.Millisecond})
 		w.Apply(src, slowFailOp{name: "beta-second-fast", d: 0})
 		srv := NewServer(store.New(cost.Memory()))
-		_, err := Execute(w, nil, srv, WithParallelism(8))
+		_, err := Execute(w, nil, srv)
 		if err == nil {
 			t.Fatal("want error")
 		}
@@ -219,6 +232,7 @@ func TestGatherInputsMixedSupernode(t *testing.T) {
 // puts, and store fetches from several parallel clients sharing one server.
 // Run under -race this is the executor/store/EG concurrency audit.
 func TestConcurrentClientsSharedServer(t *testing.T) {
+	setWorkers(t, 4)
 	srv := NewServer(store.New(cost.Memory()))
 	const clients = 4
 	var wg sync.WaitGroup
@@ -227,7 +241,7 @@ func TestConcurrentClientsSharedServer(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			client := NewClient(srv, WithParallelism(4))
+			client := NewClient(srv)
 			for run := 0; run < 3; run++ {
 				// Identical DAGs across clients force overlapping
 				// vertex IDs: concurrent updates and fetches hit
@@ -287,8 +301,9 @@ func TestServerBuiltBesideRunningKernels(t *testing.T) {
 // checks branch overlap on a latency-bound profile.
 func TestExecuteWideSynthDAG(t *testing.T) {
 	w := synth.Wide(synth.WideProfile{Branches: 6, Depth: 2, Sleep: 10 * time.Millisecond}, 42)
+	setWorkers(t, 6)
 	srv := NewServer(store.New(cost.Memory()))
-	res, err := Execute(w, nil, srv, WithParallelism(6))
+	res, err := Execute(w, nil, srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +322,12 @@ func TestExecuteWideSynthDAG(t *testing.T) {
 // every vertex, on lane 0); at width 1 there is only lane 0.
 func TestExecuteRunsBranchesOnSeveralWorkers(t *testing.T) {
 	prof := synth.WideProfile{Branches: 8, Depth: 3, Sleep: 2 * time.Millisecond}
+	setWorkers(t, 1)
 	for _, width := range []int{1, 8} {
+		parallel.SetWorkers(width)
 		tr := obs.NewTrace()
 		srv := NewServer(store.New(cost.Memory()))
-		res, err := Execute(synth.Wide(prof, 1), nil, srv, WithParallelism(width), WithTrace(tr))
+		res, err := Execute(synth.Wide(prof, 1), nil, srv, WithTrace(tr))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -249,14 +249,6 @@ func (c *Column) gather(idx []int, id string) *Column {
 	return out
 }
 
-// Rename returns a column sharing c's data but carrying a new name and a
-// lineage ID derived from the renaming operation.
-func (c *Column) Rename(name, opHash string) *Column {
-	out := c.WithID(DeriveID(opHash, c.ID))
-	out.Name = name
-	return out
-}
-
 // WithID returns a shallow copy of c carrying the given lineage ID. The copy
 // shares c's values and with them its quantile view, built or not.
 func (c *Column) WithID(id string) *Column {
@@ -266,11 +258,13 @@ func (c *Column) WithID(id string) *Column {
 	return &out
 }
 
-// Validate checks a column that arrived from outside the process (a decoded
-// upload): the type is known, no representation other than the one Type
-// selects is populated, no dictionary entry repeats (the key kernels take
-// equal codes for equal strings), and every dictionary code indexes the
-// dictionary.
+// Validate checks the rules a column's representation must keep: the type is
+// known, no representation other than the one Type selects is populated, no
+// dictionary entry repeats (the key kernels take equal codes for equal
+// strings), and every dictionary code indexes the dictionary. No program
+// calls it: the tier's decoder enforces these rules itself on every column
+// that arrives from outside the process, and tier.FuzzValidateColumn uses
+// Validate as the oracle of what the decoder accepts.
 // Columns built by this package always pass; so does an empty column, which
 // decodes with every slice nil.
 func (c *Column) Validate() error {

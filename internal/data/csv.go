@@ -90,27 +90,3 @@ func inferColumn(dataset, name string, cells []string) *Column {
 		return dictEncodeIfCompact(&Column{ID: id, Name: name, Type: String, Strings: vals})
 	}
 }
-
-// WriteCSV renders the frame as CSV with a header row. Missing floats are
-// written as empty cells.
-func (f *Frame) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(f.ColumnNames()); err != nil {
-		return err
-	}
-	rec := make([]string, f.NumCols())
-	for i := 0; i < f.NumRows(); i++ {
-		for j, c := range f.cols {
-			if c.IsMissing(i) {
-				rec[j] = ""
-			} else {
-				rec[j] = c.StringAt(i)
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -193,7 +193,7 @@ func TestDictOpsMatchPlainOps(t *testing.T) {
 		})
 	}
 	run("filter", func(f *Frame) (*Frame, error) {
-		return f.FilterString("cat", func(s string) bool { return s > "b" }, "op")
+		return f.FilterFloat("v", func(v float64) bool { return v > 0 }, "op")
 	})
 	run("sort-asc", func(f *Frame) (*Frame, error) { return f.SortBy("cat", false, "op") })
 	run("sort-desc", func(f *Frame) (*Frame, error) { return f.SortBy("cat", true, "op") })

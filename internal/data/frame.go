@@ -135,23 +135,33 @@ func (f *Frame) Drop(names ...string) (*Frame, error) {
 	return out, nil
 }
 
-// WithColumn returns a frame with col appended (or replacing a same-named
-// column). All other columns are shared.
-func (f *Frame) WithColumn(col *Column) (*Frame, error) {
-	out := &Frame{byName: make(map[string]int, len(f.cols)+1)}
-	replaced := false
-	for _, c := range f.cols {
-		use := c
-		if c.Name == col.Name {
-			use = col
-			replaced = true
+// WithColumn returns a frame with cols added in one pass: a column named as
+// one of f's replaces it in place, any other is appended in argument order.
+// Two of cols with one name are refused. All other columns are shared.
+func (f *Frame) WithColumn(cols ...*Column) (*Frame, error) {
+	given := make(map[string]*Column, len(cols))
+	for _, c := range cols {
+		if _, dup := given[c.Name]; dup {
+			return nil, fmt.Errorf("data: column %q given twice", c.Name)
 		}
-		if err := out.add(use); err != nil {
+		given[c.Name] = c
+	}
+	n := len(f.cols) + len(cols)
+	out := &Frame{cols: make([]*Column, 0, n), byName: make(map[string]int, n)}
+	for _, c := range f.cols {
+		if nc, ok := given[c.Name]; ok {
+			delete(given, c.Name)
+			c = nc
+		}
+		if err := out.add(c); err != nil {
 			return nil, err
 		}
 	}
-	if !replaced {
-		if err := out.add(col); err != nil {
+	for _, c := range cols {
+		if _, ok := given[c.Name]; !ok {
+			continue // it replaced one of f's
+		}
+		if err := out.add(c); err != nil {
 			return nil, err
 		}
 	}
@@ -160,7 +170,7 @@ func (f *Frame) WithColumn(col *Column) (*Frame, error) {
 
 // Gather returns a frame containing the rows selected by idx in order, each
 // column re-materialized with an ID minted from op, the columns by whose
-// values chose idx (none for Head or a seeded sample) and its own ID —
+// values chose idx (none for a seeded sample) and its own ID —
 // unless idx keeps every row in order, and then it returns f unchanged.
 func (f *Frame) Gather(idx []int, op string, by ...*Column) *Frame {
 	if selectsAll(idx, f.NumRows()) {
@@ -173,18 +183,6 @@ func (f *Frame) Gather(idx []int, op string, by ...*Column) *Frame {
 		_ = out.add(c.gather(idx, DeriveID(op, parts...))) // names unique, lengths equal
 	}
 	return out
-}
-
-// Head returns the first n rows (all rows if n exceeds the row count).
-func (f *Frame) Head(n int, opHash string) *Frame {
-	if n > f.NumRows() {
-		n = f.NumRows()
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return f.Gather(idx, opHash)
 }
 
 // String renders a compact, deterministic description of the frame: its

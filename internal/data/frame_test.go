@@ -2,7 +2,10 @@ package data
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -99,6 +102,55 @@ func TestFilterDeterministicIDs(t *testing.T) {
 	c, _ := f.FilterFloat("price", func(v float64) bool { return v > 25 }, "op2")
 	if c.Columns()[0].ID == a.Columns()[0].ID {
 		t.Error("different ops must derive different IDs")
+	}
+}
+
+// TestWithColumnIsSequentialWithColumnInOnePass: one call with several
+// columns builds the frame the calls with one column each build in turn — a
+// name f holds replaced in place, a new one appended in argument order —
+// and leaves f as it was; it refuses a name given twice and a column of
+// another row count.
+func TestWithColumnIsSequentialWithColumnInOnePass(t *testing.T) {
+	f := sampleFrame(t)
+	before := f.Columns()[:f.NumCols():f.NumCols()]
+	args := []*Column{
+		NewFloatColumn("price", []float64{1, 2, 3, 4}),
+		NewFloatColumn("z", []float64{0, 0, 1, 1}),
+		NewIntColumn("id", []int64{4, 3, 2, 1}),
+		NewStringColumn("a", []string{"x", "y", "x", "y"}),
+	}
+	for k := 0; k <= len(args); k++ {
+		want := f
+		for _, c := range args[:k] {
+			var err error
+			if want, err = want.WithColumn(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := f.WithColumn(args[:k]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Columns(), want.Columns()) {
+			t.Errorf("%d columns in one pass give %v, in turn %v", k, got.ColumnNames(), want.ColumnNames())
+		}
+		for i, c := range got.Columns() {
+			if got.Column(c.Name) != c || got.byName[c.Name] != i {
+				t.Errorf("%d columns in one pass: %q is not found at %d", k, c.Name, i)
+			}
+		}
+	}
+	if !slices.Equal(f.Columns(), before) {
+		t.Errorf("WithColumn changed its receiver: %v", f.ColumnNames())
+	}
+	for name, cols := range map[string][]*Column{
+		"a new name twice":  {args[1], args[1]},
+		"a held name twice": {args[0], NewFloatColumn("price", []float64{5, 6, 7, 8})},
+		"another row count": {args[1], NewFloatColumn("short", []float64{1})},
+	} {
+		if _, err := f.WithColumn(cols...); err == nil {
+			t.Errorf("%s: no error", name)
+		}
 	}
 }
 
@@ -280,11 +332,35 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
+// writeCSV renders f as CSV with a header row, a missing cell as an empty
+// one: the input ReadCSV parses.
+func writeCSV(f *Frame, w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(f.ColumnNames()); err != nil {
+		return err
+	}
+	rec := make([]string, f.NumCols())
+	for i := 0; i < f.NumRows(); i++ {
+		for j, c := range f.cols {
+			if c.IsMissing(i) {
+				rec[j] = ""
+			} else {
+				rec[j] = c.StringAt(i)
+			}
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	f := sampleFrame(t)
 	var buf bytes.Buffer
-	if err := f.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
+	if err := writeCSV(f, &buf); err != nil {
+		t.Fatalf("writeCSV: %v", err)
 	}
 	got, err := ReadCSV(&buf, "ds")
 	if err != nil {

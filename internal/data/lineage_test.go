@@ -127,17 +127,13 @@ func TestJoinRenamesACopyOfAKeptRightColumn(t *testing.T) {
 	}
 }
 
-// TestRowSelectionsThatKeepEveryRowPassThrough: Filter, Head, SortBy on
+// TestRowSelectionsThatKeepEveryRowPassThrough: Filter, Gather, SortBy on
 // sorted input and Distinct on distinct rows change no value, so they return
 // the input's columns; the same selections that do change rows re-derive.
 func TestRowSelectionsThatKeepEveryRowPassThrough(t *testing.T) {
 	f := sampleFrame(t) // id 1..4 ascending, every row distinct
 	keepAll := func(float64) bool { return true }
 	all, err := f.FilterFloat("price", keepAll, "op")
-	if err != nil {
-		t.Fatal(err)
-	}
-	allStr, err := f.FilterString("cat", func(string) bool { return true }, "op")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +146,10 @@ func TestRowSelectionsThatKeepEveryRowPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, out := range map[string]*Frame{
-		"FilterFloat keeping every row":  all,
-		"FilterString keeping every row": allStr,
-		"Head past the last row":         f.Head(9, "op"),
-		"SortBy on sorted input":         sorted,
-		"Distinct on distinct rows":      distinct,
+		"FilterFloat keeping every row": all,
+		"Gather of every row in order":  f.Gather([]int{0, 1, 2, 3}, "op"),
+		"SortBy on sorted input":        sorted,
+		"Distinct on distinct rows":     distinct,
 	} {
 		if !passesThrough(f, out) {
 			t.Errorf("%s: columns were copied", name)
@@ -164,9 +159,9 @@ func TestRowSelectionsThatKeepEveryRowPassThrough(t *testing.T) {
 	desc, _ := f.SortBy("id", true, "op")
 	byCat, _ := f.Distinct("op", "cat")
 	for name, out := range map[string]*Frame{
-		"Head dropping a row": f.Head(3, "op"),
-		"SortBy reordering":   desc,
-		"Distinct dropping":   byCat,
+		"Gather dropping a row": f.Gather([]int{0, 1, 2}, "op"),
+		"SortBy reordering":     desc,
+		"Distinct dropping":     byCat,
 	} {
 		if !rederived(f, out, "") {
 			t.Errorf("%s: a column kept its ID", name)

@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -20,39 +21,13 @@ func (f *Frame) FilterFloat(col string, pred func(float64) bool, opHash string) 
 	if c == nil {
 		return nil, fmt.Errorf("data: filter: no column %q", col)
 	}
-	return f.rowsWhere(c, func(i int) bool { return pred(c.Float(i)) }, opHash), nil
-}
-
-// FilterString returns the rows of f where pred(string value) is true. On
-// dictionary-encoded columns pred runs once per distinct value, not once
-// per row.
-func (f *Frame) FilterString(col string, pred func(string) bool, opHash string) (*Frame, error) {
-	c := f.Column(col)
-	if c == nil {
-		return nil, fmt.Errorf("data: filter: no column %q", col)
-	}
-	if c.Type != String {
-		return nil, fmt.Errorf("data: filter: column %q is %s, want string", col, c.Type)
-	}
-	if c.IsDict() {
-		keep := make([]bool, len(c.Dict))
-		for code, s := range c.Dict {
-			keep[code] = pred(s)
-		}
-		return f.rowsWhere(c, func(i int) bool { return keep[c.Codes[i]] }, opHash), nil
-	}
-	return f.rowsWhere(c, func(i int) bool { return pred(c.Strings[i]) }, opHash), nil
-}
-
-// rowsWhere selects the rows i of f where keep(i), which reads column c.
-func (f *Frame) rowsWhere(c *Column, keep func(i int) bool, opHash string) *Frame {
 	var idx []int
 	for i := 0; i < c.Len(); i++ {
-		if keep(i) {
+		if pred(c.Float(i)) {
 			idx = append(idx, i)
 		}
 	}
-	return f.Gather(idx, opHash, c)
+	return f.Gather(idx, opHash, c), nil
 }
 
 // MapFloat replaces column col with fn applied element-wise (reading the
@@ -176,6 +151,7 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 		if !sort.StringsAreSorted(sorted) {
 			sort.Strings(sorted)
 		}
+		sorted = slices.Compact(sorted) // a dictionary built by NewDictColumn may repeat an entry
 	} else {
 		cats := make(map[string]bool)
 		for _, s := range c.Strings {
@@ -195,7 +171,7 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 		return nil, err
 	}
 	// Each category's indicator column is independent: build them on the
-	// shared pool, then append sequentially in sorted-category order.
+	// shared pool, then append them in sorted-category order.
 	// Dictionary-encoded columns compare 4-byte codes instead of strings.
 	indicators := make([]*Column, len(sorted))
 	parallel.For(len(sorted), 1, func(lo, hi int) {
@@ -227,12 +203,7 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 			}
 		}
 	})
-	for _, nc := range indicators {
-		if out, err = out.WithColumn(nc); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return out.WithColumn(indicators...)
 }
 
 // JoinKind selects the join semantics of Join.

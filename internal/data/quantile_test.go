@@ -244,12 +244,12 @@ func TestQuantileEdgesSampleIsBounded(t *testing.T) {
 // the name alone — have nothing to do with each other.
 func TestQuantileMemoBelongsToTheColumnObject(t *testing.T) {
 	c := NewFloatColumn("x", []float64{3, 1, 2, 1})
-	renamed := c.Rename("z", "op") // copied before the view exists
+	early := c.WithID("early") // copied before the view exists
 	q := c.Quantiles()
 	if c.Quantiles() != q {
 		t.Error("a second call built a second view")
 	}
-	if renamed.Quantiles() != q || c.WithID("other").Quantiles() != q {
+	if early.Quantiles() != q || c.WithID("other").Quantiles() != q {
 		t.Error("a shallow copy does not share the view of the values it shares")
 	}
 
@@ -323,7 +323,7 @@ func TestStringSizeMemoMatchesTheWalk(t *testing.T) {
 		if tc.c == plain {
 			tc.c.Quantiles()
 		}
-		for _, c := range []*Column{tc.c, tc.c.WithID("copy"), tc.c.Rename("r", "op")} {
+		for _, c := range []*Column{tc.c, tc.c.WithID("copy")} {
 			if got := c.SizeBytes(); got != tc.walk {
 				t.Errorf("%s (dict %v): SizeBytes %d, walk %d", c.ID, c.IsDict(), got, tc.walk)
 			}
@@ -365,7 +365,7 @@ func TestQuantilesBuiltOnceUnderConcurrency(t *testing.T) {
 			t.Fatal("goroutines got different views")
 		}
 	}
-	cp := c.Rename("y", "op")
+	cp := c.WithID("later")
 	if allocs := testing.AllocsPerRun(10, func() { c.Quantiles(); cp.Quantiles() }); allocs != 0 {
 		t.Errorf("asking a column and its copy for a built view allocates %.0f times", allocs)
 	}

@@ -135,7 +135,7 @@ func TestQuickCSVRoundTripPreservesShape(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		f := randomFrame(rng)
 		var buf bytes.Buffer
-		if err := f.WriteCSV(&buf); err != nil {
+		if err := writeCSV(f, &buf); err != nil {
 			return false
 		}
 		back, err := ReadCSV(&buf, "roundtrip")

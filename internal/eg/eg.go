@@ -134,13 +134,6 @@ func (g *Graph) Sources() []string {
 	return append([]string(nil), g.sources...)
 }
 
-// ColumnSize returns the recorded content size of a lineage column ID.
-func (g *Graph) ColumnSize(id string) int64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.colSizes[id]
-}
-
 // Columns returns the column lineage IDs of a vertex, copied under the
 // graph's read lock: nil for a vertex it does not hold or one without
 // lineage.

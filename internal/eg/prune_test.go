@@ -114,7 +114,7 @@ func TestPruneGarbageCollectsColumnSizes(t *testing.T) {
 	n := w.Apply(src, stubOp{name: "cols", kind: graph.DatasetKind})
 	n.Columns, n.ColSizes = []string{"col-1"}, []int64{64}
 	g.Merge(w)
-	if g.ColumnSize("col-1") != 64 {
+	if g.colSizes["col-1"] != 64 {
 		t.Fatal("column size not recorded")
 	}
 	for i := 0; i < 10; i++ {
@@ -124,7 +124,7 @@ func TestPruneGarbageCollectsColumnSizes(t *testing.T) {
 	if g.Has(n.ID) {
 		t.Fatal("vertex should be pruned")
 	}
-	if g.ColumnSize("col-1") != 0 {
+	if _, ok := g.colSizes["col-1"]; ok {
 		t.Error("column size not garbage-collected")
 	}
 }

@@ -40,8 +40,8 @@ func TestSnapshotGobRoundTrip(t *testing.T) {
 				v2.RecreationCost(), v2.Potential(), v.RecreationCost(), v.Potential())
 		}
 	}
-	if got := g2.ColumnSize("c1"); got != 400 {
-		t.Errorf("ColumnSize(c1)=%d after round-trip, want 400", got)
+	if got := g2.colSizes["c1"]; got != 400 {
+		t.Errorf("size of c1 %d after round-trip, want 400", got)
 	}
 	v := g2.Vertex(b.ID)
 	if v == nil || v.Meta["model"] != "logreg" {

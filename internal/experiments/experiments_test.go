@@ -9,7 +9,7 @@ import (
 // shape checks live in the benchmark harness.
 func quick(t *testing.T) *Suite {
 	t.Helper()
-	s := QuickSuite(io.Discard)
+	s := DefaultSuite(io.Discard)
 	s.OpenMLRuns = 25
 	s.SynthWorkloads = 5
 	return s

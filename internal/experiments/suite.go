@@ -53,14 +53,6 @@ func DefaultSuite(out io.Writer) *Suite {
 	}
 }
 
-// QuickSuite returns a scaled-down configuration for tests.
-func QuickSuite(out io.Writer) *Suite {
-	s := DefaultSuite(out)
-	s.OpenMLRuns = 60
-	s.SynthWorkloads = 30
-	return s
-}
-
 func (s *Suite) printf(format string, args ...any) {
 	if s.Out != nil {
 		fmt.Fprintf(s.Out, format, args...)

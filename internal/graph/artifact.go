@@ -67,14 +67,6 @@ func (a *DatasetArtifact) SizeBytes() int64 {
 	return a.Frame.SizeBytes()
 }
 
-// ColumnIDs exposes the frame's lineage column IDs for deduplicated storage.
-func (a *DatasetArtifact) ColumnIDs() []string {
-	if a.Frame == nil {
-		return nil
-	}
-	return a.Frame.ColumnIDs()
-}
-
 // AggregateArtifact wraps a scalar (and optional text rendering), e.g. an
 // evaluation score or a row count.
 type AggregateArtifact struct {

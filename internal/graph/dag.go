@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DAG is one workload's directed acyclic graph. Nodes are interned by ID:
 // applying the same operation to the same inputs twice yields the same
@@ -29,17 +26,6 @@ func (g *DAG) Node(id string) *Node { return g.nodes[id] }
 
 // Len returns the vertex count.
 func (g *DAG) Len() int { return len(g.order) }
-
-// Sources returns the source vertices in insertion order.
-func (g *DAG) Sources() []*Node {
-	var out []*Node
-	for _, n := range g.order {
-		if n.IsSource() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
 
 // intern registers n unless a node with the same ID exists, in which case
 // the existing node is returned.
@@ -211,14 +197,4 @@ func (g *DAG) MarkComputed() int {
 		}
 	}
 	return count
-}
-
-// IDs returns the sorted vertex IDs (diagnostics, test assertions).
-func (g *DAG) IDs() []string {
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

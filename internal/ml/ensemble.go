@@ -161,9 +161,6 @@ func (g *GradientBoostedTrees) Predict(cols []*data.Column, rows []int) []float6
 	})
 }
 
-// NumTrees returns the current ensemble size.
-func (g *GradientBoostedTrees) NumTrees() int { return len(g.Trees) }
-
 // SizeBytes implements Model.
 func (g *GradientBoostedTrees) SizeBytes() int64 {
 	var n int64 = 8

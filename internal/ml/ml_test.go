@@ -283,8 +283,8 @@ func TestGBTWarmstartGrowsOnlyRemainingTrees(t *testing.T) {
 	if warm.TreesGrown != 10 {
 		t.Errorf("TreesGrown=%d, want 10", warm.TreesGrown)
 	}
-	if warm.NumTrees() != 30 {
-		t.Errorf("NumTrees=%d, want 30", warm.NumTrees())
+	if len(warm.Trees) != 30 {
+		t.Errorf("%d trees, want 30", len(warm.Trees))
 	}
 }
 

@@ -126,14 +126,6 @@ func NewArtifactLedger(n int) *ArtifactLedger {
 	}
 }
 
-// Cap returns the distinct-artifact capacity.
-func (l *ArtifactLedger) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return l.capN
-}
-
 // SetClock overrides the ledger's wall clock — deterministic tests inject
 // a scripted clock. Call before concurrent use.
 func (l *ArtifactLedger) SetClock(now func() time.Time) {

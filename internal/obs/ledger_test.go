@@ -185,7 +185,7 @@ func TestLedgerNilAndDefaults(t *testing.T) {
 	l.ObserveReuse("x", "memory", 1, 1)
 	l.SetClock(time.Now)
 	l.SetRentRate("memory", 1)
-	if l.Len() != 0 || l.Cap() != 0 || l.Dropped() != 0 || l.Snapshot(ArtifactQuery{}) != nil {
+	if l.Len() != 0 || l.Dropped() != 0 || l.Snapshot(ArtifactQuery{}) != nil {
 		t.Fatal("nil ledger must be inert")
 	}
 	if tr, s, r, n := l.Totals(); tr != 0 || s != 0 || r != 0 || n != 0 {
@@ -200,8 +200,8 @@ func TestLedgerNilAndDefaults(t *testing.T) {
 	}
 
 	l = NewArtifactLedger(0)
-	if l.Cap() != DefaultLedgerCap {
-		t.Fatalf("default cap = %d, want %d", l.Cap(), DefaultLedgerCap)
+	if l.capN != DefaultLedgerCap {
+		t.Fatalf("default cap = %d, want %d", l.capN, DefaultLedgerCap)
 	}
 	l.Hold("", true, false, 1) // empty id ignored
 	if l.Len() != 0 {

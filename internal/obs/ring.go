@@ -4,10 +4,10 @@ import "sync"
 
 // Ring is the one bounded buffer of the observability plane: the request
 // flight log and calibration's samples keep their history in one, and a
-// client trace its events. It retains the newest Cap elements — a full ring
-// overwrites its oldest element, so a long-running server always holds the
-// recent past — and numbers elements from 1 in Add order. Cap 0 is unbounded
-// (client-side one-run traces).
+// client trace its events. It retains the newest n elements of capacity n —
+// a full ring overwrites its oldest element, so a long-running server always
+// holds the recent past — and numbers elements from 1 in Add order.
+// Capacity 0 is unbounded (client-side one-run traces).
 //
 // All methods are safe for concurrent use and nil-safe: a nil *Ring keeps
 // nothing and reports empty, which is how a disabled surface is held
@@ -83,22 +83,4 @@ func (r *Ring[T]) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.buf)
-}
-
-// Cap returns the capacity, 0 when unbounded (or nil).
-func (r *Ring[T]) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return r.cap
-}
-
-// Dropped returns how many elements have been overwritten.
-func (r *Ring[T]) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq - int64(len(r.buf))
 }

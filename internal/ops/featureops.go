@@ -146,19 +146,16 @@ func (o ScaleTransform) Run(inputs []graph.Artifact) (graph.Artifact, error) {
 		return nil, err
 	}
 	scaled := tr.Transform(in, n)
-	out := f
+	cols := make([]*data.Column, len(in))
 	for j, c := range in {
-		nc := &data.Column{
+		cols[j] = &data.Column{
 			ID:     data.DeriveID(o.Hash(), c.ID),
 			Name:   c.Name,
 			Type:   data.Float64,
 			Floats: blockColumn(scaled, n, j),
 		}
-		if out, err = out.WithColumn(nc); err != nil {
-			return nil, err
-		}
 	}
-	return &graph.DatasetArtifact{Frame: out}, nil
+	return asDataset(f.WithColumn(cols...))
 }
 
 // SelectKBest keeps the K numeric features most correlated with Label,

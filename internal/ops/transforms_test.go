@@ -47,7 +47,7 @@ func TestTransformsMatchTheGolden(t *testing.T) {
 	}{
 		{"whole", whole},
 		{"label-only", labelOnly},
-		{"no-rows", whole.Head(0, "no-rows")},
+		{"no-rows", whole.Gather([]int{}, "no-rows")},
 	}
 	ops := []graph.Operation{
 		ScaleTransform{Kind: StdScaler, Label: "TARGET"},

@@ -1,12 +1,12 @@
 // Package parallel provides the process-wide bounded worker pool of the
 // hot data/ML kernels (internal/data, internal/ml, internal/ops) and the
-// column codec of internal/remote. The DAG executor (internal/core) reads
-// its default width (Workers) but starts its own workers, outside the
+// column codec of internal/remote. The DAG executor (internal/core) takes
+// its width from Workers but starts its own workers, outside the
 // pool's budget; a kernel running inside one of them draws helpers from the
 // pool like any other caller.
 //
-// The pool is a counting semaphore over *helper* goroutines: every entry
-// point (For, Do) always runs work on the calling goroutine and only spawns
+// The pool is a counting semaphore over *helper* goroutines: its entry
+// point, For, always runs work on the calling goroutine and only spawns
 // extra goroutines while the global budget allows it. Two properties follow:
 //
 //   - Nesting cannot deadlock. A kernel running inside another kernel's
@@ -43,7 +43,7 @@ var (
 // deltas around a kernel call are how tests check that the kernel still
 // runs wide.
 type Counts struct {
-	// Calls counts For/Do invocations; Chunks the work chunks they split into.
+	// Calls counts For invocations; Chunks the work chunks they split into.
 	Calls, Chunks int64
 	// Helpers counts helper goroutines spawned; Denied counts helper slots
 	// the global budget refused (that work ran inline on its caller).
@@ -56,7 +56,7 @@ func ReadCounts() Counts {
 }
 
 // Workers returns the configured pool width: the maximum number of
-// goroutines (the caller plus helpers) a single For or Do call will use.
+// goroutines (the caller plus helpers) a single For call will use.
 func Workers() int {
 	if w := int(width.Load()); w > 0 {
 		return w
@@ -147,15 +147,4 @@ func For(n, grain int, fn func(lo, hi int)) {
 	helpers.Add(int64(spawned))
 	work()
 	wg.Wait()
-}
-
-// Do runs the given functions, using the calling goroutine plus pool
-// helpers, and returns when all have completed. Functions may run in any
-// order and concurrently; each runs exactly once.
-func Do(fns ...func()) {
-	For(len(fns), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fns[i]()
-		}
-	})
 }

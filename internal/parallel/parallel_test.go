@@ -73,7 +73,7 @@ func TestNestedForNoDeadlock(t *testing.T) {
 }
 
 // TestNestedAccounting is the nesting contract as the counts see it: nested
-// For/Do must not deadlock, each invocation is exactly one call and each
+// For must not deadlock, each invocation is exactly one call and each
 // chunk exactly one unit of work whether it ran on a helper or inline, and
 // every helper slot is returned.
 func TestNestedAccounting(t *testing.T) {
@@ -143,17 +143,4 @@ func TestForSpawnsHelpersAtWidth(t *testing.T) {
 	if chunks[0] != 16 || chunks[1] != 16 {
 		t.Errorf("one For over 1024 indices at grain 64 counted %d chunks at width 1 and %d at width 4, want 16", chunks[0], chunks[1])
 	}
-}
-
-func TestDoRunsAll(t *testing.T) {
-	var a, b, c atomic.Int32
-	Do(
-		func() { a.Add(1) },
-		func() { b.Add(1) },
-		func() { c.Add(1) },
-	)
-	if a.Load() != 1 || b.Load() != 1 || c.Load() != 1 {
-		t.Fatalf("Do: counts %d %d %d, want 1 1 1", a.Load(), b.Load(), c.Load())
-	}
-	Do() // empty must not panic
 }

@@ -76,9 +76,6 @@ func NewClient(baseURL string, profile cost.Profile) *Client {
 	return c
 }
 
-// BaseURL reports the server address this client targets.
-func (c *Client) BaseURL() string { return c.base }
-
 // SetName sets the collaborator identity sent as the X-Collab-Client
 // header on every request ("" stops sending the header). The server
 // sanitizes the value; keep it short and printable.

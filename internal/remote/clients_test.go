@@ -27,7 +27,7 @@ func TestClientsEndpointAttributes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(rc.BaseURL() + "/v1/clients")
+	resp, err := http.Get(rc.base + "/v1/clients")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestClientsEndpointAttributes(t *testing.T) {
 	}
 
 	// The text rendering names the client too.
-	resp2, err := http.Get(rc.BaseURL() + "/v1/clients?format=text")
+	resp2, err := http.Get(rc.base + "/v1/clients?format=text")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestStatsReadsCarryTheClientName(t *testing.T) {
 	if _, err := rc.CalibrationE(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(rc.BaseURL() + "/v1/clients")
+	resp, err := http.Get(rc.base + "/v1/clients")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -522,7 +522,7 @@ func TestMetaBodyIsExactlyOneMessage(t *testing.T) {
 		if _, err := core.Execute(dag, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		body, err := (&UpdateRequest{DAG: dag, Unknown: dag.IDs(), WallTime: time.Second, Inline: inline(dag)}).marshal()
+		body, err := (&UpdateRequest{DAG: dag, Unknown: vertexIDs(dag), WallTime: time.Second, Inline: inline(dag)}).marshal()
 		if err != nil {
 			t.Fatal(err)
 		}

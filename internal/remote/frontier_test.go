@@ -194,9 +194,10 @@ func TestFrontierFormPlansAsTheWholeDAG(t *testing.T) {
 }
 
 // isUniverse reports whether w is a synthetic universe workload, whose
-// operations only stand in for work.
+// operations only stand in for work: its first vertex, a source, holds an
+// aggregate.
 func isUniverse(w *graph.DAG) bool {
-	_, ok := w.Sources()[0].Content.(*graph.AggregateArtifact)
+	_, ok := w.Nodes()[0].Content.(*graph.AggregateArtifact)
 	return ok
 }
 

@@ -192,7 +192,7 @@ func TestArtifactsEndToEnd(t *testing.T) {
 		t.Fatal("reuse observations did not reach the ledger")
 	}
 
-	resp, err := http.Get(rc.BaseURL() + "/v1/stats")
+	resp, err := http.Get(rc.base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestArtifactsEndToEnd(t *testing.T) {
 		t.Fatalf("stats tracked %d artifacts, ledger has %d", st.ArtifactsTracked, led.Len())
 	}
 
-	resp2, err := http.Get(rc.BaseURL() + "/metrics")
+	resp2, err := http.Get(rc.base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ func TestRequestsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(rc.BaseURL() + "/v1/requests")
+	resp, err := http.Get(rc.base + "/v1/requests")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRequestsEndpoint(t *testing.T) {
 	}
 
 	// Route filter narrows to that route only.
-	resp2, err := http.Get(rc.BaseURL() + "/v1/requests?route=/v1/optimize&limit=1")
+	resp2, err := http.Get(rc.base + "/v1/requests?route=/v1/optimize&limit=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRequestsEndpoint(t *testing.T) {
 
 	// Bad filter values are 400s, not silent full dumps.
 	for _, q := range []string{"?min=banana", "?limit=-3"} {
-		r3, err := http.Get(rc.BaseURL() + "/v1/requests" + q)
+		r3, err := http.Get(rc.base + "/v1/requests" + q)
 		if err != nil {
 			t.Fatal(err)
 		}

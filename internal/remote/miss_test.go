@@ -105,13 +105,13 @@ func TestAPlannedLoadThatMissesIsComputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := func(loads int) int { return loads }
-	evict := func(srv *core.Server) func(map[string]bool) { return evictAll(srv.Store) }
-	corrupt := func(srv *core.Server) func(map[string]bool) { return corruptAll(t, srv.Store.Disk().Dir()) }
+	evict := func(st *store.Manager, _ string) func(map[string]bool) { return evictAll(st) }
+	corrupt := func(_ *store.Manager, dir string) func(map[string]bool) { return corruptAll(t, dir) }
 	for _, arm := range []struct {
 		name       string
 		http       bool
 		onDisk     bool
-		lose       func(srv *core.Server) func(map[string]bool)
+		lose       func(st *store.Manager, diskDir string) func(map[string]bool)
 		failFetch  bool
 		recomputes func(loads int) int
 	}{
@@ -120,9 +120,10 @@ func TestAPlannedLoadThatMissesIsComputed(t *testing.T) {
 		{"in process, every disk-tier file corrupted", false, true, corrupt, false, all},
 		{"over HTTP, one download answered 500", true, false, nil, true, func(int) int { return 1 }},
 	} {
-		st := store.New(cost.Memory())
+		st, diskDir := store.New(cost.Memory()), ""
 		if arm.onDisk {
-			d, _, err := tier.Open(t.TempDir())
+			diskDir = t.TempDir()
+			d, _, err := tier.Open(diskDir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +151,7 @@ func TestAPlannedLoadThatMissesIsComputed(t *testing.T) {
 		h.armed.Store(arm.failFetch)
 		loss := &planLoss{Optimizer: second, loads: map[string]bool{}}
 		if arm.lose != nil {
-			loss.lose = arm.lose(srv)
+			loss.lose = arm.lose(srv.Store, diskDir)
 		}
 		dag := w1.Build(src)
 		res, err := core.NewClient(loss).Run(dag)

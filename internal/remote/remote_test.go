@@ -146,7 +146,7 @@ func TestStatsKeySet(t *testing.T) {
 	_, rc, closeFn := newRemotePair(t)
 	defer closeFn()
 	mustRun(t, rc, buildPipeline(testFrame(100, 3)))
-	resp, err := http.Get(rc.BaseURL() + "/v1/stats")
+	resp, err := http.Get(rc.base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

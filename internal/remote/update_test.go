@@ -105,7 +105,7 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 		{"a vertex the run did not compute", InlineArtifact{ID: src.ID, Content: model.Content}},
 	} {
 		srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
-		body := &UpdateRequest{DAG: dag, Unknown: dag.IDs(), Inline: []InlineArtifact{valid, tc.bad}}
+		body := &UpdateRequest{DAG: dag, Unknown: vertexIDs(dag), Inline: []InlineArtifact{valid, tc.bad}}
 		if code := postMeta(t, NewHandler(srv), "/v1/update", body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
@@ -118,7 +118,7 @@ func TestUpdateRefusesInlineContentItCannotTake(t *testing.T) {
 		t.Error("a frame with columns was written inline")
 	}
 	srv := core.NewServer(store.New(cost.Memory()), core.WithStrategy(materialize.NewAll()))
-	body := &UpdateRequest{DAG: dag, Unknown: dag.IDs(), Inline: []InlineArtifact{valid}}
+	body := &UpdateRequest{DAG: dag, Unknown: vertexIDs(dag), Inline: []InlineArtifact{valid}}
 	if code := postMeta(t, NewHandler(srv), "/v1/update", body); code != http.StatusOK || !srv.Store.Has(model.ID) {
 		t.Errorf("the valid item alone: status %d, stored %v", code, srv.Store.Has(model.ID))
 	}
@@ -147,7 +147,7 @@ func TestHostileBlobRecordsAreRefused(t *testing.T) {
 	if _, err := core.Execute(dag, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	nodes, err := listOf(dag, dag.IDs()) // every vertex with its ancestry: the server holds none
+	nodes, err := listOf(dag, vertexIDs(dag)) // every vertex with its ancestry: the server holds none
 	if err == nil {
 		err = nodes.tabulate()
 	}
@@ -443,13 +443,13 @@ func FuzzUpdateDecode(f *testing.F) {
 		}
 	}
 	reqs := []*UpdateRequest{
-		{DAG: w1, Unknown: w1.IDs(), WallTime: time.Second, Inline: inline(w1)},
-		{DAG: small, Unknown: small.IDs(), Inline: inline(small)},
-		{DAG: small, Unknown: small.IDs(), Inline: smuggled}, // a dataset inline: 400
-		{DAG: small, Inline: inline(small)},                  // its frontier unknown: 409
+		{DAG: w1, Unknown: vertexIDs(w1), WallTime: time.Second, Inline: inline(w1)},
+		{DAG: small, Unknown: vertexIDs(small), Inline: inline(small)},
+		{DAG: small, Unknown: vertexIDs(small), Inline: smuggled}, // a dataset inline: 400
+		{DAG: small, Inline: inline(small)},                       // its frontier unknown: 409
 	}
 	for _, dag := range learnerRuns(f) {
-		reqs = append(reqs, &UpdateRequest{DAG: dag, Unknown: dag.IDs(), Inline: inline(dag)})
+		reqs = append(reqs, &UpdateRequest{DAG: dag, Unknown: vertexIDs(dag), Inline: inline(dag)})
 	}
 	for _, req := range reqs {
 		body, err := req.marshal()

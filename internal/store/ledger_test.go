@@ -329,7 +329,7 @@ func TestRentRate(t *testing.T) {
 func TestLedgerDetached(t *testing.T) {
 	d := newDisk(t)
 	m := NewTiered(cost.Memory(), Options{Disk: d})
-	if m.Ledger() != nil {
+	if m.ledger.Load() != nil {
 		t.Fatal("fresh manager should have no ledger")
 	}
 	if err := m.Put("v1", floatArtifact("v1", 10)); err != nil {
@@ -337,7 +337,7 @@ func TestLedgerDetached(t *testing.T) {
 	}
 	led, _ := attachTestLedger(t, m)
 	m.AttachLedger(nil)
-	if m.Ledger() != nil {
+	if m.ledger.Load() != nil {
 		t.Fatal("AttachLedger(nil) should detach")
 	}
 	m.Evict("v1")

@@ -215,9 +215,6 @@ func (m *Manager) Holding(fn func(held func(vertexID string) bool)) {
 	fn(m.hasLocked)
 }
 
-// Ledger returns the attached artifact ledger, or nil.
-func (m *Manager) Ledger() *obs.ArtifactLedger { return m.ledger.Load() }
-
 // lockWrite acquires the manager's write lock, accounting the queue wait.
 // m.met is guarded by the lock itself, so the observation necessarily
 // happens after acquisition — the measured wait is unaffected.
@@ -265,9 +262,6 @@ func (m *Manager) TierProfile(t Tier) cost.Profile {
 	}
 	return m.profile
 }
-
-// Disk returns the attached disk tier, or nil for a memory-only manager.
-func (m *Manager) Disk() *tier.Disk { return m.disk }
 
 // touchLocked moves a memory-resident artifact to the hot end of the LRU.
 func (m *Manager) touchLocked(vertexID string) {

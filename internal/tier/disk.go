@@ -146,9 +146,6 @@ func Open(dir string) (*Disk, *Report, error) {
 	return d, rep, nil
 }
 
-// Dir returns the tier's root directory.
-func (d *Disk) Dir() string { return d.dir }
-
 func (d *Disk) colPath(colID string) string {
 	return filepath.Join(d.dir, colsDir, fname(colID)+colExt)
 }

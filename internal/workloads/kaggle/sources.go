@@ -67,15 +67,6 @@ func (s *Sources) Frames() []*data.Frame {
 	}
 }
 
-// TotalBytes returns the summed content size of all source tables.
-func (s *Sources) TotalBytes() int64 {
-	var n int64
-	for _, f := range s.Frames() {
-		n += f.SizeBytes()
-	}
-	return n
-}
-
 // AddTo registers every source table on a workload DAG and returns the
 // source nodes keyed by dataset name.
 func (s *Sources) AddTo(w *graph.DAG) map[string]*graph.Node {

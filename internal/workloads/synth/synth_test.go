@@ -64,9 +64,12 @@ func TestWideShape(t *testing.T) {
 	}
 	// Determinism: same profile and seed yield identical vertex IDs.
 	again := Wide(p, 7)
-	a, b := w.IDs(), again.IDs()
+	a, b := w.Nodes(), again.Nodes()
+	if len(a) != len(b) {
+		t.Fatal("Wide is not deterministic for equal seeds")
+	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].ID != b[i].ID {
 			t.Fatal("Wide is not deterministic for equal seeds")
 		}
 	}
