@@ -20,9 +20,10 @@ fmt-check:
 	fi
 
 # loc prints the figure every PR quotes for "what did this let us delete":
-# lines of non-test Go outside bench/, per package directory and in total.
+# lines of non-test Go outside bench/ and testdata/ (fixtures, not program),
+# per package directory and in total.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
@@ -236,6 +237,9 @@ TIME_LINT_DIRS = internal/core internal/remote internal/explain \
 # internal/data or internal/ops but MINT_FILE imports crypto/sha256, and no
 # program code hands DeriveID or DeriveColumnID an op argument it built at
 # the call site with + or fmt.Sprintf (a tag or an input is one more part).
+# And a string dictionary has one form: its entries strictly ascend, which
+# the tier's readers check where a column enters, so no program file of
+# internal/data re-checks the order (sort.StringsAreSorted) to fall back.
 KERNEL_PKGS = ./internal/data ./internal/ml ./internal/ops ./internal/parallel ./internal/graph
 DECISION_PKGS = ./internal/eg ./internal/materialize
 ABOVE_TIER = repro/internal/(obs|cost|store|core|remote|persist)
@@ -304,6 +308,10 @@ lint-layers:
 	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '\b(DeriveID|DeriveColumnID)\(([^,]*\+|fmt\.Sprintf)' . | sed 's|^\./||' || true)"; \
 	if [ -n "$$out" ]; then \
 		echo "a lineage op argument built at the call site (pass a tag or an input ID as one more part of DeriveID):"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' 'sort\.StringsAreSorted' internal/data || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "internal/data re-checks a dictionary's order (its entries strictly ascend: the tier's readers refuse any other):"; echo "$$out"; exit 1; \
 	fi
 
 # cover runs the full test suite with per-package coverage summaries.

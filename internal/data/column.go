@@ -33,8 +33,7 @@ type Column struct {
 
 	// Dict and Codes are the dictionary-encoded representation of a
 	// String column (see dict.go): when set (and Strings is nil), the cell
-	// at row i is Dict[Codes[i]]. Dictionaries built by this package are
-	// unique and sorted ascending.
+	// at row i is Dict[Codes[i]]. The entries strictly ascend.
 	Dict  []string
 	Codes []uint32
 
@@ -259,12 +258,12 @@ func (c *Column) WithID(id string) *Column {
 }
 
 // Validate checks the rules a column's representation must keep: the type is
-// known, no representation other than the one Type selects is populated, no
-// dictionary entry repeats (the key kernels take equal codes for equal
-// strings), and every dictionary code indexes the dictionary. No program
-// calls it: the tier's decoder enforces these rules itself on every column
-// that arrives from outside the process, and tier.FuzzValidateColumn uses
-// Validate as the oracle of what the decoder accepts.
+// known, no representation other than the one Type selects is populated, the
+// dictionary's entries strictly ascend (dict.go), and every dictionary code
+// indexes the dictionary. No program calls it: the tier's decoder enforces
+// these rules itself on every column that arrives from outside the process,
+// and tier.FuzzValidateColumn uses Validate as the oracle of what the
+// decoder accepts.
 // Columns built by this package always pass; so does an empty column, which
 // decodes with every slice nil.
 func (c *Column) Validate() error {
@@ -285,8 +284,10 @@ func (c *Column) Validate() error {
 	if c.Strings != nil && (c.Dict != nil || c.Codes != nil) {
 		return fmt.Errorf("data: column %q is both plain and dictionary-encoded", c.Name)
 	}
-	if s, ok := RepeatedEntry(c.Dict); ok {
-		return fmt.Errorf("data: column %q: dictionary entry %q repeats", c.Name, s)
+	for i := 1; i < len(c.Dict); i++ {
+		if c.Dict[i] <= c.Dict[i-1] {
+			return fmt.Errorf("data: column %q: dictionary entry %q does not sort after %q", c.Name, c.Dict[i], c.Dict[i-1])
+		}
 	}
 	for _, code := range c.Codes {
 		if int(code) >= len(c.Dict) {

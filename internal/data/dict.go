@@ -1,6 +1,7 @@
 package data
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -17,11 +18,13 @@ import (
 // values stores 50 strings plus 4 MB of codes instead of a million string
 // headers.
 //
-// Invariants: Dict entries are unique — a code is a key slot (key.go), so
-// equal codes must mean equal strings — and every code is in [0, len(Dict));
-// Validate and the tier codec refuse a column that breaks either. This
-// package builds its dictionaries sorted, so code order is lexicographic
-// order (SortBy, OneHot and the group-by exploit it, re-checking it first).
+// Invariants: Dict entries strictly ascend, compared bytewise as Go
+// compares strings, and every code is in [0, len(Dict)). So the entries are
+// unique — a code is a key slot (key.go), so equal codes must mean equal
+// strings — and code order is string order, which SortBy, OneHot and the
+// group-by's key order compare in place of strings. Every dictionary this
+// package builds keeps both; Validate states them, and the tier codec
+// refuses a column that arrives breaking either.
 
 // IsDict reports whether the column uses the dictionary-encoded string
 // representation.
@@ -31,8 +34,8 @@ func (c *Column) IsDict() bool {
 
 // NewDictColumn builds a dictionary-encoded String column from an explicit
 // dictionary and code vector. The caller is responsible for the invariants
-// (unique entries, codes in bounds); use DictEncoded to derive both from
-// plain values.
+// (entries strictly ascending, codes in bounds); use DictEncoded to derive
+// both from plain values.
 func NewDictColumn(name string, dict []string, codes []uint32) *Column {
 	return &Column{ID: SourceID("", name), Name: name, Type: String, Dict: dict, Codes: codes}
 }
@@ -121,73 +124,22 @@ func (c *Column) StringValues() []string {
 	return out
 }
 
-// RepeatedEntry returns an entry that occurs more than once in dict, if one
-// does. In a sorted dictionary — every one this package builds — a repeat
-// sits next to itself, so no map is built for one.
-func RepeatedEntry(dict []string) (string, bool) {
-	if sort.StringsAreSorted(dict) {
-		for i := 1; i < len(dict); i++ {
-			if dict[i] == dict[i-1] {
-				return dict[i], true
-			}
-		}
-		return "", false
-	}
-	seen := make(map[string]struct{}, len(dict))
-	for _, s := range dict {
-		if _, ok := seen[s]; ok {
-			return s, true
-		}
-		seen[s] = struct{}{}
-	}
-	return "", false
-}
-
-// dictIsSorted reports whether the dictionary is sorted ascending — true
-// for every dictionary this package builds, re-checked where code-order
-// shortcuts depend on it because decoded columns may carry any in-bounds
-// dictionary.
-func (c *Column) dictIsSorted() bool {
-	return sort.StringsAreSorted(c.Dict)
-}
-
 // dictGather gathers a dictionary-encoded column by row indices. The
 // dictionary is shared with the receiver unless idx contains negative
 // entries (left-join missing fills) and the dictionary lacks "": then a
 // new dictionary with "" prepended is built and codes shift by one,
-// preserving sortedness ("" is the smallest string).
+// keeping the entries ascending ("" is the least string, so a dictionary
+// that holds it holds it first).
 func (c *Column) dictGather(idx []int, id string) *Column {
-	out := &Column{ID: id, Name: c.Name, Type: String}
-	hasNeg := false
-	for _, i := range idx {
-		if i < 0 {
-			hasNeg = true
-			break
-		}
+	dict, shift := c.Dict, uint32(0)
+	if (len(dict) == 0 || dict[0] != "") && slices.ContainsFunc(idx, func(i int) bool { return i < 0 }) {
+		dict, shift = append([]string{""}, c.Dict...), 1
 	}
-	dict := c.Dict
-	var missCode, shift uint32
-	if hasNeg {
-		found := false
-		for p, s := range c.Dict {
-			if s == "" {
-				missCode, found = uint32(p), true
-				break
-			}
-		}
-		if !found {
-			dict = append([]string{""}, c.Dict...)
-			shift = 1
-		}
-	}
-	codes := make([]uint32, len(idx))
+	codes := make([]uint32, len(idx)) // a fill row keeps code 0: ""
 	for j, i := range idx {
-		if i < 0 {
-			codes[j] = missCode
-		} else {
+		if i >= 0 {
 			codes[j] = c.Codes[i] + shift
 		}
 	}
-	out.Dict, out.Codes = dict, codes
-	return out
+	return &Column{ID: id, Name: c.Name, Type: String, Dict: dict, Codes: codes}
 }

@@ -84,23 +84,11 @@ func TestDictEdgeCases(t *testing.T) {
 			t.Fatalf("row %d should be missing", i)
 		}
 	}
-	// Duplicate dictionary entries (legal for decoded columns): OneHot must
-	// still account rows under both codes of the duplicated value.
+	// A repeated dictionary entry breaks the dictionary rule: no decoder
+	// admits one, and Validate refuses it.
 	dup := NewDictColumn("d", []string{"a", "b", "b"}, []uint32{0, 1, 2, 1})
-	f := MustNewFrame(dup)
-	out, err := f.OneHot("d", "op")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcol := out.Column("d=b")
-	if bcol == nil {
-		t.Fatal("missing indicator d=b")
-	}
-	want := []float64{0, 1, 1, 1}
-	for i, w := range want {
-		if bcol.Floats[i] != w {
-			t.Fatalf("d=b row %d: %v != %v", i, bcol.Floats[i], w)
-		}
+	if err := dup.Validate(); err == nil || !strings.Contains(err.Error(), `entry "b" does not sort after "b"`) {
+		t.Fatalf("a repeated entry: Validate returned %v, want it refused naming \"b\"", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package data
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -415,6 +416,7 @@ func TestColumnValidate(t *testing.T) {
 		NewIntColumn("i", []int64{1}),
 		NewStringColumn("s", []string{"x"}),
 		NewStringColumn("s", []string{"x", "y", "x"}).DictEncoded(),
+		NewDictColumn("d", []string{"", "B", "a", "a\x00"}, []uint32{3, 0}), // bytewise ascending
 		NewBoolColumn("b", []bool{true}),
 		{Name: "empty", Type: Int64}, // how a zero-row column decodes from gob
 	}
@@ -440,16 +442,18 @@ func TestColumnValidate(t *testing.T) {
 // TestValidateRefusesRepeatedDictEntry: a dictionary whose entry repeats
 // gives one string two codes, and the key kernels take equal codes for
 // equal strings — such a column would group "a" twice and join it once.
-// Validate, which guards every decoded upload, refuses it and names the
-// entry, in a sorted dictionary and an unsorted one.
+// Validate refuses it, as it refuses a dictionary of distinct entries that
+// do not strictly ascend, compared bytewise (code order is string order),
+// naming the entry and the one before it.
 func TestValidateRefusesRepeatedDictEntry(t *testing.T) {
-	for _, dict := range [][]string{{"a", "a"}, {"b", "a", "c", "a"}} {
-		err := NewDictColumn("k", dict, []uint32{0, 1, 0}).Validate()
-		if err == nil || !strings.Contains(err.Error(), `"a" repeats`) {
-			t.Errorf("dictionary %q: Validate returned %v, want an error naming \"a\"", dict, err)
+	for _, dict := range [][]string{
+		{"a", "a"}, {"b", "a", "c", "a"}, {"b", "a", "c"},
+		{"a", "B"}, {"a", ""}, {"a\x00", "a"},
+	} {
+		err := NewDictColumn("k", dict, []uint32{1, 0}).Validate()
+		want := fmt.Sprintf(`data: column "k": dictionary entry %q does not sort after %q`, dict[1], dict[0])
+		if err == nil || err.Error() != want {
+			t.Errorf("dictionary %q: Validate returned %v, want %s", dict, err, want)
 		}
-	}
-	if err := NewDictColumn("k", []string{"b", "a", "c"}, []uint32{0, 1, 2}).Validate(); err != nil {
-		t.Errorf("an unsorted dictionary of distinct entries: %v", err)
 	}
 }

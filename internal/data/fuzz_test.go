@@ -13,7 +13,8 @@ const fuzzKinds = 6
 // fuzzKey builds an n-row key column of the given kind, its cells picked by
 // the bytes of vals in turn: a compact Int64, a sparse Int64, a Float64 with
 // two NaN payloads and both zeros, a Bool, a plain String, or a dictionary
-// String whose dictionary is unsorted. The strings include renderings of
+// String whose entries ascend, as the dictionary rule asks, and hold the
+// missing value "". The strings include renderings of
 // the other kinds' cells ("1", "NaN", "-0", "true"), so keys of two kinds
 // can match.
 func fuzzKey(kind byte, n int, vals []byte) *Column {
@@ -57,7 +58,7 @@ func fuzzKey(kind byte, n int, vals []byte) *Column {
 		}
 		return NewStringColumn("k", plain)
 	default:
-		dict := []string{"b", "", "true", "1", "a\x00", "NaN"}
+		dict := []string{"", "1", "NaN", "a\x00", "b", "true"}
 		codes := make([]uint32, n)
 		for i := range codes {
 			codes[i] = uint32(pick(i) % len(dict))

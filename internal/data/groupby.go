@@ -135,11 +135,7 @@ func rankRows(kc *Column) ([]int32, int) {
 	return ks.slots, rankSlots(ks.slots, ks.domain, func(present []int32) {
 		switch {
 		case kc.IsDict():
-			if !kc.dictIsSorted() {
-				slices.SortFunc(present, func(a, b int32) int {
-					return cmp.Or(strings.Compare(kc.Dict[a], kc.Dict[b]), cmp.Compare(a, b))
-				})
-			}
+			// Code order is string order: the slots are in key order already.
 		case kc.Type == Int64 && ks.index == nil:
 			sortDecimal(present, func(s int32) int64 { return ks.lo + int64(s) })
 		case kc.Type == Int64:

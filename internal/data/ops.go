@@ -3,7 +3,6 @@ package data
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -135,10 +134,12 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 		return nil, fmt.Errorf("data: onehot: column %q is %s, want string", col, c.Type)
 	}
 	var sorted []string
+	var codes []uint32 // a dictionary column's code of each category
 	if c.IsDict() {
 		// Categories are the dictionary entries actually present in the
 		// code vector (a gathered column can share a wider dictionary than
-		// its rows reference), excluding the missing value "".
+		// its rows reference), excluding the missing value "", in code
+		// order, which is string order.
 		used := make([]bool, len(c.Dict))
 		for _, code := range c.Codes {
 			used[code] = true
@@ -146,12 +147,9 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 		for code, s := range c.Dict {
 			if used[code] && s != "" {
 				sorted = append(sorted, s)
+				codes = append(codes, uint32(code))
 			}
 		}
-		if !sort.StringsAreSorted(sorted) {
-			sort.Strings(sorted)
-		}
-		sorted = slices.Compact(sorted) // a dictionary built by NewDictColumn may repeat an entry
 	} else {
 		cats := make(map[string]bool)
 		for _, s := range c.Strings {
@@ -179,12 +177,8 @@ func (f *Frame) OneHot(col string, opHash string) (*Frame, error) {
 			cat := sorted[k]
 			vals := make([]float64, c.Len())
 			if c.IsDict() {
-				match := make([]bool, len(c.Dict))
-				for code, s := range c.Dict {
-					match[code] = s == cat
-				}
 				for i, code := range c.Codes {
-					if match[code] {
+					if code == codes[k] {
 						vals[i] = 1
 					}
 				}

@@ -21,9 +21,9 @@ func (f *Frame) SortBy(col string, desc bool, opHash string) (*Frame, error) {
 	}
 	var less func(a, b int) bool
 	switch {
-	case c.IsDict() && c.dictIsSorted():
-		// Sorted dictionary: code order is lexicographic order, so the
-		// comparator stays in 4-byte integers.
+	case c.IsDict():
+		// Code order is string order, so the comparator stays in 4-byte
+		// integers.
 		less = func(a, b int) bool {
 			if desc {
 				return c.Codes[a] > c.Codes[b]

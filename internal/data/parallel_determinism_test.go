@@ -221,7 +221,7 @@ func naiveJoinIndices(lk, rk *Column, kind JoinKind) (lidx, ridx []int) {
 // way a left key maps into it: compact int keys (with negatives, and with
 // left keys outside the right's span), sparse int keys on the hash path,
 // float keys with NaN payloads and signed zeros, bool keys, plain string
-// keys, dict keys (shared, disjoint and unsorted dictionaries),
+// keys, dict keys (shared, disjoint and other dictionaries),
 // dict-vs-plain, a mixed-type key (int left, float right) that must match
 // through rendered strings, and an empty right side.
 func TestJoinMatchesNaiveJoin(t *testing.T) {
@@ -251,10 +251,13 @@ func TestJoinMatchesNaiveJoin(t *testing.T) {
 		nanZero[i] = []float64{math.NaN(), otherNaN, 0, math.Copysign(0, -1), 1.5, float64(i % 40)}[i%6]
 		bools[i] = i%3 == 0
 	}
-	unsorted := NewDictColumn("k", []string{"dd", "", "b", "zz", "a"}, make([]uint32, 1500))
+	// other holds entries of dictCol under other codes, and one it lacks:
+	// the join remaps codes between the two dictionaries. (Its cases are
+	// named "unsorted" after an order the dictionary rule now refuses.)
+	other := NewDictColumn("k", []string{"", "a", "b", "dd", "zz"}, make([]uint32, 1500))
 	disjoint := NewDictColumn("k", []string{"p", "q"}, make([]uint32, 700))
-	for i := range unsorted.Codes {
-		unsorted.Codes[i] = uint32(i*7) % 5
+	for i := range other.Codes {
+		other.Codes[i] = uint32(i*7) % 5
 	}
 	for i := range disjoint.Codes {
 		disjoint.Codes[i] = uint32(i % 2)
@@ -276,8 +279,8 @@ func TestJoinMatchesNaiveJoin(t *testing.T) {
 		{"float-nan-zero", NewFloatColumn("k", nanZero), NewFloatColumn("k", nanZero[:700])},
 		{"bool-bool", NewBoolColumn("k", bools), NewBoolColumn("k", bools[:40])},
 		{"dict-dict-disjoint", dictCol, disjoint},
-		{"dict-dict-unsorted", dictCol, unsorted},
-		{"unsorted-dict", unsorted, shortDict},
+		{"dict-dict-unsorted", dictCol, other},
+		{"unsorted-dict", other, shortDict},
 		{"int-empty-right", intCol, NewIntColumn("k", nil)},
 		{"dict-empty-right", dictCol, NewDictColumn("k", nil, nil)},
 	}

@@ -48,6 +48,29 @@ func TestPruneDropsStaleUnmaterialized(t *testing.T) {
 	}
 }
 
+// TestPruneAfterRestoreKeepsTheIdleClock: a graph restored from its
+// snapshot prunes what the live graph prunes, because the prune clock
+// resumes where the snapshot left it rather than at zero, where every
+// restored vertex would look freshly seen.
+func TestPruneAfterRestoreKeepsTheIdleClock(t *testing.T) {
+	live := New()
+	for i := 0; i < 21; i++ {
+		mergeChain(live, fmt.Sprintf("w%d", i))
+	}
+	restored := FromSnapshot(live.Snapshot())
+	for _, g := range []*Graph{live, restored} {
+		mergeChain(g, "next-0")
+		mergeChain(g, "next-1")
+	}
+	want := live.Prune(PrunePolicy{MaxIdleWorkloads: 3}, held())
+	got := restored.Prune(PrunePolicy{MaxIdleWorkloads: 3}, held())
+	slices.Sort(want)
+	slices.Sort(got)
+	if len(want) != 19 || !slices.Equal(got, want) {
+		t.Errorf("restored graph pruned %d vertices, the live one %d; want the same 19", len(got), len(want))
+	}
+}
+
 func TestPruneKeepsMaterializedAndFrequent(t *testing.T) {
 	g := New()
 	_, hot := mergeChain(g, "hot")

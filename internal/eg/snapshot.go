@@ -28,7 +28,9 @@ func (g *Graph) Snapshot() *Snapshot {
 
 // FromSnapshot reconstructs a graph from a snapshot. Only the persisted
 // attributes are read: the orders, Cr and p are rebuilt, and a vertex whose
-// parents the snapshot does not hold is dropped with its descendants.
+// parents the snapshot does not hold is dropped with its descendants. The
+// prune clock resumes at the largest LastSeen, the merge that last touched
+// a vertex, so idle vertices stay as idle as they were.
 func FromSnapshot(s *Snapshot) *Graph {
 	g := New()
 	if s == nil {
@@ -38,6 +40,7 @@ func FromSnapshot(s *Snapshot) *Graph {
 	for _, v := range s.Vertices {
 		cp := *v
 		g.vertices[cp.ID] = &cp
+		g.mergeCount = max(g.mergeCount, cp.LastSeen)
 	}
 	g.rebuildLocked()
 	return g

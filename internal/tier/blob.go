@@ -276,7 +276,8 @@ func readStrs(r *rec.Reader) []string {
 	if n < 0 {
 		return nil
 	}
-	return readStrings(r, n)
+	strs, _ := readStrings(r, n, true, false)
+	return strs
 }
 
 func readArtifact(r *rec.Reader) graph.Artifact {

@@ -19,6 +19,7 @@
 package tier
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -66,16 +67,17 @@ var ErrCorrupt = rec.ErrCorrupt
 // str per row. A dictionary-encoded string column sets the high bit of the
 // dtype byte (dictDType | String) and carries uvarint k, k × str, then one
 // code per row in the narrowest width that holds k−1: 1 byte up to 256
-// entries, 2 up to 65 536, else 4. Codes must index the dictionary, and no
-// entry may repeat (the key kernels take equal codes for equal strings);
-// the entries may come in any order, and consumers that rely on
-// sortedness re-check it.
+// entries, 2 up to 65 536, else 4. Codes must index the dictionary, and
+// the entries strictly ascend, compared bytewise: no entry repeats (the key
+// kernels take equal codes for equal strings), and code order is string
+// order (sort, one-hot and the group-by's key order compare codes).
 //
 // The encoding is canonical: any version-2 byte string that decodes
 // re-encodes to exactly the same bytes, which the fuzz test exploits. So
 // the decoder refuses a mode other than the one its values select, a varint
-// longer than its shortest form, and a float dictionary with a repeated or
-// unused entry or out of first-appearance order.
+// longer than its shortest form, a float dictionary with a repeated or
+// unused entry or out of first-appearance order, and a string dictionary
+// whose entries do not strictly ascend.
 //
 // Nothing reads version 1 ("CTC1"): Open refuses a directory holding one,
 // and a CTC1 record on the wire is refused as corrupt.
@@ -446,20 +448,32 @@ func (d *patterns) code(k uint64) uint32 {
 // ErrCorrupt. ValidateColumn makes the same checks without building the
 // column.
 func DecodeColumn(b []byte) (*data.Column, error) {
-	_, body, err := rec.Open(b, colMagic)
+	_, c, err := readColumn(b, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	r := rec.NewReader(body)
-	info, isDict := readHeader(&r, nil)
-	c := &data.Column{Type: info.Type, ID: info.ID, Name: info.Name}
-	if r.Err() == nil {
-		decodePayload(&r, c, info.Rows, isDict)
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
 	return c, nil
+}
+
+// readColumn reads a version-2 column record, checking every rule of the
+// format, and returns what it says of its column: the column itself when
+// keep is set, else only its ColumnInfo, the values read into pooled
+// scratch and dropped. known is as ValidateColumn takes it.
+func readColumn(b []byte, known Known, keep bool) (ColumnInfo, *data.Column, error) {
+	_, body, err := rec.Open(b, colMagic)
+	if err != nil {
+		return ColumnInfo{}, nil, err
+	}
+	r := rec.NewReader(body)
+	info, isDict := readHeader(&r, known)
+	var c *data.Column
+	if keep {
+		c = &data.Column{Type: info.Type, ID: info.ID, Name: info.Name}
+	}
+	if r.Err() == nil {
+		info.Size = readPayload(&r, info, isDict, c)
+	}
+	return info, c, r.Done()
 }
 
 // readHeader reads a record from its dtype byte to its row count. It refuses an ID or a name longer than EncodeColumn writes, so
@@ -489,40 +503,61 @@ func readHeader(r *rec.Reader, known Known) (info ColumnInfo, isDict bool) {
 	return info, isDict
 }
 
-// decodePayload reads a version-2 payload into c.
-func decodePayload(r *rec.Reader, c *data.Column, rows int, isDict bool) {
+// readPayload reads a version-2 payload of info's column into c, or into
+// nothing when c is nil, and returns the SizeBytes of the column it holds.
+func readPayload(r *rec.Reader, info ColumnInfo, isDict bool, c *data.Column) int64 {
 	// Every row takes at least one byte in every mode of every dtype, so an
 	// honest row count is bounded by the bytes left; checking before
 	// allocating keeps a corrupt header from forcing a huge allocation.
+	rows, keep := info.Rows, c != nil
 	if rows > r.Left() {
 		r.Fail("row count %d exceeds payload", rows)
-		return
+		return 0
 	}
 	if isDict {
-		dict := readStrings(r, r.Count(1)) // an entry takes at least its length byte
-		if s, dup := data.RepeatedEntry(dict); dup {
-			r.Fail("dictionary entry %q repeats", s)
-			return
-		}
-		if codes, ok := readCodes(r, rows, len(dict), true); ok {
+		k := r.Count(1) // an entry takes at least its length byte
+		dict, size := readStrings(r, k, keep, true)
+		if codes, ok := readCodes(r, rows, k, keep); ok && keep {
 			c.Dict, c.Codes = dict, codes
 		}
-		return
+		return size + 4*int64(rows)
 	}
-	switch c.Type {
+	switch info.Type {
 	case data.Float64:
-		c.Floats = make([]float64, rows)
-		readFloatPayload(r, c.Floats)
+		if keep {
+			c.Floats = make([]float64, rows)
+			readFloatPayload(r, c.Floats)
+		} else {
+			s := scratchPool.Get().(*scratch)
+			readFloatPayload(r, s.floats(rows))
+			scratchPool.Put(s)
+		}
+		return 8 * int64(rows)
 	case data.Int64:
-		c.Ints = make([]int64, rows)
-		readIntPayload(r, c.Ints)
+		if keep {
+			c.Ints = make([]int64, rows)
+			readIntPayload(r, c.Ints)
+		} else {
+			s := scratchPool.Get().(*scratch)
+			readIntPayload(r, s.ints(rows))
+			scratchPool.Put(s)
+		}
+		return 8 * int64(rows)
 	case data.String:
-		c.Strings = readStrings(r, rows)
+		strs, size := readStrings(r, rows, keep, false)
+		if keep {
+			c.Strings = strs
+		}
+		return size
 	case data.Bool:
-		c.Bools = readBoolPayload(r, rows, true)
-	default:
-		r.Fail("unknown dtype %d", c.Type)
+		bools := readBoolPayload(r, rows, keep)
+		if keep {
+			c.Bools = bools
+		}
+		return int64(rows)
 	}
+	r.Fail("unknown dtype %d", info.Type)
+	return 0
 }
 
 // readCodes reads the codes of a k-entry string dictionary, one per row,
@@ -687,13 +722,32 @@ func readIntPayload(r *rec.Reader, ints []int64) {
 	}
 }
 
-// readStrings reads n strs.
-func readStrings(r *rec.Reader, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.Str()
+// readStrings reads n strs, returns them when keep is set, and returns
+// what they add to a column's size. With ascend set they are a dictionary's
+// entries, and each must sort after the one before it, bytewise.
+func readStrings(r *rec.Reader, n int, keep, ascend bool) ([]string, int64) {
+	var out []string
+	if keep {
+		out = make([]string, n)
 	}
-	return out
+	var size int64
+	var prev []byte
+	for i := 0; i < n; i++ {
+		s := r.StrBytes()
+		if r.Err() != nil {
+			return nil, 0
+		}
+		if ascend && i > 0 && bytes.Compare(s, prev) <= 0 {
+			r.Fail("dictionary entry %q does not sort after %q", s, prev)
+			return nil, 0
+		}
+		if keep {
+			out[i] = string(s)
+		}
+		size += int64(len(s)) + 16
+		prev = s
+	}
+	return out, size
 }
 
 // readBoolPayload reads a Bool payload of rows bytes, each 0 or 1, and returns

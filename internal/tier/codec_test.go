@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -169,7 +169,7 @@ func TestColumnCodecDict(t *testing.T) {
 	for _, k := range []int{1, 256, 257, 1 << 16, 1<<16 + 1} {
 		dict := make([]string, k)
 		for i := range dict {
-			dict[i] = strconv.Itoa(i)
+			dict[i] = fmt.Sprintf("%05d", i) // ascending
 		}
 		c := data.NewDictColumn("w", dict, []uint32{uint32(k - 1), 0})
 		enc, err := EncodeColumn(c)
@@ -196,7 +196,7 @@ func TestColumnCodecRefusesRepeatedDictEntry(t *testing.T) {
 	v2 := append([]byte(nil), enc[:len(enc)-4]...)
 	v2[bytes.IndexByte(v2, 'y')] = 'x'
 	v2 = checksummed(v2)
-	if _, err := DecodeColumn(v2); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `"x" repeats`) {
+	if _, err := DecodeColumn(v2); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `"x" does not sort after "x"`) {
 		t.Errorf("decoding a repeated entry: err=%v, want ErrCorrupt naming \"x\"", err)
 	}
 }

@@ -30,7 +30,7 @@ func modeColumns() []*data.Column {
 	wide := make([]string, 300)
 	wideCodes := make([]uint32, 600)
 	for i := range wide {
-		wide[i] = string(rune('a'+i%26)) + string(rune('a'+i/26)) // distinct: entries never repeat
+		wide[i] = string(rune('a'+i/26)) + string(rune('a'+i%26)) // "aa", "ab", …: strictly ascending
 	}
 	for i := range wideCodes {
 		wideCodes[i] = uint32(i % 300)

@@ -1,7 +1,6 @@
 package tier
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -51,113 +50,19 @@ func RecordOf(c *data.Column) (Record, error) {
 // ID and name, given their bytes, and false for a pair it does not hold.
 type Known func(id, name []byte) (string, string, bool)
 
-// ValidateColumn makes every check DecodeColumn makes of a column record —
-// checksum, structure, canonical mode, dictionary rules — and builds no
-// column: values are read into pooled scratch and dropped. The record is
-// returned as b itself. A version-1 record is refused, as DecodeColumn
-// refuses it. The Record's ID and name are fresh strings when known is nil;
+// ValidateColumn reads a column record as DecodeColumn reads it, making
+// every check — checksum, structure, canonical mode, dictionary rules — but
+// builds no column: values are read into pooled scratch and dropped. The
+// record is returned as b itself. A version-1 record is refused, as
+// DecodeColumn refuses it. The Record's ID and name are fresh strings when known is nil;
 // otherwise they are known's strings, and a record whose ID and name known
 // does not hold is refused.
 func ValidateColumn(b []byte, known Known) (Record, error) {
-	_, body, err := rec.Open(b, colMagic)
+	info, _, err := readColumn(b, known, false)
 	if err != nil {
 		return Record{}, err
 	}
-	r := rec.NewReader(body)
-	info, isDict := readHeader(&r, known)
-	if r.Err() == nil {
-		info.Size = skimPayload(&r, info, isDict)
-	}
-	if err := r.Done(); err != nil {
-		return Record{}, err
-	}
 	return Record{info, b}, nil
-}
-
-// skimPayload checks a version-2 payload as decodePayload reads it, and
-// returns the size of the column it holds.
-func skimPayload(r *rec.Reader, info ColumnInfo, isDict bool) int64 {
-	rows := info.Rows
-	if rows > r.Left() {
-		r.Fail("row count %d exceeds payload", rows)
-		return 0
-	}
-	if isDict {
-		k := r.Count(1)
-		size := skimDict(r, k)
-		if r.Err() != nil {
-			return 0
-		}
-		readCodes(r, rows, k, false)
-		return size + 4*int64(rows)
-	}
-	switch info.Type {
-	case data.Float64:
-		s := scratchPool.Get().(*scratch)
-		readFloatPayload(r, s.floats(rows))
-		scratchPool.Put(s)
-		return 8 * int64(rows)
-	case data.Int64:
-		s := scratchPool.Get().(*scratch)
-		readIntPayload(r, s.ints(rows))
-		scratchPool.Put(s)
-		return 8 * int64(rows)
-	case data.String:
-		var size int64
-		for i := 0; i < rows; i++ {
-			size += int64(len(r.StrBytes())) + 16
-		}
-		return size
-	case data.Bool:
-		readBoolPayload(r, rows, false)
-		return int64(rows)
-	}
-	r.Fail("unknown dtype %d", info.Type)
-	return 0
-}
-
-// skimDict reads the k entries of a string dictionary without copying them,
-// fails r at a repeated one as data.RepeatedEntry finds it, and returns what
-// they add to the column's size. A sorted dictionary, which every dictionary
-// this repository builds is, is checked entry against entry; any other
-// takes a set.
-func skimDict(r *rec.Reader, k int) int64 {
-	from := *r
-	var size int64
-	var prev, dup []byte
-	sorted, found := true, false
-	for i := 0; i < k; i++ {
-		s := r.StrBytes()
-		size += int64(len(s)) + 16
-		if i > 0 && sorted {
-			switch c := bytes.Compare(s, prev); {
-			case c < 0:
-				sorted = false
-			case c == 0 && !found:
-				dup, found = s, true
-			}
-		}
-		prev = s
-	}
-	if r.Err() != nil {
-		return 0
-	}
-	if !sorted {
-		found = false
-		seen := make(map[string]struct{}, k)
-		for i := 0; i < k && !found; i++ {
-			s := from.StrBytes()
-			if _, found = seen[string(s)]; found {
-				dup = s
-			}
-			seen[string(s)] = struct{}{}
-		}
-	}
-	if found {
-		r.Fail("dictionary entry %q repeats", dup)
-		return 0
-	}
-	return size
 }
 
 // scratch holds what reading a payload needs when no column is built: the

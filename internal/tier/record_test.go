@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -81,33 +83,72 @@ func TestValidateColumnRefusesVersion1(t *testing.T) {
 	}
 }
 
+// dictRecord writes a record of a string dictionary column holding entries
+// as they are given, one row per entry.
+func dictRecord(t *testing.T, entries []string) []byte {
+	t.Helper()
+	w := rec.Frame(colMagic, 64)
+	w.U8(dictDType | byte(data.String))
+	w.Str16("id")
+	w.Str16("d")
+	w.U32(uint32(len(entries)))
+	w.Uvarint(uint64(len(entries)))
+	for _, s := range entries {
+		w.Str(s)
+	}
+	for i := range entries {
+		w.U8(byte(i))
+	}
+	b, err := w.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestValidateColumnRefusesARepeatedEntryAsDecodeDoes: a repeated string
-// dictionary entry is refused naming the entry DecodeColumn names — in a
-// sorted dictionary and in one whose order sends the check to a set.
+// dictionary entry, or one out of order, is refused by both readers with
+// one text, naming the first entry that does not sort after the one before
+// it.
 func TestValidateColumnRefusesARepeatedEntryAsDecodeDoes(t *testing.T) {
-	for dict, repeated := range map[string]string{"a b b c": "b", "y x y x": "y", "b a a": "a"} {
-		entries := strings.Fields(dict)
-		w := rec.Frame(colMagic, 64)
-		w.U8(dictDType | byte(data.String))
-		w.Str16("id")
-		w.Str16("d")
-		w.U32(uint32(len(entries)))
-		w.Uvarint(uint64(len(entries)))
-		for _, s := range entries {
-			w.Str(s)
-		}
-		for i := range entries {
-			w.U8(byte(i))
-		}
-		b, err := w.Seal()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for dict, want := range map[string]string{
+		"a b b c": `"b" does not sort after "b"`,
+		"y x y x": `"x" does not sort after "y"`,
+		"b a a":   `"a" does not sort after "b"`,
+	} {
+		b := dictRecord(t, strings.Fields(dict))
 		_, verr := ValidateColumn(b, nil)
 		_, derr := DecodeColumn(b)
-		quoted := `"` + repeated + `" repeats`
-		if !errors.Is(verr, ErrCorrupt) || derr == nil || verr.Error() != derr.Error() || !strings.Contains(verr.Error(), quoted) {
-			t.Errorf("%q: ValidateColumn %v, DecodeColumn %v; want both naming %s", dict, verr, derr, quoted)
+		if !errors.Is(verr, ErrCorrupt) || derr == nil || verr.Error() != derr.Error() || !strings.Contains(verr.Error(), want) {
+			t.Errorf("%q: ValidateColumn %v, DecodeColumn %v; want both naming %s", dict, verr, derr, want)
+		}
+	}
+}
+
+// TestReadersRefuseAnUnsortedDictionary: a string dictionary of distinct
+// entries that do not strictly ascend, compared bytewise, is refused by
+// both readers with one text naming both entries, and Column.Validate, the
+// fuzz oracle, refuses the column it holds; the same entries in order read.
+func TestReadersRefuseAnUnsortedDictionary(t *testing.T) {
+	for _, entries := range [][]string{{"b", "a"}, {"", "a", "B"}, {"a\x00", "a"}, {"x", ""}} {
+		b := dictRecord(t, entries)
+		_, verr := ValidateColumn(b, nil)
+		_, derr := DecodeColumn(b)
+		at := len(entries) - 1
+		want := fmt.Sprintf("corrupt record: dictionary entry %q does not sort after %q", entries[at], entries[at-1])
+		if verr == nil || derr == nil || verr.Error() != want || derr.Error() != want {
+			t.Errorf("%q: ValidateColumn %v, DecodeColumn %v; want both %s", entries, verr, derr, want)
+		}
+		codes := make([]uint32, len(entries))
+		for i := range codes {
+			codes[i] = uint32(i)
+		}
+		if err := data.NewDictColumn("d", entries, codes).Validate(); err == nil {
+			t.Errorf("%q: Column.Validate accepted the column", entries)
+		}
+		slices.Sort(entries)
+		if _, err := DecodeColumn(dictRecord(t, entries)); err != nil {
+			t.Errorf("%q in order: %v", entries, err)
 		}
 	}
 }
